@@ -173,6 +173,30 @@ func CorrectOffsets(x []complex128, measured []float64) {
 	}
 }
 
+// CorrectSnapshots is CorrectOffsets applied to every snapshot of one
+// frame: the per-element phasor e^{−jψ_k} is computed once into scratch
+// (grown as needed and returned for reuse) and multiplied into each
+// snapshot, where CorrectOffsets would recompute it per snapshot. The
+// phasors and the skip rule for zero offsets are CorrectOffsets' own,
+// so the corrected samples are identical.
+func CorrectSnapshots(snaps [][]complex128, measured []float64, scratch []complex128) []complex128 {
+	if cap(scratch) < len(measured) {
+		scratch = make([]complex128, len(measured))
+	}
+	scratch = scratch[:len(measured)]
+	for k, psi := range measured {
+		scratch[k] = cmplx.Exp(complex(0, -psi))
+	}
+	for _, x := range snaps {
+		for k := range x {
+			if k < len(measured) && measured[k] != 0 {
+				x[k] *= scratch[k]
+			}
+		}
+	}
+	return scratch
+}
+
 // Validate checks the array for configuration errors.
 func (a *Array) Validate() error {
 	if a.N < 2 {

@@ -263,3 +263,39 @@ func TestCentroid(t *testing.T) {
 		t.Errorf("Centroid = %v", c)
 	}
 }
+
+// TestCorrectSnapshotsMatchesCorrectOffsets pins the per-frame form
+// (phasors computed once) bit-identical to calling CorrectOffsets on
+// every snapshot, including the zero-offset skip, offsets shorter and
+// longer than the snapshot, and a reused scratch buffer.
+func TestCorrectSnapshotsMatchesCorrectOffsets(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var scratch []complex128
+	for trial := 0; trial < 50; trial++ {
+		m := 2 + rng.Intn(9)
+		offsets := make([]float64, m-1+rng.Intn(3))
+		for k := range offsets {
+			if rng.Intn(4) > 0 {
+				offsets[k] = (rng.Float64() - 0.5) * 4 * math.Pi
+			}
+		}
+		snaps := make([][]complex128, 1+rng.Intn(12))
+		want := make([][]complex128, len(snaps))
+		for i := range snaps {
+			snaps[i] = make([]complex128, m)
+			for k := range snaps[i] {
+				snaps[i][k] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			want[i] = append([]complex128(nil), snaps[i]...)
+			CorrectOffsets(want[i], offsets)
+		}
+		scratch = CorrectSnapshots(snaps, offsets, scratch)
+		for i := range snaps {
+			for k := range snaps[i] {
+				if snaps[i][k] != want[i][k] {
+					t.Fatalf("trial %d snapshot %d element %d: %v, CorrectOffsets gives %v", trial, i, k, snaps[i][k], want[i][k])
+				}
+			}
+		}
+	}
+}

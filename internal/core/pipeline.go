@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/array"
 	"repro/internal/geom"
 	"repro/internal/music"
 )
@@ -119,25 +118,23 @@ func (p *Pipeline) CombineAP(ws *music.Workspace, ap *AP, frames []FrameCapture,
 		if len(group) > 3 {
 			group = group[:3]
 		}
-		out = SuppressMultipath(group, p.cfg.PeakMatchTolDeg)
+		out = suppressMultipath(ws, group, p.cfg.PeakMatchTolDeg)
 	} else {
 		out = spectra[0].Clone()
 	}
 
 	if p.cfg.UseWeighting {
-		out.ApplyGeometryWeighting(ap.Array.Orient)
+		if p.cfg.Steering != nil {
+			p.cfg.Steering.Table(ap.Array, p.cfg.Wavelength, out.Bins()).ApplyGeometryWeighting(out)
+		} else {
+			out.ApplyGeometryWeighting(ap.Array.Orient)
+		}
 	}
 
 	if p.cfg.UseSymmetryRemoval && ap.Array.NinthAntenna &&
 		len(frames) > 0 && len(frames[0].Streams) >= ap.Array.NumElements() {
 		full := frames[0].Streams[:ap.Array.NumElements()]
-		snaps := music.SnapshotsAtWS(ws, full, p.cfg.SampleOffset, p.cfg.MaxSamples)
-		if ap.Calibration != nil {
-			for _, s := range snaps {
-				array.CorrectOffsets(s, ap.Calibration)
-			}
-		}
-		rFull, err := music.CorrelationMatrixWS(ws, snaps)
+		rFull, err := music.CalibratedCorrelationWS(ws, full, p.cfg.SampleOffset, p.cfg.MaxSamples, ap.Calibration)
 		if err != nil {
 			return nil, err
 		}
@@ -159,8 +156,12 @@ func (p *Pipeline) ProcessAP(ap *AP, frames []FrameCapture) (*music.Spectrum, er
 	return p.processAP(ws, ap, frames)
 }
 
+// processAP owns its frame spectra from scan to combine, so they live
+// in the workspace (list and storage both) and go back to it afterwards;
+// only the combined spectrum escapes.
 func (p *Pipeline) processAP(ws *music.Workspace, ap *AP, frames []FrameCapture) (*music.Spectrum, error) {
-	spectra := make([]*music.Spectrum, 0, len(frames))
+	spectra := ws.FrameList(len(frames))
+	defer func() { ws.Recycle(spectra...) }()
 	for i, f := range frames {
 		s, err := p.frameSpectrumIndexed(ws, ap, f, i)
 		if err != nil {
@@ -348,7 +349,7 @@ func (p *Pipeline) ProcessAPs(aps []*AP, captures [][]FrameCapture) ([]APSpectru
 	if len(aps) != len(captures) {
 		return nil, errors.New("core: captures must align with APs")
 	}
-	var contrib []int
+	contrib := make([]int, 0, len(aps))
 	for i := range aps {
 		if len(captures[i]) > 0 {
 			contrib = append(contrib, i)

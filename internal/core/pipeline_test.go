@@ -146,3 +146,42 @@ func TestPipelineEstimatorInjection(t *testing.T) {
 		t.Fatal("Bartlett estimator produced MUSIC's spectrum — injection is not wired through")
 	}
 }
+
+// TestProcessAPsSteadyStateAllocs gates the per-AP stage's allocation
+// budget with warm workspaces and caches: frame spectra, their list,
+// the Bartlett vote spectrum and the peak lists all live in the
+// workspace, so each contributing AP costs its escaping combined
+// spectrum (struct + bins) and ProcessAPs its four bookkeeping slices.
+// Calibration is set, as in every real deployment, so the per-frame
+// phasor scratch is covered too.
+func TestProcessAPsSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	rng := rand.New(rand.NewSource(46))
+	const nAPs = 4
+	aps, captures, _ := buildTestbedAPs(t, geom.Pt(8.5, 6.2), nAPs, 3, rng)
+	for _, ap := range aps {
+		ap.Calibration = make([]float64, ap.Array.NumElements())
+		for k := 1; k < len(ap.Calibration); k++ {
+			ap.Calibration[k] = 0.2 * float64(k)
+		}
+	}
+	cfg := DefaultConfig(lambda)
+	cfg.APWorkers = 0
+	cfg.Workspaces = music.NewWorkspacePool()
+	cfg.Steering = music.NewSteeringCache()
+	p := NewPipeline(cfg)
+	if _, err := p.ProcessAPs(aps, captures); err != nil { // warm
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := p.ProcessAPs(aps, captures); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocs per ProcessAPs over %d APs × 3 frames", allocs, nAPs)
+	if limit := float64(4*nAPs + 4); allocs > limit {
+		t.Fatalf("ProcessAPs allocates %.1f per call, want ≤ %.0f (4 per contributing AP + 4)", allocs, limit)
+	}
+}

@@ -43,6 +43,12 @@ const suppressFactor = 0.05
 // With fewer than two spectra the primary (or nil) is returned
 // unchanged, per step 1 of the algorithm.
 func SuppressMultipath(spectra []*music.Spectrum, tolDeg float64) *music.Spectrum {
+	return suppressMultipath(nil, spectra, tolDeg)
+}
+
+// suppressMultipath is SuppressMultipath with the per-spectrum peak
+// lists kept in the workspace (nil ws allocates them).
+func suppressMultipath(ws *music.Workspace, spectra []*music.Spectrum, tolDeg float64) *music.Spectrum {
 	if len(spectra) == 0 {
 		return nil
 	}
@@ -56,13 +62,10 @@ func SuppressMultipath(spectra []*music.Spectrum, tolDeg float64) *music.Spectru
 	out := primary.Clone()
 	// Each spectrum's peaks are found once; the per-primary-peak loop
 	// only scans the cached lists.
-	otherPeaks := make([][]music.Peak, len(spectra)-1)
-	for i, other := range spectra[1:] {
-		otherPeaks[i] = other.Peaks(DefaultPeakFloor)
-	}
-	for _, pk := range primary.Peaks(DefaultPeakFloor) {
+	peaks := ws.PeakLists(spectra, DefaultPeakFloor)
+	for _, pk := range peaks[0] {
 		stable := false
-		for _, ops := range otherPeaks {
+		for _, ops := range peaks[1:] {
 			if matchInPeaks(ops, pk.Theta, tolDeg) {
 				stable = true
 				break

@@ -73,8 +73,11 @@ func TestEngineMatchesSerial(t *testing.T) {
 		if b.ClientID != s.ClientID {
 			t.Fatalf("request %d: batch result for client %d, want %d", i, b.ClientID, s.ClientID)
 		}
-		if b.Pos != s.Pos {
-			t.Fatalf("request %d: engine pos %v, serial pos %v", i, b.Pos, s.Pos)
+		// The serial control scans with per-bin closures, the engine with
+		// the lag-domain table scan: spectra agree to the scans' stated
+		// 1e-9-of-unit-max bound and the fix to 1e-9 m, not bit for bit.
+		if d := b.Pos.Dist(s.Pos); d > 1e-9 {
+			t.Fatalf("request %d: engine pos %v, serial pos %v (%g m apart)", i, b.Pos, s.Pos, d)
 		}
 		if len(b.Spectra) != len(s.Spectra) {
 			t.Fatalf("request %d: %d vs %d spectra", i, len(b.Spectra), len(s.Spectra))
@@ -85,7 +88,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 			}
 			sp, bp := s.Spectra[j].Spectrum.P, b.Spectra[j].Spectrum.P
 			for k := range sp {
-				if d := math.Abs(bp[k] - sp[k]); d > 1e-12 {
+				if d := math.Abs(bp[k] - sp[k]); d > 1e-9 {
 					t.Fatalf("request %d spectrum %d bin %d: Δ=%g", i, j, k, d)
 				}
 			}

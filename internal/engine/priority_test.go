@@ -128,15 +128,19 @@ func TestEnginePriorityJumpsQueue(t *testing.T) {
 		mu.Unlock()
 		wg.Done()
 	}
+	// Build every request first: synthesizing streams between submits
+	// is slower than the worker's fix, and would let it drain the
+	// backlog before the priority job is even submitted.
+	reqs := make([]engine.Request, 0, batch+1)
 	for i := 0; i < batch; i++ {
-		wg.Add(1)
-		if err := eng.Submit(mkReq(uint32(i+1), false), record); err != nil {
+		reqs = append(reqs, mkReq(uint32(i+1), false))
+	}
+	reqs = append(reqs, mkReq(1000, true))
+	wg.Add(len(reqs))
+	for _, q := range reqs {
+		if err := eng.Submit(q, record); err != nil {
 			t.Fatal(err)
 		}
-	}
-	wg.Add(1)
-	if err := eng.Submit(mkReq(1000, true), record); err != nil {
-		t.Fatal(err)
 	}
 	wg.Wait()
 

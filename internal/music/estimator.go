@@ -25,7 +25,9 @@ type Estimator interface {
 	// Name identifies the estimator ("music", "bartlett", "baseline").
 	Name() string
 	// Spectrum computes the normalized AoA spectrum for the array's
-	// main-row streams.
+	// main-row streams. The returned spectrum belongs to the caller,
+	// who may hand it back to ws with Recycle: an estimator must not
+	// retain or share it.
 	Spectrum(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error)
 }
 
@@ -100,8 +102,8 @@ func (baselineEstimator) Spectrum(ws *Workspace, a *array.Array, streams [][]com
 	}, opt.bins()), nil
 }
 
-// frameCorrelation is the shared snapshots → calibration → correlation
-// front half used by the non-MUSIC estimators.
+// frameCorrelation is the snapshots → calibration → correlation front
+// half every estimator shares, over the array's main-row streams.
 func frameCorrelation(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*mat.Matrix, error) {
 	if len(streams) < 2 {
 		return nil, errors.New("music: need at least two antenna streams")
@@ -109,11 +111,20 @@ func frameCorrelation(ws *Workspace, a *array.Array, streams [][]complex128, opt
 	if len(streams) > a.N {
 		return nil, fmt.Errorf("music: %d streams exceed the %d-element row", len(streams), a.N)
 	}
-	snaps := SnapshotsAtWS(ws, streams, opt.SampleOffset, opt.MaxSamples)
-	if opt.CalibrationOffsets != nil {
-		for _, s := range snaps {
-			array.CorrectOffsets(s, opt.CalibrationOffsets)
-		}
+	return CalibratedCorrelationWS(ws, streams, opt.SampleOffset, opt.MaxSamples, opt.CalibrationOffsets)
+}
+
+// CalibratedCorrelationWS takes snapshots of the streams (SnapshotsAtWS),
+// removes the calibration offsets when calib is non-nil (the §3
+// correction, its phasors computed once for the whole frame), and
+// returns their correlation matrix (CorrelationMatrixWS). Everything
+// lives in ws; a nil ws allocates.
+func CalibratedCorrelationWS(ws *Workspace, streams [][]complex128, offset, maxSamples int, calib []float64) (*mat.Matrix, error) {
+	snaps := SnapshotsAtWS(ws, streams, offset, maxSamples)
+	if calib != nil && ws != nil {
+		ws.phasors = array.CorrectSnapshots(snaps, calib, ws.phasors)
+	} else if calib != nil {
+		array.CorrectSnapshots(snaps, calib, nil)
 	}
 	return CorrelationMatrixWS(ws, snaps)
 }

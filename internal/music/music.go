@@ -6,8 +6,6 @@
 package music
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"math/cmplx"
 
@@ -76,8 +74,16 @@ func BinLookup(theta float64, n int) (int, float64) {
 // seam). This is the Pᵢ(θᵢ) lookup in the synthesis step (Eq. 8).
 func (s *Spectrum) At(theta float64) float64 {
 	i, frac := BinLookup(theta, len(s.P))
+	return s.atBin(int32(i), frac)
+}
+
+// atBin interpolates between bin i and its circular successor for a
+// BinLookup pair. Every interpolated read — At, AtBins, the steering
+// table's mirror vote — goes through this one expression, which is what
+// makes precomputed lookups bit-identical to live ones.
+func (s *Spectrum) atBin(i int32, frac float64) float64 {
 	j := i + 1
-	if j == len(s.P) {
+	if int(j) == len(s.P) {
 		j = 0
 	}
 	return s.P[i]*(1-frac) + s.P[j]*frac
@@ -92,14 +98,8 @@ func (s *Spectrum) AtBins(bins []int32, frac []float64, dst []float64) []float64
 		dst = make([]float64, len(bins))
 	}
 	dst = dst[:len(bins)]
-	n := int32(len(s.P))
 	for k, i := range bins {
-		j := i + 1
-		if j == n {
-			j = 0
-		}
-		f := frac[k]
-		dst[k] = s.P[i]*(1-f) + s.P[j]*f
+		dst[k] = s.atBin(i, frac[k])
 	}
 	return dst
 }
@@ -169,24 +169,37 @@ type Peak struct {
 // minRel times the global maximum, strongest first. Neighbouring bins
 // wrap circularly. Plateaus report their first bin.
 func (s *Spectrum) Peaks(minRel float64) []Peak {
+	return s.AppendPeaks(nil, minRel)
+}
+
+// AppendPeaks appends Peaks(minRel) to dst and returns the extended
+// slice, so a caller-owned buffer can be refilled without allocating.
+func (s *Spectrum) AppendPeaks(dst []Peak, minRel float64) []Peak {
 	n := len(s.P)
 	if n < 3 {
-		return nil
+		return dst
 	}
 	max, _ := s.Max()
 	if max <= 0 {
-		return nil
+		return dst
 	}
-	var peaks []Peak
+	floor := minRel * max
+	base := len(dst)
+	// prev and v are carried from bin to bin; only the last bin's
+	// successor wraps to bin 0.
+	prev, v := s.P[n-1], s.P[0]
 	for i := 0; i < n; i++ {
-		prev := s.P[(i-1+n)%n]
-		next := s.P[(i+1)%n]
-		v := s.P[i]
-		if v > prev && v >= next && v >= minRel*max {
-			peaks = append(peaks, Peak{Theta: s.Theta(i), Power: v, Bin: i})
+		next := s.P[0]
+		if i+1 < n {
+			next = s.P[i+1]
 		}
+		if v > prev && v >= next && v >= floor {
+			dst = append(dst, Peak{Theta: s.Theta(i), Power: v, Bin: i})
+		}
+		prev, v = v, next
 	}
 	// Insertion sort by descending power (peak counts are tiny).
+	peaks := dst[base:]
 	for i := 1; i < len(peaks); i++ {
 		j := i
 		for j > 0 && peaks[j-1].Power < peaks[j].Power {
@@ -194,7 +207,7 @@ func (s *Spectrum) Peaks(minRel float64) []Peak {
 			j--
 		}
 	}
-	return peaks
+	return dst
 }
 
 // CorrelationMatrix estimates Rxx = E[x·xᴴ] from snapshots, each a
@@ -298,7 +311,9 @@ type Options struct {
 	// Steering, if non-nil, supplies precomputed steering-vector
 	// tables so the MUSIC scan reuses one matrix per (geometry,
 	// wavelength, bins) instead of recomputing a(θ) for every bin of
-	// every frame. nil keeps the seed's allocate-per-bin path.
+	// every frame, and runs in the lag domain on linear arrays
+	// (packed.go). nil keeps the seed's allocate-per-bin closure scan,
+	// which the table scans are measured against.
 	Steering *SteeringCache
 }
 
@@ -329,24 +344,13 @@ func ComputeSpectrum(a *array.Array, streams [][]complex128, opt Options) (*Spec
 // ComputeSpectrumWS is ComputeSpectrum with every intermediate —
 // snapshots, correlation, forward-backward, smoothed matrix, eigen
 // scratch, noise subspace — drawn from the workspace. Only the
-// returned Spectrum is freshly allocated: it escapes to the caller
+// returned Spectrum leaves it: it is the caller's, freshly allocated
+// unless the caller has handed earlier spectra back with ws.Recycle,
 // while the intermediates stay in ws for the next frame. A nil ws is
 // exactly the allocating path, and both paths share the same
 // arithmetic, so spectra are bit-for-bit identical.
 func ComputeSpectrumWS(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error) {
-	if len(streams) < 2 {
-		return nil, errors.New("music: need at least two antenna streams")
-	}
-	if len(streams) > a.N {
-		return nil, fmt.Errorf("music: %d streams exceed the %d-element row", len(streams), a.N)
-	}
-	snaps := SnapshotsAtWS(ws, streams, opt.SampleOffset, opt.MaxSamples)
-	if opt.CalibrationOffsets != nil {
-		for _, s := range snaps {
-			array.CorrectOffsets(s, opt.CalibrationOffsets)
-		}
-	}
-	r, err := CorrelationMatrixWS(ws, snaps)
+	r, err := frameCorrelation(ws, a, streams, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -459,27 +463,60 @@ func bartlettSpectrum(r *mat.Matrix, bins int, at func(i int, theta float64) []c
 // of being zeroed, which would wrongly veto any client that happens to
 // sit near the array's end-fire. Returns the receiver.
 func (s *Spectrum) ApplyGeometryWeighting(arrayOrient float64) *Spectrum {
-	var neutral float64
-	for _, v := range s.P {
-		neutral += v
-	}
-	neutral /= float64(len(s.P))
+	neutral := s.mean()
 	for i := range s.P {
-		psi := math.Abs(math.Remainder(s.Theta(i)-arrayOrient, math.Pi)) // 0..π/2 off-axis fold
-		deg := psi * 180 / math.Pi
-		if deg < 15 {
-			w := math.Abs(math.Sin(psi))
+		if w, ok := axisWeight(s.Theta(i), arrayOrient); ok {
 			s.P[i] = w*s.P[i] + (1-w)*neutral
 		}
 	}
 	return s
 }
 
+// mean returns the average bin value: the uninformative level Eq. 7's
+// de-weighted bins are blended toward.
+func (s *Spectrum) mean() float64 {
+	var sum float64
+	for _, v := range s.P {
+		sum += v
+	}
+	return sum / float64(len(s.P))
+}
+
+// axisWeight returns Eq. 7's weight |sin ψ| for a bearing within 15° of
+// the array axis (ψ the angle off the axis); ok is false elsewhere,
+// where the weight is 1. ApplyGeometryWeighting and the steering
+// table's precomputed weights (steering.go) both come from here.
+func axisWeight(theta, arrayOrient float64) (w float64, ok bool) {
+	psi := math.Abs(math.Remainder(theta-arrayOrient, math.Pi)) // 0..π/2 off-axis fold
+	if deg := psi * 180 / math.Pi; deg < 15 {
+		return math.Abs(math.Sin(psi)), true
+	}
+	return 1, false
+}
+
+// mirrorBearing returns a bearing's mirror image across the array axis,
+// and whether the bearing lies outside the 15° axis margin so that the
+// §2.3.4 vote applies to it. Shared by the scalar vote and the steering
+// table's precomputed vote pairs.
+func mirrorBearing(theta, arrayOrient float64) (mirror float64, ok bool) {
+	if math.Abs(math.Sin(theta-arrayOrient)) < axisMarginSin {
+		return 0, false
+	}
+	return geom.NormalizeAngle(2*arrayOrient - theta), true
+}
+
+var axisMarginSin = math.Sin(15 * math.Pi / 180)
+
 // symmetrySuppressFactor is the attenuation applied to the weaker side
 // during symmetry removal. Suppressing rather than zeroing keeps one
 // mistaken side decision from vetoing the true location outright when
 // several APs are fused.
 const symmetrySuppressFactor = 0.05
+
+// symmetryLoseMargin is the power ratio by which a bearing must lose to
+// its mirror before it is suppressed; a margin keeps near-ties (no
+// evidence either way) intact.
+const symmetryLoseMargin = 1.3
 
 // SymmetryRemoval suppresses mirror-image ambiguity in a linear-array
 // spectrum (§2.3.4) using the ninth antenna: for every spectrum bin it
@@ -502,24 +539,13 @@ func SymmetryRemoval(s *Spectrum, a *array.Array, rFull *mat.Matrix, wavelength 
 // symmetryRemovalAgainst applies the mirror-vote suppression given an
 // already-computed full-array Bartlett spectrum b.
 func symmetryRemovalAgainst(s *Spectrum, a *array.Array, b *Spectrum) *Spectrum {
-	// A bearing must lose to its mirror by this power ratio before it
-	// is suppressed; a margin keeps near-ties (no evidence either way)
-	// intact.
-	const loseMargin = 1.3
-	axisMargin := math.Sin(15 * math.Pi / 180)
-	out := make([]float64, len(s.P))
-	copy(out, s.P)
+	// In place: bin i's decision reads b, never another bin of s.
 	for i := range s.P {
 		theta := s.Theta(i)
-		sin := math.Sin(theta - a.Orient)
-		if math.Abs(sin) < axisMargin {
-			continue
-		}
-		mirror := geom.NormalizeAngle(2*a.Orient - theta)
-		if b.At(mirror) > loseMargin*b.At(theta) {
-			out[i] = s.P[i] * symmetrySuppressFactor
+		mirror, ok := mirrorBearing(theta, a.Orient)
+		if ok && b.At(mirror) > symmetryLoseMargin*b.At(theta) {
+			s.P[i] *= symmetrySuppressFactor
 		}
 	}
-	copy(s.P, out)
 	return s
 }

@@ -96,6 +96,85 @@ func TestPropPeaksSortedAndInRange(t *testing.T) {
 	}
 }
 
+// peaksRef is Spectrum.Peaks as it stood before the neighbour carry:
+// both neighbours indexed modulo n on every bin, a fresh slice grown by
+// append. TestPeaksMatchReference pins the rewrite against it.
+func peaksRef(s *Spectrum, minRel float64) []Peak {
+	n := len(s.P)
+	if n < 3 {
+		return nil
+	}
+	max, _ := s.Max()
+	if max <= 0 {
+		return nil
+	}
+	var peaks []Peak
+	for i := 0; i < n; i++ {
+		prev := s.P[(i-1+n)%n]
+		next := s.P[(i+1)%n]
+		v := s.P[i]
+		if v > prev && v >= next && v >= minRel*max {
+			peaks = append(peaks, Peak{Theta: s.Theta(i), Power: v, Bin: i})
+		}
+	}
+	for i := 1; i < len(peaks); i++ {
+		j := i
+		for j > 0 && peaks[j-1].Power < peaks[j].Power {
+			peaks[j-1], peaks[j] = peaks[j], peaks[j-1]
+			j--
+		}
+	}
+	return peaks
+}
+
+// TestPeaksMatchReference: identical peak lists (==, order included)
+// over random spectra, spectra quantized into plateaus and ties, and
+// spectra whose maximum sits on either side of the 2π seam — through
+// Peaks, and through AppendPeaks refilling one dirty buffer.
+func TestPeaksMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var buf []Peak
+	check := func(what string, s *Spectrum, minRel float64) {
+		t.Helper()
+		want := peaksRef(s, minRel)
+		got := s.Peaks(minRel)
+		buf = s.AppendPeaks(buf[:0], minRel)
+		if len(got) != len(want) || len(buf) != len(want) {
+			t.Fatalf("%s: %d peaks (%d appended), reference %d", what, len(got), len(buf), len(want))
+		}
+		if (got == nil) != (want == nil) {
+			t.Fatalf("%s: nil-ness differs from the reference", what)
+		}
+		for i := range want {
+			if got[i] != want[i] || buf[i] != want[i] {
+				t.Fatalf("%s: peak %d is %+v (appended %+v), reference %+v", what, i, got[i], buf[i], want[i])
+			}
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 3 + rng.Intn(400)
+		minRel := rng.Float64()
+		s := randomSpectrum(n, rng)
+		check("random", s, minRel)
+
+		plateau := s.Clone()
+		for i := range plateau.P {
+			plateau.P[i] = math.Floor(plateau.P[i]*4) / 4
+		}
+		check("plateau", plateau, minRel)
+
+		for _, seamBin := range []int{0, n - 1} {
+			seam := s.Clone()
+			seam.P[seamBin] = 2
+			check("seam peak", seam, minRel)
+			seam.P[(seamBin+1)%n] = 2 // plateau straddling the seam
+			check("seam plateau", seam, minRel)
+		}
+	}
+	check("too short", &Spectrum{P: []float64{1, 2}}, 0.1)
+	check("all zero", NewSpectrum(16), 0.1)
+}
+
 func TestPropAtInterpolationBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	s := randomSpectrum(128, rng)

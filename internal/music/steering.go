@@ -31,10 +31,37 @@ type SteeringTable struct {
 	// real(data[i])/imag(data[i]), so packed and complex consumers see
 	// the same table.
 	re, im []float64
+	// row is the number of leading columns forming a uniform linear row
+	// (the array's N for array.Linear, 0 for any other geometry). Over
+	// those columns a_q·conj(a_p) = a_{q−p}, which the lag-domain scans
+	// in packed.go rely on; a ninth antenna is column row.
+	row int
+
+	// Per-(orientation, bins) lookups for the combine stage, which
+	// would otherwise re-derive them with math.Sin / Mod / Remainder for
+	// every bin of every AP of every fix. votes holds, for each bin
+	// outside the 15° axis margin, the §2.3.4 mirror vote's two
+	// BinLookup pairs; weightBins/weights hold Eq. 7's weight for each
+	// bin inside it. Both are built from the same per-bearing functions
+	// the scalar paths call (mirrorBearing, axisWeight), so table-driven
+	// and scalar results are bit-identical.
+	votes      []mirrorVote
+	weightBins []int32
+	weights    []float64
+}
+
+// mirrorVote is one bin's precomputed symmetry vote: the interpolation
+// pairs of the bin's own bearing and of its mirror across the array
+// axis, as BinLookup returns them.
+type mirrorVote struct {
+	bin               int32
+	selfBin, mirBin   int32
+	selfFrac, mirFrac float64
 }
 
 // NewSteeringTable precomputes the steering matrix for the array's full
-// element set (ninth antenna included when present).
+// element set (ninth antenna included when present), and the
+// orientation-dependent vote and weight lookups.
 func NewSteeringTable(a *array.Array, lambda float64, bins int) *SteeringTable {
 	n := a.NumElements()
 	t := &SteeringTable{
@@ -42,16 +69,61 @@ func NewSteeringTable(a *array.Array, lambda float64, bins int) *SteeringTable {
 		data: make([]complex128, bins*n),
 		re:   make([]float64, bins*n),
 		im:   make([]float64, bins*n),
+		// Every bin lands in at most one of each list; sizing both for
+		// all bins keeps a table's footprint independent of orientation.
+		votes:      make([]mirrorVote, 0, bins),
+		weightBins: make([]int32, 0, bins),
+		weights:    make([]float64, 0, bins),
+	}
+	if a.Geom == array.Linear {
+		t.row = a.N
 	}
 	for i := 0; i < bins; i++ {
 		theta := 2 * math.Pi * float64(i) / float64(bins)
 		copy(t.data[i*n:(i+1)*n], a.SteeringVector(theta, lambda))
+		if mirror, ok := mirrorBearing(theta, a.Orient); ok {
+			sb, sf := BinLookup(theta, bins)
+			mb, mf := BinLookup(mirror, bins)
+			t.votes = append(t.votes, mirrorVote{
+				bin:     int32(i),
+				selfBin: int32(sb), selfFrac: sf,
+				mirBin: int32(mb), mirFrac: mf,
+			})
+		}
+		if w, ok := axisWeight(theta, a.Orient); ok {
+			t.weightBins = append(t.weightBins, int32(i))
+			t.weights = append(t.weights, w)
+		}
 	}
 	for i, v := range t.data {
 		t.re[i] = real(v)
 		t.im[i] = imag(v)
 	}
 	return t
+}
+
+// ApplyGeometryWeighting is s.ApplyGeometryWeighting(orient) for the
+// orientation this table was built for, with the per-bin weights read
+// from the table. s must have the table's bin count. Returns s.
+func (t *SteeringTable) ApplyGeometryWeighting(s *Spectrum) *Spectrum {
+	neutral := s.mean()
+	for k, i := range t.weightBins {
+		w := t.weights[k]
+		s.P[i] = w*s.P[i] + (1-w)*neutral
+	}
+	return s
+}
+
+// removeSymmetry is symmetryRemovalAgainst with both lookups of every
+// vote read from the table: s loses symmetrySuppressFactor wherever the
+// Bartlett spectrum b is clearly stronger at the bin's mirror.
+func (t *SteeringTable) removeSymmetry(s, b *Spectrum) *Spectrum {
+	for _, v := range t.votes {
+		if b.atBin(v.mirBin, v.mirFrac) > symmetryLoseMargin*b.atBin(v.selfBin, v.selfFrac) {
+			s.P[v.bin] *= symmetrySuppressFactor
+		}
+	}
+	return s
 }
 
 // Bins returns the table's angular resolution.
@@ -93,10 +165,10 @@ func keyFor(a *array.Array, lambda float64, bins int) steeringKey {
 }
 
 // DefaultSteeringCacheBudget bounds the process-wide shared cache. A
-// 360-bin, 9-element table costs ~52 KB, so the default holds several
-// hundred distinct geometries — far beyond any static deployment, but
-// a hard ceiling if per-request array geometries ever arrive from the
-// wire.
+// 360-bin, 9-element table costs ~120 KB (complex table, split planes,
+// vote and weight lookups), so the default holds a few hundred distinct
+// geometries — far beyond any static deployment, but a hard ceiling if
+// per-request array geometries ever arrive from the wire.
 const DefaultSteeringCacheBudget int64 = 32 << 20
 
 // steeringEntryOverhead approximates an entry's fixed footprint
@@ -105,9 +177,11 @@ const DefaultSteeringCacheBudget int64 = 32 << 20
 const steeringEntryOverhead = 128
 
 // steeringCost is one table's accounted byte footprint: the complex
-// table plus its two split planes.
+// table, its two split planes, and the vote and weight lookups.
 func steeringCost(t *SteeringTable) int64 {
-	return int64(len(t.data))*16 + int64(len(t.re)+len(t.im))*8 + steeringEntryOverhead
+	return int64(len(t.data))*16 + int64(len(t.re)+len(t.im))*8 +
+		int64(cap(t.votes))*32 + int64(cap(t.weightBins))*4 + int64(cap(t.weights))*8 +
+		steeringEntryOverhead
 }
 
 // steeringEntry is one cached table with its LRU links and cost.
@@ -308,8 +382,8 @@ func (c *SteeringCache) Usage() SteeringUsage {
 }
 
 // MUSICWithTable is MUSIC evaluated against a precomputed steering
-// table via the packed split-plane scan (packed.go): value-identical
-// arithmetic, no per-bin allocation. The noise subspace may span a
+// table via the table scan (packed.go), no per-bin allocation. The
+// noise subspace may span a
 // leading subarray (spatial smoothing shrinks it); each table row is
 // truncated to en.Rows elements.
 func MUSICWithTable(en *mat.Matrix, tab *SteeringTable) *Spectrum {
@@ -329,16 +403,15 @@ func SymmetryRemovalCached(s *Spectrum, a *array.Array, rFull *mat.Matrix, wavel
 	return SymmetryRemovalCachedWS(nil, s, a, rFull, wavelength, cache)
 }
 
-// SymmetryRemovalCachedWS is SymmetryRemovalCached drawing the packed
-// Bartlett scan's scratch planes from ws (nil allocates).
+// SymmetryRemovalCachedWS is SymmetryRemovalCached drawing the table
+// Bartlett scan's scratch and its spectrum from ws (nil allocates).
 func SymmetryRemovalCachedWS(ws *Workspace, s *Spectrum, a *array.Array, rFull *mat.Matrix, wavelength float64, cache *SteeringCache) *Spectrum {
-	var b *Spectrum
-	if cache != nil {
-		b = BartlettWithTableWS(ws, rFull, cache.Table(a, wavelength, s.Bins()))
-	} else {
-		b = Bartlett(rFull, func(theta float64) []complex128 {
-			return a.SteeringVector(theta, wavelength)
-		}, s.Bins())
+	if cache == nil {
+		return SymmetryRemoval(s, a, rFull, wavelength)
 	}
-	return symmetryRemovalAgainst(s, a, b)
+	tab := cache.Table(a, wavelength, s.Bins())
+	b := BartlettWithTableWS(ws, rFull, tab)
+	tab.removeSymmetry(s, b)
+	ws.Recycle(b)
+	return s
 }

@@ -52,11 +52,13 @@ func TestSteeringTableMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestCachedSpectrumMatchesUncached is the tentpole's correctness
-// anchor: the full ComputeSpectrum chain must produce bin-for-bin
-// identical spectra whether steering vectors are cached or recomputed.
+// TestCachedSpectrumMatchesUncached is the steering cache's correctness
+// anchor: the full ComputeSpectrum chain must produce the same spectra
+// whether steering vectors are cached or recomputed. Everything up to
+// the noise subspace is shared; the cached scan runs in the lag domain,
+// so the spectra agree to the scans' stated bound (scanTol).
 func TestCachedSpectrumMatchesUncached(t *testing.T) {
-	const tol = 1e-12
+	const tol = scanTol
 	for _, tc := range steeringCases {
 		if tc.name == "circular-8" {
 			continue // ComputeSpectrum's smoothing chain targets linear rows
@@ -128,6 +130,38 @@ func TestCachedBartlettAndSymmetryMatchUncached(t *testing.T) {
 	for i := range plainS.P {
 		if d := math.Abs(cachedS.P[i] - plainS.P[i]); d > tol {
 			t.Fatalf("symmetry bin %d: Δ=%g", i, d)
+		}
+	}
+}
+
+// TestVoteAndWeightTablesMatchScalar pins the two per-orientation
+// lookups hung on the steering table bit-identical (==) to the scalar
+// paths that call math.Sin / Mod / Remainder per bin: same Bartlett
+// spectrum in, same suppressed / weighted spectrum out, for every
+// geometry case and a sweep of awkward orientations.
+func TestVoteAndWeightTablesMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	arrays := make([]*array.Array, 0, 16)
+	bins := make([]int, 0, 16)
+	for _, tc := range steeringCases {
+		arrays = append(arrays, tc.build())
+		bins = append(bins, tc.bins)
+	}
+	for _, orient := range []float64{0.3, -2.9, 7.5, geom.Rad(15), geom.Rad(-165), math.Pi, 1e-9} {
+		a := array.NewLinear(geom.Pt(0, 0), orient, 8, lambda)
+		a.NinthAntenna = true
+		arrays = append(arrays, a)
+		bins = append(bins, DefaultBins)
+	}
+	for k, a := range arrays {
+		tab := NewSteeringTable(a, lambda, bins[k])
+		for trial := 0; trial < 5; trial++ {
+			s, b := randomSpectrum(bins[k], rng), randomSpectrum(bins[k], rng)
+			requireSameSpectrum(t, "mirror vote", tab.removeSymmetry(s.Clone(), b), symmetryRemovalAgainst(s.Clone(), a, b))
+			requireSameSpectrum(t, "geometry weighting", tab.ApplyGeometryWeighting(s.Clone()), s.Clone().ApplyGeometryWeighting(a.Orient))
+		}
+		if len(tab.votes)+len(tab.weightBins) == 0 {
+			t.Fatalf("array %d: empty vote and weight tables", k)
 		}
 	}
 }

@@ -32,13 +32,97 @@ type Workspace struct {
 	noise    *mat.Matrix
 	signal   *mat.Matrix
 
-	// Split-plane scratch for the packed spectrum scans (packed.go):
-	// the noise subspace packed column-major, and the Bartlett scan's
-	// correlation planes plus its R·a intermediate.
-	enRe, enIm []float64
-	rRe, rIm   []float64
-	raRe, raIm []float64
+	// Split-plane scratch for the table scans (packed.go): the noise
+	// subspace packed column-major, the lag-domain diagonal sums, and
+	// the Bartlett scan's correlation planes plus its R·a intermediate
+	// (the ninth-antenna cross column in the lag form).
+	enRe, enIm   []float64
+	lagRe, lagIm []float64
+	rRe, rIm     []float64
+	raRe, raIm   []float64
+	// guardFallbacks counts lag-form MUSIC bins recomputed by the
+	// sum-of-squares kernel (packed.go).
+	guardFallbacks uint64
+
+	// phasors is the per-element calibration correction e^{−jψ_k},
+	// computed once per frame and applied to every snapshot.
+	phasors []complex128
+
+	// free holds spectra handed back through Recycle for the scans to
+	// refill; frames and peaks are the per-AP spectrum list and the
+	// per-spectrum peak lists of the combine stage.
+	free   []*Spectrum
+	frames []*Spectrum
+	peaks  [][]Peak
 }
+
+// maxFreeSpectra bounds the recycled-spectrum list: one AP's frame
+// group plus its Bartlett vote, with room to spare.
+const maxFreeSpectra = 8
+
+// spectrum returns an n-bin spectrum for a scan to fill: a recycled one
+// when available, else a fresh allocation. Contents are unspecified;
+// every scan writes all n bins.
+func (ws *Workspace) spectrum(n int) *Spectrum {
+	if k := len(ws.free) - 1; k >= 0 {
+		s := ws.free[k]
+		ws.free = ws.free[:k]
+		if cap(s.P) >= n {
+			s.P = s.P[:n]
+			return s
+		}
+	}
+	return NewSpectrum(n)
+}
+
+// Recycle hands spectra the caller has finished with back to the
+// workspace, which reuses their storage for later scan outputs. The
+// caller must not touch them afterwards. Spectra never recycled are
+// simply the caller's to keep, so only code that owns a spectrum's
+// whole lifetime (the per-AP stage) opts in. A nil ws is a no-op.
+func (ws *Workspace) Recycle(specs ...*Spectrum) {
+	if ws == nil {
+		return
+	}
+	for _, s := range specs {
+		if s != nil && len(ws.free) < maxFreeSpectra {
+			ws.free = append(ws.free, s)
+		}
+	}
+}
+
+// FrameList returns an empty workspace-owned spectrum list with room
+// for n entries, valid until the next call (nil ws allocates).
+func (ws *Workspace) FrameList(n int) []*Spectrum {
+	if ws == nil {
+		return make([]*Spectrum, 0, n)
+	}
+	if cap(ws.frames) < n {
+		ws.frames = make([]*Spectrum, 0, n)
+	}
+	return ws.frames[:0]
+}
+
+// PeakLists returns Peaks(minRel) of every spectrum, in order, in
+// workspace-owned lists valid until the next call (nil ws allocates).
+func (ws *Workspace) PeakLists(spectra []*Spectrum, minRel float64) [][]Peak {
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	for len(ws.peaks) < len(spectra) {
+		ws.peaks = append(ws.peaks, nil)
+	}
+	lists := ws.peaks[:len(spectra)]
+	for i, s := range spectra {
+		lists[i] = s.AppendPeaks(lists[i][:0], minRel)
+	}
+	return lists
+}
+
+// GuardFallbacks returns how many lag-form MUSIC bins this workspace
+// has recomputed with the sum-of-squares kernel because their
+// denominator fell under the cancellation guard (diagnostics).
+func (ws *Workspace) GuardFallbacks() uint64 { return ws.guardFallbacks }
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }

@@ -97,8 +97,10 @@ type ClusterResult struct {
 	WalkerMigrated bool
 	// FixesPerSec[i] is the throughput with i+1 shards.
 	FixesPerSec []float64
-	// Multicore reports GOMAXPROCS ≥ 2 — the precondition for gating
-	// the scaling numbers.
+	// Multicore reports GOMAXPROCS ≥ 4 — the precondition for gating
+	// the scaling numbers: the sweep's driver and router need cores of
+	// their own beside the two shards, or the ratio prices the Go
+	// scheduler instead of the cluster.
 	Multicore bool
 	// WorkspaceLeaks is the pooled ingest-workspace gauge delta across
 	// the whole experiment. Must be 0.
@@ -221,7 +223,7 @@ func (tb *Testbed) RunCluster(opt ClusterOptions) (*Report, *ClusterResult, erro
 	base := time.Unix(1700000000, 0)
 	wsBaseline := server.LeasedIngestWorkspaces()
 
-	res := &ClusterResult{Multicore: runtime.GOMAXPROCS(0) >= 2}
+	res := &ClusterResult{Multicore: runtime.GOMAXPROCS(0) >= 4}
 	r := &Report{ID: "cluster", Title: "sharded cluster: fan-in bit-identity, zero-loss mid-walk handoff, 1→N scaling"}
 
 	// Pick client IDs by where consistent hashing sends them when the
@@ -512,7 +514,7 @@ func (tb *Testbed) RunCluster(opt ClusterOptions) (*Report, *ClusterResult, erro
 		r.Addf("  %d shard(s): %7.1f fixes/sec  (%.2fx)", i+1, fps, speedup)
 	}
 	if !res.Multicore {
-		r.Addf("  single-core host: scaling numbers not meaningful, not gated")
+		r.Addf("  GOMAXPROCS=%d < 4: driver, router and shards share cores, so the scaling ratio is reported but not gated", runtime.GOMAXPROCS(0))
 	}
 	r.Addf("pooled ingest-workspace leak delta: %d", res.WorkspaceLeaks)
 

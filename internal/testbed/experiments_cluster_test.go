@@ -60,13 +60,19 @@ func TestRunClusterMeetsTargets(t *testing.T) {
 	if len(res.FixesPerSec) == 0 || res.FixesPerSec[0] <= 0 {
 		t.Fatalf("throughput sweep produced no numbers: %v", res.FixesPerSec)
 	}
-	// Scaling is gated only with real cores to scale onto: a single-proc
-	// host timeshares the shards and the ratio prices the scheduler.
-	if res.Multicore && len(res.FixesPerSec) >= 2 {
+	// Scaling is gated only with real cores to scale onto (res.Multicore:
+	// GOMAXPROCS ≥ 4, so the driver and router do not timeshare with the
+	// two shards); below that the ratio is logged, as -exp ingest does for
+	// its UDP flood.
+	if len(res.FixesPerSec) >= 2 {
 		last := res.FixesPerSec[len(res.FixesPerSec)-1]
-		if last < 1.25*res.FixesPerSec[0] {
+		ratio := last / res.FixesPerSec[0]
+		if !res.Multicore {
+			t.Logf("%d shards reached %.0f fixes/sec vs %.0f on one (%.2fx); not gated at GOMAXPROCS=%d",
+				len(res.FixesPerSec), last, res.FixesPerSec[0], ratio, runtime.GOMAXPROCS(0))
+		} else if ratio < 1.25 {
 			t.Fatalf("%d shards reached %.0f fixes/sec vs %.0f on one (%.2fx), want at least 1.25x on a multicore host",
-				len(res.FixesPerSec), last, res.FixesPerSec[0], last/res.FixesPerSec[0])
+				len(res.FixesPerSec), last, res.FixesPerSec[0], ratio)
 		}
 	}
 	got := map[string]float64{}

@@ -2,9 +2,11 @@ package testbed
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
+	"repro/internal/array"
 	"repro/internal/core"
 	"repro/internal/mat"
 	"repro/internal/music"
@@ -69,8 +71,10 @@ func interleavedBestOf(trials int, a, b func()) (bestA, bestB time.Duration) {
 
 // kernelMatrices builds the spatially-smoothed covariance matrices
 // and noise subspaces the pipeline hands to the eigensolver and the
-// MUSIC scan, one per (client, site) pair, from real captures.
-func (tb *Testbed) kernelMatrices(opt KernelsOptions) (smoothed, noise []*mat.Matrix, err error) {
+// MUSIC scan, plus the full nine-antenna correlation matrices it hands
+// to the symmetry vote's Bartlett scan, one per (client, site) pair,
+// from real captures.
+func (tb *Testbed) kernelMatrices(opt KernelsOptions) (smoothed, noise, full []*mat.Matrix, err error) {
 	capOpt := DefaultCaptureOptions()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	for ci := 0; ci < opt.MaxClients && ci < len(tb.Clients); ci++ {
@@ -80,21 +84,47 @@ func (tb *Testbed) kernelMatrices(opt KernelsOptions) (smoothed, noise []*mat.Ma
 			snaps := music.SnapshotsFromStreams(streams, 16)
 			r, err := music.CorrelationMatrix(snaps)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			rs, err := music.SpatialSmooth(music.ForwardBackward(r), 2)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			en, _, _, err := music.Subspaces(rs, 0.05, rs.Rows/2)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
+			}
+			rFull, err := music.CorrelationMatrix(music.SnapshotsFromStreams(frames[0].Streams, 16))
+			if err != nil {
+				return nil, nil, nil, err
 			}
 			smoothed = append(smoothed, rs)
 			noise = append(noise, en)
+			full = append(full, rFull)
 		}
 	}
-	return smoothed, noise, nil
+	return smoothed, noise, full, nil
+}
+
+// spectrumDeviation returns max|got−want| relative to want's maximum.
+func spectrumDeviation(got, want *music.Spectrum) float64 {
+	max, _ := want.Max()
+	var worst float64
+	for i, w := range want.P {
+		worst = math.Max(worst, math.Abs(got.P[i]-w)/max)
+	}
+	return worst
+}
+
+// equalBins counts the bins on which two spectra are bit-identical.
+func equalBins(a, b *music.Spectrum) int {
+	n := 0
+	for i, v := range a.P {
+		if b.P[i] == v {
+			n++
+		}
+	}
+	return n
 }
 
 // RunKernels benchmarks the numeric kernels against their retained
@@ -109,7 +139,7 @@ func (tb *Testbed) RunKernels(opt KernelsOptions) (*Report, error) {
 	r := &Report{ID: "kernels", Title: "numeric kernels: packed eig, guarded climb, heap B&B, two-choice cache"}
 
 	// --- eigendecomposition + MUSIC scan, real smoothed matrices.
-	smoothed, noise, err := tb.kernelMatrices(opt)
+	smoothed, noise, full, err := tb.kernelMatrices(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -149,19 +179,15 @@ func (tb *Testbed) RunKernels(opt KernelsOptions) (*Report, error) {
 	capOpt := DefaultCaptureOptions()
 	var mws music.Workspace
 	tabs := make([]*music.SteeringTable, len(opt.Sites))
-	for i, si := range opt.Sites {
-		tabs[i] = music.NewSteeringTable(tb.NewArray(tb.Sites[si], capOpt), tb.Wavelength, 360)
-	}
-	arrays := make([]interface {
-		SteeringVectorRow(float64, float64) []complex128
-	}, len(opt.Sites))
+	arrays := make([]*array.Array, len(opt.Sites))
 	for i, si := range opt.Sites {
 		arrays[i] = tb.NewArray(tb.Sites[si], capOpt)
+		tabs[i] = music.NewSteeringTable(arrays[i], tb.Wavelength, 360)
 	}
 	packedScan, closureScan := interleavedBestOf(opt.Trials,
 		func() {
 			for i, en := range noise {
-				music.MUSICWithTableWS(&mws, en, tabs[i%len(tabs)])
+				mws.Recycle(music.MUSICWithTableWS(&mws, en, tabs[i%len(tabs)]))
 			}
 		},
 		func() {
@@ -178,8 +204,87 @@ func (tb *Testbed) RunKernels(opt KernelsOptions) (*Report, error) {
 	r.AddMetric("kernels_scan_packed_ns", scanPackedNS, "ns/op")
 	r.AddMetric("kernels_scan_closure_ns", scanClosureNS, "ns/op")
 	r.AddMetric("kernels_scan_speedup", scanClosureNS/scanPackedNS, "x")
-	r.Addf("MUSIC scan 360 bins: packed %.0f ns/op, closure %.0f ns/op, %.2fx",
+	r.Addf("MUSIC scan 360 bins: table %.0f ns/op, closure %.0f ns/op, %.2fx",
 		scanPackedNS, scanClosureNS, scanClosureNS/scanPackedNS)
+
+	// --- lag-domain scans vs the sum-of-squares kernels on the same
+	// tables and matrices: exactness first (deviation, guard share,
+	// vote and weight tables against the scalar paths), then timing.
+	// Each timed pass scans every matrix scanReps times.
+	var devMUSIC, devBartlett float64
+	fallbacks0 := mws.GuardFallbacks()
+	for i, en := range noise {
+		tab := tabs[i%len(tabs)]
+		ref := music.MUSICWithTableRefWS(nil, en, tab)
+		devMUSIC = math.Max(devMUSIC, spectrumDeviation(music.MUSICWithTableWS(&mws, en, tab), ref))
+		refB := music.BartlettWithTableRefWS(nil, full[i], tab)
+		devBartlett = math.Max(devBartlett, spectrumDeviation(music.BartlettWithTableWS(&mws, full[i], tab), refB))
+	}
+	guardPct := 100 * float64(mws.GuardFallbacks()-fallbacks0) / float64(360*nOps)
+
+	// Vote and weight tables: the table-driven combine steps against
+	// the scalar originals (closure Bartlett, per-bin Sin/Mod), on the
+	// real MUSIC spectra and correlation matrices.
+	steering := music.NewSteeringCache()
+	tableBins, tableEqual := 0, 0
+	for i, en := range noise {
+		a, tab := arrays[i%len(arrays)], tabs[i%len(tabs)]
+		base := music.MUSICWithTableWS(nil, en, tab)
+		tableBins += 2 * base.Bins()
+		tableEqual += equalBins(tab.ApplyGeometryWeighting(base.Clone()), base.Clone().ApplyGeometryWeighting(a.Orient))
+		tableEqual += equalBins(
+			music.SymmetryRemovalCached(base.Clone(), a, full[i], tb.Wavelength, steering),
+			music.SymmetryRemoval(base.Clone(), a, full[i], tb.Wavelength))
+	}
+	tableEqualPct := 100 * float64(tableEqual) / float64(tableBins)
+
+	const scanReps = 8
+	lagM, sosM := interleavedBestOf(opt.Trials,
+		func() {
+			for rep := 0; rep < scanReps; rep++ {
+				for i, en := range noise {
+					mws.Recycle(music.MUSICWithTableWS(&mws, en, tabs[i%len(tabs)]))
+				}
+			}
+		},
+		func() {
+			for rep := 0; rep < scanReps; rep++ {
+				for i, en := range noise {
+					mws.Recycle(music.MUSICWithTableRefWS(&mws, en, tabs[i%len(tabs)]))
+				}
+			}
+		})
+	lagB, sosB := interleavedBestOf(opt.Trials,
+		func() {
+			for rep := 0; rep < scanReps; rep++ {
+				for i, rf := range full {
+					mws.Recycle(music.BartlettWithTableWS(&mws, rf, tabs[i%len(tabs)]))
+				}
+			}
+		},
+		func() {
+			for rep := 0; rep < scanReps; rep++ {
+				for i, rf := range full {
+					mws.Recycle(music.BartlettWithTableRefWS(&mws, rf, tabs[i%len(tabs)]))
+				}
+			}
+		})
+	perScan := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(nOps*scanReps) }
+	r.AddMetric("kernels_lag_music_ns", perScan(lagM), "ns/op")
+	r.AddMetric("kernels_sos_music_ns", perScan(sosM), "ns/op")
+	r.AddMetric("kernels_lag_music_speedup", perScan(sosM)/perScan(lagM), "x")
+	r.AddMetric("kernels_lag_bartlett_ns", perScan(lagB), "ns/op")
+	r.AddMetric("kernels_sos_bartlett_ns", perScan(sosB), "ns/op")
+	r.AddMetric("kernels_lag_bartlett_speedup", perScan(sosB)/perScan(lagB), "x")
+	r.AddMetric("kernels_lag_music_max_dev", devMUSIC, "of unit max")
+	r.AddMetric("kernels_lag_bartlett_max_dev", devBartlett, "of max")
+	r.AddMetric("kernels_lag_guard_fallback_pct", guardPct, "%")
+	r.AddMetric("kernels_vote_weight_table_equal_pct", tableEqualPct, "%")
+	r.Addf("lag-domain MUSIC scan (%dx%d noise subspace): %.0f ns/op vs sum of squares %.0f ns/op, %.2fx; max deviation %.2g of unit max, guard fallback on %.3f%% of bins",
+		noise[0].Rows, noise[0].Cols, perScan(lagM), perScan(sosM), perScan(sosM)/perScan(lagM), devMUSIC, guardPct)
+	r.Addf("lag-domain Bartlett scan (%dx%d, ninth antenna): %.0f ns/op vs generic %.0f ns/op, %.2fx; max deviation %.2g of max",
+		full[0].Rows, full[0].Cols, perScan(lagB), perScan(sosB), perScan(sosB)/perScan(lagB), devBartlett)
+	r.Addf("vote + weight tables vs scalar paths: %d of %d bins bit-identical", tableEqual, tableBins)
 
 	// --- hill climb + branch-and-bound on real scenes, fast vs the
 	// retained reference pair, with the exactness claim re-checked.

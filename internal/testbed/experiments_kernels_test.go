@@ -2,9 +2,11 @@ package testbed
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/music"
 )
 
 // TestKernelsExactOn205Scenes is the sprint's exactness pin at full
@@ -73,6 +75,91 @@ func TestKernelsExactOn205Scenes(t *testing.T) {
 	t.Logf("fast kernels bit-identical to reference on all %d testbed scenes", checked)
 }
 
+// TestLagScansExactOn205Scenes is the lag-domain scans' fix-level pin.
+// The spectra of every (client, site) pair are computed twice from the
+// same captures — through the steering tables (lag-domain MUSIC and
+// Bartlett, vote and weight tables) and with Steering nil, whose
+// closure scans are bit-identical to the sum-of-squares kernels and
+// whose vote and weighting are the scalar originals. Over all 205
+// scenes the refined argmax cell must be the same and the fix within
+// 1e-9 m; the spectra themselves stay within the scans' 1e-9 bound.
+func TestLagScansExactOn205Scenes(t *testing.T) {
+	tb := New()
+	opt := DefaultAccuracyOptions()
+	lagSpecs, _, err := tb.spectraForAll(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Pipeline.Steering = nil
+	refSpecs, _, err := tb.spectraForAll(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var worstBin float64
+	for ci := range refSpecs {
+		for si := range refSpecs[ci] {
+			for b, want := range refSpecs[ci][si].P {
+				worstBin = math.Max(worstBin, math.Abs(lagSpecs[ci][si].P[b]-want))
+			}
+		}
+	}
+	if worstBin > 1e-9 {
+		t.Fatalf("combined spectra deviate %g of unit max from the sum-of-squares pipeline", worstBin)
+	}
+
+	sg, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
+		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	combos := [][]int{{0, 1, 2, 3, 4, 5}}
+	combos = append(combos, Combinations(len(tb.Sites), 3)[:4]...)
+	checked := 0
+	var worstFix float64
+	for ci := range refSpecs {
+		for _, combo := range combos {
+			scene := func(specs [][]*music.Spectrum) []core.APSpectrum {
+				out := make([]core.APSpectrum, len(combo))
+				for i, si := range combo {
+					out[i] = core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[ci][si]}
+				}
+				return out
+			}
+			lag, ref := scene(lagSpecs), scene(refSpecs)
+			gotCell, err := sg.RefinedArgmaxCell(lag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCell, err := sg.RefinedArgmaxCell(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotCell != wantCell {
+				t.Fatalf("client %d combo %v: argmax cell %d, sum-of-squares pipeline %d", ci, combo, gotCell, wantCell)
+			}
+			got, err := sg.Localize(lag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sg.Localize(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := got.Dist(want)
+			if d > 1e-9 {
+				t.Fatalf("client %d combo %v: fix %v is %g m from the sum-of-squares pipeline's %v", ci, combo, got, d, want)
+			}
+			worstFix = math.Max(worstFix, d)
+			checked++
+		}
+	}
+	if checked != 205 {
+		t.Fatalf("swept %d scenes, want 205", checked)
+	}
+	t.Logf("all %d scenes keep their argmax cell; max fix displacement %.3g m, max combined-spectrum deviation %.3g", checked, worstFix, worstBin)
+}
+
 // TestRunKernelsMeetsTargets runs the kernels experiment and enforces
 // the sprint's headline claims. Structural claims (bit-identical
 // fixes, guard prune rate, degenerate bound-visit collapse, warm
@@ -128,13 +215,30 @@ func TestRunKernelsMeetsTargets(t *testing.T) {
 		if sp := get("kernels_cache_spills"); sp != 0 {
 			t.Fatalf("%.0f dense LUT spills at a 2-entries-per-shard budget, want 0", sp)
 		}
+		for _, name := range []string{"kernels_lag_music_max_dev", "kernels_lag_bartlett_max_dev"} {
+			if dev := get(name); dev > 1e-9 {
+				t.Fatalf("%s = %g, want ≤ 1e-9 of the reference scan's maximum", name, dev)
+			}
+		}
+		if pct := get("kernels_lag_guard_fallback_pct"); pct > 1 {
+			t.Fatalf("lag guard sent %.2f%% of bins to the fallback kernel, want a rare event (≤1%%)", pct)
+		}
+		if pct := get("kernels_vote_weight_table_equal_pct"); pct != 100 {
+			t.Fatalf("vote/weight tables bit-identical to the scalar paths on %.3f%% of bins, want 100%%", pct)
+		}
 		// Timing claims: collect and retry.
 		lastErrs = nil
+		if s := get("kernels_lag_music_speedup"); s < 3 {
+			lastErrs = append(lastErrs, fmt.Sprintf("lag-domain MUSIC scan %.2fx over sum of squares < 3x", s))
+		}
+		if s := get("kernels_lag_bartlett_speedup"); s < 3 {
+			lastErrs = append(lastErrs, fmt.Sprintf("lag-domain Bartlett scan %.2fx over the generic kernel < 3x", s))
+		}
 		if s := get("kernels_eig_speedup"); s < 1.5 {
 			lastErrs = append(lastErrs, fmt.Sprintf("packed eig speedup %.2fx < 1.5x", s))
 		}
 		if s := get("kernels_scan_speedup"); s < 5.0 {
-			lastErrs = append(lastErrs, fmt.Sprintf("packed MUSIC scan speedup %.2fx < 5x", s))
+			lastErrs = append(lastErrs, fmt.Sprintf("table MUSIC scan speedup %.2fx over the closure scan < 5x", s))
 		}
 		if s := get("kernels_localize_speedup"); s < 0.9 {
 			lastErrs = append(lastErrs, fmt.Sprintf("fast localize at %.2fx of reference, below the 0.9x no-regression floor", s))
