@@ -251,6 +251,9 @@ func (tb *Testbed) priorityRegionFor(i int) core.Region {
 	return core.Region{Min: geom.Pt(c.X-1.5, c.Y-1.5), Max: geom.Pt(c.X+1.5, c.Y+1.5)}
 }
 
+// schedLatencyWorkers is the engine width of the latency phase.
+const schedLatencyWorkers = 2
+
 // schedPriorityLatency is phase 2: interactive priority region
 // queries against a heavy full-grid batch backlog, preemption on vs
 // off.
@@ -260,7 +263,7 @@ func (tb *Testbed) schedPriorityLatency(r *Report, opt SchedOptions) error {
 	reqs := tb.ThroughputRequests(opt.BatchJobs, tOpt)
 
 	measure := func(noPreempt bool) (p50, p99, batchP99 float64, stolen uint64, err error) {
-		eng := engine.New(engine.Options{Workers: 2, Queue: len(reqs) + 8,
+		eng := engine.New(engine.Options{Workers: schedLatencyWorkers, Queue: len(reqs) + 8,
 			PriorityQueue: opt.PriorityJobs + 2, // deep enough that Submit never blocks the timer
 			AgeLimit:      -1,                   // isolate preemption; ageing has its own phase
 			Config:        tb.schedLatencyConfig(opt), NoPreempt: noPreempt})
@@ -268,6 +271,17 @@ func (tb *Testbed) schedPriorityLatency(r *Report, opt SchedOptions) error {
 		if r := eng.Locate(reqs[0]); r.Err != nil { // warm LUT + steering caches
 			return 0, 0, 0, 0, r.Err
 		}
+		// Pace the interactive arrivals off a warm batch fix timed on
+		// this box, so all of them land while the backlog is still
+		// draining however fast the host is. A lone fix is no slower
+		// than one sharing the cores with its neighbour, so the window
+		// below never outlasts the real backlog.
+		warm := time.Now()
+		if r := eng.Locate(reqs[0]); r.Err != nil {
+			return 0, 0, 0, 0, r.Err
+		}
+		window := time.Since(warm) * time.Duration(len(reqs)) / schedLatencyWorkers
+		spacing := window / time.Duration(opt.PriorityJobs+1)
 		var mu sync.Mutex
 		var batchMS, prioMS []float64
 		var wg sync.WaitGroup
@@ -293,8 +307,8 @@ func (tb *Testbed) schedPriorityLatency(r *Report, opt SchedOptions) error {
 		// the arrival pattern preemption exists for. Each lands
 		// mid-surface of some in-flight batch fix; the spacing keeps
 		// arrivals inside the backlog window.
-		time.Sleep(100 * time.Millisecond)
 		for i := 0; i < opt.PriorityJobs; i++ {
+			time.Sleep(spacing)
 			q := reqs[i%len(reqs)]
 			q.ClientID = uint32(900 + i)
 			q.Priority = true
@@ -302,7 +316,6 @@ func (tb *Testbed) schedPriorityLatency(r *Report, opt SchedOptions) error {
 			if err := submit(q, &prioMS); err != nil {
 				return 0, 0, 0, 0, err
 			}
-			time.Sleep(75 * time.Millisecond)
 		}
 		wg.Wait()
 		if len(prioMS) < opt.PriorityJobs {
