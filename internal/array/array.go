@@ -166,19 +166,14 @@ func (a *Array) ApplyOffsets(x []complex128) {
 // sample vector in place (the "subtracting the measured phase offsets"
 // step of §3).
 func CorrectOffsets(x []complex128, measured []float64) {
-	for k := range x {
-		if k < len(measured) && measured[k] != 0 {
-			x[k] *= cmplx.Exp(complex(0, -measured[k]))
-		}
-	}
+	CorrectSnapshots([][]complex128{x}, measured, nil)
 }
 
-// CorrectSnapshots is CorrectOffsets applied to every snapshot of one
-// frame: the per-element phasor e^{−jψ_k} is computed once into scratch
-// (grown as needed and returned for reuse) and multiplied into each
-// snapshot, where CorrectOffsets would recompute it per snapshot. The
-// phasors and the skip rule for zero offsets are CorrectOffsets' own,
-// so the corrected samples are identical.
+// CorrectSnapshots removes the measured offsets from every snapshot of
+// one frame in place: the per-element phasor e^{−jψ_k} is computed once
+// into scratch (grown as needed and returned for reuse) and multiplied
+// into each snapshot. Elements whose measured offset is zero, or that
+// lie beyond measured, are left untouched.
 func CorrectSnapshots(snaps [][]complex128, measured []float64, scratch []complex128) []complex128 {
 	if cap(scratch) < len(measured) {
 		scratch = make([]complex128, len(measured))

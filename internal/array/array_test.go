@@ -264,11 +264,12 @@ func TestCentroid(t *testing.T) {
 	}
 }
 
-// TestCorrectSnapshotsMatchesCorrectOffsets pins the per-frame form
-// (phasors computed once) bit-identical to calling CorrectOffsets on
-// every snapshot, including the zero-offset skip, offsets shorter and
-// longer than the snapshot, and a reused scratch buffer.
-func TestCorrectSnapshotsMatchesCorrectOffsets(t *testing.T) {
+// TestCorrectSnapshotsMatchesPerSnapshotExp pins the per-frame form
+// (phasors computed once) bit-identical to multiplying each element of
+// every snapshot by its own cmplx.Exp(−jψ_k), including the zero-offset
+// skip, offsets shorter and longer than the snapshot, and a reused
+// scratch buffer.
+func TestCorrectSnapshotsMatchesPerSnapshotExp(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var scratch []complex128
 	for trial := 0; trial < 50; trial++ {
@@ -287,13 +288,17 @@ func TestCorrectSnapshotsMatchesCorrectOffsets(t *testing.T) {
 				snaps[i][k] = complex(rng.NormFloat64(), rng.NormFloat64())
 			}
 			want[i] = append([]complex128(nil), snaps[i]...)
-			CorrectOffsets(want[i], offsets)
+			for k := range want[i] {
+				if k < len(offsets) && offsets[k] != 0 {
+					want[i][k] *= cmplx.Exp(complex(0, -offsets[k]))
+				}
+			}
 		}
 		scratch = CorrectSnapshots(snaps, offsets, scratch)
 		for i := range snaps {
 			for k := range snaps[i] {
 				if snaps[i][k] != want[i][k] {
-					t.Fatalf("trial %d snapshot %d element %d: %v, CorrectOffsets gives %v", trial, i, k, snaps[i][k], want[i][k])
+					t.Fatalf("trial %d snapshot %d element %d: %v, per-snapshot exp gives %v", trial, i, k, snaps[i][k], want[i][k])
 				}
 			}
 		}

@@ -123,22 +123,33 @@ func (p *Pipeline) CombineAP(ws *music.Workspace, ap *AP, frames []FrameCapture,
 		out = spectra[0].Clone()
 	}
 
+	vote := p.cfg.UseSymmetryRemoval && ap.Array.NinthAntenna &&
+		len(frames) > 0 && len(frames[0].Streams) >= ap.Array.NumElements()
+	// One cache lookup serves both table-driven steps below.
+	var tab *music.SteeringTable
+	if p.cfg.Steering != nil && (p.cfg.UseWeighting || vote) {
+		tab = p.cfg.Steering.Table(ap.Array, p.cfg.Wavelength, out.Bins())
+	}
+
 	if p.cfg.UseWeighting {
-		if p.cfg.Steering != nil {
-			p.cfg.Steering.Table(ap.Array, p.cfg.Wavelength, out.Bins()).ApplyGeometryWeighting(out)
+		if tab != nil {
+			tab.ApplyGeometryWeighting(out)
 		} else {
 			out.ApplyGeometryWeighting(ap.Array.Orient)
 		}
 	}
 
-	if p.cfg.UseSymmetryRemoval && ap.Array.NinthAntenna &&
-		len(frames) > 0 && len(frames[0].Streams) >= ap.Array.NumElements() {
+	if vote {
 		full := frames[0].Streams[:ap.Array.NumElements()]
 		rFull, err := music.CalibratedCorrelationWS(ws, full, p.cfg.SampleOffset, p.cfg.MaxSamples, ap.Calibration)
 		if err != nil {
 			return nil, err
 		}
-		music.SymmetryRemovalCachedWS(ws, out, ap.Array, rFull, p.cfg.Wavelength, p.cfg.Steering)
+		if tab != nil {
+			tab.RemoveSymmetryWS(ws, out, rFull)
+		} else {
+			music.SymmetryRemoval(out, ap.Array, rFull, p.cfg.Wavelength)
+		}
 	}
 
 	out.Normalize()

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
+	"repro/internal/array"
 	"repro/internal/geom"
 	"repro/internal/music"
 )
@@ -183,5 +185,82 @@ func TestProcessAPsSteadyStateAllocs(t *testing.T) {
 	t.Logf("%.1f allocs per ProcessAPs over %d APs × 3 frames", allocs, nAPs)
 	if limit := float64(4*nAPs + 4); allocs > limit {
 		t.Fatalf("ProcessAPs allocates %.1f per call, want ≤ %.0f (4 per contributing AP + 4)", allocs, limit)
+	}
+}
+
+// memoEstimator answers repeat frames from a cache, the way an
+// injected estimator sitting on a replay log might: the spectrum it
+// returns stays in its hands after the call.
+type memoEstimator struct {
+	mu   sync.Mutex
+	seen map[*complex128]*music.Spectrum
+}
+
+func (*memoEstimator) Name() string { return "memo" }
+
+func (m *memoEstimator) Spectrum(_ *music.Workspace, a *array.Array, streams [][]complex128, opt music.Options) (*music.Spectrum, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	key := &streams[0][0]
+	if s, ok := m.seen[key]; ok {
+		return s, nil
+	}
+	s, err := music.ComputeSpectrum(a, streams, opt)
+	if err == nil {
+		m.seen[key] = s
+	}
+	return s, err
+}
+
+// TestProcessAPsLeavesRetainedSpectraAlone: the per-AP stage recycles
+// its frame spectra into the workspace, but only those the workspace's
+// own scans produced. A spectrum an injected estimator still holds must
+// come through ProcessAPs untouched, call after call, although later
+// scans (the ninth-antenna Bartlett vote, the next AP's frames) refill
+// recycled storage.
+func TestProcessAPsLeavesRetainedSpectraAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	aps, captures, _ := buildTestbedAPs(t, geom.Pt(7.5, 4.2), 3, 3, rng)
+	memo := &memoEstimator{seen: map[*complex128]*music.Spectrum{}}
+	cfg := DefaultConfig(lambda)
+	cfg.APWorkers = 0
+	cfg.Workspaces = music.NewWorkspacePool()
+	cfg.Steering = music.NewSteeringCache()
+	cfg.Estimator = memo
+	p := NewPipeline(cfg)
+
+	first, err := p.ProcessAPs(aps, captures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := map[*music.Spectrum][]float64{}
+	for _, s := range memo.seen {
+		held[s] = append([]float64(nil), s.P...)
+	}
+	if len(held) != 9 {
+		t.Fatalf("estimator holds %d spectra, want 9 (3 APs × 3 frames)", len(held))
+	}
+	for round := 0; round < 3; round++ {
+		again, err := p.ProcessAPs(aps, captures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, want := range held {
+			if len(s.P) != len(want) {
+				t.Fatalf("round %d: a held spectrum was resized to %d bins", round, len(s.P))
+			}
+			for b := range want {
+				if s.P[b] != want[b] {
+					t.Fatalf("round %d: a held spectrum was overwritten at bin %d", round, b)
+				}
+			}
+		}
+		for i := range first {
+			for b := range first[i].Spectrum.P {
+				if again[i].Spectrum.P[b] != first[i].Spectrum.P[b] {
+					t.Fatalf("round %d: AP %d bin %d differs from the first pass", round, i, b)
+				}
+			}
+		}
 	}
 }

@@ -25,9 +25,11 @@ type Estimator interface {
 	// Name identifies the estimator ("music", "bartlett", "baseline").
 	Name() string
 	// Spectrum computes the normalized AoA spectrum for the array's
-	// main-row streams. The returned spectrum belongs to the caller,
-	// who may hand it back to ws with Recycle: an estimator must not
-	// retain or share it.
+	// main-row streams. The caller may hand the result back to ws with
+	// Recycle, which reuses a spectrum that came out of ws's own scans
+	// and ignores any other: an estimator that keeps or shares what it
+	// returns must therefore build it without ws (a nil workspace, or
+	// a spectrum of its own).
 	Spectrum(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error)
 }
 

@@ -23,6 +23,9 @@ const DefaultBins = 360
 // proxies; spectra are typically normalized to a unit maximum.
 type Spectrum struct {
 	P []float64
+	// lender is the workspace whose scan filled this spectrum, the only
+	// one Recycle will take it back into; nil for every other spectrum.
+	lender *Workspace
 }
 
 // NewSpectrum returns an all-zero spectrum with n bins.

@@ -409,9 +409,16 @@ func SymmetryRemovalCachedWS(ws *Workspace, s *Spectrum, a *array.Array, rFull *
 	if cache == nil {
 		return SymmetryRemoval(s, a, rFull, wavelength)
 	}
-	tab := cache.Table(a, wavelength, s.Bins())
-	b := BartlettWithTableWS(ws, rFull, tab)
-	tab.removeSymmetry(s, b)
+	return cache.Table(a, wavelength, s.Bins()).RemoveSymmetryWS(ws, s, rFull)
+}
+
+// RemoveSymmetryWS is the §2.3.4 mirror vote against this table: the
+// Bartlett spectrum of the full (ninth antenna included) correlation
+// matrix, then removeSymmetry on s in place. The scan's scratch and
+// spectrum come from ws (nil allocates).
+func (t *SteeringTable) RemoveSymmetryWS(ws *Workspace, s *Spectrum, rFull *mat.Matrix) *Spectrum {
+	b := BartlettWithTableWS(ws, rFull, t)
+	t.removeSymmetry(s, b)
 	ws.Recycle(b)
 	return s
 }

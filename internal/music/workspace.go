@@ -61,31 +61,37 @@ type Workspace struct {
 const maxFreeSpectra = 8
 
 // spectrum returns an n-bin spectrum for a scan to fill: a recycled one
-// when available, else a fresh allocation. Contents are unspecified;
-// every scan writes all n bins.
+// when available, else a fresh allocation, marked as lent by ws.
+// Contents are unspecified; every scan writes all n bins.
 func (ws *Workspace) spectrum(n int) *Spectrum {
+	var s *Spectrum
 	if k := len(ws.free) - 1; k >= 0 {
-		s := ws.free[k]
+		s = ws.free[k]
 		ws.free = ws.free[:k]
-		if cap(s.P) >= n {
-			s.P = s.P[:n]
-			return s
-		}
 	}
-	return NewSpectrum(n)
+	if s == nil || cap(s.P) < n {
+		s = NewSpectrum(n)
+	}
+	s.P = s.P[:n]
+	s.lender = ws
+	return s
 }
 
 // Recycle hands spectra the caller has finished with back to the
 // workspace, which reuses their storage for later scan outputs. The
-// caller must not touch them afterwards. Spectra never recycled are
-// simply the caller's to keep, so only code that owns a spectrum's
-// whole lifetime (the per-AP stage) opts in. A nil ws is a no-op.
+// caller must not touch them afterwards. Only spectra this workspace's
+// scans produced are taken; any other (built by hand, by another
+// workspace, by an injected estimator, or already recycled) is left
+// alone, so passing a spectrum someone else still holds is harmless.
+// Spectra never recycled are simply the caller's to keep. A nil ws is
+// a no-op.
 func (ws *Workspace) Recycle(specs ...*Spectrum) {
 	if ws == nil {
 		return
 	}
 	for _, s := range specs {
-		if s != nil && len(ws.free) < maxFreeSpectra {
+		if s != nil && s.lender == ws && len(ws.free) < maxFreeSpectra {
+			s.lender = nil
 			ws.free = append(ws.free, s)
 		}
 	}
