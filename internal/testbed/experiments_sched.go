@@ -273,15 +273,15 @@ func (tb *Testbed) schedPriorityLatency(r *Report, opt SchedOptions) error {
 		}
 		// Pace the interactive arrivals off a warm batch fix timed on
 		// this box, so all of them land while the backlog is still
-		// draining however fast the host is. A lone fix is no slower
-		// than one sharing the cores with its neighbour, so the window
-		// below never outlasts the real backlog.
+		// draining however fast the host is: they are spread over the
+		// first half of the time the backlog should take, the other
+		// half being the margin on that estimate.
 		warm := time.Now()
 		if r := eng.Locate(reqs[0]); r.Err != nil {
 			return 0, 0, 0, 0, r.Err
 		}
-		window := time.Since(warm) * time.Duration(len(reqs)) / schedLatencyWorkers
-		spacing := window / time.Duration(opt.PriorityJobs+1)
+		backlog := time.Since(warm) * time.Duration(len(reqs)) / schedLatencyWorkers
+		spacing := backlog / time.Duration(2*(opt.PriorityJobs+1))
 		var mu sync.Mutex
 		var batchMS, prioMS []float64
 		var wg sync.WaitGroup
