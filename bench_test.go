@@ -249,7 +249,7 @@ func BenchmarkAblationSmoothingNG3(b *testing.B) {
 	benchAblationVariant(b, func(c *core.Config) { c.SmoothingGroups = 3 })
 }
 
-// Throughput benches: the concurrent engine versus the seed's serial
+// Throughput benches: the concurrent engine versus one worker's serial
 // loop, at the batch sizes of the paper's many-clients scenario. The
 // fixture (capture synthesis through the channel model) is built once
 // and shared; requests beyond 41 clients cycle the testbed positions.
@@ -276,38 +276,9 @@ func throughputRequests(b *testing.B, n int) []engine.Request {
 
 var throughputClientCounts = []int{1, 8, 64, 256}
 
-// BenchmarkLocateSerial is the seed path: one client after another,
-// one AP at a time, steering vectors recomputed for every bin, every
-// intermediate allocated per frame. Compare against
-// BenchmarkLocateStreaming for the workspace-path allocs/op reduction.
-func BenchmarkLocateSerial(b *testing.B) {
-	for _, n := range throughputClientCounts {
-		b.Run(fmt.Sprintf("clients-%d", n), func(b *testing.B) {
-			reqs := throughputRequests(b, n)
-			cfg := core.DefaultConfig(throughputTB.Wavelength)
-			cfg.GridCell = throughputOpt.GridCell
-			cfg.Steering = nil
-			cfg.APWorkers = 0
-			cfg.Workspaces = nil
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, q := range reqs {
-					if _, _, err := core.LocateClient(q.APs, q.Captures, q.Min, q.Max, cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "fixes/sec")
-		})
-	}
-}
-
-// BenchmarkLocateStreaming is the refactored steady-state path: the
-// same serial loop with the steering cache and the pooled workspaces —
-// what one engine worker runs per job. The allocs/op column versus
-// BenchmarkLocateSerial is the headline of this PR's workspace
-// refactor (≥3x fewer even against the cache-only variant).
+// BenchmarkLocateStreaming is the steady-state path one client after
+// another on one goroutine: shared caches, pooled workspaces — what one
+// engine worker runs per job.
 func BenchmarkLocateStreaming(b *testing.B) {
 	for _, n := range throughputClientCounts {
 		b.Run(fmt.Sprintf("clients-%d", n), func(b *testing.B) {
@@ -357,16 +328,15 @@ func BenchmarkLocateBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkComputeSpectrum isolates the per-spectrum wins on the
-// hottest single computation: one MUSIC spectrum for one frame.
-// "uncached" is the seed path; "cached" adds the steering table;
-// "workspace" adds the per-worker scratch state — the steady-state
-// engine path, allocating only the escaping spectrum.
+// BenchmarkComputeSpectrum isolates the hottest single computation:
+// one MUSIC spectrum for one frame. "fresh" hands every call a new
+// workspace (nil); "workspace" reuses one — the steady-state engine
+// path, allocating only the escaping spectrum.
 func BenchmarkComputeSpectrum(b *testing.B) {
 	reqs := throughputRequests(b, 1)
 	ap := reqs[0].APs[0]
 	streams := reqs[0].Captures[0][0].Streams[:ap.Array.N]
-	for _, mode := range []string{"uncached", "cached", "workspace"} {
+	for _, mode := range []string{"fresh", "workspace"} {
 		b.Run(mode, func(b *testing.B) {
 			opt := music.Options{
 				Wavelength:      throughputTB.Wavelength,
@@ -376,11 +346,8 @@ func BenchmarkComputeSpectrum(b *testing.B) {
 				ForwardBackward: true,
 			}
 			var ws *music.Workspace
-			if mode != "uncached" {
-				opt.Steering = music.NewSteeringCache()
-			}
 			if mode == "workspace" {
-				ws = music.NewWorkspace()
+				ws = &music.Workspace{}
 				if _, err := music.ComputeSpectrumWS(ws, ap.Array, streams, opt); err != nil {
 					b.Fatal(err)
 				}

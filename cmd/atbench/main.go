@@ -106,7 +106,7 @@ var experiments = []experiment{
 	{"calib", "accuracy vs residual calibration error", func(tb *testbed.Testbed, _ bool) (*testbed.Report, error) {
 		return tb.RunCalibrationSweep(33)
 	}},
-	{"throughput", "multi-client fixes/sec: seed-serial vs cached vs engine", func(tb *testbed.Testbed, fast bool) (*testbed.Report, error) {
+	{"throughput", "multi-client fixes/sec through the engine", func(tb *testbed.Testbed, fast bool) (*testbed.Report, error) {
 		opt := testbed.DefaultThroughputOptions()
 		if fast {
 			opt.ClientCounts = []int{1, 8, 32}
@@ -122,7 +122,7 @@ var experiments = []experiment{
 		r, _, err := tb.RunTracking(opt)
 		return r, err
 	}},
-	{"perf", "workspace-path allocs/op and per-fix latency", func(tb *testbed.Testbed, fast bool) (*testbed.Report, error) {
+	{"perf", "steady-state allocs/op and per-fix latency", func(tb *testbed.Testbed, fast bool) (*testbed.Report, error) {
 		opt := testbed.DefaultPerfOptions()
 		if fast {
 			opt.Clients = 8

@@ -94,14 +94,12 @@ func TestRegionInteriorReporting(t *testing.T) {
 	}
 }
 
-// TestSynthesizeRegionInteriorSeedPathAgrees runs the same border
-// cases through the pipeline entry point on both synthesis paths: the
-// staged LUT path and the seed path (SynthCache nil) must agree on
-// the interior verdict.
-func TestSynthesizeRegionInteriorSeedPathAgrees(t *testing.T) {
+// TestSynthesizeRegionInterior runs the border cases through the
+// pipeline entry point, plus the two only it can see: a scoped-pitch
+// region (no parent grid, so every side is open) and the zero region.
+func TestSynthesizeRegionInterior(t *testing.T) {
 	min, max := synthBounds()
-	staged := Config{Wavelength: lambda, GridCell: 0.10, SynthCache: NewSynthCache()}
-	seed := Config{Wavelength: lambda, GridCell: 0.10}
+	p := NewPipeline(Config{Wavelength: lambda, GridCell: 0.10, SynthCache: NewSynthCache()})
 
 	cases := []struct {
 		name   string
@@ -112,30 +110,19 @@ func TestSynthesizeRegionInteriorSeedPathAgrees(t *testing.T) {
 		{"inside", geom.Pt(20, 8), Region{Min: geom.Pt(16, 5), Max: geom.Pt(24, 11)}, true},
 		{"outside-left", geom.Pt(20, 8), Region{Min: geom.Pt(24, 4), Max: geom.Pt(32, 12)}, false},
 		{"flush-wall", geom.Pt(20, 0.05), Region{Min: geom.Pt(16, 0), Max: geom.Pt(24, 3)}, true},
-		// A scoped-pitch region has no parent grid on the staged path,
-		// so every side is open — flush with the wall or not.
 		{"scoped-inside", geom.Pt(20, 8), Region{Min: geom.Pt(16, 5), Max: geom.Pt(24, 11), Cell: 0.25}, true},
 		{"scoped-flush-wall", geom.Pt(20, 0.05), Region{Min: geom.Pt(16, 0), Max: geom.Pt(24, 3), Cell: 0.25}, false},
 	}
 	for _, tc := range cases {
-		scene := cleanScene(tc.client)
-		for _, cfg := range []Config{staged, seed} {
-			p := NewPipeline(cfg)
-			_, interior, err := p.SynthesizeRegionInterior(scene, min, max, tc.region)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			if interior != tc.want {
-				path := "staged"
-				if cfg.SynthCache == nil {
-					path = "seed"
-				}
-				t.Fatalf("%s on %s path: interior = %v, want %v", tc.name, path, interior, tc.want)
-			}
+		_, interior, err := p.SynthesizeRegionInterior(cleanScene(tc.client), min, max, tc.region)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if interior != tc.want {
+			t.Fatalf("%s: interior = %v, want %v", tc.name, interior, tc.want)
 		}
 	}
 	// A zero region is the full area: always interior.
-	p := NewPipeline(staged)
 	_, interior, err := p.SynthesizeRegionInterior(cleanScene(geom.Pt(3, 3)), min, max, Region{})
 	if err != nil || !interior {
 		t.Fatalf("zero region: interior=%v err=%v, want true/nil", interior, err)

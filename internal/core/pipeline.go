@@ -1,8 +1,6 @@
 package core
 
-// The streaming localization pipeline. The seed's LocateClient was one
-// monolithic function: every stage inlined, every intermediate
-// allocated per call. This file restructures it into explicit stages —
+// The streaming localization pipeline, as explicit stages —
 //
 //	snapshots → correlation → subspace → spectrum   (per frame, via the
 //	                                                 injected Estimator)
@@ -12,8 +10,7 @@ package core
 // — with every stage threading a music.Workspace drawn from a
 // sync.Pool, so the steady-state hot path allocates only what escapes
 // (the spectra and the fix). The estimator is pluggable
-// (Config.Estimator); the math is bit-identical to the seed for the
-// default MUSIC estimator, pinned by equivalence tests.
+// (Config.Estimator).
 
 import (
 	"errors"
@@ -24,32 +21,45 @@ import (
 	"repro/internal/music"
 )
 
-// Pipeline binds a Config to its resolved estimator and workspace
-// pool. It is cheap to construct and safe for concurrent use: every
-// public method acquires its own workspace from the pool.
+// Pipeline is a Config with every default resolved: the one place a nil
+// Steering, SynthCache or Estimator turns into the shared cache or
+// MUSIC. It is safe for concurrent use — every public method draws its
+// own workspace from music.SharedWorkspacePool — and cheap to build,
+// though a long-lived caller (the engine) builds it once.
 type Pipeline struct {
-	cfg  Config
-	est  music.Estimator
-	pool *music.WorkspacePool
+	cfg Config
 }
 
-// NewPipeline resolves the config's estimator (nil means MUSIC) and
-// workspace pool (nil means allocate per call, the seed behaviour).
+// workspaces is the per-worker scratch pool every pipeline shares.
+var workspaces = music.SharedWorkspacePool()
+
+// NewPipeline resolves the config's defaults: a nil Estimator means
+// MUSIC, a nil Steering or SynthCache the process-wide shared cache, a
+// non-positive GridCell the paper's 10 cm.
 func NewPipeline(cfg Config) *Pipeline {
-	est := cfg.Estimator
-	if est == nil {
-		est = music.MUSICEstimator
+	if cfg.Estimator == nil {
+		cfg.Estimator = music.MUSICEstimator
 	}
-	return &Pipeline{cfg: cfg, est: est, pool: cfg.Workspaces}
+	if cfg.Steering == nil {
+		cfg.Steering = music.SharedSteeringCache()
+	}
+	if cfg.SynthCache == nil {
+		cfg.SynthCache = SharedSynthCache()
+	}
+	if cfg.GridCell <= 0 {
+		cfg.GridCell = 0.10
+	}
+	return &Pipeline{cfg: cfg}
 }
 
-// Estimator returns the pipeline's resolved estimator.
-func (p *Pipeline) Estimator() music.Estimator { return p.est }
+// Config returns the pipeline's configuration with every default
+// resolved (no nil cache, no nil estimator).
+func (p *Pipeline) Config() Config { return p.cfg }
 
 // musicOptions translates the pipeline config into per-frame spectrum
 // options for the given AP.
 func (p *Pipeline) musicOptions(ap *AP) music.Options {
-	opt := music.Options{
+	return music.Options{
 		Wavelength:          p.cfg.Wavelength,
 		SmoothingGroups:     p.cfg.SmoothingGroups,
 		SignalThresholdFrac: p.cfg.SignalThresholdFrac,
@@ -57,67 +67,50 @@ func (p *Pipeline) musicOptions(ap *AP) music.Options {
 		SampleOffset:        p.cfg.SampleOffset,
 		ForwardBackward:     p.cfg.ForwardBackward,
 		Steering:            p.cfg.Steering,
+		CalibrationOffsets:  ap.Calibration,
 	}
-	if ap.Calibration != nil {
-		opt.CalibrationOffsets = ap.Calibration
-	}
-	return opt
 }
 
 // FrameSpectrum is the per-frame stage chain (snapshots → correlation
 // → subspace → spectrum), delegated to the estimator with the given
-// workspace (nil allocates).
+// workspace (nil means a fresh one).
 func (p *Pipeline) FrameSpectrum(ws *music.Workspace, ap *AP, frame FrameCapture) (*music.Spectrum, error) {
-	streams, err := frameRowStreams(ap, frame)
-	if err != nil {
-		return nil, fmt.Errorf("core: frame %w", err)
-	}
-	return p.est.Spectrum(ws, ap.Array, streams, p.musicOptions(ap))
-}
-
-// frameRowStreams validates a frame against the AP's row size and
-// returns the main-row streams. The error is unprefixed; callers add
-// their own context.
-func frameRowStreams(ap *AP, frame FrameCapture) ([][]complex128, error) {
 	nRow := ap.Array.N
 	if len(frame.Streams) < nRow {
-		return nil, fmt.Errorf("has %d streams, need %d row antennas", len(frame.Streams), nRow)
+		return nil, fmt.Errorf("core: frame has %d streams, need %d row antennas", len(frame.Streams), nRow)
 	}
-	return frame.Streams[:nRow], nil
+	return p.cfg.Estimator.Spectrum(ws, ap.Array, frame.Streams[:nRow], p.musicOptions(ap))
 }
 
-// frameSpectrumIndexed is FrameSpectrum with the seed's per-frame
-// error messages (no double package prefix when wrapped with the frame
-// index).
-func (p *Pipeline) frameSpectrumIndexed(ws *music.Workspace, ap *AP, frame FrameCapture, i int) (*music.Spectrum, error) {
-	streams, err := frameRowStreams(ap, frame)
-	if err != nil {
-		return nil, fmt.Errorf("core: frame %d %w", i, err)
+// framesRead is how many leading frames of an n-frame group CombineAP
+// reads: the first three under multipath suppression (step 1 of §2.4),
+// the primary alone without it.
+func (p *Pipeline) framesRead(n int) int {
+	switch {
+	case !p.cfg.UseSuppression && n > 1:
+		return 1
+	case n > 3:
+		return 3
 	}
-	s, err := p.est.Spectrum(ws, ap.Array, streams, p.musicOptions(ap))
-	if err != nil {
-		return nil, fmt.Errorf("core: frame %d: %w", i, err)
-	}
-	return s, nil
+	return n
 }
 
 // CombineAP is the cross-frame stage for one AP: multipath suppression
 // over the frame spectra (§2.4), geometry weighting (§2.3.3), and
 // ninth-antenna symmetry removal (§2.3.4). frames supplies the raw
 // streams symmetry removal needs; spectra are the FrameSpectrum
-// outputs in frame order. The returned spectrum is freshly allocated
-// and normalized.
+// outputs in frame order, of which the first framesRead are used. The
+// returned spectrum is freshly allocated and normalized. A nil ws means
+// a fresh workspace.
 func (p *Pipeline) CombineAP(ws *music.Workspace, ap *AP, frames []FrameCapture, spectra []*music.Spectrum) (*music.Spectrum, error) {
 	if len(spectra) == 0 {
 		return nil, errors.New("core: no spectra to combine")
 	}
+	if ws == nil {
+		ws = &music.Workspace{}
+	}
 	var out *music.Spectrum
-	if p.cfg.UseSuppression && len(spectra) >= 2 {
-		// Group at most three spectra, per step 1 of the algorithm.
-		group := spectra
-		if len(group) > 3 {
-			group = group[:3]
-		}
+	if group := spectra[:p.framesRead(len(spectra))]; len(group) >= 2 {
 		out = suppressMultipath(ws, group, p.cfg.PeakMatchTolDeg)
 	} else {
 		out = spectra[0].Clone()
@@ -125,35 +118,23 @@ func (p *Pipeline) CombineAP(ws *music.Workspace, ap *AP, frames []FrameCapture,
 
 	vote := p.cfg.UseSymmetryRemoval && ap.Array.NinthAntenna &&
 		len(frames) > 0 && len(frames[0].Streams) >= ap.Array.NumElements()
+	if !p.cfg.UseWeighting && !vote {
+		return out.Normalize(), nil
+	}
 	// One cache lookup serves both table-driven steps below.
-	var tab *music.SteeringTable
-	if p.cfg.Steering != nil && (p.cfg.UseWeighting || vote) {
-		tab = p.cfg.Steering.Table(ap.Array, p.cfg.Wavelength, out.Bins())
-	}
-
+	tab := p.cfg.Steering.Table(ap.Array, p.cfg.Wavelength, out.Bins())
 	if p.cfg.UseWeighting {
-		if tab != nil {
-			tab.ApplyGeometryWeighting(out)
-		} else {
-			out.ApplyGeometryWeighting(ap.Array.Orient)
-		}
+		tab.ApplyGeometryWeighting(out)
 	}
-
 	if vote {
 		full := frames[0].Streams[:ap.Array.NumElements()]
 		rFull, err := music.CalibratedCorrelationWS(ws, full, p.cfg.SampleOffset, p.cfg.MaxSamples, ap.Calibration)
 		if err != nil {
 			return nil, err
 		}
-		if tab != nil {
-			tab.RemoveSymmetryWS(ws, out, rFull)
-		} else {
-			music.SymmetryRemoval(out, ap.Array, rFull, p.cfg.Wavelength)
-		}
+		tab.RemoveSymmetryWS(ws, out, rFull)
 	}
-
-	out.Normalize()
-	return out, nil
+	return out.Normalize(), nil
 }
 
 // ProcessAP runs the per-AP half of the pipeline (frame spectra, then
@@ -162,21 +143,23 @@ func (p *Pipeline) ProcessAP(ap *AP, frames []FrameCapture) (*music.Spectrum, er
 	if len(frames) == 0 {
 		return nil, errors.New("core: no frames captured")
 	}
-	ws := p.pool.Get()
-	defer p.pool.Put(ws)
+	ws := workspaces.Get()
+	defer workspaces.Put(ws)
 	return p.processAP(ws, ap, frames)
 }
 
-// processAP owns its frame spectra from scan to combine, so they live
+// processAP computes a spectrum only for the frames the combine stage
+// will read. It owns those spectra from scan to combine, so they live
 // in the workspace (list and storage both) and go back to it afterwards;
 // only the combined spectrum escapes.
 func (p *Pipeline) processAP(ws *music.Workspace, ap *AP, frames []FrameCapture) (*music.Spectrum, error) {
-	spectra := ws.FrameList(len(frames))
+	read := frames[:p.framesRead(len(frames))]
+	spectra := ws.FrameList(len(read))
 	defer func() { ws.Recycle(spectra...) }()
-	for i, f := range frames {
-		s, err := p.frameSpectrumIndexed(ws, ap, f, i)
+	for i, f := range read {
+		s, err := p.FrameSpectrum(ws, ap, f)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("frame %d: %w", i, err)
 		}
 		spectra = append(spectra, s)
 	}
@@ -184,38 +167,20 @@ func (p *Pipeline) processAP(ws *music.Workspace, ap *AP, frames []FrameCapture)
 }
 
 // Synthesize is the final stage: the Eq. 8 grid search plus hill
-// climbing (§2.5). With a SynthCache configured it runs the staged
-// subsystem — cached bearing LUTs, log-domain sharded accumulation,
-// coarse-to-fine refinement; a nil SynthCache keeps the seed's serial
-// product-domain path.
+// climbing (§2.5) on the staged subsystem — cached bearing LUTs,
+// log-domain sharded accumulation, coarse-to-fine refinement.
 func (p *Pipeline) Synthesize(specs []APSpectrum, min, max geom.Point) (geom.Point, error) {
 	return p.SynthesizeRegion(specs, min, max, Region{})
 }
 
 // SynthesizeRegion is Synthesize restricted to an ad-hoc search
-// region (zero region = full area). On the staged path a region at
-// the configured pitch snaps to the full grid's lattice, so its
-// bearing LUTs slice out of cached full-grid entries and its argmax
-// equals the full-grid argmax restricted to the box; the seed path
-// grid-searches the clamped box directly. The region is validated
-// here, so malformed boxes fail a fix rather than corrupting it.
+// region (zero region = full area). A region at the configured pitch
+// snaps to the full grid's lattice, so its bearing LUTs slice out of
+// cached full-grid entries and its argmax equals the full-grid argmax
+// restricted to the box. The region is validated on construction, so
+// malformed boxes fail a fix rather than corrupting it.
 func (p *Pipeline) SynthesizeRegion(specs []APSpectrum, min, max geom.Point, region Region) (geom.Point, error) {
-	if err := region.Validate(); err != nil {
-		return geom.Point{}, err
-	}
-	cell := p.cfg.GridCell
-	if cell <= 0 {
-		cell = 0.10
-	}
-	if p.cfg.SynthCache == nil {
-		lo, hi, cell, _, err := seedRegionClamp(min, max, region, cell)
-		if err != nil {
-			return geom.Point{}, err
-		}
-		pos, _, err := Localize(specs, lo, hi, cell)
-		return pos, err
-	}
-	sg, err := NewSynthGridRegion(min, max, region, p.synthOptions(cell))
+	sg, err := NewSynthGridRegion(min, max, region, p.synthOptions())
 	if err != nil {
 		return geom.Point{}, err
 	}
@@ -223,10 +188,10 @@ func (p *Pipeline) SynthesizeRegion(specs []APSpectrum, min, max geom.Point, reg
 }
 
 // synthOptions translates the pipeline config into staged-synthesis
-// options at the given fine pitch.
-func (p *Pipeline) synthOptions(cell float64) SynthOptions {
+// options.
+func (p *Pipeline) synthOptions() SynthOptions {
 	return SynthOptions{
-		Cell:         cell,
+		Cell:         p.cfg.GridCell,
 		Workers:      p.cfg.SynthWorkers,
 		Cache:        p.cfg.SynthCache,
 		CoarseFactor: p.cfg.CoarseFactor,
@@ -246,85 +211,11 @@ func (p *Pipeline) SynthesizeRegionInterior(specs []APSpectrum, min, max geom.Po
 		pos, err := p.Synthesize(specs, min, max)
 		return pos, err == nil, err
 	}
-	if err := region.Validate(); err != nil {
-		return geom.Point{}, false, err
-	}
-	cell := p.cfg.GridCell
-	if cell <= 0 {
-		cell = 0.10
-	}
-	if p.cfg.SynthCache == nil {
-		return p.seedRegionInterior(specs, min, max, region, cell)
-	}
-	sg, err := NewSynthGridRegion(min, max, region, p.synthOptions(cell))
+	sg, err := NewSynthGridRegion(min, max, region, p.synthOptions())
 	if err != nil {
 		return geom.Point{}, false, err
 	}
 	return sg.LocalizeInterior(specs)
-}
-
-// seedRegionClamp resolves the seed path's clamped box, effective
-// pitch, and scoped-pitch flag for a non-zero region, enforcing the
-// same work cap as the staged path: a scoped pitch may not demand
-// more cells than a full-area fix (regions arrive untrusted). Shared
-// by SynthesizeRegion and seedRegionInterior so both entry points
-// validate identically.
-func seedRegionClamp(min, max geom.Point, region Region, cell float64) (lo, hi geom.Point, outCell float64, scoped bool, err error) {
-	lo, hi = min, max
-	if region.IsZero() {
-		return lo, hi, cell, false, nil
-	}
-	if lo, hi, err = region.clampTo(min, max); err != nil {
-		return lo, hi, cell, false, err
-	}
-	if region.Cell != 0 && region.Cell != cell {
-		full, err := GridSpecFor(min, max, cell)
-		if err != nil {
-			return lo, hi, cell, true, err
-		}
-		sc, err := GridSpecFor(lo, hi, region.Cell)
-		if err != nil {
-			return lo, hi, cell, true, err
-		}
-		if sc.Cells() > full.Cells() {
-			return lo, hi, cell, true, fmt.Errorf("%w: %d cells at pitch %g exceeds the %d-cell full grid",
-				ErrBadRegion, sc.Cells(), region.Cell, full.Cells())
-		}
-		cell = region.Cell
-		scoped = true
-	}
-	return lo, hi, cell, scoped, nil
-}
-
-// seedRegionInterior is the seed-path (no SynthCache) region search
-// with the interior report derived from the coarse heatmap argmax,
-// mirroring the staged path's semantics exactly: for a lattice-
-// aligned region a side flush with the configured search area counts
-// as closed (nothing lies beyond it), while a scoped-pitch region —
-// which the staged path builds without a parent grid — treats every
-// side as open (conservative).
-func (p *Pipeline) seedRegionInterior(specs []APSpectrum, min, max geom.Point, region Region, cell float64) (geom.Point, bool, error) {
-	lo, hi, cell, scoped, err := seedRegionClamp(min, max, region, cell)
-	if err != nil {
-		return geom.Point{}, false, err
-	}
-	pos, h, err := Localize(specs, lo, hi, cell)
-	if err != nil {
-		return geom.Point{}, false, err
-	}
-	best := 0
-	for c := 1; c < len(h.Flat); c++ {
-		if h.Flat[c] > h.Flat[best] {
-			best = c
-		}
-	}
-	ix, iy := best%h.Nx, best/h.Nx
-	const eps = 1e-9
-	interior := (ix > 0 || (!scoped && lo.X <= min.X+eps)) &&
-		(ix < h.Nx-1 || (!scoped && hi.X >= max.X-eps)) &&
-		(iy > 0 || (!scoped && lo.Y <= min.Y+eps)) &&
-		(iy < h.Ny-1 || (!scoped && hi.Y >= max.Y-eps))
-	return pos, interior, nil
 }
 
 // Locate runs the complete pipeline for one client: per-AP processing
@@ -388,8 +279,8 @@ func (p *Pipeline) ProcessAPs(aps []*AP, captures [][]FrameCapture) ([]APSpectru
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ws := p.pool.Get()
-				defer p.pool.Put(ws)
+				ws := workspaces.Get()
+				defer workspaces.Put(ws)
 				for i := range idx {
 					spectra[i], errs[i] = p.processAP(ws, aps[i], captures[i])
 				}
@@ -401,13 +292,13 @@ func (p *Pipeline) ProcessAPs(aps []*AP, captures [][]FrameCapture) ([]APSpectru
 		close(idx)
 		wg.Wait()
 	} else {
-		ws := p.pool.Get()
+		ws := workspaces.Get()
 		for _, i := range contrib {
 			if spectra[i], errs[i] = p.processAP(ws, aps[i], captures[i]); errs[i] != nil {
 				break
 			}
 		}
-		p.pool.Put(ws)
+		workspaces.Put(ws)
 	}
 
 	specs := make([]APSpectrum, 0, len(contrib))

@@ -10,32 +10,53 @@ import (
 	"repro/internal/music"
 )
 
-// TestPipelineWorkspaceEquivalence pins the refactor's contract: the
-// pooled-workspace pipeline must produce bit-identical spectra and the
-// identical fix versus the allocating path, including under per-AP
-// fan-out.
+// stagesByHand runs the per-AP half stage by stage — a spectrum for
+// every frame, then the combine — on ws (nil: a fresh workspace per
+// call).
+func stagesByHand(t *testing.T, p *Pipeline, ws *music.Workspace, ap *AP, frames []FrameCapture) *music.Spectrum {
+	t.Helper()
+	var spectra []*music.Spectrum
+	for _, f := range frames {
+		s, err := p.FrameSpectrum(ws, ap, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spectra = append(spectra, s)
+	}
+	s, err := p.CombineAP(ws, ap, frames, spectra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestPipelineWorkspaceEquivalence pins the workspace contract: the
+// pooled-workspace pipeline, per-AP fan-out included, must produce
+// bit-identical spectra and the identical fix versus the same stages
+// run on a fresh workspace per call (nil).
 func TestPipelineWorkspaceEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	client := geom.Pt(6.5, 7.1)
 	aps, captures, plan := buildTestbedAPs(t, client, 3, 3, rng)
 
-	alloc := DefaultConfig(lambda)
-	alloc.Workspaces = nil
-	alloc.APWorkers = 0
+	cfg := DefaultConfig(lambda)
+	cfg.APWorkers = 3
+	p := NewPipeline(cfg)
 
-	pooled := DefaultConfig(lambda)
-	pooled.Workspaces = music.NewWorkspacePool()
-
-	posA, specsA, err := LocateClient(aps, captures, plan.Min, plan.Max, alloc)
+	specsA := make([]APSpectrum, len(aps))
+	for i, ap := range aps {
+		specsA[i] = APSpectrum{Pos: ap.Array.Pos, Spectrum: stagesByHand(t, p, nil, ap, captures[i])}
+	}
+	posA, err := p.Synthesize(specsA, plan.Min, plan.Max)
 	if err != nil {
 		t.Fatal(err)
 	}
-	posP, specsP, err := LocateClient(aps, captures, plan.Min, plan.Max, pooled)
+	posP, specsP, err := p.Locate(aps, captures, plan.Min, plan.Max)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if posA != posP {
-		t.Fatalf("fix differs: allocating %v vs pooled %v", posA, posP)
+		t.Fatalf("fix differs: fresh workspaces %v vs pooled %v", posA, posP)
 	}
 	if len(specsA) != len(specsP) {
 		t.Fatalf("spectra count differs")
@@ -64,19 +85,7 @@ func TestPipelineStagesComposeToProcessAP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ws := music.NewWorkspace()
-	var spectra []*music.Spectrum
-	for _, f := range captures[0] {
-		s, err := p.FrameSpectrum(ws, aps[0], f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spectra = append(spectra, s)
-	}
-	got, err := p.CombineAP(ws, aps[0], captures[0], spectra)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := stagesByHand(t, p, &music.Workspace{}, aps[0], captures[0])
 	for b := range want.P {
 		if got.P[b] != want.P[b] {
 			t.Fatalf("bin %d differs between staged and packaged path", b)
@@ -171,7 +180,6 @@ func TestProcessAPsSteadyStateAllocs(t *testing.T) {
 	}
 	cfg := DefaultConfig(lambda)
 	cfg.APWorkers = 0
-	cfg.Workspaces = music.NewWorkspacePool()
 	cfg.Steering = music.NewSteeringCache()
 	p := NewPipeline(cfg)
 	if _, err := p.ProcessAPs(aps, captures); err != nil { // warm
@@ -224,7 +232,6 @@ func TestProcessAPsLeavesRetainedSpectraAlone(t *testing.T) {
 	memo := &memoEstimator{seen: map[*complex128]*music.Spectrum{}}
 	cfg := DefaultConfig(lambda)
 	cfg.APWorkers = 0
-	cfg.Workspaces = music.NewWorkspacePool()
 	cfg.Steering = music.NewSteeringCache()
 	cfg.Estimator = memo
 	p := NewPipeline(cfg)
@@ -260,6 +267,52 @@ func TestProcessAPsLeavesRetainedSpectraAlone(t *testing.T) {
 				if again[i].Spectrum.P[b] != first[i].Spectrum.P[b] {
 					t.Fatalf("round %d: AP %d bin %d differs from the first pass", round, i, b)
 				}
+			}
+		}
+	}
+}
+
+// countingEstimator counts the frames the pipeline asks MUSIC for.
+type countingEstimator struct{ calls int }
+
+func (*countingEstimator) Name() string { return "counting" }
+
+func (c *countingEstimator) Spectrum(ws *music.Workspace, a *array.Array, streams [][]complex128, opt music.Options) (*music.Spectrum, error) {
+	c.calls++
+	return music.MUSICEstimator.Spectrum(ws, a, streams, opt)
+}
+
+// TestProcessAPComputesOnlyFramesRead: the combine stage reads at most
+// three frame spectra under multipath suppression and exactly one
+// without it, so the per-AP stage must not compute more — and capping
+// must not change the result, which is pinned == against CombineAP fed
+// a spectrum for every frame.
+func TestProcessAPComputesOnlyFramesRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	aps, captures, _ := buildTestbedAPs(t, geom.Pt(9.5, 6.4), 1, 5, rng)
+	ap, frames := aps[0], captures[0]
+	for _, tc := range []struct {
+		cfg  Config
+		want int
+	}{
+		{DefaultConfig(lambda), 3},
+		{UnoptimizedConfig(lambda), 1},
+	} {
+		est := &countingEstimator{}
+		tc.cfg.Estimator = est
+		p := NewPipeline(tc.cfg)
+		got, err := p.ProcessAP(ap, frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.calls != tc.want {
+			t.Fatalf("suppression=%v: %d frames in, %d spectra computed, want %d",
+				tc.cfg.UseSuppression, len(frames), est.calls, tc.want)
+		}
+		want := stagesByHand(t, p, nil, ap, frames)
+		for b := range want.P {
+			if got.P[b] != want.P[b] {
+				t.Fatalf("suppression=%v: bin %d differs from the uncapped run", tc.cfg.UseSuppression, b)
 			}
 		}
 	}

@@ -193,9 +193,9 @@ func TestRegionCellCountCapped(t *testing.T) {
 	}
 }
 
-// TestPipelineRegionPaths: both synthesis paths (staged and nil-cache
-// seed) accept regions through the pipeline, agree with each other on
-// a benign scene, and reject malformed regions with ErrBadRegion.
+// TestPipelineRegionPaths: the pipeline's region synthesis agrees with
+// the Localize oracle grid-searching the same box on a benign scene,
+// and rejects malformed regions with ErrBadRegion.
 func TestPipelineRegionPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	min, max := synthBounds()
@@ -209,23 +209,19 @@ func TestPipelineRegionPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedCfg := DefaultConfig(lambda)
-	seedCfg.SynthCache = nil
-	seedPos, err := NewPipeline(seedCfg).SynthesizeRegion(aps, min, max, region)
+	oraclePos, _, err := Localize(aps, region.Min, region.Max, gridCfg.GridCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := gridPos.Dist(seedPos); d > 0.30 {
-		t.Fatalf("staged region fix %v vs seed region fix %v differ by %.2f m", gridPos, seedPos, d)
+	if d := gridPos.Dist(oraclePos); d > 0.30 {
+		t.Fatalf("staged region fix %v vs oracle region fix %v differ by %.2f m", gridPos, oraclePos, d)
 	}
 	if d := gridPos.Dist(client); d > 0.5 {
 		t.Fatalf("staged region fix %.2f m from truth", d)
 	}
-	for _, cfg := range []Config{gridCfg, seedCfg} {
-		bad := Region{Min: geom.Pt(5, 5), Max: geom.Pt(4, 9)}
-		if _, err := NewPipeline(cfg).SynthesizeRegion(aps, min, max, bad); !errors.Is(err, ErrBadRegion) {
-			t.Fatalf("inverted region through pipeline: err = %v, want ErrBadRegion", err)
-		}
+	bad := Region{Min: geom.Pt(5, 5), Max: geom.Pt(4, 9)}
+	if _, err := NewPipeline(gridCfg).SynthesizeRegion(aps, min, max, bad); !errors.Is(err, ErrBadRegion) {
+		t.Fatalf("inverted region through pipeline: err = %v, want ErrBadRegion", err)
 	}
 }
 

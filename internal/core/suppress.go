@@ -43,11 +43,11 @@ const suppressFactor = 0.05
 // With fewer than two spectra the primary (or nil) is returned
 // unchanged, per step 1 of the algorithm.
 func SuppressMultipath(spectra []*music.Spectrum, tolDeg float64) *music.Spectrum {
-	return suppressMultipath(nil, spectra, tolDeg)
+	return suppressMultipath(&music.Workspace{}, spectra, tolDeg)
 }
 
 // suppressMultipath is SuppressMultipath with the per-spectrum peak
-// lists kept in the workspace (nil ws allocates them).
+// lists kept in the workspace.
 func suppressMultipath(ws *music.Workspace, spectra []*music.Spectrum, tolDeg float64) *music.Spectrum {
 	if len(spectra) == 0 {
 		return nil

@@ -125,8 +125,8 @@ func (h *Heatmap) reshape(spec GridSpec) {
 
 // ComputeHeatmap evaluates the likelihood on a grid with the given cell
 // size (the paper uses 10 cm). This is the serial product-domain
-// reference; the staged SynthGrid path reproduces its argmax with
-// cached bearing LUTs at a fraction of the cost.
+// oracle, and Figure 14's renderer; the staged SynthGrid reproduces its
+// argmax with cached bearing LUTs at a fraction of the cost.
 func ComputeHeatmap(aps []APSpectrum, min, max geom.Point, cell float64) (*Heatmap, error) {
 	spec, err := GridSpecFor(min, max, cell)
 	if err != nil {
@@ -183,8 +183,8 @@ func (h *Heatmap) TopCells(k int) []geom.Point {
 // the output is the maximum-Y edge so the picture reads like a map.
 func (h *Heatmap) ASCII(marks map[byte]geom.Point) string {
 	shades := []byte(" .:-=+*#%@")
-	// Linear-domain surfaces shade by v/max as the seed did (lo stays
-	// anchored at 0); a log-domain surface (negative values) is
+	// Linear-domain surfaces shade by v/max (lo stays anchored at 0); a
+	// log-domain surface (negative values) is
 	// shifted so its full span maps onto the same ramp.
 	lo, max := 0.0, math.Inf(-1)
 	for _, row := range h.Vals {
@@ -221,10 +221,11 @@ func (h *Heatmap) ASCII(marks map[byte]geom.Point) string {
 	return b.String()
 }
 
-// Localize runs the §2.5 estimator: grid search at the given cell size
-// over [min,max], then hill climbing from the three best cells,
-// returning the maximum-likelihood position. The returned heatmap is
-// the coarse grid (useful for Figure 14 rendering).
+// Localize runs the §2.5 estimator as the paper states it: grid search
+// at the given cell size over [min,max], then hill climbing from the
+// three best cells, returning the maximum-likelihood position and the
+// grid. It is the oracle the staged subsystem (SynthGrid, what
+// Pipeline.Synthesize runs) is tested against; no pipeline calls it.
 func Localize(aps []APSpectrum, min, max geom.Point, cell float64) (geom.Point, *Heatmap, error) {
 	if len(aps) == 0 {
 		return geom.Point{}, nil, errors.New("core: no AP spectra to synthesize")
@@ -250,9 +251,9 @@ func hillClimb(start geom.Point, aps []APSpectrum, step float64, min, max geom.P
 	return hillClimbFn(start, aps, step, min, max, Likelihood)
 }
 
-// hillClimbFn is the shared compass search over any likelihood score
-// (product-domain Likelihood for the seed path, LogLikelihood for the
-// staged synthesis path — monotone-equivalent surfaces, one search).
+// hillClimbFn is the compass search over any likelihood score:
+// product-domain Likelihood for Localize, and the scalar log-surface
+// scores the table-driven climbs are tested against.
 func hillClimbFn(start geom.Point, aps []APSpectrum, step float64, min, max geom.Point, score func(geom.Point, []APSpectrum) float64) (geom.Point, float64) {
 	cur := start
 	curL := score(cur, aps)

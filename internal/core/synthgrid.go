@@ -1,9 +1,10 @@
 package core
 
-// The staged synthesis subsystem. The seed evaluated Eq. 8 by calling
-// Likelihood serially for every grid cell, recomputing atan2 bearings
-// and spectrum interpolation per AP per cell on every fix. This file
-// rebuilds that layer in three stages:
+// The staged synthesis subsystem. The reference (Localize in
+// synthesis.go) evaluates Eq. 8 by calling Likelihood serially for every
+// grid cell, recomputing atan2 bearings and spectrum interpolation per
+// AP per cell on every fix. This file builds that layer in three
+// stages:
 //
 //  1. Bearing LUTs — for one (AP position, grid geometry) pair, the
 //     bearing→bin index and interpolation fraction of every cell are
@@ -54,7 +55,7 @@ import (
 const DefaultCoarseFactor = 5
 
 // DefaultRefineTopK is the minimum number of screening blocks refined
-// at full resolution, mirroring the seed's three hill-climbing seeds;
+// at full resolution, mirroring Localize's three hill-climbing seeds;
 // the branch-and-bound screen refines more whenever a block's bound
 // still beats the best refined cell.
 const DefaultRefineTopK = 3
@@ -89,7 +90,7 @@ type GridSpec struct {
 }
 
 // GridSpecFor returns the grid covering [min, max] at the given cell
-// size, with the seed heatmap's dimension arithmetic.
+// size, with ComputeHeatmap's dimension arithmetic.
 func GridSpecFor(min, max geom.Point, cell float64) (GridSpec, error) {
 	if cell <= 0 {
 		return GridSpec{}, errors.New("core: heatmap cell size must be positive")
@@ -398,16 +399,6 @@ type SynthOptions struct {
 	// counters (blocks refined, bound visits, hill-climb probes and
 	// prunes). Atomic; one instance may be shared across grids.
 	Metrics *SynthMetrics
-	// LinearPick selects the pre-heap linear bound scan for choosing
-	// the next refinement block. Retained as the reference path for
-	// the kernels experiment and the degenerate-surface test; both
-	// orders refine the identical block sequence.
-	LinearPick bool
-	// ScalarHillClimb selects the one-atan2-per-AP-per-probe scalar
-	// scorer for hill climbing instead of the rotation-guarded fast
-	// path. Retained as the reference; both paths visit identical
-	// positions.
-	ScalarHillClimb bool
 }
 
 // SynthGrid evaluates Eq. 8 over one grid geometry using cached
@@ -415,15 +406,19 @@ type SynthOptions struct {
 // the cache per AP — so a grid may be built per fix; the reuse lives
 // in the cache. Safe for concurrent use.
 type SynthGrid struct {
-	spec        GridSpec
-	min, max    geom.Point
-	parent      *GridSpec // full-grid spec a region sub-grid slices LUTs from
-	cache       *SynthCache
-	workers     int
-	coarse      int
-	topK        int
-	yield       func()
-	metrics     *SynthMetrics
+	spec     GridSpec
+	min, max geom.Point
+	parent   *GridSpec // full-grid spec a region sub-grid slices LUTs from
+	cache    *SynthCache
+	workers  int
+	coarse   int
+	topK     int
+	yield    func()
+	metrics  *SynthMetrics
+	// linearPick and scalarClimb swap in the two oracles the fast
+	// kernels are pinned against — the linear bound scan at every pick,
+	// hillClimbTabs for every climb. No option sets them; in-package
+	// tests do (export_test.go).
 	linearPick  bool
 	scalarClimb bool
 }
@@ -453,7 +448,6 @@ func newSynthGrid(spec GridSpec, parent *GridSpec, min, max geom.Point, opt Synt
 		spec: spec, parent: parent, min: min, max: max,
 		cache: cache, workers: workers, coarse: coarse, topK: topK,
 		yield: opt.Yield, metrics: opt.Metrics,
-		linearPick: opt.LinearPick, scalarClimb: opt.ScalarHillClimb,
 	}
 }
 
@@ -709,7 +703,7 @@ func (sg *SynthGrid) blockBounds(ws *synthWorkspace, aps []APSpectrum, logTabs [
 }
 
 // hillClimbSeeds is how many top cells seed hill climbing, mirroring
-// the seed estimator's TopCells(3).
+// Localize's TopCells(3).
 const hillClimbSeeds = 3
 
 // candidates fills ws.cand with the top hill-climbing seed cells of
@@ -746,7 +740,6 @@ func (sg *SynthGrid) candidates(ws *synthWorkspace, aps []APSpectrum, refined bo
 		// is bound-scan-dominated and the remaining bounds are built
 		// into a heap popping the identical order at O(log blocks)
 		// per pick (see synthbnb.go for the order-equality argument).
-		// LinearPick pins the pre-heap path as the timing reference.
 		useHeap := false
 		var visits int64
 		refinedBlocks := 0

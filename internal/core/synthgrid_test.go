@@ -521,28 +521,26 @@ func TestSynthGridWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestPipelineSynthesizeSeedFallback: a nil SynthCache must select the
-// seed synthesis path and still agree with the staged one at argmax
-// level on a benign scene.
-func TestPipelineSynthesizeSeedFallback(t *testing.T) {
+// TestPipelineSynthesizeAgreesWithLocalize: the pipeline's staged
+// synthesis must agree with the product-domain Localize oracle at
+// argmax level on a benign scene.
+func TestPipelineSynthesizeAgreesWithLocalize(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	min, max := synthBounds()
 	client := geom.Pt(14, 9)
 	aps := synthScene(3, client, rng)
 
-	seedCfg := DefaultConfig(lambda)
-	seedCfg.SynthCache = nil
-	seedPos, err := NewPipeline(seedCfg).Synthesize(aps, min, max)
+	gridCfg := DefaultConfig(lambda)
+	seedPos, _, err := Localize(aps, min, max, gridCfg.GridCell)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gridCfg := DefaultConfig(lambda)
 	gridPos, err := NewPipeline(gridCfg).Synthesize(aps, min, max)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := seedPos.Dist(gridPos); d > 0.30 {
-		t.Fatalf("seed-path fix %v vs staged fix %v differ by %.2f m", seedPos, gridPos, d)
+		t.Fatalf("oracle fix %v vs staged fix %v differ by %.2f m", seedPos, gridPos, d)
 	}
 	if d := gridPos.Dist(client); d > 0.5 {
 		t.Fatalf("staged fix %.2f m from truth", d)

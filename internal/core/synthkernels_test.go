@@ -20,19 +20,19 @@ func TestSynthHeapMatchesLinearPick(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		client := geom.Pt(2+rng.Float64()*36, 2+rng.Float64()*12)
 		aps := synthScene(2+rng.Intn(4), client, rng)
-		variants := []SynthOptions{
-			{Cell: 0.10, Cache: NewSynthCache(), LinearPick: true, ScalarHillClimb: true}, // pre-sprint reference
-			{Cell: 0.10, Cache: NewSynthCache(), LinearPick: false, ScalarHillClimb: true},
-			{Cell: 0.10, Cache: NewSynthCache(), LinearPick: true, ScalarHillClimb: false},
-			{Cell: 0.10, Cache: NewSynthCache()}, // heap + guarded climb (the fix path)
+		fast, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		variants := []*SynthGrid{
+			fast.WithOracles(true, true), // both oracles: the reference
+			fast.WithOracles(false, true),
+			fast.WithOracles(true, false),
+			fast, // heap + guarded climb (the fix path)
 		}
 		var refCell int
 		var refPos geom.Point
-		for vi, opt := range variants {
-			sg, err := NewSynthGrid(min, max, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for vi, sg := range variants {
 			cell, err := sg.RefinedArgmaxCell(aps)
 			if err != nil {
 				t.Fatal(err)
@@ -136,11 +136,12 @@ func TestSynthBnBDegenerateNotQuadratic(t *testing.T) {
 	run := func(linear bool) (cell int, m SynthMetricsSnapshot) {
 		var metrics SynthMetrics
 		sg, err := NewSynthGrid(min, max, SynthOptions{
-			Cell: 0.02, Cache: NewSynthCache(), Metrics: &metrics, LinearPick: linear,
+			Cell: 0.02, Cache: NewSynthCache(), Metrics: &metrics,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		sg = sg.WithOracles(linear, false)
 		cell, err = sg.RefinedArgmaxCell(flat)
 		if err != nil {
 			t.Fatal(err)

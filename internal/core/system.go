@@ -10,7 +10,9 @@ import (
 
 // Config selects which stages of the ArrayTrack pipeline run and with
 // what parameters. The zero value is not useful; start from
-// DefaultConfig or UnoptimizedConfig.
+// DefaultConfig or UnoptimizedConfig. No field selects an
+// implementation: the caches and worker counts below change where
+// tables live and how work is spread, never which arithmetic runs.
 type Config struct {
 	// Wavelength of the carrier in metres.
 	Wavelength float64
@@ -36,25 +38,24 @@ type Config struct {
 	PeakMatchTolDeg float64
 	// GridCell is the synthesis grid pitch in metres (paper: 0.10).
 	GridCell float64
-	// Steering shares precomputed steering-vector tables across every
-	// spectrum computed under this config. nil recomputes a(θ) per bin
-	// (the seed behaviour); DefaultConfig wires in the process-wide
-	// cache. Spectra are bit-identical either way.
+	// Steering holds the precomputed steering-vector tables (and the
+	// per-orientation vote and weight lookups) every spectrum computed
+	// under this config reads. nil means the process-wide shared cache,
+	// which DefaultConfig also wires in explicitly; a private cache only
+	// isolates accounting and budget.
 	Steering *music.SteeringCache
 	// APWorkers bounds the goroutines LocateClient uses to process
 	// APs concurrently. 0 or 1 processes APs serially; DefaultConfig
 	// sets GOMAXPROCS. Results are deterministic regardless.
 	APWorkers int
-	// SynthCache shares precomputed bearing→bin lookup tables for the
-	// Eq. 8 synthesis grid per (AP position, grid geometry) — the
-	// synthesis-layer sibling of Steering. nil selects the seed
-	// synthesis path (serial product-domain grid search plus hill
-	// climbing); DefaultConfig wires in the process-wide cache.
+	// SynthCache holds the precomputed bearing→bin lookup tables for
+	// the Eq. 8 synthesis grid per (AP position, grid geometry) — the
+	// synthesis-layer sibling of Steering, with the same nil rule: the
+	// process-wide shared cache.
 	SynthCache *SynthCache
 	// SynthWorkers bounds the goroutines sharding the synthesis
-	// surface when the LUT path is active. 0 or 1 evaluates serially;
-	// DefaultConfig sets GOMAXPROCS. Results are deterministic
-	// regardless.
+	// surface. 0 or 1 evaluates serially; DefaultConfig sets
+	// GOMAXPROCS. Results are deterministic regardless.
 	SynthWorkers int
 	// CoarseFactor is the synthesis coarse-to-fine screening block
 	// edge in fine cells: the grid search bounds CoarseFactor² -cell
@@ -73,16 +74,11 @@ type Config struct {
 	// mid-surface (microseconds of latency) instead of behind the
 	// whole in-flight fix (tens of milliseconds). The callback may
 	// run arbitrary work; the surface being evaluated is paused, not
-	// abandoned. nil (and the seed synthesis path) never yields.
+	// abandoned. nil never yields.
 	SynthYield func()
 	// Estimator is the pluggable frame→spectrum stage (nil means
 	// MUSIC, the paper's pipeline). See music.EstimatorByName.
 	Estimator music.Estimator
-	// Workspaces supplies per-worker scratch state for the spectrum
-	// stages. nil allocates every intermediate per call (the seed
-	// behaviour); DefaultConfig wires in the process-wide pool.
-	// Results are bit-identical either way.
-	Workspaces *music.WorkspacePool
 }
 
 // DefaultConfig returns the full ArrayTrack pipeline with the paper's
@@ -102,7 +98,6 @@ func DefaultConfig(wavelength float64) Config {
 		GridCell:            0.10,
 		Steering:            music.SharedSteeringCache(),
 		APWorkers:           runtime.GOMAXPROCS(0),
-		Workspaces:          music.SharedWorkspacePool(),
 		SynthCache:          SharedSynthCache(),
 		SynthWorkers:        runtime.GOMAXPROCS(0),
 		CoarseFactor:        DefaultCoarseFactor,
@@ -156,12 +151,4 @@ func ProcessAP(ap *AP, frames []FrameCapture, cfg Config) (*music.Spectrum, erro
 // Pipeline for the explicit stage structure.
 func LocateClient(aps []*AP, captures [][]FrameCapture, min, max geom.Point, cfg Config) (geom.Point, []APSpectrum, error) {
 	return NewPipeline(cfg).Locate(aps, captures, min, max)
-}
-
-// LocateClientRegion is LocateClient with synthesis restricted to an
-// ad-hoc search region (zero region = full area) — the per-request
-// bounding-box entry point the engine threads through for interactive
-// region fixes.
-func LocateClientRegion(aps []*AP, captures [][]FrameCapture, min, max geom.Point, region Region, cfg Config) (geom.Point, []APSpectrum, error) {
-	return NewPipeline(cfg).LocateRegion(aps, captures, min, max, region)
 }

@@ -1,11 +1,9 @@
 // Package engine is the concurrent localization engine: a bounded
 // worker pool that ingests per-client capture groups from many APs and
-// emits location fixes. The seed processed one client at a time,
-// serially; the engine is what lets the backend sustain ArrayTrack's
-// system-level claim — fixes for many roaming clients at once — by
-// parallelizing across clients while the steering-vector cache
-// (music.SteeringCache) removes the per-spectrum recomputation the
-// serial path paid for every frame.
+// emits location fixes. It is what lets the backend sustain
+// ArrayTrack's system-level claim — fixes for many roaming clients at
+// once — by parallelizing across clients over shared steering-vector
+// and bearing-LUT caches.
 //
 // Scheduling is delegated to the sched subsystem (per-client quotas,
 // queue ageing, cooperative yield-steal preemption), and the
@@ -221,14 +219,13 @@ type Stats struct {
 	// search errored (e.g. the predicted box left the search area).
 	PredictFallbackError uint64
 	// SynthLUTs is the number of distinct bearing LUTs the synthesis
-	// cache holds — one per (AP position, grid geometry) pair seen (0
-	// when the config runs the seed synthesis path).
+	// cache holds — one per (AP position, grid geometry) pair seen.
 	SynthLUTs int
 	// SynthBytes and SynthBudget are the synthesis cache's accounted
 	// size and configured byte cap (0 budget = unbounded); SynthHits,
 	// SynthMisses, SynthEvictions and SynthSlices are its cumulative
 	// lookup counters (slices = region LUTs derived from a cached
-	// full-grid entry). All zero on the seed synthesis path.
+	// full-grid entry).
 	SynthBytes     int64
 	SynthBudget    int64
 	SynthHits      uint64
@@ -246,8 +243,7 @@ type Stats struct {
 	SynthDenseEvictions uint64
 	// SteeringTables, SteeringBytes and SteeringBudget mirror the
 	// steering-vector cache's accounting; SteeringHits, SteeringMisses
-	// and SteeringEvictions its cumulative counters. All zero when the
-	// config computes steering vectors per bin (seed path).
+	// and SteeringEvictions its cumulative counters.
 	SteeringTables    int
 	SteeringBytes     int64
 	SteeringBudget    int64
@@ -285,8 +281,8 @@ type job struct {
 // quotas and mid-surface preemption. All methods are safe for
 // concurrent use.
 type Engine struct {
-	cfg       core.Config // batch lane: APWorkers/SynthWorkers clamped to 1, yields to the scheduler
-	prioCfg   core.Config // latency lane: SynthWorkers kept for surface sharding, never yields
+	batch     *core.Pipeline // batch lane: APWorkers/SynthWorkers clamped to 1, yields to the scheduler
+	prio      *core.Pipeline // latency lane: SynthWorkers kept for surface sharding, never yields
 	tracker   *Tracker
 	q         *sched.Queue
 	predSigma atomic.Uint64 // Float64bits; 0 = predictive path disabled; hot-reloaded by SetPredictSigma
@@ -337,8 +333,7 @@ func New(opt Options) *Engine {
 		cfg.SynthWorkers = 1
 	}
 	e := &Engine{
-		cfg:     cfg,
-		prioCfg: prioCfg,
+		prio:    core.NewPipeline(prioCfg),
 		tracker: opt.Tracker,
 		q: sched.New(sched.Options{
 			BatchDepth:    queue,
@@ -365,8 +360,9 @@ func New(opt Options) *Engine {
 	// job is stolen and run inline, preempting the batch surface by
 	// microseconds instead of a whole in-flight fix.
 	if !opt.NoPreempt {
-		e.cfg.SynthYield = e.yieldSteal
+		cfg.SynthYield = e.yieldSteal
 	}
+	e.batch = core.NewPipeline(cfg)
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go e.worker()
@@ -418,11 +414,10 @@ func (e *Engine) yieldSteal() {
 }
 
 func (e *Engine) run(req Request) Result {
-	cfg := e.cfg
+	p := e.batch
 	if req.Priority {
-		cfg = e.prioCfg
+		p = e.prio
 	}
-	p := core.NewPipeline(cfg)
 	specs, err := p.ProcessAPs(req.APs, req.Captures)
 	if err != nil {
 		e.failures.Add(1)
@@ -475,7 +470,7 @@ func (e *Engine) predictiveFix(p *core.Pipeline, req Request, specs []core.APSpe
 		e.predNoTrack.Add(1)
 		return geom.Point{}, false
 	}
-	region := PredictRegion(pred, sigma, e.cfg.GridCell)
+	region := PredictRegion(pred, sigma, p.Config().GridCell)
 	pos, interior, err := p.SynthesizeRegionInterior(specs, req.Min, req.Max, region)
 	switch {
 	case err != nil:
@@ -683,28 +678,26 @@ func (e *Engine) Stats() Stats {
 		s.TrackedClients = ts.Clients
 		s.TrackRejects = ts.GateRejects
 	}
-	if e.cfg.SynthCache != nil {
-		u := e.cfg.SynthCache.Usage()
-		s.SynthLUTs = u.Entries
-		s.SynthBytes = u.Bytes
-		s.SynthBudget = u.Budget
-		s.SynthHits = u.Hits
-		s.SynthMisses = u.Misses
-		s.SynthEvictions = u.Evictions
-		s.SynthSlices = u.Slices
-		s.SynthSecondChoice = u.SecondChoice
-		s.SynthSpills = u.Spills
-		s.SynthDenseEvictions = u.DenseEvictions
-	}
-	if e.cfg.Steering != nil {
-		u := e.cfg.Steering.Usage()
-		s.SteeringTables = u.Entries
-		s.SteeringBytes = u.Bytes
-		s.SteeringBudget = u.Budget
-		s.SteeringHits = u.Hits
-		s.SteeringMisses = u.Misses
-		s.SteeringEvictions = u.Evictions
-	}
+	// Both lanes share the resolved caches; read them through one.
+	cfg := e.batch.Config()
+	syn := cfg.SynthCache.Usage()
+	s.SynthLUTs = syn.Entries
+	s.SynthBytes = syn.Bytes
+	s.SynthBudget = syn.Budget
+	s.SynthHits = syn.Hits
+	s.SynthMisses = syn.Misses
+	s.SynthEvictions = syn.Evictions
+	s.SynthSlices = syn.Slices
+	s.SynthSecondChoice = syn.SecondChoice
+	s.SynthSpills = syn.Spills
+	s.SynthDenseEvictions = syn.DenseEvictions
+	steer := cfg.Steering.Usage()
+	s.SteeringTables = steer.Entries
+	s.SteeringBytes = steer.Bytes
+	s.SteeringBudget = steer.Budget
+	s.SteeringHits = steer.Hits
+	s.SteeringMisses = steer.Misses
+	s.SteeringEvictions = steer.Evictions
 	return s
 }
 

@@ -51,8 +51,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 
 	serial := make([]engine.Result, len(reqs))
 	serialCfg := cfg
-	serialCfg.APWorkers = 0
-	serialCfg.Steering = nil // seed path: uncached, single-threaded
+	serialCfg.APWorkers = 0 // single-threaded, one client at a time
 	for i, q := range reqs {
 		pos, specs, err := core.LocateClient(q.APs, q.Captures, q.Min, q.Max, serialCfg)
 		serial[i] = engine.Result{ClientID: q.ClientID, Pos: pos, Spectra: specs, Err: err}
@@ -73,11 +72,9 @@ func TestEngineMatchesSerial(t *testing.T) {
 		if b.ClientID != s.ClientID {
 			t.Fatalf("request %d: batch result for client %d, want %d", i, b.ClientID, s.ClientID)
 		}
-		// The serial control scans with per-bin closures, the engine with
-		// the lag-domain table scan: spectra agree to the scans' stated
-		// 1e-9-of-unit-max bound and the fix to 1e-9 m, not bit for bit.
-		if d := b.Pos.Dist(s.Pos); d > 1e-9 {
-			t.Fatalf("request %d: engine pos %v, serial pos %v (%g m apart)", i, b.Pos, s.Pos, d)
+		// One arithmetic path on both sides: bit for bit.
+		if b.Pos != s.Pos {
+			t.Fatalf("request %d: engine pos %v, serial pos %v", i, b.Pos, s.Pos)
 		}
 		if len(b.Spectra) != len(s.Spectra) {
 			t.Fatalf("request %d: %d vs %d spectra", i, len(b.Spectra), len(s.Spectra))
@@ -88,8 +85,8 @@ func TestEngineMatchesSerial(t *testing.T) {
 			}
 			sp, bp := s.Spectra[j].Spectrum.P, b.Spectra[j].Spectrum.P
 			for k := range sp {
-				if d := math.Abs(bp[k] - sp[k]); d > 1e-9 {
-					t.Fatalf("request %d spectrum %d bin %d: Δ=%g", i, j, k, d)
+				if bp[k] != sp[k] {
+					t.Fatalf("request %d spectrum %d bin %d: engine %v, serial %v", i, j, k, bp[k], sp[k])
 				}
 			}
 		}
@@ -325,5 +322,77 @@ func TestCaptureSinkGroupsFramesPerAP(t *testing.T) {
 	// First-seen order: AP 1's array position first.
 	if r.Spectra[0].Pos != aps[0].Array.Pos || r.Spectra[1].Pos != aps[1].Array.Pos {
 		t.Fatal("per-AP grouping lost first-seen order")
+	}
+}
+
+// TestNilConfigResolvesToShared: a config built by hand with the paper's
+// stage parameters but no caches, estimator or worker counts is the
+// DefaultConfig pipeline, not an older one — nil never selects an
+// algorithm. Fixes must be bit-for-bit DefaultConfig's through
+// Pipeline.Locate, SynthesizeRegionInterior and the engine, and the
+// engine must report the shared caches' usage for such a config.
+func TestNilConfigResolvesToShared(t *testing.T) {
+	tb, reqs := testbedRequests(t, 6)
+	def := core.DefaultConfig(tb.Wavelength)
+	bare := core.Config{
+		Wavelength:          def.Wavelength,
+		SmoothingGroups:     def.SmoothingGroups,
+		MaxSamples:          def.MaxSamples,
+		SampleOffset:        def.SampleOffset,
+		ForwardBackward:     def.ForwardBackward,
+		SignalThresholdFrac: def.SignalThresholdFrac,
+		UseWeighting:        def.UseWeighting,
+		UseSuppression:      def.UseSuppression,
+		UseSymmetryRemoval:  def.UseSymmetryRemoval,
+		PeakMatchTolDeg:     def.PeakMatchTolDeg,
+		GridCell:            def.GridCell,
+	}
+	defPipe, barePipe := core.NewPipeline(def), core.NewPipeline(bare)
+	eng := engine.New(engine.Options{Workers: 2, Config: bare})
+	defer eng.Close()
+
+	for i, q := range reqs {
+		want, specs, err := defPipe.Locate(q.APs, q.Captures, q.Min, q.Max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, bareSpecs, err := barePipe.Locate(q.APs, q.Captures, q.Min, q.Max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("request %d: Pipeline.Locate %v under the bare config, %v under DefaultConfig", i, got, want)
+		}
+		for j := range specs {
+			for b, v := range specs[j].Spectrum.P {
+				if bareSpecs[j].Spectrum.P[b] != v {
+					t.Fatalf("request %d AP %d bin %d: spectra differ", i, j, b)
+				}
+			}
+		}
+		region := core.Region{Min: geom.Pt(want.X-1.5, want.Y-1.5), Max: geom.Pt(want.X+1.5, want.Y+1.5)}
+		wantR, wantIn, err := defPipe.SynthesizeRegionInterior(specs, q.Min, q.Max, region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotR, gotIn, err := barePipe.SynthesizeRegionInterior(specs, q.Min, q.Max, region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotR != wantR || gotIn != wantIn {
+			t.Fatalf("request %d: SynthesizeRegionInterior (%v, %v) under the bare config, (%v, %v) under DefaultConfig",
+				i, gotR, gotIn, wantR, wantIn)
+		}
+		if r := eng.Locate(q); r.Err != nil || r.Pos != want {
+			t.Fatalf("request %d: engine fix %v (err %v) under the bare config, DefaultConfig fix %v", i, r.Pos, r.Err, want)
+		}
+	}
+
+	st := eng.Stats()
+	if st.SteeringTables == 0 || st.SteeringHits == 0 {
+		t.Fatalf("engine on a nil Steering reports no steering cache usage: %+v", st)
+	}
+	if st.SynthLUTs == 0 || st.SynthHits == 0 || st.SynthBytes == 0 {
+		t.Fatalf("engine on a nil SynthCache reports no synthesis cache usage: %+v", st)
 	}
 }

@@ -55,7 +55,7 @@ func TestPredictiveFixVerifyAndFallbacks(t *testing.T) {
 	if !ok {
 		t.Fatal("matured track did not predict")
 	}
-	p := core.NewPipeline(eng.cfg)
+	p := eng.batch
 	req := Request{ClientID: 7, Min: geom.Pt(0, 0), Max: geom.Pt(40, 16), Time: at}
 
 	// Verified hit: the scene's peak sits near the predicted position,

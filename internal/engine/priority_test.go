@@ -41,7 +41,7 @@ func TestEngineRegionMatchesDirect(t *testing.T) {
 	direct := cfg
 	direct.APWorkers = 1
 	direct.SynthWorkers = 1
-	pos, _, err := core.LocateClientRegion(req.APs, req.Captures, req.Min, req.Max, req.Region, direct)
+	pos, _, err := core.NewPipeline(direct).LocateRegion(req.APs, req.Captures, req.Min, req.Max, req.Region)
 	if err != nil {
 		t.Fatal(err)
 	}

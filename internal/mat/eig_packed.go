@@ -37,36 +37,28 @@ import (
 
 // EigHermitianWS computes the full eigendecomposition of a Hermitian
 // matrix using the packed split-plane cyclic Jacobi kernel, drawing
-// every buffer from ws. A nil ws allocates fresh buffers (this is what
-// EigHermitian does); a non-nil ws makes the decomposition
-// allocation-free in steady state, at the cost that the returned Eig
-// aliases ws and is valid only until the next call with the same
-// workspace. Results are value-identical to EigHermitianRefWS.
+// every buffer from ws, so repeated calls with one workspace are
+// allocation-free in steady state. The returned Eig aliases ws and is
+// valid only until the next call with the same workspace; a nil ws
+// means a fresh workspace (what EigHermitian passes), whose result is
+// the caller's to keep. Results are value-identical to
+// EigHermitianRefWS.
 func EigHermitianWS(a *Matrix, ws *EigWorkspace) (Eig, error) {
+	if ws == nil {
+		ws = &EigWorkspace{}
+	}
 	n := a.Rows
 	if a.Cols != n {
 		return Eig{}, errors.New("mat: EigHermitian needs a square matrix")
 	}
 	scale := a.FrobeniusNorm()
 	if scale == 0 {
-		// The zero matrix: all eigenvalues zero, identity eigenvectors.
-		if ws == nil {
-			return Eig{Values: make([]float64, n), Vectors: Identity(n)}, nil
-		}
-		ws.ensureShared(n)
-		for i := range ws.vals {
-			ws.vals[i] = 0
-		}
-		return Eig{Values: ws.vals, Vectors: IdentityInto(ws.vecs)}, nil
+		return ws.zeroEig(n), nil
 	}
 	if !a.IsHermitian(1e-9 * scale) {
 		return Eig{}, ErrNotHermitian
 	}
 
-	var local EigWorkspace
-	if ws == nil {
-		ws = &local
-	}
 	ws.ensurePacked(n)
 	wre, wim := ws.wre, ws.wim
 	vre, vim := ws.vre, ws.vim

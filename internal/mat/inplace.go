@@ -163,6 +163,16 @@ func (ws *EigWorkspace) ensureShared(n int) {
 	}
 }
 
+// zeroEig is the decomposition of the n×n zero matrix: all eigenvalues
+// zero, identity eigenvectors.
+func (ws *EigWorkspace) zeroEig(n int) Eig {
+	ws.ensureShared(n)
+	for i := range ws.vals {
+		ws.vals[i] = 0
+	}
+	return Eig{Values: ws.vals, Vectors: IdentityInto(ws.vecs)}
+}
+
 // ensurePacked sizes the split-plane buffers for the packed Jacobi
 // kernel plus the shared output scratch. It deliberately skips the
 // complex w/v work matrices the reference path uses, so the hot path

@@ -283,19 +283,19 @@ type Eig struct {
 // modified. For the ≤16×16 matrices ArrayTrack produces the residual
 // ‖AV−VΛ‖ is at machine-precision level.
 func EigHermitian(a *Matrix) (Eig, error) {
-	return EigHermitianWS(a, nil)
+	return EigHermitianWS(a, &EigWorkspace{})
 }
 
 // EigHermitianRefWS is the original complex128-arithmetic cyclic-Jacobi
 // solver, retained as the pinned reference implementation: the packed
-// split-plane kernel in eig_packed.go (what EigHermitianWS now runs) is
+// split-plane kernel in eig_packed.go (what EigHermitianWS runs) is
 // tested value-identical against it, and the kernels experiment times
-// the two against each other for the before/after trajectory. A nil ws
-// allocates fresh buffers; a non-nil ws makes the decomposition
-// allocation-free in steady state, at the cost that the returned Eig
-// aliases ws and is valid only until the next call with the same
-// workspace.
+// the two against each other for the before/after trajectory. The
+// workspace contract is EigHermitianWS's.
 func EigHermitianRefWS(a *Matrix, ws *EigWorkspace) (Eig, error) {
+	if ws == nil {
+		ws = &EigWorkspace{}
+	}
 	n := a.Rows
 	if a.Cols != n {
 		return Eig{}, errors.New("mat: EigHermitian needs a square matrix")
@@ -303,29 +303,15 @@ func EigHermitianRefWS(a *Matrix, ws *EigWorkspace) (Eig, error) {
 	// Scale the Hermitian check to the matrix magnitude.
 	scale := a.FrobeniusNorm()
 	if scale == 0 {
-		// The zero matrix: all eigenvalues zero, identity eigenvectors.
-		if ws == nil {
-			return Eig{Values: make([]float64, n), Vectors: Identity(n)}, nil
-		}
-		ws.ensure(n)
-		for i := range ws.vals {
-			ws.vals[i] = 0
-		}
-		return Eig{Values: ws.vals, Vectors: IdentityInto(ws.vecs)}, nil
+		return ws.zeroEig(n), nil
 	}
 	if !a.IsHermitian(1e-9 * scale) {
 		return Eig{}, ErrNotHermitian
 	}
 
-	var w, v *Matrix
-	if ws == nil {
-		w = a.Clone()
-		v = Identity(n)
-	} else {
-		ws.ensure(n)
-		w = ws.w.CopyInto(a)
-		v = IdentityInto(ws.v)
-	}
+	ws.ensure(n)
+	w := ws.w.CopyInto(a)
+	v := IdentityInto(ws.v)
 	// Force exact Hermitian symmetry so rounding in the input cannot
 	// push the iteration off the Hermitian manifold.
 	for i := 0; i < n; i++ {
@@ -355,12 +341,7 @@ func EigHermitianRefWS(a *Matrix, ws *EigWorkspace) (Eig, error) {
 		}
 	}
 
-	eig := Eig{Vectors: v}
-	if ws == nil {
-		eig.Values = make([]float64, n)
-	} else {
-		eig.Values = ws.vals
-	}
+	eig := Eig{Values: ws.vals, Vectors: v}
 	for i := 0; i < n; i++ {
 		eig.Values[i] = real(w.At(i, i))
 	}
@@ -443,18 +424,10 @@ func offDiagNorm(m *Matrix) float64 {
 }
 
 // sortEigWS sorts eigenpairs by ascending eigenvalue, permuting the
-// eigenvector columns to match. With a workspace the permuted values
-// land in ws.idx-driven copies of ws-owned buffers; without one they
-// are freshly allocated. The sort itself is a pure permutation, so
-// both paths are bit-identical.
+// eigenvector columns to match.
 func sortEigWS(e *Eig, ws *EigWorkspace) {
 	n := len(e.Values)
-	var idx []int
-	if ws == nil {
-		idx = make([]int, n)
-	} else {
-		idx = ws.idx
-	}
+	idx := ws.idx
 	for i := range idx {
 		idx[i] = i
 	}
@@ -466,19 +439,11 @@ func sortEigWS(e *Eig, ws *EigWorkspace) {
 			j--
 		}
 	}
-	var vals []float64
-	var vecs *Matrix
-	if ws == nil {
-		vals = make([]float64, n)
-		vecs = New(e.Vectors.Rows, n)
-	} else {
-		// e.Values aliases ws.vals and e.Vectors aliases ws.v, so the
-		// sorted copies must land in the workspace's second pair of
-		// buffers.
-		vals = ws.sortedVals(n)
-		vecs = ReuseMatrix(ws.vecs, e.Vectors.Rows, n)
-		ws.vecs = vecs
-	}
+	// e.Values aliases ws.vals and e.Vectors aliases ws.v, so the
+	// sorted copies must land in the workspace's second pair of buffers.
+	vals := ws.sortedVals(n)
+	vecs := ReuseMatrix(ws.vecs, e.Vectors.Rows, n)
+	ws.vecs = vecs
 	for k, src := range idx {
 		vals[k] = e.Values[src]
 		for r := 0; r < e.Vectors.Rows; r++ {

@@ -18,9 +18,9 @@ import (
 
 // Estimator turns one frame's per-antenna streams into an AoA
 // spectrum. Implementations must be safe for concurrent use by
-// multiple goroutines holding distinct workspaces; ws may be nil
-// (allocate-per-call) and must only be used for the duration of the
-// call.
+// multiple goroutines holding distinct workspaces. ws holds the call's
+// scratch and must only be used for the duration of the call; nil means
+// a fresh Workspace (see Workspace).
 type Estimator interface {
 	// Name identifies the estimator ("music", "bartlett", "baseline").
 	Name() string
@@ -28,8 +28,8 @@ type Estimator interface {
 	// main-row streams. The caller may hand the result back to ws with
 	// Recycle, which reuses a spectrum that came out of ws's own scans
 	// and ignores any other: an estimator that keeps or shares what it
-	// returns must therefore build it without ws (a nil workspace, or
-	// a spectrum of its own).
+	// returns must therefore build it without ws (a fresh workspace,
+	// or a spectrum of its own).
 	Spectrum(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error)
 }
 
@@ -57,19 +57,12 @@ type bartlettEstimator struct{}
 func (bartlettEstimator) Name() string { return "bartlett" }
 
 func (bartlettEstimator) Spectrum(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error) {
+	ws = orFresh(ws)
 	r, err := frameCorrelation(ws, a, streams, opt)
 	if err != nil {
 		return nil, err
 	}
-	var s *Spectrum
-	if opt.Steering != nil {
-		s = BartlettWithTableWS(ws, r, opt.Steering.Table(a, opt.Wavelength, opt.bins()))
-	} else {
-		s = Bartlett(r, func(theta float64) []complex128 {
-			return a.SteeringVectorRow(theta, opt.Wavelength)[:r.Cols]
-		}, opt.bins())
-	}
-	return s.Normalize(), nil
+	return BartlettWithTableWS(ws, r, opt.table(a)).Normalize(), nil
 }
 
 // BaselineEstimator is classic MUSIC as it existed before the paper:
@@ -83,6 +76,7 @@ type baselineEstimator struct{}
 func (baselineEstimator) Name() string { return "baseline" }
 
 func (baselineEstimator) Spectrum(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error) {
+	ws = orFresh(ws)
 	r, err := frameCorrelation(ws, a, streams, opt)
 	if err != nil {
 		return nil, err
@@ -95,13 +89,7 @@ func (baselineEstimator) Spectrum(ws *Workspace, a *array.Array, streams [][]com
 	if err != nil {
 		return nil, err
 	}
-	if opt.Steering != nil {
-		return MUSICWithTableWS(ws, noise, opt.Steering.Table(a, opt.Wavelength, opt.bins())), nil
-	}
-	sub := r.Rows
-	return MUSIC(noise, func(theta float64) []complex128 {
-		return a.SteeringVectorRow(theta, opt.Wavelength)[:sub]
-	}, opt.bins()), nil
+	return MUSICWithTableWS(ws, noise, opt.table(a)), nil
 }
 
 // frameCorrelation is the snapshots → calibration → correlation front
@@ -120,13 +108,12 @@ func frameCorrelation(ws *Workspace, a *array.Array, streams [][]complex128, opt
 // removes the calibration offsets when calib is non-nil (the §3
 // correction, its phasors computed once for the whole frame), and
 // returns their correlation matrix (CorrelationMatrixWS). Everything
-// lives in ws; a nil ws allocates.
+// lives in ws.
 func CalibratedCorrelationWS(ws *Workspace, streams [][]complex128, offset, maxSamples int, calib []float64) (*mat.Matrix, error) {
+	ws = orFresh(ws)
 	snaps := SnapshotsAtWS(ws, streams, offset, maxSamples)
-	if calib != nil && ws != nil {
+	if calib != nil {
 		ws.phasors = array.CorrectSnapshots(snaps, calib, ws.phasors)
-	} else if calib != nil {
-		array.CorrectSnapshots(snaps, calib, nil)
 	}
 	return CorrelationMatrixWS(ws, snaps)
 }

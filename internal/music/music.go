@@ -216,7 +216,7 @@ func (s *Spectrum) AppendPeaks(dst []Peak, minRel float64) []Peak {
 // CorrelationMatrix estimates Rxx = E[x·xᴴ] from snapshots, each a
 // length-M per-antenna sample vector (Eq. 4's sample average).
 func CorrelationMatrix(snapshots [][]complex128) (*mat.Matrix, error) {
-	return CorrelationMatrixWS(nil, snapshots)
+	return CorrelationMatrixWS(&Workspace{}, snapshots)
 }
 
 // SnapshotsFromStreams transposes per-antenna sample streams into
@@ -230,26 +230,7 @@ func SnapshotsFromStreams(streams [][]complex128, maxSamples int) [][]complex128
 // streams are shorter than offset, the offset is clamped to 0: better a
 // transient-polluted spectrum than none.
 func SnapshotsAt(streams [][]complex128, offset, maxSamples int) [][]complex128 {
-	if len(streams) == 0 {
-		return nil
-	}
-	ns := len(streams[0])
-	if offset < 0 || offset >= ns {
-		offset = 0
-	}
-	n := ns - offset
-	if maxSamples > 0 && n > maxSamples {
-		n = maxSamples
-	}
-	out := make([][]complex128, n)
-	for t := 0; t < n; t++ {
-		v := make([]complex128, len(streams))
-		for k := range streams {
-			v[k] = streams[k][offset+t]
-		}
-		out[t] = v
-	}
-	return out
+	return SnapshotsAtWS(&Workspace{}, streams, offset, maxSamples)
 }
 
 // ForwardBackward returns the forward-backward averaged correlation
@@ -258,7 +239,7 @@ func SnapshotsAt(streams [][]complex128, offset, maxSamples int) [][]complex128 
 // spatial smoothing at no antenna cost — a standard companion to the
 // Shan–Wax–Kailath smoothing the paper uses.
 func ForwardBackward(r *mat.Matrix) *mat.Matrix {
-	return ForwardBackwardWS(nil, r)
+	return ForwardBackwardWS(&Workspace{}, r)
 }
 
 // SpatialSmooth applies forward spatial smoothing with ng overlapping
@@ -267,7 +248,7 @@ func ForwardBackward(r *mat.Matrix) *mat.Matrix {
 // copy. It decorrelates phase-locked multipath arrivals so MUSIC can
 // resolve them.
 func SpatialSmooth(r *mat.Matrix, ng int) (*mat.Matrix, error) {
-	return SpatialSmoothWS(nil, r, ng)
+	return SpatialSmoothWS(&Workspace{}, r, ng)
 }
 
 // Subspaces splits the eigenvectors of a correlation matrix into noise
@@ -280,7 +261,7 @@ func SpatialSmooth(r *mat.Matrix, ng int) (*mat.Matrix, error) {
 // eigenvector is always left in the noise subspace, since MUSIC needs
 // one.
 func Subspaces(r *mat.Matrix, thresholdFrac float64, maxD int) (noise, signal *mat.Matrix, d int, err error) {
-	return SubspacesWS(nil, r, thresholdFrac, maxD)
+	return SubspacesWS(&Workspace{}, r, thresholdFrac, maxD)
 }
 
 // Options configures AoA spectrum computation.
@@ -311,13 +292,22 @@ type Options struct {
 	// snapshot before processing (the §3 correction). Length must
 	// cover the antennas in use.
 	CalibrationOffsets []float64
-	// Steering, if non-nil, supplies precomputed steering-vector
-	// tables so the MUSIC scan reuses one matrix per (geometry,
-	// wavelength, bins) instead of recomputing a(θ) for every bin of
-	// every frame, and runs in the lag domain on linear arrays
-	// (packed.go). nil keeps the seed's allocate-per-bin closure scan,
-	// which the table scans are measured against.
+	// Steering supplies the precomputed steering-vector tables the
+	// scans read: one matrix per (geometry, wavelength, bins) instead
+	// of a(θ) recomputed for every bin of every frame, scanned in the
+	// lag domain on linear arrays (packed.go). nil means the shared
+	// cache (SharedSteeringCache); a private cache only isolates
+	// accounting and budget.
 	Steering *SteeringCache
+}
+
+// table resolves the steering table the scans of array a read.
+func (o Options) table(a *array.Array) *SteeringTable {
+	c := o.Steering
+	if c == nil {
+		c = sharedSteering
+	}
+	return c.Table(a, o.Wavelength, o.bins())
 }
 
 func (o Options) bins() int {
@@ -341,7 +331,7 @@ func (o Options) thresh() float64 {
 // only via SymmetryRemoval). The returned spectrum is normalized to a
 // unit maximum.
 func ComputeSpectrum(a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error) {
-	return ComputeSpectrumWS(nil, a, streams, opt)
+	return ComputeSpectrumWS(&Workspace{}, a, streams, opt)
 }
 
 // ComputeSpectrumWS is ComputeSpectrum with every intermediate —
@@ -349,10 +339,20 @@ func ComputeSpectrum(a *array.Array, streams [][]complex128, opt Options) (*Spec
 // scratch, noise subspace — drawn from the workspace. Only the
 // returned Spectrum leaves it: it is the caller's, freshly allocated
 // unless the caller has handed earlier spectra back with ws.Recycle,
-// while the intermediates stay in ws for the next frame. A nil ws is
-// exactly the allocating path, and both paths share the same
-// arithmetic, so spectra are bit-for-bit identical.
+// while the intermediates stay in ws for the next frame.
 func ComputeSpectrumWS(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error) {
+	ws = orFresh(ws)
+	noise, err := noiseSubspace(ws, a, streams, opt)
+	if err != nil {
+		return nil, err
+	}
+	return MUSICWithTableWS(ws, noise, opt.table(a)), nil
+}
+
+// noiseSubspace is the chain up to the scan: correlation, optional
+// forward-backward averaging, spatial smoothing, and the eigen split.
+// The returned noise subspace lives in ws.
+func noiseSubspace(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*mat.Matrix, error) {
 	r, err := frameCorrelation(ws, a, streams, opt)
 	if err != nil {
 		return nil, err
@@ -373,18 +373,7 @@ func ComputeSpectrumWS(ws *Workspace, a *array.Array, streams [][]complex128, op
 		maxD = rs.Rows / 2
 	}
 	noise, _, _, err := SubspacesWS(ws, rs, opt.thresh(), maxD)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Steering != nil {
-		tab := opt.Steering.Table(a, opt.Wavelength, opt.bins())
-		return MUSICWithTableWS(ws, noise, tab), nil
-	}
-	sub := rs.Rows // smoothed subarray size
-	steer := func(theta float64) []complex128 {
-		return a.SteeringVectorRow(theta, opt.Wavelength)[:sub]
-	}
-	return MUSIC(noise, steer, opt.bins()), nil
+	return noise, err
 }
 
 // MUSIC evaluates the MUSIC pseudospectrum (Eq. 6)
@@ -393,21 +382,12 @@ func ComputeSpectrumWS(ws *Workspace, a *array.Array, streams [][]complex128, op
 //
 // over bins bearings, where en holds the noise-subspace eigenvectors in
 // its columns and steer produces the array steering vector. The result
-// is normalized to a unit maximum.
+// is normalized to a unit maximum. This is the closure-driven oracle the
+// table scans (packed.go) are tested against; no pipeline runs it.
 func MUSIC(en *mat.Matrix, steer func(theta float64) []complex128, bins int) *Spectrum {
-	return musicSpectrum(en, bins, func(_ int, theta float64) []complex128 {
-		return steer(theta)
-	})
-}
-
-// musicSpectrum is the shared MUSIC scan: at(i, θᵢ) supplies the
-// steering vector per bin, either freshly computed or a cached table
-// row, so both paths run bit-identical arithmetic.
-func musicSpectrum(en *mat.Matrix, bins int, at func(i int, theta float64) []complex128) *Spectrum {
 	s := NewSpectrum(bins)
 	for i := 0; i < bins; i++ {
-		theta := 2 * math.Pi * float64(i) / float64(bins)
-		a := at(i, theta)
+		a := steer(2 * math.Pi * float64(i) / float64(bins))
 		// ‖E_Nᴴ a‖²: project onto the noise subspace.
 		var denom float64
 		for k := 0; k < en.Cols; k++ {
@@ -428,23 +408,13 @@ func musicSpectrum(en *mat.Matrix, bins int, at func(i int, theta float64) []com
 // Bartlett evaluates the conventional beamformer spectrum
 // P(θ) = a(θ)ᴴ·R·a(θ) — used by symmetry removal, where the
 // non-uniform 9-element geometry rules MUSIC's calibrated subspace
-// structure out but plain beamforming still measures side power.
+// structure out but plain beamforming still measures side power. Like
+// MUSIC, this closure form is the oracle for the table scan.
 func Bartlett(r *mat.Matrix, steer func(theta float64) []complex128, bins int) *Spectrum {
-	return bartlettSpectrum(r, bins, func(_ int, theta float64) []complex128 {
-		return steer(theta)
-	})
-}
-
-// bartlettSpectrum is the shared Bartlett scan (see musicSpectrum).
-// One R·a scratch vector serves every bin: the per-bin MulVec
-// allocation was the single largest allocation site left on the
-// symmetry-removal path.
-func bartlettSpectrum(r *mat.Matrix, bins int, at func(i int, theta float64) []complex128) *Spectrum {
 	s := NewSpectrum(bins)
 	ra := make([]complex128, r.Rows)
 	for i := 0; i < bins; i++ {
-		theta := 2 * math.Pi * float64(i) / float64(bins)
-		a := at(i, theta)
+		a := steer(2 * math.Pi * float64(i) / float64(bins))
 		r.MulVecInto(ra, a)
 		v := mat.VecDot(a, ra)
 		p := real(v)

@@ -19,7 +19,7 @@ package music
 // re/im float64 planes and the form is evaluated term by term, each
 // expansion mirroring the complex original's floating-point operation
 // tree exactly (see noiseProjection), so it is bit-identical to the
-// closure scans in music.go. It is the scan for non-ULA tables, and the
+// closure oracles in music.go. It is the scan for non-ULA tables, and the
 // certified fallback of the lag-domain MUSIC scan: the lag sum cancels
 // towards zero at a MUSIC peak, so any bin whose lag-form denominator
 // falls below musicLagGuard·m_0 is recomputed as a sum of squares,
@@ -50,27 +50,23 @@ func growPlane(s []float64, n int) []float64 {
 
 // MUSICWithTableWS is the table MUSIC scan (Eq. 6): P(θᵢ) =
 // 1/‖E_Nᴴ a(θᵢ)‖² over the table's bins, normalized to a unit maximum.
-// Scratch and the returned spectrum come from ws (nil allocates). Each
-// table row is truncated to en.Rows elements, matching the smoothed
-// subarray.
+// Scratch and the returned spectrum come from ws. Each table row is
+// truncated to en.Rows elements, matching the smoothed subarray.
 func MUSICWithTableWS(ws *Workspace, en *mat.Matrix, tab *SteeringTable) *Spectrum {
-	return musicWithTable(ws, en, tab, en.Rows <= tab.row)
+	return musicWithTable(orFresh(ws), en, tab, en.Rows <= tab.row)
 }
 
 // MUSICWithTableRefWS is MUSICWithTableWS forced onto the sum-of-squares
 // kernel whatever the table's geometry: the reference the lag-domain
 // scan is measured against in tests and `atbench -exp kernels`.
 func MUSICWithTableRefWS(ws *Workspace, en *mat.Matrix, tab *SteeringTable) *Spectrum {
-	return musicWithTable(ws, en, tab, false)
+	return musicWithTable(orFresh(ws), en, tab, false)
 }
 
 // musicWithTable runs the scan in the lag domain when lag is set (the
 // caller has checked the rows lie on the table's uniform row) and as a
 // plain sum of squares otherwise.
 func musicWithTable(ws *Workspace, en *mat.Matrix, tab *SteeringTable, lag bool) *Spectrum {
-	if ws == nil {
-		ws = &Workspace{}
-	}
 	rows, cols := en.Rows, en.Cols
 	ws.enRe = growPlane(ws.enRe, rows*cols)
 	ws.enIm = growPlane(ws.enIm, rows*cols)
@@ -150,7 +146,7 @@ func foldNoiseLags(ws *Workspace, enRe, enIm []float64, rows, cols int) (c0 floa
 // same two roundings the complex form performs (a sign flip commutes
 // with rounding, so fl(x−fl(−y)) = fl(x+fl(y))) — and the squared-
 // magnitude accumulation is term-for-term the scalar loop's, so the
-// result is bit-identical to musicSpectrum's denominator. Columns are
+// result is bit-identical to the MUSIC oracle's denominator. Columns are
 // processed in pairs with register accumulators: each column's dot
 // still sums in row order and the result still adds per-column
 // magnitudes in column order, but the four independent chains of a pair
@@ -190,27 +186,24 @@ func noiseProjection(enRe, enIm []float64, rows, cols int, sre, sim []float64) f
 
 // BartlettWithTableWS is the table Bartlett scan: P(θᵢ) =
 // Re a(θᵢ)ᴴ·R·a(θᵢ), clamped at zero. Scratch and the returned spectrum
-// come from ws (nil allocates). R may cover a leading part of the
+// come from ws. R may cover a leading part of the
 // table's uniform row, or the whole row plus the ninth antenna; both
 // take the lag form. Anything else takes the generic kernel.
 func BartlettWithTableWS(ws *Workspace, r *mat.Matrix, tab *SteeringTable) *Spectrum {
 	m := r.Rows
-	return bartlettWithTable(ws, r, tab, m <= tab.row || (tab.row > 0 && m == tab.row+1 && m == tab.n))
+	return bartlettWithTable(orFresh(ws), r, tab, m <= tab.row || (tab.row > 0 && m == tab.row+1 && m == tab.n))
 }
 
 // BartlettWithTableRefWS is BartlettWithTableWS forced onto the generic
 // kernel (see MUSICWithTableRefWS).
 func BartlettWithTableRefWS(ws *Workspace, r *mat.Matrix, tab *SteeringTable) *Spectrum {
-	return bartlettWithTable(ws, r, tab, false)
+	return bartlettWithTable(orFresh(ws), r, tab, false)
 }
 
 // bartlettWithTable runs the scan in the lag domain when lag is set
 // (the caller has checked R's shape against the table) and through the
 // generic R·a kernel otherwise.
 func bartlettWithTable(ws *Workspace, r *mat.Matrix, tab *SteeringTable, lag bool) *Spectrum {
-	if ws == nil {
-		ws = &Workspace{}
-	}
 	s := ws.spectrum(tab.bins)
 	if lag {
 		bartlettLagScan(ws, s.P, r, tab)
@@ -296,7 +289,7 @@ func bartlettLagScan(ws *Workspace, p []float64, r *mat.Matrix, tab *SteeringTab
 
 // bartlettGenericScan packs R into split planes and evaluates R·a then
 // ⟨a, R·a⟩ per bin, mirroring MulVecInto's and VecDot's accumulation
-// order, so it is bit-identical to bartlettSpectrum. Only the real part
+// order, so it is bit-identical to the Bartlett oracle. Only the real part
 // of the quadratic form survives, so the R·a intermediate keeps both
 // planes but the final dot skips its imaginary half.
 func bartlettGenericScan(ws *Workspace, p []float64, r *mat.Matrix, tab *SteeringTable) {

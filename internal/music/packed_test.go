@@ -23,7 +23,7 @@ func packedTestSetup(t *testing.T, rng *rand.Rand, nAnt int) (*array.Array, *Wor
 		ForwardBackward: true,
 		Steering:        NewSteeringCache(),
 	}
-	return a, NewWorkspace(), opt
+	return a, &Workspace{}, opt
 }
 
 func randomStreams(rng *rand.Rand, nAnt, nSamples int) [][]complex128 {
@@ -53,6 +53,15 @@ func maxDeviation(got, want *Spectrum) float64 {
 	return worst
 }
 
+// tableRows feeds the closure oracles (MUSIC, Bartlett) the table's own
+// rows, truncated to n elements, so oracle and table scan read the same
+// steering values.
+func tableRows(tab *SteeringTable, n int) func(theta float64) []complex128 {
+	return func(theta float64) []complex128 {
+		return tab.Vector(int(math.Round(theta / (2 * math.Pi) * float64(tab.Bins()))))[:n]
+	}
+}
+
 func requireSameSpectrum(t *testing.T, what string, got, want *Spectrum) {
 	t.Helper()
 	for i := range want.P {
@@ -63,12 +72,12 @@ func requireSameSpectrum(t *testing.T, what string, got, want *Spectrum) {
 }
 
 // TestPackedScansMatchClosurePaths pins the table scans against the
-// closure-based scalar scans (musicSpectrum / bartlettSpectrum over
-// Vector views) on random subspaces. The sum-of-squares reference
-// kernels are bit-identical to the closures; the production scans take
-// the lag form on these linear tables, so their output — and only
-// their output — is held to scanTol instead. Workspace and nil-ws runs
-// of one kernel are bit-identical either way.
+// closure oracles (MUSIC / Bartlett over Vector views) on random
+// subspaces. The sum-of-squares reference kernels are bit-identical to
+// the closures; the production scans take the lag form on these linear
+// tables, so their output — and only their output — is held to scanTol
+// instead. A reused workspace and a fresh one (nil) give bit-identical
+// runs of one kernel either way.
 func TestPackedScansMatchClosurePaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
@@ -90,28 +99,24 @@ func TestPackedScansMatchClosurePaths(t *testing.T) {
 		}
 		tab := opt.Steering.Table(a, lambda, DefaultBins)
 
-		want := musicSpectrum(noise, tab.Bins(), func(i int, _ float64) []complex128 {
-			return tab.Vector(i)[:noise.Rows]
-		})
+		want := MUSIC(noise, tableRows(tab, noise.Rows), tab.Bins())
 		requireSameSpectrum(t, "MUSIC ref (ws)", MUSICWithTableRefWS(ws, noise, tab), want)
-		requireSameSpectrum(t, "MUSIC ref (nil ws)", MUSICWithTableRefWS(nil, noise, tab), want)
+		requireSameSpectrum(t, "MUSIC ref (fresh ws)", MUSICWithTableRefWS(nil, noise, tab), want)
 		got := MUSICWithTableWS(ws, noise, tab)
 		if d := maxDeviation(got, want); d > scanTol {
 			t.Fatalf("trial %d: lag MUSIC deviates %g from the closure scan", trial, d)
 		}
-		requireSameSpectrum(t, "MUSIC ws vs nil", MUSICWithTableWS(nil, noise, tab), got)
+		requireSameSpectrum(t, "MUSIC ws vs fresh", MUSICWithTableWS(nil, noise, tab), got)
 
 		// Bartlett on the full-row matrix.
-		wantB := bartlettSpectrum(r, tab.Bins(), func(i int, _ float64) []complex128 {
-			return tab.Vector(i)[:r.Cols]
-		})
+		wantB := Bartlett(r, tableRows(tab, r.Cols), tab.Bins())
 		requireSameSpectrum(t, "Bartlett ref (ws)", BartlettWithTableRefWS(ws, r, tab), wantB)
-		requireSameSpectrum(t, "Bartlett ref (nil ws)", BartlettWithTableRefWS(nil, r, tab), wantB)
+		requireSameSpectrum(t, "Bartlett ref (fresh ws)", BartlettWithTableRefWS(nil, r, tab), wantB)
 		gotB := BartlettWithTableWS(ws, r, tab)
 		if d := maxDeviation(gotB, wantB); d > scanTol {
 			t.Fatalf("trial %d: lag Bartlett deviates %g from the closure scan", trial, d)
 		}
-		requireSameSpectrum(t, "Bartlett ws vs nil", BartlettWithTableWS(nil, r, tab), gotB)
+		requireSameSpectrum(t, "Bartlett ws vs fresh", BartlettWithTableWS(nil, r, tab), gotB)
 	}
 }
 
@@ -166,7 +171,7 @@ func randomHermitian(rng *rand.Rand, m int) *mat.Matrix {
 // within scanTol of the sum-of-squares kernels on the same table.
 func TestLagScansMatchSumOfSquares(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	var worstM, worstB float64
 	for _, orient := range []float64{0, math.Pi / 2, 0.3} {
 		for n := 4; n <= 8; n++ {
@@ -248,7 +253,7 @@ func TestLagMUSICGuardFallback(t *testing.T) {
 	if d != 1 {
 		t.Fatalf("found %d signals in a rank-one matrix", d)
 	}
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	want := MUSICWithTableRefWS(ws, noise, tab).Clone()
 	before := ws.GuardFallbacks()
 	got := MUSICWithTableWS(ws, noise, tab)
@@ -273,17 +278,17 @@ func TestLagMUSICGuardFallback(t *testing.T) {
 
 // TestCircularTableTakesGenericKernel: a circular array has no uniform
 // row, so the production scans must run the sum-of-squares / generic
-// kernels on its table, bit-identical to the closure scans as before.
+// kernels on its table, bit-identical to the closure oracles.
 func TestCircularTableTakesGenericKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	a := array.NewCircular(geom.Pt(5, 5), 0.08, 8)
 	tab := NewSteeringTable(a, lambda, 180)
 	en := randomNoiseSubspace(rng, 8, 5)
 	requireSameSpectrum(t, "circular MUSIC", MUSICWithTableWS(nil, en, tab),
-		musicSpectrum(en, tab.Bins(), func(i int, _ float64) []complex128 { return tab.Vector(i) }))
+		MUSIC(en, tableRows(tab, 8), tab.Bins()))
 	r := randomHermitian(rng, 8)
 	requireSameSpectrum(t, "circular Bartlett", BartlettWithTableWS(nil, r, tab),
-		bartlettSpectrum(r, tab.Bins(), func(i int, _ float64) []complex128 { return tab.Vector(i) }))
+		Bartlett(r, tableRows(tab, 8), tab.Bins()))
 }
 
 func BenchmarkMUSICWithTableWS(b *testing.B) {
@@ -296,7 +301,7 @@ func BenchmarkMUSICWithTableWS(b *testing.B) {
 	noise, _, _, _ := Subspaces(rs, 0.05, rs.Rows/2)
 	cache := NewSteeringCache()
 	tab := cache.Table(a, lambda, DefaultBins)
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -319,8 +324,6 @@ func BenchmarkMUSICWithTableClosure(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		musicSpectrum(noise, tab.Bins(), func(i int, _ float64) []complex128 {
-			return tab.Vector(i)[:noise.Rows]
-		})
+		MUSIC(noise, tableRows(tab, noise.Rows), tab.Bins())
 	}
 }

@@ -1,14 +1,14 @@
 package music
 
 // Steering-vector caching. MUSIC and Bartlett evaluate a(θ) for every
-// one of the spectrum's bins (360 by default) on every frame, and the
-// seed implementation allocated a fresh []complex128 per bin per call —
-// the hottest allocation site in the whole pipeline. The steering
-// vector depends only on the array *geometry* (element layout relative
-// to element 0), the carrier wavelength, and the bin count — not on the
-// array's position or on the received samples — so one precomputed
-// table serves every frame of every client heard by an AP with that
-// geometry, and identical APs share a single table.
+// one of the spectrum's bins (360 by default) on every frame, and
+// computing it per bin per call allocates a fresh []complex128 each
+// time. The steering vector depends only on the array *geometry*
+// (element layout relative to element 0), the carrier wavelength, and
+// the bin count — not on the array's position or on the received
+// samples — so one precomputed table serves every frame of every client
+// heard by an AP with that geometry, and identical APs share a single
+// table.
 
 import (
 	"math"
@@ -247,8 +247,8 @@ func NewSteeringCacheBudget(budget int64) *SteeringCache {
 
 var sharedSteering = NewSteeringCacheBudget(DefaultSteeringCacheBudget)
 
-// SharedSteeringCache returns the process-wide cache that
-// core.DefaultConfig wires into every pipeline by default.
+// SharedSteeringCache returns the process-wide cache: what a nil
+// Options.Steering or core.Config.Steering resolves to.
 func SharedSteeringCache() *SteeringCache { return sharedSteering }
 
 // Budget returns the live byte cap (0 = unbounded).
@@ -381,42 +381,12 @@ func (c *SteeringCache) Usage() SteeringUsage {
 	return u
 }
 
-// MUSICWithTable is MUSIC evaluated against a precomputed steering
-// table via the table scan (packed.go), no per-bin allocation. The
-// noise subspace may span a
-// leading subarray (spatial smoothing shrinks it); each table row is
-// truncated to en.Rows elements.
-func MUSICWithTable(en *mat.Matrix, tab *SteeringTable) *Spectrum {
-	return MUSICWithTableWS(nil, en, tab)
-}
-
-// BartlettWithTable is Bartlett evaluated against a precomputed
-// steering table via the packed scan.
-func BartlettWithTable(r *mat.Matrix, tab *SteeringTable) *Spectrum {
-	return BartlettWithTableWS(nil, r, tab)
-}
-
-// SymmetryRemovalCached is SymmetryRemoval drawing its Bartlett
-// steering vectors from the cache when one is provided (nil falls back
-// to per-bin computation).
-func SymmetryRemovalCached(s *Spectrum, a *array.Array, rFull *mat.Matrix, wavelength float64, cache *SteeringCache) *Spectrum {
-	return SymmetryRemovalCachedWS(nil, s, a, rFull, wavelength, cache)
-}
-
-// SymmetryRemovalCachedWS is SymmetryRemovalCached drawing the table
-// Bartlett scan's scratch and its spectrum from ws (nil allocates).
-func SymmetryRemovalCachedWS(ws *Workspace, s *Spectrum, a *array.Array, rFull *mat.Matrix, wavelength float64, cache *SteeringCache) *Spectrum {
-	if cache == nil {
-		return SymmetryRemoval(s, a, rFull, wavelength)
-	}
-	return cache.Table(a, wavelength, s.Bins()).RemoveSymmetryWS(ws, s, rFull)
-}
-
 // RemoveSymmetryWS is the §2.3.4 mirror vote against this table: the
 // Bartlett spectrum of the full (ninth antenna included) correlation
 // matrix, then removeSymmetry on s in place. The scan's scratch and
-// spectrum come from ws (nil allocates).
+// spectrum come from ws.
 func (t *SteeringTable) RemoveSymmetryWS(ws *Workspace, s *Spectrum, rFull *mat.Matrix) *Spectrum {
+	ws = orFresh(ws)
 	b := BartlettWithTableWS(ws, rFull, t)
 	t.removeSymmetry(s, b)
 	ws.Recycle(b)

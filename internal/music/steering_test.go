@@ -54,9 +54,9 @@ func TestSteeringTableMatchesDirect(t *testing.T) {
 
 // TestCachedSpectrumMatchesUncached is the steering cache's correctness
 // anchor: the full ComputeSpectrum chain must produce the same spectra
-// whether steering vectors are cached or recomputed. Everything up to
-// the noise subspace is shared; the cached scan runs in the lag domain,
-// so the spectra agree to the scans' stated bound (scanTol).
+// as the MUSIC oracle recomputing a(θ) per bin over the same noise
+// subspace. The table scan runs in the lag domain, so the spectra agree
+// to the scans' stated bound (scanTol).
 func TestCachedSpectrumMatchesUncached(t *testing.T) {
 	const tol = scanTol
 	for _, tc := range steeringCases {
@@ -75,10 +75,14 @@ func TestCachedSpectrumMatchesUncached(t *testing.T) {
 				ForwardBackward: true,
 				Bins:            tc.bins,
 			}
-			plain, err := ComputeSpectrum(a, streams[:a.N], opt)
+			ws := &Workspace{}
+			noise, err := noiseSubspace(ws, a, streams[:a.N], opt)
 			if err != nil {
 				t.Fatal(err)
 			}
+			plain := MUSIC(noise, func(theta float64) []complex128 {
+				return a.SteeringVectorRow(theta, tc.lambda)[:noise.Rows]
+			}, tc.bins)
 			opt.Steering = NewSteeringCache()
 			cached, err := ComputeSpectrum(a, streams[:a.N], opt)
 			if err != nil {
@@ -113,7 +117,7 @@ func TestCachedBartlettAndSymmetryMatchUncached(t *testing.T) {
 	plainB := Bartlett(rFull, func(theta float64) []complex128 {
 		return a.SteeringVector(theta, lambda)
 	}, DefaultBins)
-	cachedB := BartlettWithTable(rFull, tab)
+	cachedB := BartlettWithTableWS(nil, rFull, tab)
 	for i := range plainB.P {
 		if d := math.Abs(cachedB.P[i] - plainB.P[i]); d > tol {
 			t.Fatalf("bartlett bin %d: Δ=%g", i, d)
@@ -126,7 +130,7 @@ func TestCachedBartlettAndSymmetryMatchUncached(t *testing.T) {
 		base.P[i] = rng.Float64()
 	}
 	plainS := SymmetryRemoval(base.Clone(), a, rFull, lambda)
-	cachedS := SymmetryRemovalCached(base.Clone(), a, rFull, lambda, cache)
+	cachedS := tab.RemoveSymmetryWS(nil, base.Clone(), rFull)
 	for i := range plainS.P {
 		if d := math.Abs(cachedS.P[i] - plainS.P[i]); d > tol {
 			t.Fatalf("symmetry bin %d: Δ=%g", i, d)

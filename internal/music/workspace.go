@@ -1,13 +1,14 @@
 package music
 
-// Per-worker scratch state for the spectrum pipeline. The seed
-// allocated correlation matrices, eigen-scratch, subspaces, and
-// snapshot vectors afresh for every frame; at engine rates that garbage
-// dominated the profile. A Workspace owns one reusable copy of each
+// Per-worker scratch state for the spectrum pipeline. Allocating
+// correlation matrices, eigen-scratch, subspaces, and snapshot vectors
+// afresh for every frame makes garbage that dominates the profile at
+// engine rates. A Workspace owns one reusable copy of each
 // intermediate, and every stage of the §2.3 chain has a WS variant
-// threaded through it. A nil workspace reproduces the allocating seed
-// path exactly, and the arithmetic is shared, so workspace and
-// allocating spectra are bit-for-bit identical (pinned by
+// threaded through it. There is one arithmetic path: the allocating
+// functions (CorrelationMatrix, SpatialSmooth, …) are their WS variants
+// run on a fresh workspace, so a reused workspace and a fresh one give
+// bit-for-bit identical spectra (pinned by
 // TestWorkspaceSpectrumBitIdentical).
 
 import (
@@ -21,7 +22,9 @@ import (
 // Workspace holds every buffer one spectrum computation needs. It is
 // owned by exactly one goroutine at a time (use a WorkspacePool to
 // share across workers) and grows to the largest problem it has seen.
-// The zero value is ready to use.
+// The zero value is ready to use. Every exported function taking a
+// *Workspace treats nil as a fresh zero Workspace: the results are then
+// the caller's alone, at the cost of allocating every intermediate.
 type Workspace struct {
 	snapRows [][]complex128
 	snapData []complex128
@@ -56,6 +59,15 @@ type Workspace struct {
 	peaks  [][]Peak
 }
 
+// orFresh resolves a caller's nil workspace to a fresh one. Exported
+// entry points call it once; nothing below them sees nil.
+func orFresh(ws *Workspace) *Workspace {
+	if ws == nil {
+		return &Workspace{}
+	}
+	return ws
+}
+
 // maxFreeSpectra bounds the recycled-spectrum list: one AP's frame
 // group plus its Bartlett vote, with room to spare.
 const maxFreeSpectra = 8
@@ -83,12 +95,8 @@ func (ws *Workspace) spectrum(n int) *Spectrum {
 // scans produced are taken; any other (built by hand, by another
 // workspace, by an injected estimator, or already recycled) is left
 // alone, so passing a spectrum someone else still holds is harmless.
-// Spectra never recycled are simply the caller's to keep. A nil ws is
-// a no-op.
+// Spectra never recycled are simply the caller's to keep.
 func (ws *Workspace) Recycle(specs ...*Spectrum) {
-	if ws == nil {
-		return
-	}
 	for _, s := range specs {
 		if s != nil && s.lender == ws && len(ws.free) < maxFreeSpectra {
 			s.lender = nil
@@ -98,11 +106,8 @@ func (ws *Workspace) Recycle(specs ...*Spectrum) {
 }
 
 // FrameList returns an empty workspace-owned spectrum list with room
-// for n entries, valid until the next call (nil ws allocates).
+// for n entries, valid until the next call.
 func (ws *Workspace) FrameList(n int) []*Spectrum {
-	if ws == nil {
-		return make([]*Spectrum, 0, n)
-	}
 	if cap(ws.frames) < n {
 		ws.frames = make([]*Spectrum, 0, n)
 	}
@@ -110,11 +115,8 @@ func (ws *Workspace) FrameList(n int) []*Spectrum {
 }
 
 // PeakLists returns Peaks(minRel) of every spectrum, in order, in
-// workspace-owned lists valid until the next call (nil ws allocates).
+// workspace-owned lists valid until the next call.
 func (ws *Workspace) PeakLists(spectra []*Spectrum, minRel float64) [][]Peak {
-	if ws == nil {
-		ws = &Workspace{}
-	}
 	for len(ws.peaks) < len(spectra) {
 		ws.peaks = append(ws.peaks, nil)
 	}
@@ -130,56 +132,30 @@ func (ws *Workspace) PeakLists(spectra []*Spectrum, minRel float64) [][]Peak {
 // denominator fell under the cancellation guard (diagnostics).
 func (ws *Workspace) GuardFallbacks() uint64 { return ws.guardFallbacks }
 
-// NewWorkspace returns an empty workspace.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
 // WorkspacePool is a typed sync.Pool of Workspaces: one Get/Put pair
 // per localization job keeps steady-state allocations near zero
-// without binding workspaces to specific worker goroutines. A nil
-// *WorkspacePool is valid and degrades to the allocating path (Get
-// returns nil).
+// without binding workspaces to specific worker goroutines.
 type WorkspacePool struct {
 	p sync.Pool
 }
 
-// NewWorkspacePool returns an empty pool.
-func NewWorkspacePool() *WorkspacePool {
-	wp := &WorkspacePool{}
-	wp.p.New = func() any { return NewWorkspace() }
-	return wp
-}
+// Get returns a workspace from the pool.
+func (wp *WorkspacePool) Get() *Workspace { return wp.p.Get().(*Workspace) }
 
-// Get returns a workspace from the pool (nil if the pool itself is
-// nil, selecting the allocating path downstream).
-func (wp *WorkspacePool) Get() *Workspace {
-	if wp == nil {
-		return nil
-	}
-	return wp.p.Get().(*Workspace)
-}
+// Put returns a workspace to the pool.
+func (wp *WorkspacePool) Put(ws *Workspace) { wp.p.Put(ws) }
 
-// Put returns a workspace to the pool. Nil pools and nil workspaces
-// are no-ops.
-func (wp *WorkspacePool) Put(ws *Workspace) {
-	if wp == nil || ws == nil {
-		return
-	}
-	wp.p.Put(ws)
-}
+var sharedWorkspaces = &WorkspacePool{p: sync.Pool{New: func() any { return &Workspace{} }}}
 
-var sharedWorkspaces = NewWorkspacePool()
-
-// SharedWorkspacePool returns the process-wide pool that
-// core.DefaultConfig wires into every pipeline by default.
+// SharedWorkspacePool returns the process-wide pool every core.Pipeline
+// draws its per-worker workspaces from.
 func SharedWorkspacePool() *WorkspacePool { return sharedWorkspaces }
 
 // SnapshotsAtWS is SnapshotsAt writing into workspace-owned storage:
 // one flat sample buffer plus a reusable row-header slice. Returned
-// rows are valid until the workspace's next use; a nil ws allocates.
+// rows are valid until the workspace's next use.
 func SnapshotsAtWS(ws *Workspace, streams [][]complex128, offset, maxSamples int) [][]complex128 {
-	if ws == nil {
-		return SnapshotsAt(streams, offset, maxSamples)
-	}
+	ws = orFresh(ws)
 	if len(streams) == 0 {
 		return nil
 	}
@@ -212,19 +188,15 @@ func SnapshotsAtWS(ws *Workspace, streams [][]complex128, offset, maxSamples int
 
 // CorrelationMatrixWS is CorrelationMatrix accumulating into a
 // workspace-owned matrix. The returned matrix aliases ws and is valid
-// until the workspace's next correlation; a nil ws allocates.
+// until the workspace's next correlation.
 func CorrelationMatrixWS(ws *Workspace, snapshots [][]complex128) (*mat.Matrix, error) {
+	ws = orFresh(ws)
 	if len(snapshots) == 0 {
 		return nil, errors.New("music: no snapshots")
 	}
 	m := len(snapshots[0])
-	var r *mat.Matrix
-	if ws == nil {
-		r = mat.New(m, m)
-	} else {
-		ws.r = mat.ReuseMatrix(ws.r, m, m).Zero()
-		r = ws.r
-	}
+	ws.r = mat.ReuseMatrix(ws.r, m, m).Zero()
+	r := ws.r
 	w := 1 / float64(len(snapshots))
 	for _, x := range snapshots {
 		if len(x) != m {
@@ -239,14 +211,10 @@ func CorrelationMatrixWS(ws *Workspace, snapshots [][]complex128) (*mat.Matrix, 
 // matrix (distinct from ws's correlation matrix, so the input may be
 // the result of CorrelationMatrixWS).
 func ForwardBackwardWS(ws *Workspace, r *mat.Matrix) *mat.Matrix {
+	ws = orFresh(ws)
 	m := r.Rows
-	var out *mat.Matrix
-	if ws == nil {
-		out = mat.New(m, m)
-	} else {
-		ws.fb = mat.ReuseMatrix(ws.fb, m, m)
-		out = ws.fb
-	}
+	ws.fb = mat.ReuseMatrix(ws.fb, m, m)
+	out := ws.fb
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
 			v := r.At(i, j)
@@ -258,9 +226,9 @@ func ForwardBackwardWS(ws *Workspace, r *mat.Matrix) *mat.Matrix {
 }
 
 // SpatialSmoothWS is SpatialSmooth writing into a workspace-owned
-// matrix. The summation order over subarray groups matches the
-// allocating version element for element, so outputs are bit-identical.
+// matrix.
 func SpatialSmoothWS(ws *Workspace, r *mat.Matrix, ng int) (*mat.Matrix, error) {
+	ws = orFresh(ws)
 	m := r.Rows
 	if r.Cols != m {
 		return nil, errors.New("music: correlation matrix must be square")
@@ -269,13 +237,8 @@ func SpatialSmoothWS(ws *Workspace, r *mat.Matrix, ng int) (*mat.Matrix, error) 
 		return nil, fmt.Errorf("music: invalid smoothing groups %d for %d antennas", ng, m)
 	}
 	sub := m - ng + 1
-	var out *mat.Matrix
-	if ws == nil {
-		out = mat.New(sub, sub)
-	} else {
-		ws.rs = mat.ReuseMatrix(ws.rs, sub, sub).Zero()
-		out = ws.rs
-	}
+	ws.rs = mat.ReuseMatrix(ws.rs, sub, sub).Zero()
+	out := ws.rs
 	for g := 0; g < ng; g++ {
 		for i := 0; i < sub; i++ {
 			src := r.Data[(g+i)*m+g : (g+i)*m+g+sub]
@@ -294,13 +257,10 @@ func SpatialSmoothWS(ws *Workspace, r *mat.Matrix, ng int) (*mat.Matrix, error) 
 
 // SubspacesWS is Subspaces drawing its eigendecomposition scratch and
 // subspace matrices from the workspace. The returned matrices alias ws
-// and are valid until its next use; a nil ws allocates.
+// and are valid until its next use.
 func SubspacesWS(ws *Workspace, r *mat.Matrix, thresholdFrac float64, maxD int) (noise, signal *mat.Matrix, d int, err error) {
-	var ews *mat.EigWorkspace
-	if ws != nil {
-		ews = &ws.eig
-	}
-	e, err := mat.EigHermitianWS(r, ews)
+	ws = orFresh(ws)
+	e, err := mat.EigHermitianWS(r, &ws.eig)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -322,14 +282,9 @@ func SubspacesWS(ws *Workspace, r *mat.Matrix, thresholdFrac float64, maxD int) 
 		d = 1
 	}
 	nN := m - d
-	if ws == nil {
-		noise = mat.New(m, nN)
-		signal = mat.New(m, d)
-	} else {
-		ws.noise = mat.ReuseMatrix(ws.noise, m, nN)
-		ws.signal = mat.ReuseMatrix(ws.signal, m, d)
-		noise, signal = ws.noise, ws.signal
-	}
+	ws.noise = mat.ReuseMatrix(ws.noise, m, nN)
+	ws.signal = mat.ReuseMatrix(ws.signal, m, d)
+	noise, signal = ws.noise, ws.signal
 	for k := 0; k < nN; k++ {
 		for i := 0; i < m; i++ {
 			noise.Set(i, k, e.Vectors.At(i, k))

@@ -13,13 +13,14 @@ func workspaceTestStreams(rng *rand.Rand, a *array.Array) [][]complex128 {
 	return synth(a, []float64{geom.Rad(50), geom.Rad(120)}, []complex128{1, 0.6}, 40, true, 0.05, rng)
 }
 
-// TestWorkspaceSpectrumBitIdentical pins the PR's core invariant: the
-// workspace path must reproduce the allocating path bin for bin with
-// exact equality (==, not a tolerance), across repeated workspace
-// reuse, calibration, forward-backward, and both steering modes.
+// TestWorkspaceSpectrumBitIdentical pins the workspace invariant: a
+// reused workspace must reproduce a fresh one bin for bin with exact
+// equality (==, not a tolerance), across repeated reuse and resizing,
+// calibration, forward-backward, and shared and private steering
+// caches.
 func TestWorkspaceSpectrumBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	for trial := 0; trial < 8; trial++ {
 		n := 6 + 2*(trial%2) // alternate 6 and 8 antennas to exercise resizing
 		a := array.NewLinear(geom.Pt(0, 0), 0, n, lambda)
@@ -60,14 +61,14 @@ func TestWorkspaceSpectrumBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkspaceStagesBitIdentical checks each WS stage against its
-// allocating twin in isolation.
+// TestWorkspaceStagesBitIdentical checks each WS stage on a reused
+// workspace against its fresh-workspace twin in isolation.
 func TestWorkspaceStagesBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	streams := workspaceTestStreams(rng, a)
 	snaps := SnapshotsAt(streams[:a.N], 2, 12)
-	ws := NewWorkspace()
+	ws := &Workspace{}
 
 	wsSnaps := SnapshotsAtWS(ws, streams[:a.N], 2, 12)
 	if len(wsSnaps) != len(snaps) {
@@ -149,8 +150,7 @@ func TestWorkspaceStagesBitIdentical(t *testing.T) {
 
 // TestWorkspaceSteadyStateAllocs: with a warmed workspace and steering
 // cache, one spectrum costs only its escaping output (a handful of
-// allocations), at least 3x below the allocating cached path — the
-// acceptance bar for this refactor — and far below the seed.
+// allocations), at least 3x below a fresh workspace per call.
 func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
@@ -163,7 +163,7 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 		ForwardBackward: true,
 		Steering:        NewSteeringCache(),
 	}
-	ws := NewWorkspace()
+	ws := &Workspace{}
 	if _, err := ComputeSpectrumWS(ws, a, streams, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -190,17 +190,12 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 }
 
 func TestWorkspacePool(t *testing.T) {
-	pool := NewWorkspacePool()
+	pool := SharedWorkspacePool()
 	ws := pool.Get()
 	if ws == nil {
 		t.Fatal("pool returned nil workspace")
 	}
 	pool.Put(ws)
-	var nilPool *WorkspacePool
-	if nilPool.Get() != nil {
-		t.Fatal("nil pool must return nil workspace")
-	}
-	nilPool.Put(nil) // must not panic
 }
 
 // TestEstimators exercises the pluggable estimators on a single strong
@@ -212,7 +207,7 @@ func TestEstimators(t *testing.T) {
 	truth := geom.Rad(65)
 	streams := synth(a, []float64{truth}, []complex128{1}, 40, false, 0.02, rng)[:a.N]
 	opt := Options{Wavelength: lambda, SmoothingGroups: 2, MaxSamples: 20}
-	ws := NewWorkspace()
+	ws := &Workspace{}
 
 	for _, name := range EstimatorNames() {
 		est, err := EstimatorByName(name)

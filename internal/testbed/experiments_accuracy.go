@@ -45,10 +45,10 @@ func DefaultAccuracyOptions() AccuracyOptions {
 	}
 }
 
-// spectraForAll captures and processes spectra for every (client, site)
+// SpectraForAll captures and processes spectra for every (client, site)
 // pair once; the combination sweep then reuses them. Row i corresponds
 // to client i, column j to site j.
-func (tb *Testbed) spectraForAll(opt AccuracyOptions) ([][]*music.Spectrum, []geom.Point, error) {
+func (tb *Testbed) SpectraForAll(opt AccuracyOptions) ([][]*music.Spectrum, []geom.Point, error) {
 	clients := sampleClients(tb.Clients, opt.MaxClients)
 	rng := rand.New(rand.NewSource(opt.Seed))
 	specs := make([][]*music.Spectrum, len(clients))
@@ -91,17 +91,15 @@ type AccuracyResult struct {
 
 // RunAccuracy executes the localization sweep underlying Figures 13
 // and 15: spectra per (client, site), then maximum-likelihood synthesis
-// over every AP combination of each requested size.
+// over every AP combination of each requested size — through
+// Pipeline.Synthesize, the synthesis stage every service runs.
 func (tb *Testbed) RunAccuracy(opt AccuracyOptions) (*AccuracyResult, []geom.Point, error) {
-	specs, clients, err := tb.spectraForAll(opt)
+	specs, clients, err := tb.SpectraForAll(opt)
 	if err != nil {
 		return nil, nil, err
 	}
 	res := &AccuracyResult{ErrorsCM: make(map[int][]float64)}
-	cell := opt.Pipeline.GridCell
-	if cell <= 0 {
-		cell = 0.10
-	}
+	pipe := core.NewPipeline(opt.Pipeline)
 	for _, k := range opt.APCounts {
 		combos := Combinations(len(tb.Sites), k)
 		if opt.MaxCombos > 0 && len(combos) > opt.MaxCombos {
@@ -113,7 +111,7 @@ func (tb *Testbed) RunAccuracy(opt AccuracyOptions) (*AccuracyResult, []geom.Poi
 				for i, si := range combo {
 					aps[i] = core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[ci][si]}
 				}
-				pos, _, err := core.Localize(aps, tb.Plan.Min, tb.Plan.Max, cell)
+				pos, err := pipe.Synthesize(aps, tb.Plan.Min, tb.Plan.Max)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -230,24 +228,26 @@ func (tb *Testbed) RunFig14(clientIdx int, seed int64) (*Report, error) {
 	client := tb.Clients[clientIdx]
 	rng := rand.New(rand.NewSource(seed))
 	capOpt := DefaultCaptureOptions()
-	cfg := core.DefaultConfig(tb.Wavelength)
+	pipe := core.NewPipeline(core.DefaultConfig(tb.Wavelength))
 
 	var specs []core.APSpectrum
 	r := &Report{ID: "fig14", Title: fmt.Sprintf("likelihood heatmaps, client %d at %v", clientIdx, client)}
 	for si, site := range tb.Sites {
 		frames := tb.CaptureClient(client, site, capOpt, rng)
 		ap := &core.AP{Array: tb.NewArray(site, capOpt)}
-		s, err := core.ProcessAP(ap, frames, cfg)
+		s, err := pipe.ProcessAP(ap, frames)
 		if err != nil {
 			return nil, err
 		}
 		specs = append(specs, core.APSpectrum{Pos: site.Pos, Spectrum: s})
 
+		// The product-domain heatmap is for the ASCII rendering only;
+		// the estimate comes from the pipeline.
 		h, err := core.ComputeHeatmap(specs, tb.Plan.Min, tb.Plan.Max, 0.5)
 		if err != nil {
 			return nil, err
 		}
-		pos, _, err := core.Localize(specs, tb.Plan.Min, tb.Plan.Max, 0.10)
+		pos, err := pipe.Synthesize(specs, tb.Plan.Min, tb.Plan.Max)
 		if err != nil {
 			return nil, err
 		}

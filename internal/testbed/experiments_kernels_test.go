@@ -3,97 +3,83 @@ package testbed
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/music"
 )
 
-// TestKernelsExactOn205Scenes is the sprint's exactness pin at full
-// testbed scale: over all 205 scenes (41 clients × [all-six plus four
-// 3-AP combos]) the fast kernel stack — heap-ordered branch-and-bound
-// pick plus rotation-guarded hill climb — must produce the
-// bit-identical refined argmax cell and localized fix of the retained
-// reference pair (linear bound scan + scalar climb). No tolerance:
-// the kernels claim exact replacement, not approximation.
-func TestKernelsExactOn205Scenes(t *testing.T) {
-	tb := New()
-	specs, _, err := tb.spectraForAll(DefaultAccuracyOptions())
-	if err != nil {
-		t.Fatal(err)
+// oracleProcessAP is the per-AP half of the full pipeline composed from
+// the oracle functions alone: closure MUSIC (bit-identical to the
+// sum-of-squares kernel) over each frame's noise subspace, §2.4
+// suppression, the scalar Eq. 7 weighting, and the closure-Bartlett
+// mirror vote.
+func oracleProcessAP(ap *core.AP, frames []core.FrameCapture, cfg core.Config) (*music.Spectrum, error) {
+	a := ap.Array
+	if len(frames) > 3 {
+		frames = frames[:3]
 	}
-	fast, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(),
-		LinearPick: true, ScalarHillClimb: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	combos := [][]int{{0, 1, 2, 3, 4, 5}}
-	combos = append(combos, Combinations(len(tb.Sites), 3)[:4]...)
-	checked := 0
-	for ci := range specs {
-		for _, combo := range combos {
-			scene := make([]core.APSpectrum, len(combo))
-			for i, si := range combo {
-				scene[i] = core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[ci][si]}
-			}
-			gotCell, err := fast.RefinedArgmaxCell(scene)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantCell, err := ref.RefinedArgmaxCell(scene)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotCell != wantCell {
-				t.Fatalf("client %d combo %v: fast argmax cell %d != reference %d", ci, combo, gotCell, wantCell)
-			}
-			got, err := fast.Localize(scene)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.Localize(scene)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("client %d combo %v: fast fix %v != reference %v — not bit-identical", ci, combo, got, want)
-			}
-			checked++
+	spectra := make([]*music.Spectrum, len(frames))
+	for i, f := range frames {
+		r, err := music.CalibratedCorrelationWS(nil, f.Streams[:a.N], cfg.SampleOffset, cfg.MaxSamples, ap.Calibration)
+		if err != nil {
+			return nil, err
 		}
+		if cfg.ForwardBackward {
+			r = music.ForwardBackward(r)
+		}
+		rs, err := music.SpatialSmooth(r, cfg.SmoothingGroups)
+		if err != nil {
+			return nil, err
+		}
+		noise, _, _, err := music.Subspaces(rs, cfg.SignalThresholdFrac, rs.Rows/2)
+		if err != nil {
+			return nil, err
+		}
+		spectra[i] = music.MUSIC(noise, func(theta float64) []complex128 {
+			return a.SteeringVectorRow(theta, cfg.Wavelength)[:rs.Rows]
+		}, music.DefaultBins)
 	}
-	if checked != 205 {
-		t.Fatalf("swept %d scenes, want 205", checked)
+	out := core.SuppressMultipath(spectra, cfg.PeakMatchTolDeg)
+	out.ApplyGeometryWeighting(a.Orient)
+	if a.NinthAntenna {
+		rFull, err := music.CalibratedCorrelationWS(nil, frames[0].Streams[:a.NumElements()], cfg.SampleOffset, cfg.MaxSamples, ap.Calibration)
+		if err != nil {
+			return nil, err
+		}
+		music.SymmetryRemoval(out, a, rFull, cfg.Wavelength)
 	}
-	t.Logf("fast kernels bit-identical to reference on all %d testbed scenes", checked)
+	return out.Normalize(), nil
 }
 
 // TestLagScansExactOn205Scenes is the lag-domain scans' fix-level pin.
 // The spectra of every (client, site) pair are computed twice from the
-// same captures — through the steering tables (lag-domain MUSIC and
-// Bartlett, vote and weight tables) and with Steering nil, whose
-// closure scans are bit-identical to the sum-of-squares kernels and
-// whose vote and weighting are the scalar originals. Over all 205
-// scenes the refined argmax cell must be the same and the fix within
-// 1e-9 m; the spectra themselves stay within the scans' 1e-9 bound.
+// same captures — by the pipeline (lag-domain MUSIC and Bartlett, vote
+// and weight tables) and by oracleProcessAP, whose closure scans are
+// bit-identical to the sum-of-squares kernels and whose vote and
+// weighting are the scalar originals. Over all 205 scenes the refined
+// argmax cell must be the same and the fix within 1e-9 m; the spectra
+// themselves stay within the scans' 1e-9 bound.
 func TestLagScansExactOn205Scenes(t *testing.T) {
 	tb := New()
 	opt := DefaultAccuracyOptions()
-	lagSpecs, _, err := tb.spectraForAll(opt)
+	lagSpecs, _, err := tb.SpectraForAll(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Pipeline.Steering = nil
-	refSpecs, _, err := tb.spectraForAll(opt)
-	if err != nil {
-		t.Fatal(err)
+	// The same captures (same seed, same draw order) through the oracle.
+	rng := rand.New(rand.NewSource(opt.Seed))
+	refSpecs := make([][]*music.Spectrum, len(tb.Clients))
+	for ci, c := range tb.Clients {
+		refSpecs[ci] = make([]*music.Spectrum, len(tb.Sites))
+		for si, site := range tb.Sites {
+			frames := tb.CaptureClient(c, site, opt.Capture, rng)
+			ap := &core.AP{Array: tb.NewArray(site, opt.Capture)}
+			if refSpecs[ci][si], err = oracleProcessAP(ap, frames, opt.Pipeline); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	var worstBin float64
 	for ci := range refSpecs {
@@ -161,9 +147,9 @@ func TestLagScansExactOn205Scenes(t *testing.T) {
 }
 
 // TestRunKernelsMeetsTargets runs the kernels experiment and enforces
-// the sprint's headline claims. Structural claims (bit-identical
-// fixes, guard prune rate, degenerate bound-visit collapse, warm
-// dense-pitch hit rate) are deterministic and asserted outright; the
+// the kernels' headline claims. Structural claims (guard prune rate,
+// lag-scan deviation, table equality, warm dense-pitch hit rate) are
+// deterministic and asserted outright; the
 // timing claims take the best of a few attempts because the CI host
 // is shared and often single-core — noise only ever subtracts
 // speedup, and a real regression fails every attempt.
@@ -197,14 +183,8 @@ func TestRunKernelsMeetsTargets(t *testing.T) {
 			return 0
 		}
 		// Deterministic claims: fail immediately, retries cannot help.
-		if pct := get("kernels_exact_fix_match_pct"); pct != 100 {
-			t.Fatalf("fast fix bit-identical on %.0f%% of scenes, want 100%%", pct)
-		}
 		if pct := get("kernels_climb_pruned_pct"); pct < 40 {
 			t.Fatalf("rotation guard pruned %.0f%% of probes, want ≥40%%", pct)
-		}
-		if ratio := get("kernels_bnb_degen_ratio"); ratio < 10 {
-			t.Fatalf("degenerate-screen bound visits only %.1fx below linear, want ≥10x", ratio)
 		}
 		if hit := get("kernels_cache_dense_hit_pct"); hit < 99.9 {
 			t.Fatalf("warm dense-pitch hit rate %.1f%%, want 100%% (two-choice placement thrashed)", hit)
@@ -239,9 +219,6 @@ func TestRunKernelsMeetsTargets(t *testing.T) {
 		}
 		if s := get("kernels_scan_speedup"); s < 5.0 {
 			lastErrs = append(lastErrs, fmt.Sprintf("table MUSIC scan speedup %.2fx over the closure scan < 5x", s))
-		}
-		if s := get("kernels_localize_speedup"); s < 0.9 {
-			lastErrs = append(lastErrs, fmt.Sprintf("fast localize at %.2fx of reference, below the 0.9x no-regression floor", s))
 		}
 		if ps := get("kernels_climb_probes_per_s"); ps < 100_000 {
 			lastErrs = append(lastErrs, fmt.Sprintf("hill climb at %.0f probes/s below the 100k floor", ps))

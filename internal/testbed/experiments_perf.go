@@ -46,19 +46,20 @@ func DefaultPerfOptions() PerfOptions {
 }
 
 // RunPerf measures the machine-readable perf trajectory this repo
-// tracks across commits: steady-state allocations per spectrum and per
-// fix for the allocating versus workspace paths, plus per-fix latency
-// percentiles and sustained fixes/sec through the engine. Emitted as
-// metrics so `atbench -exp perf -json` seeds BENCH_*.json artifacts.
+// tracks across commits: steady-state allocations per spectrum (warm
+// workspace) and per fix (pooled workspaces, warm caches), plus per-fix
+// latency percentiles and sustained fixes/sec through the engine.
+// Emitted as metrics so `atbench -exp perf -json` seeds BENCH_*.json
+// artifacts.
 func (tb *Testbed) RunPerf(opt PerfOptions) (*Report, error) {
 	tOpt := DefaultThroughputOptions()
 	tOpt.Sites = opt.Sites
 	tOpt.GridCell = opt.GridCell
 	reqs := tb.ThroughputRequests(opt.Clients, tOpt)
 
-	r := &Report{ID: "perf", Title: "workspace-path allocations and fix latency"}
+	r := &Report{ID: "perf", Title: "steady-state allocations and fix latency"}
 
-	// --- allocs/op: one MUSIC spectrum, allocating vs workspace.
+	// --- allocs/op: one MUSIC spectrum on a warm workspace.
 	ap := reqs[0].APs[0]
 	streams := reqs[0].Captures[0][0].Streams[:ap.Array.N]
 	specOpt := music.Options{
@@ -69,37 +70,28 @@ func (tb *Testbed) RunPerf(opt PerfOptions) (*Report, error) {
 		ForwardBackward: true,
 		Steering:        music.NewSteeringCache(),
 	}
-	ws := music.NewWorkspace()
+	ws := &music.Workspace{}
 	if _, err := music.ComputeSpectrumWS(ws, ap.Array, streams, specOpt); err != nil {
 		return nil, err
 	}
-	specAlloc := allocsPerRun(opt.AllocRuns, func() {
-		if _, err := music.ComputeSpectrum(ap.Array, streams, specOpt); err != nil {
-			panic(err)
-		}
-	})
 	specWS := allocsPerRun(opt.AllocRuns, func() {
 		if _, err := music.ComputeSpectrumWS(ws, ap.Array, streams, specOpt); err != nil {
 			panic(err)
 		}
 	})
 
-	// --- allocs/op: one complete fix, allocating vs pooled workspaces.
-	cfgAlloc := core.DefaultConfig(tb.Wavelength)
-	cfgAlloc.GridCell = opt.GridCell
-	cfgAlloc.Workspaces = nil
-	cfgAlloc.APWorkers = 0
-	cfgWS := cfgAlloc
-	cfgWS.Workspaces = music.NewWorkspacePool()
+	// --- allocs/op: one complete fix (allocsPerRun's warm-up call warms
+	// the workspace pool and the caches).
+	cfgLoc := core.DefaultConfig(tb.Wavelength)
+	cfgLoc.GridCell = opt.GridCell
+	cfgLoc.APWorkers = 0
+	pipe := core.NewPipeline(cfgLoc)
 	q := reqs[0]
-	locate := func(cfg core.Config) {
-		if _, _, err := core.LocateClient(q.APs, q.Captures, q.Min, q.Max, cfg); err != nil {
+	locWS := allocsPerRun(opt.AllocRuns/2, func() {
+		if _, _, err := pipe.Locate(q.APs, q.Captures, q.Min, q.Max); err != nil {
 			panic(err)
 		}
-	}
-	locate(cfgWS) // warm the pool and caches
-	locAlloc := allocsPerRun(opt.AllocRuns/2, func() { locate(cfgAlloc) })
-	locWS := allocsPerRun(opt.AllocRuns/2, func() { locate(cfgWS) })
+	})
 
 	// --- per-fix latency through the engine (streaming one at a time,
 	// as the backend's quorum flushes do), then batch throughput.
@@ -129,30 +121,16 @@ func (tb *Testbed) RunPerf(opt PerfOptions) (*Report, error) {
 	}
 	batchRate := float64(len(reqs)) / time.Since(batchStart).Seconds()
 
-	r.Addf("ComputeSpectrum allocs/op:  allocating %5.0f   workspace %5.0f   (%.1fx fewer)",
-		specAlloc, specWS, ratio(specAlloc, specWS))
-	r.Addf("LocateClient    allocs/op:  allocating %5.0f   workspace %5.0f   (%.1fx fewer)",
-		locAlloc, locWS, ratio(locAlloc, locWS))
+	r.Addf("allocs/op, steady state: ComputeSpectrumWS %.0f, Pipeline.Locate %.0f", specWS, locWS)
 	r.Addf("fix latency over %d clients: p50 %.1f ms  p99 %.1f ms", len(reqs), p50, p99)
 	r.Addf("fixes/sec: %.1f streaming, %.1f batch (%d workers)",
 		serialRate, batchRate, eng.Stats().Workers)
 
-	r.AddMetric("spectrum_allocs_allocating", specAlloc, "allocs/op")
 	r.AddMetric("spectrum_allocs_workspace", specWS, "allocs/op")
-	r.AddMetric("spectrum_alloc_reduction", ratio(specAlloc, specWS), "x")
-	r.AddMetric("locate_allocs_allocating", locAlloc, "allocs/op")
 	r.AddMetric("locate_allocs_workspace", locWS, "allocs/op")
-	r.AddMetric("locate_alloc_reduction", ratio(locAlloc, locWS), "x")
 	r.AddMetric("fix_latency_p50_ms", p50, "ms")
 	r.AddMetric("fix_latency_p99_ms", p99, "ms")
 	r.AddMetric("fixes_per_sec_streaming", serialRate, "fixes/sec")
 	r.AddMetric("fixes_per_sec_batch", batchRate, "fixes/sec")
 	return r, nil
-}
-
-func ratio(a, b float64) float64 {
-	if b <= 0 {
-		return 0
-	}
-	return a / b
 }

@@ -18,7 +18,7 @@ import (
 // restricted to that region, at the paper's 10 cm pitch.
 func TestRegionGateOnTestbed(t *testing.T) {
 	tb := New()
-	specs, _, err := tb.spectraForAll(DefaultAccuracyOptions())
+	specs, _, err := tb.SpectraForAll(DefaultAccuracyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func (tb *Testbed) synthScenes(opt SynthOptions) ([][]core.APSpectrum, []geom.Po
 	aOpt := DefaultAccuracyOptions()
 	aOpt.MaxClients = opt.MaxClients
 	aOpt.Seed = opt.Seed
-	specs, clients, err := tb.spectraForAll(aOpt)
+	specs, clients, err := tb.SpectraForAll(aOpt)
 	if err != nil {
 		return nil, nil, err
 	}

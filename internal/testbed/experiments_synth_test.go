@@ -63,7 +63,7 @@ func TestRunSynthMeetsTargets(t *testing.T) {
 func TestSynthRefinedArgmaxExactOnTestbed(t *testing.T) {
 	tb := New()
 	aOpt := DefaultAccuracyOptions()
-	specs, _, err := tb.spectraForAll(aOpt)
+	specs, _, err := tb.SpectraForAll(aOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

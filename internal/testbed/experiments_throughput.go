@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/music"
 )
 
 // ThroughputOptions sizes the multi-client throughput experiment.
@@ -65,24 +64,13 @@ func (tb *Testbed) ThroughputRequests(n int, opt ThroughputOptions) []engine.Req
 	return reqs
 }
 
-// RunThroughput measures location fixes per second for batches of
-// concurrent clients, comparing the seed's serial single-threaded loop
-// (steering vectors recomputed per bin, one AP at a time) against the
-// cached serial path and the concurrent engine. This is the system
-// half of the paper's claim — many clients, many APs, bounded latency
-// — measured rather than asserted.
+// RunThroughput measures location fixes per second through the
+// concurrent engine for batches of concurrent clients. This is the
+// system half of the paper's claim — many clients, many APs, bounded
+// latency — measured rather than asserted.
 func (tb *Testbed) RunThroughput(opt ThroughputOptions) (*Report, error) {
 	r := &Report{ID: "throughput", Title: "multi-client localization throughput (fixes/sec)"}
-	r.Addf("%8s %14s %14s %14s %9s", "clients", "seed-serial", "cached-serial", "engine", "speedup")
-
-	serialCfg := core.DefaultConfig(tb.Wavelength)
-	serialCfg.GridCell = opt.GridCell
-	serialCfg.Steering = nil   // the seed recomputed steering per bin
-	serialCfg.APWorkers = 0    // and processed APs serially
-	serialCfg.SynthCache = nil // and synthesized on the product-domain grid
-
-	cachedCfg := serialCfg
-	cachedCfg.Steering = music.NewSteeringCache()
+	r.Addf("%8s %14s", "clients", "engine")
 
 	engineCfg := core.DefaultConfig(tb.Wavelength)
 	engineCfg.GridCell = opt.GridCell
@@ -98,24 +86,6 @@ func (tb *Testbed) RunThroughput(opt ThroughputOptions) (*Report, error) {
 	for _, n := range opt.ClientCounts {
 		reqs := all[:n]
 
-		serial := func(cfg core.Config) (float64, error) {
-			start := time.Now()
-			for _, q := range reqs {
-				if _, _, err := core.LocateClient(q.APs, q.Captures, q.Min, q.Max, cfg); err != nil {
-					return 0, err
-				}
-			}
-			return float64(n) / time.Since(start).Seconds(), nil
-		}
-		seedRate, err := serial(serialCfg)
-		if err != nil {
-			return nil, err
-		}
-		cachedRate, err := serial(cachedCfg)
-		if err != nil {
-			return nil, err
-		}
-
 		eng := engine.New(engine.Options{Config: engineCfg})
 		start := time.Now()
 		results := eng.LocateBatch(reqs)
@@ -127,9 +97,7 @@ func (tb *Testbed) RunThroughput(opt ThroughputOptions) (*Report, error) {
 			}
 		}
 
-		r.Addf("%8d %14.1f %14.1f %14.1f %8.1fx", n, seedRate, cachedRate, engRate, engRate/seedRate)
-		r.AddMetric(fmt.Sprintf("fixes_per_sec_seed_%d", n), seedRate, "fixes/sec")
-		r.AddMetric(fmt.Sprintf("fixes_per_sec_cached_%d", n), cachedRate, "fixes/sec")
+		r.Addf("%8d %14.1f", n, engRate)
 		r.AddMetric(fmt.Sprintf("fixes_per_sec_engine_%d", n), engRate, "fixes/sec")
 	}
 	return r, nil
