@@ -55,8 +55,25 @@ import (
 // sample backing and capture structs are reused frame after frame
 // (grown, never shrunk), and every decoded Capture carries a reference
 // on its workspace that the consumer drops with Release. Samples are
-// quantized and de-quantized with exactly the arithmetic of the v1
-// path, so batch-decoded streams are bit-identical to ReadCapture's.
+// quantized and de-quantized to exactly the values of the v1 path, so
+// batch-decoded streams are bit-identical to ReadCapture's: every
+// encoder runs the one guarded kernel (quantizePayload, whose fast form
+// hands any value within 1e-6 of a rounding boundary to the reference
+// expression), and the decoder multiplies by a table of the reference
+// quotients.
+//
+// A capture decoded from a stream — a batch frame or a v1/v2 record —
+// also remembers the payload bytes it came from (they sit in the
+// workspace's frame buffer for as long as the lease lasts). Encoding it
+// again as a batch — a router forwarding it to its shard, a hold flush,
+// a pending-group extraction — copies those bytes and their scale field
+// instead of scanning for a peak and re-quantizing 5760 samples, and so
+// reproduces what the AP sent to the byte. The samples of a leased
+// capture are therefore read-only. One whose Streams were re-sliced to
+// another shape or pointed at other memory, or that was released, or
+// that came from a datagram (whose buffer the caller reuses), goes
+// through the quantizer like any other; a sample overwritten in place
+// is the one edit the encoder cannot see.
 
 const (
 	// batchMagic tags a version-3 batch frame.
@@ -96,10 +113,14 @@ const MaxDatagramBytes = 65507
 var ErrBadFrame = fmt.Errorf("server: malformed batch frame")
 
 // batchMeta is per-capture decode scratch carried between the
-// sub-header pass and the sample pass.
+// sub-header pass and the sample pass: the capture's scale field, its
+// shape, and the index of its first sample in the frame — in the
+// workspace's sample backing, and times four in the payload. After a
+// stream decode it is also how a capture finds the bytes it arrived in
+// (Capture.received, wirePayload).
 type batchMeta struct {
-	scale       float64
-	nAnt, nSamp int
+	scale             float64
+	nAnt, nSamp, samp int
 }
 
 // IngestWorkspace owns the reusable backing store for pooled decode:
@@ -117,7 +138,12 @@ type IngestWorkspace struct {
 	streams  [][]complex128
 	captures []Capture
 	meta     []batchMeta
-	refs     atomic.Int32
+	// wire is the int16 I/Q payload block of the frame or record last
+	// decoded from a stream (it lies in frame, which nothing overwrites
+	// while a capture of it is leased); nil after a datagram decode,
+	// whose buffer is the caller's.
+	wire []byte
+	refs atomic.Int32
 }
 
 var ingestPool = sync.Pool{New: func() any { return new(IngestWorkspace) }}
@@ -203,6 +229,25 @@ func (ws *IngestWorkspace) release() {
 	}
 }
 
+// wirePayload returns the payload bytes and scale field c was decoded
+// from, when it was read from a stream, is still leased, and its
+// Streams are still what was decoded: the same shape, starting at the
+// same sample of the workspace. A capture that was re-sliced or given
+// other streams gets nil and is quantized like any other. (A sample
+// overwritten in place is the one edit this cannot see, which is why
+// borrowed streams are read-only.)
+func (c *Capture) wirePayload() ([]byte, float32) {
+	ws := c.owner
+	if ws == nil || c.received == 0 || ws.wire == nil {
+		return nil, 0
+	}
+	m := &ws.meta[c.received-1]
+	if len(c.Streams) != m.nAnt || len(c.Streams[0]) != m.nSamp || &c.Streams[0][0] != &ws.samples[m.samp] {
+		return nil, 0
+	}
+	return ws.wire[4*m.samp : 4*(m.samp+m.nAnt*m.nSamp)], float32(m.scale)
+}
+
 // Release returns the capture's decode buffers to their workspace
 // pool. Captures decoded by the pooled readers borrow their Streams
 // memory from an IngestWorkspace; whoever consumes a capture (the
@@ -253,10 +298,13 @@ func parseFrameHead(head []byte) (bodyLen, count int, deltaTS bool, err error) {
 }
 
 // decodeBatchBody parses a frame body (sub-headers plus contiguous
-// payload) into ws and returns ws's captures. No reference to body is
-// retained — samples are decoded into the workspace's own backing —
-// so body may be a reused read buffer or a UDP datagram.
-func decodeBatchBody(body []byte, count int, deltaTS bool, ws *IngestWorkspace) ([]Capture, error) {
+// payload) into ws and returns ws's captures. Samples are decoded into
+// the workspace's own backing. With keepWire false no reference to body
+// is retained, so body may be a reused read buffer or a UDP datagram;
+// with keepWire true body must live as long as the workspace lease
+// (ws.frame does), and the workspace remembers its payload block for
+// its captures (Capture.wirePayload).
+func decodeBatchBody(body []byte, count int, deltaTS, keepWire bool, ws *IngestWorkspace) ([]Capture, error) {
 	if cap(ws.captures) < count {
 		ws.captures = make([]Capture, count)
 	}
@@ -311,6 +359,7 @@ func decodeBatchBody(body []byte, count int, deltaTS bool, ws *IngestWorkspace) 
 			Seq:       binary.BigEndian.Uint32(sub[8:]),
 			Timestamp: tstamp,
 			Priority:  flags&flagPriority != 0,
+			received:  uint32(i) + 1,
 		}
 		if flags&flagHasRegion != 0 {
 			if len(body)-off < regionBoxSize {
@@ -331,16 +380,21 @@ func decodeBatchBody(body []byte, count int, deltaTS bool, ws *IngestWorkspace) 
 			}
 			caps[i].Region = region
 		}
-		meta[i] = batchMeta{
-			scale: float64(math.Float32frombits(binary.BigEndian.Uint32(tail))),
-			nAnt:  nAnt, nSamp: nSamp,
+		scale, ok := readScale(tail)
+		if !ok {
+			return nil, errBadScale(scale)
 		}
+		meta[i] = batchMeta{scale: scale, nAnt: nAnt, nSamp: nSamp, samp: totalSamp}
 		totalSamp += nAnt * nSamp
 		totalAnt += nAnt
 	}
 	payload := body[off:]
 	if len(payload) != totalSamp*4 {
 		return nil, fmt.Errorf("%w: %d payload bytes for %d declared samples", ErrBadFrame, len(payload), totalSamp)
+	}
+	ws.wire = nil
+	if keepWire {
+		ws.wire = payload
 	}
 
 	// Pass 2: samples, decoded into the workspace's flat backing and
@@ -359,12 +413,18 @@ func decodeBatchBody(body []byte, count int, deltaTS bool, ws *IngestWorkspace) 
 		m := &meta[i]
 		st := streams[ao : ao+m.nAnt : ao+m.nAnt]
 		ao += m.nAnt
+		n := m.nAnt * m.nSamp
+		raw := payload[po : po+4*n]
+		po += 4 * n
+		if pastFullScale(m.scale) && hasMinInt16(raw) {
+			return nil, errSampleRange
+		}
+		// One pass over the whole capture — its rows are contiguous on
+		// both sides — then slice it per antenna.
+		dequantRow(samples[so:so+n], raw, m.scale)
 		for a := 0; a < m.nAnt; a++ {
-			row := samples[so : so+m.nSamp : so+m.nSamp]
+			st[a] = samples[so : so+m.nSamp : so+m.nSamp]
 			so += m.nSamp
-			dequantRow(row, payload[po:po+4*m.nSamp], m.scale)
-			po += 4 * m.nSamp
-			st[a] = row
 		}
 		caps[i].Streams = st
 		caps[i].owner = ws
@@ -390,7 +450,7 @@ func readBatchBody(r io.Reader, ws *IngestWorkspace) ([]Capture, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("server: short frame body: %w", err)
 	}
-	return decodeBatchBody(body, count, deltaTS, ws)
+	return decodeBatchBody(body, count, deltaTS, true, ws)
 }
 
 // readCaptureBody decodes one v1/v2 record whose magic has already
@@ -416,7 +476,10 @@ func readCaptureBody(r io.Reader, magic uint32, ws *IngestWorkspace) (*Capture, 
 		Seq:       binary.BigEndian.Uint32(head[8:]),
 		Timestamp: time.UnixMicro(int64(binary.BigEndian.Uint64(head[12:]))).UTC(),
 	}
-	scale := float64(math.Float32frombits(binary.BigEndian.Uint32(head[20:])))
+	scale, ok := readScale(head[20:])
+	if !ok {
+		return nil, errBadScale(scale)
+	}
 	nAnt := int(binary.BigEndian.Uint16(head[24:]))
 	nSamp := int(binary.BigEndian.Uint16(head[26:]))
 	if nAnt == 0 || nAnt > MaxAntennas || nSamp == 0 || nSamp > MaxSamples {
@@ -457,6 +520,9 @@ func readCaptureBody(r io.Reader, magic uint32, ws *IngestWorkspace) (*Capture, 
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("server: short payload: %w", err)
 	}
+	if pastFullScale(scale) && hasMinInt16(payload) {
+		return nil, errSampleRange
+	}
 	if cap(ws.samples) < nAnt*nSamp {
 		ws.samples = make([]complex128, nAnt*nSamp)
 	}
@@ -465,13 +531,20 @@ func readCaptureBody(r io.Reader, magic uint32, ws *IngestWorkspace) (*Capture, 
 	}
 	samples := ws.samples[:nAnt*nSamp]
 	streams := ws.streams[:nAnt:nAnt]
+	dequantRow(samples, payload, scale)
 	for a := 0; a < nAnt; a++ {
-		row := samples[a*nSamp : (a+1)*nSamp : (a+1)*nSamp]
-		dequantRow(row, payload[a*nSamp*4:(a+1)*nSamp*4], scale)
-		streams[a] = row
+		streams[a] = samples[a*nSamp : (a+1)*nSamp : (a+1)*nSamp]
 	}
 	c.Streams = streams
 	c.owner = ws
+	// The payload stays in ws.frame for the whole lease, as a batch
+	// frame's does, and is remembered the same way.
+	if cap(ws.meta) < 1 {
+		ws.meta = make([]batchMeta, 1)
+	}
+	ws.meta[0] = batchMeta{scale: scale, nAnt: nAnt, nSamp: nSamp}
+	ws.wire = payload
+	c.received = 1
 	ws.refs.Store(1)
 	return c, nil
 }
@@ -558,7 +631,7 @@ func DecodeDatagramInto(data []byte, ws *IngestWorkspace) ([]Capture, error) {
 	if bodyLen != len(data)-frameHeadSize {
 		return nil, fmt.Errorf("%w: bodyLen %d in %d-byte datagram", ErrBadFrame, bodyLen, len(data))
 	}
-	return decodeBatchBody(data[frameHeadSize:], count, deltaTS, ws)
+	return decodeBatchBody(data[frameHeadSize:], count, deltaTS, false, ws)
 }
 
 // subSizeOf returns capture c's sub-header size on the wire.
@@ -622,29 +695,24 @@ func appendBatch(dst []byte, caps []Capture, deltaTS bool, baseUS int64) ([]byte
 	if deltaTS {
 		subSize = subHeadSizeDelta
 	}
-	// Size the sub-header block first so payloads can append behind
-	// it; dimensions and regions are validated before a byte lands.
+	// Size the whole frame first: sub-headers sit in one block with the
+	// payloads behind it, and geometry and regions are validated before
+	// a byte lands.
 	subTotal, payloadTotal := 0, 0
 	if deltaTS {
 		subTotal = baseTSSize
 	}
 	for i := range caps {
 		c := &caps[i]
-		nAnt := len(c.Streams)
-		if nAnt == 0 || nAnt > MaxAntennas {
-			return dst, fmt.Errorf("%w: %d antennas", ErrTooLarge, nAnt)
+		nAnt, nSamp, err := captureDims(c)
+		if err != nil {
+			return dst, err
 		}
-		nSamp := len(c.Streams[0])
-		if nSamp == 0 || nSamp > MaxSamples {
-			return dst, fmt.Errorf("%w: %d samples", ErrTooLarge, nSamp)
-		}
+		subTotal += subSize
 		if !c.Region.IsZero() {
 			if err := c.Region.Validate(); err != nil {
 				return dst, fmt.Errorf("%w: %v", ErrBadRegion, err)
 			}
-		}
-		subTotal += subSize
-		if !c.Region.IsZero() {
 			subTotal += regionBoxSize
 		}
 		payloadTotal += nAnt * nSamp * 4
@@ -654,7 +722,7 @@ func appendBatch(dst []byte, caps []Capture, deltaTS bool, baseUS int64) ([]byte
 		return dst, fmt.Errorf("%w: %d-byte frame body", ErrTooLarge, bodyLen)
 	}
 	base := len(dst)
-	dst = growSlice(dst, frameHeadSize+subTotal)
+	dst = growSlice(dst, frameHeadSize+bodyLen)
 	binary.BigEndian.PutUint32(dst[base:], batchMagic)
 	binary.BigEndian.PutUint32(dst[base+4:], uint32(bodyLen))
 	binary.BigEndian.PutUint16(dst[base+8:], uint16(n))
@@ -668,11 +736,24 @@ func appendBatch(dst []byte, caps []Capture, deltaTS bool, baseUS int64) ([]byte
 		binary.BigEndian.PutUint64(dst[off:], uint64(baseUS))
 		off += baseTSSize
 	}
+	payload := dst[base+frameHeadSize+subTotal:]
 	for i := range caps {
 		c := &caps[i]
-		nAnt, nSamp, peak, err := captureDims(c)
-		if err != nil {
-			return dst, err
+		nAnt, nSamp := len(c.Streams), len(c.Streams[0])
+		raw := payload[:nAnt*nSamp*4]
+		payload = payload[len(raw):]
+		wire, scale := c.wirePayload()
+		if wire != nil {
+			// Received, and still what was received: the bytes it
+			// arrived in are its encoding.
+			copy(raw, wire)
+		} else {
+			peak, err := samplePeak(c.Streams)
+			if err != nil {
+				return dst[:base], fmt.Errorf("capture %d: %w", i, err)
+			}
+			scale = float32(peak)
+			quantizePayload(raw, c.Streams, peak)
 		}
 		sub := dst[off : off+subSize]
 		binary.BigEndian.PutUint32(sub[0:], c.APID)
@@ -686,7 +767,7 @@ func appendBatch(dst []byte, caps []Capture, deltaTS bool, baseUS int64) ([]byte
 			binary.BigEndian.PutUint64(sub[12:], uint64(c.Timestamp.UnixMicro()))
 			tail = sub[20:]
 		}
-		binary.BigEndian.PutUint32(tail[0:], math.Float32bits(float32(peak)))
+		binary.BigEndian.PutUint32(tail[0:], math.Float32bits(scale))
 		binary.BigEndian.PutUint16(tail[4:], uint16(nAnt))
 		binary.BigEndian.PutUint16(tail[6:], uint16(nSamp))
 		var flags byte
@@ -707,7 +788,6 @@ func appendBatch(dst []byte, caps []Capture, deltaTS bool, baseUS int64) ([]byte
 			binary.BigEndian.PutUint64(box[32:], math.Float64bits(c.Region.Cell))
 			off += regionBoxSize
 		}
-		dst = appendPayload(dst, c, peak, nAnt, nSamp)
 	}
 	return dst, nil
 }

@@ -39,12 +39,25 @@ type Capture struct {
 	// capture so the engine can flag the resulting fix end-to-end
 	// (Capture → Request → Result → TrackUpdate).
 	Degraded bool
+	// received is 1 + this capture's index in the frame it was decoded
+	// from, 0 for a capture that was not decoded by a pooled reader.
+	// With owner it finds the int16 I/Q payload and scale field the
+	// capture arrived in, which a stream decode leaves in the owner's
+	// frame buffer for as long as the lease lasts: while Streams is
+	// still what was decoded, the batch encoders copy that payload
+	// instead of re-quantizing (see wirePayload), so forwarding a
+	// received capture costs one copy and reproduces the sender's
+	// bytes. It sits here, in the padding behind the flags, because a
+	// Capture is copied by value all along the ingest path and its
+	// width is most of what a small record costs there.
+	received uint32
 	// Streams holds the per-antenna baseband samples of the captured
 	// preamble section. For captures decoded by the pooled readers
 	// (ReadCaptureInto, ReadBatchInto, DecodeDatagramInto) the memory
 	// is borrowed from an IngestWorkspace and must be returned with
 	// Release once consumed; captures built any other way own their
-	// streams and Release is a no-op.
+	// streams and Release is a no-op. Borrowed streams are read-only:
+	// the encoders may send the remembered wire payload in their place.
 	Streams [][]complex128
 
 	// owner is the ingest workspace the streams are borrowed from;

@@ -1,0 +1,97 @@
+package server
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
+
+// The capture arraytrack-ap really ships: nine antennas by the 640
+// samples of §2.1's preamble section, 23 KB on the wire. One frame
+// carries an AP's three frames of one transmission, as in walk6x3.
+const (
+	benchAnt, benchSamp = 9, 640
+	benchFrameCaptures  = 3
+)
+
+func benchFrame(rng *rand.Rand) []Capture {
+	caps := make([]Capture, benchFrameCaptures)
+	for i := range caps {
+		caps[i] = batchCapture(rng, benchAnt, benchSamp, false, false)
+	}
+	return caps
+}
+
+func reportPerCapture(b *testing.B, captures int) {
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*captures), "µs/capture")
+}
+
+// BenchmarkAppendBatch is the AP-side encode: peak scan plus quantizer.
+func BenchmarkAppendBatch(b *testing.B) {
+	caps := benchFrame(rand.New(rand.NewSource(1)))
+	buf, err := AppendBatch(nil, caps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = AppendBatch(buf[:0], caps); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerCapture(b, len(caps))
+}
+
+// BenchmarkAppendBatchReencode is the router-side encode: the captures
+// were decoded from a stream frame and still hold their wire payload.
+func BenchmarkAppendBatchReencode(b *testing.B) {
+	frame, err := AppendBatch(nil, benchFrame(rand.New(rand.NewSource(1))))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ws := GetIngestWorkspace()
+	caps, err := ReadBatchInto(bytes.NewReader(frame), ws)
+	if err != nil {
+		ws.Discard()
+		b.Fatal(err)
+	}
+	defer ReleaseAll(caps)
+	buf, err := AppendBatchDelta(nil, caps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = AppendBatchDelta(buf[:0], caps); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerCapture(b, len(caps))
+}
+
+// BenchmarkReadBatchInto is the pooled decode of the same frame.
+func BenchmarkReadBatchInto(b *testing.B) {
+	frame, err := AppendBatch(nil, benchFrame(rand.New(rand.NewSource(1))))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rd := bytes.NewReader(frame)
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(frame)
+		ws := GetIngestWorkspace()
+		caps, err := ReadBatchInto(rd, ws)
+		if err != nil {
+			ws.Discard()
+			b.Fatal(err)
+		}
+		ReleaseAll(caps)
+	}
+	reportPerCapture(b, benchFrameCaptures)
+}

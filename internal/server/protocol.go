@@ -74,35 +74,58 @@ var (
 	ErrBadRegion = errors.New("server: bad search region")
 )
 
+// ErrBadSamples means a capture's samples cannot be carried by the
+// fixed-point payload: one is NaN or ±Inf, or the record's peak lies
+// beyond the float32 scale field. Encoders return it instead of writing
+// a record whose scale or samples would be garbage on the wire.
+var ErrBadSamples = errors.New("server: samples not representable on the wire")
+
 // captureDims validates a capture's stream geometry and returns its
-// dimensions along with the quantization peak (the largest |I| or |Q|
-// over the record; 1 for an all-zero record).
-func captureDims(c *Capture) (nAnt, nSamp int, peak float64, err error) {
+// dimensions.
+func captureDims(c *Capture) (nAnt, nSamp int, err error) {
 	nAnt = len(c.Streams)
 	if nAnt == 0 || nAnt > MaxAntennas {
-		return 0, 0, 0, fmt.Errorf("%w: %d antennas", ErrTooLarge, nAnt)
+		return 0, 0, fmt.Errorf("%w: %d antennas", ErrTooLarge, nAnt)
 	}
 	nSamp = len(c.Streams[0])
 	if nSamp == 0 || nSamp > MaxSamples {
-		return 0, 0, 0, fmt.Errorf("%w: %d samples", ErrTooLarge, nSamp)
+		return 0, 0, fmt.Errorf("%w: %d samples", ErrTooLarge, nSamp)
 	}
-	for _, st := range c.Streams {
+	for _, st := range c.Streams[1:] {
 		if len(st) != nSamp {
-			return 0, 0, 0, errors.New("server: ragged antenna streams")
+			return 0, 0, errors.New("server: ragged antenna streams")
 		}
+	}
+	return nAnt, nSamp, nil
+}
+
+// samplePeak returns the quantization peak of a record: the largest
+// |I| or |Q| over all streams, 1 for an all-zero record, and never
+// below the smallest scale a float32 can carry. The scan compares
+// sign-cleared IEEE bit patterns as integers — the same order as the
+// magnitudes, with every NaN above +Inf — so one pass both finds the
+// peak and proves every sample finite.
+func samplePeak(streams [][]complex128) (float64, error) {
+	const signBit = 1 << 63
+	var mi, mq uint64
+	for _, st := range streams {
 		for _, v := range st {
-			if a := math.Abs(real(v)); a > peak {
-				peak = a
-			}
-			if a := math.Abs(imag(v)); a > peak {
-				peak = a
-			}
+			mi = max(mi, math.Float64bits(real(v))&^signBit)
+			mq = max(mq, math.Float64bits(imag(v))&^signBit)
 		}
 	}
-	if peak == 0 {
-		peak = 1
+	peak := math.Float64frombits(max(mi, mq))
+	switch {
+	case peak == 0:
+		return 1, nil
+	case !(peak <= math.MaxFloat32):
+		// A NaN or ±Inf sample, or a peak past the scale field's range.
+		return 0, ErrBadSamples
+	case peak < math.SmallestNonzeroFloat32:
+		// The scale field would round to zero, which decoders refuse.
+		return math.SmallestNonzeroFloat32, nil
 	}
-	return nAnt, nSamp, peak, nil
+	return peak, nil
 }
 
 // growSlice extends dst by n bytes in place, reallocating only when
@@ -117,20 +140,86 @@ func growSlice(dst []byte, n int) []byte {
 	return nd
 }
 
-// appendPayload appends the int16 I/Q quantization of c's streams.
-func appendPayload(dst []byte, c *Capture, peak float64, nAnt, nSamp int) []byte {
-	off := len(dst)
-	dst = growSlice(dst, nAnt*nSamp*4)
-	for _, st := range c.Streams {
+// quantizeRef is the wire's definition of a sample component: the
+// nearest int16 step of x at full scale peak, halves away from zero.
+func quantizeRef(x, peak float64) int16 {
+	return int16(math.Round(x / peak * 32767))
+}
+
+// quantizePayloadRef is the retained reference loop: quantizeRef on
+// every component, as all encoders ran before quantizePayload. It is
+// what the kernel's bytes are tested against and the baseline its speed
+// is priced against.
+func quantizePayloadRef(dst []byte, streams [][]complex128, peak float64) {
+	for _, st := range streams {
 		for _, v := range st {
-			i16 := int16(math.Round(real(v) / peak * 32767))
-			q16 := int16(math.Round(imag(v) / peak * 32767))
-			binary.BigEndian.PutUint16(dst[off:], uint16(i16))
-			binary.BigEndian.PutUint16(dst[off+2:], uint16(q16))
-			off += 4
+			binary.BigEndian.PutUint16(dst, uint16(quantizeRef(real(v), peak)))
+			binary.BigEndian.PutUint16(dst[2:], uint16(quantizeRef(imag(v), peak)))
+			dst = dst[4:]
 		}
 	}
-	return dst
+}
+
+// ReferencePayload writes the sample payload of streams (4 bytes per
+// sample) into dst by the reference loop instead of the guarded kernel:
+// the bytes are the ones every encoder writes, at the speed they were
+// written before. `atbench -exp ingest` prices AppendBatch against it.
+func ReferencePayload(dst []byte, streams [][]complex128) error {
+	peak, err := samplePeak(streams)
+	if err != nil {
+		return err
+	}
+	quantizePayloadRef(dst, streams, peak)
+	return nil
+}
+
+const (
+	// roundShift is 1.5·2⁵²: adding it to |t| < 2⁵¹ leaves a float
+	// whose unit in the last place is 1, so the sum is t rounded to the
+	// nearest integer, and subtracting it again recovers that integer.
+	roundShift = 3 << 51
+	// quantGuard bounds the squared distance from x·k to its nearest
+	// integer under which the fast form is trusted: (0.5 − 1e-6)².
+	quantGuard = 0.249999
+)
+
+// quantizePayload writes the int16 I/Q quantization of streams into
+// dst (4 bytes per sample, len(dst) covering every stream) and returns
+// how many samples took the guard's reference path.
+//
+// The wire value of a component is quantizeRef(x, peak): two divisions
+// and two software math.Round calls per sample. The loop computes
+// t = x·k with k = 32767/peak once per record, rounds by the shift
+// trick, and keeps the result only while t sits more than 1e-6 from a
+// rounding boundary. t and the reference product x/peak·32767 differ
+// by under 3e-11 (three roundings of magnitudes ≤ 32767), so away from
+// a boundary both round to the same integer; within the guard — and
+// for a NaN, or a k that overflowed on a subnormal peak — the sample
+// is recomputed by quantizeRef. Ties, the only place the shift's
+// half-to-even and math.Round's half-away disagree, always land there,
+// so the bytes equal the reference loop's by construction
+// (TestQuantizerMatchesReference, FuzzQuantizeMatchesReference).
+func quantizePayload(dst []byte, streams [][]complex128, peak float64) (fallbacks int) {
+	k := 32767 / peak
+	for _, st := range streams {
+		out := dst[:4*len(st)]
+		dst = dst[4*len(st):]
+		for _, v := range st {
+			// The conversions keep a fused multiply-add from skipping
+			// the product's own rounding.
+			ti, tq := float64(real(v)*k), float64(imag(v)*k)
+			ri, rq := (ti+roundShift)-roundShift, (tq+roundShift)-roundShift
+			di, dq := ti-ri, tq-rq
+			if di*di < quantGuard && dq*dq < quantGuard {
+				binary.BigEndian.PutUint32(out, uint32(uint16(int32(ri)))<<16|uint32(uint16(int32(rq))))
+			} else {
+				fallbacks++
+				binary.BigEndian.PutUint32(out, uint32(uint16(quantizeRef(real(v), peak)))<<16|uint32(uint16(quantizeRef(imag(v), peak))))
+			}
+			out = out[4:]
+		}
+	}
+	return fallbacks
 }
 
 // AppendCapture appends c's wire encoding (a v1 record, or v2 when a
@@ -139,7 +228,11 @@ func appendPayload(dst []byte, c *Capture, peak float64, nAnt, nSamp int) []byte
 // callers that reuse dst across records encode with zero per-record
 // allocations.
 func AppendCapture(dst []byte, c *Capture) ([]byte, error) {
-	nAnt, nSamp, peak, err := captureDims(c)
+	nAnt, nSamp, err := captureDims(c)
+	if err != nil {
+		return dst, err
+	}
+	peak, err := samplePeak(c.Streams)
 	if err != nil {
 		return dst, err
 	}
@@ -152,7 +245,7 @@ func AppendCapture(dst []byte, c *Capture) ([]byte, error) {
 		}
 	}
 	base := len(dst)
-	dst = growSlice(dst, size)
+	dst = growSlice(dst, size+nAnt*nSamp*4)
 	head := dst[base:]
 	magic := uint32(protocolMagic)
 	if v2 {
@@ -181,7 +274,8 @@ func AppendCapture(dst []byte, c *Capture) ([]byte, error) {
 		binary.BigEndian.PutUint64(head[57:], math.Float64bits(c.Region.Max.Y))
 		binary.BigEndian.PutUint64(head[65:], math.Float64bits(c.Region.Cell))
 	}
-	return appendPayload(dst, c, peak, nAnt, nSamp), nil
+	quantizePayload(head[size:], c.Streams, peak)
+	return dst, nil
 }
 
 // encodeBufPool recycles encoder scratch across WriteCapture and
@@ -201,6 +295,46 @@ func WriteCapture(w io.Writer, c *Capture) error {
 	*bp = buf
 	encodeBufPool.Put(bp)
 	return err
+}
+
+// readScale reads a record's float32 scale field and reports whether it
+// is usable. A scale that is not finite and positive is refused with
+// errBadScale: no encoder writes one (an all-zero record carries 1),
+// and it would decode into NaN or ±Inf streams that fail the whole fix
+// downstream instead of the sender's frame here.
+func readScale(b []byte) (float64, bool) {
+	scale := math.Float32frombits(binary.BigEndian.Uint32(b))
+	return float64(scale), scale > 0 && scale <= math.MaxFloat32
+}
+
+func errBadScale(scale float64) error {
+	return fmt.Errorf("%w: sample scale %v", ErrBadFrame, scale)
+}
+
+// errSampleRange refuses a payload with a sample that would decode
+// beyond the float32 range. The largest magnitude a record decodes to
+// is the scale of its re-encoding, so without the refusal a capture
+// could decode and then never be encoded again — failing in a router's
+// forward instead of at the AP that sent it. Only an int16 of -32768
+// (one step past full scale, which no encoder writes) under a scale in
+// the top 1/32768th of the range gets there: decoders scan a payload
+// (hasMinInt16) only when its scale is that high (pastFullScale).
+var errSampleRange = fmt.Errorf("%w: sample beyond the float32 range", ErrBadFrame)
+
+// pastFullScale reports whether an int16 of -32768 decodes, at scale,
+// to a magnitude beyond the float32 range.
+func pastFullScale(scale float64) bool {
+	return scale*(32768.0/32767) > math.MaxFloat32
+}
+
+// hasMinInt16 reports whether any big-endian int16 of payload is -32768.
+func hasMinInt16(payload []byte) bool {
+	for o := 0; o+1 < len(payload); o += 2 {
+		if payload[o] == 0x80 && payload[o+1] == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ReadCapture decodes one record from r. io.EOF is returned unchanged
@@ -223,7 +357,10 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 		Seq:       binary.BigEndian.Uint32(head[12:]),
 		Timestamp: time.UnixMicro(int64(binary.BigEndian.Uint64(head[16:]))).UTC(),
 	}
-	scale := float64(math.Float32frombits(binary.BigEndian.Uint32(head[24:])))
+	scale, ok := readScale(head[24:])
+	if !ok {
+		return nil, errBadScale(scale)
+	}
 	nAnt := int(binary.BigEndian.Uint16(head[28:]))
 	nSamp := int(binary.BigEndian.Uint16(head[30:]))
 	if nAnt == 0 || nAnt > MaxAntennas || nSamp == 0 || nSamp > MaxSamples {
@@ -263,6 +400,9 @@ func ReadCapture(r io.Reader) (*Capture, error) {
 	payload := make([]byte, nAnt*nSamp*4)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("server: short payload: %w", err)
+	}
+	if pastFullScale(scale) && hasMinInt16(payload) {
+		return nil, errSampleRange
 	}
 	c.Streams = make([][]complex128, nAnt)
 	off := 0

@@ -71,6 +71,39 @@ func putRegion(rec []byte, minX, minY, maxX, maxY, cell float64) []byte {
 	return out
 }
 
+// hostileScales are float32 scale fields no encoder writes: decoders
+// must refuse each before touching a sample.
+var hostileScales = []uint32{
+	0x7FC00000, // NaN
+	0x7F800001, // signalling NaN
+	0x7F800000, // +Inf
+	0xFF800000, // -Inf
+	0x00000000, // 0
+	0x80000000, // -0
+	0xBF800000, // -1
+}
+
+// withUint32 returns a copy of rec with the 4 bytes at off replaced.
+func withUint32(rec []byte, off int, v uint32) []byte {
+	out := append([]byte(nil), rec...)
+	binary.BigEndian.PutUint32(out[off:], v)
+	return out
+}
+
+// assertFinite fails the test on a decoded NaN or ±Inf sample.
+func assertFinite(t *testing.T, streams [][]complex128) {
+	t.Helper()
+	for _, st := range streams {
+		for _, v := range st {
+			for _, x := range [2]float64{real(v), imag(v)} {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("decoded a non-finite sample %v", v)
+				}
+			}
+		}
+	}
+}
+
 func FuzzReadCapture(f *testing.F) {
 	valid := validRecord(f)
 	f.Add(valid)
@@ -87,9 +120,15 @@ func FuzzReadCapture(f *testing.F) {
 	zeroDims := append([]byte(nil), valid...)
 	binary.BigEndian.PutUint16(zeroDims[28:], 0)
 	f.Add(zeroDims)
-	nanScale := append([]byte(nil), valid...)
-	binary.BigEndian.PutUint32(nanScale[24:], 0x7FC00000) // NaN scale
-	f.Add(nanScale)
+	for _, bits := range hostileScales {
+		f.Add(withUint32(valid, 24, bits))
+	}
+	f.Add(withUint32(valid, 24, 0x00000001)) // smallest subnormal scale
+	top := withUint32(valid, 24, 0x7F7FFFFF) // largest finite scale...
+	f.Add(top)
+	top = append([]byte(nil), top...)
+	binary.BigEndian.PutUint16(top[32:], 0x8000) // ...and an int16 no encoder writes: decodes past the float32 range, refused
+	f.Add(top)
 	f.Add(append(append([]byte(nil), valid...), valid...)) // two records
 
 	// Version-2 region records: one well-formed, then a battery of
@@ -138,7 +177,9 @@ func FuzzReadCapture(f *testing.F) {
 			if err := c.Region.Validate(); err != nil {
 				t.Fatalf("decoded capture carries invalid region %+v: %v", c.Region, err)
 			}
-			// Anything that decodes must re-encode.
+			// Every decoded sample is finite, and anything that
+			// decodes must re-encode.
+			assertFinite(t, c.Streams)
 			if err := WriteCapture(&bytes.Buffer{}, c); err != nil {
 				t.Fatalf("decoded capture failed to re-encode: %v", err)
 			}
@@ -259,6 +300,15 @@ func FuzzReadBatch(f *testing.F) {
 	f.Add(v1Magic)
 	f.Add(validRecord(f))       // v1 record through the frame reader
 	f.Add(validRegionRecord(f)) // v2 record through the frame reader
+	for _, bits := range hostileScales {
+		f.Add(withUint32(frame, frameHeadSize+20, bits))
+	}
+	top := withUint32(frame, frameHeadSize+20, 0x7F7FFFFF) // largest finite scale...
+	f.Add(top)
+	top = append([]byte(nil), top...)
+	binary.BigEndian.PutUint16(top[len(top)-24:], 0x8000) // ...and -32768 in that capture's payload: refused
+	f.Add(top)
+	f.Add(withUint32(frame, frameHeadSize+20, 0x00000001)) // smallest subnormal scale
 
 	// Delta-timestamp frames (frame flag bit0): a valid one, then the
 	// same hostile mutations against the compact sub-header layout.
@@ -278,6 +328,9 @@ func FuzzReadBatch(f *testing.F) {
 	deltaBadFlags := append([]byte(nil), deltaFrame...)
 	deltaBadFlags[frameHeadSize+baseTSSize+24] = 0xFF
 	f.Add(deltaBadFlags)
+	for _, bits := range hostileScales {
+		f.Add(withUint32(deltaFrame, frameHeadSize+baseTSSize+16, bits))
+	}
 	// Absolute-form flag flipped on without re-laying-out the body:
 	// the sub-headers no longer parse as the compact form and the
 	// decoder must reject, not misread.
@@ -303,6 +356,7 @@ func FuzzReadBatch(f *testing.F) {
 				if err := c.Region.Validate(); err != nil {
 					t.Fatalf("capture %d carries invalid region: %v", i, err)
 				}
+				assertFinite(t, c.Streams)
 			}
 			// Anything that decodes must re-encode as a batch, in both
 			// timestamp forms, and the compact form must decode back to

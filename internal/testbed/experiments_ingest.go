@@ -24,9 +24,13 @@ type IngestShape struct {
 // flood is replayed through every server ingest path — the seed's
 // per-record v1 loop, the pooled per-record path, v3 batch framing at
 // several burst sizes, and the UDP datagram decoder — and each path's
-// captures/sec/core is the median over Trials runs.
+// captures/sec/core is the median over Trials runs. Beside them, the
+// same flood is encoded by server.AppendBatch and by the reference
+// quantizer loop it replaced.
 type IngestOptions struct {
-	// Captures is the flood length per trial.
+	// Captures is the flood length per trial; a shape whose flood would
+	// not fit the loopback socket buffers gets a shorter one (see
+	// floodWireBudget).
 	Captures int
 	// Trials is the number of timed runs per mode; the median is
 	// reported (loopback sockets on a shared core are noisy).
@@ -51,14 +55,19 @@ type IngestOptions struct {
 	Seed int64
 }
 
+// wireShape is the capture arraytrack-ap really ships: nine antennas by
+// the 640 samples of the preamble section, 23 KB on the wire.
+var wireShape = IngestShape{9, 640}
+
 // DefaultIngestOptions floods 4096 captures per trial across the
-// paper's 8-antenna geometry plus a smaller and a larger record.
+// paper's 8-antenna geometry, a smaller and a larger record, and the
+// real wire shape.
 func DefaultIngestOptions() IngestOptions {
 	return IngestOptions{
 		Captures:   4096,
 		Trials:     5,
 		Conns:      4,
-		Shapes:     []IngestShape{{4, 16}, {8, 16}, {8, 64}},
+		Shapes:     []IngestShape{{4, 16}, {8, 16}, {8, 64}, wireShape},
 		BatchSizes: []int{8, 32, 128},
 		Clients:    8,
 		APs:        2,
@@ -119,12 +128,19 @@ func (sp *seedIngestState) ingest(c *server.Capture, quorum int, window time.Dur
 	sp.mu.Unlock()
 }
 
+// floodWireBudget caps one connection's flood on the wire: the TCP
+// modes prefill the loopback socket buffers before the clock starts
+// (~16 MB effective), and a flood that does not fit puts the producer
+// back on the measured core.
+const floodWireBudget = 12 << 20
+
 // ingestFlood synthesizes the capture flood: timestamps advance
 // monotonically and each client is heard by opt.APs access points in
 // turn, so a quorum of opt.Quorum flushes on schedule.
 func ingestFlood(opt IngestOptions, shape IngestShape) []server.Capture {
 	rng := rand.New(rand.NewSource(opt.Seed))
-	caps := make([]server.Capture, opt.Captures)
+	n := min(opt.Captures, floodWireBudget/server.RecordSize(shape.Antennas, shape.Samples))
+	caps := make([]server.Capture, n)
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	for i := range caps {
 		streams := make([][]complex128, shape.Antennas)
@@ -175,6 +191,42 @@ func serializeBatches(caps []server.Capture, n int) []byte {
 		buf = b
 	}
 	return buf
+}
+
+// encodeModes returns the two encode rows for a flood: the reference
+// quantizer loop the encoders ran before the guarded kernel
+// (server.ReferencePayload) over every capture, and server.AppendBatch
+// in frames of batch captures into a reused buffer. Both scan for the
+// peak the same way and write the same payload bytes
+// (TestQuantizerMatchesReference pins that). Each trial makes conns
+// passes so its capture count matches the decode rows'.
+func encodeModes(caps []server.Capture, conns, batch int) (ref, v3 *ingestMode) {
+	payload := make([]byte, 4*len(caps[0].Streams)*len(caps[0].Streams[0]))
+	ref = &ingestMode{name: "encode reference", trial: func() (time.Duration, error) {
+		start := time.Now()
+		for c := 0; c < conns; c++ {
+			for i := range caps {
+				if err := server.ReferencePayload(payload, caps[i].Streams); err != nil {
+					return 0, err
+				}
+			}
+		}
+		return time.Since(start), nil
+	}}
+	var buf []byte
+	v3 = &ingestMode{name: fmt.Sprintf("encode batch %d", batch), trial: func() (time.Duration, error) {
+		start := time.Now()
+		for c := 0; c < conns; c++ {
+			for i := 0; i < len(caps); i += batch {
+				var err error
+				if buf, err = server.AppendBatch(buf[:0], caps[i:min(i+batch, len(caps))]); err != nil {
+					return 0, err
+				}
+			}
+		}
+		return time.Since(start), nil
+	}}
+	return ref, v3
 }
 
 // serializeDatagrams packs the flood into batch-frame datagrams, each
@@ -418,6 +470,13 @@ func (tb *Testbed) RunIngest(opt IngestOptions) (*Report, error) {
 		if err := runModes(modes, opt.Trials); err != nil {
 			return nil, err
 		}
+		// The encode rows run on their own, after the decode floods'
+		// garbage is collected: a concurrent mark phase halves them.
+		encRef, encV3 := encodeModes(caps, opt.Conns, 32)
+		runtime.GC()
+		if err := runModes([]*ingestMode{encRef, encV3}, opt.Trials); err != nil {
+			return nil, err
+		}
 
 		perTrial := opt.Conns * len(caps)
 		seedCPS := modes[0].cps(perTrial)
@@ -438,6 +497,12 @@ func (tb *Testbed) RunIngest(opt IngestOptions) (*Report, error) {
 			cps := m.cps(perTrial)
 			r.Addf("  %-18s %9.0f caps/s/core   %5.2fx", m.name, cps, cps/seedCPS)
 		}
+		encRefCPS, encCPS := encRef.cps(perTrial), encV3.cps(perTrial)
+		r.AddMetric("ingest_encode_cps_reference_"+shapeTag(sh), encRefCPS, "caps/s")
+		r.AddMetric("ingest_encode_cps_"+shapeTag(sh), encCPS, "caps/s")
+		r.AddMetric("ingest_encode_speedup_"+shapeTag(sh), encCPS/encRefCPS, "x")
+		r.Addf("  %-18s %9.0f caps/s/core", encRef.name, encRefCPS)
+		r.Addf("  %-18s %9.0f caps/s/core   %5.2fx the reference loop", encV3.name, encCPS, encCPS/encRefCPS)
 	}
 
 	// Socket-level UDP flood at the paper geometry: ServeUDP on a real

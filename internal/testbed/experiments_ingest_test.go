@@ -10,16 +10,36 @@ import (
 	"repro/internal/server"
 )
 
+// ingestMetric returns the named metric of an ingest report.
+func ingestMetric(t *testing.T, r *Report, name string) float64 {
+	t.Helper()
+	for _, m := range r.Metrics {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	t.Fatalf("metric %q missing", name)
+	return 0
+}
+
 // TestRunIngestMeetsTargets is the ingest acceptance gate: batched v3
 // ingest must clear 5x the seed per-record path's captures/sec/core
 // at the paper's 8-antenna, 16-sample records, with at most 2
 // steady-state allocations per capture, and an absolute throughput
-// floor so the speedup cannot be met by regressing both paths.
+// floor so the speedup cannot be met by regressing both paths. Then, at
+// the 9x640 capture the APs really ship, server.AppendBatch must encode
+// at least 1.2x as fast as the reference quantizer loop it replaced.
+// That is a regression floor — a kernel that lost its fast form reads
+// 1.0x — not the 1.8x the kernel was sized for: over a flood read from
+// DRAM it measures 1.56x to 1.80x on the 2-vCPU reference box (1.75x
+// from cache) and 1.32x to 1.46x in the hours when the box is short of
+// memory bandwidth and both loops wait on the same reads, so 1.8x is
+// recorded as not met in EXPERIMENTS.md rather than gated here.
 //
-// The speedup is a capability claim measured on loopback sockets of a
-// shared, often single-core CI host, so the gate takes the best of a
-// few full runs: external noise only ever subtracts throughput, and a
-// regression in the batch path fails every attempt.
+// The speedups are capability claims measured on a shared, often
+// single-core CI host, so each gate takes the best of three full runs:
+// external noise only ever subtracts throughput, and a regression in
+// the measured path fails every attempt.
 func TestRunIngestMeetsTargets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("flood timing is not meaningful under the race detector")
@@ -29,53 +49,54 @@ func TestRunIngestMeetsTargets(t *testing.T) {
 	}
 	tb := New()
 	opt := DefaultIngestOptions()
-	// The gate only needs the 8x16 geometry; the full sweep is
-	// atbench's job.
-	opt.Shapes = []IngestShape{{8, 16}}
 	opt.BatchSizes = []int{32}
 	opt.Conns = 4
 	opt.Trials = 7
 
+	// bestOf runs the sweep over one shape until check passes.
 	const attempts = 3
-	var lastErrs []string
-	for a := 0; a < attempts; a++ {
-		r, err := tb.RunIngest(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range r.Lines {
-			t.Log(l)
-		}
-		get := func(name string) float64 {
-			for _, m := range r.Metrics {
-				if m.Name == name {
-					return m.Value
-				}
+	bestOf := func(sh IngestShape, check func(r *Report) []string) {
+		opt.Shapes = []IngestShape{sh}
+		var lastErrs []string
+		for a := 0; a < attempts; a++ {
+			r, err := tb.RunIngest(opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Fatalf("metric %q missing", name)
-			return 0
+			for _, l := range r.Lines {
+				t.Log(l)
+			}
+			if lastErrs = check(r); len(lastErrs) == 0 {
+				return
+			}
+			t.Logf("attempt %d/%d missed targets: %v", a+1, attempts, lastErrs)
 		}
-		lastErrs = nil
-		if s := get("ingest_speedup_8x16"); s < 5.0 {
-			lastErrs = append(lastErrs,
-				fmt.Sprintf("batch32 ingest speedup %.2fx < 5x over the seed per-record path", s))
+		for _, e := range lastErrs {
+			t.Error(e)
 		}
-		if al := get("ingest_allocs_batch32_8x16"); al > 2.0 {
-			lastErrs = append(lastErrs,
-				fmt.Sprintf("batch32 steady-state allocs/capture %.2f > 2", al))
-		}
-		if cps := get("ingest_cps_batch32_8x16"); cps < 500_000 {
-			lastErrs = append(lastErrs,
-				fmt.Sprintf("batch32 ingest rate %.0f caps/s/core below the 500k floor", cps))
-		}
-		if len(lastErrs) == 0 {
-			return
-		}
-		t.Logf("attempt %d/%d missed targets: %v", a+1, attempts, lastErrs)
 	}
-	for _, e := range lastErrs {
-		t.Error(e)
-	}
+
+	// The gates only need the 8x16 geometry and the wire shape; the full
+	// sweep is atbench's job.
+	bestOf(IngestShape{8, 16}, func(r *Report) (errs []string) {
+		if s := ingestMetric(t, r, "ingest_speedup_8x16"); s < 5.0 {
+			errs = append(errs, fmt.Sprintf("batch32 ingest speedup %.2fx < 5x over the seed per-record path", s))
+		}
+		if al := ingestMetric(t, r, "ingest_allocs_batch32_8x16"); al > 2.0 {
+			errs = append(errs, fmt.Sprintf("batch32 steady-state allocs/capture %.2f > 2", al))
+		}
+		if cps := ingestMetric(t, r, "ingest_cps_batch32_8x16"); cps < 500_000 {
+			errs = append(errs, fmt.Sprintf("batch32 ingest rate %.0f caps/s/core below the 500k floor", cps))
+		}
+		return errs
+	})
+	opt.Trials = 3
+	bestOf(wireShape, func(r *Report) (errs []string) {
+		if s := ingestMetric(t, r, "ingest_encode_speedup_9x640"); s < 1.2 {
+			errs = append(errs, fmt.Sprintf("9x640 encode %.2fx the reference quantizer loop, want >= 1.2x", s))
+		}
+		return errs
+	})
 }
 
 // TestUDPFloodSmallRcvbufLossAccounted pins the fire-and-forget
