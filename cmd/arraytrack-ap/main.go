@@ -47,7 +47,7 @@ func main() {
 	seed := flag.Int64("seed", 0, "noise seed (0 = derived from AP id)")
 	regionStr := flag.String("region", "", "ad-hoc search region minx,miny,maxx,maxy[,cell] to attach to the captures")
 	priority := flag.Bool("priority", false, "mark captures for the server's latency-priority lane")
-	batch := flag.Int("batch", 0, "upload v3 batch frames of up to this many captures (0 = per-record v1/v2)")
+	batch := flag.Int("batch", 16, "upload v3 batch frames of up to this many captures (0 = per-record v1/v2)")
 	udp := flag.Bool("udp", false, "upload batch-frame datagrams over UDP instead of a TCP stream")
 	retries := flag.Int("retries", 0,
 		"reconnect and replay on transient upload errors, up to this many consecutive attempts (0 = fail on the first error; TCP only)")
@@ -112,15 +112,21 @@ func main() {
 			Rng:           rng,
 		})
 		start, ok := det.Detect(rec.Samples)
+		where := fmt.Sprintf("detected at sample %d", start)
 		if !ok {
 			// Detection margin: the simulated stream holds exactly the
 			// preamble, so fall back to sample 0.
-			start = 0
+			start, where = 0, "not detected, cut from sample 0"
 		}
 		window := det.Extract(rec.Samples, start)
+		if f == 0 {
+			// One line for the shipped shape: CI greps it, so a silent
+			// return to whole-preamble captures fails there.
+			log.Printf("AP %d: shipping %d x %d samples, %.1f KB per capture",
+				*id, len(window), len(window[0]), float64(server.RecordSize(len(window), len(window[0])))/1000)
+		}
 		node.Record(uint32(*clientID), time.Now(), window)
-		log.Printf("AP %d: captured frame %d (detected at sample %d, SNR %.1f dB)",
-			*id, f+1, start, rec.SNRdB)
+		log.Printf("AP %d: captured frame %d (%s, SNR %.1f dB)", *id, f+1, where, rec.SNRdB)
 	}
 
 	network := "tcp"
@@ -135,14 +141,11 @@ func main() {
 		// batch. Exit codes split the outcomes for supervisors: 0
 		// delivered, 75 (EX_TEMPFAIL) the network never came back, 1
 		// anything that retrying cannot fix.
-		b := *batch
-		if b <= 0 {
-			b = 16
-		}
+		// (UploadRetry only speaks v3: -batch 0 means its default, 16.)
 		err = node.UploadRetry(ctx, func(ctx context.Context) (net.Conn, error) {
 			return net.Dial(network, *addr)
 		}, server.RetryOptions{
-			Batch:       b,
+			Batch:       *batch,
 			MinBackoff:  *backoff,
 			MaxAttempts: *retries,
 			OnAttempt: func(attempt int, d time.Duration, err error) {

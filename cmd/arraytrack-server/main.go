@@ -94,9 +94,9 @@ func logStats(eng *engine.Engine, backend *server.Backend) {
 			u.Datagrams, u.Captures, u.Bad, u.SeqGaps, u.SeqReorders)
 	}
 	h := backend.Health()
-	log.Printf("health: conn_errors=%d deadline_reaped=%d quarantines=%d (active=%d, dropped=%d) degraded_flushes=%d stale_dropped=%d shed=%d degraded_fixes=%d leased_workspaces=%d",
+	log.Printf("health: conn_errors=%d deadline_reaped=%d quarantines=%d (active=%d, dropped=%d) degraded_flushes=%d stale_dropped=%d shed=%d short_captures=%d degraded_fixes=%d leased_workspaces=%d",
 		h.ConnErrors, h.DeadlineReaped, h.Quarantines, h.Quarantined, h.QuarantinedDropped,
-		h.DegradedFlushes, h.StaleDropped, st.Shed, st.DegradedFixes, server.LeasedIngestWorkspaces())
+		h.DegradedFlushes, h.StaleDropped, st.Shed, st.ShortCaptures, st.DegradedFixes, server.LeasedIngestWorkspaces())
 }
 
 func main() {

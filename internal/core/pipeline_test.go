@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -103,6 +104,46 @@ func TestPipelineStagesComposeToProcessAP(t *testing.T) {
 	}
 	if wantPos != gotPos {
 		t.Fatalf("synthesis differs: %v vs %v", wantPos, gotPos)
+	}
+}
+
+// TestPipelineRefusesShortCapture: both readers of a frame's samples —
+// the per-frame spectrum over the row, and the ninth-antenna vote over
+// frame 0 — refuse a capture that ends inside the configured window with
+// ErrShortCapture, through every wrapper up to Locate.
+func TestPipelineRefusesShortCapture(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	aps, captures, plan := buildTestbedAPs(t, geom.Pt(8, 6), 2, 3, rng)
+	p := NewPipeline(DefaultConfig(lambda))
+	window := DefaultSampleOffset + DefaultMaxSamples
+
+	cut := func(frame FrameCapture, n int, only ...int) FrameCapture {
+		out := FrameCapture{Streams: append([][]complex128(nil), frame.Streams...)}
+		for k := range out.Streams {
+			if len(only) == 0 || k == only[0] {
+				out.Streams[k] = out.Streams[k][:n]
+			}
+		}
+		return out
+	}
+	for name, frame0 := range map[string]FrameCapture{
+		"every stream one sample short":  cut(captures[1][0], window-1),
+		"ninth antenna one sample short": cut(captures[1][0], window-1, aps[1].Array.N),
+	} {
+		short := [][]FrameCapture{captures[0], {frame0, captures[1][1], captures[1][2]}}
+		if _, _, err := p.Locate(aps, short, plan.Min, plan.Max); !errors.Is(err, ErrShortCapture) {
+			t.Errorf("%s: Locate err = %v, want ErrShortCapture", name, err)
+		}
+	}
+	// Cut at the window's last sample, the same capture fixes — and
+	// exactly where the raw frames do.
+	exact := [][]FrameCapture{captures[0], {cut(captures[1][0], window), captures[1][1], captures[1][2]}}
+	got, _, err := p.Locate(aps, exact, plan.Min, plan.Max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _, _ := p.Locate(aps, captures, plan.Min, plan.Max); got != want {
+		t.Errorf("fix on a %d-sample frame %v, on the raw frame %v", window, got, want)
 	}
 }
 

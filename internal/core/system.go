@@ -20,7 +20,8 @@ type Config struct {
 	SmoothingGroups int
 	// MaxSamples bounds the preamble samples used per frame (paper: 10).
 	MaxSamples int
-	// SampleOffset skips the first samples of a capture so snapshots
+	// SampleOffset skips the first samples of a capture (counted from
+	// the detected frame start, trimmed capture or raw) so snapshots
 	// come from the steady preamble region after detection.
 	SampleOffset int
 	// ForwardBackward enables forward-backward correlation averaging,
@@ -81,14 +82,31 @@ type Config struct {
 	Estimator music.Estimator
 }
 
+// The capture window, in samples from the detected frame start — the
+// contract between the two halves of Figure 1. The server correlates
+// [DefaultSampleOffset, DefaultSampleOffset+DefaultMaxSamples) of every
+// stream (DefaultConfig); an AP ships that prefix plus CaptureGuard more
+// (server.DefaultDetector): 128 samples, four short-training-symbol
+// periods, so a server may raise MaxSamples to 28 without touching an AP.
+const (
+	DefaultSampleOffset = 100
+	DefaultMaxSamples   = 10
+	CaptureGuard        = 18
+)
+
+// ErrShortCapture fails the fix of a capture whose streams end before
+// SampleOffset+MaxSamples (the AP shipped less than this config reads);
+// nothing is read from another offset instead.
+var ErrShortCapture = music.ErrShortCapture
+
 // DefaultConfig returns the full ArrayTrack pipeline with the paper's
 // parameter choices.
 func DefaultConfig(wavelength float64) Config {
 	return Config{
 		Wavelength:          wavelength,
 		SmoothingGroups:     2,
-		MaxSamples:          10,
-		SampleOffset:        100,
+		MaxSamples:          DefaultMaxSamples,
+		SampleOffset:        DefaultSampleOffset,
 		ForwardBackward:     true,
 		SignalThresholdFrac: 0.05,
 		UseWeighting:        true,

@@ -192,6 +192,10 @@ type Stats struct {
 	// because they aged past ShedAfter before a worker got to them
 	// (included in Failures and Completed).
 	Shed uint64
+	// ShortCaptures is the number of jobs refused with
+	// core.ErrShortCapture: an AP shipped fewer samples than this
+	// server's SampleOffset+MaxSamples reads (included in Failures).
+	ShortCaptures uint64
 	// DegradedFixes is the number of successful fixes produced from
 	// degraded-quorum capture groups (included in Fixes).
 	DegradedFixes uint64
@@ -306,6 +310,7 @@ type Engine struct {
 
 	shedAfter atomic.Int64 // nanoseconds; 0 = shedding off; hot-reloaded by SetShedAfter
 	shed      atomic.Uint64
+	short     atomic.Uint64
 	degFixes  atomic.Uint64
 }
 
@@ -421,6 +426,9 @@ func (e *Engine) run(req Request) Result {
 	specs, err := p.ProcessAPs(req.APs, req.Captures)
 	if err != nil {
 		e.failures.Add(1)
+		if errors.Is(err, core.ErrShortCapture) {
+			e.short.Add(1)
+		}
 		return Result{ClientID: req.ClientID, Err: err}
 	}
 	r := Result{ClientID: req.ClientID, Spectra: specs}
@@ -660,6 +668,7 @@ func (e *Engine) Stats() Stats {
 		Rejected:               e.rejected.Load(),
 		QuotaRejected:          e.quotaRej.Load(),
 		Shed:                   e.shed.Load(),
+		ShortCaptures:          e.short.Load(),
 		DegradedFixes:          e.degFixes.Load(),
 		Predicted:              e.predicted.Load(),
 		PredictFallbackNoTrack: e.predNoTrack.Load(),

@@ -104,13 +104,26 @@ func frameCorrelation(ws *Workspace, a *array.Array, streams [][]complex128, opt
 	return CalibratedCorrelationWS(ws, streams, opt.SampleOffset, opt.MaxSamples, opt.CalibrationOffsets)
 }
 
+// ErrShortCapture reports streams that end before the window
+// [offset, offset+maxSamples) the correlation was asked to read.
+var ErrShortCapture = errors.New("music: capture shorter than the correlation window")
+
 // CalibratedCorrelationWS takes snapshots of the streams (SnapshotsAtWS),
 // removes the calibration offsets when calib is non-nil (the §3
 // correction, its phasors computed once for the whole frame), and
 // returns their correlation matrix (CorrelationMatrixWS). Everything
-// lives in ws.
+// lives in ws. Unlike SnapshotsAtWS it holds the window as a contract:
+// a stream that does not reach offset+maxSamples (offset+1 when
+// maxSamples is 0) is refused with ErrShortCapture, never read from
+// sample 0 or correlated over fewer snapshots than configured.
 func CalibratedCorrelationWS(ws *Workspace, streams [][]complex128, offset, maxSamples int, calib []float64) (*mat.Matrix, error) {
 	ws = orFresh(ws)
+	need := offset + max(maxSamples, 1)
+	for k, st := range streams {
+		if offset < 0 || len(st) < need {
+			return nil, fmt.Errorf("%w: stream %d has %d samples, window is [%d, %d)", ErrShortCapture, k, len(st), offset, need)
+		}
+	}
 	snaps := SnapshotsAtWS(ws, streams, offset, maxSamples)
 	if calib != nil {
 		ws.phasors = array.CorrectSnapshots(snaps, calib, ws.phasors)

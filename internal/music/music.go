@@ -228,7 +228,9 @@ func SnapshotsFromStreams(streams [][]complex128, maxSamples int) [][]complex128
 
 // SnapshotsAt is SnapshotsFromStreams starting at sample offset. If the
 // streams are shorter than offset, the offset is clamped to 0: better a
-// transient-polluted spectrum than none.
+// transient-polluted spectrum than none. That leniency is for offline
+// callers holding whatever frame they have; the serving path goes
+// through CalibratedCorrelationWS, which refuses such streams.
 func SnapshotsAt(streams [][]complex128, offset, maxSamples int) [][]complex128 {
 	return SnapshotsAtWS(&Workspace{}, streams, offset, maxSamples)
 }

@@ -1,6 +1,7 @@
 package music
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -27,6 +28,46 @@ func TestSnapshotsAtOffset(t *testing.T) {
 	// Negative offset clamps to 0.
 	if got := SnapshotsAt(streams, -3, 0); len(got) != 4 {
 		t.Errorf("negative offset snapshots = %d", len(got))
+	}
+}
+
+// TestCalibratedCorrelationRefusesShortStreams: where SnapshotsAt is
+// lenient (above), the serving path's correlation holds the window as a
+// contract — every stream must reach offset+maxSamples, or the frame is
+// refused with ErrShortCapture instead of being read from sample 0 or
+// averaged over fewer snapshots.
+func TestCalibratedCorrelationRefusesShortStreams(t *testing.T) {
+	streams := [][]complex128{{1, 2, 3, 4}, {5, 6, 7, 8}}
+	for _, c := range []struct {
+		name               string
+		streams            [][]complex128
+		offset, maxSamples int
+		refused            bool
+	}{
+		{"window ends at the last sample", streams, 2, 2, false},
+		{"all samples from an offset", streams, 3, 0, false},
+		{"one sample short", streams, 2, 3, true},
+		{"offset past the end", streams, 99, 2, true},
+		{"offset at the end, all samples", streams, 4, 0, true},
+		{"negative offset", streams, -3, 2, true},
+		{"one ragged stream", [][]complex128{{1, 2, 3, 4}, {5, 6, 7}}, 2, 2, true},
+	} {
+		r, err := CalibratedCorrelationWS(nil, c.streams, c.offset, c.maxSamples, nil)
+		if c.refused != errors.Is(err, ErrShortCapture) || (err == nil) != (r != nil) {
+			t.Errorf("%s: matrix %v, err %v; want refused=%v", c.name, r != nil, err, c.refused)
+		}
+	}
+	// What it accepts is what SnapshotsAt reads.
+	got, err := CalibratedCorrelationWS(nil, streams, 2, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := CorrelationMatrix(SnapshotsAt(streams, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Data, want.Data) {
+		t.Errorf("correlation over [2, 4) = %v, want %v", got.Data, want.Data)
 	}
 }
 

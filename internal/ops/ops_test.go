@@ -140,6 +140,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"arraytrack_client_quota 16",
 		"arraytrack_track_observed_total 16",
 		"arraytrack_shed_total 0",
+		"arraytrack_short_captures_total 0",
 		"arraytrack_degraded_fixes_total 0",
 		"arraytrack_track_skew_clamped_total 0",
 		"arraytrack_track_nonmonotonic_total 0",

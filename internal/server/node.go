@@ -29,15 +29,21 @@ type Detector struct {
 	// required; spanning several short symbols rejects noise and is
 	// what lets detection work below decoding SNR (§4.3.4).
 	MinRun int
-	// CaptureLen is how many samples per antenna to record from the
-	// detected start.
+	// CaptureLen is how many samples per antenna to ship from the
+	// detected start: the window the server correlates plus a guard,
+	// not the whole preamble.
 	CaptureLen int
 }
 
 // DefaultDetector returns the §2.1 configuration at 40 Msps: detection
-// over the short training symbols with a 640-sample (16 µs) capture.
+// over the short training symbols, and a capture cut to the window
+// core.DefaultConfig reads plus core.CaptureGuard — the first 128
+// samples (3.2 µs) of the preamble. A raw, untrimmed 640-sample capture
+// still decodes and reads the same samples: SampleOffset counts from
+// the detected start either way.
 func DefaultDetector() *Detector {
-	return &Detector{Period: 32, Threshold: 0.8, MinRun: 96, CaptureLen: 640}
+	return &Detector{Period: 32, Threshold: 0.8, MinRun: 96,
+		CaptureLen: core.DefaultSampleOffset + core.DefaultMaxSamples + core.CaptureGuard}
 }
 
 // Detect scans antenna 0's stream and returns the detected frame start.
@@ -48,22 +54,26 @@ func (d *Detector) Detect(streams [][]complex128) (int, bool) {
 	return dsp.DetectFrame(streams[0], d.Period, d.Threshold, d.MinRun)
 }
 
-// Extract cuts the capture window at start from every stream, clamping
-// to stream length.
+// Extract cuts [start, start+CaptureLen) from every stream into one
+// allocation, clamped to the shortest stream: the returned streams all
+// have one length, never more than CaptureLen, and less (nil rows once
+// start reaches the end) only when the streams end early — a capture a
+// server whose window it does not cover refuses (core.ErrShortCapture).
 func (d *Detector) Extract(streams [][]complex128, start int) [][]complex128 {
+	n := d.CaptureLen
+	for _, st := range streams {
+		if len(st)-start < n {
+			n = len(st) - start
+		}
+	}
 	out := make([][]complex128, len(streams))
+	if n <= 0 {
+		return out
+	}
+	backing := make([]complex128, n*len(streams))
 	for k, st := range streams {
-		end := start + d.CaptureLen
-		if end > len(st) {
-			end = len(st)
-		}
-		if start >= end {
-			out[k] = nil
-			continue
-		}
-		w := make([]complex128, end-start)
-		copy(w, st[start:end])
-		out[k] = w
+		out[k] = backing[k*n : (k+1)*n : (k+1)*n]
+		copy(out[k], st[start:start+n])
 	}
 	return out
 }

@@ -245,6 +245,30 @@ func validBatchFrame(tb testing.TB) []byte {
 	return frame
 }
 
+// shippedBatchFrame encodes one capture of the shape arraytrack-ap
+// ships (nine antennas by the detector's window), so the fuzzers start
+// from the frame size production traffic has, not only toy records.
+func shippedBatchFrame(tb testing.TB) []byte {
+	tb.Helper()
+	n := DefaultDetector().CaptureLen
+	streams := make([][]complex128, 9)
+	for k := range streams {
+		streams[k] = make([]complex128, n)
+		for i := range streams[k] {
+			streams[k][i] = complex(float64((k*31+i*17)%64-32)/32, float64((k*13+i*29)%64-32)/32)
+		}
+	}
+	frame, err := AppendBatch(nil, []Capture{{
+		APID: 4, ClientID: 11, Seq: 2,
+		Timestamp: time.UnixMicro(1700000000000002).UTC(),
+		Streams:   streams,
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return frame
+}
+
 // validDeltaBatchFrame encodes the same captures as validBatchFrame in
 // the compact delta-timestamp form.
 func validDeltaBatchFrame(tb testing.TB) []byte {
@@ -276,6 +300,9 @@ func FuzzReadBatch(f *testing.F) {
 	f.Add(frame[:frameHeadSize])                       // header only, no body
 	f.Add(frame[:len(frame)-3])                        // truncated payload
 	f.Add(append(append([]byte(nil), frame...), 0xAA)) // trailing byte
+	shipped := shippedBatchFrame(f)
+	f.Add(shipped)                  // the 9 x 128 capture the APs ship
+	f.Add(shipped[:len(shipped)/2]) // ...cut mid-payload
 
 	lyingCount := append([]byte(nil), frame...)
 	binary.BigEndian.PutUint16(lyingCount[8:], 700) // count >> sub-headers present

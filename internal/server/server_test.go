@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/wifi"
 )
 
@@ -229,6 +230,61 @@ func TestDetectorOnPreamble(t *testing.T) {
 	}
 	if _, ok := d.Detect(nil); ok {
 		t.Error("empty detect should fail")
+	}
+}
+
+// TestDetectorShipsTheServersWindow pins the two defaults to each
+// other: what DefaultDetector cuts is what core.DefaultConfig reads plus
+// the stated guard, so neither can move alone.
+func TestDetectorShipsTheServersWindow(t *testing.T) {
+	cfg := core.DefaultConfig(0.1225)
+	if got, want := DefaultDetector().CaptureLen, cfg.SampleOffset+cfg.MaxSamples+core.CaptureGuard; got != want {
+		t.Fatalf("DefaultDetector().CaptureLen = %d, core.DefaultConfig reads [%d, %d) + guard %d = %d",
+			got, cfg.SampleOffset, cfg.SampleOffset+cfg.MaxSamples, core.CaptureGuard, want)
+	}
+}
+
+// TestExtractOneBackingNeverRagged: a capture is one allocation, its
+// streams are rectangular and never longer than CaptureLen; a window
+// that runs off the end of the shortest stream is clamped — shorter
+// than CaptureLen, which the server then refuses rather than mis-reads.
+func TestExtractOneBackingNeverRagged(t *testing.T) {
+	d := DefaultDetector()
+	streams := make([][]complex128, 9)
+	for k := range streams {
+		streams[k] = make([]complex128, 640)
+		for i := range streams[k] {
+			streams[k][i] = complex(float64(k), float64(i))
+		}
+	}
+	win := d.Extract(streams, 32)
+	for k, w := range win {
+		if len(w) != d.CaptureLen || cap(w) != d.CaptureLen {
+			t.Fatalf("stream %d: len %d cap %d, want %d", k, len(w), cap(w), d.CaptureLen)
+		}
+		if w[0] != streams[k][32] || w[len(w)-1] != streams[k][32+d.CaptureLen-1] {
+			t.Fatalf("stream %d is not [32, %d) of its source", k, 32+d.CaptureLen)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { d.Extract(streams, 32) }); allocs > 2 {
+		t.Errorf("Extract made %.0f allocations, want the row headers and one backing", allocs)
+	}
+
+	// One stream ends early: every stream is clamped to it.
+	streams[4] = streams[4][:600]
+	clamped := d.Extract(streams, 500)
+	for k, w := range clamped {
+		if len(w) != 100 {
+			t.Fatalf("clamped stream %d has %d samples, want 100", k, len(w))
+		}
+	}
+	if frame, err := AppendBatch(nil, []Capture{{APID: 1, Streams: clamped}}); err != nil || len(frame) == 0 {
+		t.Fatalf("a clamped capture must still encode: %v", err)
+	}
+	for k, w := range d.Extract(streams, 600) {
+		if len(w) != 0 {
+			t.Fatalf("start at the end of the shortest stream: stream %d has %d samples", k, len(w))
+		}
 	}
 }
 

@@ -55,19 +55,27 @@ type IngestOptions struct {
 	Seed int64
 }
 
-// wireShape is the capture arraytrack-ap really ships: nine antennas by
-// the 640 samples of the preamble section, 23 KB on the wire.
-var wireShape = IngestShape{9, 640}
+// rawShape is a raw, untrimmed capture: nine antennas by the whole
+// 640-sample preamble, 23 KB on the wire. No AP ships it any more, the
+// decoders still take it, and it stays in the sweep as the size the
+// encode gate (ingest_encode_speedup_9x640) was calibrated on.
+var rawShape = IngestShape{9, 640}
+
+// shippedShape is the capture arraytrack-ap ships: nine antennas by the
+// detector's capture window (4.6 KB on the wire).
+func shippedShape() IngestShape {
+	return IngestShape{9, server.DefaultDetector().CaptureLen}
+}
 
 // DefaultIngestOptions floods 4096 captures per trial across the
-// paper's 8-antenna geometry, a smaller and a larger record, and the
-// real wire shape.
+// paper's 8-antenna geometry, a smaller and a larger record, the
+// shipped capture and a raw one.
 func DefaultIngestOptions() IngestOptions {
 	return IngestOptions{
 		Captures:   4096,
 		Trials:     5,
 		Conns:      4,
-		Shapes:     []IngestShape{{4, 16}, {8, 16}, {8, 64}, wireShape},
+		Shapes:     []IngestShape{{4, 16}, {8, 16}, {8, 64}, shippedShape(), rawShape},
 		BatchSizes: []int{8, 32, 128},
 		Clients:    8,
 		APs:        2,

@@ -27,8 +27,10 @@ func ingestMetric(t *testing.T, r *Report, name string) float64 {
 // at the paper's 8-antenna, 16-sample records, with at most 2
 // steady-state allocations per capture, and an absolute throughput
 // floor so the speedup cannot be met by regressing both paths. Then, at
-// the 9x640 capture the APs really ship, server.AppendBatch must encode
-// at least 1.2x as fast as the reference quantizer loop it replaced.
+// a raw 9x640 capture (what the APs shipped when the gate was
+// calibrated; they now trim to 9x128, and the threshold was not retuned
+// to the smaller shape), server.AppendBatch must encode at least 1.2x
+// as fast as the reference quantizer loop it replaced.
 // That is a regression floor — a kernel that lost its fast form reads
 // 1.0x — not the 1.8x the kernel was sized for: over a flood read from
 // DRAM it measures 1.56x to 1.80x on the 2-vCPU reference box (1.75x
@@ -76,7 +78,7 @@ func TestRunIngestMeetsTargets(t *testing.T) {
 		}
 	}
 
-	// The gates only need the 8x16 geometry and the wire shape; the full
+	// The gates only need the 8x16 geometry and the raw capture; the full
 	// sweep is atbench's job.
 	bestOf(IngestShape{8, 16}, func(r *Report) (errs []string) {
 		if s := ingestMetric(t, r, "ingest_speedup_8x16"); s < 5.0 {
@@ -91,7 +93,7 @@ func TestRunIngestMeetsTargets(t *testing.T) {
 		return errs
 	})
 	opt.Trials = 3
-	bestOf(wireShape, func(r *Report) (errs []string) {
+	bestOf(rawShape, func(r *Report) (errs []string) {
 		if s := ingestMetric(t, r, "ingest_encode_speedup_9x640"); s < 1.2 {
 			errs = append(errs, fmt.Sprintf("9x640 encode %.2fx the reference quantizer loop, want >= 1.2x", s))
 		}

@@ -63,13 +63,13 @@ func (tb *Testbed) RunCollision(seed int64) (*Report, error) {
 
 	opt := tb.spectrumOptions()
 	// Spectrum 1: from the first packet's preamble (clean region).
-	s1, err := music.ComputeSpectrum(arr, sliceStreams(combined[:arr.N], 0, 640), opt)
+	s1, err := music.ComputeSpectrum(arr, sliceStreams(combined[:arr.N], 0, len(preamble)), opt)
 	if err != nil {
 		return nil, err
 	}
 	// Spectrum 2: from the second packet's preamble region, polluted by
 	// packet 1's body.
-	s2, err := music.ComputeSpectrum(arr, sliceStreams(combined[:arr.N], offset, 640), opt)
+	s2, err := music.ComputeSpectrum(arr, sliceStreams(combined[:arr.N], offset, len(preamble)), opt)
 	if err != nil {
 		return nil, err
 	}
@@ -195,6 +195,12 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 	r.Addf("total after packet end    %12v   (paper: ≈100 ms on 2011 hardware)", lat.Total())
 	r.Addf("modelled Tt on 1 Mbit/s WARP link: %v (paper: 2.56 ms)",
 		server.TransferTime(8, 10, 1))
+	onLink := func(sh IngestShape) time.Duration {
+		return server.TransferTime(sh.Antennas, sh.Samples, 1).Round(time.Millisecond)
+	}
+	shipped := shippedShape()
+	r.Addf("  the %d x %d capture arraytrack-ap ships: %v on that link (a raw %d x %d one: %v)",
+		shipped.Antennas, shipped.Samples, onLink(shipped), rawShape.Antennas, rawShape.Samples, onLink(rawShape))
 	r.Addf("location error %.0f cm", pos.Dist(client)*100)
 	return r, nil
 }
