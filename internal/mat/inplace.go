@@ -109,7 +109,7 @@ func HInto(dst, m *Matrix) *Matrix {
 	return dst
 }
 
-// EigWorkspace holds every buffer EigHermitianWS needs, so repeated
+// EigWorkspace holds every buffer the eigensolvers need, so repeated
 // decompositions of same-order matrices run with zero steady-state
 // allocations. The zero value is ready to use; buffers grow on demand
 // and are reused across calls, including across different matrix
@@ -129,6 +129,10 @@ type EigWorkspace struct {
 	// buffers above.
 	wre, wim []float64
 	vre, vim []float64
+
+	// sub is the sub-diagonal scratch of the real symmetric solver
+	// (eig_symmetric.go), which returns its eigenvalues in svals.
+	sub []float64
 }
 
 // sortedVals returns the length-n buffer that receives the sorted

@@ -85,7 +85,7 @@ func (baselineEstimator) Spectrum(ws *Workspace, a *array.Array, streams [][]com
 	if maxD <= 0 {
 		maxD = r.Rows / 2
 	}
-	noise, _, _, err := SubspacesWS(ws, r, opt.thresh(), maxD)
+	noise, err := noiseVectors(ws, r, opt.thresh(), maxD)
 	if err != nil {
 		return nil, err
 	}

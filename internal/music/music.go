@@ -352,8 +352,9 @@ func ComputeSpectrumWS(ws *Workspace, a *array.Array, streams [][]complex128, op
 }
 
 // noiseSubspace is the chain up to the scan: correlation, optional
-// forward-backward averaging, spatial smoothing, and the eigen split.
-// The returned noise subspace lives in ws.
+// forward-backward averaging, spatial smoothing, and the eigen split
+// (in real arithmetic when averaging made the matrix centro-Hermitian,
+// see subspace.go). The returned noise subspace lives in ws.
 func noiseSubspace(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*mat.Matrix, error) {
 	r, err := frameCorrelation(ws, a, streams, opt)
 	if err != nil {
@@ -374,8 +375,7 @@ func noiseSubspace(ws *Workspace, a *array.Array, streams [][]complex128, opt Op
 	if maxD <= 0 {
 		maxD = rs.Rows / 2
 	}
-	noise, _, _, err := SubspacesWS(ws, rs, opt.thresh(), maxD)
-	return noise, err
+	return noiseVectors(ws, rs, opt.thresh(), maxD)
 }
 
 // MUSIC evaluates the MUSIC pseudospectrum (Eq. 6)

@@ -34,6 +34,11 @@ type Workspace struct {
 	eig      mat.EigWorkspace
 	noise    *mat.Matrix
 	signal   *mat.Matrix
+	// sym holds the real form of a centro-Hermitian matrix, then its
+	// real eigenvectors (subspace.go); eigFallbacks counts the eigen
+	// splits that took the general Hermitian solver instead.
+	sym          []float64
+	eigFallbacks uint64
 
 	// Split-plane scratch for the table scans (packed.go): the noise
 	// subspace packed column-major, the lag-domain diagonal sums, and
@@ -131,6 +136,13 @@ func (ws *Workspace) PeakLists(spectra []*Spectrum, minRel float64) [][]Peak {
 // has recomputed with the sum-of-squares kernel because their
 // denominator fell under the cancellation guard (diagnostics).
 func (ws *Workspace) GuardFallbacks() uint64 { return ws.guardFallbacks }
+
+// EigFallbacks returns how many per-frame eigen splits this workspace
+// has sent to the general Hermitian solver because the matrix was not
+// centro-Hermitian to realFormTol — forward–backward averaging off, an
+// unsmoothed baseline correlation, zero or malformed input
+// (diagnostics; the default configuration never takes it).
+func (ws *Workspace) EigFallbacks() uint64 { return ws.eigFallbacks }
 
 // WorkspacePool is a typed sync.Pool of Workspaces: one Get/Put pair
 // per localization job keeps steady-state allocations near zero
@@ -265,22 +277,7 @@ func SubspacesWS(ws *Workspace, r *mat.Matrix, thresholdFrac float64, maxD int) 
 		return nil, nil, 0, err
 	}
 	m := r.Rows
-	top := e.Values[m-1]
-	d = 0
-	for _, v := range e.Values {
-		if v > thresholdFrac*top {
-			d++
-		}
-	}
-	if maxD > 0 && d > maxD {
-		d = maxD
-	}
-	if d >= m {
-		d = m - 1
-	}
-	if d < 1 {
-		d = 1
-	}
+	d = signalCount(e.Values, thresholdFrac, maxD)
 	nN := m - d
 	ws.noise = mat.ReuseMatrix(ws.noise, m, nN)
 	ws.signal = mat.ReuseMatrix(ws.signal, m, d)
