@@ -175,7 +175,7 @@ func (p *Pipeline) Synthesize(specs []APSpectrum, min, max geom.Point) (geom.Poi
 
 // SynthesizeRegion is Synthesize restricted to an ad-hoc search
 // region (zero region = full area). A region at the configured pitch
-// snaps to the full grid's lattice, so its bearing LUTs slice out of
+// snaps to the full grid's lattice, so its bearing LUTs are views of
 // cached full-grid entries and its argmax equals the full-grid argmax
 // restricted to the box. The region is validated on construction, so
 // malformed boxes fail a fix rather than corrupting it.

@@ -17,7 +17,7 @@ import (
 // snaps to the full grid's lattice: its cells are exactly the
 // full-grid cells whose centres fall inside the box, so a region
 // argmax equals the full-grid argmax restricted to those cells, and
-// cached full-grid bearing LUTs are sliced instead of rebuilt. A
+// cached full-grid bearing LUTs are viewed in place instead of rebuilt. A
 // region with its own Cell gets a scoped grid anchored at Min.
 type Region struct {
 	// Min, Max are the box corners (Min strictly below Max on both

@@ -271,3 +271,85 @@ func TestLogLikelihoodBinsAgreesAtBinCentres(t *testing.T) {
 		t.Fatalf("bin-centre disagreement: bins %v vs log %v", got, want)
 	}
 }
+
+// TestRegionViewEqualsDirectBuild: a region whose LUTs are views of the
+// cached full-grid parent reads the same (bin, frac) pairs a direct
+// build computes, so its whole log surface and its fix are bit-identical
+// to a region served from a cold cache. The views add no LUT entries;
+// a screened region memoizes only its block windows (one windows-only
+// entry per AP, costing the overhead plus the windows), and a re-query
+// finds them.
+func TestRegionViewEqualsDirectBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(98))
+	min, max := synthBounds()
+	for trial := 0; trial < 8; trial++ {
+		aps := synthScene(2+rng.Intn(4), geom.Pt(2+rng.Float64()*36, 2+rng.Float64()*12), rng)
+		x0, y0 := rng.Float64()*25, rng.Float64()*8
+		// Small regions skip the screen, large ones take it.
+		w, h := 2+rng.Float64()*2, 2+rng.Float64()*2
+		if trial%2 == 1 {
+			w, h = 6+rng.Float64()*8, 5+rng.Float64()*3
+		}
+		region := Region{Min: geom.Pt(x0, y0), Max: geom.Pt(x0+w, y0+h)}
+
+		warm := NewSynthCache()
+		full, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: warm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := full.FullArgmaxCell(aps); err != nil {
+			t.Fatal(err)
+		}
+		parents := warm.Len()
+		viewed, err := NewSynthGridRegion(min, max, region, SynthOptions{Cell: 0.10, Cache: warm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := NewSynthGridRegion(min, max, region, SynthOptions{Cell: 0.10, Cache: NewSynthCache()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hv, err := viewed.LogHeatmap(aps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hd, err := direct.LogHeatmap(aps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range hd.Flat {
+			if hv.Flat[i] != v {
+				t.Fatalf("trial %d: cell %d of the viewed region's surface is %v, the direct build's %v", trial, i, hv.Flat[i], v)
+			}
+		}
+		if warm.Len() != parents {
+			t.Fatalf("trial %d: viewing the parents added %d cache entries, want none", trial, warm.Len()-parents)
+		}
+		pv, err := viewed.Localize(aps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd, err := direct.Localize(aps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pv != pd {
+			t.Fatalf("trial %d: viewed region fixes at %v, direct build at %v", trial, pv, pd)
+		}
+		wantEntries := parents
+		if viewed.refineEnabled() {
+			wantEntries += len(aps)
+		}
+		if warm.Len() != wantEntries {
+			t.Fatalf("trial %d: %d entries after the fix, want %d (screened: %v)", trial, warm.Len(), wantEntries, viewed.refineEnabled())
+		}
+		checkAccounting(t, warm)
+		_, misses := warm.Stats()
+		if _, err := viewed.Localize(aps); err != nil {
+			t.Fatal(err)
+		}
+		if _, again := warm.Stats(); again != misses {
+			t.Fatalf("trial %d: re-querying the region missed the cache %d times", trial, again-misses)
+		}
+	}
+}

@@ -16,14 +16,16 @@ package core
 //     never exceeds the budget, even mid-churn. An entry larger than
 //     a shard's budget is built, served, and not retained;
 //   - LUT derivation: a region grid that is lattice-aligned with a
-//     cached full grid gets its LUT by slicing the parent's rows — a
-//     row-copy instead of an atan2 per cell — and the result is
+//     cached full grid is served a view of the parent's LUT — the
+//     parent's tables at an offset and the parent's row stride, no
+//     copy, no atan2 per cell, no entry of its own — and reads values
 //     bit-identical to a direct build because sub-grid specs carry
 //     their lattice offset (GridSpec.X0/Y0), so both paths evaluate
 //     the same centre arithmetic.
 //
-// Eviction only ever drops memoization: LUTs are immutable, callers
-// hold plain pointers, and a re-Get rebuilds a bit-identical table.
+// Eviction only ever drops memoization: LUT tables are immutable,
+// callers (views included) hold plain slices of them, and a re-Get
+// rebuilds a bit-identical table.
 
 import (
 	"math"
@@ -50,7 +52,7 @@ const synthEntryOverhead = 128
 // same absent full-grid parent before the parent itself is built and
 // cached: a region-only workload (no full-area fixes ever warming the
 // parent) stops paying an atan2 per cell per distinct region and
-// starts slicing rows on the next miss. Two misses are tolerated so a
+// is served views of the parent from then on. Two misses are tolerated so a
 // one-off region query never triggers a full-grid build it would not
 // amortize.
 const sliceablePromoteMisses = 3
@@ -75,7 +77,7 @@ func blockCost(blocks int) int64 { return int64(blocks) * 8 }
 // one shard and mutated only under its lock.
 type synthEntry struct {
 	key        synthKey
-	lut        *bearingLUT
+	lut        bearingLUT
 	blocks     map[int]*blockLUT
 	cost       int64
 	prev, next *synthEntry
@@ -90,7 +92,7 @@ type synthShard struct {
 	tail    *synthEntry
 	bytes   int64
 	// sliceableMiss counts, per absent parent key, region builds that
-	// could have been row slices had the parent been resident — the
+	// could have been views had the parent been resident — the
 	// promotion trigger for region-only workloads.
 	sliceableMiss map[synthKey]uint32
 }
@@ -170,7 +172,7 @@ type SynthCacheUsage struct {
 	// Evictions counts entries dropped to stay within the budget
 	// (oversized pass-through serves included, as they always were).
 	Evictions uint64
-	// Slices counts LUT builds served by slicing a cached full-grid
+	// Slices counts sub-grid LUTs served as views of a cached full-grid
 	// parent instead of recomputing bearings.
 	Slices uint64
 	// SecondChoice counts entries placed in their second-choice shard
@@ -329,33 +331,48 @@ func (c *SynthCache) evictOverLocked(sh *synthShard) {
 
 // lut returns the bearing LUT for (AP position, grid, bins), building
 // and memoizing it on first use.
-func (c *SynthCache) lut(ap geom.Point, spec GridSpec, bins int) *bearingLUT {
+func (c *SynthCache) lut(ap geom.Point, spec GridSpec, bins int) bearingLUT {
 	return c.lutFor(ap, spec, nil, bins)
 }
 
 // lutFor is lut with an optional parent grid: when the requested spec
 // is a lattice-aligned sub-grid of parent and the parent's LUT is
-// cached, the sub-LUT is sliced from it (bit-identical to a direct
-// build, a row copy per grid row) instead of recomputed. Concurrent
-// first lookups may build more than once; exactly one result is kept.
-func (c *SynthCache) lutFor(ap geom.Point, spec GridSpec, parent *GridSpec, bins int) *bearingLUT {
+// cached, the result is a view of it (bit-identical to a direct build)
+// and nothing is built or inserted. Otherwise the LUT is looked up,
+// or built and memoized, under its own key. Concurrent first lookups
+// may build more than once; exactly one result is kept.
+func (c *SynthCache) lutFor(ap geom.Point, spec GridSpec, parent *GridSpec, bins int) bearingLUT {
+	lut, _ := c.lutOrView(ap, spec, parent, bins)
+	return lut
+}
+
+// lutOrView is lutFor, also reporting whether the result is a view of
+// the parent's tables (and so has no entry of its own).
+func (c *SynthCache) lutOrView(ap geom.Point, spec GridSpec, parent *GridSpec, bins int) (lut bearingLUT, viewed bool) {
+	if parent != nil && spec.subGridOf(*parent) {
+		if lut, ok := c.viewOfParent(ap, spec, *parent, bins); ok {
+			return lut, true
+		}
+	}
 	key := keyOf(ap, spec, bins)
-	if lut := c.lookupLUT(key); lut != nil {
+	if lut, ok := c.lookupLUT(key); ok {
 		c.hits.Add(1)
-		return lut
+		return lut, false
 	}
 
-	fresh := c.buildOrSlice(ap, spec, parent, bins)
+	fresh := buildLUT(ap, spec, bins)
 	c.misses.Add(1)
 	first, second := c.lockPair(key)
 	defer unlockPair(first, second)
-	if e := first.entries[key]; e != nil {
-		first.moveFront(e)
-		return e.lut
-	}
-	if e := second.entries[key]; e != nil {
-		second.moveFront(e)
-		return e.lut
+	if e, sh := entryIn(key, first, second); e != nil {
+		sh.moveFront(e)
+		if e.lut.bin == nil {
+			// A windows-only entry left by a view whose parent has since
+			// gone: serve the build; the parent's next promotion brings
+			// the views back.
+			return fresh, false
+		}
+		return e.lut, false
 	}
 	e := &synthEntry{key: key, lut: fresh, cost: lutCost(spec.Cells())}
 	if limit := c.shardBudget(); limit > 0 && e.cost > limit {
@@ -366,54 +383,58 @@ func (c *SynthCache) lutFor(ap geom.Point, spec GridSpec, parent *GridSpec, bins
 		// shard's tail before reaching this one.
 		c.evictions.Add(1)
 		c.spills.Add(1)
-		return fresh
+		return fresh, false
 	}
-	// Two-choice placement: the less-loaded candidate, first choice
-	// on ties.
+	c.evictOverLocked(c.placeLocked(first, second, e))
+	return fresh, false
+}
+
+// placeLocked inserts a new entry by two-choice placement — the
+// less-loaded candidate, first choice on ties — and returns the shard
+// that took it. Both locks must be held; the caller evicts.
+func (c *SynthCache) placeLocked(first, second *synthShard, e *synthEntry) *synthShard {
 	target := first
 	if second.bytes < first.bytes {
 		target = second
 		c.secondChoice.Add(1)
 	}
-	target.entries[key] = e
+	target.entries[e.key] = e
 	target.pushFront(e)
 	target.bytes += e.cost
-	c.evictOverLocked(target)
-	return fresh
+	return target
 }
 
 // lookupLUT probes the key's candidate shards (first choice, then
-// second) and freshens the entry's recency on a hit. Returns nil on a
-// miss; the caller counts hits/misses.
-func (c *SynthCache) lookupLUT(key synthKey) *bearingLUT {
+// second) for an entry holding tables and freshens its recency on a
+// hit. The caller counts hits/misses.
+func (c *SynthCache) lookupLUT(key synthKey) (bearingLUT, bool) {
 	i1, i2 := shardPair(key)
 	for _, i := range [2]int{i1, i2} {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		if e := sh.entries[key]; e != nil {
+		if e := sh.entries[key]; e != nil && e.lut.bin != nil {
 			sh.moveFront(e)
 			sh.mu.Unlock()
-			return e.lut
+			return e.lut, true
 		}
 		sh.mu.Unlock()
 	}
-	return nil
+	return bearingLUT{}, false
 }
 
-// buildOrSlice derives a fine LUT: sliced from a cached parent when
-// the spec is a sub-grid of it, built from scratch otherwise. Slicing
-// also freshens the parent's recency — the full grid is the hot
-// ancestor of every aligned region and must not churn out under
-// region pressure. Misses against an absent parent are counted; the
-// sliceablePromoteMisses-th one builds and caches the parent so a
-// region-only workload stops rebuilding slices from scratch.
-func (c *SynthCache) buildOrSlice(ap geom.Point, spec GridSpec, parent *GridSpec, bins int) *bearingLUT {
-	if parent != nil && spec.subGridOf(*parent) {
-		pkey := keyOf(ap, *parent, bins)
-		if plut := c.lookupLUT(pkey); plut != nil {
-			c.slices.Add(1)
-			return sliceLUT(plut, *parent, spec)
-		}
+// viewOfParent serves a sub-grid's LUT as a view of its parent's when
+// the parent is resident (a hit, which also freshens the parent's
+// recency — the full grid is the hot ancestor of every aligned region
+// and must not churn out under region pressure). Misses against an
+// absent parent are counted; the sliceablePromoteMisses-th one builds
+// and caches the parent, so a region-only workload stops rebuilding
+// its regions from scratch. ok is false while the parent stays absent.
+func (c *SynthCache) viewOfParent(ap geom.Point, spec, parent GridSpec, bins int) (lut bearingLUT, ok bool) {
+	pkey := keyOf(ap, parent, bins)
+	plut, ok := c.lookupLUT(pkey)
+	if ok {
+		c.hits.Add(1)
+	} else {
 		// Miss counting lives on the parent's first-choice shard
 		// regardless of where a promotion would place it.
 		psh := c.shardOf(pkey)
@@ -437,43 +458,27 @@ func (c *SynthCache) buildOrSlice(ap geom.Point, spec GridSpec, parent *GridSpec
 			}
 		}
 		psh.mu.Unlock()
-		if promote {
-			// lutFor inserts the parent under the normal budget rules
-			// (and dedups a concurrent promotion); slice from whatever
-			// it returns.
-			plut := c.lutFor(ap, *parent, nil, bins)
-			c.slices.Add(1)
-			return sliceLUT(plut, *parent, spec)
+		if !promote {
+			return bearingLUT{}, false
 		}
+		// lutFor inserts the parent under the normal budget rules (and
+		// dedups a concurrent promotion); view whatever it returns.
+		plut = c.lutFor(ap, parent, nil, bins)
 	}
-	return buildLUT(ap, spec, bins)
-}
-
-// sliceLUT copies the sub-grid's rows out of the parent's fine LUT.
-// Cell (ix, iy) of spec is cell (spec.X0-parent.X0+ix,
-// spec.Y0-parent.Y0+iy) of parent — the same absolute lattice cell,
-// so the copied (bin, frac) pairs equal a direct build bit for bit.
-func sliceLUT(p *bearingLUT, parent, spec GridSpec) *bearingLUT {
-	out := &bearingLUT{
-		bin:  make([]int32, spec.Cells()),
-		frac: make([]float64, spec.Cells()),
-	}
-	dx, dy := spec.X0-parent.X0, spec.Y0-parent.Y0
-	for iy := 0; iy < spec.Ny; iy++ {
-		src := (dy+iy)*parent.Nx + dx
-		dst := iy * spec.Nx
-		copy(out.bin[dst:dst+spec.Nx], p.bin[src:src+spec.Nx])
-		copy(out.frac[dst:dst+spec.Nx], p.frac[src:src+spec.Nx])
-	}
-	return out
+	c.slices.Add(1)
+	return plut.view(parent, spec), true
 }
 
 // blockWindows returns the screening-block bin windows for (AP
 // position, grid, factor), derived from the fine LUT and memoized on
-// the grid's entry (parent as in lutFor).
+// the grid's entry (parent as in lutFor). A view of the parent has no
+// entry; its windows — rebuilt they cost more than evaluating the
+// region outright — are memoized on a windows-only one (no tables, the
+// overhead plus the windows as its cost), so a re-queried region stays
+// as warm as it was when its LUT was a copy.
 func (c *SynthCache) blockWindows(ap geom.Point, spec GridSpec, bins, factor int, parent *GridSpec) *blockLUT {
 	key := keyOf(ap, spec, bins)
-	var lut *bearingLUT
+	var lut bearingLUT
 	first, second := c.lockPair(key)
 	if e, sh := entryIn(key, first, second); e != nil {
 		if bl := e.blocks[factor]; bl != nil {
@@ -486,25 +491,32 @@ func (c *SynthCache) blockWindows(ap geom.Point, spec GridSpec, bins, factor int
 	}
 	unlockPair(first, second)
 
-	if lut == nil {
-		lut = c.lutFor(ap, spec, parent, bins)
+	viewed := false
+	if lut.bin == nil {
+		lut, viewed = c.lutOrView(ap, spec, parent, bins)
 	}
 	fresh := buildBlockLUT(lut, spec, factor, bins)
 	c.misses.Add(1)
 	first, second = c.lockPair(key)
 	defer unlockPair(first, second)
 	e, sh := entryIn(key, first, second)
-	if e == nil {
+	if e == nil && !viewed {
 		// The entry churned out between the build and this insert (or
 		// was never retained): serve the windows without accounting.
 		return fresh
 	}
-	if bl := e.blocks[factor]; bl != nil {
-		sh.moveFront(e)
-		return bl
+	if e != nil {
+		if bl := e.blocks[factor]; bl != nil {
+			sh.moveFront(e)
+			return bl
+		}
+	}
+	held := int64(synthEntryOverhead) // what a new windows-only entry starts at
+	if e != nil {
+		held = e.cost
 	}
 	cost := blockCost(len(fresh.start))
-	if limit := c.shardBudget(); limit > 0 && e.cost+cost > limit {
+	if limit := c.shardBudget(); limit > 0 && held+cost > limit {
 		// The entry's LUT fits but LUT + windows would not: serve the
 		// windows uncached (a spill) and keep the (more expensive to
 		// rebuild) LUT resident rather than evicting neighbours to
@@ -512,6 +524,10 @@ func (c *SynthCache) blockWindows(ap geom.Point, spec GridSpec, bins, factor int
 		c.evictions.Add(1)
 		c.spills.Add(1)
 		return fresh
+	}
+	if e == nil {
+		e = &synthEntry{key: key, cost: held}
+		sh = c.placeLocked(first, second, e)
 	}
 	if e.blocks == nil {
 		e.blocks = make(map[int]*blockLUT, 1)

@@ -61,23 +61,31 @@ func checkAccounting(t *testing.T, c *SynthCache) {
 	}
 }
 
-func lutEqual(a, b *bearingLUT) bool {
-	if len(a.bin) != len(b.bin) || len(a.frac) != len(b.frac) {
+// lutEqual compares the ny-row grids two LUTs describe cell by cell,
+// whatever their layout (contiguous, or a view of a wider parent).
+func lutEqual(a, b bearingLUT, ny int) bool {
+	if a.nx != b.nx {
 		return false
 	}
-	for i := range a.bin {
-		if a.bin[i] != b.bin[i] || a.frac[i] != b.frac[i] {
-			return false
+	for iy := 0; iy < ny; iy++ {
+		for ix := 0; ix < a.nx; ix++ {
+			ia, ib := iy*a.stride+ix, iy*b.stride+ix
+			if a.bin[ia] != b.bin[ib] || a.frac[ia] != b.frac[ib] {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-func copyLUT(l *bearingLUT) *bearingLUT {
-	return &bearingLUT{
-		bin:  append([]int32(nil), l.bin...),
-		frac: append([]float64(nil), l.frac...),
+// copyLUT returns a contiguous private copy of an ny-row LUT.
+func copyLUT(l bearingLUT, ny int) bearingLUT {
+	out := bearingLUT{nx: l.nx, stride: l.nx}
+	for iy := 0; iy < ny; iy++ {
+		out.bin = append(out.bin, l.bin[iy*l.stride:iy*l.stride+l.nx]...)
+		out.frac = append(out.frac, l.frac[iy*l.stride:iy*l.stride+l.nx]...)
 	}
+	return out
 }
 
 // TestSynthCacheAccountingProperty is the LRU accounting property
@@ -100,7 +108,7 @@ func TestSynthCacheAccountingProperty(t *testing.T) {
 			// Remember the first build of every key so later re-gets
 			// (post-eviction rebuilds included) can be compared bit for
 			// bit.
-			seen := map[synthKey]*bearingLUT{}
+			seen := map[synthKey]bearingLUT{}
 			for op := 0; op < 400; op++ {
 				ap := aps[rng.Intn(len(aps))]
 				spec := full
@@ -109,7 +117,7 @@ func TestSynthCacheAccountingProperty(t *testing.T) {
 					nx, ny := 1+rng.Intn(full.Nx-x0), 1+rng.Intn(full.Ny-y0)
 					spec = GridSpec{Min: full.Min, Cell: full.Cell, Nx: nx, Ny: ny, X0: x0, Y0: y0}
 				}
-				var lut *bearingLUT
+				var lut bearingLUT
 				switch rng.Intn(3) {
 				case 0:
 					lut = c.lut(ap, spec, 360)
@@ -118,14 +126,14 @@ func TestSynthCacheAccountingProperty(t *testing.T) {
 				default:
 					c.blockWindows(ap, spec, 360, DefaultCoarseFactor, &full)
 				}
-				if lut != nil {
+				if lut.bin != nil {
 					key := keyOf(ap, spec, 360)
 					if prev, ok := seen[key]; ok {
-						if !lutEqual(prev, lut) {
+						if !lutEqual(prev, lut, spec.Ny) {
 							t.Fatalf("op %d: re-Get returned a LUT differing from the first build", op)
 						}
 					} else {
-						seen[key] = copyLUT(lut)
+						seen[key] = copyLUT(lut, spec.Ny)
 					}
 				}
 				checkAccounting(t, c)
@@ -144,7 +152,7 @@ func TestSynthCacheAccountingProperty(t *testing.T) {
 // explicitly for both build paths: evict an entry by churning its
 // shard past the budget, re-Get it, and require `==` on every table
 // element — for a directly built full-grid LUT and for a sub-grid LUT
-// that is sliced from its parent on one get and rebuilt from scratch
+// that is a view of its parent on one get and rebuilt from scratch
 // (parent evicted too) on the other.
 func TestSynthCacheRebuildBitIdentical(t *testing.T) {
 	ap := geom.Pt(1.25, 0.75)
@@ -166,25 +174,30 @@ func TestSynthCacheRebuildBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 
 	// Direct build path.
-	first := copyLUT(c.lut(ap, full, 360))
+	first := copyLUT(c.lut(ap, full, 360), full.Ny)
 	churn(c, rng)
-	if got := c.lut(ap, full, 360); !lutEqual(first, got) {
+	if got := c.lut(ap, full, 360); !lutEqual(first, got, full.Ny) {
 		t.Fatal("re-Get after eviction rebuilt a different full-grid LUT")
 	}
 
-	// Sliced path: warm the parent, slice the sub-grid, then churn both
-	// out and re-Get the sub-grid with no parent cached — the direct
-	// rebuild must equal the slice bit for bit (the GridSpec offset
-	// keeps the centre arithmetic identical).
+	// View path: warm the parent, view the sub-grid through it, then
+	// churn the parent out and re-Get the sub-grid with no parent cached
+	// — the direct rebuild must equal the view bit for bit (the GridSpec
+	// offset keeps the centre arithmetic identical). The view itself
+	// adds no entry.
 	c.lut(ap, full, 360)
-	sliced := copyLUT(c.lutFor(ap, sub, &full, 360))
+	entries := c.Len()
+	viewed := copyLUT(c.lutFor(ap, sub, &full, 360), sub.Ny)
 	if before := c.Usage().Slices; before == 0 {
-		t.Fatal("sub-grid LUT was not sliced from the cached parent")
+		t.Fatal("sub-grid LUT was not served as a view of the cached parent")
+	}
+	if c.Len() != entries {
+		t.Fatalf("a view of the parent added %d cache entries, want none", c.Len()-entries)
 	}
 	churn(c, rng)
 	rebuilt := c.lutFor(ap, sub, nil, 360)
-	if !lutEqual(sliced, rebuilt) {
-		t.Fatal("direct rebuild of sub-grid LUT differs from the slice of its parent")
+	if !lutEqual(viewed, rebuilt, sub.Ny) {
+		t.Fatal("direct rebuild of sub-grid LUT differs from the view of its parent")
 	}
 }
 
@@ -192,7 +205,7 @@ func TestSynthCacheRebuildBitIdentical(t *testing.T) {
 // workload (the full-grid parent never warmed by a full-area fix)
 // builds its first two region LUTs from scratch, but the third
 // sliceable miss against the same parent builds and caches the parent
-// itself — every subsequent distinct region becomes a row slice. The
+// itself — every subsequent distinct region becomes a view of it. The
 // promoted path stays bit-identical to direct builds.
 func TestSynthCachePromotesParentOnThirdSliceableMiss(t *testing.T) {
 	ap := geom.Pt(0.5, 0.5)
@@ -207,13 +220,13 @@ func TestSynthCachePromotesParentOnThirdSliceableMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := c.lutFor(ap, sub, &full, 360)
-		if direct := buildLUT(ap, sub, 360); !lutEqual(got, direct) {
+		if direct := buildLUT(ap, sub, 360); !lutEqual(got, direct, sub.Ny) {
 			t.Fatalf("region %d: promoted-path LUT differs from direct build", i)
 		}
 		u := c.Usage()
 		wantSlices := uint64(0)
 		if i >= 2 {
-			wantSlices = uint64(i - 1) // promotion slices on i==2, hits after
+			wantSlices = uint64(i - 1) // promotion on i==2, views of the resident parent after
 		}
 		if u.Slices != wantSlices {
 			t.Fatalf("after region %d: Slices = %d, want %d", i, u.Slices, wantSlices)
@@ -263,7 +276,7 @@ func TestSynthCachePassThroughOversized(t *testing.T) {
 	}
 	l1 := c.lut(ap, spec, 360)
 	l2 := c.lut(ap, spec, 360)
-	if !lutEqual(l1, l2) {
+	if !lutEqual(l1, l2, spec.Ny) {
 		t.Fatal("pass-through rebuilds disagree")
 	}
 	u := c.Usage()
@@ -311,7 +324,7 @@ func TestSynthCacheOversizedDoesNotEvictResidents(t *testing.T) {
 		}
 	}
 	c.lut(resident, small, 360)
-	if c.lut(hugeAP, huge, 360) == nil {
+	if c.lut(hugeAP, huge, 360).bin == nil {
 		t.Fatal("oversized entry not served")
 	}
 	hits0, _ := c.Stats()

@@ -79,7 +79,7 @@ const shardChunk = 4096
 // its parent's Min and carries the offset instead of folding it into
 // Min, so its centre arithmetic — and therefore every bearing LUT
 // value — is bit-identical to the parent's at the same absolute cell,
-// whether the LUT is sliced from a cached parent or rebuilt.
+// whether the LUT is a view of a cached parent or rebuilt.
 type GridSpec struct {
 	Min  geom.Point
 	Cell float64
@@ -120,7 +120,7 @@ func (g GridSpec) Origin() geom.Point { return g.Center(0, 0) }
 
 // subGridOf reports whether g is a lattice-aligned sub-rectangle of
 // parent: same origin and pitch, cells wholly inside the parent's
-// index range. A sub-grid's LUT can be sliced from the parent's.
+// index range. A sub-grid's LUT can be a view of the parent's.
 func (g GridSpec) subGridOf(parent GridSpec) bool {
 	return g.Min == parent.Min && g.Cell == parent.Cell &&
 		g.X0 >= parent.X0 && g.Y0 >= parent.Y0 &&
@@ -169,11 +169,28 @@ func (g GridSpec) blockDims(factor int) (nbx, nby int) {
 
 // bearingLUT holds, for every cell of one grid as seen from one AP
 // position, the spectrum bin index and interpolation fraction of the
-// AP→cell bearing (music.BinLookup applied to the cell centre).
-// Immutable after construction, safe for concurrent use.
+// AP→cell bearing (music.BinLookup applied to the cell centre). Row iy
+// of the grid occupies entries [iy·stride, iy·stride+nx) of both
+// slices: a LUT built for its own grid is contiguous (stride == nx),
+// while a region's LUT is a view of its cached full-grid parent — the
+// parent's slices from the region's first cell on, at the parent's row
+// length (view) — so a predicted region costs no copy and no cache
+// entry. The tables are immutable after construction and safe for
+// concurrent use; a view keeps its parent's tables alive past eviction.
 type bearingLUT struct {
-	bin  []int32
-	frac []float64
+	bin        []int32
+	frac       []float64
+	nx, stride int
+}
+
+// view returns the LUT of spec, a sub-grid of this LUT's grid parent.
+// Cell (ix, iy) of spec is cell (spec.X0−parent.X0+ix,
+// spec.Y0−parent.Y0+iy) of parent — the same absolute lattice cell, so
+// the (bin, frac) pairs read through the view equal a direct build's bit
+// for bit.
+func (l bearingLUT) view(parent, spec GridSpec) bearingLUT {
+	first := (spec.Y0-parent.Y0)*l.stride + spec.X0 - parent.X0
+	return bearingLUT{bin: l.bin[first:], frac: l.frac[first:], nx: spec.Nx, stride: l.stride}
 }
 
 // blockLUT holds, per screening block of one (AP position, grid,
@@ -190,7 +207,7 @@ type blockLUT struct {
 // Every cell contributes its interpolation pair {b, b+1 mod n}; the
 // minimal circular window covering a block's set is found via the
 // largest gap in the sorted bin list.
-func buildBlockLUT(fine *bearingLUT, spec GridSpec, factor, bins int) *blockLUT {
+func buildBlockLUT(fine bearingLUT, spec GridSpec, factor, bins int) *blockLUT {
 	nbx, nby := spec.blockDims(factor)
 	bl := &blockLUT{
 		start: make([]int32, nbx*nby),
@@ -204,7 +221,7 @@ func buildBlockLUT(fine *bearingLUT, spec GridSpec, factor, bins int) *blockLUT 
 			x0, x1, y0, y1 := blockRect(spec, factor, bx, by)
 			for iy := y0; iy < y1; iy++ {
 				for ix := x0; ix < x1; ix++ {
-					b := fine.bin[iy*spec.Nx+ix]
+					b := fine.bin[iy*fine.stride+ix]
 					b2 := b + 1
 					if b2 == int32(bins) {
 						b2 = 0
@@ -287,10 +304,11 @@ func rangeMax(tab []float64, n int, start, count int32) float64 {
 	return m
 }
 
-func buildLUT(ap geom.Point, spec GridSpec, bins int) *bearingLUT {
-	l := &bearingLUT{
+func buildLUT(ap geom.Point, spec GridSpec, bins int) bearingLUT {
+	l := bearingLUT{
 		bin:  make([]int32, spec.Cells()),
 		frac: make([]float64, spec.Cells()),
+		nx:   spec.Nx, stride: spec.Nx,
 	}
 	c := 0
 	for iy := 0; iy < spec.Ny; iy++ {
@@ -335,7 +353,7 @@ type synthWorkspace struct {
 	fine    []float64
 	coarse  []float64
 	logTabs [][]float64
-	luts    []*bearingLUT
+	luts    []bearingLUT
 	cand    []cellCand
 	// heap is the branch-and-bound block ordering (synthbnb.go).
 	heap []cellCand
@@ -408,7 +426,7 @@ type SynthOptions struct {
 type SynthGrid struct {
 	spec     GridSpec
 	min, max geom.Point
-	parent   *GridSpec // full-grid spec a region sub-grid slices LUTs from
+	parent   *GridSpec // full-grid spec whose LUTs a region sub-grid views
 	cache    *SynthCache
 	workers  int
 	coarse   int
@@ -469,7 +487,7 @@ func NewSynthGrid(min, max geom.Point, opt SynthOptions) (*SynthGrid, error) {
 // (Region.Cell zero or equal to the resolved opt.Cell) snaps to the
 // full lattice: its cells are exactly the full-grid cells inside the
 // box, its argmax equals the full-grid argmax restricted to those
-// cells, and its bearing LUTs are sliced from cached full-grid
+// cells, and its bearing LUTs are views of cached full-grid
 // entries when present. A region with its own pitch gets a scoped
 // grid anchored at the clamped box corner. Hill climbing is confined
 // to the clamped box either way. A zero region is the full grid.
@@ -522,21 +540,32 @@ func (sg *SynthGrid) Spec() GridSpec { return sg.spec }
 // AP, a branch-free lerp over its padded log table at the LUT's
 // (bin, frac). The first AP assigns instead of adding, so the
 // accumulator needs no zeroing pass. Per-cell order over APs is
-// fixed, so results are independent of sharding.
-func evalRange(acc []float64, luts []*bearingLUT, logTabs [][]float64, lo, hi int) {
-	for a, lut := range luts {
+// fixed, so results are independent of sharding. A contiguous LUT is
+// walked in one run; a view of a wider parent row by row.
+func evalRange(acc []float64, luts []bearingLUT, logTabs [][]float64, lo, hi int) {
+	for a := range luts {
+		lut := &luts[a]
 		tab := logTabs[a]
-		bin, frac := lut.bin, lut.frac
-		if a == 0 {
-			for c := lo; c < hi; c++ {
-				b, f := bin[c], frac[c]
-				acc[c] = tab[b]*(1-f) + tab[b+1]*f
+		for c := lo; c < hi; {
+			n, src := hi-c, c
+			if lut.stride != lut.nx {
+				iy := c / lut.nx
+				ix := c - iy*lut.nx
+				n, src = min(n, lut.nx-ix), iy*lut.stride+ix
 			}
-		} else {
-			for c := lo; c < hi; c++ {
-				b, f := bin[c], frac[c]
-				acc[c] += tab[b]*(1-f) + tab[b+1]*f
+			bin, frac, out := lut.bin[src:src+n], lut.frac[src:src+n], acc[c:c+n]
+			if a == 0 {
+				for k, b := range bin {
+					f := frac[k]
+					out[k] = tab[b]*(1-f) + tab[b+1]*f
+				}
+			} else {
+				for k, b := range bin {
+					f := frac[k]
+					out[k] += tab[b]*(1-f) + tab[b+1]*f
+				}
 			}
+			c += n
 		}
 	}
 }
@@ -544,7 +573,7 @@ func evalRange(acc []float64, luts []*bearingLUT, logTabs [][]float64, lo, hi in
 // evalSurface fills acc (one float per cell of spec) with the
 // log-domain surface, sharding across the grid's workers when the
 // surface is big enough to pay for it.
-func (sg *SynthGrid) evalSurface(acc []float64, spec GridSpec, luts []*bearingLUT, logTabs [][]float64) {
+func (sg *SynthGrid) evalSurface(acc []float64, spec GridSpec, luts []bearingLUT, logTabs [][]float64) {
 	cells := len(acc)
 	workers := sg.workers
 	if workers > cells/shardChunk {
@@ -592,9 +621,9 @@ func (sg *SynthGrid) evalSurface(acc []float64, spec GridSpec, luts []*bearingLU
 }
 
 // fetchLUTs resolves the per-AP bearing LUTs for spec.
-func (sg *SynthGrid) fetchLUTs(ws *synthWorkspace, aps []APSpectrum, spec GridSpec) []*bearingLUT {
+func (sg *SynthGrid) fetchLUTs(ws *synthWorkspace, aps []APSpectrum, spec GridSpec) []bearingLUT {
 	if cap(ws.luts) < len(aps) {
-		ws.luts = make([]*bearingLUT, len(aps))
+		ws.luts = make([]bearingLUT, len(aps))
 	}
 	ws.luts = ws.luts[:len(aps)]
 	for a, ap := range aps {
