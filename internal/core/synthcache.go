@@ -500,23 +500,20 @@ func (c *SynthCache) blockWindows(ap geom.Point, spec GridSpec, bins, factor int
 	first, second = c.lockPair(key)
 	defer unlockPair(first, second)
 	e, sh := entryIn(key, first, second)
-	if e == nil && !viewed {
+	switch {
+	case e == nil && !viewed:
 		// The entry churned out between the build and this insert (or
 		// was never retained): serve the windows without accounting.
 		return fresh
-	}
-	if e != nil {
-		if bl := e.blocks[factor]; bl != nil {
-			sh.moveFront(e)
-			return bl
-		}
-	}
-	held := int64(synthEntryOverhead) // what a new windows-only entry starts at
-	if e != nil {
-		held = e.cost
+	case e == nil:
+		// A view: start a windows-only entry, placed below if it fits.
+		e = &synthEntry{key: key, cost: synthEntryOverhead}
+	case e.blocks[factor] != nil:
+		sh.moveFront(e)
+		return e.blocks[factor]
 	}
 	cost := blockCost(len(fresh.start))
-	if limit := c.shardBudget(); limit > 0 && held+cost > limit {
+	if limit := c.shardBudget(); limit > 0 && e.cost+cost > limit {
 		// The entry's LUT fits but LUT + windows would not: serve the
 		// windows uncached (a spill) and keep the (more expensive to
 		// rebuild) LUT resident rather than evicting neighbours to
@@ -525,8 +522,7 @@ func (c *SynthCache) blockWindows(ap geom.Point, spec GridSpec, bins, factor int
 		c.spills.Add(1)
 		return fresh
 	}
-	if e == nil {
-		e = &synthEntry{key: key, cost: held}
+	if sh == nil {
 		sh = c.placeLocked(first, second, e)
 	}
 	if e.blocks == nil {
