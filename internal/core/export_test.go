@@ -9,3 +9,11 @@ func (sg *SynthGrid) WithOracles(linearPick, scalarClimb bool) *SynthGrid {
 	c.linearPick, c.scalarClimb = linearPick, scalarClimb
 	return &c
 }
+
+// WithRefineTrace returns a copy of sg that appends the index of every
+// screening block it refines to *seq, in refinement order.
+func (sg *SynthGrid) WithRefineTrace(seq *[]int) *SynthGrid {
+	c := *sg
+	c.onRefine = func(block int) { *seq = append(*seq, block) }
+	return &c
+}

@@ -1,59 +1,77 @@
 package core
 
-// Branch-and-bound block ordering. The screen refines blocks in
-// descending bound order; the first cut re-scanned the whole bounds
-// array per refinement to find the next block, which is O(blocks) per
-// pick — harmless when pruning stops the screen after a handful of
-// blocks, quadratic when a degenerate surface (near-flat spectra at
-// dense pitch) keeps every bound in the running up to the refinement
-// budget. This file replaces the scan with a binary max-heap ordered
-// by (bound descending, block index ascending).
+// The two-level branch-and-bound screen. The fine grid is partitioned
+// into CoarseFactor×CoarseFactor blocks, and the blocks into
+// superBlocks×superBlocks superblocks; each has, per AP, a cached
+// circular window of spectrum bins (blockLUT), and the sum over APs of
+// the AP's log-table maximum over the window is an upper bound on every
+// fine cell underneath. A fix bounds only the superblocks up front —
+// O(superblocks × APs) window maxima instead of O(blocks × APs) — then
+// runs one best-first loop over a mixed heap of superblocks and blocks
+// ordered by nodeBefore: (bound descending, superblock before block
+// among equal bounds, index ascending). Popping a superblock bounds its
+// ≤ 25 blocks and pushes them; popping a block refines it at full
+// resolution; the loop stops once the top bound is below the best
+// refined cell (and topK blocks have been refined), or falls back to
+// the full surface past the refinement budget.
 //
-// The screen switches adaptively: the first heapSwitchRefinements
-// picks use the linear rescan — its sequential predictable compares
-// beat the heap's constants when a peaked surface stops the screen
-// after a handful of blocks — and only a screen that keeps refining
-// past that point (the bound-scan-dominated regime the heap exists
-// for) pays the one-time O(blocks) heapify and pops the rest in
-// O(log blocks). Because refined blocks are marked -Inf, the heap is
-// built over exactly the unconsumed tail of the total order, so the
-// switch point is invisible in the refinement sequence.
+// Exactness: the blocks are refined in exactly the flat screen's total
+// order — every block bounded, then picked by (bound descending, index
+// ascending), which screenFlat retains as the oracle.
 //
-// Exactness: the bounds are static for the whole screen (refining a
-// block never changes another block's bound), so the repeated linear
-// scans visit blocks in exactly the total order "higher bound first,
-// lower index first among ties" — the linear scan keeps the first
-// maximum it meets, i.e. the lowest index. boundLess is precisely
-// that total order, and a binary heap pops a static set in comparator
-// order, so the heap path refines the identical block sequence and
-// every downstream value (candidate list, argmax, hill-climb seeds)
-// is bit-identical to the linear path. Pinned on every scene by
-// TestSynthHeapMatchesLinearPick.
+//   - A block's bound is the same number in both screens: the same
+//     window maxima summed over APs in the same order.
+//   - A superblock's bound dominates each of its blocks': its window is
+//     the arc union of theirs (buildBlockLUT), so every term of its sum
+//     is a maximum over a superset, and floating-point addition is
+//     monotone in each operand, so the rounded sums keep the order.
+//   - So when a block tops the heap, no block that precedes it in the
+//     flat order is still hidden in an unexpanded superblock: that
+//     superblock's bound would be ≥ the hidden block's ≥ this one's,
+//     and on equality a superblock sorts first — it would have been on
+//     top instead. Every block ahead of it in the flat order is
+//     therefore in the heap or already refined, and the heap's
+//     comparator among blocks is the flat order.
+//   - The stop rule reads the top bound whatever its level: a
+//     superblock below the best refined cell hides only blocks below
+//     it. The refinement budget counts refined blocks only, and is
+//     checked before each pick as the flat screen does, so both fall
+//     back on the same surfaces — which matters, because the fallback's
+//     seeds (the global top cells) differ from the screen's.
+//
+// Hence the refinement sequence, candidate list, argmax cell, hill-
+// climb seeds and fix are bit-identical (TestHierScreenRefinesFlatOrder,
+// TestSynthHeapMatchesLinearPick, TestKernelsExactOn205Scenes). There is
+// no linear-scan phase: a peaked surface is done after a handful of
+// pops on a heap that starts at ~119 superblocks for the 40 × 16 m
+// floor — less than one rescan of its 2,673 block bounds — and a
+// degenerate surface that ties every bound stays O(log) per pick.
 
-import "sync/atomic"
-
-// heapSwitchRefinements is the refinement count past which the screen
-// abandons the linear rescan and heapifies the surviving bounds.
-// Peaked surfaces prune within ~topK picks and never reach it; a
-// degenerate screen crosses it after a bounded O(switch·blocks) spend
-// and escapes the quadratic regime.
-const heapSwitchRefinements = 24
+import (
+	"math"
+	"sync/atomic"
+)
 
 // SynthMetrics accumulates work counters for the synthesis kernels:
-// screening-block refinement, bound-ordering cost, and hill-climb
-// probe accounting. All counters are atomic, so one SynthMetrics may
-// be shared across grids and goroutines; wire it in through
-// SynthOptions.Metrics. Counters only grow; readers snapshot.
+// screening-block refinement, bound evaluation and ordering cost, and
+// hill-climb probe accounting. All counters are atomic, so one
+// SynthMetrics may be shared across grids and goroutines; wire it in
+// through SynthOptions.Metrics. Counters only grow; readers snapshot.
 type SynthMetrics struct {
 	// BlocksRefined counts screening blocks refined at full
 	// resolution across all branch-and-bound screens.
 	BlocksRefined atomic.Int64
-	// BoundVisits counts bound-entry visits spent choosing the next
-	// block: the full array length per pick on the linear path, the
-	// heap-sift comparisons on the heap path. The degenerate-surface
-	// test asserts the heap path's count is far below the linear
-	// path's on the same scene.
+	// BoundVisits counts comparisons spent choosing the next pick: the
+	// heap's sift comparisons (the whole bounds array per pick on the
+	// flat oracle). The degenerate-surface test asserts the heap's
+	// count is far below the oracle's on the same scene.
 	BoundVisits atomic.Int64
+	// BoundEvals counts bin-window maxima evaluated, one per (window,
+	// AP): every superblock up front plus the blocks of each expanded
+	// superblock (every block, on the flat oracle).
+	BoundEvals atomic.Int64
+	// SuperExpanded counts superblocks whose blocks had to be bounded.
+	SuperExpanded atomic.Int64
 	// FullEvalFallbacks counts screens that hit the refinement budget
 	// and fell back to the sharded full-surface evaluation.
 	FullEvalFallbacks atomic.Int64
@@ -65,10 +83,12 @@ type SynthMetrics struct {
 }
 
 // SynthMetricsSnapshot is a plain-value copy of SynthMetrics for
-// reporting (engine stats, the kernels experiment).
+// reporting (the kernels experiment).
 type SynthMetricsSnapshot struct {
 	BlocksRefined     int64 `json:"blocks_refined"`
 	BoundVisits       int64 `json:"bound_visits"`
+	BoundEvals        int64 `json:"bound_evals"`
+	SuperExpanded     int64 `json:"super_expanded"`
 	FullEvalFallbacks int64 `json:"full_eval_fallbacks"`
 	HillProbes        int64 `json:"hill_probes"`
 	HillPruned        int64 `json:"hill_pruned"`
@@ -79,34 +99,66 @@ func (m *SynthMetrics) Snapshot() SynthMetricsSnapshot {
 	return SynthMetricsSnapshot{
 		BlocksRefined:     m.BlocksRefined.Load(),
 		BoundVisits:       m.BoundVisits.Load(),
+		BoundEvals:        m.BoundEvals.Load(),
+		SuperExpanded:     m.SuperExpanded.Load(),
 		FullEvalFallbacks: m.FullEvalFallbacks.Load(),
 		HillProbes:        m.HillProbes.Load(),
 		HillPruned:        m.HillPruned.Load(),
 	}
 }
 
-// boundLess is the screen's total refinement order: higher bound
-// first, lower block index among equal bounds — the order the linear
-// scan's strict `>` comparison with first-seen retention produces.
-func boundLess(a, b cellCand) bool {
-	if a.val != b.val {
-		return a.val > b.val
+// screenWork is one screen's share of SynthMetrics, accumulated in
+// plain ints and published once when the screen ends.
+type screenWork struct {
+	refined, visits, evals, expanded int64
+}
+
+func (w screenWork) addTo(m *SynthMetrics) {
+	if m == nil {
+		return
+	}
+	m.BlocksRefined.Add(w.refined)
+	m.BoundVisits.Add(w.visits)
+	m.BoundEvals.Add(w.evals)
+	m.SuperExpanded.Add(w.expanded)
+}
+
+// screenNode is one entry of the screen's heap: a superblock awaiting
+// expansion or a block awaiting refinement, under its upper bound.
+type screenNode struct {
+	bound float64
+	idx   int32 // superblock or block index, row-major
+	super bool
+}
+
+// nodeBefore is the screen's total order: higher bound first; among
+// equal bounds a superblock before any block (it may hide a block that
+// ties), then the lower index — for blocks, the order a linear scan
+// keeping the first maximum it meets produces.
+func nodeBefore(a, b screenNode) bool {
+	if a.bound != b.bound {
+		return a.bound > b.bound
+	}
+	if a.super != b.super {
+		return a.super
 	}
 	return a.idx < b.idx
 }
 
-// heapInit establishes the heap property over h in place and returns
-// the number of comparisons spent (the heap path's BoundVisits).
-func heapInit(h []cellCand) int64 {
+// screenHeap is a binary heap in nodeBefore order. Every method returns
+// the comparisons it spent (BoundVisits).
+type screenHeap []screenNode
+
+// init establishes the heap property in place.
+func (h screenHeap) init() int64 {
 	var visits int64
 	for i := len(h)/2 - 1; i >= 0; i-- {
-		visits += siftDown(h, i)
+		visits += h.siftDown(i)
 	}
 	return visits
 }
 
-// siftDown restores the heap property below index i.
-func siftDown(h []cellCand, i int) int64 {
+func (h screenHeap) siftDown(i int) int64 {
 	var visits int64
 	n := len(h)
 	for {
@@ -114,30 +166,235 @@ func siftDown(h []cellCand, i int) int64 {
 		if l >= n {
 			return visits
 		}
-		best := l
+		first := l
 		if r := l + 1; r < n {
 			visits++
-			if boundLess(h[r], h[l]) {
-				best = r
+			if nodeBefore(h[r], h[l]) {
+				first = r
 			}
 		}
 		visits++
-		if !boundLess(h[best], h[i]) {
+		if !nodeBefore(h[first], h[i]) {
 			return visits
 		}
-		h[i], h[best] = h[best], h[i]
-		i = best
+		h[i], h[first] = h[first], h[i]
+		i = first
 	}
 }
 
-// heapPop removes the top (next-to-refine) entry.
-func heapPop(h []cellCand) ([]cellCand, int64) {
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
+func (h *screenHeap) push(n screenNode) int64 {
+	*h = append(*h, n)
+	s := *h
 	var visits int64
-	if n > 1 {
-		visits = siftDown(h, 0)
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		visits++
+		if !nodeBefore(s[i], s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
 	}
-	return h, visits
+	return visits
+}
+
+// pop removes the top (next-to-visit) entry.
+func (h *screenHeap) pop() int64 {
+	s := *h
+	n := len(s) - 1
+	s[0] = s[n]
+	*h = s[:n]
+	return s[:n].siftDown(0)
+}
+
+// screenWindows resolves the per-AP block and superblock bin windows.
+func (sg *SynthGrid) screenWindows(ws *synthWorkspace, aps []APSpectrum) []*blockLUT {
+	ws.wins = ws.wins[:0]
+	for _, ap := range aps {
+		ws.wins = append(ws.wins, sg.cache.blockWindows(ap.Pos, sg.spec, ap.Spectrum.Bins(), sg.coarse, sg.parent))
+	}
+	return ws.wins
+}
+
+// maxRefine is the screen's refinement budget. If the screen stops
+// pruning (a near-flat surface ties every bound to the best cell),
+// refining block after block serially loses to the sharded full
+// evaluation — past this budget the screen falls back to it, trivially
+// exact.
+func (sg *SynthGrid) maxRefine(blocks int) int64 { return int64(blocks/4 + sg.topK) }
+
+// screen fills ws.cand with the top hill-climbing seed cells by the
+// two-level branch-and-bound described at the top of this file. At
+// least topK blocks are refined so hill climbing sees several basins;
+// the argmax matches the full scan exactly, lower-index tie-break
+// included: a cell tying the best forces its block's bound — and its
+// superblock's — up to the tie value, so neither is pruned.
+func (sg *SynthGrid) screen(ws *synthWorkspace, aps []APSpectrum, luts []bearingLUT, logTabs [][]float64) []cellCand {
+	nbx, nby := sg.spec.blockDims(sg.coarse)
+	nsx, nsy := superDims(nbx, nby)
+	wins := sg.screenWindows(ws, aps)
+
+	if cap(ws.heap) < nsx*nsy {
+		ws.heap = make(screenHeap, nsx*nsy)
+	}
+	ws.heap = ws.heap[:nsx*nsy]
+	for a, bl := range wins {
+		if sg.yield != nil && a > 0 {
+			sg.yield()
+		}
+		tab, n := logTabs[a], aps[a].Spectrum.Bins()
+		for s := range ws.heap {
+			r := rangeMax(tab, n, bl.superStart[s], bl.superCount[s])
+			if a == 0 {
+				ws.heap[s] = screenNode{bound: r, idx: int32(s), super: true}
+			} else {
+				ws.heap[s].bound += r
+			}
+		}
+	}
+	work := screenWork{evals: int64(nsx * nsy * len(aps))}
+	work.visits = ws.heap.init()
+
+	ws.cand = ws.cand[:0]
+	best := math.Inf(-1)
+	maxRefine := sg.maxRefine(nbx * nby)
+	var kids [superBlocks * superBlocks]float64
+	for {
+		if sg.yield != nil {
+			sg.yield()
+		}
+		if work.refined >= maxRefine {
+			return sg.screenFallback(ws, luts, logTabs, work)
+		}
+		if len(ws.heap) == 0 {
+			break
+		}
+		top := ws.heap[0]
+		if top.bound < best && work.refined >= int64(sg.topK) {
+			break
+		}
+		work.visits += ws.heap.pop()
+		if !top.super {
+			best = sg.refineBlock(ws, luts, logTabs, int(top.idx), nbx)
+			work.refined++
+			continue
+		}
+		// Bound the superblock's blocks: per block the same window
+		// maxima summed in the same AP order as blockBounds.
+		bx0, bx1, by0, by1 := superRect(nbx, nby, int(top.idx)%nsx, int(top.idx)/nsx)
+		for a, bl := range wins {
+			tab, n := logTabs[a], aps[a].Spectrum.Bins()
+			k := 0
+			for by := by0; by < by1; by++ {
+				for c := by*nbx + bx0; c < by*nbx+bx1; c++ {
+					r := rangeMax(tab, n, bl.start[c], bl.count[c])
+					if a == 0 {
+						kids[k] = r
+					} else {
+						kids[k] += r
+					}
+					k++
+				}
+			}
+		}
+		k := 0
+		for by := by0; by < by1; by++ {
+			for c := by*nbx + bx0; c < by*nbx+bx1; c++ {
+				work.visits += ws.heap.push(screenNode{bound: kids[k], idx: int32(c)})
+				k++
+			}
+		}
+		work.evals += int64(k * len(aps))
+		work.expanded++
+	}
+	work.addTo(sg.metrics)
+	return ws.cand
+}
+
+// refineBlock evaluates screening block c at full resolution, folds
+// its cells into ws.cand, and returns the best refined cell value.
+func (sg *SynthGrid) refineBlock(ws *synthWorkspace, luts []bearingLUT, logTabs [][]float64, c, nbx int) float64 {
+	if sg.onRefine != nil {
+		sg.onRefine(c)
+	}
+	x0, x1, y0, y1 := blockRect(sg.spec, sg.coarse, c%nbx, c/nbx)
+	for iy := y0; iy < y1; iy++ {
+		lo, hi := iy*sg.spec.Nx+x0, iy*sg.spec.Nx+x1
+		evalRange(ws.fine, luts, logTabs, lo, hi)
+		ws.cand = topCells(ws.cand, hillClimbSeeds, ws.fine, lo, hi)
+	}
+	return ws.cand[0].val
+}
+
+// screenFallback abandons a screen that spent its refinement budget
+// for the full surface.
+func (sg *SynthGrid) screenFallback(ws *synthWorkspace, luts []bearingLUT, logTabs [][]float64, work screenWork) []cellCand {
+	work.addTo(sg.metrics)
+	if m := sg.metrics; m != nil {
+		m.FullEvalFallbacks.Add(1)
+	}
+	return sg.fullSurface(ws, luts, logTabs)
+}
+
+// blockBounds fills bounds (one entry per screening block) with the
+// per-block upper bound of the fine surface: Σ over APs of the max of
+// the AP's log table over the block's bin window. No fine cell can
+// exceed its block's bound — both lerp endpoints lie inside the
+// window.
+func (sg *SynthGrid) blockBounds(ws *synthWorkspace, aps []APSpectrum, logTabs [][]float64) []float64 {
+	nbx, nby := sg.spec.blockDims(sg.coarse)
+	ws.coarse = growFloats(ws.coarse, nbx*nby)
+	bounds := ws.coarse
+	for a, bl := range sg.screenWindows(ws, aps) {
+		tab, n := logTabs[a], aps[a].Spectrum.Bins()
+		if sg.yield != nil && a > 0 {
+			sg.yield()
+		}
+		if a == 0 {
+			for c := range bounds {
+				bounds[c] = rangeMax(tab, n, bl.start[c], bl.count[c])
+			}
+		} else {
+			for c := range bounds {
+				bounds[c] += rangeMax(tab, n, bl.start[c], bl.count[c])
+			}
+		}
+	}
+	return bounds
+}
+
+// screenFlat is the one-level screen the two-level one is pinned
+// against (SynthGrid.linearPick; tests and BenchmarkFullGridLocalize
+// only): every block bounded up front, and the next block — highest
+// bound, lowest index among ties — rediscovered by a linear rescan at
+// every pick. Same stop rule, refinement budget and fallback.
+func (sg *SynthGrid) screenFlat(ws *synthWorkspace, aps []APSpectrum, luts []bearingLUT, logTabs [][]float64) []cellCand {
+	bounds := sg.blockBounds(ws, aps, logTabs)
+	nbx, _ := sg.spec.blockDims(sg.coarse)
+	work := screenWork{evals: int64(len(bounds) * len(aps))}
+	ws.cand = ws.cand[:0]
+	best := math.Inf(-1)
+	maxRefine := sg.maxRefine(len(bounds))
+	for ; ; work.refined++ {
+		if sg.yield != nil {
+			sg.yield()
+		}
+		if work.refined >= maxRefine {
+			return sg.screenFallback(ws, luts, logTabs, work)
+		}
+		pick := -1
+		for c, b := range bounds {
+			if !math.IsInf(b, -1) && (pick == -1 || b > bounds[pick]) {
+				pick = c
+			}
+		}
+		work.visits += int64(len(bounds))
+		if pick == -1 || (bounds[pick] < best && work.refined >= int64(sg.topK)) {
+			break
+		}
+		bounds[pick] = math.Inf(-1) // refined: out of the running
+		best = sg.refineBlock(ws, luts, logTabs, pick, nbx)
+	}
+	work.addTo(sg.metrics)
+	return ws.cand
 }

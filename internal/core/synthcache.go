@@ -68,8 +68,8 @@ const sliceableMissTableCap = 512
 func lutCost(cells int) int64 { return int64(cells)*12 + synthEntryOverhead }
 
 // blockCost is the byte footprint of one screening-block window
-// table: two int32 per block.
-func blockCost(blocks int) int64 { return int64(blocks) * 8 }
+// table: two int32 per block and per superblock.
+func blockCost(bl *blockLUT) int64 { return int64(len(bl.start)+len(bl.superStart)) * 8 }
 
 // synthEntry is one cached (AP position, grid geometry, bins) unit:
 // the fine LUT and every screening-block window derived from it, with
@@ -512,7 +512,7 @@ func (c *SynthCache) blockWindows(ap geom.Point, spec GridSpec, bins, factor int
 		sh.moveFront(e)
 		return e.blocks[factor]
 	}
-	cost := blockCost(len(fresh.start))
+	cost := blockCost(fresh)
 	if limit := c.shardBudget(); limit > 0 && e.cost+cost > limit {
 		// The entry's LUT fits but LUT + windows would not: serve the
 		// windows uncached (a spill) and keep the (more expensive to

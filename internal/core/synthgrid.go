@@ -30,13 +30,18 @@ package core
 //     bound instead of a lattice sample: each block's bearings from
 //     one AP cover a fixed circular window of spectrum bins (cached
 //     beside the LUTs), so max over the window of the AP's log table
-//     bounds every cell in the block. Blocks are refined at full
-//     resolution in bound order until no unrefined bound beats the
-//     best refined cell — a branch-and-bound argmax, exact by
-//     construction, not just on benign surfaces (narrow multi-AP
-//     likelihood spikes slip between lattice samples; a bound cannot
-//     miss them). RefineTopK blocks are always refined so hill
-//     climbing keeps several seeds.
+//     bounds every cell in the block. The screen has two levels
+//     (synthbnb.go): superBlocks×superBlocks blocks form a superblock
+//     whose window is the minimal arc covering theirs, a fix bounds
+//     only the superblocks up front, and one best-first heap expands a
+//     superblock into its blocks' bounds when its own bound comes up.
+//     Blocks are refined at full resolution in bound order — the same
+//     order, block for block, as if every block had been bounded —
+//     until no unvisited bound beats the best refined cell: a
+//     branch-and-bound argmax, exact by construction, not just on
+//     benign surfaces (narrow multi-AP likelihood spikes slip between
+//     lattice samples; a bound cannot miss them). RefineTopK blocks
+//     are always refined so hill climbing keeps several seeds.
 
 import (
 	"errors"
@@ -193,28 +198,49 @@ func (l bearingLUT) view(parent, spec GridSpec) bearingLUT {
 	return bearingLUT{bin: l.bin[first:], frac: l.frac[first:], nx: spec.Nx, stride: l.stride}
 }
 
+// superBlocks is the superblock edge in screening blocks: the screen's
+// upper level groups superBlocks×superBlocks blocks (edge superblocks
+// may be smaller) and bounds the group before any of its blocks.
+const superBlocks = 5
+
+// superDims returns the superblock partition of an nbx×nby block grid.
+func superDims(nbx, nby int) (nsx, nsy int) {
+	return (nbx + superBlocks - 1) / superBlocks, (nby + superBlocks - 1) / superBlocks
+}
+
 // blockLUT holds, per screening block of one (AP position, grid,
 // factor), the minimal circular window of spectrum bins the block's
 // cells interpolate over: bins [start, start+count) mod bins. The max
 // of an AP's log table over that window bounds the AP's contribution
-// to every cell of the block. Immutable after construction.
+// to every cell of the block. Each superblock carries a window too —
+// the minimal arc covering its blocks' windows — so its maximum bounds
+// every one of theirs. Immutable after construction.
 type blockLUT struct {
-	start []int32
-	count []int32
+	start, count           []int32 // per block, row-major over blockDims
+	superStart, superCount []int32 // per superblock, row-major over superDims
 }
 
-// buildBlockLUT derives the per-block bin windows from the fine LUT.
-// Every cell contributes its interpolation pair {b, b+1 mod n}; the
-// minimal circular window covering a block's set is found via the
-// largest gap in the sorted bin list.
+// buildBlockLUT derives the per-block bin windows from the fine LUT,
+// and the superblock windows from those. Every cell contributes its
+// interpolation pair {b, b+1 mod n}; the minimal circular window
+// covering a block's set is found via the largest gap in the sorted bin
+// list. A superblock's window covers its children's *windows* (the arc
+// union), not just their member bins: a child's window also spans the
+// non-member bins between its members, and the largest gap of the
+// pooled members can fall inside such a span — the parent would then
+// omit bins its child scans, and its bound would no longer dominate the
+// child's.
 func buildBlockLUT(fine bearingLUT, spec GridSpec, factor, bins int) *blockLUT {
 	nbx, nby := spec.blockDims(factor)
+	nsx, nsy := superDims(nbx, nby)
+	nb, ns := nbx*nby, nsx*nsy
+	buf := make([]int32, 2*(nb+ns))
 	bl := &blockLUT{
-		start: make([]int32, nbx*nby),
-		count: make([]int32, nbx*nby),
+		start: buf[:nb:nb], count: buf[nb : 2*nb : 2*nb],
+		superStart: buf[2*nb : 2*nb+ns : 2*nb+ns], superCount: buf[2*nb+ns:],
 	}
 	seen := make([]bool, bins)
-	var members []int32
+	members := make([]int32, 0, 64) // on the stack unless a block nears the AP
 	for by := 0; by < nby; by++ {
 		for bx := 0; bx < nbx; bx++ {
 			members = members[:0]
@@ -245,7 +271,61 @@ func buildBlockLUT(fine bearingLUT, spec GridSpec, factor, bins int) *blockLUT {
 			bl.count[c] = count
 		}
 	}
+	var arcs [superBlocks * superBlocks][2]int32
+	for sy := 0; sy < nsy; sy++ {
+		for sx := 0; sx < nsx; sx++ {
+			bx0, bx1, by0, by1 := superRect(nbx, nby, sx, sy)
+			k := 0
+			for by := by0; by < by1; by++ {
+				for c := by*nbx + bx0; c < by*nbx+bx1; c++ {
+					arcs[k] = [2]int32{bl.start[c], bl.start[c] + bl.count[c]}
+					k++
+				}
+			}
+			s := sy*nsx + sx
+			bl.superStart[s], bl.superCount[s] = coveringArc(arcs[:k], int32(bins))
+		}
+	}
 	return bl
+}
+
+// coveringArc returns the smallest window [start, start+count) mod n
+// covering every arc [a[0], a[1]) mod n of arcs (0 ≤ a[0] < n,
+// a[0] < a[1] ≤ a[0]+n; reordered in place): the complement of the
+// widest gap the arcs leave uncovered.
+func coveringArc(arcs [][2]int32, n int32) (start, count int32) {
+	// Insertion sort by start: at most superBlocks² arcs.
+	for i := 1; i < len(arcs); i++ {
+		for j := i; j > 0 && arcs[j][0] < arcs[j-1][0]; j-- {
+			arcs[j], arcs[j-1] = arcs[j-1], arcs[j]
+		}
+	}
+	// Arcs crossing the seam cover the prefix [0, reach) before the
+	// sweep starts.
+	reach := int32(0)
+	for _, a := range arcs {
+		reach = max(reach, a[1]-n)
+	}
+	gap := int32(0)
+	start = arcs[0][0]
+	for _, a := range arcs {
+		if g := a[0] - reach; g > gap {
+			gap, start = g, a[0]
+		}
+		reach = max(reach, a[1])
+	}
+	// The gap past the last arc runs round the seam to the first.
+	if g := arcs[0][0] + n - reach; g > gap {
+		gap, start = g, arcs[0][0]
+	}
+	return start, n - gap
+}
+
+// superRect returns the block rectangle [bx0,bx1)×[by0,by1) of
+// superblock (sx, sy) in an nbx×nby block grid.
+func superRect(nbx, nby, sx, sy int) (bx0, bx1, by0, by1 int) {
+	bx0, by0 = sx*superBlocks, sy*superBlocks
+	return bx0, min(bx0+superBlocks, nbx), by0, min(by0+superBlocks, nby)
 }
 
 // blockRect returns the fine-cell rectangle [x0,x1)×[y0,y1) of
@@ -355,8 +435,10 @@ type synthWorkspace struct {
 	logTabs [][]float64
 	luts    []bearingLUT
 	cand    []cellCand
-	// heap is the branch-and-bound block ordering (synthbnb.go).
-	heap []cellCand
+	// wins and heap are the branch-and-bound screen's per-AP bin
+	// windows and best-first ordering (synthbnb.go).
+	wins []*blockLUT
+	heap screenHeap
 	// hc* are the rotation-guarded hill climb's per-AP state: cached
 	// spectrum positions, offset vectors, squared ranges, and the
 	// probe-capture scratch (synthclimb.go).
@@ -434,11 +516,13 @@ type SynthGrid struct {
 	yield    func()
 	metrics  *SynthMetrics
 	// linearPick and scalarClimb swap in the two oracles the fast
-	// kernels are pinned against — the linear bound scan at every pick,
-	// hillClimbTabs for every climb. No option sets them; in-package
-	// tests do (export_test.go).
+	// kernels are pinned against — the flat screen (every block bounded,
+	// a linear bound scan at every pick), hillClimbTabs for every climb.
+	// onRefine, when set, is told each screening block as it is refined.
+	// No option sets them; in-package tests do (export_test.go).
 	linearPick  bool
 	scalarClimb bool
+	onRefine    func(block int)
 }
 
 // newSynthGrid resolves the option defaults around a prepared spec.
@@ -702,147 +786,30 @@ func (sg *SynthGrid) refineEnabled() bool {
 	return sg.coarse > 1 && sg.spec.Cells() >= minRefineCells
 }
 
-// blockBounds fills bounds (one entry per screening block) with the
-// per-block upper bound of the fine surface: Σ over APs of the max of
-// the AP's log table over the block's bin window. No fine cell can
-// exceed its block's bound — both lerp endpoints lie inside the
-// window.
-func (sg *SynthGrid) blockBounds(ws *synthWorkspace, aps []APSpectrum, logTabs [][]float64) []float64 {
-	nbx, nby := sg.spec.blockDims(sg.coarse)
-	ws.coarse = growFloats(ws.coarse, nbx*nby)
-	bounds := ws.coarse
-	for a, ap := range aps {
-		bl := sg.cache.blockWindows(ap.Pos, sg.spec, ap.Spectrum.Bins(), sg.coarse, sg.parent)
-		tab := logTabs[a]
-		n := ap.Spectrum.Bins()
-		if sg.yield != nil && a > 0 {
-			sg.yield()
-		}
-		if a == 0 {
-			for c := range bounds {
-				bounds[c] = rangeMax(tab, n, bl.start[c], bl.count[c])
-			}
-		} else {
-			for c := range bounds {
-				bounds[c] += rangeMax(tab, n, bl.start[c], bl.count[c])
-			}
-		}
-	}
-	return bounds
-}
-
 // hillClimbSeeds is how many top cells seed hill climbing, mirroring
 // Localize's TopCells(3).
 const hillClimbSeeds = 3
 
 // candidates fills ws.cand with the top hill-climbing seed cells of
 // the fine surface — via the full evaluation when refined is false,
-// via the branch-and-bound screen when true. The returned slice
-// aliases ws and is valid until the workspace's next use.
-//
-// The screen refines blocks in descending bound order and stops once
-// no unrefined block's bound reaches the best refined cell value (a
-// cell beating the current best would force its block's bound above
-// it, so stopping is safe and the argmax matches the full scan
-// exactly, lower-index tie-break included: a tying cell's block bound
-// is ≥ the tie value, so its block is refined too). At least topK
-// blocks are refined so hill climbing sees several basins.
+// via the branch-and-bound screen (synthbnb.go) when true. The
+// returned slice aliases ws and is valid until the workspace's next
+// use.
 func (sg *SynthGrid) candidates(ws *synthWorkspace, aps []APSpectrum, refined bool) []cellCand {
 	logTabs := ws.logTables(aps)
 	ws.fine = growFloats(ws.fine, sg.spec.Cells())
 	luts := sg.fetchLUTs(ws, aps, sg.spec)
-	if refined && sg.refineEnabled() {
-		bounds := sg.blockBounds(ws, aps, logTabs)
-		nbx, _ := sg.spec.blockDims(sg.coarse)
-		ws.cand = ws.cand[:0]
-		best := math.Inf(-1)
-		// If the screen stops pruning (a near-flat surface ties every
-		// bound to the best cell), refining block after block serially
-		// loses to the sharded full evaluation — past this budget fall
-		// back to it, trivially exact.
-		maxRefine := len(bounds)/4 + sg.topK
-		// Blocks are consumed in (bound desc, index asc) order. A
-		// linear rescan rediscovers the next block at O(blocks) per
-		// pick but each visit is a sequential float compare, so for
-		// the handful of refinements a peaked surface needs it beats
-		// the heap's constants; past heapSwitchRefinements the screen
-		// is bound-scan-dominated and the remaining bounds are built
-		// into a heap popping the identical order at O(log blocks)
-		// per pick (see synthbnb.go for the order-equality argument).
-		useHeap := false
-		var visits int64
-		refinedBlocks := 0
-		flush := func() {
-			if m := sg.metrics; m != nil {
-				m.BlocksRefined.Add(int64(refinedBlocks))
-				m.BoundVisits.Add(visits)
-			}
-		}
-		for ; ; refinedBlocks++ {
-			if sg.yield != nil {
-				sg.yield()
-			}
-			if refinedBlocks >= maxRefine {
-				flush()
-				if m := sg.metrics; m != nil {
-					m.FullEvalFallbacks.Add(1)
-				}
-				sg.evalSurface(ws.fine, sg.spec, luts, logTabs)
-				ws.cand = sg.topCellsYield(ws.cand[:0], hillClimbSeeds, ws.fine)
-				return ws.cand
-			}
-			if !useHeap && !sg.linearPick && refinedBlocks >= heapSwitchRefinements {
-				// Refined blocks are already -Inf, so the heap holds
-				// exactly the unconsumed tail of the total order.
-				useHeap = true
-				ws.heap = ws.heap[:0]
-				for c, b := range bounds {
-					if !math.IsInf(b, -1) {
-						ws.heap = append(ws.heap, cellCand{c, b})
-					}
-				}
-				visits += heapInit(ws.heap)
-			}
-			pick := -1
-			var pickVal float64
-			if useHeap {
-				if len(ws.heap) > 0 {
-					pick, pickVal = ws.heap[0].idx, ws.heap[0].val
-				}
-			} else {
-				for c, b := range bounds {
-					if !math.IsInf(b, -1) && (pick == -1 || b > bounds[pick]) {
-						pick = c
-					}
-				}
-				visits += int64(len(bounds))
-				if pick >= 0 {
-					pickVal = bounds[pick]
-				}
-			}
-			if pick == -1 || (pickVal < best && refinedBlocks >= sg.topK) {
-				break
-			}
-			if useHeap {
-				var v int64
-				ws.heap, v = heapPop(ws.heap)
-				visits += v
-			} else {
-				bounds[pick] = math.Inf(-1) // refined: out of the running
-			}
-			x0, x1, y0, y1 := blockRect(sg.spec, sg.coarse, pick%nbx, pick/nbx)
-			for iy := y0; iy < y1; iy++ {
-				lo, hi := iy*sg.spec.Nx+x0, iy*sg.spec.Nx+x1
-				evalRange(ws.fine, luts, logTabs, lo, hi)
-				ws.cand = topCells(ws.cand, hillClimbSeeds, ws.fine, lo, hi)
-			}
-			if len(ws.cand) > 0 {
-				best = ws.cand[0].val
-			}
-		}
-		flush()
-		return ws.cand
+	switch {
+	case !refined || !sg.refineEnabled():
+		return sg.fullSurface(ws, luts, logTabs)
+	case sg.linearPick:
+		return sg.screenFlat(ws, aps, luts, logTabs)
 	}
+	return sg.screen(ws, aps, luts, logTabs)
+}
+
+// fullSurface evaluates every fine cell and ranks them all.
+func (sg *SynthGrid) fullSurface(ws *synthWorkspace, luts []bearingLUT, logTabs [][]float64) []cellCand {
 	sg.evalSurface(ws.fine, sg.spec, luts, logTabs)
 	ws.cand = sg.topCellsYield(ws.cand[:0], hillClimbSeeds, ws.fine)
 	return ws.cand

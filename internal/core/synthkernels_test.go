@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,11 +9,11 @@ import (
 	"repro/internal/music"
 )
 
-// TestSynthHeapMatchesLinearPick pins the heap-ordered branch-and-bound
-// against the retained linear bound scan: over random scenes, every
-// combination of pick order and hill-climb path must produce the
-// identical refined argmax cell and the identical (bit-for-bit)
-// localized fix — the heap replays the linear scan's (bound desc,
+// TestSynthHeapMatchesLinearPick pins the two-level heap-ordered
+// branch-and-bound against the retained flat screen: over random
+// scenes, every combination of screen and hill-climb path must produce
+// the identical refined argmax cell and the identical (bit-for-bit)
+// localized fix — the mixed heap replays the linear scan's (bound desc,
 // index asc) refinement order exactly.
 func TestSynthHeapMatchesLinearPick(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
@@ -28,7 +29,7 @@ func TestSynthHeapMatchesLinearPick(t *testing.T) {
 			fast.WithOracles(true, true), // both oracles: the reference
 			fast.WithOracles(false, true),
 			fast.WithOracles(true, false),
-			fast, // heap + guarded climb (the fix path)
+			fast, // two-level screen + guarded climb (the fix path)
 		}
 		var refCell int
 		var refPos geom.Point
@@ -121,12 +122,12 @@ func TestHillClimbGuardedNearAP(t *testing.T) {
 }
 
 // TestSynthBnBDegenerateNotQuadratic is the degenerate-surface
-// satellite: all-floor spectra at 2 cm pitch tie every block bound,
-// so the screen refines blocks up to its budget before falling back —
-// the linear scan's pick cost is O(blocks) per refinement (O(blocks²)
-// total bound visits), while the heap's is O(log blocks). Both paths
-// must agree on the argmax; the heap must examine far fewer bound
-// entries.
+// satellite: all-floor spectra at 2 cm pitch tie every bound, so the
+// screen expands every superblock and refines blocks up to its budget
+// before falling back — the flat oracle's pick cost is O(blocks) per
+// refinement (O(blocks²) total bound visits), while the heap's is
+// O(log blocks). Both paths must agree on the argmax; the heap must
+// examine far fewer bound entries.
 func TestSynthBnBDegenerateNotQuadratic(t *testing.T) {
 	flat := []APSpectrum{
 		{Pos: geom.Pt(0, 0), Spectrum: music.NewSpectrum(360)},
@@ -185,7 +186,7 @@ func TestSynthMetricsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
-	if s.BlocksRefined == 0 || s.BoundVisits == 0 {
+	if s.BlocksRefined == 0 || s.BoundVisits == 0 || s.BoundEvals == 0 || s.SuperExpanded == 0 {
 		t.Fatalf("branch-and-bound work not accounted: %+v", s)
 	}
 	if s.HillProbes == 0 {
@@ -193,5 +194,148 @@ func TestSynthMetricsCounters(t *testing.T) {
 	}
 	if s.HillPruned > s.HillProbes {
 		t.Fatalf("pruned %d exceeds probes %d", s.HillPruned, s.HillProbes)
+	}
+}
+
+// arcContains reports whether circular window [start, start+count) mod
+// n contains bin b.
+func arcContains(start, count int32, n int, b int32) bool {
+	d := b - start
+	if d < 0 {
+		d += int32(n)
+	}
+	return d < count
+}
+
+// minimalCover returns, by brute force, the bin count of the smallest
+// circular window covering the windows of blocks [bx0,bx1)×[by0,by1):
+// all bins less the longest run no window touches.
+func minimalCover(bl *blockLUT, bins, nbx, bx0, bx1, by0, by1 int) int32 {
+	covered := make([]bool, bins)
+	for by := by0; by < by1; by++ {
+		for c := by*nbx + bx0; c < by*nbx+bx1; c++ {
+			for k := int32(0); k < bl.count[c]; k++ {
+				covered[(bl.start[c]+k)%int32(bins)] = true
+			}
+		}
+	}
+	longest, run := 0, 0
+	for i := 0; i < 2*bins && run < bins; i++ { // twice round, so a run may cross the seam
+		if covered[i%bins] {
+			run = 0
+			continue
+		}
+		if run++; run > longest {
+			longest = run
+		}
+	}
+	return int32(bins - longest)
+}
+
+// TestSuperWindowsCoverChildren is the property the two-level screen's
+// exactness rests on: for any AP position (inside the grid — where a
+// block's window wraps the whole circle — on its edge, far outside),
+// pitch, bin count and region offset, every block's bin window lies
+// inside its superblock's, across the 2π seam included, and the
+// superblock's is the smallest window for which that holds. Hence, for any
+// log table, superblock bound ≥ block bound (exactly: a maximum over a
+// superset) ≥ every cell of the block (to rounding: a lerp of two
+// window members), also summed over APs.
+func TestSuperWindowsCoverChildren(t *testing.T) {
+	rng := rand.New(rand.NewSource(190))
+	min, max := synthBounds()
+	for trial := 0; trial < 60; trial++ {
+		cell := []float64{0.05, 0.10, 0.25, 0.5}[rng.Intn(4)]
+		bins := []int{90, 360, 720}[rng.Intn(3)]
+		factor := []int{3, 5, 8}[rng.Intn(3)]
+		full, err := GridSpecFor(min, max, cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := full
+		if trial%2 == 1 { // a region of the lattice, offset from its origin
+			nx, ny := 12+rng.Intn(full.Nx/3), 12+rng.Intn(full.Ny/3)
+			spec = GridSpec{Min: full.Min, Cell: cell, Nx: nx, Ny: ny,
+				X0: rng.Intn(full.Nx - nx), Y0: rng.Intn(full.Ny - ny)}
+		}
+		nAPs := 1 + rng.Intn(3)
+		luts := make([]bearingLUT, nAPs)
+		wins := make([]*blockLUT, nAPs)
+		tabs := make([][]float64, nAPs)
+		for a := range luts {
+			var ap geom.Point
+			switch rng.Intn(4) {
+			case 0: // exactly on a cell centre of the grid
+				ap = spec.Center(rng.Intn(spec.Nx), rng.Intn(spec.Ny))
+			case 1: // anywhere inside
+				o, e := spec.Origin(), spec.Center(spec.Nx-1, spec.Ny-1)
+				ap = geom.Pt(o.X+rng.Float64()*(e.X-o.X), o.Y+rng.Float64()*(e.Y-o.Y))
+			case 2: // on the grid's left edge
+				ap = geom.Pt(spec.Origin().X, spec.Origin().Y+rng.Float64()*float64(spec.Ny-1)*cell)
+			default: // far outside
+				ap = geom.Pt(-200+rng.Float64()*500, -300+rng.Float64()*700)
+			}
+			luts[a] = buildLUT(ap, spec, bins)
+			wins[a] = buildBlockLUT(luts[a], spec, factor, bins)
+			tabs[a] = make([]float64, bins+1)
+			for i := 0; i < bins; i++ {
+				tabs[a][i] = math.Log(likelihoodFloor + rng.Float64())
+			}
+			tabs[a][bins] = tabs[a][0]
+		}
+		nbx, nby := spec.blockDims(factor)
+		nsx, nsy := superDims(nbx, nby)
+		for sy := 0; sy < nsy; sy++ {
+			for sx := 0; sx < nsx; sx++ {
+				s := sy*nsx + sx
+				superBound := 0.0
+				for a, bl := range wins {
+					superBound += rangeMax(tabs[a], bins, bl.superStart[s], bl.superCount[s])
+				}
+				bx0, bx1, by0, by1 := superRect(nbx, nby, sx, sy)
+				for a, bl := range wins {
+					if want := minimalCover(bl, bins, nbx, bx0, bx1, by0, by1); bl.superCount[s] != want {
+						t.Fatalf("trial %d AP %d: superblock %d's window spans %d bins, the minimal cover of its blocks' windows %d",
+							trial, a, s, bl.superCount[s], want)
+					}
+				}
+				for by := by0; by < by1; by++ {
+					for bx := bx0; bx < bx1; bx++ {
+						c := by*nbx + bx
+						blockBound := 0.0
+						for a, bl := range wins {
+							if bl.count[c] < 2 || bl.count[c] > int32(bins) {
+								t.Fatalf("trial %d block %d: window of %d bins", trial, c, bl.count[c])
+							}
+							for k := int32(0); k < bl.count[c]; k++ {
+								b := (bl.start[c] + k) % int32(bins)
+								if !arcContains(bl.superStart[s], bl.superCount[s], bins, b) {
+									t.Fatalf("trial %d (cell %g, %d bins, factor %d, offset %d,%d) AP %d: bin %d of block %d's window [%d,+%d) is outside superblock %d's [%d,+%d)",
+										trial, cell, bins, factor, spec.X0, spec.Y0, a, b, c,
+										bl.start[c], bl.count[c], s, bl.superStart[s], bl.superCount[s])
+								}
+							}
+							blockBound += rangeMax(tabs[a], bins, bl.start[c], bl.count[c])
+						}
+						if superBound < blockBound {
+							t.Fatalf("trial %d: superblock %d bound %v below its block %d's %v", trial, s, superBound, c, blockBound)
+						}
+						x0, x1, y0, y1 := blockRect(spec, factor, bx, by)
+						for iy := y0; iy < y1; iy++ {
+							for ix := x0; ix < x1; ix++ {
+								v := 0.0
+								for a, lut := range luts {
+									b, f := lut.bin[iy*lut.stride+ix], lut.frac[iy*lut.stride+ix]
+									v += tabs[a][b]*(1-f) + tabs[a][b+1]*f
+								}
+								if v > blockBound+1e-12 {
+									t.Fatalf("trial %d: cell (%d,%d) = %v exceeds block %d's bound %v", trial, ix, iy, v, c, blockBound)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -330,13 +330,18 @@ func (tb *Testbed) RunKernels(opt KernelsOptions) (*Report, error) {
 	probes := m1.HillProbes - m0.HillProbes
 	prunedPct := 100 * float64(m1.HillPruned-m0.HillPruned) / float64(probes)
 	probesPerSec := float64(probes) / wall.Seconds()
-	visits := float64(m1.BoundVisits-m0.BoundVisits) / float64(opt.Trials*len(scenes))
+	fixes := float64(opt.Trials * len(scenes))
+	visits := float64(m1.BoundVisits-m0.BoundVisits) / fixes
+	evals := float64(m1.BoundEvals-m0.BoundEvals) / fixes
+	expanded := float64(m1.SuperExpanded-m0.SuperExpanded) / fixes
 	r.AddMetric("kernels_localize_fast_ns", localizeNS, "ns/op")
 	r.AddMetric("kernels_climb_probes_per_s", probesPerSec, "probes/s")
 	r.AddMetric("kernels_climb_pruned_pct", prunedPct, "%")
-	r.AddMetric("kernels_bnb_visits_adaptive_mean", visits, "visits/fix")
-	r.Addf("localize 10 cm (%d scenes): %.0f ns/op; hill climb %.0f probes/s, %.0f%% pruned without a bearing; B&B %.0f bound visits/fix",
-		len(scenes), localizeNS, probesPerSec, prunedPct, visits)
+	r.AddMetric("kernels_bnb_visits_mean", visits, "visits/fix")
+	r.AddMetric("kernels_bnb_bound_evals_mean", evals, "window maxima/fix")
+	r.AddMetric("kernels_bnb_super_expanded_mean", expanded, "superblocks/fix")
+	r.Addf("localize 10 cm (%d scenes): %.0f ns/op; hill climb %.0f probes/s, %.0f%% pruned without a bearing; B&B %.0f window maxima/fix (%.1f superblocks expanded), %.0f heap comparisons/fix",
+		len(scenes), localizeNS, probesPerSec, prunedPct, evals, expanded, visits)
 
 	// --- two-choice SynthCache at dense pitch: the full six-site LUT
 	// working set against a budget of one entry per shard. Single-

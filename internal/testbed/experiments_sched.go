@@ -206,8 +206,8 @@ func (tb *Testbed) schedPredictive(r *Report, opt SchedOptions) error {
 	}
 
 	r.Addf("")
-	r.Addf("search stage p50: full %.2fms, tracked region %.2fms (%.1fx); p99 %.2f vs %.2fms",
-		fullP50, predP50, speedup, stats.Percentile(fullMS, 99), stats.Percentile(predMS, 99))
+	r.Addf("search stage p50: tracked region %.3fms, full grid %.3fms (full/region %.2fx; gated: region no slower than full); p99 %.3f vs %.3fms",
+		predP50, fullP50, speedup, stats.Percentile(predMS, 99), stats.Percentile(fullMS, 99))
 	r.Addf("smoothed RMSE: full-grid serving %.0fcm, predictive serving %.0fcm", fullRMSE, predRMSE)
 	r.Addf("served predictively %d/%d fixes (fallbacks: border %d, gate %d, error %d, no-track %d)",
 		predicted, opt.Steps, st.PredictFallbackBorder, st.PredictFallbackGate,
