@@ -182,12 +182,9 @@ func (s *Spectrum) AppendPeaks(dst []Peak, minRel float64) []Peak {
 	if n < 3 {
 		return dst
 	}
-	max, _ := s.Max()
-	if max <= 0 {
-		return dst
-	}
-	floor := minRel * max
-	base := len(dst)
+	// One pass finds the maximum and collects every local maximum; the
+	// floor, known only once it ends, then filters them in place.
+	out, max := dst, math.Inf(-1)
 	// prev and v are carried from bin to bin; only the last bin's
 	// successor wraps to bin 0.
 	prev, v := s.P[n-1], s.P[0]
@@ -196,13 +193,25 @@ func (s *Spectrum) AppendPeaks(dst []Peak, minRel float64) []Peak {
 		if i+1 < n {
 			next = s.P[i+1]
 		}
-		if v > prev && v >= next && v >= floor {
-			dst = append(dst, Peak{Theta: s.Theta(i), Power: v, Bin: i})
+		if v > max {
+			max = v
+		}
+		if v > prev && v >= next {
+			out = append(out, Peak{Power: v, Bin: i})
 		}
 		prev, v = v, next
 	}
+	peaks := out[len(dst):len(dst)]
+	for _, pk := range out[len(dst):] {
+		if pk.Power >= minRel*max {
+			pk.Theta = s.Theta(pk.Bin)
+			peaks = append(peaks, pk)
+		}
+	}
+	if max <= 0 || len(peaks) == 0 {
+		return dst // nothing to add: a nil dst stays nil
+	}
 	// Insertion sort by descending power (peak counts are tiny).
-	peaks := dst[base:]
 	for i := 1; i < len(peaks); i++ {
 		j := i
 		for j > 0 && peaks[j-1].Power < peaks[j].Power {
@@ -210,7 +219,7 @@ func (s *Spectrum) AppendPeaks(dst []Peak, minRel float64) []Peak {
 			j--
 		}
 	}
-	return dst
+	return out[:len(dst)+len(peaks)]
 }
 
 // CorrelationMatrix estimates Rxx = E[x·xᴴ] from snapshots, each a

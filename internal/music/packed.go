@@ -12,8 +12,12 @@ package music
 //
 // a_d is table column d, so the scan folds M into its lags once per
 // frame and then pays two multiply-adds per lag per bin instead of a
-// full matrix-vector product. The ninth antenna sits off the row; its
-// one cross column is added explicitly.
+// full matrix-vector product. The table's planes are lag-major (column
+// d of every bin contiguous), so planeSums takes the sum one lag at a
+// time with the bin index innermost: unit-stride streams, no per-bin
+// slicing, and each bin still receives its terms in the order it always
+// did — bit-identical to summing bin by bin. The ninth antenna sits off
+// the row; its one cross column is two more such sums.
 //
 // Split-plane sum of squares (any geometry). The matrix is packed into
 // re/im float64 planes and the form is evaluated term by term, each
@@ -28,9 +32,12 @@ package music
 // Exactness: the lag form reassociates the sum, so it matches the sum
 // of squares to rounding, not bit for bit — within 1e-9 of the unit
 // maximum, pinned by TestLagScansMatchSumOfSquares and, at fix level,
-// by the 205-scene sweep in internal/testbed.
+// by the 205-scene sweep in internal/testbed. The sum-of-squares
+// kernels gather the one steering row they walk out of the planes.
 
 import (
+	"math"
+
 	"repro/internal/mat"
 )
 
@@ -46,6 +53,12 @@ func growPlane(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return s[:n]
+}
+
+// growPlanes resizes a workspace's re/im scratch pair to n and returns it.
+func growPlanes(re, im *[]float64, n int) ([]float64, []float64) {
+	*re, *im = growPlane(*re, n), growPlane(*im, n)
+	return *re, *im
 }
 
 // MUSICWithTableWS is the table MUSIC scan (Eq. 6): P(θᵢ) =
@@ -68,9 +81,7 @@ func MUSICWithTableRefWS(ws *Workspace, en *mat.Matrix, tab *SteeringTable) *Spe
 // plain sum of squares otherwise.
 func musicWithTable(ws *Workspace, en *mat.Matrix, tab *SteeringTable, lag bool) *Spectrum {
 	rows, cols := en.Rows, en.Cols
-	ws.enRe = growPlane(ws.enRe, rows*cols)
-	ws.enIm = growPlane(ws.enIm, rows*cols)
-	enRe, enIm := ws.enRe, ws.enIm
+	enRe, enIm := growPlanes(&ws.enRe, &ws.enIm, rows*cols)
 	// Pack the noise subspace column-major so each column's dot walks
 	// contiguous memory.
 	for k := 0; k < cols; k++ {
@@ -83,37 +94,78 @@ func musicWithTable(ws *Workspace, en *mat.Matrix, tab *SteeringTable, lag bool)
 	}
 
 	s := ws.spectrum(tab.bins)
-	n := tab.n
-	if !lag {
-		for i := 0; i < tab.bins; i++ {
-			denom := noiseProjection(enRe, enIm, rows, cols, tab.re[i*n:i*n+rows], tab.im[i*n:i*n+rows])
-			if denom < 1e-12 {
-				denom = 1e-12
-			}
-			s.P[i] = 1 / denom
+	p := s.P
+	aRe, aIm := growPlanes(&ws.raRe, &ws.raIm, rows)
+	// guard stays 0 on the sum-of-squares path: no denominator is below it.
+	var guard float64
+	if lag {
+		c0, cRe, cIm := foldNoiseLags(ws, enRe, enIm, rows, cols)
+		planeSums(p, c0, cRe, cIm, tab, 1)
+		guard = musicLagGuard * c0
+	} else {
+		for i := range p {
+			tab.gather(i, aRe, aIm)
+			p[i] = noiseProjection(enRe, enIm, rows, cols, aRe, aIm)
 		}
-		return s.Normalize()
 	}
-
-	c0, cRe, cIm := foldNoiseLags(ws, enRe, enIm, rows, cols)
-	guard := musicLagGuard * c0
-	for i := 0; i < tab.bins; i++ {
-		are := tab.re[i*n+1 : i*n+rows]
-		aim := tab.im[i*n+1 : i*n+rows]
-		denom := c0
-		for d, cr := range cRe {
-			denom += cr*are[d] - cIm[d]*aim[d]
-		}
+	// Guard, clamp, invert, and find the maximum to normalize by, in one pass.
+	max := math.Inf(-1)
+	for i, denom := range p {
 		if denom < guard {
-			denom = noiseProjection(enRe, enIm, rows, cols, tab.re[i*n:i*n+rows], tab.im[i*n:i*n+rows])
+			tab.gather(i, aRe, aIm)
+			denom = noiseProjection(enRe, enIm, rows, cols, aRe, aIm)
 			ws.guardFallbacks++
 		}
 		if denom < 1e-12 {
 			denom = 1e-12
 		}
-		s.P[i] = 1 / denom
+		v := 1 / denom
+		if v > max {
+			max = v
+		}
+		p[i] = v
 	}
-	return s.Normalize()
+	if max > 0 {
+		for i := range p {
+			p[i] /= max
+		}
+	}
+	return s
+}
+
+// planeSums fills p[i] = c0 + Σ_d (cRe[d]·Re a_{k0+d}(θᵢ) − cIm[d]·Im a_{k0+d}(θᵢ)),
+// d = 0..len(cRe)−1: one pass per term over its two planes, the first
+// six fused into one pass when there are that many (the shipped 7-row
+// scan is exactly that pass). Each bin's terms arrive in order d either
+// way (TestLagScansBitIdenticalToRowMajor).
+func planeSums(p []float64, c0 float64, cRe, cIm []float64, tab *SteeringTable, k0 int) {
+	d := 0
+	if len(cRe) >= 6 {
+		re0, im0 := tab.column(k0, len(p))
+		re1, im1 := tab.column(k0+1, len(p))
+		re2, im2 := tab.column(k0+2, len(p))
+		re3, im3 := tab.column(k0+3, len(p))
+		re4, im4 := tab.column(k0+4, len(p))
+		re5, im5 := tab.column(k0+5, len(p))
+		c0r, c0i, c1r, c1i, c2r, c2i := cRe[0], cIm[0], cRe[1], cIm[1], cRe[2], cIm[2]
+		c3r, c3i, c4r, c4i, c5r, c5i := cRe[3], cIm[3], cRe[4], cIm[4], cRe[5], cIm[5]
+		for i := range p {
+			p[i] = c0 + (c0r*re0[i] - c0i*im0[i]) + (c1r*re1[i] - c1i*im1[i]) + (c2r*re2[i] - c2i*im2[i]) +
+				(c3r*re3[i] - c3i*im3[i]) + (c4r*re4[i] - c4i*im4[i]) + (c5r*re5[i] - c5i*im5[i])
+		}
+		d = 6
+	} else {
+		for i := range p {
+			p[i] = c0
+		}
+	}
+	for ; d < len(cRe); d++ {
+		cr, ci := cRe[d], cIm[d]
+		re, im := tab.column(k0+d, len(p))
+		for i, v := range p {
+			p[i] = v + (cr*re[i] - ci*im[i])
+		}
+	}
 }
 
 // foldNoiseLags folds C = E_N·E_Nᴴ into its diagonal sums c_d =
@@ -122,9 +174,7 @@ func musicWithTable(ws *Workspace, en *mat.Matrix, tab *SteeringTable, lag bool)
 // pre-doubled 2·c_d in ws-owned planes, so a bin's denominator is
 // c_0 + Σ_d (cRe[d−1]·Re a_d − cIm[d−1]·Im a_d).
 func foldNoiseLags(ws *Workspace, enRe, enIm []float64, rows, cols int) (c0 float64, cRe, cIm []float64) {
-	ws.lagRe = growPlane(ws.lagRe, rows)
-	ws.lagIm = growPlane(ws.lagIm, rows)
-	cRe, cIm = ws.lagRe, ws.lagIm
+	cRe, cIm = growPlanes(&ws.lagRe, &ws.lagIm, rows)
 	for d := 0; d < rows; d++ {
 		var sre, sim float64
 		for k := 0; k < cols; k++ {
@@ -190,27 +240,17 @@ func noiseProjection(enRe, enIm []float64, rows, cols int, sre, sim []float64) f
 // table's uniform row, or the whole row plus the ninth antenna; both
 // take the lag form. Anything else takes the generic kernel.
 func BartlettWithTableWS(ws *Workspace, r *mat.Matrix, tab *SteeringTable) *Spectrum {
-	m := r.Rows
-	return bartlettWithTable(orFresh(ws), r, tab, m <= tab.row || (tab.row > 0 && m == tab.row+1 && m == tab.n))
+	ws = orFresh(ws)
+	if m := r.Rows; m <= tab.row || (tab.row > 0 && m == tab.row+1 && m == tab.n) {
+		return bartlettLagScan(ws, r, tab)
+	}
+	return bartlettGenericScan(ws, r, tab)
 }
 
 // BartlettWithTableRefWS is BartlettWithTableWS forced onto the generic
 // kernel (see MUSICWithTableRefWS).
 func BartlettWithTableRefWS(ws *Workspace, r *mat.Matrix, tab *SteeringTable) *Spectrum {
-	return bartlettWithTable(orFresh(ws), r, tab, false)
-}
-
-// bartlettWithTable runs the scan in the lag domain when lag is set
-// (the caller has checked R's shape against the table) and through the
-// generic R·a kernel otherwise.
-func bartlettWithTable(ws *Workspace, r *mat.Matrix, tab *SteeringTable, lag bool) *Spectrum {
-	s := ws.spectrum(tab.bins)
-	if lag {
-		bartlettLagScan(ws, s.P, r, tab)
-	} else {
-		bartlettGenericScan(ws, s.P, r, tab)
-	}
-	return s
+	return bartlettGenericScan(orFresh(ws), r, tab)
 }
 
 // bartlettLagScan evaluates the quadratic form over R's row block from
@@ -219,19 +259,15 @@ func bartlettWithTable(ws *Workspace, r *mat.Matrix, tab *SteeringTable, lag boo
 // term. Only Re aᴴRa is wanted, which depends on R through its
 // Hermitian part alone, so the fold averages R[p,q] with conj(R[q,p])
 // and the result holds for any R, exactly Hermitian or not.
-func bartlettLagScan(ws *Workspace, p []float64, r *mat.Matrix, tab *SteeringTable) {
-	m := r.Rows
-	row := m
-	if row > tab.row {
-		row = tab.row
-	}
+func bartlettLagScan(ws *Workspace, r *mat.Matrix, tab *SteeringTable) *Spectrum {
+	s := ws.spectrum(tab.bins)
+	p, m := s.P, r.Rows
+	row := min(m, tab.row)
 	herm := func(i, j int) (float64, float64) {
 		u, v := r.Data[i*m+j], r.Data[j*m+i]
 		return (real(u) + real(v)) / 2, (imag(u) - imag(v)) / 2
 	}
-	ws.lagRe = growPlane(ws.lagRe, row)
-	ws.lagIm = growPlane(ws.lagIm, row)
-	rRe, rIm := ws.lagRe, ws.lagIm
+	rRe, rIm := growPlanes(&ws.lagRe, &ws.lagIm, row)
 	for d := 0; d < row; d++ {
 		var sre, sim float64
 		for i := 0; i+d < row; i++ {
@@ -247,44 +283,35 @@ func bartlettLagScan(ws *Workspace, p []float64, r *mat.Matrix, tab *SteeringTab
 	r0 := rRe[0]
 	rRe, rIm = rRe[1:row], rIm[1:row]
 
-	// Ninth antenna e: the cross terms conj(a_e)·Σ_q R[e,q]·a_q and its
-	// conjugate, pre-doubled, plus R[e,e]·|a_e|².
-	var xRe, xIm []float64
-	var ree float64
+	planeSums(p, r0, rRe, rIm, tab, 1)
 	if m > row {
-		ws.raRe = growPlane(ws.raRe, row)
+		// Ninth antenna e: conj(a_e)·s and its conjugate, s = Σ_q x_q·a_q
+		// with x_q = 2·R[e,q], plus R[e,e]·|a_e|². Re s and Im s are plane
+		// sums from column 0: Im s = Σ (Im x_q·Re a_q − (−Re x_q)·Im a_q),
+		// each term rounding as Re x_q·Im a_q + Im x_q·Re a_q always did.
+		ws.raRe = growPlane(ws.raRe, 2*row)
 		ws.raIm = growPlane(ws.raIm, row)
-		xRe, xIm = ws.raRe, ws.raIm
+		xRe, xIm, xNeg := ws.raRe[:row], ws.raIm, ws.raRe[row:]
 		for q := 0; q < row; q++ {
 			re, im := herm(row, q)
-			xRe[q], xIm[q] = 2*re, 2*im
+			xRe[q], xIm[q], xNeg[q] = 2*re, 2*im, -2*re
 		}
-		ree = real(r.Data[row*m+row])
+		sre, sim := growPlanes(&ws.rRe, &ws.rIm, len(p))
+		planeSums(sre, 0, xRe, xIm, tab, 0)
+		planeSums(sim, 0, xIm, xNeg, tab, 0)
+		ree := real(r.Data[row*m+row])
+		re, im := tab.column(row, len(p))
+		for i := range p {
+			er, ei := re[i], im[i]
+			p[i] += er*sre[i] + ei*sim[i] + ree*(er*er+ei*ei)
+		}
 	}
-
-	n := tab.n
-	for i := 0; i < tab.bins; i++ {
-		are := tab.re[i*n : i*n+m]
-		aim := tab.im[i*n : i*n+m]
-		v := r0
-		for d, rr := range rRe {
-			v += rr*are[d+1] - rIm[d]*aim[d+1]
-		}
-		if m > row {
-			var sre, sim float64
-			for q, xr := range xRe {
-				xi := xIm[q]
-				sre += xr*are[q] - xi*aim[q]
-				sim += xr*aim[q] + xi*are[q]
-			}
-			er, ei := are[row], aim[row]
-			v += er*sre + ei*sim + ree*(er*er+ei*ei)
-		}
+	for i, v := range p {
 		if v < 0 {
-			v = 0
+			p[i] = 0
 		}
-		p[i] = v
 	}
+	return s
 }
 
 // bartlettGenericScan packs R into split planes and evaluates R·a then
@@ -292,21 +319,18 @@ func bartlettLagScan(ws *Workspace, p []float64, r *mat.Matrix, tab *SteeringTab
 // order, so it is bit-identical to the Bartlett oracle. Only the real part
 // of the quadratic form survives, so the R·a intermediate keeps both
 // planes but the final dot skips its imaginary half.
-func bartlettGenericScan(ws *Workspace, p []float64, r *mat.Matrix, tab *SteeringTable) {
-	m := r.Rows
-	ws.rRe = growPlane(ws.rRe, m*m)
-	ws.rIm = growPlane(ws.rIm, m*m)
-	ws.raRe = growPlane(ws.raRe, m)
-	ws.raIm = growPlane(ws.raIm, m)
-	rRe, rIm, raRe, raIm := ws.rRe, ws.rIm, ws.raRe, ws.raIm
+func bartlettGenericScan(ws *Workspace, r *mat.Matrix, tab *SteeringTable) *Spectrum {
+	s := ws.spectrum(tab.bins)
+	p, m := s.P, r.Rows
+	rRe, rIm := growPlanes(&ws.rRe, &ws.rIm, m*m)
+	raRe, raIm := growPlanes(&ws.raRe, &ws.raIm, m)
+	are, aim := growPlanes(&ws.lagRe, &ws.lagIm, m)
 	for i, v := range r.Data {
 		rRe[i] = real(v)
 		rIm[i] = imag(v)
 	}
-	n := tab.n
-	for i := 0; i < tab.bins; i++ {
-		are := tab.re[i*n : i*n+m]
-		aim := tab.im[i*n : i*n+m]
+	for i := range p {
+		tab.gather(i, are, aim)
 		for row := 0; row < m; row++ {
 			rre := rRe[row*m : row*m+m]
 			rim := rIm[row*m : row*m+m]
@@ -329,4 +353,5 @@ func bartlettGenericScan(ws *Workspace, p []float64, r *mat.Matrix, tab *Steerin
 		}
 		p[i] = v
 	}
+	return s
 }

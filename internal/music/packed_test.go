@@ -1,6 +1,7 @@
 package music
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -291,6 +292,151 @@ func TestCircularTableTakesGenericKernel(t *testing.T) {
 		Bartlett(r, tableRows(tab, 8), tab.Bins()))
 }
 
+// rowMajorMUSIC and rowMajorBartlett are the lag scans as they ran
+// before the table went lag-major: bin by bin over the bin's own
+// steering row, one add chain per bin. They re-read the folded
+// coefficients the production scan just left in ws (the folds did not
+// change; TestLagScansMatchSumOfSquares holds them to the generic
+// kernels), so they pin exactly what the streaming rewrite touches: the
+// order of every bin's additions, the guard, the clamps, the maximum.
+func rowMajorMUSIC(ws *Workspace, en *mat.Matrix, tab *SteeringTable) (*Spectrum, uint64) {
+	rows, cols := en.Rows, en.Cols
+	s, c0 := NewSpectrum(tab.bins), ws.lagRe[0]/2
+	are, aim := make([]float64, rows), make([]float64, rows)
+	var fallbacks uint64
+	for i := range s.P {
+		for k, v := range tab.Vector(i)[:rows] {
+			are[k], aim[k] = real(v), imag(v)
+		}
+		denom := c0
+		for d := 1; d < rows; d++ {
+			denom += ws.lagRe[d]*are[d] - ws.lagIm[d]*aim[d]
+		}
+		if denom < musicLagGuard*c0 {
+			denom = noiseProjection(ws.enRe, ws.enIm, rows, cols, are, aim)
+			fallbacks++
+		}
+		s.P[i] = 1 / math.Max(denom, 1e-12)
+	}
+	return s.Normalize(), fallbacks
+}
+
+func rowMajorBartlett(ws *Workspace, r *mat.Matrix, tab *SteeringTable) *Spectrum {
+	m, row := r.Rows, min(r.Rows, tab.row)
+	s := NewSpectrum(tab.bins)
+	for i := range s.P {
+		a := tab.Vector(i)
+		v := ws.lagRe[0]
+		for d := 1; d < row; d++ {
+			v += ws.lagRe[d]*real(a[d]) - ws.lagIm[d]*imag(a[d])
+		}
+		if m > row {
+			var sre, sim float64
+			for q := 0; q < row; q++ {
+				sre += ws.raRe[q]*real(a[q]) - ws.raIm[q]*imag(a[q])
+				sim += ws.raRe[q]*imag(a[q]) + ws.raIm[q]*real(a[q])
+			}
+			er, ei := real(a[row]), imag(a[row])
+			v += er*sre + ei*sim + real(r.Data[row*m+row])*(er*er+ei*ei)
+		}
+		s.P[i] = math.Max(v, 0)
+	}
+	return s
+}
+
+// TestLagScansBitIdenticalToRowMajor: streaming the lag-major planes
+// with the bin index innermost gives every bin the additions it had, in
+// the order it had them, so both production scans == the row-major
+// loops on every bin — over orientations on and off the bin lattice,
+// 2..8 rows, every noise-column count, bin counts that are and are not
+// multiples of anything, R with and without the ninth element, R that
+// is not Hermitian, and the subspace that drives the guard to fire.
+func TestLagScansBitIdenticalToRowMajor(t *testing.T) {
+	rng := rand.New(rand.NewSource(2101))
+	ws := &Workspace{}
+	checkMUSIC := func(what string, en *mat.Matrix, tab *SteeringTable) uint64 {
+		t.Helper()
+		before := ws.GuardFallbacks()
+		got := MUSICWithTableWS(ws, en, tab)
+		fired := ws.GuardFallbacks() - before
+		want, wantFired := rowMajorMUSIC(ws, en, tab)
+		requireSameSpectrum(t, what, got, want)
+		if fired != wantFired {
+			t.Fatalf("%s: guard fired on %d bins, row-major on %d", what, fired, wantFired)
+		}
+		ws.Recycle(got)
+		return fired
+	}
+	checkBartlett := func(what string, r *mat.Matrix, tab *SteeringTable) {
+		t.Helper()
+		got := BartlettWithTableWS(ws, r, tab)
+		requireSameSpectrum(t, what, got, rowMajorBartlett(ws, r, tab))
+		ws.Recycle(got)
+	}
+	orients := []float64{0, math.Pi / 2, math.Pi, 0.3, rng.Float64() * 2 * math.Pi, -rng.Float64()}
+	for _, bins := range []int{90, 360, 720, 361} {
+		for _, orient := range orients {
+			for n := 2; n <= 8; n++ {
+				a := array.NewLinear(geom.Pt(3, 1), orient, n, lambda)
+				a.NinthAntenna = true
+				tab := NewSteeringTable(a, lambda, bins)
+				for rows := 2; rows <= n; rows++ {
+					for cols := 1; cols < rows; cols++ {
+						checkMUSIC(fmt.Sprintf("MUSIC bins=%d orient=%g n=%d rows=%d cols=%d", bins, orient, n, rows, cols),
+							randomNoiseSubspace(rng, rows, cols), tab)
+					}
+				}
+				// The row alone (and a leading part of it), then the row
+				// plus the ninth antenna, Hermitian and not.
+				for _, m := range []int{n - 1, n, n + 1} {
+					if m < 1 {
+						continue
+					}
+					what := fmt.Sprintf("Bartlett bins=%d orient=%g n=%d m=%d", bins, orient, n, m)
+					checkBartlett(what, randomHermitian(rng, m), tab)
+					r := mat.New(m, m)
+					for i := range r.Data {
+						r.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+					}
+					checkBartlett(what+" non-Hermitian", r, tab)
+				}
+			}
+		}
+	}
+
+	// TestLagMUSICGuardFallback's subspace: the guard fires, on the same
+	// bins, and the recomputed denominators are the same.
+	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
+	tab := NewSteeringTable(a, lambda, DefaultBins)
+	r := mat.New(8, 8)
+	r.OuterAccumulate(tab.Vector(65), 1)
+	noise, _, _, err := Subspaces(r, 0.05, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fired := checkMUSIC("guard subspace", noise, tab); fired == 0 {
+		t.Fatal("the adversarial subspace no longer fires the guard")
+	}
+}
+
+// benchNoAllocs fails a kernel benchmark that allocated: it would be
+// timing mallocgc, not the kernel.
+func benchNoAllocs(b *testing.B, scan func()) {
+	b.Helper()
+	scan() // warm the workspace
+	if a := testing.AllocsPerRun(10, scan); a != 0 {
+		b.Fatalf("%v allocations per scan, want 0", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scan()
+	}
+}
+
+// BenchmarkMUSICWithTableWS is the shipped §2.3 scan: 7 smoothed rows
+// against the 8-element row's table, the spectrum recycled as
+// Pipeline.ProcessAPs does.
 func BenchmarkMUSICWithTableWS(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
@@ -299,14 +445,21 @@ func BenchmarkMUSICWithTableWS(b *testing.B) {
 	r, _ := CorrelationMatrix(snaps)
 	rs, _ := SpatialSmooth(r, 2)
 	noise, _, _, _ := Subspaces(rs, 0.05, rs.Rows/2)
-	cache := NewSteeringCache()
-	tab := cache.Table(a, lambda, DefaultBins)
+	tab := NewSteeringCache().Table(a, lambda, DefaultBins)
 	ws := &Workspace{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MUSICWithTableWS(ws, noise, tab)
-	}
+	benchNoAllocs(b, func() { ws.Recycle(MUSICWithTableWS(ws, noise, tab)) })
+}
+
+// BenchmarkBartlettVoteWS is the §2.3.4 vote's scan: the full 9 × 9
+// correlation against the ninth-antenna table.
+func BenchmarkBartlettVoteWS(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
+	a.NinthAntenna = true
+	r, _ := CorrelationMatrix(SnapshotsAt(randomStreams(rng, 9, 16), 0, 10))
+	tab := NewSteeringCache().Table(a, lambda, DefaultBins)
+	ws := &Workspace{}
+	benchNoAllocs(b, func() { ws.Recycle(BartlettWithTableWS(ws, r, tab)) })
 }
 
 // BenchmarkMUSICWithTableClosure is the pre-packing scan, kept for the

@@ -171,8 +171,33 @@ func TestPeaksMatchReference(t *testing.T) {
 			check("seam plateau", seam, minRel)
 		}
 	}
-	check("too short", &Spectrum{P: []float64{1, 2}}, 0.1)
-	check("all zero", NewSpectrum(16), 0.1)
+	// Hand-built shapes: the floor is known only after the pass that
+	// collects the candidates, so these pin what it may and may not drop.
+	for _, c := range []struct {
+		name string
+		p    []float64
+	}{
+		{"empty", nil},
+		{"one bin", []float64{1}},
+		{"two bins", []float64{1, 2}},
+		{"three bins", []float64{1, 3, 2}},
+		{"all zero", make([]float64, 16)},
+		{"all equal", []float64{2, 2, 2, 2, 2}},
+		{"all negative", []float64{-3, -1, -2, -1.5, -4}},
+		{"negative floor of a positive peak", []float64{-3, 1, -2, -1, -4, -0.5, -6}},
+		{"peak at bin 0", []float64{5, 1, 2, 1, 0, 1}},
+		{"peak at bin n-1", []float64{1, 2, 1, 0, 1, 5}},
+		{"plateau across the seam", []float64{4, 4, 1, 2, 1, 4}},
+		{"plateau at the maximum", []float64{0, 3, 3, 3, 1, 2, 2, 0}},
+		{"weak peak before the maximum", []float64{0, 1, 0, 10, 0, 2, 0}},
+		{"descending peaks", []float64{0, 9, 0, 5, 0, 1, 0}},
+		{"ascending peaks", []float64{0, 1, 0, 5, 0, 9, 0}},
+		{"NaN bin", []float64{0, 1, math.NaN(), 3, 0, 2, 0}},
+	} {
+		for _, minRel := range []float64{0, 0.3, 0.5, 1, 1.5} {
+			check(c.name, &Spectrum{P: c.p}, minRel)
+		}
+	}
 }
 
 func TestPropAtInterpolationBounded(t *testing.T) {

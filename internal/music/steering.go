@@ -8,7 +8,9 @@ package music
 // the bin count — not on the array's position or on the received
 // samples — so one precomputed table serves every frame of every client
 // heard by an AP with that geometry, and identical APs share a single
-// table.
+// table. The complex table is bin-major for the closure oracles; the
+// split planes the serving scans read hold the same entries lag-major,
+// one contiguous column per array element (see SteeringTable.re).
 
 import (
 	"math"
@@ -26,10 +28,11 @@ type SteeringTable struct {
 	bins int
 	n    int // elements per steering vector
 	data []complex128
-	// Split re/im planes of data (same row-major layout), feeding the
-	// packed spectrum scans in packed.go. Values are exactly
-	// real(data[i])/imag(data[i]), so packed and complex consumers see
-	// the same table.
+	// Split re/im planes of data, transposed to lag-major: element k of
+	// bin i is re[k·bins+i], im[k·bins+i], so column k of every bin (on a
+	// uniform row, lag k) is one contiguous run for the scans in
+	// packed.go to stream. Values are exactly real/imag of data[i·n+k],
+	// so packed and complex consumers see the same table.
 	re, im []float64
 	// row is the number of leading columns forming a uniform linear row
 	// (the array's N for array.Linear, 0 for any other geometry). Over
@@ -80,7 +83,9 @@ func NewSteeringTable(a *array.Array, lambda float64, bins int) *SteeringTable {
 	}
 	for i := 0; i < bins; i++ {
 		theta := 2 * math.Pi * float64(i) / float64(bins)
-		copy(t.data[i*n:(i+1)*n], a.SteeringVector(theta, lambda))
+		for k, v := range a.SteeringVector(theta, lambda) {
+			t.data[i*n+k], t.re[k*bins+i], t.im[k*bins+i] = v, real(v), imag(v)
+		}
 		if mirror, ok := mirrorBearing(theta, a.Orient); ok {
 			sb, sf := BinLookup(theta, bins)
 			mb, mf := BinLookup(mirror, bins)
@@ -95,11 +100,21 @@ func NewSteeringTable(a *array.Array, lambda float64, bins int) *SteeringTable {
 			t.weights = append(t.weights, w)
 		}
 	}
-	for i, v := range t.data {
-		t.re[i] = real(v)
-		t.im[i] = imag(v)
-	}
 	return t
+}
+
+// column returns element k of the first n bins, sliced to exactly n so
+// a loop over n bins needs no bounds checks.
+func (t *SteeringTable) column(k, n int) (re, im []float64) {
+	return t.re[k*t.bins:][:n], t.im[k*t.bins:][:n]
+}
+
+// gather copies the first len(re) elements of bin i out of the planes,
+// for the kernels that walk one steering vector at a time.
+func (t *SteeringTable) gather(i int, re, im []float64) {
+	for k := range re {
+		re[k], im[k] = t.re[k*t.bins+i], t.im[k*t.bins+i]
+	}
 }
 
 // ApplyGeometryWeighting is s.ApplyGeometryWeighting(orient) for the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/array"
 	"repro/internal/geom"
@@ -259,6 +260,40 @@ func TestSteeringCacheBudgetLRU(t *testing.T) {
 	c.Table(mk(2), lambda, 90)
 	if h1, _ := c.Stats(); h1 != h0+1 {
 		t.Fatal("recently touched table was evicted out of LRU order")
+	}
+}
+
+// TestSteeringUsageCountsWhatIsHeld: after the planes went lag-major the
+// accounting still charges exactly the slices a table holds — complex
+// table, both planes, vote and weight lookups — and every plane entry is
+// the matching element of the complex table.
+func TestSteeringUsageCountsWhatIsHeld(t *testing.T) {
+	c := NewSteeringCache()
+	var want int64
+	for _, g := range []struct {
+		n, bins int
+		ninth   bool
+	}{{8, 360, true}, {8, 361, false}, {4, 90, true}} {
+		a := array.NewLinear(geom.Pt(0, 0), 0.1*float64(g.n), g.n, lambda)
+		a.NinthAntenna = g.ninth
+		tab := c.Table(a, lambda, g.bins)
+		n := a.NumElements()
+		if len(tab.data) != g.bins*n || len(tab.re) != g.bins*n || len(tab.im) != g.bins*n {
+			t.Fatalf("%+v: table holds %d complex, %d + %d plane entries, want %d each", g, len(tab.data), len(tab.re), len(tab.im), g.bins*n)
+		}
+		for i := 0; i < g.bins; i++ {
+			for k, v := range tab.Vector(i) {
+				if tab.re[k*g.bins+i] != real(v) || tab.im[k*g.bins+i] != imag(v) {
+					t.Fatalf("%+v: plane entry (bin %d, element %d) is not the table's", g, i, k)
+				}
+			}
+		}
+		want += int64(len(tab.data))*16 + int64(len(tab.re)+len(tab.im))*8 +
+			int64(cap(tab.votes))*int64(unsafe.Sizeof(mirrorVote{})) +
+			int64(cap(tab.weightBins))*4 + int64(cap(tab.weights))*8 + steeringEntryOverhead
+	}
+	if u := c.Usage(); u.Entries != 3 || u.Bytes != want {
+		t.Fatalf("usage %+v, want 3 entries holding %d bytes", u, want)
 	}
 }
 

@@ -107,7 +107,8 @@ func realEig(ws *Workspace, r *mat.Matrix) (vals []float64, ok bool) {
 	}
 	// One pass: squared norm, and the largest squared deviation from
 	// either symmetry. Comparing squares spares a square root per
-	// element; a NaN anywhere fails the final comparison.
+	// element. > skips a NaN deviation, but only a NaN or ±Inf element
+	// makes one, and that leaves norm2 NaN or +Inf for the final test.
 	var norm2, dev2 float64
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -117,7 +118,12 @@ func realEig(ws *Workspace, r *mat.Matrix) (vals []float64, ok bool) {
 			norm2 += real(v)*real(v) + imag(v)*imag(v)
 			hr, hi := real(v)-real(h), imag(v)+imag(h)
 			pr, pi := real(v)-real(p), imag(v)+imag(p)
-			dev2 = math.Max(dev2, math.Max(hr*hr+hi*hi, pr*pr+pi*pi))
+			if d := hr*hr + hi*hi; d > dev2 {
+				dev2 = d
+			}
+			if d := pr*pr + pi*pi; d > dev2 {
+				dev2 = d
+			}
 		}
 	}
 	if !(norm2 > 0 && norm2 <= math.MaxFloat64 && dev2 <= realFormTol*realFormTol*norm2) {

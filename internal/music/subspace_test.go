@@ -258,14 +258,39 @@ func TestRealSubspaceGuardFallback(t *testing.T) {
 	if _, err := music.NoiseVectors(&ws, mat.New(3, 4), 0.05, 1); err == nil {
 		t.Error("non-square input: no error")
 	}
-	nan := base.Clone()
-	nan.Data[3] = complex(math.NaN(), 0)
-	_, wantErr := mat.EigHermitianWS(nan, nil)
-	if _, err := music.NoiseVectors(&ws, nan, 0.05, n/2); (err == nil) != (wantErr == nil) || !errors.Is(err, wantErr) {
-		t.Errorf("NaN input: error %v, the Hermitian solver's %v", err, wantErr)
+	// Non-finite input. The deviation scan compares with >, which skips
+	// a NaN deviation — and Inf − Inf between an element and its mirror
+	// is one — so each of these is refused by the norm test alone: the
+	// offending element reaches norm2 as NaN or +Inf.
+	inf := math.Inf(1)
+	nonFinite := []struct {
+		name string
+		set  func(m *mat.Matrix)
+	}{
+		{"NaN element", func(m *mat.Matrix) { m.Data[3] = complex(math.NaN(), 0) }},
+		{"NaN imaginary part", func(m *mat.Matrix) { m.Data[2*n+5] = complex(1, math.NaN()) }},
+		{"+Inf element", func(m *mat.Matrix) { m.Data[1*n+4] = complex(inf, 0) }},
+		{"Inf − Inf pair", func(m *mat.Matrix) {
+			// +Inf at (0,2), its transpose and both 180° images: every
+			// deviation that touches them is Inf − Inf = NaN, none is +Inf.
+			for _, at := range [][2]int{{0, 2}, {2, 0}, {n - 1, n - 3}, {n - 3, n - 1}} {
+				m.Data[at[0]*n+at[1]] = complex(inf, 0)
+			}
+		}},
 	}
-	if ws.EigFallbacks() != 3 {
-		t.Errorf("EigFallbacks = %d after three refused inputs, want 3", ws.EigFallbacks())
+	for i, c := range nonFinite {
+		m := base.Clone()
+		c.set(m)
+		if _, ok := music.RealEig(&ws, m); ok {
+			t.Errorf("%s: took the real form", c.name)
+		}
+		_, wantErr := mat.EigHermitianWS(m, nil)
+		if _, err := music.NoiseVectors(&ws, m, 0.05, n/2); (err == nil) != (wantErr == nil) || !errors.Is(err, wantErr) {
+			t.Errorf("%s: error %v, the Hermitian solver's %v", c.name, err, wantErr)
+		}
+		if got, want := ws.EigFallbacks(), uint64(3+i); got != want {
+			t.Errorf("%s: EigFallbacks = %d, want %d", c.name, got, want)
+		}
 	}
 
 	// Through the spectrum entry: forward–backward off takes the

@@ -41,9 +41,11 @@ type Workspace struct {
 	eigFallbacks uint64
 
 	// Split-plane scratch for the table scans (packed.go): the noise
-	// subspace packed column-major, the lag-domain diagonal sums, and
-	// the Bartlett scan's correlation planes plus its R·a intermediate
-	// (the ninth-antenna cross column in the lag form).
+	// subspace packed column-major; the lag-domain diagonal sums; the
+	// generic Bartlett scan's correlation planes, which the lag form
+	// borrows for its per-bin cross sums; and a short pair for the one
+	// vector a kernel needs beside those — R·a, the ninth-antenna cross
+	// column, a gathered steering row.
 	enRe, enIm   []float64
 	lagRe, lagIm []float64
 	rRe, rIm     []float64

@@ -6,13 +6,16 @@ import (
 	"testing"
 )
 
-// The capture arraytrack-ap really ships: nine antennas by the 640
-// samples of §2.1's preamble section, 23 KB on the wire. One frame
-// carries an AP's three frames of one transmission, as in walk6x3.
+// The capture arraytrack-ap really ships: nine antennas by the window
+// the server reads plus its guard (DefaultDetector().CaptureLen, 128
+// samples: 4.6 KB on the wire). One frame carries an AP's three frames
+// of one transmission, as in walk6x3.
 const (
-	benchAnt, benchSamp = 9, 640
-	benchFrameCaptures  = 3
+	benchAnt           = 9
+	benchFrameCaptures = 3
 )
+
+var benchSamp = DefaultDetector().CaptureLen
 
 func benchFrame(rng *rand.Rand) []Capture {
 	caps := make([]Capture, benchFrameCaptures)
