@@ -24,6 +24,10 @@ import (
 // the real form's imaginary block has the wrong sign or order on the way
 // in, on the way out, or both.
 func TestSpectrumConjugateReversalSymmetry(t *testing.T) {
+	underBothKernelSets(t, testSpectrumConjugateReversalSymmetry)
+}
+
+func testSpectrumConjugateReversalSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(173))
 	opt := Options{
 		Wavelength:      lambda,

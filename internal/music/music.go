@@ -144,7 +144,7 @@ func (s *Spectrum) Max() (float64, int) {
 func (s *Spectrum) Normalize() *Spectrum {
 	m, _ := s.Max()
 	if m > 0 {
-		for i := range s.P {
+		for i := divVec(s.P, m); i < len(s.P); i++ {
 			s.P[i] /= m
 		}
 	}

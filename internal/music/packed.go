@@ -34,6 +34,17 @@ package music
 // maximum, pinned by TestLagScansMatchSumOfSquares and, at fix level,
 // by the 205-scene sweep in internal/testbed. The sum-of-squares
 // kernels gather the one steering row they walk out of the planes.
+//
+// Vector bodies. Four loops here do independent work per bin: planeSums,
+// finishMUSIC's guard/clamp/invert/maximum pass, the divide by the
+// maximum (Spectrum.Normalize's too) and the ninth antenna's combine and
+// clamp. Each opens with a call that takes its leading bins four at a
+// time (planes_amd64.s, AVX2) and returns how many it took; the Go loop
+// beneath takes the rest — every bin, without AVX2. A lane runs the Go
+// loop's operations in the Go loop's order, each rounded once (no FMA;
+// nor does the compiler fuse on amd64 below GOAMD64=v3), so a bin's bits
+// do not depend on which body took it (TestPlaneKernelsMatchGo). Sums
+// across a row (lag folds, traces) would need reassociating: scalar.
 
 import (
 	"math"
@@ -47,6 +58,17 @@ import (
 // rounding included), so above the guard its relative error stays
 // under ~1e-11; below it the cancellation-free kernel takes over.
 const musicLagGuard = 1e-4
+
+// useAVX2 selects the vector bodies: CPUID's answer, never a setting.
+var useAVX2 = cpuHasAVX2()
+
+// Kernels names the bodies the bin-parallel loops run here: "avx2" or "generic".
+func Kernels() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "generic"
+}
 
 func growPlane(s []float64, n int) []float64 {
 	if cap(s) < n {
@@ -108,29 +130,47 @@ func musicWithTable(ws *Workspace, en *mat.Matrix, tab *SteeringTable, lag bool)
 			p[i] = noiseProjection(enRe, enIm, rows, cols, aRe, aIm)
 		}
 	}
-	// Guard, clamp, invert, and find the maximum to normalize by, in one pass.
+	finishMUSIC(ws, p, guard, tab, rows, cols)
+	return s
+}
+
+// finishMUSIC turns the denominators in p into the unit-maximum spectrum:
+// guard (recompute by noiseProjection from the subspace packed in ws),
+// clamp, invert and find the maximum in one pass, then divide by it.
+func finishMUSIC(ws *Workspace, p []float64, guard float64, tab *SteeringTable, rows, cols int) {
+	aRe, aIm := ws.raRe[:rows], ws.raIm[:rows]
 	max := math.Inf(-1)
-	for i, denom := range p {
-		if denom < guard {
-			tab.gather(i, aRe, aIm)
-			denom = noiseProjection(enRe, enIm, rows, cols, aRe, aIm)
-			ws.guardFallbacks++
+	for i := 0; i < len(p); {
+		// The vector body stops at a group of four holding a guarded bin,
+		// and at the tail; the scalar body takes that much and hands back.
+		n, m := musicFinishVec(p[i:], guard, max)
+		i, max = i+n, m
+		hi := len(p)
+		if useAVX2 {
+			hi = min(i+4, hi)
 		}
-		if denom < 1e-12 {
-			denom = 1e-12
+		for ; i < hi; i++ {
+			denom := p[i]
+			if denom < guard {
+				tab.gather(i, aRe, aIm)
+				denom = noiseProjection(ws.enRe, ws.enIm, rows, cols, aRe, aIm)
+				ws.guardFallbacks++
+			}
+			if denom < 1e-12 {
+				denom = 1e-12
+			}
+			v := 1 / denom
+			if v > max {
+				max = v
+			}
+			p[i] = v
 		}
-		v := 1 / denom
-		if v > max {
-			max = v
-		}
-		p[i] = v
 	}
 	if max > 0 {
-		for i := range p {
+		for i := divVec(p, max); i < len(p); i++ {
 			p[i] /= max
 		}
 	}
-	return s
 }
 
 // planeSums fills p[i] = c0 + Σ_d (cRe[d]·Re a_{k0+d}(θᵢ) − cIm[d]·Im a_{k0+d}(θᵢ)),
@@ -139,14 +179,16 @@ func musicWithTable(ws *Workspace, en *mat.Matrix, tab *SteeringTable, lag bool)
 // scan is exactly that pass). Each bin's terms arrive in order d either
 // way (TestLagScansBitIdenticalToRowMajor).
 func planeSums(p []float64, c0 float64, cRe, cIm []float64, tab *SteeringTable, k0 int) {
+	lo := planeSumsVec(p, c0, cRe, cIm, tab.re[k0*tab.bins:], tab.im[k0*tab.bins:], tab.bins)
+	p = p[lo:]
 	d := 0
 	if len(cRe) >= 6 {
-		re0, im0 := tab.column(k0, len(p))
-		re1, im1 := tab.column(k0+1, len(p))
-		re2, im2 := tab.column(k0+2, len(p))
-		re3, im3 := tab.column(k0+3, len(p))
-		re4, im4 := tab.column(k0+4, len(p))
-		re5, im5 := tab.column(k0+5, len(p))
+		re0, im0 := tab.column(k0, lo, len(p))
+		re1, im1 := tab.column(k0+1, lo, len(p))
+		re2, im2 := tab.column(k0+2, lo, len(p))
+		re3, im3 := tab.column(k0+3, lo, len(p))
+		re4, im4 := tab.column(k0+4, lo, len(p))
+		re5, im5 := tab.column(k0+5, lo, len(p))
 		c0r, c0i, c1r, c1i, c2r, c2i := cRe[0], cIm[0], cRe[1], cIm[1], cRe[2], cIm[2]
 		c3r, c3i, c4r, c4i, c5r, c5i := cRe[3], cIm[3], cRe[4], cIm[4], cRe[5], cIm[5]
 		for i := range p {
@@ -161,7 +203,7 @@ func planeSums(p []float64, c0 float64, cRe, cIm []float64, tab *SteeringTable, 
 	}
 	for ; d < len(cRe); d++ {
 		cr, ci := cRe[d], cIm[d]
-		re, im := tab.column(k0+d, len(p))
+		re, im := tab.column(k0+d, lo, len(p))
 		for i, v := range p {
 			p[i] = v + (cr*re[i] - ci*im[i])
 		}
@@ -300,7 +342,10 @@ func bartlettLagScan(ws *Workspace, r *mat.Matrix, tab *SteeringTable) *Spectrum
 		planeSums(sre, 0, xRe, xIm, tab, 0)
 		planeSums(sim, 0, xIm, xNeg, tab, 0)
 		ree := real(r.Data[row*m+row])
-		re, im := tab.column(row, len(p))
+		re, im := tab.column(row, 0, len(p))
+		// The vector body also clamps the bins it combines.
+		lo := voteCombineVec(p, sre, sim, re, im, ree)
+		p, sre, sim, re, im = p[lo:], sre[lo:], sim[lo:], re[lo:], im[lo:]
 		for i := range p {
 			er, ei := re[i], im[i]
 			p[i] += er*sre[i] + ei*sim[i] + ree*(er*er+ei*ei)

@@ -80,6 +80,10 @@ func requireSameSpectrum(t *testing.T, what string, got, want *Spectrum) {
 // instead. A reused workspace and a fresh one (nil) give bit-identical
 // runs of one kernel either way.
 func TestPackedScansMatchClosurePaths(t *testing.T) {
+	underBothKernelSets(t, testPackedScansMatchClosurePaths)
+}
+
+func testPackedScansMatchClosurePaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
 		nAnt := 4 + rng.Intn(5)
@@ -171,6 +175,10 @@ func randomHermitian(rng *rand.Rand, m int) *mat.Matrix {
 // orientations, with and without the ninth antenna, both scans stay
 // within scanTol of the sum-of-squares kernels on the same table.
 func TestLagScansMatchSumOfSquares(t *testing.T) {
+	underBothKernelSets(t, testLagScansMatchSumOfSquares)
+}
+
+func testLagScansMatchSumOfSquares(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	ws := &Workspace{}
 	var worstM, worstB float64
@@ -281,6 +289,10 @@ func TestLagMUSICGuardFallback(t *testing.T) {
 // row, so the production scans must run the sum-of-squares / generic
 // kernels on its table, bit-identical to the closure oracles.
 func TestCircularTableTakesGenericKernel(t *testing.T) {
+	underBothKernelSets(t, testCircularTableTakesGenericKernel)
+}
+
+func testCircularTableTakesGenericKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	a := array.NewCircular(geom.Pt(5, 5), 0.08, 8)
 	tab := NewSteeringTable(a, lambda, 180)
@@ -352,6 +364,10 @@ func rowMajorBartlett(ws *Workspace, r *mat.Matrix, tab *SteeringTable) *Spectru
 // multiples of anything, R with and without the ninth element, R that
 // is not Hermitian, and the subspace that drives the guard to fire.
 func TestLagScansBitIdenticalToRowMajor(t *testing.T) {
+	underBothKernelSets(t, testLagScansBitIdenticalToRowMajor)
+}
+
+func testLagScansBitIdenticalToRowMajor(t *testing.T) {
 	rng := rand.New(rand.NewSource(2101))
 	ws := &Workspace{}
 	checkMUSIC := func(what string, en *mat.Matrix, tab *SteeringTable) uint64 {
@@ -447,7 +463,7 @@ func BenchmarkMUSICWithTableWS(b *testing.B) {
 	noise, _, _, _ := Subspaces(rs, 0.05, rs.Rows/2)
 	tab := NewSteeringCache().Table(a, lambda, DefaultBins)
 	ws := &Workspace{}
-	benchNoAllocs(b, func() { ws.Recycle(MUSICWithTableWS(ws, noise, tab)) })
+	benchBothKernelSets(b, func() { ws.Recycle(MUSICWithTableWS(ws, noise, tab)) })
 }
 
 // BenchmarkBartlettVoteWS is the §2.3.4 vote's scan: the full 9 × 9
@@ -459,7 +475,7 @@ func BenchmarkBartlettVoteWS(b *testing.B) {
 	r, _ := CorrelationMatrix(SnapshotsAt(randomStreams(rng, 9, 16), 0, 10))
 	tab := NewSteeringCache().Table(a, lambda, DefaultBins)
 	ws := &Workspace{}
-	benchNoAllocs(b, func() { ws.Recycle(BartlettWithTableWS(ws, r, tab)) })
+	benchBothKernelSets(b, func() { ws.Recycle(BartlettWithTableWS(ws, r, tab)) })
 }
 
 // BenchmarkMUSICWithTableClosure is the pre-packing scan, kept for the

@@ -103,10 +103,10 @@ func NewSteeringTable(a *array.Array, lambda float64, bins int) *SteeringTable {
 	return t
 }
 
-// column returns element k of the first n bins, sliced to exactly n so
+// column returns element k of the n bins from lo, sliced to exactly n so
 // a loop over n bins needs no bounds checks.
-func (t *SteeringTable) column(k, n int) (re, im []float64) {
-	return t.re[k*t.bins:][:n], t.im[k*t.bins:][:n]
+func (t *SteeringTable) column(k, lo, n int) (re, im []float64) {
+	return t.re[k*t.bins+lo:][:n], t.im[k*t.bins+lo:][:n]
 }
 
 // gather copies the first len(re) elements of bin i out of the planes,

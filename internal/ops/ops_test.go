@@ -155,6 +155,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE arraytrack_udp_datagrams_total counter",
 		"# TYPE arraytrack_leased_ingest_workspaces gauge",
 		"arraytrack_shed_after_ms 0",
+		"# TYPE arraytrack_build_info gauge",
+		`arraytrack_build_info{kernels="` + music.Kernels() + `"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics exposition missing %q", want)

@@ -87,6 +87,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.Engine.Stats()
 	var p promWriter
 
+	fmt.Fprintf(&p.b, "# HELP arraytrack_build_info Constant 1; kernels names the spectrum-scan loop bodies this CPU selected.\n"+
+		"# TYPE arraytrack_build_info gauge\narraytrack_build_info{kernels=%q} 1\n", music.Kernels())
 	p.counter("arraytrack_jobs_submitted_total", "Jobs accepted into the scheduler (both lanes).", st.Submitted)
 	p.counter("arraytrack_jobs_priority_submitted_total", "Jobs accepted into the latency lane.", st.PrioritySubmitted)
 	p.counter("arraytrack_jobs_completed_total", "Jobs finished (fixes + failures).", st.Completed)
