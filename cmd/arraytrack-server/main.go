@@ -254,7 +254,7 @@ func main() {
 	} else {
 		log.Printf("ArrayTrack server listening on %s (quorum %d, estimator %s)", l.Addr(), *quorum, est.Name())
 	}
-	log.Printf("spectrum kernels: %s", music.Kernels())
+	log.Printf("kernels: %s", music.Kernels())
 
 	ctx, stop := signal.NotifyContext(context.Background(), shutdownSignals()...)
 	defer stop()

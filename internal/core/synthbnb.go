@@ -13,7 +13,10 @@ package core
 // ≤ 25 blocks and pushes them; popping a block refines it at full
 // resolution; the loop stops once the top bound is below the best
 // refined cell (and topK blocks have been refined), or falls back to
-// the full surface past the refinement budget.
+// the full surface past the refinement budget. Both bound passes take
+// their window maxima from music.WindowMax, which scans a window as at
+// most two contiguous runs of the log table, four bins at a time where
+// the machine can, and returns the element-by-element scan's value.
 //
 // Exactness: the blocks are refined in exactly the flat screen's total
 // order — every block bounded, then picked by (bound descending, index
@@ -50,6 +53,8 @@ package core
 import (
 	"math"
 	"sync/atomic"
+
+	"repro/internal/music"
 )
 
 // SynthMetrics accumulates work counters for the synthesis kernels:
@@ -242,9 +247,9 @@ func (sg *SynthGrid) screen(ws *synthWorkspace, aps []APSpectrum, luts []bearing
 		if sg.yield != nil && a > 0 {
 			sg.yield()
 		}
-		tab, n := logTabs[a], aps[a].Spectrum.Bins()
+		tab := logTabs[a][:aps[a].Spectrum.Bins()] // without the wrap pad
 		for s := range ws.heap {
-			r := rangeMax(tab, n, bl.superStart[s], bl.superCount[s])
+			r := music.WindowMax(tab, int(bl.superStart[s]), int(bl.superCount[s]))
 			if a == 0 {
 				ws.heap[s] = screenNode{bound: r, idx: int32(s), super: true}
 			} else {
@@ -283,11 +288,11 @@ func (sg *SynthGrid) screen(ws *synthWorkspace, aps []APSpectrum, luts []bearing
 		// maxima summed in the same AP order as blockBounds.
 		bx0, bx1, by0, by1 := superRect(nbx, nby, int(top.idx)%nsx, int(top.idx)/nsx)
 		for a, bl := range wins {
-			tab, n := logTabs[a], aps[a].Spectrum.Bins()
+			tab := logTabs[a][:aps[a].Spectrum.Bins()] // without the wrap pad
 			k := 0
 			for by := by0; by < by1; by++ {
 				for c := by*nbx + bx0; c < by*nbx+bx1; c++ {
-					r := rangeMax(tab, n, bl.start[c], bl.count[c])
+					r := music.WindowMax(tab, int(bl.start[c]), int(bl.count[c]))
 					if a == 0 {
 						kids[k] = r
 					} else {
@@ -346,17 +351,17 @@ func (sg *SynthGrid) blockBounds(ws *synthWorkspace, aps []APSpectrum, logTabs [
 	ws.coarse = growFloats(ws.coarse, nbx*nby)
 	bounds := ws.coarse
 	for a, bl := range sg.screenWindows(ws, aps) {
-		tab, n := logTabs[a], aps[a].Spectrum.Bins()
+		tab := logTabs[a][:aps[a].Spectrum.Bins()] // without the wrap pad
 		if sg.yield != nil && a > 0 {
 			sg.yield()
 		}
 		if a == 0 {
 			for c := range bounds {
-				bounds[c] = rangeMax(tab, n, bl.start[c], bl.count[c])
+				bounds[c] = music.WindowMax(tab, int(bl.start[c]), int(bl.count[c]))
 			}
 		} else {
 			for c := range bounds {
-				bounds[c] += rangeMax(tab, n, bl.start[c], bl.count[c])
+				bounds[c] += music.WindowMax(tab, int(bl.start[c]), int(bl.count[c]))
 			}
 		}
 	}

@@ -367,23 +367,6 @@ func minCircularWindow(members []int32, n int) (start, count int32) {
 	return start, int32(n) - gap + 1
 }
 
-// rangeMax scans the circular window [start, start+count) of the
-// first n entries of tab for its maximum.
-func rangeMax(tab []float64, n int, start, count int32) float64 {
-	m := math.Inf(-1)
-	idx := int(start)
-	for k := int32(0); k < count; k++ {
-		if v := tab[idx]; v > m {
-			m = v
-		}
-		idx++
-		if idx == n {
-			idx = 0
-		}
-	}
-	return m
-}
-
 func buildLUT(ap geom.Point, spec GridSpec, bins int) bearingLUT {
 	l := bearingLUT{
 		bin:  make([]int32, spec.Cells()),
@@ -456,7 +439,9 @@ func growFloats(s []float64, n int) []float64 {
 
 // logTables collapses each AP spectrum into a padded table of
 // log(max(P[b], likelihoodFloor)) — the per-fix cost that buys
-// transcendental-free per-cell accumulation.
+// transcendental-free per-cell accumulation. The clamp, the logarithm
+// and the pad are one pass of music's (Spectrum.PaddedLogValues): every
+// entry is math.Log's value whichever kernel set wrote it.
 func (ws *synthWorkspace) logTables(aps []APSpectrum) [][]float64 {
 	if cap(ws.logTabs) < len(aps) {
 		tabs := make([][]float64, len(aps))
@@ -465,11 +450,7 @@ func (ws *synthWorkspace) logTables(aps []APSpectrum) [][]float64 {
 	}
 	ws.logTabs = ws.logTabs[:len(aps)]
 	for a, ap := range aps {
-		tab := ap.Spectrum.PaddedValues(ws.logTabs[a], likelihoodFloor)
-		for i, v := range tab {
-			tab[i] = math.Log(v)
-		}
-		ws.logTabs[a] = tab
+		ws.logTabs[a] = ap.Spectrum.PaddedLogValues(ws.logTabs[a], likelihoodFloor)
 	}
 	return ws.logTabs
 }

@@ -144,10 +144,12 @@ func TestLogHeatmapMatchesScalarReference(t *testing.T) {
 	}
 	logTabs := make([][]float64, len(aps))
 	for a, ap := range aps {
-		tab := ap.Spectrum.PaddedValues(nil, likelihoodFloor)
-		for i, v := range tab {
-			tab[i] = math.Log(v)
+		// The clamp-then-math.Log loop PaddedLogValues must equal.
+		tab := make([]float64, ap.Spectrum.Bins()+1)
+		for i, v := range ap.Spectrum.P {
+			tab[i] = math.Log(math.Max(v, likelihoodFloor))
 		}
+		tab[ap.Spectrum.Bins()] = tab[0]
 		logTabs[a] = tab
 	}
 	c := 0

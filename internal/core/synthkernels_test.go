@@ -290,7 +290,7 @@ func TestSuperWindowsCoverChildren(t *testing.T) {
 				s := sy*nsx + sx
 				superBound := 0.0
 				for a, bl := range wins {
-					superBound += rangeMax(tabs[a], bins, bl.superStart[s], bl.superCount[s])
+					superBound += music.WindowMax(tabs[a][:bins], int(bl.superStart[s]), int(bl.superCount[s]))
 				}
 				bx0, bx1, by0, by1 := superRect(nbx, nby, sx, sy)
 				for a, bl := range wins {
@@ -315,7 +315,7 @@ func TestSuperWindowsCoverChildren(t *testing.T) {
 										bl.start[c], bl.count[c], s, bl.superStart[s], bl.superCount[s])
 								}
 							}
-							blockBound += rangeMax(tabs[a], bins, bl.start[c], bl.count[c])
+							blockBound += music.WindowMax(tabs[a][:bins], int(bl.start[c]), int(bl.count[c]))
 						}
 						if superBound < blockBound {
 							t.Fatalf("trial %d: superblock %d bound %v below its block %d's %v", trial, s, superBound, c, blockBound)

@@ -107,25 +107,58 @@ func (s *Spectrum) AtBins(bins []int32, frac []float64, dst []float64) []float64
 	return dst
 }
 
-// PaddedValues writes the spectrum into dst as an (n+1)-entry table
-// with dst[n] = dst[0], clamping every value to at least floor. A
-// padded table turns the circular interpolation neighbour (i+1) mod n
-// into the branch-free i+1, which is what the synthesis layer's batch
-// accumulation loops index. dst is grown as needed and returned.
-func (s *Spectrum) PaddedValues(dst []float64, floor float64) []float64 {
+// PaddedLogValues writes log(max(P[i], floor)) into dst as an (n+1)-entry
+// table with dst[n] = dst[0]. A padded table turns the circular
+// interpolation neighbour (i+1) mod n into the branch-free i+1, which is
+// what the synthesis layer's batch accumulation loops index. Every entry
+// is math.Log's value: the vector body (planes_amd64.s) is math.Log's own
+// operation sequence on four lanes, and stops before the first group
+// holding a bin outside math.Log's main path. dst is grown as needed and
+// returned.
+func (s *Spectrum) PaddedLogValues(dst []float64, floor float64) []float64 {
 	n := len(s.P)
 	if cap(dst) < n+1 {
 		dst = make([]float64, n+1)
 	}
 	dst = dst[:n+1]
-	for i, v := range s.P {
+	for i := logVec(dst[:n], s.P, floor); i < n; i++ {
+		v := s.P[i]
 		if v < floor {
 			v = floor
 		}
-		dst[i] = v
+		dst[i] = math.Log(v)
 	}
 	dst[n] = dst[0]
 	return dst
+}
+
+// WindowMax returns the maximum of the circular window [start,
+// start+count) of tab, 0 ≤ start < len(tab), count ≤ len(tab); -Inf for
+// an empty window, NaN entries ignored. The window is at most two
+// contiguous runs, split at the seam.
+func WindowMax(tab []float64, start, count int) float64 {
+	m := math.Inf(-1)
+	if over := start + count - len(tab); over > 0 {
+		m = runMax(tab[:over], m)
+		count -= over
+	}
+	return runMax(tab[start:start+count], m)
+}
+
+// runMax folds run into the running maximum m: all of a run of four or
+// more through the vector body where there is one.
+func runMax(run []float64, m float64) float64 {
+	if len(run) >= 4 {
+		var n int
+		n, m = maxVec(run, m)
+		run = run[n:]
+	}
+	for _, v := range run {
+		if v > m {
+			m = v
+		}
+	}
+	return m
 }
 
 // Max returns the largest spectrum value and its bin.

@@ -15,3 +15,9 @@ func divVec(p []float64, m float64) int
 
 //go:noescape
 func voteCombineVec(p, sre, sim, re, im []float64, ree float64) int
+
+//go:noescape
+func logVec(dst, src []float64, floor float64) int
+
+//go:noescape
+func maxVec(p []float64, m float64) (n int, max float64)

@@ -13,3 +13,7 @@ func musicFinishVec(p []float64, guard, max float64) (n int, m float64) { return
 func divVec(p []float64, m float64) int { return 0 }
 
 func voteCombineVec(p, sre, sim, re, im []float64, ree float64) int { return 0 }
+
+func logVec(dst, src []float64, floor float64) int { return 0 }
+
+func maxVec(p []float64, m float64) (n int, max float64) { return 0, m }

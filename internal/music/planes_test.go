@@ -71,7 +71,7 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	for i := range want {
 		g, w := got[i], want[i]
 		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
-			t.Fatalf("%s: bin %d of %d: vector body %v (%#x), Go loop %v (%#x)",
+			t.Fatalf("%s: bin %d of %d: %v (%#x), want %v (%#x)",
 				what, i, len(want), g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
@@ -272,6 +272,202 @@ func BenchmarkPlaneSums(b *testing.B) {
 	}{{"music6", 6, 1}, {"vote8", 8, 0}} {
 		b.Run(shape.name, func(b *testing.B) {
 			benchBothKernelSets(b, func() { planeSums(p, 1, cRe[:shape.terms], cIm[:shape.terms], tab, shape.k0) })
+		})
+	}
+}
+
+// logOracle is the table PaddedLogValues must write: the clamp, then
+// math.Log, bin by bin, then the wrap pad.
+func logOracle(src []float64, floor float64) []float64 {
+	want := make([]float64, len(src)+1)
+	for i, v := range src {
+		if v < floor {
+			v = floor
+		}
+		want[i] = math.Log(v)
+	}
+	want[len(src)] = want[0]
+	return want
+}
+
+// outsideLogMainPath are the inputs math.Log answers by a special case:
+// the vector body must stop before a group of four holding one.
+var outsideLogMainPath = []float64{
+	0, math.Copysign(0, -1), -1, 5e-324, math.Nextafter(0x1p-1022, 0), math.Inf(1), math.NaN(),
+}
+
+// TestLogTableEqualsMathLog: every entry PaddedLogValues writes is
+// math.Log's bit pattern, under both kernel sets — over every tail
+// length, unaligned slices, the table written in place and apart, the
+// whole normal range, and the inputs the vector body hands back.
+func TestLogTableEqualsMathLog(t *testing.T) {
+	underBothKernelSets(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2301))
+		// check runs src (off elements into a larger backing) through
+		// PaddedLogValues into a table of its own and in place.
+		check := func(what string, src []float64, off int, floor float64) {
+			t.Helper()
+			want := logOracle(src, floor)
+			apart := offsetCopy(src, off)
+			sameBits(t, what+" apart", (&Spectrum{P: apart}).PaddedLogValues(offsetCopy(want, (off+1)%4), floor), want)
+			sameBits(t, what+" source left alone", apart, src)
+			inPlace := offsetCopy(src, off)
+			sameBits(t, what+" in place", (&Spectrum{P: inPlace}).PaddedLogValues(inPlace, floor), want)
+		}
+		normal := func() float64 { // uniform over the bit patterns of the positive normal range
+			return math.Float64frombits(uint64(1+rng.Intn(2046))<<52 | rng.Uint64()>>12)
+		}
+		for _, n := range append(kernelLens, 1<<16) {
+			for off := 0; off < 4; off++ {
+				src := make([]float64, n)
+				for i := range src {
+					src[i] = normal()
+				}
+				check(fmt.Sprintf("normal range n=%d off=%d", n, off), src, off, math.Inf(-1))
+				for i := range src {
+					src[i] = rng.Float64() // the production shape: a unit-maximum spectrum, floored
+				}
+				check(fmt.Sprintf("floored n=%d off=%d", n, off), src, off, 1e-6)
+			}
+		}
+		// One exactly, the extremes of the normal range, and 2ᵏ (f = 0) and
+		// √2/2·2ᵏ (the renormalisation's comparison) with both neighbours.
+		edges := []float64{1, math.MaxFloat64, 0x1p-1022, 1e-6}
+		for k := -40; k <= 40; k++ {
+			for _, x := range []float64{math.Ldexp(1, k), math.Ldexp(math.Sqrt2/2, k)} {
+				edges = append(edges, math.Nextafter(x, 0), x, math.Nextafter(x, math.Inf(1)))
+			}
+		}
+		for off := 0; off < 4; off++ {
+			check(fmt.Sprintf("edges off=%d", off), edges, off, math.Inf(-1))
+		}
+		if got := (&Spectrum{P: []float64{1, 1, 1, 1, 1}}).PaddedLogValues(nil, 1e-6); math.Signbit(got[0]) || math.Signbit(got[4]) {
+			t.Fatalf("log 1 = %v, %v: a log table must hold +0, never −0", got[0], got[4])
+		}
+		// A special case at every position of the first, a middle and the
+		// last group and of the tail: the table is math.Log's all the same,
+		// unclamped and clamped, and the vector body stopped before the group.
+		const n = 23
+		for _, x := range outsideLogMainPath {
+			for at := 0; at < n; at++ {
+				src := make([]float64, n)
+				for i := range src {
+					src[i] = normal()
+				}
+				src[at] = x
+				for _, floor := range []float64{math.Inf(-1), 0, 1e-6} {
+					check(fmt.Sprintf("%v at %d, floor %v", x, at, floor), src, 1, floor)
+				}
+				if Kernels() == "avx2" {
+					if got, want := logVec(make([]float64, n), src, math.Inf(-1)), at&^3; got != want {
+						t.Fatalf("%v at %d of %d: the vector body took %d bins, want %d", x, at, n, got, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// scanWindowMax is core.rangeMax as it stood before WindowMax replaced
+// it — one comparison and one wrap test per element — kept as the oracle.
+func scanWindowMax(tab []float64, start, count int) float64 {
+	m := math.Inf(-1)
+	idx := start
+	for k := 0; k < count; k++ {
+		if v := tab[idx]; v > m {
+			m = v
+		}
+		idx++
+		if idx == len(tab) {
+			idx = 0
+		}
+	}
+	return m
+}
+
+// TestWindowMaxMatchesScan: WindowMax == the element-by-element scan
+// under both kernel sets, for every start of every table size, window
+// lengths either side of the vector body's four bins and up to the
+// whole table, wrapping with either run short, the maximum in each
+// lane, in the overlapping tail and on either side of the seam, NaN
+// entries and ties.
+func TestWindowMaxMatchesScan(t *testing.T) {
+	underBothKernelSets(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2302))
+		for _, n := range []int{90, 360, 361, 720} {
+			logs, withNaN, equal := make([]float64, n), make([]float64, n), make([]float64, n)
+			for i := range logs {
+				logs[i] = math.Log(1e-6 + rng.Float64())
+				withNaN[i], equal[i] = logs[i], -2.5
+				if rng.Intn(4) == 0 {
+					withNaN[i] = math.NaN()
+				}
+			}
+			check := func(what string, tab []float64, start, count int) {
+				t.Helper()
+				if got, want := WindowMax(tab, start, count), scanWindowMax(tab, start, count); got != want {
+					t.Fatalf("n=%d %s window [%d,+%d): WindowMax %v, the scan %v", n, what, start, count, got, want)
+				}
+			}
+			for start := 0; start < n; start++ {
+				for _, count := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 20, 50, n - 1, n} {
+					check("log table", logs, start, count)
+					check("NaN entries", withNaN, start, count)
+					check("equal values", equal, start, count)
+					// The maximum at each place of a short window; of a long
+					// one, in its first and last groups and around the seam.
+					for k := 0; k < count; k++ {
+						if seam := n - start; count > 24 && k >= 12 && k < count-12 && (k < seam-6 || k >= seam+6) {
+							continue
+						}
+						at := (start + k) % n
+						was, wasNaN := logs[at], withNaN[at]
+						logs[at], withNaN[at] = 1, 1
+						check(fmt.Sprintf("maximum at +%d,", k), logs, start, count)
+						check(fmt.Sprintf("NaN entries, maximum at +%d,", k), withNaN, start, count)
+						logs[at], withNaN[at] = was, wasNaN
+					}
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkLogTable is one AP's share of synthWorkspace.logTables: a
+// 360-bin unit-maximum spectrum into its padded log table.
+func BenchmarkLogTable(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	s := NewSpectrum(DefaultBins)
+	for i := range s.P {
+		s.P[i] = rng.Float64()
+	}
+	tab := make([]float64, DefaultBins+1)
+	benchBothKernelSets(b, func() { tab = s.PaddedLogValues(tab, 1e-6) })
+}
+
+var windowMaxSink float64
+
+// BenchmarkWindowMax is one bound of the two-level screen at the two
+// shipped window shapes: a superblock's ≈ 50 bins and a block's ≈ 6
+// (two overlapping groups of four), every start in turn, wraps included.
+func BenchmarkWindowMax(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	tab := make([]float64, DefaultBins)
+	for i := range tab {
+		tab[i] = math.Log(1e-6 + rng.Float64())
+	}
+	for _, shape := range []struct {
+		name  string
+		count int
+	}{{"super50", 50}, {"block6", 6}} {
+		b.Run(shape.name, func(b *testing.B) {
+			start := 0
+			benchBothKernelSets(b, func() {
+				windowMaxSink = WindowMax(tab, start, shape.count)
+				if start++; start == len(tab) {
+					start = 0
+				}
+			})
 		})
 	}
 }

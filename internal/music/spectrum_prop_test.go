@@ -280,22 +280,21 @@ func TestAtBinsMatchesAt(t *testing.T) {
 	}
 }
 
-func TestPaddedValues(t *testing.T) {
+func TestPaddedLogValues(t *testing.T) {
 	s := NewSpectrum(4)
 	copy(s.P, []float64{0.5, 1e-9, 0.25, 1})
-	tab := s.PaddedValues(nil, 1e-6)
+	tab := s.PaddedLogValues(nil, 1e-6)
 	if len(tab) != 5 {
 		t.Fatalf("padded length %d, want 5", len(tab))
 	}
-	if tab[1] != 1e-6 {
-		t.Fatalf("floor not applied: %v", tab[1])
-	}
-	if tab[4] != tab[0] {
-		t.Fatalf("padding %v != bin 0 %v", tab[4], tab[0])
+	for i, want := range []float64{math.Log(0.5), math.Log(1e-6), math.Log(0.25), 0, math.Log(0.5)} {
+		if tab[i] != want || math.Signbit(tab[i]) != math.Signbit(want) {
+			t.Fatalf("entry %d = %v, want %v (bin 1 floored, entry 4 the wrap pad)", i, tab[i], want)
+		}
 	}
 	// Reuse must not reallocate.
-	tab2 := s.PaddedValues(tab, 1e-6)
+	tab2 := s.PaddedLogValues(tab, 1e-6)
 	if &tab2[0] != &tab[0] {
-		t.Fatal("PaddedValues reallocated despite sufficient capacity")
+		t.Fatal("PaddedLogValues reallocated despite sufficient capacity")
 	}
 }
