@@ -25,8 +25,9 @@ func TestKernelsExactOn205Scenes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var metrics core.SynthMetrics
 	fast, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(),
+		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(), Metrics: &metrics,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,15 @@ func TestKernelsExactOn205Scenes(t *testing.T) {
 	if checked != 205 {
 		t.Fatalf("swept %d scenes, want 205", checked)
 	}
-	t.Logf("fast kernels bit-identical to the oracles on all %d testbed scenes", checked)
+	// Only the guarded climb counts probes, so these are the fast side's:
+	// a guard that prunes little is exact and pointless.
+	m := metrics.Snapshot()
+	pruned := 100 * float64(m.HillPruned) / float64(m.HillProbes)
+	if pruned < 40 {
+		t.Errorf("rotation guard pruned %.0f%% of %d hill-climb probes, want at least 40%%", pruned, m.HillProbes)
+	}
+	t.Logf("fast kernels bit-identical to the oracles on all %d testbed scenes; %.0f%% of %d climb probes pruned without a bearing",
+		checked, pruned, m.HillProbes)
 }
 
 // scenes205 returns the 205 testbed scenes of TestKernelsExactOn205Scenes.

@@ -23,7 +23,7 @@ package core
 // the accepted trajectory — every intermediate position, the final
 // fix, and its score — is bit-for-bit the scalar path's. Pinned by
 // TestHillClimbGuardedMatchesScalar here and by the 205-scene testbed
-// pin (TestRunKernelsHillClimbExactness).
+// pin (TestKernelsExactOn205Scenes).
 
 import (
 	"math"

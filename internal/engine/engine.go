@@ -166,11 +166,6 @@ type Options struct {
 	// everything at unbounded latency. Priority jobs are never shed.
 	// 0 disables shedding. Hot-reloadable via SetShedAfter.
 	ShedAfter time.Duration
-	// NoPreempt disables the cooperative yield-steal: batch fixes run
-	// their synthesis to completion and priority jobs wait for the
-	// next free worker, as before the scheduler subsystem. Kept as an
-	// operational escape hatch and for A/B latency measurement.
-	NoPreempt bool
 }
 
 // Stats is a snapshot of engine counters.
@@ -364,9 +359,7 @@ func New(opt Options) *Engine {
 	// Batch jobs yield between synthesis chunks: a waiting priority
 	// job is stolen and run inline, preempting the batch surface by
 	// microseconds instead of a whole in-flight fix.
-	if !opt.NoPreempt {
-		cfg.SynthYield = e.yieldSteal
-	}
+	cfg.SynthYield = e.yieldSteal
 	e.batch = core.NewPipeline(cfg)
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {

@@ -93,7 +93,7 @@ func MUSICWithTableWS(ws *Workspace, en *mat.Matrix, tab *SteeringTable) *Spectr
 
 // MUSICWithTableRefWS is MUSICWithTableWS forced onto the sum-of-squares
 // kernel whatever the table's geometry: the reference the lag-domain
-// scan is measured against in tests and `atbench -exp kernels`.
+// scan is measured against in tests.
 func MUSICWithTableRefWS(ws *Workspace, en *mat.Matrix, tab *SteeringTable) *Spectrum {
 	return musicWithTable(orFresh(ws), en, tab, false)
 }

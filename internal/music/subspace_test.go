@@ -336,7 +336,15 @@ func TestRealSubspaceGuardFallback(t *testing.T) {
 	if wsOff.EigFallbacks() != 18 {
 		t.Errorf("forward–backward off: %d of 18 frames took the fallback, want all", wsOff.EigFallbacks())
 	}
-	t.Logf("%d default-configuration frames: 0 fallbacks; 18 frames without forward–backward averaging: %d", frames, wsOff.EigFallbacks())
+	// The lag-domain MUSIC scan ran on those same frames' noise subspaces.
+	// TestLagMUSICGuardFallback shows an adversarial input takes its
+	// guard; real ones must not, or the fast form is not the serving path.
+	lagBins := float64(frames * music.DefaultBins)
+	if share := float64(wsOn.GuardFallbacks()) / lagBins; share > 0.01 {
+		t.Errorf("lag guard recomputed %.2f%% of %.0f bins on the testbed's noise subspaces, want at most 1%%", 100*share, lagBins)
+	}
+	t.Logf("%d default-configuration frames: 0 eigen fallbacks, lag guard on %d of %.0f bins; 18 frames without forward–backward averaging: %d",
+		frames, wsOn.GuardFallbacks(), lagBins, wsOff.EigFallbacks())
 }
 
 // BenchmarkNoiseSubspace7 times the serving path's eigen split on the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -552,6 +553,100 @@ func TestBackendUDPIngest(t *testing.T) {
 	if got != want {
 		t.Errorf("UDP stats = %+v, want %+v", got, want)
 	}
+}
+
+// TestUDPFloodSmallRcvbufLossAccounted pins the fire-and-forget
+// contract's honesty clause: when the kernel receive buffer is
+// deliberately too small for the flood, captures ARE lost — and the
+// backend's per-AP sequence accounting must say so, not hide it. The
+// flood lands before anyone reads the socket, so the kernel's drops
+// are deterministic: whatever exceeds the buffer is gone, and the
+// sequence numbers of what survives expose the gaps.
+func TestUDPFloodSmallRcvbufLossAccounted(t *testing.T) {
+	// One AP, strictly monotonic sequence, four captures a datagram:
+	// every dropped datagram must surface as a sequence gap.
+	const sent = 1024
+	rng := rand.New(rand.NewSource(41))
+	var grams [][]byte
+	for seq := uint32(0); seq < sent; seq += 4 {
+		caps := make([]Capture, 4)
+		for i := range caps {
+			caps[i] = batchCapture(rng, 2, 8, false, false)
+			caps[i].APID, caps[i].Seq = 1, seq+uint32(i)
+		}
+		grams = append(grams, mustFrame(t, caps))
+	}
+
+	be := NewBackend(1, time.Second, func(uint32, []Capture) {})
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	uc, ok := pc.(*net.UDPConn)
+	if !ok {
+		t.Fatal("loopback listener is not a UDPConn")
+	}
+	if err := uc.SetReadBuffer(1 << 12); err != nil {
+		t.Skipf("cannot shrink the receive buffer on this platform: %v", err)
+	}
+	tx, err := net.Dial("udp", pc.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Close()
+	for _, g := range grams {
+		if _, err := tx.Write(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Only now does the reader start: it drains what the 4 KiB buffer
+	// held and nothing more.
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = be.ServeUDP(ctx, pc)
+	}()
+	var settled uint64
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		n := be.UDP().Captures
+		if n == settled && n > 0 {
+			break
+		}
+		settled = n
+	}
+
+	// The kernel kept the head of the flood and dropped the tail, so
+	// the survivors are gap-free so far — sequence accounting can only
+	// see a hole once a later capture arrives. Resend the final
+	// datagram into the now-empty buffer: its sequence number is far
+	// past the last survivor, exposing the drop.
+	if _, err := tx.Write(grams[len(grams)-1]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline) && be.UDP().Captures <= settled; {
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	pc.Close()
+	<-served
+
+	u := be.UDP()
+	if u.Captures == 0 {
+		t.Fatal("no captures survived: the buffer dropped the entire flood, nothing to account")
+	}
+	if u.Captures >= sent {
+		t.Fatalf("all %d captures survived a 4 KiB receive buffer — flood too small to force loss", sent)
+	}
+	lossPct := 100 * float64(sent-u.Captures) / float64(sent)
+	if u.SeqGaps == 0 {
+		t.Fatalf("%.1f%% of the flood was lost but SeqGaps is 0 — loss is not being accounted", lossPct)
+	}
+	t.Logf("flood %d captures into a 4 KiB buffer: %d survived (%.1f%% lost), %d sequence gaps accounted",
+		sent, u.Captures, lossPct, u.SeqGaps)
 }
 
 // packetWriter records each Write as one datagram.

@@ -148,8 +148,7 @@ func quantizeRef(x, peak float64) int16 {
 
 // quantizePayloadRef is the retained reference loop: quantizeRef on
 // every component, as all encoders ran before quantizePayload. It is
-// what the kernel's bytes are tested against and the baseline its speed
-// is priced against.
+// what the kernel's bytes are tested against.
 func quantizePayloadRef(dst []byte, streams [][]complex128, peak float64) {
 	for _, st := range streams {
 		for _, v := range st {
@@ -158,19 +157,6 @@ func quantizePayloadRef(dst []byte, streams [][]complex128, peak float64) {
 			dst = dst[4:]
 		}
 	}
-}
-
-// ReferencePayload writes the sample payload of streams (4 bytes per
-// sample) into dst by the reference loop instead of the guarded kernel:
-// the bytes are the ones every encoder writes, at the speed they were
-// written before. `atbench -exp ingest` prices AppendBatch against it.
-func ReferencePayload(dst []byte, streams [][]complex128) error {
-	peak, err := samplePeak(streams)
-	if err != nil {
-		return err
-	}
-	quantizePayloadRef(dst, streams, peak)
-	return nil
 }
 
 const (

@@ -588,29 +588,5 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 
 	res.LeakedWorkspaces = server.LeasedIngestWorkspaces() - leased0
 	r.Addf("pooled ingest workspaces leaked across all phases: %d", res.LeakedWorkspaces)
-
-	r.AddMetric("degraded_fixes", float64(res.DegradedFixes), "")
-	r.AddMetric("post_kill_steps", float64(res.PostKillSteps), "")
-	r.AddMetric("missed_fixes", float64(res.MissedFixes), "")
-	r.AddMetric("survivor_step_mismatches", float64(res.SurvivorMismatches), "")
-	r.AddMetric("survivor_rmse_delta_cm", res.RMSEDeltaCM, "cm")
-	r.AddMetric("walker_rmse_cm", res.WalkerRMSECM, "cm")
-	r.AddMetric("leaked_workspaces", float64(res.LeakedWorkspaces), "")
-	boolMetric := func(name string, ok bool) {
-		v := 0.0
-		if ok {
-			v = 1
-		}
-		r.AddMetric(name, v, "")
-	}
-	boolMetric("healthz_ok", res.HealthzOK)
-	boolMetric("metrics_ok", res.MetricsOK)
-	r.AddMetric("reap_ms", float64(res.ReapedWithin)/float64(time.Millisecond), "ms")
-	r.AddMetric("reap_bound_ms", float64(res.ReapBound)/float64(time.Millisecond), "ms")
-	boolMetric("healthy_conn_survived", res.HealthyConnSurvived)
-	r.AddMetric("quarantines", float64(res.Quarantines), "")
-	boolMetric("quarantine_readmitted", res.Readmitted)
-	r.AddMetric("shed", float64(res.Shed), "")
-	r.AddMetric("shed_fixes", float64(res.ShedFixes), "")
 	return r, res, nil
 }

@@ -6,7 +6,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -18,8 +17,8 @@ import (
 )
 
 // ClusterOptions sizes the sharded-cluster experiment: bit-identical
-// fan-in versus a single-backend control, a zero-loss mid-walk (and
-// mid-burst) shard migration, and a 1→N shard throughput sweep.
+// fan-in versus a single-backend control and a zero-loss mid-walk (and
+// mid-burst) shard migration.
 type ClusterOptions struct {
 	// Steps is the number of fixes along the walk; MigrateStep is the
 	// step during which the cluster grows from 1 to 2 shards — after
@@ -38,35 +37,21 @@ type ClusterOptions struct {
 	Tracker engine.TrackerOptions
 	// Seed drives the channel noise.
 	Seed int64
-	// MaxShards bounds the throughput sweep; 0 means
-	// min(4, GOMAXPROCS). The sweep's near-linearity claim only holds
-	// where cores allow, so CI gates it on the multicore flag.
-	MaxShards int
-	// ThroughputClients and ThroughputFixes size the sweep workload:
-	// clients × fixes-per-client localization jobs per shard count.
-	ThroughputClients, ThroughputFixes int
-	// ThroughputTrials is how many times each shard count replays the
-	// workload; the best rate is kept (scaling is a capacity claim, so
-	// a descheduled trial must not masquerade as a scaling failure).
-	// 0 means 3.
-	ThroughputTrials int
 }
 
 // DefaultClusterOptions walks the corridor for 12 fixes, growing the
 // cluster mid-way through step 6.
 func DefaultClusterOptions() ClusterOptions {
 	return ClusterOptions{
-		Steps:             12,
-		MigrateStep:       6,
-		Dt:                1.0,
-		Speed:             1.2,
-		Sites:             []int{0, 1, 2, 3, 4, 5},
-		Capture:           DefaultCaptureOptions(),
-		GridCell:          0.25,
-		Tracker:           engine.TrackerOptions{ProcessNoise: 0.3, MeasSigma: 0.8, Gate: 3},
-		Seed:              71,
-		ThroughputClients: 16,
-		ThroughputFixes:   3,
+		Steps:       12,
+		MigrateStep: 6,
+		Dt:          1.0,
+		Speed:       1.2,
+		Sites:       []int{0, 1, 2, 3, 4, 5},
+		Capture:     DefaultCaptureOptions(),
+		GridCell:    0.25,
+		Tracker:     engine.TrackerOptions{ProcessNoise: 0.3, MeasSigma: 0.8, Gate: 3},
+		Seed:        71,
 	}
 }
 
@@ -95,13 +80,6 @@ type ClusterResult struct {
 	// WalkerMigrated reports the walker's track living on the gaining
 	// shard and only there after the swap.
 	WalkerMigrated bool
-	// FixesPerSec[i] is the throughput with i+1 shards.
-	FixesPerSec []float64
-	// Multicore reports GOMAXPROCS ≥ 4 — the precondition for gating
-	// the scaling numbers: the sweep's driver and router need cores of
-	// their own beside the two shards, or the ratio prices the Go
-	// scheduler instead of the cluster.
-	Multicore bool
 	// WorkspaceLeaks is the pooled ingest-workspace gauge delta across
 	// the whole experiment. Must be 0.
 	WorkspaceLeaks int64
@@ -213,9 +191,7 @@ func collectFixes(results chan engine.Result, want int) (map[uint32]engine.Resul
 //   - zero-loss handoff: growing 1→2 shards mid-walk — and mid-burst,
 //     with a below-quorum pending group buffered — moves the walker's
 //     pending captures and Kalman track to the new shard with no fix
-//     lost and an RMSE delta of exactly zero;
-//   - scaling: fixes/sec from 1→N shards with one localization worker
-//     per shard, near-linear where cores allow.
+//     lost and an RMSE delta of exactly zero.
 func (tb *Testbed) RunCluster(opt ClusterOptions) (*Report, *ClusterResult, error) {
 	rng := rand.New(rand.NewSource(opt.Seed))
 	cfg := core.DefaultConfig(tb.Wavelength)
@@ -223,8 +199,8 @@ func (tb *Testbed) RunCluster(opt ClusterOptions) (*Report, *ClusterResult, erro
 	base := time.Unix(1700000000, 0)
 	wsBaseline := server.LeasedIngestWorkspaces()
 
-	res := &ClusterResult{Multicore: runtime.GOMAXPROCS(0) >= 4}
-	r := &Report{ID: "cluster", Title: "sharded cluster: fan-in bit-identity, zero-loss mid-walk handoff, 1→N scaling"}
+	res := &ClusterResult{}
+	r := &Report{ID: "cluster", Title: "sharded cluster: fan-in bit-identity, zero-loss mid-walk handoff"}
 
 	// Pick client IDs by where consistent hashing sends them when the
 	// cluster grows to 2 shards: the walker moves to the new shard, the
@@ -473,17 +449,6 @@ func (tb *Testbed) RunCluster(opt ClusterOptions) (*Report, *ClusterResult, erro
 		res.RMSEDeltaCM = -res.RMSEDeltaCM
 	}
 
-	// Throughput: the same workload swept across 1..MaxShards clusters,
-	// one localization worker per shard so added shards are the only
-	// source of parallelism.
-	maxShards := opt.MaxShards
-	if maxShards <= 0 {
-		maxShards = min(4, runtime.GOMAXPROCS(0))
-	}
-	if err := tb.clusterThroughput(opt, res, maxShards, base); err != nil {
-		return nil, nil, err
-	}
-
 	res.WorkspaceLeaks = server.LeasedIngestWorkspaces() - wsBaseline
 
 	r.Addf("clients: walker %d (moves to shard 1), stationary %d (stays on shard 0)", walkerID, statID)
@@ -506,137 +471,6 @@ func (tb *Testbed) RunCluster(opt ClusterOptions) (*Report, *ClusterResult, erro
 	r.Addf("migration mismatches vs control: %d", res.StepMismatches)
 	r.Addf("walker smoothed RMSE: control %.1fcm, migrated %.1fcm (delta %.3fcm)",
 		ctrlRMSE, migRMSE, res.RMSEDeltaCM)
-	r.Addf("")
-	r.Addf("throughput (%d clients × %d fixes, 1 worker/shard, GOMAXPROCS=%d):",
-		opt.ThroughputClients, opt.ThroughputFixes, runtime.GOMAXPROCS(0))
-	for i, fps := range res.FixesPerSec {
-		speedup := fps / res.FixesPerSec[0]
-		r.Addf("  %d shard(s): %7.1f fixes/sec  (%.2fx)", i+1, fps, speedup)
-	}
-	if !res.Multicore {
-		r.Addf("  GOMAXPROCS=%d < 4: driver, router and shards share cores, so the scaling ratio is reported but not gated", runtime.GOMAXPROCS(0))
-	}
 	r.Addf("pooled ingest-workspace leak delta: %d", res.WorkspaceLeaks)
-
-	r.AddMetric("fan_in_mismatches", float64(res.FanInMismatches), "")
-	r.AddMetric("step_mismatches", float64(res.StepMismatches), "")
-	r.AddMetric("tracks_lost", float64(res.TracksLost), "")
-	r.AddMetric("rmse_delta_cm", res.RMSEDeltaCM, "cm")
-	r.AddMetric("smoothed_rmse_cm", res.SmoothedRMSECM, "cm")
-	r.AddMetric("moved_clients", float64(res.MovedClients), "")
-	r.AddMetric("moved_tracks", float64(res.MovedTracks), "")
-	r.AddMetric("moved_pending_captures", float64(res.MovedPending), "")
-	walkerOK := 0.0
-	if res.WalkerMigrated {
-		walkerOK = 1
-	}
-	r.AddMetric("walker_migrated", walkerOK, "")
-	for i, fps := range res.FixesPerSec {
-		r.AddMetric(fmt.Sprintf("fixes_per_sec_%dshard", i+1), fps, "fixes/s")
-	}
-	if len(res.FixesPerSec) > 1 {
-		r.AddMetric("scaling_speedup", res.FixesPerSec[len(res.FixesPerSec)-1]/res.FixesPerSec[0], "x")
-	}
-	multicore := 0.0
-	if res.Multicore {
-		multicore = 1
-	}
-	r.AddMetric("multicore", multicore, "")
-	r.AddMetric("workspace_leaks", float64(res.WorkspaceLeaks), "")
 	return r, res, nil
-}
-
-// clusterThroughput sweeps the same pre-serialized workload across
-// cluster sizes 1..maxShards and records fixes/sec for each.
-func (tb *Testbed) clusterThroughput(opt ClusterOptions, res *ClusterResult, maxShards int, base time.Time) error {
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
-	cfgT := core.DefaultConfig(tb.Wavelength)
-	cfgT.GridCell = 0.5
-	capT := opt.Capture
-	capT.Frames = 1
-	tsites := opt.Sites[:min(3, len(opt.Sites))]
-	quorumT := len(tsites)
-
-	apsT := tb.APsFor(tsites, capT)
-	apByID := make(map[uint32]*core.AP, len(tsites))
-	for si, s := range tsites {
-		apByID[uint32(s+1)] = apsT[si]
-	}
-	resolve := func(apID uint32) *core.AP { return apByID[apID] }
-
-	nClients := opt.ThroughputClients
-	rounds := opt.ThroughputFixes
-	positions := make(map[uint32]geom.Point, nClients)
-	var clientIDs []uint32
-	for c := 0; c < nClients; c++ {
-		id := uint32(100 + c)
-		clientIDs = append(clientIDs, id)
-		positions[id] = geom.Pt(4+float64(c%8)*4, 3+float64(c/8)*8)
-	}
-
-	// Serialize the whole workload once: rounds × APs frames, each
-	// carrying every client's capture at that AP.
-	var frames [][]byte
-	seqs := map[uint32]uint32{}
-	for round := 0; round < rounds; round++ {
-		at := base.Add(time.Duration(round) * time.Second)
-		for _, s := range tsites {
-			apID := uint32(s + 1)
-			var caps []server.Capture
-			for _, id := range clientIDs {
-				fcs := tb.CaptureClient(positions[id], tb.Sites[s], capT, rng)
-				for _, fc := range fcs {
-					seqs[apID]++
-					caps = append(caps, server.Capture{
-						APID: apID, ClientID: id, Seq: seqs[apID],
-						Timestamp: at, Streams: fc.Streams,
-					})
-				}
-			}
-			f, err := server.AppendBatch(nil, caps)
-			if err != nil {
-				return err
-			}
-			frames = append(frames, f)
-		}
-	}
-	totalFixes := nClients * rounds
-
-	trOpt := opt.Tracker
-	trOpt.Now = func() time.Time { return base }
-	// Deep queue: the backend must never block on Submit, or one slow
-	// shard would stall the shared feed and understate the others.
-	eopt := engine.Options{Workers: 1, Queue: totalFixes + 16, Config: cfgT}
-
-	trials := opt.ThroughputTrials
-	if trials <= 0 {
-		trials = 3
-	}
-	for n := 1; n <= maxShards; n++ {
-		best := 0.0
-		for t := 0; t < trials; t++ {
-			results := make(chan engine.Result, totalFixes+16)
-			h, err := tb.startCluster(n, n, quorumT, eopt, trOpt, resolve,
-				func(r engine.Result) { results <- r })
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			if err := writeFrames(h.feed, frames...); err != nil {
-				h.close()
-				return err
-			}
-			if _, err := collectFixes(results, totalFixes); err != nil {
-				h.close()
-				return err
-			}
-			elapsed := time.Since(start)
-			h.close()
-			if rate := float64(totalFixes) / elapsed.Seconds(); rate > best {
-				best = rate
-			}
-		}
-		res.FixesPerSec = append(res.FixesPerSec, best)
-	}
-	return nil
 }

@@ -1,21 +1,14 @@
 package testbed
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
-// clusterTestOptions shrinks the walk and sweep so the test stays
-// quick while still crossing the mid-burst migration with a live
-// pending group.
+// clusterTestOptions shrinks the walk so the test stays quick while
+// still crossing the mid-burst migration with a live pending group.
 func clusterTestOptions() ClusterOptions {
 	opt := DefaultClusterOptions()
 	opt.Steps = 8
 	opt.MigrateStep = 4
 	opt.Sites = []int{0, 1, 3, 5}
-	opt.ThroughputClients = 8
-	opt.ThroughputFixes = 2
-	opt.MaxShards = min(2, runtime.GOMAXPROCS(0))
 	return opt
 }
 
@@ -26,7 +19,7 @@ func clusterTestOptions() ClusterOptions {
 // produces exactly the control's fix stream (RMSE delta 0.000 cm).
 func TestRunClusterMeetsTargets(t *testing.T) {
 	tb := New()
-	r, res, err := tb.RunCluster(clusterTestOptions())
+	_, res, err := tb.RunCluster(clusterTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,36 +49,5 @@ func TestRunClusterMeetsTargets(t *testing.T) {
 	}
 	if res.WorkspaceLeaks != 0 {
 		t.Fatalf("pooled ingest workspaces leaked: %d", res.WorkspaceLeaks)
-	}
-	if len(res.FixesPerSec) == 0 || res.FixesPerSec[0] <= 0 {
-		t.Fatalf("throughput sweep produced no numbers: %v", res.FixesPerSec)
-	}
-	// Scaling is gated only with real cores to scale onto (res.Multicore:
-	// GOMAXPROCS ≥ 4, so the driver and router do not timeshare with the
-	// two shards); below that the ratio is logged, as -exp ingest does for
-	// its UDP flood.
-	if len(res.FixesPerSec) >= 2 {
-		last := res.FixesPerSec[len(res.FixesPerSec)-1]
-		ratio := last / res.FixesPerSec[0]
-		if !res.Multicore {
-			t.Logf("%d shards reached %.0f fixes/sec vs %.0f on one (%.2fx); not gated at GOMAXPROCS=%d",
-				len(res.FixesPerSec), last, res.FixesPerSec[0], ratio, runtime.GOMAXPROCS(0))
-		} else if ratio < 1.25 {
-			t.Fatalf("%d shards reached %.0f fixes/sec vs %.0f on one (%.2fx), want at least 1.25x on a multicore host",
-				len(res.FixesPerSec), last, res.FixesPerSec[0], ratio)
-		}
-	}
-	got := map[string]float64{}
-	for _, m := range r.Metrics {
-		got[m.Name] = m.Value
-	}
-	for _, name := range []string{"fan_in_mismatches", "step_mismatches", "tracks_lost",
-		"rmse_delta_cm", "moved_tracks", "walker_migrated", "multicore", "fixes_per_sec_1shard"} {
-		if _, ok := got[name]; !ok {
-			t.Fatalf("report metric %s missing (CI gates on it)", name)
-		}
-	}
-	if got["fan_in_mismatches"] != 0 || got["rmse_delta_cm"] != 0 || got["walker_migrated"] != 1 {
-		t.Fatalf("gate metrics %v", got)
 	}
 }

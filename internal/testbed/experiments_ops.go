@@ -268,16 +268,5 @@ func (tb *Testbed) RunOps(opt OpsOptions) (*Report, *OpsResult, error) {
 		ctrlRMSE, restRMSE, res.RMSEDeltaCM)
 	r.Addf("per-step smoothed mismatches across both clients: %d", res.StepMismatches)
 	r.Addf("metrics endpoint scrape ok: %v", res.MetricsOK)
-	r.AddMetric("tracks_lost", float64(res.TracksLost), "")
-	r.AddMetric("restored_tracks", float64(res.RestoredTracks), "")
-	r.AddMetric("step_mismatches", float64(res.StepMismatches), "")
-	r.AddMetric("rmse_delta_cm", res.RMSEDeltaCM, "cm")
-	r.AddMetric("smoothed_rmse_cm", res.SmoothedRMSECM, "cm")
-	r.AddMetric("snapshot_bytes", float64(res.SnapshotBytes), "B")
-	metricsOK := 0.0
-	if res.MetricsOK {
-		metricsOK = 1
-	}
-	r.AddMetric("metrics_endpoint_ok", metricsOK, "")
 	return r, res, nil
 }

@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,13 +8,44 @@ import (
 	"repro/internal/geom"
 )
 
+// regionWorkload builds n deterministic ad-hoc boxes over the floor,
+// sized like interactive zoom windows (2–10 m on a side).
+func regionWorkload(n int, rng *rand.Rand) []core.Region {
+	out := make([]core.Region, n)
+	for i := range out {
+		w := 2 + rng.Float64()*8
+		h := 2 + rng.Float64()*6
+		x0 := rng.Float64() * (FloorW - w)
+		y0 := rng.Float64() * (FloorH - h)
+		out[i] = core.Region{Min: geom.Pt(x0, y0), Max: geom.Pt(x0+w, y0+h)}
+	}
+	return out
+}
+
+// restrictedArgmaxCell returns the argmax over the cells of sub using
+// the full-grid surface h (lower flat sub-index wins ties, matching
+// the grids' tie-break).
+func restrictedArgmaxCell(h *core.Heatmap, full, sub core.GridSpec) int {
+	best, bestV := -1, 0.0
+	for iy := 0; iy < sub.Ny; iy++ {
+		for ix := 0; ix < sub.Nx; ix++ {
+			fx, fy := sub.X0-full.X0+ix, sub.Y0-full.Y0+iy
+			if v := h.Flat[fy*full.Nx+fx]; best == -1 || v > bestV {
+				best, bestV = iy*sub.Nx+ix, v
+			}
+		}
+	}
+	return best
+}
+
 // TestRegionGateOnTestbed is the acceptance gate: against a 32 MiB
 // cache budget and 50 distinct ad-hoc regions, (1) the reported cache
-// size never exceeds the budget at any point in the run, and (2) on
-// every one of the 205 testbed scenes (41 clients × [all-six plus
-// four 3-AP combos], the same sweep the synthesis exactness test
-// covers) the region-query argmax equals the full-grid argmax
-// restricted to that region, at the paper's 10 cm pitch.
+// size never exceeds the budget at any point in the run and at least
+// half the lookups hit, and (2) on every one of the 205 testbed scenes
+// (41 clients × [all-six plus four 3-AP combos], the same sweep the
+// synthesis exactness test covers) the region-query argmax equals the
+// full-grid argmax restricted to that region, at the paper's 10 cm
+// pitch.
 func TestRegionGateOnTestbed(t *testing.T) {
 	tb := New()
 	specs, _, err := tb.SpectraForAll(DefaultAccuracyOptions())
@@ -67,8 +97,13 @@ func TestRegionGateOnTestbed(t *testing.T) {
 		}
 	}
 	u := cache.Usage()
-	t.Logf("region argmax == restricted full argmax on all %d testbed scenes (cache: %d entries, %d/%d bytes, %d evictions, %d slices)",
-		checked, u.Entries, u.Bytes, budget, u.Evictions, u.Slices)
+	t.Logf("region argmax == restricted full argmax on all %d testbed scenes (cache: %d entries, %d/%d bytes, %d hits, %d misses, %d evictions, %d slices)",
+		checked, u.Entries, u.Bytes, budget, u.Hits, u.Misses, u.Evictions, u.Slices)
+	// Each box comes round four times: at a budget that holds them all,
+	// most lookups must be served from the cache.
+	if u.Hits < u.Misses {
+		t.Errorf("%d hits against %d misses at a %d MiB budget, want a hit rate of at least 50%%", u.Hits, u.Misses, budget>>20)
+	}
 	if checked != 205 {
 		t.Fatalf("swept %d scenes, want 205", checked)
 	}
@@ -82,9 +117,15 @@ func TestRegionSteadyStateAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items under the race detector; the gate runs in the non-race pass")
 	}
 	tb := New()
-	scenes, _, err := tb.synthScenes(SynthOptions{MaxClients: 2, Sites: []int{0, 2, 4}, Seed: 1})
+	aOpt := DefaultAccuracyOptions()
+	aOpt.MaxClients = 1
+	specs, _, err := tb.SpectraForAll(aOpt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var scene []core.APSpectrum
+	for _, si := range []int{0, 2, 4} {
+		scene = append(scene, core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[0][si]})
 	}
 	cache := core.NewSynthCacheBudget(32 << 20)
 	region := core.Region{Min: geom.Pt(8, 3), Max: geom.Pt(20, 12)}
@@ -94,11 +135,11 @@ func TestRegionSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sg.Localize(scenes[0]); err != nil { // warm LUTs + pool
+	if _, err := sg.Localize(scene); err != nil { // warm LUTs + pool
 		t.Fatal(err)
 	}
-	allocs := allocsPerRun(20, func() {
-		if _, err := sg.Localize(scenes[0]); err != nil {
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := sg.Localize(scene); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -106,64 +147,4 @@ func TestRegionSteadyStateAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("region fix allocates %.0f/op steady-state, want ≤2", allocs)
 	}
-}
-
-// TestRunRegionsMeetsTargets runs the regions experiment (capped) and
-// enforces its headline claims: exact argmax on every query, a real
-// hit rate at a comfortable budget, and a latency-lane p99 for
-// interactive region fixes no worse than the batch backlog's p99 (the
-// lane exists to jump that backlog; on an unloaded runner the margin
-// is typically an order of magnitude).
-//
-// The latency claim takes the best of a few attempts, the same
-// convention as the other timing gates: the priority p99 is the max
-// of six samples on a shared, often single-core host, and the
-// numeric-kernel sprint shrank the batch p99 it is compared against —
-// one OS-scheduling hiccup in six samples can cross the bar without
-// any real lane regression, but a lane that genuinely fails to jump
-// the backlog fails every attempt.
-func TestRunRegionsMeetsTargets(t *testing.T) {
-	if raceEnabled {
-		t.Skip("instrumentation skews the latency distribution; the gate runs in the non-race pass")
-	}
-	tb := New()
-	opt := DefaultRegionsOptions()
-	opt.MaxClients = 3
-	opt.Queries = 120
-	opt.Budgets = []int64{1 << 20, 32 << 20}
-	opt.BatchJobs = 24
-	opt.PriorityJobs = 6
-
-	const attempts = 3
-	var lastErr string
-	for a := 0; a < attempts; a++ {
-		r, err := tb.RunRegions(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		get := func(name string) float64 {
-			for _, m := range r.Metrics {
-				if m.Name == name {
-					return m.Value
-				}
-			}
-			t.Fatalf("metric %s missing", name)
-			return 0
-		}
-		// Deterministic claims: fail immediately, retries cannot help.
-		if pct := get("regions_argmax_match_pct"); pct != 100 {
-			t.Fatalf("region argmax matches restricted full on %.0f%% of queries, want 100%%", pct)
-		}
-		if hit := get("regions_hit_pct_max_budget"); hit < 50 {
-			t.Fatalf("hit rate %.1f%% at the largest budget, want ≥50%% under the skewed workload", hit)
-		}
-		prio, batch := get("regions_prio_p99_ms"), get("regions_batch_p99_ms")
-		if prio <= batch {
-			t.Logf("p99: priority %.1fms, batch %.1fms", prio, batch)
-			return
-		}
-		lastErr = fmt.Sprintf("priority-lane region p99 %.1fms exceeds batch p99 %.1fms — the lane is not jumping the backlog", prio, batch)
-		t.Logf("attempt %d/%d: %s", a+1, attempts, lastErr)
-	}
-	t.Error(lastErr)
 }

@@ -195,12 +195,12 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 	r.Addf("total after packet end    %12v   (paper: ≈100 ms on 2011 hardware)", lat.Total())
 	r.Addf("modelled Tt on 1 Mbit/s WARP link: %v (paper: 2.56 ms)",
 		server.TransferTime(8, 10, 1))
-	onLink := func(sh IngestShape) time.Duration {
-		return server.TransferTime(sh.Antennas, sh.Samples, 1).Round(time.Millisecond)
+	onLink := func(samples int) time.Duration {
+		return server.TransferTime(9, samples, 1).Round(time.Millisecond)
 	}
-	shipped := shippedShape()
-	r.Addf("  the %d x %d capture arraytrack-ap ships: %v on that link (a raw %d x %d one: %v)",
-		shipped.Antennas, shipped.Samples, onLink(shipped), rawShape.Antennas, rawShape.Samples, onLink(rawShape))
+	shipped := server.DefaultDetector().CaptureLen
+	r.Addf("  the 9 x %d capture arraytrack-ap ships: %v on that link (a raw 9 x 640 one: %v)",
+		shipped, onLink(shipped), onLink(640))
 	r.Addf("location error %.0f cm", pos.Dist(client)*100)
 	return r, nil
 }

@@ -1,18 +1,15 @@
 package testbed
 
 import (
-	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 )
 
-// ThroughputOptions sizes the multi-client throughput experiment.
+// ThroughputOptions shapes the multi-client request fixture the engine
+// tests and the root benchmarks share.
 type ThroughputOptions struct {
-	// ClientCounts are the concurrent-client batch sizes measured.
-	ClientCounts []int
 	// Sites indexes the AP sites every client is heard by.
 	Sites []int
 	// Capture configures the simulated radios.
@@ -22,14 +19,12 @@ type ThroughputOptions struct {
 	GridCell float64
 }
 
-// DefaultThroughputOptions mirrors the paper's ~100 ms/fix scenario at
-// batch sizes matching the benchmark suite.
+// DefaultThroughputOptions mirrors the paper's ~100 ms/fix scenario.
 func DefaultThroughputOptions() ThroughputOptions {
 	return ThroughputOptions{
-		ClientCounts: []int{1, 8, 64, 256},
-		Sites:        []int{0, 2, 4},
-		Capture:      DefaultCaptureOptions(),
-		GridCell:     0.25,
+		Sites:    []int{0, 2, 4},
+		Capture:  DefaultCaptureOptions(),
+		GridCell: 0.25,
 	}
 }
 
@@ -62,43 +57,4 @@ func (tb *Testbed) ThroughputRequests(n int, opt ThroughputOptions) []engine.Req
 		}
 	}
 	return reqs
-}
-
-// RunThroughput measures location fixes per second through the
-// concurrent engine for batches of concurrent clients. This is the
-// system half of the paper's claim — many clients, many APs, bounded
-// latency — measured rather than asserted.
-func (tb *Testbed) RunThroughput(opt ThroughputOptions) (*Report, error) {
-	r := &Report{ID: "throughput", Title: "multi-client localization throughput (fixes/sec)"}
-	r.Addf("%8s %14s", "clients", "engine")
-
-	engineCfg := core.DefaultConfig(tb.Wavelength)
-	engineCfg.GridCell = opt.GridCell
-
-	maxClients := 0
-	for _, n := range opt.ClientCounts {
-		if n > maxClients {
-			maxClients = n
-		}
-	}
-	all := tb.ThroughputRequests(maxClients, opt)
-
-	for _, n := range opt.ClientCounts {
-		reqs := all[:n]
-
-		eng := engine.New(engine.Options{Config: engineCfg})
-		start := time.Now()
-		results := eng.LocateBatch(reqs)
-		engRate := float64(n) / time.Since(start).Seconds()
-		eng.Close()
-		for _, res := range results {
-			if res.Err != nil {
-				return nil, res.Err
-			}
-		}
-
-		r.Addf("%8d %14.1f", n, engRate)
-		r.AddMetric(fmt.Sprintf("fixes_per_sec_engine_%d", n), engRate, "fixes/sec")
-	}
-	return r, nil
 }

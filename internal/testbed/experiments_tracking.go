@@ -62,6 +62,17 @@ type TrackingResult struct {
 	// Updates counts track updates delivered on the streaming
 	// subscription.
 	Updates int
+	// PredictiveRMSECM is the smoothed RMSE of a second engine serving
+	// the same captures track-guided (engine.Options.Predict, same
+	// tracker options). Predicted counts the fixes it served from the
+	// predicted region; the four fallback counters say why each of the
+	// others took the full grid, so the five sum to the steps.
+	PredictiveRMSECM float64
+	Predicted        uint64
+	FallbackNoTrack  uint64
+	FallbackBorder   uint64
+	FallbackGate     uint64
+	FallbackError    uint64
 }
 
 // trackingTruth returns the client's true position at step i: a walk
@@ -96,7 +107,9 @@ func rmseSqrt(xs []float64) float64 {
 // the office while the engine+tracker pipeline streams smoothed track
 // updates, and the smoothed trail is compared against the raw per-fix
 // positions. The whole path is the production one — engine worker
-// pool, workspace pool, steering cache, tracker subscription.
+// pool, workspace pool, steering cache, tracker subscription. A second
+// engine serves the same captures through the predictive region path,
+// the one drill of a track-guided search on a moving client.
 func (tb *Testbed) RunTracking(opt TrackingOptions) (*Report, *TrackingResult, error) {
 	rng := rand.New(rand.NewSource(opt.Seed))
 	cfg := core.DefaultConfig(tb.Wavelength)
@@ -106,11 +119,14 @@ func (tb *Testbed) RunTracking(opt TrackingOptions) (*Report, *TrackingResult, e
 	tracker := engine.NewTracker(opt.Tracker)
 	eng := engine.New(engine.Options{Config: cfg, Tracker: tracker})
 	defer eng.Close()
+	predEng := engine.New(engine.Options{Config: cfg, Tracker: engine.NewTracker(opt.Tracker), Predict: true})
+	defer predEng.Close()
 	sub, cancel := tracker.Subscribe(opt.Steps + 1)
 	defer cancel()
 
 	base := time.Unix(1700000000, 0)
 	res := &TrackingResult{}
+	var predErrsCM []float64
 	r := &Report{ID: "tracking", Title: "roaming client: raw fixes vs Kalman-smoothed track"}
 	r.Addf("%4s  %-14s %-14s %-14s %8s %8s", "step", "truth", "raw fix", "smoothed", "raw", "track")
 
@@ -120,20 +136,25 @@ func (tb *Testbed) RunTracking(opt TrackingOptions) (*Report, *TrackingResult, e
 		for si, s := range opt.Sites {
 			captures[si] = tb.CaptureClient(truth, tb.Sites[s], opt.Capture, rng)
 		}
-		out := eng.Locate(engine.Request{
+		req := engine.Request{
 			ClientID: 1,
 			APs:      aps,
 			Captures: captures,
 			Min:      tb.Plan.Min,
 			Max:      tb.Plan.Max,
 			Time:     base.Add(time.Duration(float64(i) * opt.Dt * float64(time.Second))),
-		})
+		}
+		out, pred := eng.Locate(req), predEng.Locate(req)
 		if out.Err != nil {
 			return nil, nil, out.Err
 		}
-		if out.Track == nil {
+		if pred.Err != nil {
+			return nil, nil, pred.Err
+		}
+		if out.Track == nil || pred.Track == nil {
 			panic("testbed: engine returned no track update with a tracker attached")
 		}
+		predErrsCM = append(predErrsCM, pred.Track.Smoothed.Dist(truth)*100)
 		rawCM := out.Pos.Dist(truth) * 100
 		trkCM := out.Track.Smoothed.Dist(truth) * 100
 		res.RawErrsCM = append(res.RawErrsCM, rawCM)
@@ -151,16 +172,20 @@ func (tb *Testbed) RunTracking(opt TrackingOptions) (*Report, *TrackingResult, e
 	res.RawRMSECM = rmseSqrt(res.RawErrsCM)
 	res.SmoothedRMSECM = rmseSqrt(res.SmoothedErrsCM)
 	res.GateRejects = tracker.Stats().GateRejects
+	res.PredictiveRMSECM = rmseSqrt(predErrsCM)
+	st := predEng.Stats()
+	res.Predicted = st.Predicted
+	res.FallbackNoTrack = st.PredictFallbackNoTrack
+	res.FallbackBorder = st.PredictFallbackBorder
+	res.FallbackGate = st.PredictFallbackGate
+	res.FallbackError = st.PredictFallbackError
 
 	r.Addf("")
 	r.Addf("raw fixes:  %v  RMSE %.0fcm", stats.Summarize(res.RawErrsCM), res.RawRMSECM)
 	r.Addf("smoothed:   %v  RMSE %.0fcm", stats.Summarize(res.SmoothedErrsCM), res.SmoothedRMSECM)
 	r.Addf("gate rejects %d, streamed updates %d", res.GateRejects, res.Updates)
-	r.AddMetric("raw_rmse_cm", res.RawRMSECM, "cm")
-	r.AddMetric("smoothed_rmse_cm", res.SmoothedRMSECM, "cm")
-	r.AddMetric("raw_median_cm", stats.Median(res.RawErrsCM), "cm")
-	r.AddMetric("smoothed_median_cm", stats.Median(res.SmoothedErrsCM), "cm")
-	r.AddMetric("gate_rejects", float64(res.GateRejects), "")
-	r.AddMetric("streamed_updates", float64(res.Updates), "")
+	r.Addf("predictive serving: smoothed RMSE %.0fcm, %d/%d fixes from the predicted region (fallbacks: no-track %d, border %d, gate %d, error %d)",
+		res.PredictiveRMSECM, res.Predicted, opt.Steps,
+		res.FallbackNoTrack, res.FallbackBorder, res.FallbackGate, res.FallbackError)
 	return r, res, nil
 }

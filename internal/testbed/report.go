@@ -6,9 +6,7 @@ import (
 )
 
 // Report is one experiment's regenerated artifact: an identifier tying
-// it to the paper's table/figure, a title, preformatted text lines,
-// and machine-readable headline metrics (the perf-trajectory rows
-// atbench's -json flag serializes).
+// it to the paper's table/figure, a title and preformatted text lines.
 type Report struct {
 	// ID matches the DESIGN.md experiment index (e.g. "fig13").
 	ID string
@@ -16,26 +14,11 @@ type Report struct {
 	Title string
 	// Lines are the rendered rows.
 	Lines []string
-	// Metrics are the experiment's headline quantities in a form
-	// tooling can diff across commits.
-	Metrics []Metric
-}
-
-// Metric is one machine-readable headline number.
-type Metric struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Unit  string  `json:"unit,omitempty"`
 }
 
 // Addf appends a formatted line.
 func (r *Report) Addf(format string, args ...any) {
 	r.Lines = append(r.Lines, fmt.Sprintf(format, args...))
-}
-
-// AddMetric records a machine-readable headline number.
-func (r *Report) AddMetric(name string, value float64, unit string) {
-	r.Metrics = append(r.Metrics, Metric{Name: name, Value: value, Unit: unit})
 }
 
 // String renders the report with a header.
