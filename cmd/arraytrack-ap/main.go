@@ -47,12 +47,17 @@ func main() {
 	seed := flag.Int64("seed", 0, "noise seed (0 = derived from AP id)")
 	regionStr := flag.String("region", "", "ad-hoc search region minx,miny,maxx,maxy[,cell] to attach to the captures")
 	priority := flag.Bool("priority", false, "mark captures for the server's latency-priority lane")
-	batch := flag.Int("batch", 16, "upload v3 batch frames of up to this many captures (0 = per-record v1/v2)")
+	batch := flag.Int("batch", 16, "upload frames of up to this many captures (at least 1)")
 	udp := flag.Bool("udp", false, "upload batch-frame datagrams over UDP instead of a TCP stream")
 	retries := flag.Int("retries", 0,
 		"reconnect and replay on transient upload errors, up to this many consecutive attempts (0 = fail on the first error; TCP only)")
 	backoff := flag.Duration("backoff", 100*time.Millisecond, "first reconnect delay (doubles per attempt, jittered)")
 	flag.Parse()
+	if *batch < 1 {
+		fmt.Fprintf(os.Stderr, "arraytrack-ap: -batch %d: want at least 1 capture per frame\n", *batch)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	tb := testbed.New()
 	if *id < 1 || *id > len(tb.Sites) {
@@ -123,7 +128,7 @@ func main() {
 			// One line for the shipped shape: CI greps it, so a silent
 			// return to whole-preamble captures fails there.
 			log.Printf("AP %d: shipping %d x %d samples, %.1f KB per capture",
-				*id, len(window), len(window[0]), float64(server.RecordSize(len(window), len(window[0])))/1000)
+				*id, len(window), len(window[0]), float64(server.BatchFrameSize([]server.Capture{{Streams: window}}))/1000)
 		}
 		node.Record(uint32(*clientID), time.Now(), window)
 		log.Printf("AP %d: captured frame %d (%s, SNR %.1f dB)", *id, f+1, where, rec.SNRdB)
@@ -141,7 +146,6 @@ func main() {
 		// batch. Exit codes split the outcomes for supervisors: 0
 		// delivered, 75 (EX_TEMPFAIL) the network never came back, 1
 		// anything that retrying cannot fix.
-		// (UploadRetry only speaks v3: -batch 0 means its default, 16.)
 		err = node.UploadRetry(ctx, func(ctx context.Context) (net.Conn, error) {
 			return net.Dial(network, *addr)
 		}, server.RetryOptions{
@@ -164,13 +168,10 @@ func main() {
 			log.Fatal(err)
 		}
 		defer conn.Close()
-		switch {
-		case *udp:
+		if *udp {
 			err = node.UploadDatagrams(ctx, conn, server.MaxDatagramBytes)
-		case *batch > 0:
+		} else {
 			err = node.UploadBatch(ctx, conn, *batch)
-		default:
-			err = node.Upload(ctx, conn)
 		}
 	}
 	if err != nil {

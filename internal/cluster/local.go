@@ -162,7 +162,7 @@ func (s *LocalShard) InFlight(ids []uint32) (int, error) {
 }
 
 // ExtractPending removes the clients' pending capture groups and
-// re-encodes them as v3 delta frames, ready to forward verbatim.
+// re-encodes them as frames, ready to forward verbatim.
 func (s *LocalShard) ExtractPending(ids []uint32) ([]byte, int, error) {
 	caps := s.Backend.ExtractPending(ids)
 	if len(caps) == 0 {
@@ -176,7 +176,7 @@ func (s *LocalShard) ExtractPending(ids []uint32) ([]byte, int, error) {
 		if end > len(caps) {
 			end = len(caps)
 		}
-		if frames, err = server.AppendBatchDelta(frames, caps[off:end]); err != nil {
+		if frames, err = server.AppendBatch(frames, caps[off:end]); err != nil {
 			return nil, 0, err
 		}
 	}

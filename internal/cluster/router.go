@@ -95,12 +95,11 @@ func (hs *holdState) holds(clientID uint32) bool {
 
 // Router fans capture traffic from many AP connections out to the
 // shard that owns each client, and migrates clients when the shard map
-// changes. It speaks the same v3 batch protocol on both sides: AP
-// bursts are decoded once (pooled), partitioned by owner, and
-// re-encoded per shard in the compact delta-timestamp form — a
-// re-encode that round-trips the int16 quantization bit-identically,
-// so a shard behind the router decodes exactly the samples a backend
-// fed directly would.
+// changes. It speaks the same frames on both sides: AP bursts are
+// decoded once (pooled), partitioned by owner, and re-encoded per shard
+// — a re-encode that copies each capture's received payload, so a
+// shard behind the router decodes exactly the samples a backend fed
+// directly would.
 type Router struct {
 	shards []shardIO
 	ctls   []Control
@@ -275,7 +274,7 @@ func (r *Router) forward(i int, caps []server.Capture) (requeue []server.Capture
 	return requeue, err
 }
 
-// writeLocked encodes caps as delta-timestamp frames into the shard's
+// writeLocked encodes caps as frames into the shard's
 // scratch (chunked at the frame capture limit; AP frames fit in one),
 // writes them, and releases the captures. Caller holds s.mu.
 func (r *Router) writeLocked(s *shardIO, caps []server.Capture) error {
@@ -286,7 +285,7 @@ func (r *Router) writeLocked(s *shardIO, caps []server.Capture) error {
 		if end > len(caps) {
 			end = len(caps)
 		}
-		if buf, err = server.AppendBatchDelta(buf, caps[off:end]); err != nil {
+		if buf, err = server.AppendBatch(buf, caps[off:end]); err != nil {
 			server.ReleaseAll(caps)
 			return err
 		}

@@ -245,12 +245,12 @@ func TestBackendToEngineStress(t *testing.T) {
 				defer wg.Done()
 				for c := feed; c < clients; c += 4 {
 					rng := rand.New(rand.NewSource(int64(c)*10 + int64(ap)))
-					backend.Ingest(&server.Capture{
+					backend.IngestBatch([]server.Capture{{
 						APID:      ap,
 						ClientID:  uint32(c + 1),
 						Timestamp: now,
 						Streams:   mkStreams(rng),
-					})
+					}})
 				}
 			}(ap, feed)
 		}

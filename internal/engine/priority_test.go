@@ -196,7 +196,7 @@ func TestEnginePriorityDrainOnClose(t *testing.T) {
 	}
 }
 
-// TestCaptureSinkThreadsRegionAndPriority: a v2 capture's region and
+// TestCaptureSinkThreadsRegionAndPriority: a capture's region and
 // priority flags ride the flush into the engine request.
 func TestCaptureSinkThreadsRegionAndPriority(t *testing.T) {
 	aps, cfg, mkStreams := syntheticSetup()

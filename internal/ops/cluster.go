@@ -119,7 +119,7 @@ func (s *Server) handleClusterExtract(w http.ResponseWriter, r *http.Request) {
 		if end > len(caps) {
 			end = len(caps)
 		}
-		if frames, err = server.AppendBatchDelta(frames, caps[off:end]); err != nil {
+		if frames, err = server.AppendBatch(frames, caps[off:end]); err != nil {
 			http.Error(w, "encode extracted captures: "+err.Error(), http.StatusInternalServerError)
 			return
 		}

@@ -98,8 +98,7 @@ func TestIngestBatchAbsorbsIntoDegradedFlush(t *testing.T) {
 	ts := clock.Now()
 	// One AP-1 capture, then the group goes stale-stuck (the third AP
 	// never reports).
-	c := pooledCaps(t, []Capture{wireCapture(rng, 1, 9, ts)})
-	b.Ingest(&c[0])
+	b.IngestBatch(pooledCaps(t, []Capture{wireCapture(rng, 1, 9, ts)}))
 	clock.advance(300 * time.Millisecond)
 	// AP 2's burst arrives: its first capture trips degraded serving
 	// (age ≥ DegradedAfter at distinct 2 < quorum 3); the two trailing

@@ -24,14 +24,14 @@ func TestBackendDispatcherReceivesQuorumFlush(t *testing.T) {
 	d := &recordingDispatcher{}
 	b := NewBackendDispatcher(2, time.Minute, d)
 	now := time.Now()
-	b.Ingest(&Capture{APID: 1, ClientID: 5, Timestamp: now})
+	b.IngestBatch([]Capture{{APID: 1, ClientID: 5, Timestamp: now}})
 	if len(d.flushes) != 0 {
 		t.Fatal("dispatched before quorum")
 	}
 	if got := b.PendingClients(); got != 1 {
 		t.Fatalf("PendingClients = %d, want 1", got)
 	}
-	b.Ingest(&Capture{APID: 2, ClientID: 5, Timestamp: now})
+	b.IngestBatch([]Capture{{APID: 2, ClientID: 5, Timestamp: now}})
 	cs, ok := d.flushes[5]
 	if !ok {
 		t.Fatal("quorum reached but nothing dispatched")
@@ -49,7 +49,7 @@ func TestBackendDispatcherPreferredOverLocate(t *testing.T) {
 	locateCalled := false
 	b := NewBackend(1, time.Minute, func(uint32, []Capture) { locateCalled = true })
 	b.Dispatcher = d
-	b.Ingest(&Capture{APID: 1, ClientID: 9, Timestamp: time.Now()})
+	b.IngestBatch([]Capture{{APID: 1, ClientID: 9, Timestamp: time.Now()}})
 	if locateCalled {
 		t.Error("Locate ran despite a Dispatcher being set")
 	}
@@ -65,7 +65,7 @@ func TestBackendPendingSpansShards(t *testing.T) {
 	// different shards; the count must still be exact.
 	const n = 500
 	for c := uint32(0); c < n; c++ {
-		b.Ingest(&Capture{APID: 1, ClientID: c*7919 + 1, Timestamp: now})
+		b.IngestBatch([]Capture{{APID: 1, ClientID: c*7919 + 1, Timestamp: now}})
 	}
 	if got := b.PendingClients(); got != n {
 		t.Fatalf("PendingClients = %d, want %d", got, n)
@@ -88,7 +88,7 @@ func TestBackendConcurrentIngestExactFlushes(t *testing.T) {
 		go func(ap uint32) {
 			defer wg.Done()
 			for c := uint32(1); c <= clients; c++ {
-				b.Ingest(&Capture{APID: ap, ClientID: c, Timestamp: now})
+				b.IngestBatch([]Capture{{APID: ap, ClientID: c, Timestamp: now}})
 			}
 		}(ap)
 	}

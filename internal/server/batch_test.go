@@ -59,115 +59,69 @@ func sameBits(a, b [][]complex128) bool {
 	return true
 }
 
-// TestBatchDifferentialBitIdentical pins the batch decoder to the v1
-// path: the same captures shipped per-record through WriteCapture →
-// ReadCapture and as one v3 frame through WriteBatch → ReadBatchInto
-// must decode to bit-identical streams and equal metadata.
+// TestBatchDifferentialBitIdentical pins the codec to its reference
+// definitions: random bursts shipped through WriteBatch → ReadFrameInto
+// carry quantizeRef's bytes on the wire, decode to dequantRef of those
+// bytes, and keep their metadata.
 func TestBatchDifferentialBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(6)
 		caps := make([]Capture, n)
+		var payload []byte
 		for i := range caps {
 			caps[i] = batchCapture(rng, 1+rng.Intn(8), 1+rng.Intn(32), rng.Intn(3) == 0, rng.Intn(3) == 0)
-		}
-
-		// Reference: the seed's per-record round trip.
-		var perRecord bytes.Buffer
-		for i := range caps {
-			if err := WriteCapture(&perRecord, &caps[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := make([]*Capture, n)
-		for i := range want {
-			c, err := ReadCapture(&perRecord)
+			peak, err := samplePeak(caps[i].Streams)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[i] = c
+			ref := make([]byte, 4*len(caps[i].Streams)*len(caps[i].Streams[0]))
+			quantizePayloadRef(ref, caps[i].Streams, peak)
+			payload = append(payload, ref...)
 		}
-
-		// Batch: one frame, pooled decode.
 		var frame bytes.Buffer
 		if err := WriteBatch(&frame, caps); err != nil {
 			t.Fatal(err)
 		}
-		ws := GetIngestWorkspace()
-		got, err := ReadBatchInto(bytes.NewReader(frame.Bytes()), ws)
-		if err != nil {
-			ws.Discard()
-			t.Fatal(err)
+		if !bytes.HasSuffix(frame.Bytes(), payload) {
+			t.Fatalf("trial %d: payload is not the reference quantizer's bytes", trial)
 		}
+		got := readFrame(t, frame.Bytes())
 		if len(got) != n {
 			t.Fatalf("trial %d: decoded %d captures, want %d", trial, len(got), n)
 		}
-		for i := range got {
-			g, w := &got[i], want[i]
+		for i, want := range wireRef(frame.Bytes()) {
+			g, w := &got[i], &caps[i]
 			if g.APID != w.APID || g.ClientID != w.ClientID || g.Seq != w.Seq ||
 				!g.Timestamp.Equal(w.Timestamp) || g.Region != w.Region || g.Priority != w.Priority {
 				t.Fatalf("trial %d capture %d: metadata mismatch\n got %+v\nwant %+v", trial, i, g, w)
 			}
-			if !sameBits(g.Streams, w.Streams) {
-				t.Fatalf("trial %d capture %d: streams not bit-identical to ReadCapture", trial, i)
+			if !sameBits(g.Streams, want) {
+				t.Fatalf("trial %d capture %d: streams not bit-identical to dequantRef", trial, i)
 			}
 		}
 		ReleaseAll(got)
 	}
 }
 
-// TestReadCaptureIntoDifferential pins the pooled single-record reader
-// to ReadCapture the same way.
-func TestReadCaptureIntoDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		c := batchCapture(rng, 1+rng.Intn(8), 1+rng.Intn(32), trial%3 == 0, trial%4 == 0)
-		var buf bytes.Buffer
-		if err := WriteCapture(&buf, &c); err != nil {
-			t.Fatal(err)
-		}
-		want, err := ReadCapture(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := GetIngestWorkspace()
-		got, err := ReadCaptureInto(bytes.NewReader(buf.Bytes()), ws)
-		if err != nil {
-			ws.Discard()
-			t.Fatal(err)
-		}
-		if got.APID != want.APID || got.ClientID != want.ClientID || got.Seq != want.Seq ||
-			!got.Timestamp.Equal(want.Timestamp) || got.Region != want.Region || got.Priority != want.Priority {
-			t.Fatalf("trial %d: metadata mismatch", trial)
-		}
-		if !sameBits(got.Streams, want.Streams) {
-			t.Fatalf("trial %d: streams not bit-identical", trial)
-		}
-		got.Release()
-	}
-}
-
-// TestReadFrameIntoMixedStream drives the version-dispatching reader
-// over a stream mixing v1, v3, and v2 framing — the ServeConn fast
-// path accepting old and new writers on one port.
+// TestReadFrameIntoMixedStream drives the stream reader over frames of
+// different sizes and sub-header shapes back to back — a one-capture
+// frame, a three-capture burst, and a capture carrying a region and
+// the priority flag — as one connection delivers them.
 func TestReadFrameIntoMixedStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	single := batchCapture(rng, 2, 4, false, false)
-	v2 := batchCapture(rng, 3, 5, true, true)
+	flagged := batchCapture(rng, 3, 5, true, true)
 	batch := []Capture{
 		batchCapture(rng, 2, 8, false, false),
 		batchCapture(rng, 4, 2, true, false),
 		batchCapture(rng, 1, 16, false, true),
 	}
 	var stream bytes.Buffer
-	if err := WriteCapture(&stream, &single); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBatch(&stream, batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCapture(&stream, &v2); err != nil {
-		t.Fatal(err)
+	for _, caps := range [][]Capture{{single}, batch, {flagged}} {
+		if err := WriteBatch(&stream, caps); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r := bytes.NewReader(stream.Bytes())
 	var decoded []Capture
@@ -184,10 +138,7 @@ func TestReadFrameIntoMixedStream(t *testing.T) {
 		for i := range caps {
 			// Retain past the workspace: deep-copy like a real consumer.
 			cp := caps[i]
-			cp.Streams = append([][]complex128(nil), cp.Streams...)
-			for a := range cp.Streams {
-				cp.Streams[a] = append([]complex128(nil), cp.Streams[a]...)
-			}
+			cp.Streams = cloneStreams(cp.Streams)
 			decoded = append(decoded, cp)
 		}
 		ReleaseAll(caps)
@@ -195,14 +146,14 @@ func TestReadFrameIntoMixedStream(t *testing.T) {
 	if len(decoded) != 5 {
 		t.Fatalf("decoded %d captures, want 5", len(decoded))
 	}
-	wantOrder := []uint32{single.Seq, batch[0].Seq, batch[1].Seq, batch[2].Seq, v2.Seq}
+	wantOrder := []uint32{single.Seq, batch[0].Seq, batch[1].Seq, batch[2].Seq, flagged.Seq}
 	for i, w := range wantOrder {
 		if decoded[i].Seq != w {
 			t.Errorf("capture %d: seq %d, want %d", i, decoded[i].Seq, w)
 		}
 	}
 	if decoded[4].Region.IsZero() || !decoded[4].Priority {
-		t.Error("v2 record lost its region or priority flag")
+		t.Error("last capture lost its region or priority flag")
 	}
 }
 
@@ -216,11 +167,11 @@ func mustFrame(tb testing.TB, caps []Capture) []byte {
 	return out
 }
 
-// decodeBatch runs the stream batch reader over data with a throwaway
+// decodeBatch runs the stream reader over data with a throwaway
 // workspace, releasing on success.
 func decodeBatch(data []byte) error {
 	ws := GetIngestWorkspace()
-	caps, err := ReadBatchInto(bytes.NewReader(data), ws)
+	caps, err := ReadFrameInto(bytes.NewReader(data), ws)
 	if err != nil {
 		ws.Discard()
 		return err
@@ -254,6 +205,7 @@ func TestBatchRejects(t *testing.T) {
 		{"truncated header", valid[:8], nil},
 		{"truncated body", valid[:len(valid)-5], nil},
 		{"reserved bits", mut(func(d []byte) { d[10] = 1 }), ErrBadFrame},
+		{"retired delta flag", mut(func(d []byte) { d[11] = 1 }), ErrBadFrame},
 		{"zero count", mut(func(d []byte) { binary.BigEndian.PutUint16(d[8:], 0) }), ErrTooLarge},
 		{"count over limit", mut(func(d []byte) { binary.BigEndian.PutUint16(d[8:], MaxBatchCaptures+1) }), ErrTooLarge},
 		{"count lies high", mut(func(d []byte) { binary.BigEndian.PutUint16(d[8:], 3) }), nil},
@@ -336,7 +288,7 @@ func TestDecodeDatagramExact(t *testing.T) {
 		t.Errorf("short datagram: error %v, want ErrBadFrame", err)
 	}
 	wrongMagic := append([]byte(nil), frame...)
-	binary.BigEndian.PutUint32(wrongMagic, protocolMagic)
+	binary.BigEndian.PutUint32(wrongMagic, retiredV1Magic)
 	if err := bad(wrongMagic); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("v1 magic in datagram: error %v, want ErrBadMagic", err)
 	}
@@ -353,7 +305,7 @@ func TestWorkspaceRefcount(t *testing.T) {
 		batchCapture(rng, 2, 2, false, false),
 	})
 	ws := GetIngestWorkspace()
-	caps, err := ReadBatchInto(bytes.NewReader(frame), ws)
+	caps, err := ReadFrameInto(bytes.NewReader(frame), ws)
 	if err != nil {
 		ws.Discard()
 		t.Fatal(err)
@@ -394,7 +346,7 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(200, func() {
 		r.Reset(frame)
 		ws := GetIngestWorkspace()
-		decoded, err := ReadBatchInto(r, ws)
+		decoded, err := ReadFrameInto(r, ws)
 		if err != nil {
 			ws.Discard()
 			t.Fatal(err)
@@ -407,20 +359,20 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestWriteAllocs pins the pooled encoders: WriteCapture and
-// WriteBatch reuse scratch, so steady state writes allocate nothing.
+// TestWriteAllocs pins the pooled encoder: WriteBatch reuses scratch,
+// so steady state writes allocate nothing, for one capture or a burst.
 func TestWriteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	rng := rand.New(rand.NewSource(31))
-	c := batchCapture(rng, 8, 16, false, false)
+	one := []Capture{batchCapture(rng, 8, 16, false, false)}
 	if avg := testing.AllocsPerRun(200, func() {
-		if err := WriteCapture(io.Discard, &c); err != nil {
+		if err := WriteBatch(io.Discard, one); err != nil {
 			t.Fatal(err)
 		}
 	}); avg > 1 {
-		t.Errorf("WriteCapture allocates %.1f/record, want ≤ 1", avg)
+		t.Errorf("WriteBatch allocates %.1f/one-capture frame, want ≤ 1", avg)
 	}
 	caps := make([]Capture, 16)
 	for i := range caps {
@@ -762,10 +714,10 @@ func TestUploadDatagramsPacking(t *testing.T) {
 	ReleaseAll(caps)
 }
 
-// TestServeConnBatchQuorum runs the whole ingest pipeline over a mixed
-// stream: a v3 burst from one AP plus a v1 record from another must
-// satisfy the quorum, and the flushed samples must match what the
-// legacy decoder sees (the callback deep-copies per the borrow
+// TestServeConnBatchQuorum runs the whole ingest pipeline over one
+// stream: a burst from one AP plus a one-capture frame from another
+// must satisfy the quorum, and the flushed samples must be dequantRef
+// of the bytes that were sent (the callback deep-copies per the borrow
 // contract).
 func TestServeConnBatchQuorum(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
@@ -777,45 +729,27 @@ func TestServeConnBatchQuorum(t *testing.T) {
 	}
 	straggler := batchCapture(rng, 2, 6, false, false)
 	straggler.APID, straggler.ClientID, straggler.Timestamp = 2, 5, ts
-
-	var stream bytes.Buffer
-	if err := WriteBatch(&stream, burst); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCapture(&stream, &straggler); err != nil {
-		t.Fatal(err)
-	}
+	burstFrame, stragglerFrame := mustFrame(t, burst), mustFrame(t, []Capture{straggler})
 
 	var flushed []Capture
 	b := NewBackend(2, time.Second, func(clientID uint32, cs []Capture) {
 		for i := range cs {
 			cp := cs[i]
-			cp.Streams = append([][]complex128(nil), cp.Streams...)
-			for a := range cp.Streams {
-				cp.Streams[a] = append([]complex128(nil), cp.Streams[a]...)
-			}
+			cp.Streams = cloneStreams(cp.Streams)
 			flushed = append(flushed, cp)
 		}
 	})
-	if err := b.ServeConn(bytes.NewReader(stream.Bytes())); err != nil {
+	if err := b.ServeConn(bytes.NewReader(append(append([]byte(nil), burstFrame...), stragglerFrame...))); err != nil {
 		t.Fatal(err)
 	}
 	if len(flushed) != 3 {
 		t.Fatalf("flushed %d captures, want 3", len(flushed))
 	}
-	// Cross-check against the per-record decode of the same captures.
 	want := append(append([]Capture(nil), burst...), straggler)
+	ref := append(wireRef(burstFrame), wireRef(stragglerFrame)...)
 	for i := range flushed {
-		var buf bytes.Buffer
-		if err := WriteCapture(&buf, &want[i]); err != nil {
-			t.Fatal(err)
-		}
-		ref, err := ReadCapture(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if flushed[i].Seq != want[i].Seq || !sameBits(flushed[i].Streams, ref.Streams) {
-			t.Fatalf("flushed capture %d differs from legacy decode", i)
+		if flushed[i].Seq != want[i].Seq || !sameBits(flushed[i].Streams, ref[i]) {
+			t.Fatalf("flushed capture %d differs from the reference decode", i)
 		}
 	}
 }

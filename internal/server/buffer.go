@@ -26,8 +26,8 @@ type Capture struct {
 	// Timestamp is the detection time.
 	Timestamp time.Time
 	// Region, when non-zero, asks the backend to restrict this
-	// client's synthesis to an ad-hoc bounding box (a version-2 wire
-	// record). Validated at decode; see core.Region.
+	// client's synthesis to an ad-hoc bounding box (the sub-header's
+	// region extension). Validated at decode; see core.Region.
 	Region core.Region
 	// Priority asks the backend to run the resulting fix through the
 	// engine's latency lane.
@@ -40,24 +40,23 @@ type Capture struct {
 	// (Capture → Request → Result → TrackUpdate).
 	Degraded bool
 	// received is 1 + this capture's index in the frame it was decoded
-	// from, 0 for a capture that was not decoded by a pooled reader.
-	// With owner it finds the int16 I/Q payload and scale field the
-	// capture arrived in, which a stream decode leaves in the owner's
-	// frame buffer for as long as the lease lasts: while Streams is
-	// still what was decoded, the batch encoders copy that payload
-	// instead of re-quantizing (see wirePayload), so forwarding a
-	// received capture costs one copy and reproduces the sender's
-	// bytes. It sits here, in the padding behind the flags, because a
+	// from, 0 for a capture that was not decoded. With owner it finds
+	// the int16 I/Q payload and scale field the capture arrived in,
+	// which a stream decode leaves in the owner's frame buffer for as
+	// long as the lease lasts: while Streams is still what was decoded,
+	// AppendBatch copies that payload instead of re-quantizing (see
+	// wirePayload), so forwarding a received capture costs one copy and
+	// reproduces the sender's bytes. It sits here, in the padding behind the flags, because a
 	// Capture is copied by value all along the ingest path and its
 	// width is most of what a small record costs there.
 	received uint32
 	// Streams holds the per-antenna baseband samples of the captured
-	// preamble section. For captures decoded by the pooled readers
-	// (ReadCaptureInto, ReadBatchInto, DecodeDatagramInto) the memory
-	// is borrowed from an IngestWorkspace and must be returned with
-	// Release once consumed; captures built any other way own their
-	// streams and Release is a no-op. Borrowed streams are read-only:
-	// the encoders may send the remembered wire payload in their place.
+	// preamble section. For captures decoded by ReadFrameInto or
+	// DecodeDatagramInto the memory is borrowed from an IngestWorkspace
+	// and must be returned with Release once consumed; captures built
+	// any other way own their streams and Release is a no-op. Borrowed
+	// streams are read-only: AppendBatch may send the remembered wire
+	// payload in their place.
 	Streams [][]complex128
 
 	// owner is the ingest workspace the streams are borrowed from;

@@ -55,13 +55,13 @@ func BenchmarkAppendBatchReencode(b *testing.B) {
 		b.Fatal(err)
 	}
 	ws := GetIngestWorkspace()
-	caps, err := ReadBatchInto(bytes.NewReader(frame), ws)
+	caps, err := ReadFrameInto(bytes.NewReader(frame), ws)
 	if err != nil {
 		ws.Discard()
 		b.Fatal(err)
 	}
 	defer ReleaseAll(caps)
-	buf, err := AppendBatchDelta(nil, caps)
+	buf, err := AppendBatch(nil, caps)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,15 +69,15 @@ func BenchmarkAppendBatchReencode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if buf, err = AppendBatchDelta(buf[:0], caps); err != nil {
+		if buf, err = AppendBatch(buf[:0], caps); err != nil {
 			b.Fatal(err)
 		}
 	}
 	reportPerCapture(b, len(caps))
 }
 
-// BenchmarkReadBatchInto is the pooled decode of the same frame.
-func BenchmarkReadBatchInto(b *testing.B) {
+// BenchmarkReadFrameInto is the pooled decode of the same frame.
+func BenchmarkReadFrameInto(b *testing.B) {
 	frame, err := AppendBatch(nil, benchFrame(rand.New(rand.NewSource(1))))
 	if err != nil {
 		b.Fatal(err)
@@ -89,7 +89,7 @@ func BenchmarkReadBatchInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rd.Reset(frame)
 		ws := GetIngestWorkspace()
-		caps, err := ReadBatchInto(rd, ws)
+		caps, err := ReadFrameInto(rd, ws)
 		if err != nil {
 			ws.Discard()
 			b.Fatal(err)

@@ -147,8 +147,100 @@ func FuzzQuantizeMatchesReference(f *testing.F) {
 	})
 }
 
-// benchShapedFrame returns an absolute-form v3 frame of three 9×640
-// captures (one with a region, one priority).
+// wireRef is the reference decode of a frame: per capture, dequantRef
+// on every payload component under the scale field of its own
+// sub-header, read from the bytes without the decoder.
+func wireRef(frame []byte) [][][]complex128 {
+	count := int(binary.BigEndian.Uint16(frame[8:]))
+	subs := make([][]byte, count)
+	off := frameHeadSize
+	for i := range subs {
+		subs[i] = frame[off : off+subHeadSize]
+		off += subHeadSize
+		if subs[i][28]&flagHasRegion != 0 {
+			off += regionBoxSize
+		}
+	}
+	payload := frame[off:]
+	out := make([][][]complex128, count)
+	for i, sub := range subs {
+		scale := float64(math.Float32frombits(binary.BigEndian.Uint32(sub[20:])))
+		out[i] = make([][]complex128, binary.BigEndian.Uint16(sub[24:]))
+		for a := range out[i] {
+			row := make([]complex128, binary.BigEndian.Uint16(sub[26:]))
+			for s := range row {
+				row[s] = complex(dequantRef(binary.BigEndian.Uint16(payload), scale), dequantRef(binary.BigEndian.Uint16(payload[2:]), scale))
+				payload = payload[4:]
+			}
+			out[i][a] = row
+		}
+	}
+	return out
+}
+
+// TestDequantMatchesReference pins the decoder's table kernel to
+// dequantRef bit for bit: dequantRow over every int16 value in both
+// lanes, at row lengths 0–9 so its 4-wide and 1-wide loops both run, at
+// the extreme and the hostile-but-finite scales; and a whole
+// ReadFrameInto decode against dequantRef applied to the frame's own
+// payload bytes.
+func TestDequantMatchesReference(t *testing.T) {
+	// Sample k carries I = k and Q = ^k.
+	const n = 1 << 16
+	raw := make([]byte, 4*n)
+	for k := 0; k < n; k++ {
+		binary.BigEndian.PutUint16(raw[4*k:], uint16(k))
+		binary.BigEndian.PutUint16(raw[4*k+2:], ^uint16(k))
+	}
+	scales := []float64{1, math.SmallestNonzeroFloat32, math.MaxFloat32}
+	for _, bits := range hostileScales {
+		if s := float64(math.Float32frombits(bits)); !math.IsNaN(s) && !math.IsInf(s, 0) {
+			scales = append(scales, s)
+		}
+	}
+	unset := complex(math.Inf(1), math.Inf(1))
+	got := make([]complex128, n)
+	for _, scale := range scales {
+		for rowLen := 0; rowLen <= 9; rowLen++ {
+			for k := range got {
+				got[k] = unset
+			}
+			if rowLen == 0 {
+				dequantRow(got[:0], raw, scale)
+			}
+			for k := 0; rowLen > 0 && k < n; k += rowLen {
+				m := min(rowLen, n-k)
+				dequantRow(got[k:k+m], raw[4*k:4*(k+m)], scale)
+			}
+			for k, v := range got {
+				want := unset
+				if rowLen > 0 {
+					want = complex(dequantRef(uint16(k), scale), dequantRef(^uint16(k), scale))
+				}
+				if math.Float64bits(real(v)) != math.Float64bits(real(want)) || math.Float64bits(imag(v)) != math.Float64bits(imag(want)) {
+					t.Fatalf("scale %g, rows of %d: sample %d decoded %v, reference %v", scale, rowLen, k, v, want)
+				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(53))
+	frame := mustFrame(t, []Capture{
+		batchCapture(rng, benchAnt, benchSamp, false, false),
+		batchCapture(rng, 3, 5, true, true),
+		batchCapture(rng, 1, 1, false, true),
+	})
+	caps := readFrame(t, frame)
+	defer ReleaseAll(caps)
+	for i, want := range wireRef(frame) {
+		if !sameBits(caps[i].Streams, want) {
+			t.Fatalf("capture %d: ReadFrameInto differs from dequantRef of its payload", i)
+		}
+	}
+}
+
+// benchShapedFrame returns a frame of three shipped-shape captures (one
+// with a region, one priority).
 func benchShapedFrame(t *testing.T) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
@@ -163,7 +255,7 @@ func benchShapedFrame(t *testing.T) []byte {
 func readFrame(t *testing.T, frame []byte) []Capture {
 	t.Helper()
 	ws := GetIngestWorkspace()
-	caps, err := ReadBatchInto(bytes.NewReader(frame), ws)
+	caps, err := ReadFrameInto(bytes.NewReader(frame), ws)
 	if err != nil {
 		ws.Discard()
 		t.Fatal(err)
@@ -190,15 +282,6 @@ func cloneStreams(streams [][]complex128) [][]complex128 {
 	return out
 }
 
-func mustDelta(t *testing.T, caps []Capture) []byte {
-	t.Helper()
-	out, err := AppendBatchDelta(nil, caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // TestReencodeVerbatimEqualsRequantized pins the remembered payload:
 // forwarding a received capture by copying its wire bytes gives the
 // frame re-quantizing its streams would have given, and every capture
@@ -217,12 +300,12 @@ func TestReencodeVerbatimEqualsRequantized(t *testing.T) {
 		}
 		// The peak sample always encodes as ±32767, so the decoded
 		// streams re-quantize to the bytes they came from.
-		verbatim, requantized := mustDelta(t, caps), mustDelta(t, forgetWire(caps))
+		verbatim, requantized := mustFrame(t, caps), mustFrame(t, forgetWire(caps))
 		if !bytes.Equal(verbatim, requantized) {
 			t.Fatal("verbatim re-encode differs from re-quantizing the decoded streams")
 		}
-		if abs := mustFrame(t, caps); !bytes.Equal(abs, frame) {
-			t.Fatal("absolute-form re-encode does not reproduce the received frame")
+		if !bytes.Equal(verbatim, frame) {
+			t.Fatal("re-encode does not reproduce the received frame")
 		}
 	})
 
@@ -245,40 +328,32 @@ func TestReencodeVerbatimEqualsRequantized(t *testing.T) {
 	})
 
 	t.Run("records", func(t *testing.T) {
-		// What arraytrack-ap sends by default: v1 records, v2 when a
-		// region or priority rides along. Half-scale payloads again, so
-		// only a verbatim copy reproduces them.
+		// One capture per frame, as arraytrack-ap -batch 1 sends, with a
+		// region and a priority flag riding along on two of them.
+		// Half-scale payloads again, so only a verbatim copy reproduces
+		// them.
 		caps := readFrame(t, frame)
 		defer ReleaseAll(caps)
 		for i := range caps {
-			rec, err := AppendCapture(nil, &caps[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload := rec[len(rec)-benchAnt*benchSamp*4:]
+			one := mustFrame(t, caps[i:i+1])
+			payload := one[len(one)-benchAnt*benchSamp*4:]
 			for o := 0; o < len(payload); o += 2 {
 				binary.BigEndian.PutUint16(payload[o:], uint16(int16(binary.BigEndian.Uint16(payload[o:]))/2))
 			}
-			ws := GetIngestWorkspace()
-			c, err := ReadCaptureInto(bytes.NewReader(rec), ws)
-			if err != nil {
-				ws.Discard()
-				t.Fatal(err)
+			c := readFrame(t, one)
+			if got := mustFrame(t, c); !bytes.Equal(got, one) {
+				t.Fatalf("capture %d: re-encode does not reproduce the received frame", i)
 			}
-			got := mustFrame(t, []Capture{*c})
-			if !bytes.Equal(got[len(got)-len(payload):], payload) {
-				t.Fatalf("record %d: batch re-encode does not carry the received payload", i)
+			if requant := mustFrame(t, forgetWire(c)); bytes.Equal(requant, one) {
+				t.Fatalf("capture %d: re-quantizing reproduced a half-scale payload: the test has no teeth", i)
 			}
-			if requant := mustFrame(t, forgetWire([]Capture{*c})); bytes.Equal(got, requant) {
-				t.Fatalf("record %d: re-quantizing reproduced a half-scale payload: the test has no teeth", i)
-			}
-			c.Release()
+			ReleaseAll(c)
 		}
 	})
 
 	t.Run("fallbacks", func(t *testing.T) {
 		caps := readFrame(t, frame)
-		want := mustDelta(t, forgetWire(caps))
+		want := mustFrame(t, forgetWire(caps))
 
 		// Datagram decode reads from a buffer the caller reuses.
 		two := mustFrame(t, caps[:2])
@@ -309,7 +384,7 @@ func TestReencodeVerbatimEqualsRequantized(t *testing.T) {
 			}
 			short[i].Streams, fresh[i].Streams = cut, cloneStreams(cut)
 		}
-		if !bytes.Equal(mustDelta(t, short), mustDelta(t, fresh)) {
+		if !bytes.Equal(mustFrame(t, short), mustFrame(t, fresh)) {
 			t.Fatal("re-sliced captures were not re-quantized")
 		}
 
@@ -322,7 +397,7 @@ func TestReencodeVerbatimEqualsRequantized(t *testing.T) {
 			st[0][0], st[benchAnt-1][benchSamp-1] = -st[0][0], 0
 			other[i].Streams, fresh[i].Streams = st, st
 		}
-		if got := mustDelta(t, other); !bytes.Equal(got, mustDelta(t, fresh)) {
+		if got := mustFrame(t, other); !bytes.Equal(got, mustFrame(t, fresh)) {
 			t.Fatal("captures given other streams were not re-quantized")
 		} else if bytes.Equal(got, want) {
 			t.Fatal("edited streams encode like the originals: the test has no teeth")
@@ -340,7 +415,7 @@ func TestReencodeVerbatimEqualsRequantized(t *testing.T) {
 			}
 			caps[i].Streams = kept[i]
 		}
-		if !bytes.Equal(mustDelta(t, caps), want) {
+		if !bytes.Equal(mustFrame(t, caps), want) {
 			t.Fatal("released captures re-encode differently")
 		}
 	})
@@ -350,28 +425,19 @@ func TestReencodeVerbatimEqualsRequantized(t *testing.T) {
 	}
 }
 
-// scaleOffsets locate the scale field of the first record or sub-header
-// in each wire form.
-const (
-	v1ScaleOff    = 24
-	absScaleOff   = frameHeadSize + 20
-	deltaScaleOff = frameHeadSize + baseTSSize + 16
-)
+// absScaleOff locates the scale field of a frame's first sub-header.
+const absScaleOff = frameHeadSize + 20
 
 // TestDecodeRefusesBadScale: four hostile bytes in the scale field used
 // to decode into NaN or ±Inf streams that failed the whole fix inside
-// synthesis. Every decoder now refuses them before touching a sample,
-// hands its workspace back, and the backend charges the sender.
+// synthesis. Both decoders now refuse them before touching a sample,
+// hand their workspace back, and the backend charges the sender.
 func TestDecodeRefusesBadScale(t *testing.T) {
 	baseline := LeasedIngestWorkspaces()
 	rng := rand.New(rand.NewSource(5))
 	ts := time.UnixMicro(1700000000000000).UTC()
 	good := []Capture{wireCapture(rng, 5, 9, ts), wireCapture(rng, 5, 9, ts.Add(time.Millisecond))}
-	record, err := AppendCapture(nil, &good[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	abs, delta := mustFrame(t, good), mustDelta(t, good)
+	abs := mustFrame(t, good)
 
 	pooled := func(read func(ws *IngestWorkspace) error) error {
 		ws := GetIngestWorkspace()
@@ -384,26 +450,21 @@ func TestDecodeRefusesBadScale(t *testing.T) {
 		ws.Discard()
 		return err
 	}
-	refused := func(label string, badRecord, badAbs, badDelta []byte) {
+	// refused decodes a frame poisoned in its first capture and one
+	// poisoned in its second: pass 1 must stop before any sample of the
+	// first is decoded either.
+	refused := func(label string, badFirst, badSecond []byte) {
 		errs := map[string]error{
-			"ReadCapture": func() error {
-				_, err := ReadCapture(bytes.NewReader(badRecord))
-				return err
-			}(),
-			"ReadCaptureInto": pooled(func(ws *IngestWorkspace) error {
-				_, err := ReadCaptureInto(bytes.NewReader(badRecord), ws)
+			"ReadFrameInto": pooled(func(ws *IngestWorkspace) error {
+				_, err := ReadFrameInto(bytes.NewReader(badFirst), ws)
 				return err
 			}),
-			"ReadBatchInto": pooled(func(ws *IngestWorkspace) error {
-				_, err := ReadBatchInto(bytes.NewReader(badAbs), ws)
-				return err
-			}),
-			"ReadFrameInto/delta": pooled(func(ws *IngestWorkspace) error {
-				_, err := ReadFrameInto(bytes.NewReader(badDelta), ws)
+			"ReadFrameInto/second": pooled(func(ws *IngestWorkspace) error {
+				_, err := ReadFrameInto(bytes.NewReader(badSecond), ws)
 				return err
 			}),
 			"DecodeDatagramInto": pooled(func(ws *IngestWorkspace) error {
-				_, err := DecodeDatagramInto(badAbs, ws)
+				_, err := DecodeDatagramInto(badFirst, ws)
 				return err
 			}),
 		}
@@ -414,10 +475,8 @@ func TestDecodeRefusesBadScale(t *testing.T) {
 		}
 	}
 	for _, bits := range hostileScales {
-		// Poison the second capture of the delta frame: pass 1 must stop
-		// before any sample of the first is decoded either.
-		refused(fmt.Sprintf("scale %#08x", bits), withUint32(record, v1ScaleOff, bits),
-			withUint32(abs, absScaleOff, bits), withUint32(delta, deltaScaleOff+subHeadSizeDelta, bits))
+		refused(fmt.Sprintf("scale %#08x", bits),
+			withUint32(abs, absScaleOff, bits), withUint32(abs, absScaleOff+subHeadSize, bits))
 	}
 
 	// The largest finite scale is fine by itself, but an int16 of -32768
@@ -425,10 +484,9 @@ func TestDecodeRefusesBadScale(t *testing.T) {
 	// encoded again, so it is refused here, where its sender is charged.
 	const topScale = 0x7F7FFFFF
 	payloadLen := 4 * len(good[0].Streams) * len(good[0].Streams[0])
-	topRecord := withUint32(record, v1ScaleOff, topScale)
-	topAbs := withUint32(abs, absScaleOff, topScale)
-	topDelta := withUint32(delta, deltaScaleOff+subHeadSizeDelta, topScale)
-	for _, ok := range [][]byte{topAbs, topDelta} {
+	topFirst := withUint32(abs, absScaleOff, topScale)
+	topSecond := withUint32(abs, absScaleOff+subHeadSize, topScale)
+	for _, ok := range [][]byte{topFirst, topSecond} {
 		caps := readFrame(t, ok)
 		if _, err := AppendBatch(nil, forgetWire(caps)); err != nil {
 			t.Errorf("top-of-range scale does not re-encode: %v", err)
@@ -440,8 +498,8 @@ func TestDecodeRefusesBadScale(t *testing.T) {
 		binary.BigEndian.PutUint16(out[off:], 0x8000)
 		return out
 	}
-	refused("-32768 at the largest scale", withMin(topRecord, len(topRecord)-2),
-		withMin(topAbs, len(topAbs)-2*payloadLen), withMin(topDelta, len(topDelta)-2))
+	refused("-32768 at the largest scale",
+		withMin(topFirst, len(topFirst)-2*payloadLen), withMin(topSecond, len(topSecond)-2))
 	if leaked := LeasedIngestWorkspaces() - baseline; leaked != 0 {
 		t.Fatalf("%d pooled workspaces leaked by refused frames", leaked)
 	}
@@ -475,8 +533,8 @@ func TestDecodeRefusesBadScale(t *testing.T) {
 	}
 }
 
-// TestEncodersErrorContract: every Append* returns dst exactly as it
-// was given on any error — no half-written frame behind it — and
+// TestEncodersErrorContract: AppendBatch returns dst exactly as it was
+// given on any error — no half-written frame behind it — and
 // refuses samples the fixed-point payload cannot carry instead of
 // writing a garbage scale.
 func TestEncodersErrorContract(t *testing.T) {
@@ -505,11 +563,10 @@ func TestEncodersErrorContract(t *testing.T) {
 		name string
 		enc  func(dst []byte, lead, c Capture) ([]byte, error)
 	}{
-		// The batch forms put a good capture first, so the failure is
-		// met with headers already laid out.
+		// Behind a good capture the failure is met with headers already
+		// laid out; alone, at the frame's first capture.
 		{"AppendBatch", func(dst []byte, lead, c Capture) ([]byte, error) { return AppendBatch(dst, []Capture{lead, c}) }},
-		{"AppendBatchDelta", func(dst []byte, lead, c Capture) ([]byte, error) { return AppendBatchDelta(dst, []Capture{lead, c}) }},
-		{"AppendCapture", func(dst []byte, _, c Capture) ([]byte, error) { return AppendCapture(dst, &c) }},
+		{"AppendBatch/alone", func(dst []byte, _, c Capture) ([]byte, error) { return AppendBatch(dst, []Capture{c}) }},
 	}
 	for _, e := range encoders {
 		for _, tc := range bad {

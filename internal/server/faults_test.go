@@ -42,14 +42,14 @@ func wireCapture(rng *rand.Rand, ap, client uint32, ts time.Time) Capture {
 	return c
 }
 
-// pooledCaps round-trips caps through the v3 wire into a pooled
+// pooledCaps round-trips caps through the wire into a pooled
 // workspace, so the result borrows pool memory exactly like ServeConn
 // ingest and the release accounting is real.
 func pooledCaps(t *testing.T, caps []Capture) []Capture {
 	t.Helper()
 	frame := mustFrame(t, caps)
 	ws := GetIngestWorkspace()
-	decoded, err := ReadBatchInto(bytes.NewReader(frame), ws)
+	decoded, err := ReadFrameInto(bytes.NewReader(frame), ws)
 	if err != nil {
 		ws.Discard()
 		t.Fatal(err)
@@ -429,7 +429,7 @@ func TestUploadRetryRedelivers(t *testing.T) {
 		defer conn.Close()
 		for i := 0; maxFrames <= 0 || i < maxFrames; i++ {
 			ws := GetIngestWorkspace()
-			caps, err := ReadBatchInto(conn, ws)
+			caps, err := ReadFrameInto(conn, ws)
 			if err != nil {
 				ws.Discard()
 				return

@@ -86,18 +86,12 @@ type APNode struct {
 	// Buffer holds detected frames awaiting upload.
 	Buffer *CircularBuffer
 	// Region, when non-zero, stamps every recorded capture with an
-	// ad-hoc search region (shipped as a version-2 wire record);
+	// ad-hoc search region (shipped in the capture's sub-header);
 	// Priority marks captures for the backend engine's latency lane.
 	// Set both before Record.
 	Region core.Region
 	// Priority marks recorded captures as latency-priority.
 	Priority bool
-	// CompactTimestamps selects the v3 delta-timestamp frame form for
-	// UploadBatch and UploadDatagrams: one base timestamp per frame
-	// plus a uint32 µs delta per capture instead of 8 absolute bytes
-	// each (automatic absolute fallback when a burst spans more than
-	// ~71 minutes).
-	CompactTimestamps bool
 
 	seq uint32
 	mu  sync.Mutex
@@ -126,29 +120,10 @@ func (n *APNode) Record(clientID uint32, ts time.Time, streams [][]complex128) {
 	})
 }
 
-// Upload drains the buffer to w, encoding each capture in wire format.
-// It returns when the buffer is empty or the context is cancelled.
-func (n *APNode) Upload(ctx context.Context, w io.Writer) error {
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		c, ok := n.Buffer.Pop()
-		if !ok {
-			return nil
-		}
-		if err := WriteCapture(w, &c); err != nil {
-			return err
-		}
-	}
-}
-
-// UploadBatch drains the buffer to w in v3 batch frames of up to
-// batch captures each — one Write (one syscall) per burst instead of
-// two per capture. It returns when the buffer is empty or the context
-// is cancelled.
+// UploadBatch drains the buffer to w in frames of up to batch captures
+// each (clamped to 1..MaxBatchCaptures) — one Write (one syscall) per
+// burst. It returns when the buffer is empty or the context is
+// cancelled.
 func (n *APNode) UploadBatch(ctx context.Context, w io.Writer, batch int) error {
 	if batch < 1 {
 		batch = 1
@@ -174,19 +149,10 @@ func (n *APNode) UploadBatch(ctx context.Context, w io.Writer, batch int) error 
 		if len(caps) == 0 {
 			return nil
 		}
-		if err := n.writeBatch(w, caps); err != nil {
+		if err := WriteBatch(w, caps); err != nil {
 			return err
 		}
 	}
-}
-
-// writeBatch writes one v3 frame in the node's configured timestamp
-// form.
-func (n *APNode) writeBatch(w io.Writer, caps []Capture) error {
-	if n.CompactTimestamps {
-		return WriteBatchDelta(w, caps)
-	}
-	return WriteBatch(w, caps)
 }
 
 // UploadDatagrams drains the buffer to w as batch frames no larger
@@ -229,9 +195,7 @@ func (n *APNode) UploadDatagrams(ctx context.Context, w io.Writer, maxBytes int)
 		if len(caps) == 0 {
 			return nil
 		}
-		// BatchFrameSize sizes the absolute form; the delta form is
-		// never larger, so the packing bound holds for both.
-		if err := n.writeBatch(w, caps); err != nil {
+		if err := WriteBatch(w, caps); err != nil {
 			return err
 		}
 	}
@@ -772,30 +736,6 @@ func (b *Backend) shard(clientID uint32) *backendShard {
 	return &b.shards[(clientID*2654435761)>>26%pendingShards]
 }
 
-// Ingest accepts one capture. When the client's pending set spans at
-// least Quorum distinct APs, the captures are flushed to the
-// Dispatcher (or Locate) and cleared. Stale captures outside Window of
-// the newest are dropped. Only the client's shard is locked, and the
-// flush itself runs outside the lock.
-func (b *Backend) Ingest(c *Capture) {
-	if b.dropIfQuarantined(c) {
-		return
-	}
-	var now time.Time
-	if b.DegradedQuorum > 0 {
-		now = b.now()
-	}
-	sh := b.shard(c.ClientID)
-	sh.mu.Lock()
-	g := sh.group(c.ClientID)
-	flush := b.ingestLocked(g, c, now)
-	sh.mu.Unlock()
-	if flush != nil {
-		b.dispatch(c.ClientID, flush)
-	}
-	b.ingested.Add(1)
-}
-
 // ingestLocked appends one capture to its client's group and, when a
 // quorum of distinct APs is present — or the group has been stuck at
 // degraded quorum past DegradedAfter — returns the flush slice (nil
@@ -849,11 +789,15 @@ func (b *Backend) dispatch(clientID uint32, flush []Capture) {
 	}
 }
 
-// IngestBatch ingests a decoded burst, taking each client's shard
-// lock once for all of that client's captures instead of once per
-// capture. Per-client capture order is identical to per-capture
-// Ingest; only the interleaving of different clients' flushes may
-// differ, which nothing downstream orders on.
+// IngestBatch ingests a decoded burst. Each capture joins its client's
+// pending group; when a group spans at least Quorum distinct APs, its
+// captures are flushed to the Dispatcher (or Locate) and cleared.
+// Stale captures outside Window of the newest are dropped. Each
+// client's shard lock is taken once for all of that client's captures
+// in the burst, and flushes run outside the lock. Per-client capture
+// order is arrival order; different clients' flushes dispatch in the
+// order of their first capture in the burst, which nothing downstream
+// orders on.
 //
 // When a flush fires mid-burst, the flushing client's remaining
 // captures in the same burst are absorbed into that flush (order
@@ -879,10 +823,6 @@ func (b *Backend) IngestBatch(caps []Capture) {
 			return
 		}
 		caps = kept
-	}
-	if len(caps) == 1 {
-		b.Ingest(&caps[0])
-		return
 	}
 	var now time.Time
 	if b.DegradedQuorum > 0 {
@@ -1038,13 +978,13 @@ func (b *Backend) PendingClientIDs() []uint32 {
 }
 
 // ServeConn reads frames from r until EOF or error, ingesting every
-// capture. It accepts all wire versions on one stream — v1/v2
-// per-record writers and v3 batch writers share a port — and decodes
-// through the pooled zero-copy workspaces, so steady-state ingest
-// performs no per-capture allocation. The stream is read through a
-// 64 KiB buffer: the feed is one-directional, so read-ahead is always
-// safe and the per-frame reads (magic, header, body) coalesce into
-// large socket reads. A clean EOF returns nil.
+// capture. It decodes through the pooled zero-copy workspaces, so
+// steady-state ingest performs no per-capture allocation. The stream
+// is read through a 256 KiB buffer: the feed is one-directional, so
+// read-ahead is always safe and the per-frame reads (magic, header,
+// body) coalesce into large socket reads. A clean EOF returns nil; a
+// stream that is not a feed of frames (a bad magic, reserved flag
+// bits) ends as a decode error.
 //
 // Self-defense: when IdleTimeout is set and r can carry a read
 // deadline (a net.Conn), a connection that goes quiet mid- or
@@ -1141,8 +1081,9 @@ func (l Latency) Total() time.Duration {
 }
 
 // TransferTime returns the §4.4 serialization-time model for a capture
-// of the given dimensions over a link of linkMbps.
+// of the given dimensions, shipped alone in one frame, over a link of
+// linkMbps.
 func TransferTime(nAnt, nSamp int, linkMbps float64) time.Duration {
-	bits := float64(RecordSize(nAnt, nSamp) * 8)
+	bits := float64((frameHeadSize + subHeadSize + 4*nAnt*nSamp) * 8)
 	return time.Duration(bits / (linkMbps * 1e6) * float64(time.Second))
 }

@@ -4,54 +4,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"sync"
-	"time"
-
-	"repro/internal/core"
-	"repro/internal/geom"
 )
 
-// Wire protocol: each capture travels as one length-prefixed record.
-//
-//	magic    uint32  'A''T' + version tag (1 or 2)
-//	apID     uint32
-//	clientID uint32
-//	seq      uint32
-//	tstampUS uint64  microseconds since Unix epoch
-//	scale    float32 amplitude of a full-scale int16 sample
-//	nAnt     uint16
-//	nSamp    uint16
-//	-- version 2 only --
-//	flags    uint8   bit0 = has region, bit1 = priority
-//	region   5 × float64  minX minY maxX maxY cell (big-endian bits)
-//	-- all versions --
-//	payload  nAnt × nSamp × (int16 I, int16 Q)
-//
-// Samples are 32 bits each — 16-bit I plus 16-bit Q — matching the
-// paper's "(10 samples)(32 bits/sample)(8 radios)" overhead arithmetic
-// (§4.3.3, §4.4). A per-record scale factor preserves absolute
-// amplitude despite the fixed-point encoding.
-//
-// Version 2 extends a record with an ad-hoc search region (the
-// per-request bounding box the backend threads into synthesis) and a
-// latency-priority flag. Writers emit version 1 whenever neither is
-// set, so v1 readers keep working for plain sample feeds; readers
-// accept both. A v2 record whose region fails core-side validation
-// (NaN/Inf corners, inverted or degenerate boxes, out-of-range cell
-// pitches) is rejected at decode with ErrBadRegion — hostile bytes
-// never reach the localization engine.
+// This file holds the wire's sample arithmetic — how one capture's
+// I/Q samples become int16 pairs under a float32 scale and back — and
+// the limits and errors the decoders share; the frame layout itself is
+// in batch.go.
 
-const (
-	protocolMagic   = 0x41540001 // "AT" + version 1
-	protocolMagicV2 = 0x41540002 // "AT" + version 2: region + priority
-)
-
-// regionExtSize is the v2 header extension: flags byte plus five
-// float64 region fields.
-const regionExtSize = 1 + 5*8
-
+// Sub-header flags.
 const (
 	flagHasRegion = 1 << 0
 	flagPriority  = 1 << 1
@@ -67,9 +28,9 @@ const (
 var (
 	// ErrBadMagic means the stream is not an ArrayTrack sample feed.
 	ErrBadMagic = errors.New("server: bad protocol magic")
-	// ErrTooLarge means a record header declared an implausible size.
+	// ErrTooLarge means a frame header declared an implausible size.
 	ErrTooLarge = errors.New("server: record exceeds protocol limits")
-	// ErrBadRegion means a v2 record carried a malformed search
+	// ErrBadRegion means a sub-header carried a malformed search
 	// region (it wraps the core-side validation error).
 	ErrBadRegion = errors.New("server: bad search region")
 )
@@ -146,6 +107,14 @@ func quantizeRef(x, peak float64) int16 {
 	return int16(math.Round(x / peak * 32767))
 }
 
+// dequantRef is the wire's definition of a decoded component: the int16
+// bits u as a fraction of full scale, times the capture's scale. The
+// decode table is built from it, and the decoders are tested against it
+// (TestDequantMatchesReference).
+func dequantRef(u uint16, scale float64) float64 {
+	return float64(int16(u)) / 32767 * scale
+}
+
 // quantizePayloadRef is the retained reference loop: quantizeRef on
 // every component, as all encoders ran before quantizePayload. It is
 // what the kernel's bytes are tested against.
@@ -208,81 +177,6 @@ func quantizePayload(dst []byte, streams [][]complex128, peak float64) (fallback
 	return fallbacks
 }
 
-// AppendCapture appends c's wire encoding (a v1 record, or v2 when a
-// region or priority flag is set) to dst and returns the extended
-// slice. It is the allocation-free building block behind WriteCapture:
-// callers that reuse dst across records encode with zero per-record
-// allocations.
-func AppendCapture(dst []byte, c *Capture) ([]byte, error) {
-	nAnt, nSamp, err := captureDims(c)
-	if err != nil {
-		return dst, err
-	}
-	peak, err := samplePeak(c.Streams)
-	if err != nil {
-		return dst, err
-	}
-	v2 := !c.Region.IsZero() || c.Priority
-	size := 32
-	if v2 {
-		size += regionExtSize
-		if err := c.Region.Validate(); err != nil {
-			return dst, fmt.Errorf("%w: %v", ErrBadRegion, err)
-		}
-	}
-	base := len(dst)
-	dst = growSlice(dst, size+nAnt*nSamp*4)
-	head := dst[base:]
-	magic := uint32(protocolMagic)
-	if v2 {
-		magic = protocolMagicV2
-	}
-	binary.BigEndian.PutUint32(head[0:], magic)
-	binary.BigEndian.PutUint32(head[4:], c.APID)
-	binary.BigEndian.PutUint32(head[8:], c.ClientID)
-	binary.BigEndian.PutUint32(head[12:], c.Seq)
-	binary.BigEndian.PutUint64(head[16:], uint64(c.Timestamp.UnixMicro()))
-	binary.BigEndian.PutUint32(head[24:], math.Float32bits(float32(peak)))
-	binary.BigEndian.PutUint16(head[28:], uint16(nAnt))
-	binary.BigEndian.PutUint16(head[30:], uint16(nSamp))
-	if v2 {
-		var flags byte
-		if !c.Region.IsZero() {
-			flags |= flagHasRegion
-		}
-		if c.Priority {
-			flags |= flagPriority
-		}
-		head[32] = flags
-		binary.BigEndian.PutUint64(head[33:], math.Float64bits(c.Region.Min.X))
-		binary.BigEndian.PutUint64(head[41:], math.Float64bits(c.Region.Min.Y))
-		binary.BigEndian.PutUint64(head[49:], math.Float64bits(c.Region.Max.X))
-		binary.BigEndian.PutUint64(head[57:], math.Float64bits(c.Region.Max.Y))
-		binary.BigEndian.PutUint64(head[65:], math.Float64bits(c.Region.Cell))
-	}
-	quantizePayload(head[size:], c.Streams, peak)
-	return dst, nil
-}
-
-// encodeBufPool recycles encoder scratch across WriteCapture and
-// WriteBatch calls: the seed writer allocated a fresh head and payload
-// buffer per record, which dominated the AP-side upload profile.
-var encodeBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// WriteCapture encodes c to w in wire format — one Write call per
-// record, from a pooled buffer (no per-record allocations steady
-// state).
-func WriteCapture(w io.Writer, c *Capture) error {
-	bp := encodeBufPool.Get().(*[]byte)
-	buf, err := AppendCapture((*bp)[:0], c)
-	if err == nil {
-		_, err = w.Write(buf)
-	}
-	*bp = buf
-	encodeBufPool.Put(bp)
-	return err
-}
-
 // readScale reads a record's float32 scale field and reports whether it
 // is usable. A scale that is not finite and positive is refused with
 // errBadScale: no encoder writes one (an all-zero record carries 1),
@@ -322,95 +216,3 @@ func hasMinInt16(payload []byte) bool {
 	}
 	return false
 }
-
-// ReadCapture decodes one record from r. io.EOF is returned unchanged
-// at a clean record boundary.
-func ReadCapture(r io.Reader) (*Capture, error) {
-	head := make([]byte, 32)
-	if _, err := io.ReadFull(r, head); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("server: short header: %w", err)
-	}
-	magic := binary.BigEndian.Uint32(head[0:])
-	if magic != protocolMagic && magic != protocolMagicV2 {
-		return nil, ErrBadMagic
-	}
-	c := &Capture{
-		APID:      binary.BigEndian.Uint32(head[4:]),
-		ClientID:  binary.BigEndian.Uint32(head[8:]),
-		Seq:       binary.BigEndian.Uint32(head[12:]),
-		Timestamp: time.UnixMicro(int64(binary.BigEndian.Uint64(head[16:]))).UTC(),
-	}
-	scale, ok := readScale(head[24:])
-	if !ok {
-		return nil, errBadScale(scale)
-	}
-	nAnt := int(binary.BigEndian.Uint16(head[28:]))
-	nSamp := int(binary.BigEndian.Uint16(head[30:]))
-	if nAnt == 0 || nAnt > MaxAntennas || nSamp == 0 || nSamp > MaxSamples {
-		return nil, ErrTooLarge
-	}
-	if magic == protocolMagicV2 {
-		ext := make([]byte, regionExtSize)
-		if _, err := io.ReadFull(r, ext); err != nil {
-			return nil, fmt.Errorf("server: short region extension: %w", err)
-		}
-		flags := ext[0]
-		if flags&^(flagHasRegion|flagPriority) != 0 {
-			return nil, fmt.Errorf("%w: unknown flags %#x", ErrBadRegion, flags)
-		}
-		c.Priority = flags&flagPriority != 0
-		region := core.Region{
-			Min:  geom.Pt(math.Float64frombits(binary.BigEndian.Uint64(ext[1:])), math.Float64frombits(binary.BigEndian.Uint64(ext[9:]))),
-			Max:  geom.Pt(math.Float64frombits(binary.BigEndian.Uint64(ext[17:])), math.Float64frombits(binary.BigEndian.Uint64(ext[25:]))),
-			Cell: math.Float64frombits(binary.BigEndian.Uint64(ext[33:])),
-		}
-		if flags&flagHasRegion != 0 {
-			// A present region must be well-formed and non-zero: NaN or
-			// Inf corners, inverted/degenerate boxes, and out-of-range
-			// pitches are rejected here, before the bytes ever reach the
-			// grouping backend or the engine.
-			if region.IsZero() {
-				return nil, fmt.Errorf("%w: region flag set on zero box", ErrBadRegion)
-			}
-			if err := region.Validate(); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadRegion, err)
-			}
-			c.Region = region
-		} else if region != (core.Region{}) {
-			return nil, fmt.Errorf("%w: region bytes without region flag", ErrBadRegion)
-		}
-	}
-	payload := make([]byte, nAnt*nSamp*4)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("server: short payload: %w", err)
-	}
-	if pastFullScale(scale) && hasMinInt16(payload) {
-		return nil, errSampleRange
-	}
-	c.Streams = make([][]complex128, nAnt)
-	off := 0
-	for a := 0; a < nAnt; a++ {
-		st := make([]complex128, nSamp)
-		for s := 0; s < nSamp; s++ {
-			i16 := int16(binary.BigEndian.Uint16(payload[off:]))
-			q16 := int16(binary.BigEndian.Uint16(payload[off+2:]))
-			st[s] = complex(float64(i16)/32767*scale, float64(q16)/32767*scale)
-			off += 4
-		}
-		c.Streams[a] = st
-	}
-	return c, nil
-}
-
-// RecordSize returns the on-wire size in bytes of a version-1 capture
-// with the given dimensions — the quantity behind §4.4's
-// serialization-time estimate. A version-2 record (region query or
-// priority fix) adds RegionExtSize bytes.
-func RecordSize(nAnt, nSamp int) int { return 32 + nAnt*nSamp*4 }
-
-// RegionExtSize is the extra on-wire bytes of a version-2 record: the
-// flags byte plus the five float64 region fields.
-const RegionExtSize = regionExtSize

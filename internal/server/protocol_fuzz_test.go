@@ -1,15 +1,17 @@
 package server
 
-// Fuzzing for the wire decoder: the backend reads capture records from
-// whatever connects to its TCP port, so ReadCapture and ServeConn must
-// reject arbitrary garbage with an error — never a panic, and never an
+// Fuzzing for the wire decoder: the backend reads frames from whatever
+// connects to its TCP port, so ReadFrameInto and ServeConn must reject
+// arbitrary garbage with an error — never a panic, and never an
 // unbounded allocation. `go test` runs the seed corpus; `go test
-// -fuzz=FuzzReadCapture ./internal/server` explores further.
+// -fuzz=FuzzReadBatch ./internal/server` explores further.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -17,11 +19,87 @@ import (
 	"repro/internal/geom"
 )
 
-// validRecord encodes one well-formed capture to seed the corpus.
-func validRecord(tb testing.TB) []byte {
+// The retired wire forms, kept as bytes so their refusal stays tested
+// and the fuzzer starts from them: version 1 and 2 records, one capture
+// each (v2 adds a flags byte and the region box after the 32-byte
+// header), and frames with flag bit0 set, whose body opened with an
+// 8-byte base timestamp and whose sub-headers carried a uint32 delta in
+// place of the absolute uint64.
+const (
+	retiredV1Magic = 0x41540001
+	retiredV2Magic = 0x41540002
+	retiredBaseTS  = 8
+)
+
+// retiredRecord lays c out as a v1 record, or v2 when it carries a
+// region or priority.
+func retiredRecord(tb testing.TB, c *Capture) []byte {
 	tb.Helper()
-	var buf bytes.Buffer
-	c := &Capture{
+	peak, err := samplePeak(c.Streams)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v2 := !c.Region.IsZero() || c.Priority
+	head := 32
+	if v2 {
+		head += 1 + regionBoxSize
+	}
+	rec := make([]byte, head+4*len(c.Streams)*len(c.Streams[0]))
+	binary.BigEndian.PutUint32(rec[0:], retiredV1Magic)
+	binary.BigEndian.PutUint32(rec[4:], c.APID)
+	binary.BigEndian.PutUint32(rec[8:], c.ClientID)
+	binary.BigEndian.PutUint32(rec[12:], c.Seq)
+	binary.BigEndian.PutUint64(rec[16:], uint64(c.Timestamp.UnixMicro()))
+	binary.BigEndian.PutUint32(rec[24:], math.Float32bits(float32(peak)))
+	binary.BigEndian.PutUint16(rec[28:], uint16(len(c.Streams)))
+	binary.BigEndian.PutUint16(rec[30:], uint16(len(c.Streams[0])))
+	if v2 {
+		binary.BigEndian.PutUint32(rec[0:], retiredV2Magic)
+		if !c.Region.IsZero() {
+			rec[32] |= flagHasRegion
+		}
+		if c.Priority {
+			rec[32] |= flagPriority
+		}
+		r := c.Region
+		rec = putRegion(rec, 33, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, r.Cell)
+	}
+	quantizePayload(rec[head:], c.Streams, peak)
+	return rec
+}
+
+// retiredDeltaFrame rewrites a frame in the retired delta-timestamp
+// form.
+func retiredDeltaFrame(frame []byte) []byte {
+	count := int(binary.BigEndian.Uint16(frame[8:]))
+	var subs [][]byte
+	off := frameHeadSize
+	base := int64(math.MaxInt64)
+	for i := 0; i < count; i++ {
+		size := subHeadSize
+		if frame[off+28]&flagHasRegion != 0 {
+			size += regionBoxSize
+		}
+		subs = append(subs, frame[off:off+size])
+		base = min(base, int64(binary.BigEndian.Uint64(frame[off+12:])))
+		off += size
+	}
+	out := append([]byte(nil), frame[:frameHeadSize]...)
+	out[11] |= 1
+	out = binary.BigEndian.AppendUint64(out, uint64(base))
+	for _, sub := range subs {
+		out = append(out, sub[:12]...)
+		out = binary.BigEndian.AppendUint32(out, uint32(int64(binary.BigEndian.Uint64(sub[12:]))-base))
+		out = append(out, sub[20:]...)
+	}
+	out = append(out, frame[off:]...)
+	binary.BigEndian.PutUint32(out[4:], uint32(len(out)-frameHeadSize))
+	return out
+}
+
+// validRecord is one well-formed v1 record.
+func validRecord(tb testing.TB) []byte {
+	return retiredRecord(tb, &Capture{
 		APID:      3,
 		ClientID:  7,
 		Seq:       1,
@@ -30,19 +108,12 @@ func validRecord(tb testing.TB) []byte {
 			{complex(0.5, -0.25), complex(-1, 0.125)},
 			{complex(0.75, 0.5), complex(0.25, -0.75)},
 		},
-	}
-	if err := WriteCapture(&buf, c); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+	})
 }
 
-// validRegionRecord encodes a well-formed v2 capture (region +
-// priority) to seed the corpus.
+// validRegionRecord is one well-formed v2 record (region + priority).
 func validRegionRecord(tb testing.TB) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	c := &Capture{
+	return retiredRecord(tb, &Capture{
 		APID:      2,
 		ClientID:  9,
 		Seq:       4,
@@ -53,21 +124,15 @@ func validRegionRecord(tb testing.TB) []byte {
 			{complex(0.5, -0.25), complex(-1, 0.125)},
 			{complex(0.75, 0.5), complex(0.25, -0.75)},
 		},
-	}
-	if err := WriteCapture(&buf, c); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+	})
 }
 
-// putRegion overwrites the region box of a v2 record in place.
-func putRegion(rec []byte, minX, minY, maxX, maxY, cell float64) []byte {
+// putRegion returns a copy of rec with the region box at off replaced.
+func putRegion(rec []byte, off int, minX, minY, maxX, maxY, cell float64) []byte {
 	out := append([]byte(nil), rec...)
-	binary.BigEndian.PutUint64(out[33:], math.Float64bits(minX))
-	binary.BigEndian.PutUint64(out[41:], math.Float64bits(minY))
-	binary.BigEndian.PutUint64(out[49:], math.Float64bits(maxX))
-	binary.BigEndian.PutUint64(out[57:], math.Float64bits(maxY))
-	binary.BigEndian.PutUint64(out[65:], math.Float64bits(cell))
+	for i, v := range [5]float64{minX, minY, maxX, maxY, cell} {
+		binary.BigEndian.PutUint64(out[off+8*i:], math.Float64bits(v))
+	}
 	return out
 }
 
@@ -104,119 +169,7 @@ func assertFinite(t *testing.T, streams [][]complex128) {
 	}
 }
 
-func FuzzReadCapture(f *testing.F) {
-	valid := validRecord(f)
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add(valid[:8])                   // truncated header
-	f.Add(valid[:len(valid)-3])        // truncated payload
-	f.Add(bytes.Repeat([]byte{0}, 64)) // zero magic
-
-	// Plausible header fields with hostile dimensions.
-	hostile := append([]byte(nil), valid...)
-	binary.BigEndian.PutUint16(hostile[28:], 0xFFFF) // nAnt far over MaxAntennas
-	binary.BigEndian.PutUint16(hostile[30:], 0xFFFF) // nSamp far over MaxSamples
-	f.Add(hostile)
-	zeroDims := append([]byte(nil), valid...)
-	binary.BigEndian.PutUint16(zeroDims[28:], 0)
-	f.Add(zeroDims)
-	for _, bits := range hostileScales {
-		f.Add(withUint32(valid, 24, bits))
-	}
-	f.Add(withUint32(valid, 24, 0x00000001)) // smallest subnormal scale
-	top := withUint32(valid, 24, 0x7F7FFFFF) // largest finite scale...
-	f.Add(top)
-	top = append([]byte(nil), top...)
-	binary.BigEndian.PutUint16(top[32:], 0x8000) // ...and an int16 no encoder writes: decodes past the float32 range, refused
-	f.Add(top)
-	f.Add(append(append([]byte(nil), valid...), valid...)) // two records
-
-	// Version-2 region records: one well-formed, then a battery of
-	// degenerate, inverted, NaN/Inf, and out-of-range boxes that the
-	// decoder must reject cleanly (error, never a panic).
-	validV2 := validRegionRecord(f)
-	f.Add(validV2)
-	f.Add(validV2[:40])             // truncated region extension
-	f.Add(validV2[:33])             // flags byte only
-	f.Add(validV2[:len(validV2)-5]) // truncated payload after region
-	nan := math.NaN()
-	f.Add(putRegion(validV2, nan, 2, 11.5, 9.25, 0.25))      // NaN corner
-	f.Add(putRegion(validV2, 3, 2, math.Inf(1), 9.25, 0.25)) // Inf corner
-	f.Add(putRegion(validV2, 11.5, 9.25, 3, 2, 0.25))        // inverted box
-	f.Add(putRegion(validV2, 3, 2, 3, 9.25, 0.25))           // degenerate (zero width)
-	f.Add(putRegion(validV2, 3, 2, 11.5, 2, 0.25))           // degenerate (zero height)
-	f.Add(putRegion(validV2, 0, 0, 0, 0, 0))                 // region flag on zero box
-	f.Add(putRegion(validV2, 3, 2, 11.5, 9.25, nan))         // NaN cell
-	f.Add(putRegion(validV2, 3, 2, 11.5, 9.25, -1))          // negative cell
-	f.Add(putRegion(validV2, 3, 2, 11.5, 9.25, 1e-9))        // cell below MinRegionCell
-	f.Add(putRegion(validV2, -1e12, 2, 11.5, 9.25, 0.25))    // coordinate out of range
-	badFlags := append([]byte(nil), validV2...)
-	badFlags[32] = 0xFF // unknown flag bits
-	f.Add(badFlags)
-	noFlagRegion := append([]byte(nil), validV2...)
-	noFlagRegion[32] = 0 // region bytes present but flag clear
-	f.Add(noFlagRegion)
-	v2Magic := append([]byte(nil), valid...)
-	binary.BigEndian.PutUint32(v2Magic[0:], 0x41540002) // v2 magic on a v1 body
-	f.Add(v2Magic)
-	v3Magic := append([]byte(nil), validV2...)
-	binary.BigEndian.PutUint32(v3Magic[0:], 0x41540003) // batch magic on a v2 body
-	f.Add(v3Magic)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := ReadCapture(bytes.NewReader(data))
-		if err == nil {
-			if c == nil {
-				t.Fatal("nil capture with nil error")
-			}
-			if len(c.Streams) == 0 || len(c.Streams) > MaxAntennas || len(c.Streams[0]) > MaxSamples {
-				t.Fatalf("decoded record violates protocol limits: %d antennas", len(c.Streams))
-			}
-			// A decoded region is always either unset or valid: hostile
-			// boxes must never survive decode.
-			if err := c.Region.Validate(); err != nil {
-				t.Fatalf("decoded capture carries invalid region %+v: %v", c.Region, err)
-			}
-			// Every decoded sample is finite, and anything that
-			// decodes must re-encode.
-			assertFinite(t, c.Streams)
-			if err := WriteCapture(&bytes.Buffer{}, c); err != nil {
-				t.Fatalf("decoded capture failed to re-encode: %v", err)
-			}
-		}
-		// The pooled single-record reader must agree with ReadCapture
-		// byte for byte: same accept/reject decision, bit-identical
-		// streams on accept.
-		ws := GetIngestWorkspace()
-		pc, perr := ReadCaptureInto(bytes.NewReader(data), ws)
-		if (err == nil) != (perr == nil) {
-			t.Fatalf("ReadCapture err %v but ReadCaptureInto err %v", err, perr)
-		}
-		if perr == nil {
-			identical := len(pc.Streams) == len(c.Streams)
-			for a := 0; identical && a < len(c.Streams); a++ {
-				identical = len(pc.Streams[a]) == len(c.Streams[a])
-				for s := 0; identical && s < len(c.Streams[a]); s++ {
-					identical = math.Float64bits(real(pc.Streams[a][s])) == math.Float64bits(real(c.Streams[a][s])) &&
-						math.Float64bits(imag(pc.Streams[a][s])) == math.Float64bits(imag(c.Streams[a][s]))
-				}
-			}
-			if !identical {
-				t.Fatal("pooled decode diverges from ReadCapture")
-			}
-			pc.Release()
-		} else {
-			ws.Discard()
-		}
-		// The ingest path must swallow the same bytes without
-		// panicking, whatever the error outcome.
-		b := NewBackend(1000, time.Second, func(uint32, []Capture) {})
-		_ = b.ServeConn(bytes.NewReader(data))
-	})
-}
-
-// validBatchFrame encodes one well-formed v3 frame to seed the batch
-// corpus.
+// validBatchFrame encodes one well-formed frame to seed the corpus.
 func validBatchFrame(tb testing.TB) []byte {
 	tb.Helper()
 	caps := []Capture{
@@ -246,7 +199,7 @@ func validBatchFrame(tb testing.TB) []byte {
 }
 
 // shippedBatchFrame encodes one capture of the shape arraytrack-ap
-// ships (nine antennas by the detector's window), so the fuzzers start
+// ships (nine antennas by the detector's window), so the fuzzer starts
 // from the frame size production traffic has, not only toy records.
 func shippedBatchFrame(tb testing.TB) []byte {
 	tb.Helper()
@@ -269,29 +222,11 @@ func shippedBatchFrame(tb testing.TB) []byte {
 	return frame
 }
 
-// validDeltaBatchFrame encodes the same captures as validBatchFrame in
-// the compact delta-timestamp form.
-func validDeltaBatchFrame(tb testing.TB) []byte {
-	tb.Helper()
-	abs := validBatchFrame(tb)
-	ws := GetIngestWorkspace()
-	caps, err := ReadBatchInto(bytes.NewReader(abs), ws)
-	if err != nil {
-		ws.Discard()
-		tb.Fatal(err)
-	}
-	frame, err := AppendBatchDelta(nil, caps)
-	ReleaseAll(caps)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return frame
-}
-
-// FuzzReadBatch explores the v3 batch decoder and the datagram path:
-// truncated frames, lying counts, oversized sub-headers, and hostile
-// regions must all error — never panic, never allocate past the frame
-// limits, never leave a workspace with a dangling reference.
+// FuzzReadBatch explores the frame decoder and the datagram path:
+// truncated frames, lying counts, oversized sub-headers, hostile
+// regions and the retired formats must all error — never panic, never
+// allocate past the frame limits, never leave a workspace with a
+// dangling reference.
 func FuzzReadBatch(f *testing.F) {
 	frame := validBatchFrame(f)
 	f.Add(frame)
@@ -323,7 +258,7 @@ func FuzzReadBatch(f *testing.F) {
 	badFlags[frameHeadSize+28] = 0xFF
 	f.Add(badFlags)
 	v1Magic := append([]byte(nil), frame...)
-	binary.BigEndian.PutUint32(v1Magic[0:], 0x41540001) // v1 magic on a batch body
+	binary.BigEndian.PutUint32(v1Magic[0:], retiredV1Magic) // v1 magic on a frame body
 	f.Add(v1Magic)
 	f.Add(validRecord(f))       // v1 record through the frame reader
 	f.Add(validRegionRecord(f)) // v2 record through the frame reader
@@ -337,9 +272,9 @@ func FuzzReadBatch(f *testing.F) {
 	f.Add(top)
 	f.Add(withUint32(frame, frameHeadSize+20, 0x00000001)) // smallest subnormal scale
 
-	// Delta-timestamp frames (frame flag bit0): a valid one, then the
-	// same hostile mutations against the compact sub-header layout.
-	deltaFrame := validDeltaBatchFrame(f)
+	// Retired delta-timestamp frames (frame flag bit0): a valid one, then
+	// the hostile mutations against its compact sub-header layout.
+	deltaFrame := retiredDeltaFrame(frame)
 	f.Add(deltaFrame)
 	f.Add(deltaFrame[:frameHeadSize+4])   // truncated base timestamp
 	f.Add(deltaFrame[:len(deltaFrame)-3]) // truncated payload
@@ -350,23 +285,79 @@ func FuzzReadBatch(f *testing.F) {
 	deltaBadFF[10] = 0x80 // reserved frame-flag bits beyond bit0
 	f.Add(deltaBadFF)
 	deltaHostileSub := append([]byte(nil), deltaFrame...)
-	binary.BigEndian.PutUint16(deltaHostileSub[frameHeadSize+baseTSSize+20:], 0xFFFF) // nAnt
+	binary.BigEndian.PutUint16(deltaHostileSub[frameHeadSize+retiredBaseTS+20:], 0xFFFF) // nAnt
 	f.Add(deltaHostileSub)
 	deltaBadFlags := append([]byte(nil), deltaFrame...)
-	deltaBadFlags[frameHeadSize+baseTSSize+24] = 0xFF
+	deltaBadFlags[frameHeadSize+retiredBaseTS+24] = 0xFF
 	f.Add(deltaBadFlags)
 	for _, bits := range hostileScales {
-		f.Add(withUint32(deltaFrame, frameHeadSize+baseTSSize+16, bits))
+		f.Add(withUint32(deltaFrame, frameHeadSize+retiredBaseTS+16, bits))
 	}
-	// Absolute-form flag flipped on without re-laying-out the body:
-	// the sub-headers no longer parse as the compact form and the
-	// decoder must reject, not misread.
+	// The delta flag on an absolute body.
 	flagMismatch := append([]byte(nil), frame...)
 	flagMismatch[11] = 0x01
 	f.Add(flagMismatch)
 
+	// The corpus of the retired per-record fuzzer: v1 and v2 records
+	// with hostile headers, dimensions, scales and region boxes.
+	valid := validRecord(f)
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add(valid[:8])                   // truncated header
+	f.Add(valid[:len(valid)-3])        // truncated payload
+	f.Add(bytes.Repeat([]byte{0}, 64)) // zero magic
+	hostile := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint16(hostile[28:], 0xFFFF) // nAnt far over MaxAntennas
+	binary.BigEndian.PutUint16(hostile[30:], 0xFFFF) // nSamp far over MaxSamples
+	f.Add(hostile)
+	zeroDims := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint16(zeroDims[28:], 0)
+	f.Add(zeroDims)
+	for _, bits := range hostileScales {
+		f.Add(withUint32(valid, 24, bits))
+	}
+	f.Add(withUint32(valid, 24, 0x00000001)) // smallest subnormal scale
+	recTop := withUint32(valid, 24, 0x7F7FFFFF)
+	f.Add(recTop)
+	recTop = append([]byte(nil), recTop...)
+	binary.BigEndian.PutUint16(recTop[32:], 0x8000)
+	f.Add(recTop)
+	f.Add(append(append([]byte(nil), valid...), valid...)) // two records
+	validV2 := validRegionRecord(f)
+	f.Add(validV2)
+	f.Add(validV2[:40])             // truncated region extension
+	f.Add(validV2[:33])             // flags byte only
+	f.Add(validV2[:len(validV2)-5]) // truncated payload after region
+	nan := math.NaN()
+	for _, box := range [][5]float64{
+		{nan, 2, 11.5, 9.25, 0.25},      // NaN corner
+		{3, 2, math.Inf(1), 9.25, 0.25}, // Inf corner
+		{11.5, 9.25, 3, 2, 0.25},        // inverted box
+		{3, 2, 3, 9.25, 0.25},           // degenerate (zero width)
+		{3, 2, 11.5, 2, 0.25},           // degenerate (zero height)
+		{0, 0, 0, 0, 0},                 // region flag on zero box
+		{3, 2, 11.5, 9.25, nan},         // NaN cell
+		{3, 2, 11.5, 9.25, -1},          // negative cell
+		{3, 2, 11.5, 9.25, 1e-9},        // cell below MinRegionCell
+		{-1e12, 2, 11.5, 9.25, 0.25},    // coordinate out of range
+	} {
+		f.Add(putRegion(validV2, 33, box[0], box[1], box[2], box[3], box[4]))
+	}
+	recBadFlags := append([]byte(nil), validV2...)
+	recBadFlags[32] = 0xFF // unknown flag bits
+	f.Add(recBadFlags)
+	noFlagRegion := append([]byte(nil), validV2...)
+	noFlagRegion[32] = 0 // region bytes present but flag clear
+	f.Add(noFlagRegion)
+	v2Magic := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(v2Magic[0:], retiredV2Magic) // v2 magic on a v1 body
+	f.Add(v2Magic)
+	v3Magic := append([]byte(nil), validV2...)
+	binary.BigEndian.PutUint32(v3Magic[0:], batchMagic) // frame magic on a v2 body
+	f.Add(v3Magic)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Stream framing (the ServeConn path, mixed versions).
+		// Stream framing (the ServeConn path).
 		ws := GetIngestWorkspace()
 		caps, err := ReadFrameInto(bytes.NewReader(data), ws)
 		if err != nil {
@@ -385,40 +376,53 @@ func FuzzReadBatch(f *testing.F) {
 				}
 				assertFinite(t, c.Streams)
 			}
-			// Anything that decodes must re-encode as a batch, in both
-			// timestamp forms, and the compact form must decode back to
-			// the same timestamps.
+			// Anything that decodes must re-encode.
 			if _, err := AppendBatch(nil, caps); err != nil {
 				t.Fatalf("decoded batch failed to re-encode: %v", err)
 			}
-			delta, err := AppendBatchDelta(nil, caps)
-			if err != nil {
-				t.Fatalf("decoded batch failed to re-encode in delta form: %v", err)
-			}
-			ws2 := GetIngestWorkspace()
-			caps2, err := ReadBatchInto(bytes.NewReader(delta), ws2)
-			if err != nil {
-				ws2.Discard()
-				t.Fatalf("delta re-encode does not decode: %v", err)
-			}
-			if len(caps2) != len(caps) {
-				t.Fatalf("delta round trip changed count: %d != %d", len(caps2), len(caps))
-			}
-			for i := range caps {
-				// Compare at wire precision: extreme hostile timestamps
-				// may not round-trip through time.Time exactly, but the
-				// µs value the wire carries must.
-				if caps2[i].Timestamp.UnixMicro() != caps[i].Timestamp.UnixMicro() {
-					t.Fatalf("capture %d: delta round trip moved timestamp %v → %v",
-						i, caps[i].Timestamp, caps2[i].Timestamp)
-				}
-			}
-			ReleaseAll(caps2)
 			ReleaseAll(caps)
 		}
-		// Datagram framing (exact-fit rule) and the backend's counter
-		// path must swallow the same bytes without panicking.
+		// The datagram path (exact-fit rule, the backend's counters) and
+		// stream ingest must swallow the same bytes without panicking.
 		b := NewBackend(1000, time.Second, func(uint32, []Capture) {})
 		_ = b.IngestDatagram(data)
+		_ = b.ServeConn(bytes.NewReader(data))
 	})
+}
+
+// TestServeConnRefusesRetiredFormats: a v1 record, a v2 record and a
+// delta-timestamp frame each end the connection they arrive on as one
+// decode error, after the good frame before them was ingested, and
+// leave no workspace leased.
+func TestServeConnRefusesRetiredFormats(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	plain := batchCapture(rng, 2, 8, false, false)
+	flagged := batchCapture(rng, 2, 8, true, true)
+	cases := []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"v1 record", retiredRecord(t, &plain), ErrBadMagic},
+		{"v2 record", retiredRecord(t, &flagged), ErrBadMagic},
+		{"delta frame", retiredDeltaFrame(mustFrame(t, []Capture{plain, flagged})), ErrBadFrame},
+	}
+	baseline := LeasedIngestWorkspaces()
+	for _, tc := range cases {
+		flushed := 0
+		b := NewBackend(1, time.Second, func(_ uint32, cs []Capture) { flushed += len(cs) })
+		stream := append(mustFrame(t, []Capture{plain}), tc.data...)
+		if err := b.ServeConn(bytes.NewReader(stream)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: ServeConn returned %v, want %v", tc.name, err, tc.want)
+		}
+		if flushed != 1 {
+			t.Errorf("%s: %d captures flushed, want the good one", tc.name, flushed)
+		}
+		if h := b.Health(); h.ConnErrors != 1 {
+			t.Errorf("%s: %d conn errors counted, want 1", tc.name, h.ConnErrors)
+		}
+		if leaked := LeasedIngestWorkspaces() - baseline; leaked != 0 {
+			t.Fatalf("%s: %d pooled workspaces leaked", tc.name, leaked)
+		}
+	}
 }

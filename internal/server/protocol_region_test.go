@@ -26,9 +26,12 @@ func regionCapture(region core.Region, priority bool) *Capture {
 	}
 }
 
-// TestRegionRoundTrip: v2 records carry the region and priority flag
-// through encode/decode unchanged; v1 records (no region, no
-// priority) stay byte-compatible with the old format.
+// regionBoxOff is where the first sub-header's region box starts.
+const regionBoxOff = frameHeadSize + subHeadSize
+
+// TestRegionRoundTrip: a sub-header carries the region and priority
+// flag through encode/decode unchanged; a capture with neither has a
+// zero flags byte and no region box.
 func TestRegionRoundTrip(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -42,15 +45,10 @@ func TestRegionRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
 			in := regionCapture(tc.region, tc.priority)
-			if err := WriteCapture(&buf, in); err != nil {
-				t.Fatal(err)
-			}
-			out, err := ReadCapture(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
+			caps := readFrame(t, mustFrame(t, []Capture{*in}))
+			defer ReleaseAll(caps)
+			out := &caps[0]
 			if out.Region != tc.region {
 				t.Fatalf("region round trip: got %+v, want %+v", out.Region, tc.region)
 			}
@@ -58,32 +56,32 @@ func TestRegionRoundTrip(t *testing.T) {
 				t.Fatalf("priority round trip: got %v, want %v", out.Priority, tc.priority)
 			}
 			if out.APID != in.APID || out.ClientID != in.ClientID || out.Seq != in.Seq || !out.Timestamp.Equal(in.Timestamp) {
-				t.Fatal("v2 header fields corrupted in round trip")
+				t.Fatal("sub-header fields corrupted in round trip")
 			}
 		})
 	}
 
-	// No region and no priority must stay a plain v1 record.
-	var buf bytes.Buffer
-	if err := WriteCapture(&buf, regionCapture(core.Region{}, false)); err != nil {
-		t.Fatal(err)
+	plain := regionCapture(core.Region{}, false)
+	frame := mustFrame(t, []Capture{*plain})
+	if got := frame[frameHeadSize+28]; got != 0 {
+		t.Fatalf("plain capture carries flags %#x, want 0", got)
 	}
-	if got := buf.Bytes()[3]; got != 0x01 {
-		t.Fatalf("plain capture encoded as version %d, want 1", got)
+	if got, want := len(frame), frameHeadSize+subHeadSize+4*2*2; got != want {
+		t.Fatalf("plain capture encodes to %d bytes, want %d (no region box)", got, want)
 	}
-	out, err := ReadCapture(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Region.IsZero() || out.Priority {
-		t.Fatal("v1 record decoded with region or priority set")
+	caps := readFrame(t, frame)
+	defer ReleaseAll(caps)
+	if !caps[0].Region.IsZero() || caps[0].Priority {
+		t.Fatal("plain capture decoded with region or priority set")
 	}
 }
 
 // TestRegionDecodeRejectsMalformed: every degenerate, inverted, or
-// non-finite region is refused at decode with ErrBadRegion — the
-// grouping backend never sees it.
+// non-finite region, a region flag on a zero box, and unknown flag bits
+// are refused at decode with ErrBadRegion — the grouping backend never
+// sees them.
 func TestRegionDecodeRejectsMalformed(t *testing.T) {
+	baseline := LeasedIngestWorkspaces()
 	nan, inf := math.NaN(), math.Inf(1)
 	bad := []core.Region{
 		{Min: geom.Pt(nan, 3), Max: geom.Pt(9, 7)},
@@ -98,26 +96,38 @@ func TestRegionDecodeRejectsMalformed(t *testing.T) {
 	}
 	// Writers validate too: a malformed region never leaves the AP.
 	for i, r := range bad {
-		if err := WriteCapture(&bytes.Buffer{}, regionCapture(r, false)); !errors.Is(err, ErrBadRegion) {
-			t.Errorf("case %d: WriteCapture err = %v, want ErrBadRegion", i, err)
+		if _, err := AppendBatch(nil, []Capture{*regionCapture(r, false)}); !errors.Is(err, ErrBadRegion) {
+			t.Errorf("case %d: AppendBatch err = %v, want ErrBadRegion", i, err)
 		}
 	}
 	// And readers reject the same boxes when hostile bytes put them on
 	// the wire anyway.
-	var buf bytes.Buffer
-	if err := WriteCapture(&buf, regionCapture(core.Region{Min: geom.Pt(2, 3), Max: geom.Pt(9, 7)}, false)); err != nil {
-		t.Fatal(err)
+	template := mustFrame(t, []Capture{*regionCapture(core.Region{Min: geom.Pt(2, 3), Max: geom.Pt(9, 7)}, false)})
+	var hostile [][]byte
+	for _, r := range bad {
+		hostile = append(hostile, putRegion(template, regionBoxOff, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, r.Cell))
 	}
-	template := buf.Bytes()
-	for i, r := range bad {
-		rec := putRegion(template, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, r.Cell)
-		if _, err := ReadCapture(bytes.NewReader(rec)); !errors.Is(err, ErrBadRegion) {
-			t.Errorf("case %d: ReadCapture err = %v, want ErrBadRegion", i, err)
+	unknownFlags := append([]byte(nil), template...)
+	unknownFlags[frameHeadSize+28] |= 0x80
+	hostile = append(hostile, putRegion(template, regionBoxOff, 0, 0, 0, 0, 0), unknownFlags)
+	for i, frame := range hostile {
+		ws := GetIngestWorkspace()
+		if _, err := ReadFrameInto(bytes.NewReader(frame), ws); !errors.Is(err, ErrBadRegion) {
+			t.Errorf("case %d: ReadFrameInto err = %v, want ErrBadRegion", i, err)
 		}
+		ws.Discard()
+		ws = GetIngestWorkspace()
+		if _, err := DecodeDatagramInto(frame, ws); !errors.Is(err, ErrBadRegion) {
+			t.Errorf("case %d: DecodeDatagramInto err = %v, want ErrBadRegion", i, err)
+		}
+		ws.Discard()
 		// ServeConn must reject the stream without panicking.
 		b := NewBackend(1000, time.Second, func(uint32, []Capture) {})
-		if err := b.ServeConn(bytes.NewReader(rec)); !errors.Is(err, ErrBadRegion) {
+		if err := b.ServeConn(bytes.NewReader(frame)); !errors.Is(err, ErrBadRegion) {
 			t.Errorf("case %d: ServeConn err = %v, want ErrBadRegion", i, err)
 		}
+	}
+	if leaked := LeasedIngestWorkspaces() - baseline; leaked != 0 {
+		t.Fatalf("%d pooled workspaces leaked", leaked)
 	}
 }

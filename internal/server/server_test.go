@@ -111,16 +111,16 @@ func TestProtocolRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := randomCapture(rng, 8, 10)
 	var buf bytes.Buffer
-	if err := WriteCapture(&buf, c); err != nil {
+	if err := WriteBatch(&buf, []Capture{*c}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := buf.Len(), RecordSize(8, 10); got != want {
-		t.Errorf("record size = %d, want %d", got, want)
+	// §4.4's capture alone in a frame: the size TransferTime models.
+	if got, want := buf.Len(), frameHeadSize+subHeadSize+8*10*4; got != want {
+		t.Errorf("frame size = %d, want %d", got, want)
 	}
-	d, err := ReadCapture(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	caps := readFrame(t, buf.Bytes())
+	defer ReleaseAll(caps)
+	d := &caps[0]
 	if d.APID != 7 || d.ClientID != 13 || d.Seq != 42 || !d.Timestamp.Equal(c.Timestamp) {
 		t.Errorf("metadata mismatch: %+v", d)
 	}
@@ -143,54 +143,45 @@ func TestProtocolRoundTrip(t *testing.T) {
 }
 
 func TestProtocolRejectsGarbage(t *testing.T) {
-	if _, err := ReadCapture(bytes.NewReader(make([]byte, 32))); err != ErrBadMagic {
+	if err := decodeBatch(make([]byte, 32)); err != ErrBadMagic {
 		t.Errorf("bad magic error = %v", err)
 	}
 	// Truncated stream.
 	rng := rand.New(rand.NewSource(2))
 	var buf bytes.Buffer
-	if err := WriteCapture(&buf, randomCapture(rng, 2, 4)); err != nil {
+	if err := WriteBatch(&buf, []Capture{*randomCapture(rng, 2, 4)}); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:20]
-	if _, err := ReadCapture(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated header should error")
+	if err := decodeBatch(buf.Bytes()[:20]); err == nil {
+		t.Error("truncated sub-header should error")
 	}
-	if _, err := ReadCapture(bytes.NewReader(buf.Bytes()[:40])); err == nil {
+	if err := decodeBatch(buf.Bytes()[:50]); err == nil {
 		t.Error("truncated payload should error")
 	}
 	// Oversized declaration.
-	big := &Capture{Streams: make([][]complex128, MaxAntennas+1)}
-	if err := WriteCapture(io.Discard, big); err == nil {
+	big := Capture{Streams: make([][]complex128, MaxAntennas+1)}
+	if err := WriteBatch(io.Discard, []Capture{big}); err == nil {
 		t.Error("oversized write should error")
 	}
 	// Ragged streams.
-	ragged := &Capture{Streams: [][]complex128{make([]complex128, 3), make([]complex128, 5)}}
-	if err := WriteCapture(io.Discard, ragged); err == nil {
+	ragged := Capture{Streams: [][]complex128{make([]complex128, 3), make([]complex128, 5)}}
+	if err := WriteBatch(io.Discard, []Capture{ragged}); err == nil {
 		t.Error("ragged write should error")
 	}
 	// Empty capture.
-	empty := &Capture{}
-	if err := WriteCapture(io.Discard, empty); err == nil {
+	if err := WriteBatch(io.Discard, []Capture{{}}); err == nil {
 		t.Error("empty write should error")
 	}
-	// Clean EOF at record boundary.
-	if _, err := ReadCapture(bytes.NewReader(nil)); err != io.EOF {
+	// Clean EOF at a frame boundary.
+	if err := decodeBatch(nil); err != io.EOF {
 		t.Errorf("clean EOF = %v", err)
 	}
 }
 
 func TestProtocolAllZeroSamples(t *testing.T) {
-	c := &Capture{Streams: [][]complex128{make([]complex128, 4)}}
-	var buf bytes.Buffer
-	if err := WriteCapture(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	d, err := ReadCapture(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range d.Streams[0] {
+	caps := readFrame(t, mustFrame(t, []Capture{{Streams: [][]complex128{make([]complex128, 4)}}}))
+	defer ReleaseAll(caps)
+	for _, v := range caps[0].Streams[0] {
 		if v != 0 {
 			t.Errorf("zero sample decoded as %v", v)
 		}
@@ -297,21 +288,25 @@ func TestAPNodeRecordAndUpload(t *testing.T) {
 		t.Fatalf("buffered = %d", n.Buffer.Len())
 	}
 	var buf bytes.Buffer
-	if err := n.Upload(context.Background(), &buf); err != nil {
+	if err := n.UploadBatch(context.Background(), &buf, 1); err != nil {
 		t.Fatal(err)
 	}
 	if n.Buffer.Len() != 0 {
 		t.Error("upload should drain the buffer")
 	}
-	// Three decodable records with increasing seq.
+	// Three one-capture frames with increasing seq.
+	r := bytes.NewReader(buf.Bytes())
 	for i := uint32(0); i < 3; i++ {
-		c, err := ReadCapture(&buf)
+		ws := GetIngestWorkspace()
+		caps, err := ReadFrameInto(r, ws)
 		if err != nil {
+			ws.Discard()
 			t.Fatal(err)
 		}
-		if c.Seq != i || c.APID != 3 {
-			t.Errorf("record %d: %+v", i, c)
+		if len(caps) != 1 || caps[0].Seq != i || caps[0].APID != 3 {
+			t.Errorf("frame %d: %+v", i, caps)
 		}
+		ReleaseAll(caps)
 	}
 }
 
@@ -324,14 +319,14 @@ func TestBackendQuorumGrouping(t *testing.T) {
 		got = cs
 	})
 	now := time.Now()
-	b.Ingest(&Capture{APID: 1, ClientID: 9, Timestamp: now})
+	b.IngestBatch([]Capture{{APID: 1, ClientID: 9, Timestamp: now}})
 	if got != nil {
 		t.Fatal("quorum fired early")
 	}
 	if b.PendingClients() != 1 {
 		t.Errorf("pending = %d", b.PendingClients())
 	}
-	b.Ingest(&Capture{APID: 2, ClientID: 9, Timestamp: now.Add(time.Millisecond)})
+	b.IngestBatch([]Capture{{APID: 2, ClientID: 9, Timestamp: now.Add(time.Millisecond)}})
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != 2 {
@@ -346,10 +341,10 @@ func TestBackendDropsStale(t *testing.T) {
 	fired := false
 	b := NewBackend(2, 100*time.Millisecond, func(uint32, []Capture) { fired = true })
 	t0 := time.Now()
-	b.Ingest(&Capture{APID: 1, ClientID: 5, Timestamp: t0})
+	b.IngestBatch([]Capture{{APID: 1, ClientID: 5, Timestamp: t0}})
 	// Second AP reports much later: the first capture is stale, no
 	// quorum.
-	b.Ingest(&Capture{APID: 2, ClientID: 5, Timestamp: t0.Add(time.Second)})
+	b.IngestBatch([]Capture{{APID: 2, ClientID: 5, Timestamp: t0.Add(time.Second)}})
 	if fired {
 		t.Error("stale captures should not satisfy quorum")
 	}
@@ -374,7 +369,7 @@ func TestBackendOverTCP(t *testing.T) {
 	}
 	n := NewAPNode(1, 4)
 	n.Record(77, time.Now(), [][]complex128{{1 + 1i, 2}, {3, 4i}})
-	if err := n.Upload(ctx, conn); err != nil {
+	if err := n.UploadBatch(ctx, conn, 16); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
@@ -389,8 +384,9 @@ func TestBackendOverTCP(t *testing.T) {
 }
 
 func TestTransferTimeModel(t *testing.T) {
-	// §4.4: 10 samples × 32 bits × 8 radios at 1 Mbit/s ≈ 2.56 ms.
-	// Our records carry a 32-byte header too, so allow a small margin.
+	// §4.4: 10 samples × 32 bits × 8 radios at 1 Mbit/s ≈ 2.56 ms. A
+	// one-capture frame adds its 12-byte header and 29-byte sub-header
+	// (361 bytes, 2.89 ms), so allow a small margin.
 	got := TransferTime(8, 10, 1)
 	if got < 2500*time.Microsecond || got > 2900*time.Microsecond {
 		t.Errorf("TransferTime = %v, want ≈2.56 ms", got)

@@ -148,8 +148,8 @@ func (d *chaosCountDispatcher) Dispatch(_ uint32, caps []server.Capture) {
 	server.ReleaseAll(caps)
 }
 
-// chaosIngest pushes captures through the real wire: encode as one v3
-// batch frame, decode into a pooled workspace, hand to the backend.
+// chaosIngest pushes captures through the real wire: encode as one
+// frame, decode into a pooled workspace, hand to the backend.
 // Leaks in this path show up in the LeasedIngestWorkspaces gauge.
 func chaosIngest(be *server.Backend, caps []server.Capture) error {
 	frame, err := server.AppendBatch(nil, caps)
@@ -157,7 +157,7 @@ func chaosIngest(be *server.Backend, caps []server.Capture) error {
 		return err
 	}
 	ws := server.GetIngestWorkspace()
-	decoded, err := server.ReadBatchInto(bytes.NewReader(frame), ws)
+	decoded, err := server.ReadFrameInto(bytes.NewReader(frame), ws)
 	if err != nil {
 		ws.Discard()
 		return err

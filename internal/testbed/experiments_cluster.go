@@ -230,7 +230,7 @@ func (tb *Testbed) RunCluster(opt ClusterOptions) (*Report, *ClusterResult, erro
 		return base.Add(time.Duration(float64(i) * opt.Dt * float64(time.Second)))
 	}
 
-	// Serialize every step once — one absolute v3 frame per AP carrying
+	// Serialize every step once — one frame per AP carrying
 	// both clients' captures — so all three runs decode identical
 	// bytes and any divergence is the cluster path's fault.
 	aps := tb.APsFor(opt.Sites, opt.Capture)

@@ -163,7 +163,7 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 			}
 			n.Record(1, time.Now(), short)
 		}
-		_ = n.Upload(ctx, conn)
+		_ = n.UploadBatch(ctx, conn, len(frames))
 	}
 	for i := range tb.Sites {
 		node10(uint32(i+1), captures[i])
