@@ -3,8 +3,9 @@ package server
 // Fuzzing for the wire decoder: the backend reads frames from whatever
 // connects to its TCP port, so ReadFrameInto and ServeConn must reject
 // arbitrary garbage with an error — never a panic, and never an
-// unbounded allocation. `go test` runs the seed corpus; `go test
-// -fuzz=FuzzReadBatch ./internal/server` explores further.
+// unbounded allocation. `go test` runs the seed corpora; `go test
+// -fuzz=FuzzReadBatch ./internal/server` (or FuzzReadCapture) explores
+// further.
 
 import (
 	"bytes"
@@ -298,8 +299,14 @@ func FuzzReadBatch(f *testing.F) {
 	flagMismatch[11] = 0x01
 	f.Add(flagMismatch)
 
-	// The corpus of the retired per-record fuzzer: v1 and v2 records
-	// with hostile headers, dimensions, scales and region boxes.
+	f.Fuzz(fuzzIngest)
+}
+
+// FuzzReadCapture explores the same decoder from the retired
+// per-record captures: v1 and v2 records with hostile headers,
+// dimensions, scales and region boxes, as a stale AP would still send
+// them, must be refused as garbage is.
+func FuzzReadCapture(f *testing.F) {
 	valid := validRecord(f)
 	f.Add(valid)
 	f.Add([]byte{})
@@ -356,38 +363,42 @@ func FuzzReadBatch(f *testing.F) {
 	binary.BigEndian.PutUint32(v3Magic[0:], batchMagic) // frame magic on a v2 body
 	f.Add(v3Magic)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Stream framing (the ServeConn path).
-		ws := GetIngestWorkspace()
-		caps, err := ReadFrameInto(bytes.NewReader(data), ws)
-		if err != nil {
-			ws.Discard()
-		} else {
-			if len(caps) == 0 || len(caps) > MaxBatchCaptures {
-				t.Fatalf("decoded %d captures from one frame", len(caps))
-			}
-			for i := range caps {
-				c := &caps[i]
-				if len(c.Streams) == 0 || len(c.Streams) > MaxAntennas || len(c.Streams[0]) > MaxSamples {
-					t.Fatalf("capture %d violates protocol limits", i)
-				}
-				if err := c.Region.Validate(); err != nil {
-					t.Fatalf("capture %d carries invalid region: %v", i, err)
-				}
-				assertFinite(t, c.Streams)
-			}
-			// Anything that decodes must re-encode.
-			if _, err := AppendBatch(nil, caps); err != nil {
-				t.Fatalf("decoded batch failed to re-encode: %v", err)
-			}
-			ReleaseAll(caps)
+	f.Fuzz(fuzzIngest)
+}
+
+// fuzzIngest is both fuzzers' body: whatever decodes keeps the protocol
+// limits and re-encodes, and every ingest path swallows the bytes.
+func fuzzIngest(t *testing.T, data []byte) {
+	// Stream framing (the ServeConn path).
+	ws := GetIngestWorkspace()
+	caps, err := ReadFrameInto(bytes.NewReader(data), ws)
+	if err != nil {
+		ws.Discard()
+	} else {
+		if len(caps) == 0 || len(caps) > MaxBatchCaptures {
+			t.Fatalf("decoded %d captures from one frame", len(caps))
 		}
-		// The datagram path (exact-fit rule, the backend's counters) and
-		// stream ingest must swallow the same bytes without panicking.
-		b := NewBackend(1000, time.Second, func(uint32, []Capture) {})
-		_ = b.IngestDatagram(data)
-		_ = b.ServeConn(bytes.NewReader(data))
-	})
+		for i := range caps {
+			c := &caps[i]
+			if len(c.Streams) == 0 || len(c.Streams) > MaxAntennas || len(c.Streams[0]) > MaxSamples {
+				t.Fatalf("capture %d violates protocol limits", i)
+			}
+			if err := c.Region.Validate(); err != nil {
+				t.Fatalf("capture %d carries invalid region: %v", i, err)
+			}
+			assertFinite(t, c.Streams)
+		}
+		// Anything that decodes must re-encode.
+		if _, err := AppendBatch(nil, caps); err != nil {
+			t.Fatalf("decoded batch failed to re-encode: %v", err)
+		}
+		ReleaseAll(caps)
+	}
+	// The datagram path (exact-fit rule, the backend's counters) and
+	// stream ingest must swallow the same bytes without panicking.
+	b := NewBackend(1000, time.Second, func(uint32, []Capture) {})
+	_ = b.IngestDatagram(data)
+	_ = b.ServeConn(bytes.NewReader(data))
 }
 
 // TestServeConnRefusesRetiredFormats: a v1 record, a v2 record and a
