@@ -81,8 +81,8 @@ func logStats(eng *engine.Engine, backend *server.Backend) {
 	log.Printf("stats: submitted=%d (prio=%d) completed=%d fixes=%d failures=%d rejected=%d (quota=%d) tracked=%d gate_rejects=%d queued=%d prio_queued=%d pending_clients=%d workers=%d",
 		st.Submitted, st.PrioritySubmitted, st.Completed, st.Fixes, st.Failures, st.Rejected, st.QuotaRejected,
 		st.TrackedClients, st.TrackRejects, st.Queued, st.PriorityQueued, backend.PendingClients(), st.Workers)
-	log.Printf("sched: aged=%d stolen=%d | predictive: served=%d fallbacks no_track=%d border=%d gate=%d error=%d",
-		st.AgedBatch, st.PriorityStolen, st.Predicted,
+	log.Printf("sched: aged=%d | predictive: served=%d fallbacks no_track=%d border=%d gate=%d error=%d",
+		st.AgedBatch, st.Predicted,
 		st.PredictFallbackNoTrack, st.PredictFallbackBorder, st.PredictFallbackGate, st.PredictFallbackError)
 	log.Printf("synth cache: entries=%d bytes=%d budget=%d hits=%d misses=%d evictions=%d slices=%d second_choice=%d spills=%d dense_evictions=%d",
 		st.SynthLUTs, st.SynthBytes, st.SynthBudget, st.SynthHits, st.SynthMisses, st.SynthEvictions, st.SynthSlices,

@@ -1,0 +1,100 @@
+package core_test
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/music"
+	"repro/internal/testbed"
+)
+
+// TestSynthJobSizeBound bounds the longest synthesis job the shipped
+// config (10 cm over the testbed floor, 401 × 161 = 64,561 cells) can
+// admit, as counts that repeat exactly. Six all-floor APs tie every
+// bound, so the screen bounds all 119 superblocks, expands every one
+// (2,673 blocks), refines blocks up to its budget (2,673/4 + 3 = 671)
+// and then falls back to the full surface: at most 671 · 25 + 64,561 =
+// 81,336 cells evaluated, the worst case the screen has. A client
+// Region at the finest pitch NewSynthGridRegion admits — its cell count
+// is capped at the full grid's — costs the same; one float64 step finer
+// is refused. The time is logged, never gated.
+func TestSynthJobSizeBound(t *testing.T) {
+	tb := testbed.New()
+	aps := make([]core.APSpectrum, len(tb.Sites))
+	for i, s := range tb.Sites {
+		aps[i] = core.APSpectrum{Pos: s.Pos, Spectrum: music.NewSpectrum(360)}
+	}
+	const cell = 0.10
+	full, err := core.GridSpecFor(tb.Plan.Min, tb.Plan.Max, cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := func(pitch float64) core.Region {
+		return core.Region{Min: tb.Plan.Min, Max: tb.Plan.Max, Cell: pitch}
+	}
+	// The finest admitted pitch: cell counts fall as the pitch grows, so
+	// bisect on the bits of positive float64s, which order like the values.
+	admits := func(pitch float64) bool {
+		spec, err := core.GridSpecFor(tb.Plan.Min, tb.Plan.Max, pitch)
+		return err == nil && spec.Cells() <= full.Cells()
+	}
+	lo, hi := math.Float64bits(core.MinRegionCell), math.Float64bits(cell)
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; admits(math.Float64frombits(mid)) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	finest := math.Float64frombits(lo)
+	if finest >= cell {
+		t.Fatalf("finest admitted pitch %v is not finer than the %v grid", finest, cell)
+	}
+	opt := core.SynthOptions{Cell: cell, Workers: 1, Cache: core.NewSynthCache()}
+	if _, err := core.NewSynthGridRegion(tb.Plan.Min, tb.Plan.Max, region(math.Nextafter(finest, 0)), opt); !errors.Is(err, core.ErrBadRegion) {
+		t.Fatalf("pitch one step finer than %v: err = %v, want ErrBadRegion", finest, err)
+	}
+
+	for _, c := range []struct {
+		name   string
+		region core.Region
+	}{{"full grid", core.Region{}}, {fmt.Sprintf("region at %v m", finest), region(finest)}} {
+		var m core.SynthMetrics
+		opt.Metrics = &m
+		sg, err := core.NewSynthGridRegion(tb.Plan.Min, tb.Plan.Max, c.region, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const fixes = 5
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < fixes; i++ {
+			start := time.Now()
+			if _, err := sg.Localize(aps); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		got := m.Snapshot()
+		got.BoundVisits, got.HillProbes, got.HillPruned = 0, 0, 0 // not part of the bound
+		want := core.SynthMetricsSnapshot{
+			BlocksRefined:     671 * fixes,
+			BoundEvals:        (119 + 2673) * int64(len(aps)) * fixes,
+			SuperExpanded:     119 * fixes,
+			FullEvalFallbacks: fixes,
+		}
+		if got != want {
+			t.Errorf("%s: %d fixes counted %+v, want %+v", c.name, fixes, got, want)
+		}
+		spec := sg.Spec()
+		cells := got.BlocksRefined/fixes*core.DefaultCoarseFactor*core.DefaultCoarseFactor + int64(spec.Cells())
+		if cells > 81336 {
+			t.Errorf("%s: %d cells evaluated per fix, want ≤ 81,336", c.name, cells)
+		}
+		t.Logf("%s (%d × %d cells): ≤ %d cells evaluated per fix, best of %d %v",
+			c.name, spec.Nx, spec.Ny, cells, fixes, best)
+	}
+}

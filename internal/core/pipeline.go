@@ -191,12 +191,9 @@ func (p *Pipeline) SynthesizeRegion(specs []APSpectrum, min, max geom.Point, reg
 // options.
 func (p *Pipeline) synthOptions() SynthOptions {
 	return SynthOptions{
-		Cell:         p.cfg.GridCell,
-		Workers:      p.cfg.SynthWorkers,
-		Cache:        p.cfg.SynthCache,
-		CoarseFactor: p.cfg.CoarseFactor,
-		RefineTopK:   p.cfg.RefineTopK,
-		Yield:        p.cfg.SynthYield,
+		Cell:    p.cfg.GridCell,
+		Workers: p.cfg.SynthWorkers,
+		Cache:   p.cfg.SynthCache,
 	}
 }
 

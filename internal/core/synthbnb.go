@@ -1,7 +1,7 @@
 package core
 
 // The two-level branch-and-bound screen. The fine grid is partitioned
-// into CoarseFactor×CoarseFactor blocks, and the blocks into
+// into DefaultCoarseFactor² -cell blocks, and the blocks into
 // superBlocks×superBlocks superblocks; each has, per AP, a cached
 // circular window of spectrum bins (blockLUT), and the sum over APs of
 // the AP's log-table maximum over the window is an upper bound on every
@@ -12,11 +12,12 @@ package core
 // among equal bounds, index ascending). Popping a superblock bounds its
 // ≤ 25 blocks and pushes them; popping a block refines it at full
 // resolution; the loop stops once the top bound is below the best
-// refined cell (and topK blocks have been refined), or falls back to
-// the full surface past the refinement budget. Both bound passes take
-// their window maxima from music.WindowMax, which scans a window as at
-// most two contiguous runs of the log table, four bins at a time where
-// the machine can, and returns the element-by-element scan's value.
+// refined cell (and DefaultRefineTopK blocks have been refined), or
+// falls back to the full surface past the refinement budget. Both bound
+// passes take their window maxima from music.WindowMax, which scans a
+// window as at most two contiguous runs of the log table, four bins at a
+// time where the machine can, and returns the element-by-element scan's
+// value.
 //
 // Exactness: the blocks are refined in exactly the flat screen's total
 // order — every block bounded, then picked by (bound descending, index
@@ -78,7 +79,7 @@ type SynthMetrics struct {
 	// SuperExpanded counts superblocks whose blocks had to be bounded.
 	SuperExpanded atomic.Int64
 	// FullEvalFallbacks counts screens that hit the refinement budget
-	// and fell back to the sharded full-surface evaluation.
+	// and fell back to evaluating the full surface.
 	FullEvalFallbacks atomic.Int64
 	// HillProbes counts in-bounds hill-climb probes considered.
 	HillProbes atomic.Int64
@@ -87,16 +88,16 @@ type SynthMetrics struct {
 	HillPruned atomic.Int64
 }
 
-// SynthMetricsSnapshot is a plain-value copy of SynthMetrics for
-// reporting (the kernels experiment).
+// SynthMetricsSnapshot is a plain-value copy of SynthMetrics, which
+// tests compare and log.
 type SynthMetricsSnapshot struct {
-	BlocksRefined     int64 `json:"blocks_refined"`
-	BoundVisits       int64 `json:"bound_visits"`
-	BoundEvals        int64 `json:"bound_evals"`
-	SuperExpanded     int64 `json:"super_expanded"`
-	FullEvalFallbacks int64 `json:"full_eval_fallbacks"`
-	HillProbes        int64 `json:"hill_probes"`
-	HillPruned        int64 `json:"hill_pruned"`
+	BlocksRefined     int64
+	BoundVisits       int64
+	BoundEvals        int64
+	SuperExpanded     int64
+	FullEvalFallbacks int64
+	HillProbes        int64
+	HillPruned        int64
 }
 
 // Snapshot reads every counter once.
@@ -216,26 +217,26 @@ func (h *screenHeap) pop() int64 {
 func (sg *SynthGrid) screenWindows(ws *synthWorkspace, aps []APSpectrum) []*blockLUT {
 	ws.wins = ws.wins[:0]
 	for _, ap := range aps {
-		ws.wins = append(ws.wins, sg.cache.blockWindows(ap.Pos, sg.spec, ap.Spectrum.Bins(), sg.coarse, sg.parent))
+		ws.wins = append(ws.wins, sg.cache.blockWindows(ap.Pos, sg.spec, ap.Spectrum.Bins(), sg.parent))
 	}
 	return ws.wins
 }
 
-// maxRefine is the screen's refinement budget. If the screen stops
-// pruning (a near-flat surface ties every bound to the best cell),
-// refining block after block serially loses to the sharded full
-// evaluation — past this budget the screen falls back to it, trivially
-// exact.
-func (sg *SynthGrid) maxRefine(blocks int) int64 { return int64(blocks/4 + sg.topK) }
+// refineBudget is the screen's refinement budget on a grid of the
+// given number of screening blocks. If the screen stops pruning (a
+// near-flat surface ties every bound to the best cell), refining block
+// after block loses to one pass over the full surface — past this
+// budget the screen falls back to it, trivially exact.
+func refineBudget(blocks int) int64 { return int64(blocks/4 + DefaultRefineTopK) }
 
 // screen fills ws.cand with the top hill-climbing seed cells by the
 // two-level branch-and-bound described at the top of this file. At
-// least topK blocks are refined so hill climbing sees several basins;
-// the argmax matches the full scan exactly, lower-index tie-break
-// included: a cell tying the best forces its block's bound — and its
-// superblock's — up to the tie value, so neither is pruned.
+// least DefaultRefineTopK blocks are refined so hill climbing sees
+// several basins; the argmax matches the full scan exactly, lower-index
+// tie-break included: a cell tying the best forces its block's bound —
+// and its superblock's — up to the tie value, so neither is pruned.
 func (sg *SynthGrid) screen(ws *synthWorkspace, aps []APSpectrum, luts []bearingLUT, logTabs [][]float64) []cellCand {
-	nbx, nby := sg.spec.blockDims(sg.coarse)
+	nbx, nby := sg.spec.blockDims(DefaultCoarseFactor)
 	nsx, nsy := superDims(nbx, nby)
 	wins := sg.screenWindows(ws, aps)
 
@@ -244,9 +245,6 @@ func (sg *SynthGrid) screen(ws *synthWorkspace, aps []APSpectrum, luts []bearing
 	}
 	ws.heap = ws.heap[:nsx*nsy]
 	for a, bl := range wins {
-		if sg.yield != nil && a > 0 {
-			sg.yield()
-		}
 		tab := logTabs[a][:aps[a].Spectrum.Bins()] // without the wrap pad
 		for s := range ws.heap {
 			r := music.WindowMax(tab, int(bl.superStart[s]), int(bl.superCount[s]))
@@ -262,12 +260,9 @@ func (sg *SynthGrid) screen(ws *synthWorkspace, aps []APSpectrum, luts []bearing
 
 	ws.cand = ws.cand[:0]
 	best := math.Inf(-1)
-	maxRefine := sg.maxRefine(nbx * nby)
+	maxRefine := refineBudget(nbx * nby)
 	var kids [superBlocks * superBlocks]float64
 	for {
-		if sg.yield != nil {
-			sg.yield()
-		}
 		if work.refined >= maxRefine {
 			return sg.screenFallback(ws, luts, logTabs, work)
 		}
@@ -275,7 +270,7 @@ func (sg *SynthGrid) screen(ws *synthWorkspace, aps []APSpectrum, luts []bearing
 			break
 		}
 		top := ws.heap[0]
-		if top.bound < best && work.refined >= int64(sg.topK) {
+		if top.bound < best && work.refined >= DefaultRefineTopK {
 			break
 		}
 		work.visits += ws.heap.pop()
@@ -322,7 +317,7 @@ func (sg *SynthGrid) refineBlock(ws *synthWorkspace, luts []bearingLUT, logTabs 
 	if sg.onRefine != nil {
 		sg.onRefine(c)
 	}
-	x0, x1, y0, y1 := blockRect(sg.spec, sg.coarse, c%nbx, c/nbx)
+	x0, x1, y0, y1 := blockRect(sg.spec, DefaultCoarseFactor, c%nbx, c/nbx)
 	for iy := y0; iy < y1; iy++ {
 		lo, hi := iy*sg.spec.Nx+x0, iy*sg.spec.Nx+x1
 		evalRange(ws.fine, luts, logTabs, lo, hi)
@@ -347,14 +342,11 @@ func (sg *SynthGrid) screenFallback(ws *synthWorkspace, luts []bearingLUT, logTa
 // exceed its block's bound — both lerp endpoints lie inside the
 // window.
 func (sg *SynthGrid) blockBounds(ws *synthWorkspace, aps []APSpectrum, logTabs [][]float64) []float64 {
-	nbx, nby := sg.spec.blockDims(sg.coarse)
+	nbx, nby := sg.spec.blockDims(DefaultCoarseFactor)
 	ws.coarse = growFloats(ws.coarse, nbx*nby)
 	bounds := ws.coarse
 	for a, bl := range sg.screenWindows(ws, aps) {
 		tab := logTabs[a][:aps[a].Spectrum.Bins()] // without the wrap pad
-		if sg.yield != nil && a > 0 {
-			sg.yield()
-		}
 		if a == 0 {
 			for c := range bounds {
 				bounds[c] = music.WindowMax(tab, int(bl.start[c]), int(bl.count[c]))
@@ -375,15 +367,12 @@ func (sg *SynthGrid) blockBounds(ws *synthWorkspace, aps []APSpectrum, logTabs [
 // every pick. Same stop rule, refinement budget and fallback.
 func (sg *SynthGrid) screenFlat(ws *synthWorkspace, aps []APSpectrum, luts []bearingLUT, logTabs [][]float64) []cellCand {
 	bounds := sg.blockBounds(ws, aps, logTabs)
-	nbx, _ := sg.spec.blockDims(sg.coarse)
+	nbx, _ := sg.spec.blockDims(DefaultCoarseFactor)
 	work := screenWork{evals: int64(len(bounds) * len(aps))}
 	ws.cand = ws.cand[:0]
 	best := math.Inf(-1)
-	maxRefine := sg.maxRefine(len(bounds))
+	maxRefine := refineBudget(len(bounds))
 	for ; ; work.refined++ {
-		if sg.yield != nil {
-			sg.yield()
-		}
 		if work.refined >= maxRefine {
 			return sg.screenFallback(ws, luts, logTabs, work)
 		}
@@ -394,7 +383,7 @@ func (sg *SynthGrid) screenFlat(ws *synthWorkspace, aps []APSpectrum, luts []bea
 			}
 		}
 		work.visits += int64(len(bounds))
-		if pick == -1 || (bounds[pick] < best && work.refined >= int64(sg.topK)) {
+		if pick == -1 || (bounds[pick] < best && work.refined >= DefaultRefineTopK) {
 			break
 		}
 		bounds[pick] = math.Inf(-1) // refined: out of the running

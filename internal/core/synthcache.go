@@ -72,13 +72,13 @@ func lutCost(cells int) int64 { return int64(cells)*12 + synthEntryOverhead }
 func blockCost(bl *blockLUT) int64 { return int64(len(bl.start)+len(bl.superStart)) * 8 }
 
 // synthEntry is one cached (AP position, grid geometry, bins) unit:
-// the fine LUT and every screening-block window derived from it, with
+// the fine LUT and the screening-block windows derived from it, with
 // LRU links and the summed byte cost. Entries are owned by exactly
 // one shard and mutated only under its lock.
 type synthEntry struct {
 	key        synthKey
 	lut        bearingLUT
-	blocks     map[int]*blockLUT
+	blocks     *blockLUT
 	cost       int64
 	prev, next *synthEntry
 }
@@ -470,22 +470,22 @@ func (c *SynthCache) viewOfParent(ap geom.Point, spec, parent GridSpec, bins int
 }
 
 // blockWindows returns the screening-block bin windows for (AP
-// position, grid, factor), derived from the fine LUT and memoized on
+// position, grid), derived from the fine LUT and memoized on
 // the grid's entry (parent as in lutFor). A view of the parent has no
 // entry; its windows — rebuilt they cost more than evaluating the
 // region outright — are memoized on a windows-only one (no tables, the
 // overhead plus the windows as its cost), so a re-queried region stays
 // as warm as it was when its LUT was a copy.
-func (c *SynthCache) blockWindows(ap geom.Point, spec GridSpec, bins, factor int, parent *GridSpec) *blockLUT {
+func (c *SynthCache) blockWindows(ap geom.Point, spec GridSpec, bins int, parent *GridSpec) *blockLUT {
 	key := keyOf(ap, spec, bins)
 	var lut bearingLUT
 	first, second := c.lockPair(key)
 	if e, sh := entryIn(key, first, second); e != nil {
-		if bl := e.blocks[factor]; bl != nil {
+		if e.blocks != nil {
 			sh.moveFront(e)
 			unlockPair(first, second)
 			c.hits.Add(1)
-			return bl
+			return e.blocks
 		}
 		lut = e.lut
 	}
@@ -495,7 +495,7 @@ func (c *SynthCache) blockWindows(ap geom.Point, spec GridSpec, bins, factor int
 	if lut.bin == nil {
 		lut, viewed = c.lutOrView(ap, spec, parent, bins)
 	}
-	fresh := buildBlockLUT(lut, spec, factor, bins)
+	fresh := buildBlockLUT(lut, spec, DefaultCoarseFactor, bins)
 	c.misses.Add(1)
 	first, second = c.lockPair(key)
 	defer unlockPair(first, second)
@@ -508,9 +508,9 @@ func (c *SynthCache) blockWindows(ap geom.Point, spec GridSpec, bins, factor int
 	case e == nil:
 		// A view: start a windows-only entry, placed below if it fits.
 		e = &synthEntry{key: key, cost: synthEntryOverhead}
-	case e.blocks[factor] != nil:
+	case e.blocks != nil:
 		sh.moveFront(e)
-		return e.blocks[factor]
+		return e.blocks
 	}
 	cost := blockCost(fresh)
 	if limit := c.shardBudget(); limit > 0 && e.cost+cost > limit {
@@ -525,10 +525,7 @@ func (c *SynthCache) blockWindows(ap geom.Point, spec GridSpec, bins, factor int
 	if sh == nil {
 		sh = c.placeLocked(first, second, e)
 	}
-	if e.blocks == nil {
-		e.blocks = make(map[int]*blockLUT, 1)
-	}
-	e.blocks[factor] = fresh
+	e.blocks = fresh
 	e.cost += cost
 	sh.bytes += cost
 	sh.moveFront(e)

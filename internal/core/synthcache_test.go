@@ -124,7 +124,7 @@ func TestSynthCacheAccountingProperty(t *testing.T) {
 				case 1:
 					lut = c.lutFor(ap, spec, &full, 360)
 				default:
-					c.blockWindows(ap, spec, 360, DefaultCoarseFactor, &full)
+					c.blockWindows(ap, spec, 360, &full)
 				}
 				if lut.bin != nil {
 					key := keyOf(ap, spec, 360)
@@ -288,7 +288,7 @@ func TestSynthCachePassThroughOversized(t *testing.T) {
 	}
 	checkAccounting(t, c)
 	// Block windows on a never-retained entry must still be served.
-	if bl := c.blockWindows(ap, spec, 360, DefaultCoarseFactor, nil); bl == nil {
+	if bl := c.blockWindows(ap, spec, 360, nil); bl == nil {
 		t.Fatal("block windows not served for pass-through entry")
 	}
 	checkAccounting(t, c)

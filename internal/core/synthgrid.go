@@ -26,7 +26,7 @@ package core
 //     pinned on every testbed scene by TestSynthGridMatchesSeedArgmax.
 //
 //  3. Coarse-to-fine — Localize partitions the fine grid into
-//     CoarseFactor×CoarseFactor blocks and screens them by an upper
+//     DefaultCoarseFactor² -cell blocks and screens them by an upper
 //     bound instead of a lattice sample: each block's bearings from
 //     one AP cover a fixed circular window of spectrum bins (cached
 //     beside the LUTs), so max over the window of the AP's log table
@@ -40,8 +40,8 @@ package core
 //     until no unvisited bound beats the best refined cell: a
 //     branch-and-bound argmax, exact by construction, not just on
 //     benign surfaces (narrow multi-AP likelihood spikes slip between
-//     lattice samples; a bound cannot miss them). RefineTopK blocks
-//     are always refined so hill climbing keeps several seeds.
+//     lattice samples; a bound cannot miss them). DefaultRefineTopK
+//     blocks are always refined so hill climbing keeps several seeds.
 
 import (
 	"errors"
@@ -464,18 +464,6 @@ type SynthOptions struct {
 	Workers int
 	// Cache supplies the bearing LUTs (nil means the shared cache).
 	Cache *SynthCache
-	// CoarseFactor is the screening block edge in fine cells (0 means
-	// DefaultCoarseFactor; 1 disables screening).
-	CoarseFactor int
-	// RefineTopK is the minimum number of screening blocks refined (0
-	// means DefaultRefineTopK).
-	RefineTopK int
-	// Yield, when non-nil, is called between serial surface chunks
-	// and screening-block refinements — the cooperative preemption
-	// point Config.SynthYield threads through the pipeline. Only the
-	// serial (Workers ≤ 1) surface path yields: sharded surfaces
-	// belong to latency-lane jobs, which are never preempted.
-	Yield func()
 	// Metrics, when non-nil, accumulates the synthesis kernels' work
 	// counters (blocks refined, bound visits, hill-climb probes and
 	// prunes). Atomic; one instance may be shared across grids.
@@ -492,9 +480,6 @@ type SynthGrid struct {
 	parent   *GridSpec // full-grid spec whose LUTs a region sub-grid views
 	cache    *SynthCache
 	workers  int
-	coarse   int
-	topK     int
-	yield    func()
 	metrics  *SynthMetrics
 	// linearPick and scalarClimb swap in the two oracles the fast
 	// kernels are pinned against — the flat screen (every block bounded,
@@ -516,21 +501,9 @@ func newSynthGrid(spec GridSpec, parent *GridSpec, min, max geom.Point, opt Synt
 	if workers < 1 {
 		workers = 1
 	}
-	coarse := opt.CoarseFactor
-	if coarse == 0 {
-		coarse = DefaultCoarseFactor
-	}
-	if coarse < 1 {
-		coarse = 1
-	}
-	topK := opt.RefineTopK
-	if topK <= 0 {
-		topK = DefaultRefineTopK
-	}
 	return &SynthGrid{
 		spec: spec, parent: parent, min: min, max: max,
-		cache: cache, workers: workers, coarse: coarse, topK: topK,
-		yield: opt.Yield, metrics: opt.Metrics,
+		cache: cache, workers: workers, metrics: opt.Metrics,
 	}
 }
 
@@ -645,22 +618,7 @@ func (sg *SynthGrid) evalSurface(acc []float64, spec GridSpec, luts []bearingLUT
 		workers = cells / shardChunk
 	}
 	if workers <= 1 || cells < minShardCells {
-		if sg.yield == nil {
-			evalRange(acc, luts, logTabs, 0, cells)
-			return
-		}
-		// Serial surface with a preemption point: evaluate in shard-
-		// sized chunks and yield between them, so a batch fix pauses
-		// for a waiting priority job every few thousand cells instead
-		// of pinning the worker for the whole surface.
-		for lo := 0; lo < cells; lo += shardChunk {
-			hi := lo + shardChunk
-			if hi > cells {
-				hi = cells
-			}
-			evalRange(acc, luts, logTabs, lo, hi)
-			sg.yield()
-		}
+		evalRange(acc, luts, logTabs, 0, cells)
 		return
 	}
 	var next atomic.Int64
@@ -741,30 +699,10 @@ func topCells(best []cellCand, k int, acc []float64, lo, hi int) []cellCand {
 	return best
 }
 
-// topCellsYield is topCells over the whole surface with the grid's
-// preemption point between shard-sized chunks: on large grids this
-// scan rivals the surface evaluation itself, and a batch fix must not
-// pin its worker through it.
-func (sg *SynthGrid) topCellsYield(best []cellCand, k int, acc []float64) []cellCand {
-	cells := len(acc)
-	if sg.yield == nil {
-		return topCells(best, k, acc, 0, cells)
-	}
-	for lo := 0; lo < cells; lo += shardChunk {
-		hi := lo + shardChunk
-		if hi > cells {
-			hi = cells
-		}
-		best = topCells(best, k, acc, lo, hi)
-		sg.yield()
-	}
-	return best
-}
-
 // refineEnabled reports whether the coarse screening pass is worth
 // running for this grid.
 func (sg *SynthGrid) refineEnabled() bool {
-	return sg.coarse > 1 && sg.spec.Cells() >= minRefineCells
+	return sg.spec.Cells() >= minRefineCells
 }
 
 // hillClimbSeeds is how many top cells seed hill climbing, mirroring
@@ -792,7 +730,7 @@ func (sg *SynthGrid) candidates(ws *synthWorkspace, aps []APSpectrum, refined bo
 // fullSurface evaluates every fine cell and ranks them all.
 func (sg *SynthGrid) fullSurface(ws *synthWorkspace, luts []bearingLUT, logTabs [][]float64) []cellCand {
 	sg.evalSurface(ws.fine, sg.spec, luts, logTabs)
-	ws.cand = sg.topCellsYield(ws.cand[:0], hillClimbSeeds, ws.fine)
+	ws.cand = topCells(ws.cand[:0], hillClimbSeeds, ws.fine, 0, len(ws.fine))
 	return ws.cand
 }
 

@@ -54,29 +54,11 @@ type Config struct {
 	// synthesis-layer sibling of Steering, with the same nil rule: the
 	// process-wide shared cache.
 	SynthCache *SynthCache
-	// SynthWorkers bounds the goroutines sharding the synthesis
-	// surface. 0 or 1 evaluates serially; DefaultConfig sets
+	// SynthWorkers bounds the goroutines sharding a full synthesis
+	// surface (a grid too small to screen, the screen's fallback,
+	// LogHeatmap). 0 or 1 evaluates serially; DefaultConfig sets
 	// GOMAXPROCS. Results are deterministic regardless.
 	SynthWorkers int
-	// CoarseFactor is the synthesis coarse-to-fine screening block
-	// edge in fine cells: the grid search bounds CoarseFactor² -cell
-	// blocks and refines them at full resolution in bound order,
-	// stopping when no remaining bound beats the best refined cell —
-	// the refined argmax equals the full-grid argmax exactly. 0
-	// selects DefaultCoarseFactor (5); 1 evaluates the full grid.
-	CoarseFactor int
-	// RefineTopK is the minimum number of screening blocks the
-	// synthesis screen refines (0 selects DefaultRefineTopK).
-	RefineTopK int
-	// SynthYield, when non-nil, is called by the staged synthesis
-	// loops between surface chunks and screening-block refinements —
-	// a cooperative preemption point. The engine points batch jobs'
-	// yield at its scheduler, so a waiting priority job runs inline
-	// mid-surface (microseconds of latency) instead of behind the
-	// whole in-flight fix (tens of milliseconds). The callback may
-	// run arbitrary work; the surface being evaluated is paused, not
-	// abandoned. nil never yields.
-	SynthYield func()
 	// Estimator is the pluggable frame→spectrum stage (nil means
 	// MUSIC, the paper's pipeline). See music.EstimatorByName.
 	Estimator music.Estimator
@@ -118,8 +100,6 @@ func DefaultConfig(wavelength float64) Config {
 		APWorkers:           runtime.GOMAXPROCS(0),
 		SynthCache:          SharedSynthCache(),
 		SynthWorkers:        runtime.GOMAXPROCS(0),
-		CoarseFactor:        DefaultCoarseFactor,
-		RefineTopK:          DefaultRefineTopK,
 	}
 }
 

@@ -5,13 +5,13 @@
 // once — by parallelizing across clients over shared steering-vector
 // and bearing-LUT caches.
 //
-// Scheduling is delegated to the sched subsystem (per-client quotas,
-// queue ageing, cooperative yield-steal preemption), and the
-// steady-state serving path is predictive: when a client has a live
-// Kalman track, the engine derives a search region from the
-// prediction's gate covariance, localizes inside it, and verifies the
-// result — falling back to the full grid whenever the verification
-// fails, so accuracy is never worse than full-grid serving.
+// Scheduling is delegated to the sched subsystem (a latency lane,
+// per-client quotas, queue ageing), and the steady-state serving path
+// is predictive: when a client has a live Kalman track, the engine
+// derives a search region from the prediction's gate covariance,
+// localizes inside it, and verifies the result — falling back to the
+// full grid whenever the verification fails, so accuracy is never worse
+// than full-grid serving.
 package engine
 
 import (
@@ -74,11 +74,11 @@ type Request struct {
 	Region core.Region
 	// Priority routes the job through the engine's latency lane:
 	// workers prefer it over queued batch traffic (up to the
-	// scheduler's ageing bound), batch jobs mid-surface yield to it,
-	// and its synthesis surface is sharded across the config's
-	// SynthWorkers instead of being clamped to one goroutine. Meant
-	// for single interactive fixes (typically region queries), not
-	// bulk submission.
+	// scheduler's ageing bound). A job already in flight is never
+	// interrupted: the wait is at most one fix, whose synthesis is
+	// bounded by one screened surface (core's TestSynthJobSizeBound).
+	// Meant for single interactive fixes (typically region queries),
+	// not bulk submission.
 	Priority bool
 	// Time is the capture timestamp, used by the tracker to advance
 	// the client's Kalman state. Zero means the tracker's clock.
@@ -129,17 +129,11 @@ type Options struct {
 	// lane before the scheduler serves it anyway. 0 means
 	// sched.DefaultAgeLimit; negative disables ageing.
 	AgeLimit time.Duration
-	// Config is the pipeline configuration applied to every job. For
-	// batch jobs the engine clamps Config.APWorkers and
-	// Config.SynthWorkers to 1: the pool already keeps every core
-	// busy across clients, so per-AP or per-shard fan-out inside a
-	// worker would only oversubscribe the machine. Priority jobs keep
-	// the configured SynthWorkers — a single interactive fix shards
-	// its surface across cores the batch lane is not saturating.
-	// Synthesis reuses the cached bearing LUTs and the coarse-to-fine
-	// screen either way. Config.SynthYield is owned by the engine
-	// (batch jobs yield to the scheduler); any caller value is
-	// overwritten.
+	// Config is the pipeline configuration applied to every job, with
+	// Config.APWorkers and Config.SynthWorkers clamped to 1: the pool
+	// already keeps every core busy across clients, so per-AP or
+	// per-shard fan-out inside a worker would only oversubscribe the
+	// machine.
 	Config core.Config
 	// Tracker, when non-nil, folds every successful fix into the
 	// client's Kalman track; results carry the smoothed update and
@@ -255,9 +249,6 @@ type Stats struct {
 	// AgedBatch counts batch jobs the scheduler served ahead of
 	// waiting priority traffic because they aged past the limit.
 	AgedBatch uint64
-	// PriorityStolen counts priority jobs run inline by a batch
-	// worker at a synthesis yield point (preemption mid-surface).
-	PriorityStolen uint64
 	// Workers is the pool size.
 	Workers int
 	// Queued is the instantaneous batch queue depth.
@@ -277,11 +268,9 @@ type job struct {
 // Engine runs localization jobs on a fixed worker pool scheduled by
 // the sched subsystem: a deep batch lane and a shallow latency lane
 // workers prefer (bounded by ageing), with per-client admission
-// quotas and mid-surface preemption. All methods are safe for
-// concurrent use.
+// quotas. All methods are safe for concurrent use.
 type Engine struct {
-	batch     *core.Pipeline // batch lane: APWorkers/SynthWorkers clamped to 1, yields to the scheduler
-	prio      *core.Pipeline // latency lane: SynthWorkers kept for surface sharding, never yields
+	pipe      *core.Pipeline // APWorkers/SynthWorkers clamped to 1
 	tracker   *Tracker
 	q         *sched.Queue
 	predSigma atomic.Uint64 // Float64bits; 0 = predictive path disabled; hot-reloaded by SetPredictSigma
@@ -323,17 +312,11 @@ func New(opt Options) *Engine {
 	if prioQueue <= 0 {
 		prioQueue = workers
 	}
-	prioCfg := opt.Config
-	if prioCfg.APWorkers > 1 {
-		prioCfg.APWorkers = 1
-	}
-	prioCfg.SynthYield = nil // latency-lane jobs are the preemptors, never the preempted
-	cfg := prioCfg
-	if cfg.SynthWorkers > 1 {
-		cfg.SynthWorkers = 1
-	}
+	cfg := opt.Config
+	cfg.APWorkers = min(cfg.APWorkers, 1)
+	cfg.SynthWorkers = min(cfg.SynthWorkers, 1)
 	e := &Engine{
-		prio:    core.NewPipeline(prioCfg),
+		pipe:    core.NewPipeline(cfg),
 		tracker: opt.Tracker,
 		q: sched.New(sched.Options{
 			BatchDepth:    queue,
@@ -356,11 +339,6 @@ func New(opt Options) *Engine {
 	if opt.ShedAfter > 0 {
 		e.shedAfter.Store(int64(opt.ShedAfter))
 	}
-	// Batch jobs yield between synthesis chunks: a waiting priority
-	// job is stolen and run inline, preempting the batch surface by
-	// microseconds instead of a whole in-flight fix.
-	cfg.SynthYield = e.yieldSteal
-	e.batch = core.NewPipeline(cfg)
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go e.worker()
@@ -401,22 +379,8 @@ func (e *Engine) execute(it sched.Item) {
 	j.done(r)
 }
 
-// yieldSteal is the cooperative preemption point the batch config's
-// SynthYield points at: if a priority job is waiting, run it inline
-// on this worker, then resume the paused batch surface. Priority jobs
-// never yield, so the steal cannot recurse.
-func (e *Engine) yieldSteal() {
-	if it, ok := e.q.TryPriority(); ok {
-		e.execute(it)
-	}
-}
-
 func (e *Engine) run(req Request) Result {
-	p := e.batch
-	if req.Priority {
-		p = e.prio
-	}
-	specs, err := p.ProcessAPs(req.APs, req.Captures)
+	specs, err := e.pipe.ProcessAPs(req.APs, req.Captures)
 	if err != nil {
 		e.failures.Add(1)
 		if errors.Is(err, core.ErrShortCapture) {
@@ -429,10 +393,10 @@ func (e *Engine) run(req Request) Result {
 	// Predictive path: spectra are processed exactly once; only the
 	// synthesis stage retries on fallback, so a fallback costs one
 	// extra (full-grid) search, never a pipeline rerun.
-	if pos, ok := e.predictiveFix(p, req, specs); ok {
+	if pos, ok := e.predictiveFix(req, specs); ok {
 		r.Pos, r.Predicted = pos, true
 	} else {
-		r.Pos, err = p.SynthesizeRegion(specs, req.Min, req.Max, req.Region)
+		r.Pos, err = e.pipe.SynthesizeRegion(specs, req.Min, req.Max, req.Region)
 		if err != nil {
 			r.Spectra = nil
 			r.Err = err
@@ -461,7 +425,7 @@ func (e *Engine) run(req Request) Result {
 // prediction's Mahalanobis gate. Any other outcome falls back to the
 // full grid, so a served fix is either verified-predictive or exactly
 // what full-grid serving would produce.
-func (e *Engine) predictiveFix(p *core.Pipeline, req Request, specs []core.APSpectrum) (geom.Point, bool) {
+func (e *Engine) predictiveFix(req Request, specs []core.APSpectrum) (geom.Point, bool) {
 	sigma := e.PredictSigma()
 	if sigma <= 0 || e.tracker == nil || !req.Region.IsZero() {
 		return geom.Point{}, false
@@ -471,8 +435,8 @@ func (e *Engine) predictiveFix(p *core.Pipeline, req Request, specs []core.APSpe
 		e.predNoTrack.Add(1)
 		return geom.Point{}, false
 	}
-	region := PredictRegion(pred, sigma, p.Config().GridCell)
-	pos, interior, err := p.SynthesizeRegionInterior(specs, req.Min, req.Max, region)
+	region := PredictRegion(pred, sigma, e.pipe.Config().GridCell)
+	pos, interior, err := e.pipe.SynthesizeRegionInterior(specs, req.Min, req.Max, region)
 	switch {
 	case err != nil:
 		// E.g. the predicted box fell outside the search area after a
@@ -670,7 +634,6 @@ func (e *Engine) Stats() Stats {
 		PredictFallbackError:   e.predRegionErr.Load(),
 		PrioritySubmitted:      e.prioSub.Load(),
 		AgedBatch:              qs.Aged,
-		PriorityStolen:         qs.Stolen,
 		Workers:                e.workers,
 		Queued:                 qs.BatchQueued,
 		PriorityQueued:         qs.PriorityQueued,
@@ -680,8 +643,7 @@ func (e *Engine) Stats() Stats {
 		s.TrackedClients = ts.Clients
 		s.TrackRejects = ts.GateRejects
 	}
-	// Both lanes share the resolved caches; read them through one.
-	cfg := e.batch.Config()
+	cfg := e.pipe.Config()
 	syn := cfg.SynthCache.Usage()
 	s.SynthLUTs = syn.Entries
 	s.SynthBytes = syn.Bytes

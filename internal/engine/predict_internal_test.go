@@ -55,13 +55,12 @@ func TestPredictiveFixVerifyAndFallbacks(t *testing.T) {
 	if !ok {
 		t.Fatal("matured track did not predict")
 	}
-	p := eng.batch
 	req := Request{ClientID: 7, Min: geom.Pt(0, 0), Max: geom.Pt(40, 16), Time: at}
 
 	// Verified hit: the scene's peak sits near the predicted position,
 	// strictly inside the gate box.
 	target := geom.Pt(20.3, 8.2)
-	pos, served := eng.predictiveFix(p, req, lobeScene(target))
+	pos, served := eng.predictiveFix(req, lobeScene(target))
 	if !served {
 		t.Fatalf("peak at %v near prediction %v was not served predictively", target, pred.Pos)
 	}
@@ -80,21 +79,21 @@ func TestPredictiveFixVerifyAndFallbacks(t *testing.T) {
 	if d := math.Sqrt(pred.MahalanobisSq(corner)); d <= pred.Gate {
 		t.Fatalf("test setup: corner %v at %.2fσ, need > gate %.1f", corner, d, pred.Gate)
 	}
-	if _, served := eng.predictiveFix(p, req, lobeScene(corner)); served {
+	if _, served := eng.predictiveFix(req, lobeScene(corner)); served {
 		t.Fatal("gate-rejected peak was served predictively")
 	}
 
 	// Border fallback: the peak lies well outside the predicted box,
 	// so the region argmax hugs an open border.
 	outside := geom.Pt(hi.X+4, pred.Pos.Y)
-	if _, served := eng.predictiveFix(p, req, lobeScene(outside)); served {
+	if _, served := eng.predictiveFix(req, lobeScene(outside)); served {
 		t.Fatal("peak outside the predicted region was served predictively")
 	}
 
 	// No track: an unknown client never predicts.
 	req99 := req
 	req99.ClientID = 99
-	if _, served := eng.predictiveFix(p, req99, lobeScene(target)); served {
+	if _, served := eng.predictiveFix(req99, lobeScene(target)); served {
 		t.Fatal("client with no track was served predictively")
 	}
 
@@ -102,14 +101,14 @@ func TestPredictiveFixVerifyAndFallbacks(t *testing.T) {
 	// box (as after a long coast off the floor) falls back cleanly.
 	reqFar := req
 	reqFar.Min, reqFar.Max = geom.Pt(30, 0), geom.Pt(40, 16)
-	if _, served := eng.predictiveFix(p, reqFar, lobeScene(target)); served {
+	if _, served := eng.predictiveFix(reqFar, lobeScene(target)); served {
 		t.Fatal("prediction outside the search area was served predictively")
 	}
 
 	// An explicit per-request region always wins over prediction.
 	reqRegion := req
 	reqRegion.Region = core.Region{Min: geom.Pt(1, 1), Max: geom.Pt(5, 5)}
-	if _, served := eng.predictiveFix(p, reqRegion, lobeScene(target)); served {
+	if _, served := eng.predictiveFix(reqRegion, lobeScene(target)); served {
 		t.Fatal("explicit region request took the predictive path")
 	}
 

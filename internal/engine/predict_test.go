@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -206,11 +207,10 @@ func TestEngineClientQuota(t *testing.T) {
 // pass.
 func TestEngineFairnessUnderPriorityFlood(t *testing.T) {
 	aps, cfg, mkStreams := syntheticSetup()
-	// Staged synthesis on a fine grid so batch surfaces hold real
-	// yield points; ageing is tight so the flood's backlog (≥ quota ×
-	// hostiles jobs deep) comfortably outlasts it.
+	// Ageing is tight so the flood's backlog (≥ 20 jobs deep before the
+	// worker is released) outlasts it.
 	cfg.SynthCache = core.NewSynthCache()
-	cfg.GridCell = 0.008 // ~376k cells ≈ 1ms/fix: the backlog outlasts the age limit
+	cfg.GridCell = 0.008 // ~376k cells: a screened fix, not a full surface
 	const ageLimit = 5 * time.Millisecond
 	eng := engine.New(engine.Options{
 		Workers:       1,
@@ -303,6 +303,10 @@ func TestEngineFairnessUnderPriorityFlood(t *testing.T) {
 			}
 		}
 	}
+	// Every batch head is past the age limit before the worker is
+	// released, so the first pop after the plug must age one out ahead
+	// of the waiting flood.
+	time.Sleep(2 * ageLimit)
 	close(release) // let the worker loose on the loaded lanes
 
 	counts := map[uint32]int{}
@@ -326,80 +330,79 @@ func TestEngineFairnessUnderPriorityFlood(t *testing.T) {
 		t.Fatalf("per-client completions %v, want %d each", counts, perClient)
 	}
 	st := eng.Stats()
-	// Ageing promotes batch heads past waiting priority traffic;
-	// yield-steal services the lane from inside batch surfaces. Either
-	// way the flood must have been actively managed, not merely
-	// outrun. (The deterministic ageing bound itself is pinned with a
-	// fake clock in sched.TestNoStarvationUnderPriorityFlood and
+	// Ageing alone services the batch jobs past the waiting flood: a
+	// job in flight is never interrupted, so nothing else can. (The
+	// deterministic ageing bound itself is pinned with a fake clock in
+	// sched.TestNoStarvationUnderPriorityFlood and
 	// TestAgeingPromotesBatchHead.)
-	if st.AgedBatch == 0 && st.PriorityStolen == 0 {
-		t.Fatalf("neither ageing nor yield-steal engaged during the flood: %+v", st)
+	if st.AgedBatch == 0 {
+		t.Fatalf("ageing never engaged during the flood: %+v", st)
 	}
-	t.Logf("flood stats: hostile completed %d, aged %d, stolen %d, quota rejected %d",
-		hostileDone.Load(), st.AgedBatch, st.PriorityStolen, st.QuotaRejected)
+	t.Logf("flood stats: hostile completed %d, aged %d, quota rejected %d",
+		hostileDone.Load(), st.AgedBatch, st.QuotaRejected)
 }
 
-// TestEngineYieldStealsMidSurface: a priority job submitted while the
-// single worker is deep inside a batch synthesis surface is stolen at
-// a yield point and completes before the batch job does — mid-surface
-// preemption, not queue-jump.
+// TestEngineYieldStealsMidSurface: the latency lane jumps the queue
+// but never interrupts a job in flight. With the single worker plugged
+// by a batch job whose done callback blocks, a backlog of batch jobs
+// and then one priority job are queued; the completion order must be
+// exactly the plug, the priority job, then the backlog in FIFO order.
 func TestEngineYieldStealsMidSurface(t *testing.T) {
 	aps, cfg, mkStreams := syntheticSetup()
-	cfg.SynthCache = core.NewSynthCache()
-	cfg.GridCell = 0.004 // ~1.5M cells: tens of milliseconds of serial surface
-	eng := engine.New(engine.Options{Workers: 1, Config: cfg})
+	const backlog = 4
+	// Ageing off: a slow (race-instrumented) run must not let the
+	// backlog's head age past the priority job.
+	eng := engine.New(engine.Options{Workers: 1, AgeLimit: -1, Config: cfg})
 	defer eng.Close()
 
-	var order []string
+	var order []uint32
 	var mu sync.Mutex
-	record := func(tag string) func(engine.Result) {
-		return func(r engine.Result) {
-			mu.Lock()
-			order = append(order, tag)
-			mu.Unlock()
-		}
-	}
 	var wg sync.WaitGroup
-	wg.Add(2)
-	if err := eng.Submit(mkReq2(aps, mkStreams, 1, false), func(r engine.Result) {
-		record("batch")(r)
+	record := func(r engine.Result) {
+		if r.Err != nil {
+			t.Error(r.Err)
+		}
+		mu.Lock()
+		order = append(order, r.ClientID)
+		mu.Unlock()
 		wg.Done()
+	}
+	release := make(chan struct{})
+	wg.Add(backlog + 2)
+	if err := eng.Submit(mkReq2(aps, mkStreams, 100, false), func(r engine.Result) {
+		record(r)
+		<-release
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the worker has dequeued the batch job, then hand the
-	// lane a priority job while the surface is in flight.
 	for deadline := time.Now().Add(5 * time.Second); eng.Stats().Queued != 0; {
 		if time.Now().After(deadline) {
-			t.Fatal("worker never dequeued the batch job")
+			t.Fatal("worker never dequeued the plug job")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if err := eng.Submit(mkReq2(aps, mkStreams, 2, true), func(r engine.Result) {
-		record("prio")(r)
-		wg.Done()
-	}); err != nil {
+	want := []uint32{100, 200}
+	for id := uint32(1); id <= backlog; id++ {
+		if err := eng.Submit(mkReq2(aps, mkStreams, id, false), record); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, id)
+	}
+	if err := eng.Submit(mkReq2(aps, mkStreams, 200, true), record); err != nil {
 		t.Fatal(err)
 	}
+	close(release)
 	wg.Wait()
 
-	st := eng.Stats()
-	if st.PriorityStolen == 0 {
-		// The batch surface may already have passed its last yield
-		// point when the priority job landed; that is a scheduling
-		// race, not a preemption failure — but it should be rare with
-		// a surface this large.
-		t.Fatalf("priority job was not stolen mid-surface (order %v, stats %+v)", order, st)
-	}
 	mu.Lock()
 	defer mu.Unlock()
-	if order[0] != "prio" {
-		t.Fatalf("completion order %v: stolen priority job must finish before the batch fix", order)
+	if !slices.Equal(order, want) {
+		t.Fatalf("completion order %v, want %v: plug, priority, then the backlog in FIFO order", order, want)
 	}
 }
 
-// mkReq2 builds a two-AP synthetic request (helper for the
-// preemption tests).
+// mkReq2 builds a two-AP synthetic request (helper for the lane-order
+// test).
 func mkReq2(aps []*core.AP, mkStreams func(*rand.Rand) [][]complex128, id uint32, prio bool) engine.Request {
 	return engine.Request{
 		ClientID: id,

@@ -36,8 +36,8 @@ func TestEngineRegionMatchesDirect(t *testing.T) {
 		r.Pos.Y < req.Region.Min.Y || r.Pos.Y > req.Region.Max.Y {
 		t.Fatalf("region fix %v escaped box", r.Pos)
 	}
-	// Engine workers clamp SynthWorkers to 1 for batch jobs; the
-	// direct reference must use the same effective config.
+	// Engine workers clamp APWorkers and SynthWorkers to 1; the
+	// direct reference uses the same effective config.
 	direct := cfg
 	direct.APWorkers = 1
 	direct.SynthWorkers = 1
@@ -49,8 +49,7 @@ func TestEngineRegionMatchesDirect(t *testing.T) {
 		t.Fatalf("engine region fix %v != direct region fix %v", r.Pos, pos)
 	}
 
-	// A priority region request must agree too (surface sharding does
-	// not change the surface; pinned bit-identical in core).
+	// A priority region request must agree too.
 	req.Priority = true
 	rp := eng.Locate(req)
 	if rp.Err != nil {

@@ -1,6 +1,6 @@
 // Package sched is the engine's scheduler subsystem: the admission
 // and ordering policy for localization jobs, extracted from the
-// engine's original two-channel hack into a real queue with three
+// engine's original two-channel hack into a real queue with two
 // properties the open-network deployment needs:
 //
 //   - per-client token quotas spanning both lanes — one client (or a
@@ -11,12 +11,7 @@
 //   - queue ageing — workers prefer the latency lane, but a batch job
 //     whose head-of-line wait exceeds AgeLimit is served ahead of
 //     waiting priority traffic, so a sustained priority flood delays
-//     batch work by a bounded amount instead of starving it;
-//   - cooperative steal — TryPriority lets a worker that is mid-way
-//     through a batch surface pick up a waiting priority job at a
-//     yield point and run it inline, preempting the batch fix by
-//     tens of microseconds instead of the 20–50 ms a full in-flight
-//     synthesis would otherwise pin the worker for.
+//     batch work by a bounded amount instead of starving it.
 //
 // The queue is deliberately payload-agnostic (Payload any): ordering
 // policy lives here, localization lives in the engine.
@@ -37,9 +32,10 @@ var ErrClosed = errors.New("sched: queue closed")
 var ErrQuota = errors.New("sched: client quota exceeded")
 
 // DefaultAgeLimit bounds how long a batch job can wait behind the
-// latency lane before it is served anyway. A batch fix costs tens of
-// milliseconds, so a few fixes' worth keeps the lane responsive while
-// guaranteeing batch progress under a priority flood.
+// latency lane before it is served anyway. A fix costs ≈ 0.1–0.5 ms of
+// CPU, so the limit is 400–2,000 fixes' worth: the lane stays
+// responsive to a burst of interactive fixes, and batch progress is
+// still guaranteed under a sustained priority flood.
 const DefaultAgeLimit = 200 * time.Millisecond
 
 // Item is one scheduled unit of work.
@@ -86,9 +82,6 @@ type Stats struct {
 	Aged uint64
 	// QuotaRejected counts pushes refused with ErrQuota.
 	QuotaRejected uint64
-	// Stolen counts priority jobs handed out through TryPriority — a
-	// batch worker preempting its own surface at a yield point.
-	Stolen uint64
 	// BatchQueued and PriorityQueued are instantaneous lane depths.
 	BatchQueued, PriorityQueued int
 	// Clients is the number of identities currently holding tokens.
@@ -135,15 +128,10 @@ type Queue struct {
 	tokens   map[uint32]int // admitted-but-not-Done count per client
 	closed   bool
 
-	// prioLen mirrors prio.len() so the yield fast path costs one
-	// atomic load, not a mutex.
-	prioLen atomic.Int32
-
 	pushed     atomic.Uint64
 	pushedPrio atomic.Uint64
 	aged       atomic.Uint64
 	quotaRej   atomic.Uint64
-	stolen     atomic.Uint64
 }
 
 // New returns a queue with the given options.
@@ -195,7 +183,6 @@ func (q *Queue) Push(it Item) error {
 	q.tokens[it.Client]++
 	if it.Priority {
 		q.prio.push(it)
-		q.prioLen.Add(1)
 		q.pushedPrio.Add(1)
 	} else {
 		q.batch.push(it)
@@ -233,28 +220,8 @@ func (q *Queue) popLocked() Item {
 		}
 	}
 	it := q.prio.pop()
-	q.prioLen.Add(-1)
 	q.space.Broadcast()
 	return it
-}
-
-// TryPriority hands out a waiting priority item without blocking —
-// the cooperative steal a batch worker performs at a synthesis yield
-// point. The fast path (empty lane) is one atomic load.
-func (q *Queue) TryPriority() (Item, bool) {
-	if q.prioLen.Load() == 0 {
-		return Item{}, false
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.prio.len() == 0 {
-		return Item{}, false
-	}
-	it := q.prio.pop()
-	q.prioLen.Add(-1)
-	q.stolen.Add(1)
-	q.space.Broadcast()
-	return it, true
 }
 
 // SetClientQuota hot-reloads the per-client token budget (0 =
@@ -309,7 +276,7 @@ func (q *Queue) InFlight(client uint32) int {
 }
 
 // Done returns a client's token, releasing quota held since Push.
-// Call it exactly once per popped (or stolen) item, after the job
+// Call it exactly once per popped item, after the job
 // completes.
 func (q *Queue) Done(client uint32) {
 	q.mu.Lock()
@@ -331,10 +298,6 @@ func (q *Queue) Close() {
 	q.space.Broadcast()
 }
 
-// PendingPriority reports whether the latency lane is non-empty (one
-// atomic load; the yield-point fast path).
-func (q *Queue) PendingPriority() bool { return q.prioLen.Load() > 0 }
-
 // Stats returns a snapshot of the queue's counters.
 func (q *Queue) Stats() Stats {
 	q.mu.Lock()
@@ -348,6 +311,5 @@ func (q *Queue) Stats() Stats {
 	s.PushedPriority = q.pushedPrio.Load()
 	s.Aged = q.aged.Load()
 	s.QuotaRejected = q.quotaRej.Load()
-	s.Stolen = q.stolen.Load()
 	return s
 }

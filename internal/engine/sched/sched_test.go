@@ -119,28 +119,33 @@ func TestClientQuotaSpansLanes(t *testing.T) {
 	}
 }
 
+// TestTryPrioritySteal: the lane depths Stats reports track every push
+// and pop on both lanes — the read the engine's PriorityQueued and
+// Queued gauges rest on.
 func TestTryPrioritySteal(t *testing.T) {
-	q := New(Options{})
-	if _, ok := q.TryPriority(); ok {
-		t.Fatal("TryPriority on empty lane must fail")
+	q := New(Options{AgeLimit: -1})
+	depths := func(wantBatch, wantPrio int) {
+		t.Helper()
+		if s := q.Stats(); s.BatchQueued != wantBatch || s.PriorityQueued != wantPrio {
+			t.Fatalf("depths batch=%d prio=%d, want %d and %d", s.BatchQueued, s.PriorityQueued, wantBatch, wantPrio)
+		}
 	}
+	depths(0, 0)
 	q.Push(Item{Client: 1, Payload: "batch"})
-	if _, ok := q.TryPriority(); ok {
-		t.Fatal("TryPriority must never hand out batch work")
-	}
+	depths(1, 0)
 	q.Push(Item{Client: 2, Priority: true, Payload: "prio"})
-	if !q.PendingPriority() {
-		t.Fatal("PendingPriority false with a queued priority item")
+	q.Push(Item{Client: 3, Priority: true, Payload: "prio"})
+	depths(1, 2)
+	for _, want := range []struct {
+		batch, prio int
+	}{{1, 1}, {1, 0}, {0, 0}} {
+		if _, ok := q.Pop(); !ok {
+			t.Fatal("Pop on a non-empty queue failed")
+		}
+		depths(want.batch, want.prio)
 	}
-	it, ok := q.TryPriority()
-	if !ok || it.Payload != "prio" {
-		t.Fatalf("TryPriority = %+v %v", it, ok)
-	}
-	if q.PendingPriority() {
-		t.Fatal("PendingPriority true after the lane drained")
-	}
-	if s := q.Stats(); s.Stolen != 1 {
-		t.Fatalf("Stolen = %d, want 1", s.Stolen)
+	if s := q.Stats(); s.Pushed != 3 || s.PushedPriority != 2 {
+		t.Fatalf("Pushed = %d (priority %d), want 3 (2)", s.Pushed, s.PushedPriority)
 	}
 }
 
@@ -313,7 +318,7 @@ func TestNoStarvationUnderPriorityFlood(t *testing.T) {
 			waits[r.client]++
 			// Bounded wait: each job is behind at most 7 other batch
 			// jobs, each of which must age out (≤ ageLimit) and run
-			// (~1ms) with priority steals (~1ms each) interleaved.
+			// (~1ms) with priority jobs (~1ms each) interleaved.
 			// 8×(ageLimit+10ms) is a loose, non-flaky ceiling; without
 			// ageing the wait would be unbounded (the flood never stops).
 			if limit := 8 * (ageLimit + 10*time.Millisecond); r.wait > limit {

@@ -97,7 +97,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.counter("arraytrack_rejected_total", "Submissions refused (closed or quota).", st.Rejected)
 	p.counter("arraytrack_quota_rejected_total", "Submissions refused with the per-client quota.", st.QuotaRejected)
 	p.counter("arraytrack_sched_aged_batch_total", "Batch jobs served ahead of priority traffic after ageing out.", st.AgedBatch)
-	p.counter("arraytrack_sched_priority_stolen_total", "Priority jobs run inline at a batch synthesis yield point.", st.PriorityStolen)
 
 	p.counter("arraytrack_predicted_fixes_total", "Fixes served from the verified track-guided region.", st.Predicted)
 	for _, f := range []struct {
