@@ -484,7 +484,7 @@ func BenchmarkRegionLocalize(b *testing.B) {
 	}
 
 	b.Run("warm", func(b *testing.B) {
-		cache := core.NewSynthCacheBudget(64 << 20)
+		cache := core.NewSynthCache(64 << 20)
 		sg, err := core.NewSynthGridRegion(min, max, mkRegion(0), core.SynthOptions{Cell: cell, Workers: 1, Cache: cache})
 		if err != nil {
 			b.Fatal(err)
@@ -501,7 +501,7 @@ func BenchmarkRegionLocalize(b *testing.B) {
 		}
 	})
 	b.Run("sliced", func(b *testing.B) {
-		cache := core.NewSynthCacheBudget(64 << 20)
+		cache := core.NewSynthCache(64 << 20)
 		full, err := core.NewSynthGrid(min, max, core.SynthOptions{Cell: cell, Workers: 1, Cache: cache})
 		if err != nil {
 			b.Fatal(err)
@@ -523,7 +523,7 @@ func BenchmarkRegionLocalize(b *testing.B) {
 		}
 	})
 	b.Run("churn", func(b *testing.B) {
-		cache := core.NewSynthCacheBudget(1 << 20)
+		cache := core.NewSynthCache(1 << 20)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

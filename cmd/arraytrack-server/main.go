@@ -50,10 +50,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/lru"
 	"repro/internal/music"
 	"repro/internal/ops"
 	"repro/internal/server"
@@ -76,6 +78,13 @@ func applyKnobsFile(srv *ops.Server, path string) {
 	log.Printf("knobs: applied %v from %s", srv.Apply(k), path)
 }
 
+// cacheLine formats one cache's series as " name=value" pairs.
+func cacheLine(u lru.Usage) string {
+	var b strings.Builder
+	ops.CacheSeries("", u, func(name, _ string, _ bool, v uint64) { fmt.Fprintf(&b, " %s=%d", name, v) })
+	return b.String()
+}
+
 func logStats(eng *engine.Engine, backend *server.Backend) {
 	st := eng.Stats()
 	log.Printf("stats: submitted=%d (prio=%d) completed=%d fixes=%d failures=%d rejected=%d (quota=%d) tracked=%d gate_rejects=%d queued=%d prio_queued=%d pending_clients=%d workers=%d",
@@ -84,11 +93,10 @@ func logStats(eng *engine.Engine, backend *server.Backend) {
 	log.Printf("sched: aged=%d | predictive: served=%d fallbacks no_track=%d border=%d gate=%d error=%d",
 		st.AgedBatch, st.Predicted,
 		st.PredictFallbackNoTrack, st.PredictFallbackBorder, st.PredictFallbackGate, st.PredictFallbackError)
-	log.Printf("synth cache: entries=%d bytes=%d budget=%d hits=%d misses=%d evictions=%d slices=%d second_choice=%d spills=%d dense_evictions=%d",
-		st.SynthLUTs, st.SynthBytes, st.SynthBudget, st.SynthHits, st.SynthMisses, st.SynthEvictions, st.SynthSlices,
-		st.SynthSecondChoice, st.SynthSpills, st.SynthDenseEvictions)
-	log.Printf("steering cache: entries=%d bytes=%d budget=%d hits=%d misses=%d evictions=%d",
-		st.SteeringTables, st.SteeringBytes, st.SteeringBudget, st.SteeringHits, st.SteeringMisses, st.SteeringEvictions)
+	cfg := eng.Config()
+	syn := cfg.SynthCache.Usage()
+	log.Printf("synth cache:%s slices_total=%d", cacheLine(syn.Usage), syn.Slices)
+	log.Printf("steering cache:%s", cacheLine(cfg.Steering.Usage()))
 	if u := backend.UDP(); u.Datagrams > 0 || u.Bad > 0 {
 		log.Printf("udp feed: datagrams=%d captures=%d bad=%d seq_gaps=%d reorders=%d",
 			u.Datagrams, u.Captures, u.Bad, u.SeqGaps, u.SeqReorders)
@@ -173,10 +181,10 @@ func main() {
 	}
 	cfg.Estimator = est
 	if *synthBudget != core.SharedSynthCache().Budget() {
-		cfg.SynthCache = core.NewSynthCacheBudget(*synthBudget)
+		cfg.SynthCache = core.NewSynthCache(*synthBudget)
 	}
 	if *steeringBudget != music.SharedSteeringCache().Budget() {
-		cfg.Steering = music.NewSteeringCacheBudget(*steeringBudget)
+		cfg.Steering = music.NewSteeringCache(*steeringBudget)
 	}
 
 	tracker := engine.NewTracker(engine.TrackerOptions{TTL: *trackTTL})
@@ -296,8 +304,6 @@ func main() {
 
 	opsSrv := &ops.Server{
 		Engine:         eng,
-		SynthCache:     cfg.SynthCache,
-		Steering:       cfg.Steering,
 		PendingClients: backend.PendingClients,
 		Backend:        backend,
 		Sink:           sink,

@@ -33,7 +33,7 @@ func cleanScene(client geom.Point) []APSpectrum {
 //     argmax also touches an open side.
 func TestRegionInteriorReporting(t *testing.T) {
 	min, max := synthBounds()
-	cache := NewSynthCache()
+	cache := NewSynthCache(0)
 	mk := func(region Region) *SynthGrid {
 		t.Helper()
 		sg, err := NewSynthGridRegion(min, max, region, SynthOptions{
@@ -99,7 +99,7 @@ func TestRegionInteriorReporting(t *testing.T) {
 // region (no parent grid, so every side is open) and the zero region.
 func TestSynthesizeRegionInterior(t *testing.T) {
 	min, max := synthBounds()
-	p := NewPipeline(Config{Wavelength: lambda, GridCell: 0.10, SynthCache: NewSynthCache()})
+	p := NewPipeline(Config{Wavelength: lambda, GridCell: 0.10, SynthCache: NewSynthCache(0)})
 
 	cases := []struct {
 		name   string

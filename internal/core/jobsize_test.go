@@ -54,7 +54,7 @@ func TestSynthJobSizeBound(t *testing.T) {
 	if finest >= cell {
 		t.Fatalf("finest admitted pitch %v is not finer than the %v grid", finest, cell)
 	}
-	opt := core.SynthOptions{Cell: cell, Workers: 1, Cache: core.NewSynthCache()}
+	opt := core.SynthOptions{Cell: cell, Workers: 1, Cache: core.NewSynthCache(0)}
 	if _, err := core.NewSynthGridRegion(tb.Plan.Min, tb.Plan.Max, region(math.Nextafter(finest, 0)), opt); !errors.Is(err, core.ErrBadRegion) {
 		t.Fatalf("pitch one step finer than %v: err = %v, want ErrBadRegion", finest, err)
 	}

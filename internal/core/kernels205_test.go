@@ -27,7 +27,7 @@ func TestKernelsExactOn205Scenes(t *testing.T) {
 	}
 	var metrics core.SynthMetrics
 	fast, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(), Metrics: &metrics,
+		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(0), Metrics: &metrics,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestHierScreenRefinesFlatOrder(t *testing.T) {
 	if len(scenes) != 205 {
 		t.Fatalf("built %d scenes, want 205", len(scenes))
 	}
-	cache := core.NewSynthCache()
+	cache := core.NewSynthCache(0)
 	for i, scene := range scenes {
 		check(fmt.Sprintf("scene %d", i), core.Region{}, cache, scene)
 	}
@@ -249,7 +249,7 @@ func TestScreenBoundEvalsOnTestbed(t *testing.T) {
 	for _, nAPs := range []int{3, 6} {
 		var m core.SynthMetrics
 		sg, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-			Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(), Metrics: &m,
+			Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(0), Metrics: &m,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -297,7 +297,7 @@ func BenchmarkFullGridLocalize(b *testing.B) {
 		b.Fatal(err)
 	}
 	fast, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(),
+		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(0),
 	})
 	if err != nil {
 		b.Fatal(err)

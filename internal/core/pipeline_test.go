@@ -221,7 +221,7 @@ func TestProcessAPsSteadyStateAllocs(t *testing.T) {
 	}
 	cfg := DefaultConfig(lambda)
 	cfg.APWorkers = 0
-	cfg.Steering = music.NewSteeringCache()
+	cfg.Steering = music.NewSteeringCache(0)
 	p := NewPipeline(cfg)
 	if _, err := p.ProcessAPs(aps, captures); err != nil { // warm
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestProcessAPsLeavesRetainedSpectraAlone(t *testing.T) {
 	memo := &memoEstimator{seen: map[*complex128]*music.Spectrum{}}
 	cfg := DefaultConfig(lambda)
 	cfg.APWorkers = 0
-	cfg.Steering = music.NewSteeringCache()
+	cfg.Steering = music.NewSteeringCache(0)
 	cfg.Estimator = memo
 	p := NewPipeline(cfg)
 

@@ -79,7 +79,7 @@ func TestRegionArgmaxEqualsRestrictedFull(t *testing.T) {
 		client := geom.Pt(2+rng.Float64()*36, 2+rng.Float64()*12)
 		aps := synthScene(2+rng.Intn(4), client, rng)
 		for _, warmParent := range []bool{true, false} {
-			cache := NewSynthCache()
+			cache := NewSynthCache(0)
 			full, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.25, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
@@ -127,7 +127,7 @@ func TestRegionLocalizeStaysInsideBox(t *testing.T) {
 	min, max := synthBounds()
 	aps := synthScene(3, geom.Pt(20, 8), rng)
 	region := Region{Min: geom.Pt(5, 5), Max: geom.Pt(12, 11)}
-	sg, err := NewSynthGridRegion(min, max, region, SynthOptions{Cell: 0.10, Cache: NewSynthCache()})
+	sg, err := NewSynthGridRegion(min, max, region, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRegionLocalizeStaysInsideBox(t *testing.T) {
 
 	// A region with its own (coarser) pitch still works, scoped.
 	scoped := Region{Min: geom.Pt(5, 5), Max: geom.Pt(12, 11), Cell: 0.5}
-	sg2, err := NewSynthGridRegion(min, max, scoped, SynthOptions{Cell: 0.10, Cache: NewSynthCache()})
+	sg2, err := NewSynthGridRegion(min, max, scoped, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestRegionCellCountCapped(t *testing.T) {
 	if _, err := NewSynthGridRegion(min, max, hog, SynthOptions{Cell: 0.10}); !errors.Is(err, ErrBadRegion) {
 		t.Fatalf("cell-hog region: err = %v, want ErrBadRegion", err)
 	}
-	for _, cache := range []*SynthCache{NewSynthCache(), nil} {
+	for _, cache := range []*SynthCache{NewSynthCache(0), nil} {
 		cfg := DefaultConfig(lambda)
 		cfg.SynthCache = cache
 		if _, err := NewPipeline(cfg).SynthesizeRegion(aps, min, max, hog); !errors.Is(err, ErrBadRegion) {
@@ -184,7 +184,7 @@ func TestRegionCellCountCapped(t *testing.T) {
 	}
 	// A fine pitch over a proportionally small box stays allowed.
 	fine := Region{Min: geom.Pt(19, 7), Max: geom.Pt(21, 9), Cell: MinRegionCell}
-	sg, err := NewSynthGridRegion(min, max, fine, SynthOptions{Cell: 0.10, Cache: NewSynthCache()})
+	sg, err := NewSynthGridRegion(min, max, fine, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestPipelineRegionPaths(t *testing.T) {
 	region := Region{Min: geom.Pt(10, 5), Max: geom.Pt(18, 13)}
 
 	gridCfg := DefaultConfig(lambda)
-	gridCfg.SynthCache = NewSynthCache()
+	gridCfg.SynthCache = NewSynthCache(0)
 	gridPos, err := NewPipeline(gridCfg).SynthesizeRegion(aps, min, max, region)
 	if err != nil {
 		t.Fatal(err)
@@ -276,9 +276,8 @@ func TestLogLikelihoodBinsAgreesAtBinCentres(t *testing.T) {
 // cached full-grid parent reads the same (bin, frac) pairs a direct
 // build computes, so its whole log surface and its fix are bit-identical
 // to a region served from a cold cache. The views add no LUT entries;
-// a screened region memoizes only its block windows (one windows-only
-// entry per AP, costing the overhead plus the windows), and a re-query
-// finds them.
+// a screened region memoizes only its block windows (one windows entry
+// per AP), and a re-query finds them.
 func TestRegionViewEqualsDirectBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(98))
 	min, max := synthBounds()
@@ -292,7 +291,7 @@ func TestRegionViewEqualsDirectBuild(t *testing.T) {
 		}
 		region := Region{Min: geom.Pt(x0, y0), Max: geom.Pt(x0+w, y0+h)}
 
-		warm := NewSynthCache()
+		warm := NewSynthCache(0)
 		full, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: warm})
 		if err != nil {
 			t.Fatal(err)
@@ -300,12 +299,12 @@ func TestRegionViewEqualsDirectBuild(t *testing.T) {
 		if _, err := full.FullArgmaxCell(aps); err != nil {
 			t.Fatal(err)
 		}
-		parents := warm.Len()
+		parents := warm.Usage().Entries
 		viewed, err := NewSynthGridRegion(min, max, region, SynthOptions{Cell: 0.10, Cache: warm})
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := NewSynthGridRegion(min, max, region, SynthOptions{Cell: 0.10, Cache: NewSynthCache()})
+		direct, err := NewSynthGridRegion(min, max, region, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,8 +321,8 @@ func TestRegionViewEqualsDirectBuild(t *testing.T) {
 				t.Fatalf("trial %d: cell %d of the viewed region's surface is %v, the direct build's %v", trial, i, hv.Flat[i], v)
 			}
 		}
-		if warm.Len() != parents {
-			t.Fatalf("trial %d: viewing the parents added %d cache entries, want none", trial, warm.Len()-parents)
+		if warm.Usage().Entries != parents {
+			t.Fatalf("trial %d: viewing the parents added %d cache entries, want none", trial, warm.Usage().Entries-parents)
 		}
 		pv, err := viewed.Localize(aps)
 		if err != nil {
@@ -340,15 +339,15 @@ func TestRegionViewEqualsDirectBuild(t *testing.T) {
 		if viewed.refineEnabled() {
 			wantEntries += len(aps)
 		}
-		if warm.Len() != wantEntries {
-			t.Fatalf("trial %d: %d entries after the fix, want %d (screened: %v)", trial, warm.Len(), wantEntries, viewed.refineEnabled())
+		if warm.Usage().Entries != wantEntries {
+			t.Fatalf("trial %d: %d entries after the fix, want %d (screened: %v)", trial, warm.Usage().Entries, wantEntries, viewed.refineEnabled())
 		}
 		checkAccounting(t, warm)
-		_, misses := warm.Stats()
+		misses := warm.Usage().Misses
 		if _, err := viewed.Localize(aps); err != nil {
 			t.Fatal(err)
 		}
-		if _, again := warm.Stats(); again != misses {
+		if again := warm.Usage().Misses; again != misses {
 			t.Fatalf("trial %d: re-querying the region missed the cache %d times", trial, again-misses)
 		}
 	}

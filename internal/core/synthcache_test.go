@@ -10,18 +10,15 @@ import (
 	"repro/internal/geom"
 )
 
-// sumEntryCosts walks every shard under its lock and returns the
+// sumEntryCosts walks every lru shard under its lock and returns the
 // summed per-entry costs plus the entry count — the quantities the
-// cache's own accounting must match exactly.
-func sumEntryCosts(c *SynthCache) (bytes int64, entries int) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			bytes += e.cost
-			entries++
-		}
-		sh.mu.Unlock()
+// cache's own accounting must match exactly — failing if a shard's
+// recency list disagrees with its map.
+func sumEntryCosts(t *testing.T, c *SynthCache) (bytes int64, entries int) {
+	t.Helper()
+	bytes, entries, err := c.Audit()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return bytes, entries
 }
@@ -31,7 +28,7 @@ func sumEntryCosts(c *SynthCache) (bytes int64, entries int) {
 // budget, and the recency lists agree with the maps.
 func checkAccounting(t *testing.T, c *SynthCache) {
 	t.Helper()
-	wantBytes, wantEntries := sumEntryCosts(c)
+	wantBytes, wantEntries := sumEntryCosts(t, c)
 	u := c.Usage()
 	if u.Bytes != wantBytes {
 		t.Fatalf("accounting drift: reported %d bytes, Σ entry costs %d", u.Bytes, wantBytes)
@@ -41,23 +38,6 @@ func checkAccounting(t *testing.T, c *SynthCache) {
 	}
 	if c.Budget() > 0 && u.Bytes > c.Budget() {
 		t.Fatalf("cache size %d exceeds budget %d", u.Bytes, c.Budget())
-	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n := 0
-		for e := sh.head; e != nil; e = e.next {
-			if sh.entries[e.key] != e {
-				sh.mu.Unlock()
-				t.Fatalf("shard %d: LRU list entry missing from map", i)
-			}
-			n++
-		}
-		if n != len(sh.entries) {
-			sh.mu.Unlock()
-			t.Fatalf("shard %d: LRU list has %d entries, map has %d", i, n, len(sh.entries))
-		}
-		sh.mu.Unlock()
 	}
 }
 
@@ -104,7 +84,7 @@ func TestSynthCacheAccountingProperty(t *testing.T) {
 	}
 	for _, budget := range []int64{0, 1 << 12, 1 << 16, 1 << 20} {
 		t.Run(fmt.Sprintf("budget-%d", budget), func(t *testing.T) {
-			c := NewSynthCacheBudget(budget)
+			c := NewSynthCache(budget)
 			// Remember the first build of every key so later re-gets
 			// (post-eviction rebuilds included) can be compared bit for
 			// bit.
@@ -170,7 +150,7 @@ func TestSynthCacheRebuildBitIdentical(t *testing.T) {
 		}
 	}
 
-	c := NewSynthCacheBudget(1 << 18)
+	c := NewSynthCache(1 << 18)
 	rng := rand.New(rand.NewSource(91))
 
 	// Direct build path.
@@ -186,13 +166,13 @@ func TestSynthCacheRebuildBitIdentical(t *testing.T) {
 	// offset keeps the centre arithmetic identical). The view itself
 	// adds no entry.
 	c.lut(ap, full, 360)
-	entries := c.Len()
+	entries := c.Usage().Entries
 	viewed := copyLUT(c.lutFor(ap, sub, &full, 360), sub.Ny)
 	if before := c.Usage().Slices; before == 0 {
 		t.Fatal("sub-grid LUT was not served as a view of the cached parent")
 	}
-	if c.Len() != entries {
-		t.Fatalf("a view of the parent added %d cache entries, want none", c.Len()-entries)
+	if c.Usage().Entries != entries {
+		t.Fatalf("a view of the parent added %d cache entries, want none", c.Usage().Entries-entries)
 	}
 	churn(c, rng)
 	rebuilt := c.lutFor(ap, sub, nil, 360)
@@ -213,7 +193,7 @@ func TestSynthCachePromotesParentOnThirdSliceableMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewSynthCacheBudget(32 << 20)
+	c := NewSynthCache(32 << 20)
 	for i := 0; i < 6; i++ {
 		sub, err := subSpecFor(full, geom.Pt(float64(1+2*i), 1), geom.Pt(float64(4+2*i), 5))
 		if err != nil {
@@ -233,9 +213,9 @@ func TestSynthCachePromotesParentOnThirdSliceableMiss(t *testing.T) {
 		}
 	}
 	// The parent is now resident: a direct full-grid lookup hits.
-	h0, _ := c.Stats()
+	h0 := c.Usage().Hits
 	c.lut(ap, full, 360)
-	if h1, _ := c.Stats(); h1 != h0+1 {
+	if h1 := c.Usage().Hits; h1 != h0+1 {
 		t.Fatal("promoted parent not resident after the third sliceable miss")
 	}
 }
@@ -251,7 +231,7 @@ func TestSynthCacheNoPromoteWhenParentCannotFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 2673-cell parent costs ~32 KB; 8 shards × 2 KB cannot hold it.
-	c := NewSynthCacheBudget(16 << 10)
+	c := NewSynthCache(16 << 10)
 	for i := 0; i < 8; i++ {
 		sub, err := subSpecFor(full, geom.Pt(float64(1+2*i), 1), geom.Pt(float64(3+2*i), 3))
 		if err != nil {
@@ -266,32 +246,35 @@ func TestSynthCacheNoPromoteWhenParentCannotFit(t *testing.T) {
 
 // TestSynthCachePassThroughOversized: an entry costing more than a
 // shard's budget slice is served but never retained, and accounting
-// stays exact.
+// stays exact — also under a positive budget below the shard count,
+// whose zero slices must retain nothing rather than read as unbounded.
 func TestSynthCachePassThroughOversized(t *testing.T) {
-	c := NewSynthCacheBudget(1024) // 128 bytes per shard: nothing fits
 	ap := geom.Pt(3, 4)
 	spec, err := GridSpecFor(geom.Pt(0, 0), geom.Pt(10, 10), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1 := c.lut(ap, spec, 360)
-	l2 := c.lut(ap, spec, 360)
-	if !lutEqual(l1, l2, spec.Ny) {
-		t.Fatal("pass-through rebuilds disagree")
+	for _, budget := range []int64{1024, 7} { // 128 and 0 bytes per shard: nothing fits
+		c := NewSynthCache(budget)
+		l1 := c.lut(ap, spec, 360)
+		l2 := c.lut(ap, spec, 360)
+		if !lutEqual(l1, l2, spec.Ny) {
+			t.Fatal("pass-through rebuilds disagree")
+		}
+		u := c.Usage()
+		if u.Entries != 0 || u.Bytes != 0 {
+			t.Fatalf("budget %d: oversized entry retained: entries=%d bytes=%d", budget, u.Entries, u.Bytes)
+		}
+		if u.Evictions == 0 {
+			t.Fatal("expected the oversized inserts to count as evictions")
+		}
+		checkAccounting(t, c)
+		// Block windows on a never-retained entry must still be served.
+		if bl := c.blockWindows(ap, spec, 360, nil); bl == nil {
+			t.Fatal("block windows not served for pass-through entry")
+		}
+		checkAccounting(t, c)
 	}
-	u := c.Usage()
-	if u.Entries != 0 || u.Bytes != 0 {
-		t.Fatalf("oversized entry retained: entries=%d bytes=%d", u.Entries, u.Bytes)
-	}
-	if u.Evictions == 0 {
-		t.Fatal("expected the oversized inserts to count as evictions")
-	}
-	checkAccounting(t, c)
-	// Block windows on a never-retained entry must still be served.
-	if bl := c.blockWindows(ap, spec, 360, nil); bl == nil {
-		t.Fatal("block windows not served for pass-through entry")
-	}
-	checkAccounting(t, c)
 }
 
 // TestSynthCacheOversizedDoesNotEvictResidents: serving an entry
@@ -309,17 +292,17 @@ func TestSynthCacheOversizedDoesNotEvictResidents(t *testing.T) {
 	}
 	// Budget holding several small entries per shard but far below the
 	// huge entry's cost.
-	c := NewSynthCacheBudget(8 * lutCost(small.Cells()) * synthShards)
-	if lutCost(huge.Cells()) <= c.shardBudget() {
+	c := NewSynthCache(8 * lutCost(small.Cells()) * synthShards)
+	if c.Fits(lutCost(huge.Cells())) {
 		t.Fatalf("test fixture broken: huge entry fits the shard budget")
 	}
 	// A resident small entry and an oversized request on the same shard.
 	resident := geom.Pt(1, 1)
-	sh := c.shardOf(keyOf(resident, small, 360))
+	sh, _ := c.Candidates(keyOf(resident, small, 360))
 	var hugeAP geom.Point
 	for x := 0.0; ; x += 0.37 {
 		hugeAP = geom.Pt(x, 2)
-		if c.shardOf(keyOf(hugeAP, huge, 360)) == sh {
+		if first, _ := c.Candidates(keyOf(hugeAP, huge, 360)); first == sh {
 			break
 		}
 	}
@@ -327,9 +310,9 @@ func TestSynthCacheOversizedDoesNotEvictResidents(t *testing.T) {
 	if c.lut(hugeAP, huge, 360).bin == nil {
 		t.Fatal("oversized entry not served")
 	}
-	hits0, _ := c.Stats()
+	hits0 := c.Usage().Hits
 	c.lut(resident, small, 360)
-	if hits, _ := c.Stats(); hits != hits0+1 {
+	if hits := c.Usage().Hits; hits != hits0+1 {
 		t.Fatal("oversized pass-through evicted a resident entry")
 	}
 	checkAccounting(t, c)
@@ -365,7 +348,7 @@ func TestSynthCacheEvictionRaceStress(t *testing.T) {
 		}
 		cases[i].aps = scenes[i%len(scenes)]
 		// Cold reference: a fresh unbounded cache per case, serial.
-		sg, err := NewSynthGridRegion(min, max, cases[i].region, SynthOptions{Cell: 0.25, Workers: 1, Cache: NewSynthCache()})
+		sg, err := NewSynthGridRegion(min, max, cases[i].region, SynthOptions{Cell: 0.25, Workers: 1, Cache: NewSynthCache(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +364,7 @@ func TestSynthCacheEvictionRaceStress(t *testing.T) {
 	// Budget sized so entries fit individually but churn collectively:
 	// a couple of region LUTs per shard at most.
 	const budget = 1 << 19
-	shared := NewSynthCacheBudget(budget)
+	shared := NewSynthCache(budget)
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -441,12 +424,12 @@ func TestSynthCacheEvictionRaceStress(t *testing.T) {
 // samePairAPs probes AP positions until n keys share the same ordered
 // pair of candidate shards — the two-choice analogue of a shard
 // collision, making placement and eviction fully deterministic.
-func samePairAPs(t *testing.T, spec GridSpec, n int) []geom.Point {
+func samePairAPs(t *testing.T, c *SynthCache, spec GridSpec, n int) []geom.Point {
 	t.Helper()
 	byPair := map[[2]int][]geom.Point{}
 	for x := 0.0; x < 4096; x += 0.73 {
 		ap := geom.Pt(x, 1)
-		i1, i2 := shardPair(keyOf(ap, spec, 360))
+		i1, i2 := c.Candidates(keyOf(ap, spec, 360))
 		pair := [2]int{i1, i2}
 		byPair[pair] = append(byPair[pair], ap)
 		if len(byPair[pair]) == n {
@@ -468,8 +451,8 @@ func TestSynthCacheLRUOrder(t *testing.T) {
 	}
 	cost := lutCost(spec.Cells())
 	// Budget for exactly two entries per shard.
-	c := NewSynthCacheBudget(2 * cost * synthShards)
-	aps := samePairAPs(t, spec, 5)
+	c := NewSynthCache(2 * cost * synthShards)
+	aps := samePairAPs(t, c, spec, 5)
 	a, b, d, e, f := aps[0], aps[1], aps[2], aps[3], aps[4]
 	second0 := c.Usage().SecondChoice
 	c.lut(a, spec, 360) // tie → first choice
@@ -481,15 +464,15 @@ func TestSynthCacheLRUOrder(t *testing.T) {
 	if got := c.Usage().SecondChoice - second0; got != 2 {
 		t.Fatalf("SecondChoice placements = %d, want 2 (b and e)", got)
 	}
-	if _, entries := sumEntryCosts(c); entries != 4 {
+	if _, entries := sumEntryCosts(t, c); entries != 4 {
 		t.Fatalf("expected 4 entries after eviction, have %d", entries)
 	}
-	hits0, _ := c.Stats()
+	hits0 := c.Usage().Hits
 	c.lut(a, spec, 360)
 	c.lut(b, spec, 360)
 	c.lut(e, spec, 360)
 	c.lut(f, spec, 360)
-	if hits, _ := c.Stats(); hits != hits0+4 {
+	if hits := c.Usage().Hits; hits != hits0+4 {
 		t.Fatal("a surviving entry was evicted; LRU order not respected")
 	}
 	missesBefore := c.Usage().Misses
@@ -513,12 +496,12 @@ func TestSynthCacheTwoChoiceCollisionProof(t *testing.T) {
 		t.Fatal(err)
 	}
 	cost := lutCost(spec.Cells())
-	c := NewSynthCacheBudget(cost * synthShards) // one entry per shard
+	c := NewSynthCache(cost * synthShards) // one entry per shard
 	// Two keys sharing a FIRST-choice shard (their second choices are
-	// distinct from it by construction of shardPair).
+	// distinct from it by construction of Candidates).
 	var colliding []geom.Point
 	firstOf := func(ap geom.Point) int {
-		i1, _ := shardPair(keyOf(ap, spec, 360))
+		i1, _ := c.Candidates(keyOf(ap, spec, 360))
 		return i1
 	}
 	var want int
@@ -538,13 +521,13 @@ func TestSynthCacheTwoChoiceCollisionProof(t *testing.T) {
 	}
 	c.lut(colliding[0], spec, 360)
 	c.lut(colliding[1], spec, 360) // single-choice would evict colliding[0]
-	hits0, _ := c.Stats()
+	hits0 := c.Usage().Hits
 	for round := 0; round < 3; round++ {
 		for _, ap := range colliding {
 			c.lut(ap, spec, 360)
 		}
 	}
-	hits, _ := c.Stats()
+	hits := c.Usage().Hits
 	if got, wantHits := hits-hits0, uint64(6); got != wantHits {
 		t.Fatalf("warm round-robin over colliding keys: %d hits, want %d (collision thrash)", got, wantHits)
 	}
@@ -561,7 +544,7 @@ func TestSynthCacheTwoChoiceCollisionProof(t *testing.T) {
 // TestSynthCacheSpillCounter: oversized pass-throughs are surfaced as
 // Spills (besides the historical eviction count).
 func TestSynthCacheSpillCounter(t *testing.T) {
-	c := NewSynthCacheBudget(1024) // nothing fits
+	c := NewSynthCache(1024) // nothing fits
 	spec, err := GridSpecFor(geom.Pt(0, 0), geom.Pt(10, 10), 0.5)
 	if err != nil {
 		t.Fatal(err)

@@ -387,7 +387,8 @@ func buildLUT(ap geom.Point, spec GridSpec, bins int) bearingLUT {
 
 // synthKey captures everything a bearing LUT depends on: the AP
 // position, the grid geometry (lattice origin, pitch, extent, and
-// offset), and the spectrum resolution.
+// offset), and the spectrum resolution. windows marks the key of the
+// grid's screening-block windows rather than its LUT.
 type synthKey struct {
 	apX, apY   float64
 	minX, minY float64
@@ -395,6 +396,7 @@ type synthKey struct {
 	nx, ny     int
 	x0, y0     int
 	bins       int
+	windows    bool
 }
 
 func keyOf(ap geom.Point, spec GridSpec, bins int) synthKey {

@@ -90,7 +90,7 @@ func TestBearingLUTBitCompatible(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	min, max := synthBounds()
 	aps := synthScene(3, geom.Pt(12, 9), rng)
-	cache := NewSynthCache()
+	cache := NewSynthCache(0)
 	spec, err := GridSpecFor(min, max, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -109,15 +109,15 @@ func TestBearingLUTBitCompatible(t *testing.T) {
 			}
 		}
 	}
-	if hits, misses := cache.Stats(); misses != 3 || hits != 0 {
-		t.Fatalf("cache stats hits=%d misses=%d, want 0/3", hits, misses)
+	if u := cache.Usage(); u.Misses != 3 || u.Hits != 0 {
+		t.Fatalf("cache stats hits=%d misses=%d, want 0/3", u.Hits, u.Misses)
 	}
 	cache.lut(aps[0].Pos, spec, aps[0].Spectrum.Bins())
-	if hits, _ := cache.Stats(); hits != 1 {
+	if hits := cache.Usage().Hits; hits != 1 {
 		t.Fatalf("repeat lookup did not hit the cache")
 	}
-	if cache.Len() != 3 {
-		t.Fatalf("cache holds %d LUTs, want 3", cache.Len())
+	if cache.Usage().Entries != 3 {
+		t.Fatalf("cache holds %d LUTs, want 3", cache.Usage().Entries)
 	}
 }
 
@@ -130,7 +130,7 @@ func TestLogHeatmapMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	min, max := synthBounds()
 	aps := synthScene(4, geom.Pt(23, 6), rng)
-	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.5, Cache: NewSynthCache()})
+	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.5, Cache: NewSynthCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSynthGridMatchesSeedArgmax(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		client := geom.Pt(2+rng.Float64()*36, 2+rng.Float64()*12)
 		aps := synthScene(2+rng.Intn(4), client, rng)
-		sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.25, Cache: NewSynthCache()})
+		sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.25, Cache: NewSynthCache(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestRefinedArgmaxMatchesFull(t *testing.T) {
 		client := geom.Pt(2+rng.Float64()*36, 2+rng.Float64()*12)
 		aps := synthScene(2+rng.Intn(4), client, rng)
 		for _, workers := range []int{1, 4} {
-			sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: workers, Cache: NewSynthCache()})
+			sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: workers, Cache: NewSynthCache(0)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +243,7 @@ func TestSynthGridLocalizeNearTruth(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		client := geom.Pt(4+rng.Float64()*32, 3+rng.Float64()*10)
 		aps := synthScene(3+rng.Intn(3), client, rng)
-		sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache()})
+		sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func TestSynthGridEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
-				sg, err := NewSynthGrid(tc.min, tc.max, SynthOptions{Cell: tc.cell, Workers: workers, Cache: NewSynthCache()})
+				sg, err := NewSynthGrid(tc.min, tc.max, SynthOptions{Cell: tc.cell, Workers: workers, Cache: NewSynthCache(0)})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -347,7 +347,7 @@ func TestSynthGridFlatSurfaceFallback(t *testing.T) {
 	}
 	min, max := synthBounds()
 	for _, workers := range []int{1, 4} {
-		sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: workers, Cache: NewSynthCache()})
+		sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: workers, Cache: NewSynthCache(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +375,7 @@ func TestSynthGridShardedRace(t *testing.T) {
 	for i := range scenes {
 		scenes[i] = synthScene(3, geom.Pt(3+rng.Float64()*34, 2+rng.Float64()*12), rng)
 	}
-	cache := NewSynthCache()
+	cache := NewSynthCache(0)
 	done := make(chan error, 12)
 	for g := 0; g < 12; g++ {
 		g := g
@@ -417,7 +417,7 @@ func TestSynthGridSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	min, max := synthBounds()
 	aps := synthScene(4, geom.Pt(17, 8), rng)
-	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: 1, Cache: NewSynthCache()})
+	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: 1, Cache: NewSynthCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestSynthGridSpeedupGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	min, max := synthBounds()
 	aps := synthScene(3, geom.Pt(21, 7), rng)
-	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: 1, Cache: NewSynthCache()})
+	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: 1, Cache: NewSynthCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestSynthGridWorkersDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	min, max := synthBounds()
 	aps := synthScene(4, geom.Pt(11, 12), rng)
-	cache := NewSynthCache()
+	cache := NewSynthCache(0)
 	var serial, sharded Heatmap
 	for _, w := range []int{1, runtime.GOMAXPROCS(0) * 2} {
 		sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: w, Cache: cache})

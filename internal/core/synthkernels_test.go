@@ -21,7 +21,7 @@ func TestSynthHeapMatchesLinearPick(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		client := geom.Pt(2+rng.Float64()*36, 2+rng.Float64()*12)
 		aps := synthScene(2+rng.Intn(4), client, rng)
-		fast, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache()})
+		fast, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestHillClimbGuardedMatchesScalar(t *testing.T) {
 	var m SynthMetrics
 	for trial := 0; trial < 15; trial++ {
 		aps := synthScene(2+rng.Intn(4), geom.Pt(4+rng.Float64()*32, 3+rng.Float64()*10), rng)
-		sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(), Metrics: &m})
+		sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0), Metrics: &m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestHillClimbGuardedNearAP(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	min, max := synthBounds()
 	aps := synthScene(3, geom.Pt(20, 8), rng)
-	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache()})
+	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSynthBnBDegenerateNotQuadratic(t *testing.T) {
 	run := func(linear bool) (cell int, m SynthMetricsSnapshot) {
 		var metrics SynthMetrics
 		sg, err := NewSynthGrid(min, max, SynthOptions{
-			Cell: 0.02, Cache: NewSynthCache(), Metrics: &metrics,
+			Cell: 0.02, Cache: NewSynthCache(0), Metrics: &metrics,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +178,7 @@ func TestSynthMetricsCounters(t *testing.T) {
 	min, max := synthBounds()
 	aps := synthScene(4, geom.Pt(15, 7), rng)
 	var m SynthMetrics
-	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(), Metrics: &m})
+	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0), Metrics: &m})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,38 +211,6 @@ type Stats struct {
 	// PredictFallbackError counts predictive attempts whose region
 	// search errored (e.g. the predicted box left the search area).
 	PredictFallbackError uint64
-	// SynthLUTs is the number of distinct bearing LUTs the synthesis
-	// cache holds — one per (AP position, grid geometry) pair seen.
-	SynthLUTs int
-	// SynthBytes and SynthBudget are the synthesis cache's accounted
-	// size and configured byte cap (0 budget = unbounded); SynthHits,
-	// SynthMisses, SynthEvictions and SynthSlices are its cumulative
-	// lookup counters (slices = region LUTs derived from a cached
-	// full-grid entry).
-	SynthBytes     int64
-	SynthBudget    int64
-	SynthHits      uint64
-	SynthMisses    uint64
-	SynthEvictions uint64
-	SynthSlices    uint64
-	// SynthSecondChoice counts LUT insertions placed at their
-	// second-choice shard (power-of-two-choices placement);
-	// SynthSpills counts oversized or unretainable entries served
-	// pass-through without displacing residents; SynthDenseEvictions
-	// counts evictions of dense-pitch-scale entries (>= 4 MiB), the
-	// expensive-to-rebuild kind collision thrash used to churn.
-	SynthSecondChoice   uint64
-	SynthSpills         uint64
-	SynthDenseEvictions uint64
-	// SteeringTables, SteeringBytes and SteeringBudget mirror the
-	// steering-vector cache's accounting; SteeringHits, SteeringMisses
-	// and SteeringEvictions its cumulative counters.
-	SteeringTables    int
-	SteeringBytes     int64
-	SteeringBudget    int64
-	SteeringHits      uint64
-	SteeringMisses    uint64
-	SteeringEvictions uint64
 	// PrioritySubmitted is the number of jobs accepted into the
 	// latency lane (included in Submitted).
 	PrioritySubmitted uint64
@@ -643,27 +611,13 @@ func (e *Engine) Stats() Stats {
 		s.TrackedClients = ts.Clients
 		s.TrackRejects = ts.GateRejects
 	}
-	cfg := e.pipe.Config()
-	syn := cfg.SynthCache.Usage()
-	s.SynthLUTs = syn.Entries
-	s.SynthBytes = syn.Bytes
-	s.SynthBudget = syn.Budget
-	s.SynthHits = syn.Hits
-	s.SynthMisses = syn.Misses
-	s.SynthEvictions = syn.Evictions
-	s.SynthSlices = syn.Slices
-	s.SynthSecondChoice = syn.SecondChoice
-	s.SynthSpills = syn.Spills
-	s.SynthDenseEvictions = syn.DenseEvictions
-	steer := cfg.Steering.Usage()
-	s.SteeringTables = steer.Entries
-	s.SteeringBytes = steer.Bytes
-	s.SteeringBudget = steer.Budget
-	s.SteeringHits = steer.Hits
-	s.SteeringMisses = steer.Misses
-	s.SteeringEvictions = steer.Evictions
 	return s
 }
+
+// Config returns the pipeline configuration every job runs under, with
+// its defaults resolved (the caches and estimator are never nil) and
+// APWorkers and SynthWorkers clamped to 1.
+func (e *Engine) Config() core.Config { return e.pipe.Config() }
 
 // Close stops accepting jobs, drains both lanes, and waits for the
 // workers to exit. Safe to call more than once.

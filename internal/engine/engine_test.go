@@ -155,7 +155,7 @@ func syntheticSetup() (aps []*core.AP, cfg core.Config, mkStreams func(rng *rand
 		MaxSamples:          8,
 		SignalThresholdFrac: 0.05,
 		GridCell:            0.5,
-		Steering:            music.NewSteeringCache(),
+		Steering:            music.NewSteeringCache(0),
 	}
 	mkStreams = func(rng *rand.Rand) [][]complex128 {
 		st := make([][]complex128, 4)
@@ -330,7 +330,7 @@ func TestCaptureSinkGroupsFramesPerAP(t *testing.T) {
 // DefaultConfig pipeline, not an older one — nil never selects an
 // algorithm. Fixes must be bit-for-bit DefaultConfig's through
 // Pipeline.Locate, SynthesizeRegionInterior and the engine, and the
-// engine must report the shared caches' usage for such a config.
+// engine's Config must name the shared caches, now holding its work.
 func TestNilConfigResolvesToShared(t *testing.T) {
 	tb, reqs := testbedRequests(t, 6)
 	def := core.DefaultConfig(tb.Wavelength)
@@ -388,11 +388,14 @@ func TestNilConfigResolvesToShared(t *testing.T) {
 		}
 	}
 
-	st := eng.Stats()
-	if st.SteeringTables == 0 || st.SteeringHits == 0 {
-		t.Fatalf("engine on a nil Steering reports no steering cache usage: %+v", st)
+	cfg := eng.Config()
+	if cfg.Steering != music.SharedSteeringCache() || cfg.SynthCache != core.SharedSynthCache() {
+		t.Fatal("engine on a nil-cache config does not run on the shared caches")
 	}
-	if st.SynthLUTs == 0 || st.SynthHits == 0 || st.SynthBytes == 0 {
-		t.Fatalf("engine on a nil SynthCache reports no synthesis cache usage: %+v", st)
+	if u := cfg.Steering.Usage(); u.Entries == 0 || u.Hits == 0 {
+		t.Fatalf("engine on a nil Steering reports no steering cache usage: %+v", u)
+	}
+	if u := cfg.SynthCache.Usage(); u.Entries == 0 || u.Hits == 0 || u.Bytes == 0 {
+		t.Fatalf("engine on a nil SynthCache reports no synthesis cache usage: %+v", u)
 	}
 }

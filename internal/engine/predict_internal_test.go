@@ -42,7 +42,7 @@ func TestPredictiveFixVerifyAndFallbacks(t *testing.T) {
 	base := time.Unix(1700000000, 0)
 	tracker := NewTracker(TrackerOptions{ProcessNoise: 0.5, MeasSigma: 0.5, Gate: 4,
 		Now: func() time.Time { return base }})
-	cfg := core.Config{Wavelength: 0.1225, GridCell: 0.10, SynthCache: core.NewSynthCache()}
+	cfg := core.Config{Wavelength: 0.1225, GridCell: 0.10, SynthCache: core.NewSynthCache(0)}
 	eng := New(Options{Workers: 1, Config: cfg, Tracker: tracker, Predict: true})
 	defer eng.Close()
 

@@ -25,7 +25,7 @@ func TestEnginePredictiveEndToEnd(t *testing.T) {
 	tb, reqs := testbedRequests(t, 1)
 	cfg := core.DefaultConfig(tb.Wavelength)
 	cfg.GridCell = 0.25
-	cfg.SynthCache = core.NewSynthCacheBudget(64 << 20)
+	cfg.SynthCache = core.NewSynthCache(64 << 20)
 
 	tracker := engine.NewTracker(engine.TrackerOptions{})
 	eng := engine.New(engine.Options{Workers: 2, Config: cfg, Tracker: tracker, Predict: true})
@@ -80,7 +80,7 @@ func TestEnginePredictiveTeleportFallsBack(t *testing.T) {
 	tb, reqs := testbedRequests(t, 8)
 	cfg := core.DefaultConfig(tb.Wavelength)
 	cfg.GridCell = 0.25
-	cfg.SynthCache = core.NewSynthCacheBudget(64 << 20)
+	cfg.SynthCache = core.NewSynthCache(64 << 20)
 
 	tracker := engine.NewTracker(engine.TrackerOptions{})
 	eng := engine.New(engine.Options{Workers: 2, Config: cfg, Tracker: tracker, Predict: true})
@@ -209,7 +209,7 @@ func TestEngineFairnessUnderPriorityFlood(t *testing.T) {
 	aps, cfg, mkStreams := syntheticSetup()
 	// Ageing is tight so the flood's backlog (≥ 20 jobs deep before the
 	// worker is released) outlasts it.
-	cfg.SynthCache = core.NewSynthCache()
+	cfg.SynthCache = core.NewSynthCache(0)
 	cfg.GridCell = 0.008 // ~376k cells: a screened fix, not a full surface
 	const ageLimit = 5 * time.Millisecond
 	eng := engine.New(engine.Options{

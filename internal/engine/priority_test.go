@@ -21,7 +21,7 @@ func TestEngineRegionMatchesDirect(t *testing.T) {
 	tb, reqs := testbedRequests(t, 2)
 	cfg := core.DefaultConfig(tb.Wavelength)
 	cfg.GridCell = 0.25
-	cfg.SynthCache = core.NewSynthCacheBudget(64 << 20)
+	cfg.SynthCache = core.NewSynthCache(64 << 20)
 
 	eng := engine.New(engine.Options{Workers: 2, Config: cfg})
 	defer eng.Close()
@@ -63,13 +63,14 @@ func TestEngineRegionMatchesDirect(t *testing.T) {
 	if st.PrioritySubmitted != 1 {
 		t.Fatalf("PrioritySubmitted = %d, want 1", st.PrioritySubmitted)
 	}
-	if st.SynthBudget != 64<<20 {
-		t.Fatalf("SynthBudget = %d, want %d", st.SynthBudget, int64(64<<20))
+	syn := eng.Config().SynthCache.Usage()
+	if syn.Budget != 64<<20 {
+		t.Fatalf("synth cache Budget = %d, want %d", syn.Budget, int64(64<<20))
 	}
-	if st.SynthBytes <= 0 || st.SynthBytes > st.SynthBudget {
-		t.Fatalf("SynthBytes = %d outside (0, budget]", st.SynthBytes)
+	if syn.Bytes <= 0 || syn.Bytes > syn.Budget {
+		t.Fatalf("synth cache Bytes = %d outside (0, budget]", syn.Bytes)
 	}
-	if st.SynthMisses == 0 {
+	if syn.Misses == 0 {
 		t.Fatal("expected synthesis cache misses after first fixes")
 	}
 }

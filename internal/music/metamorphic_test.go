@@ -35,7 +35,7 @@ func testSpectrumConjugateReversalSymmetry(t *testing.T) {
 		MaxSamples:      10,
 		SampleOffset:    5,
 		ForwardBackward: true,
-		Steering:        NewSteeringCache(),
+		Steering:        NewSteeringCache(0),
 	}
 	mapStreams := func(streams [][]complex128, reverse bool) [][]complex128 {
 		out := make([][]complex128, len(streams))

@@ -22,7 +22,7 @@ func packedTestSetup(t *testing.T, rng *rand.Rand, nAnt int) (*array.Array, *Wor
 		SmoothingGroups: 2,
 		MaxSamples:      10,
 		ForwardBackward: true,
-		Steering:        NewSteeringCache(),
+		Steering:        NewSteeringCache(0),
 	}
 	return a, &Workspace{}, opt
 }
@@ -461,7 +461,7 @@ func BenchmarkMUSICWithTableWS(b *testing.B) {
 	r, _ := CorrelationMatrix(snaps)
 	rs, _ := SpatialSmooth(r, 2)
 	noise, _, _, _ := Subspaces(rs, 0.05, rs.Rows/2)
-	tab := NewSteeringCache().Table(a, lambda, DefaultBins)
+	tab := NewSteeringCache(0).Table(a, lambda, DefaultBins)
 	ws := &Workspace{}
 	benchBothKernelSets(b, func() { ws.Recycle(MUSICWithTableWS(ws, noise, tab)) })
 }
@@ -473,7 +473,7 @@ func BenchmarkBartlettVoteWS(b *testing.B) {
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	a.NinthAntenna = true
 	r, _ := CorrelationMatrix(SnapshotsAt(randomStreams(rng, 9, 16), 0, 10))
-	tab := NewSteeringCache().Table(a, lambda, DefaultBins)
+	tab := NewSteeringCache(0).Table(a, lambda, DefaultBins)
 	ws := &Workspace{}
 	benchBothKernelSets(b, func() { ws.Recycle(BartlettWithTableWS(ws, r, tab)) })
 }
@@ -488,7 +488,7 @@ func BenchmarkMUSICWithTableClosure(b *testing.B) {
 	r, _ := CorrelationMatrix(snaps)
 	rs, _ := SpatialSmooth(r, 2)
 	noise, _, _, _ := Subspaces(rs, 0.05, rs.Rows/2)
-	cache := NewSteeringCache()
+	cache := NewSteeringCache(0)
 	tab := cache.Table(a, lambda, DefaultBins)
 	b.ReportAllocs()
 	b.ResetTimer()

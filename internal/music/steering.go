@@ -14,10 +14,9 @@ package music
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/array"
+	"repro/internal/lru"
 	"repro/internal/mat"
 )
 
@@ -179,6 +178,10 @@ func keyFor(a *array.Array, lambda float64, bins int) steeringKey {
 	}
 }
 
+// Hash is the lru.Key hash. The cache has one shard, so every key's
+// candidates are shard 0 whatever it returns.
+func (steeringKey) Hash() uint64 { return 0 }
+
 // DefaultSteeringCacheBudget bounds the process-wide shared cache. A
 // 360-bin, 9-element table costs ~120 KB (complex table, split planes,
 // vote and weight lookups), so the default holds a few hundred distinct
@@ -199,201 +202,40 @@ func steeringCost(t *SteeringTable) int64 {
 		steeringEntryOverhead
 }
 
-// steeringEntry is one cached table with its LRU links and cost.
-type steeringEntry struct {
-	key        steeringKey
-	table      *SteeringTable
-	cost       int64
-	prev, next *steeringEntry
-}
-
-// SteeringUsage is a snapshot of the cache's accounting and counters,
-// surfaced through engine.Stats and the server's stats dump.
-type SteeringUsage struct {
-	// Entries is the number of tables held.
-	Entries int
-	// Bytes is the summed cost of held tables; never exceeds Budget
-	// when a budget is set.
-	Bytes int64
-	// Budget is the configured byte cap (0 = unbounded).
-	Budget int64
-	// Hits and Misses count lookups; Evictions counts tables dropped
-	// (or served unretained) to stay within the budget.
-	Hits, Misses, Evictions uint64
-}
-
-// SteeringCache memoizes steering tables per geometry key under an
-// optional byte budget, with the same size-accounted LRU treatment as
-// core.SynthCache: entry cost is the table footprint, the reported
-// size is the exact sum of held costs, eviction happens inside the
-// insert's critical section (the visible size never exceeds the
-// budget), and an entry larger than the whole budget is served
-// without being retained. Safe for concurrent use. Geometry keys are
-// a handful in static deployments, so one mutex (not shards) keeps
-// the hot path a single short critical section that also freshens
-// recency.
+// SteeringCache memoizes steering tables per geometry key: an
+// lru.Cache charging each table its footprint (steeringCost), with one
+// shard — geometry keys are a handful in static deployments, so the hot
+// path stays a single short critical section that also freshens
+// recency, and the whole budget bounds any one table. Safe for
+// concurrent use.
 type SteeringCache struct {
-	budget atomic.Int64 // 0 means unbounded; resized by SetBudget
-
-	mu      sync.Mutex
-	tables  map[steeringKey]*steeringEntry
-	head    *steeringEntry
-	tail    *steeringEntry
-	bytes   int64
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	evicted atomic.Uint64
+	*lru.Cache[steeringKey, *SteeringTable]
 }
 
-// NewSteeringCache returns an empty, unbounded cache (the static-
-// deployment configuration: a handful of geometries ever).
-func NewSteeringCache() *SteeringCache { return NewSteeringCacheBudget(0) }
-
-// NewSteeringCacheBudget returns an empty cache holding at most
-// budget bytes of table state (0 = unbounded).
-func NewSteeringCacheBudget(budget int64) *SteeringCache {
-	if budget < 0 {
-		budget = 0
-	}
-	c := &SteeringCache{tables: make(map[steeringKey]*steeringEntry)}
-	c.budget.Store(budget)
-	return c
+// NewSteeringCache returns an empty cache holding at most budget bytes
+// of table state (0 = unbounded).
+func NewSteeringCache(budget int64) *SteeringCache {
+	return &SteeringCache{lru.New[steeringKey, *SteeringTable](1, budget)}
 }
 
-var sharedSteering = NewSteeringCacheBudget(DefaultSteeringCacheBudget)
+var sharedSteering = NewSteeringCache(DefaultSteeringCacheBudget)
 
 // SharedSteeringCache returns the process-wide cache: what a nil
 // Options.Steering or core.Config.Steering resolves to.
 func SharedSteeringCache() *SteeringCache { return sharedSteering }
 
-// Budget returns the live byte cap (0 = unbounded).
-func (c *SteeringCache) Budget() int64 { return c.budget.Load() }
-
-// SetBudget hot-reloads the byte cap (≤0 = unbounded). Shrinking
-// evicts least-recently-used tables inside the cache's critical
-// section before returning; growing leaves more room. Tables already
-// handed out stay valid — they are immutable.
-func (c *SteeringCache) SetBudget(budget int64) {
-	if budget < 0 {
-		budget = 0
-	}
-	c.budget.Store(budget)
-	c.mu.Lock()
-	c.evictOverLocked()
-	c.mu.Unlock()
-}
-
-// evictOverLocked drops LRU tables until the cache fits its budget.
-// Caller holds c.mu.
-func (c *SteeringCache) evictOverLocked() {
-	budget := c.budget.Load()
-	for budget > 0 && c.bytes > budget && c.tail != nil {
-		victim := c.tail
-		c.unlink(victim)
-		delete(c.tables, victim.key)
-		c.bytes -= victim.cost
-		c.evicted.Add(1)
-	}
-}
-
-func (c *SteeringCache) unlink(e *steeringEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *SteeringCache) pushFront(e *steeringEntry) {
-	e.prev, e.next = nil, c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *SteeringCache) moveFront(e *steeringEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
-}
-
 // Table returns the steering table for (array geometry, wavelength,
 // bins), computing and memoizing it on first use. Concurrent first
-// lookups may compute the table more than once; exactly one result is
-// kept, so callers always converge on a canonical table (unless the
-// budget forces pass-through, in which case each caller keeps its own
-// identical copy for the duration of the call).
+// lookups may compute the table more than once but converge on one
+// (unless it is too large for the budget, in which case each caller
+// keeps its own identical copy).
 func (c *SteeringCache) Table(a *array.Array, lambda float64, bins int) *SteeringTable {
 	key := keyFor(a, lambda, bins)
-	c.mu.Lock()
-	if e, ok := c.tables[key]; ok {
-		c.moveFront(e)
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return e.table
+	if t, ok := c.Get(key); ok {
+		return t
 	}
-	c.mu.Unlock()
-
-	fresh := NewSteeringTable(a, lambda, bins)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.tables[key]; ok {
-		c.moveFront(e)
-		c.hits.Add(1)
-		return e.table
-	}
-	c.misses.Add(1)
-	e := &steeringEntry{key: key, table: fresh, cost: steeringCost(fresh)}
-	if budget := c.budget.Load(); budget > 0 && e.cost > budget {
-		// Larger than the whole budget: serve without retaining, and
-		// without flushing innocent residents first.
-		c.evicted.Add(1)
-		return fresh
-	}
-	c.tables[key] = e
-	c.pushFront(e)
-	c.bytes += e.cost
-	c.evictOverLocked()
-	return fresh
-}
-
-// Len returns the number of distinct tables held.
-func (c *SteeringCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.tables)
-}
-
-// Stats returns cumulative hit and miss counts (diagnostics).
-func (c *SteeringCache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// Usage returns the cache's accounting snapshot.
-func (c *SteeringCache) Usage() SteeringUsage {
-	u := SteeringUsage{
-		Budget:    c.budget.Load(),
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evicted.Load(),
-	}
-	c.mu.Lock()
-	u.Entries = len(c.tables)
-	u.Bytes = c.bytes
-	c.mu.Unlock()
-	return u
+	t := NewSteeringTable(a, lambda, bins)
+	return c.Add(key, t, steeringCost(t))
 }
 
 // RemoveSymmetryWS is the §2.3.4 mirror vote against this table: the

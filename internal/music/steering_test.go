@@ -84,7 +84,7 @@ func TestCachedSpectrumMatchesUncached(t *testing.T) {
 			plain := MUSIC(noise, func(theta float64) []complex128 {
 				return a.SteeringVectorRow(theta, tc.lambda)[:noise.Rows]
 			}, tc.bins)
-			opt.Steering = NewSteeringCache()
+			opt.Steering = NewSteeringCache(0)
 			cached, err := ComputeSpectrum(a, streams[:a.N], opt)
 			if err != nil {
 				t.Fatal(err)
@@ -112,7 +112,7 @@ func TestCachedBartlettAndSymmetryMatchUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewSteeringCache()
+	cache := NewSteeringCache(0)
 	tab := cache.Table(a, lambda, DefaultBins)
 
 	plainB := Bartlett(rFull, func(theta float64) []complex128 {
@@ -172,7 +172,7 @@ func TestVoteAndWeightTablesMatchScalar(t *testing.T) {
 }
 
 func TestSteeringCacheReusesTables(t *testing.T) {
-	c := NewSteeringCache()
+	c := NewSteeringCache(0)
 	a1 := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	a2 := array.NewLinear(geom.Pt(9, 4), 0, 8, lambda) // same layout, different position
 	t1 := c.Table(a1, lambda, 360)
@@ -180,12 +180,11 @@ func TestSteeringCacheReusesTables(t *testing.T) {
 	if t1 != t2 {
 		t.Error("same geometry at different positions should share one table")
 	}
-	if got := c.Len(); got != 1 {
+	if got := c.Usage().Entries; got != 1 {
 		t.Errorf("cache holds %d tables, want 1", got)
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats hits=%d misses=%d, want 1/1", hits, misses)
+	if u := c.Usage(); u.Hits != 1 || u.Misses != 1 {
+		t.Errorf("stats hits=%d misses=%d, want 1/1", u.Hits, u.Misses)
 	}
 
 	// Distinct geometry, wavelength, or resolution must not collide.
@@ -215,7 +214,7 @@ func TestSteeringCacheReusesTables(t *testing.T) {
 // bit-identical tables.
 func TestSteeringCacheBudgetLRU(t *testing.T) {
 	one := steeringCost(NewSteeringTable(array.NewLinear(geom.Pt(0, 0), 0, 4, lambda), lambda, 90))
-	c := NewSteeringCacheBudget(3 * one) // room for exactly three 4-element 90-bin tables
+	c := NewSteeringCache(3 * one) // room for exactly three 4-element 90-bin tables
 	mk := func(n int) *array.Array { return array.NewLinear(geom.Pt(0, 0), float64(n)*0.01, 4, lambda) }
 
 	var first *SteeringTable
@@ -256,9 +255,9 @@ func TestSteeringCacheBudgetLRU(t *testing.T) {
 	// and the touched one must survive.
 	c.Table(mk(2), lambda, 90) // freshen 2
 	c.Table(mk(9), lambda, 90) // evicts 3 (LRU), not 2
-	h0, _ := c.Stats()
+	h0 := c.Usage().Hits
 	c.Table(mk(2), lambda, 90)
-	if h1, _ := c.Stats(); h1 != h0+1 {
+	if h1 := c.Usage().Hits; h1 != h0+1 {
 		t.Fatal("recently touched table was evicted out of LRU order")
 	}
 }
@@ -268,7 +267,7 @@ func TestSteeringCacheBudgetLRU(t *testing.T) {
 // table, both planes, vote and weight lookups — and every plane entry is
 // the matching element of the complex table.
 func TestSteeringUsageCountsWhatIsHeld(t *testing.T) {
-	c := NewSteeringCache()
+	c := NewSteeringCache(0)
 	var want int64
 	for _, g := range []struct {
 		n, bins int
@@ -302,7 +301,7 @@ func TestSteeringUsageCountsWhatIsHeld(t *testing.T) {
 // residents.
 func TestSteeringCacheOversizedPassThrough(t *testing.T) {
 	small := array.NewLinear(geom.Pt(0, 0), 0, 4, lambda)
-	c := NewSteeringCacheBudget(steeringCost(NewSteeringTable(small, lambda, 90)))
+	c := NewSteeringCache(steeringCost(NewSteeringTable(small, lambda, 90)))
 	c.Table(small, lambda, 90) // resident
 	big := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	if got := c.Table(big, lambda, 3600); got == nil {
@@ -315,15 +314,15 @@ func TestSteeringCacheOversizedPassThrough(t *testing.T) {
 	if u.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1 (the pass-through)", u.Evictions)
 	}
-	h0, _ := c.Stats()
+	h0 := c.Usage().Hits
 	c.Table(small, lambda, 90)
-	if h1, _ := c.Stats(); h1 != h0+1 {
+	if h1 := c.Usage().Hits; h1 != h0+1 {
 		t.Fatal("oversized pass-through flushed the resident")
 	}
 }
 
 func TestSteeringCacheConcurrent(t *testing.T) {
-	c := NewSteeringCache()
+	c := NewSteeringCache(0)
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	var wg sync.WaitGroup
 	tables := make([]*SteeringTable, 16)
@@ -340,7 +339,7 @@ func TestSteeringCacheConcurrent(t *testing.T) {
 			t.Fatal("concurrent lookups returned non-canonical tables")
 		}
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache holds %d tables, want 1", c.Len())
+	if c.Usage().Entries != 1 {
+		t.Fatalf("cache holds %d tables, want 1", c.Usage().Entries)
 	}
 }

@@ -33,7 +33,7 @@ func TestWorkspaceSpectrumBitIdentical(t *testing.T) {
 			ForwardBackward: trial%2 == 0,
 		}
 		if trial >= 4 {
-			opt.Steering = NewSteeringCache()
+			opt.Steering = NewSteeringCache(0)
 		}
 		if trial%3 == 0 {
 			calib := make([]float64, n)
@@ -161,7 +161,7 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 		MaxSamples:      10,
 		SampleOffset:    3,
 		ForwardBackward: true,
-		Steering:        NewSteeringCache(),
+		Steering:        NewSteeringCache(0),
 	}
 	ws := &Workspace{}
 	if _, err := ComputeSpectrumWS(ws, a, streams, opt); err != nil {

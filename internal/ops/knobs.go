@@ -39,16 +39,17 @@ type Knobs struct {
 
 // Apply pushes every non-nil knob onto the serving process and returns
 // the names of the knobs it applied (for the reload log line). Knobs
-// whose target is absent — e.g. a cache the Server was not handed — are
+// whose target is absent — the TTL of an engine without a tracker — are
 // skipped silently: the document stays portable across configurations.
 func (s *Server) Apply(k Knobs) []string {
 	var applied []string
-	if k.SynthCacheBudget != nil && s.SynthCache != nil {
-		s.SynthCache.SetBudget(*k.SynthCacheBudget)
+	cfg := s.Engine.Config()
+	if k.SynthCacheBudget != nil {
+		cfg.SynthCache.SetBudget(*k.SynthCacheBudget)
 		applied = append(applied, "synth_cache_budget")
 	}
-	if k.SteeringCacheBudget != nil && s.Steering != nil {
-		s.Steering.SetBudget(*k.SteeringCacheBudget)
+	if k.SteeringCacheBudget != nil {
+		cfg.Steering.SetBudget(*k.SteeringCacheBudget)
 		applied = append(applied, "steering_cache_budget")
 	}
 	if k.ClientQuota != nil {
@@ -79,15 +80,9 @@ func (s *Server) Apply(k Knobs) []string {
 // Current reads back the live values of every knob the server can
 // reach, for GET /knobs and the reload log.
 func (s *Server) Current() Knobs {
-	var k Knobs
-	if s.SynthCache != nil {
-		v := s.SynthCache.Budget()
-		k.SynthCacheBudget = &v
-	}
-	if s.Steering != nil {
-		v := s.Steering.Budget()
-		k.SteeringCacheBudget = &v
-	}
+	cfg := s.Engine.Config()
+	synth, steer := cfg.SynthCache.Budget(), cfg.Steering.Budget()
+	k := Knobs{SynthCacheBudget: &synth, SteeringCacheBudget: &steer}
 	q := s.Engine.ClientQuota()
 	k.ClientQuota = &q
 	age := int64(s.Engine.AgeLimit() / time.Millisecond)

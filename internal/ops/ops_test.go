@@ -88,11 +88,10 @@ func opsServer(t *testing.T) (*ops.Server, *engine.Engine, *engine.Tracker) {
 	t.Helper()
 	base := time.Unix(1700000000, 0)
 	tr := walkTracker(base)
-	synth := core.NewSynthCacheBudget(64 << 20)
-	steer := music.NewSteeringCacheBudget(32 << 20)
 	eng := engine.New(engine.Options{
 		Workers: 1,
-		Config:  core.Config{Wavelength: 0.1225, GridCell: 0.5, SynthCache: synth, Steering: steer},
+		Config: core.Config{Wavelength: 0.1225, GridCell: 0.5,
+			SynthCache: core.NewSynthCache(64 << 20), Steering: music.NewSteeringCache(32 << 20)},
 		Tracker: tr, ClientQuota: 16,
 		Predict: true, PredictSigma: 4,
 	})
@@ -103,7 +102,7 @@ func opsServer(t *testing.T) (*ops.Server, *engine.Engine, *engine.Tracker) {
 	backend.NoteAPError(5)
 	backend.NoteAPError(5) // quarantine AP 5 so the gauge is non-zero
 	return &ops.Server{
-		Engine: eng, SynthCache: synth, Steering: steer,
+		Engine:         eng,
 		PendingClients: func() int { return pending },
 		Backend:        backend,
 	}, eng, tr
@@ -129,7 +128,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := string(raw)
-	for _, want := range []string{
+	want := []string{
 		"# TYPE arraytrack_jobs_submitted_total counter",
 		"arraytrack_tracked_clients 2",
 		"arraytrack_pending_clients 3",
@@ -157,9 +156,18 @@ func TestMetricsEndpoint(t *testing.T) {
 		"arraytrack_shed_after_ms 0",
 		"# TYPE arraytrack_build_info gauge",
 		`arraytrack_build_info{kernels="` + music.Kernels() + `"} 1`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("metrics exposition missing %q", want)
+		"# TYPE arraytrack_synth_cache_slices_total counter",
+	}
+	for _, cache := range []string{"synth", "steering"} {
+		for _, series := range []string{"entries gauge", "bytes gauge", "budget_bytes gauge",
+			"hits_total counter", "misses_total counter", "evictions_total counter",
+			"second_choice_total counter", "spills_total counter", "dense_evictions_total counter"} {
+			want = append(want, "# TYPE arraytrack_"+cache+"_cache_"+series)
+		}
+	}
+	for _, w := range want {
+		if !strings.Contains(body, w) {
+			t.Errorf("metrics exposition missing %q", w)
 		}
 	}
 }
@@ -231,7 +239,7 @@ func TestKnobsApplyAndReadback(t *testing.T) {
 	if len(applied.Applied) != 5 {
 		t.Fatalf("applied = %v, want 5 knobs", applied.Applied)
 	}
-	if b := srv.SynthCache.Budget(); b != 1<<20 {
+	if b := eng.Config().SynthCache.Budget(); b != 1<<20 {
 		t.Fatalf("synth budget = %d, want %d", b, 1<<20)
 	}
 	if q := eng.ClientQuota(); q != 4 {
@@ -273,5 +281,32 @@ func TestKnobsApplyAndReadback(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("typoed knob = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestKnobsTinyCacheBudgetStaysBounded: a synth_cache_budget below the
+// cache's shard count bounds the engine's cache like any positive
+// budget — each shard's slice rounds to 0, which must retain nothing,
+// not read as the unbounded 0.
+func TestKnobsTinyCacheBudgetStaysBounded(t *testing.T) {
+	srv, eng, _ := opsServer(t)
+	tiny := int64(7)
+	if applied := srv.Apply(ops.Knobs{SynthCacheBudget: &tiny}); len(applied) != 1 {
+		t.Fatalf("applied = %v, want synth_cache_budget", applied)
+	}
+	cache := eng.Config().SynthCache
+	sg, err := core.NewSynthGrid(geom.Pt(0, 0), geom.Pt(10, 10), core.SynthOptions{Cell: 0.5, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := music.NewSpectrum(360)
+	for i := range s.P {
+		s.P[i] = 1 + float64(i%7)
+	}
+	if _, err := sg.Localize([]core.APSpectrum{{Pos: geom.Pt(1, 1), Spectrum: s}}); err != nil {
+		t.Fatal(err)
+	}
+	if u := cache.Usage(); u.Budget != tiny || u.Bytes > u.Budget || u.Entries != 0 || u.Spills == 0 {
+		t.Fatalf("usage %+v under a %d-byte budget, want every entry spilled", u.Usage, tiny)
 	}
 }

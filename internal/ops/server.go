@@ -9,9 +9,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/geom"
+	"repro/internal/lru"
 	"repro/internal/music"
 	"repro/internal/server"
 )
@@ -19,16 +19,12 @@ import (
 // Server exposes a running engine's metrics, per-client track
 // introspection, and the hot-reloadable knobs over HTTP. Only Engine
 // is required; nil optional fields simply hide the corresponding
-// surface. All handlers are safe for concurrent use — they only touch
-// the engine's own concurrency-safe accessors.
+// surface; the caches are always the engine's own (Engine.Config). All
+// handlers are safe for concurrent use — they only touch the engine's
+// own concurrency-safe accessors.
 type Server struct {
 	// Engine is the serving engine. Required.
 	Engine *engine.Engine
-	// SynthCache and Steering are the caches the engine's config was
-	// built with; needed only for hot-reloading their budgets (the
-	// metrics come through engine.Stats either way).
-	SynthCache *core.SynthCache
-	Steering   *music.SteeringCache
 	// PendingClients, when non-nil, reports the backend's count of
 	// clients buffered below quorum (exported as a gauge).
 	PendingClients func() int
@@ -71,8 +67,14 @@ type promWriter struct {
 	b strings.Builder
 }
 
-func (p *promWriter) counter(name, help string, v uint64) {
-	fmt.Fprintf(&p.b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+func (p *promWriter) counter(name, help string, v uint64) { p.series(name, help, true, v) }
+
+func (p *promWriter) series(name, help string, counter bool, v uint64) {
+	kind := "gauge"
+	if counter {
+		kind = "counter"
+	}
+	fmt.Fprintf(&p.b, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, kind, name, v)
 }
 
 func (p *promWriter) gauge(name, help string, v int64) {
@@ -81,6 +83,22 @@ func (p *promWriter) gauge(name, help string, v int64) {
 
 func (p *promWriter) gaugeF(name, help string, v float64) {
 	fmt.Fprintf(&p.b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+}
+
+// CacheSeries passes each series of one cache's usage to emit, named
+// prefix+suffix in exposition order: the gauges entries, bytes and
+// budget_bytes, then the counters, suffixed _total. /metrics and the
+// server's stats log both list a cache through it.
+func CacheSeries(prefix string, u lru.Usage, emit func(name, help string, counter bool, v uint64)) {
+	emit(prefix+"entries", "Entries held.", false, uint64(u.Entries))
+	emit(prefix+"bytes", "Accounted size: the summed cost of held entries.", false, uint64(u.Bytes))
+	emit(prefix+"budget_bytes", "Byte budget (0 = unbounded).", false, uint64(u.Budget))
+	emit(prefix+"hits_total", "Lookup hits.", true, u.Hits)
+	emit(prefix+"misses_total", "Lookup misses (entries built).", true, u.Misses)
+	emit(prefix+"evictions_total", "Entries evicted to stay within the budget, spills included.", true, u.Evictions)
+	emit(prefix+"second_choice_total", "Entries placed at their second-choice shard (two-choice placement).", true, u.SecondChoice)
+	emit(prefix+"spills_total", "Entries larger than a shard's budget slice, served without retention.", true, u.Spills)
+	emit(prefix+"dense_evictions_total", "Evictions of entries costing >= 4 MiB (dense-pitch LUTs).", true, u.DenseEvictions)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -159,23 +177,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.gauge("arraytrack_leased_ingest_workspaces", "Pooled ingest workspaces currently leased (leaks show as a plateau).", server.LeasedIngestWorkspaces())
 	}
 
-	p.gauge("arraytrack_synth_cache_entries", "Bearing LUTs held by the synthesis cache.", int64(st.SynthLUTs))
-	p.gauge("arraytrack_synth_cache_bytes", "Accounted synthesis cache size.", st.SynthBytes)
-	p.gauge("arraytrack_synth_cache_budget_bytes", "Synthesis cache byte budget (0 = unbounded).", st.SynthBudget)
-	p.counter("arraytrack_synth_cache_hits_total", "Synthesis cache lookup hits.", st.SynthHits)
-	p.counter("arraytrack_synth_cache_misses_total", "Synthesis cache lookup misses.", st.SynthMisses)
-	p.counter("arraytrack_synth_cache_evictions_total", "Synthesis cache evictions.", st.SynthEvictions)
-	p.counter("arraytrack_synth_cache_slices_total", "Region LUTs sliced from cached full-grid entries.", st.SynthSlices)
-	p.counter("arraytrack_synth_cache_second_choice_total", "LUT insertions placed at their second-choice shard (two-choice placement).", st.SynthSecondChoice)
-	p.counter("arraytrack_synth_cache_spills_total", "Oversized or unretainable LUTs served pass-through without caching.", st.SynthSpills)
-	p.counter("arraytrack_synth_cache_dense_evictions_total", "Evictions of dense-pitch-scale LUT entries (>= 4 MiB).", st.SynthDenseEvictions)
-
-	p.gauge("arraytrack_steering_cache_entries", "Steering tables held.", int64(st.SteeringTables))
-	p.gauge("arraytrack_steering_cache_bytes", "Accounted steering cache size.", st.SteeringBytes)
-	p.gauge("arraytrack_steering_cache_budget_bytes", "Steering cache byte budget (0 = unbounded).", st.SteeringBudget)
-	p.counter("arraytrack_steering_cache_hits_total", "Steering cache lookup hits.", st.SteeringHits)
-	p.counter("arraytrack_steering_cache_misses_total", "Steering cache lookup misses.", st.SteeringMisses)
-	p.counter("arraytrack_steering_cache_evictions_total", "Steering cache evictions.", st.SteeringEvictions)
+	cfg := s.Engine.Config()
+	syn := cfg.SynthCache.Usage()
+	CacheSeries("arraytrack_synth_cache_", syn.Usage, p.series)
+	p.counter("arraytrack_synth_cache_slices_total", "Region LUTs sliced from cached full-grid entries.", syn.Slices)
+	CacheSeries("arraytrack_steering_cache_", cfg.Steering.Usage(), p.series)
 
 	p.gaugeF("arraytrack_predict_sigma", "Live predictive-region sigma (0 = predictive path disabled).", s.Engine.PredictSigma())
 	p.gauge("arraytrack_client_quota", "Per-client scheduler token budget (0 = unlimited).", int64(s.Engine.ClientQuota()))

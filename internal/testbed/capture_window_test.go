@@ -172,7 +172,7 @@ func TestTrimmedWireFixesMatchRaw(t *testing.T) {
 	}
 
 	sg, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(),
+		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(0),
 	})
 	if err != nil {
 		t.Fatal(err)

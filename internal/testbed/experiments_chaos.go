@@ -377,7 +377,7 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 	// The degraded server's ops surface must stay up: /healthz green,
 	// /metrics scrapeable with the fault counters present.
 	srv := httptest.NewServer((&ops.Server{
-		Engine: fault.eng, SynthCache: cfg.SynthCache, Steering: cfg.Steering,
+		Engine:  fault.eng,
 		Backend: fault.be, Sink: fault.sink,
 	}).Handler())
 	if resp, err := srv.Client().Get(srv.URL + "/healthz"); err == nil {

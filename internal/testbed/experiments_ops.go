@@ -226,7 +226,7 @@ func (tb *Testbed) RunOps(opt OpsOptions) (*Report, *OpsResult, error) {
 
 	// The restored engine's ops endpoint must serve a scrapeable
 	// exposition — the same surface CI curls on the live server.
-	srv := httptest.NewServer((&ops.Server{Engine: eng, SynthCache: cfg.SynthCache, Steering: cfg.Steering}).Handler())
+	srv := httptest.NewServer((&ops.Server{Engine: eng}).Handler())
 	if resp, err := srv.Client().Get(srv.URL + "/metrics"); err == nil {
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()

@@ -53,7 +53,7 @@ func TestRegionGateOnTestbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget int64 = 32 << 20
-	cache := core.NewSynthCacheBudget(budget)
+	cache := core.NewSynthCache(budget)
 	fullGrid, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{Cell: 0.10, Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestRegionSteadyStateAllocs(t *testing.T) {
 	for _, si := range []int{0, 2, 4} {
 		scene = append(scene, core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[0][si]})
 	}
-	cache := core.NewSynthCacheBudget(32 << 20)
+	cache := core.NewSynthCache(32 << 20)
 	region := core.Region{Min: geom.Pt(8, 3), Max: geom.Pt(20, 12)}
 	sg, err := core.NewSynthGridRegion(tb.Plan.Min, tb.Plan.Max, region, core.SynthOptions{
 		Cell: 0.10, Workers: 1, Cache: cache,

@@ -18,7 +18,7 @@ func TestSynthRefinedArgmaxExactOnTestbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{Cell: 0.10, Cache: core.NewSynthCache()})
+	sg, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{Cell: 0.10, Cache: core.NewSynthCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
