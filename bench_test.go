@@ -342,7 +342,6 @@ func BenchmarkComputeSpectrum(b *testing.B) {
 				Wavelength:      throughputTB.Wavelength,
 				SmoothingGroups: 2,
 				MaxSamples:      10,
-				SampleOffset:    100,
 				ForwardBackward: true,
 			}
 			var ws *music.Workspace

@@ -36,7 +36,7 @@ func main() {
 	for i, wp := range waypoints {
 		var captures [][]core.FrameCapture
 		for _, site := range tb.Sites {
-			captures = append(captures, tb.CaptureClient(wp, site, capOpt, rng))
+			captures = append(captures, testbed.Cut(tb.CaptureClient(wp, site, capOpt, rng)))
 		}
 		pos, _, err := core.LocateClient(aps, captures, tb.Plan.Min, tb.Plan.Max, cfg)
 		if err != nil {

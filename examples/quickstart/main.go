@@ -18,6 +18,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/server"
 	"repro/internal/wifi"
 )
 
@@ -60,7 +61,10 @@ func main() {
 	// The client transmits three frames from (13, 7.5), drifting a few
 	// centimetres between them — enough for multipath suppression.
 	client := geom.Pt(13, 7.5)
+	// Each AP ships the server only the ten samples it correlates,
+	// [100, 110) after the frame start (the stream starts at the preamble).
 	preamble := wifi.Preamble40()
+	det := server.DefaultDetector()
 	captures := make([][]core.FrameCapture, len(aps))
 	for i, ap := range aps {
 		pos := client
@@ -70,7 +74,7 @@ func main() {
 				NoiseFloorDBm: -85,
 				Rng:           rng,
 			})
-			captures[i] = append(captures[i], core.FrameCapture{Streams: rec.Samples})
+			captures[i] = append(captures[i], core.FrameCapture{Streams: det.Extract(rec.Samples, 0)})
 			pos = client.Add(geom.Vec{X: rng.Float64()*0.06 - 0.03, Y: rng.Float64()*0.06 - 0.03})
 		}
 	}

@@ -55,7 +55,7 @@ func main() {
 
 		var captures [][]core.FrameCapture
 		for _, site := range tb.Sites {
-			captures = append(captures, tb.CaptureClient(truth, site, capOpt, rng))
+			captures = append(captures, testbed.Cut(tb.CaptureClient(truth, site, capOpt, rng)))
 		}
 		res := eng.Locate(engine.Request{
 			ClientID: 1,

@@ -72,7 +72,7 @@ func TestRebalanceUnderConcurrentIngest(t *testing.T) {
 			var caps []server.Capture
 			for ci, id := range clients {
 				pos := geom.Pt(4+float64(ci)*4, 6)
-				for _, fc := range tb.CaptureClient(pos, tb.Sites[s], capOpt, rng) {
+				for _, fc := range testbed.Cut(tb.CaptureClient(pos, tb.Sites[s], capOpt, rng)) {
 					seqs[apID]++
 					caps = append(caps, server.Capture{
 						APID: apID, ClientID: id, Seq: seqs[apID],

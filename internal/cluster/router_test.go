@@ -355,7 +355,7 @@ func FuzzRouteMatchesDecode(f *testing.F) {
 	f.Add(frame[:12])                                  // header only, no body
 	f.Add(frame[:len(frame)-3])                        // truncated payload
 	f.Add(append(append([]byte(nil), frame...), 0xAA)) // trailing byte
-	f.Add(shipped)                                     // the 9 x 128 capture the APs ship
+	f.Add(shipped)                                     // the 9 x 10 capture the APs ship
 	f.Add(shipped[:len(shipped)/2])                    // ...cut mid-payload
 	f.Add(append(append([]byte(nil), shipped...), frame...))
 	f.Add(mustBatch(f, []server.Capture{small(on1, 5, true, false)})) // region only

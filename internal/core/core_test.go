@@ -221,7 +221,7 @@ func buildTestbedAPs(t *testing.T, client geom.Point, nAPs, nFrames int, rng *ra
 				NoiseFloorDBm: -75,
 				Rng:           rng,
 			})
-			frames = append(frames, FrameCapture{Streams: rec.Samples})
+			frames = append(frames, FrameCapture{Streams: shipWindow(rec.Samples)})
 			// ≤5 cm movement between frames (§4.2).
 			pos = client.Add(geom.Vec{X: rng.Float64()*0.08 - 0.04, Y: rng.Float64()*0.08 - 0.04})
 		}
@@ -229,6 +229,17 @@ func buildTestbedAPs(t *testing.T, client geom.Point, nAPs, nFrames int, rng *ra
 		captures = append(captures, frames)
 	}
 	return aps, captures, &plan
+}
+
+// shipWindow is what an AP ships of streams that start at the preamble:
+// [DefaultSampleOffset, DefaultSampleOffset+DefaultMaxSamples) of each
+// (server.Detector's cut; the server package imports this one).
+func shipWindow(streams [][]complex128) [][]complex128 {
+	out := make([][]complex128, len(streams))
+	for k, st := range streams {
+		out[k] = st[DefaultSampleOffset : DefaultSampleOffset+DefaultMaxSamples]
+	}
+	return out
 }
 
 func TestEndToEndLocalization(t *testing.T) {

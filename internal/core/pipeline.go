@@ -64,11 +64,22 @@ func (p *Pipeline) musicOptions(ap *AP) music.Options {
 		SmoothingGroups:     p.cfg.SmoothingGroups,
 		SignalThresholdFrac: p.cfg.SignalThresholdFrac,
 		MaxSamples:          p.cfg.MaxSamples,
-		SampleOffset:        p.cfg.SampleOffset,
 		ForwardBackward:     p.cfg.ForwardBackward,
 		Steering:            p.cfg.Steering,
 		CalibrationOffsets:  ap.Calibration,
 	}
+}
+
+// window refuses streams that are not the MaxSamples samples an AP
+// ships: a short one lacks samples, a long one is an uncut capture whose
+// first samples would silently stand in for the window.
+func (p *Pipeline) window(streams [][]complex128) error {
+	for k, st := range streams {
+		if len(st) != p.cfg.MaxSamples {
+			return fmt.Errorf("%w: stream %d has %d samples, the window is %d", ErrShortCapture, k, len(st), p.cfg.MaxSamples)
+		}
+	}
+	return nil
 }
 
 // FrameSpectrum is the per-frame stage chain (snapshots → correlation
@@ -78,6 +89,9 @@ func (p *Pipeline) FrameSpectrum(ws *music.Workspace, ap *AP, frame FrameCapture
 	nRow := ap.Array.N
 	if len(frame.Streams) < nRow {
 		return nil, fmt.Errorf("core: frame has %d streams, need %d row antennas", len(frame.Streams), nRow)
+	}
+	if err := p.window(frame.Streams[:nRow]); err != nil {
+		return nil, err
 	}
 	return p.cfg.Estimator.Spectrum(ws, ap.Array, frame.Streams[:nRow], p.musicOptions(ap))
 }
@@ -128,7 +142,10 @@ func (p *Pipeline) CombineAP(ws *music.Workspace, ap *AP, frames []FrameCapture,
 	}
 	if vote {
 		full := frames[0].Streams[:ap.Array.NumElements()]
-		rFull, err := music.CalibratedCorrelationWS(ws, full, p.cfg.SampleOffset, p.cfg.MaxSamples, ap.Calibration)
+		if err := p.window(full); err != nil {
+			return nil, err
+		}
+		rFull, err := music.CalibratedCorrelationWS(ws, full, 0, p.cfg.MaxSamples, ap.Calibration)
 		if err != nil {
 			return nil, err
 		}

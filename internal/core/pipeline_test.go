@@ -109,41 +109,48 @@ func TestPipelineStagesComposeToProcessAP(t *testing.T) {
 
 // TestPipelineRefusesShortCapture: both readers of a frame's samples —
 // the per-frame spectrum over the row, and the ninth-antenna vote over
-// frame 0 — refuse a capture that ends inside the configured window with
-// ErrShortCapture, through every wrapper up to Locate.
+// frame 0 — refuse a stream that is not MaxSamples long with
+// ErrShortCapture, through every wrapper up to Locate. One sample short
+// lacks a snapshot; one sample long is an uncut capture, whose leading
+// samples are not the window.
 func TestPipelineRefusesShortCapture(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	aps, captures, plan := buildTestbedAPs(t, geom.Pt(8, 6), 2, 3, rng)
 	p := NewPipeline(DefaultConfig(lambda))
-	window := DefaultSampleOffset + DefaultMaxSamples
+	window := DefaultMaxSamples
 
-	cut := func(frame FrameCapture, n int, only ...int) FrameCapture {
+	// resize copies the frame with stream only (every stream if only is
+	// -1) cut to n samples, or zero-padded to n = window+1.
+	resize := func(frame FrameCapture, n, only int) FrameCapture {
 		out := FrameCapture{Streams: append([][]complex128(nil), frame.Streams...)}
-		for k := range out.Streams {
-			if len(only) == 0 || k == only[0] {
-				out.Streams[k] = out.Streams[k][:n]
+		for k, st := range out.Streams {
+			if only < 0 || k == only {
+				out.Streams[k] = append(append([]complex128(nil), st...), 0)[:n]
 			}
 		}
 		return out
 	}
+	ninth := aps[1].Array.N
 	for name, frame0 := range map[string]FrameCapture{
-		"every stream one sample short":  cut(captures[1][0], window-1),
-		"ninth antenna one sample short": cut(captures[1][0], window-1, aps[1].Array.N),
+		"every stream one sample short":  resize(captures[1][0], window-1, -1),
+		"ninth antenna one sample short": resize(captures[1][0], window-1, ninth),
+		"every stream one sample long":   resize(captures[1][0], window+1, -1),
+		"ninth antenna one sample long":  resize(captures[1][0], window+1, ninth),
 	} {
-		short := [][]FrameCapture{captures[0], {frame0, captures[1][1], captures[1][2]}}
-		if _, _, err := p.Locate(aps, short, plan.Min, plan.Max); !errors.Is(err, ErrShortCapture) {
+		bad := [][]FrameCapture{captures[0], {frame0, captures[1][1], captures[1][2]}}
+		if _, _, err := p.Locate(aps, bad, plan.Min, plan.Max); !errors.Is(err, ErrShortCapture) {
 			t.Errorf("%s: Locate err = %v, want ErrShortCapture", name, err)
 		}
 	}
-	// Cut at the window's last sample, the same capture fixes — and
-	// exactly where the raw frames do.
-	exact := [][]FrameCapture{captures[0], {cut(captures[1][0], window), captures[1][1], captures[1][2]}}
+	// The control: the same frame copied at exactly the window fixes,
+	// where the untouched captures do.
+	exact := [][]FrameCapture{captures[0], {resize(captures[1][0], window, -1), captures[1][1], captures[1][2]}}
 	got, _, err := p.Locate(aps, exact, plan.Min, plan.Max)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want, _, _ := p.Locate(aps, captures, plan.Min, plan.Max); got != want {
-		t.Errorf("fix on a %d-sample frame %v, on the raw frame %v", window, got, want)
+		t.Errorf("fix on the copied %d-sample frame %v, on the original %v", window, got, want)
 	}
 }
 

@@ -18,12 +18,10 @@ type Config struct {
 	Wavelength float64
 	// SmoothingGroups is NG for spatial smoothing (§2.3.2; paper: 2).
 	SmoothingGroups int
-	// MaxSamples bounds the preamble samples used per frame (paper: 10).
+	// MaxSamples is the length of every stream a capture carries: the
+	// preamble samples correlated per frame (paper: 10). A stream of any
+	// other length is refused (ErrShortCapture).
 	MaxSamples int
-	// SampleOffset skips the first samples of a capture (counted from
-	// the detected frame start, trimmed capture or raw) so snapshots
-	// come from the steady preamble region after detection.
-	SampleOffset int
 	// ForwardBackward enables forward-backward correlation averaging,
 	// a standard ULA companion to spatial smoothing.
 	ForwardBackward bool
@@ -64,21 +62,19 @@ type Config struct {
 	Estimator music.Estimator
 }
 
-// The capture window, in samples from the detected frame start — the
-// contract between the two halves of Figure 1. The server correlates
-// [DefaultSampleOffset, DefaultSampleOffset+DefaultMaxSamples) of every
-// stream (DefaultConfig); an AP ships that prefix plus CaptureGuard more
-// (server.DefaultDetector): 128 samples, four short-training-symbol
-// periods, so a server may raise MaxSamples to 28 without touching an AP.
+// The capture window, in samples from the detected frame start. An AP
+// cuts [DefaultSampleOffset, DefaultSampleOffset+DefaultMaxSamples) out
+// of every antenna's stream — the steady preamble after detection — and
+// ships only that (server.DefaultDetector); the server correlates every
+// sample it is sent (DefaultConfig's MaxSamples).
 const (
 	DefaultSampleOffset = 100
 	DefaultMaxSamples   = 10
-	CaptureGuard        = 18
 )
 
-// ErrShortCapture fails the fix of a capture whose streams end before
-// SampleOffset+MaxSamples (the AP shipped less than this config reads);
-// nothing is read from another offset instead.
+// ErrShortCapture fails the fix of a capture whose streams are not
+// MaxSamples long: shorter, the AP shipped less than this config reads;
+// longer, it is an uncut capture whose first samples are not the window.
 var ErrShortCapture = music.ErrShortCapture
 
 // DefaultConfig returns the full ArrayTrack pipeline with the paper's
@@ -88,7 +84,6 @@ func DefaultConfig(wavelength float64) Config {
 		Wavelength:          wavelength,
 		SmoothingGroups:     2,
 		MaxSamples:          DefaultMaxSamples,
-		SampleOffset:        DefaultSampleOffset,
 		ForwardBackward:     true,
 		SignalThresholdFrac: 0.05,
 		UseWeighting:        true,

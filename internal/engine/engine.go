@@ -182,8 +182,8 @@ type Stats struct {
 	// (included in Failures and Completed).
 	Shed uint64
 	// ShortCaptures is the number of jobs refused with
-	// core.ErrShortCapture: an AP shipped fewer samples than this
-	// server's SampleOffset+MaxSamples reads (included in Failures).
+	// core.ErrShortCapture: an AP shipped streams that are not the
+	// window's length, MaxSamples (included in Failures).
 	ShortCaptures uint64
 	// DegradedFixes is the number of successful fixes produced from
 	// degraded-quorum capture groups (included in Fixes).

@@ -160,7 +160,7 @@ func syntheticSetup() (aps []*core.AP, cfg core.Config, mkStreams func(rng *rand
 	mkStreams = func(rng *rand.Rand) [][]complex128 {
 		st := make([][]complex128, 4)
 		for k := range st {
-			st[k] = make([]complex128, 16)
+			st[k] = make([]complex128, cfg.MaxSamples)
 			for i := range st[k] {
 				st[k][i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			}
@@ -338,7 +338,6 @@ func TestNilConfigResolvesToShared(t *testing.T) {
 		Wavelength:          def.Wavelength,
 		SmoothingGroups:     def.SmoothingGroups,
 		MaxSamples:          def.MaxSamples,
-		SampleOffset:        def.SampleOffset,
 		ForwardBackward:     def.ForwardBackward,
 		SignalThresholdFrac: def.SignalThresholdFrac,
 		UseWeighting:        def.UseWeighting,

@@ -96,17 +96,18 @@ func TestCaptureSinkDiscardsUnknownAPProvenance(t *testing.T) {
 
 // TestShortCaptureRefusedEndToEnd sends one transmission through a real
 // Backend (stream decode into pooled workspaces) and CaptureSink with
-// every stream one sample short of the configured window. The job must
-// fail with core.ErrShortCapture — counted, no fix, no track update,
-// nothing read from another offset — and the pooled captures go back
-// exactly once. The same transmission cut at the window's last sample
-// is the control: it fixes, and equals the fix on the raw frames.
+// every stream one sample short of the configured window, then one
+// sample long. Each job must fail with core.ErrShortCapture — counted,
+// no fix, no track update, nothing read from another offset — and the
+// pooled captures go back exactly once. The transmission at exactly the
+// window is the control: it fixes, and equals the fix on the unquantized
+// windows.
 func TestShortCaptureRefusedEndToEnd(t *testing.T) {
 	tb, reqs := testbedRequests(t, 1)
 	req := reqs[0]
 	cfg := core.DefaultConfig(tb.Wavelength)
 	cfg.GridCell = 0.25
-	window := cfg.SampleOffset + cfg.MaxSamples
+	window := cfg.MaxSamples
 
 	tr := engine.NewTracker(engine.TrackerOptions{})
 	eng := engine.New(engine.Options{Workers: 1, Config: cfg, Tracker: tr})
@@ -122,8 +123,8 @@ func TestShortCaptureRefusedEndToEnd(t *testing.T) {
 	backend := server.NewBackendDispatcher(len(req.APs), time.Minute, sink)
 	leased := server.LeasedIngestWorkspaces()
 
-	// send ships the transmission as one v3 frame, every stream cut to
-	// n samples, and returns the job's result.
+	// send ships the transmission as one v3 frame, every stream cut or
+	// zero-padded to n samples, and returns the job's result.
 	send := func(clientID uint32, n int) engine.Result {
 		t.Helper()
 		var caps []server.Capture
@@ -131,7 +132,7 @@ func TestShortCaptureRefusedEndToEnd(t *testing.T) {
 			for _, f := range frames {
 				streams := make([][]complex128, len(f.Streams))
 				for k, st := range f.Streams {
-					streams[k] = st[:n]
+					streams[k] = append(append([]complex128(nil), st...), 0)[:n]
 				}
 				caps = append(caps, server.Capture{APID: uint32(i + 1), ClientID: clientID, Timestamp: time.Now(), Streams: streams})
 			}
@@ -152,28 +153,30 @@ func TestShortCaptureRefusedEndToEnd(t *testing.T) {
 		}
 	}
 
-	short := send(1, window-1)
-	if !errors.Is(short.Err, core.ErrShortCapture) {
-		t.Fatalf("capture of %d samples under a [%d, %d) window: err = %v, want core.ErrShortCapture", window-1, cfg.SampleOffset, window, short.Err)
+	for i, n := range []int{window - 1, window + 1} {
+		bad := send(uint32(1+i), n)
+		if !errors.Is(bad.Err, core.ErrShortCapture) {
+			t.Fatalf("capture of %d samples under a %d-sample window: err = %v, want core.ErrShortCapture", n, window, bad.Err)
+		}
+		if bad.Track != nil || bad.Spectra != nil || bad.Pos != (geom.Point{}) {
+			t.Fatalf("refused job still carries a fix: %+v", bad)
+		}
 	}
-	if short.Track != nil || short.Spectra != nil || short.Pos != (geom.Point{}) {
-		t.Fatalf("refused job still carries a fix: %+v", short)
-	}
-	exact := send(2, window)
+	exact := send(3, window)
 	if exact.Err != nil {
 		t.Fatalf("capture of exactly %d samples: %v", window, exact.Err)
 	}
 	// (int16 quantization on the wire moves a fix by far less than 1 mm.)
 	if raw := eng.Locate(req); raw.Err != nil || raw.Pos.Dist(exact.Pos) > 1e-3 {
-		t.Fatalf("fix on the %d-sample capture %v, on the raw frames %v (err %v)", window, exact.Pos, raw.Pos, raw.Err)
+		t.Fatalf("fix on the wire's %d-sample capture %v, on the unquantized one %v (err %v)", window, exact.Pos, raw.Pos, raw.Err)
 	}
 
 	eng.Close() // the sink releases after OnResult, on the worker: wait for it
-	if st := eng.Stats(); st.ShortCaptures != 1 || st.Failures != 1 || st.Fixes != 2 {
-		t.Fatalf("short_captures=%d failures=%d fixes=%d, want 1, 1, 2", st.ShortCaptures, st.Failures, st.Fixes)
+	if st := eng.Stats(); st.ShortCaptures != 2 || st.Failures != 2 || st.Fixes != 2 {
+		t.Fatalf("short_captures=%d failures=%d fixes=%d, want 2, 2, 2", st.ShortCaptures, st.Failures, st.Fixes)
 	}
 	if st := tr.Stats(); st.Observed != 2 {
-		t.Fatalf("tracker observed %d fixes, want 2 (the refused job must not reach it)", st.Observed)
+		t.Fatalf("tracker observed %d fixes, want 2 (the refused jobs must not reach it)", st.Observed)
 	}
 	if got := server.LeasedIngestWorkspaces(); got != leased {
 		t.Fatalf("leased ingest workspaces %d, started at %d", got, leased)

@@ -105,8 +105,9 @@ func frameCorrelation(ws *Workspace, a *array.Array, streams [][]complex128, opt
 }
 
 // ErrShortCapture reports streams that end before the window
-// [offset, offset+maxSamples) the correlation was asked to read.
-var ErrShortCapture = errors.New("music: capture shorter than the correlation window")
+// [offset, offset+maxSamples) the correlation was asked to read (and,
+// through core, streams that are not the window's length).
+var ErrShortCapture = errors.New("music: capture does not match the correlation window")
 
 // CalibratedCorrelationWS takes snapshots of the streams (SnapshotsAtWS),
 // removes the calibration offsets when calib is non-nil (the §3

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/array"
+	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/mat"
 	"repro/internal/music"
@@ -56,7 +57,7 @@ func testbedMatrices(t testing.TB) []*mat.Matrix {
 		for _, site := range tb.Sites {
 			n := tb.NewArray(site, opt.Capture).N
 			for _, f := range tb.CaptureClient(c, site, opt.Capture, rng) {
-				r, err := music.CalibratedCorrelationWS(&ws, f.Streams[:n], cfg.SampleOffset, cfg.MaxSamples, nil)
+				r, err := music.CalibratedCorrelationWS(&ws, f.Streams[:n], core.DefaultSampleOffset, cfg.MaxSamples, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -304,7 +305,7 @@ func TestRealSubspaceGuardFallback(t *testing.T) {
 		SmoothingGroups:     opt.Pipeline.SmoothingGroups,
 		SignalThresholdFrac: opt.Pipeline.SignalThresholdFrac,
 		MaxSamples:          opt.Pipeline.MaxSamples,
-		SampleOffset:        opt.Pipeline.SampleOffset,
+		SampleOffset:        core.DefaultSampleOffset,
 		ForwardBackward:     opt.Pipeline.ForwardBackward,
 	}
 	if !mopt.ForwardBackward {

@@ -148,7 +148,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	p.counter("arraytrack_shed_total", "Batch jobs failed with ErrOverloaded after ageing past the shed bound.", st.Shed)
-	p.counter("arraytrack_short_captures_total", "Jobs refused because a capture ended before the configured SampleOffset+MaxSamples window.", st.ShortCaptures)
+	p.counter("arraytrack_short_captures_total", "Jobs refused because a capture's streams were not the window's length (MaxSamples).", st.ShortCaptures)
 	p.counter("arraytrack_degraded_fixes_total", "Fixes produced from degraded-quorum capture groups.", st.DegradedFixes)
 	if tr := s.Engine.Tracker(); tr != nil {
 		ts := tr.Stats()

@@ -7,9 +7,9 @@ import (
 )
 
 // The capture arraytrack-ap really ships: nine antennas by the window
-// the server reads plus its guard (DefaultDetector().CaptureLen, 128
-// samples: 4.6 KB on the wire). One frame carries an AP's three frames
-// of one transmission, as in walk6x3.
+// the server reads (DefaultDetector().CaptureLen, 10 samples: 0.4 KB on
+// the wire). One frame carries an AP's three frames of one
+// transmission, as in walk6x3.
 const (
 	benchAnt           = 9
 	benchFrameCaptures = 3

@@ -29,21 +29,21 @@ type Detector struct {
 	// required; spanning several short symbols rejects noise and is
 	// what lets detection work below decoding SNR (§4.3.4).
 	MinRun int
-	// CaptureLen is how many samples per antenna to ship from the
-	// detected start: the window the server correlates plus a guard,
-	// not the whole preamble.
+	// Offset is where the shipped window starts, in samples after the
+	// detected start: past detection, in the steady preamble.
+	Offset int
+	// CaptureLen is how many samples per antenna to ship from Offset:
+	// the window the server correlates, not the whole preamble.
 	CaptureLen int
 }
 
 // DefaultDetector returns the §2.1 configuration at 40 Msps: detection
 // over the short training symbols, and a capture cut to the window
-// core.DefaultConfig reads plus core.CaptureGuard — the first 128
-// samples (3.2 µs) of the preamble. A raw, untrimmed 640-sample capture
-// still decodes and reads the same samples: SampleOffset counts from
-// the detected start either way.
+// core.DefaultConfig reads — samples [100, 110) after the detected
+// start, 10 of the preamble's 640.
 func DefaultDetector() *Detector {
 	return &Detector{Period: 32, Threshold: 0.8, MinRun: 96,
-		CaptureLen: core.DefaultSampleOffset + core.DefaultMaxSamples + core.CaptureGuard}
+		Offset: core.DefaultSampleOffset, CaptureLen: core.DefaultMaxSamples}
 }
 
 // Detect scans antenna 0's stream and returns the detected frame start.
@@ -54,12 +54,14 @@ func (d *Detector) Detect(streams [][]complex128) (int, bool) {
 	return dsp.DetectFrame(streams[0], d.Period, d.Threshold, d.MinRun)
 }
 
-// Extract cuts [start, start+CaptureLen) from every stream into one
-// allocation, clamped to the shortest stream: the returned streams all
-// have one length, never more than CaptureLen, and less (nil rows once
-// start reaches the end) only when the streams end early — a capture a
-// server whose window it does not cover refuses (core.ErrShortCapture).
+// Extract cuts [start+Offset, start+Offset+CaptureLen) from every
+// stream into one allocation, clamped to the shortest stream: the
+// returned streams all have one length, never more than CaptureLen, and
+// less (nil rows once the window starts past the end) only when the
+// streams end early — a capture every server refuses
+// (core.ErrShortCapture), so an AP does not ship it.
 func (d *Detector) Extract(streams [][]complex128, start int) [][]complex128 {
+	start += d.Offset
 	n := d.CaptureLen
 	for _, st := range streams {
 		if len(st)-start < n {

@@ -237,7 +237,7 @@ func FuzzReadBatch(f *testing.F) {
 	f.Add(frame[:len(frame)-3])                        // truncated payload
 	f.Add(append(append([]byte(nil), frame...), 0xAA)) // trailing byte
 	shipped := shippedBatchFrame(f)
-	f.Add(shipped)                  // the 9 x 128 capture the APs ship
+	f.Add(shipped)                  // the 9 x 10 capture the APs ship
 	f.Add(shipped[:len(shipped)/2]) // ...cut mid-payload
 
 	lyingCount := append([]byte(nil), frame...)

@@ -211,11 +211,11 @@ func TestDetectorOnPreamble(t *testing.T) {
 		t.Errorf("detected at %d, want near 700", start)
 	}
 	win := d.Extract(streams, start)
-	if len(win[0]) != d.CaptureLen {
-		t.Errorf("capture window = %d samples", len(win[0]))
+	if len(win[0]) != d.CaptureLen || win[1][0] != streams[1][start+d.Offset] {
+		t.Errorf("capture window = %d samples, first %v, want %d from sample %d", len(win[0]), win[1][0], d.CaptureLen, start+d.Offset)
 	}
-	// Degenerate extraction at end of stream.
-	tail := d.Extract(streams, 1999)
+	// Degenerate extraction at end of stream: the window's last sample.
+	tail := d.Extract(streams, 1999-d.Offset)
 	if len(tail[0]) != 1 {
 		t.Errorf("tail window = %d", len(tail[0]))
 	}
@@ -225,20 +225,23 @@ func TestDetectorOnPreamble(t *testing.T) {
 }
 
 // TestDetectorShipsTheServersWindow pins the two defaults to each
-// other: what DefaultDetector cuts is what core.DefaultConfig reads plus
-// the stated guard, so neither can move alone.
+// other: DefaultDetector cuts exactly the MaxSamples samples
+// core.DefaultConfig correlates — every server refuses any other length
+// — from the steady preamble at core.DefaultSampleOffset.
 func TestDetectorShipsTheServersWindow(t *testing.T) {
 	cfg := core.DefaultConfig(0.1225)
-	if got, want := DefaultDetector().CaptureLen, cfg.SampleOffset+cfg.MaxSamples+core.CaptureGuard; got != want {
-		t.Fatalf("DefaultDetector().CaptureLen = %d, core.DefaultConfig reads [%d, %d) + guard %d = %d",
-			got, cfg.SampleOffset, cfg.SampleOffset+cfg.MaxSamples, core.CaptureGuard, want)
+	d := DefaultDetector()
+	if d.CaptureLen != cfg.MaxSamples || d.Offset != core.DefaultSampleOffset {
+		t.Fatalf("DefaultDetector cuts %d samples from %d, core.DefaultConfig reads %d cut from %d",
+			d.CaptureLen, d.Offset, cfg.MaxSamples, core.DefaultSampleOffset)
 	}
 }
 
 // TestExtractOneBackingNeverRagged: a capture is one allocation, its
-// streams are rectangular and never longer than CaptureLen; a window
-// that runs off the end of the shortest stream is clamped — shorter
-// than CaptureLen, which the server then refuses rather than mis-reads.
+// streams are rectangular, start Offset after the given start and are
+// never longer than CaptureLen; a window that runs off the end of the
+// shortest stream is clamped — shorter than CaptureLen, which the server
+// then refuses rather than mis-reads (and the AP does not ship).
 func TestExtractOneBackingNeverRagged(t *testing.T) {
 	d := DefaultDetector()
 	streams := make([][]complex128, 9)
@@ -253,8 +256,8 @@ func TestExtractOneBackingNeverRagged(t *testing.T) {
 		if len(w) != d.CaptureLen || cap(w) != d.CaptureLen {
 			t.Fatalf("stream %d: len %d cap %d, want %d", k, len(w), cap(w), d.CaptureLen)
 		}
-		if w[0] != streams[k][32] || w[len(w)-1] != streams[k][32+d.CaptureLen-1] {
-			t.Fatalf("stream %d is not [32, %d) of its source", k, 32+d.CaptureLen)
+		if from := 32 + d.Offset; w[0] != streams[k][from] || w[len(w)-1] != streams[k][from+d.CaptureLen-1] {
+			t.Fatalf("stream %d is not [%d, %d) of its source", k, from, from+d.CaptureLen)
 		}
 	}
 	if allocs := testing.AllocsPerRun(20, func() { d.Extract(streams, 32) }); allocs > 2 {
@@ -263,18 +266,18 @@ func TestExtractOneBackingNeverRagged(t *testing.T) {
 
 	// One stream ends early: every stream is clamped to it.
 	streams[4] = streams[4][:600]
-	clamped := d.Extract(streams, 500)
+	clamped := d.Extract(streams, 600-d.Offset-4)
 	for k, w := range clamped {
-		if len(w) != 100 {
-			t.Fatalf("clamped stream %d has %d samples, want 100", k, len(w))
+		if len(w) != 4 {
+			t.Fatalf("clamped stream %d has %d samples, want 4", k, len(w))
 		}
 	}
 	if frame, err := AppendBatch(nil, []Capture{{APID: 1, Streams: clamped}}); err != nil || len(frame) == 0 {
 		t.Fatalf("a clamped capture must still encode: %v", err)
 	}
-	for k, w := range d.Extract(streams, 600) {
+	for k, w := range d.Extract(streams, 600-d.Offset) {
 		if len(w) != 0 {
-			t.Fatalf("start at the end of the shortest stream: stream %d has %d samples", k, len(w))
+			t.Fatalf("window at the end of the shortest stream: stream %d has %d samples", k, len(w))
 		}
 	}
 }

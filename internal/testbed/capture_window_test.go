@@ -2,6 +2,8 @@ package testbed
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -31,33 +33,36 @@ func windowScenes(tb *Testbed, opt AccuracyOptions) (aps []*core.AP, frames [][]
 	return aps, frames, combos
 }
 
-// cutFrames returns the frames with every stream cut to its first n
-// samples (sharing the source's memory).
-func cutFrames(frames []core.FrameCapture, n int) []core.FrameCapture {
+// delayed returns the frames as an AP would hold them had it detected
+// each frame delay samples into its buffer, with the stream ending after
+// n samples of the frame: delay leading zeros, then the first n samples.
+func delayed(frames []core.FrameCapture, delay, n int) []core.FrameCapture {
 	out := make([]core.FrameCapture, len(frames))
 	for i, f := range frames {
 		out[i].Streams = make([][]complex128, len(f.Streams))
 		for k, st := range f.Streams {
-			out[i].Streams[k] = st[:n]
+			out[i].Streams[k] = make([]complex128, delay+n)
+			copy(out[i].Streams[k][delay:], st[:n])
 		}
 	}
 	return out
 }
 
 // TestTruncatedFramesLocateIdentically is the capture window's
-// metamorphic pin, no ground truth needed: SampleOffset counts from the
-// detected start whether or not the tail was trimmed, so Pipeline.Locate
-// on frames cut to any length that still covers
-// [SampleOffset, SampleOffset+MaxSamples) reads the same samples and
-// must return the raw frames' fix bit for bit — at the window's last
-// sample, at the length the APs ship, and at a random length per scene.
+// metamorphic pin, no ground truth needed: the AP's cut counts Offset
+// from the detected start and reads nothing past the window, so frames
+// detected at any delay and ending anywhere at or after the window's
+// last sample — at that sample, at the 128 samples the APs used to ship,
+// at a random length — cut to the same window, and Pipeline.Locate must
+// return the full frames' fix bit for bit. One sample shorter, the cut
+// window is short and the fix is refused (core.ErrShortCapture).
 func TestTruncatedFramesLocateIdentically(t *testing.T) {
 	tb := New()
 	opt := DefaultAccuracyOptions()
 	aps, frames, combos := windowScenes(tb, opt)
 	p := core.NewPipeline(opt.Pipeline)
-	window := opt.Pipeline.SampleOffset + opt.Pipeline.MaxSamples
-	shipped := server.DefaultDetector().CaptureLen
+	det := server.DefaultDetector()
+	window := det.Offset + det.CaptureLen
 	rng := rand.New(rand.NewSource(16))
 	checked := 0
 	for ci := range frames {
@@ -67,23 +72,34 @@ func TestTruncatedFramesLocateIdentically(t *testing.T) {
 			for i, si := range combo {
 				sceneAPs[i], raw[i] = aps[si], frames[ci][si]
 			}
-			want, _, err := p.Locate(sceneAPs, raw, tb.Plan.Min, tb.Plan.Max)
+			locate := func(delay, n int) (geom.Point, error) {
+				cut := make([][]core.FrameCapture, len(raw))
+				for i := range raw {
+					cut[i] = delayed(raw[i], delay, n)
+					for j, f := range cut[i] {
+						cut[i][j].Streams = det.Extract(f.Streams, delay)
+					}
+				}
+				pos, _, err := p.Locate(sceneAPs, cut, tb.Plan.Min, tb.Plan.Max)
+				return pos, err
+			}
+			full := len(raw[0][0].Streams[0])
+			want, err := locate(0, full)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full := len(raw[0][0].Streams[0])
-			for _, n := range []int{window, shipped, window + rng.Intn(full-window)} {
-				cut := make([][]core.FrameCapture, len(raw))
-				for i := range raw {
-					cut[i] = cutFrames(raw[i], n)
-				}
-				got, _, err := p.Locate(sceneAPs, cut, tb.Plan.Min, tb.Plan.Max)
+			for _, n := range []int{window, 128, window + rng.Intn(full-window)} {
+				delay := rng.Intn(64)
+				got, err := locate(delay, n)
 				if err != nil {
-					t.Fatalf("client %d combo %v cut to %d samples: %v", ci, combo, n, err)
+					t.Fatalf("client %d combo %v, %d samples detected at %d: %v", ci, combo, n, delay, err)
 				}
 				if got != want {
-					t.Fatalf("client %d combo %v: fix %v on frames cut to %d samples, %v on the raw %d — not bit-identical", ci, combo, got, n, want, full)
+					t.Fatalf("client %d combo %v: fix %v on %d samples detected at %d, %v on the full %d — not bit-identical", ci, combo, got, n, delay, want, full)
 				}
+			}
+			if _, err := locate(rng.Intn(64), window-1); !errors.Is(err, core.ErrShortCapture) {
+				t.Fatalf("client %d combo %v: frames ending one sample inside the window: err = %v, want core.ErrShortCapture", ci, combo, err)
 			}
 			checked++
 		}
@@ -91,65 +107,76 @@ func TestTruncatedFramesLocateIdentically(t *testing.T) {
 	if checked != 205 {
 		t.Fatalf("swept %d scenes, want 205", checked)
 	}
-	t.Logf("all %d scenes: the fix on frames cut to %d, %d and a random length is bit-identical to the raw frames'", checked, window, shipped)
+	t.Logf("all %d scenes: frames ending at %d, 128 and a random length, detected at random delays, fix bit-identically to the full frames; one sample shorter is refused", checked, window)
 }
 
-// TestTrimmedWireFixesMatchRaw carries every frame through the wire
-// (AppendBatch → ReadFrameInto) twice — raw, and trimmed by the
-// detector to what the APs ship — and compares the fixes on all 205
-// scenes. The bytes differ by design: the int16 scale is the capture's
-// peak, now taken over 128 samples instead of 640, so a trimmed capture
-// is quantized on the same or a finer grid. The bar is the scans' own:
-// same refined argmax cell, fix within 1e-9 m.
-//
-// One scene does not meet it, and the test says so rather than widening
-// the tolerance: client 10 over sites [0 1 2], where the hill climb
-// forks — the raw capture's coarser quantization sends it to
-// (20.188, 3.000), the trimmed capture's to (20.050, 3.100), 17 cm
-// away in the same cell. The trimmed fix is the one the unquantized
-// samples give. So a miss is tolerated only in that form (same cell,
-// and the trimmed fix within 1e-9 m of the fix on the samples before
-// any quantization: it is the raw capture that quantization moved), it
-// is named in the log, and more than one fails the test.
+// TestRawFrameRefusedByDefaultPipeline: an uncut frame — the stream as
+// captured, 640 samples from the preamble's start — handed to a
+// DefaultConfig pipeline is refused with core.ErrShortCapture, never read
+// from sample 0; cut by the AP's detector, the same frames fix.
+func TestRawFrameRefusedByDefaultPipeline(t *testing.T) {
+	tb := New()
+	opt := DefaultAccuracyOptions()
+	rng := rand.New(rand.NewSource(opt.Seed))
+	sites := []int{0, 1, 2}
+	aps := tb.APsFor(sites, opt.Capture)
+	raw := make([][]core.FrameCapture, len(sites))
+	cut := make([][]core.FrameCapture, len(sites))
+	for i, s := range sites {
+		raw[i] = tb.CaptureClient(tb.Clients[10], tb.Sites[s], opt.Capture, rng)
+		cut[i] = Cut(raw[i])
+	}
+	p := core.NewPipeline(core.DefaultConfig(tb.Wavelength))
+	if _, _, err := p.Locate(aps, raw, tb.Plan.Min, tb.Plan.Max); !errors.Is(err, core.ErrShortCapture) {
+		t.Fatalf("uncut %d-sample frames: err = %v, want core.ErrShortCapture", len(raw[0][0].Streams[0]), err)
+	}
+	if _, _, err := p.Locate(aps, cut, tb.Plan.Min, tb.Plan.Max); err != nil {
+		t.Fatalf("the same frames cut to the window: %v", err)
+	}
+}
+
+// overWire encodes one AP's frames as a v3 frame (AppendBatch), decodes
+// it (ReadFrameInto) and returns copies of the decoded frames.
+func overWire(t *testing.T, fs []core.FrameCapture) []core.FrameCapture {
+	t.Helper()
+	caps := make([]server.Capture, len(fs))
+	for i, f := range fs {
+		caps[i] = server.Capture{APID: 1, ClientID: 1, Seq: uint32(i), Streams: f.Streams}
+	}
+	wire, err := server.AppendBatch(nil, caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := server.GetIngestWorkspace()
+	decoded, err := server.ReadFrameInto(bytes.NewReader(wire), ws)
+	if err != nil {
+		ws.Discard()
+		t.Fatal(err)
+	}
+	defer server.ReleaseAll(decoded)
+	out := make([]core.FrameCapture, len(decoded))
+	for i, c := range decoded {
+		out[i].Streams = make([][]complex128, len(c.Streams))
+		for k, st := range c.Streams {
+			out[i].Streams[k] = append([]complex128(nil), st...)
+		}
+	}
+	return out
+}
+
+// TestTrimmedWireFixesMatchRaw carries every frame's cut window through
+// the wire (AppendBatch → ReadFrameInto) and compares the fixes with the
+// same windows never quantized, on all 205 scenes. The int16 scale is
+// the capture's peak over the ten samples it carries. The bar is the
+// scans' own: same refined argmax cell, fix within 1e-9 m.
 func TestTrimmedWireFixesMatchRaw(t *testing.T) {
 	tb := New()
 	opt := DefaultAccuracyOptions()
 	aps, frames, combos := windowScenes(tb, opt)
 	p := core.NewPipeline(opt.Pipeline)
-	det := server.DefaultDetector()
 
-	// overWire encodes one AP's frames as a v3 frame, decodes it into a
-	// pooled workspace and processes the decoded streams.
-	overWire := func(ap *core.AP, fs []core.FrameCapture) *music.Spectrum {
-		t.Helper()
-		caps := make([]server.Capture, len(fs))
-		for i, f := range fs {
-			caps[i] = server.Capture{APID: 1, ClientID: 1, Seq: uint32(i), Streams: f.Streams}
-		}
-		wire, err := server.AppendBatch(nil, caps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := server.GetIngestWorkspace()
-		decoded, err := server.ReadFrameInto(bytes.NewReader(wire), ws)
-		if err != nil {
-			ws.Discard()
-			t.Fatal(err)
-		}
-		defer server.ReleaseAll(decoded)
-		got := make([]core.FrameCapture, len(decoded))
-		for i, c := range decoded {
-			got[i].Streams = c.Streams
-		}
-		s, err := p.ProcessAP(ap, got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	// specs[0] raw over the wire, [1] trimmed over the wire, [2] the
-	// samples as captured, never quantized.
-	var specs [3][][]*music.Spectrum
+	// specs[0] over the wire, [1] the windows as cut, never quantized.
+	var specs [2][][]*music.Spectrum
 	for v := range specs {
 		specs[v] = make([][]*music.Spectrum, len(frames))
 	}
@@ -158,15 +185,12 @@ func TestTrimmedWireFixesMatchRaw(t *testing.T) {
 			specs[v][ci] = make([]*music.Spectrum, len(aps))
 		}
 		for si, ap := range aps {
-			trimmed := make([]core.FrameCapture, len(frames[ci][si]))
-			for i, f := range frames[ci][si] {
-				trimmed[i].Streams = det.Extract(f.Streams, 0)
-			}
-			specs[0][ci][si] = overWire(ap, frames[ci][si])
-			specs[1][ci][si] = overWire(ap, trimmed)
-			var err error
-			if specs[2][ci][si], err = p.ProcessAP(ap, frames[ci][si]); err != nil {
-				t.Fatal(err)
+			cut := Cut(frames[ci][si])
+			for v, fs := range [][]core.FrameCapture{overWire(t, cut), cut} {
+				var err error
+				if specs[v][ci][si], err = p.ProcessAP(ap, fs); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
@@ -177,11 +201,12 @@ func TestTrimmedWireFixesMatchRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, identical, missed := 0, 0, 0
+	checked, identical := 0, 0
+	var worst float64
 	for ci := range frames {
 		for _, combo := range combos {
-			var cell [3]int
-			var fix [3]geom.Point
+			var cell [2]int
+			var fix [2]geom.Point
 			for v := range specs {
 				scene := make([]core.APSpectrum, len(combo))
 				for i, si := range combo {
@@ -195,29 +220,113 @@ func TestTrimmedWireFixesMatchRaw(t *testing.T) {
 				}
 			}
 			checked++
-			if cell[1] != cell[0] {
-				t.Errorf("client %d combo %v: trimmed capture's argmax cell %d, raw capture's %d", ci, combo, cell[1], cell[0])
+			if cell[0] != cell[1] {
+				t.Errorf("client %d combo %v: argmax cell %d over the wire, %d unquantized", ci, combo, cell[0], cell[1])
 			}
-			switch d := fix[1].Dist(fix[0]); {
-			case fix[1] == fix[0]:
+			d := fix[0].Dist(fix[1])
+			if d > 1e-9 {
+				t.Errorf("client %d combo %v: fix %v over the wire, %v unquantized (%.3g m apart)", ci, combo, fix[0], fix[1], d)
+			}
+			if d == 0 {
 				identical++
-			case d <= 1e-9:
-			case fix[1].Dist(fix[2]) <= 1e-9:
-				missed++
-				t.Logf("MISS client %d combo %v: trimmed capture fixes at %v, raw at %v, %.3g m apart in cell %d; the unquantized samples fix at %v — quantization moved the raw capture's hill climb, not the trimmed one's",
-					ci, combo, fix[1], fix[0], d, cell[1], fix[2])
-			default:
-				t.Errorf("client %d combo %v: trimmed capture fixes at %v, raw at %v (%.3g m apart), unquantized at %v",
-					ci, combo, fix[1], fix[0], d, fix[2])
 			}
+			worst = math.Max(worst, d)
 		}
 	}
 	if checked != 205 {
 		t.Fatalf("swept %d scenes, want 205", checked)
 	}
-	if missed > 1 {
-		t.Errorf("%d scenes miss the 1e-9 m bar; one is documented", missed)
+	t.Logf("%d scenes through the wire, 9 x %d vs unquantized: all keep their argmax cell, %d bit-identical, max fix displacement %.3g m",
+		checked, server.DefaultDetector().CaptureLen, identical, worst)
+}
+
+// TestLocateScaleInvariantThroughWire is the first metamorphic test of
+// the whole locate path (AP cut → AppendBatch → ReadFrameInto →
+// Pipeline.Locate): scaling every stream of every AP by one factor must
+// not move the fix. The per-capture int16 scale absorbs a power of two
+// exactly and every later stage is homogeneous, so 2⁻²⁰, ½, 8 and 2²⁰
+// return the == fix on all 205 scenes; 3 and 0.1 round on the way, and
+// must keep the refined argmax cell and land within 1e-9 m.
+func TestLocateScaleInvariantThroughWire(t *testing.T) {
+	tb := New()
+	opt := DefaultAccuracyOptions()
+	aps, frames, combos := windowScenes(tb, opt)
+	p := core.NewPipeline(opt.Pipeline)
+	sg, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
+		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(0),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("%d scenes through the wire, 9 x %d vs raw: all keep their argmax cell, %d fix within 1e-9 m (%d bit-identical), %d miss (named above)",
-		checked, det.CaptureLen, checked-missed, identical, missed)
+
+	// shipped[ci][si] is what the server decodes of client ci's frames at
+	// site si, every sample scaled by scale before the AP cuts.
+	shipped := func(scale complex128) [][][]core.FrameCapture {
+		out := make([][][]core.FrameCapture, len(frames))
+		for ci := range frames {
+			out[ci] = make([][]core.FrameCapture, len(aps))
+			for si, fs := range frames[ci] {
+				scaled := make([]core.FrameCapture, len(fs))
+				for i, f := range fs {
+					scaled[i].Streams = make([][]complex128, len(f.Streams))
+					for k, st := range f.Streams {
+						s := make([]complex128, len(st))
+						for j, v := range st {
+							s[j] = v * scale
+						}
+						scaled[i].Streams[k] = s
+					}
+				}
+				out[ci][si] = overWire(t, Cut(scaled))
+			}
+		}
+		return out
+	}
+	// locate fixes every scene and returns the fixes and refined cells.
+	locate := func(decoded [][][]core.FrameCapture) (fixes []geom.Point, cells []int) {
+		for ci := range decoded {
+			for _, combo := range combos {
+				sceneAPs := make([]*core.AP, len(combo))
+				caps := make([][]core.FrameCapture, len(combo))
+				for i, si := range combo {
+					sceneAPs[i], caps[i] = aps[si], decoded[ci][si]
+				}
+				pos, specs, err := p.Locate(sceneAPs, caps, tb.Plan.Min, tb.Plan.Max)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cell, err := sg.RefinedArgmaxCell(specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fixes, cells = append(fixes, pos), append(cells, cell)
+			}
+		}
+		return fixes, cells
+	}
+
+	want, wantCells := locate(shipped(1))
+	if len(want) != 205 {
+		t.Fatalf("swept %d scenes, want 205", len(want))
+	}
+	for _, c := range []struct {
+		scale float64
+		exact bool
+	}{{0x1p-20, true}, {0.5, true}, {8, true}, {0x1p20, true}, {3, false}, {0.1, false}} {
+		got, cells := locate(shipped(complex(c.scale, 0)))
+		var worst float64
+		for i := range got {
+			d := got[i].Dist(want[i])
+			worst = math.Max(worst, d)
+			switch {
+			case c.exact && got[i] != want[i]:
+				t.Errorf("scale %g, scene %d: fix %v, unscaled %v — not ==", c.scale, i, got[i], want[i])
+			case cells[i] != wantCells[i]:
+				t.Errorf("scale %g, scene %d: argmax cell %d, unscaled %d", c.scale, i, cells[i], wantCells[i])
+			case d > 1e-9:
+				t.Errorf("scale %g, scene %d: fix %v is %.3g m from the unscaled %v", c.scale, i, got[i], d, want[i])
+			}
+		}
+		t.Logf("scale %g: %d scenes, max fix displacement %.3g m", c.scale, len(got), worst)
+	}
 }

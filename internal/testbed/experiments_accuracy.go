@@ -55,7 +55,7 @@ func (tb *Testbed) SpectraForAll(opt AccuracyOptions) ([][]*music.Spectrum, []ge
 	for ci, c := range clients {
 		specs[ci] = make([]*music.Spectrum, len(tb.Sites))
 		for si, site := range tb.Sites {
-			frames := tb.CaptureClient(c, site, opt.Capture, rng)
+			frames := Cut(tb.CaptureClient(c, site, opt.Capture, rng))
 			ap := &core.AP{Array: tb.NewArray(site, opt.Capture)}
 			s, err := core.ProcessAP(ap, frames, opt.Pipeline)
 			if err != nil {
@@ -233,7 +233,7 @@ func (tb *Testbed) RunFig14(clientIdx int, seed int64) (*Report, error) {
 	var specs []core.APSpectrum
 	r := &Report{ID: "fig14", Title: fmt.Sprintf("likelihood heatmaps, client %d at %v", clientIdx, client)}
 	for si, site := range tb.Sites {
-		frames := tb.CaptureClient(client, site, capOpt, rng)
+		frames := Cut(tb.CaptureClient(client, site, capOpt, rng))
 		ap := &core.AP{Array: tb.NewArray(site, capOpt)}
 		s, err := pipe.ProcessAP(ap, frames)
 		if err != nil {

@@ -246,7 +246,7 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 		for _, id := range []uint32{1, 2} {
 			var caps []server.Capture
 			for _, s := range clientSites[id] {
-				frames := tb.CaptureClient(truthAt(id, i), tb.Sites[s], opt.Capture, rng)
+				frames := Cut(tb.CaptureClient(truthAt(id, i), tb.Sites[s], opt.Capture, rng))
 				for _, f := range frames {
 					caps = append(caps, server.Capture{
 						APID: uint32(s + 1), ClientID: id, Seq: uint32(i),
@@ -558,7 +558,7 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 	burstAPs := tb.APsFor(opt.WalkerSites, opt.Capture)
 	burstFrames := make([][]core.FrameCapture, len(opt.WalkerSites))
 	for si, s := range opt.WalkerSites {
-		burstFrames[si] = tb.CaptureClient(truthAt(1, 0), tb.Sites[s], opt.Capture, rng)
+		burstFrames[si] = Cut(tb.CaptureClient(truthAt(1, 0), tb.Sites[s], opt.Capture, rng))
 	}
 	var burstWG sync.WaitGroup
 	var burstMu sync.Mutex

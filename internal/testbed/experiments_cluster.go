@@ -248,7 +248,7 @@ func (tb *Testbed) RunCluster(opt ClusterOptions) (*Report, *ClusterResult, erro
 			apID := uint32(s + 1)
 			var caps []server.Capture
 			for _, id := range clients {
-				for _, fc := range tb.CaptureClient(truth[id], tb.Sites[s], opt.Capture, rng) {
+				for _, fc := range Cut(tb.CaptureClient(truth[id], tb.Sites[s], opt.Capture, rng)) {
 					seqs[apID]++
 					caps = append(caps, server.Capture{
 						APID: apID, ClientID: id, Seq: seqs[apID],

@@ -48,7 +48,7 @@ func (tb *Testbed) RunThreeD(seed int64) (*Report, error) {
 				HeightDiff:    apHeight - c.Z,
 				Rng:           rng,
 			})
-			az, err := core.ProcessAP(&core.AP{Array: arr}, []core.FrameCapture{{Streams: recH.Samples}}, cfg)
+			az, err := core.ProcessAP(&core.AP{Array: arr}, Cut([]core.FrameCapture{{Streams: recH.Samples}}), cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -208,7 +208,7 @@ func (tb *Testbed) RunCalibrationSweep(seed int64) (*Report, error) {
 					})
 				}
 				aps = append(aps, &core.AP{Array: arr, Calibration: calib})
-				captures = append(captures, frames)
+				captures = append(captures, Cut(frames))
 			}
 			pos, _, err := core.LocateClient(aps, captures, tb.Plan.Min, tb.Plan.Max, cfg)
 			if err != nil {

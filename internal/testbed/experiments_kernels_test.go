@@ -21,7 +21,7 @@ func oracleProcessAP(ap *core.AP, frames []core.FrameCapture, cfg core.Config) (
 	}
 	spectra := make([]*music.Spectrum, len(frames))
 	for i, f := range frames {
-		r, err := music.CalibratedCorrelationWS(nil, f.Streams[:a.N], cfg.SampleOffset, cfg.MaxSamples, ap.Calibration)
+		r, err := music.CalibratedCorrelationWS(nil, f.Streams[:a.N], core.DefaultSampleOffset, cfg.MaxSamples, ap.Calibration)
 		if err != nil {
 			return nil, err
 		}
@@ -43,7 +43,7 @@ func oracleProcessAP(ap *core.AP, frames []core.FrameCapture, cfg core.Config) (
 	out := core.SuppressMultipath(spectra, cfg.PeakMatchTolDeg)
 	out.ApplyGeometryWeighting(a.Orient)
 	if a.NinthAntenna {
-		rFull, err := music.CalibratedCorrelationWS(nil, frames[0].Streams[:a.NumElements()], cfg.SampleOffset, cfg.MaxSamples, ap.Calibration)
+		rFull, err := music.CalibratedCorrelationWS(nil, frames[0].Streams[:a.NumElements()], core.DefaultSampleOffset, cfg.MaxSamples, ap.Calibration)
 		if err != nil {
 			return nil, err
 		}

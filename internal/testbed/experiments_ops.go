@@ -136,7 +136,7 @@ func (tb *Testbed) RunOps(opt OpsOptions) (*Report, *OpsResult, error) {
 		for _, id := range []uint32{1, 2} {
 			captures := make([][]core.FrameCapture, len(opt.Sites))
 			for si, s := range opt.Sites {
-				captures[si] = tb.CaptureClient(truth[id], tb.Sites[s], opt.Capture, rng)
+				captures[si] = Cut(tb.CaptureClient(truth[id], tb.Sites[s], opt.Capture, rng))
 			}
 			step[id] = captures
 		}

@@ -122,18 +122,18 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 	capOpt := DefaultCaptureOptions()
 	client := tb.Clients[20]
 
-	// Capture at all six APs.
+	// Capture at all six APs, cut to the window each one ships.
 	var captures [][]core.FrameCapture
 	aps := tb.APsFor([]int{0, 1, 2, 3, 4, 5}, capOpt)
 	for _, site := range tb.Sites {
-		captures = append(captures, tb.CaptureClient(client, site, capOpt, rng))
+		captures = append(captures, Cut(tb.CaptureClient(client, site, capOpt, rng)))
 	}
 
 	// Td: preamble detection needs the 16 µs of training symbols.
 	td := 16 * time.Microsecond
 
-	// Tt: ship one 10-sample × (8+1)-antenna capture per frame per AP
-	// over loopback TCP and measure wall-clock serialization.
+	// Tt: ship each AP's 10-sample × (8+1)-antenna captures over
+	// loopback TCP and measure wall-clock serialization.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -151,22 +151,12 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	node10 := func(apID uint32, frames []core.FrameCapture) {
-		n := server.NewAPNode(apID, 8)
-		for _, f := range frames {
-			short := make([][]complex128, len(f.Streams))
-			for k, st := range f.Streams {
-				if len(st) > 110 {
-					st = st[100:110] // the 10 samples ArrayTrack ships
-				}
-				short[k] = st
-			}
-			n.Record(1, time.Now(), short)
-		}
-		_ = n.UploadBatch(ctx, conn, len(frames))
-	}
 	for i := range tb.Sites {
-		node10(uint32(i+1), captures[i])
+		n := server.NewAPNode(uint32(i+1), 8)
+		for _, f := range captures[i] {
+			n.Record(1, time.Now(), f.Streams)
+		}
+		_ = n.UploadBatch(ctx, conn, len(captures[i]))
 	}
 	conn.Close()
 	var grouped int
@@ -193,14 +183,10 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 	r.Addf("Tt (transfer, loopback)   %12v", lat.Transfer)
 	r.Addf("Tp (processing+synthesis) %12v", lat.Processing)
 	r.Addf("total after packet end    %12v   (paper: ≈100 ms on 2011 hardware)", lat.Total())
-	r.Addf("modelled Tt on 1 Mbit/s WARP link: %v (paper: 2.56 ms)",
-		server.TransferTime(8, 10, 1))
-	onLink := func(samples int) time.Duration {
-		return server.TransferTime(9, samples, 1).Round(time.Millisecond)
-	}
-	shipped := server.DefaultDetector().CaptureLen
-	r.Addf("  the 9 x %d capture arraytrack-ap ships: %v on that link (a raw 9 x 640 one: %v)",
-		shipped, onLink(shipped), onLink(640))
+	// At 1 Mbit/s a bit takes a microsecond; a sample is 32 bits.
+	ant, samp := len(captures[0][0].Streams), len(captures[0][0].Streams[0])
+	r.Addf("modelled Tt on 1 Mbit/s WARP link, the %d x %d capture shipped: %v of samples, %v framed (paper, 8 radios x 10 samples: 2.56ms)",
+		ant, samp, time.Duration(32*ant*samp)*time.Microsecond, server.TransferTime(ant, samp, 1))
 	r.Addf("location error %.0f cm", pos.Dist(client)*100)
 	return r, nil
 }

@@ -43,7 +43,7 @@ func (tb *Testbed) ThroughputRequests(n int, opt ThroughputOptions) []engine.Req
 		rng := rand.New(rand.NewSource(int64(7000 + ci)))
 		captures[ci] = make([][]core.FrameCapture, len(opt.Sites))
 		for si, s := range opt.Sites {
-			captures[ci][si] = tb.CaptureClient(tb.Clients[ci], tb.Sites[s], opt.Capture, rng)
+			captures[ci][si] = Cut(tb.CaptureClient(tb.Clients[ci], tb.Sites[s], opt.Capture, rng))
 		}
 	}
 	reqs := make([]engine.Request, n)

@@ -134,7 +134,7 @@ func (tb *Testbed) RunTracking(opt TrackingOptions) (*Report, *TrackingResult, e
 		truth := trackingTruth(opt, i)
 		captures := make([][]core.FrameCapture, len(opt.Sites))
 		for si, s := range opt.Sites {
-			captures[si] = tb.CaptureClient(truth, tb.Sites[s], opt.Capture, rng)
+			captures[si] = Cut(tb.CaptureClient(truth, tb.Sites[s], opt.Capture, rng))
 		}
 		req := engine.Request{
 			ClientID: 1,

@@ -65,7 +65,7 @@ func TestRealSubspaceExactOn205Scenes(t *testing.T) {
 			sceneAPs := make([]*core.AP, len(combo))
 			caps := make([][]core.FrameCapture, len(combo))
 			for i, si := range combo {
-				sceneAPs[i], caps[i] = aps[si], frames[ci][si]
+				sceneAPs[i], caps[i] = aps[si], Cut(frames[ci][si])
 			}
 			got, gotSpecs, err := p.Locate(sceneAPs, caps, tb.Plan.Min, tb.Plan.Max)
 			if err != nil {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/server"
 	"repro/internal/wifi"
 )
 
@@ -230,6 +231,18 @@ func (tb *Testbed) CaptureClient(client geom.Point, site Site, opt CaptureOption
 		}
 	}
 	return frames
+}
+
+// Cut returns what an AP ships of frames that start at the preamble, as
+// CaptureClient's do: every stream cut to server.DefaultDetector's
+// window (Extract from sample 0), the only length a pipeline reads.
+func Cut(frames []core.FrameCapture) []core.FrameCapture {
+	det := server.DefaultDetector()
+	out := make([]core.FrameCapture, len(frames))
+	for i, f := range frames {
+		out[i].Streams = det.Extract(f.Streams, 0)
+	}
+	return out
 }
 
 // APsFor builds core.AP values for the given site indices with the

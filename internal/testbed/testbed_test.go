@@ -97,7 +97,7 @@ func TestEndToEndSingleClient(t *testing.T) {
 	aps := tb.APsFor([]int{0, 1, 2, 3, 4, 5}, opt)
 	var captures [][]core.FrameCapture
 	for _, site := range tb.Sites {
-		captures = append(captures, tb.CaptureClient(client, site, opt, rng))
+		captures = append(captures, Cut(tb.CaptureClient(client, site, opt, rng)))
 	}
 	pos, specs, err := core.LocateClient(aps, captures, tb.Plan.Min, tb.Plan.Max, core.DefaultConfig(tb.Wavelength))
 	if err != nil {

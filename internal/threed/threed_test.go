@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/music"
+	"repro/internal/server"
 	"repro/internal/wifi"
 )
 
@@ -122,7 +123,7 @@ func build3DScene(t *testing.T, client Point3, rng *rand.Rand) []APSpectra {
 			TxPowerDBm: 15, NoiseFloorDBm: -85,
 			HeightDiff: apHeight - client.Z, Rng: rng,
 		})
-		az, err := core.ProcessAP(&core.AP{Array: arr}, []core.FrameCapture{{Streams: recH.Samples}}, cfg)
+		az, err := core.ProcessAP(&core.AP{Array: arr}, []core.FrameCapture{{Streams: server.DefaultDetector().Extract(recH.Samples, 0)}}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
