@@ -464,9 +464,9 @@ func BenchmarkComputeHeatmap(b *testing.B) {
 	})
 }
 
-// BenchmarkRegionLocalize times ad-hoc region fixes through the
-// bounded synthesis cache. "warm" is the steady interactive case: the
-// same box re-queried against cached LUTs (the ≤2 allocs/op gate path,
+// BenchmarkRegionLocalize times region fixes (the predictive path's
+// boxes) through the bounded synthesis cache. "warm" is the steady
+// case: the same box re-queried against cached LUTs (the ≤2 allocs/op gate path,
 // enforced by TestRegionSteadyStateAllocs). "sliced" constructs the
 // grid per fix and derives its LUTs by slicing the cached full-grid
 // entries — the first-query cost of a fresh box once the floor is
@@ -538,15 +538,6 @@ func BenchmarkRegionLocalize(b *testing.B) {
 }
 
 // Extension benches: the future-work and discussion features.
-
-func BenchmarkThreeDLocalization(b *testing.B) {
-	tb := testbed.New()
-	for i := 0; i < b.N; i++ {
-		if _, err := tb.RunThreeD(31); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkCircularVsLinear(b *testing.B) {
 	tb := testbed.New()

@@ -26,12 +26,10 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/channel"
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/server"
 	"repro/internal/testbed"
@@ -45,8 +43,6 @@ func main() {
 	clientID := flag.Uint("clientid", 1, "client identifier reported to the server")
 	frames := flag.Int("frames", 3, "frames to capture and upload")
 	seed := flag.Int64("seed", 0, "noise seed (0 = derived from AP id)")
-	regionStr := flag.String("region", "", "ad-hoc search region minx,miny,maxx,maxy[,cell] to attach to the captures")
-	priority := flag.Bool("priority", false, "mark captures for the server's latency-priority lane")
 	batch := flag.Int("batch", 16, "upload frames of up to this many captures (at least 1)")
 	udp := flag.Bool("udp", false, "upload batch-frame datagrams over UDP instead of a TCP stream")
 	retries := flag.Int("retries", 0,
@@ -75,33 +71,12 @@ func main() {
 		*seed = int64(*id)
 	}
 
-	var region core.Region
-	if *regionStr != "" {
-		parts := strings.Split(strings.TrimSpace(*regionStr), ",")
-		fields := []*float64{&region.Min.X, &region.Min.Y, &region.Max.X, &region.Max.Y, &region.Cell}
-		if len(parts) != 4 && len(parts) != 5 {
-			log.Fatalf("bad -region %q: want minx,miny,maxx,maxy[,cell]", *regionStr)
-		}
-		for i, p := range parts {
-			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-			if err != nil {
-				log.Fatalf("bad -region %q: %v", *regionStr, err)
-			}
-			*fields[i] = v
-		}
-		if err := region.Validate(); err != nil {
-			log.Fatal(err)
-		}
-	}
-
 	site := tb.Sites[*id-1]
 	capOpt := testbed.DefaultCaptureOptions()
 	arr := tb.NewArray(site, capOpt)
 	rng := rand.New(rand.NewSource(*seed))
 	det := server.DefaultDetector()
 	node := server.NewAPNode(uint32(*id), 16)
-	node.Region = region
-	node.Priority = *priority
 
 	// Simulate the client's transmissions embedded in a longer sample
 	// stream, run real preamble detection, and buffer the windows.

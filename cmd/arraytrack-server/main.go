@@ -10,10 +10,9 @@
 // Steady-state serving is predictive by default: a client with a live
 // Kalman track is localized inside its prediction's gate region and
 // verified, falling back to the full grid otherwise (-predict=false
-// restores unconditional full-grid serving). The scheduler applies
-// per-client admission quotas (-client-quota) and batch-queue ageing
-// (-age-limit) so neither a hostile flood nor the latency lane can
-// starve anyone.
+// restores unconditional full-grid serving). The scheduler is one FIFO
+// with per-client admission quotas (-client-quota), so a hostile flood
+// cannot starve anyone.
 //
 //	arraytrack-server -listen :7100 -quorum 3
 //
@@ -42,7 +41,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -63,15 +61,17 @@ import (
 )
 
 // applyKnobsFile loads a JSON ops.Knobs document and pushes it onto
-// the serving process; used at startup and on SIGHUP.
+// the serving process; used at startup and on SIGHUP. A document ops
+// refuses (an unknown key included) is logged and applies nothing.
 func applyKnobsFile(srv *ops.Server, path string) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		log.Printf("knobs: %v", err)
 		return
 	}
-	var k ops.Knobs
-	if err := json.Unmarshal(data, &k); err != nil {
+	defer f.Close()
+	k, err := ops.DecodeKnobs(f)
+	if err != nil {
 		log.Printf("knobs: parse %s: %v", path, err)
 		return
 	}
@@ -87,11 +87,11 @@ func cacheLine(u lru.Usage) string {
 
 func logStats(eng *engine.Engine, backend *server.Backend) {
 	st := eng.Stats()
-	log.Printf("stats: submitted=%d (prio=%d) completed=%d fixes=%d failures=%d rejected=%d (quota=%d) tracked=%d gate_rejects=%d queued=%d prio_queued=%d pending_clients=%d workers=%d",
-		st.Submitted, st.PrioritySubmitted, st.Completed, st.Fixes, st.Failures, st.Rejected, st.QuotaRejected,
-		st.TrackedClients, st.TrackRejects, st.Queued, st.PriorityQueued, backend.PendingClients(), st.Workers)
-	log.Printf("sched: aged=%d | predictive: served=%d fallbacks no_track=%d border=%d gate=%d error=%d",
-		st.AgedBatch, st.Predicted,
+	log.Printf("stats: submitted=%d completed=%d fixes=%d failures=%d rejected=%d (quota=%d) tracked=%d gate_rejects=%d queued=%d pending_clients=%d workers=%d",
+		st.Submitted, st.Completed, st.Fixes, st.Failures, st.Rejected, st.QuotaRejected,
+		st.TrackedClients, st.TrackRejects, st.Queued, backend.PendingClients(), st.Workers)
+	log.Printf("predictive: served=%d fallbacks no_track=%d border=%d gate=%d error=%d",
+		st.Predicted,
 		st.PredictFallbackNoTrack, st.PredictFallbackBorder, st.PredictFallbackGate, st.PredictFallbackError)
 	cfg := eng.Config()
 	syn := cfg.SynthCache.Usage()
@@ -121,13 +121,11 @@ func main() {
 	trackTTL := flag.Duration("track-ttl", 30*time.Second, "evict a client's track after this much silence")
 	statsEvery := flag.Duration("stats-every", 30*time.Second, "period for the stats log line (0 disables)")
 	synthBudget := flag.Int64("synth-cache-budget", core.DefaultSynthCacheBudget,
-		"byte budget for the synthesis LUT cache (ad-hoc region queries churn it; 0 = unbounded)")
+		"byte budget for the synthesis LUT cache (0 = unbounded)")
 	steeringBudget := flag.Int64("steering-cache-budget", music.DefaultSteeringCacheBudget,
 		"byte budget for the steering-vector table cache (0 = unbounded)")
 	clientQuota := flag.Int("client-quota", 16,
-		"max jobs one client may hold admitted-but-uncompleted across both scheduler lanes (0 = unlimited)")
-	ageLimit := flag.Duration("age-limit", 0,
-		"batch job head-of-line wait beyond which it is served ahead of priority traffic (0 = scheduler default, negative disables)")
+		"max jobs one client may hold admitted-but-uncompleted (0 = unlimited)")
 	predict := flag.Bool("predict", true,
 		"serve clients with live tracks from the track-guided predictive region (verified, full-grid fallback)")
 	predictSigma := flag.Float64("predict-sigma", engine.DefaultPredictSigma,
@@ -153,7 +151,7 @@ func main() {
 	quarantineCooldown := flag.Duration("quarantine-cooldown", server.DefaultQuarantineCooldown,
 		"how long a quarantined AP stays isolated before readmission")
 	shedAfter := flag.Duration("shed-after", 0,
-		"fail batch jobs queued longer than this with an overload error instead of serving stale fixes (0 disables)")
+		"fail jobs queued longer than this with an overload error instead of serving stale fixes (0 disables)")
 	flag.Parse()
 
 	if *routerMode {
@@ -202,7 +200,6 @@ func main() {
 		Config:       cfg,
 		Tracker:      tracker,
 		ClientQuota:  *clientQuota,
-		AgeLimit:     *ageLimit,
 		Predict:      *predict,
 		PredictSigma: *predictSigma,
 		ShedAfter:    *shedAfter,

@@ -95,9 +95,6 @@ var experiments = []experiment{
 	{"baseline", "ArrayTrack vs RSS baselines", func(tb *testbed.Testbed, fast bool) (*testbed.Report, error) {
 		return tb.RunBaselineComparison(accuracyOpts(fast))
 	}},
-	{"threed", "3-D localization with vertical arrays", func(tb *testbed.Testbed, _ bool) (*testbed.Report, error) {
-		return tb.RunThreeD(31)
-	}},
 	{"circular", "linear vs circular array geometry", func(tb *testbed.Testbed, _ bool) (*testbed.Report, error) {
 		return tb.RunCircular(32)
 	}},

@@ -306,3 +306,71 @@ func TestDirectPathMissing(t *testing.T) {
 		t.Error("DirectPath(nil) should be false")
 	}
 }
+
+func TestWallRoughnessSplitsEnergy(t *testing.T) {
+	var plan geom.Floorplan
+	plan.AddWall(geom.Pt(-50, 0), geom.Pt(50, 0), geom.Metal)
+	smooth := &Model{Plan: &plan, Wavelength: lambda, MaxReflections: 1}
+	rough := &Model{Plan: &plan, Wavelength: lambda, MaxReflections: 1, WallRoughness: 0.5}
+	tx, rx := geom.Pt(-5, 2), geom.Pt(5, 2)
+
+	ps := smooth.Paths(tx, rx, 0)
+	pr := rough.Paths(tx, rx, 0)
+	if len(pr) <= len(ps) {
+		t.Fatalf("rough wall should add sub-paths: %d vs %d", len(pr), len(ps))
+	}
+	// Total single-bounce energy approximately conserved (sub-paths are
+	// slightly longer, so allow a few percent).
+	var es, er float64
+	for _, p := range ps {
+		if p.Bounces == 1 {
+			es += real(p.Gain)*real(p.Gain) + imag(p.Gain)*imag(p.Gain)
+		}
+	}
+	for _, p := range pr {
+		if p.Bounces == 1 {
+			er += real(p.Gain)*real(p.Gain) + imag(p.Gain)*imag(p.Gain)
+		}
+	}
+	if er > es || er < 0.7*es {
+		t.Errorf("rough energy %v vs smooth %v", er, es)
+	}
+}
+
+func TestWallRoughnessClamped(t *testing.T) {
+	var plan geom.Floorplan
+	plan.AddWall(geom.Pt(-50, 0), geom.Pt(50, 0), geom.Metal)
+	m := &Model{Plan: &plan, Wavelength: lambda, MaxReflections: 1, WallRoughness: 7}
+	// Roughness > 1 clamps rather than producing negative specular
+	// energy; paths remain finite.
+	for _, p := range m.Paths(geom.Pt(-5, 2), geom.Pt(5, 2), 0) {
+		if math.IsNaN(real(p.Gain)) || math.IsNaN(imag(p.Gain)) {
+			t.Fatal("NaN gain with clamped roughness")
+		}
+	}
+}
+
+func TestPathPowerDB(t *testing.T) {
+	p := Path{Gain: complex(0.1, 0)}
+	if got := p.PowerDB(); math.Abs(got+20) > 1e-12 {
+		t.Errorf("PowerDB = %v, want -20", got)
+	}
+	if !math.IsInf(Path{}.PowerDB(), -1) {
+		t.Error("zero gain should be -Inf dB")
+	}
+}
+
+func TestSnapshotAccessors(t *testing.T) {
+	r := &Reception{Samples: [][]complex128{{1, 2}, {3, 4}}}
+	s := r.Snapshot(1)
+	if s[0] != 2 || s[1] != 4 {
+		t.Errorf("Snapshot = %v", s)
+	}
+	if r.NumSamples() != 2 {
+		t.Errorf("NumSamples = %d", r.NumSamples())
+	}
+	empty := &Reception{}
+	if empty.NumSamples() != 0 {
+		t.Error("empty NumSamples should be 0")
+	}
+}

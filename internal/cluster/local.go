@@ -79,9 +79,6 @@ func NewLocalShard(opt LocalShardOptions) (*LocalShard, error) {
 		Min:      opt.Min,
 		Max:      opt.Max,
 		OnResult: opt.OnResult,
-		// The router is a trusted feed: captures already passed the
-		// ingest edge once.
-		PriorityInterval: -1,
 	}
 	s.Backend = server.NewBackendDispatcher(opt.Quorum, opt.Window, s.Sink)
 

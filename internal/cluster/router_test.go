@@ -10,8 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/server"
 )
 
@@ -43,8 +41,8 @@ func testMaps(tb testing.TB) (m, next *ShardMap, by [2][2][]uint32) {
 }
 
 // testCapture is one capture of the shape an AP ships, with random
-// samples; region and priority set the sub-header's optional parts.
-func testCapture(rng *rand.Rand, apID, clientID, seq uint32, region, priority bool) server.Capture {
+// samples.
+func testCapture(rng *rand.Rand, apID, clientID, seq uint32) server.Capture {
 	streams := make([][]complex128, 9)
 	for a := range streams {
 		streams[a] = make([]complex128, 128)
@@ -52,12 +50,8 @@ func testCapture(rng *rand.Rand, apID, clientID, seq uint32, region, priority bo
 			streams[a][i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
 	}
-	c := server.Capture{APID: apID, ClientID: clientID, Seq: seq,
-		Timestamp: time.UnixMicro(1700000000000000 + int64(seq)).UTC(), Streams: streams, Priority: priority}
-	if region {
-		c.Region = core.Region{Min: geom.Pt(3, 2), Max: geom.Pt(11.5, 9.25), Cell: 0.25}
-	}
-	return c
+	return server.Capture{APID: apID, ClientID: clientID, Seq: seq,
+		Timestamp: time.UnixMicro(1700000000000000 + int64(seq)).UTC(), Streams: streams}
 }
 
 func mustBatch(tb testing.TB, caps []server.Capture) []byte {
@@ -150,27 +144,27 @@ func newTestRouter(tb testing.TB, m *ShardMap) (*Router, [2]*bytes.Buffer) {
 // TestRouterSplicesByteIdentical: every shard receives, to the byte,
 // what decoding each AP frame and re-encoding each owner's captures
 // gave — for single-owner frames (written verbatim), mixed-owner frames
-// (spliced), frames with region and priority sub-headers, and captures
-// held across a migration and flushed through the new map.
+// (spliced), and captures held across a migration and flushed through
+// the new map.
 func TestRouterSplicesByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	m, next, by := testMaps(t)
 	a, b := by[0][0], by[1][1]     // stay on shard 0, on shard 1
 	a2b, b2a := by[0][1], by[1][0] // move 0 -> 1, 1 -> 0
 	seq := uint32(0)
-	capt := func(client uint32, region, priority bool) server.Capture {
+	capt := func(client uint32) server.Capture {
 		seq++
-		return testCapture(rng, 1+seq%3, client, seq, region, priority)
+		return testCapture(rng, 1+seq%3, client, seq)
 	}
 	var stream []byte
 	for _, caps := range [][]server.Capture{
-		{capt(a[0], false, false)},
-		{capt(b[0], false, false), capt(b[1], false, false), capt(b[0], false, false)},
-		{capt(a[0], false, false), capt(b[0], false, false), capt(a[1], false, false)},
-		{capt(b[2], true, false), capt(a[2], false, true), capt(b[2], true, true), capt(a[3], true, false)},
-		{capt(a2b[0], false, false), capt(a[1], true, true), capt(b2a[0], false, true)},
-		{capt(b2a[1], false, false), capt(a2b[0], true, false), capt(b[3], false, false), capt(a2b[1], false, false)},
-		{capt(a2b[2], false, false)},
+		{capt(a[0])},
+		{capt(b[0]), capt(b[1]), capt(b[0])},
+		{capt(a[0]), capt(b[0]), capt(a[1])},
+		{capt(b[2]), capt(a[2]), capt(b[2]), capt(a[3])},
+		{capt(a2b[0]), capt(a[1]), capt(b2a[0])},
+		{capt(b2a[1]), capt(a2b[0]), capt(b[3]), capt(a2b[1])},
+		{capt(a2b[2])},
 	} {
 		stream = append(stream, mustBatch(t, caps)...)
 	}
@@ -242,9 +236,9 @@ func TestRouterSplicesByteIdentical(t *testing.T) {
 		// shard 1's lock must requeue b2a's capture, which is then
 		// spliced for its new owner, and the next frame routes by the new
 		// map.
-		f1 := mustBatch(t, []server.Capture{capt(a[0], false, false), capt(a2b[0], false, false),
-			capt(b[0], false, false), capt(b2a[0], true, false), capt(a2b[1], false, false)})
-		f2 := mustBatch(t, []server.Capture{capt(a2b[2], false, false), capt(b[1], false, false)})
+		f1 := mustBatch(t, []server.Capture{capt(a[0]), capt(a2b[0]),
+			capt(b[0]), capt(b2a[0]), capt(a2b[1])})
+		f2 := mustBatch(t, []server.Capture{capt(a2b[2]), capt(b[1])})
 		var want [2][]byte
 		for _, part := range []struct {
 			stream []byte
@@ -291,6 +285,37 @@ func (w *swapOnWrite) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
+// TestReservedSubHeaderFlagsRefused: every bit of a sub-header's flags
+// byte is reserved. One set — the retired region (0x01) or priority
+// (0x02) bit, or an unknown one — on the first or the last capture is
+// refused with ErrBadFrame by the decoder and by the router, which
+// shares its parse and so forwards nothing of the frame.
+func TestReservedSubHeaderFlagsRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	m, _, by := testMaps(t)
+	frame := mustBatch(t, []server.Capture{testCapture(rng, 1, by[0][0][0], 1), testCapture(rng, 2, by[1][1][0], 2)})
+	for _, bit := range []byte{0x01, 0x02, 0x80} {
+		for i := 0; i < 2; i++ {
+			bad := append([]byte(nil), frame...)
+			bad[12+i*29+28] = bit
+			ws := server.GetIngestWorkspace()
+			if _, err := server.ReadFrameInto(bytes.NewReader(bad), ws); !errors.Is(err, server.ErrBadFrame) {
+				t.Errorf("flag %#x on capture %d: ReadFrameInto err = %v, want ErrBadFrame", bit, i, err)
+			}
+			ws.Discard()
+			r, got := newTestRouter(t, m)
+			if err := r.ServeConn(bytes.NewReader(bad)); !errors.Is(err, server.ErrBadFrame) {
+				t.Errorf("flag %#x on capture %d: Router err = %v, want ErrBadFrame", bit, i, err)
+			}
+			for shard, b := range got {
+				if b.Len() != 0 {
+					t.Errorf("flag %#x on capture %d: router forwarded %d bytes to shard %d", bit, i, b.Len(), shard)
+				}
+			}
+		}
+	}
+}
+
 // fuzzMap is the map FuzzRouteMatchesDecode routes by, and fuzzClients
 // two clients it puts on different shards.
 var fuzzMap, _ = NewShardMap(1, 2, 0)
@@ -311,8 +336,6 @@ func fuzzClients() (on0, on1 uint32) {
 type decoded struct {
 	apID, clientID, seq uint32
 	tsUS                int64
-	region              core.Region
-	priority            bool
 	samples             []complex128
 }
 
@@ -321,8 +344,7 @@ func decodeAll(stream []byte) []decoded {
 	var out []decoded
 	_ = eachFrame(stream, func(caps []server.Capture) error {
 		for _, c := range caps {
-			d := decoded{apID: c.APID, clientID: c.ClientID, seq: c.Seq, tsUS: c.Timestamp.UnixMicro(),
-				region: c.Region, priority: c.Priority}
+			d := decoded{apID: c.APID, clientID: c.ClientID, seq: c.Seq, tsUS: c.Timestamp.UnixMicro()}
 			for _, st := range c.Streams {
 				d.samples = append(d.samples, st...)
 			}
@@ -342,13 +364,13 @@ func decodeAll(stream []byte) []decoded {
 func FuzzRouteMatchesDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	on0, on1 := fuzzClients()
-	small := func(client, seq uint32, region, priority bool) server.Capture {
-		c := testCapture(rng, 3, client, seq, region, priority)
+	small := func(client, seq uint32) server.Capture {
+		c := testCapture(rng, 3, client, seq)
 		c.Streams = [][]complex128{c.Streams[0][:2], c.Streams[1][:2]}
 		return c
 	}
-	frame := mustBatch(f, []server.Capture{small(on0, 1, false, false), small(on1, 2, true, true), small(on0, 3, false, true)})
-	shipped := mustBatch(f, []server.Capture{testCapture(rng, 4, on1, 9, false, false)})
+	frame := mustBatch(f, []server.Capture{small(on0, 1), small(on1, 2), small(on0, 3)})
+	shipped := mustBatch(f, []server.Capture{testCapture(rng, 4, on1, 9)})
 	f.Add(frame)
 	f.Add([]byte{})
 	f.Add(frame[:8])                                   // truncated frame header
@@ -358,21 +380,21 @@ func FuzzRouteMatchesDecode(f *testing.F) {
 	f.Add(shipped)                                     // the 9 x 10 capture the APs ship
 	f.Add(shipped[:len(shipped)/2])                    // ...cut mid-payload
 	f.Add(append(append([]byte(nil), shipped...), frame...))
-	f.Add(mustBatch(f, []server.Capture{small(on1, 5, true, false)})) // region only
-	f.Add(mustBatch(f, []server.Capture{small(on0, 6, false, true)})) // priority only
 	mutate := func(off int, b ...byte) []byte {
 		out := append([]byte(nil), frame...)
 		copy(out[off:], b)
 		return out
 	}
-	f.Add(mutate(8, 0x02, 0xBC))        // lying count
-	f.Add(mutate(8, 0, 0))              // zero count
-	f.Add(mutate(10, 0x80))             // reserved frame flags
-	f.Add(mutate(4, 0xFF, 0xFF, 0xFF))  // bodyLen over the limit
-	f.Add(mutate(12+24, 0xFF, 0xFF))    // nAnt over the limit
-	f.Add(mutate(12+28, 0xFF))          // unknown sub-header flags
-	f.Add(mutate(12+29+29, 0x7F, 0xF8)) // NaN region corner
-	f.Add(mutate(0, 0x41, 0x54, 0, 1))  // retired v1 magic
+	f.Add(mutate(12+28, 0x01))         // retired region flag
+	f.Add(mutate(12+28, 0x02))         // retired priority flag
+	f.Add(mutate(8, 0x02, 0xBC))       // lying count
+	f.Add(mutate(8, 0, 0))             // zero count
+	f.Add(mutate(10, 0x80))            // reserved frame flags
+	f.Add(mutate(4, 0xFF, 0xFF, 0xFF)) // bodyLen over the limit
+	f.Add(mutate(12+24, 0xFF, 0xFF))   // nAnt over the limit
+	f.Add(mutate(12+28, 0xFF))         // unknown sub-header flags
+	f.Add(mutate(12+2*29+28, 0x01))    // region flag on the last sub-header
+	f.Add(mutate(0, 0x41, 0x54, 0, 1)) // retired v1 magic
 	f.Add(mutate(12+20, 0x7F, 0xC0, 0, 0))
 	top := mutate(12+20, 0x7F, 0x7F, 0xFF, 0xFF) // largest finite scale...
 	f.Add(top)
@@ -430,7 +452,7 @@ func TestRouterSteadyStateAllocs(t *testing.T) {
 	} {
 		var caps []server.Capture
 		for i, id := range tc.clients {
-			caps = append(caps, testCapture(rng, 1, id, uint32(i), false, false))
+			caps = append(caps, testCapture(rng, 1, id, uint32(i)))
 		}
 		frame := mustBatch(t, caps)
 		run := func() {

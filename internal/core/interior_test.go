@@ -95,8 +95,7 @@ func TestRegionInteriorReporting(t *testing.T) {
 }
 
 // TestSynthesizeRegionInterior runs the border cases through the
-// pipeline entry point, plus the two only it can see: a scoped-pitch
-// region (no parent grid, so every side is open) and the zero region.
+// pipeline entry point, plus the one only it can see: the zero region.
 func TestSynthesizeRegionInterior(t *testing.T) {
 	min, max := synthBounds()
 	p := NewPipeline(Config{Wavelength: lambda, GridCell: 0.10, SynthCache: NewSynthCache(0)})
@@ -110,8 +109,6 @@ func TestSynthesizeRegionInterior(t *testing.T) {
 		{"inside", geom.Pt(20, 8), Region{Min: geom.Pt(16, 5), Max: geom.Pt(24, 11)}, true},
 		{"outside-left", geom.Pt(20, 8), Region{Min: geom.Pt(24, 4), Max: geom.Pt(32, 12)}, false},
 		{"flush-wall", geom.Pt(20, 0.05), Region{Min: geom.Pt(16, 0), Max: geom.Pt(24, 3)}, true},
-		{"scoped-inside", geom.Pt(20, 8), Region{Min: geom.Pt(16, 5), Max: geom.Pt(24, 11), Cell: 0.25}, true},
-		{"scoped-flush-wall", geom.Pt(20, 0.05), Region{Min: geom.Pt(16, 0), Max: geom.Pt(24, 3), Cell: 0.25}, false},
 	}
 	for _, tc := range cases {
 		_, interior, err := p.SynthesizeRegionInterior(cleanScene(tc.client), min, max, tc.region)

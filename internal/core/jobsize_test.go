@@ -1,8 +1,6 @@
 package core_test
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -18,10 +16,10 @@ import (
 // bound, so the screen bounds all 119 superblocks, expands every one
 // (2,673 blocks), refines blocks up to its budget (2,673/4 + 3 = 671)
 // and then falls back to the full surface: at most 671 · 25 + 64,561 =
-// 81,336 cells evaluated, the worst case the screen has. A client
-// Region at the finest pitch NewSynthGridRegion admits — its cell count
-// is capped at the full grid's — costs the same; one float64 step finer
-// is refused. The time is logged, never gated.
+// 81,336 cells evaluated, the worst case the screen has. A region
+// snaps to the grid's lattice, so the largest one — a predicted box
+// clamped to the whole floor — costs the same. The time is logged,
+// never gated.
 func TestSynthJobSizeBound(t *testing.T) {
 	tb := testbed.New()
 	aps := make([]core.APSpectrum, len(tb.Sites))
@@ -29,40 +27,11 @@ func TestSynthJobSizeBound(t *testing.T) {
 		aps[i] = core.APSpectrum{Pos: s.Pos, Spectrum: music.NewSpectrum(360)}
 	}
 	const cell = 0.10
-	full, err := core.GridSpecFor(tb.Plan.Min, tb.Plan.Max, cell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	region := func(pitch float64) core.Region {
-		return core.Region{Min: tb.Plan.Min, Max: tb.Plan.Max, Cell: pitch}
-	}
-	// The finest admitted pitch: cell counts fall as the pitch grows, so
-	// bisect on the bits of positive float64s, which order like the values.
-	admits := func(pitch float64) bool {
-		spec, err := core.GridSpecFor(tb.Plan.Min, tb.Plan.Max, pitch)
-		return err == nil && spec.Cells() <= full.Cells()
-	}
-	lo, hi := math.Float64bits(core.MinRegionCell), math.Float64bits(cell)
-	for lo < hi {
-		if mid := lo + (hi-lo)/2; admits(math.Float64frombits(mid)) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	finest := math.Float64frombits(lo)
-	if finest >= cell {
-		t.Fatalf("finest admitted pitch %v is not finer than the %v grid", finest, cell)
-	}
 	opt := core.SynthOptions{Cell: cell, Workers: 1, Cache: core.NewSynthCache(0)}
-	if _, err := core.NewSynthGridRegion(tb.Plan.Min, tb.Plan.Max, region(math.Nextafter(finest, 0)), opt); !errors.Is(err, core.ErrBadRegion) {
-		t.Fatalf("pitch one step finer than %v: err = %v, want ErrBadRegion", finest, err)
-	}
-
 	for _, c := range []struct {
 		name   string
 		region core.Region
-	}{{"full grid", core.Region{}}, {fmt.Sprintf("region at %v m", finest), region(finest)}} {
+	}{{"full grid", core.Region{}}, {"whole-floor region", core.Region{Min: tb.Plan.Min, Max: tb.Plan.Max}}} {
 		var m core.SynthMetrics
 		opt.Metrics = &m
 		sg, err := core.NewSynthGridRegion(tb.Plan.Min, tb.Plan.Max, c.region, opt)

@@ -187,17 +187,7 @@ func (p *Pipeline) processAP(ws *music.Workspace, ap *AP, frames []FrameCapture)
 // climbing (§2.5) on the staged subsystem — cached bearing LUTs,
 // log-domain sharded accumulation, coarse-to-fine refinement.
 func (p *Pipeline) Synthesize(specs []APSpectrum, min, max geom.Point) (geom.Point, error) {
-	return p.SynthesizeRegion(specs, min, max, Region{})
-}
-
-// SynthesizeRegion is Synthesize restricted to an ad-hoc search
-// region (zero region = full area). A region at the configured pitch
-// snaps to the full grid's lattice, so its bearing LUTs are views of
-// cached full-grid entries and its argmax equals the full-grid argmax
-// restricted to the box. The region is validated on construction, so
-// malformed boxes fail a fix rather than corrupting it.
-func (p *Pipeline) SynthesizeRegion(specs []APSpectrum, min, max geom.Point, region Region) (geom.Point, error) {
-	sg, err := NewSynthGridRegion(min, max, region, p.synthOptions())
+	sg, err := NewSynthGrid(min, max, p.synthOptions())
 	if err != nil {
 		return geom.Point{}, err
 	}
@@ -214,9 +204,9 @@ func (p *Pipeline) synthOptions() SynthOptions {
 	}
 }
 
-// SynthesizeRegionInterior is SynthesizeRegion plus a report of
-// whether the region's grid argmax was strictly interior to the
-// region on every open side (see SynthGrid.LocalizeInterior) — the
+// SynthesizeRegionInterior is Synthesize restricted to a search region,
+// plus a report of whether the region's grid argmax was strictly
+// interior to the region on every open side (see SynthGrid.LocalizeInterior) — the
 // verification bit the engine's predictive track-guided path keys
 // on. A zero region (full area) always reports interior: there is no
 // wider area to fall back to.
@@ -237,18 +227,11 @@ func (p *Pipeline) SynthesizeRegionInterior(specs []APSpectrum, min, max geom.Po
 // then synthesis. captures[i] holds the frames AP i overheard; APs
 // with no captures are skipped. At least one AP must contribute.
 func (p *Pipeline) Locate(aps []*AP, captures [][]FrameCapture, min, max geom.Point) (geom.Point, []APSpectrum, error) {
-	return p.LocateRegion(aps, captures, min, max, Region{})
-}
-
-// LocateRegion is Locate with the synthesis stage restricted to an
-// ad-hoc search region (zero region = full area). Spectrum processing
-// is identical; only the Eq. 8 search area changes.
-func (p *Pipeline) LocateRegion(aps []*AP, captures [][]FrameCapture, min, max geom.Point, region Region) (geom.Point, []APSpectrum, error) {
 	specs, err := p.ProcessAPs(aps, captures)
 	if err != nil {
 		return geom.Point{}, nil, err
 	}
-	pos, err := p.SynthesizeRegion(specs, min, max, region)
+	pos, err := p.Synthesize(specs, min, max)
 	return pos, specs, err
 }
 

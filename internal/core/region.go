@@ -8,39 +8,24 @@ import (
 	"repro/internal/geom"
 )
 
-// Region is an ad-hoc synthesis search region: a bounding box and an
-// optional grid resolution, the per-request analogue of the engine's
-// configured search area. The zero value means "no region" — search
-// the full configured area at the configured pitch.
+// Region is a synthesis search box inside the configured search area —
+// the engine's predictive path searches one around a track's
+// prediction. The zero value means "no region": search the full
+// configured area.
 //
-// A region whose Cell is zero (or equal to the pipeline's GridCell)
-// snaps to the full grid's lattice: its cells are exactly the
+// A region snaps to the full grid's lattice: its cells are exactly the
 // full-grid cells whose centres fall inside the box, so a region
 // argmax equals the full-grid argmax restricted to those cells, and
-// cached full-grid bearing LUTs are viewed in place instead of rebuilt. A
-// region with its own Cell gets a scoped grid anchored at Min.
+// cached full-grid bearing LUTs are viewed in place instead of rebuilt.
 type Region struct {
 	// Min, Max are the box corners (Min strictly below Max on both
 	// axes).
 	Min, Max geom.Point
-	// Cell is the grid pitch inside the region in metres; 0 inherits
-	// the pipeline's GridCell and keeps the region lattice-aligned
-	// with the full grid.
-	Cell float64
 }
 
-// Region validation limits. Coordinates beyond MaxRegionCoord or a
-// pitch below MinRegionCell describe grids no deployment needs and
-// bound the work a hostile request can demand before the area clamp.
-const (
-	MaxRegionCoord = 1e6
-	MinRegionCell  = 0.01
-	MaxRegionCell  = 1e3
-)
-
 // ErrBadRegion is returned (wrapped) for malformed search regions:
-// NaN/Inf coordinates, inverted or degenerate boxes, out-of-range
-// pitches.
+// NaN/Inf coordinates, inverted or degenerate boxes, boxes outside the
+// search area.
 var ErrBadRegion = errors.New("core: bad search region")
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
@@ -55,15 +40,12 @@ func (r Region) Validate() error {
 		return nil
 	}
 	for _, v := range [...]float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y} {
-		if !finite(v) || math.Abs(v) > MaxRegionCoord {
+		if !finite(v) {
 			return fmt.Errorf("%w: corner coordinate %v", ErrBadRegion, v)
 		}
 	}
 	if !(r.Max.X > r.Min.X) || !(r.Max.Y > r.Min.Y) {
 		return fmt.Errorf("%w: empty or inverted box %v–%v", ErrBadRegion, r.Min, r.Max)
-	}
-	if r.Cell != 0 && (!finite(r.Cell) || r.Cell < MinRegionCell || r.Cell > MaxRegionCell) {
-		return fmt.Errorf("%w: cell pitch %v", ErrBadRegion, r.Cell)
 	}
 	return nil
 }

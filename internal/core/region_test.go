@@ -9,8 +9,8 @@ import (
 	"repro/internal/geom"
 )
 
-// TestRegionValidate rejects the malformed boxes the fuzz corpus and
-// the wire decoder rely on being rejected.
+// TestRegionValidate rejects non-finite corners and inverted or
+// degenerate boxes.
 func TestRegionValidate(t *testing.T) {
 	nan := math.NaN()
 	inf := math.Inf(1)
@@ -22,11 +22,6 @@ func TestRegionValidate(t *testing.T) {
 		{Min: geom.Pt(2, 0), Max: geom.Pt(1, 5)}, // inverted X
 		{Min: geom.Pt(3, 3), Max: geom.Pt(3, 8)}, // degenerate X
 		{Min: geom.Pt(3, 3), Max: geom.Pt(8, 3)}, // degenerate Y
-		{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1), Cell: nan},
-		{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1), Cell: -0.1},
-		{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1), Cell: 1e-6},
-		{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1), Cell: 1e9},
-		{Min: geom.Pt(-2e6, 0), Max: geom.Pt(1, 1)},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); !errors.Is(err, ErrBadRegion) {
@@ -36,7 +31,7 @@ func TestRegionValidate(t *testing.T) {
 	good := []Region{
 		{}, // zero means "no region"
 		{Min: geom.Pt(2, 3), Max: geom.Pt(5, 6)},
-		{Min: geom.Pt(-10, -10), Max: geom.Pt(10, 10), Cell: 0.25},
+		{Min: geom.Pt(-2e6, -10), Max: geom.Pt(10, 10)}, // clamped to the area at use
 	}
 	for i, r := range good {
 		if err := r.Validate(); err != nil {
@@ -70,7 +65,7 @@ func restrictedArgmax(t *testing.T, full *SynthGrid, sub GridSpec, aps []APSpect
 // TestRegionArgmaxEqualsRestrictedFull is the tentpole equality: a
 // region query's argmax cell must equal the full-grid argmax
 // restricted to the region's cells — whether the region's LUTs were
-// sliced from a cached full-grid entry or built scoped — on scene
+// sliced from a cached full-grid entry or built cold — on scene
 // after scene, for both the full-scan and the branch-and-bound paths.
 func TestRegionArgmaxEqualsRestrictedFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
@@ -139,18 +134,6 @@ func TestRegionLocalizeStaysInsideBox(t *testing.T) {
 		t.Fatalf("region fix %v escaped box %v–%v", pos, region.Min, region.Max)
 	}
 
-	// A region with its own (coarser) pitch still works, scoped.
-	scoped := Region{Min: geom.Pt(5, 5), Max: geom.Pt(12, 11), Cell: 0.5}
-	sg2, err := NewSynthGridRegion(min, max, scoped, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pos2, err := sg2.Localize(aps); err != nil {
-		t.Fatal(err)
-	} else if pos2.X < scoped.Min.X || pos2.X > scoped.Max.X || pos2.Y < scoped.Min.Y || pos2.Y > scoped.Max.Y {
-		t.Fatalf("scoped-pitch fix %v escaped box", pos2)
-	}
-
 	// Outside the area entirely: clean error, wrapped ErrBadRegion.
 	outside := Region{Min: geom.Pt(100, 100), Max: geom.Pt(110, 110)}
 	if _, err := NewSynthGridRegion(min, max, outside, SynthOptions{Cell: 0.10}); !errors.Is(err, ErrBadRegion) {
@@ -163,33 +146,40 @@ func TestRegionLocalizeStaysInsideBox(t *testing.T) {
 	}
 }
 
-// TestRegionCellCountCapped: a wire-valid pitch over a large box must
-// not demand more cells than a full-area fix — the work cap behind
-// the untrusted-region surface, on both synthesis paths.
+// TestRegionCellCountCapped: a region never demands more cells than a
+// full-area fix. A box far larger than the floor clamps to the search
+// area, holds exactly the full grid's cells, and fixes where the full
+// grid does, with every side closed (interior), on both synthesis
+// entry points.
 func TestRegionCellCountCapped(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	min, max := synthBounds()
 	aps := synthScene(3, geom.Pt(20, 8), rng)
-	// 1 cm over the whole floor: ~6.4M cells vs the 10 cm grid's ~64k.
-	hog := Region{Min: geom.Pt(0, 0), Max: geom.Pt(40, 16), Cell: MinRegionCell}
-	if _, err := NewSynthGridRegion(min, max, hog, SynthOptions{Cell: 0.10}); !errors.Is(err, ErrBadRegion) {
-		t.Fatalf("cell-hog region: err = %v, want ErrBadRegion", err)
-	}
-	for _, cache := range []*SynthCache{NewSynthCache(0), nil} {
-		cfg := DefaultConfig(lambda)
-		cfg.SynthCache = cache
-		if _, err := NewPipeline(cfg).SynthesizeRegion(aps, min, max, hog); !errors.Is(err, ErrBadRegion) {
-			t.Fatalf("cell-hog region through pipeline (cache=%v): err = %v, want ErrBadRegion", cache != nil, err)
-		}
-	}
-	// A fine pitch over a proportionally small box stays allowed.
-	fine := Region{Min: geom.Pt(19, 7), Max: geom.Pt(21, 9), Cell: MinRegionCell}
-	sg, err := NewSynthGridRegion(min, max, fine, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
+	hog := Region{Min: geom.Pt(-1e6, -1e6), Max: geom.Pt(1e6, 1e6)}
+	full, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sg.Localize(aps); err != nil {
+	sg, err := NewSynthGridRegion(min, max, hog, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := sg.Spec().Cells(), full.Spec().Cells(); got != want {
+		t.Fatalf("oversized region holds %d cells, the full grid %d", got, want)
+	}
+	cfg := DefaultConfig(lambda)
+	cfg.SynthCache = NewSynthCache(0)
+	p := NewPipeline(cfg)
+	want, err := p.Synthesize(aps, min, max)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, interior, err := p.SynthesizeRegionInterior(aps, min, max, hog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || !interior {
+		t.Fatalf("oversized region fixes at %v (interior %v), the full grid at %v", got, interior, want)
 	}
 }
 
@@ -205,7 +195,7 @@ func TestPipelineRegionPaths(t *testing.T) {
 
 	gridCfg := DefaultConfig(lambda)
 	gridCfg.SynthCache = NewSynthCache(0)
-	gridPos, err := NewPipeline(gridCfg).SynthesizeRegion(aps, min, max, region)
+	gridPos, _, err := NewPipeline(gridCfg).SynthesizeRegionInterior(aps, min, max, region)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +210,7 @@ func TestPipelineRegionPaths(t *testing.T) {
 		t.Fatalf("staged region fix %.2f m from truth", d)
 	}
 	bad := Region{Min: geom.Pt(5, 5), Max: geom.Pt(4, 9)}
-	if _, err := NewPipeline(gridCfg).SynthesizeRegion(aps, min, max, bad); !errors.Is(err, ErrBadRegion) {
+	if _, _, err := NewPipeline(gridCfg).SynthesizeRegionInterior(aps, min, max, bad); !errors.Is(err, ErrBadRegion) {
 		t.Fatalf("inverted region through pipeline: err = %v, want ErrBadRegion", err)
 	}
 }

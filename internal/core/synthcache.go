@@ -3,9 +3,9 @@ package core
 // SynthCache: the memo behind the synthesis subsystem, an lru.Cache of
 // bearing LUTs and screening-block windows. The first staged-synthesis
 // cut memoized bearing LUTs in an unbounded map — fine for static
-// deployments (a handful of APs × one grid), fatal for per-request
-// ad-hoc search regions, where every distinct bounding box mints new
-// entries forever. On top of the lru's byte budget, two-choice placement
+// deployments (a handful of APs × one grid), fatal for per-fix search
+// regions (the predictive path's boxes), where every distinct bounding
+// box mints new entries forever. On top of the lru's byte budget, two-choice placement
 // and pass-through, this cache adds:
 //
 //   - two kinds of entry per (AP position, grid geometry, bins): the
@@ -41,7 +41,7 @@ const synthShards = 8
 
 // DefaultSynthCacheBudget bounds the process-wide shared cache:
 // roomy for dozens of full-floor grids plus region churn, small
-// enough that a region-query flood cannot grow the heap unboundedly.
+// enough that distinct regions cannot grow the heap unboundedly.
 const DefaultSynthCacheBudget int64 = 256 << 20
 
 // synthEntryOverhead approximates an entry's fixed footprint (struct,

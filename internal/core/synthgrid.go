@@ -522,15 +522,12 @@ func NewSynthGrid(min, max geom.Point, opt SynthOptions) (*SynthGrid, error) {
 	return newSynthGrid(spec, nil, min, max, opt), nil
 }
 
-// NewSynthGridRegion builds a grid over an ad-hoc search region
-// inside the full area [min, max]. A region at the full grid's pitch
-// (Region.Cell zero or equal to the resolved opt.Cell) snaps to the
-// full lattice: its cells are exactly the full-grid cells inside the
-// box, its argmax equals the full-grid argmax restricted to those
-// cells, and its bearing LUTs are views of cached full-grid
-// entries when present. A region with its own pitch gets a scoped
-// grid anchored at the clamped box corner. Hill climbing is confined
-// to the clamped box either way. A zero region is the full grid.
+// NewSynthGridRegion builds a grid over a search region inside the
+// full area [min, max], snapped to the full lattice: its cells are
+// exactly the full-grid cells inside the box, its argmax equals the
+// full-grid argmax restricted to those cells, and its bearing LUTs are
+// views of cached full-grid entries when present. Hill climbing is
+// confined to the clamped box. A zero region is the full grid.
 func NewSynthGridRegion(min, max geom.Point, region Region, opt SynthOptions) (*SynthGrid, error) {
 	if region.IsZero() {
 		return NewSynthGrid(min, max, opt)
@@ -549,22 +546,6 @@ func NewSynthGridRegion(min, max geom.Point, region Region, opt SynthOptions) (*
 	full, err := GridSpecFor(min, max, cell)
 	if err != nil {
 		return nil, err
-	}
-	if region.Cell != 0 && region.Cell != cell {
-		spec, err := GridSpecFor(lo, hi, region.Cell)
-		if err != nil {
-			return nil, err
-		}
-		// A scoped pitch must not demand more work than a full-area
-		// fix: Validate bounds the pitch itself, but a fine pitch over
-		// a large box would multiply per-fix CPU and LUT memory
-		// arbitrarily — a cheap DoS from the wire, where regions
-		// arrive untrusted.
-		if spec.Cells() > full.Cells() {
-			return nil, fmt.Errorf("%w: %d cells at pitch %g exceeds the %d-cell full grid",
-				ErrBadRegion, spec.Cells(), region.Cell, full.Cells())
-		}
-		return newSynthGrid(spec, nil, lo, hi, opt), nil
 	}
 	spec, err := subSpecFor(full, lo, hi)
 	if err != nil {
@@ -784,8 +765,8 @@ func (sg *SynthGrid) Localize(aps []APSpectrum) (geom.Point, error) {
 // region, so the caller must fall back to a wider search. A side is
 // "closed" when the region is flush with its parent full grid there
 // (the search area ends; nothing lies beyond it), so a cell on a
-// closed edge still reports interior. Grids without a parent (full
-// grids, scoped-pitch regions) treat every side as open.
+// closed edge still reports interior. A grid without a parent (the
+// full grid) treats every side as open.
 func (sg *SynthGrid) LocalizeInterior(aps []APSpectrum) (geom.Point, bool, error) {
 	pos, idx, err := sg.localize(aps)
 	if err != nil {

@@ -5,13 +5,13 @@
 // once — by parallelizing across clients over shared steering-vector
 // and bearing-LUT caches.
 //
-// Scheduling is delegated to the sched subsystem (a latency lane,
-// per-client quotas, queue ageing), and the steady-state serving path
-// is predictive: when a client has a live Kalman track, the engine
-// derives a search region from the prediction's gate covariance,
-// localizes inside it, and verifies the result — falling back to the
-// full grid whenever the verification fails, so accuracy is never worse
-// than full-grid serving.
+// Scheduling is delegated to the sched subsystem (one bounded FIFO with
+// per-client quotas), and the steady-state serving path is predictive:
+// when a client has a live Kalman track, the engine derives a search
+// region from the prediction's gate covariance, localizes inside it,
+// and verifies the result — falling back to the full grid whenever the
+// verification fails, so accuracy is never worse than full-grid
+// serving.
 package engine
 
 import (
@@ -31,7 +31,7 @@ import (
 // ErrClosed is returned by Submit-family calls after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// ErrOverloaded fails a batch job the engine shed instead of running:
+// ErrOverloaded fails a job the engine shed instead of running:
 // the job sat queued longer than Options.ShedAfter, so its captures
 // describe where the client *was* — localizing them now would burn a
 // worker on a stale answer while fresher jobs queue up behind. The
@@ -66,20 +66,6 @@ type Request struct {
 	Captures [][]core.FrameCapture
 	// Min, Max bound the synthesis search area.
 	Min, Max geom.Point
-	// Region, when non-zero, restricts synthesis to an ad-hoc
-	// bounding box (clamped to [Min, Max]) at an optional per-request
-	// resolution. Malformed regions fail the job with a wrapped
-	// core.ErrBadRegion. An explicit region disables the predictive
-	// path for this job.
-	Region core.Region
-	// Priority routes the job through the engine's latency lane:
-	// workers prefer it over queued batch traffic (up to the
-	// scheduler's ageing bound). A job already in flight is never
-	// interrupted: the wait is at most one fix, whose synthesis is
-	// bounded by one screened surface (core's TestSynthJobSizeBound).
-	// Meant for single interactive fixes (typically region queries),
-	// not bulk submission.
-	Priority bool
 	// Time is the capture timestamp, used by the tracker to advance
 	// the client's Kalman state. Zero means the tracker's clock.
 	Time time.Time
@@ -112,23 +98,17 @@ type Result struct {
 type Options struct {
 	// Workers is the pool size; 0 means GOMAXPROCS.
 	Workers int
-	// Queue is the batch lane depth; 0 means 4×Workers. Submit blocks
-	// once the lane is full, providing natural backpressure.
+	// Queue is the scheduler's depth; 0 means 4×Workers. Submit
+	// blocks once the queue is full, providing natural backpressure.
+	// A job in flight is never interrupted, so a queued job waits at
+	// most the jobs ahead of it, each bounded by one screened surface
+	// (core's TestSynthJobSizeBound).
 	Queue int
-	// PriorityQueue is the latency lane's depth; 0 means Workers.
-	// Kept intentionally shallow: the lane exists for single
-	// interactive fixes, and a deep priority queue would just starve
-	// batch traffic.
-	PriorityQueue int
-	// ClientQuota is the scheduler's per-client token budget across
-	// both lanes: a client may hold at most this many jobs admitted
-	// but not yet completed; excess submissions fail fast with
-	// ErrQuota. 0 means unlimited (closed deployments).
+	// ClientQuota is the scheduler's per-client token budget: a client
+	// may hold at most this many jobs admitted but not yet completed;
+	// excess submissions fail fast with ErrQuota. 0 means unlimited
+	// (closed deployments).
 	ClientQuota int
-	// AgeLimit bounds how long a batch job waits behind the latency
-	// lane before the scheduler serves it anyway. 0 means
-	// sched.DefaultAgeLimit; negative disables ageing.
-	AgeLimit time.Duration
 	// Config is the pipeline configuration applied to every job, with
 	// Config.APWorkers and Config.SynthWorkers clamped to 1: the pool
 	// already keeps every core busy across clients, so per-AP or
@@ -140,10 +120,10 @@ type Options struct {
 	// subscribers stream them (Tracker.Subscribe).
 	Tracker *Tracker
 	// Predict enables track-guided predictive localization (requires
-	// a Tracker): jobs without an explicit region localize inside the
-	// track prediction's PredictSigma-σ gate box and fall back to the
-	// full grid unless the result verifies (argmax strictly interior
-	// to the region and Mahalanobis-accepted by the prediction).
+	// a Tracker): jobs localize inside the track prediction's
+	// PredictSigma-σ gate box and fall back to the full grid unless the
+	// result verifies (argmax strictly interior to the region and
+	// Mahalanobis-accepted by the prediction).
 	Predict bool
 	// PredictSigma overrides the gate-covariance inflation (0 means
 	// DefaultPredictSigma). Values below the tracker's gate are
@@ -153,12 +133,12 @@ type Options struct {
 	// PredictMinFixes overrides how many accepted fixes a track needs
 	// before predictions are trusted (0 means DefaultPredictMinFixes).
 	PredictMinFixes int
-	// ShedAfter enables overload shedding when positive: a batch job
-	// that waited in the queue longer than this is failed with
+	// ShedAfter enables overload shedding when positive: a job that
+	// waited in the queue longer than this is failed with
 	// ErrOverloaded instead of localized — under sustained overload
 	// the engine serves the freshest work at full speed rather than
-	// everything at unbounded latency. Priority jobs are never shed.
-	// 0 disables shedding. Hot-reloadable via SetShedAfter.
+	// everything at unbounded latency. 0 disables shedding.
+	// Hot-reloadable via SetShedAfter.
 	ShedAfter time.Duration
 }
 
@@ -177,7 +157,7 @@ type Stats struct {
 	Rejected uint64
 	// QuotaRejected is the subset of Rejected refused with ErrQuota.
 	QuotaRejected uint64
-	// Shed is the number of batch jobs failed with ErrOverloaded
+	// Shed is the number of jobs failed with ErrOverloaded
 	// because they aged past ShedAfter before a worker got to them
 	// (included in Failures and Completed).
 	Shed uint64
@@ -211,32 +191,23 @@ type Stats struct {
 	// PredictFallbackError counts predictive attempts whose region
 	// search errored (e.g. the predicted box left the search area).
 	PredictFallbackError uint64
-	// PrioritySubmitted is the number of jobs accepted into the
-	// latency lane (included in Submitted).
-	PrioritySubmitted uint64
-	// AgedBatch counts batch jobs the scheduler served ahead of
-	// waiting priority traffic because they aged past the limit.
-	AgedBatch uint64
 	// Workers is the pool size.
 	Workers int
-	// Queued is the instantaneous batch queue depth.
+	// Queued is the instantaneous queue depth.
 	Queued int
-	// PriorityQueued is the instantaneous latency-lane depth.
-	PriorityQueued int
 }
 
 type job struct {
 	req  Request
 	done func(Result)
 	// enq is the submission instant, stamped only while shedding is
-	// enabled (the batch path pays no clock read otherwise).
+	// enabled (the serving path pays no clock read otherwise).
 	enq time.Time
 }
 
 // Engine runs localization jobs on a fixed worker pool scheduled by
-// the sched subsystem: a deep batch lane and a shallow latency lane
-// workers prefer (bounded by ageing), with per-client admission
-// quotas. All methods are safe for concurrent use.
+// the sched subsystem: one FIFO with per-client admission quotas. All
+// methods are safe for concurrent use.
 type Engine struct {
 	pipe      *core.Pipeline // APWorkers/SynthWorkers clamped to 1
 	tracker   *Tracker
@@ -247,7 +218,6 @@ type Engine struct {
 	mu        sync.RWMutex
 	closed    bool
 	submitted atomic.Uint64
-	prioSub   atomic.Uint64
 	rejected  atomic.Uint64
 	quotaRej  atomic.Uint64
 	fixes     atomic.Uint64
@@ -276,22 +246,13 @@ func New(opt Options) *Engine {
 	if queue <= 0 {
 		queue = 4 * workers
 	}
-	prioQueue := opt.PriorityQueue
-	if prioQueue <= 0 {
-		prioQueue = workers
-	}
 	cfg := opt.Config
 	cfg.APWorkers = min(cfg.APWorkers, 1)
 	cfg.SynthWorkers = min(cfg.SynthWorkers, 1)
 	e := &Engine{
 		pipe:    core.NewPipeline(cfg),
 		tracker: opt.Tracker,
-		q: sched.New(sched.Options{
-			BatchDepth:    queue,
-			PriorityDepth: prioQueue,
-			ClientQuota:   opt.ClientQuota,
-			AgeLimit:      opt.AgeLimit,
-		}),
+		q:       sched.New(sched.Options{Depth: queue, ClientQuota: opt.ClientQuota}),
 		workers: workers,
 	}
 	// predMin is fixed at construction (SetPredictSigma can enable the
@@ -329,13 +290,12 @@ func (e *Engine) worker() {
 // quota token.
 func (e *Engine) execute(it sched.Item) {
 	j := it.Payload.(job)
-	// Overload shedding: a batch job that aged past ShedAfter in the
-	// queue is failed, not localized — its captures are stale and
-	// fresher work is waiting. Counted in Failures so the
+	// Overload shedding: a job that aged past ShedAfter in the queue
+	// is failed, not localized — its captures are stale and fresher
+	// work is waiting. Counted in Failures so the
 	// Completed == Fixes + Failures invariant (and Drain accounting)
 	// holds.
-	if shed := e.shedAfter.Load(); shed > 0 && !j.req.Priority && !j.enq.IsZero() &&
-		time.Since(j.enq) > time.Duration(shed) {
+	if shed := e.shedAfter.Load(); shed > 0 && !j.enq.IsZero() && time.Since(j.enq) > time.Duration(shed) {
 		e.shed.Add(1)
 		e.failures.Add(1)
 		e.q.Done(it.Client)
@@ -364,7 +324,7 @@ func (e *Engine) run(req Request) Result {
 	if pos, ok := e.predictiveFix(req, specs); ok {
 		r.Pos, r.Predicted = pos, true
 	} else {
-		r.Pos, err = e.pipe.SynthesizeRegion(specs, req.Min, req.Max, req.Region)
+		r.Pos, err = e.pipe.Synthesize(specs, req.Min, req.Max)
 		if err != nil {
 			r.Spectra = nil
 			r.Err = err
@@ -384,8 +344,7 @@ func (e *Engine) run(req Request) Result {
 	return r
 }
 
-// predictiveFix attempts the track-guided region localization for a
-// job with no explicit region: derive a search region from the
+// predictiveFix attempts the track-guided region localization: derive a search region from the
 // client's Kalman prediction (gate covariance inflated to the
 // configured sigma, padded by two grid cells so the verification ring
 // exists), localize inside it, and verify — the region argmax must be
@@ -395,7 +354,7 @@ func (e *Engine) run(req Request) Result {
 // what full-grid serving would produce.
 func (e *Engine) predictiveFix(req Request, specs []core.APSpectrum) (geom.Point, bool) {
 	sigma := e.PredictSigma()
-	if sigma <= 0 || e.tracker == nil || !req.Region.IsZero() {
+	if sigma <= 0 || e.tracker == nil {
 		return geom.Point{}, false
 	}
 	pred, ok := e.tracker.Predict(req.ClientID, req.Time, e.predMin)
@@ -439,10 +398,9 @@ func PredictRegion(pred track.Prediction, sigma, cell float64) core.Region {
 }
 
 // Submit enqueues a job; done is invoked exactly once, from a worker
-// goroutine, with the job's result. Priority requests enter the
-// latency lane, everything else the batch queue. Submit blocks while
-// the target lane is full, fails fast with ErrQuota when the client's
-// scheduler quota is exhausted, and returns ErrClosed after Close.
+// goroutine, with the job's result. Submit blocks while the queue is
+// full, fails fast with ErrQuota when the client's scheduler quota is
+// exhausted, and returns ErrClosed after Close.
 func (e *Engine) Submit(req Request, done func(Result)) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -454,23 +412,12 @@ func (e *Engine) Submit(req Request, done func(Result)) error {
 	// the instant it lands, and Stats must never show Completed >
 	// Submitted. Rejected pushes undo the count.
 	e.submitted.Add(1)
-	if req.Priority {
-		e.prioSub.Add(1)
-	}
 	j := job{req: req, done: done}
 	if e.shedAfter.Load() > 0 {
 		j.enq = time.Now()
 	}
-	err := e.q.Push(sched.Item{
-		Client:   req.ClientID,
-		Priority: req.Priority,
-		Payload:  j,
-	})
-	if err != nil {
+	if err := e.q.Push(sched.Item{Client: req.ClientID, Payload: j}); err != nil {
 		e.submitted.Add(^uint64(0))
-		if req.Priority {
-			e.prioSub.Add(^uint64(0))
-		}
 		e.rejected.Add(1)
 		if errors.Is(err, sched.ErrQuota) {
 			e.quotaRej.Add(1)
@@ -526,7 +473,7 @@ func (e *Engine) ShedAfter() time.Duration {
 }
 
 // SetShedAfter hot-reloads the overload-shedding age bound: positive
-// sheds batch jobs older than d at execution time, zero or negative
+// sheds jobs older than d at execution time, zero or negative
 // disables shedding. Takes effect on jobs submitted after the call
 // (already-queued jobs keep their enqueue stamps).
 func (e *Engine) SetShedAfter(d time.Duration) {
@@ -542,13 +489,6 @@ func (e *Engine) SetClientQuota(n int) { e.q.SetClientQuota(n) }
 
 // ClientQuota returns the scheduler's live per-client token budget.
 func (e *Engine) ClientQuota() int { return e.q.ClientQuota() }
-
-// SetAgeLimit hot-reloads the scheduler's batch-ageing bound (0 =
-// scheduler default, negative disables ageing).
-func (e *Engine) SetAgeLimit(d time.Duration) { e.q.SetAgeLimit(d) }
-
-// AgeLimit returns the scheduler's live ageing bound.
-func (e *Engine) AgeLimit() time.Duration { return e.q.AgeLimit() }
 
 // Locate runs one job synchronously through the pool.
 func (e *Engine) Locate(req Request) Result {
@@ -584,7 +524,6 @@ func (e *Engine) LocateBatch(reqs []Request) []Result {
 func (e *Engine) Stats() Stats {
 	fixes := e.fixes.Load()
 	failures := e.failures.Load()
-	qs := e.q.Stats()
 	s := Stats{
 		Submitted:              e.submitted.Load(),
 		Completed:              fixes + failures,
@@ -600,11 +539,8 @@ func (e *Engine) Stats() Stats {
 		PredictFallbackBorder:  e.predBorder.Load(),
 		PredictFallbackGate:    e.predGate.Load(),
 		PredictFallbackError:   e.predRegionErr.Load(),
-		PrioritySubmitted:      e.prioSub.Load(),
-		AgedBatch:              qs.Aged,
 		Workers:                e.workers,
-		Queued:                 qs.BatchQueued,
-		PriorityQueued:         qs.PriorityQueued,
+		Queued:                 e.q.Stats().Queued,
 	}
 	if e.tracker != nil {
 		ts := e.tracker.Stats()
@@ -619,13 +555,12 @@ func (e *Engine) Stats() Stats {
 // APWorkers and SynthWorkers clamped to 1.
 func (e *Engine) Config() core.Config { return e.pipe.Config() }
 
-// Close stops accepting jobs, drains both lanes, and waits for the
+// Close stops accepting jobs, drains the queue, and waits for the
 // workers to exit. Safe to call more than once.
 func (e *Engine) Close() { e.Drain() }
 
 // Drain performs the graceful-shutdown sequence: new submissions are
-// refused with ErrClosed, every already-admitted job in both scheduler
-// lanes runs to completion (done callbacks included — nothing is
+// refused with ErrClosed, every already-admitted job runs to completion (done callbacks included — nothing is
 // dropped), and Drain returns once the last worker has exited. After
 // Drain the tracker (if any) is quiescent, so Tracker.SnapshotAll
 // observes the final post-flush state of every track — the

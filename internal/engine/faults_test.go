@@ -116,8 +116,8 @@ func TestTrackerDegradedGateWidening(t *testing.T) {
 }
 
 // TestEngineShedsAgedBatchJobs: under overload with shedding enabled,
-// queued batch jobs older than ShedAfter fail fast with ErrOverloaded
-// (counted, done callbacks still fired), and priority jobs are exempt.
+// queued jobs older than ShedAfter fail fast with ErrOverloaded
+// (counted, done callbacks still fired).
 func TestEngineShedsAgedBatchJobs(t *testing.T) {
 	tb, reqs := testbedRequests(t, 4)
 	cfg := core.DefaultConfig(tb.Wavelength)
@@ -163,23 +163,12 @@ func TestEngineShedsAgedBatchJobs(t *testing.T) {
 		t.Fatalf("accounting broken after shedding: %+v", st)
 	}
 
-	// Priority jobs are never shed, even with the bound at 1 ns.
-	prio := reqs[0]
-	prio.ClientID = 99
-	prio.Priority = true
-	if r := eng.Locate(prio); r.Err != nil {
-		t.Fatalf("priority job shed or failed: %v", r.Err)
-	}
-	if st := eng.Stats(); st.Shed < 3 || st.Shed > 4 {
-		t.Fatalf("priority job counted shed: %+v", st)
-	}
-
 	// Disabling shedding drains normally again.
 	eng.SetShedAfter(0)
-	batch := reqs[1]
-	batch.ClientID = 100
-	if r := eng.Locate(batch); r.Err != nil {
-		t.Fatalf("batch job after re-enable failed: %v", r.Err)
+	again := reqs[1]
+	again.ClientID = 100
+	if r := eng.Locate(again); r.Err != nil {
+		t.Fatalf("job after re-enable failed: %v", r.Err)
 	}
 }
 

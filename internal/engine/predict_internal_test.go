@@ -105,13 +105,6 @@ func TestPredictiveFixVerifyAndFallbacks(t *testing.T) {
 		t.Fatal("prediction outside the search area was served predictively")
 	}
 
-	// An explicit per-request region always wins over prediction.
-	reqRegion := req
-	reqRegion.Region = core.Region{Min: geom.Pt(1, 1), Max: geom.Pt(5, 5)}
-	if _, served := eng.predictiveFix(reqRegion, lobeScene(target)); served {
-		t.Fatal("explicit region request took the predictive path")
-	}
-
 	st := eng.Stats()
 	if st.Predicted != 1 {
 		t.Fatalf("Predicted = %d, want 1", st.Predicted)

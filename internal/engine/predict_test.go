@@ -199,50 +199,41 @@ func TestEngineClientQuota(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEngineFairnessUnderPriorityFlood is the satellite gate: hostile
-// clients flood the latency lane of a single-worker engine while two
-// well-behaved clients submit batch jobs. Quotas bound the flood's
-// queue share, ageing promotes the batch jobs within a bounded wait,
-// and every batch job completes. Runs under -race in the normal test
-// pass.
+// TestEngineFairnessUnderPriorityFlood: hostile clients submit as
+// fast as they can — far past their share — to a single-worker engine
+// while two well-behaved clients submit a few jobs each. ClientQuota
+// holds every hostile client to its tokens, so the queue is FIFO past
+// at most hostiles × quota of the flood's jobs: every well-behaved job
+// completes, in submission order, behind no more than that. Runs under
+// -race in the normal test pass.
 func TestEngineFairnessUnderPriorityFlood(t *testing.T) {
 	aps, cfg, mkStreams := syntheticSetup()
-	// Ageing is tight so the flood's backlog (≥ 20 jobs deep before the
-	// worker is released) outlasts it.
-	cfg.SynthCache = core.NewSynthCache(0)
-	cfg.GridCell = 0.008 // ~376k cells: a screened fix, not a full surface
-	const ageLimit = 5 * time.Millisecond
-	eng := engine.New(engine.Options{
-		Workers:       1,
-		Queue:         32,
-		PriorityQueue: 64,
-		ClientQuota:   8,
-		AgeLimit:      ageLimit,
-		Config:        cfg,
-	})
+	const (
+		hostiles  = 3
+		quota     = 4
+		perClient = 3
+	)
+	eng := engine.New(engine.Options{Workers: 1, Queue: 32, ClientQuota: quota, Config: cfg})
 	defer eng.Close()
 
-	mkReq := func(id uint32, prio bool, seed int64) engine.Request {
-		return engine.Request{
-			ClientID: id,
-			APs:      aps,
-			Captures: [][]core.FrameCapture{
-				{{Streams: mkStreams(randSource(seed))}},
-				{{Streams: mkStreams(randSource(seed + 1))}},
-			},
-			Min:      geom.Pt(0, 0),
-			Max:      geom.Pt(6, 4),
-			Priority: prio,
-		}
+	var mu sync.Mutex
+	var order []uint32
+	record := func(r engine.Result) {
+		mu.Lock()
+		order = append(order, r.ClientID)
+		mu.Unlock()
 	}
 
-	// Plug the single worker: its done callback blocks until the lanes
-	// are loaded, so the flood's backlog and the batch jobs' enqueue
-	// timestamps are in place before scheduling decisions start.
+	// Plug the single worker: its done callback blocks until the queue
+	// is loaded, so nothing completes while the clients submit.
 	release := make(chan struct{})
 	var plugDone sync.WaitGroup
 	plugDone.Add(1)
-	if err := eng.Submit(mkReq(3, false, 1), func(engine.Result) { <-release; plugDone.Done() }); err != nil {
+	if err := eng.Submit(mkReq2(aps, mkStreams, 3), func(r engine.Result) {
+		record(r)
+		<-release
+		plugDone.Done()
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); eng.Stats().Queued != 0; {
@@ -252,26 +243,27 @@ func TestEngineFairnessUnderPriorityFlood(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Hostile clients 990–992 fill their full quota of priority jobs
-	// and keep refilling as completions free tokens.
+	// Hostile clients 990–992 submit without pause, retrying every
+	// quota refusal.
 	stop := make(chan struct{})
 	var flood sync.WaitGroup
-	var hostileDone atomic.Int64
-	for h := 0; h < 3; h++ {
+	var overQuota atomic.Bool
+	for h := uint32(990); h < 990+hostiles; h++ {
 		flood.Add(1)
-		go func(h int) {
+		go func(h uint32) {
 			defer flood.Done()
-			seed := int64(h) * 1_000_000
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				seed++
-				err := eng.Submit(mkReq(uint32(990+h), true, seed), func(engine.Result) { hostileDone.Add(1) })
+				err := eng.Submit(mkReq2(aps, mkStreams, h), record)
+				if n := eng.InFlight(h); n > quota {
+					overQuota.Store(true)
+				}
 				if errors.Is(err, engine.ErrQuota) {
-					time.Sleep(200 * time.Microsecond) // token budget full; retry
+					time.Sleep(100 * time.Microsecond)
 					continue
 				}
 				if err != nil {
@@ -280,79 +272,85 @@ func TestEngineFairnessUnderPriorityFlood(t *testing.T) {
 			}
 		}(h)
 	}
-	for deadline := time.Now().Add(5 * time.Second); eng.Stats().PriorityQueued < 20; {
-		if time.Now().After(deadline) {
-			t.Fatal("flood never filled the priority lane")
+	for h := uint32(990); h < 990+hostiles; h++ {
+		for deadline := time.Now().Add(5 * time.Second); eng.InFlight(h) < quota; {
+			if time.Now().After(deadline) {
+				t.Fatalf("hostile client %d never filled its quota", h)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
 
-	const perClient = 3
-	type res struct {
-		id  uint32
-		err error
-	}
-	results := make(chan res, 2*perClient)
+	var want []uint32
+	results := make(chan error, 2*perClient)
 	for i := 0; i < perClient; i++ {
 		for _, id := range []uint32{1, 2} {
-			id := id
-			if err := eng.Submit(mkReq(id, false, int64(id)*100+int64(i)), func(r engine.Result) {
-				results <- res{id, r.Err}
+			want = append(want, id)
+			if err := eng.Submit(mkReq2(aps, mkStreams, id), func(r engine.Result) {
+				record(r)
+				results <- r.Err
 			}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	// Every batch head is past the age limit before the worker is
-	// released, so the first pop after the plug must age one out ahead
-	// of the waiting flood.
-	time.Sleep(2 * ageLimit)
-	close(release) // let the worker loose on the loaded lanes
+	close(release)
 
-	counts := map[uint32]int{}
 	deadline := time.After(30 * time.Second)
 	for n := 0; n < 2*perClient; n++ {
 		select {
-		case r := <-results:
-			if r.err != nil {
-				t.Fatal(r.err)
+		case err := <-results:
+			if err != nil {
+				t.Fatal(err)
 			}
-			counts[r.id]++
 		case <-deadline:
 			close(stop)
-			t.Fatalf("starved: %d/%d batch jobs finished under priority flood (counts %v)", n, 2*perClient, counts)
+			t.Fatalf("starved: %d/%d well-behaved jobs finished under the flood", n, 2*perClient)
 		}
 	}
 	close(stop)
 	flood.Wait()
 	plugDone.Wait()
-	if counts[1] != perClient || counts[2] != perClient {
-		t.Fatalf("per-client completions %v, want %d each", counts, perClient)
+
+	mu.Lock()
+	defer mu.Unlock()
+	var good []uint32
+	hostileAhead := 0
+	for _, id := range order[1:] { // order[0] is the plug
+		if id >= 990 {
+			if len(good) < len(want) {
+				hostileAhead++
+			}
+			continue
+		}
+		good = append(good, id)
+	}
+	if !slices.Equal(good, want) {
+		t.Fatalf("well-behaved completion order %v, want submission order %v", good, want)
+	}
+	if hostileAhead > hostiles*quota {
+		t.Fatalf("%d flood jobs completed ahead of the last well-behaved job, quota allows %d", hostileAhead, hostiles*quota)
+	}
+	if overQuota.Load() {
+		t.Fatal("a hostile client held more than its quota of jobs")
 	}
 	st := eng.Stats()
-	// Ageing alone services the batch jobs past the waiting flood: a
-	// job in flight is never interrupted, so nothing else can. (The
-	// deterministic ageing bound itself is pinned with a fake clock in
-	// sched.TestNoStarvationUnderPriorityFlood and
-	// TestAgeingPromotesBatchHead.)
-	if st.AgedBatch == 0 {
-		t.Fatalf("ageing never engaged during the flood: %+v", st)
+	if st.QuotaRejected == 0 {
+		t.Fatalf("the flood never hit its quota: %+v", st)
 	}
-	t.Logf("flood stats: hostile completed %d, aged %d, quota rejected %d",
-		hostileDone.Load(), st.AgedBatch, st.QuotaRejected)
+	t.Logf("flood: %d jobs ahead of the last well-behaved one, %d quota refusals", hostileAhead, st.QuotaRejected)
 }
 
-// TestEngineYieldStealsMidSurface: the latency lane jumps the queue
-// but never interrupts a job in flight. With the single worker plugged
-// by a batch job whose done callback blocks, a backlog of batch jobs
-// and then one priority job are queued; the completion order must be
-// exactly the plug, the priority job, then the backlog in FIFO order.
+// TestEngineYieldStealsMidSurface: a job in flight is never
+// interrupted, and one worker completes a backlog in FIFO order. With
+// the single worker plugged by a job whose done callback blocks, a
+// backlog is queued; the completion order must be exactly the plug,
+// then the backlog in submission order, and the plug's fix must be the
+// one the same request gets alone.
 func TestEngineYieldStealsMidSurface(t *testing.T) {
 	aps, cfg, mkStreams := syntheticSetup()
 	const backlog = 4
-	// Ageing off: a slow (race-instrumented) run must not let the
-	// backlog's head age past the priority job.
-	eng := engine.New(engine.Options{Workers: 1, AgeLimit: -1, Config: cfg})
+	eng := engine.New(engine.Options{Workers: 1, Config: cfg})
 	defer eng.Close()
 
 	var order []uint32
@@ -368,8 +366,10 @@ func TestEngineYieldStealsMidSurface(t *testing.T) {
 		wg.Done()
 	}
 	release := make(chan struct{})
-	wg.Add(backlog + 2)
-	if err := eng.Submit(mkReq2(aps, mkStreams, 100, false), func(r engine.Result) {
+	var plug engine.Result
+	wg.Add(backlog + 1)
+	if err := eng.Submit(mkReq2(aps, mkStreams, 100), func(r engine.Result) {
+		plug = r
 		record(r)
 		<-release
 	}); err != nil {
@@ -381,15 +381,12 @@ func TestEngineYieldStealsMidSurface(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	want := []uint32{100, 200}
+	want := []uint32{100}
 	for id := uint32(1); id <= backlog; id++ {
-		if err := eng.Submit(mkReq2(aps, mkStreams, id, false), record); err != nil {
+		if err := eng.Submit(mkReq2(aps, mkStreams, id), record); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, id)
-	}
-	if err := eng.Submit(mkReq2(aps, mkStreams, 200, true), record); err != nil {
-		t.Fatal(err)
 	}
 	close(release)
 	wg.Wait()
@@ -397,13 +394,16 @@ func TestEngineYieldStealsMidSurface(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if !slices.Equal(order, want) {
-		t.Fatalf("completion order %v, want %v: plug, priority, then the backlog in FIFO order", order, want)
+		t.Fatalf("completion order %v, want %v: the plug, then the backlog in FIFO order", order, want)
+	}
+	if alone := eng.Locate(mkReq2(aps, mkStreams, 100)); alone.Err != nil || alone.Pos != plug.Pos {
+		t.Fatalf("plug fixed at %v, the same request alone at %v (err %v)", plug.Pos, alone.Pos, alone.Err)
 	}
 }
 
-// mkReq2 builds a two-AP synthetic request (helper for the lane-order
-// test).
-func mkReq2(aps []*core.AP, mkStreams func(*rand.Rand) [][]complex128, id uint32, prio bool) engine.Request {
+// mkReq2 builds a two-AP synthetic request whose streams are seeded by
+// id (helper for the queue-order tests).
+func mkReq2(aps []*core.AP, mkStreams func(*rand.Rand) [][]complex128, id uint32) engine.Request {
 	return engine.Request{
 		ClientID: id,
 		APs:      aps,
@@ -411,8 +411,7 @@ func mkReq2(aps []*core.AP, mkStreams func(*rand.Rand) [][]complex128, id uint32
 			{{Streams: mkStreams(randSource(int64(id)))}},
 			{{Streams: mkStreams(randSource(int64(id) + 7))}},
 		},
-		Min:      geom.Pt(0, 0),
-		Max:      geom.Pt(6, 4),
-		Priority: prio,
+		Min: geom.Pt(0, 0),
+		Max: geom.Pt(6, 4),
 	}
 }

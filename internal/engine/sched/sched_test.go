@@ -7,105 +7,26 @@ import (
 	"time"
 )
 
-func TestPopPrefersPriority(t *testing.T) {
-	q := New(Options{})
-	for i := 0; i < 3; i++ {
-		if err := q.Push(Item{Client: 1, Payload: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := q.Push(Item{Client: 2, Priority: true, Payload: "prio"}); err != nil {
-		t.Fatal(err)
-	}
-	it, ok := q.Pop()
-	if !ok || it.Payload != "prio" {
-		t.Fatalf("Pop = %+v, want the priority item first", it)
-	}
-	for i := 0; i < 3; i++ {
-		it, ok := q.Pop()
-		if !ok || it.Payload != i {
-			t.Fatalf("batch pop %d = %+v, want FIFO order", i, it)
-		}
-	}
-}
-
-// TestAgeingPromotesBatchHead: with a continuously non-empty priority
-// lane, a batch item older than AgeLimit is served anyway — the
-// bounded-wait guarantee.
-func TestAgeingPromotesBatchHead(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	q := New(Options{AgeLimit: 100 * time.Millisecond, Now: clock})
-	if err := q.Push(Item{Client: 1, Payload: "batch"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := q.Push(Item{Client: 2, Priority: true, Payload: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Young batch head: priority first.
-	it, _ := q.Pop()
-	if it.Payload != 0 {
-		t.Fatalf("young batch head must not jump priority, got %+v", it)
-	}
-	// Age the batch head past the limit: it is served next even though
-	// priority items wait.
-	now = now.Add(150 * time.Millisecond)
-	it, _ = q.Pop()
-	if it.Payload != "batch" {
-		t.Fatalf("aged batch head not promoted, got %+v", it)
-	}
-	if s := q.Stats(); s.Aged != 1 {
-		t.Fatalf("Aged = %d, want 1", s.Aged)
-	}
-	// Remaining priority items drain in order.
-	for want := 1; want <= 3; want++ {
-		it, _ = q.Pop()
-		if it.Payload != want {
-			t.Fatalf("priority drain got %+v, want %d", it, want)
-		}
-	}
-}
-
-// TestAgeingDisabled: negative AgeLimit restores strict
-// priority-first ordering.
-func TestAgeingDisabled(t *testing.T) {
-	now := time.Unix(1000, 0)
-	q := New(Options{AgeLimit: -1, Now: func() time.Time { return now }})
-	q.Push(Item{Client: 1, Payload: "batch"})
-	q.Push(Item{Client: 2, Priority: true, Payload: "prio"})
-	now = now.Add(time.Hour)
-	it, _ := q.Pop()
-	if it.Payload != "prio" {
-		t.Fatalf("ageing disabled but batch jumped: %+v", it)
-	}
-}
-
+// TestClientQuotaSpansLanes: a client holds a token from Push until
+// Done, popped or not; other clients are unaffected.
 func TestClientQuotaSpansLanes(t *testing.T) {
 	q := New(Options{ClientQuota: 2})
-	if err := q.Push(Item{Client: 7}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := q.Push(Item{Client: 7}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := q.Push(Item{Client: 7, Priority: true}); err != nil {
-		t.Fatal(err)
-	}
-	// Third admission for the same client, either lane: quota.
 	if err := q.Push(Item{Client: 7}); err != ErrQuota {
-		t.Fatalf("third batch push = %v, want ErrQuota", err)
-	}
-	if err := q.Push(Item{Client: 7, Priority: true}); err != ErrQuota {
-		t.Fatalf("third priority push = %v, want ErrQuota", err)
+		t.Fatalf("third push = %v, want ErrQuota", err)
 	}
 	// Other clients are unaffected.
 	if err := q.Push(Item{Client: 8}); err != nil {
 		t.Fatalf("other client rejected: %v", err)
 	}
-	// Tokens are held across Pop and released by Done: the priority
-	// item (client 7's) pops first.
+	// Tokens are held across Pop and released by Done.
 	it, _ := q.Pop()
 	if it.Client != 7 {
-		t.Fatalf("popped client %d, want 7's priority item first", it.Client)
+		t.Fatalf("popped client %d, want 7's first item", it.Client)
 	}
 	if err := q.Push(Item{Client: 7}); err != ErrQuota {
 		t.Fatalf("popped-but-not-Done must still hold the token, got %v", err)
@@ -114,45 +35,43 @@ func TestClientQuotaSpansLanes(t *testing.T) {
 	if err := q.Push(Item{Client: 7}); err != nil {
 		t.Fatalf("Done did not release the token: %v", err)
 	}
-	if s := q.Stats(); s.QuotaRejected != 3 {
-		t.Fatalf("QuotaRejected = %d, want 3", s.QuotaRejected)
+	if s := q.Stats(); s.QuotaRejected != 2 {
+		t.Fatalf("QuotaRejected = %d, want 2", s.QuotaRejected)
 	}
 }
 
-// TestTryPrioritySteal: the lane depths Stats reports track every push
-// and pop on both lanes — the read the engine's PriorityQueued and
-// Queued gauges rest on.
+// TestTryPrioritySteal: the queue's depth tracks every push and pop,
+// Pushed counts every admission, and pops come out in FIFO order — the
+// reads the engine's Queued gauge and submission counters rest on.
 func TestTryPrioritySteal(t *testing.T) {
-	q := New(Options{AgeLimit: -1})
-	depths := func(wantBatch, wantPrio int) {
+	q := New(Options{})
+	depth := func(want int) {
 		t.Helper()
-		if s := q.Stats(); s.BatchQueued != wantBatch || s.PriorityQueued != wantPrio {
-			t.Fatalf("depths batch=%d prio=%d, want %d and %d", s.BatchQueued, s.PriorityQueued, wantBatch, wantPrio)
+		if s := q.Stats(); s.Queued != want {
+			t.Fatalf("depth %d, want %d", s.Queued, want)
 		}
 	}
-	depths(0, 0)
-	q.Push(Item{Client: 1, Payload: "batch"})
-	depths(1, 0)
-	q.Push(Item{Client: 2, Priority: true, Payload: "prio"})
-	q.Push(Item{Client: 3, Priority: true, Payload: "prio"})
-	depths(1, 2)
-	for _, want := range []struct {
-		batch, prio int
-	}{{1, 1}, {1, 0}, {0, 0}} {
-		if _, ok := q.Pop(); !ok {
-			t.Fatal("Pop on a non-empty queue failed")
-		}
-		depths(want.batch, want.prio)
+	depth(0)
+	for i := 0; i < 3; i++ {
+		q.Push(Item{Client: uint32(i + 1), Payload: i})
+		depth(i + 1)
 	}
-	if s := q.Stats(); s.Pushed != 3 || s.PushedPriority != 2 {
-		t.Fatalf("Pushed = %d (priority %d), want 3 (2)", s.Pushed, s.PushedPriority)
+	for i := 0; i < 3; i++ {
+		it, ok := q.Pop()
+		if !ok || it.Payload != i {
+			t.Fatalf("pop %d = %+v, want FIFO order", i, it)
+		}
+		depth(2 - i)
+	}
+	if s := q.Stats(); s.Pushed != 3 {
+		t.Fatalf("Pushed = %d, want 3", s.Pushed)
 	}
 }
 
 func TestCloseDrains(t *testing.T) {
 	q := New(Options{})
 	q.Push(Item{Client: 1, Payload: 1})
-	q.Push(Item{Client: 2, Priority: true, Payload: 2})
+	q.Push(Item{Client: 2, Payload: 2})
 	q.Close()
 	if err := q.Push(Item{Client: 3}); err != ErrClosed {
 		t.Fatalf("Push after Close = %v", err)
@@ -170,10 +89,10 @@ func TestCloseDrains(t *testing.T) {
 	}
 }
 
-// TestBackpressureBlocksAndUnblocks: Push blocks on a full batch lane
-// until a Pop frees a slot.
+// TestBackpressureBlocksAndUnblocks: Push blocks on a full queue until
+// a Pop frees a slot.
 func TestBackpressureBlocksAndUnblocks(t *testing.T) {
-	q := New(Options{BatchDepth: 1})
+	q := New(Options{Depth: 1})
 	q.Push(Item{Client: 1, Payload: 0})
 	released := make(chan struct{})
 	go func() {
@@ -182,7 +101,7 @@ func TestBackpressureBlocksAndUnblocks(t *testing.T) {
 	}()
 	select {
 	case <-released:
-		t.Fatal("Push returned with a full lane")
+		t.Fatal("Push returned with a full queue")
 	case <-time.After(20 * time.Millisecond):
 	}
 	if it, _ := q.Pop(); it.Payload != 0 {
@@ -199,7 +118,7 @@ func TestBackpressureBlocksAndUnblocks(t *testing.T) {
 // consumers under -race: every admitted item is popped exactly once,
 // tokens drain to zero.
 func TestConcurrentChurn(t *testing.T) {
-	q := New(Options{BatchDepth: 32, PriorityDepth: 8, ClientQuota: 4})
+	q := New(Options{Depth: 32, ClientQuota: 4})
 	const producers = 8
 	const perProducer = 200
 	var admitted, popped, rejected atomic.Int64
@@ -225,7 +144,7 @@ func TestConcurrentChurn(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				err := q.Push(Item{Client: uint32(p % 3), Priority: i%5 == 0})
+				err := q.Push(Item{Client: uint32(p % 3)})
 				switch err {
 				case nil:
 					admitted.Add(1)
@@ -244,24 +163,24 @@ func TestConcurrentChurn(t *testing.T) {
 	if admitted.Load() != popped.Load() {
 		t.Fatalf("admitted %d != popped %d", admitted.Load(), popped.Load())
 	}
-	if s := q.Stats(); s.Clients != 0 || s.BatchQueued != 0 || s.PriorityQueued != 0 {
+	if s := q.Stats(); s.Clients != 0 || s.Queued != 0 {
 		t.Fatalf("queue not drained: %+v", s)
 	}
 	t.Logf("admitted %d, quota-rejected %d", admitted.Load(), rejected.Load())
 }
 
 // TestNoStarvationUnderPriorityFlood is the scheduler-level fairness
-// property: with a hostile client keeping the priority lane non-empty
-// for the whole run, two well-behaved batch clients still complete
-// every job, each within the ageing bound of its turn.
+// property: with a hostile client refilling its quota for the whole
+// run, two well-behaved clients still complete every job, and the
+// flood never holds more than its quota of the queue.
 func TestNoStarvationUnderPriorityFlood(t *testing.T) {
-	const ageLimit = 20 * time.Millisecond
-	q := New(Options{AgeLimit: ageLimit, PriorityDepth: 64, ClientQuota: 8})
+	const quota = 8
+	q := New(Options{Depth: 64, ClientQuota: quota})
 
 	stop := make(chan struct{})
 	var flood sync.WaitGroup
 	flood.Add(1)
-	go func() { // hostile client 99: refill the lane forever
+	go func() { // hostile client 99: refill its quota forever
 		defer flood.Done()
 		for {
 			select {
@@ -269,9 +188,9 @@ func TestNoStarvationUnderPriorityFlood(t *testing.T) {
 				return
 			default:
 			}
-			if err := q.Push(Item{Client: 99, Priority: true}); err != nil {
+			if err := q.Push(Item{Client: 99}); err != nil {
 				if err == ErrQuota {
-					time.Sleep(time.Millisecond)
+					time.Sleep(100 * time.Microsecond)
 					continue
 				}
 				return
@@ -279,11 +198,7 @@ func TestNoStarvationUnderPriorityFlood(t *testing.T) {
 		}
 	}()
 
-	type batchDone struct {
-		client uint32
-		wait   time.Duration
-	}
-	results := make(chan batchDone, 8)
+	results := make(chan uint32, 8)
 	var consumers sync.WaitGroup
 	consumers.Add(1)
 	go func() { // one worker: jobs take ~1ms each
@@ -293,49 +208,43 @@ func TestNoStarvationUnderPriorityFlood(t *testing.T) {
 			if !ok {
 				return
 			}
+			if n := q.InFlight(99); n > quota {
+				t.Errorf("hostile client holds %d tokens, quota is %d", n, quota)
+			}
 			time.Sleep(time.Millisecond)
 			q.Done(it.Client)
-			if !it.Priority {
-				start := it.Payload.(time.Time)
-				results <- batchDone{it.Client, time.Since(start)}
+			if it.Client != 99 {
+				results <- it.Client
 			}
 		}
 	}()
 
-	// Two well-behaved batch clients, four jobs each.
+	// Two well-behaved clients, four jobs each.
 	for i := 0; i < 4; i++ {
 		for _, c := range []uint32{1, 2} {
-			if err := q.Push(Item{Client: c, Payload: time.Now()}); err != nil {
+			if err := q.Push(Item{Client: c}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	waits := map[uint32]int{}
+	done := map[uint32]int{}
 	deadline := time.After(10 * time.Second)
 	for n := 0; n < 8; n++ {
 		select {
-		case r := <-results:
-			waits[r.client]++
-			// Bounded wait: each job is behind at most 7 other batch
-			// jobs, each of which must age out (≤ ageLimit) and run
-			// (~1ms) with priority jobs (~1ms each) interleaved.
-			// 8×(ageLimit+10ms) is a loose, non-flaky ceiling; without
-			// ageing the wait would be unbounded (the flood never stops).
-			if limit := 8 * (ageLimit + 10*time.Millisecond); r.wait > limit {
-				t.Errorf("client %d batch job waited %v, want < %v", r.client, r.wait, limit)
-			}
+		case c := <-results:
+			done[c]++
 		case <-deadline:
-			t.Fatalf("starved: only %d/8 batch jobs completed under priority flood", n)
+			t.Fatalf("starved: only %d/8 jobs completed under the flood", n)
 		}
 	}
-	if waits[1] != 4 || waits[2] != 4 {
-		t.Fatalf("per-client completions %v, want 4 each", waits)
+	if done[1] != 4 || done[2] != 4 {
+		t.Fatalf("per-client completions %v, want 4 each", done)
 	}
 	close(stop)
 	flood.Wait()
 	q.Close()
 	consumers.Wait()
-	if s := q.Stats(); s.Aged == 0 {
-		t.Fatal("ageing never promoted a batch job during the flood")
+	if s := q.Stats(); s.QuotaRejected == 0 {
+		t.Fatal("the flood never hit its quota")
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -10,14 +9,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/server"
 )
-
-// DefaultPriorityInterval is the minimum spacing between latency-lane
-// dispatches per client when CaptureSink.PriorityInterval is zero.
-// The wire priority flag is untrusted input: without a throttle, one
-// client (or a compromised AP) setting it on every capture would
-// starve the batch lane and oversubscribe synthesis workers. Excess
-// priority flushes are downgraded to batch, never dropped.
-const DefaultPriorityInterval = 250 * time.Millisecond
 
 // ErrNoKnownAP is delivered to OnResult when none of a flush's capture
 // records came from a resolvable AP.
@@ -41,23 +32,15 @@ type CaptureSink struct {
 	// fix when the engine runs a Tracker; nil discards them. It fires
 	// in addition to OnResult (whose Result carries the same update).
 	OnTrack func(TrackUpdate)
-	// PriorityInterval throttles the untrusted wire priority flag: at
-	// most one latency-lane dispatch per client per interval, the rest
-	// downgraded to the batch lane. 0 means DefaultPriorityInterval;
-	// negative disables the throttle (trusted feeds only).
-	PriorityInterval time.Duration
 	// MaxClockSkew guards the track clock against AP clock skew: a
 	// capture timestamp more than this far in the server's future is
-	// ignored for the job's time selection (newest-capture, region
-	// recency) and counted, so one AP with a broken clock cannot steer
-	// the Kalman dt or win every region race. The frames themselves
-	// still localize. 0 means 10 s; negative disables the guard.
+	// ignored for the job's time selection (newest capture) and
+	// counted, so one AP with a broken clock cannot steer the Kalman
+	// dt. The frames themselves still localize. 0 means 10 s; negative
+	// disables the guard.
 	MaxClockSkew time.Duration
 	// Now overrides the skew-guard clock (tests); nil means time.Now.
 	Now func() time.Time
-
-	mu       sync.Mutex
-	lastPrio map[uint32]time.Time
 
 	skewIgnored atomic.Uint64
 }
@@ -66,83 +49,22 @@ type CaptureSink struct {
 // guard has excluded from time selection.
 func (s *CaptureSink) SkewIgnored() uint64 { return s.skewIgnored.Load() }
 
-// priorityTableCap bounds the per-client grant table. Client IDs
-// arrive from the wire, so without a hard cap a flood of unique IDs
-// (spoofed MACs) grows the map without limit — the stale sweep alone
-// cannot help when every entry is fresh.
-const priorityTableCap = 4096
-
-// allowPriority reports whether a priority dispatch for the client is
-// within its rate budget, recording the grant. Server wall-clock time
-// is used — capture timestamps are as untrusted as the flag itself.
-func (s *CaptureSink) allowPriority(clientID uint32, now time.Time) bool {
-	iv := s.PriorityInterval
-	if iv < 0 {
-		return true
-	}
-	if iv == 0 {
-		iv = DefaultPriorityInterval
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if last, ok := s.lastPrio[clientID]; ok && now.Sub(last) < iv {
-		return false
-	}
-	if s.lastPrio == nil {
-		s.lastPrio = make(map[uint32]time.Time)
-	} else if len(s.lastPrio) >= priorityTableCap {
-		// Bound the table against client-ID churn: drop stale grants
-		// first, then — if the table is still full of in-interval
-		// entries (unique-ID flood) — evict the oldest grants outright.
-		// Evicting an in-interval grant re-arms that client's budget
-		// early, which is the cheap failure mode; unbounded growth is
-		// not.
-		for id, at := range s.lastPrio {
-			if now.Sub(at) >= iv {
-				delete(s.lastPrio, id)
-			}
-		}
-		for len(s.lastPrio) >= priorityTableCap {
-			var oldestID uint32
-			var oldestAt time.Time
-			first := true
-			for id, at := range s.lastPrio {
-				if first || at.Before(oldestAt) {
-					oldestID, oldestAt, first = id, at, false
-				}
-			}
-			delete(s.lastPrio, oldestID)
-		}
-	}
-	s.lastPrio[clientID] = now
-	return true
-}
-
 // Dispatch groups a flushed capture set per AP (first-seen order,
-// several frames per AP) and submits the localization job. A region
-// or priority flag on any capture in the flush (the newest such
-// capture wins for the region) carries onto the request, so one
-// interactive region query rides the engine's latency lane while the
-// rest of the flush's traffic batches; the flag is rate-limited per
-// client (PriorityInterval) since it arrives from the wire untrusted.
-// Records from APs Resolve does not know are discarded entirely —
-// frames, timestamps, region, and priority flag alike: a capture
-// whose provenance cannot be established must not steer the job (pin
-// it to an attacker-chosen box, jump the latency lane, or poison the
-// Kalman state with a bogus timestamp). It is called by the backend
-// on its ingest path, so it only enqueues — blocking at most on
-// engine backpressure, never on the pipeline.
+// several frames per AP) and submits the localization job. Records
+// from APs Resolve does not know are discarded entirely — frames and
+// timestamps alike: a capture whose provenance cannot be established
+// must not poison the Kalman state with a bogus timestamp. It is called
+// by the backend on its ingest path, so it only enqueues — blocking at
+// most on engine backpressure, never on the pipeline.
 func (s *CaptureSink) Dispatch(clientID uint32, captures []server.Capture) {
 	var order []uint32
 	byAP := make(map[uint32][]core.FrameCapture)
 	newest := make(map[uint32]time.Time)
 	resolved := make(map[uint32]*core.AP)
-	var region core.Region
-	var regionAt time.Time
-	var priority, degraded bool
+	var degraded bool
 	// Clock-skew guard: compute the admissible-future horizon once per
 	// flush. Captures stamped beyond it still localize, but their
-	// timestamps are ignored for newest/region selection.
+	// timestamps are ignored for newest selection.
 	var horizon time.Time
 	if skew := s.MaxClockSkew; skew >= 0 {
 		if skew == 0 {
@@ -167,7 +89,6 @@ func (s *CaptureSink) Dispatch(clientID uint32, captures []server.Capture) {
 			order = append(order, c.APID)
 		}
 		byAP[c.APID] = append(byAP[c.APID], core.FrameCapture{Streams: c.Streams})
-		priority = priority || c.Priority
 		degraded = degraded || c.Degraded
 		if !horizon.IsZero() && c.Timestamp.After(horizon) {
 			s.skewIgnored.Add(1)
@@ -175,9 +96,6 @@ func (s *CaptureSink) Dispatch(clientID uint32, captures []server.Capture) {
 		}
 		if c.Timestamp.After(newest[c.APID]) {
 			newest[c.APID] = c.Timestamp
-		}
-		if !c.Region.IsZero() && (regionAt.IsZero() || c.Timestamp.After(regionAt)) {
-			region, regionAt = c.Region, c.Timestamp
 		}
 	}
 	aps := make([]*core.AP, 0, len(order))
@@ -210,13 +128,9 @@ func (s *CaptureSink) Dispatch(clientID uint32, captures []server.Capture) {
 		finish(Result{ClientID: clientID, Err: ErrNoKnownAP})
 		return
 	}
-	if priority && !s.allowPriority(clientID, time.Now()) {
-		priority = false
-	}
 	req := Request{
 		ClientID: clientID, APs: aps, Captures: frames,
-		Min: s.Min, Max: s.Max, Time: at,
-		Region: region, Priority: priority, Degraded: degraded,
+		Min: s.Min, Max: s.Max, Time: at, Degraded: degraded,
 	}
 	if err := s.Engine.Submit(req, finish); err != nil {
 		finish(Result{ClientID: clientID, Err: err})

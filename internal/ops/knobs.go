@@ -2,6 +2,7 @@ package ops
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"time"
 )
@@ -22,9 +23,6 @@ type Knobs struct {
 	// ClientQuota resets the per-client scheduler token budget
 	// (0 = unlimited).
 	ClientQuota *int `json:"client_quota,omitempty"`
-	// AgeLimitMillis resets the batch ageing bound (0 = scheduler
-	// default, negative disables).
-	AgeLimitMillis *int64 `json:"age_limit_ms,omitempty"`
 	// PredictSigma resets the predictive-region sigma (0 = engine
 	// default, negative disables the predictive path; clamped up to
 	// the tracker gate).
@@ -35,6 +33,17 @@ type Knobs struct {
 	// ShedAfterMillis resets the overload-shedding age bound (≤0
 	// disables shedding).
 	ShedAfterMillis *int64 `json:"shed_after_ms,omitempty"`
+}
+
+// DecodeKnobs reads one JSON knobs document — a POST /knobs body or a
+// knobs file. A key that names no knob refuses the whole document, so a
+// misspelled or retired knob never half-applies without a word.
+func DecodeKnobs(r io.Reader) (Knobs, error) {
+	var k Knobs
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&k)
+	return k, err
 }
 
 // Apply pushes every non-nil knob onto the serving process and returns
@@ -55,10 +64,6 @@ func (s *Server) Apply(k Knobs) []string {
 	if k.ClientQuota != nil {
 		s.Engine.SetClientQuota(*k.ClientQuota)
 		applied = append(applied, "client_quota")
-	}
-	if k.AgeLimitMillis != nil {
-		s.Engine.SetAgeLimit(time.Duration(*k.AgeLimitMillis) * time.Millisecond)
-		applied = append(applied, "age_limit_ms")
 	}
 	if k.PredictSigma != nil {
 		s.Engine.SetPredictSigma(*k.PredictSigma)
@@ -85,8 +90,6 @@ func (s *Server) Current() Knobs {
 	k := Knobs{SynthCacheBudget: &synth, SteeringCacheBudget: &steer}
 	q := s.Engine.ClientQuota()
 	k.ClientQuota = &q
-	age := int64(s.Engine.AgeLimit() / time.Millisecond)
-	k.AgeLimitMillis = &age
 	sigma := s.Engine.PredictSigma()
 	k.PredictSigma = &sigma
 	if tr := s.Engine.Tracker(); tr != nil {
@@ -103,10 +106,8 @@ func (s *Server) handleKnobsGet(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleKnobsPost(w http.ResponseWriter, r *http.Request) {
-	var k Knobs
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&k); err != nil {
+	k, err := DecodeKnobs(r.Body)
+	if err != nil {
 		http.Error(w, "bad knobs document: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -217,14 +217,15 @@ func TestClientIntrospection(t *testing.T) {
 	}
 }
 
-// TestKnobsApplyAndReadback: POST /knobs hot-reloads partial documents
-// and GET /knobs reads the live values back.
+// TestKnobsApplyAndReadback: POST /knobs hot-reloads partial documents,
+// GET /knobs reads the live values back, and /metrics shows a
+// sub-second track TTL to the millisecond.
 func TestKnobsApplyAndReadback(t *testing.T) {
 	srv, eng, tr := opsServer(t)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	doc := `{"synth_cache_budget": 1048576, "client_quota": 4, "predict_sigma": 6, "track_ttl_ms": 5000, "shed_after_ms": 250}`
+	doc := `{"synth_cache_budget": 1048576, "client_quota": 4, "predict_sigma": 6, "track_ttl_ms": 1500, "shed_after_ms": 250}`
 	resp, err := ts.Client().Post(ts.URL+"/knobs", "application/json", strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
@@ -248,8 +249,8 @@ func TestKnobsApplyAndReadback(t *testing.T) {
 	if s := eng.PredictSigma(); s != 6 {
 		t.Fatalf("predict sigma = %v, want 6", s)
 	}
-	if ttl := tr.TTL(); ttl != 5*time.Second {
-		t.Fatalf("track TTL = %v, want 5s", ttl)
+	if ttl := tr.TTL(); ttl != 1500*time.Millisecond {
+		t.Fatalf("track TTL = %v, want 1.5s", ttl)
 	}
 	if shed := eng.ShedAfter(); shed != 250*time.Millisecond {
 		t.Fatalf("shed after = %v, want 250ms", shed)
@@ -270,6 +271,18 @@ func TestKnobsApplyAndReadback(t *testing.T) {
 	}
 	if live.ClientQuota == nil || *live.ClientQuota != 4 {
 		t.Fatalf("knobs readback quota = %+v, want 4", live.ClientQuota)
+	}
+	resp, err = ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "\narraytrack_track_ttl_seconds 1.5\n") {
+		t.Fatal("/metrics does not read arraytrack_track_ttl_seconds 1.5 after track_ttl_ms 1500")
 	}
 
 	// Unknown fields are rejected — a typoed knob must not silently

@@ -107,14 +107,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	fmt.Fprintf(&p.b, "# HELP arraytrack_build_info Constant 1; kernels names the spectrum-scan loop bodies this CPU selected.\n"+
 		"# TYPE arraytrack_build_info gauge\narraytrack_build_info{kernels=%q} 1\n", music.Kernels())
-	p.counter("arraytrack_jobs_submitted_total", "Jobs accepted into the scheduler (both lanes).", st.Submitted)
-	p.counter("arraytrack_jobs_priority_submitted_total", "Jobs accepted into the latency lane.", st.PrioritySubmitted)
+	p.counter("arraytrack_jobs_submitted_total", "Jobs accepted into the scheduler.", st.Submitted)
 	p.counter("arraytrack_jobs_completed_total", "Jobs finished (fixes + failures).", st.Completed)
 	p.counter("arraytrack_fixes_total", "Successful localizations.", st.Fixes)
 	p.counter("arraytrack_failures_total", "Jobs that returned an error.", st.Failures)
 	p.counter("arraytrack_rejected_total", "Submissions refused (closed or quota).", st.Rejected)
 	p.counter("arraytrack_quota_rejected_total", "Submissions refused with the per-client quota.", st.QuotaRejected)
-	p.counter("arraytrack_sched_aged_batch_total", "Batch jobs served ahead of priority traffic after ageing out.", st.AgedBatch)
 
 	p.counter("arraytrack_predicted_fixes_total", "Fixes served from the verified track-guided region.", st.Predicted)
 	for _, f := range []struct {
@@ -134,8 +132,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	p.gauge("arraytrack_workers", "Localization worker pool size.", int64(st.Workers))
-	p.gauge("arraytrack_queue_depth", "Instantaneous batch lane depth.", int64(st.Queued))
-	p.gauge("arraytrack_priority_queue_depth", "Instantaneous latency lane depth.", int64(st.PriorityQueued))
+	p.gauge("arraytrack_queue_depth", "Instantaneous scheduler queue depth.", int64(st.Queued))
 	p.gauge("arraytrack_tracked_clients", "Live client tracks.", int64(st.TrackedClients))
 	p.counter("arraytrack_track_gate_rejects_total", "Fixes discarded by the tracker's Mahalanobis gate.", st.TrackRejects)
 	if tr := s.Engine.Tracker(); tr != nil {
@@ -147,7 +144,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.gauge("arraytrack_pending_clients", "Clients buffered below capture quorum.", int64(s.PendingClients()))
 	}
 
-	p.counter("arraytrack_shed_total", "Batch jobs failed with ErrOverloaded after ageing past the shed bound.", st.Shed)
+	p.counter("arraytrack_shed_total", "Jobs failed with ErrOverloaded after ageing past the shed bound.", st.Shed)
 	p.counter("arraytrack_short_captures_total", "Jobs refused because a capture's streams were not the window's length (MaxSamples).", st.ShortCaptures)
 	p.counter("arraytrack_degraded_fixes_total", "Fixes produced from degraded-quorum capture groups.", st.DegradedFixes)
 	if tr := s.Engine.Tracker(); tr != nil {
@@ -185,9 +182,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	p.gaugeF("arraytrack_predict_sigma", "Live predictive-region sigma (0 = predictive path disabled).", s.Engine.PredictSigma())
 	p.gauge("arraytrack_client_quota", "Per-client scheduler token budget (0 = unlimited).", int64(s.Engine.ClientQuota()))
-	p.gauge("arraytrack_age_limit_seconds", "Batch ageing bound in seconds (negative = disabled).", int64(s.Engine.AgeLimit()/time.Second))
 	if tr := s.Engine.Tracker(); tr != nil {
-		p.gauge("arraytrack_track_ttl_seconds", "Track eviction TTL in seconds (0 = disabled).", int64(tr.TTL()/time.Second))
+		p.gaugeF("arraytrack_track_ttl_seconds", "Track eviction TTL in seconds (0 = disabled).", tr.TTL().Seconds())
 	}
 	p.gauge("arraytrack_shed_after_ms", "Overload-shedding age bound in milliseconds (0 = shedding off).", int64(s.Engine.ShedAfter()/time.Millisecond))
 

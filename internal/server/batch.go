@@ -8,9 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/geom"
 )
 
 // The wire protocol: an AP ships its captures to the backend in
@@ -33,25 +30,22 @@ import (
 //	    scale    float32 amplitude of a full-scale int16 sample
 //	    nAnt     uint16
 //	    nSamp    uint16
-//	    flags    uint8   bit0 = has region, bit1 = priority
-//	    region   5 × float64, present only when bit0 is set
+//	    flags    uint8   reserved: must be zero
 //	  contiguous payloads, capture order: nAnt × nSamp × (int16 I, int16 Q)
 //
 // Samples are 32 bits each — 16-bit I plus 16-bit Q — matching the
 // paper's "(10 samples)(32 bits/sample)(8 radios)" overhead arithmetic
 // (§4.3.3, §4.4). A per-capture scale factor preserves absolute
-// amplitude despite the fixed-point encoding. The optional region is
-// an ad-hoc search box the backend threads into synthesis; priority
-// sends the fix through the engine's latency lane. Versions 1 and 2,
-// one record per capture, are retired: their magic is ErrBadMagic.
+// amplitude despite the fixed-point encoding. Versions 1 and 2, one
+// record per capture, are retired: their magic is ErrBadMagic. So are
+// the sub-header's region box and priority flag (bits 0 and 1): a set
+// flag bit is ErrBadFrame, like a set frame-flag bit.
 //
 // The body length, capture count, sub-header dimensions, and payload
 // bytes must be mutually consistent to the byte — a lying count, an
 // oversized sub-header, or a truncated payload fails decode with
-// ErrBadFrame before any sample is touched, and a region that fails
-// core-side validation (NaN/Inf corners, inverted or degenerate boxes,
-// out-of-range cell pitches) with ErrBadRegion: hostile bytes never
-// reach the localization engine. Validation is one parse (ReadFrame,
+// ErrBadFrame before any sample is touched: hostile bytes never reach
+// the localization engine. Validation is one parse (ReadFrame,
 // ParseFrame) that locates every capture's sub-header and payload in
 // the frame without touching a sample; a router splits frames by owner
 // on that parse alone (AppendSplice). Decoding is zero-copy and pooled:
@@ -80,11 +74,8 @@ const (
 	batchMagic = 0x41540003
 	// frameHeadSize is the fixed v3 frame header.
 	frameHeadSize = 12
-	// subHeadSize is the fixed part of one per-capture sub-header.
+	// subHeadSize is one per-capture sub-header.
 	subHeadSize = 29
-	// regionBoxSize is the optional region extension of a sub-header
-	// (five float64 fields; the flags byte lives in the fixed part).
-	regionBoxSize = 5 * 8
 )
 
 // MaxBatchCaptures bounds the captures one frame may carry.
@@ -104,7 +95,7 @@ const MaxDatagramBytes = 65507
 var ErrBadFrame = fmt.Errorf("server: malformed batch frame")
 
 // SubRecord locates one capture of a parsed frame in the frame's bytes:
-// its sub-header (region box included) and its payload. ParseFrame and
+// its sub-header and its payload. ParseFrame and
 // ReadFrame fill one per capture; the decoder reads samples through
 // them, and a router splices them into per-owner frames (AppendSplice)
 // without reading a sample at all.
@@ -112,10 +103,10 @@ type SubRecord struct {
 	// ClientID is the capture's client, read from its sub-header.
 	ClientID uint32
 	// sub and pay are the offsets of the sub-header and the payload in
-	// the frame; subLen is the sub-header's size.
-	sub, subLen, pay int
-	scale            float64
-	nAnt, nSamp      int
+	// the frame.
+	sub, pay    int
+	scale       float64
+	nAnt, nSamp int
 }
 
 func (s *SubRecord) payLen() int { return 4 * s.nAnt * s.nSamp }
@@ -300,7 +291,7 @@ func parseFrameHead(head []byte) (bodyLen, count int, err error) {
 
 // parseBody validates the body of a frame whose head parsed to count
 // captures, and locates each capture in it: the parse both decoders and
-// a router share. Dimensions, flags, regions and scales are checked
+// a router share. Dimensions, flags and scales are checked
 // before any sample is looked at, so a hostile frame costs O(count);
 // the only payload scan is the -32768 search behind errSampleRange,
 // which only a scale in the top 1/32768th of the float32 range triggers.
@@ -321,23 +312,8 @@ func parseBody(frame []byte, count int, subs []SubRecord) ([]SubRecord, error) {
 		if nAnt == 0 || nAnt > MaxAntennas || nSamp == 0 || nSamp > MaxSamples {
 			return subs[:0], fmt.Errorf("%w: capture %d declares %d×%d", ErrTooLarge, i, nAnt, nSamp)
 		}
-		flags := sub[28]
-		if flags&^(flagHasRegion|flagPriority) != 0 {
-			return subs[:0], fmt.Errorf("%w: unknown flags %#x", ErrBadRegion, flags)
-		}
-		size := subHeadSize
-		if flags&flagHasRegion != 0 {
-			if len(frame)-off-subHeadSize < regionBoxSize {
-				return subs[:0], fmt.Errorf("%w: truncated region on capture %d", ErrBadFrame, i)
-			}
-			region := readRegion(frame[off+subHeadSize:])
-			if region.IsZero() {
-				return subs[:0], fmt.Errorf("%w: region flag set on zero box", ErrBadRegion)
-			}
-			if err := region.Validate(); err != nil {
-				return subs[:0], fmt.Errorf("%w: %v", ErrBadRegion, err)
-			}
-			size += regionBoxSize
+		if flags := sub[28]; flags != 0 {
+			return subs[:0], fmt.Errorf("%w: reserved sub-header flag bits %#x on capture %d", ErrBadFrame, flags, i)
 		}
 		scale, ok := readScale(sub[20:])
 		if !ok {
@@ -345,9 +321,9 @@ func parseBody(frame []byte, count int, subs []SubRecord) ([]SubRecord, error) {
 		}
 		// pay holds the first sample's index until the payload block's
 		// offset is known.
-		subs[i] = SubRecord{ClientID: binary.BigEndian.Uint32(sub[4:]), sub: off, subLen: size,
+		subs[i] = SubRecord{ClientID: binary.BigEndian.Uint32(sub[4:]), sub: off,
 			pay: totalSamp, scale: scale, nAnt: nAnt, nSamp: nSamp}
-		off += size
+		off += subHeadSize
 		totalSamp += nAnt * nSamp
 	}
 	if len(frame)-off != totalSamp*4 {
@@ -361,15 +337,6 @@ func parseBody(frame []byte, count int, subs []SubRecord) ([]SubRecord, error) {
 		}
 	}
 	return subs, nil
-}
-
-// readRegion reads a sub-header's region box.
-func readRegion(box []byte) core.Region {
-	return core.Region{
-		Min:  geom.Pt(math.Float64frombits(binary.BigEndian.Uint64(box[0:])), math.Float64frombits(binary.BigEndian.Uint64(box[8:]))),
-		Max:  geom.Pt(math.Float64frombits(binary.BigEndian.Uint64(box[16:])), math.Float64frombits(binary.BigEndian.Uint64(box[24:]))),
-		Cell: math.Float64frombits(binary.BigEndian.Uint64(box[32:])),
-	}
 }
 
 // decode turns the frame ws.raw.Subs describes into ws's captures, its
@@ -401,18 +368,13 @@ func (ws *IngestWorkspace) decode(frame []byte, keepWire bool) []Capture {
 	so, ao := 0, 0
 	for i := range subs {
 		m := &subs[i]
-		sub := frame[m.sub : m.sub+m.subLen]
-		flags := sub[28]
+		sub := frame[m.sub : m.sub+subHeadSize]
 		caps[i] = Capture{
 			APID:      binary.BigEndian.Uint32(sub[0:]),
 			ClientID:  m.ClientID,
 			Seq:       binary.BigEndian.Uint32(sub[8:]),
 			Timestamp: time.UnixMicro(int64(binary.BigEndian.Uint64(sub[12:]))).UTC(),
-			Priority:  flags&flagPriority != 0,
 			received:  uint32(i) + 1,
-		}
-		if flags&flagHasRegion != 0 {
-			caps[i].Region = readRegion(sub[subHeadSize:])
 		}
 		// One pass over the whole capture — its rows are contiguous on
 		// both sides — then slice it per antenna.
@@ -502,7 +464,7 @@ func ParseFrame(b []byte, f *Frame) error {
 func AppendSplice(dst []byte, f *Frame, subs []SubRecord) []byte {
 	bodyLen := 0
 	for i := range subs {
-		bodyLen += subs[i].subLen + subs[i].payLen()
+		bodyLen += subHeadSize + subs[i].payLen()
 	}
 	off := len(dst)
 	dst = growSlice(dst, frameHeadSize+bodyLen)
@@ -513,7 +475,7 @@ func AppendSplice(dst []byte, f *Frame, subs []SubRecord) []byte {
 	off += frameHeadSize
 	for i := range subs {
 		s := &subs[i]
-		off += copy(dst[off:], f.Bytes[s.sub:s.sub+s.subLen])
+		off += copy(dst[off:], f.Bytes[s.sub:s.sub+subHeadSize])
 	}
 	for i := range subs {
 		s := &subs[i]
@@ -548,21 +510,13 @@ func DecodeDatagramInto(data []byte, ws *IngestWorkspace) ([]Capture, error) {
 	return ws.decode(data, false), nil
 }
 
-// subSizeOf returns capture c's sub-header size on the wire.
-func subSizeOf(c *Capture) int {
-	if !c.Region.IsZero() {
-		return subHeadSize + regionBoxSize
-	}
-	return subHeadSize
-}
-
 // BatchFrameSize returns the exact on-wire bytes of a v3 frame
 // carrying caps — the planning quantity for datagram packing.
 func BatchFrameSize(caps []Capture) int {
 	size := frameHeadSize
 	for i := range caps {
 		c := &caps[i]
-		size += subSizeOf(c) + len(c.Streams)*len(c.Streams[0])*4
+		size += subHeadSize + len(c.Streams)*len(c.Streams[0])*4
 	}
 	return size
 }
@@ -576,8 +530,8 @@ func AppendBatch(dst []byte, caps []Capture) ([]byte, error) {
 		return dst, fmt.Errorf("%w: %d captures per frame", ErrTooLarge, n)
 	}
 	// Size the whole frame first: sub-headers sit in one block with the
-	// payloads behind it, and geometry and regions are validated before
-	// a byte lands.
+	// payloads behind it, and geometry is validated before a byte
+	// lands.
 	subTotal, payloadTotal := 0, 0
 	for i := range caps {
 		c := &caps[i]
@@ -586,12 +540,6 @@ func AppendBatch(dst []byte, caps []Capture) ([]byte, error) {
 			return dst, err
 		}
 		subTotal += subHeadSize
-		if !c.Region.IsZero() {
-			if err := c.Region.Validate(); err != nil {
-				return dst, fmt.Errorf("%w: %v", ErrBadRegion, err)
-			}
-			subTotal += regionBoxSize
-		}
 		payloadTotal += nAnt * nSamp * 4
 	}
 	bodyLen := subTotal + payloadTotal
@@ -632,24 +580,8 @@ func AppendBatch(dst []byte, caps []Capture) ([]byte, error) {
 		binary.BigEndian.PutUint32(sub[20:], math.Float32bits(scale))
 		binary.BigEndian.PutUint16(sub[24:], uint16(nAnt))
 		binary.BigEndian.PutUint16(sub[26:], uint16(nSamp))
-		var flags byte
-		if !c.Region.IsZero() {
-			flags |= flagHasRegion
-		}
-		if c.Priority {
-			flags |= flagPriority
-		}
-		sub[28] = flags
+		sub[28] = 0
 		off += subHeadSize
-		if flags&flagHasRegion != 0 {
-			box := dst[off : off+regionBoxSize]
-			binary.BigEndian.PutUint64(box[0:], math.Float64bits(c.Region.Min.X))
-			binary.BigEndian.PutUint64(box[8:], math.Float64bits(c.Region.Min.Y))
-			binary.BigEndian.PutUint64(box[16:], math.Float64bits(c.Region.Max.X))
-			binary.BigEndian.PutUint64(box[24:], math.Float64bits(c.Region.Max.Y))
-			binary.BigEndian.PutUint64(box[32:], math.Float64bits(c.Region.Cell))
-			off += regionBoxSize
-		}
 	}
 	return dst, nil
 }

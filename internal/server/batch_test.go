@@ -11,24 +11,17 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/geom"
 )
 
-// batchCapture builds one randomized capture with optional v2
-// metadata for the differential tests.
-func batchCapture(rng *rand.Rand, nAnt, nSamp int, withRegion, priority bool) Capture {
+// batchCapture builds one randomized capture for the differential
+// tests.
+func batchCapture(rng *rand.Rand, nAnt, nSamp int) Capture {
 	c := Capture{
 		APID:      rng.Uint32(),
 		ClientID:  rng.Uint32(),
 		Seq:       rng.Uint32(),
 		Timestamp: time.UnixMicro(1700000000000000 + rng.Int63n(1e9)).UTC(),
-		Priority:  priority,
 		Streams:   make([][]complex128, nAnt),
-	}
-	if withRegion {
-		c.Region = core.Region{Min: geom.Pt(1, 2), Max: geom.Pt(9, 8.5), Cell: 0.25}
 	}
 	for a := range c.Streams {
 		st := make([]complex128, nSamp)
@@ -70,7 +63,7 @@ func TestBatchDifferentialBitIdentical(t *testing.T) {
 		caps := make([]Capture, n)
 		var payload []byte
 		for i := range caps {
-			caps[i] = batchCapture(rng, 1+rng.Intn(8), 1+rng.Intn(32), rng.Intn(3) == 0, rng.Intn(3) == 0)
+			caps[i] = batchCapture(rng, 1+rng.Intn(8), 1+rng.Intn(32))
 			peak, err := samplePeak(caps[i].Streams)
 			if err != nil {
 				t.Fatal(err)
@@ -93,7 +86,7 @@ func TestBatchDifferentialBitIdentical(t *testing.T) {
 		for i, want := range wireRef(frame.Bytes()) {
 			g, w := &got[i], &caps[i]
 			if g.APID != w.APID || g.ClientID != w.ClientID || g.Seq != w.Seq ||
-				!g.Timestamp.Equal(w.Timestamp) || g.Region != w.Region || g.Priority != w.Priority {
+				!g.Timestamp.Equal(w.Timestamp) {
 				t.Fatalf("trial %d capture %d: metadata mismatch\n got %+v\nwant %+v", trial, i, g, w)
 			}
 			if !sameBits(g.Streams, want) {
@@ -105,20 +98,19 @@ func TestBatchDifferentialBitIdentical(t *testing.T) {
 }
 
 // TestReadFrameIntoMixedStream drives the stream reader over frames of
-// different sizes and sub-header shapes back to back — a one-capture
-// frame, a three-capture burst, and a capture carrying a region and
-// the priority flag — as one connection delivers them.
+// different sizes back to back — a one-capture frame, a three-capture
+// burst, and another single capture — as one connection delivers them.
 func TestReadFrameIntoMixedStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	single := batchCapture(rng, 2, 4, false, false)
-	flagged := batchCapture(rng, 3, 5, true, true)
+	single := batchCapture(rng, 2, 4)
+	last := batchCapture(rng, 3, 5)
 	batch := []Capture{
-		batchCapture(rng, 2, 8, false, false),
-		batchCapture(rng, 4, 2, true, false),
-		batchCapture(rng, 1, 16, false, true),
+		batchCapture(rng, 2, 8),
+		batchCapture(rng, 4, 2),
+		batchCapture(rng, 1, 16),
 	}
 	var stream bytes.Buffer
-	for _, caps := range [][]Capture{{single}, batch, {flagged}} {
+	for _, caps := range [][]Capture{{single}, batch, {last}} {
 		if err := WriteBatch(&stream, caps); err != nil {
 			t.Fatal(err)
 		}
@@ -146,14 +138,11 @@ func TestReadFrameIntoMixedStream(t *testing.T) {
 	if len(decoded) != 5 {
 		t.Fatalf("decoded %d captures, want 5", len(decoded))
 	}
-	wantOrder := []uint32{single.Seq, batch[0].Seq, batch[1].Seq, batch[2].Seq, flagged.Seq}
+	wantOrder := []uint32{single.Seq, batch[0].Seq, batch[1].Seq, batch[2].Seq, last.Seq}
 	for i, w := range wantOrder {
 		if decoded[i].Seq != w {
 			t.Errorf("capture %d: seq %d, want %d", i, decoded[i].Seq, w)
 		}
-	}
-	if decoded[4].Region.IsZero() || !decoded[4].Priority {
-		t.Error("last capture lost its region or priority flag")
 	}
 }
 
@@ -174,7 +163,7 @@ func TestAppendFramesChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	caps := make([]Capture, MaxBatchCaptures+3)
 	for i := range caps {
-		caps[i] = batchCapture(rng, 1, 2, i%500 == 0, false)
+		caps[i] = batchCapture(rng, 1, 2)
 	}
 	got, err := AppendFrames([]byte("x"), caps)
 	if err != nil {
@@ -209,8 +198,8 @@ func decodeBatch(data []byte) error {
 func TestBatchRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	valid := mustFrame(t, []Capture{
-		batchCapture(rng, 2, 3, false, false),
-		batchCapture(rng, 2, 3, false, false),
+		batchCapture(rng, 2, 3),
+		batchCapture(rng, 2, 3),
 	})
 	if err := decodeBatch(valid); err != nil {
 		t.Fatalf("valid frame rejected: %v", err)
@@ -235,7 +224,7 @@ func TestBatchRejects(t *testing.T) {
 		{"count lies low", mut(func(d []byte) { binary.BigEndian.PutUint16(d[8:], 1) }), ErrBadFrame},
 		{"oversized antennas", mut(func(d []byte) { binary.BigEndian.PutUint16(d[12+24:], 0xFFFF) }), ErrTooLarge},
 		{"oversized samples", mut(func(d []byte) { binary.BigEndian.PutUint16(d[12+26:], 0xFFFF) }), ErrTooLarge},
-		{"unknown sub flags", mut(func(d []byte) { d[12+28] = 0x80 }), ErrBadRegion},
+		{"unknown sub flags", mut(func(d []byte) { d[12+28] = 0x80 }), ErrBadFrame},
 		{"payload accounting", mut(func(d []byte) { binary.BigEndian.PutUint16(d[12+26:], 2) }), ErrBadFrame},
 		{"bodyLen over limit", mut(func(d []byte) { binary.BigEndian.PutUint32(d[4:], MaxFrameBytes+1) }), ErrTooLarge},
 		{"bodyLen starves count", mut(func(d []byte) { binary.BigEndian.PutUint32(d[4:], 12) }), ErrBadFrame},
@@ -249,16 +238,6 @@ func TestBatchRejects(t *testing.T) {
 		if tc.want != nil && !errors.Is(err, tc.want) {
 			t.Errorf("%s: error %v, want %v", tc.name, err, tc.want)
 		}
-	}
-
-	// A region flag on an all-zero box is hostile input, not "no
-	// region": zero the box of a frame that legitimately carries one.
-	regioned := mustFrame(t, []Capture{batchCapture(rng, 2, 3, true, false)})
-	for i := 12 + subHeadSize; i < 12+subHeadSize+regionBoxSize; i++ {
-		regioned[i] = 0
-	}
-	if err := decodeBatch(regioned); !errors.Is(err, ErrBadRegion) {
-		t.Errorf("zero region box: error %v, want ErrBadRegion", err)
 	}
 
 	// Encoder-side limits.
@@ -278,7 +257,7 @@ func TestBatchRejects(t *testing.T) {
 // the frame must fill the datagram to the byte.
 func TestDecodeDatagramExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	frame := mustFrame(t, []Capture{batchCapture(rng, 2, 4, false, false)})
+	frame := mustFrame(t, []Capture{batchCapture(rng, 2, 4)})
 
 	ws := GetIngestWorkspace()
 	caps, err := DecodeDatagramInto(frame, ws)
@@ -323,9 +302,9 @@ func TestDecodeDatagramExact(t *testing.T) {
 func TestWorkspaceRefcount(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	frame := mustFrame(t, []Capture{
-		batchCapture(rng, 2, 2, false, false),
-		batchCapture(rng, 2, 2, false, false),
-		batchCapture(rng, 2, 2, false, false),
+		batchCapture(rng, 2, 2),
+		batchCapture(rng, 2, 2),
+		batchCapture(rng, 2, 2),
 	})
 	ws := GetIngestWorkspace()
 	caps, err := ReadFrameInto(bytes.NewReader(frame), ws)
@@ -362,7 +341,7 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	caps := make([]Capture, 32)
 	for i := range caps {
-		caps[i] = batchCapture(rng, 8, 16, false, false)
+		caps[i] = batchCapture(rng, 8, 16)
 	}
 	frame := mustFrame(t, caps)
 	r := bytes.NewReader(frame)
@@ -389,7 +368,7 @@ func TestWriteAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
 	rng := rand.New(rand.NewSource(31))
-	one := []Capture{batchCapture(rng, 8, 16, false, false)}
+	one := []Capture{batchCapture(rng, 8, 16)}
 	if avg := testing.AllocsPerRun(200, func() {
 		if err := WriteBatch(io.Discard, one); err != nil {
 			t.Fatal(err)
@@ -399,7 +378,7 @@ func TestWriteAllocs(t *testing.T) {
 	}
 	caps := make([]Capture, 16)
 	for i := range caps {
-		caps[i] = batchCapture(rng, 8, 16, false, false)
+		caps[i] = batchCapture(rng, 8, 16)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
 		if err := WriteBatch(io.Discard, caps); err != nil {
@@ -496,7 +475,7 @@ func TestBackendUDPIngest(t *testing.T) {
 	})
 	ts := time.UnixMicro(1700000000000000).UTC()
 	mk := func(apID, seq uint32) Capture {
-		c := batchCapture(rng, 2, 4, false, false)
+		c := batchCapture(rng, 2, 4)
 		c.APID, c.ClientID, c.Seq, c.Timestamp = apID, 9, seq, ts
 		return c
 	}
@@ -546,7 +525,7 @@ func TestUDPFloodSmallRcvbufLossAccounted(t *testing.T) {
 	for seq := uint32(0); seq < sent; seq += 4 {
 		caps := make([]Capture, 4)
 		for i := range caps {
-			caps[i] = batchCapture(rng, 2, 8, false, false)
+			caps[i] = batchCapture(rng, 2, 8)
 			caps[i].APID, caps[i].Seq = 1, seq+uint32(i)
 		}
 		grams = append(grams, mustFrame(t, caps))
@@ -747,10 +726,10 @@ func TestServeConnBatchQuorum(t *testing.T) {
 	ts := time.UnixMicro(1700000000000000).UTC()
 	burst := make([]Capture, 2)
 	for i := range burst {
-		burst[i] = batchCapture(rng, 2, 6, false, false)
+		burst[i] = batchCapture(rng, 2, 6)
 		burst[i].APID, burst[i].ClientID, burst[i].Timestamp = 1, 5, ts
 	}
-	straggler := batchCapture(rng, 2, 6, false, false)
+	straggler := batchCapture(rng, 2, 6)
 	straggler.APID, straggler.ClientID, straggler.Timestamp = 2, 5, ts
 	burstFrame, stragglerFrame := mustFrame(t, burst), mustFrame(t, []Capture{straggler})
 

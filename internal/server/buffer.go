@@ -8,8 +8,6 @@ package server
 import (
 	"sync"
 	"time"
-
-	"repro/internal/core"
 )
 
 // Capture is one detected frame's worth of per-antenna samples,
@@ -25,13 +23,6 @@ type Capture struct {
 	Seq uint32
 	// Timestamp is the detection time.
 	Timestamp time.Time
-	// Region, when non-zero, asks the backend to restrict this
-	// client's synthesis to an ad-hoc bounding box (the sub-header's
-	// region extension). Validated at decode; see core.Region.
-	Region core.Region
-	// Priority asks the backend to run the resulting fix through the
-	// engine's latency lane.
-	Priority bool
 	// Degraded marks a capture flushed by the backend's degraded-quorum
 	// path: its group reached only DegradedQuorum ≤ distinct < Quorum
 	// APs after sitting stuck for DegradedAfter. It is set by the
@@ -46,9 +37,10 @@ type Capture struct {
 	// long as the lease lasts: while Streams is still what was decoded,
 	// AppendBatch copies that payload instead of re-quantizing (see
 	// wirePayload), so forwarding a received capture costs one copy and
-	// reproduces the sender's bytes. It sits here, in the padding behind the flags, because a
-	// Capture is copied by value all along the ingest path and its
-	// width is most of what a small record costs there.
+	// reproduces the sender's bytes. It sits here, in the padding behind
+	// Degraded, because a Capture is copied by value all along the
+	// ingest path and its width is most of what a small record costs
+	// there.
 	received uint32
 	// Streams holds the per-antenna baseband samples of the captured
 	// preamble section. For captures decoded by ReadFrameInto or

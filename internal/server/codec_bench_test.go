@@ -20,7 +20,7 @@ var benchSamp = DefaultDetector().CaptureLen
 func benchFrame(rng *rand.Rand) []Capture {
 	caps := make([]Capture, benchFrameCaptures)
 	for i := range caps {
-		caps[i] = batchCapture(rng, benchAnt, benchSamp, false, false)
+		caps[i] = batchCapture(rng, benchAnt, benchSamp)
 	}
 	return caps
 }

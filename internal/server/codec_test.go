@@ -157,9 +157,6 @@ func wireRef(frame []byte) [][][]complex128 {
 	for i := range subs {
 		subs[i] = frame[off : off+subHeadSize]
 		off += subHeadSize
-		if subs[i][28]&flagHasRegion != 0 {
-			off += regionBoxSize
-		}
 	}
 	payload := frame[off:]
 	out := make([][][]complex128, count)
@@ -226,9 +223,9 @@ func TestDequantMatchesReference(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(53))
 	frame := mustFrame(t, []Capture{
-		batchCapture(rng, benchAnt, benchSamp, false, false),
-		batchCapture(rng, 3, 5, true, true),
-		batchCapture(rng, 1, 1, false, true),
+		batchCapture(rng, benchAnt, benchSamp),
+		batchCapture(rng, 3, 5),
+		batchCapture(rng, 1, 1),
 	})
 	caps := readFrame(t, frame)
 	defer ReleaseAll(caps)
@@ -239,15 +236,14 @@ func TestDequantMatchesReference(t *testing.T) {
 	}
 }
 
-// benchShapedFrame returns a frame of three shipped-shape captures (one
-// with a region, one priority).
+// benchShapedFrame returns a frame of three shipped-shape captures.
 func benchShapedFrame(t *testing.T) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	return mustFrame(t, []Capture{
-		batchCapture(rng, benchAnt, benchSamp, false, false),
-		batchCapture(rng, benchAnt, benchSamp, true, false),
-		batchCapture(rng, benchAnt, benchSamp, false, true),
+		batchCapture(rng, benchAnt, benchSamp),
+		batchCapture(rng, benchAnt, benchSamp),
+		batchCapture(rng, benchAnt, benchSamp),
 	})
 }
 
@@ -328,8 +324,7 @@ func TestReencodeVerbatimEqualsRequantized(t *testing.T) {
 	})
 
 	t.Run("records", func(t *testing.T) {
-		// One capture per frame, as arraytrack-ap -batch 1 sends, with a
-		// region and a priority flag riding along on two of them.
+		// One capture per frame, as arraytrack-ap -batch 1 sends.
 		// Half-scale payloads again, so only a verbatim copy reproduces
 		// them.
 		caps := readFrame(t, frame)
@@ -539,7 +534,7 @@ func TestDecodeRefusesBadScale(t *testing.T) {
 // writing a garbage scale.
 func TestEncodersErrorContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	good := func() Capture { return batchCapture(rng, 3, 16, false, false) }
+	good := func() Capture { return batchCapture(rng, 3, 16) }
 	with := func(v complex128) Capture {
 		c := good()
 		c.Streams[1][7] = v

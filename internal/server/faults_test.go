@@ -37,7 +37,7 @@ func (c *fakeClock) advance(d time.Duration) {
 
 // wireCapture is batchCapture with pinned identity and timestamp.
 func wireCapture(rng *rand.Rand, ap, client uint32, ts time.Time) Capture {
-	c := batchCapture(rng, 2, 8, false, false)
+	c := batchCapture(rng, 2, 8)
 	c.APID, c.ClientID, c.Timestamp = ap, client, ts
 	return c
 }
@@ -418,7 +418,7 @@ func TestUploadRetryRedelivers(t *testing.T) {
 	base := time.Unix(1700000000, 0).UTC()
 	for i := 0; i < captures; i++ {
 		n.Record(uint32(100+i%2), base.Add(time.Duration(i)*time.Millisecond),
-			batchCapture(rng, 2, 8, false, false).Streams)
+			batchCapture(rng, 2, 8).Streams)
 	}
 
 	var mu sync.Mutex
@@ -500,7 +500,7 @@ func TestUploadRetryRedelivers(t *testing.T) {
 func TestUploadRetryExhaustsAsTransient(t *testing.T) {
 	n := NewAPNode(1, 4)
 	rng := rand.New(rand.NewSource(29))
-	n.Record(5, time.Unix(1700000000, 0).UTC(), batchCapture(rng, 2, 8, false, false).Streams)
+	n.Record(5, time.Unix(1700000000, 0).UTC(), batchCapture(rng, 2, 8).Streams)
 	calls := 0
 	dial := func(ctx context.Context) (net.Conn, error) {
 		calls++

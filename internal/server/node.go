@@ -87,13 +87,6 @@ type APNode struct {
 	ID uint32
 	// Buffer holds detected frames awaiting upload.
 	Buffer *CircularBuffer
-	// Region, when non-zero, stamps every recorded capture with an
-	// ad-hoc search region (shipped in the capture's sub-header);
-	// Priority marks captures for the backend engine's latency lane.
-	// Set both before Record.
-	Region core.Region
-	// Priority marks recorded captures as latency-priority.
-	Priority bool
 
 	seq uint32
 	mu  sync.Mutex
@@ -116,8 +109,6 @@ func (n *APNode) Record(clientID uint32, ts time.Time, streams [][]complex128) {
 		ClientID:  clientID,
 		Seq:       seq,
 		Timestamp: ts,
-		Region:    n.Region,
-		Priority:  n.Priority,
 		Streams:   streams,
 	})
 }

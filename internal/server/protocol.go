@@ -12,12 +12,6 @@ import (
 // the limits and errors the decoders share; the frame layout itself is
 // in batch.go.
 
-// Sub-header flags.
-const (
-	flagHasRegion = 1 << 0
-	flagPriority  = 1 << 1
-)
-
 // Encoding limits. A record never legitimately exceeds these; they
 // bound allocation when decoding untrusted input.
 const (
@@ -30,9 +24,6 @@ var (
 	ErrBadMagic = errors.New("server: bad protocol magic")
 	// ErrTooLarge means a frame header declared an implausible size.
 	ErrTooLarge = errors.New("server: record exceeds protocol limits")
-	// ErrBadRegion means a sub-header carried a malformed search
-	// region (it wraps the core-side validation error).
-	ErrBadRegion = errors.New("server: bad search region")
 )
 
 // ErrBadSamples means a capture's samples cannot be carried by the

@@ -15,35 +15,41 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/geom"
 )
 
 // The retired wire forms, kept as bytes so their refusal stays tested
 // and the fuzzer starts from them: version 1 and 2 records, one capture
-// each (v2 adds a flags byte and the region box after the 32-byte
-// header), and frames with flag bit0 set, whose body opened with an
-// 8-byte base timestamp and whose sub-headers carried a uint32 delta in
-// place of the absolute uint64.
+// each (v2 adds a flags byte and a region box after the 32-byte
+// header); frames whose sub-header flags asked for a search region
+// (bit 0, a region box following the sub-header) or the latency lane
+// (bit 1); and frames with frame flag bit0 set, whose body opened with
+// an 8-byte base timestamp and whose sub-headers carried a uint32 delta
+// in place of the absolute uint64.
 const (
-	retiredV1Magic = 0x41540001
-	retiredV2Magic = 0x41540002
-	retiredBaseTS  = 8
+	retiredV1Magic  = 0x41540001
+	retiredV2Magic  = 0x41540002
+	retiredBaseTS   = 8
+	retiredRegion   = 1 << 0
+	retiredPriority = 1 << 1
+	// retiredBoxSize is a region box: minX, minY, maxX, maxY and a
+	// cell pitch, five big-endian float64s.
+	retiredBoxSize = 5 * 8
 )
 
-// retiredRecord lays c out as a v1 record, or v2 when it carries a
-// region or priority.
-func retiredRecord(tb testing.TB, c *Capture) []byte {
+// retiredBox is the region box the retired seeds carry.
+var retiredBox = [5]float64{3, 2, 11.5, 9.25, 0.25}
+
+// retiredRecord lays c out as a v1 record, or, with flags set, as a v2
+// record carrying them and retiredBox.
+func retiredRecord(tb testing.TB, c *Capture, flags byte) []byte {
 	tb.Helper()
 	peak, err := samplePeak(c.Streams)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	v2 := !c.Region.IsZero() || c.Priority
 	head := 32
-	if v2 {
-		head += 1 + regionBoxSize
+	if flags != 0 {
+		head += 1 + retiredBoxSize
 	}
 	rec := make([]byte, head+4*len(c.Streams)*len(c.Streams[0]))
 	binary.BigEndian.PutUint32(rec[0:], retiredV1Magic)
@@ -54,19 +60,27 @@ func retiredRecord(tb testing.TB, c *Capture) []byte {
 	binary.BigEndian.PutUint32(rec[24:], math.Float32bits(float32(peak)))
 	binary.BigEndian.PutUint16(rec[28:], uint16(len(c.Streams)))
 	binary.BigEndian.PutUint16(rec[30:], uint16(len(c.Streams[0])))
-	if v2 {
+	if flags != 0 {
 		binary.BigEndian.PutUint32(rec[0:], retiredV2Magic)
-		if !c.Region.IsZero() {
-			rec[32] |= flagHasRegion
-		}
-		if c.Priority {
-			rec[32] |= flagPriority
-		}
-		r := c.Region
-		rec = putRegion(rec, 33, r.Min.X, r.Min.Y, r.Max.X, r.Max.Y, r.Cell)
+		rec[32] = flags
+		rec = putRegion(rec, 33, retiredBox)
 	}
 	quantizePayload(rec[head:], c.Streams, peak)
 	return rec
+}
+
+// retiredRegionFrame rewrites a frame's last capture in the retired
+// form that asked for a region and the latency lane: both flag bits
+// set and retiredBox behind its sub-header.
+func retiredRegionFrame(frame []byte) []byte {
+	count := int(binary.BigEndian.Uint16(frame[8:]))
+	boxAt := frameHeadSize + count*subHeadSize
+	out := append([]byte(nil), frame[:boxAt]...)
+	out[boxAt-1] = retiredRegion | retiredPriority
+	out = putRegion(append(out, make([]byte, retiredBoxSize)...), boxAt, retiredBox)
+	out = append(out, frame[boxAt:]...)
+	binary.BigEndian.PutUint32(out[4:], uint32(len(out)-frameHeadSize))
+	return out
 }
 
 // retiredDeltaFrame rewrites a frame in the retired delta-timestamp
@@ -77,13 +91,9 @@ func retiredDeltaFrame(frame []byte) []byte {
 	off := frameHeadSize
 	base := int64(math.MaxInt64)
 	for i := 0; i < count; i++ {
-		size := subHeadSize
-		if frame[off+28]&flagHasRegion != 0 {
-			size += regionBoxSize
-		}
-		subs = append(subs, frame[off:off+size])
+		subs = append(subs, frame[off:off+subHeadSize])
 		base = min(base, int64(binary.BigEndian.Uint64(frame[off+12:])))
-		off += size
+		off += subHeadSize
 	}
 	out := append([]byte(nil), frame[:frameHeadSize]...)
 	out[11] |= 1
@@ -109,7 +119,7 @@ func validRecord(tb testing.TB) []byte {
 			{complex(0.5, -0.25), complex(-1, 0.125)},
 			{complex(0.75, 0.5), complex(0.25, -0.75)},
 		},
-	})
+	}, 0)
 }
 
 // validRegionRecord is one well-formed v2 record (region + priority).
@@ -119,19 +129,17 @@ func validRegionRecord(tb testing.TB) []byte {
 		ClientID:  9,
 		Seq:       4,
 		Timestamp: time.UnixMicro(1700000000000000).UTC(),
-		Region:    core.Region{Min: geom.Pt(3, 2), Max: geom.Pt(11.5, 9.25), Cell: 0.25},
-		Priority:  true,
 		Streams: [][]complex128{
 			{complex(0.5, -0.25), complex(-1, 0.125)},
 			{complex(0.75, 0.5), complex(0.25, -0.75)},
 		},
-	})
+	}, retiredRegion|retiredPriority)
 }
 
 // putRegion returns a copy of rec with the region box at off replaced.
-func putRegion(rec []byte, off int, minX, minY, maxX, maxY, cell float64) []byte {
+func putRegion(rec []byte, off int, box [5]float64) []byte {
 	out := append([]byte(nil), rec...)
-	for i, v := range [5]float64{minX, minY, maxX, maxY, cell} {
+	for i, v := range box {
 		binary.BigEndian.PutUint64(out[off+8*i:], math.Float64bits(v))
 	}
 	return out
@@ -185,8 +193,6 @@ func validBatchFrame(tb testing.TB) []byte {
 		{
 			APID: 2, ClientID: 9, Seq: 4,
 			Timestamp: time.UnixMicro(1700000000000001).UTC(),
-			Region:    core.Region{Min: geom.Pt(3, 2), Max: geom.Pt(11.5, 9.25), Cell: 0.25},
-			Priority:  true,
 			Streams: [][]complex128{
 				{complex(0.5, -0.25), complex(-1, 0.125)},
 			},
@@ -224,8 +230,8 @@ func shippedBatchFrame(tb testing.TB) []byte {
 }
 
 // FuzzReadBatch explores the frame decoder and the datagram path:
-// truncated frames, lying counts, oversized sub-headers, hostile
-// regions and the retired formats must all error — never panic, never
+// truncated frames, lying counts, oversized sub-headers, set flag bits
+// and the retired formats must all error — never panic, never
 // allocate past the frame limits, never leave a workspace with a
 // dangling reference.
 func FuzzReadBatch(f *testing.F) {
@@ -258,6 +264,7 @@ func FuzzReadBatch(f *testing.F) {
 	badFlags := append([]byte(nil), frame...)
 	badFlags[frameHeadSize+28] = 0xFF
 	f.Add(badFlags)
+	f.Add(retiredRegionFrame(frame)) // region box and priority flag on a capture
 	v1Magic := append([]byte(nil), frame...)
 	binary.BigEndian.PutUint32(v1Magic[0:], retiredV1Magic) // v1 magic on a frame body
 	f.Add(v1Magic)
@@ -304,8 +311,8 @@ func FuzzReadBatch(f *testing.F) {
 
 // FuzzReadCapture explores the same decoder from the retired
 // per-record captures: v1 and v2 records with hostile headers,
-// dimensions, scales and region boxes, as a stale AP would still send
-// them, must be refused as garbage is.
+// dimensions, scales and region boxes (the retired validation's cases),
+// as a stale AP would still send them, must be refused as garbage is.
 func FuzzReadCapture(f *testing.F) {
 	valid := validRecord(f)
 	f.Add(valid)
@@ -345,10 +352,10 @@ func FuzzReadCapture(f *testing.F) {
 		{0, 0, 0, 0, 0},                 // region flag on zero box
 		{3, 2, 11.5, 9.25, nan},         // NaN cell
 		{3, 2, 11.5, 9.25, -1},          // negative cell
-		{3, 2, 11.5, 9.25, 1e-9},        // cell below MinRegionCell
+		{3, 2, 11.5, 9.25, 1e-9},        // cell below the retired 1 cm floor
 		{-1e12, 2, 11.5, 9.25, 0.25},    // coordinate out of range
 	} {
-		f.Add(putRegion(validV2, 33, box[0], box[1], box[2], box[3], box[4]))
+		f.Add(putRegion(validV2, 33, box))
 	}
 	recBadFlags := append([]byte(nil), validV2...)
 	recBadFlags[32] = 0xFF // unknown flag bits
@@ -383,9 +390,6 @@ func fuzzIngest(t *testing.T, data []byte) {
 			if len(c.Streams) == 0 || len(c.Streams) > MaxAntennas || len(c.Streams[0]) > MaxSamples {
 				t.Fatalf("capture %d violates protocol limits", i)
 			}
-			if err := c.Region.Validate(); err != nil {
-				t.Fatalf("capture %d carries invalid region: %v", i, err)
-			}
 			assertFinite(t, c.Streams)
 		}
 		// Anything that decodes must re-encode.
@@ -401,22 +405,23 @@ func fuzzIngest(t *testing.T, data []byte) {
 	_ = b.ServeConn(bytes.NewReader(data))
 }
 
-// TestServeConnRefusesRetiredFormats: a v1 record, a v2 record and a
-// delta-timestamp frame each end the connection they arrive on as one
-// decode error, after the good frame before them was ingested, and
+// TestServeConnRefusesRetiredFormats: a v1 record, a v2 record, a
+// delta-timestamp frame and a frame carrying a region box each end the
+// connection they arrive on as one decode error, after the good frame before them was ingested, and
 // leave no workspace leased.
 func TestServeConnRefusesRetiredFormats(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	plain := batchCapture(rng, 2, 8, false, false)
-	flagged := batchCapture(rng, 2, 8, true, true)
+	plain := batchCapture(rng, 2, 8)
+	other := batchCapture(rng, 2, 8)
 	cases := []struct {
 		name string
 		data []byte
 		want error
 	}{
-		{"v1 record", retiredRecord(t, &plain), ErrBadMagic},
-		{"v2 record", retiredRecord(t, &flagged), ErrBadMagic},
-		{"delta frame", retiredDeltaFrame(mustFrame(t, []Capture{plain, flagged})), ErrBadFrame},
+		{"v1 record", retiredRecord(t, &plain, 0), ErrBadMagic},
+		{"v2 record", retiredRecord(t, &other, retiredRegion|retiredPriority), ErrBadMagic},
+		{"delta frame", retiredDeltaFrame(mustFrame(t, []Capture{plain, other})), ErrBadFrame},
+		{"region frame", retiredRegionFrame(mustFrame(t, []Capture{plain, other})), ErrBadFrame},
 	}
 	baseline := LeasedIngestWorkspaces()
 	for _, tc := range cases {

@@ -10,74 +10,8 @@ import (
 	"repro/internal/geom"
 	"repro/internal/music"
 	"repro/internal/stats"
-	"repro/internal/threed"
 	"repro/internal/wifi"
 )
-
-// RunThreeD exercises the §4.3.1 future-work extension: paired
-// horizontal + vertical arrays at three APs estimate clients in three
-// dimensions. Reports plan and height errors over a set of clients at
-// different heights.
-func (tb *Testbed) RunThreeD(seed int64) (*Report, error) {
-	rng := rand.New(rand.NewSource(seed))
-	const apHeight = 2.5
-	siteIdx := []int{0, 2, 4}
-	capOpt := DefaultCaptureOptions()
-	cfg := core.DefaultConfig(tb.Wavelength)
-	cfg.UseSuppression = false // one frame per AP in this experiment
-	sig := wifi.Preamble40()
-
-	clients := []threed.Point3{
-		{X: 8, Y: 6, Z: 1.0},
-		{X: 15, Y: 7, Z: 0.3}, // on the floor (§4.3.1's ground-level case)
-		{X: 25, Y: 6.5, Z: 1.5},
-		{X: 33, Y: 9, Z: 1.1},
-	}
-
-	r := &Report{ID: "threed", Title: "3-D localization with vertical arrays (future work §4.3.1)"}
-	r.Addf("%-22s %-22s %10s %10s", "true (x,y,z)", "estimate", "plan err", "height err")
-	var planErrs, zErrs []float64
-	for _, c := range clients {
-		var aps []threed.APSpectra
-		for _, si := range siteIdx {
-			site := tb.Sites[si]
-			arr := tb.NewArray(site, capOpt)
-			recH := tb.Model.Receive(c.Plan(), arr, sig, channel.RxConfig{
-				TxPowerDBm:    capOpt.TxPowerDBm,
-				NoiseFloorDBm: capOpt.NoiseFloorDBm,
-				HeightDiff:    apHeight - c.Z,
-				Rng:           rng,
-			})
-			az, err := core.ProcessAP(&core.AP{Array: arr}, Cut([]core.FrameCapture{{Streams: recH.Samples}}), cfg)
-			if err != nil {
-				return nil, err
-			}
-			recV := tb.Model.ReceiveVertical(c.Plan(), site.Pos, c.Z, apHeight, 8, tb.Wavelength/2, sig, channel.RxConfig{
-				TxPowerDBm:    capOpt.TxPowerDBm,
-				NoiseFloorDBm: capOpt.NoiseFloorDBm,
-				Rng:           rng,
-			})
-			el, err := threed.ElevationSpectrum(recV.Samples, tb.Wavelength/2, tb.spectrumOptions())
-			if err != nil {
-				return nil, err
-			}
-			aps = append(aps, threed.APSpectra{Pos: site.Pos, Height: apHeight, Azimuth: az, Elevation: el})
-		}
-		got, err := threed.Locate3D(aps, tb.Plan.Min, tb.Plan.Max, 0, 3, 0.25, 0.25)
-		if err != nil {
-			return nil, err
-		}
-		planErr := got.Plan().Dist(c.Plan()) * 100
-		zErr := math.Abs(got.Z-c.Z) * 100
-		planErrs = append(planErrs, planErr)
-		zErrs = append(zErrs, zErr)
-		r.Addf("(%5.1f,%5.1f,%4.1f)    (%5.1f,%5.1f,%4.1f)    %7.0fcm %8.0fcm",
-			c.X, c.Y, c.Z, got.X, got.Y, got.Z, planErr, zErr)
-	}
-	r.Addf("plan:   %v", stats.Summarize(planErrs))
-	r.Addf("height: %v", stats.Summarize(zErrs))
-	return r, nil
-}
 
 // RunCircular compares an 8-element circular array against the linear
 // default (the §6 discussion): the circular array resolves the full

@@ -8,8 +8,8 @@ import (
 	"repro/internal/geom"
 )
 
-// regionWorkload builds n deterministic ad-hoc boxes over the floor,
-// sized like interactive zoom windows (2–10 m on a side).
+// regionWorkload builds n deterministic boxes over the floor, 2–10 m
+// on a side.
 func regionWorkload(n int, rng *rand.Rand) []core.Region {
 	out := make([]core.Region, n)
 	for i := range out {
@@ -39,7 +39,7 @@ func restrictedArgmaxCell(h *core.Heatmap, full, sub core.GridSpec) int {
 }
 
 // TestRegionGateOnTestbed is the acceptance gate: against a 32 MiB
-// cache budget and 50 distinct ad-hoc regions, (1) the reported cache
+// cache budget and 50 distinct regions, (1) the reported cache
 // size never exceeds the budget at any point in the run and at least
 // half the lookups hit, and (2) on every one of the 205 testbed scenes
 // (41 clients × [all-six plus four 3-AP combos], the same sweep the

@@ -126,17 +126,6 @@ func TestRunLatencyBudget(t *testing.T) {
 	}
 }
 
-func TestRunThreeDHeights(t *testing.T) {
-	tb := New()
-	r, err := tb.RunThreeD(31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(r.String(), "height:") {
-		t.Error("missing height summary")
-	}
-}
-
 func TestRunCircularResolvesMirror(t *testing.T) {
 	tb := New()
 	r, err := tb.RunCircular(32)
