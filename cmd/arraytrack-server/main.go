@@ -34,8 +34,8 @@
 // bit-identically on the next start. -http serves Prometheus metrics,
 // per-client track introspection, and the hot-reloadable knobs;
 // -knobs names a JSON knobs file applied at startup and re-applied on
-// SIGHUP. Engine and tracker counters are also logged every
-// -stats-every interval and, on Unix, dumped on demand with SIGUSR1.
+// SIGHUP. The series /metrics exposes are also logged every
+// -stats-every interval and, on Unix, on demand with SIGUSR1.
 // Pair with cmd/arraytrack-ap.
 package main
 
@@ -53,7 +53,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/lru"
 	"repro/internal/music"
 	"repro/internal/ops"
 	"repro/internal/server"
@@ -78,33 +77,18 @@ func applyKnobsFile(srv *ops.Server, path string) {
 	log.Printf("knobs: applied %v from %s", srv.Apply(k), path)
 }
 
-// cacheLine formats one cache's series as " name=value" pairs.
-func cacheLine(u lru.Usage) string {
+// logStats logs every series /metrics exposes, one "name value" line
+// each, without the exposition's HELP and TYPE comments.
+func logStats(srv *ops.Server) {
 	var b strings.Builder
-	ops.CacheSeries("", u, func(name, _ string, _ bool, v uint64) { fmt.Fprintf(&b, " %s=%d", name, v) })
-	return b.String()
-}
-
-func logStats(eng *engine.Engine, backend *server.Backend) {
-	st := eng.Stats()
-	log.Printf("stats: submitted=%d completed=%d fixes=%d failures=%d rejected=%d (quota=%d) tracked=%d gate_rejects=%d queued=%d pending_clients=%d workers=%d",
-		st.Submitted, st.Completed, st.Fixes, st.Failures, st.Rejected, st.QuotaRejected,
-		st.TrackedClients, st.TrackRejects, st.Queued, backend.PendingClients(), st.Workers)
-	log.Printf("predictive: served=%d fallbacks no_track=%d border=%d gate=%d error=%d",
-		st.Predicted,
-		st.PredictFallbackNoTrack, st.PredictFallbackBorder, st.PredictFallbackGate, st.PredictFallbackError)
-	cfg := eng.Config()
-	syn := cfg.SynthCache.Usage()
-	log.Printf("synth cache:%s slices_total=%d", cacheLine(syn.Usage), syn.Slices)
-	log.Printf("steering cache:%s", cacheLine(cfg.Steering.Usage()))
-	if u := backend.UDP(); u.Datagrams > 0 || u.Bad > 0 {
-		log.Printf("udp feed: datagrams=%d captures=%d bad=%d seq_gaps=%d reorders=%d",
-			u.Datagrams, u.Captures, u.Bad, u.SeqGaps, u.SeqReorders)
+	srv.WriteMetrics(&b)
+	var series []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			series = append(series, line)
+		}
 	}
-	h := backend.Health()
-	log.Printf("health: conn_errors=%d deadline_reaped=%d quarantines=%d (active=%d, dropped=%d) degraded_flushes=%d stale_dropped=%d shed=%d short_captures=%d degraded_fixes=%d leased_workspaces=%d",
-		h.ConnErrors, h.DeadlineReaped, h.Quarantines, h.Quarantined, h.QuarantinedDropped,
-		h.DegradedFlushes, h.StaleDropped, st.Shed, st.ShortCaptures, st.DegradedFixes, server.LeasedIngestWorkspaces())
+	log.Printf("stats:\n%s", strings.Join(series, "\n"))
 }
 
 func main() {
@@ -333,12 +317,12 @@ func main() {
 				case <-ctx.Done():
 					return
 				case <-t.C:
-					logStats(eng, backend)
+					logStats(opsSrv)
 				}
 			}
 		}()
 	}
-	notifyStatsSignal(ctx, func() { logStats(eng, backend) })
+	notifyStatsSignal(ctx, func() { logStats(opsSrv) })
 
 	if err := backend.Serve(ctx, l); err != nil && ctx.Err() == nil {
 		log.Fatal(err)

@@ -102,45 +102,19 @@ var experiments = []experiment{
 		return tb.RunCalibrationSweep(33)
 	}},
 	{"tracking", "roaming client: raw fixes vs Kalman-smoothed track", func(tb *testbed.Testbed, fast bool) (*testbed.Report, error) {
-		opt := testbed.DefaultTrackingOptions()
-		if fast {
-			opt.Steps = 12
-			opt.Sites = []int{0, 1, 3, 5}
-		}
-		r, _, err := tb.RunTracking(opt)
+		r, _, err := tb.RunTracking(testbed.DefaultTrackingOptions(fast))
 		return r, err
 	}},
 	{"ops", "kill→snapshot→restore mid-walk: zero tracks lost, identical RMSE", func(tb *testbed.Testbed, fast bool) (*testbed.Report, error) {
-		opt := testbed.DefaultOpsOptions()
-		if fast {
-			opt.Steps = 10
-			opt.KillStep = 5
-			opt.Sites = []int{0, 1, 3, 5}
-		}
-		r, _, err := tb.RunOps(opt)
+		r, _, err := tb.RunOps(testbed.DefaultOpsOptions(fast))
 		return r, err
 	}},
 	{"chaos", "hostile network: AP kill, slow-loris, corrupted frames, overload", func(tb *testbed.Testbed, fast bool) (*testbed.Report, error) {
-		opt := testbed.DefaultChaosOptions()
-		if fast {
-			opt.Steps = 6
-			opt.KillStep = 3
-			opt.Capture.Antennas = 4
-			opt.GridCell = 0.5
-			opt.BurstJobs = 12
-			opt.ShedAfter = time.Millisecond
-		}
-		r, _, err := tb.RunChaos(opt)
+		r, _, err := tb.RunChaos(testbed.DefaultChaosOptions(fast))
 		return r, err
 	}},
 	{"cluster", "sharded cluster: bit-identical fan-in, zero-loss mid-walk migration", func(tb *testbed.Testbed, fast bool) (*testbed.Report, error) {
-		opt := testbed.DefaultClusterOptions()
-		if fast {
-			opt.Steps = 8
-			opt.MigrateStep = 4
-			opt.Sites = []int{0, 1, 3, 5}
-		}
-		r, _, err := tb.RunCluster(opt)
+		r, _, err := tb.RunCluster(testbed.DefaultClusterOptions(fast))
 		return r, err
 	}},
 	{"ablation", "pipeline ablations", func(tb *testbed.Testbed, fast bool) (*testbed.Report, error) {

@@ -47,7 +47,7 @@ func main() {
 		ForwardBackward: true,
 	}
 
-	uncal, err := music.ComputeSpectrum(arr, rec.Samples, opts)
+	uncal, err := music.ComputeSpectrumWS(nil, arr, rec.Samples, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func main() {
 	fmt.Printf("calibration residual         %6.3f rad\n", array.OffsetError(arr, measured))
 
 	opts.CalibrationOffsets = measured
-	cal, err := music.ComputeSpectrum(arr, rec.Samples, opts)
+	cal, err := music.ComputeSpectrumWS(nil, arr, rec.Samples, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -261,7 +261,7 @@ func (m *memoEstimator) Spectrum(_ *music.Workspace, a *array.Array, streams [][
 	if s, ok := m.seen[key]; ok {
 		return s, nil
 	}
-	s, err := music.ComputeSpectrum(a, streams, opt)
+	s, err := music.ComputeSpectrumWS(nil, a, streams, opt)
 	if err == nil {
 		m.seen[key] = s
 	}

@@ -114,11 +114,6 @@ func (s Segment) Normal() Vec {
 	return Vec{-d.Y, d.X}
 }
 
-// Midpoint returns the midpoint of the segment.
-func (s Segment) Midpoint() Point {
-	return Point{(s.A.X + s.B.X) / 2, (s.A.Y + s.B.Y) / 2}
-}
-
 // Project returns the parameter t in [0,1] of the point on s closest to
 // p, and that closest point.
 func (s Segment) Project(p Point) (t float64, q Point) {
@@ -190,10 +185,7 @@ type Material struct {
 var (
 	Drywall  = Material{Name: "drywall", Reflectivity: 0.35, TransmissionLossDB: 3}
 	Concrete = Material{Name: "concrete", Reflectivity: 0.65, TransmissionLossDB: 12}
-	Glass    = Material{Name: "glass", Reflectivity: 0.25, TransmissionLossDB: 2}
 	Metal    = Material{Name: "metal", Reflectivity: 0.95, TransmissionLossDB: 30}
-	Wood     = Material{Name: "wood", Reflectivity: 0.30, TransmissionLossDB: 4}
-	Plastic  = Material{Name: "plastic", Reflectivity: 0.20, TransmissionLossDB: 1}
 )
 
 // Wall is a surface in the floorplan: a segment plus its material.

@@ -40,7 +40,7 @@ import (
 // every buffer from ws, so repeated calls with one workspace are
 // allocation-free in steady state. The returned Eig aliases ws and is
 // valid only until the next call with the same workspace; a nil ws
-// means a fresh workspace (what EigHermitian passes), whose result is
+// means a fresh workspace, whose result is
 // the caller's to keep. Results are value-identical to
 // EigHermitianRefWS.
 func EigHermitianWS(a *Matrix, ws *EigWorkspace) (Eig, error) {

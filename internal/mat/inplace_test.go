@@ -95,7 +95,7 @@ func TestEigWSBitIdentical(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(10)
 		a := randomHermitian(rng, n)
-		want, err := EigHermitian(a)
+		want, err := EigHermitianWS(a, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

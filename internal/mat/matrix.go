@@ -263,7 +263,7 @@ func (m *Matrix) mustSameShape(o *Matrix) {
 	}
 }
 
-// ErrNotHermitian is returned by EigHermitian when the input is not
+// ErrNotHermitian is returned by EigHermitianWS when the input is not
 // Hermitian within the solver's tolerance.
 var ErrNotHermitian = errors.New("mat: matrix is not Hermitian")
 
@@ -276,14 +276,6 @@ type Eig struct {
 	// Vectors has the corresponding eigenvectors in its columns:
 	// Vectors.Col(k) pairs with Values[k].
 	Vectors *Matrix
-}
-
-// EigHermitian computes the full eigendecomposition of a Hermitian
-// matrix using the cyclic complex Jacobi method. The input is not
-// modified. For the ≤16×16 matrices ArrayTrack produces the residual
-// ‖AV−VΛ‖ is at machine-precision level.
-func EigHermitian(a *Matrix) (Eig, error) {
-	return EigHermitianWS(a, &EigWorkspace{})
 }
 
 // EigHermitianRefWS is the original complex128-arithmetic cyclic-Jacobi

@@ -141,7 +141,7 @@ func randHermitian(n int, r *rand.Rand) *Matrix {
 func TestEigHermitianKnown2x2(t *testing.T) {
 	// [[2, i], [-i, 2]] has eigenvalues 1 and 3.
 	a := FromRows([][]complex128{{2, 1i}, {-1i, 2}})
-	e, err := EigHermitian(a)
+	e, err := EigHermitianWS(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestEigHermitianKnown2x2(t *testing.T) {
 
 func TestEigHermitianDiagonal(t *testing.T) {
 	a := FromRows([][]complex128{{5, 0}, {0, -2}})
-	e, err := EigHermitian(a)
+	e, err := EigHermitianWS(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestEigHermitianDiagonal(t *testing.T) {
 
 func TestEigHermitianZero(t *testing.T) {
 	a := New(3, 3)
-	e, err := EigHermitian(a)
+	e, err := EigHermitianWS(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +177,11 @@ func TestEigHermitianZero(t *testing.T) {
 
 func TestEigHermitianRejectsNonHermitian(t *testing.T) {
 	a := FromRows([][]complex128{{1, 2}, {3, 4}})
-	if _, err := EigHermitian(a); err == nil {
+	if _, err := EigHermitianWS(a, nil); err == nil {
 		t.Error("expected ErrNotHermitian")
 	}
 	b := New(2, 3)
-	if _, err := EigHermitian(b); err == nil {
+	if _, err := EigHermitianWS(b, nil); err == nil {
 		t.Error("expected error for non-square")
 	}
 }
@@ -222,7 +222,7 @@ func TestEigHermitianRandomProperty(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + r.Intn(15) // up to 16×16, the two-WARP maximum
 		a := randHermitian(n, r)
-		e, err := EigHermitian(a)
+		e, err := EigHermitianWS(a, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -245,7 +245,7 @@ func TestEigHermitianPSDRankOne(t *testing.T) {
 	v := []complex128{1, 2i, -1 + 1i, 0.5}
 	a := New(4, 4)
 	a.OuterAccumulate(v, 1)
-	e, err := EigHermitian(a)
+	e, err := EigHermitianWS(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func BenchmarkEigHermitian8(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EigHermitian(a); err != nil {
+		if _, err := EigHermitianWS(a, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

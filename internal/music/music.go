@@ -255,12 +255,6 @@ func (s *Spectrum) AppendPeaks(dst []Peak, minRel float64) []Peak {
 	return out[:len(dst)+len(peaks)]
 }
 
-// CorrelationMatrix estimates Rxx = E[x·xᴴ] from snapshots, each a
-// length-M per-antenna sample vector (Eq. 4's sample average).
-func CorrelationMatrix(snapshots [][]complex128) (*mat.Matrix, error) {
-	return CorrelationMatrixWS(&Workspace{}, snapshots)
-}
-
 // SnapshotsFromStreams transposes per-antenna sample streams into
 // per-time snapshot vectors, using at most maxSamples samples (§2.1
 // records just 10 samples of the preamble).
@@ -275,37 +269,6 @@ func SnapshotsFromStreams(streams [][]complex128, maxSamples int) [][]complex128
 // through CalibratedCorrelationWS, which refuses such streams.
 func SnapshotsAt(streams [][]complex128, offset, maxSamples int) [][]complex128 {
 	return SnapshotsAtWS(&Workspace{}, streams, offset, maxSamples)
-}
-
-// ForwardBackward returns the forward-backward averaged correlation
-// matrix (R + J·R̄·J)/2, where J is the exchange matrix. For a uniform
-// linear array this doubles the effective decorrelating groups of
-// spatial smoothing at no antenna cost — a standard companion to the
-// Shan–Wax–Kailath smoothing the paper uses.
-func ForwardBackward(r *mat.Matrix) *mat.Matrix {
-	return ForwardBackwardWS(&Workspace{}, r)
-}
-
-// SpatialSmooth applies forward spatial smoothing with ng overlapping
-// subarray groups to an M×M correlation matrix, returning the
-// (M−ng+1)×(M−ng+1) smoothed matrix (§2.3.2, Figure 6). ng=1 returns a
-// copy. It decorrelates phase-locked multipath arrivals so MUSIC can
-// resolve them.
-func SpatialSmooth(r *mat.Matrix, ng int) (*mat.Matrix, error) {
-	return SpatialSmoothWS(&Workspace{}, r, ng)
-}
-
-// Subspaces splits the eigenvectors of a correlation matrix into noise
-// and signal subspaces. D, the signal count, is chosen as the number of
-// eigenvalues exceeding thresholdFrac times the largest eigenvalue
-// (§2.3.1: "a threshold that is a fraction of the largest eigenvalue"),
-// capped at maxD when maxD > 0. At low SNR the threshold rule alone
-// inflates D until almost no noise subspace remains — capping at M/2
-// (the caller's default) keeps the spectrum meaningful. At least one
-// eigenvector is always left in the noise subspace, since MUSIC needs
-// one.
-func Subspaces(r *mat.Matrix, thresholdFrac float64, maxD int) (noise, signal *mat.Matrix, d int, err error) {
-	return SubspacesWS(&Workspace{}, r, thresholdFrac, maxD)
 }
 
 // Options configures AoA spectrum computation.
@@ -368,22 +331,17 @@ func (o Options) thresh() float64 {
 	return o.SignalThresholdFrac
 }
 
-// ComputeSpectrum runs the §2.3 chain for one AP: snapshots →
+// ComputeSpectrumWS runs the §2.3 chain for one AP: snapshots →
 // calibration correction → correlation → spatial smoothing → eigen
 // subspaces → MUSIC pseudospectrum over the smoothed subarray. The
 // streams must be the array's main-row antennas (use the ninth antenna
 // only via SymmetryRemoval). The returned spectrum is normalized to a
-// unit maximum.
-func ComputeSpectrum(a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error) {
-	return ComputeSpectrumWS(&Workspace{}, a, streams, opt)
-}
-
-// ComputeSpectrumWS is ComputeSpectrum with every intermediate —
-// snapshots, correlation, forward-backward, smoothed matrix, eigen
-// scratch, noise subspace — drawn from the workspace. Only the
-// returned Spectrum leaves it: it is the caller's, freshly allocated
-// unless the caller has handed earlier spectra back with ws.Recycle,
-// while the intermediates stay in ws for the next frame.
+// unit maximum. Every intermediate — snapshots, correlation,
+// forward-backward, smoothed matrix, eigen scratch, noise subspace — is
+// drawn from the workspace. Only the returned Spectrum leaves it: it is
+// the caller's, freshly allocated unless the caller has handed earlier
+// spectra back with ws.Recycle, while the intermediates stay in ws for
+// the next frame.
 func ComputeSpectrumWS(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error) {
 	ws = orFresh(ws)
 	noise, err := noiseSubspace(ws, a, streams, opt)

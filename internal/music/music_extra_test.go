@@ -62,7 +62,7 @@ func TestCalibratedCorrelationRefusesShortStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := CorrelationMatrix(SnapshotsAt(streams, 2, 2))
+	want, err := CorrelationMatrixWS(nil, SnapshotsAt(streams, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +78,14 @@ func TestForwardBackwardProperties(t *testing.T) {
 	for i := range snaps {
 		snaps[i] = randomSig(6, rng)
 	}
-	r, _ := CorrelationMatrix(snaps)
-	fb := ForwardBackward(r)
+	r, _ := CorrelationMatrixWS(nil, snaps)
+	fb := ForwardBackwardWS(nil, r)
 	if !fb.IsHermitian(1e-12) {
 		t.Error("FB matrix must stay Hermitian")
 	}
 	// FB is idempotent up to the persymmetric projection: applying it
 	// twice equals applying it once.
-	if !ForwardBackward(fb).Equalish(fb, 1e-12) {
+	if !ForwardBackwardWS(nil, fb).Equalish(fb, 1e-12) {
 		t.Error("FB not idempotent")
 	}
 	// Trace is preserved.
@@ -112,11 +112,11 @@ func TestForwardBackwardDecorrelatesCoherentPair(t *testing.T) {
 	}
 	r := mat.New(8, 8)
 	r.OuterAccumulate(sum, 1)
-	ePlain, err := mat.EigHermitian(r)
+	ePlain, err := mat.EigHermitianWS(r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eFB, err := mat.EigHermitian(ForwardBackward(r))
+	eFB, err := mat.EigHermitianWS(ForwardBackwardWS(nil, r), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestMUSICQuickFreeSpaceProperty(t *testing.T) {
 		th := geom.Rad(20 + float64(bearingIdx%141))
 		a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 		streams := synth(a, []float64{th}, []complex128{1}, 30, false, 0.02, rng)
-		spec, err := ComputeSpectrum(a, streams, Options{
+		spec, err := ComputeSpectrumWS(nil, a, streams, Options{
 			Wavelength: lambda, SmoothingGroups: 2, ForwardBackward: true,
 		})
 		if err != nil {
@@ -180,7 +180,7 @@ func TestSubspacesMaxDCap(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r.Set(i, i, r.At(i, i)+0.001)
 	}
-	noise, _, d, err := Subspaces(r, 0.01, 2)
+	noise, _, d, err := SubspacesWS(nil, r, 0.01, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestBartlettNonNegative(t *testing.T) {
 	for i := range snaps {
 		snaps[i] = randomSig(4, rng)
 	}
-	r, _ := CorrelationMatrix(snaps)
+	r, _ := CorrelationMatrixWS(nil, snaps)
 	b := Bartlett(r, func(th float64) []complex128 { return a.SteeringVector(th, lambda) }, 180)
 	for i, v := range b.P {
 		if v < 0 || math.IsNaN(v) {
@@ -232,7 +232,7 @@ func TestSymmetryRemovalLeavesAxisBins(t *testing.T) {
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	a.NinthAntenna = true
 	streams := synth(a, []float64{geom.Rad(70)}, []complex128{1}, 50, false, 0.01, rng)
-	spec, err := ComputeSpectrum(a, streams[:8], Options{Wavelength: lambda, SmoothingGroups: 1})
+	spec, err := ComputeSpectrumWS(nil, a, streams[:8], Options{Wavelength: lambda, SmoothingGroups: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSymmetryRemovalLeavesAxisBins(t *testing.T) {
 	spec.P[5] = 0.42
 	spec.P[355] = 0.42
 	snaps := SnapshotsFromStreams(streams, 0)
-	rFull, _ := CorrelationMatrix(snaps)
+	rFull, _ := CorrelationMatrixWS(nil, snaps)
 	SymmetryRemoval(spec, a, rFull, lambda)
 	if spec.P[5] != 0.42 || spec.P[355] != 0.42 {
 		t.Errorf("axis bins modified: %v %v", spec.P[5], spec.P[355])
@@ -252,7 +252,7 @@ func TestComputeSpectrumWithFBAndOffset(t *testing.T) {
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	want := geom.Rad(100)
 	streams := synth(a, []float64{want}, []complex128{1}, 200, false, 0.02, rng)
-	spec, err := ComputeSpectrum(a, streams, Options{
+	spec, err := ComputeSpectrumWS(nil, a, streams, Options{
 		Wavelength:      lambda,
 		SmoothingGroups: 2,
 		MaxSamples:      10,

@@ -141,7 +141,7 @@ func TestCorrelationMatrixProperties(t *testing.T) {
 	for i := range snaps {
 		snaps[i] = randomSig(4, rng)
 	}
-	r, err := CorrelationMatrix(snaps)
+	r, err := CorrelationMatrixWS(nil, snaps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +154,10 @@ func TestCorrelationMatrixProperties(t *testing.T) {
 			t.Errorf("diagonal %d = %v", i, r.At(i, i))
 		}
 	}
-	if _, err := CorrelationMatrix(nil); err == nil {
+	if _, err := CorrelationMatrixWS(nil, nil); err == nil {
 		t.Error("empty snapshots should error")
 	}
-	if _, err := CorrelationMatrix([][]complex128{{1}, {1, 2}}); err == nil {
+	if _, err := CorrelationMatrixWS(nil, [][]complex128{{1}, {1, 2}}); err == nil {
 		t.Error("ragged snapshots should error")
 	}
 }
@@ -178,20 +178,20 @@ func TestSnapshotsFromStreams(t *testing.T) {
 
 func TestSpatialSmoothShapes(t *testing.T) {
 	r := mat.Identity(8)
-	s, err := SpatialSmooth(r, 3)
+	s, err := SpatialSmoothWS(nil, r, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Rows != 6 || s.Cols != 6 {
 		t.Errorf("smoothed shape %d×%d, want 6×6", s.Rows, s.Cols)
 	}
-	if _, err := SpatialSmooth(r, 0); err == nil {
+	if _, err := SpatialSmoothWS(nil, r, 0); err == nil {
 		t.Error("ng=0 should error")
 	}
-	if _, err := SpatialSmooth(r, 8); err == nil {
+	if _, err := SpatialSmoothWS(nil, r, 8); err == nil {
 		t.Error("ng=M should error")
 	}
-	one, err := SpatialSmooth(r, 1)
+	one, err := SpatialSmoothWS(nil, r, 1)
 	if err != nil || !one.Equalish(r, 0) {
 		t.Error("ng=1 should return an equal copy")
 	}
@@ -207,7 +207,7 @@ func TestSubspacesDimensions(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r.Set(i, i, r.At(i, i)+0.01)
 	}
-	noise, signal, d, err := Subspaces(r, 0.05, 0)
+	noise, signal, d, err := SubspacesWS(nil, r, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSubspacesDimensions(t *testing.T) {
 
 func TestSubspacesAlwaysLeavesNoise(t *testing.T) {
 	r := mat.Identity(4) // all eigenvalues equal: naive D would be 4
-	noise, _, d, err := Subspaces(r, 0.05, 0)
+	noise, _, d, err := SubspacesWS(nil, r, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestMUSICSingleSource(t *testing.T) {
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	want := geom.Rad(72)
 	streams := synth(a, []float64{want}, []complex128{1}, 50, false, 0.01, rng)
-	spec, err := ComputeSpectrum(a, streams, Options{Wavelength: lambda, SmoothingGroups: 1})
+	spec, err := ComputeSpectrumWS(nil, a, streams, Options{Wavelength: lambda, SmoothingGroups: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestMUSICTwoIncoherentSources(t *testing.T) {
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	b1, b2 := geom.Rad(60), geom.Rad(120)
 	streams := synth(a, []float64{b1, b2}, []complex128{1, 0.8}, 100, false, 0.01, rng)
-	spec, err := ComputeSpectrum(a, streams, Options{Wavelength: lambda, SmoothingGroups: 1})
+	spec, err := ComputeSpectrumWS(nil, a, streams, Options{Wavelength: lambda, SmoothingGroups: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestSmoothingResolvesCoherentSources(t *testing.T) {
 	amps := []complex128{1, 0.9 * cmplx.Rect(1, 1.1)}
 	streams := synth(a, []float64{b1, b2}, amps, 100, true, 0.005, rng)
 
-	smoothed, err := ComputeSpectrum(a, streams, Options{Wavelength: lambda, SmoothingGroups: 3})
+	smoothed, err := ComputeSpectrumWS(nil, a, streams, Options{Wavelength: lambda, SmoothingGroups: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,14 +300,14 @@ func TestSmoothingResolvesCoherentSources(t *testing.T) {
 
 func TestComputeSpectrumErrors(t *testing.T) {
 	a := array.NewLinear(geom.Pt(0, 0), 0, 4, lambda)
-	if _, err := ComputeSpectrum(a, nil, Options{Wavelength: lambda}); err == nil {
+	if _, err := ComputeSpectrumWS(nil, a, nil, Options{Wavelength: lambda}); err == nil {
 		t.Error("nil streams should error")
 	}
 	five := make([][]complex128, 5)
 	for i := range five {
 		five[i] = []complex128{1}
 	}
-	if _, err := ComputeSpectrum(a, five, Options{Wavelength: lambda}); err == nil {
+	if _, err := ComputeSpectrumWS(nil, a, five, Options{Wavelength: lambda}); err == nil {
 		t.Error("more streams than row antennas should error")
 	}
 }
@@ -329,7 +329,7 @@ func TestComputeSpectrumWithCalibration(t *testing.T) {
 		}
 	}
 
-	cal, err := ComputeSpectrum(a, streams, Options{
+	cal, err := ComputeSpectrumWS(nil, a, streams, Options{
 		Wavelength:         lambda,
 		SmoothingGroups:    1,
 		CalibrationOffsets: a.PhaseOffsets,
@@ -343,7 +343,7 @@ func TestComputeSpectrumWithCalibration(t *testing.T) {
 		t.Errorf("calibrated peak at %.1f°, want %.1f°", geom.Deg(got), geom.Deg(want))
 	}
 
-	uncal, err := ComputeSpectrum(a, streams, Options{Wavelength: lambda, SmoothingGroups: 1})
+	uncal, err := ComputeSpectrumWS(nil, a, streams, Options{Wavelength: lambda, SmoothingGroups: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestSymmetryRemovalPicksTrueSide(t *testing.T) {
 	streams := synth(a, []float64{want}, []complex128{1}, 80, false, 0.01, rng)
 
 	// Row-only spectrum has the mirror ambiguity.
-	spec, err := ComputeSpectrum(a, streams[:8], Options{Wavelength: lambda, SmoothingGroups: 1})
+	spec, err := ComputeSpectrumWS(nil, a, streams[:8], Options{Wavelength: lambda, SmoothingGroups: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestSymmetryRemovalPicksTrueSide(t *testing.T) {
 	}
 
 	snaps := SnapshotsFromStreams(streams, 0)
-	rFull, err := CorrelationMatrix(snaps)
+	rFull, err := CorrelationMatrixWS(nil, snaps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,12 +427,12 @@ func TestSymmetryRemovalOtherSide(t *testing.T) {
 	a.NinthAntenna = true
 	want := geom.Rad(290) // below the axis
 	streams := synth(a, []float64{want}, []complex128{1}, 80, false, 0.01, rng)
-	spec, err := ComputeSpectrum(a, streams[:8], Options{Wavelength: lambda, SmoothingGroups: 1})
+	spec, err := ComputeSpectrumWS(nil, a, streams[:8], Options{Wavelength: lambda, SmoothingGroups: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snaps := SnapshotsFromStreams(streams, 0)
-	rFull, _ := CorrelationMatrix(snaps)
+	rFull, _ := CorrelationMatrixWS(nil, snaps)
 	mirrorBefore := spec.At(2*math.Pi - want)
 	SymmetryRemoval(spec, a, rFull, lambda)
 	if got := spec.At(2*math.Pi - want); got > 0.1*mirrorBefore {
@@ -449,7 +449,7 @@ func TestBartlettPeaksAtSource(t *testing.T) {
 	want := geom.Rad(100)
 	streams := synth(a, []float64{want}, []complex128{1}, 50, false, 0.01, rng)
 	snaps := SnapshotsFromStreams(streams, 0)
-	r, _ := CorrelationMatrix(snaps)
+	r, _ := CorrelationMatrixWS(nil, snaps)
 	b := Bartlett(r, func(th float64) []complex128 { return a.SteeringVector(th, lambda) }, 360)
 	_, bin := b.Max()
 	got := b.Theta(bin)
@@ -466,7 +466,7 @@ func BenchmarkComputeSpectrum8Antennas(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ComputeSpectrum(a, streams, opt); err != nil {
+		if _, err := ComputeSpectrumWS(nil, a, streams, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

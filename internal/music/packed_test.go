@@ -90,15 +90,15 @@ func testPackedScansMatchClosurePaths(t *testing.T) {
 		a, ws, opt := packedTestSetup(t, rng, nAnt)
 		streams := randomStreams(rng, nAnt, 16)
 		snaps := SnapshotsAt(streams, 0, 10)
-		r, err := CorrelationMatrix(snaps)
+		r, err := CorrelationMatrixWS(nil, snaps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := SpatialSmooth(r, 2)
+		rs, err := SpatialSmoothWS(nil, r, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		noise, _, _, err := Subspaces(rs, 0.05, rs.Rows/2)
+		noise, _, _, err := SubspacesWS(nil, rs, 0.05, rs.Rows/2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestLagMUSICGuardFallback(t *testing.T) {
 	src := tab.Vector(srcBin)
 	r := mat.New(8, 8)
 	r.OuterAccumulate(src, 1)
-	noise, _, d, err := Subspaces(r, 0.05, 4)
+	noise, _, d, err := SubspacesWS(nil, r, 0.05, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func testLagScansBitIdenticalToRowMajor(t *testing.T) {
 	tab := NewSteeringTable(a, lambda, DefaultBins)
 	r := mat.New(8, 8)
 	r.OuterAccumulate(tab.Vector(65), 1)
-	noise, _, _, err := Subspaces(r, 0.05, 4)
+	noise, _, _, err := SubspacesWS(nil, r, 0.05, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,9 +458,9 @@ func BenchmarkMUSICWithTableWS(b *testing.B) {
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	streams := randomStreams(rng, 8, 16)
 	snaps := SnapshotsAt(streams, 0, 10)
-	r, _ := CorrelationMatrix(snaps)
-	rs, _ := SpatialSmooth(r, 2)
-	noise, _, _, _ := Subspaces(rs, 0.05, rs.Rows/2)
+	r, _ := CorrelationMatrixWS(nil, snaps)
+	rs, _ := SpatialSmoothWS(nil, r, 2)
+	noise, _, _, _ := SubspacesWS(nil, rs, 0.05, rs.Rows/2)
 	tab := NewSteeringCache(0).Table(a, lambda, DefaultBins)
 	ws := &Workspace{}
 	benchBothKernelSets(b, func() { ws.Recycle(MUSICWithTableWS(ws, noise, tab)) })
@@ -472,7 +472,7 @@ func BenchmarkBartlettVoteWS(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	a.NinthAntenna = true
-	r, _ := CorrelationMatrix(SnapshotsAt(randomStreams(rng, 9, 16), 0, 10))
+	r, _ := CorrelationMatrixWS(nil, SnapshotsAt(randomStreams(rng, 9, 16), 0, 10))
 	tab := NewSteeringCache(0).Table(a, lambda, DefaultBins)
 	ws := &Workspace{}
 	benchBothKernelSets(b, func() { ws.Recycle(BartlettWithTableWS(ws, r, tab)) })
@@ -485,9 +485,9 @@ func BenchmarkMUSICWithTableClosure(b *testing.B) {
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	streams := randomStreams(rng, 8, 16)
 	snaps := SnapshotsAt(streams, 0, 10)
-	r, _ := CorrelationMatrix(snaps)
-	rs, _ := SpatialSmooth(r, 2)
-	noise, _, _, _ := Subspaces(rs, 0.05, rs.Rows/2)
+	r, _ := CorrelationMatrixWS(nil, snaps)
+	rs, _ := SpatialSmoothWS(nil, r, 2)
+	noise, _, _, _ := SubspacesWS(nil, rs, 0.05, rs.Rows/2)
 	cache := NewSteeringCache(0)
 	tab := cache.Table(a, lambda, DefaultBins)
 	b.ReportAllocs()

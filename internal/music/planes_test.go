@@ -238,7 +238,7 @@ func TestPlaneKernelsMatchGo(t *testing.T) {
 		tab := NewSteeringTable(a, lambda, DefaultBins)
 		r := mat.New(8, 8)
 		r.OuterAccumulate(tab.Vector(65), 1)
-		noise, _, _, err := Subspaces(r, 0.05, 4)
+		noise, _, _, err := SubspacesWS(nil, r, 0.05, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

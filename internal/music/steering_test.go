@@ -54,7 +54,7 @@ func TestSteeringTableMatchesDirect(t *testing.T) {
 }
 
 // TestCachedSpectrumMatchesUncached is the steering cache's correctness
-// anchor: the full ComputeSpectrum chain must produce the same spectra
+// anchor: the full ComputeSpectrumWS chain must produce the same spectra
 // as the MUSIC oracle recomputing a(θ) per bin over the same noise
 // subspace. The table scan runs in the lag domain, so the spectra agree
 // to the scans' stated bound (scanTol).
@@ -62,7 +62,7 @@ func TestCachedSpectrumMatchesUncached(t *testing.T) {
 	const tol = scanTol
 	for _, tc := range steeringCases {
 		if tc.name == "circular-8" {
-			continue // ComputeSpectrum's smoothing chain targets linear rows
+			continue // ComputeSpectrumWS's smoothing chain targets linear rows
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			a := tc.build()
@@ -85,7 +85,7 @@ func TestCachedSpectrumMatchesUncached(t *testing.T) {
 				return a.SteeringVectorRow(theta, tc.lambda)[:noise.Rows]
 			}, tc.bins)
 			opt.Steering = NewSteeringCache(0)
-			cached, err := ComputeSpectrum(a, streams[:a.N], opt)
+			cached, err := ComputeSpectrumWS(nil, a, streams[:a.N], opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestCachedBartlettAndSymmetryMatchUncached(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	streams := synth(a, []float64{0.9}, []complex128{1}, 32, false, 0.02, rng)
 	snaps := SnapshotsFromStreams(streams, 0)
-	rFull, err := CorrelationMatrix(snaps)
+	rFull, err := CorrelationMatrixWS(nil, snaps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package music
 
 // The per-frame eigen split in real arithmetic. With forward–backward
 // averaging on (the default), the matrix that reaches the eigensolver is
-// SpatialSmooth(ForwardBackward(R)): Hermitian and persymmetric,
+// SpatialSmoothWS(ForwardBackwardWS(R)): Hermitian and persymmetric,
 // R[i,j] = conj(R[n−1−i,n−1−j]) — centro-Hermitian. Such a matrix is
 // unitarily similar to a real symmetric one through a fixed sparse Q
 // (unitary / real-valued MUSIC: Huarng & Yeh 1991; Linebarger, DeGroat &

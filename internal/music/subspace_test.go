@@ -20,11 +20,11 @@ import (
 // correlation of the given snapshots, plus sigma2·I: exactly Hermitian
 // and persymmetric, as the pipeline's matrices are.
 func centroHermitian(snaps [][]complex128, sigma2 float64) *mat.Matrix {
-	r, err := music.CorrelationMatrix(snaps)
+	r, err := music.CorrelationMatrixWS(nil, snaps)
 	if err != nil {
 		panic(err)
 	}
-	r = music.ForwardBackward(r)
+	r = music.ForwardBackwardWS(nil, r)
 	for i := 0; i < r.Rows; i++ {
 		r.Data[i*r.Cols+i] += complex(sigma2, 0)
 	}
@@ -223,7 +223,7 @@ func TestRealSubspaceGuardFallback(t *testing.T) {
 
 	// Forward–backward off: a sample correlation matrix is Hermitian,
 	// not persymmetric.
-	plain, err := music.CorrelationMatrix(randomSnapshots(rng, n, 10))
+	plain, err := music.CorrelationMatrixWS(nil, randomSnapshots(rng, n, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

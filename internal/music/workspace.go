@@ -5,9 +5,8 @@ package music
 // afresh for every frame makes garbage that dominates the profile at
 // engine rates. A Workspace owns one reusable copy of each
 // intermediate, and every stage of the §2.3 chain has a WS variant
-// threaded through it. There is one arithmetic path: the allocating
-// functions (CorrelationMatrix, SpatialSmooth, …) are their WS variants
-// run on a fresh workspace, so a reused workspace and a fresh one give
+// threaded through it. There is one arithmetic path: a nil workspace
+// is a fresh one, so a reused workspace and a fresh one give
 // bit-for-bit identical spectra (pinned by
 // TestWorkspaceSpectrumBitIdentical).
 
@@ -200,9 +199,10 @@ func SnapshotsAtWS(ws *Workspace, streams [][]complex128, offset, maxSamples int
 	return ws.snapRows
 }
 
-// CorrelationMatrixWS is CorrelationMatrix accumulating into a
-// workspace-owned matrix. The returned matrix aliases ws and is valid
-// until the workspace's next correlation.
+// CorrelationMatrixWS estimates Rxx = E[x·xᴴ] from snapshots, each a
+// length-M per-antenna sample vector (Eq. 4's sample average),
+// accumulating into a workspace-owned matrix. The returned matrix
+// aliases ws and is valid until the workspace's next correlation.
 func CorrelationMatrixWS(ws *Workspace, snapshots [][]complex128) (*mat.Matrix, error) {
 	ws = orFresh(ws)
 	if len(snapshots) == 0 {
@@ -221,9 +221,13 @@ func CorrelationMatrixWS(ws *Workspace, snapshots [][]complex128) (*mat.Matrix, 
 	return r, nil
 }
 
-// ForwardBackwardWS is ForwardBackward writing into a workspace-owned
-// matrix (distinct from ws's correlation matrix, so the input may be
-// the result of CorrelationMatrixWS).
+// ForwardBackwardWS returns the forward-backward averaged correlation
+// matrix (R + J·R̄·J)/2, where J is the exchange matrix. For a uniform
+// linear array this doubles the effective decorrelating groups of
+// spatial smoothing at no antenna cost — a standard companion to the
+// Shan–Wax–Kailath smoothing the paper uses. It writes into a
+// workspace-owned matrix (distinct from ws's correlation matrix, so the
+// input may be the result of CorrelationMatrixWS).
 func ForwardBackwardWS(ws *Workspace, r *mat.Matrix) *mat.Matrix {
 	ws = orFresh(ws)
 	m := r.Rows
@@ -239,8 +243,11 @@ func ForwardBackwardWS(ws *Workspace, r *mat.Matrix) *mat.Matrix {
 	return out
 }
 
-// SpatialSmoothWS is SpatialSmooth writing into a workspace-owned
-// matrix.
+// SpatialSmoothWS applies forward spatial smoothing with ng
+// overlapping subarray groups to an M×M correlation matrix, returning
+// the (M−ng+1)×(M−ng+1) smoothed matrix (§2.3.2, Figure 6) in a
+// workspace-owned matrix. ng=1 returns a copy. It decorrelates
+// phase-locked multipath arrivals so MUSIC can resolve them.
 func SpatialSmoothWS(ws *Workspace, r *mat.Matrix, ng int) (*mat.Matrix, error) {
 	ws = orFresh(ws)
 	m := r.Rows
@@ -269,9 +276,17 @@ func SpatialSmoothWS(ws *Workspace, r *mat.Matrix, ng int) (*mat.Matrix, error) 
 	return out, nil
 }
 
-// SubspacesWS is Subspaces drawing its eigendecomposition scratch and
-// subspace matrices from the workspace. The returned matrices alias ws
-// and are valid until its next use.
+// SubspacesWS splits the eigenvectors of a correlation matrix into
+// noise and signal subspaces. D, the signal count, is chosen as the
+// number of eigenvalues exceeding thresholdFrac times the largest
+// eigenvalue (§2.3.1: "a threshold that is a fraction of the largest
+// eigenvalue"), capped at maxD when maxD > 0. At low SNR the threshold
+// rule alone inflates D until almost no noise subspace remains —
+// capping at M/2 (the caller's default) keeps the spectrum meaningful.
+// At least one eigenvector is always left in the noise subspace, since
+// MUSIC needs one. The eigendecomposition scratch and the subspace
+// matrices come from the workspace; the returned matrices alias ws and
+// are valid until its next use.
 func SubspacesWS(ws *Workspace, r *mat.Matrix, thresholdFrac float64, maxD int) (noise, signal *mat.Matrix, d int, err error) {
 	ws = orFresh(ws)
 	e, err := mat.EigHermitianWS(r, &ws.eig)

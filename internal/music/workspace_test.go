@@ -42,7 +42,7 @@ func TestWorkspaceSpectrumBitIdentical(t *testing.T) {
 			}
 			opt.CalibrationOffsets = calib
 		}
-		want, err := ComputeSpectrum(a, streams, opt)
+		want, err := ComputeSpectrumWS(nil, a, streams, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestWorkspaceStagesBitIdentical(t *testing.T) {
 		}
 	}
 
-	r, err := CorrelationMatrix(snaps)
+	r, err := CorrelationMatrixWS(nil, snaps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestWorkspaceStagesBitIdentical(t *testing.T) {
 		}
 	}
 
-	fb := ForwardBackward(r)
+	fb := ForwardBackwardWS(nil, r)
 	fbWS := ForwardBackwardWS(ws, rWS)
 	for i := range fb.Data {
 		if fb.Data[i] != fbWS.Data[i] {
@@ -105,7 +105,7 @@ func TestWorkspaceStagesBitIdentical(t *testing.T) {
 	}
 
 	for ng := 1; ng <= 3; ng++ {
-		sm, err := SpatialSmooth(fb, ng)
+		sm, err := SpatialSmoothWS(nil, fb, ng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,9 +123,9 @@ func TestWorkspaceStagesBitIdentical(t *testing.T) {
 		}
 	}
 
-	sm, _ := SpatialSmooth(fb, 2)
+	sm, _ := SpatialSmoothWS(nil, fb, 2)
 	smWS, _ := SpatialSmoothWS(ws, fbWS, 2)
-	noise, signal, d, err := Subspaces(sm, 0.05, 3)
+	noise, signal, d, err := SubspacesWS(nil, sm, 0.05, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	}
 
 	allocating := testing.AllocsPerRun(20, func() {
-		if _, err := ComputeSpectrum(a, streams, opt); err != nil {
+		if _, err := ComputeSpectrumWS(nil, a, streams, opt); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -200,7 +200,7 @@ func TestWorkspacePool(t *testing.T) {
 
 // TestEstimators exercises the pluggable estimators on a single strong
 // source: every estimator must peak near the true bearing, and the
-// MUSIC estimator must match ComputeSpectrum exactly.
+// MUSIC estimator must match ComputeSpectrumWS exactly.
 func TestEstimators(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
@@ -239,7 +239,7 @@ func TestEstimators(t *testing.T) {
 		t.Fatal("empty name must resolve to MUSIC")
 	}
 
-	want, err := ComputeSpectrum(a, streams, opt)
+	want, err := ComputeSpectrumWS(nil, a, streams, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestEstimators(t *testing.T) {
 	}
 	for i := range want.P {
 		if got.P[i] != want.P[i] {
-			t.Fatal("MUSIC estimator must match ComputeSpectrum bit for bit")
+			t.Fatal("MUSIC estimator must match ComputeSpectrumWS bit for bit")
 		}
 	}
 }

@@ -3,6 +3,7 @@ package ops
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -85,23 +86,30 @@ func (p *promWriter) gaugeF(name, help string, v float64) {
 	fmt.Fprintf(&p.b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 }
 
-// CacheSeries passes each series of one cache's usage to emit, named
-// prefix+suffix in exposition order: the gauges entries, bytes and
-// budget_bytes, then the counters, suffixed _total. /metrics and the
-// server's stats log both list a cache through it.
-func CacheSeries(prefix string, u lru.Usage, emit func(name, help string, counter bool, v uint64)) {
-	emit(prefix+"entries", "Entries held.", false, uint64(u.Entries))
-	emit(prefix+"bytes", "Accounted size: the summed cost of held entries.", false, uint64(u.Bytes))
-	emit(prefix+"budget_bytes", "Byte budget (0 = unbounded).", false, uint64(u.Budget))
-	emit(prefix+"hits_total", "Lookup hits.", true, u.Hits)
-	emit(prefix+"misses_total", "Lookup misses (entries built).", true, u.Misses)
-	emit(prefix+"evictions_total", "Entries evicted to stay within the budget, spills included.", true, u.Evictions)
-	emit(prefix+"second_choice_total", "Entries placed at their second-choice shard (two-choice placement).", true, u.SecondChoice)
-	emit(prefix+"spills_total", "Entries larger than a shard's budget slice, served without retention.", true, u.Spills)
-	emit(prefix+"dense_evictions_total", "Evictions of entries costing >= 4 MiB (dense-pitch LUTs).", true, u.DenseEvictions)
+// cache writes one cache's usage as series named prefix+suffix: the
+// gauges entries, bytes and budget_bytes, then the counters, suffixed
+// _total.
+func (p *promWriter) cache(prefix string, u lru.Usage) {
+	p.series(prefix+"entries", "Entries held.", false, uint64(u.Entries))
+	p.series(prefix+"bytes", "Accounted size: the summed cost of held entries.", false, uint64(u.Bytes))
+	p.series(prefix+"budget_bytes", "Byte budget (0 = unbounded).", false, uint64(u.Budget))
+	p.series(prefix+"hits_total", "Lookup hits.", true, u.Hits)
+	p.series(prefix+"misses_total", "Lookup misses (entries built).", true, u.Misses)
+	p.series(prefix+"evictions_total", "Entries evicted to stay within the budget, spills included.", true, u.Evictions)
+	p.series(prefix+"second_choice_total", "Entries placed at their second-choice shard (two-choice placement).", true, u.SecondChoice)
+	p.series(prefix+"spills_total", "Entries larger than a shard's budget slice, served without retention.", true, u.Spills)
+	p.series(prefix+"dense_evictions_total", "Evictions of entries costing >= 4 MiB (dense-pitch LUTs).", true, u.DenseEvictions)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.WriteMetrics(w)
+}
+
+// WriteMetrics writes every series in the Prometheus text exposition
+// format: the body of GET /metrics, and what the server's stats log
+// lists.
+func (s *Server) WriteMetrics(w io.Writer) {
 	st := s.Engine.Stats()
 	var p promWriter
 
@@ -176,9 +184,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	cfg := s.Engine.Config()
 	syn := cfg.SynthCache.Usage()
-	CacheSeries("arraytrack_synth_cache_", syn.Usage, p.series)
+	p.cache("arraytrack_synth_cache_", syn.Usage)
 	p.counter("arraytrack_synth_cache_slices_total", "Region LUTs sliced from cached full-grid entries.", syn.Slices)
-	CacheSeries("arraytrack_steering_cache_", cfg.Steering.Usage(), p.series)
+	p.cache("arraytrack_steering_cache_", cfg.Steering.Usage())
 
 	p.gaugeF("arraytrack_predict_sigma", "Live predictive-region sigma (0 = predictive path disabled).", s.Engine.PredictSigma())
 	p.gauge("arraytrack_client_quota", "Per-client scheduler token budget (0 = unlimited).", int64(s.Engine.ClientQuota()))
@@ -187,8 +195,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	p.gauge("arraytrack_shed_after_ms", "Overload-shedding age bound in milliseconds (0 = shedding off).", int64(s.Engine.ShedAfter()/time.Millisecond))
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, p.b.String())
+	io.WriteString(w, p.b.String())
 }
 
 // clientView is the introspection JSON for one tracked client.

@@ -5,9 +5,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,82 +16,60 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/geom"
 	"repro/internal/ops"
 	"repro/internal/server"
 )
 
 // ChaosOptions sizes the hostile-network experiment: an AP killed
-// mid-walk with degraded-quorum serving, a slow-loris connection
-// against the idle reaper, chaos-corrupted frames against the AP error
-// budget, and a burst against the engine's overload shedding.
+// mid-walk (before step Steps/2) with degraded-quorum serving, a
+// slow-loris connection against the idle reaper, chaos-corrupted
+// frames against the AP error budget, and a burst against the engine's
+// overload shedding.
 type ChaosOptions struct {
-	// Steps is the number of fixes along the walk; KillStep is the
-	// first step at which the victim AP is dead.
-	Steps, KillStep int
-	// Dt is the seconds between fixes, Speed the walk speed in m/s.
-	Dt, Speed float64
-	// WalkerSites are the AP sites that hear the walking client; the
-	// LAST one is the AP killed at KillStep. SurvivorSites hear the
-	// stationary client and must exclude the killed site, so the
-	// survivor's captures are identical with and without the fault —
-	// any RMSE difference is then the server's fault, not the
-	// channel's.
-	WalkerSites, SurvivorSites []int
-	// Capture configures the simulated radios.
-	Capture CaptureOptions
+	// Steps is the number of fixes along the walk.
+	Steps int
+	// Antennas is the AP row size.
+	Antennas int
 	// GridCell is the synthesis pitch.
 	GridCell float64
-	// Tracker configures the Kalman layer (identically in both runs).
-	Tracker engine.TrackerOptions
-	// Quorum and DegradedQuorum set the backend's full and degraded
-	// flush thresholds; DegradedAfter is the stuck-group age that
-	// triggers a degraded flush.
-	Quorum, DegradedQuorum int
-	DegradedAfter          time.Duration
-	// IdleTimeout is the per-connection read deadline the slow-loris
-	// phase must be reaped within twice of.
-	IdleTimeout time.Duration
-	// ErrorBudget is the corrupted-frame count that quarantines an AP.
-	ErrorBudget int
-	// ShedAfter is the queue-age bound for the overload burst;
-	// BurstJobs how many batch jobs the burst submits to one worker.
-	ShedAfter time.Duration
-	BurstJobs int
-	// Seed drives the channel noise and the chaos injectors.
-	Seed int64
 }
 
 // DefaultChaosOptions walks for 14 fixes and kills one of the walker's
-// four APs after the 7th.
-func DefaultChaosOptions() ChaosOptions {
-	opt := ChaosOptions{
-		Steps:          14,
-		KillStep:       7,
-		Dt:             1.0,
-		Speed:          1.2,
-		WalkerSites:    []int{0, 1, 2, 3},
-		SurvivorSites:  []int{0, 1, 2, 4},
-		Capture:        DefaultCaptureOptions(),
-		GridCell:       0.25,
-		Tracker:        engine.TrackerOptions{ProcessNoise: 0.3, MeasSigma: 0.8, Gate: 3, DegradedGateScale: 1.5},
-		Quorum:         4,
-		DegradedQuorum: 3,
-		DegradedAfter:  500 * time.Millisecond,
-		IdleTimeout:    250 * time.Millisecond,
-		ErrorBudget:    3,
-		ShedAfter:      5 * time.Millisecond,
-		BurstJobs:      24,
-		Seed:           71,
+// four APs after the 7th; fast walks 6 fixes on 4-antenna rows at a
+// 0.5 m pitch.
+func DefaultChaosOptions(fast bool) ChaosOptions {
+	if fast {
+		return ChaosOptions{Steps: 6, Antennas: 4, GridCell: 0.5}
 	}
-	// One capture per AP per step: the quorum flush fires on the Nth
-	// distinct AP's first capture, so multi-frame captures would strand
-	// a trailing frame in the next group and blur the per-step
-	// accounting this experiment asserts on.
-	opt.Capture.Antennas = 6
-	opt.Capture.Frames = 1
-	return opt
+	return ChaosOptions{Steps: 14, Antennas: 6, GridCell: 0.25}
 }
+
+// The chaos drill's fixed factors. The walker's LAST site is the AP
+// killed mid-walk; the survivor's sites exclude it, so the survivor's
+// captures are identical with and without the fault — any RMSE
+// difference is then the server's fault, not the channel's.
+var (
+	chaosWalkerSites   = []int{0, 1, 2, 3}
+	chaosSurvivorSites = []int{0, 1, 2, 4}
+)
+
+const (
+	chaosSeed = 71
+	// chaosQuorum is every walker AP; one dead AP leaves a group at
+	// chaosDegradedQuorum, flushed after chaosDegradedAfter.
+	chaosQuorum         = 4
+	chaosDegradedQuorum = 3
+	chaosDegradedAfter  = 500 * time.Millisecond
+	// chaosIdleTimeout is the read deadline the slow loris must be
+	// reaped within twice of.
+	chaosIdleTimeout = 250 * time.Millisecond
+	// chaosErrorBudget is the corrupted-frame count that quarantines
+	// an AP.
+	chaosErrorBudget = 3
+	// chaosBurstJobs is the overload burst one worker faces; the shed
+	// bound is sized from a timed job (see RunChaos phase D).
+	chaosBurstJobs = 24
+)
 
 // ChaosResult is the machine-readable outcome of the chaos run.
 type ChaosResult struct {
@@ -119,7 +97,7 @@ type ChaosResult struct {
 	// scrapeable on the degraded server.
 	HealthzOK, MetricsOK bool
 	// ReapedWithin is how long the slow-loris connection survived past
-	// its half-written frame; ReapBound is the 2×IdleTimeout gate.
+	// its half-written frame; ReapBound is the gate, twice the idle timeout.
 	ReapedWithin, ReapBound time.Duration
 	// DeadlineReaped is the backend's reap counter (want 1) and
 	// HealthyConnSurvived that a concurrent well-behaved connection
@@ -138,6 +116,8 @@ type ChaosResult struct {
 	// engine degrades, it does not stop.
 	Shed      uint64
 	ShedFixes int
+
+	served *trial
 }
 
 // chaosCountDispatcher releases every flush and counts it.
@@ -166,27 +146,22 @@ func chaosIngest(be *server.Backend, caps []server.Capture) error {
 	return nil
 }
 
-// chaosSmallCaps builds n tiny self-owned captures for the wire-level
+// chaosSmallCap builds one tiny self-owned capture for the wire-level
 // phases (reap, quarantine), where the spectra never run.
-func chaosSmallCaps(rng *rand.Rand, apID, clientID uint32, ts time.Time, n int) []server.Capture {
-	caps := make([]server.Capture, n)
-	for i := range caps {
-		streams := make([][]complex128, 4)
-		for a := range streams {
-			row := make([]complex128, 16)
-			for s := range row {
-				row[s] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
-			}
-			streams[a] = row
+func chaosSmallCap(rng *rand.Rand, apID, clientID uint32) []server.Capture {
+	streams := make([][]complex128, 4)
+	for a := range streams {
+		streams[a] = make([]complex128, 16)
+		for s := range streams[a] {
+			streams[a][s] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
 		}
-		caps[i] = server.Capture{APID: apID, ClientID: clientID, Seq: uint32(i), Timestamp: ts, Streams: streams}
 	}
-	return caps
+	return []server.Capture{{APID: apID, ClientID: clientID, Timestamp: walkBase, Streams: streams}}
 }
 
 // RunChaos regenerates the survive-a-hostile-network claim in four
 // phases. (A) One of the walker's four APs dies mid-walk: with
-// DegradedQuorum set, the walker keeps receiving fixes — every one
+// degraded-quorum serving, the walker keeps receiving fixes — every one
 // flagged Degraded end-to-end — while the stationary client on the
 // surviving APs produces *exactly* the trajectory of a no-fault
 // control run, and no pooled ingest workspace leaks. (B) A slow-loris
@@ -197,92 +172,45 @@ func chaosSmallCaps(rng *rand.Rand, apID, clientID uint32, ts time.Time, n int) 
 // expiry readmits it. (D) A burst against one worker sheds aged batch
 // jobs with ErrOverloaded instead of stalling the queue.
 func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
-	rng := rand.New(rand.NewSource(opt.Seed))
-	cfg := core.DefaultConfig(tb.Wavelength)
-	cfg.GridCell = opt.GridCell
-	base := time.Unix(1700000000, 0).UTC()
+	capture := DefaultCaptureOptions()
+	capture.Antennas = opt.Antennas
+	// One capture per AP per step: the quorum flush fires on the Nth
+	// distinct AP's first capture, so multi-frame captures would strand
+	// a trailing frame in the next group and blur the per-step
+	// accounting this experiment asserts on.
+	capture.Frames = 1
+	tracker := drillTracker
+	tracker.DegradedGateScale = 1.5
+	w := tb.newWalk(walkShape{
+		steps: opt.Steps, capture: capture, gridCell: opt.GridCell, tracker: tracker, seed: chaosSeed,
+	}, walkClient{1, chaosWalkerSites}, walkClient{2, chaosSurvivorSites})
 	leased0 := server.LeasedIngestWorkspaces()
 
-	res := &ChaosResult{PostKillSteps: opt.Steps - opt.KillStep, ReapBound: 2 * opt.IdleTimeout}
+	res := &ChaosResult{PostKillSteps: opt.Steps - w.mid(), ReapBound: 2 * chaosIdleTimeout}
 	r := &Report{ID: "chaos", Title: "AP kill, slow-loris, corrupted frames, overload burst"}
 
 	// ---- Phase A: AP kill mid-walk, degraded-quorum serving ----
 
-	// APs by wire ID (site index + 1); the killed AP is the walker's
-	// last site, which the survivor's set must not contain.
-	killedSite := opt.WalkerSites[len(opt.WalkerSites)-1]
+	// APs by wire ID (site index + 1).
+	killedSite := chaosWalkerSites[len(chaosWalkerSites)-1]
 	killedAP := uint32(killedSite + 1)
 	apByID := map[uint32]*core.AP{}
-	for _, s := range append(append([]int{}, opt.WalkerSites...), opt.SurvivorSites...) {
-		if _, ok := apByID[uint32(s+1)]; !ok {
-			apByID[uint32(s+1)] = &core.AP{Array: tb.NewArray(tb.Sites[s], opt.Capture)}
-		}
-		if uint32(s+1) == killedAP && s != killedSite {
-			return nil, nil, fmt.Errorf("testbed: survivor site %d is the killed AP", s)
+	for _, cl := range w.clients {
+		for _, s := range cl.sites {
+			apByID[uint32(s+1)] = &core.AP{Array: tb.NewArray(tb.Sites[s], capture)}
 		}
 	}
-	for _, s := range opt.SurvivorSites {
-		if s == killedSite {
-			return nil, nil, fmt.Errorf("testbed: survivor sites must exclude killed site %d", killedSite)
-		}
-	}
-
-	stepTime := func(i int) time.Time {
-		return base.Add(time.Duration(float64(i) * opt.Dt * float64(time.Second)))
-	}
-	clientSites := map[uint32][]int{1: opt.WalkerSites, 2: opt.SurvivorSites}
-	truthAt := func(id uint32, i int) geom.Point {
-		if id == 1 {
-			return trackingTruth(TrackingOptions{Dt: opt.Dt, Speed: opt.Speed}, i)
-		}
-		return geom.Pt(33, 3)
-	}
-
-	// Pre-generate every wire capture once, so the control and fault
-	// runs (and the survivor in both) see identical inputs.
-	wire := make([]map[uint32][]server.Capture, opt.Steps)
-	for i := 0; i < opt.Steps; i++ {
-		step := map[uint32][]server.Capture{}
-		for _, id := range []uint32{1, 2} {
-			var caps []server.Capture
-			for _, s := range clientSites[id] {
-				frames := Cut(tb.CaptureClient(truthAt(id, i), tb.Sites[s], opt.Capture, rng))
-				for _, f := range frames {
-					caps = append(caps, server.Capture{
-						APID: uint32(s + 1), ClientID: id, Seq: uint32(i),
-						Timestamp: stepTime(i), Streams: f.Streams,
-					})
-				}
-			}
-			step[id] = caps
-		}
-		wire[i] = step
-	}
-
-	// Both runs share a simulated clock: the backend's stuck-group age
-	// and the tracker's dt arithmetic run on it, so "DegradedAfter
-	// later" is a clock assignment, not a sleep. Atomic, because the
-	// pre-sweep advance on a dead step happens while the survivor's
-	// job (flushed at ingest) may still be reading Now from a worker.
-	var simNanos atomic.Int64
-	simNanos.Store(base.UnixNano())
-	simNow := func() time.Time { return time.Unix(0, simNanos.Load()) }
-	trackerOpt := opt.Tracker
-	trackerOpt.Now = simNow
 
 	type walkRun struct {
-		smoothed      map[uint32][]geom.Point
-		errsCM        map[uint32][]float64
-		degradedFixes int
-		missed        int
-		eng           *engine.Engine
-		be            *server.Backend
-		sink          *engine.CaptureSink
+		*trial
+		degradedFixes, missed int
+		eng                   *engine.Engine
+		be                    *server.Backend
+		sink                  *engine.CaptureSink
 	}
 	runWalk := func(kill bool) (*walkRun, error) {
-		out := &walkRun{smoothed: map[uint32][]geom.Point{}, errsCM: map[uint32][]float64{}}
-		tracker := engine.NewTracker(trackerOpt)
-		out.eng = engine.New(engine.Options{Config: cfg, Tracker: tracker})
+		out := &walkRun{}
+		out.eng = engine.New(engine.Options{Config: w.cfg, Tracker: engine.NewTracker(w.trackerOptions())})
 		results := make(chan engine.Result, 8)
 		out.sink = &engine.CaptureSink{
 			Engine:   out.eng,
@@ -290,129 +218,97 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 			Min:      tb.Plan.Min,
 			Max:      tb.Plan.Max,
 			OnResult: func(r engine.Result) { results <- r },
-			Now:      simNow,
+			Now:      w.clock,
 		}
-		out.be = server.NewBackendDispatcher(opt.Quorum, time.Second, out.sink)
-		out.be.DegradedQuorum = opt.DegradedQuorum
-		out.be.DegradedAfter = opt.DegradedAfter
-		out.be.Now = simNow
+		out.be = server.NewBackendDispatcher(chaosQuorum, time.Second, out.sink)
+		out.be.DegradedQuorum = chaosDegradedQuorum
+		out.be.DegradedAfter = chaosDegradedAfter
+		out.be.Now = w.clock
 
-		for i := 0; i < opt.Steps; i++ {
-			simNanos.Store(stepTime(i).UnixNano())
-			dead := kill && i >= opt.KillStep
-			for _, id := range []uint32{2, 1} {
-				caps := wire[i][id]
-				if dead && id == 1 {
-					live := make([]server.Capture, 0, len(caps))
-					for _, c := range caps {
-						if c.APID != killedAP {
-							live = append(live, c)
-						}
+		dead := false
+		serve := func(i int) (map[uint32]engine.Result, error) {
+			// The survivor first, then the walker, each as one wire frame.
+			for _, c := range []int{1, 0} {
+				var caps []server.Capture
+				for s, site := range w.clients[c].sites {
+					if dead && c == 0 && uint32(site+1) == killedAP {
+						continue
 					}
-					caps = live
+					for _, f := range w.frames[i][c][s] {
+						caps = append(caps, server.Capture{
+							APID: uint32(site + 1), ClientID: w.clients[c].id, Seq: uint32(i),
+							Timestamp: w.stepTime(i), Streams: f.Streams,
+						})
+					}
 				}
 				if err := chaosIngest(out.be, caps); err != nil {
-					return out, err
+					return nil, err
 				}
 			}
 			if dead {
 				// The walker's group is stuck one AP short of quorum;
-				// DegradedAfter later the janitor sweep flushes it degraded.
-				simNanos.Store(stepTime(i).Add(opt.DegradedAfter + 50*time.Millisecond).UnixNano())
+				// chaosDegradedAfter later the janitor sweep flushes it
+				// degraded.
+				w.now.Store(w.stepTime(i).Add(chaosDegradedAfter + 50*time.Millisecond).UnixNano())
 				out.be.Sweep()
 			}
-			got := map[uint32]engine.Result{}
-			deadline := time.After(30 * time.Second)
-			for len(got) < 2 {
-				select {
-				case r := <-results:
-					got[r.ClientID] = r
-				case <-deadline:
-					if _, ok := got[2]; !ok {
-						return out, fmt.Errorf("testbed: no survivor fix at step %d", i)
-					}
-					out.missed++
-					got[1] = engine.Result{ClientID: 1, Err: fmt.Errorf("missed")}
-				}
+			// A walker fix may be missed; the survivor's may not.
+			got, _ := collectFixes(results, 2)
+			if _, ok := got[2]; !ok {
+				return nil, fmt.Errorf("testbed: no survivor fix at step %d", i)
 			}
-			for _, id := range []uint32{1, 2} {
-				r := got[id]
-				if r.Err != nil || r.Track == nil {
-					if id == 2 {
-						return out, fmt.Errorf("testbed: survivor fix failed at step %d: %v", i, r.Err)
-					}
-					continue
-				}
-				out.smoothed[id] = append(out.smoothed[id], r.Track.Smoothed)
-				out.errsCM[id] = append(out.errsCM[id], r.Track.Smoothed.Dist(truthAt(id, i))*100)
-				if id == 1 && dead && r.Degraded && r.Track.Degraded {
-					out.degradedFixes++
-				}
+			if walker, ok := got[1]; !ok || walker.Err != nil || walker.Track == nil {
+				out.missed++
+				delete(got, 1)
+			} else if dead && walker.Degraded && walker.Track.Degraded {
+				out.degradedFixes++
 			}
+			return got, nil
 		}
-		return out, nil
+		var perturb func() error
+		if kill {
+			perturb = func() error { dead = true; return nil }
+		}
+		var err error
+		out.trial, err = w.run(serve, perturb)
+		return out, err
 	}
 
 	ctrl, err := runWalk(false)
+	ctrl.eng.Drain()
 	if err != nil {
-		if ctrl != nil && ctrl.eng != nil {
-			ctrl.eng.Close()
-		}
 		return nil, nil, err
 	}
-	ctrl.eng.Drain()
-
 	fault, err := runWalk(true)
 	if err != nil {
-		if fault != nil && fault.eng != nil {
-			fault.eng.Close()
-		}
+		fault.eng.Close()
 		return nil, nil, err
 	}
+	res.served = fault.trial
 	res.DegradedFixes = fault.degradedFixes
 	res.MissedFixes = fault.missed
-	health := fault.be.Health()
-	res.DegradedFlushes = health.DegradedFlushes
+	res.DegradedFlushes = fault.be.Health().DegradedFlushes
 
 	// The degraded server's ops surface must stay up: /healthz green,
 	// /metrics scrapeable with the fault counters present.
-	srv := httptest.NewServer((&ops.Server{
-		Engine:  fault.eng,
-		Backend: fault.be, Sink: fault.sink,
-	}).Handler())
-	if resp, err := srv.Client().Get(srv.URL + "/healthz"); err == nil {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		res.HealthzOK = resp.StatusCode == 200 && strings.TrimSpace(string(body)) == "ok"
-	}
-	if resp, err := srv.Client().Get(srv.URL + "/metrics"); err == nil {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		text := string(body)
-		res.MetricsOK = resp.StatusCode == 200 &&
-			strings.Contains(text, fmt.Sprintf("arraytrack_degraded_flushes_total %d", res.DegradedFlushes)) &&
-			strings.Contains(text, "arraytrack_degraded_fixes_total") &&
-			strings.Contains(text, "arraytrack_leased_ingest_workspaces")
-	}
-	srv.Close()
+	opsH := (&ops.Server{Engine: fault.eng, Backend: fault.be, Sink: fault.sink}).Handler()
+	code, body := get(opsH, "/healthz")
+	res.HealthzOK = code == 200 && strings.TrimSpace(body) == "ok"
+	code, body = get(opsH, "/metrics")
+	res.MetricsOK = code == 200 &&
+		strings.Contains(body, fmt.Sprintf("arraytrack_degraded_flushes_total %d", res.DegradedFlushes)) &&
+		strings.Contains(body, "arraytrack_degraded_fixes_total") &&
+		strings.Contains(body, "arraytrack_leased_ingest_workspaces")
 	fault.eng.Drain()
 
 	// Survivor parity: identical captures through a faulting server
 	// must yield an identical smoothed trajectory.
-	for i := range ctrl.smoothed[2] {
-		if i >= len(fault.smoothed[2]) || ctrl.smoothed[2][i] != fault.smoothed[2][i] {
-			res.SurvivorMismatches++
-		}
-	}
-	ctrlRMSE := rmseSqrt(ctrl.errsCM[2])
-	res.SurvivorRMSECM = rmseSqrt(fault.errsCM[2])
-	res.RMSEDeltaCM = res.SurvivorRMSECM - ctrlRMSE
-	if res.RMSEDeltaCM < 0 {
-		res.RMSEDeltaCM = -res.RMSEDeltaCM
-	}
-	res.WalkerRMSECM = rmseSqrt(fault.errsCM[1])
+	res.SurvivorMismatches = mismatches(ctrl.trial, fault.trial, 2)
+	res.RMSEDeltaCM = rmseDelta(ctrl.trial, fault.trial, 2)
+	res.SurvivorRMSECM = fault.rmse(2)
+	res.WalkerRMSECM = fault.rmse(1)
 
-	r.Addf("phase A: killed AP %d (site %d) before step %d of %d", killedAP, killedSite, opt.KillStep+1, opt.Steps)
+	r.Addf("phase A: killed AP %d (site %d) before step %d of %d", killedAP, killedSite, w.mid()+1, opt.Steps)
 	r.Addf("  walker fixes post-kill: %d degraded, %d missed (want %d/0)",
 		res.DegradedFixes, res.MissedFixes, res.PostKillSteps)
 	r.Addf("  degraded flushes %d, walker RMSE %.1fcm (3 APs), survivor RMSE %.1fcm",
@@ -422,9 +318,13 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 
 	// ---- Phase B: slow-loris vs the idle reaper ----
 
+	// The wire-level phases (B, C) never run the spectra: tiny random
+	// captures suffice.
+	rng := rand.New(rand.NewSource(chaosSeed))
+
 	reapDisp := &chaosCountDispatcher{}
 	reapBE := server.NewBackendDispatcher(1, time.Second, reapDisp)
-	reapBE.IdleTimeout = opt.IdleTimeout
+	reapBE.IdleTimeout = chaosIdleTimeout
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, nil, err
@@ -447,13 +347,13 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 	}
 	// The healthy connection keeps feeding frames well inside the idle
 	// timeout for the whole phase.
-	healthyCaps := chaosSmallCaps(rng, 1, 100, base, 1)
+	healthyCaps := chaosSmallCap(rng, 1, 100)
 	var healthyWG sync.WaitGroup
 	stopHealthy := make(chan struct{})
 	healthyWG.Add(1)
 	go func() {
 		defer healthyWG.Done()
-		tick := time.NewTicker(opt.IdleTimeout / 5)
+		tick := time.NewTicker(chaosIdleTimeout / 5)
 		defer tick.Stop()
 		for {
 			select {
@@ -469,11 +369,11 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 
 	// The slow loris: chaos truncation delivers half a frame and
 	// reports success, then the connection goes quiet.
-	lorisFrame, err := server.AppendBatch(nil, chaosSmallCaps(rng, 2, 101, base, 1))
+	lorisFrame, err := server.AppendBatch(nil, chaosSmallCap(rng, 2, 101))
 	if err != nil {
 		return nil, nil, err
 	}
-	loris := chaos.NewInjector(chaos.Plan{Seed: opt.Seed, TruncateAfterBytes: int64(len(lorisFrame) / 2)})
+	loris := chaos.NewInjector(chaos.Plan{Seed: chaosSeed, TruncateAfterBytes: int64(len(lorisFrame) / 2)})
 	lorisW := loris.Writer(stalled)
 	for off, chunk := 0, len(lorisFrame)/4+1; off < len(lorisFrame); off += chunk {
 		end := off + chunk
@@ -491,7 +391,7 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 
 	// The healthy connection must still be ingesting after the reap.
 	flushesAtReap := reapDisp.flushes.Load()
-	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(opt.IdleTimeout / 5) {
+	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(chaosIdleTimeout / 5) {
 		if reapDisp.flushes.Load() >= flushesAtReap+2 {
 			res.HealthyConnSurvived = true
 			break
@@ -511,21 +411,21 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 
 	// ---- Phase C: corrupted frames vs the AP error budget ----
 
-	qNow := base
+	qNow := walkBase
 	quarDisp := &chaosCountDispatcher{}
 	quarBE := server.NewBackendDispatcher(1, time.Second, quarDisp)
-	quarBE.ErrorBudget = opt.ErrorBudget
+	quarBE.ErrorBudget = chaosErrorBudget
 	quarBE.Cooldown = 5 * time.Second
 	quarBE.Now = func() time.Time { return qNow }
 
-	goodFrame, err := server.AppendBatch(nil, chaosSmallCaps(rng, 9, 102, base, 1))
+	goodFrame, err := server.AppendBatch(nil, chaosSmallCap(rng, 9, 102))
 	if err != nil {
 		return nil, nil, err
 	}
 	// Flip one bit in the frame's body-length field: the header parses
 	// or the body-size check fails, deterministically, and the decode
 	// error is charged to the AP that last spoke on the connection.
-	flipper := chaos.NewInjector(chaos.Plan{Seed: opt.Seed + 1, FlipProb: 1})
+	flipper := chaos.NewInjector(chaos.Plan{Seed: chaosSeed + 1, FlipProb: 1})
 	var flipped bytes.Buffer
 	if _, err := flipper.Writer(&flipped).Write(goodFrame[4:8]); err != nil {
 		return nil, nil, err
@@ -533,7 +433,7 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 	res.BitFlips = flipper.Stats().BitFlips
 	corrupted := append(append(append([]byte{}, goodFrame[:4]...), flipped.Bytes()...), goodFrame[8:]...)
 
-	for round := 0; round < opt.ErrorBudget; round++ {
+	for round := 0; round < chaosErrorBudget; round++ {
 		stream := append(append([]byte{}, goodFrame...), corrupted...)
 		quarBE.ServeConn(bytes.NewReader(stream)) // good frame pins the AP, corrupt frame errors
 	}
@@ -546,32 +446,37 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 	res.Readmitted = quarDisp.flushes.Load() == flushesBefore+1 && quarBE.Health().Quarantined == 0
 
 	r.Addf("phase C: %d bit-flipped frames -> %d quarantine, %d captures dropped, readmitted after cooldown: %v",
-		opt.ErrorBudget, res.Quarantines, res.QuarantineDropped, res.Readmitted)
+		chaosErrorBudget, res.Quarantines, res.QuarantineDropped, res.Readmitted)
 
 	// ---- Phase D: overload burst vs shedding ----
 
-	burstCfg := core.DefaultConfig(tb.Wavelength)
-	burstCfg.GridCell = 0.25
 	// A deep queue so the whole burst is admitted at once: the point is
-	// aged-in-queue shedding, not Submit backpressure.
-	burstEng := engine.New(engine.Options{Workers: 1, Queue: opt.BurstJobs, Config: burstCfg, ShedAfter: opt.ShedAfter})
-	burstAPs := tb.APsFor(opt.WalkerSites, opt.Capture)
-	burstFrames := make([][]core.FrameCapture, len(opt.WalkerSites))
-	for si, s := range opt.WalkerSites {
-		burstFrames[si] = Cut(tb.CaptureClient(truthAt(1, 0), tb.Sites[s], opt.Capture, rng))
+	// aged-in-queue shedding, not Submit backpressure. The shed bound is
+	// two jobs' time at this shape, timed on this engine (the fastest of
+	// three, the first filling the caches), so the burst's tail ages
+	// past it whatever a fix costs.
+	burstEng := engine.New(engine.Options{Workers: 1, Queue: chaosBurstJobs, Config: w.cfg})
+	defer burstEng.Close()
+	burstAPs := tb.APsFor(chaosWalkerSites, capture)
+	burst := w.request(0, 0, burstAPs)
+	job := time.Duration(math.MaxInt64)
+	for k := 0; k < 3; k++ {
+		start := time.Now()
+		if out := burstEng.Locate(burst); out.Err != nil {
+			return nil, nil, out.Err
+		}
+		job = min(job, time.Since(start))
 	}
+	shedAfter := 2 * job
+	burstEng.SetShedAfter(shedAfter)
 	var burstWG sync.WaitGroup
-	var burstMu sync.Mutex
-	for j := 0; j < opt.BurstJobs; j++ {
+	var completed atomic.Int64
+	for j := 0; j < chaosBurstJobs; j++ {
+		burst.ClientID = uint32(200 + j)
 		burstWG.Add(1)
-		err := burstEng.Submit(engine.Request{
-			ClientID: uint32(200 + j), APs: burstAPs, Captures: burstFrames,
-			Min: tb.Plan.Min, Max: tb.Plan.Max, Time: base,
-		}, func(r engine.Result) {
+		err := burstEng.Submit(burst, func(r engine.Result) {
 			if r.Err == nil {
-				burstMu.Lock()
-				res.ShedFixes++
-				burstMu.Unlock()
+				completed.Add(1)
 			}
 			burstWG.Done()
 		})
@@ -581,10 +486,10 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 	}
 	burstWG.Wait()
 	res.Shed = burstEng.Stats().Shed
-	burstEng.Close()
+	res.ShedFixes = int(completed.Load())
 
-	r.Addf("phase D: %d-job burst at one worker, shed-after %v: %d shed with ErrOverloaded, %d fixes completed",
-		opt.BurstJobs, opt.ShedAfter, res.Shed, res.ShedFixes)
+	r.Addf("phase D: %d-job burst at one worker, shed-after %v (2 timed jobs): %d shed with ErrOverloaded, %d fixes completed",
+		chaosBurstJobs, shedAfter.Round(time.Microsecond), res.Shed, res.ShedFixes)
 
 	res.LeakedWorkspaces = server.LeasedIngestWorkspaces() - leased0
 	r.Addf("pooled ingest workspaces leaked across all phases: %d", res.LeakedWorkspaces)

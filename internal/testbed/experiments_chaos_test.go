@@ -1,22 +1,6 @@
 package testbed
 
-import (
-	"testing"
-	"time"
-)
-
-// chaosTestOptions shrinks the walk so the test stays quick while
-// still crossing the kill point with several degraded steps.
-func chaosTestOptions() ChaosOptions {
-	opt := DefaultChaosOptions()
-	opt.Steps = 6
-	opt.KillStep = 3
-	opt.Capture.Antennas = 4
-	opt.GridCell = 0.5
-	opt.ShedAfter = time.Millisecond
-	opt.BurstJobs = 12
-	return opt
-}
+import "testing"
 
 // TestRunChaosMeetsTargets is the ISSUE's acceptance bar for the
 // hostile-network tentpole: killing 1 of the walker's APs mid-walk
@@ -28,7 +12,7 @@ func chaosTestOptions() ChaosOptions {
 // readmits it; an overload burst sheds instead of stalling.
 func TestRunChaosMeetsTargets(t *testing.T) {
 	tb := New()
-	_, res, err := tb.RunChaos(chaosTestOptions())
+	_, res, err := tb.RunChaos(DefaultChaosOptions(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,57 +2,38 @@ package testbed
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/geom"
 	"repro/internal/server"
 )
 
 // ClusterOptions sizes the sharded-cluster experiment: bit-identical
 // fan-in versus a single-backend control and a zero-loss mid-walk (and
-// mid-burst) shard migration.
+// mid-burst) shard migration. The cluster grows from 1 to 2 shards
+// during step Steps/2, after half the step's AP frames have been fed,
+// so the migration moves a below-quorum pending group as well as the
+// live track.
 type ClusterOptions struct {
-	// Steps is the number of fixes along the walk; MigrateStep is the
-	// step during which the cluster grows from 1 to 2 shards — after
-	// half the step's AP frames have been fed, so the migration moves a
-	// below-quorum pending group as well as the live track.
-	Steps, MigrateStep int
-	// Dt is the seconds between fixes, Speed the walk speed in m/s.
-	Dt, Speed float64
+	// Steps is the number of fixes along the walk.
+	Steps int
 	// Sites indexes the AP sites that hear the clients.
 	Sites []int
-	// Capture configures the simulated radios.
-	Capture CaptureOptions
-	// GridCell is the synthesis pitch.
-	GridCell float64
-	// Tracker configures the Kalman layer (identically everywhere).
-	Tracker engine.TrackerOptions
-	// Seed drives the channel noise.
-	Seed int64
 }
 
 // DefaultClusterOptions walks the corridor for 12 fixes, growing the
-// cluster mid-way through step 6.
-func DefaultClusterOptions() ClusterOptions {
-	return ClusterOptions{
-		Steps:       12,
-		MigrateStep: 6,
-		Dt:          1.0,
-		Speed:       1.2,
-		Sites:       []int{0, 1, 2, 3, 4, 5},
-		Capture:     DefaultCaptureOptions(),
-		GridCell:    0.25,
-		Tracker:     engine.TrackerOptions{ProcessNoise: 0.3, MeasSigma: 0.8, Gate: 3},
-		Seed:        71,
+// cluster mid-way through step 7; fast walks 8 fixes heard by four
+// APs.
+func DefaultClusterOptions(fast bool) ClusterOptions {
+	if fast {
+		return ClusterOptions{Steps: 8, Sites: []int{0, 1, 3, 5}}
 	}
+	return ClusterOptions{Steps: 12, Sites: []int{0, 1, 2, 3, 4, 5}}
 }
 
 // ClusterResult is the machine-readable outcome of the cluster run.
@@ -83,6 +64,8 @@ type ClusterResult struct {
 	// WorkspaceLeaks is the pooled ingest-workspace gauge delta across
 	// the whole experiment. Must be 0.
 	WorkspaceLeaks int64
+
+	served *trial
 }
 
 // clusterHarness is one router-fronted cluster of in-process shards
@@ -161,26 +144,6 @@ func writeFrames(conn net.Conn, frames ...[]byte) error {
 	return nil
 }
 
-// collectFixes drains exactly want results, keyed by client. Each step
-// produces one quorum flush per client, so want is deterministic.
-func collectFixes(results chan engine.Result, want int) (map[uint32]engine.Result, error) {
-	out := make(map[uint32]engine.Result, want)
-	deadline := time.NewTimer(60 * time.Second)
-	defer deadline.Stop()
-	for k := 0; k < want; k++ {
-		select {
-		case r := <-results:
-			if r.Err != nil {
-				return nil, fmt.Errorf("testbed: cluster fix for client %d: %w", r.ClientID, r.Err)
-			}
-			out[r.ClientID] = r
-		case <-deadline.C:
-			return nil, fmt.Errorf("testbed: cluster run timed out waiting for fix %d/%d", k+1, want)
-		}
-	}
-	return out, nil
-}
-
 // RunCluster regenerates the sharded-cluster claims against a
 // single-backend control fed the identical serialized frames:
 //
@@ -193,14 +156,8 @@ func collectFixes(results chan engine.Result, want int) (map[uint32]engine.Resul
 //     pending captures and Kalman track to the new shard with no fix
 //     lost and an RMSE delta of exactly zero.
 func (tb *Testbed) RunCluster(opt ClusterOptions) (*Report, *ClusterResult, error) {
-	rng := rand.New(rand.NewSource(opt.Seed))
-	cfg := core.DefaultConfig(tb.Wavelength)
-	cfg.GridCell = opt.GridCell
-	base := time.Unix(1700000000, 0)
 	wsBaseline := server.LeasedIngestWorkspaces()
-
 	res := &ClusterResult{}
-	r := &Report{ID: "cluster", Title: "sharded cluster: fan-in bit-identity, zero-loss mid-walk handoff"}
 
 	// Pick client IDs by where consistent hashing sends them when the
 	// cluster grows to 2 shards: the walker moves to the new shard, the
@@ -219,111 +176,63 @@ func (tb *Testbed) RunCluster(opt ClusterOptions) (*Report, *ClusterResult, erro
 			statID = id
 		}
 	}
-	clients := []uint32{walkerID, statID}
-	truthAt := func(i int) map[uint32]geom.Point {
-		return map[uint32]geom.Point{
-			walkerID: trackingTruth(TrackingOptions{Dt: opt.Dt, Speed: opt.Speed}, i),
-			statID:   geom.Pt(33, 3),
-		}
-	}
-	stepTime := func(i int) time.Time {
-		return base.Add(time.Duration(float64(i) * opt.Dt * float64(time.Second)))
-	}
+	w := tb.newWalk(walkShape{
+		steps: opt.Steps, capture: DefaultCaptureOptions(), gridCell: 0.25, tracker: drillTracker, seed: 71,
+	}, walkClient{walkerID, opt.Sites}, walkClient{statID, opt.Sites})
 
-	// Serialize every step once — one frame per AP carrying
-	// both clients' captures — so all three runs decode identical
-	// bytes and any divergence is the cluster path's fault.
-	aps := tb.APsFor(opt.Sites, opt.Capture)
+	// Serialize every step once — one frame per AP carrying both
+	// clients' captures — so all three runs decode identical bytes.
+	aps := tb.APsFor(opt.Sites, w.capture)
 	apByID := make(map[uint32]*core.AP, len(opt.Sites))
-	for si, s := range opt.Sites {
-		apByID[uint32(s+1)] = aps[si]
+	for s, site := range opt.Sites {
+		apByID[uint32(site+1)] = aps[s]
 	}
 	resolve := func(apID uint32) *core.AP { return apByID[apID] }
 	seqs := map[uint32]uint32{}
 	stepFrames := make([][][]byte, opt.Steps) // [step][site]frame
-	for i := 0; i < opt.Steps; i++ {
-		truth := truthAt(i)
-		frames := make([][]byte, len(opt.Sites))
-		for si, s := range opt.Sites {
-			apID := uint32(s + 1)
+	for i := range stepFrames {
+		stepFrames[i] = make([][]byte, len(opt.Sites))
+		for s, site := range opt.Sites {
+			apID := uint32(site + 1)
 			var caps []server.Capture
-			for _, id := range clients {
-				for _, fc := range Cut(tb.CaptureClient(truth[id], tb.Sites[s], opt.Capture, rng)) {
+			for c, cl := range w.clients {
+				for _, fc := range w.frames[i][c][s] {
 					seqs[apID]++
 					caps = append(caps, server.Capture{
-						APID: apID, ClientID: id, Seq: seqs[apID],
-						Timestamp: stepTime(i), Streams: fc.Streams,
+						APID: apID, ClientID: cl.id, Seq: seqs[apID],
+						Timestamp: w.stepTime(i), Streams: fc.Streams,
 					})
 				}
 			}
-			f, err := server.AppendBatch(nil, caps)
-			if err != nil {
+			if stepFrames[i][s], err = server.AppendBatch(nil, caps); err != nil {
 				return nil, nil, err
 			}
-			frames[si] = f
 		}
-		stepFrames[i] = frames
 	}
-
-	// All trackers run on the simulated clock (the walk replays
-	// 2023-era timestamps); engine workers read it concurrently, so it
-	// advances atomically.
-	var simNow atomic.Int64
-	simNow.Store(base.UnixNano())
-	trOpt := opt.Tracker
-	trOpt.Now = func() time.Time { return time.Unix(0, simNow.Load()) }
 
 	// A flush needs every AP: quorum counts distinct APs, and the last
 	// AP's burst is absorbed into the flush it completes.
 	quorum := len(opt.Sites)
-	eopt := engine.Options{Config: cfg}
+	eopt := engine.Options{Config: w.cfg}
 
-	// runWalk feeds the steps and records each client's smoothed
-	// positions; migrate, when non-nil, runs mid-step MigrateStep after
-	// half the AP frames.
-	runWalk := func(feed net.Conn, results chan engine.Result, migrate func() error) (map[uint32][]geom.Point, []float64, error) {
-		smoothed := map[uint32][]geom.Point{}
-		var walkErrs []float64
-		for i := 0; i < opt.Steps; i++ {
-			simNow.Store(stepTime(i).UnixNano())
-			frames := stepFrames[i]
-			if migrate != nil && i == opt.MigrateStep {
-				if err := writeFrames(feed, frames[:len(frames)/2]...); err != nil {
-					return nil, nil, err
-				}
-				if err := migrate(); err != nil {
-					return nil, nil, err
-				}
-				if err := writeFrames(feed, frames[len(frames)/2:]...); err != nil {
-					return nil, nil, err
-				}
-			} else if err := writeFrames(feed, frames...); err != nil {
-				return nil, nil, err
+	// serveFrom feeds each step's frames down feed, skipping the ones a
+	// mid-step perturbation already fed.
+	fed := 0
+	serveFrom := func(feed net.Conn, results chan engine.Result) func(int) (map[uint32]engine.Result, error) {
+		return func(i int) (map[uint32]engine.Result, error) {
+			frames := stepFrames[i][fed:]
+			fed = 0
+			if err := writeFrames(feed, frames...); err != nil {
+				return nil, err
 			}
-			fixes, err := collectFixes(results, len(clients))
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, id := range clients {
-				out, ok := fixes[id]
-				if !ok || out.Track == nil {
-					return nil, nil, fmt.Errorf("testbed: step %d: no tracked fix for client %d", i, id)
-				}
-				smoothed[id] = append(smoothed[id], out.Track.Smoothed)
-				if id == walkerID {
-					walkErrs = append(walkErrs, out.Track.Smoothed.Dist(truthAt(i)[walkerID])*100)
-				}
-			}
+			return collectFixes(results, len(w.clients))
 		}
-		return smoothed, walkErrs, nil
 	}
 
 	// Control: one backend+engine fed directly, no router.
-	var ctrlSmoothed map[uint32][]geom.Point
-	var ctrlErrs []float64
+	var ctrl *trial
 	{
 		results := make(chan engine.Result, 16)
-		onResult := func(r engine.Result) { results <- r }
 		dir, err := os.MkdirTemp("", "atclusterctl")
 		if err != nil {
 			return nil, nil, err
@@ -331,15 +240,15 @@ func (tb *Testbed) RunCluster(opt ClusterOptions) (*Report, *ClusterResult, erro
 		s, err := cluster.NewLocalShard(cluster.LocalShardOptions{
 			SocketPath: filepath.Join(dir, "ctl.sock"),
 			Quorum:     quorum, Window: time.Second,
-			Engine: eopt, TrackerOptions: trOpt,
+			Engine: eopt, TrackerOptions: w.trackerOptions(),
 			Resolve: resolve, Min: tb.Plan.Min, Max: tb.Plan.Max,
-			OnResult: onResult,
+			OnResult: func(r engine.Result) { results <- r },
 		})
 		if err != nil {
 			os.RemoveAll(dir)
 			return nil, nil, err
 		}
-		ctrlSmoothed, ctrlErrs, err = runWalk(s.Conn(), results, nil)
+		ctrl, err = w.run(serveFrom(s.Conn(), results), nil)
 		s.Close()
 		os.RemoveAll(dir)
 		if err != nil {
@@ -351,118 +260,92 @@ func (tb *Testbed) RunCluster(opt ClusterOptions) (*Report, *ClusterResult, erro
 	// router. Every smoothed position must equal the control's exactly.
 	{
 		results := make(chan engine.Result, 16)
-		h, err := tb.startCluster(2, 2, quorum, eopt, trOpt, resolve,
+		h, err := tb.startCluster(2, 2, quorum, eopt, w.trackerOptions(), resolve,
 			func(r engine.Result) { results <- r })
 		if err != nil {
 			return nil, nil, err
 		}
-		fanSmoothed, _, err := runWalk(h.feed, results, nil)
+		fan, err := w.run(serveFrom(h.feed, results), nil)
 		h.close()
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, id := range clients {
-			for i := range fanSmoothed[id] {
-				if fanSmoothed[id][i] != ctrlSmoothed[id][i] {
-					res.FanInMismatches++
-				}
-			}
-		}
+		res.FanInMismatches = mismatches(ctrl, fan, walkerID, statID)
 	}
 
 	// Migration: start on 1 shard, grow to 2 mid-step. The walker's
 	// half-fed pending group and live track both move.
-	var migSmoothed map[uint32][]geom.Point
-	var migErrs []float64
-	{
-		results := make(chan engine.Result, 16)
-		h, err := tb.startCluster(2, 1, quorum, eopt, trOpt, resolve,
-			func(r engine.Result) { results <- r })
-		if err != nil {
-			return nil, nil, err
+	results := make(chan engine.Result, 16)
+	h, err := tb.startCluster(2, 1, quorum, eopt, w.trackerOptions(), resolve,
+		func(r engine.Result) { results <- r })
+	if err != nil {
+		return nil, nil, err
+	}
+	migrate := func() error {
+		fed = len(opt.Sites) / 2
+		if err := writeFrames(h.feed, stepFrames[w.mid()][:fed]...); err != nil {
+			return err
 		}
-		capsPerStep := len(clients) * opt.Capture.Frames * len(opt.Sites)
-		halfCaps := len(clients) * opt.Capture.Frames * (len(opt.Sites) / 2)
-		migrate := func() error {
-			// Let the half-step settle on shard 0 so the rebalance
-			// deterministically finds the walker's pending group.
-			wantIngested := uint64(opt.MigrateStep*capsPerStep + halfCaps)
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				n, err := h.shards[0].Ingested()
-				if err != nil {
-					return err
-				}
-				if n >= wantIngested {
-					break
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("testbed: shard 0 ingested %d of %d before migration", n, wantIngested)
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
-			st, err := h.router.Rebalance(m2)
+		// Let the half-step settle on shard 0 so the rebalance
+		// deterministically finds the walker's pending group.
+		capsPerSite := len(w.clients) * w.capture.Frames
+		wantIngested := uint64(capsPerSite * (w.mid()*len(opt.Sites) + fed))
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			n, err := h.shards[0].Ingested()
 			if err != nil {
 				return err
 			}
-			res.MovedClients = st.MovedClients
-			res.MovedTracks = st.MovedTracks
-			res.MovedPending = st.MovedPending
-			res.HeldFlushed = st.HeldFlushed
-			return nil
+			if n >= wantIngested {
+				break
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("testbed: shard 0 ingested %d of %d before migration", n, wantIngested)
+			}
+			time.Sleep(100 * time.Microsecond)
 		}
-		migSmoothed, migErrs, err = runWalk(h.feed, results, migrate)
+		st, err := h.router.Rebalance(m2)
 		if err != nil {
-			h.close()
-			return nil, nil, err
+			return err
 		}
-		// The walker's track must live on the gaining shard and only
-		// there; cluster-wide, no client may have lost its track.
-		_, onNew := h.shards[1].Tracker.Snapshot(walkerID)
-		_, onOld := h.shards[0].Tracker.Snapshot(walkerID)
-		res.WalkerMigrated = onNew && !onOld
-		for _, id := range clients {
-			found := false
-			for _, s := range h.shards {
-				if _, ok := s.Tracker.Snapshot(id); ok {
-					found = true
-				}
-			}
-			if !found {
-				res.TracksLost++
-			}
-		}
+		res.MovedClients = st.MovedClients
+		res.MovedTracks = st.MovedTracks
+		res.MovedPending = st.MovedPending
+		res.HeldFlushed = st.HeldFlushed
+		return nil
+	}
+	mig, err := w.run(serveFrom(h.feed, results), migrate)
+	if err != nil {
 		h.close()
+		return nil, nil, err
 	}
-
-	for _, id := range clients {
-		for i := range migSmoothed[id] {
-			if migSmoothed[id][i] != ctrlSmoothed[id][i] {
-				res.StepMismatches++
+	res.served = mig
+	// The walker's track must live on the gaining shard and only
+	// there; cluster-wide, no client may have lost its track.
+	_, onNew := h.shards[1].Tracker.Snapshot(walkerID)
+	_, onOld := h.shards[0].Tracker.Snapshot(walkerID)
+	res.WalkerMigrated = onNew && !onOld
+	for _, cl := range w.clients {
+		found := false
+		for _, s := range h.shards {
+			if _, ok := s.Tracker.Snapshot(cl.id); ok {
+				found = true
 			}
 		}
+		if !found {
+			res.TracksLost++
+		}
 	}
-	ctrlRMSE, migRMSE := rmseSqrt(ctrlErrs), rmseSqrt(migErrs)
-	res.SmoothedRMSECM = migRMSE
-	res.RMSEDeltaCM = migRMSE - ctrlRMSE
-	if res.RMSEDeltaCM < 0 {
-		res.RMSEDeltaCM = -res.RMSEDeltaCM
-	}
+	h.close()
 
+	res.StepMismatches = mismatches(ctrl, mig, walkerID, statID)
+	res.SmoothedRMSECM = mig.rmse(walkerID)
+	res.RMSEDeltaCM = rmseDelta(ctrl, mig, walkerID)
 	res.WorkspaceLeaks = server.LeasedIngestWorkspaces() - wsBaseline
 
+	r := &Report{ID: "cluster", Title: "sharded cluster: fan-in bit-identity, zero-loss mid-walk handoff"}
 	r.Addf("clients: walker %d (moves to shard 1), stationary %d (stays on shard 0)", walkerID, statID)
-	r.Addf("%4s  %-14s %-14s %-14s  %s", "step", "truth", "control", "migrated", "")
-	for i := 0; i < opt.Steps; i++ {
-		truth := truthAt(i)[walkerID]
-		c, g := ctrlSmoothed[walkerID][i], migSmoothed[walkerID][i]
-		mark := ""
-		if i == opt.MigrateStep {
-			mark = "<- grew 1→2 shards mid-step"
-		}
-		r.Addf("%4d  (%5.1f,%4.1f)   (%5.1f,%4.1f)   (%5.1f,%4.1f)  %s",
-			i+1, truth.X, truth.Y, c.X, c.Y, g.X, g.Y, mark)
-	}
+	w.table(r, ctrl, mig, "migrated", "<- grew 1→2 shards mid-step")
 	r.Addf("")
 	r.Addf("rebalance: %d client moved, %d track migrated, %d pending captures re-routed, %d held at router",
 		res.MovedClients, res.MovedTracks, res.MovedPending, res.HeldFlushed)
@@ -470,7 +353,7 @@ func (tb *Testbed) RunCluster(opt ClusterOptions) (*Report, *ClusterResult, erro
 	r.Addf("fan-in mismatches (static 2-shard vs control): %d", res.FanInMismatches)
 	r.Addf("migration mismatches vs control: %d", res.StepMismatches)
 	r.Addf("walker smoothed RMSE: control %.1fcm, migrated %.1fcm (delta %.3fcm)",
-		ctrlRMSE, migRMSE, res.RMSEDeltaCM)
+		ctrl.rmse(walkerID), res.SmoothedRMSECM, res.RMSEDeltaCM)
 	r.Addf("pooled ingest-workspace leak delta: %d", res.WorkspaceLeaks)
 	return r, res, nil
 }

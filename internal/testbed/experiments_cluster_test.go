@@ -2,16 +2,6 @@ package testbed
 
 import "testing"
 
-// clusterTestOptions shrinks the walk so the test stays quick while
-// still crossing the mid-burst migration with a live pending group.
-func clusterTestOptions() ClusterOptions {
-	opt := DefaultClusterOptions()
-	opt.Steps = 8
-	opt.MigrateStep = 4
-	opt.Sites = []int{0, 1, 3, 5}
-	return opt
-}
-
 // TestRunClusterMeetsTargets is the ISSUE's acceptance bar for the
 // sharded-cluster tentpole: router fan-in is bit-identical to the
 // single-backend control, and a mid-walk (mid-burst) 1→2 shard
@@ -19,7 +9,7 @@ func clusterTestOptions() ClusterOptions {
 // produces exactly the control's fix stream (RMSE delta 0.000 cm).
 func TestRunClusterMeetsTargets(t *testing.T) {
 	tb := New()
-	_, res, err := tb.RunCluster(clusterTestOptions())
+	_, res, err := tb.RunCluster(DefaultClusterOptions(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func (tb *Testbed) RunCircular(seed int64) (*Report, error) {
 					TxPowerDBm: capOpt.TxPowerDBm, NoiseFloorDBm: capOpt.NoiseFloorDBm, Rng: rng,
 				})
 				var err error
-				spec, err = music.ComputeSpectrum(arr, rec.Samples[:arr.N], tb.spectrumOptions())
+				spec, err = music.ComputeSpectrumWS(nil, arr, rec.Samples[:arr.N], tb.spectrumOptions())
 				if err != nil {
 					return nil, err
 				}
@@ -83,11 +83,11 @@ func (tb *Testbed) RunCircular(seed int64) (*Report, error) {
 func circularSpectrum(tb *Testbed, arr *array.Array, streams [][]complex128) *music.Spectrum {
 	opt := tb.spectrumOptions()
 	snaps := music.SnapshotsAt(streams, opt.SampleOffset, opt.MaxSamples)
-	r, err := music.CorrelationMatrix(snaps)
+	r, err := music.CorrelationMatrixWS(nil, snaps)
 	if err != nil {
 		return music.NewSpectrum(music.DefaultBins)
 	}
-	noise, _, _, err := music.Subspaces(r, 0.05, arr.N/2)
+	noise, _, _, err := music.SubspacesWS(nil, r, 0.05, arr.N/2)
 	if err != nil {
 		return music.NewSpectrum(music.DefaultBins)
 	}

@@ -26,13 +26,13 @@ func oracleProcessAP(ap *core.AP, frames []core.FrameCapture, cfg core.Config) (
 			return nil, err
 		}
 		if cfg.ForwardBackward {
-			r = music.ForwardBackward(r)
+			r = music.ForwardBackwardWS(nil, r)
 		}
-		rs, err := music.SpatialSmooth(r, cfg.SmoothingGroups)
+		rs, err := music.SpatialSmoothWS(nil, r, cfg.SmoothingGroups)
 		if err != nil {
 			return nil, err
 		}
-		noise, _, _, err := music.Subspaces(rs, cfg.SignalThresholdFrac, rs.Rows/2)
+		noise, _, _, err := music.SubspacesWS(nil, rs, cfg.SignalThresholdFrac, rs.Rows/2)
 		if err != nil {
 			return nil, err
 		}

@@ -2,16 +2,6 @@ package testbed
 
 import "testing"
 
-// opsTestOptions shrinks the walk so the test stays quick while still
-// crossing the kill point with live tracks on both clients.
-func opsTestOptions() OpsOptions {
-	opt := DefaultOpsOptions()
-	opt.Steps = 10
-	opt.KillStep = 5
-	opt.Sites = []int{0, 1, 3, 5}
-	return opt
-}
-
 // TestRunOpsMeetsTargets is the ISSUE's acceptance bar for the
 // snapshot/restore tentpole: a server killed mid-walk and restored
 // from its snapshot loses zero tracks and reproduces the uninterrupted
@@ -19,7 +9,7 @@ func opsTestOptions() OpsOptions {
 // divergence), and the ops endpoint serves a scrapeable exposition.
 func TestRunOpsMeetsTargets(t *testing.T) {
 	tb := New()
-	_, res, err := tb.RunOps(opsTestOptions())
+	_, res, err := tb.RunOps(DefaultOpsOptions(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func (tb *Testbed) RunFig7(seed int64) (*Report, error) {
 		opt := tb.spectrumOptions()
 		opt.SmoothingGroups = ng
 		opt.ForwardBackward = false // isolate the NG effect, like the figure
-		s, err := music.ComputeSpectrum(arr, frames[0].Streams[:arr.N], opt)
+		s, err := music.ComputeSpectrumWS(nil, arr, frames[0].Streams[:arr.N], opt)
 		if err != nil {
 			return nil, err
 		}
@@ -130,11 +130,11 @@ func (tb *Testbed) RunTable1(positions int, seed int64) (*Report, error) {
 		arr := tb.NewArray(site, capOpt)
 		f1 := tb.CaptureClient(p, site, capOpt, rng)
 		f2 := tb.CaptureClient(q, site, capOpt, rng)
-		s1, err := music.ComputeSpectrum(arr, f1[0].Streams[:arr.N], tb.spectrumOptions())
+		s1, err := music.ComputeSpectrumWS(nil, arr, f1[0].Streams[:arr.N], tb.spectrumOptions())
 		if err != nil {
 			return nil, err
 		}
-		s2, err := music.ComputeSpectrum(arr, f2[0].Streams[:arr.N], tb.spectrumOptions())
+		s2, err := music.ComputeSpectrumWS(nil, arr, f2[0].Streams[:arr.N], tb.spectrumOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +194,7 @@ func (tb *Testbed) RunFig17(seed int64) (*Report, error) {
 			NoiseFloorDBm: capOpt.NoiseFloorDBm,
 			Rng:           rng,
 		})
-		s, err := music.ComputeSpectrum(arr, rec.Samples[:arr.N], tb.spectrumOptions())
+		s, err := music.ComputeSpectrumWS(nil, arr, rec.Samples[:arr.N], tb.spectrumOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +264,7 @@ func (tb *Testbed) RunFig19(seed int64) (*Report, error) {
 			arr := tb.NewArray(site, capOpt)
 			opt := tb.spectrumOptions()
 			opt.MaxSamples = n
-			s, err := music.ComputeSpectrum(arr, frames[0].Streams[:arr.N], opt)
+			s, err := music.ComputeSpectrumWS(nil, arr, frames[0].Streams[:arr.N], opt)
 			if err != nil {
 				return nil, err
 			}
@@ -297,7 +297,7 @@ func (tb *Testbed) RunFig20(seed int64) (*Report, error) {
 			NoiseFloorDBm: capOpt.NoiseFloorDBm,
 			Rng:           rng,
 		})
-		s, err := music.ComputeSpectrum(arr, rec.Samples[:arr.N], tb.spectrumOptions())
+		s, err := music.ComputeSpectrumWS(nil, arr, rec.Samples[:arr.N], tb.spectrumOptions())
 		if err != nil {
 			return nil, err
 		}

@@ -63,13 +63,13 @@ func (tb *Testbed) RunCollision(seed int64) (*Report, error) {
 
 	opt := tb.spectrumOptions()
 	// Spectrum 1: from the first packet's preamble (clean region).
-	s1, err := music.ComputeSpectrum(arr, sliceStreams(combined[:arr.N], 0, len(preamble)), opt)
+	s1, err := music.ComputeSpectrumWS(nil, arr, sliceStreams(combined[:arr.N], 0, len(preamble)), opt)
 	if err != nil {
 		return nil, err
 	}
 	// Spectrum 2: from the second packet's preamble region, polluted by
 	// packet 1's body.
-	s2, err := music.ComputeSpectrum(arr, sliceStreams(combined[:arr.N], offset, len(preamble)), opt)
+	s2, err := music.ComputeSpectrumWS(nil, arr, sliceStreams(combined[:arr.N], offset, len(preamble)), opt)
 	if err != nil {
 		return nil, err
 	}

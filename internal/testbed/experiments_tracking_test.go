@@ -1,19 +1,11 @@
 package testbed
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
 )
-
-// trackingTestOptions shrinks the walk so the test stays quick while
-// still covering the corner manoeuvre.
-func trackingTestOptions() TrackingOptions {
-	opt := DefaultTrackingOptions()
-	opt.Steps = 16
-	opt.Sites = []int{0, 1, 3, 5}
-	return opt
-}
 
 // TestTrackingSmoothedBeatsRaw is the ISSUE's acceptance bar: driving
 // the Kalman layer over a testbed roaming trajectory, the smoothed
@@ -22,7 +14,7 @@ func trackingTestOptions() TrackingOptions {
 // must serve the moving client as well as the full grid does.
 func TestTrackingSmoothedBeatsRaw(t *testing.T) {
 	tb := New()
-	opt := trackingTestOptions()
+	opt := DefaultTrackingOptions(true)
 	_, res, err := tb.RunTracking(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -56,23 +48,72 @@ func TestTrackingSmoothedBeatsRaw(t *testing.T) {
 	}
 }
 
-// TestTrackingDeterministic: the experiment is a fixture for docs and
-// CI artifacts, so two runs must agree exactly.
+// TestTrackingDeterministic: the drills are fixtures for docs and CI
+// artifacts, and the ops, chaos and cluster "== control" bars rest on
+// a walk served twice giving the same fixes. So two runs of each drill
+// with the same options must agree exactly: the served smoothed
+// trajectory and every gated count. Wall-clock outcomes are left out.
 func TestTrackingDeterministic(t *testing.T) {
 	tb := New()
-	opt := trackingTestOptions()
-	opt.Steps = 6
-	_, a, err := tb.RunTracking(opt)
-	if err != nil {
-		t.Fatal(err)
+	drills := []struct {
+		name string
+		run  func() (res any, served *trial, err error)
+	}{
+		{"tracking", func() (any, *trial, error) {
+			opt := DefaultTrackingOptions(true)
+			opt.Steps = 6
+			_, res, err := tb.RunTracking(opt)
+			if err != nil {
+				return nil, nil, err
+			}
+			return res, res.served, nil
+		}},
+		{"ops", func() (any, *trial, error) {
+			opt := DefaultOpsOptions(true)
+			opt.Steps = 6
+			_, res, err := tb.RunOps(opt)
+			if err != nil {
+				return nil, nil, err
+			}
+			return res, res.served, nil
+		}},
+		{"chaos", func() (any, *trial, error) {
+			_, res, err := tb.RunChaos(DefaultChaosOptions(true))
+			if err != nil {
+				return nil, nil, err
+			}
+			// How long the reap took, and how much of the burst beat a
+			// shed bound timed on this machine, are wall-clock outcomes.
+			res.ReapedWithin, res.Shed, res.ShedFixes = 0, 0, 0
+			return res, res.served, nil
+		}},
+		{"cluster", func() (any, *trial, error) {
+			opt := DefaultClusterOptions(true)
+			opt.Steps = 6
+			_, res, err := tb.RunCluster(opt)
+			if err != nil {
+				return nil, nil, err
+			}
+			return res, res.served, nil
+		}},
 	}
-	_, b, err := tb.RunTracking(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.RawRMSECM != b.RawRMSECM || a.SmoothedRMSECM != b.SmoothedRMSECM {
-		t.Fatalf("tracking not deterministic: %v/%v vs %v/%v",
-			a.RawRMSECM, a.SmoothedRMSECM, b.RawRMSECM, b.SmoothedRMSECM)
+	for _, d := range drills {
+		t.Run(d.name, func(t *testing.T) {
+			a, served, err := d.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if served == nil || len(served.smoothed) == 0 {
+				t.Fatal("drill recorded no served trajectory")
+			}
+			b, _, err := d.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s not deterministic:\n%+v\n%+v", d.name, a, b)
+			}
+		})
 	}
 }
 
@@ -80,7 +121,7 @@ func TestTrackingDeterministic(t *testing.T) {
 // engine's tracker.
 func TestTrackerOptionsFlowThrough(t *testing.T) {
 	tb := New()
-	opt := trackingTestOptions()
+	opt := DefaultTrackingOptions(true)
 	opt.Steps = 4
 	opt.Tracker = engine.TrackerOptions{ProcessNoise: 2, MeasSigma: 1, Gate: -1}
 	if _, _, err := tb.RunTracking(opt); err != nil {
