@@ -215,7 +215,7 @@ func main() {
 				how += ", degraded"
 			}
 			fmt.Printf("client %d located at %v  (%d APs, %s)\n",
-				r.ClientID, r.Pos, len(r.Spectra), how)
+				r.ClientID, r.Pos, r.APs, how)
 		},
 		OnTrack: func(u engine.TrackUpdate) {
 			status := "tracked"

@@ -336,3 +336,81 @@ func BenchmarkFullGridLocalize(b *testing.B) {
 		}
 	}
 }
+
+// TestProcessAPsSharedCorrelationExactOn205Scenes pins the per-AP
+// stage's one correlation per frame: ProcessAPsWS correlates frame 0
+// over all nine elements once, its estimator reads the row's 8 × 8 block
+// and the ninth-antenna vote the whole matrix, where the standalone
+// FrameSpectrum and CombineAP correlate the row and the full array
+// separately. Over the 205 scenes (SpectraForAll's frames and AP
+// combos) the combined spectra must equal the standalone ones bin for
+// bin and the fixes must be ==. One workspace serves every scene and
+// gets each scene's spectra back, as an engine worker does, so a
+// recycled spectrum that leaks into the next scene fails too.
+func TestProcessAPsSharedCorrelationExactOn205Scenes(t *testing.T) {
+	tb := testbed.New()
+	opt := testbed.DefaultAccuracyOptions()
+	cfg := opt.Pipeline
+	cfg.APWorkers = 1 // serial on one workspace, as an engine worker runs
+	p := core.NewPipeline(cfg)
+	rng := rand.New(rand.NewSource(opt.Seed))
+	aps := tb.APsFor([]int{0, 1, 2, 3, 4, 5}, opt.Capture)
+	combos := [][]int{{0, 1, 2, 3, 4, 5}}
+	combos = append(combos, testbed.Combinations(len(tb.Sites), 3)[:4]...)
+	ws := &music.Workspace{}
+	checked := 0
+	for ci, c := range tb.Clients {
+		frames := make([][]core.FrameCapture, len(tb.Sites))
+		for si, site := range tb.Sites {
+			frames[si] = testbed.Cut(tb.CaptureClient(c, site, opt.Capture, rng))
+		}
+		for _, combo := range combos {
+			sceneAPs := make([]*core.AP, len(combo))
+			caps := make([][]core.FrameCapture, len(combo))
+			want := make([]core.APSpectrum, len(combo))
+			for i, si := range combo {
+				sceneAPs[i], caps[i] = aps[si], frames[si]
+				spectra := make([]*music.Spectrum, len(caps[i]))
+				for k, f := range caps[i] {
+					s, err := p.FrameSpectrum(nil, aps[si], f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					spectra[k] = s
+				}
+				s, err := p.CombineAP(nil, aps[si], caps[i], spectra)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = core.APSpectrum{Pos: aps[si].Array.Pos, Spectrum: s}
+			}
+			got, err := p.ProcessAPsWS(ws, sceneAPs, caps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i].Pos != want[i].Pos || !slices.Equal(got[i].Spectrum.P, want[i].Spectrum.P) {
+					t.Fatalf("client %d combo %v: AP %d's combined spectrum differs from FrameSpectrum + CombineAP", ci, combo, combo[i])
+				}
+			}
+			gotPos, err := p.Synthesize(got, tb.Plan.Min, tb.Plan.Max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantPos, err := p.Synthesize(want, tb.Plan.Min, tb.Plan.Max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotPos != wantPos {
+				t.Fatalf("client %d combo %v: fix %v, standalone stages %v — not ==", ci, combo, gotPos, wantPos)
+			}
+			for _, s := range got {
+				ws.Recycle(s.Spectrum)
+			}
+			checked++
+		}
+	}
+	if checked != 205 {
+		t.Fatalf("swept %d scenes, want 205", checked)
+	}
+}

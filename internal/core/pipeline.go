@@ -7,10 +7,12 @@ package core
 //	suppression → weighting → symmetry removal      (per AP, across frames)
 //	synthesis                                       (across APs, Eq. 8)
 //
-// — with every stage threading a music.Workspace drawn from a
-// sync.Pool, so the steady-state hot path allocates only what escapes
-// (the spectra and the fix). The estimator is pluggable
-// (Config.Estimator).
+// — with every stage threading a music.Workspace (drawn from a
+// sync.Pool, or owned by the caller for its lifetime), so the
+// steady-state hot path allocates only what escapes: the fix, and the
+// combined spectra unless the caller recycles them. Each frame is
+// correlated once; the estimator (Config.Estimator, pluggable) and the
+// ninth-antenna vote read that one matrix.
 
 import (
 	"errors"
@@ -18,14 +20,15 @@ import (
 	"sync"
 
 	"repro/internal/geom"
+	"repro/internal/mat"
 	"repro/internal/music"
 )
 
 // Pipeline is a Config with every default resolved: the one place a nil
 // Steering, SynthCache or Estimator turns into the shared cache or
-// MUSIC. It is safe for concurrent use — every public method draws its
-// own workspace from music.SharedWorkspacePool — and cheap to build,
-// though a long-lived caller (the engine) builds it once.
+// MUSIC. It is safe for concurrent use — every public method that takes
+// no workspace draws its own from music.SharedWorkspacePool — and cheap
+// to build, though a long-lived caller (the engine) builds it once.
 type Pipeline struct {
 	cfg Config
 }
@@ -83,17 +86,48 @@ func (p *Pipeline) window(streams [][]complex128) error {
 }
 
 // FrameSpectrum is the per-frame stage chain (snapshots → correlation
-// → subspace → spectrum), delegated to the estimator with the given
-// workspace (nil means a fresh one).
+// → subspace → spectrum): the frame's row correlated here, the rest
+// delegated to the estimator, all on the given workspace (nil means a
+// fresh one).
 func (p *Pipeline) FrameSpectrum(ws *music.Workspace, ap *AP, frame FrameCapture) (*music.Spectrum, error) {
-	nRow := ap.Array.N
-	if len(frame.Streams) < nRow {
-		return nil, fmt.Errorf("core: frame has %d streams, need %d row antennas", len(frame.Streams), nRow)
+	if ws == nil {
+		ws = &music.Workspace{}
 	}
-	if err := p.window(frame.Streams[:nRow]); err != nil {
+	r, _, err := p.correlate(ws, ap, frame, false)
+	if err != nil {
 		return nil, err
 	}
-	return p.cfg.Estimator.Spectrum(ws, ap.Array, frame.Streams[:nRow], p.musicOptions(ap))
+	return p.cfg.Estimator.Spectrum(ws, ap.Array, r, p.musicOptions(ap))
+}
+
+// votes reports whether the ninth-antenna vote runs for an AP's frame
+// group: it needs the option, the antenna, and frame 0's stream from it.
+func (p *Pipeline) votes(ap *AP, frames []FrameCapture) bool {
+	return p.cfg.UseSymmetryRemoval && ap.Array.NinthAntenna &&
+		len(frames) > 0 && len(frames[0].Streams) >= ap.Array.NumElements()
+}
+
+// correlate is the one correlation site of the per-AP stage: it checks
+// the frame's window and returns the calibrated correlation of its main
+// row, plus, when full is set, that of every element (the vote's
+// matrix, the row's being its leading block).
+func (p *Pipeline) correlate(ws *music.Workspace, ap *AP, frame FrameCapture, full bool) (row, all *mat.Matrix, err error) {
+	n := ap.Array.N
+	if len(frame.Streams) < n {
+		return nil, nil, fmt.Errorf("core: frame has %d streams, need %d row antennas", len(frame.Streams), n)
+	}
+	streams := frame.Streams[:n]
+	if full {
+		streams = frame.Streams[:ap.Array.NumElements()]
+	}
+	if err := p.window(streams); err != nil {
+		return nil, nil, err
+	}
+	if full {
+		return music.SplitCorrelationWS(ws, streams, n, 0, p.cfg.MaxSamples, ap.Calibration)
+	}
+	row, err = music.CalibratedCorrelationWS(ws, streams, 0, p.cfg.MaxSamples, ap.Calibration)
+	return row, nil, err
 }
 
 // framesRead is how many leading frames of an n-frame group CombineAP
@@ -112,10 +146,10 @@ func (p *Pipeline) framesRead(n int) int {
 // CombineAP is the cross-frame stage for one AP: multipath suppression
 // over the frame spectra (§2.4), geometry weighting (§2.3.3), and
 // ninth-antenna symmetry removal (§2.3.4). frames supplies the raw
-// streams symmetry removal needs; spectra are the FrameSpectrum
-// outputs in frame order, of which the first framesRead are used. The
-// returned spectrum is freshly allocated and normalized. A nil ws means
-// a fresh workspace.
+// streams symmetry removal needs, correlated here; spectra are the
+// FrameSpectrum outputs in frame order, of which the first framesRead
+// are used. The returned spectrum is normalized and lent by ws (see
+// music.Workspace.Recycle). A nil ws means a fresh workspace.
 func (p *Pipeline) CombineAP(ws *music.Workspace, ap *AP, frames []FrameCapture, spectra []*music.Spectrum) (*music.Spectrum, error) {
 	if len(spectra) == 0 {
 		return nil, errors.New("core: no spectra to combine")
@@ -123,35 +157,37 @@ func (p *Pipeline) CombineAP(ws *music.Workspace, ap *AP, frames []FrameCapture,
 	if ws == nil {
 		ws = &music.Workspace{}
 	}
+	var rFull *mat.Matrix
+	if p.votes(ap, frames) {
+		var err error
+		if _, rFull, err = p.correlate(ws, ap, frames[0], true); err != nil {
+			return nil, err
+		}
+	}
+	return p.combine(ws, ap, spectra, rFull), nil
+}
+
+// combine is CombineAP on frame 0's full correlation matrix, nil when
+// the vote does not run.
+func (p *Pipeline) combine(ws *music.Workspace, ap *AP, spectra []*music.Spectrum, rFull *mat.Matrix) *music.Spectrum {
 	var out *music.Spectrum
 	if group := spectra[:p.framesRead(len(spectra))]; len(group) >= 2 {
 		out = suppressMultipath(ws, group, p.cfg.PeakMatchTolDeg)
 	} else {
-		out = spectra[0].Clone()
+		out = ws.CloneSpectrum(spectra[0])
 	}
-
-	vote := p.cfg.UseSymmetryRemoval && ap.Array.NinthAntenna &&
-		len(frames) > 0 && len(frames[0].Streams) >= ap.Array.NumElements()
-	if !p.cfg.UseWeighting && !vote {
-		return out.Normalize(), nil
+	if !p.cfg.UseWeighting && rFull == nil {
+		return out.Normalize()
 	}
 	// One cache lookup serves both table-driven steps below.
 	tab := p.cfg.Steering.Table(ap.Array, p.cfg.Wavelength, out.Bins())
 	if p.cfg.UseWeighting {
 		tab.ApplyGeometryWeighting(out)
 	}
-	if vote {
-		full := frames[0].Streams[:ap.Array.NumElements()]
-		if err := p.window(full); err != nil {
-			return nil, err
-		}
-		rFull, err := music.CalibratedCorrelationWS(ws, full, 0, p.cfg.MaxSamples, ap.Calibration)
-		if err != nil {
-			return nil, err
-		}
+	if rFull != nil {
 		tab.RemoveSymmetryWS(ws, out, rFull)
 	}
-	return out.Normalize(), nil
+	return out.Normalize()
 }
 
 // ProcessAP runs the per-AP half of the pipeline (frame spectra, then
@@ -166,21 +202,34 @@ func (p *Pipeline) ProcessAP(ap *AP, frames []FrameCapture) (*music.Spectrum, er
 }
 
 // processAP computes a spectrum only for the frames the combine stage
-// will read. It owns those spectra from scan to combine, so they live
-// in the workspace (list and storage both) and go back to it afterwards;
-// only the combined spectrum escapes.
+// will read, and correlates each of them once: when the vote runs,
+// frame 0 is correlated over every element, its estimator reads the
+// row's block and the vote the whole matrix. It owns the frame spectra
+// from scan to combine, so they live in the workspace (list and
+// storage both) and go back to it afterwards; only the combined
+// spectrum, lent by ws, leaves.
 func (p *Pipeline) processAP(ws *music.Workspace, ap *AP, frames []FrameCapture) (*music.Spectrum, error) {
 	read := frames[:p.framesRead(len(frames))]
+	vote := p.votes(ap, frames)
+	opt := p.musicOptions(ap)
 	spectra := ws.FrameList(len(read))
 	defer func() { ws.Recycle(spectra...) }()
+	var rFull *mat.Matrix
 	for i, f := range read {
-		s, err := p.FrameSpectrum(ws, ap, f)
+		r, full, err := p.correlate(ws, ap, f, i == 0 && vote)
+		if err != nil {
+			return nil, fmt.Errorf("frame %d: %w", i, err)
+		}
+		if full != nil {
+			rFull = full
+		}
+		s, err := p.cfg.Estimator.Spectrum(ws, ap.Array, r, opt)
 		if err != nil {
 			return nil, fmt.Errorf("frame %d: %w", i, err)
 		}
 		spectra = append(spectra, s)
 	}
-	return p.CombineAP(ws, ap, frames, spectra)
+	return p.combine(ws, ap, spectra, rFull), nil
 }
 
 // Synthesize is the final stage: the Eq. 8 grid search plus hill
@@ -245,62 +294,93 @@ func (p *Pipeline) Locate(aps []*AP, captures [][]FrameCapture, min, max geom.Po
 // and fall back to the full grid without re-processing a single
 // spectrum.
 func (p *Pipeline) ProcessAPs(aps []*AP, captures [][]FrameCapture) ([]APSpectrum, error) {
+	ws := workspaces.Get()
+	defer workspaces.Put(ws)
+	return p.ProcessAPsWS(ws, aps, captures)
+}
+
+// ProcessAPsWS is ProcessAPs on the caller's workspace (nil means a
+// fresh one). Run serially, every combined spectrum it returns is lent
+// by ws: a caller that owns ws for many jobs hands them back with
+// ws.Recycle once it is done with the job, and the next job's spectra
+// reuse their storage. Fanned out, the other workers draw pooled
+// workspaces and their spectra are the caller's to keep. On error the
+// spectra already made go back to ws.
+func (p *Pipeline) ProcessAPsWS(ws *music.Workspace, aps []*AP, captures [][]FrameCapture) ([]APSpectrum, error) {
 	if len(aps) != len(captures) {
 		return nil, errors.New("core: captures must align with APs")
 	}
-	contrib := make([]int, 0, len(aps))
+	n := 0
 	for i := range aps {
 		if len(captures[i]) > 0 {
-			contrib = append(contrib, i)
+			n++
 		}
 	}
-	if len(contrib) == 0 {
+	if n == 0 {
 		return nil, errors.New("core: no AP overheard the client")
 	}
+	if ws == nil {
+		ws = &music.Workspace{}
+	}
+	if workers := min(p.cfg.APWorkers, n); workers > 1 {
+		return p.processAPsFanned(ws, workers, aps, captures)
+	}
+	specs := make([]APSpectrum, 0, n)
+	for i, ap := range aps {
+		if len(captures[i]) == 0 {
+			continue
+		}
+		s, err := p.processAP(ws, ap, captures[i])
+		if err != nil {
+			for _, sp := range specs {
+				ws.Recycle(sp.Spectrum)
+			}
+			return nil, fmt.Errorf("core: AP %d: %w", i, err)
+		}
+		specs = append(specs, APSpectrum{Pos: ap.Array.Pos, Spectrum: s})
+	}
+	return specs, nil
+}
 
-	// Per-AP processing is independent; fan it out over a bounded
-	// worker pool when the config allows. Results land in AP-indexed
-	// slots, so ordering — and therefore the synthesis output — is
-	// identical to the serial path. Each worker holds its own
-	// workspace for its whole run.
+// processAPsFanned is ProcessAPsWS over a bounded worker pool: per-AP
+// processing is independent, and results land in AP-indexed slots, so
+// ordering — and therefore the synthesis output — is identical to the
+// serial path. The first worker runs on ws, each other on a pooled
+// workspace held for its whole run.
+func (p *Pipeline) processAPsFanned(ws *music.Workspace, workers int, aps []*AP, captures [][]FrameCapture) ([]APSpectrum, error) {
 	spectra := make([]*music.Spectrum, len(aps))
 	errs := make([]error, len(aps))
-	workers := p.cfg.APWorkers
-	if workers > len(contrib) {
-		workers = len(contrib)
-	}
-	if workers > 1 {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ws := workspaces.Get()
-				defer workspaces.Put(ws)
-				for i := range idx {
-					spectra[i], errs[i] = p.processAP(ws, aps[i], captures[i])
-				}
-			}()
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		own := ws
+		if w > 0 {
+			own = workspaces.Get()
+			defer workspaces.Put(own)
 		}
-		for _, i := range contrib {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				spectra[i], errs[i] = p.processAP(own, aps[i], captures[i])
+			}
+		}()
+	}
+	for i := range aps {
+		if len(captures[i]) > 0 {
 			idx <- i
 		}
-		close(idx)
-		wg.Wait()
-	} else {
-		ws := workspaces.Get()
-		for _, i := range contrib {
-			if spectra[i], errs[i] = p.processAP(ws, aps[i], captures[i]); errs[i] != nil {
-				break
-			}
-		}
-		workspaces.Put(ws)
 	}
+	close(idx)
+	wg.Wait()
 
-	specs := make([]APSpectrum, 0, len(contrib))
-	for _, i := range contrib {
+	var specs []APSpectrum
+	for i := range aps {
+		if len(captures[i]) == 0 {
+			continue
+		}
 		if errs[i] != nil {
+			ws.Recycle(spectra...)
 			return nil, fmt.Errorf("core: AP %d: %w", i, errs[i])
 		}
 		specs = append(specs, APSpectrum{Pos: aps[i].Array.Pos, Spectrum: spectra[i]})

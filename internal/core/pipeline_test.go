@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/array"
 	"repro/internal/geom"
+	"repro/internal/mat"
 	"repro/internal/music"
 )
 
@@ -244,24 +246,25 @@ func TestProcessAPsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// memoEstimator answers repeat frames from a cache, the way an
-// injected estimator sitting on a replay log might: the spectrum it
-// returns stays in its hands after the call.
+// memoEstimator answers repeat frames from a cache keyed on the
+// correlation matrix it is handed, the way an injected estimator
+// sitting on a replay log might: the spectrum it returns stays in its
+// hands after the call.
 type memoEstimator struct {
 	mu   sync.Mutex
-	seen map[*complex128]*music.Spectrum
+	seen map[string]*music.Spectrum
 }
 
 func (*memoEstimator) Name() string { return "memo" }
 
-func (m *memoEstimator) Spectrum(_ *music.Workspace, a *array.Array, streams [][]complex128, opt music.Options) (*music.Spectrum, error) {
+func (m *memoEstimator) Spectrum(_ *music.Workspace, a *array.Array, r *mat.Matrix, opt music.Options) (*music.Spectrum, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := &streams[0][0]
+	key := fmt.Sprint(r.Data)
 	if s, ok := m.seen[key]; ok {
 		return s, nil
 	}
-	s, err := music.ComputeSpectrumWS(nil, a, streams, opt)
+	s, err := music.MUSICEstimator.Spectrum(nil, a, r, opt)
 	if err == nil {
 		m.seen[key] = s
 	}
@@ -277,7 +280,7 @@ func (m *memoEstimator) Spectrum(_ *music.Workspace, a *array.Array, streams [][
 func TestProcessAPsLeavesRetainedSpectraAlone(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	aps, captures, _ := buildTestbedAPs(t, geom.Pt(7.5, 4.2), 3, 3, rng)
-	memo := &memoEstimator{seen: map[*complex128]*music.Spectrum{}}
+	memo := &memoEstimator{seen: map[string]*music.Spectrum{}}
 	cfg := DefaultConfig(lambda)
 	cfg.APWorkers = 0
 	cfg.Steering = music.NewSteeringCache(0)
@@ -325,9 +328,9 @@ type countingEstimator struct{ calls int }
 
 func (*countingEstimator) Name() string { return "counting" }
 
-func (c *countingEstimator) Spectrum(ws *music.Workspace, a *array.Array, streams [][]complex128, opt music.Options) (*music.Spectrum, error) {
+func (c *countingEstimator) Spectrum(ws *music.Workspace, a *array.Array, r *mat.Matrix, opt music.Options) (*music.Spectrum, error) {
 	c.calls++
-	return music.MUSICEstimator.Spectrum(ws, a, streams, opt)
+	return music.MUSICEstimator.Spectrum(ws, a, r, opt)
 }
 
 // TestProcessAPComputesOnlyFramesRead: the combine stage reads at most

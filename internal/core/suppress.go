@@ -47,19 +47,19 @@ func SuppressMultipath(spectra []*music.Spectrum, tolDeg float64) *music.Spectru
 }
 
 // suppressMultipath is SuppressMultipath with the per-spectrum peak
-// lists kept in the workspace.
+// lists kept in the workspace and the result lent by it.
 func suppressMultipath(ws *music.Workspace, spectra []*music.Spectrum, tolDeg float64) *music.Spectrum {
 	if len(spectra) == 0 {
 		return nil
 	}
 	primary := spectra[0]
 	if len(spectra) == 1 {
-		return primary.Clone()
+		return ws.CloneSpectrum(primary)
 	}
 	if tolDeg <= 0 {
 		tolDeg = DefaultPeakMatchTolDeg
 	}
-	out := primary.Clone()
+	out := ws.CloneSpectrum(primary)
 	// Each spectrum's peaks are found once; the per-primary-peak loop
 	// only scans the cached lists.
 	peaks := ws.PeakLists(spectra, DefaultPeakFloor)

@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine/sched"
 	"repro/internal/geom"
+	"repro/internal/music"
 	"repro/internal/track"
 )
 
@@ -79,8 +80,10 @@ type Request struct {
 type Result struct {
 	ClientID uint32
 	Pos      geom.Point
-	Spectra  []core.APSpectrum
-	Err      error
+	// APs is how many APs contributed a spectrum to the fix (0 on
+	// failures).
+	APs int
+	Err error
 	// Predicted reports that the fix was served from the track-guided
 	// predictive region (verified interior + gate-accepted), not a
 	// full-grid search.
@@ -110,10 +113,11 @@ type Options struct {
 	// (closed deployments).
 	ClientQuota int
 	// Config is the pipeline configuration applied to every job, with
-	// Config.APWorkers and Config.SynthWorkers clamped to 1: the pool
-	// already keeps every core busy across clients, so per-AP or
-	// per-shard fan-out inside a worker would only oversubscribe the
-	// machine.
+	// Config.APWorkers and Config.SynthWorkers clamped to 1. Fan-out
+	// inside a job loses even on idle cores: with 2 ms between 3-AP
+	// fixes, p50 read 176–202 µs serial against 186–212 µs on two AP
+	// workers, as waking a second core costs more than half an AP stage
+	// saves (EXPERIMENTS.md, "Per-fix fan-out on idle cores").
 	Config core.Config
 	// Tracker, when non-nil, folds every successful fix into the
 	// client's Kalman track; results carry the smoothed update and
@@ -275,20 +279,23 @@ func New(opt Options) *Engine {
 	return e
 }
 
+// worker owns one workspace for its lifetime: every job's frame
+// spectra, votes and combined spectra come from it and go back to it.
 func (e *Engine) worker() {
 	defer e.wg.Done()
+	ws := &music.Workspace{}
 	for {
 		it, ok := e.q.Pop()
 		if !ok {
 			return
 		}
-		e.execute(it)
+		e.execute(ws, it)
 	}
 }
 
-// execute runs one scheduled item to completion and releases its
-// quota token.
-func (e *Engine) execute(it sched.Item) {
+// execute runs one scheduled item to completion on the worker's
+// workspace and releases its quota token.
+func (e *Engine) execute(ws *music.Workspace, it sched.Item) {
 	j := it.Payload.(job)
 	// Overload shedding: a job that aged past ShedAfter in the queue
 	// is failed, not localized — its captures are stale and fresher
@@ -302,13 +309,15 @@ func (e *Engine) execute(it sched.Item) {
 		j.done(Result{ClientID: j.req.ClientID, Err: ErrOverloaded, Degraded: j.req.Degraded})
 		return
 	}
-	r := e.run(j.req)
+	r := e.run(ws, j.req)
 	e.q.Done(it.Client)
 	j.done(r)
 }
 
-func (e *Engine) run(req Request) Result {
-	specs, err := e.pipe.ProcessAPs(req.APs, req.Captures)
+// run localizes one job. Its combined spectra are lent by ws and go
+// back to it once the fix is synthesized and tracked, or has failed.
+func (e *Engine) run(ws *music.Workspace, req Request) Result {
+	specs, err := e.pipe.ProcessAPsWS(ws, req.APs, req.Captures)
 	if err != nil {
 		e.failures.Add(1)
 		if errors.Is(err, core.ErrShortCapture) {
@@ -316,7 +325,12 @@ func (e *Engine) run(req Request) Result {
 		}
 		return Result{ClientID: req.ClientID, Err: err}
 	}
-	r := Result{ClientID: req.ClientID, Spectra: specs}
+	defer func() {
+		for _, s := range specs {
+			ws.Recycle(s.Spectrum)
+		}
+	}()
+	r := Result{ClientID: req.ClientID}
 
 	// Predictive path: spectra are processed exactly once; only the
 	// synthesis stage retries on fallback, so a fallback costs one
@@ -326,14 +340,13 @@ func (e *Engine) run(req Request) Result {
 	} else {
 		r.Pos, err = e.pipe.Synthesize(specs, req.Min, req.Max)
 		if err != nil {
-			r.Spectra = nil
 			r.Err = err
 			e.failures.Add(1)
 			return r
 		}
 	}
 	e.fixes.Add(1)
-	r.Degraded = req.Degraded
+	r.APs, r.Degraded = len(specs), req.Degraded
 	if req.Degraded {
 		e.degFixes.Add(1)
 	}

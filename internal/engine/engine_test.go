@@ -41,9 +41,11 @@ func testbedRequests(t *testing.T, n int) (*testbed.Testbed, []engine.Request) {
 	return fixtureTB, fixtureReqs[:n]
 }
 
-// TestEngineMatchesSerial is the tentpole's second correctness anchor:
-// a batch through the worker pool must produce exactly the fixes the
-// serial loop produces, position and spectra alike.
+// TestEngineMatchesSerial is the engine's correctness anchor: a batch
+// through the worker pool, each worker recycling its jobs' spectra,
+// must produce exactly the fixes the serial loop produces, from the
+// same number of APs. (The spectra themselves are pinned == by core's
+// TestProcessAPsSharedCorrelationExactOn205Scenes.)
 func TestEngineMatchesSerial(t *testing.T) {
 	tb, reqs := testbedRequests(t, 8)
 	cfg := core.DefaultConfig(tb.Wavelength)
@@ -54,7 +56,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 	serialCfg.APWorkers = 0 // single-threaded, one client at a time
 	for i, q := range reqs {
 		pos, specs, err := core.LocateClient(q.APs, q.Captures, q.Min, q.Max, serialCfg)
-		serial[i] = engine.Result{ClientID: q.ClientID, Pos: pos, Spectra: specs, Err: err}
+		serial[i] = engine.Result{ClientID: q.ClientID, Pos: pos, APs: len(specs), Err: err}
 	}
 
 	eng := engine.New(engine.Options{Workers: 4, Config: cfg})
@@ -76,19 +78,8 @@ func TestEngineMatchesSerial(t *testing.T) {
 		if b.Pos != s.Pos {
 			t.Fatalf("request %d: engine pos %v, serial pos %v", i, b.Pos, s.Pos)
 		}
-		if len(b.Spectra) != len(s.Spectra) {
-			t.Fatalf("request %d: %d vs %d spectra", i, len(b.Spectra), len(s.Spectra))
-		}
-		for j := range s.Spectra {
-			if b.Spectra[j].Pos != s.Spectra[j].Pos {
-				t.Fatalf("request %d spectrum %d: AP pos differs", i, j)
-			}
-			sp, bp := s.Spectra[j].Spectrum.P, b.Spectra[j].Spectrum.P
-			for k := range sp {
-				if bp[k] != sp[k] {
-					t.Fatalf("request %d spectrum %d bin %d: engine %v, serial %v", i, j, k, bp[k], sp[k])
-				}
-			}
+		if b.APs != s.APs {
+			t.Fatalf("request %d: fix from %d APs, serial from %d", i, b.APs, s.APs)
 		}
 	}
 }
@@ -306,22 +297,29 @@ func TestCaptureSinkGroupsFramesPerAP(t *testing.T) {
 		OnResult: func(r engine.Result) { results <- r },
 	}
 	rng := rand.New(rand.NewSource(5))
+	f1, f2, f3 := mkStreams(rng), mkStreams(rng), mkStreams(rng)
 	// Two frames from AP 1 interleaved with one from AP 2.
 	sink.Dispatch(3, []server.Capture{
-		{APID: 1, ClientID: 3, Streams: mkStreams(rng)},
-		{APID: 2, ClientID: 3, Streams: mkStreams(rng)},
-		{APID: 1, ClientID: 3, Streams: mkStreams(rng)},
+		{APID: 1, ClientID: 3, Streams: f1},
+		{APID: 2, ClientID: 3, Streams: f2},
+		{APID: 1, ClientID: 3, Streams: f3},
 	})
 	r := <-results
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	if len(r.Spectra) != 2 {
-		t.Fatalf("got %d AP spectra, want 2", len(r.Spectra))
+	if r.APs != 2 {
+		t.Fatalf("got %d APs, want 2", r.APs)
 	}
-	// First-seen order: AP 1's array position first.
-	if r.Spectra[0].Pos != aps[0].Array.Pos || r.Spectra[1].Pos != aps[1].Array.Pos {
-		t.Fatal("per-AP grouping lost first-seen order")
+	// AP 1 holds frames 1 then 3, AP 2 frame 2: the fix a hand-built
+	// request of that grouping gets.
+	want := eng.Locate(engine.Request{
+		ClientID: 3, APs: aps,
+		Captures: [][]core.FrameCapture{{{Streams: f1}, {Streams: f3}}, {{Streams: f2}}},
+		Min:      sink.Min, Max: sink.Max,
+	})
+	if want.Err != nil || r.Pos != want.Pos {
+		t.Fatalf("sink fix %v, hand-grouped request %v (err %v)", r.Pos, want.Pos, want.Err)
 	}
 }
 
@@ -396,5 +394,49 @@ func TestNilConfigResolvesToShared(t *testing.T) {
 	}
 	if u := cfg.SynthCache.Usage(); u.Entries == 0 || u.Hits == 0 || u.Bytes == 0 {
 		t.Fatalf("engine on a nil SynthCache reports no synthesis cache usage: %+v", u)
+	}
+}
+
+// TestEngineSteadyStateAllocs gates a warm worker's allocations per
+// fix on the walk's shape: a tracked 6-AP × 3-frame request served by
+// the predictive region path. Each frame is correlated once inside the
+// worker's workspace, and the job's combined spectra go back to it
+// after the tracker has the fix, so no spectrum reaches the heap (with
+// each of the six escaping, as they once did, a fix cost 23); what is
+// left is the job's bookkeeping — the request's trip through the
+// scheduler, the spectrum list, the synthesis grids and the track
+// update.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	tb, _ := testbedRequests(t, 1)
+	opt := testbed.DefaultThroughputOptions()
+	opt.Sites = []int{0, 1, 2, 3, 4, 5}
+	req := tb.ThroughputRequests(1, opt)[0]
+	eng := engine.New(engine.Options{
+		Workers: 1,
+		Config:  core.DefaultConfig(tb.Wavelength),
+		Tracker: engine.NewTracker(engine.TrackerOptions{}),
+		Predict: true,
+	})
+	defer eng.Close()
+	req.Time = time.Unix(1700000000, 0)
+	locate := func() {
+		req.Time = req.Time.Add(100 * time.Millisecond)
+		if r := eng.Locate(req); r.Err != nil || r.APs != 6 {
+			t.Fatalf("fix from %d APs, err %v", r.APs, r.Err)
+		}
+	}
+	for i := 0; i < 40; i++ { // a settled track: its region stops changing
+		locate()
+	}
+	allocs := testing.AllocsPerRun(20, locate)
+	if st := eng.Stats(); st.Predicted == 0 {
+		t.Fatalf("no fix took the predictive path: %+v", st)
+	}
+	t.Logf("%.1f allocs per tracked 6-AP × 3-frame fix", allocs)
+	if limit := 8.0; allocs > limit {
+		t.Fatalf("Engine.Locate allocates %.1f per fix, want ≤ %.0f", allocs, limit)
 	}
 }

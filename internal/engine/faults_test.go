@@ -248,8 +248,8 @@ func TestCaptureSinkSkewGuard(t *testing.T) {
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	if len(r.Spectra) != 2 {
-		t.Fatalf("skewed AP's frames dropped: %d spectra", len(r.Spectra))
+	if r.APs != 2 {
+		t.Fatalf("skewed AP's frames dropped: fix from %d APs", r.APs)
 	}
 	if r.Track == nil || !r.Track.Time.Equal(base) {
 		t.Fatalf("track time %v, want the in-range stamp %v", r.Track.Time, base)

@@ -143,7 +143,7 @@ func TestShortCaptureRefusedEndToEnd(t *testing.T) {
 		if !errors.Is(bad.Err, core.ErrShortCapture) {
 			t.Fatalf("capture of %d samples under a %d-sample window: err = %v, want core.ErrShortCapture", n, window, bad.Err)
 		}
-		if bad.Track != nil || bad.Spectra != nil || bad.Pos != (geom.Point{}) {
+		if bad.Track != nil || bad.APs != 0 || bad.Pos != (geom.Point{}) {
 			t.Fatalf("refused job still carries a fix: %+v", bad)
 		}
 	}

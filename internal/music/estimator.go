@@ -16,21 +16,24 @@ import (
 	"repro/internal/mat"
 )
 
-// Estimator turns one frame's per-antenna streams into an AoA
-// spectrum. Implementations must be safe for concurrent use by
-// multiple goroutines holding distinct workspaces. ws holds the call's
-// scratch and must only be used for the duration of the call; nil means
-// a fresh Workspace (see Workspace).
+// Estimator turns one frame's correlation matrix into an AoA spectrum.
+// r is the calibrated a.N × a.N correlation of the array's main row
+// (CalibratedCorrelationWS): the caller correlates each frame once and
+// every estimator starts from that matrix. Implementations must be safe
+// for concurrent use by multiple goroutines holding distinct
+// workspaces, and must not modify r. ws holds the call's scratch and
+// must only be used for the duration of the call; nil means a fresh
+// Workspace (see Workspace).
 type Estimator interface {
 	// Name identifies the estimator ("music", "bartlett", "baseline").
 	Name() string
-	// Spectrum computes the normalized AoA spectrum for the array's
-	// main-row streams. The caller may hand the result back to ws with
-	// Recycle, which reuses a spectrum that came out of ws's own scans
-	// and ignores any other: an estimator that keeps or shares what it
-	// returns must therefore build it without ws (a fresh workspace,
-	// or a spectrum of its own).
-	Spectrum(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error)
+	// Spectrum computes the normalized AoA spectrum from the row's
+	// correlation matrix. The caller may hand the result back to ws
+	// with Recycle, which reuses a spectrum that came out of ws's own
+	// scans and ignores any other: an estimator that keeps or shares
+	// what it returns must therefore build it without ws (a fresh
+	// workspace, or a spectrum of its own).
+	Spectrum(ws *Workspace, a *array.Array, r *mat.Matrix, opt Options) (*Spectrum, error)
 }
 
 // MUSICEstimator is the paper's full §2.3 chain: spatial smoothing,
@@ -42,8 +45,13 @@ type musicEstimator struct{}
 
 func (musicEstimator) Name() string { return "music" }
 
-func (musicEstimator) Spectrum(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error) {
-	return ComputeSpectrumWS(ws, a, streams, opt)
+func (musicEstimator) Spectrum(ws *Workspace, a *array.Array, r *mat.Matrix, opt Options) (*Spectrum, error) {
+	ws = orFresh(ws)
+	noise, err := noiseSubspace(ws, r, opt)
+	if err != nil {
+		return nil, err
+	}
+	return MUSICWithTableWS(ws, noise, opt.table(a)), nil
 }
 
 // BartlettEstimator is the conventional (delay-and-sum) beamformer:
@@ -56,12 +64,7 @@ type bartlettEstimator struct{}
 
 func (bartlettEstimator) Name() string { return "bartlett" }
 
-func (bartlettEstimator) Spectrum(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error) {
-	ws = orFresh(ws)
-	r, err := frameCorrelation(ws, a, streams, opt)
-	if err != nil {
-		return nil, err
-	}
+func (bartlettEstimator) Spectrum(ws *Workspace, a *array.Array, r *mat.Matrix, opt Options) (*Spectrum, error) {
 	return BartlettWithTableWS(ws, r, opt.table(a)).Normalize(), nil
 }
 
@@ -75,12 +78,8 @@ type baselineEstimator struct{}
 
 func (baselineEstimator) Name() string { return "baseline" }
 
-func (baselineEstimator) Spectrum(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error) {
+func (baselineEstimator) Spectrum(ws *Workspace, a *array.Array, r *mat.Matrix, opt Options) (*Spectrum, error) {
 	ws = orFresh(ws)
-	r, err := frameCorrelation(ws, a, streams, opt)
-	if err != nil {
-		return nil, err
-	}
 	maxD := opt.MaxSignals
 	if maxD <= 0 {
 		maxD = r.Rows / 2
@@ -92,8 +91,8 @@ func (baselineEstimator) Spectrum(ws *Workspace, a *array.Array, streams [][]com
 	return MUSICWithTableWS(ws, noise, opt.table(a)), nil
 }
 
-// frameCorrelation is the snapshots → calibration → correlation front
-// half every estimator shares, over the array's main-row streams.
+// frameCorrelation is ComputeSpectrumWS's front half: snapshots →
+// calibration → correlation over the array's main-row streams.
 func frameCorrelation(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*mat.Matrix, error) {
 	if len(streams) < 2 {
 		return nil, errors.New("music: need at least two antenna streams")
@@ -130,6 +129,32 @@ func CalibratedCorrelationWS(ws *Workspace, streams [][]complex128, offset, maxS
 		ws.phasors = array.CorrectSnapshots(snaps, calib, ws.phasors)
 	}
 	return CorrelationMatrixWS(ws, snaps)
+}
+
+// SplitCorrelationWS correlates a frame over all its streams (the ninth
+// antenna included) for a caller that needs both the main row's matrix,
+// for an Estimator, and the full one, for the §2.3.4 vote. row is the
+// leading n × n block, in the matrix CalibratedCorrelationWS fills; full
+// sits in a slot of its own that later correlations leave alone, valid
+// until the next SplitCorrelationWS. Each entry of the block sums the
+// same products in the same snapshot order as a correlation of the
+// first n streams alone, so row equals CalibratedCorrelationWS of
+// streams[:n] bit for bit.
+func SplitCorrelationWS(ws *Workspace, streams [][]complex128, n, offset, maxSamples int, calib []float64) (row, full *mat.Matrix, err error) {
+	ws = orFresh(ws)
+	if n < 1 || n > len(streams) {
+		return nil, nil, fmt.Errorf("music: row of %d out of %d streams", n, len(streams))
+	}
+	full, err = CalibratedCorrelationWS(ws, streams, offset, maxSamples, calib)
+	if err != nil {
+		return nil, nil, err
+	}
+	ws.full, ws.r = full, mat.ReuseMatrix(ws.full, n, n)
+	m := full.Cols
+	for i := 0; i < n; i++ {
+		copy(ws.r.Data[i*n:(i+1)*n], full.Data[i*m:i*m+n])
+	}
+	return ws.r, full, nil
 }
 
 // EstimatorByName resolves "music", "bartlett", or "baseline".

@@ -335,31 +335,28 @@ func (o Options) thresh() float64 {
 // calibration correction → correlation → spatial smoothing → eigen
 // subspaces → MUSIC pseudospectrum over the smoothed subarray. The
 // streams must be the array's main-row antennas (use the ninth antenna
-// only via SymmetryRemoval). The returned spectrum is normalized to a
-// unit maximum. Every intermediate — snapshots, correlation,
-// forward-backward, smoothed matrix, eigen scratch, noise subspace — is
-// drawn from the workspace. Only the returned Spectrum leaves it: it is
-// the caller's, freshly allocated unless the caller has handed earlier
-// spectra back with ws.Recycle, while the intermediates stay in ws for
-// the next frame.
+// only via SymmetryRemoval). It is the offline entry point: correlate,
+// then run MUSICEstimator on the matrix. The returned spectrum is
+// normalized to a unit maximum. Every intermediate — snapshots,
+// correlation, forward-backward, smoothed matrix, eigen scratch, noise
+// subspace — is drawn from the workspace. Only the returned Spectrum
+// leaves it: it is the caller's, freshly allocated unless the caller
+// has handed earlier spectra back with ws.Recycle, while the
+// intermediates stay in ws for the next frame.
 func ComputeSpectrumWS(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error) {
 	ws = orFresh(ws)
-	noise, err := noiseSubspace(ws, a, streams, opt)
-	if err != nil {
-		return nil, err
-	}
-	return MUSICWithTableWS(ws, noise, opt.table(a)), nil
-}
-
-// noiseSubspace is the chain up to the scan: correlation, optional
-// forward-backward averaging, spatial smoothing, and the eigen split
-// (in real arithmetic when averaging made the matrix centro-Hermitian,
-// see subspace.go). The returned noise subspace lives in ws.
-func noiseSubspace(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*mat.Matrix, error) {
 	r, err := frameCorrelation(ws, a, streams, opt)
 	if err != nil {
 		return nil, err
 	}
+	return MUSICEstimator.Spectrum(ws, a, r, opt)
+}
+
+// noiseSubspace is the chain from the correlation to the scan: optional
+// forward-backward averaging, spatial smoothing, and the eigen split (in
+// real arithmetic when averaging made the matrix centro-Hermitian, see
+// subspace.go). The returned noise subspace lives in ws.
+func noiseSubspace(ws *Workspace, r *mat.Matrix, opt Options) (*mat.Matrix, error) {
 	if opt.ForwardBackward {
 		r = ForwardBackwardWS(ws, r)
 	}

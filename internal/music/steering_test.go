@@ -77,7 +77,11 @@ func TestCachedSpectrumMatchesUncached(t *testing.T) {
 				Bins:            tc.bins,
 			}
 			ws := &Workspace{}
-			noise, err := noiseSubspace(ws, a, streams[:a.N], opt)
+			r, err := frameCorrelation(ws, a, streams[:a.N], opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			noise, err := noiseSubspace(ws, r, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,11 +28,14 @@ type Workspace struct {
 	snapRows [][]complex128
 	snapData []complex128
 	r        *mat.Matrix
-	fb       *mat.Matrix
-	rs       *mat.Matrix
-	eig      mat.EigWorkspace
-	noise    *mat.Matrix
-	signal   *mat.Matrix
+	// full is SplitCorrelationWS's whole-array matrix, kept apart from
+	// r so that later frames' correlations leave it for the vote.
+	full   *mat.Matrix
+	fb     *mat.Matrix
+	rs     *mat.Matrix
+	eig    mat.EigWorkspace
+	noise  *mat.Matrix
+	signal *mat.Matrix
 	// sym holds the real form of a centro-Hermitian matrix, then its
 	// real eigenvectors (subspace.go); eigFallbacks counts the eigen
 	// splits that took the general Hermitian solver instead.
@@ -74,10 +77,6 @@ func orFresh(ws *Workspace) *Workspace {
 	return ws
 }
 
-// maxFreeSpectra bounds the recycled-spectrum list: one AP's frame
-// group plus its Bartlett vote, with room to spare.
-const maxFreeSpectra = 8
-
 // spectrum returns an n-bin spectrum for a scan to fill: a recycled one
 // when available, else a fresh allocation, marked as lent by ws.
 // Contents are unspecified; every scan writes all n bins.
@@ -95,16 +94,28 @@ func (ws *Workspace) spectrum(n int) *Spectrum {
 	return s
 }
 
+// CloneSpectrum returns a copy of s in storage lent by ws, which
+// Recycle takes back.
+func (ws *Workspace) CloneSpectrum(s *Spectrum) *Spectrum {
+	c := ws.spectrum(len(s.P))
+	copy(c.P, s.P)
+	return c
+}
+
 // Recycle hands spectra the caller has finished with back to the
 // workspace, which reuses their storage for later scan outputs. The
-// caller must not touch them afterwards. Only spectra this workspace's
-// scans produced are taken; any other (built by hand, by another
+// caller must not touch them afterwards. Only spectra this workspace
+// lent are taken, each once; any other (built by hand, by another
 // workspace, by an injected estimator, or already recycled) is left
 // alone, so passing a spectrum someone else still holds is harmless.
-// Spectra never recycled are simply the caller's to keep.
+// Spectra never recycled are simply the caller's to keep. The free list
+// needs no bound of its own: a spectrum is allocated only when the list
+// is empty, so the list never holds more than the most spectra the
+// workspace has had out at once — one job's frames, votes and combined
+// spectra.
 func (ws *Workspace) Recycle(specs ...*Spectrum) {
 	for _, s := range specs {
-		if s != nil && s.lender == ws && len(ws.free) < maxFreeSpectra {
+		if s != nil && s.lender == ws {
 			s.lender = nil
 			ws.free = append(ws.free, s)
 		}

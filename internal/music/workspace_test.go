@@ -199,8 +199,9 @@ func TestWorkspacePool(t *testing.T) {
 }
 
 // TestEstimators exercises the pluggable estimators on a single strong
-// source: every estimator must peak near the true bearing, and the
-// MUSIC estimator must match ComputeSpectrumWS exactly.
+// source: every estimator, handed the frame's correlation matrix, must
+// peak near the true bearing, and the MUSIC estimator must match
+// ComputeSpectrumWS (which correlates the streams itself) exactly.
 func TestEstimators(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
@@ -217,7 +218,11 @@ func TestEstimators(t *testing.T) {
 		if est.Name() != name {
 			t.Fatalf("estimator %q reports name %q", name, est.Name())
 		}
-		s, err := est.Spectrum(ws, a, streams, opt)
+		r, err := frameCorrelation(ws, a, streams, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := est.Spectrum(ws, a, r, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -243,7 +248,11 @@ func TestEstimators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MUSICEstimator.Spectrum(ws, a, streams, opt)
+	r, err := frameCorrelation(ws, a, streams, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MUSICEstimator.Spectrum(ws, a, r, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/music"
 	"repro/internal/server"
@@ -329,4 +330,91 @@ func TestLocateScaleInvariantThroughWire(t *testing.T) {
 		}
 		t.Logf("scale %g: %d scenes, max fix displacement %.3g m", c.scale, len(got), worst)
 	}
+}
+
+// permuted returns the request with its APs, and their captures, listed
+// in the order perm gives: entry i is the request's AP perm[i].
+func permuted(req engine.Request, perm []int) engine.Request {
+	out := req
+	out.APs = make([]*core.AP, len(perm))
+	out.Captures = make([][]core.FrameCapture, len(perm))
+	for i, k := range perm {
+		out.APs[i], out.Captures[i] = req.APs[k], req.Captures[k]
+	}
+	return out
+}
+
+// TestLocatePermutationInvariant is the whole locate path's AP-order
+// metamorphic test: the order in which a request lists its APs is
+// bookkeeping, so reversing, rotating or shuffling it must not move the
+// fix. It covers all 41 clients × 6 APs at 10 cm under each of the three
+// orders, and the 3-AP throughput fixture's 256 requests, each under one
+// of the three. The reference is Pipeline.Locate in the request's own
+// order; the permuted requests go through one engine worker, whose
+// workspace gets every job's spectra back, so a recycled spectrum paired
+// with the wrong AP — metres off — fails the test too.
+//
+// The bar is 1e-9 m, not ==: Eq. 8 sums the APs' log-likelihoods in
+// request order, and on a near-tie that rounding steers the hill climb
+// to the same point by another path, an ulp or two away — 2 to 6 of the
+// 123 six-AP fixes, depending on which AP's position first built the
+// shared steering table (its cache key leaves the position out, and the
+// element offsets round with it). The == counts are logged.
+func TestLocatePermutationInvariant(t *testing.T) {
+	tb := New()
+	opt := DefaultAccuracyOptions()
+	aps, frames, _ := windowScenes(tb, opt)
+	// serve checks each request under the orders orders(i) gives it and
+	// returns how many fixes it compared and how many were ==.
+	serve := func(cfg core.Config, reqs []engine.Request, orders func(i int) [][]int) (checked, exact int) {
+		t.Helper()
+		p := core.NewPipeline(cfg)
+		eng := engine.New(engine.Options{Workers: 1, Config: cfg})
+		defer eng.Close()
+		for i, req := range reqs {
+			want, _, err := p.Locate(req.APs, req.Captures, req.Min, req.Max)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, perm := range orders(i) {
+				got := eng.Locate(permuted(req, perm))
+				if got.Err != nil {
+					t.Fatal(got.Err)
+				}
+				if d := got.Pos.Dist(want); d > 1e-9 {
+					t.Errorf("request %d, APs in order %v: fix %v is %.3g m from %v in the request's order", i, perm, got.Pos, d, want)
+				}
+				if got.Pos == want {
+					exact++
+				}
+				checked++
+			}
+		}
+		return checked, exact
+	}
+
+	var walk []engine.Request
+	for ci := range frames {
+		req := engine.Request{ClientID: uint32(ci + 1), APs: aps, Min: tb.Plan.Min, Max: tb.Plan.Max}
+		for si := range aps {
+			req.Captures = append(req.Captures, Cut(frames[ci][si]))
+		}
+		walk = append(walk, req)
+	}
+	six := [][]int{{5, 4, 3, 2, 1, 0}, {1, 2, 3, 4, 5, 0}, {3, 0, 5, 1, 4, 2}}
+	n, exact := serve(opt.Pipeline, walk, func(int) [][]int { return six })
+	if n != 123 {
+		t.Fatalf("checked %d fixes at 6 APs, want 123", n)
+	}
+	t.Logf("6 APs: %d of %d permuted fixes ==", exact, n)
+
+	thr := DefaultThroughputOptions()
+	cfg := core.DefaultConfig(tb.Wavelength)
+	cfg.GridCell = thr.GridCell
+	three := [][]int{{2, 1, 0}, {1, 2, 0}, {1, 0, 2}}
+	n, exact = serve(cfg, tb.ThroughputRequests(256, thr), func(i int) [][]int { return three[i%3 : i%3+1] })
+	if n != 256 {
+		t.Fatalf("checked %d fixes at 3 APs, want 256", n)
+	}
+	t.Logf("3 APs: %d of %d permuted fixes ==", exact, n)
 }

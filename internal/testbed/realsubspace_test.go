@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/core"
+	"repro/internal/mat"
 	"repro/internal/music"
 )
 
@@ -17,11 +18,7 @@ type hermitianEstimator struct{}
 
 func (hermitianEstimator) Name() string { return "music-hermitian" }
 
-func (hermitianEstimator) Spectrum(ws *music.Workspace, a *array.Array, streams [][]complex128, opt music.Options) (*music.Spectrum, error) {
-	r, err := music.CalibratedCorrelationWS(ws, streams, opt.SampleOffset, opt.MaxSamples, opt.CalibrationOffsets)
-	if err != nil {
-		return nil, err
-	}
+func (hermitianEstimator) Spectrum(ws *music.Workspace, a *array.Array, r *mat.Matrix, opt music.Options) (*music.Spectrum, error) {
 	if opt.ForwardBackward {
 		r = music.ForwardBackwardWS(ws, r)
 	}
