@@ -338,11 +338,11 @@ func BenchmarkFullGridLocalize(b *testing.B) {
 }
 
 // TestProcessAPsSharedCorrelationExactOn205Scenes pins the per-AP
-// stage's one correlation per frame: ProcessAPsWS correlates frame 0
-// over all nine elements once, its estimator reads the row's 8 × 8 block
-// and the ninth-antenna vote the whole matrix, where the standalone
-// FrameSpectrum and CombineAP correlate the row and the full array
-// separately. Over the 205 scenes (SpectraForAll's frames and AP
+// stage's one set of snapshots per frame: ProcessAPsWS takes frame 0's
+// snapshots over all nine elements once, its estimator reads the row's
+// eight and the ninth-antenna vote correlates all nine, where the
+// standalone FrameSpectrum and CombineAP take the row's snapshots and
+// the full array's separately. Over the 205 scenes (SpectraForAll's frames and AP
 // combos) the combined spectra must equal the standalone ones bin for
 // bin and the fixes must be ==. One workspace serves every scene and
 // gets each scene's spectra back, as an engine worker does, so a

@@ -2,7 +2,7 @@ package core
 
 // The streaming localization pipeline, as explicit stages —
 //
-//	snapshots → correlation → subspace → spectrum   (per frame, via the
+//	snapshots → subspace → spectrum                 (per frame, via the
 //	                                                 injected Estimator)
 //	suppression → weighting → symmetry removal      (per AP, across frames)
 //	synthesis                                       (across APs, Eq. 8)
@@ -10,9 +10,10 @@ package core
 // — with every stage threading a music.Workspace (drawn from a
 // sync.Pool, or owned by the caller for its lifetime), so the
 // steady-state hot path allocates only what escapes: the fix, and the
-// combined spectra unless the caller recycles them. Each frame is
-// correlated once; the estimator (Config.Estimator, pluggable) and the
-// ninth-antenna vote read that one matrix.
+// combined spectra unless the caller recycles them. Each frame's
+// snapshots are taken once: the estimator (Config.Estimator, pluggable)
+// reads their main row, and frame 0's ninth-antenna vote correlates all
+// nine — with forward–backward MUSIC, the AP's only complex correlation.
 
 import (
 	"errors"
@@ -85,19 +86,18 @@ func (p *Pipeline) window(streams [][]complex128) error {
 	return nil
 }
 
-// FrameSpectrum is the per-frame stage chain (snapshots → correlation
-// → subspace → spectrum): the frame's row correlated here, the rest
-// delegated to the estimator, all on the given workspace (nil means a
-// fresh one).
+// FrameSpectrum is the per-frame stage chain (snapshots → subspace →
+// spectrum): the frame's row snapshots taken here, the rest delegated
+// to the estimator, all on the given workspace (nil means a fresh one).
 func (p *Pipeline) FrameSpectrum(ws *music.Workspace, ap *AP, frame FrameCapture) (*music.Spectrum, error) {
 	if ws == nil {
 		ws = &music.Workspace{}
 	}
-	r, _, err := p.correlate(ws, ap, frame, false)
+	snaps, err := p.snapshots(ws, ap, frame, false)
 	if err != nil {
 		return nil, err
 	}
-	return p.cfg.Estimator.Spectrum(ws, ap.Array, r, p.musicOptions(ap))
+	return p.cfg.Estimator.Spectrum(ws, ap.Array, snaps, p.musicOptions(ap))
 }
 
 // votes reports whether the ninth-antenna vote runs for an AP's frame
@@ -107,27 +107,23 @@ func (p *Pipeline) votes(ap *AP, frames []FrameCapture) bool {
 		len(frames) > 0 && len(frames[0].Streams) >= ap.Array.NumElements()
 }
 
-// correlate is the one correlation site of the per-AP stage: it checks
-// the frame's window and returns the calibrated correlation of its main
-// row, plus, when full is set, that of every element (the vote's
-// matrix, the row's being its leading block).
-func (p *Pipeline) correlate(ws *music.Workspace, ap *AP, frame FrameCapture, full bool) (row, all *mat.Matrix, err error) {
+// snapshots is the one snapshot site of the per-AP stage: it checks the
+// frame's window and returns the calibrated snapshots of its main row,
+// or, when full is set, of every element (the vote's, the row's being
+// their leading elements).
+func (p *Pipeline) snapshots(ws *music.Workspace, ap *AP, frame FrameCapture, full bool) ([][]complex128, error) {
 	n := ap.Array.N
 	if len(frame.Streams) < n {
-		return nil, nil, fmt.Errorf("core: frame has %d streams, need %d row antennas", len(frame.Streams), n)
+		return nil, fmt.Errorf("core: frame has %d streams, need %d row antennas", len(frame.Streams), n)
 	}
 	streams := frame.Streams[:n]
 	if full {
 		streams = frame.Streams[:ap.Array.NumElements()]
 	}
 	if err := p.window(streams); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if full {
-		return music.SplitCorrelationWS(ws, streams, n, 0, p.cfg.MaxSamples, ap.Calibration)
-	}
-	row, err = music.CalibratedCorrelationWS(ws, streams, 0, p.cfg.MaxSamples, ap.Calibration)
-	return row, nil, err
+	return music.CalibratedSnapshotsWS(ws, streams, 0, p.cfg.MaxSamples, ap.Calibration)
 }
 
 // framesRead is how many leading frames of an n-frame group CombineAP
@@ -159,8 +155,11 @@ func (p *Pipeline) CombineAP(ws *music.Workspace, ap *AP, frames []FrameCapture,
 	}
 	var rFull *mat.Matrix
 	if p.votes(ap, frames) {
-		var err error
-		if _, rFull, err = p.correlate(ws, ap, frames[0], true); err != nil {
+		snaps, err := p.snapshots(ws, ap, frames[0], true)
+		if err != nil {
+			return nil, err
+		}
+		if rFull, err = music.VoteCorrelationWS(ws, snaps); err != nil {
 			return nil, err
 		}
 	}
@@ -202,12 +201,11 @@ func (p *Pipeline) ProcessAP(ap *AP, frames []FrameCapture) (*music.Spectrum, er
 }
 
 // processAP computes a spectrum only for the frames the combine stage
-// will read, and correlates each of them once: when the vote runs,
-// frame 0 is correlated over every element, its estimator reads the
-// row's block and the vote the whole matrix. It owns the frame spectra
-// from scan to combine, so they live in the workspace (list and
-// storage both) and go back to it afterwards; only the combined
-// spectrum, lent by ws, leaves.
+// will read, and takes each of their snapshots once: when the vote
+// runs, frame 0's over every element, its estimator reading the row and
+// the vote correlating them all. It owns the frame spectra from scan to
+// combine, so they live in the workspace (list and storage both) and go
+// back to it afterwards; only the combined spectrum, lent by ws, leaves.
 func (p *Pipeline) processAP(ws *music.Workspace, ap *AP, frames []FrameCapture) (*music.Spectrum, error) {
 	read := frames[:p.framesRead(len(frames))]
 	vote := p.votes(ap, frames)
@@ -216,18 +214,21 @@ func (p *Pipeline) processAP(ws *music.Workspace, ap *AP, frames []FrameCapture)
 	defer func() { ws.Recycle(spectra...) }()
 	var rFull *mat.Matrix
 	for i, f := range read {
-		r, full, err := p.correlate(ws, ap, f, i == 0 && vote)
+		full := i == 0 && vote
+		snaps, err := p.snapshots(ws, ap, f, full)
 		if err != nil {
 			return nil, fmt.Errorf("frame %d: %w", i, err)
 		}
-		if full != nil {
-			rFull = full
-		}
-		s, err := p.cfg.Estimator.Spectrum(ws, ap.Array, r, opt)
+		s, err := p.cfg.Estimator.Spectrum(ws, ap.Array, snaps, opt)
 		if err != nil {
 			return nil, fmt.Errorf("frame %d: %w", i, err)
 		}
 		spectra = append(spectra, s)
+		if full {
+			if rFull, err = music.VoteCorrelationWS(ws, snaps); err != nil {
+				return nil, fmt.Errorf("frame %d: %w", i, err)
+			}
+		}
 	}
 	return p.combine(ws, ap, spectra, rFull), nil
 }

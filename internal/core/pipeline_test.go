@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/array"
 	"repro/internal/geom"
-	"repro/internal/mat"
 	"repro/internal/music"
 )
 
@@ -246,8 +246,8 @@ func TestProcessAPsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// memoEstimator answers repeat frames from a cache keyed on the
-// correlation matrix it is handed, the way an injected estimator
+// memoEstimator answers repeat frames from a cache keyed on the row
+// snapshots it is handed, the way an injected estimator
 // sitting on a replay log might: the spectrum it returns stays in its
 // hands after the call.
 type memoEstimator struct {
@@ -257,16 +257,19 @@ type memoEstimator struct {
 
 func (*memoEstimator) Name() string { return "memo" }
 
-func (m *memoEstimator) Spectrum(_ *music.Workspace, a *array.Array, r *mat.Matrix, opt music.Options) (*music.Spectrum, error) {
+func (m *memoEstimator) Spectrum(_ *music.Workspace, a *array.Array, snaps [][]complex128, opt music.Options) (*music.Spectrum, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := fmt.Sprint(r.Data)
-	if s, ok := m.seen[key]; ok {
+	var key strings.Builder
+	for _, x := range snaps {
+		fmt.Fprint(&key, x[:a.N])
+	}
+	if s, ok := m.seen[key.String()]; ok {
 		return s, nil
 	}
-	s, err := music.MUSICEstimator.Spectrum(nil, a, r, opt)
+	s, err := music.MUSICEstimator.Spectrum(nil, a, snaps, opt)
 	if err == nil {
-		m.seen[key] = s
+		m.seen[key.String()] = s
 	}
 	return s, err
 }
@@ -328,9 +331,9 @@ type countingEstimator struct{ calls int }
 
 func (*countingEstimator) Name() string { return "counting" }
 
-func (c *countingEstimator) Spectrum(ws *music.Workspace, a *array.Array, r *mat.Matrix, opt music.Options) (*music.Spectrum, error) {
+func (c *countingEstimator) Spectrum(ws *music.Workspace, a *array.Array, snaps [][]complex128, opt music.Options) (*music.Spectrum, error) {
 	c.calls++
-	return music.MUSICEstimator.Spectrum(ws, a, r, opt)
+	return music.MUSICEstimator.Spectrum(ws, a, snaps, opt)
 }
 
 // TestProcessAPComputesOnlyFramesRead: the combine stage reads at most

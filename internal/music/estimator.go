@@ -13,41 +13,40 @@ import (
 	"fmt"
 
 	"repro/internal/array"
-	"repro/internal/mat"
 )
 
-// Estimator turns one frame's correlation matrix into an AoA spectrum.
-// r is the calibrated a.N × a.N correlation of the array's main row
-// (CalibratedCorrelationWS): the caller correlates each frame once and
-// every estimator starts from that matrix. Implementations must be safe
-// for concurrent use by multiple goroutines holding distinct
-// workspaces, and must not modify r. ws holds the call's scratch and
-// must only be used for the duration of the call; nil means a fresh
-// Workspace (see Workspace).
+// Estimator turns one frame's snapshots into an AoA spectrum. snaps are
+// the frame's calibrated snapshots (CalibratedSnapshotsWS), the main row
+// first in each: an estimator reads the first a.N elements, so a caller
+// may take the ninth antenna's with them for its own use.
+// Implementations must be safe for concurrent use by goroutines holding
+// distinct workspaces, and must not modify snaps. ws holds the call's
+// scratch for the call's duration; nil means a fresh Workspace.
 type Estimator interface {
 	// Name identifies the estimator ("music", "bartlett", "baseline").
 	Name() string
 	// Spectrum computes the normalized AoA spectrum from the row's
-	// correlation matrix. The caller may hand the result back to ws
-	// with Recycle, which reuses a spectrum that came out of ws's own
-	// scans and ignores any other: an estimator that keeps or shares
-	// what it returns must therefore build it without ws (a fresh
-	// workspace, or a spectrum of its own).
-	Spectrum(ws *Workspace, a *array.Array, r *mat.Matrix, opt Options) (*Spectrum, error)
+	// snapshots. The caller may hand the result back to ws with
+	// Recycle, which reuses a spectrum that came out of ws's own scans
+	// and ignores any other: an estimator that keeps or shares what it
+	// returns must therefore build it without ws (a fresh workspace, or
+	// a spectrum of its own).
+	Spectrum(ws *Workspace, a *array.Array, snaps [][]complex128, opt Options) (*Spectrum, error)
 }
 
 // MUSICEstimator is the paper's full §2.3 chain: spatial smoothing,
 // optional forward-backward averaging, eigen subspace split, MUSIC
-// pseudospectrum. It is the default estimator everywhere.
+// pseudospectrum. With averaging on it never forms a complex
+// correlation (see subspace.go). It is the default estimator everywhere.
 var MUSICEstimator Estimator = musicEstimator{}
 
 type musicEstimator struct{}
 
 func (musicEstimator) Name() string { return "music" }
 
-func (musicEstimator) Spectrum(ws *Workspace, a *array.Array, r *mat.Matrix, opt Options) (*Spectrum, error) {
+func (musicEstimator) Spectrum(ws *Workspace, a *array.Array, snaps [][]complex128, opt Options) (*Spectrum, error) {
 	ws = orFresh(ws)
-	noise, err := noiseSubspace(ws, r, opt)
+	noise, err := noiseSubspace(ws, snaps, a.N, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +63,12 @@ type bartlettEstimator struct{}
 
 func (bartlettEstimator) Name() string { return "bartlett" }
 
-func (bartlettEstimator) Spectrum(ws *Workspace, a *array.Array, r *mat.Matrix, opt Options) (*Spectrum, error) {
+func (bartlettEstimator) Spectrum(ws *Workspace, a *array.Array, snaps [][]complex128, opt Options) (*Spectrum, error) {
+	ws = orFresh(ws)
+	r, err := correlate(&ws.r, snaps, a.N)
+	if err != nil {
+		return nil, err
+	}
 	return BartlettWithTableWS(ws, r, opt.table(a)).Normalize(), nil
 }
 
@@ -78,45 +82,37 @@ type baselineEstimator struct{}
 
 func (baselineEstimator) Name() string { return "baseline" }
 
-func (baselineEstimator) Spectrum(ws *Workspace, a *array.Array, r *mat.Matrix, opt Options) (*Spectrum, error) {
+func (baselineEstimator) Spectrum(ws *Workspace, a *array.Array, snaps [][]complex128, opt Options) (*Spectrum, error) {
 	ws = orFresh(ws)
+	r, err := correlate(&ws.r, snaps, a.N)
+	if err != nil {
+		return nil, err
+	}
 	maxD := opt.MaxSignals
 	if maxD <= 0 {
 		maxD = r.Rows / 2
 	}
-	noise, err := noiseVectors(ws, r, opt.thresh(), maxD)
+	noise, err := hermitianNoise(ws, r, opt.thresh(), maxD)
 	if err != nil {
 		return nil, err
 	}
 	return MUSICWithTableWS(ws, noise, opt.table(a)), nil
 }
 
-// frameCorrelation is ComputeSpectrumWS's front half: snapshots →
-// calibration → correlation over the array's main-row streams.
-func frameCorrelation(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*mat.Matrix, error) {
-	if len(streams) < 2 {
-		return nil, errors.New("music: need at least two antenna streams")
-	}
-	if len(streams) > a.N {
-		return nil, fmt.Errorf("music: %d streams exceed the %d-element row", len(streams), a.N)
-	}
-	return CalibratedCorrelationWS(ws, streams, opt.SampleOffset, opt.MaxSamples, opt.CalibrationOffsets)
-}
-
 // ErrShortCapture reports streams that end before the window
-// [offset, offset+maxSamples) the correlation was asked to read (and,
+// [offset, offset+maxSamples) the snapshots were asked to read (and,
 // through core, streams that are not the window's length).
 var ErrShortCapture = errors.New("music: capture does not match the correlation window")
 
-// CalibratedCorrelationWS takes snapshots of the streams (SnapshotsAtWS),
-// removes the calibration offsets when calib is non-nil (the §3
-// correction, its phasors computed once for the whole frame), and
-// returns their correlation matrix (CorrelationMatrixWS). Everything
-// lives in ws. Unlike SnapshotsAtWS it holds the window as a contract:
-// a stream that does not reach offset+maxSamples (offset+1 when
-// maxSamples is 0) is refused with ErrShortCapture, never read from
-// sample 0 or correlated over fewer snapshots than configured.
-func CalibratedCorrelationWS(ws *Workspace, streams [][]complex128, offset, maxSamples int, calib []float64) (*mat.Matrix, error) {
+// CalibratedSnapshotsWS takes snapshots of the streams (SnapshotsAtWS)
+// and removes the calibration offsets when calib is non-nil (the §3
+// correction, its phasors computed once for the whole frame). The
+// snapshots live in ws until its next snapshots. Unlike SnapshotsAtWS it
+// holds the window as a contract: a stream that does not reach
+// offset+maxSamples (offset+1 when maxSamples is 0) is refused with
+// ErrShortCapture, never read from sample 0 or taken over fewer
+// snapshots than configured.
+func CalibratedSnapshotsWS(ws *Workspace, streams [][]complex128, offset, maxSamples int, calib []float64) ([][]complex128, error) {
 	ws = orFresh(ws)
 	need := offset + max(maxSamples, 1)
 	for k, st := range streams {
@@ -128,33 +124,7 @@ func CalibratedCorrelationWS(ws *Workspace, streams [][]complex128, offset, maxS
 	if calib != nil {
 		ws.phasors = array.CorrectSnapshots(snaps, calib, ws.phasors)
 	}
-	return CorrelationMatrixWS(ws, snaps)
-}
-
-// SplitCorrelationWS correlates a frame over all its streams (the ninth
-// antenna included) for a caller that needs both the main row's matrix,
-// for an Estimator, and the full one, for the §2.3.4 vote. row is the
-// leading n × n block, in the matrix CalibratedCorrelationWS fills; full
-// sits in a slot of its own that later correlations leave alone, valid
-// until the next SplitCorrelationWS. Each entry of the block sums the
-// same products in the same snapshot order as a correlation of the
-// first n streams alone, so row equals CalibratedCorrelationWS of
-// streams[:n] bit for bit.
-func SplitCorrelationWS(ws *Workspace, streams [][]complex128, n, offset, maxSamples int, calib []float64) (row, full *mat.Matrix, err error) {
-	ws = orFresh(ws)
-	if n < 1 || n > len(streams) {
-		return nil, nil, fmt.Errorf("music: row of %d out of %d streams", n, len(streams))
-	}
-	full, err = CalibratedCorrelationWS(ws, streams, offset, maxSamples, calib)
-	if err != nil {
-		return nil, nil, err
-	}
-	ws.full, ws.r = full, mat.ReuseMatrix(ws.full, n, n)
-	m := full.Cols
-	for i := 0; i < n; i++ {
-		copy(ws.r.Data[i*n:(i+1)*n], full.Data[i*m:i*m+n])
-	}
-	return ws.r, full, nil
+	return snaps, nil
 }
 
 // EstimatorByName resolves "music", "bartlett", or "baseline".

@@ -1,19 +1,27 @@
 package music
 
-import "repro/internal/mat"
+import (
+	"math/rand"
 
-// The eigen split's internals, for the external tests that need
-// internal/testbed's matrices (testbed imports this package, so they
-// cannot live inside it).
+	"repro/internal/mat"
+)
 
-// NoiseVectors is noiseVectors.
-func NoiseVectors(ws *Workspace, r *mat.Matrix, thresholdFrac float64, maxD int) (*mat.Matrix, error) {
-	return noiseVectors(ws, r, thresholdFrac, maxD)
+// Internals for the external tests that need internal/testbed's frames
+// (testbed imports this package, so they cannot live inside it).
+
+// NoiseSubspace is noiseSubspace: the noise subspace of the first n
+// elements of a frame's snapshots, as MUSICEstimator scans it.
+func NoiseSubspace(ws *Workspace, snaps [][]complex128, n int, opt Options) (*mat.Matrix, error) {
+	return noiseSubspace(ws, snaps, n, opt)
 }
 
-// RealEig is realEig: the ascending eigenvalues through the real form,
-// or ok false when r does not qualify for it.
-func RealEig(ws *Workspace, r *mat.Matrix) (vals []float64, ok bool) { return realEig(ws, r) }
+// RealForm is realForm: the upper triangle of the real symmetric
+// (n−ng+1)-order matrix built from the snapshots, row-major in storage
+// ws owns.
+func RealForm(ws *Workspace, snaps [][]complex128, n, ng int) ([]float64, error) {
+	err := realForm(ws, snaps, n, ng)
+	return ws.sym, err
+}
 
 // UseGoKernels switches the bin-parallel loops of packed.go and music.go
 // to their Go bodies alone — what a machine without AVX2 runs — and
@@ -24,3 +32,9 @@ func UseGoKernels() (restore func()) {
 	useAVX2 = false
 	return func() { useAVX2 = was }
 }
+
+// PeaksRef is peaksRef, the reference peak finder.
+func PeaksRef(s *Spectrum, minRel float64) []Peak { return peaksRef(s, minRel) }
+
+// RandomSpectrum is randomSpectrum: n bins uniform in [0, 10).
+func RandomSpectrum(n int, rng *rand.Rand) *Spectrum { return randomSpectrum(n, rng) }

@@ -6,6 +6,7 @@
 package music
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 
@@ -215,35 +216,26 @@ func (s *Spectrum) AppendPeaks(dst []Peak, minRel float64) []Peak {
 	if n < 3 {
 		return dst
 	}
-	// One pass finds the maximum and collects every local maximum; the
-	// floor, known only once it ends, then filters them in place.
-	out, max := dst, math.Inf(-1)
-	// prev and v are carried from bin to bin; only the last bin's
-	// successor wraps to bin 0.
-	prev, v := s.P[n-1], s.P[0]
-	for i := 0; i < n; i++ {
-		next := s.P[0]
-		if i+1 < n {
-			next = s.P[i+1]
-		}
-		if v > max {
-			max = v
-		}
-		if v > prev && v >= next {
-			out = append(out, Peak{Power: v, Bin: i})
-		}
-		prev, v = v, next
+	// The maximum first (vector body), so the one pass over the bins
+	// appends only the local maxima at or above the floor.
+	max := runMax(s.P, math.Inf(-1))
+	if max <= 0 {
+		return dst
 	}
-	peaks := out[len(dst):len(dst)]
-	for _, pk := range out[len(dst):] {
-		if pk.Power >= minRel*max {
-			pk.Theta = s.Theta(pk.Bin)
-			peaks = append(peaks, pk)
+	floor := minRel * max
+	out := dst
+	p, prev := s.P, s.P[n-1]
+	for i, v := range p[:n-1] {
+		if v > prev && v >= p[i+1] && v >= floor {
+			out = append(out, Peak{Theta: s.Theta(i), Power: v, Bin: i})
 		}
+		prev = v
 	}
-	if max <= 0 || len(peaks) == 0 {
-		return dst // nothing to add: a nil dst stays nil
+	// Only the last bin's successor wraps to bin 0.
+	if v := p[n-1]; v > prev && v >= p[0] && v >= floor {
+		out = append(out, Peak{Theta: s.Theta(n - 1), Power: v, Bin: n - 1})
 	}
+	peaks := out[len(dst):]
 	// Insertion sort by descending power (peak counts are tiny).
 	for i := 1; i < len(peaks); i++ {
 		j := i
@@ -252,21 +244,16 @@ func (s *Spectrum) AppendPeaks(dst []Peak, minRel float64) []Peak {
 			j--
 		}
 	}
-	return out[:len(dst)+len(peaks)]
+	return out
 }
 
-// SnapshotsFromStreams transposes per-antenna sample streams into
-// per-time snapshot vectors, using at most maxSamples samples (§2.1
-// records just 10 samples of the preamble).
-func SnapshotsFromStreams(streams [][]complex128, maxSamples int) [][]complex128 {
-	return SnapshotsAt(streams, 0, maxSamples)
-}
-
-// SnapshotsAt is SnapshotsFromStreams starting at sample offset. If the
-// streams are shorter than offset, the offset is clamped to 0: better a
-// transient-polluted spectrum than none. That leniency is for offline
-// callers holding whatever frame they have; the serving path goes
-// through CalibratedCorrelationWS, which refuses such streams.
+// SnapshotsAt transposes per-antenna sample streams into per-time
+// snapshot vectors, from sample offset on and using at most maxSamples
+// samples (§2.1 records just 10 samples of the preamble; 0 means all).
+// If the streams are shorter than offset, the offset is clamped to 0:
+// better a transient-polluted spectrum than none. That leniency is for
+// offline callers holding whatever frame they have; the serving path
+// goes through CalibratedSnapshotsWS, which refuses such streams.
 func SnapshotsAt(streams [][]complex128, offset, maxSamples int) [][]complex128 {
 	return SnapshotsAtWS(&Workspace{}, streams, offset, maxSamples)
 }
@@ -331,48 +318,22 @@ func (o Options) thresh() float64 {
 	return o.SignalThresholdFrac
 }
 
-// ComputeSpectrumWS runs the §2.3 chain for one AP: snapshots →
-// calibration correction → correlation → spatial smoothing → eigen
-// subspaces → MUSIC pseudospectrum over the smoothed subarray. The
-// streams must be the array's main-row antennas (use the ninth antenna
-// only via SymmetryRemoval). It is the offline entry point: correlate,
-// then run MUSICEstimator on the matrix. The returned spectrum is
-// normalized to a unit maximum. Every intermediate — snapshots,
-// correlation, forward-backward, smoothed matrix, eigen scratch, noise
-// subspace — is drawn from the workspace. Only the returned Spectrum
-// leaves it: it is the caller's, freshly allocated unless the caller
-// has handed earlier spectra back with ws.Recycle, while the
-// intermediates stay in ws for the next frame.
+// ComputeSpectrumWS runs the §2.3 chain for one AP, the offline entry
+// point: the calibrated snapshots of the array's main-row streams (the
+// ninth antenna only votes, via SymmetryRemoval), then MUSICEstimator.
+// Every intermediate is drawn from ws. Only the returned spectrum, at
+// unit maximum, leaves it: the caller's, freshly allocated unless
+// earlier spectra were handed back with ws.Recycle.
 func ComputeSpectrumWS(ws *Workspace, a *array.Array, streams [][]complex128, opt Options) (*Spectrum, error) {
+	if len(streams) != a.N {
+		return nil, fmt.Errorf("music: %d streams for the %d-element row", len(streams), a.N)
+	}
 	ws = orFresh(ws)
-	r, err := frameCorrelation(ws, a, streams, opt)
+	snaps, err := CalibratedSnapshotsWS(ws, streams, opt.SampleOffset, opt.MaxSamples, opt.CalibrationOffsets)
 	if err != nil {
 		return nil, err
 	}
-	return MUSICEstimator.Spectrum(ws, a, r, opt)
-}
-
-// noiseSubspace is the chain from the correlation to the scan: optional
-// forward-backward averaging, spatial smoothing, and the eigen split (in
-// real arithmetic when averaging made the matrix centro-Hermitian, see
-// subspace.go). The returned noise subspace lives in ws.
-func noiseSubspace(ws *Workspace, r *mat.Matrix, opt Options) (*mat.Matrix, error) {
-	if opt.ForwardBackward {
-		r = ForwardBackwardWS(ws, r)
-	}
-	ng := opt.SmoothingGroups
-	if ng < 1 {
-		ng = 1
-	}
-	rs, err := SpatialSmoothWS(ws, r, ng)
-	if err != nil {
-		return nil, err
-	}
-	maxD := opt.MaxSignals
-	if maxD <= 0 {
-		maxD = rs.Rows / 2
-	}
-	return noiseVectors(ws, rs, opt.thresh(), maxD)
+	return MUSICEstimator.Spectrum(ws, a, snaps, opt)
 }
 
 // MUSIC evaluates the MUSIC pseudospectrum (Eq. 6)

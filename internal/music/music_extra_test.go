@@ -32,7 +32,7 @@ func TestSnapshotsAtOffset(t *testing.T) {
 }
 
 // TestCalibratedCorrelationRefusesShortStreams: where SnapshotsAt is
-// lenient (above), the serving path's correlation holds the window as a
+// lenient (above), the serving path's snapshots hold the window as a
 // contract — every stream must reach offset+maxSamples, or the frame is
 // refused with ErrShortCapture instead of being read from sample 0 or
 // averaged over fewer snapshots.
@@ -52,22 +52,18 @@ func TestCalibratedCorrelationRefusesShortStreams(t *testing.T) {
 		{"negative offset", streams, -3, 2, true},
 		{"one ragged stream", [][]complex128{{1, 2, 3, 4}, {5, 6, 7}}, 2, 2, true},
 	} {
-		r, err := CalibratedCorrelationWS(nil, c.streams, c.offset, c.maxSamples, nil)
-		if c.refused != errors.Is(err, ErrShortCapture) || (err == nil) != (r != nil) {
-			t.Errorf("%s: matrix %v, err %v; want refused=%v", c.name, r != nil, err, c.refused)
+		snaps, err := CalibratedSnapshotsWS(nil, c.streams, c.offset, c.maxSamples, nil)
+		if c.refused != errors.Is(err, ErrShortCapture) || (err == nil) != (snaps != nil) {
+			t.Errorf("%s: snapshots %v, err %v; want refused=%v", c.name, snaps != nil, err, c.refused)
 		}
 	}
 	// What it accepts is what SnapshotsAt reads.
-	got, err := CalibratedCorrelationWS(nil, streams, 2, 2, nil)
+	got, err := CalibratedSnapshotsWS(nil, streams, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := CorrelationMatrixWS(nil, SnapshotsAt(streams, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Data, want.Data) {
-		t.Errorf("correlation over [2, 4) = %v, want %v", got.Data, want.Data)
+	if want := SnapshotsAt(streams, 2, 2); !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshots over [2, 4) = %v, want %v", got, want)
 	}
 }
 
@@ -239,7 +235,7 @@ func TestSymmetryRemovalLeavesAxisBins(t *testing.T) {
 	// Put sentinel values near the axis; they must be untouched.
 	spec.P[5] = 0.42
 	spec.P[355] = 0.42
-	snaps := SnapshotsFromStreams(streams, 0)
+	snaps := SnapshotsAt(streams, 0, 0)
 	rFull, _ := CorrelationMatrixWS(nil, snaps)
 	SymmetryRemoval(spec, a, rFull, lambda)
 	if spec.P[5] != 0.42 || spec.P[355] != 0.42 {

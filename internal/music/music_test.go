@@ -164,14 +164,14 @@ func TestCorrelationMatrixProperties(t *testing.T) {
 
 func TestSnapshotsFromStreams(t *testing.T) {
 	streams := [][]complex128{{1, 2, 3}, {4, 5, 6}}
-	snaps := SnapshotsFromStreams(streams, 2)
+	snaps := SnapshotsAt(streams, 0, 2)
 	if len(snaps) != 2 || snaps[0][0] != 1 || snaps[0][1] != 4 || snaps[1][1] != 5 {
 		t.Errorf("snapshots = %v", snaps)
 	}
-	if got := SnapshotsFromStreams(streams, 0); len(got) != 3 {
+	if got := SnapshotsAt(streams, 0, 0); len(got) != 3 {
 		t.Errorf("maxSamples=0 should keep all: %d", len(got))
 	}
-	if SnapshotsFromStreams(nil, 5) != nil {
+	if SnapshotsAt(nil, 0, 5) != nil {
 		t.Error("nil streams")
 	}
 }
@@ -310,6 +310,9 @@ func TestComputeSpectrumErrors(t *testing.T) {
 	if _, err := ComputeSpectrumWS(nil, a, five, Options{Wavelength: lambda}); err == nil {
 		t.Error("more streams than row antennas should error")
 	}
+	if _, err := ComputeSpectrumWS(nil, a, five[:3], Options{Wavelength: lambda}); err == nil {
+		t.Error("fewer streams than row antennas should error")
+	}
 }
 
 func TestComputeSpectrumWithCalibration(t *testing.T) {
@@ -403,7 +406,7 @@ func TestSymmetryRemovalPicksTrueSide(t *testing.T) {
 		t.Fatal("row spectrum lost the true peak")
 	}
 
-	snaps := SnapshotsFromStreams(streams, 0)
+	snaps := SnapshotsAt(streams, 0, 0)
 	rFull, err := CorrelationMatrixWS(nil, snaps)
 	if err != nil {
 		t.Fatal(err)
@@ -431,7 +434,7 @@ func TestSymmetryRemovalOtherSide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := SnapshotsFromStreams(streams, 0)
+	snaps := SnapshotsAt(streams, 0, 0)
 	rFull, _ := CorrelationMatrixWS(nil, snaps)
 	mirrorBefore := spec.At(2*math.Pi - want)
 	SymmetryRemoval(spec, a, rFull, lambda)
@@ -448,7 +451,7 @@ func TestBartlettPeaksAtSource(t *testing.T) {
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	want := geom.Rad(100)
 	streams := synth(a, []float64{want}, []complex128{1}, 50, false, 0.01, rng)
-	snaps := SnapshotsFromStreams(streams, 0)
+	snaps := SnapshotsAt(streams, 0, 0)
 	r, _ := CorrelationMatrixWS(nil, snaps)
 	b := Bartlett(r, func(th float64) []complex128 { return a.SteeringVector(th, lambda) }, 360)
 	_, bin := b.Max()

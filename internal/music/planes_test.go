@@ -254,6 +254,37 @@ func TestPlaneKernelsMatchGo(t *testing.T) {
 			t.Fatalf("guard fallbacks: Go loops %d, vector bodies %d (want equal, non-zero)", fired[0], fired[1])
 		}
 	})
+
+	t.Run("realForm", func(t *testing.T) {
+		// Every order and smoothing count, 1 to 2n snapshots, special
+		// lanes (NaN, ±Inf, −0, huge) included: the padded lanes and the
+		// lower triangle the vector body also fills are never read.
+		for n := 2; n <= 17; n++ {
+			for ng := 1; ng < n; ng++ {
+				for _, special := range []bool{false, true} {
+					snaps := make([][]complex128, 1+rng.Intn(2*n))
+					for i := range snaps {
+						re, im := make([]float64, n), make([]float64, n)
+						fillLanes(rng, re, special)
+						fillLanes(rng, im, special)
+						snaps[i] = make([]complex128, n)
+						for k := range snaps[i] {
+							snaps[i][k] = complex(re[k], im[k])
+						}
+					}
+					sub := n - ng + 1
+					both(fmt.Sprintf("n=%d ng=%d snapshots=%d special=%v", n, ng, len(snaps), special),
+						make([]float64, sub*sub), 0, func(p []float64) {
+							ws := &Workspace{}
+							realForm(ws, snaps, n, ng)
+							for k := 0; k < sub; k++ {
+								copy(p[k*sub+k:(k+1)*sub], ws.sym[k*sub+k:(k+1)*sub])
+							}
+						})
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkPlaneSums is the streaming kernel alone at the two shipped

@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"repro/internal/array"
+	"repro/internal/geom"
 	"repro/internal/lru"
 	"repro/internal/mat"
 )
@@ -63,8 +64,15 @@ type mirrorVote struct {
 
 // NewSteeringTable precomputes the steering matrix for the array's full
 // element set (ninth antenna included when present), and the
-// orientation-dependent vote and weight lookups.
+// orientation-dependent vote and weight lookups. It builds from a copy
+// of the array moved to the origin, whose element offsets carry no
+// rounding at the array's position, so the table is a function of the
+// cache key alone: every AP of a geometry gets the same bits, whichever
+// of them built it first.
 func NewSteeringTable(a *array.Array, lambda float64, bins int) *SteeringTable {
+	at := *a
+	at.Pos = geom.Point{}
+	a = &at
 	n := a.NumElements()
 	t := &SteeringTable{
 		bins: bins, n: n,

@@ -2,7 +2,9 @@ package music
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -31,23 +33,56 @@ var steeringCases = []struct {
 	{"circular-8", func() *array.Array { return array.NewCircular(geom.Pt(5, 5), 0.08, 8) }, 0.1225, 180},
 }
 
+// TestSteeringTableMatchesDirect: a table holds, bit for bit, the
+// steering vectors of its array moved to the origin, and those of the
+// array where it stands to 1e-12 (the element offsets round at the
+// array's position, by up to a few ulps of its coordinates).
 func TestSteeringTableMatchesDirect(t *testing.T) {
 	for _, tc := range steeringCases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := tc.build()
+			at := *a
+			at.Pos = geom.Point{}
 			tab := NewSteeringTable(a, tc.lambda, tc.bins)
 			if tab.Bins() != tc.bins || tab.Elements() != a.NumElements() {
 				t.Fatalf("table %dx%d, want %dx%d", tab.Bins(), tab.Elements(), tc.bins, a.NumElements())
 			}
+			var worst float64
 			for i := 0; i < tc.bins; i++ {
 				theta := 2 * math.Pi * float64(i) / float64(tc.bins)
-				want := a.SteeringVector(theta, tc.lambda)
+				want := at.SteeringVector(theta, tc.lambda)
+				placed := a.SteeringVector(theta, tc.lambda)
 				got := tab.Vector(i)
 				for k := range want {
 					if got[k] != want[k] {
-						t.Fatalf("bin %d element %d: table %v, direct %v", i, k, got[k], want[k])
+						t.Fatalf("bin %d element %d: table %v, direct at the origin %v", i, k, got[k], want[k])
 					}
+					worst = math.Max(worst, cmplx.Abs(got[k]-placed[k]))
 				}
+			}
+			if worst > 1e-12 {
+				t.Fatalf("table deviates %g from the steering vectors at the array's position, want ≤ 1e-12", worst)
+			}
+			t.Logf("== at the origin; within %.2g at %v", worst, a.Pos)
+		})
+	}
+}
+
+// TestSteeringTableIndependentOfPosition: two arrays of one geometry at
+// different positions build the same table bit for bit — complex
+// vectors, split planes, votes and weights — so whichever AP builds a
+// shared table first decides nothing.
+func TestSteeringTableIndependentOfPosition(t *testing.T) {
+	for _, tc := range steeringCases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.build(), tc.build()
+			b.Pos = geom.Pt(b.Pos.X+17.3, b.Pos.Y-4.1)
+			ta, tb := NewSteeringTable(a, tc.lambda, tc.bins), NewSteeringTable(b, tc.lambda, tc.bins)
+			if !slices.Equal(ta.data, tb.data) || !slices.Equal(ta.re, tb.re) || !slices.Equal(ta.im, tb.im) {
+				t.Fatalf("steering vectors differ between %v and %v", a.Pos, b.Pos)
+			}
+			if !slices.Equal(ta.votes, tb.votes) || !slices.Equal(ta.weightBins, tb.weightBins) || !slices.Equal(ta.weights, tb.weights) {
+				t.Fatalf("vote or weight lookups differ between %v and %v", a.Pos, b.Pos)
 			}
 		})
 	}
@@ -77,11 +112,11 @@ func TestCachedSpectrumMatchesUncached(t *testing.T) {
 				Bins:            tc.bins,
 			}
 			ws := &Workspace{}
-			r, err := frameCorrelation(ws, a, streams[:a.N], opt)
+			snaps, err := CalibratedSnapshotsWS(ws, streams[:a.N], opt.SampleOffset, opt.MaxSamples, opt.CalibrationOffsets)
 			if err != nil {
 				t.Fatal(err)
 			}
-			noise, err := noiseSubspace(ws, r, opt)
+			noise, err := noiseSubspace(ws, snaps, a.N, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +146,7 @@ func TestCachedBartlettAndSymmetryMatchUncached(t *testing.T) {
 	a.NinthAntenna = true
 	rng := rand.New(rand.NewSource(7))
 	streams := synth(a, []float64{0.9}, []complex128{1}, 32, false, 0.02, rng)
-	snaps := SnapshotsFromStreams(streams, 0)
+	snaps := SnapshotsAt(streams, 0, 0)
 	rFull, err := CorrelationMatrixWS(nil, snaps)
 	if err != nil {
 		t.Fatal(err)

@@ -1,48 +1,34 @@
 package music
 
-// The per-frame eigen split in real arithmetic. With forward–backward
-// averaging on (the default), the matrix that reaches the eigensolver is
-// SpatialSmoothWS(ForwardBackwardWS(R)): Hermitian and persymmetric,
-// R[i,j] = conj(R[n−1−i,n−1−j]) — centro-Hermitian. Such a matrix is
-// unitarily similar to a real symmetric one through a fixed sparse Q
-// (unitary / real-valued MUSIC: Huarng & Yeh 1991; Linebarger, DeGroat &
-// Dowling 1994). For n = 2h (+1 when odd), J the exchange matrix:
+// The per-frame eigen split in real arithmetic (unitary / real-valued
+// MUSIC: Huarng & Yeh 1991; Linebarger, DeGroat & Dowling 1994). With
+// forward–backward averaging on (the default), §2.3 decomposes SS(FB(R))
+// (R the row's correlation, ForwardBackwardWS, SpatialSmoothWS over ng
+// subarrays), a centro-Hermitian matrix. For n = 2h (+1 when odd), J the
+// exchange matrix, a fixed sparse Q makes it real symmetric:
 //
-//	Q = 1/√2 · ⎡ I   0   iI ⎤        T = Qᴴ·R·Q  real symmetric,
-//	          ⎢ 0   √2   0 ⎥        R = Q·T·Qᴴ,
-//	          ⎣ J   0  −iJ ⎦        eigenvectors e = Q·u.
+//	Q = 1/√2 · ⎡ I   0   iI ⎤        T = Qᴴ·SS(FB(R))·Q,
+//	          ⎢ 0   √2   0 ⎥        eigenvectors e = Q·u.
+//	          ⎣ J   0  −iJ ⎦
 //
-// Applying Q is additions only, so T is formed straight from R's planes
-// and a real tridiagonal QL (mat.EigSymmetricWS) replaces the complex
-// Jacobi sweeps at about a fifth of their cost — the largest single line
-// of a fix before this form.
-//
-// House pattern, fast form + guard + retained reference: the real form
-// is taken only for a matrix that is Hermitian and persymmetric to
-// realFormTol of its Frobenius norm, a property of the input, not a
-// setting. Everything else — forward–backward off, the baseline
-// estimator's raw correlation, a hand-built matrix, zero or non-finite
-// input — goes to mat.EigHermitianWS exactly as before (its gates, its
-// errors, its symmetrization), and Workspace.EigFallbacks counts it.
-// Eigenvectors are not unique, so the two paths are compared by
-// eigenvalues and by the noise projector E_N·E_Nᴴ, which the spectrum is
-// a function of (TestRealSubspaceMatchesHermitian, and at fix level
+// J·Q̄ = Q makes the backward half of the average the conjugate of the
+// forward half, so T = Re(Qᴴ·SS(R)·Q) = 1/(ng·N)·Σ_t Σ_g (y_r·y_rᵀ +
+// y_i·y_iᵀ), y = Qᴴ·x_{g,t} for subarray g at time t: realForm builds T
+// from the snapshots, with no complex correlation, averaging or
+// smoothing, and mat.EigSymmetricWS (Householder + QL) solves it at
+// about a fifth of complex Jacobi's cost. Without averaging the split
+// stays on mat.EigHermitianWS. Eigenvectors are not unique, so the
+// splits are compared by eigenvalues and noise projector E_N·E_Nᴴ
+// (TestRealSubspaceMatchesHermitian; at fix level
 // TestRealSubspaceExactOn205Scenes in internal/testbed).
 
 import (
+	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/mat"
 )
-
-// realFormTol is the residual, as a fraction of ‖R‖, within which a
-// matrix must equal both its conjugate transpose and its conjugated
-// 180° rotation for the real form to stand in for it. The real form
-// reads only the top half of R's rows and trusts the two symmetries for
-// the rest, so it asks far more than EigHermitianWS's 1e-9 Hermitian
-// gate: forward–backward averaged matrices meet it to rounding, and a
-// matrix merely Hermitian to 1e-9 keeps the solver that symmetrizes it.
-const realFormTol = 1e-12
 
 // signalCount is the D rule of §2.3.1 over ascending eigenvalues: the
 // number exceeding thresholdFrac times the largest, capped at maxD when
@@ -69,24 +55,53 @@ func signalCount(vals []float64, thresholdFrac float64, maxD int) int {
 	return d
 }
 
-// noiseVectors returns the noise-subspace eigenvectors of a correlation
-// matrix (SubspacesWS's first result, by the same D rule) in ws.noise,
-// valid until the workspace's next use. It is the serving path's
-// eigen split: it builds nothing but the noise block, and it solves
-// centro-Hermitian input in real arithmetic (see the file comment).
-func noiseVectors(ws *Workspace, r *mat.Matrix, thresholdFrac float64, maxD int) (*mat.Matrix, error) {
-	m := r.Rows
-	if vals, ok := realEig(ws, r); ok {
-		nN := m - signalCount(vals, thresholdFrac, maxD)
-		ws.noise = mat.ReuseMatrix(ws.noise, m, nN)
-		fromRealVectors(ws.noise, ws.sym)
-		return ws.noise, nil
+// noiseSubspace is the chain from a frame's snapshots to the scan's
+// noise subspace over the first n elements of each: the real form with
+// forward–backward averaging, correlation → smoothing → Hermitian split
+// without it. The returned matrix lives in ws.
+func noiseSubspace(ws *Workspace, snaps [][]complex128, n int, opt Options) (*mat.Matrix, error) {
+	ng := max(opt.SmoothingGroups, 1)
+	if ng >= n {
+		return nil, fmt.Errorf("music: invalid smoothing groups %d for %d antennas", ng, n)
 	}
-	ws.eigFallbacks++
+	sub := n - ng + 1
+	maxD := opt.MaxSignals
+	if maxD <= 0 {
+		maxD = sub / 2
+	}
+	if !opt.ForwardBackward {
+		r, err := correlate(&ws.r, snaps, n)
+		if err != nil {
+			return nil, err
+		}
+		rs, err := SpatialSmoothWS(ws, r, ng)
+		if err != nil {
+			return nil, err
+		}
+		return hermitianNoise(ws, rs, opt.thresh(), maxD)
+	}
+	if err := realForm(ws, snaps, n, ng); err != nil {
+		return nil, err
+	}
+	vals, err := mat.EigSymmetricWS(ws.sym, sub, &ws.eig)
+	if err != nil {
+		return nil, err
+	}
+	nN := sub - signalCount(vals, opt.thresh(), maxD)
+	ws.noise = mat.ReuseMatrix(ws.noise, sub, nN)
+	fromRealVectors(ws.noise, ws.sym)
+	return ws.noise, nil
+}
+
+// hermitianNoise returns the noise-subspace eigenvectors of a Hermitian
+// matrix (SubspacesWS's first result, by the same D rule) in ws.noise,
+// valid until the workspace's next use.
+func hermitianNoise(ws *Workspace, r *mat.Matrix, thresholdFrac float64, maxD int) (*mat.Matrix, error) {
 	e, err := mat.EigHermitianWS(r, &ws.eig)
 	if err != nil {
 		return nil, err
 	}
+	m := r.Rows
 	nN := m - signalCount(e.Values, thresholdFrac, maxD)
 	ws.noise = mat.ReuseMatrix(ws.noise, m, nN)
 	for i := 0; i < m; i++ {
@@ -95,68 +110,98 @@ func noiseVectors(ws *Workspace, r *mat.Matrix, thresholdFrac float64, maxD int)
 	return ws.noise, nil
 }
 
-// realEig decomposes r through its real form when r qualifies: square,
-// of finite non-zero norm, Hermitian and persymmetric to realFormTol. It
-// returns the ascending eigenvalues and leaves the real eigenvectors as
-// the rows of ws.sym; ok is false for any other input and if the real
-// solver gives up, and the caller then owes r to the general solver.
-func realEig(ws *Workspace, r *mat.Matrix) (vals []float64, ok bool) {
-	n := r.Rows
-	if r.Cols != n || n < 2 {
-		return nil, false
+// realForm writes the upper triangle of T into ws.sym, row-major, sub ×
+// sub with sub = n−ng+1, from the first n elements of the snapshots.
+// Each term of the sum is one column pair (y_r, y_i) of the planes in
+// ws.ry, cs = sub rounded up to 4 apart. Subarrays g and h = ng−1−g
+// enter as y_g + y_h and y_g − y_h, whose outer products sum to twice
+// theirs, and the middle one of odd ng once at double weight. x → J·x̄
+// maps y_g to ȳ_h, so it conjugates the sum and negates the conjugated
+// difference: every term, and T, keeps its bits. Row k of T is
+// planeSumsVec over the terms, row k's components the coefficients.
+func realForm(ws *Workspace, snaps [][]complex128, n, ng int) error {
+	if len(snaps) == 0 {
+		return errors.New("music: no snapshots")
 	}
-	// One pass: squared norm, and the largest squared deviation from
-	// either symmetry. Comparing squares spares a square root per
-	// element. > skips a NaN deviation, but only a NaN or ±Inf element
-	// makes one, and that leaves norm2 NaN or +Inf for the final test.
-	var norm2, dev2 float64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := r.Data[i*n+j]
-			h := r.Data[j*n+i]
-			p := r.Data[(n-1-i)*n+n-1-j]
-			norm2 += real(v)*real(v) + imag(v)*imag(v)
-			hr, hi := real(v)-real(h), imag(v)+imag(h)
-			pr, pi := real(v)-real(p), imag(v)+imag(p)
-			if d := hr*hr + hi*hi; d > dev2 {
-				dev2 = d
-			}
-			if d := pr*pr + pi*pi; d > dev2 {
-				dev2 = d
+	sub := n - ng + 1
+	cs := (sub + 3) &^ 3
+	pairs := ng / 2
+	mid := 2 * pairs * len(snaps) // the first middle-subarray term
+	terms := mid + ng%2*len(snaps)
+	ws.ry = growPlane(ws.ry, 2*terms*cs)
+	re, im := ws.ry[:terms*cs], ws.ry[terms*cs:]
+	// cRe, cIm hold the terms' components again, component-major: row k's
+	// coefficients, y_r and −y_i, the middle terms' doubled.
+	ws.rp = growPlane(ws.rp, cs+2*sub*terms)
+	row, cRe, cIm := ws.rp[:cs], ws.rp[cs:cs+sub*terms], ws.rp[cs+sub*terms:]
+	for t, x := range snaps {
+		if len(x) < n {
+			return fmt.Errorf("music: snapshot of %d elements, row of %d", len(x), n)
+		}
+		for p := 0; p < pairs; p++ {
+			d := 2 * (t*pairs + p)
+			gr, gi, hr, hi := re[d*cs:][:sub], im[d*cs:][:sub], re[(d+1)*cs:][:sub], im[(d+1)*cs:][:sub]
+			project(gr, gi, x[p:p+sub])
+			project(hr, hi, x[ng-1-p:ng-1-p+sub])
+			for l := range gr {
+				gr[l], hr[l] = gr[l]+hr[l], gr[l]-hr[l]
+				gi[l], hi[l] = gi[l]+hi[l], gi[l]-hi[l]
+				cRe[l*terms+d], cRe[l*terms+d+1] = gr[l], hr[l]
+				cIm[l*terms+d], cIm[l*terms+d+1] = -gi[l], -hi[l]
 			}
 		}
-	}
-	if !(norm2 > 0 && norm2 <= math.MaxFloat64 && dev2 <= realFormTol*realFormTol*norm2) {
-		return nil, false
+		if ng%2 == 1 {
+			d := mid + t
+			mr, mi := re[d*cs:][:sub], im[d*cs:][:sub]
+			project(mr, mi, x[pairs:pairs+sub])
+			for l := range mr {
+				cRe[l*terms+d], cIm[l*terms+d] = 2*mr[l], -2*mi[l]
+			}
+		}
 	}
 
-	// T = Qᴴ·R·Q from the top half of R's rows; only the upper triangle,
-	// which is all the solver reads. With a = R[i,j], b = R[i,n−1−j]:
-	// T[i,j] = Re(a+b), T[off+i,off+j] = Re(a−b), T[i,off+j] = −Im(a−b),
-	// and through the odd middle column T[i,h] = √2·Re R[i,h],
-	// T[h,off+i] = √2·Im R[i,h], T[h,h] = Re R[h,h].
-	ws.sym = growPlane(ws.sym, n*n)
-	t := ws.sym
+	ws.sym = growPlane(ws.sym, sub*sub)
+	w := 1 / float64(2*ng*len(snaps))
+	var trace float64
+	for k := 0; k < sub; k++ {
+		kRe, kIm := cRe[k*terms:(k+1)*terms], cIm[k*terms:(k+1)*terms]
+		for l := max(k, planeSumsVec(row, 0, kRe, kIm, re, im, cs)); l < sub; l++ {
+			var acc float64
+			for d := range kRe {
+				acc += kRe[d]*re[d*cs+l] - kIm[d]*im[d*cs+l]
+			}
+			row[l] = acc
+		}
+		for l := k; l < sub; l++ {
+			ws.sym[k*sub+l] = row[l] * w
+		}
+		trace += ws.sym[k*sub+k]
+	}
+	// Every sample reaches the diagonal squared, so a NaN or ±Inf one
+	// (or an overflow) leaves the trace NaN or +Inf.
+	if !(trace <= math.MaxFloat64) {
+		return errors.New("music: non-finite snapshots")
+	}
+	return nil
+}
+
+// project writes y = Qᴴ·x for one subarray snapshot x into yr and yi:
+// y[i] = (x[i] + x[n−1−i])/√2 and y[off+i] = −i·(x[i] − x[n−1−i])/√2 for
+// i < h, and the odd middle y[h] = x[h].
+func project(yr, yi []float64, x []complex128) {
+	n := len(x)
 	h := n / 2
-	off := n - h // the second block starts past the odd middle, if any
+	off := n - h
 	for i := 0; i < h; i++ {
-		row := r.Data[i*n : i*n+n]
-		for j := 0; j < h; j++ {
-			a, b := row[j], row[n-1-j]
-			t[i*n+j] = real(a) + real(b)
-			t[(off+i)*n+off+j] = real(a) - real(b)
-			t[i*n+off+j] = imag(b) - imag(a)
-		}
-		if off > h {
-			t[i*n+h] = math.Sqrt2 * real(row[h])
-			t[h*n+off+i] = math.Sqrt2 * imag(row[h])
-		}
+		p, q := x[i], x[n-1-i]
+		yr[i] = (real(p) + real(q)) * (1 / math.Sqrt2)
+		yi[i] = (imag(p) + imag(q)) * (1 / math.Sqrt2)
+		yr[off+i] = (imag(p) - imag(q)) * (1 / math.Sqrt2)
+		yi[off+i] = (real(q) - real(p)) * (1 / math.Sqrt2)
 	}
 	if off > h {
-		t[h*n+h] = real(r.Data[h*n+h])
+		yr[h], yi[h] = real(x[h]), imag(x[h])
 	}
-	vals, err := mat.EigSymmetricWS(t, n, &ws.eig)
-	return vals, err == nil
 }
 
 // fromRealVectors writes e = Q·u for the first dst.Cols rows u of the

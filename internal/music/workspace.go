@@ -28,19 +28,18 @@ type Workspace struct {
 	snapRows [][]complex128
 	snapData []complex128
 	r        *mat.Matrix
-	// full is SplitCorrelationWS's whole-array matrix, kept apart from
-	// r so that later frames' correlations leave it for the vote.
+	// full is VoteCorrelationWS's whole-array matrix, kept apart from r
+	// so that later frames' correlations leave it for the vote.
 	full   *mat.Matrix
 	fb     *mat.Matrix
 	rs     *mat.Matrix
 	eig    mat.EigWorkspace
 	noise  *mat.Matrix
 	signal *mat.Matrix
-	// sym holds the real form of a centro-Hermitian matrix, then its
-	// real eigenvectors (subspace.go); eigFallbacks counts the eigen
-	// splits that took the general Hermitian solver instead.
-	sym          []float64
-	eigFallbacks uint64
+	// ry holds the real form's terms y = Qᴴ·x as y_r and y_i planes; rp
+	// one row of it and the terms' coefficients; sym the real form, then
+	// its real eigenvectors (subspace.go).
+	ry, rp, sym []float64
 
 	// Split-plane scratch for the table scans (packed.go): the noise
 	// subspace packed column-major; the lag-domain diagonal sums; the
@@ -149,13 +148,6 @@ func (ws *Workspace) PeakLists(spectra []*Spectrum, minRel float64) [][]Peak {
 // denominator fell under the cancellation guard (diagnostics).
 func (ws *Workspace) GuardFallbacks() uint64 { return ws.guardFallbacks }
 
-// EigFallbacks returns how many per-frame eigen splits this workspace
-// has sent to the general Hermitian solver because the matrix was not
-// centro-Hermitian to realFormTol — forward–backward averaging off, an
-// unsmoothed baseline correlation, zero or malformed input
-// (diagnostics; the default configuration never takes it).
-func (ws *Workspace) EigFallbacks() uint64 { return ws.eigFallbacks }
-
 // WorkspacePool is a typed sync.Pool of Workspaces: one Get/Put pair
 // per localization job keeps steady-state allocations near zero
 // without binding workspaces to specific worker goroutines.
@@ -215,19 +207,36 @@ func SnapshotsAtWS(ws *Workspace, streams [][]complex128, offset, maxSamples int
 // accumulating into a workspace-owned matrix. The returned matrix
 // aliases ws and is valid until the workspace's next correlation.
 func CorrelationMatrixWS(ws *Workspace, snapshots [][]complex128) (*mat.Matrix, error) {
-	ws = orFresh(ws)
+	return correlate(&orFresh(ws).r, snapshots, -1)
+}
+
+// VoteCorrelationWS is CorrelationMatrixWS for the §2.3.4 vote: every
+// element of the snapshots, the ninth antenna included, correlated into
+// a slot of ws that later correlations leave alone. The matrix is valid
+// until the next VoteCorrelationWS.
+func VoteCorrelationWS(ws *Workspace, snapshots [][]complex128) (*mat.Matrix, error) {
+	return correlate(&orFresh(ws).full, snapshots, -1)
+}
+
+// correlate accumulates the sample correlation of the first n elements
+// of every snapshot into *dst, reusing its storage. n < 0 means all
+// elements, every snapshot as long as the first.
+func correlate(dst **mat.Matrix, snapshots [][]complex128, n int) (*mat.Matrix, error) {
 	if len(snapshots) == 0 {
 		return nil, errors.New("music: no snapshots")
 	}
-	m := len(snapshots[0])
-	ws.r = mat.ReuseMatrix(ws.r, m, m).Zero()
-	r := ws.r
+	exact := n < 0
+	if exact {
+		n = len(snapshots[0])
+	}
+	r := mat.ReuseMatrix(*dst, n, n).Zero()
+	*dst = r
 	w := 1 / float64(len(snapshots))
 	for _, x := range snapshots {
-		if len(x) != m {
-			return nil, fmt.Errorf("music: ragged snapshot (%d vs %d antennas)", len(x), m)
+		if len(x) < n || exact && len(x) != n {
+			return nil, fmt.Errorf("music: ragged snapshot (%d vs %d antennas)", len(x), n)
 		}
-		r.OuterAccumulate(x, w)
+		r.OuterAccumulate(x[:n], w)
 	}
 	return r, nil
 }

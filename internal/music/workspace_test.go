@@ -199,9 +199,9 @@ func TestWorkspacePool(t *testing.T) {
 }
 
 // TestEstimators exercises the pluggable estimators on a single strong
-// source: every estimator, handed the frame's correlation matrix, must
-// peak near the true bearing, and the MUSIC estimator must match
-// ComputeSpectrumWS (which correlates the streams itself) exactly.
+// source: every estimator, handed the frame's snapshots, must peak near
+// the true bearing, and the MUSIC estimator must match
+// ComputeSpectrumWS (which takes the snapshots itself) exactly.
 func TestEstimators(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	a := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
@@ -218,11 +218,11 @@ func TestEstimators(t *testing.T) {
 		if est.Name() != name {
 			t.Fatalf("estimator %q reports name %q", name, est.Name())
 		}
-		r, err := frameCorrelation(ws, a, streams, opt)
+		snaps, err := CalibratedSnapshotsWS(ws, streams, opt.SampleOffset, opt.MaxSamples, opt.CalibrationOffsets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := est.Spectrum(ws, a, r, opt)
+		s, err := est.Spectrum(ws, a, snaps, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -248,11 +248,11 @@ func TestEstimators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := frameCorrelation(ws, a, streams, opt)
+	snaps, err := CalibratedSnapshotsWS(ws, streams, opt.SampleOffset, opt.MaxSamples, opt.CalibrationOffsets)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MUSICEstimator.Spectrum(ws, a, r, opt)
+	got, err := MUSICEstimator.Spectrum(ws, a, snaps, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,10 +356,10 @@ func permuted(req engine.Request, perm []int) engine.Request {
 //
 // The bar is 1e-9 m, not ==: Eq. 8 sums the APs' log-likelihoods in
 // request order, and on a near-tie that rounding steers the hill climb
-// to the same point by another path, an ulp or two away — 2 to 6 of the
-// 123 six-AP fixes, depending on which AP's position first built the
-// shared steering table (its cache key leaves the position out, and the
-// element offsets round with it). The == counts are logged.
+// to the same point by another path, an ulp or two away, on one or two
+// of the 123 six-AP fixes. Steering tables are built at the origin, so
+// that count no longer depends on which AP first built a shared table;
+// the == counts are logged.
 func TestLocatePermutationInvariant(t *testing.T) {
 	tb := New()
 	opt := DefaultAccuracyOptions()

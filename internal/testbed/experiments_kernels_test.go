@@ -6,8 +6,19 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mat"
 	"repro/internal/music"
 )
+
+// calibratedCorrelation is the correlation matrix of a raw frame's
+// calibrated snapshots in the pipeline's window.
+func calibratedCorrelation(streams [][]complex128, cfg core.Config, ap *core.AP) (*mat.Matrix, error) {
+	snaps, err := music.CalibratedSnapshotsWS(nil, streams, core.DefaultSampleOffset, cfg.MaxSamples, ap.Calibration)
+	if err != nil {
+		return nil, err
+	}
+	return music.CorrelationMatrixWS(nil, snaps)
+}
 
 // oracleProcessAP is the per-AP half of the full pipeline composed from
 // the oracle functions alone: closure MUSIC (bit-identical to the
@@ -21,7 +32,7 @@ func oracleProcessAP(ap *core.AP, frames []core.FrameCapture, cfg core.Config) (
 	}
 	spectra := make([]*music.Spectrum, len(frames))
 	for i, f := range frames {
-		r, err := music.CalibratedCorrelationWS(nil, f.Streams[:a.N], core.DefaultSampleOffset, cfg.MaxSamples, ap.Calibration)
+		r, err := calibratedCorrelation(f.Streams[:a.N], cfg, ap)
 		if err != nil {
 			return nil, err
 		}
@@ -43,7 +54,7 @@ func oracleProcessAP(ap *core.AP, frames []core.FrameCapture, cfg core.Config) (
 	out := core.SuppressMultipath(spectra, cfg.PeakMatchTolDeg)
 	out.ApplyGeometryWeighting(a.Orient)
 	if a.NinthAntenna {
-		rFull, err := music.CalibratedCorrelationWS(nil, frames[0].Streams[:a.NumElements()], core.DefaultSampleOffset, cfg.MaxSamples, ap.Calibration)
+		rFull, err := calibratedCorrelation(frames[0].Streams[:a.NumElements()], cfg, ap)
 		if err != nil {
 			return nil, err
 		}

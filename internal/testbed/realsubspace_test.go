@@ -6,19 +6,27 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/core"
-	"repro/internal/mat"
 	"repro/internal/music"
 )
 
 // hermitianEstimator is the MUSIC estimator as it stood before the
-// real-arithmetic eigen split: the same chain, with the subspaces taken
-// by SubspacesWS (the complex Hermitian solver) whatever the matrix.
-// Test-only — the pipeline has no switch that selects it.
+// real-arithmetic eigen split: the row's complex correlation, forward–
+// backward averaging, smoothing, and the subspaces taken by SubspacesWS
+// (the complex Hermitian solver). Test-only — the pipeline has no switch
+// that selects it.
 type hermitianEstimator struct{}
 
 func (hermitianEstimator) Name() string { return "music-hermitian" }
 
-func (hermitianEstimator) Spectrum(ws *music.Workspace, a *array.Array, r *mat.Matrix, opt music.Options) (*music.Spectrum, error) {
+func (hermitianEstimator) Spectrum(ws *music.Workspace, a *array.Array, snaps [][]complex128, opt music.Options) (*music.Spectrum, error) {
+	row := make([][]complex128, len(snaps))
+	for t, x := range snaps {
+		row[t] = x[:a.N]
+	}
+	r, err := music.CorrelationMatrixWS(ws, row)
+	if err != nil {
+		return nil, err
+	}
 	if opt.ForwardBackward {
 		r = music.ForwardBackwardWS(ws, r)
 	}
