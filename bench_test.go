@@ -470,9 +470,9 @@ func BenchmarkComputeHeatmap(b *testing.B) {
 // enforced by TestRegionSteadyStateAllocs). "sliced" constructs the
 // grid per fix and derives its LUTs by slicing the cached full-grid
 // entries — the first-query cost of a fresh box once the floor is
-// warm. "churn" cycles 32 distinct boxes against a budget sized to
-// force eviction on nearly every query — the worst case the
-// accounting gate bounds.
+// warm. "churn" cycles 32 distinct boxes against a budget that cannot
+// retain a full-floor LUT, so every query builds the parent LUTs it
+// views — the worst case the accounting gate bounds.
 func BenchmarkRegionLocalize(b *testing.B) {
 	specs, min, max := benchSynthScene(b)
 	const cell = 0.10

@@ -91,6 +91,17 @@ func logStats(srv *ops.Server) {
 	log.Printf("stats:\n%s", strings.Join(series, "\n"))
 }
 
+// degradedSweep resolves -degraded-after as server.Backend does (≤ 0
+// means server.DefaultDegradedAfter) and returns it with the janitor's
+// sweep period: half the resolved age, never below a millisecond, so a
+// tiny age cannot turn the sweep into a busy loop.
+func degradedSweep(after time.Duration) (resolved, period time.Duration) {
+	if after <= 0 {
+		after = server.DefaultDegradedAfter
+	}
+	return after, max(after/2, time.Millisecond)
+}
+
 func main() {
 	listen := flag.String("listen", ":7100", "listen address (host:port TCP, or unix:/path/to.sock)")
 	quorum := flag.Int("quorum", 3, "distinct APs required before localizing")
@@ -229,7 +240,8 @@ func main() {
 	backend := server.NewBackendDispatcher(*quorum, *window, sink)
 	backend.IdleTimeout = *idleTimeout
 	backend.DegradedQuorum = *degradedQuorum
-	backend.DegradedAfter = *degradedAfter
+	degradedAfterUsed, sweepEvery := degradedSweep(*degradedAfter)
+	backend.DegradedAfter = degradedAfterUsed
 	backend.ErrorBudget = *apErrorBudget
 	backend.Cooldown = *quarantineCooldown
 
@@ -266,7 +278,7 @@ func main() {
 	// arrives — exactly what never happens once an AP dies.
 	if *degradedQuorum > 0 {
 		go func() {
-			t := time.NewTicker(*degradedAfter / 2)
+			t := time.NewTicker(sweepEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -280,7 +292,7 @@ func main() {
 			}
 		}()
 		log.Printf("degraded serving: quorum %d after %v (sweep every %v)",
-			*degradedQuorum, *degradedAfter, *degradedAfter/2)
+			*degradedQuorum, degradedAfterUsed, sweepEvery)
 	}
 
 	opsSrv := &ops.Server{

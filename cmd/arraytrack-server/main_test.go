@@ -7,10 +7,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ops"
+	"repro/internal/server"
 )
 
 // TestKnobsFileRefusesUnknownKey: a knobs file naming a key no knob
@@ -50,5 +52,26 @@ func TestKnobsFileRefusesUnknownKey(t *testing.T) {
 	applyKnobsFile(srv, path)
 	if q := eng.ClientQuota(); q != 4 {
 		t.Fatalf("client quota %d after a valid file, want 4", q)
+	}
+}
+
+// TestDegradedSweepPeriodPositive: every -degraded-after value resolves
+// to the age the backend uses and to a positive sweep period, so the
+// janitor's ticker cannot panic at startup (0 and −1s used to tick at
+// ≤ 0, as did 1ns).
+func TestDegradedSweepPeriodPositive(t *testing.T) {
+	for _, tc := range []struct {
+		after, resolved, period time.Duration
+	}{
+		{0, server.DefaultDegradedAfter, server.DefaultDegradedAfter / 2},
+		{-time.Second, server.DefaultDegradedAfter, server.DefaultDegradedAfter / 2},
+		{time.Nanosecond, time.Nanosecond, time.Millisecond},
+		{500 * time.Millisecond, 500 * time.Millisecond, 250 * time.Millisecond},
+	} {
+		resolved, period := degradedSweep(tc.after)
+		if resolved != tc.resolved || period != tc.period {
+			t.Errorf("degradedSweep(%v) = %v, %v; want %v, %v", tc.after, resolved, period, tc.resolved, tc.period)
+		}
+		time.NewTicker(period).Stop() // panics on a period ≤ 0
 	}
 }

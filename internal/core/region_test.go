@@ -64,8 +64,8 @@ func restrictedArgmax(t *testing.T, full *SynthGrid, sub GridSpec, aps []APSpect
 
 // TestRegionArgmaxEqualsRestrictedFull is the tentpole equality: a
 // region query's argmax cell must equal the full-grid argmax
-// restricted to the region's cells — whether the region's LUTs were
-// sliced from a cached full-grid entry or built cold — on scene
+// restricted to the region's cells — whether the parent's LUTs were
+// warm or built by the region query itself — on scene
 // after scene, for both the full-scan and the branch-and-bound paths.
 func TestRegionArgmaxEqualsRestrictedFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
@@ -107,8 +107,13 @@ func TestRegionArgmaxEqualsRestrictedFull(t *testing.T) {
 			if refined != want {
 				t.Fatalf("trial %d warm=%v: refined region argmax %d, restricted full argmax %d", trial, warmParent, refined, want)
 			}
-			if warmParent && cache.Usage().Slices == 0 {
-				t.Fatalf("trial %d: warm parent produced no sliced LUTs", trial)
+			for _, ap := range aps {
+				if _, ok := cache.Get(keyOf(ap.Pos, sg.Spec(), ap.Spectrum.Bins())); ok {
+					t.Fatalf("trial %d warm=%v: region LUT cached under its own key", trial, warmParent)
+				}
+				if _, ok := cache.Get(keyOf(ap.Pos, full.Spec(), ap.Spectrum.Bins())); !ok {
+					t.Fatalf("trial %d warm=%v: parent LUT not cached after a region query", trial, warmParent)
+				}
 			}
 		}
 	}

@@ -122,8 +122,8 @@ func TestSynthCacheAccountingProperty(t *testing.T) {
 			if budget > 0 && u.Evictions == 0 && u.Bytes > budget/2 {
 				t.Logf("warning: no evictions at budget %d (bytes %d)", budget, u.Bytes)
 			}
-			t.Logf("budget %d: entries=%d bytes=%d hits=%d misses=%d evictions=%d slices=%d",
-				budget, u.Entries, u.Bytes, u.Hits, u.Misses, u.Evictions, u.Slices)
+			t.Logf("budget %d: entries=%d bytes=%d hits=%d misses=%d evictions=%d",
+				budget, u.Entries, u.Bytes, u.Hits, u.Misses, u.Evictions)
 		})
 	}
 }
@@ -165,12 +165,13 @@ func TestSynthCacheRebuildBitIdentical(t *testing.T) {
 	// — the direct rebuild must equal the view bit for bit (the GridSpec
 	// offset keeps the centre arithmetic identical). The view itself
 	// adds no entry.
-	c.lut(ap, full, 360)
+	parent := c.lut(ap, full, 360)
 	entries := c.Usage().Entries
-	viewed := copyLUT(c.lutFor(ap, sub, &full, 360), sub.Ny)
-	if before := c.Usage().Slices; before == 0 {
+	view := c.lutFor(ap, sub, &full, 360)
+	if &view.bin[0] != &parent.bin[sub.Y0*parent.stride+sub.X0] {
 		t.Fatal("sub-grid LUT was not served as a view of the cached parent")
 	}
+	viewed := copyLUT(view, sub.Ny)
 	if c.Usage().Entries != entries {
 		t.Fatalf("a view of the parent added %d cache entries, want none", c.Usage().Entries-entries)
 	}
@@ -182,11 +183,10 @@ func TestSynthCacheRebuildBitIdentical(t *testing.T) {
 }
 
 // TestSynthCachePromotesParentOnThirdSliceableMiss: a region-only
-// workload (the full-grid parent never warmed by a full-area fix)
-// builds its first two region LUTs from scratch, but the third
-// sliceable miss against the same parent builds and caches the parent
-// itself — every subsequent distinct region becomes a view of it. The
-// promoted path stays bit-identical to direct builds.
+// workload (the full-grid parent never warmed by a full-area fix) builds
+// and caches the parent on its first region query; every later region
+// is a view of it, bit-identical to a direct build, and no region-keyed
+// LUT entry is ever inserted.
 func TestSynthCachePromotesParentOnThirdSliceableMiss(t *testing.T) {
 	ap := geom.Pt(0.5, 0.5)
 	full, err := GridSpecFor(geom.Pt(0, 0), geom.Pt(20, 8), 0.25)
@@ -194,36 +194,37 @@ func TestSynthCachePromotesParentOnThirdSliceableMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewSynthCache(32 << 20)
+	var subs []GridSpec
 	for i := 0; i < 6; i++ {
 		sub, err := subSpecFor(full, geom.Pt(float64(1+2*i), 1), geom.Pt(float64(4+2*i), 5))
 		if err != nil {
 			t.Fatal(err)
 		}
+		subs = append(subs, sub)
 		got := c.lutFor(ap, sub, &full, 360)
 		if direct := buildLUT(ap, sub, 360); !lutEqual(got, direct, sub.Ny) {
-			t.Fatalf("region %d: promoted-path LUT differs from direct build", i)
+			t.Fatalf("region %d: view differs from direct build", i)
 		}
-		u := c.Usage()
-		wantSlices := uint64(0)
-		if i >= 2 {
-			wantSlices = uint64(i - 1) // promotion on i==2, views of the resident parent after
-		}
-		if u.Slices != wantSlices {
-			t.Fatalf("after region %d: Slices = %d, want %d", i, u.Slices, wantSlices)
+		// One entry, the parent: built by the first query (the one
+		// miss), viewed by every query after it (one hit each).
+		if u := c.Usage(); u.Entries != 1 || u.Misses != 1 || u.Hits != uint64(i) {
+			t.Fatalf("after region %d: entries=%d misses=%d hits=%d, want 1, 1, %d",
+				i, u.Entries, u.Misses, u.Hits, i)
 		}
 	}
-	// The parent is now resident: a direct full-grid lookup hits.
-	h0 := c.Usage().Hits
-	c.lut(ap, full, 360)
-	if h1 := c.Usage().Hits; h1 != h0+1 {
-		t.Fatal("promoted parent not resident after the third sliceable miss")
+	if _, ok := c.Get(keyOf(ap, full, 360)); !ok {
+		t.Fatal("parent not resident after the first region query")
+	}
+	for i, sub := range subs {
+		if _, ok := c.Get(keyOf(ap, sub, 360)); ok {
+			t.Fatalf("region %d has a LUT entry of its own", i)
+		}
 	}
 }
 
-// TestSynthCacheNoPromoteWhenParentCannotFit: a parent larger than a
-// shard's budget slice is never promoted — the build could not be
-// retained, so region misses keep building directly instead of paying
-// a futile full-grid build every third query.
+// TestSynthCacheNoPromoteWhenParentCannotFit: under a budget that
+// cannot retain the parent, every region query builds the parent,
+// serves a view of it equal to a direct build, and retains nothing.
 func TestSynthCacheNoPromoteWhenParentCannotFit(t *testing.T) {
 	ap := geom.Pt(0.5, 0.5)
 	full, err := GridSpecFor(geom.Pt(0, 0), geom.Pt(20, 8), 0.25)
@@ -237,11 +238,15 @@ func TestSynthCacheNoPromoteWhenParentCannotFit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.lutFor(ap, sub, &full, 360)
+		got := c.lutFor(ap, sub, &full, 360)
+		if direct := buildLUT(ap, sub, 360); !lutEqual(got, direct, sub.Ny) {
+			t.Fatalf("region %d: view differs from direct build", i)
+		}
 	}
-	if u := c.Usage(); u.Slices != 0 {
-		t.Fatalf("Slices = %d for an unretainable parent, want 0", u.Slices)
+	if u := c.Usage(); u.Entries != 0 || u.Bytes != 0 {
+		t.Fatalf("entries=%d bytes=%d under a budget that cannot hold the parent, want none", u.Entries, u.Bytes)
 	}
+	checkAccounting(t, c)
 }
 
 // TestSynthCachePassThroughOversized: an entry costing more than a
@@ -417,8 +422,8 @@ func TestSynthCacheEvictionRaceStress(t *testing.T) {
 	if u.Evictions == 0 {
 		t.Fatalf("stress run evicted nothing (bytes=%d, budget=%d): budget not tight enough to exercise churn", u.Bytes, budget)
 	}
-	t.Logf("stress: entries=%d bytes=%d hits=%d misses=%d evictions=%d slices=%d",
-		u.Entries, u.Bytes, u.Hits, u.Misses, u.Evictions, u.Slices)
+	t.Logf("stress: entries=%d bytes=%d hits=%d misses=%d evictions=%d",
+		u.Entries, u.Bytes, u.Hits, u.Misses, u.Evictions)
 }
 
 // samePairAPs probes AP positions until n keys share the same ordered

@@ -84,7 +84,8 @@ const shardChunk = 4096
 // its parent's Min and carries the offset instead of folding it into
 // Min, so its centre arithmetic — and therefore every bearing LUT
 // value — is bit-identical to the parent's at the same absolute cell,
-// whether the LUT is a view of a cached parent or rebuilt.
+// so a region's LUT, a view of its parent's, reads what a direct build
+// of the region would.
 type GridSpec struct {
 	Min  geom.Point
 	Cell float64
@@ -122,16 +123,6 @@ func (g GridSpec) Center(ix, iy int) geom.Point {
 // Origin returns the position of cell (0,0) — Min for full grids, the
 // offset corner for sub-grids.
 func (g GridSpec) Origin() geom.Point { return g.Center(0, 0) }
-
-// subGridOf reports whether g is a lattice-aligned sub-rectangle of
-// parent: same origin and pitch, cells wholly inside the parent's
-// index range. A sub-grid's LUT can be a view of the parent's.
-func (g GridSpec) subGridOf(parent GridSpec) bool {
-	return g.Min == parent.Min && g.Cell == parent.Cell &&
-		g.X0 >= parent.X0 && g.Y0 >= parent.Y0 &&
-		g.X0+g.Nx <= parent.X0+parent.Nx &&
-		g.Y0+g.Ny <= parent.Y0+parent.Ny
-}
 
 // subSpecFor returns the sub-grid of full whose cell centres lie
 // inside [lo, hi] — exactly the full-grid cells a region query must

@@ -6,8 +6,9 @@ package mat
 // forward–backward averaged, spatially smoothed correlation matrix is
 // centro-Hermitian, hence unitarily similar to a real symmetric matrix
 // of the same order (internal/music forms it), and on those a real
-// tridiagonal QL costs about a fifth of the complex Jacobi sweeps of
-// EigHermitianWS. The general Hermitian solvers stay as they are.
+// tridiagonal QL costs about a seventh of the complex Jacobi sweeps of
+// EigHermitianWS. That solver stays the one for every Hermitian matrix
+// not in this form.
 //
 // The working matrix is held transposed — row j of z is column j of the
 // textbook V — so every inner loop of the reduction, the accumulation

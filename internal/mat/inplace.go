@@ -109,26 +109,25 @@ func HInto(dst, m *Matrix) *Matrix {
 	return dst
 }
 
-// EigWorkspace holds every buffer the eigensolvers need, so repeated
-// decompositions of same-order matrices run with zero steady-state
-// allocations. The zero value is ready to use; buffers grow on demand
-// and are reused across calls, including across different matrix
-// orders (the backing arrays keep their largest-seen capacity).
+// EigWorkspace holds every buffer the two eigensolvers need — the
+// complex Jacobi of EigHermitianWS and the real QL of EigSymmetricWS —
+// so repeated decompositions of same-order matrices run with zero
+// steady-state allocations. The zero value is ready to use; buffers
+// grow on demand and are reused across calls, including across
+// different matrix orders (the backing arrays keep their largest-seen
+// capacity).
 //
 // The Eig returned by EigHermitianWS aliases the workspace's buffers:
 // it is valid only until the next call with the same workspace. Callers
 // that need the result to survive must copy it out.
 type EigWorkspace struct {
+	// w and v are the Jacobi iterate and its accumulated rotations;
+	// vals holds the unsorted diagonal, and svals, vecs and idx the
+	// ascending output and its permutation.
 	w, v, vecs *Matrix
 	vals       []float64
 	svals      []float64
 	idx        []int
-
-	// Packed split re/im planes for the packed Jacobi kernel
-	// (eig_packed.go). Row-major n×n, grown on demand like the complex
-	// buffers above.
-	wre, wim []float64
-	vre, vim []float64
 
 	// sub is the sub-diagonal scratch of the real symmetric solver
 	// (eig_symmetric.go), which returns its eigenvalues in svals.
@@ -145,15 +144,10 @@ func (ws *EigWorkspace) sortedVals(n int) []float64 {
 	return ws.svals
 }
 
+// ensure sizes the Jacobi buffers for an n×n decomposition.
 func (ws *EigWorkspace) ensure(n int) {
 	ws.w = ReuseMatrix(ws.w, n, n)
 	ws.v = ReuseMatrix(ws.v, n, n)
-	ws.ensureShared(n)
-}
-
-// ensureShared sizes the buffers both solver paths use (sorted output,
-// permutation scratch) without touching the path-specific state.
-func (ws *EigWorkspace) ensureShared(n int) {
 	ws.vecs = ReuseMatrix(ws.vecs, n, n)
 	if cap(ws.vals) < n {
 		ws.vals = make([]float64, n)
@@ -170,23 +164,11 @@ func (ws *EigWorkspace) ensureShared(n int) {
 // zeroEig is the decomposition of the n×n zero matrix: all eigenvalues
 // zero, identity eigenvectors.
 func (ws *EigWorkspace) zeroEig(n int) Eig {
-	ws.ensureShared(n)
+	ws.ensure(n)
 	for i := range ws.vals {
 		ws.vals[i] = 0
 	}
 	return Eig{Values: ws.vals, Vectors: IdentityInto(ws.vecs)}
-}
-
-// ensurePacked sizes the split-plane buffers for the packed Jacobi
-// kernel plus the shared output scratch. It deliberately skips the
-// complex w/v work matrices the reference path uses, so the hot path
-// does not pay for buffers it never reads.
-func (ws *EigWorkspace) ensurePacked(n int) {
-	ws.wre = growFloats(ws.wre, n*n)
-	ws.wim = growFloats(ws.wim, n*n)
-	ws.vre = growFloats(ws.vre, n*n)
-	ws.vim = growFloats(ws.vim, n*n)
-	ws.ensureShared(n)
 }
 
 func growFloats(s []float64, n int) []float64 {

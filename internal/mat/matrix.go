@@ -278,13 +278,13 @@ type Eig struct {
 	Vectors *Matrix
 }
 
-// EigHermitianRefWS is the original complex128-arithmetic cyclic-Jacobi
-// solver, retained as the pinned reference implementation: the packed
-// split-plane kernel in eig_packed.go (what EigHermitianWS runs) is
-// tested value-identical against it, and the kernels experiment times
-// the two against each other for the before/after trajectory. The
-// workspace contract is EigHermitianWS's.
-func EigHermitianRefWS(a *Matrix, ws *EigWorkspace) (Eig, error) {
+// EigHermitianWS computes the full eigendecomposition of a Hermitian
+// matrix by complex cyclic Jacobi, drawing every buffer from ws, so
+// repeated calls with one workspace are allocation-free in steady
+// state. The returned Eig aliases ws and is valid only until the next
+// call with the same workspace; a nil ws means a fresh workspace, whose
+// result is the caller's to keep.
+func EigHermitianWS(a *Matrix, ws *EigWorkspace) (Eig, error) {
 	if ws == nil {
 		ws = &EigWorkspace{}
 	}

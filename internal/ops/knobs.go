@@ -48,8 +48,9 @@ func DecodeKnobs(r io.Reader) (Knobs, error) {
 
 // Apply pushes every non-nil knob onto the serving process and returns
 // the names of the knobs it applied (for the reload log line). Knobs
-// whose target is absent — the TTL of an engine without a tracker — are
-// skipped silently: the document stays portable across configurations.
+// whose target is absent — the predictive sigma and the TTL of an
+// engine without a tracker — are skipped silently: the document stays
+// portable across configurations.
 func (s *Server) Apply(k Knobs) []string {
 	var applied []string
 	cfg := s.Engine.Config()
@@ -65,12 +66,12 @@ func (s *Server) Apply(k Knobs) []string {
 		s.Engine.SetClientQuota(*k.ClientQuota)
 		applied = append(applied, "client_quota")
 	}
-	if k.PredictSigma != nil {
-		s.Engine.SetPredictSigma(*k.PredictSigma)
-		applied = append(applied, "predict_sigma")
-	}
-	if k.TrackTTLMillis != nil {
-		if tr := s.Engine.Tracker(); tr != nil {
+	if tr := s.Engine.Tracker(); tr != nil {
+		if k.PredictSigma != nil {
+			s.Engine.SetPredictSigma(*k.PredictSigma)
+			applied = append(applied, "predict_sigma")
+		}
+		if k.TrackTTLMillis != nil {
 			tr.SetTTL(time.Duration(*k.TrackTTLMillis) * time.Millisecond)
 			applied = append(applied, "track_ttl_ms")
 		}

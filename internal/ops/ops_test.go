@@ -156,7 +156,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"arraytrack_shed_after_ms 0",
 		"# TYPE arraytrack_build_info gauge",
 		`arraytrack_build_info{kernels="` + music.Kernels() + `"} 1`,
-		"# TYPE arraytrack_synth_cache_slices_total counter",
 	}
 	for _, cache := range []string{"synth", "steering"} {
 		for _, series := range []string{"entries gauge", "bytes gauge", "budget_bytes gauge",
@@ -169,6 +168,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, w) {
 			t.Errorf("metrics exposition missing %q", w)
 		}
+	}
+	if strings.Contains(body, "arraytrack_synth_cache_slices_total") {
+		t.Error("metrics exposition still carries the retired slices series")
 	}
 }
 
@@ -297,6 +299,36 @@ func TestKnobsApplyAndReadback(t *testing.T) {
 	}
 }
 
+// TestKnobsSkipTrackerKnobsWithoutTracker: on an engine without a
+// tracker, where the predictive sigma and the track TTL have no
+// target, POST /knobs applies the rest of the document and lists
+// neither.
+func TestKnobsSkipTrackerKnobsWithoutTracker(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 1, ClientQuota: 16,
+		Config: core.Config{Wavelength: 0.1225, GridCell: 0.5}})
+	defer eng.Close()
+	ts := httptest.NewServer((&ops.Server{Engine: eng}).Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Post(ts.URL+"/knobs", "application/json",
+		strings.NewReader(`{"client_quota": 4, "predict_sigma": 6, "track_ttl_ms": 1500}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var applied struct {
+		Applied []string `json:"applied"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&applied); err != nil {
+		t.Fatal(err)
+	}
+	if len(applied.Applied) != 1 || applied.Applied[0] != "client_quota" {
+		t.Fatalf("applied = %v, want [client_quota]", applied.Applied)
+	}
+	if s := eng.PredictSigma(); s != 0 {
+		t.Fatalf("predict sigma = %v on a tracker-less engine, want 0", s)
+	}
+}
+
 // TestKnobsTinyCacheBudgetStaysBounded: a synth_cache_budget below the
 // cache's shard count bounds the engine's cache like any positive
 // budget — each shard's slice rounds to 0, which must retain nothing,
@@ -320,6 +352,6 @@ func TestKnobsTinyCacheBudgetStaysBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	if u := cache.Usage(); u.Budget != tiny || u.Bytes > u.Budget || u.Entries != 0 || u.Spills == 0 {
-		t.Fatalf("usage %+v under a %d-byte budget, want every entry spilled", u.Usage, tiny)
+		t.Fatalf("usage %+v under a %d-byte budget, want every entry spilled", u, tiny)
 	}
 }

@@ -183,9 +183,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	}
 
 	cfg := s.Engine.Config()
-	syn := cfg.SynthCache.Usage()
-	p.cache("arraytrack_synth_cache_", syn.Usage)
-	p.counter("arraytrack_synth_cache_slices_total", "Region LUTs sliced from cached full-grid entries.", syn.Slices)
+	p.cache("arraytrack_synth_cache_", cfg.SynthCache.Usage())
 	p.cache("arraytrack_steering_cache_", cfg.Steering.Usage())
 
 	p.gaugeF("arraytrack_predict_sigma", "Live predictive-region sigma (0 = predictive path disabled).", s.Engine.PredictSigma())

@@ -97,8 +97,8 @@ func TestRegionGateOnTestbed(t *testing.T) {
 		}
 	}
 	u := cache.Usage()
-	t.Logf("region argmax == restricted full argmax on all %d testbed scenes (cache: %d entries, %d/%d bytes, %d hits, %d misses, %d evictions, %d slices)",
-		checked, u.Entries, u.Bytes, budget, u.Hits, u.Misses, u.Evictions, u.Slices)
+	t.Logf("region argmax == restricted full argmax on all %d testbed scenes (cache: %d entries, %d/%d bytes, %d hits, %d misses, %d evictions)",
+		checked, u.Entries, u.Bytes, budget, u.Hits, u.Misses, u.Evictions)
 	// Each box comes round four times: at a budget that holds them all,
 	// most lookups must be served from the cache.
 	if u.Hits < u.Misses {
