@@ -112,7 +112,6 @@ func main() {
 	rf := registerRouterFlags()
 	window := flag.Duration("window", time.Second, "capture grouping window")
 	workers := flag.Int("workers", 0, "localization worker pool size (0 = GOMAXPROCS)")
-	estimator := flag.String("estimator", "music", "AoA estimator: music, bartlett, or baseline")
 	trackTTL := flag.Duration("track-ttl", 30*time.Second, "evict a client's track after this much silence")
 	statsEvery := flag.Duration("stats-every", 30*time.Second, "period for the stats log line (0 disables)")
 	synthBudget := flag.Int64("synth-cache-budget", core.DefaultSynthCacheBudget,
@@ -168,11 +167,6 @@ func main() {
 	tb := testbed.New()
 	capOpt := testbed.DefaultCaptureOptions()
 	cfg := core.DefaultConfig(tb.Wavelength)
-	est, err := music.EstimatorByName(*estimator)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.Estimator = est
 	if *synthBudget != core.SharedSynthCache().Budget() {
 		cfg.SynthCache = core.NewSynthCache(*synthBudget)
 	}
@@ -250,10 +244,9 @@ func main() {
 		log.Fatal(err)
 	}
 	if shardN > 1 {
-		log.Printf("ArrayTrack shard %d/%d listening on %s (quorum %d, estimator %s)",
-			shardIdx, shardN, l.Addr(), *quorum, est.Name())
+		log.Printf("ArrayTrack shard %d/%d listening on %s (quorum %d)", shardIdx, shardN, l.Addr(), *quorum)
 	} else {
-		log.Printf("ArrayTrack server listening on %s (quorum %d, estimator %s)", l.Addr(), *quorum, est.Name())
+		log.Printf("ArrayTrack server listening on %s (quorum %d)", l.Addr(), *quorum)
 	}
 	log.Printf("kernels: %s", music.Kernels())
 
@@ -295,12 +288,7 @@ func main() {
 			*degradedQuorum, degradedAfterUsed, sweepEvery)
 	}
 
-	opsSrv := &ops.Server{
-		Engine:         eng,
-		PendingClients: backend.PendingClients,
-		Backend:        backend,
-		Sink:           sink,
-	}
+	opsSrv := &ops.Server{Engine: eng, Backend: backend, Sink: sink}
 	if *knobsPath != "" {
 		applyKnobsFile(opsSrv, *knobsPath)
 		notifyReloadSignal(ctx, func() { applyKnobsFile(opsSrv, *knobsPath) })

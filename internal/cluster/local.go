@@ -38,9 +38,8 @@ type LocalShardOptions struct {
 // server.Backend listening on a unix socket, feeding an engine.Engine
 // through a CaptureSink. It is the single-host building block behind
 // -exp cluster and the cluster tests, and the in-process reference for
-// what `arraytrack-server -shard i/N` runs as a separate process. It
-// implements Control directly against its backend, engine, and
-// tracker.
+// what `arraytrack-server -shard i/N` runs as a separate process. Its
+// control surface is a Node over its backend and engine.
 type LocalShard struct {
 	Backend *server.Backend
 	Engine  *engine.Engine
@@ -103,9 +102,11 @@ func NewLocalShard(opt LocalShardOptions) (*LocalShard, error) {
 	return s, nil
 }
 
-// Shard returns the router-facing view: the data connection plus this
-// shard as its own control surface.
-func (s *LocalShard) Shard() Shard { return Shard{Data: s.conn, Ctl: s} }
+// Shard returns the router-facing view: the data connection plus a
+// Node over this shard's backend and engine.
+func (s *LocalShard) Shard() Shard {
+	return Shard{Data: s.conn, Ctl: Node{Backend: s.Backend, Engine: s.Engine}}
+}
 
 // Conn returns the shard's dialed data connection — the single-backend
 // control path writes frames straight to it, bypassing any router.
@@ -126,15 +127,25 @@ func (s *LocalShard) Close() {
 	})
 }
 
+// Node implements Control directly against one shard's backend and
+// engine, whose tracker (Engine.Tracker) must be non-nil. It is the one
+// implementation of the handoff operations: LocalShard hands it to an
+// in-process router, and ServeControl serves it to an HTTPShard in
+// another process.
+type Node struct {
+	Backend *server.Backend
+	Engine  *engine.Engine
+}
+
 // Clients returns every client with shard-local state: live tracks
 // plus pending capture groups, deduplicated and sorted.
-func (s *LocalShard) Clients() ([]uint32, error) {
-	ids := s.Tracker.Clients()
+func (n Node) Clients() ([]uint32, error) {
+	ids := n.Engine.Tracker().Clients()
 	seen := make(map[uint32]bool, len(ids))
 	for _, id := range ids {
 		seen[id] = true
 	}
-	for _, id := range s.Backend.PendingClientIDs() {
+	for _, id := range n.Backend.PendingClientIDs() {
 		if !seen[id] {
 			seen[id] = true
 			ids = append(ids, id)
@@ -145,23 +156,23 @@ func (s *LocalShard) Clients() ([]uint32, error) {
 }
 
 // Ingested returns the backend's settled-capture counter.
-func (s *LocalShard) Ingested() (uint64, error) {
-	return s.Backend.IngestedCaptures(), nil
+func (n Node) Ingested() (uint64, error) {
+	return n.Backend.IngestedCaptures(), nil
 }
 
 // InFlight sums the clients' admitted-but-uncompleted engine jobs.
-func (s *LocalShard) InFlight(ids []uint32) (int, error) {
-	n := 0
+func (n Node) InFlight(ids []uint32) (int, error) {
+	total := 0
 	for _, id := range ids {
-		n += s.Engine.InFlight(id)
+		total += n.Engine.InFlight(id)
 	}
-	return n, nil
+	return total, nil
 }
 
 // ExtractPending removes the clients' pending capture groups and
 // re-encodes them as frames, ready to forward verbatim.
-func (s *LocalShard) ExtractPending(ids []uint32) ([]byte, int, error) {
-	caps := s.Backend.ExtractPending(ids)
+func (n Node) ExtractPending(ids []uint32) ([]byte, int, error) {
+	caps := n.Backend.ExtractPending(ids)
 	if len(caps) == 0 {
 		return nil, 0, nil
 	}
@@ -174,16 +185,16 @@ func (s *LocalShard) ExtractPending(ids []uint32) ([]byte, int, error) {
 }
 
 // SnapshotTracks returns the clients' Kalman tracks.
-func (s *LocalShard) SnapshotTracks(ids []uint32) ([]engine.ClientSnapshot, error) {
-	return s.Tracker.SnapshotClients(ids), nil
+func (n Node) SnapshotTracks(ids []uint32) ([]engine.ClientSnapshot, error) {
+	return n.Engine.Tracker().SnapshotClients(ids), nil
 }
 
 // RestoreTracks installs the snapshots.
-func (s *LocalShard) RestoreTracks(snaps []engine.ClientSnapshot) (int, error) {
-	return s.Tracker.Restore(snaps), nil
+func (n Node) RestoreTracks(snaps []engine.ClientSnapshot) (int, error) {
+	return n.Engine.Tracker().Restore(snaps), nil
 }
 
 // RemoveTracks drops the clients' tracks.
-func (s *LocalShard) RemoveTracks(ids []uint32) (int, error) {
-	return s.Tracker.Remove(ids), nil
+func (n Node) RemoveTracks(ids []uint32) (int, error) {
+	return n.Engine.Tracker().Remove(ids), nil
 }

@@ -14,9 +14,10 @@ import (
 )
 
 // Control is a shard's handoff surface — everything the router needs
-// to move a client's state between shards. LocalShard implements it
-// in-process; HTTPShard implements it against a shard process's ops
-// endpoint.
+// to move a client's state between shards. Node is its one
+// implementation, over a shard's backend and engine; a router reaches
+// it in-process (LocalShard.Shard), or in another process through
+// HTTPShard, whose requests ServeControl answers from the shard's Node.
 type Control interface {
 	// Clients returns every client ID with state on the shard: live
 	// tracks plus pending (below-quorum) capture groups.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -471,5 +473,73 @@ func TestRouterSteadyStateAllocs(t *testing.T) {
 	}
 	if st := r.Stats(); st.PerShard[0] == 0 || st.PerShard[1] == 0 {
 		t.Errorf("per-shard counts %v: the two-owner frame did not reach both shards", st.PerShard)
+	}
+}
+
+// TestRebalanceHTTPShardTimesOut: a shard whose ops endpoint answers
+// /cluster/clients and then hangs cannot hold Rebalance past its
+// client's timeout. The rebalance fails, the map stays on version 1,
+// and a mover's traffic still reaches its old owner.
+func TestRebalanceHTTPShardTimesOut(t *testing.T) {
+	cur, err := NewShardMap(1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := NewShardMap(2, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mover := uint32(1)
+	for next.Owner(mover) != 1 {
+		mover++
+	}
+	release := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET "+pathClients, func(w http.ResponseWriter, _ *http.Request) {
+		reply(w, clientsBody{[]uint32{mover}}, nil)
+	})
+	mux.HandleFunc("/", func(_ http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	})
+	hung := httptest.NewServer(mux)
+	defer hung.Close()
+	defer close(release)
+
+	if got := (&HTTPShard{}).client().Timeout; got != DefaultRebalanceTimeout {
+		t.Fatalf("a nil HTTPShard.Client times out after %v, want DefaultRebalanceTimeout", got)
+	}
+	ctl := &HTTPShard{Base: hung.URL, Client: &http.Client{Timeout: 100 * time.Millisecond}}
+	bufs := [2]*bytes.Buffer{new(bytes.Buffer), new(bytes.Buffer)}
+	r, err := NewRouter(cur, []Shard{{Data: bufs[0], Ctl: ctl}, {Data: bufs[1], Ctl: ctl}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Rebalance(next)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("rebalance against a hung shard succeeded")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("rebalance still blocked 2 s after a 100 ms client timeout")
+	}
+	if v := r.Map().Version; v != 1 {
+		t.Fatalf("map version %d after the failed rebalance, want 1", v)
+	}
+
+	frame := mustBatch(t, []server.Capture{testCapture(rand.New(rand.NewSource(3)), 1, mover, 1)})
+	if err := r.ServeConn(bytes.NewReader(frame)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bufs[0].Bytes(), frame) || bufs[1].Len() != 0 {
+		t.Fatalf("mover's frame: %d bytes on its old owner, %d on the new one; want %d and 0",
+			bufs[0].Len(), bufs[1].Len(), len(frame))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -156,55 +157,49 @@ func TestPipelineRefusesShortCapture(t *testing.T) {
 	}
 }
 
-// TestPipelineEstimatorInjection: non-default estimators must run end
-// to end, and the estimator must actually be consulted (spectra from
-// Bartlett differ from MUSIC's).
+// squaredEstimator squares MUSIC's spectrum: the same peaks, a
+// different spectrum.
+type squaredEstimator struct{}
+
+func (squaredEstimator) Spectrum(ws *music.Workspace, a *array.Array, snaps [][]complex128, opt music.Options) (*music.Spectrum, error) {
+	s, err := music.MUSICEstimator.Spectrum(ws, a, snaps, opt)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range s.P {
+		s.P[i] = p * p
+	}
+	return s, nil
+}
+
+// TestPipelineEstimatorInjection: an injected estimator runs end to
+// end and is actually consulted — the pipeline's spectra are its own,
+// not MUSIC's.
 func TestPipelineEstimatorInjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	client := geom.Pt(9.0, 6.0)
 	aps, captures, plan := buildTestbedAPs(t, client, 3, 3, rng)
 
-	for _, name := range music.EstimatorNames() {
-		est, err := music.EstimatorByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig(lambda)
-		cfg.Estimator = est
-		pos, specs, err := LocateClient(aps, captures, plan.Min, plan.Max, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(specs) != 3 {
-			t.Fatalf("%s: got %d spectra", name, len(specs))
-		}
-		// All estimators should localize a strong line-of-sight client
-		// to within a loose bound on this benign fixture.
-		if d := pos.Dist(client); d > 3.0 {
-			t.Errorf("%s: error %.2f m, want < 3 m", name, d)
-		}
-	}
-
-	musicCfg := DefaultConfig(lambda)
-	_, musicSpecs, err := LocateClient(aps, captures, plan.Min, plan.Max, musicCfg)
+	_, musicSpecs, err := LocateClient(aps, captures, plan.Min, plan.Max, DefaultConfig(lambda))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bartCfg := DefaultConfig(lambda)
-	bartCfg.Estimator = music.BartlettEstimator
-	_, bartSpecs, err := LocateClient(aps, captures, plan.Min, plan.Max, bartCfg)
+	cfg := DefaultConfig(lambda)
+	cfg.Estimator = squaredEstimator{}
+	pos, specs, err := LocateClient(aps, captures, plan.Min, plan.Max, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := true
-	for b := range musicSpecs[0].Spectrum.P {
-		if musicSpecs[0].Spectrum.P[b] != bartSpecs[0].Spectrum.P[b] {
-			same = false
-			break
-		}
+	if len(specs) != 3 {
+		t.Fatalf("got %d spectra, want 3", len(specs))
 	}
-	if same {
-		t.Fatal("Bartlett estimator produced MUSIC's spectrum — injection is not wired through")
+	// The same peaks localize a strong line-of-sight client to within
+	// a loose bound on this benign fixture.
+	if d := pos.Dist(client); d > 3.0 {
+		t.Errorf("error %.2f m, want < 3 m", d)
+	}
+	if slices.Equal(musicSpecs[0].Spectrum.P, specs[0].Spectrum.P) {
+		t.Fatal("the injected estimator produced MUSIC's spectrum — injection is not wired through")
 	}
 }
 
@@ -254,8 +249,6 @@ type memoEstimator struct {
 	mu   sync.Mutex
 	seen map[string]*music.Spectrum
 }
-
-func (*memoEstimator) Name() string { return "memo" }
 
 func (m *memoEstimator) Spectrum(_ *music.Workspace, a *array.Array, snaps [][]complex128, opt music.Options) (*music.Spectrum, error) {
 	m.mu.Lock()
@@ -328,8 +321,6 @@ func TestProcessAPsLeavesRetainedSpectraAlone(t *testing.T) {
 
 // countingEstimator counts the frames the pipeline asks MUSIC for.
 type countingEstimator struct{ calls int }
-
-func (*countingEstimator) Name() string { return "counting" }
 
 func (c *countingEstimator) Spectrum(ws *music.Workspace, a *array.Array, snaps [][]complex128, opt music.Options) (*music.Spectrum, error) {
 	c.calls++

@@ -57,8 +57,9 @@ type Config struct {
 	// LogHeatmap). 0 or 1 evaluates serially; DefaultConfig sets
 	// GOMAXPROCS. Results are deterministic regardless.
 	SynthWorkers int
-	// Estimator is the pluggable frame→spectrum stage (nil means
-	// MUSIC, the paper's pipeline). See music.EstimatorByName.
+	// Estimator is the frame→spectrum stage (nil means
+	// music.MUSICEstimator, the paper's pipeline); tests substitute
+	// their own.
 	Estimator music.Estimator
 }
 

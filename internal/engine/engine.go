@@ -134,9 +134,6 @@ type Options struct {
 	// raised to it, so the region always covers every fix the tracker
 	// could accept.
 	PredictSigma float64
-	// PredictMinFixes overrides how many accepted fixes a track needs
-	// before predictions are trusted (0 means DefaultPredictMinFixes).
-	PredictMinFixes int
 	// ShedAfter enables overload shedding when positive: a job that
 	// waited in the queue longer than this is failed with
 	// ErrOverloaded instead of localized — under sustained overload
@@ -217,7 +214,6 @@ type Engine struct {
 	tracker   *Tracker
 	q         *sched.Queue
 	predSigma atomic.Uint64 // Float64bits; 0 = predictive path disabled; hot-reloaded by SetPredictSigma
-	predMin   int
 	wg        sync.WaitGroup
 	mu        sync.RWMutex
 	closed    bool
@@ -258,13 +254,6 @@ func New(opt Options) *Engine {
 		tracker: opt.Tracker,
 		q:       sched.New(sched.Options{Depth: queue, ClientQuota: opt.ClientQuota}),
 		workers: workers,
-	}
-	// predMin is fixed at construction (SetPredictSigma can enable the
-	// predictive path later, so it must be valid even when Predict
-	// starts off).
-	e.predMin = opt.PredictMinFixes
-	if e.predMin <= 0 {
-		e.predMin = DefaultPredictMinFixes
 	}
 	if opt.Predict && opt.Tracker != nil {
 		e.SetPredictSigma(opt.PredictSigma)
@@ -370,7 +359,7 @@ func (e *Engine) predictiveFix(req Request, specs []core.APSpectrum) (geom.Point
 	if sigma <= 0 || e.tracker == nil {
 		return geom.Point{}, false
 	}
-	pred, ok := e.tracker.Predict(req.ClientID, req.Time, e.predMin)
+	pred, ok := e.tracker.Predict(req.ClientID, req.Time, DefaultPredictMinFixes)
 	if !ok {
 		e.predNoTrack.Add(1)
 		return geom.Point{}, false

@@ -51,7 +51,7 @@ func TestPredictiveFixVerifyAndFallbacks(t *testing.T) {
 		tracker.Observe(7, geom.Pt(20, 8), base.Add(time.Duration(i)*time.Second))
 	}
 	at := base.Add(4 * time.Second)
-	pred, ok := tracker.Predict(7, at, eng.predMin)
+	pred, ok := tracker.Predict(7, at, DefaultPredictMinFixes)
 	if !ok {
 		t.Fatal("matured track did not predict")
 	}

@@ -1,12 +1,10 @@
 package music
 
-// Pluggable AoA estimators. The paper's pipeline is MUSIC end to end,
-// but the rest of the system — correlation estimation, the steering
-// cache, synthesis, tracking — is estimator-agnostic, and the
-// evaluation's comparisons (conventional beamforming, classic
-// unsmoothed MUSIC) are just different spectrum functions over the
-// same snapshots. An Estimator plugs into core's pipeline at the
-// frame→spectrum stage; everything downstream is unchanged.
+// The frame→spectrum seam. The paper's pipeline, and the service, are
+// MUSIC end to end; the rest of the system — the steering cache,
+// synthesis, tracking — reads only the spectrum, so an Estimator plugs
+// into core's pipeline at this stage with everything downstream
+// unchanged. Tests substitute estimators through it.
 
 import (
 	"errors"
@@ -23,8 +21,6 @@ import (
 // distinct workspaces, and must not modify snaps. ws holds the call's
 // scratch for the call's duration; nil means a fresh Workspace.
 type Estimator interface {
-	// Name identifies the estimator ("music", "bartlett", "baseline").
-	Name() string
 	// Spectrum computes the normalized AoA spectrum from the row's
 	// snapshots. The caller may hand the result back to ws with
 	// Recycle, which reuses a spectrum that came out of ws's own scans
@@ -42,57 +38,9 @@ var MUSICEstimator Estimator = musicEstimator{}
 
 type musicEstimator struct{}
 
-func (musicEstimator) Name() string { return "music" }
-
 func (musicEstimator) Spectrum(ws *Workspace, a *array.Array, snaps [][]complex128, opt Options) (*Spectrum, error) {
 	ws = orFresh(ws)
 	noise, err := noiseSubspace(ws, snaps, a.N, opt)
-	if err != nil {
-		return nil, err
-	}
-	return MUSICWithTableWS(ws, noise, opt.table(a)), nil
-}
-
-// BartlettEstimator is the conventional (delay-and-sum) beamformer:
-// P(θ) = a(θ)ᴴ·R·a(θ) on the full-row correlation matrix, no subspace
-// machinery. It resolves multipath far worse than MUSIC — which is the
-// paper's point — but costs no eigendecomposition.
-var BartlettEstimator Estimator = bartlettEstimator{}
-
-type bartlettEstimator struct{}
-
-func (bartlettEstimator) Name() string { return "bartlett" }
-
-func (bartlettEstimator) Spectrum(ws *Workspace, a *array.Array, snaps [][]complex128, opt Options) (*Spectrum, error) {
-	ws = orFresh(ws)
-	r, err := correlate(&ws.r, snaps, a.N)
-	if err != nil {
-		return nil, err
-	}
-	return BartlettWithTableWS(ws, r, opt.table(a)).Normalize(), nil
-}
-
-// BaselineEstimator is classic MUSIC as it existed before the paper:
-// no spatial smoothing, no forward-backward averaging — the §4.1
-// "unoptimized" starting point. Coherent multipath collapses its
-// correlation matrix rank, which is exactly the failure §2.3.2 fixes.
-var BaselineEstimator Estimator = baselineEstimator{}
-
-type baselineEstimator struct{}
-
-func (baselineEstimator) Name() string { return "baseline" }
-
-func (baselineEstimator) Spectrum(ws *Workspace, a *array.Array, snaps [][]complex128, opt Options) (*Spectrum, error) {
-	ws = orFresh(ws)
-	r, err := correlate(&ws.r, snaps, a.N)
-	if err != nil {
-		return nil, err
-	}
-	maxD := opt.MaxSignals
-	if maxD <= 0 {
-		maxD = r.Rows / 2
-	}
-	noise, err := hermitianNoise(ws, r, opt.thresh(), maxD)
 	if err != nil {
 		return nil, err
 	}
@@ -126,19 +74,3 @@ func CalibratedSnapshotsWS(ws *Workspace, streams [][]complex128, offset, maxSam
 	}
 	return snaps, nil
 }
-
-// EstimatorByName resolves "music", "bartlett", or "baseline".
-func EstimatorByName(name string) (Estimator, error) {
-	switch name {
-	case "", "music":
-		return MUSICEstimator, nil
-	case "bartlett":
-		return BartlettEstimator, nil
-	case "baseline":
-		return BaselineEstimator, nil
-	}
-	return nil, fmt.Errorf("music: unknown estimator %q (have music, bartlett, baseline)", name)
-}
-
-// EstimatorNames lists the registered estimator names.
-func EstimatorNames() []string { return []string{"music", "bartlett", "baseline"} }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -96,16 +97,23 @@ func opsServer(t *testing.T) (*ops.Server, *engine.Engine, *engine.Tracker) {
 		Predict: true, PredictSigma: 4,
 	})
 	t.Cleanup(eng.Close)
-	pending := 3
-	backend := server.NewBackend(2, 100*time.Millisecond, func(uint32, []server.Capture) {})
+	backend := newBackend()
 	backend.ErrorBudget = 2
 	backend.NoteAPError(5)
 	backend.NoteAPError(5) // quarantine AP 5 so the gauge is non-zero
-	return &ops.Server{
-		Engine:         eng,
-		PendingClients: func() int { return pending },
-		Backend:        backend,
-	}, eng, tr
+	return &ops.Server{Engine: eng, Backend: backend}, eng, tr
+}
+
+// newBackend returns a quorum-2 backend holding one capture each for
+// clients 101–103, so three clients wait below quorum.
+func newBackend() *server.Backend {
+	b := server.NewBackendDispatcher(2, 100*time.Millisecond,
+		server.DispatchFunc(func(_ uint32, cs []server.Capture) { server.ReleaseAll(cs) }))
+	now := time.Now()
+	for id := uint32(101); id <= 103; id++ {
+		b.IngestBatch([]server.Capture{{APID: 1, ClientID: id, Timestamp: now}})
+	}
+	return b
 }
 
 // TestMetricsEndpoint: /metrics speaks Prometheus text format and
@@ -171,6 +179,52 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if strings.Contains(body, "arraytrack_synth_cache_slices_total") {
 		t.Error("metrics exposition still carries the retired slices series")
+	}
+}
+
+// TestClusterRoutesNeedBackendAndTracker: the shard-handoff surface is
+// served only by a server with both a backend and a tracker — 404
+// without a tracker, and with one, GET /cluster/clients lists the
+// tracked clients and those pending below quorum, and a body that does
+// not decode is a 400.
+func TestClusterRoutesNeedBackendAndTracker(t *testing.T) {
+	bare := engine.New(engine.Options{Workers: 1, Config: core.Config{Wavelength: 0.1225, GridCell: 0.5}})
+	defer bare.Close()
+	noTracker := httptest.NewServer((&ops.Server{Engine: bare, Backend: newBackend()}).Handler())
+	defer noTracker.Close()
+	resp, err := noTracker.Client().Get(noTracker.URL + "/cluster/clients")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 404 {
+		t.Fatalf("GET /cluster/clients without a tracker = %d, want 404", resp.StatusCode)
+	}
+
+	srv, _, _ := opsServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err = ts.Client().Get(ts.URL + "/cluster/clients")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Clients []uint32 `json:"clients"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint32{7, 9, 101, 102, 103}; resp.StatusCode != 200 || !slices.Equal(body.Clients, want) {
+		t.Fatalf("GET /cluster/clients = %d %v, want 200 %v", resp.StatusCode, body.Clients, want)
+	}
+	bad, err := ts.Client().Post(ts.URL+"/cluster/remove", "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Body.Close()
+	if bad.StatusCode != 400 {
+		t.Fatalf("POST /cluster/remove with a bad body = %d, want 400", bad.StatusCode)
 	}
 }
 

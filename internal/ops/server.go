@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/lru"
@@ -26,12 +27,11 @@ import (
 type Server struct {
 	// Engine is the serving engine. Required.
 	Engine *engine.Engine
-	// PendingClients, when non-nil, reports the backend's count of
-	// clients buffered below quorum (exported as a gauge).
-	PendingClients func() int
 	// Backend, when non-nil, exports the ingest self-defense counters
-	// (connection errors, idle reaps, AP quarantine, degraded flushes)
-	// and the UDP datagram-mode health counters.
+	// (connection errors, idle reaps, AP quarantine, degraded flushes),
+	// the UDP datagram-mode health counters and the count of clients
+	// buffered below quorum; with the engine's tracker it also serves
+	// the shard-handoff control surface.
 	Backend *server.Backend
 	// Sink, when non-nil, exports the capture sink's clock-skew guard
 	// counter.
@@ -46,7 +46,8 @@ type Server struct {
 //	GET  /clients/{id}  one client's smoothed track state
 //	GET  /knobs         current values of the hot-reloadable knobs
 //	POST /knobs         apply a Knobs JSON document (partial updates)
-//	     /cluster/*     shard-handoff control surface (see cluster.go)
+//	     /cluster/*     shard-handoff control surface (cluster.ServeControl
+//	                    over a cluster.Node), with a Backend and a tracker
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -58,7 +59,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /clients/{id}", s.handleClient)
 	mux.HandleFunc("GET /knobs", s.handleKnobsGet)
 	mux.HandleFunc("POST /knobs", s.handleKnobsPost)
-	s.registerCluster(mux)
+	if s.Backend != nil && s.Engine.Tracker() != nil {
+		cluster.ServeControl(mux, cluster.Node{Backend: s.Backend, Engine: s.Engine})
+	}
 	return mux
 }
 
@@ -148,9 +151,6 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		p.counter("arraytrack_track_observed_total", "Fixes folded into client tracks.", ts.Observed)
 		p.counter("arraytrack_track_evicted_total", "Stale client tracks evicted.", ts.Evicted)
 	}
-	if s.PendingClients != nil {
-		p.gauge("arraytrack_pending_clients", "Clients buffered below capture quorum.", int64(s.PendingClients()))
-	}
 
 	p.counter("arraytrack_shed_total", "Jobs failed with ErrOverloaded after ageing past the shed bound.", st.Shed)
 	p.counter("arraytrack_short_captures_total", "Jobs refused because a capture's streams were not the window's length (MaxSamples).", st.ShortCaptures)
@@ -173,6 +173,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		p.counter("arraytrack_degraded_flushes_total", "Capture groups flushed below full quorum.", h.DegradedFlushes)
 		p.counter("arraytrack_stale_dropped_total", "Stuck groups released as undispatchable by the sweep.", h.StaleDropped)
 		p.gauge("arraytrack_quarantined_aps", "APs currently quarantined.", int64(h.Quarantined))
+		p.gauge("arraytrack_pending_clients", "Clients buffered below capture quorum.", int64(s.Backend.PendingClients()))
 		u := s.Backend.UDP()
 		p.counter("arraytrack_udp_datagrams_total", "Well-formed batch-frame datagrams ingested.", u.Datagrams)
 		p.counter("arraytrack_udp_captures_total", "Captures carried by ingested datagrams.", u.Captures)

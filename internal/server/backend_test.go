@@ -44,22 +44,22 @@ func TestBackendDispatcherReceivesQuorumFlush(t *testing.T) {
 	}
 }
 
-func TestBackendDispatcherPreferredOverLocate(t *testing.T) {
-	d := &recordingDispatcher{}
-	locateCalled := false
-	b := NewBackend(1, time.Minute, func(uint32, []Capture) { locateCalled = true })
-	b.Dispatcher = d
-	b.IngestBatch([]Capture{{APID: 1, ClientID: 9, Timestamp: time.Now()}})
-	if locateCalled {
-		t.Error("Locate ran despite a Dispatcher being set")
-	}
-	if _, ok := d.flushes[9]; !ok {
-		t.Error("Dispatcher did not receive the flush")
+// TestDispatchFuncReceivesFlush: a function adapted with DispatchFunc
+// is called once per quorum flush, with the client and its captures.
+func TestDispatchFuncReceivesFlush(t *testing.T) {
+	var gotClient uint32
+	var got []Capture
+	b := NewBackendDispatcher(1, time.Minute, DispatchFunc(func(clientID uint32, cs []Capture) {
+		gotClient, got = clientID, cs
+	}))
+	b.IngestBatch([]Capture{{APID: 1, ClientID: 9, Seq: 4, Timestamp: time.Now()}})
+	if gotClient != 9 || len(got) != 1 || got[0].Seq != 4 {
+		t.Fatalf("DispatchFunc got client %d, captures %+v; want client 9, the one capture", gotClient, got)
 	}
 }
 
 func TestBackendPendingSpansShards(t *testing.T) {
-	b := NewBackend(3, time.Minute, func(uint32, []Capture) {})
+	b := NewBackendDispatcher(3, time.Minute, &recordingDispatcher{})
 	now := time.Now()
 	// Client IDs chosen across the whole space so they land in many
 	// different shards; the count must still be exact.
@@ -75,11 +75,11 @@ func TestBackendPendingSpansShards(t *testing.T) {
 func TestBackendConcurrentIngestExactFlushes(t *testing.T) {
 	var mu sync.Mutex
 	flushed := make(map[uint32]int)
-	b := NewBackend(3, time.Minute, func(clientID uint32, cs []Capture) {
+	b := NewBackendDispatcher(3, time.Minute, DispatchFunc(func(clientID uint32, cs []Capture) {
 		mu.Lock()
 		flushed[clientID]++
 		mu.Unlock()
-	})
+	}))
 	const clients = 200
 	now := time.Now()
 	var wg sync.WaitGroup

@@ -249,7 +249,7 @@ func (c *Capture) wirePayload() ([]byte, float32) {
 // Release returns the capture's decode buffers to their workspace
 // pool. Decoded captures borrow their Streams memory from an
 // IngestWorkspace; whoever consumes a capture (the quorum flush's
-// Dispatcher, or the backend itself for stale drops and inline Locate)
+// Dispatcher, or the backend itself for stale drops)
 // must call Release exactly once when the samples are no longer
 // needed. Copies of a Capture share the underlying
 // reference, so release each logical capture once, not each copy. On

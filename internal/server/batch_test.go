@@ -470,9 +470,10 @@ func BenchmarkRecentForClient(b *testing.B) {
 func TestBackendUDPIngest(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var flushed []Capture
-	b := NewBackend(2, time.Second, func(clientID uint32, cs []Capture) {
+	b := NewBackendDispatcher(2, time.Second, DispatchFunc(func(clientID uint32, cs []Capture) {
 		flushed = append(flushed, cs...)
-	})
+		ReleaseAll(cs)
+	}))
 	ts := time.UnixMicro(1700000000000000).UTC()
 	mk := func(apID, seq uint32) Capture {
 		c := batchCapture(rng, 2, 4)
@@ -531,7 +532,7 @@ func TestUDPFloodSmallRcvbufLossAccounted(t *testing.T) {
 		grams = append(grams, mustFrame(t, caps))
 	}
 
-	be := NewBackend(1, time.Second, func(uint32, []Capture) {})
+	be := NewBackendDispatcher(1, time.Second, DispatchFunc(func(_ uint32, cs []Capture) { ReleaseAll(cs) }))
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -734,13 +735,14 @@ func TestServeConnBatchQuorum(t *testing.T) {
 	burstFrame, stragglerFrame := mustFrame(t, burst), mustFrame(t, []Capture{straggler})
 
 	var flushed []Capture
-	b := NewBackend(2, time.Second, func(clientID uint32, cs []Capture) {
+	b := NewBackendDispatcher(2, time.Second, DispatchFunc(func(clientID uint32, cs []Capture) {
 		for i := range cs {
 			cp := cs[i]
 			cp.Streams = cloneStreams(cp.Streams)
 			flushed = append(flushed, cp)
 		}
-	})
+		ReleaseAll(cs)
+	}))
 	if err := b.ServeConn(bytes.NewReader(append(append([]byte(nil), burstFrame...), stragglerFrame...))); err != nil {
 		t.Fatal(err)
 	}

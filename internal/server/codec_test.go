@@ -503,9 +503,11 @@ func TestDecodeRefusesBadScale(t *testing.T) {
 	// connection. The good captures flush, the connection dies as a
 	// decode error, and the error lands on the sending AP's budget.
 	var flushed int
-	b := NewBackend(1, time.Second, func(_ uint32, cs []Capture) { flushed += len(cs) })
+	b := NewBackendDispatcher(1, time.Second, DispatchFunc(func(_ uint32, cs []Capture) {
+		flushed += len(cs)
+		ReleaseAll(cs)
+	}))
 	b.ErrorBudget = 1
-	b.ErrorWindow = 10 * time.Second
 	b.Cooldown = time.Minute
 	stream := append(append([]byte(nil), abs...), withUint32(abs, absScaleOff, 0x7FC00000)...)
 	if err := b.ServeConn(bytes.NewReader(stream)); !errors.Is(err, ErrBadFrame) {

@@ -81,6 +81,14 @@ func (d *recordDispatcher) take() [][]Capture {
 	return out
 }
 
+// countingDispatch counts flushes into n and releases their captures.
+func countingDispatch(n *atomic.Uint64) DispatchFunc {
+	return func(_ uint32, caps []Capture) {
+		n.Add(1)
+		ReleaseAll(caps)
+	}
+}
+
 // TestServeConnIdleDeadlineReapsStalledConn pins the self-defense
 // acceptance gate: a connection that stalls mid-frame is reaped within
 // 2× the idle timeout, other connections keep ingesting throughout,
@@ -89,7 +97,7 @@ func (d *recordDispatcher) take() [][]Capture {
 func TestServeConnIdleDeadlineReapsStalledConn(t *testing.T) {
 	baseline := LeasedIngestWorkspaces()
 	var located atomic.Uint64
-	b := NewBackend(1, 100*time.Millisecond, func(uint32, []Capture) { located.Add(1) })
+	b := NewBackendDispatcher(1, 100*time.Millisecond, countingDispatch(&located))
 	b.IdleTimeout = 250 * time.Millisecond
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -180,9 +188,8 @@ func TestBackendQuarantineBudgetAndCooldown(t *testing.T) {
 	baseline := LeasedIngestWorkspaces()
 	clock := newFakeClock()
 	var located atomic.Uint64
-	b := NewBackend(1, 100*time.Millisecond, func(uint32, []Capture) { located.Add(1) })
+	b := NewBackendDispatcher(1, 100*time.Millisecond, countingDispatch(&located))
 	b.ErrorBudget = 3
-	b.ErrorWindow = 10 * time.Second
 	b.Cooldown = 5 * time.Second
 	b.Now = clock.Now
 
@@ -534,7 +541,7 @@ func TestServeNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	var located atomic.Uint64
-	b := NewBackend(1, 100*time.Millisecond, func(uint32, []Capture) { located.Add(1) })
+	b := NewBackendDispatcher(1, 100*time.Millisecond, countingDispatch(&located))
 	b.IdleTimeout = 100 * time.Millisecond
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -194,28 +194,25 @@ func (n *APNode) UploadDatagrams(ctx context.Context, w io.Writer, maxBytes int)
 	}
 }
 
-// LocateFunc is the backend callback invoked once enough APs have
-// reported captures for a client: it receives every grouped capture
-// (possibly several frames per AP). The captures — in particular
-// their sample streams, which may borrow pooled ingest memory — are
-// valid only for the duration of the call; copy anything retained.
-type LocateFunc func(clientID uint32, captures []Capture)
-
-// Dispatcher receives a client's grouped captures when a quorum of APs
-// has reported. Unlike LocateFunc — which the seed called inline on
-// the ingest path, serializing every location fix behind one lock —
-// a Dispatcher is expected to enqueue the work (e.g. onto the
+// Dispatcher receives a client's grouped captures (possibly several
+// frames per AP) when a quorum of APs has reported. It runs on the
+// ingest path, so it is expected to enqueue the work (e.g. onto the
 // localization engine's worker pool) and return promptly.
 //
 // The dispatcher takes ownership of the flushed captures: their
 // stream buffers may be borrowed from a pooled ingest workspace, and
 // each capture must be Released exactly once after its samples are
 // consumed (engine.CaptureSink does this when the localization job
-// completes). Legacy inline Locate callbacks do not release — the
-// backend releases the flush itself after Locate returns.
+// completes; a callback that keeps nothing calls ReleaseAll).
 type Dispatcher interface {
 	Dispatch(clientID uint32, captures []Capture)
 }
+
+// DispatchFunc adapts a function to a Dispatcher.
+type DispatchFunc func(clientID uint32, captures []Capture)
+
+// Dispatch calls f(clientID, captures).
+func (f DispatchFunc) Dispatch(clientID uint32, captures []Capture) { f(clientID, captures) }
 
 // pendingShards is the number of independently locked groups the
 // per-client pending state is split across. Captures for different
@@ -369,9 +366,9 @@ func (sh *backendShard) group(clientID uint32) *pendingGroup {
 
 // Backend is the central ArrayTrack server: it ingests capture records
 // from every AP, groups them by client, and hands the group to the
-// Dispatcher (or legacy Locate callback) when a quorum of distinct APs
-// has reported within the grouping window. Per-client state is sharded
-// so concurrent AP connections do not serialize on one lock.
+// Dispatcher when a quorum of distinct APs has reported within the
+// grouping window. Per-client state is sharded so concurrent AP
+// connections do not serialize on one lock.
 type Backend struct {
 	// Quorum is the number of distinct APs required before location
 	// synthesis runs.
@@ -380,11 +377,7 @@ type Backend struct {
 	// ≤100 ms rule of §2.4 applies downstream; the backend keeps a
 	// slightly generous margin).
 	Window time.Duration
-	// Locate is invoked inline with the grouped captures when no
-	// Dispatcher is set. One of Locate or Dispatcher must be non-nil.
-	Locate LocateFunc
-	// Dispatcher, when non-nil, receives quorum flushes instead of
-	// Locate — the engine handoff path.
+	// Dispatcher receives quorum flushes. Required.
 	Dispatcher Dispatcher
 
 	// IdleTimeout, when positive, bounds how long ServeConn waits for
@@ -407,13 +400,10 @@ type Backend struct {
 	DegradedAfter time.Duration
 
 	// ErrorBudget is the number of connection/decode errors within
-	// ErrorWindow that quarantines an AP: its captures are dropped (and
-	// counted) until Cooldown passes, then it is automatically
-	// readmitted. 0 disables quarantine.
+	// DefaultErrorWindow that quarantines an AP: its captures are
+	// dropped (and counted) until Cooldown passes, then it is
+	// automatically readmitted. 0 disables quarantine.
 	ErrorBudget int
-	// ErrorWindow bounds how old an error may be and still count
-	// against the budget; 0 means DefaultErrorWindow.
-	ErrorWindow time.Duration
 	// Cooldown is how long a quarantined AP stays quarantined; 0 means
 	// DefaultQuarantineCooldown.
 	Cooldown time.Duration
@@ -473,6 +463,8 @@ func (b *Backend) UDP() UDPStats {
 // Fault-tolerance defaults. DegradedAfter trades fix latency against
 // the chance the missing AP is merely late: half a second is several
 // grouping windows, long enough that the quorum is genuinely short.
+// DefaultErrorWindow has no override: it is how old an error may be
+// and still count against ErrorBudget.
 const (
 	DefaultDegradedAfter      = 500 * time.Millisecond
 	DefaultErrorWindow        = 10 * time.Second
@@ -566,8 +558,8 @@ func (b *Backend) degradedAfter() time.Duration {
 }
 
 // NoteAPError charges one error against an AP's budget; when the
-// budget is exhausted within ErrorWindow the AP is quarantined for
-// Cooldown. ServeConn calls it for decode errors and idle reaps,
+// budget is exhausted within DefaultErrorWindow the AP is quarantined
+// for Cooldown. ServeConn calls it for decode errors and idle reaps,
 // attributing the connection to the last AP that successfully decoded
 // on it; external supervisors may call it too. A no-op when
 // ErrorBudget is unset.
@@ -576,10 +568,6 @@ func (b *Backend) NoteAPError(apID uint32) {
 		return
 	}
 	now := b.now()
-	window := b.ErrorWindow
-	if window <= 0 {
-		window = DefaultErrorWindow
-	}
 	b.healthMu.Lock()
 	defer b.healthMu.Unlock()
 	if b.apHealth == nil {
@@ -595,7 +583,7 @@ func (b *Backend) NoteAPError(apID uint32) {
 	}
 	keep := st.errAt[:0]
 	for _, at := range st.errAt {
-		if now.Sub(at) <= window {
+		if now.Sub(at) <= DefaultErrorWindow {
 			keep = append(keep, at)
 		}
 	}
@@ -701,26 +689,14 @@ func (b *Backend) ServeUDP(ctx context.Context, conn net.PacketConn) error {
 	}
 }
 
-// NewBackend returns a backend that runs locate inline on each quorum
-// flush (the seed behaviour).
-func NewBackend(quorum int, window time.Duration, locate LocateFunc) *Backend {
-	b := &Backend{Quorum: quorum, Window: window, Locate: locate}
-	b.initShards()
-	return b
-}
-
 // NewBackendDispatcher returns a backend that hands quorum flushes to
-// d — typically an engine.CaptureSink — instead of localizing inline.
+// d — typically an engine.CaptureSink, or a DispatchFunc.
 func NewBackendDispatcher(quorum int, window time.Duration, d Dispatcher) *Backend {
 	b := &Backend{Quorum: quorum, Window: window, Dispatcher: d}
-	b.initShards()
-	return b
-}
-
-func (b *Backend) initShards() {
 	for i := range b.shards {
 		b.shards[i].pending = make(map[uint32]*pendingGroup)
 	}
+	return b
 }
 
 func (b *Backend) shard(clientID uint32) *backendShard {
@@ -773,18 +749,9 @@ func (b *Backend) takeDegraded(g *pendingGroup) []Capture {
 	return flush
 }
 
-func (b *Backend) dispatch(clientID uint32, flush []Capture) {
-	if b.Dispatcher != nil {
-		b.Dispatcher.Dispatch(clientID, flush)
-	} else {
-		b.Locate(clientID, flush)
-		ReleaseAll(flush)
-	}
-}
-
 // IngestBatch ingests a decoded burst. Each capture joins its client's
 // pending group; when a group spans at least Quorum distinct APs, its
-// captures are flushed to the Dispatcher (or Locate) and cleared.
+// captures are flushed to the Dispatcher and cleared.
 // Stale captures outside Window of the newest are dropped. Each
 // client's shard lock is taken once for all of that client's captures
 // in the burst, and flushes run outside the lock. Per-client capture
@@ -867,7 +834,7 @@ func (b *Backend) IngestBatch(caps []Capture) {
 		}
 		sh.mu.Unlock()
 		if flush != nil {
-			b.dispatch(id, flush)
+			b.Dispatcher.Dispatch(id, flush)
 		}
 	}
 	// Settle-time accounting: the whole burst counts only after every
@@ -928,7 +895,7 @@ func (b *Backend) Sweep() (flushed, dropped int) {
 		sh.mu.Unlock()
 		// Dispatch outside the shard lock, like the ingest path.
 		for _, f := range flushes {
-			b.dispatch(f.client, f.caps)
+			b.Dispatcher.Dispatch(f.client, f.caps)
 		}
 	}
 	return flushed, dropped

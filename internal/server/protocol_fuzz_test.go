@@ -400,7 +400,7 @@ func fuzzIngest(t *testing.T, data []byte) {
 	}
 	// The datagram path (exact-fit rule, the backend's counters) and
 	// stream ingest must swallow the same bytes without panicking.
-	b := NewBackend(1000, time.Second, func(uint32, []Capture) {})
+	b := NewBackendDispatcher(1000, time.Second, DispatchFunc(func(_ uint32, cs []Capture) { ReleaseAll(cs) }))
 	_ = b.IngestDatagram(data)
 	_ = b.ServeConn(bytes.NewReader(data))
 }
@@ -426,7 +426,10 @@ func TestServeConnRefusesRetiredFormats(t *testing.T) {
 	baseline := LeasedIngestWorkspaces()
 	for _, tc := range cases {
 		flushed := 0
-		b := NewBackend(1, time.Second, func(_ uint32, cs []Capture) { flushed += len(cs) })
+		b := NewBackendDispatcher(1, time.Second, DispatchFunc(func(_ uint32, cs []Capture) {
+			flushed += len(cs)
+			ReleaseAll(cs)
+		}))
 		stream := append(mustFrame(t, []Capture{plain}), tc.data...)
 		if err := b.ServeConn(bytes.NewReader(stream)); !errors.Is(err, tc.want) {
 			t.Errorf("%s: ServeConn returned %v, want %v", tc.name, err, tc.want)

@@ -316,11 +316,11 @@ func TestAPNodeRecordAndUpload(t *testing.T) {
 func TestBackendQuorumGrouping(t *testing.T) {
 	var mu sync.Mutex
 	var got []Capture
-	b := NewBackend(2, time.Second, func(clientID uint32, cs []Capture) {
+	b := NewBackendDispatcher(2, time.Second, DispatchFunc(func(clientID uint32, cs []Capture) {
 		mu.Lock()
 		defer mu.Unlock()
 		got = cs
-	})
+	}))
 	now := time.Now()
 	b.IngestBatch([]Capture{{APID: 1, ClientID: 9, Timestamp: now}})
 	if got != nil {
@@ -342,7 +342,7 @@ func TestBackendQuorumGrouping(t *testing.T) {
 
 func TestBackendDropsStale(t *testing.T) {
 	fired := false
-	b := NewBackend(2, 100*time.Millisecond, func(uint32, []Capture) { fired = true })
+	b := NewBackendDispatcher(2, 100*time.Millisecond, DispatchFunc(func(uint32, []Capture) { fired = true }))
 	t0 := time.Now()
 	b.IngestBatch([]Capture{{APID: 1, ClientID: 5, Timestamp: t0}})
 	// Second AP reports much later: the first capture is stale, no
@@ -359,9 +359,10 @@ func TestBackendOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan uint32, 1)
-	b := NewBackend(1, time.Second, func(clientID uint32, cs []Capture) {
+	b := NewBackendDispatcher(1, time.Second, DispatchFunc(func(clientID uint32, cs []Capture) {
+		ReleaseAll(cs)
 		done <- clientID
-	})
+	}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go b.Serve(ctx, l)

@@ -139,9 +139,10 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 		return nil, err
 	}
 	received := make(chan int, 1)
-	backend := server.NewBackend(6, time.Second, func(_ uint32, cs []server.Capture) {
+	backend := server.NewBackendDispatcher(6, time.Second, server.DispatchFunc(func(_ uint32, cs []server.Capture) {
 		received <- len(cs)
-	})
+		server.ReleaseAll(cs)
+	}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go backend.Serve(ctx, l)

@@ -16,8 +16,6 @@ import (
 // that selects it.
 type hermitianEstimator struct{}
 
-func (hermitianEstimator) Name() string { return "music-hermitian" }
-
 func (hermitianEstimator) Spectrum(ws *music.Workspace, a *array.Array, snaps [][]complex128, opt music.Options) (*music.Spectrum, error) {
 	row := make([][]complex128, len(snaps))
 	for t, x := range snaps {

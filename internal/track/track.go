@@ -362,28 +362,3 @@ func (p Prediction) Box(sigma float64) (min, max geom.Point) {
 	hy := sigma * math.Sqrt(math.Max(p.Syy, 0))
 	return geom.Pt(p.Pos.X-hx, p.Pos.Y-hy), geom.Pt(p.Pos.X+hx, p.Pos.Y+hy)
 }
-
-// Track is a convenience wrapper that feeds a sequence of fixes through
-// a Filter and records the smoothed trail.
-type Track struct {
-	Filter *Filter
-	// Trail holds the smoothed positions after each accepted or
-	// predicted step.
-	Trail []geom.Point
-}
-
-// NewTrack returns a Track around a freshly configured filter.
-func NewTrack(processNoise, measSigma, gate float64) *Track {
-	return &Track{Filter: NewFilter(processNoise, measSigma, gate)}
-}
-
-// Add folds one fix (dt seconds after the previous) and appends the
-// smoothed position to the trail.
-func (t *Track) Add(fix geom.Point, dt float64) error {
-	if _, err := t.Filter.Update(fix, dt); err != nil {
-		return err
-	}
-	pos, _ := t.Filter.State()
-	t.Trail = append(t.Trail, pos)
-	return nil
-}
