@@ -1,20 +1,23 @@
 // Command arraytrack-ap emulates one ArrayTrack access point (Figure 1,
 // left half): it "overhears" frames from a simulated client through the
 // office channel model, detects the preamble, records the capture into
-// a circular buffer, and streams the cut window — the ten samples the
-// server correlates — to the central server over TCP.
+// a circular buffer, and ships the cut window — the ten samples the
+// server correlates — to the central server: batch frames on a TCP
+// stream, or with -udp one datagram per frame (at most
+// server.MaxDatagramBytes) to the server's -udp address.
 //
 //	arraytrack-ap -id 1 -server localhost:7100 -client 20,6.5 -frames 3
 //
 // Run several instances with different -id values (1–6) against one
 // arraytrack-server to watch a live multi-AP location fix.
 //
-// With -retries N the upload survives network weather: it reconnects
-// with jittered exponential backoff (first delay -backoff), replays
-// the in-flight batch, and logs one line per attempt. Exit codes then
-// distinguish the failure classes: 0 delivered, 75 (EX_TEMPFAIL) the
-// server never came back within N attempts, 1 a fatal error retrying
-// cannot fix.
+// Both transports go through one uploader, server.APNode.Upload. With
+// -retries N (N ≥ 2) the upload survives network weather: it
+// reconnects with jittered exponential backoff (first delay -backoff),
+// replays the frame in flight, and logs one line per attempt. Exit
+// codes distinguish the failure classes: 0 delivered, 75 (EX_TEMPFAIL)
+// the server never came back within N attempts, 1 a fatal error
+// retrying cannot fix (and, with fewer than 2 attempts, any error).
 package main
 
 import (
@@ -46,7 +49,7 @@ func main() {
 	batch := flag.Int("batch", 16, "upload frames of up to this many captures (at least 1)")
 	udp := flag.Bool("udp", false, "upload batch-frame datagrams over UDP instead of a TCP stream")
 	retries := flag.Int("retries", 0,
-		"reconnect and replay on transient upload errors, up to this many consecutive attempts (0 = fail on the first error; TCP only)")
+		"reconnect and replay on transient upload errors, up to this many consecutive attempts, over TCP or -udp (0 or 1 = one attempt, fail on the first error)")
 	backoff := flag.Duration("backoff", 100*time.Millisecond, "first reconnect delay (doubles per attempt, jittered)")
 	flag.Parse()
 	if *batch < 1 {
@@ -116,45 +119,29 @@ func main() {
 		log.Printf("AP %d: captured frame %d (%s, SNR %.1f dB)", *id, f+1, where, rec.SNRdB)
 	}
 
-	network := "tcp"
+	network, frameBytes := "tcp", 0
 	if *udp {
-		network = "udp"
+		// Every frame is one datagram: cap it at what one can carry.
+		network, frameBytes = "udp", server.MaxDatagramBytes
 	}
-	ctx := context.Background()
-	var err error
-	if *retries > 0 && !*udp {
-		// Resilient upload: dial our own connections, reconnect with
-		// jittered backoff on network weather, replay the in-flight
-		// batch. Exit codes split the outcomes for supervisors: 0
-		// delivered, 75 (EX_TEMPFAIL) the network never came back, 1
-		// anything that retrying cannot fix.
-		err = node.UploadRetry(ctx, func(ctx context.Context) (net.Conn, error) {
-			return net.Dial(network, *addr)
-		}, server.RetryOptions{
-			Batch:       *batch,
-			MinBackoff:  *backoff,
-			MaxAttempts: *retries,
-			OnAttempt: func(attempt int, d time.Duration, err error) {
-				log.Printf("AP %d: upload attempt %d/%d failed (%v), reconnecting in %v",
-					*id, attempt, *retries, err, d.Round(time.Millisecond))
-			},
-		})
-		if errors.Is(err, server.ErrRetriesExhausted) {
-			log.Printf("AP %d: giving up: %v", *id, err)
-			os.Exit(75)
-		}
-	} else {
-		var conn net.Conn
-		conn, err = net.Dial(network, *addr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer conn.Close()
-		if *udp {
-			err = node.UploadDatagrams(ctx, conn, server.MaxDatagramBytes)
-		} else {
-			err = node.UploadBatch(ctx, conn, *batch)
-		}
+	// Exit codes split the outcomes for supervisors: 0 delivered, 75
+	// (EX_TEMPFAIL) the network never came back within -retries
+	// attempts, 1 anything that retrying cannot fix.
+	err := node.Upload(context.Background(), func(ctx context.Context) (net.Conn, error) {
+		return net.Dial(network, *addr)
+	}, server.UploadOptions{
+		Batch:       *batch,
+		FrameBytes:  frameBytes,
+		MaxAttempts: *retries,
+		MinBackoff:  *backoff,
+		OnAttempt: func(attempt int, d time.Duration, err error) {
+			log.Printf("AP %d: upload attempt %d/%d failed (%v), reconnecting in %v",
+				*id, attempt, *retries, err, d.Round(time.Millisecond))
+		},
+	})
+	if errors.Is(err, server.ErrRetriesExhausted) {
+		log.Printf("AP %d: giving up: %v", *id, err)
+		os.Exit(75)
 	}
 	if err != nil {
 		log.Fatal(err)

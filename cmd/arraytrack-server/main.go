@@ -300,7 +300,7 @@ func main() {
 			log.Fatal(err)
 		}
 		httpSrv = &http.Server{Handler: opsSrv.Handler()}
-		log.Printf("ops endpoint on http://%s (/metrics /clients /knobs /healthz)", hl.Addr())
+		log.Printf("ops endpoint on http://%s (/metrics /clients /knobs /healthz /debug/pprof/)", hl.Addr())
 		go func() {
 			if err := httpSrv.Serve(hl); err != nil && err != http.ErrServerClosed {
 				log.Printf("ops endpoint: %v", err)

@@ -79,10 +79,11 @@ type Model struct {
 	// empirical behaviour behind the paper's Table 1 (reflection peaks
 	// change under small movement, the direct-path peak does not).
 	WallRoughness float64
-	// MinPathGainDB drops paths weaker than this below the direct
-	// free-space gain at 1 m, keeping path lists small. Default −90.
-	MinPathGainDB float64
 }
+
+// minPathGainDB drops paths weaker than this below the direct
+// free-space gain at 1 m, keeping path lists small.
+const minPathGainDB = -90.0
 
 // roughOffsets are the along-wall displacements (metres) of the rough
 // sub-scatter points relative to the specular reflection point. The
@@ -101,11 +102,7 @@ func (m *Model) friisAmplitude(d float64) float64 {
 }
 
 func (m *Model) minGain() float64 {
-	cut := m.MinPathGainDB
-	if cut == 0 {
-		cut = -90
-	}
-	return m.friisAmplitude(1) * math.Pow(10, cut/20)
+	return m.friisAmplitude(1) * math.Pow(10, minPathGainDB/20)
 }
 
 // Paths enumerates all propagation paths from tx (client) to rx (AP

@@ -22,9 +22,8 @@ func TestTrackerClockSkewGuard(t *testing.T) {
 	base := time.Unix(1700000000, 0).UTC()
 	now := base
 	tr := engine.NewTracker(engine.TrackerOptions{
-		MaxClockSkew: 10 * time.Second,
-		Gate:         -1,
-		Now:          func() time.Time { return now },
+		Gate: -1,
+		Now:  func() time.Time { return now },
 	})
 
 	tr.Observe(1, geom.Pt(5, 5), base)
@@ -72,7 +71,7 @@ func TestTrackerDegradedGateWidening(t *testing.T) {
 	base := time.Unix(1700000000, 0).UTC()
 	settle := func() *engine.Tracker {
 		tr := engine.NewTracker(engine.TrackerOptions{
-			MeasSigma: 0.3, Gate: 4, DegradedGateScale: 1.5,
+			MeasSigma: 0.3, Gate: 4,
 		})
 		for i := 0; i < 12; i++ {
 			tr.ObserveFix(1, geom.Pt(5, 5), base.Add(time.Duration(i)*time.Second), false)

@@ -32,14 +32,11 @@ type CaptureSink struct {
 	// fix when the engine runs a Tracker; nil discards them. It fires
 	// in addition to OnResult (whose Result carries the same update).
 	OnTrack func(TrackUpdate)
-	// MaxClockSkew guards the track clock against AP clock skew: a
-	// capture timestamp more than this far in the server's future is
-	// ignored for the job's time selection (newest capture) and
+	// Now overrides the clock-skew guard's clock (tests); nil means
+	// time.Now. A capture stamped more than MaxClockSkew in its future
+	// is ignored for the job's time selection (newest capture) and
 	// counted, so one AP with a broken clock cannot steer the Kalman
-	// dt. The frames themselves still localize. 0 means 10 s; negative
-	// disables the guard.
-	MaxClockSkew time.Duration
-	// Now overrides the skew-guard clock (tests); nil means time.Now.
+	// dt. The frames themselves still localize.
 	Now func() time.Time
 
 	skewIgnored atomic.Uint64
@@ -65,17 +62,11 @@ func (s *CaptureSink) Dispatch(clientID uint32, captures []server.Capture) {
 	// Clock-skew guard: compute the admissible-future horizon once per
 	// flush. Captures stamped beyond it still localize, but their
 	// timestamps are ignored for newest selection.
-	var horizon time.Time
-	if skew := s.MaxClockSkew; skew >= 0 {
-		if skew == 0 {
-			skew = 10 * time.Second
-		}
-		now := time.Now
-		if s.Now != nil {
-			now = s.Now
-		}
-		horizon = now().Add(skew)
+	now := time.Now
+	if s.Now != nil {
+		now = s.Now
 	}
+	horizon := now().Add(MaxClockSkew)
 	for _, c := range captures {
 		ap, seen := resolved[c.APID]
 		if !seen {
@@ -90,7 +81,7 @@ func (s *CaptureSink) Dispatch(clientID uint32, captures []server.Capture) {
 		}
 		byAP[c.APID] = append(byAP[c.APID], core.FrameCapture{Streams: c.Streams})
 		degraded = degraded || c.Degraded
-		if !horizon.IsZero() && c.Timestamp.After(horizon) {
+		if c.Timestamp.After(horizon) {
 			s.skewIgnored.Add(1)
 			continue // skewed stamp: the frames count, the clock does not
 		}

@@ -18,6 +18,20 @@ import (
 	"repro/internal/track"
 )
 
+// MaxClockSkew is the clock-skew guard shared by the Tracker and the
+// CaptureSink: a timestamp more than this far in the server's future
+// comes from an AP with a broken clock. The tracker folds such a fix in
+// as stamped "now" (counted in SkewClamped) and the sink leaves it out
+// of the job's time selection (counted in SkewIgnored), so one bad
+// clock cannot fast-forward the Kalman dt and poison the velocity
+// estimate.
+const MaxClockSkew = 10 * time.Second
+
+// DegradedGateScale widens the Mahalanobis gate for fixes flagged
+// Degraded (localized from fewer APs, so noisier): the gate radius is
+// multiplied by this for that one update.
+const DegradedGateScale = 1.5
+
 // TrackerOptions configures a Tracker. The zero value picks walking-
 // scale defaults.
 type TrackerOptions struct {
@@ -33,17 +47,6 @@ type TrackerOptions struct {
 	// TTL evicts a client whose last fix is older than this (0 means
 	// 30 s; negative disables eviction).
 	TTL time.Duration
-	// MaxClockSkew is the clock-skew guard: a fix stamped more than
-	// this far in the tracker's future is treated as stamped "now"
-	// (counted in SkewClamped) instead of letting one AP with a broken
-	// clock fast-forward the Kalman dt and poison the velocity
-	// estimate. 0 means 10 s; negative disables the guard.
-	MaxClockSkew time.Duration
-	// DegradedGateScale widens the Mahalanobis gate for fixes flagged
-	// Degraded (localized from fewer APs, so noisier): the gate radius
-	// is multiplied by this for that one update. 0 means 1.5; values
-	// below 1 are treated as 1 (never narrow the gate).
-	DegradedGateScale float64
 	// Now overrides the clock, for tests and simulations. nil means
 	// time.Now.
 	Now func() time.Time
@@ -63,18 +66,6 @@ func (o TrackerOptions) withDefaults() TrackerOptions {
 	}
 	if o.TTL == 0 {
 		o.TTL = 30 * time.Second
-	}
-	if o.MaxClockSkew == 0 {
-		o.MaxClockSkew = 10 * time.Second
-	} else if o.MaxClockSkew < 0 {
-		o.MaxClockSkew = 0
-	}
-	if o.DegradedGateScale < 1 {
-		if o.DegradedGateScale == 0 {
-			o.DegradedGateScale = 1.5
-		} else {
-			o.DegradedGateScale = 1
-		}
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -213,11 +204,9 @@ func (t *Tracker) ObserveFix(clientID uint32, fix geom.Point, at time.Time, degr
 	skewed := false
 	if at.IsZero() {
 		at = t.opt.Now()
-	} else if skew := t.opt.MaxClockSkew; skew > 0 {
-		if now := t.opt.Now(); at.Sub(now) > skew {
-			at = now
-			skewed = true
-		}
+	} else if now := t.opt.Now(); at.Sub(now) > MaxClockSkew {
+		at = now
+		skewed = true
 	}
 
 	ttl := t.TTL()
@@ -256,7 +245,7 @@ func (t *Tracker) ObserveFix(clientID uint32, fix geom.Point, at time.Time, degr
 	}
 	gateScale := 1.0
 	if degraded {
-		gateScale = t.opt.DegradedGateScale
+		gateScale = DegradedGateScale
 	}
 	accepted, err := ct.filter.UpdateScaled(fix, dt, gateScale)
 	if err != nil {

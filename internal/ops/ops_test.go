@@ -182,6 +182,28 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestPprofMounted: the ops listener serves net/http/pprof's index and
+// a named profile, with no flag to turn it on.
+func TestPprofMounted(t *testing.T) {
+	srv, _, _ := opsServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 200 || len(body) == 0 {
+			t.Errorf("GET %s = %d with %d bytes", path, resp.StatusCode, len(body))
+		}
+	}
+}
+
 // TestClusterRoutesNeedBackendAndTracker: the shard-handoff surface is
 // served only by a server with both a backend and a tracker — 404
 // without a tracker, and with one, GET /cluster/clients lists the

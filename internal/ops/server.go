@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,6 +49,8 @@ type Server struct {
 //	POST /knobs         apply a Knobs JSON document (partial updates)
 //	     /cluster/*     shard-handoff control surface (cluster.ServeControl
 //	                    over a cluster.Node), with a Backend and a tracker
+//	GET  /debug/pprof/  the runtime profiles of net/http/pprof (CPU,
+//	                    heap, goroutines, mutex, block, execution trace)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -62,6 +65,11 @@ func (s *Server) Handler() http.Handler {
 	if s.Backend != nil && s.Engine.Tracker() != nil {
 		cluster.ServeControl(mux, cluster.Node{Backend: s.Backend, Engine: s.Engine})
 	}
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

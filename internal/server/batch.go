@@ -86,8 +86,8 @@ const MaxBatchCaptures = 1024
 const MaxFrameBytes = 8 << 20
 
 // MaxDatagramBytes is the largest batch frame that fits a UDP
-// datagram (65535 minus the UDP/IP headers); UploadDatagrams packs
-// frames below it.
+// datagram (65535 minus the UDP/IP headers); APNode.Upload over UDP
+// takes it as UploadOptions.FrameBytes.
 const MaxDatagramBytes = 65507
 
 // ErrBadFrame means a v3 batch frame's header, sub-headers, and
@@ -511,12 +511,17 @@ func DecodeDatagramInto(data []byte, ws *IngestWorkspace) ([]Capture, error) {
 }
 
 // BatchFrameSize returns the exact on-wire bytes of a v3 frame
-// carrying caps — the planning quantity for datagram packing.
+// carrying caps — the planning quantity for datagram packing. A
+// capture with no streams counts as its sub-header alone; AppendBatch
+// refuses it.
 func BatchFrameSize(caps []Capture) int {
 	size := frameHeadSize
 	for i := range caps {
 		c := &caps[i]
-		size += subHeadSize + len(c.Streams)*len(c.Streams[0])*4
+		size += subHeadSize
+		if len(c.Streams) > 0 {
+			size += len(c.Streams) * len(c.Streams[0]) * 4
+		}
 	}
 	return size
 }

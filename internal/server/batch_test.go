@@ -389,81 +389,6 @@ func TestWriteAllocs(t *testing.T) {
 	}
 }
 
-// recentReference is the seed's two-scan RecentForClient, kept as the
-// behavioural oracle for the indexed implementation.
-func recentReference(b *CircularBuffer, clientID uint32, window time.Duration) []Capture {
-	snap := b.Snapshot()
-	var newest time.Time
-	for i := range snap {
-		if snap[i].ClientID == clientID && snap[i].Timestamp.After(newest) {
-			newest = snap[i].Timestamp
-		}
-	}
-	if newest.IsZero() {
-		return nil
-	}
-	var out []Capture
-	for i := range snap {
-		c := &snap[i]
-		if c.ClientID == clientID && newest.Sub(c.Timestamp) <= window {
-			out = append(out, *c)
-		}
-	}
-	return out
-}
-
-// TestRecentForClientEquivalence drives random push/pop traffic —
-// including wrap-around eviction, the path that exercises the index's
-// newest-rescan — and checks the indexed RecentForClient against the
-// seed's two-scan oracle after every operation batch.
-func TestRecentForClientEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	b := NewCircularBuffer(32)
-	base := time.UnixMicro(1700000000000000).UTC()
-	seq := uint32(0)
-	clients := []uint32{1, 2, 3, 4, 5}
-	windows := []time.Duration{0, 40 * time.Millisecond, 250 * time.Millisecond, time.Hour}
-	for step := 0; step < 400; step++ {
-		if rng.Intn(4) == 0 {
-			b.Pop()
-		} else {
-			seq++
-			// Jittered, non-monotonic timestamps: evictions regularly
-			// remove the newest entry for a client.
-			ts := base.Add(time.Duration(step)*10*time.Millisecond - time.Duration(rng.Intn(200))*time.Millisecond)
-			b.Push(Capture{ClientID: clients[rng.Intn(len(clients))], Seq: seq, Timestamp: ts})
-		}
-		for _, id := range clients {
-			for _, w := range windows {
-				got := b.RecentForClient(id, w)
-				want := recentReference(b, id, w)
-				if len(got) != len(want) {
-					t.Fatalf("step %d client %d window %v: %d captures, oracle %d", step, id, w, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].Seq != want[i].Seq {
-						t.Fatalf("step %d client %d window %v: capture %d seq %d, oracle %d", step, id, w, i, got[i].Seq, want[i].Seq)
-					}
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkRecentForClient measures the flush-path query at the
-// capacity the issue names; the seed ran two full scans per call.
-func BenchmarkRecentForClient(b *testing.B) {
-	buf := NewCircularBuffer(4096)
-	base := time.UnixMicro(1700000000000000).UTC()
-	for i := 0; i < 8192; i++ {
-		buf.Push(Capture{ClientID: uint32(i % 64), Seq: uint32(i), Timestamp: base.Add(time.Duration(i) * time.Millisecond)})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.RecentForClient(uint32(i%64), 100*time.Millisecond)
-	}
-}
-
 // TestBackendUDPIngest covers the datagram path end to end: quorum
 // flush from two APs' datagrams, sequence-gap and reorder accounting,
 // and malformed datagrams counted but non-fatal.
@@ -604,25 +529,34 @@ func TestUDPFloodSmallRcvbufLossAccounted(t *testing.T) {
 		sent, u.Captures, lossPct, u.SeqGaps)
 }
 
-// packetWriter records each Write as one datagram.
-type packetWriter struct{ packets [][]byte }
+// packetConn is a net.Conn that records each Write as one packet —
+// one burst on a stream, one datagram over UDP. Its dial hands out
+// the same connection every time.
+type packetConn struct {
+	net.Conn
+	packets [][]byte
+}
 
-func (w *packetWriter) Write(p []byte) (int, error) {
-	w.packets = append(w.packets, append([]byte(nil), p...))
+func (c *packetConn) Write(p []byte) (int, error) {
+	c.packets = append(c.packets, append([]byte(nil), p...))
 	return len(p), nil
 }
 
-// TestUploadBatchDrains checks the TCP burst uploader: the buffer
-// drains fully, every burst is one Write, and the stream decodes to
-// the recorded captures in order.
+func (c *packetConn) Close() error { return nil }
+
+func (c *packetConn) dial(context.Context) (net.Conn, error) { return c, nil }
+
+// TestUploadBatchDrains checks the stream upload: the buffer drains
+// fully, every frame is one Write of at most Batch captures, and the
+// stream decodes to the recorded captures in order.
 func TestUploadBatchDrains(t *testing.T) {
 	n := NewAPNode(3, 16)
 	ts := time.UnixMicro(1700000000000000).UTC()
 	for i := 0; i < 10; i++ {
 		n.Record(1, ts.Add(time.Duration(i)*time.Millisecond), [][]complex128{{1, 2}, {3, 4}})
 	}
-	var w packetWriter
-	if err := n.UploadBatch(context.Background(), &w, 4); err != nil {
+	var w packetConn
+	if err := n.Upload(context.Background(), w.dial, UploadOptions{Batch: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if n.Buffer.Len() != 0 {
@@ -658,9 +592,10 @@ func TestUploadBatchDrains(t *testing.T) {
 	}
 }
 
-// TestUploadDatagramsPacking checks the datagram packer: frames stay
-// under the byte budget, nothing is dropped, and a capture that alone
-// exceeds the budget still ships in its own frame.
+// TestUploadDatagramsPacking checks the FrameBytes cap: frames stay
+// under it, Batch still bounds the captures per frame, nothing is
+// dropped or reordered, and a capture that alone exceeds the cap
+// still ships in its own frame.
 func TestUploadDatagramsPacking(t *testing.T) {
 	n := NewAPNode(4, 16)
 	ts := time.UnixMicro(1700000000000000).UTC()
@@ -674,14 +609,14 @@ func TestUploadDatagramsPacking(t *testing.T) {
 	}
 	// One capture is 29 + 64 payload bytes; budget three per frame.
 	budget := frameHeadSize + 3*(subHeadSize+64)
-	var w packetWriter
-	if err := n.UploadDatagrams(context.Background(), &w, budget); err != nil {
+	var w packetConn
+	if err := n.Upload(context.Background(), w.dial, UploadOptions{Batch: MaxBatchCaptures, FrameBytes: budget}); err != nil {
 		t.Fatal(err)
 	}
 	if len(w.packets) != 4 { // 3 + 3 + 3 + 1
 		t.Fatalf("%d datagrams, want 4", len(w.packets))
 	}
-	total := 0
+	var seqs []uint32
 	for i, p := range w.packets {
 		if len(p) > budget {
 			t.Errorf("datagram %d is %d bytes, budget %d", i, len(p), budget)
@@ -692,29 +627,141 @@ func TestUploadDatagramsPacking(t *testing.T) {
 			ws.Discard()
 			t.Fatalf("datagram %d: %v", i, err)
 		}
-		total += len(caps)
+		for j := range caps {
+			seqs = append(seqs, caps[j].Seq)
+		}
 		ReleaseAll(caps)
 	}
-	if total != 10 {
-		t.Errorf("decoded %d captures, want 10", total)
+	if len(seqs) != 10 {
+		t.Fatalf("decoded %d captures, want 10", len(seqs))
+	}
+	for i, s := range seqs {
+		if s != uint32(i) {
+			t.Fatalf("capture %d has seq %d: the held capture was reordered", i, s)
+		}
 	}
 
-	// A budget below one frame: the oversized capture still ships.
+	// Batch binds before the byte cap: two captures per frame.
+	for i := 0; i < 5; i++ {
+		n.Record(1, ts, streams)
+	}
+	var pairs packetConn
+	if err := n.Upload(context.Background(), pairs.dial, UploadOptions{Batch: 2, FrameBytes: budget}); err != nil {
+		t.Fatal(err)
+	}
+	if len(pairs.packets) != 3 { // 2 + 2 + 1
+		t.Fatalf("Batch 2 under a three-capture budget: %d datagrams, want 3", len(pairs.packets))
+	}
+
+	// A budget below one frame: each oversized capture still ships,
+	// alone.
 	n.Record(1, ts, streams)
-	var small packetWriter
-	if err := n.UploadDatagrams(context.Background(), &small, frameHeadSize+subHeadSize); err != nil {
+	n.Record(1, ts, streams)
+	var small packetConn
+	if err := n.Upload(context.Background(), small.dial, UploadOptions{FrameBytes: frameHeadSize + subHeadSize}); err != nil {
 		t.Fatal(err)
 	}
-	if len(small.packets) != 1 {
-		t.Fatalf("oversized capture: %d datagrams, want 1", len(small.packets))
+	if len(small.packets) != 2 {
+		t.Fatalf("oversized captures: %d datagrams, want 2", len(small.packets))
 	}
-	ws := GetIngestWorkspace()
-	caps, err := DecodeDatagramInto(small.packets[0], ws)
+	for _, p := range small.packets {
+		ws := GetIngestWorkspace()
+		caps, err := DecodeDatagramInto(p, ws)
+		if err != nil {
+			ws.Discard()
+			t.Fatal(err)
+		}
+		if len(caps) != 1 {
+			t.Errorf("oversized datagram carries %d captures, want 1", len(caps))
+		}
+		ReleaseAll(caps)
+	}
+}
+
+// TestUploadRefusesEmptyCapture pins the contract for a capture with
+// no streams, in both modes: Upload refuses it with ErrTooLarge. The
+// byte cap sizes a frame before AppendBatch validates it, so sizing
+// must not index a missing stream (it once panicked there).
+func TestUploadRefusesEmptyCapture(t *testing.T) {
+	for _, frameBytes := range []int{0, MaxDatagramBytes} {
+		n := NewAPNode(1, 4)
+		n.Record(1, time.Now(), [][]complex128{{1, 2}})
+		n.Record(1, time.Now(), nil)
+		var w packetConn
+		err := n.Upload(context.Background(), w.dial, UploadOptions{FrameBytes: frameBytes})
+		if !errors.Is(err, ErrTooLarge) {
+			t.Errorf("FrameBytes %d: err = %v, want ErrTooLarge", frameBytes, err)
+		}
+		if len(w.packets) != 0 {
+			t.Errorf("FrameBytes %d: %d frames written around a refused capture", frameBytes, len(w.packets))
+		}
+	}
+}
+
+// TestUploadOverUDPReachesBackend sends two APs' captures as real
+// datagrams through Upload to a backend serving a loopback UDP socket:
+// one quorum flush must hold both APs' captures, the datagram counters
+// must see every capture with no sequence gap, and every pooled
+// workspace must come back.
+func TestUploadOverUDPReachesBackend(t *testing.T) {
+	baseline := LeasedIngestWorkspaces()
+	flushes := make(chan []uint32, 4)
+	b := NewBackendDispatcher(2, time.Second, DispatchFunc(func(_ uint32, cs []Capture) {
+		aps := make([]uint32, len(cs))
+		for i := range cs {
+			aps[i] = cs[i].APID
+		}
+		ReleaseAll(cs)
+		flushes <- aps
+	}))
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
-		ws.Discard()
 		t.Fatal(err)
 	}
-	ReleaseAll(caps)
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- b.ServeUDP(ctx, pc) }()
+	defer func() {
+		cancel()
+		<-served
+	}()
+
+	const perAP = 3
+	rng := rand.New(rand.NewSource(47))
+	ts := time.Now()
+	dial := func(context.Context) (net.Conn, error) { return net.Dial("udp", pc.LocalAddr().String()) }
+	for ap := uint32(1); ap <= 2; ap++ {
+		n := NewAPNode(ap, perAP)
+		for i := 0; i < perAP; i++ {
+			n.Record(9, ts, batchCapture(rng, 9, 10).Streams)
+		}
+		if err := n.Upload(ctx, dial, UploadOptions{FrameBytes: MaxDatagramBytes}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case aps := <-flushes:
+		count := map[uint32]int{}
+		for _, ap := range aps {
+			count[ap]++
+		}
+		if count[1] != perAP || count[2] != perAP {
+			t.Fatalf("flush holds %v captures per AP, want %d from each of APs 1 and 2", count, perAP)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the backend never flushed")
+	}
+	if u := b.UDP(); u.Captures != 2*perAP || u.SeqGaps != 0 || u.Bad != 0 {
+		t.Fatalf("UDP stats %+v, want %d captures, no gaps, none bad", u, 2*perAP)
+	}
+	select {
+	case aps := <-flushes:
+		t.Fatalf("a second flush of %d captures", len(aps))
+	default:
+	}
+	if leaked := LeasedIngestWorkspaces() - baseline; leaked != 0 {
+		t.Fatalf("%d pooled workspaces leaked", leaked)
+	}
 }
 
 // TestServeConnBatchQuorum runs the whole ingest pipeline over one

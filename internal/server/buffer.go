@@ -1,7 +1,7 @@
 // Package server implements ArrayTrack's system architecture (Figure 1
 // and §2.1, §4.4): packet detection feeding a circular buffer of frame
 // captures at each AP, a compact binary sample-transfer protocol
-// between APs and the central server over TCP, and the latency
+// between APs and the central server over TCP or UDP, and the latency
 // accounting of §4.4.
 package server
 
@@ -65,11 +65,6 @@ type CircularBuffer struct {
 	entries []Capture
 	start   int // index of oldest entry
 	size    int
-	// Per-client index: live entry count and newest timestamp, kept
-	// in lockstep with the ring so RecentForClient needs one scan
-	// (collect) instead of two (find-newest, then collect).
-	count  map[uint32]int
-	newest map[uint32]time.Time
 }
 
 // NewCircularBuffer returns a buffer holding up to capacity captures.
@@ -78,43 +73,7 @@ func NewCircularBuffer(capacity int) *CircularBuffer {
 	if capacity <= 0 {
 		panic("server: circular buffer capacity must be positive")
 	}
-	return &CircularBuffer{
-		entries: make([]Capture, capacity),
-		count:   make(map[uint32]int),
-		newest:  make(map[uint32]time.Time),
-	}
-}
-
-// noteAdd folds a stored capture into the per-client index.
-func (b *CircularBuffer) noteAdd(c *Capture) {
-	b.count[c.ClientID]++
-	if c.Timestamp.After(b.newest[c.ClientID]) {
-		b.newest[c.ClientID] = c.Timestamp
-	}
-}
-
-// noteDrop removes a departing capture from the per-client index. When
-// the departing entry carried the client's newest timestamp the
-// remaining entries are rescanned — rare under FIFO eviction, where
-// the oldest entry leaves first.
-func (b *CircularBuffer) noteDrop(c *Capture) {
-	n := b.count[c.ClientID] - 1
-	if n <= 0 {
-		delete(b.count, c.ClientID)
-		delete(b.newest, c.ClientID)
-		return
-	}
-	b.count[c.ClientID] = n
-	if !c.Timestamp.Before(b.newest[c.ClientID]) {
-		var newest time.Time
-		for i := 0; i < b.size; i++ {
-			e := &b.entries[(b.start+i)%len(b.entries)]
-			if e.ClientID == c.ClientID && e.Timestamp.After(newest) {
-				newest = e.Timestamp
-			}
-		}
-		b.newest[c.ClientID] = newest
-	}
+	return &CircularBuffer{entries: make([]Capture, capacity)}
 }
 
 // Push appends a capture, evicting the oldest when full. It reports
@@ -125,16 +84,10 @@ func (b *CircularBuffer) Push(c Capture) (evicted bool) {
 	if b.size < len(b.entries) {
 		b.entries[(b.start+b.size)%len(b.entries)] = c
 		b.size++
-		b.noteAdd(&c)
 		return false
 	}
-	old := b.entries[b.start]
 	b.entries[b.start] = c
 	b.start = (b.start + 1) % len(b.entries)
-	// Index order matters: the evicted entry is gone from the ring
-	// before noteDrop's rescan runs, and the new one is in.
-	b.noteAdd(&c)
-	b.noteDrop(&old)
 	return true
 }
 
@@ -149,7 +102,6 @@ func (b *CircularBuffer) Pop() (Capture, bool) {
 	b.entries[b.start] = Capture{} // release sample memory
 	b.start = (b.start + 1) % len(b.entries)
 	b.size--
-	b.noteDrop(&c)
 	return c, true
 }
 
@@ -158,43 +110,4 @@ func (b *CircularBuffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.size
-}
-
-// Cap returns the buffer capacity.
-func (b *CircularBuffer) Cap() int { return len(b.entries) }
-
-// Snapshot returns the buffered captures oldest-first without removing
-// them.
-func (b *CircularBuffer) Snapshot() []Capture {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]Capture, b.size)
-	for i := 0; i < b.size; i++ {
-		out[i] = b.entries[(b.start+i)%len(b.entries)]
-	}
-	return out
-}
-
-// RecentForClient returns the buffered captures for the given client
-// whose timestamps fall within window of the newest such capture —
-// the grouping rule of the multipath suppression algorithm (frames
-// spaced closer than 100 ms, §2.4). The newest timestamp comes from
-// the per-client index, so one O(capacity) collect pass runs under
-// the lock instead of the two full scans the seed paid per flush.
-func (b *CircularBuffer) RecentForClient(clientID uint32, window time.Duration) []Capture {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := b.count[clientID]
-	if n == 0 {
-		return nil
-	}
-	newest := b.newest[clientID]
-	out := make([]Capture, 0, n)
-	for i := 0; i < b.size; i++ {
-		c := &b.entries[(b.start+i)%len(b.entries)]
-		if c.ClientID == clientID && newest.Sub(c.Timestamp) <= window {
-			out = append(out, *c)
-		}
-	}
-	return out
 }

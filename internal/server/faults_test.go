@@ -414,8 +414,8 @@ func TestIsTransientNetError(t *testing.T) {
 	}
 }
 
-// TestUploadRetryRedelivers walks UploadRetry through a refused dial,
-// a connection that dies mid-stream, and a healthy connection —
+// TestUploadRetryRedelivers walks Upload through a refused dial, a
+// connection that dies mid-stream, and a healthy connection —
 // asserting every buffered capture is delivered despite the faults and
 // that each failed attempt was observed exactly once.
 func TestUploadRetryRedelivers(t *testing.T) {
@@ -478,15 +478,15 @@ func TestUploadRetryRedelivers(t *testing.T) {
 	}
 
 	var attempts []int
-	err := n.UploadRetry(context.Background(), dial, RetryOptions{
-		Batch:      2,
-		MinBackoff: time.Millisecond,
-		MaxBackoff: 5 * time.Millisecond,
-		Rand:       rand.New(rand.NewSource(1)),
-		OnAttempt:  func(attempt int, backoff time.Duration, err error) { attempts = append(attempts, attempt) },
+	err := n.Upload(context.Background(), dial, UploadOptions{
+		Batch:       2,
+		MaxAttempts: 8,
+		MinBackoff:  time.Millisecond,
+		Rand:        rand.New(rand.NewSource(1)),
+		OnAttempt:   func(attempt int, backoff time.Duration, err error) { attempts = append(attempts, attempt) },
 	})
 	if err != nil {
-		t.Fatalf("UploadRetry: %v", err)
+		t.Fatalf("Upload: %v", err)
 	}
 	readers.Wait()
 	if dials != 3 {
@@ -518,8 +518,8 @@ func TestUploadRetryExhaustsAsTransient(t *testing.T) {
 		}
 		return nil, err
 	}
-	err := n.UploadRetry(context.Background(), dial, RetryOptions{
-		MaxAttempts: 3, MinBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
+	err := n.Upload(context.Background(), dial, UploadOptions{
+		MaxAttempts: 3, MinBackoff: time.Millisecond,
 		Rand: rand.New(rand.NewSource(2)),
 	})
 	if !errors.Is(err, ErrRetriesExhausted) {
@@ -530,6 +530,16 @@ func TestUploadRetryExhaustsAsTransient(t *testing.T) {
 	}
 	if n.Buffer.Len() != 1 {
 		t.Fatalf("buffer drained despite delivery failure: %d left", n.Buffer.Len())
+	}
+
+	// One attempt (MaxAttempts ≤ 1): the dial error comes back as it
+	// is, neither wrapped nor retried.
+	for _, attempts := range []int{0, 1} {
+		calls = 0
+		err = n.Upload(context.Background(), dial, UploadOptions{MaxAttempts: attempts})
+		if err == nil || errors.Is(err, ErrRetriesExhausted) || !IsTransientNetError(err) || calls != 1 {
+			t.Fatalf("MaxAttempts %d: err = %v after %d dials, want the raw dial error after 1", attempts, err, calls)
+		}
 	}
 }
 

@@ -113,87 +113,6 @@ func (n *APNode) Record(clientID uint32, ts time.Time, streams [][]complex128) {
 	})
 }
 
-// UploadBatch drains the buffer to w in frames of up to batch captures
-// each (clamped to 1..MaxBatchCaptures) — one Write (one syscall) per
-// burst. It returns when the buffer is empty or the context is
-// cancelled.
-func (n *APNode) UploadBatch(ctx context.Context, w io.Writer, batch int) error {
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > MaxBatchCaptures {
-		batch = MaxBatchCaptures
-	}
-	caps := make([]Capture, 0, batch)
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		caps = caps[:0]
-		for len(caps) < batch {
-			c, ok := n.Buffer.Pop()
-			if !ok {
-				break
-			}
-			caps = append(caps, c)
-		}
-		if len(caps) == 0 {
-			return nil
-		}
-		if err := WriteBatch(w, caps); err != nil {
-			return err
-		}
-	}
-}
-
-// UploadDatagrams drains the buffer to w as batch frames no larger
-// than maxBytes each — w is typically a net.Conn dialed to the
-// server's UDP port, so every WriteBatch is one datagram (pass
-// MaxDatagramBytes). A single capture larger than maxBytes is sent in
-// its own frame rather than dropped.
-func (n *APNode) UploadDatagrams(ctx context.Context, w io.Writer, maxBytes int) error {
-	if maxBytes <= 0 || maxBytes > MaxDatagramBytes {
-		maxBytes = MaxDatagramBytes
-	}
-	var caps []Capture
-	var held *Capture
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		caps = caps[:0]
-		if held != nil {
-			caps = append(caps, *held)
-			held = nil
-		}
-		for len(caps) < MaxBatchCaptures {
-			c, ok := n.Buffer.Pop()
-			if !ok {
-				break
-			}
-			caps = append(caps, c)
-			if len(caps) > 1 && BatchFrameSize(caps) > maxBytes {
-				// The newest capture overflows the datagram: hold it
-				// for the next frame.
-				h := caps[len(caps)-1]
-				caps = caps[:len(caps)-1]
-				held = &h
-				break
-			}
-		}
-		if len(caps) == 0 {
-			return nil
-		}
-		if err := WriteBatch(w, caps); err != nil {
-			return err
-		}
-	}
-}
-
 // Dispatcher receives a client's grouped captures (possibly several
 // frames per AP) when a quorum of APs has reported. It runs on the
 // ingest path, so it is expected to enqueue the work (e.g. onto the

@@ -17,7 +17,7 @@ import (
 
 func TestCircularBufferBasics(t *testing.T) {
 	b := NewCircularBuffer(3)
-	if b.Cap() != 3 || b.Len() != 0 {
+	if b.Len() != 0 {
 		t.Fatal("fresh buffer wrong")
 	}
 	for i := uint32(0); i < 3; i++ {
@@ -31,19 +31,18 @@ func TestCircularBufferBasics(t *testing.T) {
 	if b.Len() != 3 {
 		t.Errorf("Len = %d", b.Len())
 	}
-	// Oldest remaining entry is Seq 1.
-	c, ok := b.Pop()
-	if !ok || c.Seq != 1 {
-		t.Errorf("Pop = %+v %v", c, ok)
+	// Seq 0 was evicted; the rest pop oldest-first.
+	for want := uint32(1); want <= 3; want++ {
+		c, ok := b.Pop()
+		if !ok || c.Seq != want {
+			t.Errorf("Pop = %+v %v, want seq %d", c, ok, want)
+		}
 	}
-	snap := b.Snapshot()
-	if len(snap) != 2 || snap[0].Seq != 2 || snap[1].Seq != 3 {
-		t.Errorf("Snapshot = %+v", snap)
-	}
-	b.Pop()
-	b.Pop()
 	if _, ok := b.Pop(); ok {
 		t.Error("empty Pop should fail")
+	}
+	if b.Len() != 0 {
+		t.Errorf("drained Len = %d", b.Len())
 	}
 }
 
@@ -73,19 +72,25 @@ func TestCircularBufferConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestRecentForClient pins the per-client order an uploader sees:
+// with three clients interleaved and the ring wrapping twice, eviction
+// drops the oldest captures first and Pop yields each client's
+// survivors in recording order.
 func TestRecentForClient(t *testing.T) {
-	b := NewCircularBuffer(10)
+	b := NewCircularBuffer(5)
 	t0 := time.Now()
-	b.Push(Capture{ClientID: 1, Seq: 0, Timestamp: t0})
-	b.Push(Capture{ClientID: 1, Seq: 1, Timestamp: t0.Add(50 * time.Millisecond)})
-	b.Push(Capture{ClientID: 1, Seq: 2, Timestamp: t0.Add(300 * time.Millisecond)})
-	b.Push(Capture{ClientID: 2, Seq: 3, Timestamp: t0.Add(300 * time.Millisecond)})
-	got := b.RecentForClient(1, 100*time.Millisecond)
-	if len(got) != 1 || got[0].Seq != 2 {
-		t.Errorf("RecentForClient = %+v", got)
+	for i := uint32(0); i < 12; i++ {
+		b.Push(Capture{ClientID: 1 + i%3, Seq: i, Timestamp: t0.Add(time.Duration(i) * time.Millisecond)})
 	}
-	if b.RecentForClient(99, time.Second) != nil {
-		t.Error("unknown client should return nil")
+	// The five newest survive: seqs 7..11, clients 2, 3, 1, 2, 3.
+	for want := uint32(7); want < 12; want++ {
+		c, ok := b.Pop()
+		if !ok || c.Seq != want || c.ClientID != 1+want%3 {
+			t.Fatalf("Pop = seq %d client %d (%v), want seq %d client %d", c.Seq, c.ClientID, ok, want, 1+want%3)
+		}
+	}
+	if _, ok := b.Pop(); ok {
+		t.Error("buffer should be drained")
 	}
 }
 
@@ -290,15 +295,18 @@ func TestAPNodeRecordAndUpload(t *testing.T) {
 	if n.Buffer.Len() != 3 {
 		t.Fatalf("buffered = %d", n.Buffer.Len())
 	}
-	var buf bytes.Buffer
-	if err := n.UploadBatch(context.Background(), &buf, 1); err != nil {
+	var conn packetConn
+	if err := n.Upload(context.Background(), conn.dial, UploadOptions{Batch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if n.Buffer.Len() != 0 {
 		t.Error("upload should drain the buffer")
 	}
+	if len(conn.packets) != 3 {
+		t.Fatalf("%d writes, want one per capture", len(conn.packets))
+	}
 	// Three one-capture frames with increasing seq.
-	r := bytes.NewReader(buf.Bytes())
+	r := bytes.NewReader(bytes.Join(conn.packets, nil))
 	for i := uint32(0); i < 3; i++ {
 		ws := GetIngestWorkspace()
 		caps, err := ReadFrameInto(r, ws)
@@ -367,16 +375,12 @@ func TestBackendOverTCP(t *testing.T) {
 	defer cancel()
 	go b.Serve(ctx, l)
 
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := NewAPNode(1, 4)
 	n.Record(77, time.Now(), [][]complex128{{1 + 1i, 2}, {3, 4i}})
-	if err := n.UploadBatch(ctx, conn, 16); err != nil {
+	dial := func(context.Context) (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }
+	if err := n.Upload(ctx, dial, UploadOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
 	select {
 	case id := <-done:
 		if id != 77 {

@@ -179,10 +179,8 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 	// a trailing frame in the next group and blur the per-step
 	// accounting this experiment asserts on.
 	capture.Frames = 1
-	tracker := drillTracker
-	tracker.DegradedGateScale = 1.5
 	w := tb.newWalk(walkShape{
-		steps: opt.Steps, capture: capture, gridCell: opt.GridCell, tracker: tracker, seed: chaosSeed,
+		steps: opt.Steps, capture: capture, gridCell: opt.GridCell, tracker: drillTracker, seed: chaosSeed,
 	}, walkClient{1, chaosWalkerSites}, walkClient{2, chaosSurvivorSites})
 	leased0 := server.LeasedIngestWorkspaces()
 

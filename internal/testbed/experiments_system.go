@@ -133,7 +133,8 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 	td := 16 * time.Microsecond
 
 	// Tt: ship each AP's 10-sample × (8+1)-antenna captures over
-	// loopback TCP and measure wall-clock serialization.
+	// loopback TCP, one connection per AP, and measure wall-clock
+	// serialization.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -148,18 +149,16 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 	go backend.Serve(ctx, l)
 
 	start := time.Now()
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		return nil, err
-	}
+	dial := func(context.Context) (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }
 	for i := range tb.Sites {
 		n := server.NewAPNode(uint32(i+1), 8)
 		for _, f := range captures[i] {
 			n.Record(1, time.Now(), f.Streams)
 		}
-		_ = n.UploadBatch(ctx, conn, len(captures[i]))
+		if err := n.Upload(ctx, dial, server.UploadOptions{Batch: len(captures[i])}); err != nil {
+			return nil, err
+		}
 	}
-	conn.Close()
 	var grouped int
 	select {
 	case grouped = <-received:

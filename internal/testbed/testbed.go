@@ -178,9 +178,6 @@ type CaptureOptions struct {
 	HeightDiff float64
 	// PolarizationLossDB models client antenna orientation (§4.3.2).
 	PolarizationLossDB float64
-	// Signal is the transmitted baseband waveform; nil means the
-	// 40 Msps preamble.
-	Signal []complex128
 }
 
 // DefaultCaptureOptions returns the paper's standard setup: 8+1
@@ -203,15 +200,13 @@ func (tb *Testbed) NewArray(site Site, opt CaptureOptions) *array.Array {
 	return a
 }
 
-// CaptureClient simulates opt.Frames transmissions from the client as
-// received at the given site, returning per-frame antenna streams. The
-// rng drives noise and inter-frame movement.
+// CaptureClient simulates opt.Frames transmissions of the 40 Msps
+// preamble from the client as received at the given site, returning
+// per-frame antenna streams. The rng drives noise and inter-frame
+// movement.
 func (tb *Testbed) CaptureClient(client geom.Point, site Site, opt CaptureOptions, rng *rand.Rand) []core.FrameCapture {
 	arr := tb.NewArray(site, opt)
-	sig := opt.Signal
-	if sig == nil {
-		sig = wifi.Preamble40()
-	}
+	sig := wifi.Preamble40()
 	frames := make([]core.FrameCapture, 0, opt.Frames)
 	pos := client
 	for f := 0; f < opt.Frames; f++ {
