@@ -367,13 +367,13 @@ func BenchmarkComputeSpectrum(b *testing.B) {
 func benchSynthScene(b *testing.B) ([]core.APSpectrum, geom.Point, geom.Point) {
 	b.Helper()
 	q := throughputRequests(b, 1)[0]
-	cfg := core.DefaultConfig(throughputTB.Wavelength)
+	p := core.NewPipeline(core.DefaultConfig(throughputTB.Wavelength))
 	var specs []core.APSpectrum
 	for i, ap := range q.APs {
 		if len(q.Captures[i]) == 0 {
 			continue
 		}
-		s, err := core.ProcessAP(ap, q.Captures[i], cfg)
+		s, err := p.ProcessAP(ap, q.Captures[i])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -49,8 +49,6 @@ type Array struct {
 	// channel simulator applies them; localization must calibrate them
 	// away. Zero-length means a perfectly calibrated array.
 	PhaseOffsets []float64
-	// Height is the antenna height above the floor in metres.
-	Height float64
 }
 
 // NewLinear returns an N-element uniform linear array at half-wavelength

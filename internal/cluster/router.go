@@ -115,10 +115,6 @@ type Router struct {
 	// rebalanceMu serializes Rebalance calls; routing never takes it.
 	rebalanceMu sync.Mutex
 
-	// RebalanceTimeout bounds each barrier wait inside Rebalance; 0
-	// means DefaultRebalanceTimeout.
-	RebalanceTimeout time.Duration
-
 	frames     atomic.Uint64
 	routed     atomic.Uint64
 	held       atomic.Uint64
@@ -432,7 +428,7 @@ func (r *Router) Rebalance(next *ShardMap) (RebalanceStats, error) {
 	// settled on its shard (pending, dispatched, or dropped).
 	for from := range byFrom {
 		ctl := r.ctls[from]
-		if err := r.await(func() (bool, error) {
+		if err := await(func() (bool, error) {
 			n, err := ctl.Ingested()
 			return n >= routedAt[from], err
 		}); err != nil {
@@ -466,7 +462,7 @@ func (r *Router) Rebalance(next *ShardMap) (RebalanceStats, error) {
 	// into the losing tracker before the snapshot.
 	for from, ids := range byFrom {
 		ctl := r.ctls[from]
-		if err := r.await(func() (bool, error) {
+		if err := await(func() (bool, error) {
 			n, err := ctl.InFlight(ids)
 			return n == 0, err
 		}); err != nil {
@@ -549,14 +545,10 @@ func (r *Router) flushHold(hs *holdState) int {
 	return n
 }
 
-// await polls cond until it reports true, erroring after the rebalance
-// timeout.
-func (r *Router) await(cond func() (bool, error)) error {
-	timeout := r.RebalanceTimeout
-	if timeout <= 0 {
-		timeout = DefaultRebalanceTimeout
-	}
-	deadline := time.Now().Add(timeout)
+// await polls cond until it reports true, erroring after
+// DefaultRebalanceTimeout.
+func await(cond func() (bool, error)) error {
+	deadline := time.Now().Add(DefaultRebalanceTimeout)
 	for {
 		ok, err := cond()
 		if err != nil {
@@ -566,7 +558,7 @@ func (r *Router) await(cond func() (bool, error)) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("%w after %v", ErrRebalanceTimeout, timeout)
+			return fmt.Errorf("%w after %v", ErrRebalanceTimeout, DefaultRebalanceTimeout)
 		}
 		time.Sleep(200 * time.Microsecond)
 	}

@@ -289,11 +289,12 @@ func TestEndToEndUnoptimizedWorse(t *testing.T) {
 func TestProcessAPErrors(t *testing.T) {
 	arr := array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)
 	ap := &AP{Array: arr}
-	if _, err := ProcessAP(ap, nil, DefaultConfig(lambda)); err == nil {
+	p := NewPipeline(DefaultConfig(lambda))
+	if _, err := p.ProcessAP(ap, nil); err == nil {
 		t.Error("no frames should error")
 	}
 	short := []FrameCapture{{Streams: make([][]complex128, 2)}}
-	if _, err := ProcessAP(ap, short, DefaultConfig(lambda)); err == nil {
+	if _, err := p.ProcessAP(ap, short); err == nil {
 		t.Error("too few streams should error")
 	}
 }

@@ -21,7 +21,8 @@ import (
 // claim exact replacement, not approximation.
 func TestKernelsExactOn205Scenes(t *testing.T) {
 	tb := testbed.New()
-	specs, _, err := tb.SpectraForAll(testbed.DefaultAccuracyOptions())
+	opt := testbed.DefaultAccuracyOptions()
+	specs, err := tb.Draw(opt).Spectra(opt.Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,15 +34,10 @@ func TestKernelsExactOn205Scenes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := fast.WithOracles(true, true)
-	combos := [][]int{{0, 1, 2, 3, 4, 5}}
-	combos = append(combos, testbed.Combinations(len(tb.Sites), 3)[:4]...)
 	checked := 0
 	for ci := range specs {
-		for _, combo := range combos {
-			scene := make([]core.APSpectrum, len(combo))
-			for i, si := range combo {
-				scene[i] = core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[ci][si]}
-			}
+		for _, combo := range testbed.SceneCombos() {
+			scene := tb.Scene(specs[ci], combo)
 			gotCell, err := fast.RefinedArgmaxCell(scene)
 			if err != nil {
 				t.Fatal(err)
@@ -84,27 +80,18 @@ func TestKernelsExactOn205Scenes(t *testing.T) {
 // scenes205 returns the 205 testbed scenes of TestKernelsExactOn205Scenes.
 func scenes205(t *testing.T, tb *testbed.Testbed) [][]core.APSpectrum {
 	t.Helper()
-	specs, _, err := tb.SpectraForAll(testbed.DefaultAccuracyOptions())
+	opt := testbed.DefaultAccuracyOptions()
+	specs, err := tb.Draw(opt).Spectra(opt.Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	combos := [][]int{{0, 1, 2, 3, 4, 5}}
-	combos = append(combos, testbed.Combinations(len(tb.Sites), 3)[:4]...)
 	var scenes [][]core.APSpectrum
 	for ci := range specs {
-		for _, combo := range combos {
-			scenes = append(scenes, sceneOf(tb, specs[ci], combo))
+		for _, combo := range testbed.SceneCombos() {
+			scenes = append(scenes, tb.Scene(specs[ci], combo))
 		}
 	}
 	return scenes
-}
-
-func sceneOf(tb *testbed.Testbed, specs []*music.Spectrum, combo []int) []core.APSpectrum {
-	scene := make([]core.APSpectrum, len(combo))
-	for i, si := range combo {
-		scene[i] = core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[si]}
-	}
-	return scene
 }
 
 // TestHierScreenRefinesFlatOrder pins more than the two-level screen's
@@ -242,7 +229,7 @@ func TestScreenBoundEvalsOnTestbed(t *testing.T) {
 	tb := testbed.New()
 	opt := testbed.DefaultAccuracyOptions()
 	opt.Capture.Frames = 1
-	specs, _, err := tb.SpectraForAll(opt)
+	specs, err := tb.Draw(opt).Spectra(opt.Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +244,7 @@ func TestScreenBoundEvalsOnTestbed(t *testing.T) {
 		fixes := 0
 		for ci := range specs {
 			for _, combo := range testbed.Combinations(len(tb.Sites), nAPs) {
-				if _, err := sg.Localize(sceneOf(tb, specs[ci], combo)); err != nil {
+				if _, err := sg.Localize(tb.Scene(specs[ci], combo)); err != nil {
 					t.Fatal(err)
 				}
 				fixes++
@@ -292,7 +279,7 @@ func BenchmarkFullGridLocalize(b *testing.B) {
 	tb := testbed.New()
 	opt := testbed.DefaultAccuracyOptions()
 	opt.Capture.Frames = 1
-	specs, _, err := tb.SpectraForAll(opt)
+	specs, err := tb.Draw(opt).Spectra(opt.Pipeline)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -306,7 +293,7 @@ func BenchmarkFullGridLocalize(b *testing.B) {
 		combo := testbed.Combinations(len(tb.Sites), nAPs)[0]
 		scenes := make([][]core.APSpectrum, len(specs))
 		for ci := range specs {
-			scenes[ci] = sceneOf(tb, specs[ci], combo)
+			scenes[ci] = tb.Scene(specs[ci], combo)
 		}
 		for _, v := range []struct {
 			name string
@@ -342,8 +329,8 @@ func BenchmarkFullGridLocalize(b *testing.B) {
 // snapshots over all nine elements once, its estimator reads the row's
 // eight and the ninth-antenna vote correlates all nine, where the
 // standalone FrameSpectrum and CombineAP take the row's snapshots and
-// the full array's separately. Over the 205 scenes (SpectraForAll's frames and AP
-// combos) the combined spectra must equal the standalone ones bin for
+// the full array's separately. Over the 205 scenes (the sweep's draw and
+// testbed.SceneCombos) the combined spectra must equal the standalone ones bin for
 // bin and the fixes must be ==. One workspace serves every scene and
 // gets each scene's spectra back, as an engine worker does, so a
 // recycled spectrum that leaks into the next scene fails too.
@@ -353,18 +340,12 @@ func TestProcessAPsSharedCorrelationExactOn205Scenes(t *testing.T) {
 	cfg := opt.Pipeline
 	cfg.APWorkers = 1 // serial on one workspace, as an engine worker runs
 	p := core.NewPipeline(cfg)
-	rng := rand.New(rand.NewSource(opt.Seed))
-	aps := tb.APsFor([]int{0, 1, 2, 3, 4, 5}, opt.Capture)
-	combos := [][]int{{0, 1, 2, 3, 4, 5}}
-	combos = append(combos, testbed.Combinations(len(tb.Sites), 3)[:4]...)
+	d := tb.Draw(opt)
+	aps := d.APs
 	ws := &music.Workspace{}
 	checked := 0
-	for ci, c := range tb.Clients {
-		frames := make([][]core.FrameCapture, len(tb.Sites))
-		for si, site := range tb.Sites {
-			frames[si] = testbed.Cut(tb.CaptureClient(c, site, opt.Capture, rng))
-		}
-		for _, combo := range combos {
+	for ci, frames := range d.Cut {
+		for _, combo := range testbed.SceneCombos() {
 			sceneAPs := make([]*core.AP, len(combo))
 			caps := make([][]core.FrameCapture, len(combo))
 			want := make([]core.APSpectrum, len(combo))

@@ -60,17 +60,17 @@ func NewPipeline(cfg Config) *Pipeline {
 // resolved (no nil cache, no nil estimator).
 func (p *Pipeline) Config() Config { return p.cfg }
 
-// musicOptions translates the pipeline config into per-frame spectrum
-// options for the given AP.
-func (p *Pipeline) musicOptions(ap *AP) music.Options {
+// MUSICOptions translates the config into per-frame spectrum options
+// for an AP with the given calibration offsets.
+func (c Config) MUSICOptions(calibration []float64) music.Options {
 	return music.Options{
-		Wavelength:          p.cfg.Wavelength,
-		SmoothingGroups:     p.cfg.SmoothingGroups,
-		SignalThresholdFrac: p.cfg.SignalThresholdFrac,
-		MaxSamples:          p.cfg.MaxSamples,
-		ForwardBackward:     p.cfg.ForwardBackward,
-		Steering:            p.cfg.Steering,
-		CalibrationOffsets:  ap.Calibration,
+		Wavelength:          c.Wavelength,
+		SmoothingGroups:     c.SmoothingGroups,
+		SignalThresholdFrac: c.SignalThresholdFrac,
+		MaxSamples:          c.MaxSamples,
+		ForwardBackward:     c.ForwardBackward,
+		Steering:            c.Steering,
+		CalibrationOffsets:  calibration,
 	}
 }
 
@@ -97,7 +97,7 @@ func (p *Pipeline) FrameSpectrum(ws *music.Workspace, ap *AP, frame FrameCapture
 	if err != nil {
 		return nil, err
 	}
-	return p.cfg.Estimator.Spectrum(ws, ap.Array, snaps, p.musicOptions(ap))
+	return p.cfg.Estimator.Spectrum(ws, ap.Array, snaps, p.cfg.MUSICOptions(ap.Calibration))
 }
 
 // votes reports whether the ninth-antenna vote runs for an AP's frame
@@ -209,7 +209,7 @@ func (p *Pipeline) ProcessAP(ap *AP, frames []FrameCapture) (*music.Spectrum, er
 func (p *Pipeline) processAP(ws *music.Workspace, ap *AP, frames []FrameCapture) (*music.Spectrum, error) {
 	read := frames[:p.framesRead(len(frames))]
 	vote := p.votes(ap, frames)
-	opt := p.musicOptions(ap)
+	opt := p.cfg.MUSICOptions(ap.Calibration)
 	spectra := ws.FrameList(len(read))
 	defer func() { ws.Recycle(spectra...) }()
 	var rFull *mat.Matrix

@@ -84,7 +84,7 @@ func TestPipelineStagesComposeToProcessAP(t *testing.T) {
 	cfg := DefaultConfig(lambda)
 	p := NewPipeline(cfg)
 
-	want, err := ProcessAP(aps[0], captures[0], cfg)
+	want, err := p.ProcessAP(aps[0], captures[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,8 @@ func TestRegionValidate(t *testing.T) {
 // wins ties, the same tie-break the grids use).
 func restrictedArgmax(t *testing.T, full *SynthGrid, sub GridSpec, aps []APSpectrum) int {
 	t.Helper()
-	h, err := full.LogHeatmap(aps)
-	if err != nil {
+	var h Heatmap
+	if err := full.LogHeatmapInto(&h, aps); err != nil {
 		t.Fatal(err)
 	}
 	fs := full.Spec()
@@ -303,12 +303,11 @@ func TestRegionViewEqualsDirectBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hv, err := viewed.LogHeatmap(aps)
-		if err != nil {
+		var hv, hd Heatmap
+		if err := viewed.LogHeatmapInto(&hv, aps); err != nil {
 			t.Fatal(err)
 		}
-		hd, err := direct.LogHeatmap(aps)
-		if err != nil {
+		if err := direct.LogHeatmapInto(&hd, aps); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range hd.Flat {

@@ -91,7 +91,7 @@ func LogLikelihoodBins(x geom.Point, aps []APSpectrum) float64 {
 // Heatmap is a sampled likelihood surface over a rectangle, the
 // structure rendered in Figure 14. Values live in one flat row-major
 // array (Flat) with per-row views (Vals) over it; surfaces from
-// SynthGrid.LogHeatmap hold log-likelihoods (≤ 0) instead of raw
+// SynthGrid.LogHeatmapInto hold log-likelihoods (≤ 0) instead of raw
 // products, which every consumer here treats equivalently since the
 // log is monotone.
 type Heatmap struct {

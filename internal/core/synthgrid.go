@@ -837,15 +837,6 @@ func (sg *SynthGrid) LogHeatmapInto(h *Heatmap, aps []APSpectrum) error {
 	return nil
 }
 
-// LogHeatmap is LogHeatmapInto into a fresh heatmap.
-func (sg *SynthGrid) LogHeatmap(aps []APSpectrum) (*Heatmap, error) {
-	h := &Heatmap{}
-	if err := sg.LogHeatmapInto(h, aps); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
 // scoreTabs evaluates the log surface's definition at an arbitrary
 // (off-lattice) position from the per-fix padded log tables: per AP
 // one bearing (the only transcendental) and one branch-free lerp — no

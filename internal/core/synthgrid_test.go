@@ -134,8 +134,8 @@ func TestLogHeatmapMatchesScalarReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logH, err := sg.LogHeatmap(aps)
-	if err != nil {
+	var logH Heatmap
+	if err := sg.LogHeatmapInto(&logH, aps); err != nil {
 		t.Fatal(err)
 	}
 	spec := sg.Spec()
@@ -308,7 +308,7 @@ func TestSynthGridEdgeCases(t *testing.T) {
 				if pos.X < tc.min.X || pos.X > tc.max.X || pos.Y < tc.min.Y || pos.Y > tc.max.Y {
 					t.Fatalf("workers=%d: fix %v outside bounds", workers, pos)
 				}
-				if _, err := sg.LogHeatmap(tc.aps); err != nil {
+				if err := sg.LogHeatmapInto(&Heatmap{}, tc.aps); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -54,7 +54,7 @@ type Config struct {
 	SynthCache *SynthCache
 	// SynthWorkers bounds the goroutines sharding a full synthesis
 	// surface (a grid too small to screen, the screen's fallback,
-	// LogHeatmap). 0 or 1 evaluates serially; DefaultConfig sets
+	// LogHeatmapInto). 0 or 1 evaluates serially; DefaultConfig sets
 	// GOMAXPROCS. Results are deterministic regardless.
 	SynthWorkers int
 	// Estimator is the frame→spectrum stage (nil means
@@ -126,16 +126,6 @@ type AP struct {
 // present).
 type FrameCapture struct {
 	Streams [][]complex128
-}
-
-// ProcessAP runs the per-AP half of the pipeline (Figure 1, server
-// side) on one or more frame captures from the same client: AoA
-// spectrum per frame (via the configured estimator), multipath
-// suppression across frames, geometry weighting, and symmetry removal.
-// It returns the final spectrum for synthesis. See Pipeline for the
-// explicit stage structure.
-func ProcessAP(ap *AP, frames []FrameCapture, cfg Config) (*music.Spectrum, error) {
-	return NewPipeline(cfg).ProcessAP(ap, frames)
 }
 
 // LocateClient runs the complete backend for one client: per-AP

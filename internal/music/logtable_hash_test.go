@@ -18,7 +18,8 @@ import (
 // logged so that it can be compared across commits.
 func TestLogTablesHashOnTestbedSpectra(t *testing.T) {
 	tb := testbed.New()
-	specs, _, err := tb.SpectraForAll(testbed.DefaultAccuracyOptions())
+	opt := testbed.DefaultAccuracyOptions()
+	specs, err := tb.Draw(opt).Spectra(opt.Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}

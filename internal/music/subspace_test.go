@@ -65,14 +65,13 @@ func unitaryQ(n int) *mat.Matrix {
 // the array of each frame's site.
 func testbedFrames(t testing.TB) (out [][][]complex128, arrays []*array.Array) {
 	t.Helper()
-	tb := testbed.New()
 	opt := testbed.DefaultAccuracyOptions()
-	rng := rand.New(rand.NewSource(opt.Seed))
+	d := testbed.New().Draw(opt)
 	var ws music.Workspace
-	for _, c := range tb.Clients {
-		for _, site := range tb.Sites {
-			a := tb.NewArray(site, opt.Capture)
-			for _, f := range tb.CaptureClient(c, site, opt.Capture, rng) {
+	for _, row := range d.Frames {
+		for si, frames := range row {
+			a := d.APs[si].Array
+			for _, f := range frames {
 				snaps, err := music.CalibratedSnapshotsWS(&ws, f.Streams[:a.N], core.DefaultSampleOffset, opt.Pipeline.MaxSamples, nil)
 				if err != nil {
 					t.Fatal(err)

@@ -14,26 +14,6 @@ import (
 	"repro/internal/server"
 )
 
-// windowScenes captures every (client, site) pair of the exactness
-// sweep once — the same frames SpectraForAll draws — and lists its 205
-// scenes (41 clients × [all six sites plus four 3-site combos]).
-func windowScenes(tb *Testbed, opt AccuracyOptions) (aps []*core.AP, frames [][][]core.FrameCapture, combos [][]int) {
-	rng := rand.New(rand.NewSource(opt.Seed))
-	frames = make([][][]core.FrameCapture, len(tb.Clients))
-	for ci, c := range tb.Clients {
-		frames[ci] = make([][]core.FrameCapture, len(tb.Sites))
-		for si, site := range tb.Sites {
-			frames[ci][si] = tb.CaptureClient(c, site, opt.Capture, rng)
-		}
-	}
-	for _, site := range tb.Sites {
-		aps = append(aps, &core.AP{Array: tb.NewArray(site, opt.Capture)})
-	}
-	combos = [][]int{{0, 1, 2, 3, 4, 5}}
-	combos = append(combos, Combinations(len(tb.Sites), 3)[:4]...)
-	return aps, frames, combos
-}
-
 // delayed returns the frames as an AP would hold them had it detected
 // each frame delay samples into its buffer, with the stream ending after
 // n samples of the frame: delay leading zeros, then the first n samples.
@@ -60,18 +40,18 @@ func delayed(frames []core.FrameCapture, delay, n int) []core.FrameCapture {
 func TestTruncatedFramesLocateIdentically(t *testing.T) {
 	tb := New()
 	opt := DefaultAccuracyOptions()
-	aps, frames, combos := windowScenes(tb, opt)
+	d := tb.Draw(opt)
 	p := core.NewPipeline(opt.Pipeline)
 	det := server.DefaultDetector()
 	window := det.Offset + det.CaptureLen
 	rng := rand.New(rand.NewSource(16))
 	checked := 0
-	for ci := range frames {
-		for _, combo := range combos {
+	for ci := range d.Frames {
+		for _, combo := range SceneCombos() {
 			sceneAPs := make([]*core.AP, len(combo))
 			raw := make([][]core.FrameCapture, len(combo))
 			for i, si := range combo {
-				sceneAPs[i], raw[i] = aps[si], frames[ci][si]
+				sceneAPs[i], raw[i] = d.APs[si], d.Frames[ci][si]
 			}
 			locate := func(delay, n int) (geom.Point, error) {
 				cut := make([][]core.FrameCapture, len(raw))
@@ -173,26 +153,23 @@ func overWire(t *testing.T, fs []core.FrameCapture) []core.FrameCapture {
 func TestTrimmedWireFixesMatchRaw(t *testing.T) {
 	tb := New()
 	opt := DefaultAccuracyOptions()
-	aps, frames, combos := windowScenes(tb, opt)
-	p := core.NewPipeline(opt.Pipeline)
-
+	d := tb.Draw(opt)
+	cut := d.Cut
+	wire := make([][][]core.FrameCapture, len(cut))
+	for ci := range cut {
+		wire[ci] = make([][]core.FrameCapture, len(cut[ci]))
+		for si, fs := range cut[ci] {
+			wire[ci][si] = overWire(t, fs)
+		}
+	}
 	// specs[0] over the wire, [1] the windows as cut, never quantized.
 	var specs [2][][]*music.Spectrum
-	for v := range specs {
-		specs[v] = make([][]*music.Spectrum, len(frames))
-	}
-	for ci := range frames {
-		for v := range specs {
-			specs[v][ci] = make([]*music.Spectrum, len(aps))
-		}
-		for si, ap := range aps {
-			cut := Cut(frames[ci][si])
-			for v, fs := range [][]core.FrameCapture{overWire(t, cut), cut} {
-				var err error
-				if specs[v][ci][si], err = p.ProcessAP(ap, fs); err != nil {
-					t.Fatal(err)
-				}
-			}
+	for v, frames := range [][][][]core.FrameCapture{wire, cut} {
+		over := *d
+		over.Cut = frames
+		var err error
+		if specs[v], err = over.Spectra(opt.Pipeline); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -204,15 +181,12 @@ func TestTrimmedWireFixesMatchRaw(t *testing.T) {
 	}
 	checked, identical := 0, 0
 	var worst float64
-	for ci := range frames {
-		for _, combo := range combos {
+	for ci := range cut {
+		for _, combo := range SceneCombos() {
 			var cell [2]int
 			var fix [2]geom.Point
 			for v := range specs {
-				scene := make([]core.APSpectrum, len(combo))
-				for i, si := range combo {
-					scene[i] = core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[v][ci][si]}
-				}
+				scene := tb.Scene(specs[v][ci], combo)
 				if cell[v], err = sg.RefinedArgmaxCell(scene); err != nil {
 					t.Fatal(err)
 				}
@@ -251,7 +225,7 @@ func TestTrimmedWireFixesMatchRaw(t *testing.T) {
 func TestLocateScaleInvariantThroughWire(t *testing.T) {
 	tb := New()
 	opt := DefaultAccuracyOptions()
-	aps, frames, combos := windowScenes(tb, opt)
+	d := tb.Draw(opt)
 	p := core.NewPipeline(opt.Pipeline)
 	sg, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
 		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(0),
@@ -263,10 +237,10 @@ func TestLocateScaleInvariantThroughWire(t *testing.T) {
 	// shipped[ci][si] is what the server decodes of client ci's frames at
 	// site si, every sample scaled by scale before the AP cuts.
 	shipped := func(scale complex128) [][][]core.FrameCapture {
-		out := make([][][]core.FrameCapture, len(frames))
-		for ci := range frames {
-			out[ci] = make([][]core.FrameCapture, len(aps))
-			for si, fs := range frames[ci] {
+		out := make([][][]core.FrameCapture, len(d.Frames))
+		for ci := range d.Frames {
+			out[ci] = make([][]core.FrameCapture, len(d.APs))
+			for si, fs := range d.Frames[ci] {
 				scaled := make([]core.FrameCapture, len(fs))
 				for i, f := range fs {
 					scaled[i].Streams = make([][]complex128, len(f.Streams))
@@ -286,11 +260,11 @@ func TestLocateScaleInvariantThroughWire(t *testing.T) {
 	// locate fixes every scene and returns the fixes and refined cells.
 	locate := func(decoded [][][]core.FrameCapture) (fixes []geom.Point, cells []int) {
 		for ci := range decoded {
-			for _, combo := range combos {
+			for _, combo := range SceneCombos() {
 				sceneAPs := make([]*core.AP, len(combo))
 				caps := make([][]core.FrameCapture, len(combo))
 				for i, si := range combo {
-					sceneAPs[i], caps[i] = aps[si], decoded[ci][si]
+					sceneAPs[i], caps[i] = d.APs[si], decoded[ci][si]
 				}
 				pos, specs, err := p.Locate(sceneAPs, caps, tb.Plan.Min, tb.Plan.Max)
 				if err != nil {
@@ -363,7 +337,7 @@ func permuted(req engine.Request, perm []int) engine.Request {
 func TestLocatePermutationInvariant(t *testing.T) {
 	tb := New()
 	opt := DefaultAccuracyOptions()
-	aps, frames, _ := windowScenes(tb, opt)
+	d := tb.Draw(opt)
 	// serve checks each request under the orders orders(i) gives it and
 	// returns how many fixes it compared and how many were ==.
 	serve := func(cfg core.Config, reqs []engine.Request, orders func(i int) [][]int) (checked, exact int) {
@@ -394,12 +368,8 @@ func TestLocatePermutationInvariant(t *testing.T) {
 	}
 
 	var walk []engine.Request
-	for ci := range frames {
-		req := engine.Request{ClientID: uint32(ci + 1), APs: aps, Min: tb.Plan.Min, Max: tb.Plan.Max}
-		for si := range aps {
-			req.Captures = append(req.Captures, Cut(frames[ci][si]))
-		}
-		walk = append(walk, req)
+	for ci, caps := range d.Cut {
+		walk = append(walk, engine.Request{ClientID: uint32(ci + 1), APs: d.APs, Captures: caps, Min: tb.Plan.Min, Max: tb.Plan.Max})
 	}
 	six := [][]int{{5, 4, 3, 2, 1, 0}, {1, 2, 3, 4, 5, 0}, {3, 0, 5, 1, 4, 2}}
 	n, exact := serve(opt.Pipeline, walk, func(int) [][]int { return six })

@@ -10,6 +10,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/music"
 	"repro/internal/stats"
+	"repro/internal/wifi"
 )
 
 // cdfPoints are the error abscissae (cm) reported alongside each CDF,
@@ -36,35 +37,79 @@ type AccuracyOptions struct {
 // DefaultAccuracyOptions returns the full-paper sweep with the full
 // ArrayTrack pipeline (Figure 15).
 func DefaultAccuracyOptions() AccuracyOptions {
-	tbWavelength := New().Wavelength
 	return AccuracyOptions{
 		APCounts: []int{3, 4, 5, 6},
 		Seed:     1,
 		Capture:  DefaultCaptureOptions(),
-		Pipeline: core.DefaultConfig(tbWavelength),
+		Pipeline: core.DefaultConfig(wifi.Wavelength()),
 	}
 }
 
-// SpectraForAll captures and processes spectra for every (client, site)
-// pair once; the combination sweep then reuses them. Row i corresponds
-// to client i, column j to site j.
-func (tb *Testbed) SpectraForAll(opt AccuracyOptions) ([][]*music.Spectrum, []geom.Point, error) {
-	clients := sampleClients(tb.Clients, opt.MaxClients)
+// Draw is one sweep's data: every (client, site) pair's frames, drawn
+// once and read by every pipeline run over it. The frames come from one
+// rng seeded with the sweep's Seed, client-major then site, so a draw
+// depends on Seed, Capture and MaxClients alone, never on the pipeline.
+type Draw struct {
+	// Clients are the sampled client positions, the rows of Frames and Cut.
+	Clients []geom.Point
+	// Frames[ci][si] are Clients[ci]'s frames at site si as CaptureClient
+	// returns them, and Cut[ci][si] the same frames as the AP ships them
+	// (Cut). Readers must not write either.
+	Frames, Cut [][][]core.FrameCapture
+	// APs holds one AP per site, in the capture's geometry.
+	APs []*core.AP
+}
+
+// Draw captures every (client, site) pair of the sweep opt describes.
+func (tb *Testbed) Draw(opt AccuracyOptions) *Draw {
+	d := &Draw{Clients: sampleClients(tb.Clients, opt.MaxClients)}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	specs := make([][]*music.Spectrum, len(clients))
-	for ci, c := range clients {
-		specs[ci] = make([]*music.Spectrum, len(tb.Sites))
-		for si, site := range tb.Sites {
-			frames := Cut(tb.CaptureClient(c, site, opt.Capture, rng))
-			ap := &core.AP{Array: tb.NewArray(site, opt.Capture)}
-			s, err := core.ProcessAP(ap, frames, opt.Pipeline)
+	for _, c := range d.Clients {
+		var frames, cut [][]core.FrameCapture
+		for _, site := range tb.Sites {
+			fs := tb.CaptureClient(c, site, opt.Capture, rng)
+			frames, cut = append(frames, fs), append(cut, Cut(fs))
+		}
+		d.Frames, d.Cut = append(d.Frames, frames), append(d.Cut, cut)
+	}
+	for _, site := range tb.Sites {
+		d.APs = append(d.APs, &core.AP{Array: tb.NewArray(site, opt.Capture)})
+	}
+	return d
+}
+
+// SceneCombos are the AP combinations of the 205-scene exactness sweep
+// (41 clients × these 5): all six sites, then the first four 3-site
+// combinations.
+func SceneCombos() [][]int {
+	return append([][]int{{0, 1, 2, 3, 4, 5}}, Combinations(6, 3)[:4]...)
+}
+
+// Scene pairs one client's per-site spectra with the sites of combo.
+func (tb *Testbed) Scene(specs []*music.Spectrum, combo []int) []core.APSpectrum {
+	scene := make([]core.APSpectrum, len(combo))
+	for i, si := range combo {
+		scene[i] = core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[si]}
+	}
+	return scene
+}
+
+// Spectra runs cfg's per-AP stage on every (client, site) pair of the
+// draw's cut frames. Row i corresponds to client i, column j to site j.
+func (d *Draw) Spectra(cfg core.Config) ([][]*music.Spectrum, error) {
+	p := core.NewPipeline(cfg)
+	specs := make([][]*music.Spectrum, len(d.Cut))
+	for ci, row := range d.Cut {
+		specs[ci] = make([]*music.Spectrum, len(row))
+		for si, frames := range row {
+			s, err := p.ProcessAP(d.APs[si], frames)
 			if err != nil {
-				return nil, nil, fmt.Errorf("client %d site %d: %w", ci, si, err)
+				return nil, fmt.Errorf("client %d site %d: %w", ci, si, err)
 			}
 			specs[ci][si] = s
 		}
 	}
-	return specs, clients, nil
+	return specs, nil
 }
 
 // sampleClients picks up to max clients spread evenly over the
@@ -85,58 +130,102 @@ func sampleClients(all []geom.Point, max int) []geom.Point {
 // AccuracyResult is the per-AP-count error sample from a sweep.
 type AccuracyResult struct {
 	// ErrorsCM maps AP count to the location error sample (cm) across
-	// all clients and combinations.
+	// all clients and combinations, client-major: client i's errors over
+	// the count's combinations, in Combinations order, then client i+1's.
 	ErrorsCM map[int][]float64
 }
 
-// RunAccuracy executes the localization sweep underlying Figures 13
-// and 15: spectra per (client, site), then maximum-likelihood synthesis
-// over every AP combination of each requested size — through
-// Pipeline.Synthesize, the synthesis stage every service runs.
-func (tb *Testbed) RunAccuracy(opt AccuracyOptions) (*AccuracyResult, []geom.Point, error) {
-	specs, clients, err := tb.SpectraForAll(opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	res := &AccuracyResult{ErrorsCM: make(map[int][]float64)}
-	pipe := core.NewPipeline(opt.Pipeline)
-	for _, k := range opt.APCounts {
-		combos := Combinations(len(tb.Sites), k)
-		if opt.MaxCombos > 0 && len(combos) > opt.MaxCombos {
-			combos = combos[:opt.MaxCombos]
+// variant is one run of an accuracy runner: a change to the sweep's
+// capture settings and one to its pipeline config, which starts from
+// core.DefaultConfig. A nil change leaves the setting as it is.
+type variant struct {
+	name    string
+	capture func(*CaptureOptions)
+	config  func(*core.Config)
+}
+
+// runVariants runs every variant's sweep, out[i] being vs[i]'s: its
+// pipeline's per-AP stage over the cut frames of its capture setting's
+// draw, then every requested AP combination of every client through
+// Pipeline.Synthesize, the synthesis stage every service runs. A variant
+// whose capture setting is its predecessor's reuses that draw, so a
+// runner lists the variants of one setting together and each setting is
+// drawn once.
+func (tb *Testbed) runVariants(opt AccuracyOptions, vs []variant) ([]*AccuracyResult, error) {
+	out := make([]*AccuracyResult, len(vs))
+	var d *Draw
+	var drawn CaptureOptions
+	for i, v := range vs {
+		o := opt
+		o.Pipeline = core.DefaultConfig(tb.Wavelength)
+		if v.capture != nil {
+			v.capture(&o.Capture)
 		}
-		for ci, c := range clients {
-			for _, combo := range combos {
-				aps := make([]core.APSpectrum, len(combo))
-				for i, si := range combo {
-					aps[i] = core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[ci][si]}
+		if v.config != nil {
+			v.config(&o.Pipeline)
+		}
+		if d == nil || o.Capture != drawn {
+			d, drawn = tb.Draw(o), o.Capture
+		}
+		specs, err := d.Spectra(o.Pipeline)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = &AccuracyResult{ErrorsCM: make(map[int][]float64)}
+		pipe := core.NewPipeline(o.Pipeline)
+		for _, k := range o.APCounts {
+			combos := Combinations(len(tb.Sites), k)
+			if o.MaxCombos > 0 && len(combos) > o.MaxCombos {
+				combos = combos[:o.MaxCombos]
+			}
+			for ci, c := range d.Clients {
+				for _, combo := range combos {
+					pos, err := pipe.Synthesize(tb.Scene(specs[ci], combo), tb.Plan.Min, tb.Plan.Max)
+					if err != nil {
+						return nil, err
+					}
+					out[i].ErrorsCM[k] = append(out[i].ErrorsCM[k], pos.Dist(c)*100)
 				}
-				pos, err := pipe.Synthesize(aps, tb.Plan.Min, tb.Plan.Max)
-				if err != nil {
-					return nil, nil, err
-				}
-				res.ErrorsCM[k] = append(res.ErrorsCM[k], pos.Dist(c)*100)
 			}
 		}
 	}
-	return res, clients, nil
+	return out, nil
 }
 
-func accuracyReport(id, title string, res *AccuracyResult, counts []int) *Report {
+// RunAccuracy executes the localization sweep underlying Figures 13
+// and 15 with opt's own pipeline: spectra per (client, site), then
+// maximum-likelihood synthesis over every AP combination of each
+// requested size.
+func (tb *Testbed) RunAccuracy(opt AccuracyOptions) (*AccuracyResult, []geom.Point, error) {
+	res, err := tb.runVariants(opt, []variant{{config: func(c *core.Config) { *c = opt.Pipeline }}})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res[0], sampleClients(tb.Clients, opt.MaxClients), nil
+}
+
+// cdfFigure runs one variant over opt's AP counts and reports its error
+// summary and CDF per count.
+func (tb *Testbed) cdfFigure(id, title string, opt AccuracyOptions, v variant) (*Report, *AccuracyResult, error) {
+	all, err := tb.runVariants(opt, []variant{v})
+	if err != nil {
+		return nil, nil, err
+	}
+	res := all[0]
 	r := &Report{ID: id, Title: title}
 	r.Addf("%-6s %8s %8s %8s %8s %8s", "APs", "median", "mean", "p90", "p95", "p98")
-	for _, k := range counts {
+	for _, k := range opt.APCounts {
 		s := stats.Summarize(res.ErrorsCM[k])
 		r.Addf("%-6d %7.0fcm %7.0fcm %7.0fcm %7.0fcm %7.0fcm", k, s.Median, s.Mean, s.P90, s.P95, s.P98)
 	}
-	for _, k := range counts {
+	for _, k := range opt.APCounts {
 		cdf := stats.NewCDF(res.ErrorsCM[k])
 		r.Addf("CDF %d APs:", k)
 		for _, x := range cdfPoints {
 			r.Addf("  P(err ≤ %4.0f cm) = %.3f", x, cdf.At(x))
 		}
 	}
-	return r
+	return r, res, nil
 }
 
 // RunFig13 regenerates Figure 13: CDFs of location error from
@@ -144,78 +233,60 @@ func accuracyReport(id, title string, res *AccuracyResult, counts []int) *Report
 // weighting/suppression/symmetry removal) across all combinations of
 // 3–6 APs.
 func (tb *Testbed) RunFig13(opt AccuracyOptions) (*Report, *AccuracyResult, error) {
-	opt.Pipeline = core.UnoptimizedConfig(tb.Wavelength)
-	opt.Capture.Frames = 1
-	opt.Capture.MoveSigma = 0
-	res, _, err := tb.RunAccuracy(opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return accuracyReport("fig13", "location error CDF, unoptimized raw spectra (static)", res, opt.APCounts), res, nil
+	return tb.cdfFigure("fig13", "location error CDF, unoptimized raw spectra (static)", opt, variant{
+		capture: func(c *CaptureOptions) { c.Frames, c.MoveSigma = 1, 0 },
+		config:  func(c *core.Config) { *c = core.UnoptimizedConfig(c.Wavelength) },
+	})
 }
 
 // RunFig15 regenerates Figure 15: CDFs of location error with the full
 // ArrayTrack pipeline on semi-static data (three frames with ≤5 cm
 // movements) across all combinations of 3–6 APs.
 func (tb *Testbed) RunFig15(opt AccuracyOptions) (*Report, *AccuracyResult, error) {
-	opt.Pipeline = core.DefaultConfig(tb.Wavelength)
-	if opt.Capture.Frames < 2 {
-		opt.Capture.Frames = 3
-	}
-	res, _, err := tb.RunAccuracy(opt)
+	return tb.cdfFigure("fig15", "location error CDF, full ArrayTrack (semi-static)", opt, variant{capture: func(c *CaptureOptions) {
+		if c.Frames < 2 {
+			c.Frames = 3
+		}
+	}})
+}
+
+// sixAPReport runs the variants with all six APs cooperating and
+// reports one row per variant: its name in a column of the given width
+// headed label, then the median, mean and p95 error.
+func (tb *Testbed) sixAPReport(id, title, label string, width int, opt AccuracyOptions, vs []variant) (*Report, error) {
+	opt.APCounts = []int{6}
+	res, err := tb.runVariants(opt, vs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return accuracyReport("fig15", "location error CDF, full ArrayTrack (semi-static)", res, opt.APCounts), res, nil
+	r := &Report{ID: id, Title: title}
+	r.Addf("%-*s %8s %8s %8s", width, label, "median", "mean", "p95")
+	for i, v := range vs {
+		s := stats.Summarize(res[i].ErrorsCM[6])
+		r.Addf("%-*s %7.0fcm %7.0fcm %7.0fcm", width, v.name, s.Median, s.Mean, s.P95)
+	}
+	return r, nil
 }
 
 // RunFig16 regenerates Figure 16: location error with 4-, 6-, and
 // 8-antenna APs, all six APs cooperating.
 func (tb *Testbed) RunFig16(opt AccuracyOptions) (*Report, error) {
-	r := &Report{ID: "fig16", Title: "location error vs number of AP antennas (6 APs)"}
-	r.Addf("%-10s %8s %8s %8s", "antennas", "median", "mean", "p95")
-	for _, nAnt := range []int{4, 6, 8} {
-		o := opt
-		o.APCounts = []int{6}
-		o.Capture.Antennas = nAnt
-		o.Pipeline = core.DefaultConfig(tb.Wavelength)
-		res, _, err := tb.RunAccuracy(o)
-		if err != nil {
-			return nil, err
-		}
-		s := stats.Summarize(res.ErrorsCM[6])
-		r.Addf("%-10d %7.0fcm %7.0fcm %7.0fcm", nAnt, s.Median, s.Mean, s.P95)
+	var vs []variant
+	for _, n := range []int{4, 6, 8} {
+		vs = append(vs, variant{name: fmt.Sprint(n), capture: func(c *CaptureOptions) { c.Antennas = n }})
 	}
-	return r, nil
+	return tb.sixAPReport("fig16", "location error vs number of AP antennas (6 APs)", "antennas", 10, opt, vs)
 }
 
 // RunFig18 regenerates Figure 18: robustness of the full pipeline to a
 // 1.5 m AP–client height difference and to a 90° antenna polarization
 // mismatch, against the baseline setup (6 APs, 8 antennas).
 func (tb *Testbed) RunFig18(opt AccuracyOptions) (*Report, error) {
-	r := &Report{ID: "fig18", Title: "robustness: height difference and antenna orientation (6 APs)"}
-	cases := []struct {
-		name   string
-		mutate func(*CaptureOptions)
-	}{
-		{"original", func(*CaptureOptions) {}},
-		{"height +1.5m", func(c *CaptureOptions) { c.HeightDiff = 1.5 }},
-		{"orientation 90°", func(c *CaptureOptions) { c.PolarizationLossDB = 20 }},
-	}
-	r.Addf("%-18s %8s %8s %8s", "condition", "median", "mean", "p95")
-	for _, cse := range cases {
-		o := opt
-		o.APCounts = []int{6}
-		o.Pipeline = core.DefaultConfig(tb.Wavelength)
-		cse.mutate(&o.Capture)
-		res, _, err := tb.RunAccuracy(o)
-		if err != nil {
-			return nil, err
-		}
-		s := stats.Summarize(res.ErrorsCM[6])
-		r.Addf("%-18s %7.0fcm %7.0fcm %7.0fcm", cse.name, s.Median, s.Mean, s.P95)
-	}
-	return r, nil
+	return tb.sixAPReport("fig18", "robustness: height difference and antenna orientation (6 APs)", "condition", 18, opt, []variant{
+		{name: "original"},
+		{name: "height +1.5m", capture: func(c *CaptureOptions) { c.HeightDiff = 1.5 }},
+		{name: "orientation 90°", capture: func(c *CaptureOptions) { c.PolarizationLossDB = 20 }},
+	})
 }
 
 // RunFig14 regenerates Figure 14: likelihood heatmaps for one client as
@@ -315,10 +386,8 @@ func (tb *Testbed) RunBaselineComparison(opt AccuracyOptions) (*Report, error) {
 	}
 
 	// ArrayTrack with all six APs on the same clients.
-	o := opt
-	o.APCounts = []int{6}
-	o.Pipeline = core.DefaultConfig(tb.Wavelength)
-	res, _, err := tb.RunAccuracy(o)
+	opt.APCounts = []int{6}
+	res, err := tb.runVariants(opt, []variant{{}})
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +395,7 @@ func (tb *Testbed) RunBaselineComparison(opt AccuracyOptions) (*Report, error) {
 	r := &Report{ID: "baseline", Title: "ArrayTrack vs RSS baselines (6 APs)"}
 	r.Addf("%-24s %8s %8s  (fitted model: P0=%.1f dBm, n=%.2f)",
 		"method", "median", "mean", model.P0dBm, model.Exponent)
-	at := stats.Summarize(res.ErrorsCM[6])
+	at := stats.Summarize(res[0].ErrorsCM[6])
 	tri := stats.Summarize(triErr)
 	fp := stats.Summarize(fpErr)
 	r.Addf("%-24s %7.0fcm %7.0fcm", "ArrayTrack (AoA)", at.Median, at.Mean)

@@ -5,12 +5,10 @@ import (
 	"math/rand"
 
 	"repro/internal/array"
-	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/music"
 	"repro/internal/stats"
-	"repro/internal/wifi"
 )
 
 // RunCircular compares an 8-element circular array against the linear
@@ -20,8 +18,7 @@ import (
 // geometry so coherent multipath hurts it more.
 func (tb *Testbed) RunCircular(seed int64) (*Report, error) {
 	capOpt := DefaultCaptureOptions()
-	capOpt.Frames = 1
-	sig := wifi.Preamble40()
+	capOpt.Frames, capOpt.MoveSigma = 1, 0
 	r := &Report{ID: "circular", Title: "linear vs circular array geometry (§6 discussion)"}
 	r.Addf("%-10s %14s %14s %16s", "geometry", "AoA err med", "AoA err p90", "mirror resolved")
 
@@ -38,25 +35,22 @@ func (tb *Testbed) RunCircular(seed int64) (*Report, error) {
 				continue
 			}
 			truth := site.Pos.Bearing(client)
-			var spec *music.Spectrum
-			if mode == "linear" {
-				arr := tb.NewArray(site, capOpt)
-				rec := tb.Model.Receive(client, arr, sig, channel.RxConfig{
-					TxPowerDBm: capOpt.TxPowerDBm, NoiseFloorDBm: capOpt.NoiseFloorDBm, Rng: rng,
-				})
-				var err error
-				spec, err = music.ComputeSpectrumWS(nil, arr, rec.Samples[:arr.N], tb.spectrumOptions())
-				if err != nil {
-					return nil, err
-				}
-			} else {
+			arr := tb.NewArray(site, capOpt)
+			if mode == "circular" {
 				// Same aperture budget: 8 elements on a circle of
 				// radius λ/2.
-				arr := array.NewCircular(site.Pos, tb.Wavelength/2, 8)
-				rec := tb.Model.Receive(client, arr, sig, channel.RxConfig{
-					TxPowerDBm: capOpt.TxPowerDBm, NoiseFloorDBm: capOpt.NoiseFloorDBm, Rng: rng,
-				})
-				spec = circularSpectrum(tb, arr, rec.Samples)
+				arr = array.NewCircular(site.Pos, tb.Wavelength/2, 8)
+			}
+			streams := tb.capture(arr, client, capOpt, rng)[0].Streams
+			var spec *music.Spectrum
+			var err error
+			if mode == "linear" {
+				spec, err = music.ComputeSpectrumWS(nil, arr, streams[:arr.N], tb.spectrumOptions())
+			} else {
+				spec = circularSpectrum(tb, arr, streams)
+			}
+			if err != nil {
+				return nil, err
 			}
 			e := peakErrorDeg(spec, truth)
 			if math.IsInf(e, 1) {
@@ -127,22 +121,8 @@ func (tb *Testbed) RunCalibrationSweep(seed int64) (*Report, error) {
 				for k := 1; k < len(calib); k++ {
 					calib[k] = arr.PhaseOffsets[k] + rng.NormFloat64()*sigma
 				}
-				var frames []core.FrameCapture
-				pos := c
-				for f := 0; f < capOpt.Frames; f++ {
-					rec := tb.Model.Receive(pos, arr, wifi.Preamble40(), channel.RxConfig{
-						TxPowerDBm:    capOpt.TxPowerDBm,
-						NoiseFloorDBm: capOpt.NoiseFloorDBm,
-						Rng:           rng,
-					})
-					frames = append(frames, core.FrameCapture{Streams: rec.Samples})
-					pos = c.Add(geom.Vec{
-						X: (rng.Float64()*2 - 1) * capOpt.MoveSigma,
-						Y: (rng.Float64()*2 - 1) * capOpt.MoveSigma,
-					})
-				}
 				aps = append(aps, &core.AP{Array: arr, Calibration: calib})
-				captures = append(captures, Cut(frames))
+				captures = append(captures, Cut(tb.capture(arr, c, capOpt, rng)))
 			}
 			pos, _, err := core.LocateClient(aps, captures, tb.Plan.Min, tb.Plan.Max, cfg)
 			if err != nil {

@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -74,19 +73,17 @@ func oracleProcessAP(ap *core.AP, frames []core.FrameCapture, cfg core.Config) (
 func TestLagScansExactOn205Scenes(t *testing.T) {
 	tb := New()
 	opt := DefaultAccuracyOptions()
-	lagSpecs, _, err := tb.SpectraForAll(opt)
+	d := tb.Draw(opt)
+	lagSpecs, err := d.Spectra(opt.Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The same captures (same seed, same draw order) through the oracle.
-	rng := rand.New(rand.NewSource(opt.Seed))
-	refSpecs := make([][]*music.Spectrum, len(tb.Clients))
-	for ci, c := range tb.Clients {
-		refSpecs[ci] = make([]*music.Spectrum, len(tb.Sites))
-		for si, site := range tb.Sites {
-			frames := tb.CaptureClient(c, site, opt.Capture, rng)
-			ap := &core.AP{Array: tb.NewArray(site, opt.Capture)}
-			if refSpecs[ci][si], err = oracleProcessAP(ap, frames, opt.Pipeline); err != nil {
+	// The same captures through the oracle.
+	refSpecs := make([][]*music.Spectrum, len(d.Frames))
+	for ci, row := range d.Frames {
+		refSpecs[ci] = make([]*music.Spectrum, len(row))
+		for si, frames := range row {
+			if refSpecs[ci][si], err = oracleProcessAP(d.APs[si], frames, opt.Pipeline); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -109,20 +106,11 @@ func TestLagScansExactOn205Scenes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	combos := [][]int{{0, 1, 2, 3, 4, 5}}
-	combos = append(combos, Combinations(len(tb.Sites), 3)[:4]...)
 	checked := 0
 	var worstFix float64
 	for ci := range refSpecs {
-		for _, combo := range combos {
-			scene := func(specs [][]*music.Spectrum) []core.APSpectrum {
-				out := make([]core.APSpectrum, len(combo))
-				for i, si := range combo {
-					out[i] = core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[ci][si]}
-				}
-				return out
-			}
-			lag, ref := scene(lagSpecs), scene(refSpecs)
+		for _, combo := range SceneCombos() {
+			lag, ref := tb.Scene(lagSpecs[ci], combo), tb.Scene(refSpecs[ci], combo)
 			gotCell, err := sg.RefinedArgmaxCell(lag)
 			if err != nil {
 				t.Fatal(err)

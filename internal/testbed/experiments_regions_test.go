@@ -48,7 +48,8 @@ func restrictedArgmaxCell(h *core.Heatmap, full, sub core.GridSpec) int {
 // pitch.
 func TestRegionGateOnTestbed(t *testing.T) {
 	tb := New()
-	specs, _, err := tb.SpectraForAll(DefaultAccuracyOptions())
+	opt := DefaultAccuracyOptions()
+	specs, err := tb.Draw(opt).Spectra(opt.Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,16 +62,11 @@ func TestRegionGateOnTestbed(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	regions := regionWorkload(50, rng)
 
-	combos := [][]int{{0, 1, 2, 3, 4, 5}}
-	combos = append(combos, Combinations(len(tb.Sites), 3)[:4]...)
 	var h core.Heatmap
 	checked := 0
 	for ci := range specs {
-		for _, combo := range combos {
-			scene := make([]core.APSpectrum, len(combo))
-			for i, si := range combo {
-				scene[i] = core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[ci][si]}
-			}
+		for _, combo := range SceneCombos() {
+			scene := tb.Scene(specs[ci], combo)
 			region := regions[checked%len(regions)]
 			sg, err := core.NewSynthGridRegion(tb.Plan.Min, tb.Plan.Max, region, core.SynthOptions{
 				Cell: 0.10, Workers: 1, Cache: cache,
@@ -119,14 +115,11 @@ func TestRegionSteadyStateAllocs(t *testing.T) {
 	tb := New()
 	aOpt := DefaultAccuracyOptions()
 	aOpt.MaxClients = 1
-	specs, _, err := tb.SpectraForAll(aOpt)
+	specs, err := tb.Draw(aOpt).Spectra(aOpt.Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scene []core.APSpectrum
-	for _, si := range []int{0, 2, 4} {
-		scene = append(scene, core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[0][si]})
-	}
+	scene := tb.Scene(specs[0], []int{0, 2, 4})
 	cache := core.NewSynthCache(32 << 20)
 	region := core.Region{Min: geom.Pt(8, 3), Max: geom.Pt(20, 12)}
 	sg, err := core.NewSynthGridRegion(tb.Plan.Min, tb.Plan.Max, region, core.SynthOptions{

@@ -10,20 +10,17 @@ import (
 	"repro/internal/dsp"
 	"repro/internal/geom"
 	"repro/internal/music"
+	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/wifi"
 )
 
-// spectrumOptions returns the per-frame MUSIC settings matching the
-// core pipeline defaults.
+// spectrumOptions returns the per-frame MUSIC settings of the core
+// pipeline's defaults, read from an uncut frame at the window's offset.
 func (tb *Testbed) spectrumOptions() music.Options {
-	return music.Options{
-		Wavelength:      tb.Wavelength,
-		SmoothingGroups: 2,
-		MaxSamples:      10,
-		SampleOffset:    100,
-		ForwardBackward: true,
-	}
+	opt := core.DefaultConfig(tb.Wavelength).MUSICOptions(nil)
+	opt.SampleOffset = core.DefaultSampleOffset
+	return opt
 }
 
 // describePeaks renders a peak list compactly.
@@ -319,44 +316,55 @@ func sidePeaks(s *music.Spectrum) int {
 
 // RunDetection regenerates the §4.3.4 detection claim: matched-filter
 // detection over all ten known short training symbols versus SNR, down
-// to −10 dB and beyond, with a pure-noise false-alarm control.
+// to −10 dB and beyond, with a pure-noise false-alarm control. Beside it,
+// on the same trials and with the same hit window, runs the detector the
+// AP ships (server.DefaultDetector: the Schmidl–Cox plateau, dsp.DetectFrame),
+// whose thresholds are reported as they are, not tuned here.
 func (tb *Testbed) RunDetection(trials int, seed int64) (*Report, error) {
 	rng := rand.New(rand.NewSource(seed))
 	preamble := wifi.Preamble40()
 	sts := preamble[:320] // the ten short training symbols at 40 Msps
 	const mfThreshold = 20
-	r := &Report{ID: "detect", Title: "packet detection rate vs SNR (matched filter over 10 short symbols)"}
-	r.Addf("%8s %12s %12s", "SNR dB", "detect rate", "false rate")
+	shipped := server.DefaultDetector()
+	detectors := []func(x []complex128) (int, bool){
+		func(x []complex128) (int, bool) { return dsp.MatchedFilterDetect(x, sts, mfThreshold) },
+		func(x []complex128) (int, bool) { return shipped.Detect([][]complex128{x}) },
+	}
+	awgn := func() []complex128 {
+		x := make([]complex128, 2600)
+		for j := range x {
+			x[j] = complex(rng.NormFloat64(), rng.NormFloat64()) * math.Sqrt2 / 2
+		}
+		return x
+	}
+	pct := func(n, of int) float64 { return 100 * float64(n) / float64(of) }
+	r := &Report{ID: "detect", Title: "packet detection rate vs SNR (matched filter over 10 short symbols; the AP's Schmidl–Cox detector beside it)"}
+	r.Addf("%8s %12s %12s %12s %12s", "SNR dB", "detect rate", "false rate", "AP detect", "AP false")
 	for _, snr := range []float64{10, 5, 0, -5, -10, -15} {
 		amp := math.Sqrt(dsp.DBToLinear(snr))
-		detected, falsePos := 0, 0
+		var detected, falsePos [2]int
 		for i := 0; i < trials; i++ {
-			x := make([]complex128, 2600)
-			for j := range x {
-				x[j] = complex(rng.NormFloat64(), rng.NormFloat64()) * math.Sqrt2 / 2
-			}
+			x := awgn()
 			for j, v := range preamble {
 				x[1000+j] += v * complex(amp, 0)
 			}
-			if idx, ok := dsp.MatchedFilterDetect(x, sts, mfThreshold); ok {
-				if idx > 1000-160 && idx < 1000+320 {
-					detected++
-				} else {
-					falsePos++
+			noise := awgn() // the pure-noise control
+			for d, detect := range detectors {
+				if idx, ok := detect(x); ok {
+					if idx > 1000-160 && idx < 1000+320 {
+						detected[d]++
+					} else {
+						falsePos[d]++
+					}
+				}
+				if _, ok := detect(noise); ok {
+					falsePos[d]++
 				}
 			}
-			// Pure-noise control.
-			noise := make([]complex128, 2600)
-			for j := range noise {
-				noise[j] = complex(rng.NormFloat64(), rng.NormFloat64()) * math.Sqrt2 / 2
-			}
-			if _, ok := dsp.MatchedFilterDetect(noise, sts, mfThreshold); ok {
-				falsePos++
-			}
 		}
-		r.Addf("%8.0f %11.0f%% %11.1f%%", snr,
-			100*float64(detected)/float64(trials),
-			100*float64(falsePos)/float64(2*trials))
+		r.Addf("%8.0f %11.0f%% %11.1f%% %11.0f%% %11.1f%%", snr,
+			pct(detected[0], trials), pct(falsePos[0], 2*trials),
+			pct(detected[1], trials), pct(falsePos[1], 2*trials))
 	}
 	return r, nil
 }

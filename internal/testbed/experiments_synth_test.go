@@ -14,7 +14,7 @@ import (
 func TestSynthRefinedArgmaxExactOnTestbed(t *testing.T) {
 	tb := New()
 	aOpt := DefaultAccuracyOptions()
-	specs, _, err := tb.SpectraForAll(aOpt)
+	specs, err := tb.Draw(aOpt).Spectra(aOpt.Pipeline)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,15 +22,10 @@ func TestSynthRefinedArgmaxExactOnTestbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	combos := [][]int{{0, 1, 2, 3, 4, 5}}
-	combos = append(combos, Combinations(len(tb.Sites), 3)[:4]...)
 	checked := 0
 	for ci := range specs {
-		for _, combo := range combos {
-			scene := make([]core.APSpectrum, len(combo))
-			for i, si := range combo {
-				scene[i] = core.APSpectrum{Pos: tb.Sites[si].Pos, Spectrum: specs[ci][si]}
-			}
+		for _, combo := range SceneCombos() {
+			scene := tb.Scene(specs[ci], combo)
 			full, err := sg.FullArgmaxCell(scene)
 			if err != nil {
 				t.Fatal(err)

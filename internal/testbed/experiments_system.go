@@ -209,52 +209,35 @@ func (tb *Testbed) RunHeightError() (*Report, error) {
 	return r, nil
 }
 
-// AblationResult is one pipeline variant's error summary.
-type AblationResult struct {
-	Name   string
-	Median float64
-	Mean   float64
-}
-
 // RunAblation quantifies each design choice DESIGN.md calls out: the
 // full pipeline versus single-knob variants (no weighting, no
 // suppression, no symmetry removal, NG ∈ {1,2,3}, no forward-backward
-// averaging), at a fixed AP count.
-func (tb *Testbed) RunAblation(opt AccuracyOptions) (*Report, []AblationResult, error) {
-	type variant struct {
-		name   string
-		mutate func(*core.Config)
-	}
+// averaging), at a fixed AP count, all over one draw of the captures.
+// The results are the variants', in the report's row order.
+func (tb *Testbed) RunAblation(opt AccuracyOptions) (*Report, []*AccuracyResult, error) {
 	variants := []variant{
-		{"full pipeline", func(*core.Config) {}},
-		{"no geometry weighting", func(c *core.Config) { c.UseWeighting = false }},
-		{"no multipath suppression", func(c *core.Config) { c.UseSuppression = false }},
-		{"no symmetry removal", func(c *core.Config) { c.UseSymmetryRemoval = false }},
-		{"no forward-backward", func(c *core.Config) { c.ForwardBackward = false }},
-		{"NG=1 (no smoothing)", func(c *core.Config) { c.SmoothingGroups = 1 }},
-		{"NG=3", func(c *core.Config) { c.SmoothingGroups = 3 }},
-		{"unoptimized (all off)", func(c *core.Config) {
-			c.UseWeighting, c.UseSuppression, c.UseSymmetryRemoval = false, false, false
-		}},
+		{name: "full pipeline"},
+		{name: "no geometry weighting", config: func(c *core.Config) { c.UseWeighting = false }},
+		{name: "no multipath suppression", config: func(c *core.Config) { c.UseSuppression = false }},
+		{name: "no symmetry removal", config: func(c *core.Config) { c.UseSymmetryRemoval = false }},
+		{name: "no forward-backward", config: func(c *core.Config) { c.ForwardBackward = false }},
+		{name: "NG=1 (no smoothing)", config: func(c *core.Config) { c.SmoothingGroups = 1 }},
+		{name: "NG=3", config: func(c *core.Config) { c.SmoothingGroups = 3 }},
+		{name: "unoptimized (all off)", config: func(c *core.Config) { *c = core.UnoptimizedConfig(c.Wavelength) }},
+	}
+	res, err := tb.runVariants(opt, variants)
+	if err != nil {
+		return nil, nil, err
 	}
 	r := &Report{ID: "ablation", Title: "pipeline ablations"}
 	r.Addf("%-28s %8s %8s   (APs=%v)", "variant", "median", "mean", opt.APCounts)
-	var out []AblationResult
-	for _, v := range variants {
-		o := opt
-		o.Pipeline = core.DefaultConfig(tb.Wavelength)
-		v.mutate(&o.Pipeline)
-		res, _, err := tb.RunAccuracy(o)
-		if err != nil {
-			return nil, nil, err
-		}
+	for i, v := range variants {
 		var all []float64
-		for _, k := range o.APCounts {
-			all = append(all, res.ErrorsCM[k]...)
+		for _, k := range opt.APCounts {
+			all = append(all, res[i].ErrorsCM[k]...)
 		}
 		s := stats.Summarize(all)
 		r.Addf("%-28s %7.0fcm %7.0fcm", v.name, s.Median, s.Mean)
-		out = append(out, AblationResult{Name: v.name, Median: s.Median, Mean: s.Mean})
 	}
-	return r, out, nil
+	return r, res, nil
 }

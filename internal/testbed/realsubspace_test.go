@@ -50,7 +50,8 @@ func (hermitianEstimator) Spectrum(ws *music.Workspace, a *array.Array, snaps []
 func TestRealSubspaceExactOn205Scenes(t *testing.T) {
 	tb := New()
 	opt := DefaultAccuracyOptions()
-	aps, frames, combos := windowScenes(tb, opt)
+	d := tb.Draw(opt)
+	cut := d.Cut
 	p := core.NewPipeline(opt.Pipeline)
 	refCfg := opt.Pipeline
 	refCfg.Estimator = hermitianEstimator{}
@@ -63,12 +64,12 @@ func TestRealSubspaceExactOn205Scenes(t *testing.T) {
 	}
 	checked, identical := 0, 0
 	var worstBin, worstFix float64
-	for ci := range frames {
-		for _, combo := range combos {
+	for ci := range cut {
+		for _, combo := range SceneCombos() {
 			sceneAPs := make([]*core.AP, len(combo))
 			caps := make([][]core.FrameCapture, len(combo))
 			for i, si := range combo {
-				sceneAPs[i], caps[i] = aps[si], Cut(frames[ci][si])
+				sceneAPs[i], caps[i] = d.APs[si], cut[ci][si]
 			}
 			got, gotSpecs, err := p.Locate(sceneAPs, caps, tb.Plan.Min, tb.Plan.Max)
 			if err != nil {

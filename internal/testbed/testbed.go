@@ -205,7 +205,12 @@ func (tb *Testbed) NewArray(site Site, opt CaptureOptions) *array.Array {
 // per-frame antenna streams. The rng drives noise and inter-frame
 // movement.
 func (tb *Testbed) CaptureClient(client geom.Point, site Site, opt CaptureOptions, rng *rand.Rand) []core.FrameCapture {
-	arr := tb.NewArray(site, opt)
+	return tb.capture(tb.NewArray(site, opt), client, opt, rng)
+}
+
+// capture is CaptureClient through a given array, whatever its geometry
+// and hardware phase offsets.
+func (tb *Testbed) capture(arr *array.Array, client geom.Point, opt CaptureOptions, rng *rand.Rand) []core.FrameCapture {
 	sig := wifi.Preamble40()
 	frames := make([]core.FrameCapture, 0, opt.Frames)
 	pos := client

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -159,6 +160,41 @@ func TestRunAccuracySmall(t *testing.T) {
 	for _, e := range res.ErrorsCM[3] {
 		if e < 0 || e > 5000 {
 			t.Errorf("implausible error %v cm", e)
+		}
+	}
+}
+
+// TestSharedDrawMatchesFreshDraws pins the shared draw as read-only: two
+// pipeline configs run over one draw's cut frames, the first again after
+// the second, must give the == errors each gives over its own fresh
+// draw. A stage that writes into its input frames changes what the
+// next config reads and fails this.
+func TestSharedDrawMatchesFreshDraws(t *testing.T) {
+	tb := New()
+	opt := DefaultAccuracyOptions()
+	opt.MaxClients = 10
+	opt.MaxCombos = 4
+	opt.APCounts = []int{3, 6}
+	unoptimized := func(c *core.Config) { *c = core.UnoptimizedConfig(c.Wavelength) }
+	vs := []variant{{name: "full"}, {name: "unoptimized", config: unoptimized}, {name: "full again"}}
+	shared, err := tb.runVariants(opt, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range []core.Config{core.DefaultConfig(tb.Wavelength), core.UnoptimizedConfig(tb.Wavelength), core.DefaultConfig(tb.Wavelength)} {
+		v, fresh := vs[i], opt
+		fresh.Pipeline = cfg
+		want, _, err := tb.RunAccuracy(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range opt.APCounts {
+			if len(want.ErrorsCM[k]) == 0 {
+				t.Fatalf("%s, %d APs: no errors", v.name, k)
+			}
+			if !slices.Equal(shared[i].ErrorsCM[k], want.ErrorsCM[k]) {
+				t.Errorf("%s, %d APs: errors over the shared draw differ from a fresh draw's", v.name, k)
+			}
 		}
 	}
 }
