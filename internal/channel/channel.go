@@ -323,32 +323,57 @@ type Reception struct {
 // every element of array a. Hardware phase offsets configured on the
 // array are applied, exactly as a real front end would bake them into
 // the samples.
+//
+// Paths that arrive in the same sample add linearly, so each delay tap's
+// per-antenna coefficients h_s[k] = Σ g_p·steer_p[k] are summed first, in
+// path order, and the signal is written once per tap. A narrowband
+// reception (SampleRate 0) has exactly one tap.
 func (m *Model) Receive(tx geom.Point, a *array.Array, sig []complex128, cfg RxConfig) *Reception {
 	paths := m.Paths(tx, a.Pos, cfg.HeightDiff)
 	n := a.NumElements()
+	amp := txAmp(cfg)
+	var taps []tap
+	for j, shift := range shifts(paths, cfg.SampleRate) {
+		i := 0
+		for i < len(taps) && taps[i].shift != shift {
+			i++
+		}
+		if i == len(taps) {
+			taps = append(taps, tap{shift: shift, h: make([]complex128, n)})
+		}
+		g := paths[j].Gain * amp
+		for k, s := range a.SteeringVector(paths[j].AoA, m.Wavelength) {
+			taps[i].h[k] += g * s
+		}
+	}
+	samples := newStreams(n, len(sig))
+	for _, t := range taps {
+		if t.shift >= len(sig) {
+			continue // the tap arrives after the stream ends
+		}
+		for k, hk := range t.h {
+			dst := samples[k][t.shift:]
+			for i := range dst {
+				dst[i] += hk * sig[i]
+			}
+		}
+	}
+	return finish(samples, len(sig), paths, a, cfg)
+}
+
+// ReceivePerPath is Receive's reference: the same reception with the
+// signal written into every antenna once per path. The two differ only
+// in how each tap's sum is associated, a few ulps of the stream peak,
+// and draw the same noise.
+func (m *Model) ReceivePerPath(tx geom.Point, a *array.Array, sig []complex128, cfg RxConfig) *Reception {
+	paths := m.Paths(tx, a.Pos, cfg.HeightDiff)
+	n := a.NumElements()
 	ns := len(sig)
-	txAmp := math.Pow(10, cfg.TxPowerDBm/20) * math.Pow(10, -cfg.PolarizationLossDB/20)
-
-	samples := make([][]complex128, n)
-	for k := range samples {
-		samples[k] = make([]complex128, ns)
-	}
-
-	// Delay alignment: the earliest (direct) path defines sample 0.
-	minLen := math.Inf(1)
-	for _, p := range paths {
-		if p.Length < minLen {
-			minLen = p.Length
-		}
-	}
-
-	for _, p := range paths {
-		steer := a.SteeringVector(p.AoA, m.Wavelength)
-		g := p.Gain * complex(txAmp, 0)
-		shift := 0
-		if cfg.SampleRate > 0 {
-			shift = int(math.Round((p.Length - minLen) / wavePropSpeed * cfg.SampleRate))
-		}
+	amp := txAmp(cfg)
+	samples := newStreams(n, ns)
+	for j, shift := range shifts(paths, cfg.SampleRate) {
+		steer := a.SteeringVector(paths[j].AoA, m.Wavelength)
+		g := paths[j].Gain * amp
 		for k := 0; k < n; k++ {
 			gk := g * steer[k]
 			dst := samples[k]
@@ -357,7 +382,55 @@ func (m *Model) Receive(tx geom.Point, a *array.Array, sig []complex128, cfg RxC
 			}
 		}
 	}
+	return finish(samples, len(sig), paths, a, cfg)
+}
 
+// tap is one delay tap of a reception: the sample shift its paths share
+// and their summed per-antenna coefficients.
+type tap struct {
+	shift int
+	h     []complex128
+}
+
+// txAmp is the transmit amplitude every path gain is scaled by, after
+// the polarization loss.
+func txAmp(cfg RxConfig) complex128 {
+	return complex(math.Pow(10, cfg.TxPowerDBm/20)*math.Pow(10, -cfg.PolarizationLossDB/20), 0)
+}
+
+// shifts returns each path's delay in whole samples at rate behind the
+// shortest path, which defines sample 0; all zero for a narrowband
+// reception (rate 0).
+func shifts(paths []Path, rate float64) []int {
+	out := make([]int, len(paths))
+	if rate <= 0 {
+		return out
+	}
+	minLen := math.Inf(1)
+	for _, p := range paths {
+		minLen = math.Min(minLen, p.Length)
+	}
+	for i, p := range paths {
+		out[i] = int(math.Round((p.Length - minLen) / wavePropSpeed * rate))
+	}
+	return out
+}
+
+// newStreams returns n zeroed streams of ns samples on one backing array.
+func newStreams(n, ns int) [][]complex128 {
+	backing := make([]complex128, n*ns)
+	out := make([][]complex128, n)
+	for k := range out {
+		out[k] = backing[k*ns : (k+1)*ns : (k+1)*ns]
+	}
+	return out
+}
+
+// finish applies the array's hardware phase offsets to the noiseless
+// samples (n streams of ns), measures their power, adds cfg's thermal
+// noise and returns the reception.
+func finish(samples [][]complex128, ns int, paths []Path, a *array.Array, cfg RxConfig) *Reception {
+	n := len(samples)
 	var sigPower float64
 	for k := 0; k < n; k++ {
 		if k < len(a.PhaseOffsets) && a.PhaseOffsets[k] != 0 {

@@ -201,8 +201,8 @@ type Stats struct {
 type job struct {
 	req  Request
 	done func(Result)
-	// enq is the submission instant, stamped only while shedding is
-	// enabled (the serving path pays no clock read otherwise).
+	// enq is the submission instant: the shed check's age and the
+	// start of the job's latency.
 	enq time.Time
 }
 
@@ -234,6 +234,8 @@ type Engine struct {
 	shed      atomic.Uint64
 	short     atomic.Uint64
 	degFixes  atomic.Uint64
+
+	latency latencyHist
 }
 
 // New starts an engine with opt.Workers workers. Close it when done.
@@ -291,14 +293,16 @@ func (e *Engine) execute(ws *music.Workspace, it sched.Item) {
 	// work is waiting. Counted in Failures so the
 	// Completed == Fixes + Failures invariant (and Drain accounting)
 	// holds.
-	if shed := e.shedAfter.Load(); shed > 0 && !j.enq.IsZero() && time.Since(j.enq) > time.Duration(shed) {
+	if shed := e.shedAfter.Load(); shed > 0 && time.Since(j.enq) > time.Duration(shed) {
 		e.shed.Add(1)
 		e.failures.Add(1)
+		e.latency.observe(time.Since(j.enq))
 		e.q.Done(it.Client)
 		j.done(Result{ClientID: j.req.ClientID, Err: ErrOverloaded, Degraded: j.req.Degraded})
 		return
 	}
 	r := e.run(ws, j.req)
+	e.latency.observe(time.Since(j.enq))
 	e.q.Done(it.Client)
 	j.done(r)
 }
@@ -414,10 +418,7 @@ func (e *Engine) Submit(req Request, done func(Result)) error {
 	// the instant it lands, and Stats must never show Completed >
 	// Submitted. Rejected pushes undo the count.
 	e.submitted.Add(1)
-	j := job{req: req, done: done}
-	if e.shedAfter.Load() > 0 {
-		j.enq = time.Now()
-	}
+	j := job{req: req, done: done, enq: time.Now()}
 	if err := e.q.Push(sched.Item{Client: req.ClientID, Payload: j}); err != nil {
 		e.submitted.Add(^uint64(0))
 		e.rejected.Add(1)
@@ -476,8 +477,8 @@ func (e *Engine) ShedAfter() time.Duration {
 
 // SetShedAfter hot-reloads the overload-shedding age bound: positive
 // sheds jobs older than d at execution time, zero or negative
-// disables shedding. Takes effect on jobs submitted after the call
-// (already-queued jobs keep their enqueue stamps).
+// disables shedding. Takes effect on the next job a worker picks up,
+// queued ones included (every job carries its submission stamp).
 func (e *Engine) SetShedAfter(d time.Duration) {
 	if d < 0 {
 		d = 0

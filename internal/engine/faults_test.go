@@ -144,8 +144,7 @@ func TestEngineShedsAgedBatchJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// All four jobs carry enqueue stamps (shedding was on at submit);
-	// dropping the bound to 1 ns sheds everything still queued. The
+	// All four jobs carry enqueue stamps; dropping the bound to 1 ns sheds everything still queued. The
 	// single worker may already be running the first job — so 3 or 4
 	// shed, never fewer.
 	eng.SetShedAfter(time.Nanosecond)

@@ -234,45 +234,41 @@ func (f *Floorplan) grow(p Point) {
 	f.Max.Y = math.Max(f.Max.Y, p.Y)
 }
 
-// Obstructions returns the walls crossed by the open segment from a to
-// b, excluding walls whose index appears in skip (used so a reflected
-// ray does not count its own mirror wall as an obstruction at the
-// reflection point).
-func (f *Floorplan) Obstructions(a, b Point, skip map[int]bool) []int {
-	ray := Seg(a, b)
-	var hit []int
-	for i, w := range f.Walls {
-		if skip != nil && skip[i] {
-			continue
-		}
-		// Ignore intersections at the very endpoints of the ray: the
-		// transmitter or receiver may sit flush against a wall.
-		p, t, ok := ray.Intersect(w.Seg)
-		if !ok {
-			continue
-		}
-		if t < 1e-6 || t > 1-1e-6 {
-			continue
-		}
-		_ = p
-		hit = append(hit, i)
+// crosses reports whether ray crosses wall i in its open interior,
+// excluding walls whose index appears in skip (used so a reflected ray
+// does not count its own mirror wall as an obstruction at the
+// reflection point). Intersections at the very endpoints of the ray do
+// not count: the transmitter or receiver may sit flush against a wall.
+func (f *Floorplan) crosses(ray Segment, i int, skip map[int]bool) bool {
+	if skip != nil && skip[i] {
+		return false
 	}
-	return hit
+	_, t, ok := ray.Intersect(f.Walls[i].Seg)
+	return ok && t >= 1e-6 && t <= 1-1e-6
 }
 
-// PathLossDB sums the transmission loss of every wall crossed by the
-// segment from a to b.
+// PathLossDB sums, in wall order, the transmission loss of every wall
+// crossed by the segment from a to b, except the walls in skip.
 func (f *Floorplan) PathLossDB(a, b Point, skip map[int]bool) float64 {
+	ray := Seg(a, b)
 	var loss float64
-	for _, i := range f.Obstructions(a, b, skip) {
-		loss += f.Walls[i].Mat.TransmissionLossDB
+	for i, w := range f.Walls {
+		if f.crosses(ray, i, skip) {
+			loss += w.Mat.TransmissionLossDB
+		}
 	}
 	return loss
 }
 
 // LineOfSight reports whether the segment from a to b crosses no walls.
 func (f *Floorplan) LineOfSight(a, b Point) bool {
-	return len(f.Obstructions(a, b, nil)) == 0
+	ray := Seg(a, b)
+	for i := range f.Walls {
+		if f.crosses(ray, i, nil) {
+			return false
+		}
+	}
+	return true
 }
 
 // Contains reports whether p lies inside the bounding box of the plan.

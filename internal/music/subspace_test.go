@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/array"
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/mat"
 	"repro/internal/music"
@@ -68,11 +67,11 @@ func testbedFrames(t testing.TB) (out [][][]complex128, arrays []*array.Array) {
 	opt := testbed.DefaultAccuracyOptions()
 	d := testbed.New().Draw(opt)
 	var ws music.Workspace
-	for _, row := range d.Frames {
+	for _, row := range d.Cut {
 		for si, frames := range row {
 			a := d.APs[si].Array
 			for _, f := range frames {
-				snaps, err := music.CalibratedSnapshotsWS(&ws, f.Streams[:a.N], core.DefaultSampleOffset, opt.Pipeline.MaxSamples, nil)
+				snaps, err := music.CalibratedSnapshotsWS(&ws, f.Streams[:a.N], 0, opt.Pipeline.MaxSamples, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/music"
 	"repro/internal/ops"
 	"repro/internal/server"
+	"repro/internal/testbed"
 )
 
 // walkTracker builds a tracker with a few matured client tracks on a
@@ -429,5 +431,62 @@ func TestKnobsTinyCacheBudgetStaysBounded(t *testing.T) {
 	}
 	if u := cache.Usage(); u.Budget != tiny || u.Bytes > u.Budget || u.Entries != 0 || u.Spills == 0 {
 		t.Fatalf("usage %+v under a %d-byte budget, want every entry spilled", u, tiny)
+	}
+}
+
+// TestJobLatencyHistogram: /metrics carries the engine's submit-to-result
+// histogram in Prometheus form. After a batch of fixes and failures its
+// cumulative buckets never fall, the +Inf bucket is _count, and _count
+// equals arraytrack_jobs_completed_total.
+func TestJobLatencyHistogram(t *testing.T) {
+	tb := testbed.New()
+	opt := testbed.DefaultThroughputOptions()
+	cfg := core.DefaultConfig(tb.Wavelength)
+	cfg.GridCell = opt.GridCell
+	eng := engine.New(engine.Options{Workers: 2, Config: cfg})
+	defer eng.Close()
+	reqs := tb.ThroughputRequests(6, opt)
+	reqs = append(reqs, engine.Request{ClientID: 99}, engine.Request{ClientID: 98}) // no APs: failures
+	for _, r := range eng.LocateBatch(reqs) {
+		if r.ClientID < 98 && r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	var b strings.Builder
+	(&ops.Server{Engine: eng}).WriteMetrics(&b)
+	series := map[string]float64{}
+	var buckets []float64
+	const name = "arraytrack_job_submit_to_result_seconds"
+	for _, line := range strings.Split(b.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, val, _ := strings.Cut(line, " ")
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		if strings.HasPrefix(key, name+"_bucket{") {
+			buckets = append(buckets, v)
+		}
+		series[key] = v
+	}
+	if !strings.Contains(b.String(), "# TYPE "+name+" histogram") || len(buckets) < 2 {
+		t.Fatalf("no %s histogram in the exposition:\n%s", name, b.String())
+	}
+	for i := 1; i < len(buckets); i++ {
+		if buckets[i] < buckets[i-1] {
+			t.Fatalf("cumulative buckets fall at %d: %v", i, buckets)
+		}
+	}
+	count, completed := series[name+"_count"], series["arraytrack_jobs_completed_total"]
+	if inf := series[name+`_bucket{le="+Inf"}`]; inf != count {
+		t.Fatalf("+Inf bucket %g, _count %g", inf, count)
+	}
+	if count != float64(len(reqs)) || count != completed {
+		t.Fatalf("_count %g, arraytrack_jobs_completed_total %g, want both %d", count, completed, len(reqs))
+	}
+	if series[name+"_sum"] <= 0 {
+		t.Fatalf("_sum %g, want > 0", series[name+"_sum"])
 	}
 }

@@ -97,6 +97,22 @@ func (p *promWriter) gaugeF(name, help string, v float64) {
 	fmt.Fprintf(&p.b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 }
 
+// histogram writes h as a Prometheus histogram in seconds: cumulative
+// _bucket series, one per bound and +Inf, then _sum and _count.
+func (p *promWriter) histogram(name, help string, h engine.LatencyHistogram) {
+	fmt.Fprintf(&p.b, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	var cum uint64
+	for i, c := range h.Counts {
+		cum += c
+		le := "+Inf"
+		if i < len(h.Bounds) {
+			le = strconv.FormatFloat(h.Bounds[i].Seconds(), 'g', -1, 64)
+		}
+		fmt.Fprintf(&p.b, "%s_bucket{le=%q} %d\n", name, le, cum)
+	}
+	fmt.Fprintf(&p.b, "%s_sum %g\n%s_count %d\n", name, h.Sum.Seconds(), name, cum)
+}
+
 // cache writes one cache's usage as series named prefix+suffix: the
 // gauges entries, bytes and budget_bytes, then the counters, suffixed
 // _total.
@@ -128,6 +144,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		"# TYPE arraytrack_build_info gauge\narraytrack_build_info{kernels=%q} 1\n", music.Kernels())
 	p.counter("arraytrack_jobs_submitted_total", "Jobs accepted into the scheduler.", st.Submitted)
 	p.counter("arraytrack_jobs_completed_total", "Jobs finished (fixes + failures).", st.Completed)
+	p.histogram("arraytrack_job_submit_to_result_seconds", "Each job's time from engine submission to its result: queue wait, localization and tracking (wire decode and quorum group-wait come before it).", s.Engine.Latency())
 	p.counter("arraytrack_fixes_total", "Successful localizations.", st.Fixes)
 	p.counter("arraytrack_failures_total", "Jobs that returned an error.", st.Failures)
 	p.counter("arraytrack_rejected_total", "Submissions refused (closed or quota).", st.Rejected)

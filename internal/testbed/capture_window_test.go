@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -40,18 +41,23 @@ func delayed(frames []core.FrameCapture, delay, n int) []core.FrameCapture {
 func TestTruncatedFramesLocateIdentically(t *testing.T) {
 	tb := New()
 	opt := DefaultAccuracyOptions()
-	d := tb.Draw(opt)
+	aps := tb.APsFor([]int{0, 1, 2, 3, 4, 5}, opt.Capture)
 	p := core.NewPipeline(opt.Pipeline)
 	det := server.DefaultDetector()
 	window := det.Offset + det.CaptureLen
 	rng := rand.New(rand.NewSource(16))
 	checked := 0
-	for ci := range d.Frames {
+	// The draw's uncut frames, one client's sites at a time.
+	client := make([][]core.FrameCapture, len(aps))
+	tb.drawFrames(opt, tb.Model.Receive, func(ci, si int, frames []core.FrameCapture) {
+		if client[si] = frames; si < len(aps)-1 {
+			return
+		}
 		for _, combo := range SceneCombos() {
 			sceneAPs := make([]*core.AP, len(combo))
 			raw := make([][]core.FrameCapture, len(combo))
 			for i, si := range combo {
-				sceneAPs[i], raw[i] = d.APs[si], d.Frames[ci][si]
+				sceneAPs[i], raw[i] = aps[si], client[si]
 			}
 			locate := func(delay, n int) (geom.Point, error) {
 				cut := make([][]core.FrameCapture, len(raw))
@@ -84,7 +90,7 @@ func TestTruncatedFramesLocateIdentically(t *testing.T) {
 			}
 			checked++
 		}
-	}
+	})
 	if checked != 205 {
 		t.Fatalf("swept %d scenes, want 205", checked)
 	}
@@ -235,12 +241,13 @@ func TestLocateScaleInvariantThroughWire(t *testing.T) {
 	}
 
 	// shipped[ci][si] is what the server decodes of client ci's frames at
-	// site si, every sample scaled by scale before the AP cuts.
+	// site si, every sample scaled by scale (the cut copies samples, so
+	// scaling before or after it is the same).
 	shipped := func(scale complex128) [][][]core.FrameCapture {
-		out := make([][][]core.FrameCapture, len(d.Frames))
-		for ci := range d.Frames {
+		out := make([][][]core.FrameCapture, len(d.Cut))
+		for ci := range d.Cut {
 			out[ci] = make([][]core.FrameCapture, len(d.APs))
-			for si, fs := range d.Frames[ci] {
+			for si, fs := range d.Cut[ci] {
 				scaled := make([]core.FrameCapture, len(fs))
 				for i, f := range fs {
 					scaled[i].Streams = make([][]complex128, len(f.Streams))
@@ -252,7 +259,7 @@ func TestLocateScaleInvariantThroughWire(t *testing.T) {
 						scaled[i].Streams[k] = s
 					}
 				}
-				out[ci][si] = overWire(t, Cut(scaled))
+				out[ci][si] = overWire(t, scaled)
 			}
 		}
 		return out
@@ -387,4 +394,68 @@ func TestLocatePermutationInvariant(t *testing.T) {
 		t.Fatalf("checked %d fixes at 3 APs, want 256", n)
 	}
 	t.Logf("3 APs: %d of %d permuted fixes ==", exact, n)
+}
+
+// TestDrawWireMatchesPerPath: summing a reception's paths per delay tap
+// (channel.Model.Receive) moves samples by a few ulps of the stream peak
+// from the per-path oracle (ReceivePerPath), which the wire's quantizer
+// absorbs. On the 205-scene draw, seeds 1 and 2, every (client, site)
+// pair's frames through either synthesis detect at the same sample, and
+// the v3 frame the AP ships of them — server.DefaultDetector's Detect
+// and Extract, then server.AppendBatch — is the same bytes.
+func TestDrawWireMatchesPerPath(t *testing.T) {
+	tb := New()
+	det := server.DefaultDetector()
+	// ship is what an AP at site si sends of client ci's frames, with
+	// each frame's detected start (-1: not detected, cut from sample 0).
+	ship := func(ci, si int, frames []core.FrameCapture) ([]int, []byte) {
+		starts := make([]int, len(frames))
+		caps := make([]server.Capture, len(frames))
+		for i, f := range frames {
+			start, ok := det.Detect(f.Streams)
+			if starts[i] = start; !ok {
+				start, starts[i] = 0, -1
+			}
+			caps[i] = server.Capture{APID: uint32(si + 1), ClientID: uint32(ci), Seq: uint32(i), Streams: det.Extract(f.Streams, start)}
+		}
+		wire, err := server.AppendBatch(nil, caps)
+		if err != nil {
+			t.Fatalf("client %d site %d: %v", ci, si, err)
+		}
+		return starts, wire
+	}
+	for _, seed := range []int64{1, 2} {
+		opt := DefaultAccuracyOptions()
+		opt.Seed = seed
+		type shipped struct {
+			starts []int
+			wire   []byte
+		}
+		var want []shipped
+		tb.drawFrames(opt, tb.Model.ReceivePerPath, func(ci, si int, frames []core.FrameCapture) {
+			starts, wire := ship(ci, si, frames)
+			want = append(want, shipped{starts, wire})
+		})
+		pairs, detected := 0, 0
+		tb.drawFrames(opt, tb.Model.Receive, func(ci, si int, frames []core.FrameCapture) {
+			starts, wire := ship(ci, si, frames)
+			w := want[pairs]
+			if !slices.Equal(starts, w.starts) {
+				t.Fatalf("seed %d client %d site %d: detected at %v, per-path oracle at %v", seed, ci, si, starts, w.starts)
+			}
+			if !bytes.Equal(wire, w.wire) {
+				t.Fatalf("seed %d client %d site %d: the shipped frame differs from the per-path oracle's", seed, ci, si)
+			}
+			for _, s := range starts {
+				if s >= 0 {
+					detected++
+				}
+			}
+			pairs++
+		})
+		if pairs != len(want) || pairs != 41*6 {
+			t.Fatalf("seed %d: %d pairs through taps, %d per path, want %d", seed, pairs, len(want), 41*6)
+		}
+		t.Logf("seed %d: %d (client, site) pairs, %d of %d frames detected, wire bytes == the per-path oracle's", seed, pairs, detected, pairs*opt.Capture.Frames)
+	}
 }

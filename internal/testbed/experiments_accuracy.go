@@ -50,32 +50,44 @@ func DefaultAccuracyOptions() AccuracyOptions {
 // rng seeded with the sweep's Seed, client-major then site, so a draw
 // depends on Seed, Capture and MaxClients alone, never on the pipeline.
 type Draw struct {
-	// Clients are the sampled client positions, the rows of Frames and Cut.
+	// Clients are the sampled client positions, the rows of Cut.
 	Clients []geom.Point
-	// Frames[ci][si] are Clients[ci]'s frames at site si as CaptureClient
-	// returns them, and Cut[ci][si] the same frames as the AP ships them
-	// (Cut). Readers must not write either.
-	Frames, Cut [][][]core.FrameCapture
+	// Cut[ci][si] are Clients[ci]'s frames at site si as the AP ships
+	// them (Cut). Readers must not write them.
+	Cut [][][]core.FrameCapture
 	// APs holds one AP per site, in the capture's geometry.
 	APs []*core.AP
 }
 
 // Draw captures every (client, site) pair of the sweep opt describes.
+// It keeps only the cut frames: the pipelines read nothing else.
 func (tb *Testbed) Draw(opt AccuracyOptions) *Draw {
-	d := &Draw{Clients: sampleClients(tb.Clients, opt.MaxClients)}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	for _, c := range d.Clients {
-		var frames, cut [][]core.FrameCapture
-		for _, site := range tb.Sites {
-			fs := tb.CaptureClient(c, site, opt.Capture, rng)
-			frames, cut = append(frames, fs), append(cut, Cut(fs))
+	d := &Draw{}
+	d.Clients = tb.drawFrames(opt, tb.Model.Receive, func(ci, si int, frames []core.FrameCapture) {
+		if si == 0 {
+			d.Cut = append(d.Cut, make([][]core.FrameCapture, len(tb.Sites)))
 		}
-		d.Frames, d.Cut = append(d.Frames, frames), append(d.Cut, cut)
-	}
+		d.Cut[ci][si] = Cut(frames)
+	})
 	for _, site := range tb.Sites {
 		d.APs = append(d.APs, &core.AP{Array: tb.NewArray(site, opt.Capture)})
 	}
 	return d
+}
+
+// drawFrames is Draw's capture loop, the one place its rng order lives:
+// it captures every (client, site) pair of the sweep, client-major then
+// site, through receive and hands visit each pair's uncut frames. It
+// returns the sampled clients.
+func (tb *Testbed) drawFrames(opt AccuracyOptions, receive receiver, visit func(ci, si int, frames []core.FrameCapture)) []geom.Point {
+	clients := sampleClients(tb.Clients, opt.MaxClients)
+	rng := rand.New(rand.NewSource(opt.Seed))
+	for ci, c := range clients {
+		for si, site := range tb.Sites {
+			visit(ci, si, tb.capture(receive, tb.NewArray(site, opt.Capture), c, opt.Capture, rng))
+		}
+	}
+	return clients
 }
 
 // SceneCombos are the AP combinations of the 205-scene exactness sweep

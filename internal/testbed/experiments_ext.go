@@ -41,7 +41,7 @@ func (tb *Testbed) RunCircular(seed int64) (*Report, error) {
 				// radius λ/2.
 				arr = array.NewCircular(site.Pos, tb.Wavelength/2, 8)
 			}
-			streams := tb.capture(arr, client, capOpt, rng)[0].Streams
+			streams := tb.capture(tb.Model.Receive, arr, client, capOpt, rng)[0].Streams
 			var spec *music.Spectrum
 			var err error
 			if mode == "linear" {
@@ -122,7 +122,7 @@ func (tb *Testbed) RunCalibrationSweep(seed int64) (*Report, error) {
 					calib[k] = arr.PhaseOffsets[k] + rng.NormFloat64()*sigma
 				}
 				aps = append(aps, &core.AP{Array: arr, Calibration: calib})
-				captures = append(captures, Cut(tb.capture(arr, c, capOpt, rng)))
+				captures = append(captures, Cut(tb.capture(tb.Model.Receive, arr, c, capOpt, rng)))
 			}
 			pos, _, err := core.LocateClient(aps, captures, tb.Plan.Min, tb.Plan.Max, cfg)
 			if err != nil {

@@ -205,17 +205,21 @@ func (tb *Testbed) NewArray(site Site, opt CaptureOptions) *array.Array {
 // per-frame antenna streams. The rng drives noise and inter-frame
 // movement.
 func (tb *Testbed) CaptureClient(client geom.Point, site Site, opt CaptureOptions, rng *rand.Rand) []core.FrameCapture {
-	return tb.capture(tb.NewArray(site, opt), client, opt, rng)
+	return tb.capture(tb.Model.Receive, tb.NewArray(site, opt), client, opt, rng)
 }
 
+// receiver synthesizes one reception: channel.Model.Receive, or its
+// reference, ReceivePerPath.
+type receiver func(tx geom.Point, a *array.Array, sig []complex128, cfg channel.RxConfig) *channel.Reception
+
 // capture is CaptureClient through a given array, whatever its geometry
-// and hardware phase offsets.
-func (tb *Testbed) capture(arr *array.Array, client geom.Point, opt CaptureOptions, rng *rand.Rand) []core.FrameCapture {
+// and hardware phase offsets, with receive synthesizing each frame.
+func (tb *Testbed) capture(receive receiver, arr *array.Array, client geom.Point, opt CaptureOptions, rng *rand.Rand) []core.FrameCapture {
 	sig := wifi.Preamble40()
 	frames := make([]core.FrameCapture, 0, opt.Frames)
 	pos := client
 	for f := 0; f < opt.Frames; f++ {
-		rec := tb.Model.Receive(pos, arr, sig, channel.RxConfig{
+		rec := receive(pos, arr, sig, channel.RxConfig{
 			TxPowerDBm:         opt.TxPowerDBm,
 			NoiseFloorDBm:      opt.NoiseFloorDBm,
 			PolarizationLossDB: opt.PolarizationLossDB,

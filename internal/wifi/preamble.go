@@ -7,6 +7,8 @@ package wifi
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/dsp"
 )
@@ -139,10 +141,13 @@ func Preamble() []complex128 {
 }
 
 // Preamble40 returns the preamble resampled to the 40 Msps WARP
-// front-end rate (640 samples).
+// front-end rate (640 samples). The resampling runs once per process;
+// every call returns a fresh copy the caller may write.
 func Preamble40() []complex128 {
-	return dsp.Upsample(Preamble(), 2)
+	return slices.Clone(preamble40())
 }
+
+var preamble40 = sync.OnceValue(func() []complex128 { return dsp.Upsample(Preamble(), 2) })
 
 // LongSymbolOffsets40 returns the sample offsets, at 40 Msps, of the
 // first samples of long training symbols S0 and S1 within Preamble40.
