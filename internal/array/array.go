@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -115,15 +116,22 @@ func (a *Array) Centroid() geom.Point {
 // the unit vector from the array toward the source. Includes the ninth
 // antenna if enabled. Element 0 is the phase reference.
 func (a *Array) SteeringVector(theta, lambda float64) []complex128 {
+	return a.AppendSteeringVector(nil, theta, lambda)
+}
+
+// AppendSteeringVector appends SteeringVector(theta, lambda) to dst and
+// returns the extended slice, so a caller that needs one vector at a
+// time can reuse a buffer.
+func (a *Array) AppendSteeringVector(dst []complex128, theta, lambda float64) []complex128 {
 	n := a.NumElements()
 	u := geom.FromAngle(theta)
 	r0 := a.ElementPos(0)
-	out := make([]complex128, n)
+	dst = slices.Grow(dst, n)
 	for k := 0; k < n; k++ {
 		d := a.ElementPos(k).Sub(r0).Dot(u)
-		out[k] = cmplx.Exp(complex(0, 2*math.Pi*d/lambda))
+		dst = append(dst, cmplx.Exp(complex(0, 2*math.Pi*d/lambda)))
 	}
-	return out
+	return dst
 }
 
 // SteeringVectorRow is SteeringVector restricted to the main row

@@ -333,6 +333,7 @@ func (m *Model) Receive(tx geom.Point, a *array.Array, sig []complex128, cfg RxC
 	n := a.NumElements()
 	amp := txAmp(cfg)
 	var taps []tap
+	var steer []complex128
 	for j, shift := range shifts(paths, cfg.SampleRate) {
 		i := 0
 		for i < len(taps) && taps[i].shift != shift {
@@ -342,7 +343,8 @@ func (m *Model) Receive(tx geom.Point, a *array.Array, sig []complex128, cfg RxC
 			taps = append(taps, tap{shift: shift, h: make([]complex128, n)})
 		}
 		g := paths[j].Gain * amp
-		for k, s := range a.SteeringVector(paths[j].AoA, m.Wavelength) {
+		steer = a.AppendSteeringVector(steer[:0], paths[j].AoA, m.Wavelength)
+		for k, s := range steer {
 			taps[i].h[k] += g * s
 		}
 	}

@@ -3,7 +3,8 @@ package core
 // The streaming localization pipeline, as explicit stages —
 //
 //	snapshots → subspace → spectrum                 (per frame, via the
-//	                                                 injected Estimator)
+//	                                                 injected Estimator,
+//	                                                 as suppression asks)
 //	suppression → weighting → symmetry removal      (per AP, across frames)
 //	synthesis                                       (across APs, Eq. 8)
 //
@@ -107,11 +108,10 @@ func (p *Pipeline) votes(ap *AP, frames []FrameCapture) bool {
 		len(frames) > 0 && len(frames[0].Streams) >= ap.Array.NumElements()
 }
 
-// snapshots is the one snapshot site of the per-AP stage: it checks the
-// frame's window and returns the calibrated snapshots of its main row,
-// or, when full is set, of every element (the vote's, the row's being
-// their leading elements).
-func (p *Pipeline) snapshots(ws *music.Workspace, ap *AP, frame FrameCapture, full bool) ([][]complex128, error) {
+// streams checks a frame and returns the streams the per-AP stage reads
+// from it: its main row's, or, when full is set, every element's (the
+// vote's, the row's being their leading elements), each the window long.
+func (p *Pipeline) streams(ap *AP, frame FrameCapture, full bool) ([][]complex128, error) {
 	n := ap.Array.N
 	if len(frame.Streams) < n {
 		return nil, fmt.Errorf("core: frame has %d streams, need %d row antennas", len(frame.Streams), n)
@@ -121,6 +121,17 @@ func (p *Pipeline) snapshots(ws *music.Workspace, ap *AP, frame FrameCapture, fu
 		streams = frame.Streams[:ap.Array.NumElements()]
 	}
 	if err := p.window(streams); err != nil {
+		return nil, err
+	}
+	return streams, nil
+}
+
+// snapshots is the one snapshot site of the per-AP stage: the
+// calibrated snapshots of the streams a checked frame offers (see
+// streams).
+func (p *Pipeline) snapshots(ws *music.Workspace, ap *AP, frame FrameCapture, full bool) ([][]complex128, error) {
+	streams, err := p.streams(ap, frame, full)
+	if err != nil {
 		return nil, err
 	}
 	return music.CalibratedSnapshotsWS(ws, streams, 0, p.cfg.MaxSamples, ap.Calibration)
@@ -143,8 +154,9 @@ func (p *Pipeline) framesRead(n int) int {
 // over the frame spectra (§2.4), geometry weighting (§2.3.3), and
 // ninth-antenna symmetry removal (§2.3.4). frames supplies the raw
 // streams symmetry removal needs, correlated here; spectra are the
-// FrameSpectrum outputs in frame order, of which the first framesRead
-// are used. The returned spectrum is normalized and lent by ws (see
+// FrameSpectrum outputs in frame order, of which suppression reads the
+// first framesRead at most, frame 2 only if frame 1 leaves a primary
+// peak unmatched. The returned spectrum is normalized and lent by ws (see
 // music.Workspace.Recycle). A nil ws means a fresh workspace.
 func (p *Pipeline) CombineAP(ws *music.Workspace, ap *AP, frames []FrameCapture, spectra []*music.Spectrum) (*music.Spectrum, error) {
 	if len(spectra) == 0 {
@@ -163,20 +175,20 @@ func (p *Pipeline) CombineAP(ws *music.Workspace, ap *AP, frames []FrameCapture,
 			return nil, err
 		}
 	}
-	return p.combine(ws, ap, spectra, rFull), nil
+	return p.combine(ws, ap, spectra[0], len(spectra), precomputed(spectra), rFull)
 }
 
-// combine is CombineAP on frame 0's full correlation matrix, nil when
-// the vote does not run.
-func (p *Pipeline) combine(ws *music.Workspace, ap *AP, spectra []*music.Spectrum, rFull *mat.Matrix) *music.Spectrum {
-	var out *music.Spectrum
-	if group := spectra[:p.framesRead(len(spectra))]; len(group) >= 2 {
-		out = suppressMultipath(ws, group, p.cfg.PeakMatchTolDeg)
-	} else {
-		out = ws.CloneSpectrum(spectra[0])
+// combine is CombineAP on an n-frame group whose primary spectrum is
+// given and whose others suppression takes from frame as it needs them,
+// with frame 0's full correlation matrix (nil when the vote does not
+// run).
+func (p *Pipeline) combine(ws *music.Workspace, ap *AP, primary *music.Spectrum, n int, frame frameSource, rFull *mat.Matrix) (*music.Spectrum, error) {
+	out, err := suppressMultipath(ws, primary, p.framesRead(n), frame, p.cfg.PeakMatchTolDeg)
+	if err != nil {
+		return nil, err
 	}
 	if !p.cfg.UseWeighting && rFull == nil {
-		return out.Normalize()
+		return out.Normalize(), nil
 	}
 	// One cache lookup serves both table-driven steps below.
 	tab := p.cfg.Steering.Table(ap.Array, p.cfg.Wavelength, out.Bins())
@@ -186,7 +198,7 @@ func (p *Pipeline) combine(ws *music.Workspace, ap *AP, spectra []*music.Spectru
 	if rFull != nil {
 		tab.RemoveSymmetryWS(ws, out, rFull)
 	}
-	return out.Normalize()
+	return out.Normalize(), nil
 }
 
 // ProcessAP runs the per-AP half of the pipeline (frame spectra, then
@@ -200,22 +212,31 @@ func (p *Pipeline) ProcessAP(ap *AP, frames []FrameCapture) (*music.Spectrum, er
 	return p.processAP(ws, ap, frames)
 }
 
-// processAP computes a spectrum only for the frames the combine stage
-// will read, and takes each of their snapshots once: when the vote
-// runs, frame 0's over every element, its estimator reading the row and
-// the vote correlating them all. It owns the frame spectra from scan to
-// combine, so they live in the workspace (list and storage both) and go
-// back to it afterwards; only the combined spectrum, lent by ws, leaves.
+// processAP computes a frame's spectrum only when the combine stage
+// reads it: frame 0, then the others as multipath suppression asks for
+// them — frame 2 only while frame 1 leaves a primary peak unmatched. It
+// takes each frame's snapshots once: when the vote runs, frame 0's over
+// every element, its estimator reading the row and the vote correlating
+// them all. Every frame the stage may read is checked first, so a
+// malformed one is refused whether or not its spectrum is needed. It
+// owns the frame spectra from scan to combine, so they live in the
+// workspace (list and storage both) and go back to it afterwards; only
+// the combined spectrum, lent by ws, leaves.
 func (p *Pipeline) processAP(ws *music.Workspace, ap *AP, frames []FrameCapture) (*music.Spectrum, error) {
 	read := frames[:p.framesRead(len(frames))]
 	vote := p.votes(ap, frames)
+	for i, f := range read {
+		if _, err := p.streams(ap, f, i == 0 && vote); err != nil {
+			return nil, fmt.Errorf("frame %d: %w", i, err)
+		}
+	}
 	opt := p.cfg.MUSICOptions(ap.Calibration)
 	spectra := ws.FrameList(len(read))
 	defer func() { ws.Recycle(spectra...) }()
 	var rFull *mat.Matrix
-	for i, f := range read {
+	frame := func(i int) (*music.Spectrum, error) {
 		full := i == 0 && vote
-		snaps, err := p.snapshots(ws, ap, f, full)
+		snaps, err := p.snapshots(ws, ap, read[i], full)
 		if err != nil {
 			return nil, fmt.Errorf("frame %d: %w", i, err)
 		}
@@ -229,8 +250,13 @@ func (p *Pipeline) processAP(ws *music.Workspace, ap *AP, frames []FrameCapture)
 				return nil, fmt.Errorf("frame %d: %w", i, err)
 			}
 		}
+		return s, nil
 	}
-	return p.combine(ws, ap, spectra, rFull), nil
+	primary, err := frame(0)
+	if err != nil {
+		return nil, err
+	}
+	return p.combine(ws, ap, primary, len(read), frame, rFull)
 }
 
 // Synthesize is the final stage: the Eq. 8 grid search plus hill

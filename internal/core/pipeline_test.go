@@ -272,7 +272,9 @@ func (m *memoEstimator) Spectrum(_ *music.Workspace, a *array.Array, snaps [][]c
 // own scans produced. A spectrum an injected estimator still holds must
 // come through ProcessAPs untouched, call after call, although later
 // scans (the ninth-antenna Bartlett vote, the next AP's frames) refill
-// recycled storage.
+// recycled storage. The estimator holds every spectrum the stage asked
+// it for: frames 0 and 1 of each AP, since on this fixture frame 1
+// matches every primary peak and no frame 2 is computed.
 func TestProcessAPsLeavesRetainedSpectraAlone(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	aps, captures, _ := buildTestbedAPs(t, geom.Pt(7.5, 4.2), 3, 3, rng)
@@ -291,8 +293,8 @@ func TestProcessAPsLeavesRetainedSpectraAlone(t *testing.T) {
 	for _, s := range memo.seen {
 		held[s] = append([]float64(nil), s.P...)
 	}
-	if len(held) != 9 {
-		t.Fatalf("estimator holds %d spectra, want 9 (3 APs × 3 frames)", len(held))
+	if len(held) != 6 {
+		t.Fatalf("estimator holds %d spectra, want 6 (3 APs × frames 0 and 1)", len(held))
 	}
 	for round := 0; round < 3; round++ {
 		again, err := p.ProcessAPs(aps, captures)
@@ -327,22 +329,25 @@ func (c *countingEstimator) Spectrum(ws *music.Workspace, a *array.Array, snaps 
 	return music.MUSICEstimator.Spectrum(ws, a, snaps, opt)
 }
 
-// TestProcessAPComputesOnlyFramesRead: the combine stage reads at most
-// three frame spectra under multipath suppression and exactly one
-// without it, so the per-AP stage must not compute more — and capping
-// must not change the result, which is pinned == against CombineAP fed
-// a spectrum for every frame.
+// TestProcessAPComputesOnlyFramesRead: the combine stage reads frame 0
+// and frame 1 under multipath suppression, frame 2 only while frame 1
+// leaves a primary peak unmatched, and frame 0 alone without
+// suppression, so the per-AP stage must compute no more. Two fixtures
+// cover both sides of the early exit. Skipping frames must not change
+// the result, which is pinned == against CombineAP fed a spectrum for
+// every frame.
 func TestProcessAPComputesOnlyFramesRead(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	aps, captures, _ := buildTestbedAPs(t, geom.Pt(9.5, 6.4), 1, 5, rng)
-	ap, frames := aps[0], captures[0]
 	for _, tc := range []struct {
+		seed int64
 		cfg  Config
 		want int
 	}{
-		{DefaultConfig(lambda), 3},
-		{UnoptimizedConfig(lambda), 1},
+		{48, DefaultConfig(lambda), 2}, // frame 1 matches every primary peak
+		{41, DefaultConfig(lambda), 3}, // frame 1 leaves a peak unmatched
+		{48, UnoptimizedConfig(lambda), 1},
 	} {
+		aps, captures, _ := buildTestbedAPs(t, geom.Pt(9.5, 6.4), 1, 5, rand.New(rand.NewSource(tc.seed)))
+		ap, frames := aps[0], captures[0]
 		est := &countingEstimator{}
 		tc.cfg.Estimator = est
 		p := NewPipeline(tc.cfg)
@@ -351,14 +356,112 @@ func TestProcessAPComputesOnlyFramesRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		if est.calls != tc.want {
-			t.Fatalf("suppression=%v: %d frames in, %d spectra computed, want %d",
-				tc.cfg.UseSuppression, len(frames), est.calls, tc.want)
+			t.Fatalf("seed %d, suppression=%v: %d frames in, %d spectra computed, want %d",
+				tc.seed, tc.cfg.UseSuppression, len(frames), est.calls, tc.want)
 		}
 		want := stagesByHand(t, p, nil, ap, frames)
 		for b := range want.P {
 			if got.P[b] != want.P[b] {
-				t.Fatalf("suppression=%v: bin %d differs from the uncapped run", tc.cfg.UseSuppression, b)
+				t.Fatalf("seed %d, suppression=%v: bin %d differs from the run over every frame", tc.seed, tc.cfg.UseSuppression, b)
 			}
+		}
+	}
+	// Frame 2 goes unread on the seed-48 fixture, yet a malformed one is
+	// still refused.
+	aps, captures, _ := buildTestbedAPs(t, geom.Pt(9.5, 6.4), 1, 3, rand.New(rand.NewSource(48)))
+	frames := slices.Clone(captures[0])
+	frames[2].Streams = slices.Clone(frames[2].Streams)
+	frames[2].Streams[0] = frames[2].Streams[0][:DefaultMaxSamples-1]
+	if _, err := NewPipeline(DefaultConfig(lambda)).ProcessAP(aps[0], frames); !errors.Is(err, ErrShortCapture) {
+		t.Fatalf("short unread frame 2: err = %v, want ErrShortCapture", err)
+	}
+}
+
+// scriptedEstimator answers frame i, whose every sample is i+1, with
+// spectra[i], and counts its calls.
+type scriptedEstimator struct {
+	spectra []*music.Spectrum
+	calls   int
+}
+
+func (e *scriptedEstimator) Spectrum(_ *music.Workspace, _ *array.Array, snaps [][]complex128, _ music.Options) (*music.Spectrum, error) {
+	e.calls++
+	return e.spectra[int(real(snaps[0][0]))-1], nil
+}
+
+// eagerSuppress is §2.4 read literally, on every frame's peaks: each
+// primary peak no other frame matches loses its lobe, in peak order.
+// SuppressMultipath runs the served routine, so a fault in its early
+// exit would be on both sides of an == against it; this one shares
+// only removeLobe.
+func eagerSuppress(spectra []*music.Spectrum, tolDeg float64) *music.Spectrum {
+	out := spectra[0].Clone()
+	for _, pk := range spectra[0].Peaks(DefaultPeakFloor) {
+		stable := false
+		for _, s := range spectra[1:] {
+			stable = stable || hasMatchingPeak(s, pk.Theta, tolDeg)
+		}
+		if !stable {
+			removeLobe(out, pk.Bin)
+		}
+	}
+	return out
+}
+
+// TestProcessAPTakesThirdFrameOnDemand drives the per-AP stage's early
+// exit on synthetic spectra (primary lobes at 60° and 150°): frame 2's
+// spectrum is asked for only when frame 1 leaves the 150° lobe
+// unmatched, and in every case the combined spectrum is == to
+// SuppressMultipath over all three frames and to eagerSuppress.
+func TestProcessAPTakesThirdFrameOnDemand(t *testing.T) {
+	primary := gaussSpectrum([]float64{60, 150}, []float64{1, 0.8})
+	for _, tc := range []struct {
+		name   string
+		f1, f2 []float64
+		calls  int
+		kept   bool // the 150° lobe survives
+	}{
+		{"frame 1 matches every peak", []float64{61, 149}, []float64{100, 250}, 2, true},
+		{"frame 2 rescues the lobe frame 1 missed", []float64{61, 170}, []float64{62, 152}, 3, true},
+		{"neither frame matches", []float64{61, 170}, []float64{62, 130}, 3, false},
+	} {
+		spectra := []*music.Spectrum{
+			primary,
+			gaussSpectrum(tc.f1, []float64{1, 0.8}),
+			gaussSpectrum(tc.f2, []float64{1, 0.8}),
+		}
+		est := &scriptedEstimator{spectra: spectra}
+		cfg := UnoptimizedConfig(lambda)
+		cfg.UseSuppression = true
+		cfg.Estimator = est
+		ap := &AP{Array: array.NewLinear(geom.Pt(0, 0), 0, 8, lambda)}
+		frames := make([]FrameCapture, len(spectra))
+		for i := range frames {
+			frames[i].Streams = make([][]complex128, ap.Array.N)
+			for k := range frames[i].Streams {
+				st := make([]complex128, DefaultMaxSamples)
+				for t := range st {
+					st[t] = complex(float64(i+1), 0)
+				}
+				frames[i].Streams[k] = st
+			}
+		}
+		got, err := NewPipeline(cfg).ProcessAP(ap, frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.calls != tc.calls {
+			t.Errorf("%s: %d frame spectra computed, want %d", tc.name, est.calls, tc.calls)
+		}
+		want := SuppressMultipath(spectra, cfg.PeakMatchTolDeg).Normalize()
+		if !slices.Equal(got.P, want.P) {
+			t.Errorf("%s: combined spectrum differs from SuppressMultipath over all three frames", tc.name)
+		}
+		if eager := eagerSuppress(spectra, DefaultPeakMatchTolDeg).Normalize(); !slices.Equal(got.P, eager.P) {
+			t.Errorf("%s: combined spectrum differs from the eager algorithm", tc.name)
+		}
+		if kept := got.At(geom.Rad(150)) > 0.3; kept != tc.kept {
+			t.Errorf("%s: 150° lobe at %.3g, kept = %v, want %v", tc.name, got.At(geom.Rad(150)), kept, tc.kept)
 		}
 	}
 }

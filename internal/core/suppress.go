@@ -8,6 +8,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/music"
@@ -43,39 +44,62 @@ const suppressFactor = 0.05
 // With fewer than two spectra the primary (or nil) is returned
 // unchanged, per step 1 of the algorithm.
 func SuppressMultipath(spectra []*music.Spectrum, tolDeg float64) *music.Spectrum {
-	return suppressMultipath(&music.Workspace{}, spectra, tolDeg)
-}
-
-// suppressMultipath is SuppressMultipath with the per-spectrum peak
-// lists kept in the workspace and the result lent by it.
-func suppressMultipath(ws *music.Workspace, spectra []*music.Spectrum, tolDeg float64) *music.Spectrum {
 	if len(spectra) == 0 {
 		return nil
 	}
-	primary := spectra[0]
-	if len(spectra) == 1 {
-		return ws.CloneSpectrum(primary)
+	out, _ := suppressMultipath(&music.Workspace{}, spectra[0], len(spectra), precomputed(spectra), tolDeg)
+	return out
+}
+
+// frameSource yields the spectrum of frame i of a frame group;
+// suppressMultipath asks it only for frames after the primary.
+type frameSource func(i int) (*music.Spectrum, error)
+
+// precomputed is the frame source of a group whose spectra are at hand.
+func precomputed(spectra []*music.Spectrum) frameSource {
+	return func(i int) (*music.Spectrum, error) { return spectra[i], nil }
+}
+
+// suppressMultipath is SuppressMultipath over n frames: the primary, and
+// frames 1 … n−1 taken from frame on demand, in order, each at most
+// once. Frame 1 is always taken; a later frame only while some primary
+// peak is still unmatched, since a peak one frame matches stays kept
+// whatever the others hold. The primary's peak list is filtered in
+// place down to its unmatched peaks, whose lobes are then attenuated in
+// peak order, so the result is the eager algorithm's exactly. Both peak
+// lists live in the workspace; the result is lent by it.
+func suppressMultipath(ws *music.Workspace, primary *music.Spectrum, n int, frame frameSource, tolDeg float64) (*music.Spectrum, error) {
+	if n < 2 {
+		return ws.CloneSpectrum(primary), nil
 	}
 	if tolDeg <= 0 {
 		tolDeg = DefaultPeakMatchTolDeg
 	}
-	out := ws.CloneSpectrum(primary)
-	// Each spectrum's peaks are found once; the per-primary-peak loop
-	// only scans the cached lists.
-	peaks := ws.PeakLists(spectra, DefaultPeakFloor)
-	for _, pk := range peaks[0] {
-		stable := false
-		for _, ops := range peaks[1:] {
-			if matchInPeaks(ops, pk.Theta, tolDeg) {
-				stable = true
-				break
-			}
-		}
-		if !stable {
-			removeLobe(out, pk.Bin)
-		}
+	s, err := frame(1)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	lists := ws.PeakLists([]*music.Spectrum{primary, s}, DefaultPeakFloor)
+	unmatched := lists[0]
+	for i := 2; ; i++ {
+		unmatched = slices.DeleteFunc(unmatched, func(pk music.Peak) bool {
+			return matchInPeaks(lists[1], pk.Theta, tolDeg)
+		})
+		if len(unmatched) == 0 || i == n {
+			break
+		}
+		if s, err = frame(i); err != nil {
+			return nil, err
+		}
+		// Written back into the workspace's list, so a grown buffer is
+		// kept for the next group.
+		lists[1] = s.AppendPeaks(lists[1][:0], DefaultPeakFloor)
+	}
+	out := ws.CloneSpectrum(primary)
+	for _, pk := range unmatched {
+		removeLobe(out, pk.Bin)
+	}
+	return out, nil
 }
 
 func hasMatchingPeak(s *music.Spectrum, theta, tolDeg float64) bool {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -54,11 +55,6 @@ func (s *CaptureSink) SkewIgnored() uint64 { return s.skewIgnored.Load() }
 // by the backend on its ingest path, so it only enqueues — blocking at
 // most on engine backpressure, never on the pipeline.
 func (s *CaptureSink) Dispatch(clientID uint32, captures []server.Capture) {
-	var order []uint32
-	byAP := make(map[uint32][]core.FrameCapture)
-	newest := make(map[uint32]time.Time)
-	resolved := make(map[uint32]*core.AP)
-	var degraded bool
 	// Clock-skew guard: compute the admissible-future horizon once per
 	// flush. Captures stamped beyond it still localize, but their
 	// timestamps are ignored for newest selection.
@@ -67,39 +63,57 @@ func (s *CaptureSink) Dispatch(clientID uint32, captures []server.Capture) {
 		now = s.Now
 	}
 	horizon := now().Add(MaxClockSkew)
+	// A flush holds at most quorum distinct APs, so, as the backend's
+	// pending groups do, a linear scan finds each capture's AP: ids are
+	// the distinct APs in first-seen order, each resolved once into
+	// resolved (nil: unknown, the record carries no influence).
+	var idBuf [8]uint32
+	var apBuf [8]*core.AP
+	ids, resolved := idBuf[:0], apBuf[:0]
+	known, total := 0, 0
+	var degraded bool
+	// The newest resolved capture timestamp advances the client's
+	// track.
+	var at time.Time
 	for _, c := range captures {
-		ap, seen := resolved[c.APID]
-		if !seen {
-			ap = s.Resolve(c.APID)
-			resolved[c.APID] = ap
+		i := slices.Index(ids, c.APID)
+		if i < 0 {
+			i = len(ids)
+			ids = append(ids, c.APID)
+			resolved = append(resolved, s.Resolve(c.APID))
+			if resolved[i] != nil {
+				known++
+			}
 		}
-		if ap == nil {
-			continue // unknown AP: the record carries no influence
+		if resolved[i] == nil {
+			continue
 		}
-		if _, ok := byAP[c.APID]; !ok {
-			order = append(order, c.APID)
-		}
-		byAP[c.APID] = append(byAP[c.APID], core.FrameCapture{Streams: c.Streams})
+		total++
 		degraded = degraded || c.Degraded
 		if c.Timestamp.After(horizon) {
 			s.skewIgnored.Add(1)
 			continue // skewed stamp: the frames count, the clock does not
 		}
-		if c.Timestamp.After(newest[c.APID]) {
-			newest[c.APID] = c.Timestamp
+		if c.Timestamp.After(at) {
+			at = c.Timestamp
 		}
 	}
-	aps := make([]*core.AP, 0, len(order))
-	frames := make([][]core.FrameCapture, 0, len(order))
-	// The newest resolved capture timestamp advances the client's
-	// track.
-	var at time.Time
-	for _, id := range order {
-		aps = append(aps, resolved[id])
-		frames = append(frames, byAP[id])
-		if newest[id].After(at) {
-			at = newest[id]
+	// Each known AP's frames, in capture order, on one backing array.
+	aps := make([]*core.AP, 0, known)
+	frames := make([][]core.FrameCapture, 0, known)
+	all := make([]core.FrameCapture, 0, total)
+	for i, id := range ids {
+		if resolved[i] == nil {
+			continue
 		}
+		first := len(all)
+		for _, c := range captures {
+			if c.APID == id {
+				all = append(all, core.FrameCapture{Streams: c.Streams})
+			}
+		}
+		aps = append(aps, resolved[i])
+		frames = append(frames, all[first:len(all):len(all)])
 	}
 	// The sink owns the flushed captures (server.Dispatcher contract):
 	// their stream buffers may be borrowed from pooled ingest
