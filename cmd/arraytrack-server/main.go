@@ -9,10 +9,11 @@
 //
 // Steady-state serving is predictive by default: a client with a live
 // Kalman track is localized inside its prediction's gate region and
-// verified, falling back to the full grid otherwise (-predict=false
-// restores unconditional full-grid serving). The scheduler is one FIFO
-// with per-client admission quotas (-client-quota), so a hostile flood
-// cannot starve anyone.
+// verified, falling back to the full grid otherwise (the knob
+// "predict_sigma": -1 restores unconditional full-grid serving). The
+// scheduler is one FIFO with per-client admission quotas (the knob
+// "client_quota", 16 by default), so a hostile flood cannot starve
+// anyone.
 //
 //	arraytrack-server -listen :7100 -quorum 3
 //
@@ -32,9 +33,13 @@
 // drain (stop accepting, flush every in-flight job, write the -snapshot
 // tracker image, exit 0) and -restore resumes those tracks
 // bit-identically on the next start. -http serves Prometheus metrics,
-// per-client track introspection, and the hot-reloadable knobs;
-// -knobs names a JSON knobs file applied at startup and re-applied on
-// SIGHUP. The series /metrics exposes are also logged every
+// per-client track introspection, and the hot-reloadable knobs. The
+// knobs document (ops.Knobs) is the one way to set the six live values
+// — cache budgets, client quota, predictive sigma, track TTL and shed
+// bound: -knobs names a JSON file applied before any listener serves
+// (unreadable or refused: exit non-zero) and re-applied on SIGHUP
+// (refused: logged, serving continues), and POST /knobs takes the same
+// document. The series /metrics exposes are also logged every
 // -stats-every interval and, on Unix, on demand with SIGUSR1.
 // Pair with cmd/arraytrack-ap.
 package main
@@ -60,21 +65,34 @@ import (
 )
 
 // applyKnobsFile loads a JSON ops.Knobs document and pushes it onto
-// the serving process; used at startup and on SIGHUP. A document ops
-// refuses (an unknown key included) is logged and applies nothing.
-func applyKnobsFile(srv *ops.Server, path string) {
+// the serving process; used at startup and on SIGHUP. A file that
+// cannot be read, or a document ops refuses (an unknown key included),
+// applies nothing and returns the error.
+func applyKnobsFile(srv *ops.Server, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		log.Printf("knobs: %v", err)
-		return
+		return fmt.Errorf("knobs: %w", err)
 	}
 	defer f.Close()
 	k, err := ops.DecodeKnobs(f)
 	if err != nil {
-		log.Printf("knobs: parse %s: %v", path, err)
-		return
+		return fmt.Errorf("knobs: parse %s: %w", path, err)
 	}
 	log.Printf("knobs: applied %v from %s", srv.Apply(k), path)
+	return nil
+}
+
+// newEngine starts the engine at the live values every start begins
+// from — client quota 16, predictive serving at DefaultPredictSigma,
+// no shedding — until a knobs document changes them.
+func newEngine(workers int, cfg core.Config, tracker *engine.Tracker) *engine.Engine {
+	return engine.New(engine.Options{
+		Workers:     workers,
+		Config:      cfg,
+		Tracker:     tracker,
+		ClientQuota: 16,
+		Predict:     true,
+	})
 }
 
 // logStats logs every series /metrics exposes, one "name value" line
@@ -112,18 +130,7 @@ func main() {
 	rf := registerRouterFlags()
 	window := flag.Duration("window", time.Second, "capture grouping window")
 	workers := flag.Int("workers", 0, "localization worker pool size (0 = GOMAXPROCS)")
-	trackTTL := flag.Duration("track-ttl", 30*time.Second, "evict a client's track after this much silence")
 	statsEvery := flag.Duration("stats-every", 30*time.Second, "period for the stats log line (0 disables)")
-	synthBudget := flag.Int64("synth-cache-budget", core.DefaultSynthCacheBudget,
-		"byte budget for the synthesis LUT cache (0 = unbounded)")
-	steeringBudget := flag.Int64("steering-cache-budget", music.DefaultSteeringCacheBudget,
-		"byte budget for the steering-vector table cache (0 = unbounded)")
-	clientQuota := flag.Int("client-quota", 16,
-		"max jobs one client may hold admitted-but-uncompleted (0 = unlimited)")
-	predict := flag.Bool("predict", true,
-		"serve clients with live tracks from the track-guided predictive region (verified, full-grid fallback)")
-	predictSigma := flag.Float64("predict-sigma", engine.DefaultPredictSigma,
-		"gate-covariance inflation for the predictive search region, in sigmas (clamped up to the tracker gate)")
 	httpAddr := flag.String("http", "",
 		"ops HTTP listen address for /metrics, /clients, /knobs, /healthz (empty disables)")
 	snapshotPath := flag.String("snapshot", "",
@@ -131,7 +138,7 @@ func main() {
 	restorePath := flag.String("restore", "",
 		"restore tracker state from this snapshot at startup (empty disables)")
 	knobsPath := flag.String("knobs", "",
-		"JSON knobs file applied at startup and re-applied on SIGHUP (empty disables)")
+		"JSON knobs file (cache budgets, client quota, predict sigma, track TTL, shed bound) applied before serving and re-applied on SIGHUP (empty disables)")
 	udpAddr := flag.String("udp", "",
 		"also accept batch-frame capture datagrams on this UDP address (empty disables)")
 	degradedQuorum := flag.Int("degraded-quorum", 0,
@@ -144,8 +151,6 @@ func main() {
 		"connection/decode errors within 10s that quarantine an AP (0 disables quarantine)")
 	quarantineCooldown := flag.Duration("quarantine-cooldown", server.DefaultQuarantineCooldown,
 		"how long a quarantined AP stays isolated before readmission")
-	shedAfter := flag.Duration("shed-after", 0,
-		"fail jobs queued longer than this with an overload error instead of serving stale fixes (0 disables)")
 	flag.Parse()
 
 	if *routerMode {
@@ -167,14 +172,8 @@ func main() {
 	tb := testbed.New()
 	capOpt := testbed.DefaultCaptureOptions()
 	cfg := core.DefaultConfig(tb.Wavelength)
-	if *synthBudget != core.SharedSynthCache().Budget() {
-		cfg.SynthCache = core.NewSynthCache(*synthBudget)
-	}
-	if *steeringBudget != music.SharedSteeringCache().Budget() {
-		cfg.Steering = music.NewSteeringCache(*steeringBudget)
-	}
 
-	tracker := engine.NewTracker(engine.TrackerOptions{TTL: *trackTTL})
+	tracker := engine.NewTracker(engine.TrackerOptions{})
 	if *restorePath != "" {
 		snap, err := ops.Load(*restorePath)
 		if err != nil {
@@ -184,15 +183,7 @@ func main() {
 		log.Printf("restored %d/%d client tracks from %s (saved %s)",
 			n, len(snap.Tracks), *restorePath, time.Unix(0, snap.SavedUnixNano).Format(time.RFC3339))
 	}
-	eng := engine.New(engine.Options{
-		Workers:      *workers,
-		Config:       cfg,
-		Tracker:      tracker,
-		ClientQuota:  *clientQuota,
-		Predict:      *predict,
-		PredictSigma: *predictSigma,
-		ShedAfter:    *shedAfter,
-	})
+	eng := newEngine(*workers, cfg, tracker)
 	defer eng.Close()
 
 	sink := &engine.CaptureSink{
@@ -238,6 +229,16 @@ func main() {
 	backend.DegradedAfter = degradedAfterUsed
 	backend.ErrorBudget = *apErrorBudget
 	backend.Cooldown = *quarantineCooldown
+
+	// The knobs file lands before any listener exists, so the first
+	// capture is served at the file's values; a bad file is a bad
+	// start, like a bad flag.
+	opsSrv := &ops.Server{Engine: eng, Backend: backend, Sink: sink}
+	if *knobsPath != "" {
+		if err := applyKnobsFile(opsSrv, *knobsPath); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	l, err := listenOn(*listen)
 	if err != nil {
@@ -288,10 +289,12 @@ func main() {
 			*degradedQuorum, degradedAfterUsed, sweepEvery)
 	}
 
-	opsSrv := &ops.Server{Engine: eng, Backend: backend, Sink: sink}
 	if *knobsPath != "" {
-		applyKnobsFile(opsSrv, *knobsPath)
-		notifyReloadSignal(ctx, func() { applyKnobsFile(opsSrv, *knobsPath) })
+		notifyReloadSignal(ctx, func() {
+			if err := applyKnobsFile(opsSrv, *knobsPath); err != nil {
+				log.Print(err)
+			}
+		})
 	}
 	var httpSrv *http.Server
 	if *httpAddr != "" {

@@ -32,10 +32,10 @@ import (
 // ErrClosed is returned by Submit-family calls after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// ErrOverloaded fails a job the engine shed instead of running:
-// the job sat queued longer than Options.ShedAfter, so its captures
-// describe where the client *was* — localizing them now would burn a
-// worker on a stale answer while fresher jobs queue up behind. The
+// ErrOverloaded fails a job the engine shed instead of running: the
+// job sat queued longer than the shed bound (SetShedAfter), so its
+// captures describe where the client *was* — localizing them now would
+// burn a worker on a stale answer while fresher jobs queue up behind. The
 // done callback still runs (with this error), so submitters always
 // hear back.
 var ErrOverloaded = errors.New("engine: overloaded, job shed")
@@ -45,11 +45,11 @@ var ErrOverloaded = errors.New("engine: overloaded, job shed")
 // Options.ClientQuota). The submission was refused, not queued.
 var ErrQuota = sched.ErrQuota
 
-// DefaultPredictSigma is the gate-covariance inflation used when
-// predictive localization is enabled without an explicit sigma: the
-// search box covers the sigma-σ innovation ellipse of the client's
-// track. It is clamped up to the tracker's Mahalanobis gate so the
-// box always contains every fix the tracker could accept.
+// DefaultPredictSigma is the gate-covariance inflation Options.Predict
+// starts at and SetPredictSigma(0) selects: the search box covers the
+// sigma-σ innovation ellipse of the client's track. It is clamped up
+// to the tracker's Mahalanobis gate so the box always contains every
+// fix the tracker could accept.
 const DefaultPredictSigma = 4.0
 
 // DefaultPredictMinFixes is how many gate-accepted fixes a track
@@ -124,23 +124,12 @@ type Options struct {
 	// subscribers stream them (Tracker.Subscribe).
 	Tracker *Tracker
 	// Predict enables track-guided predictive localization (requires
-	// a Tracker): jobs localize inside the track prediction's
-	// PredictSigma-σ gate box and fall back to the full grid unless the
-	// result verifies (argmax strictly interior to the region and
-	// Mahalanobis-accepted by the prediction).
+	// a Tracker): jobs localize inside the track prediction's gate box
+	// at DefaultPredictSigma σ (SetPredictSigma retunes or disables it)
+	// and fall back to the full grid unless the result verifies (argmax
+	// strictly interior to the region and Mahalanobis-accepted by the
+	// prediction).
 	Predict bool
-	// PredictSigma overrides the gate-covariance inflation (0 means
-	// DefaultPredictSigma). Values below the tracker's gate are
-	// raised to it, so the region always covers every fix the tracker
-	// could accept.
-	PredictSigma float64
-	// ShedAfter enables overload shedding when positive: a job that
-	// waited in the queue longer than this is failed with
-	// ErrOverloaded instead of localized — under sustained overload
-	// the engine serves the freshest work at full speed rather than
-	// everything at unbounded latency. 0 disables shedding.
-	// Hot-reloadable via SetShedAfter.
-	ShedAfter time.Duration
 }
 
 // Stats is a snapshot of engine counters.
@@ -159,7 +148,7 @@ type Stats struct {
 	// QuotaRejected is the subset of Rejected refused with ErrQuota.
 	QuotaRejected uint64
 	// Shed is the number of jobs failed with ErrOverloaded
-	// because they aged past ShedAfter before a worker got to them
+	// because they aged past the shed bound before a worker got to them
 	// (included in Failures and Completed).
 	Shed uint64
 	// ShortCaptures is the number of jobs refused with
@@ -230,7 +219,7 @@ type Engine struct {
 	predGate      atomic.Uint64
 	predRegionErr atomic.Uint64
 
-	shedAfter atomic.Int64 // nanoseconds; 0 = shedding off; hot-reloaded by SetShedAfter
+	shedAfter atomic.Int64 // nanoseconds; 0 = shedding off (the default); set by SetShedAfter
 	shed      atomic.Uint64
 	short     atomic.Uint64
 	degFixes  atomic.Uint64
@@ -257,11 +246,8 @@ func New(opt Options) *Engine {
 		q:       sched.New(sched.Options{Depth: queue, ClientQuota: opt.ClientQuota}),
 		workers: workers,
 	}
-	if opt.Predict && opt.Tracker != nil {
-		e.SetPredictSigma(opt.PredictSigma)
-	}
-	if opt.ShedAfter > 0 {
-		e.shedAfter.Store(int64(opt.ShedAfter))
+	if opt.Predict {
+		e.SetPredictSigma(DefaultPredictSigma)
 	}
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -288,7 +274,7 @@ func (e *Engine) worker() {
 // workspace and releases its quota token.
 func (e *Engine) execute(ws *music.Workspace, it sched.Item) {
 	j := it.Payload.(job)
-	// Overload shedding: a job that aged past ShedAfter in the queue
+	// Overload shedding: a job that aged past the shed bound in the queue
 	// is failed, not localized — its captures are stale and fresher
 	// work is waiting. Counted in Failures so the
 	// Completed == Fixes + Failures invariant (and Drain accounting)

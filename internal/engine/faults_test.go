@@ -26,9 +26,9 @@ func TestTrackerClockSkewGuard(t *testing.T) {
 		Now:  func() time.Time { return now },
 	})
 
-	tr.Observe(1, geom.Pt(5, 5), base)
+	tr.ObserveFix(1, geom.Pt(5, 5), base, false)
 	now = base.Add(1 * time.Second)
-	upd := tr.Observe(1, geom.Pt(5.1, 5), base.Add(time.Hour)) // broken AP clock
+	upd := tr.ObserveFix(1, geom.Pt(5.1, 5), base.Add(time.Hour), false) // broken AP clock
 	if upd.Time != now {
 		t.Fatalf("skewed fix timestamped %v, want clamped to %v", upd.Time, now)
 	}
@@ -39,14 +39,14 @@ func TestTrackerClockSkewGuard(t *testing.T) {
 	// still has positive dt from there, so the guard did not wedge the
 	// filter.
 	now = base.Add(2 * time.Second)
-	upd = tr.Observe(1, geom.Pt(5.2, 5), now)
+	upd = tr.ObserveFix(1, geom.Pt(5.2, 5), now, false)
 	if upd.Time != now || !upd.Accepted {
 		t.Fatalf("post-clamp fix: %+v", upd)
 	}
 
 	// A fix behind the track (late flush or skewed-slow clock) counts
 	// NonMonotonic and still folds in.
-	upd = tr.Observe(1, geom.Pt(5.2, 5), base.Add(500*time.Millisecond))
+	upd = tr.ObserveFix(1, geom.Pt(5.2, 5), base.Add(500*time.Millisecond), false)
 	if !upd.Accepted {
 		t.Fatal("backwards fix should fold in at dt=0, not be rejected")
 	}
@@ -54,7 +54,7 @@ func TestTrackerClockSkewGuard(t *testing.T) {
 		t.Fatalf("NonMonotonic = %d, want 1", st.NonMonotonic)
 	}
 	// Within-skew future stamps are left alone.
-	upd = tr.Observe(1, geom.Pt(5.3, 5), now.Add(5*time.Second))
+	upd = tr.ObserveFix(1, geom.Pt(5.3, 5), now.Add(5*time.Second), false)
 	if upd.Time != now.Add(5*time.Second) {
 		t.Fatalf("in-range future stamp clamped to %v", upd.Time)
 	}
@@ -115,14 +115,15 @@ func TestTrackerDegradedGateWidening(t *testing.T) {
 }
 
 // TestEngineShedsAgedBatchJobs: under overload with shedding enabled,
-// queued jobs older than ShedAfter fail fast with ErrOverloaded
+// queued jobs older than the shed bound fail fast with ErrOverloaded
 // (counted, done callbacks still fired).
 func TestEngineShedsAgedBatchJobs(t *testing.T) {
 	tb, reqs := testbedRequests(t, 4)
 	cfg := core.DefaultConfig(tb.Wavelength)
 	cfg.GridCell = 0.25
-	eng := engine.New(engine.Options{Workers: 1, Config: cfg, ShedAfter: time.Hour})
+	eng := engine.New(engine.Options{Workers: 1, Config: cfg})
 	defer eng.Close()
+	eng.SetShedAfter(time.Hour)
 
 	var mu sync.Mutex
 	var shedErrs, fixes int

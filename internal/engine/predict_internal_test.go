@@ -48,7 +48,7 @@ func TestPredictiveFixVerifyAndFallbacks(t *testing.T) {
 
 	// Mature a stationary track at (20, 8).
 	for i := 0; i < 4; i++ {
-		tracker.Observe(7, geom.Pt(20, 8), base.Add(time.Duration(i)*time.Second))
+		tracker.ObserveFix(7, geom.Pt(20, 8), base.Add(time.Duration(i)*time.Second), false)
 	}
 	at := base.Add(4 * time.Second)
 	pred, ok := tracker.Predict(7, at, DefaultPredictMinFixes)
@@ -128,14 +128,14 @@ func TestPredictiveFixVerifyAndFallbacks(t *testing.T) {
 // tracker would accept could fall outside it. The engine raises it.
 func TestPredictSigmaClampedToGate(t *testing.T) {
 	tracker := NewTracker(TrackerOptions{Gate: 5})
-	eng := New(Options{Workers: 1, Config: core.Config{}, Tracker: tracker,
-		Predict: true, PredictSigma: 2})
+	eng := New(Options{Workers: 1, Config: core.Config{}, Tracker: tracker, Predict: true})
 	defer eng.Close()
+	eng.SetPredictSigma(2)
 	if s := eng.PredictSigma(); s != 5 {
 		t.Fatalf("predSigma = %v, want clamped to the tracker gate 5", s)
 	}
-	// A hot-reloaded sigma is clamped the same way, and a negative
-	// value disables the predictive path.
+	// Every value below the gate is clamped the same way, and a
+	// negative value disables the predictive path.
 	eng.SetPredictSigma(3)
 	if s := eng.PredictSigma(); s != 5 {
 		t.Fatalf("hot-reloaded predSigma = %v, want clamped to the tracker gate 5", s)
@@ -168,12 +168,12 @@ func TestTrackerPredictMaturity(t *testing.T) {
 	if _, ok := tracker.Predict(1, now, 3); ok {
 		t.Fatal("unknown client predicted")
 	}
-	tracker.Observe(1, geom.Pt(5, 5), now)
-	tracker.Observe(1, geom.Pt(5.5, 5), now.Add(time.Second))
+	tracker.ObserveFix(1, geom.Pt(5, 5), now, false)
+	tracker.ObserveFix(1, geom.Pt(5.5, 5), now.Add(time.Second), false)
 	if _, ok := tracker.Predict(1, now.Add(2*time.Second), 3); ok {
 		t.Fatal("immature track (2 accepted fixes) predicted with minFixes 3")
 	}
-	tracker.Observe(1, geom.Pt(6, 5), now.Add(2*time.Second))
+	tracker.ObserveFix(1, geom.Pt(6, 5), now.Add(2*time.Second), false)
 	pred, ok := tracker.Predict(1, now.Add(3*time.Second), 3)
 	if !ok {
 		t.Fatal("mature track did not predict")

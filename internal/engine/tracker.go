@@ -124,10 +124,18 @@ type clientTrack struct {
 	mu     sync.Mutex
 	filter *track.Filter
 	last   time.Time
-	// lastAccepted records whether the most recent Observe passed the
+	// lastAccepted records whether the most recent ObserveFix passed the
 	// outlier gate, so introspection reports the track's real state
 	// instead of assuming acceptance.
 	lastAccepted bool
+}
+
+// staleAt reports whether the track has been silent longer than ttl at
+// time at, so ObserveFix would restart it rather than continue it. With
+// eviction off (ttl ≤ 0) or no fix stamped yet, no track is stale.
+// Caller holds ct.mu.
+func (ct *clientTrack) staleAt(at time.Time, ttl time.Duration) bool {
+	return ttl > 0 && !ct.last.IsZero() && at.Sub(ct.last) > ttl
 }
 
 // Tracker keeps per-client Kalman state across captures. All methods
@@ -170,7 +178,7 @@ func (t *Tracker) TTL() time.Duration { return time.Duration(t.ttl.Load()) }
 
 // SetTTL hot-reloads the eviction TTL: positive enables eviction after
 // d of silence, zero or negative disables it. Takes effect on the next
-// Observe/Predict/Snapshot; already-evicted tracks do not come back.
+// ObserveFix/Predict/Snapshot; already-evicted tracks do not come back.
 func (t *Tracker) SetTTL(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -178,28 +186,22 @@ func (t *Tracker) SetTTL(d time.Duration) {
 	t.ttl.Store(int64(d))
 }
 
-// Observe folds one raw fix for a client into its track and returns
+// ObserveFix folds one raw fix for a client into its track and returns
 // the resulting update. A zero timestamp uses the tracker's clock. The
 // first fix for a client initializes its filter at the fix; fixes
 // older than the track's last timestamp are treated as simultaneous
 // (dt = 0) rather than rejected, since capture grouping can reorder
-// flushes slightly. A client returning after more than TTL of silence
-// gets a fresh track: extrapolating a constant-velocity state across a
-// long gap would predict a position (and gate) with no relation to
-// where the client reappears.
-func (t *Tracker) Observe(clientID uint32, fix geom.Point, at time.Time) TrackUpdate {
-	return t.ObserveFix(clientID, fix, at, false)
-}
-
-// ObserveFix is Observe with the fix's degraded-quorum flag: a
-// degraded fix (localized from fewer APs, so noisier) is folded in
+// flushes slightly, and are counted (NonMonotonic). A client returning
+// after more than TTL of silence gets a fresh track: extrapolating a
+// constant-velocity state across a long gap would predict a position
+// (and gate) with no relation to where the client reappears.
+//
+// A degraded fix (localized from fewer APs, so noisier) is folded in
 // through a Mahalanobis gate widened by DegradedGateScale, so a
 // genuine-but-noisier fix keeps updating the track while the regular
-// gate still rejects wild outliers. The clock-skew guard applies
-// either way: timestamps beyond MaxClockSkew in the tracker's future
-// are clamped to now (a broken AP clock must not fast-forward the
-// Kalman dt), and fixes behind the track's last timestamp are folded
-// in at dt = 0 and counted (NonMonotonic).
+// gate still rejects wild outliers. Either way, timestamps beyond
+// MaxClockSkew in the tracker's future are clamped to now (a broken
+// AP clock must not fast-forward the Kalman dt).
 func (t *Tracker) ObserveFix(clientID uint32, fix geom.Point, at time.Time, degraded bool) TrackUpdate {
 	skewed := false
 	if at.IsZero() {
@@ -212,9 +214,9 @@ func (t *Tracker) ObserveFix(clientID uint32, fix geom.Point, at time.Time, degr
 	ttl := t.TTL()
 	t.mu.Lock()
 	ct, ok := t.clients[clientID]
-	if ok && ttl > 0 {
+	if ok {
 		ct.mu.Lock()
-		stale := !ct.last.IsZero() && at.Sub(ct.last) > ttl
+		stale := ct.staleAt(at, ttl)
 		ct.mu.Unlock()
 		if stale {
 			t.evicted++
@@ -228,7 +230,7 @@ func (t *Tracker) ObserveFix(clientID uint32, fix geom.Point, at time.Time, degr
 	t.maybeSweepLocked(at)
 	// Take the per-client lock before releasing the map lock (the
 	// sweep acquires them in the same order): otherwise a concurrent
-	// Observe's sweep could judge this entry stale and evict it while
+	// ObserveFix's sweep could judge this entry stale and evict it while
 	// the fix is being folded in.
 	ct.mu.Lock()
 	t.mu.Unlock()
@@ -308,7 +310,7 @@ func (t *Tracker) maybeSweepLocked(now time.Time) {
 	t.lastSweep = now
 	for id, ct := range t.clients {
 		ct.mu.Lock()
-		stale := !ct.last.IsZero() && now.Sub(ct.last) > ttl
+		stale := ct.staleAt(now, ttl)
 		ct.mu.Unlock()
 		if stale {
 			delete(t.clients, id)
@@ -322,7 +324,7 @@ func (t *Tracker) maybeSweepLocked(now time.Time) {
 // covariance the next fix will be gated against, extrapolated from
 // the last accepted update without mutating the track. It reports
 // false when the client has no track, the track is stale (older than
-// TTL — Observe would restart it, so its prediction is meaningless),
+// TTL — ObserveFix would restart it, so its prediction is meaningless),
 // or the track has fewer than minFixes accepted fixes (velocity not
 // yet observable). This is the covariance→region export the engine's
 // predictive localization path consumes.
@@ -338,7 +340,7 @@ func (t *Tracker) Predict(clientID uint32, at time.Time, minFixes int) (track.Pr
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	if ttl := t.TTL(); ttl > 0 && !ct.last.IsZero() && at.Sub(ct.last) > ttl {
+	if ct.staleAt(at, t.TTL()) {
 		return track.Prediction{}, false
 	}
 	if ct.filter.Accepted() < minFixes {
@@ -355,7 +357,7 @@ func (t *Tracker) Predict(clientID uint32, at time.Time, minFixes int) (track.Pr
 
 // Snapshot returns a client's current smoothed state, if it is being
 // tracked. It applies the same TTL staleness rule as Predict — a track
-// Observe would restart rather than continue reports false — and
+// ObserveFix would restart rather than continue reports false — and
 // Accepted reflects whether the client's most recent fix actually
 // passed the outlier gate, not an assumption.
 func (t *Tracker) Snapshot(clientID uint32) (TrackUpdate, bool) {
@@ -368,7 +370,7 @@ func (t *Tracker) Snapshot(clientID uint32) (TrackUpdate, bool) {
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	if ttl := t.TTL(); ttl > 0 && !ct.last.IsZero() && now.Sub(ct.last) > ttl {
+	if ct.staleAt(now, t.TTL()) {
 		return TrackUpdate{}, false
 	}
 	pos, vel := ct.filter.State()
@@ -399,7 +401,7 @@ type ClientSnapshot struct {
 
 // SnapshotAll captures every live client track, sorted by client ID so
 // the output is deterministic for a given tracker state. Tracks past
-// TTL are skipped — Observe would restart them, so carrying them across
+// TTL are skipped — ObserveFix would restart them, so carrying them across
 // a restart would only resurrect state the live tracker had already
 // declared dead. This is the drain-side half of the restart (and shard
 // migration) primitive; Restore is the other half.
@@ -416,8 +418,7 @@ func (t *Tracker) SnapshotAll() []ClientSnapshot {
 	out := make([]ClientSnapshot, 0, len(tracks))
 	for id, ct := range tracks {
 		ct.mu.Lock()
-		stale := ttl > 0 && !ct.last.IsZero() && now.Sub(ct.last) > ttl
-		if !stale {
+		if !ct.staleAt(now, ttl) {
 			var lastNano int64
 			if !ct.last.IsZero() {
 				lastNano = ct.last.UnixNano()
@@ -437,7 +438,7 @@ func (t *Tracker) SnapshotAll() []ClientSnapshot {
 
 // Restore installs snapshotted tracks, overwriting any existing state
 // for the same client IDs. Each filter resumes bit-identically — a
-// Predict or Observe after Restore computes exactly what the
+// Predict or ObserveFix after Restore computes exactly what the
 // snapshotted tracker would have. Snapshots with invalid filter state
 // are skipped rather than poisoning the map; the count of installed
 // tracks is returned. Meant for startup (-restore) and shard handoff;

@@ -33,7 +33,7 @@ func TestTrackerSmoothsNoisyFixes(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		truth := geom.Pt(2+0.6*float64(i), 5)
 		fix := truth.Add(geom.Vec{X: rng.NormFloat64() * 0.4, Y: rng.NormFloat64() * 0.4})
-		upd := tr.Observe(7, fix, base.Add(time.Duration(i)*time.Second))
+		upd := tr.ObserveFix(7, fix, base.Add(time.Duration(i)*time.Second), false)
 		if i < 5 {
 			continue // let the filter converge before scoring
 		}
@@ -56,9 +56,9 @@ func TestTrackerGateRejectsOutlier(t *testing.T) {
 	tr := engine.NewTracker(engine.TrackerOptions{MeasSigma: 0.3, Gate: 4})
 	base := time.Unix(1700000000, 0)
 	for i := 0; i < 10; i++ {
-		tr.Observe(1, geom.Pt(5+0.1*float64(i), 5), base.Add(time.Duration(i)*time.Second))
+		tr.ObserveFix(1, geom.Pt(5+0.1*float64(i), 5), base.Add(time.Duration(i)*time.Second), false)
 	}
-	upd := tr.Observe(1, geom.Pt(35, 14), base.Add(10*time.Second)) // across the building
+	upd := tr.ObserveFix(1, geom.Pt(35, 14), base.Add(10*time.Second), false) // across the building
 	if upd.Accepted {
 		t.Fatal("outlier fix should be gate-rejected")
 	}
@@ -76,8 +76,8 @@ func TestTrackerEviction(t *testing.T) {
 	base := time.Unix(1700000000, 0)
 	tr := engine.NewTracker(engine.TrackerOptions{TTL: 30 * time.Second,
 		Now: func() time.Time { return base.Add(40 * time.Second) }})
-	tr.Observe(1, geom.Pt(1, 1), base)
-	tr.Observe(2, geom.Pt(2, 2), base.Add(40*time.Second))
+	tr.ObserveFix(1, geom.Pt(1, 1), base, false)
+	tr.ObserveFix(2, geom.Pt(2, 2), base.Add(40*time.Second), false)
 	st := tr.Stats()
 	if st.Clients != 1 || st.Evicted != 1 {
 		t.Fatalf("stats after eviction = %+v, want 1 live / 1 evicted", st)
@@ -101,10 +101,10 @@ func TestTrackerStaleClientRestartsFresh(t *testing.T) {
 	tr := engine.NewTracker(engine.TrackerOptions{TTL: 30 * time.Second, Gate: -1})
 	// Establish a track moving briskly east.
 	for i := 0; i < 5; i++ {
-		tr.Observe(1, geom.Pt(5+float64(i), 5), base.Add(time.Duration(i)*time.Second))
+		tr.ObserveFix(1, geom.Pt(5+float64(i), 5), base.Add(time.Duration(i)*time.Second), false)
 	}
 	// Long silence, then the client reappears elsewhere.
-	upd := tr.Observe(1, geom.Pt(20, 10), base.Add(2*time.Minute))
+	upd := tr.ObserveFix(1, geom.Pt(20, 10), base.Add(2*time.Minute), false)
 	if upd.Smoothed != geom.Pt(20, 10) {
 		t.Fatalf("stale track must restart at the fix, got %v", upd.Smoothed)
 	}
@@ -119,7 +119,7 @@ func TestTrackerStaleClientRestartsFresh(t *testing.T) {
 		t.Fatalf("stale restart must count as an eviction, Evicted=%d", st.Evicted)
 	}
 	// And the restarted track keeps working.
-	upd = tr.Observe(1, geom.Pt(20.5, 10), base.Add(2*time.Minute+time.Second))
+	upd = tr.ObserveFix(1, geom.Pt(20.5, 10), base.Add(2*time.Minute+time.Second), false)
 	if !upd.Accepted || upd.Smoothed.Dist(geom.Pt(20.25, 10)) > 0.3 {
 		t.Fatalf("restarted track misbehaves: %+v", upd)
 	}
@@ -128,14 +128,14 @@ func TestTrackerStaleClientRestartsFresh(t *testing.T) {
 // TestTrackerSnapshotReportsRealState (regression): Snapshot used to
 // hardcode Accepted: true and skip the TTL check, so the introspection
 // path reported a gate-rejected track as healthy and a stale track —
-// one Observe would restart and Predict already refused — as live.
+// one ObserveFix would restart and Predict already refused — as live.
 func TestTrackerSnapshotReportsRealState(t *testing.T) {
 	base := time.Unix(1700000000, 0)
 	now := base
 	tr := engine.NewTracker(engine.TrackerOptions{MeasSigma: 0.3, Gate: 4,
 		TTL: 30 * time.Second, Now: func() time.Time { return now }})
 	for i := 0; i < 10; i++ {
-		tr.Observe(1, geom.Pt(5+0.1*float64(i), 5), base.Add(time.Duration(i)*time.Second))
+		tr.ObserveFix(1, geom.Pt(5+0.1*float64(i), 5), base.Add(time.Duration(i)*time.Second), false)
 	}
 	now = base.Add(9 * time.Second)
 	snap, ok := tr.Snapshot(1)
@@ -145,7 +145,7 @@ func TestTrackerSnapshotReportsRealState(t *testing.T) {
 
 	// A gate-rejected last fix must show up as Accepted: false.
 	now = base.Add(10 * time.Second)
-	if upd := tr.Observe(1, geom.Pt(35, 14), now); upd.Accepted {
+	if upd := tr.ObserveFix(1, geom.Pt(35, 14), now, false); upd.Accepted {
 		t.Fatal("outlier fix should be gate-rejected")
 	}
 	snap, ok = tr.Snapshot(1)
@@ -157,7 +157,7 @@ func TestTrackerSnapshotReportsRealState(t *testing.T) {
 	}
 
 	// Past TTL the track is stale: Predict refuses it, so Snapshot must
-	// too instead of presenting a track Observe would restart.
+	// too instead of presenting a track ObserveFix would restart.
 	now = base.Add(2 * time.Minute)
 	if _, ok := tr.Snapshot(1); ok {
 		t.Fatal("TTL-stale track still visible via Snapshot")
@@ -170,8 +170,8 @@ func TestTrackerOutOfOrderFix(t *testing.T) {
 	base := time.Unix(1700000000, 0)
 	tr := engine.NewTracker(engine.TrackerOptions{Gate: -1,
 		Now: func() time.Time { return base.Add(10 * time.Second) }})
-	tr.Observe(1, geom.Pt(5, 5), base.Add(10*time.Second))
-	upd := tr.Observe(1, geom.Pt(5.1, 5), base.Add(5*time.Second))
+	tr.ObserveFix(1, geom.Pt(5, 5), base.Add(10*time.Second), false)
+	upd := tr.ObserveFix(1, geom.Pt(5.1, 5), base.Add(5*time.Second), false)
 	if !upd.Accepted {
 		t.Fatal("out-of-order fix should still be folded in")
 	}
@@ -187,7 +187,7 @@ func TestTrackerSubscribe(t *testing.T) {
 	ch, cancel := tr.Subscribe(2)
 	base := time.Unix(1700000000, 0)
 	for i := 0; i < 5; i++ { // more than the buffer holds
-		tr.Observe(9, geom.Pt(float64(i), 0), base.Add(time.Duration(i)*time.Second))
+		tr.ObserveFix(9, geom.Pt(float64(i), 0), base.Add(time.Duration(i)*time.Second), false)
 	}
 	upd := <-ch
 	if upd.ClientID != 9 || upd.Raw != geom.Pt(0, 0) {
@@ -200,7 +200,7 @@ func TestTrackerSubscribe(t *testing.T) {
 		for range ch {
 		}
 	}
-	tr.Observe(9, geom.Pt(9, 9), base.Add(time.Minute)) // must not panic on closed sub
+	tr.ObserveFix(9, geom.Pt(9, 9), base.Add(time.Minute), false) // must not panic on closed sub
 }
 
 // TestEngineTrackerIndependentConcurrentClients is the engine-level

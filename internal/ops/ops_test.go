@@ -27,8 +27,8 @@ func walkTracker(base time.Time) *engine.Tracker {
 		TTL: time.Minute, Now: func() time.Time { return base.Add(10 * time.Second) }})
 	for i := 0; i < 8; i++ {
 		at := base.Add(time.Duration(i) * time.Second)
-		tr.Observe(7, geom.Pt(2+0.5*float64(i), 5), at)
-		tr.Observe(9, geom.Pt(30, 12), at)
+		tr.ObserveFix(7, geom.Pt(2+0.5*float64(i), 5), at, false)
+		tr.ObserveFix(9, geom.Pt(30, 12), at, false)
 	}
 	return tr
 }
@@ -95,8 +95,7 @@ func opsServer(t *testing.T) (*ops.Server, *engine.Engine, *engine.Tracker) {
 		Workers: 1,
 		Config: core.Config{Wavelength: 0.1225, GridCell: 0.5,
 			SynthCache: core.NewSynthCache(64 << 20), Steering: music.NewSteeringCache(32 << 20)},
-		Tracker: tr, ClientQuota: 16,
-		Predict: true, PredictSigma: 4,
+		Tracker: tr, ClientQuota: 16, Predict: true,
 	})
 	t.Cleanup(eng.Close)
 	backend := newBackend()
