@@ -67,7 +67,7 @@ func (c Config) MUSICOptions(calibration []float64) music.Options {
 	return music.Options{
 		Wavelength:          c.Wavelength,
 		SmoothingGroups:     c.SmoothingGroups,
-		SignalThresholdFrac: c.SignalThresholdFrac,
+		SignalThresholdFrac: music.DefaultSignalThresholdFrac,
 		MaxSamples:          c.MaxSamples,
 		ForwardBackward:     c.ForwardBackward,
 		Steering:            c.Steering,
@@ -183,7 +183,7 @@ func (p *Pipeline) CombineAP(ws *music.Workspace, ap *AP, frames []FrameCapture,
 // with frame 0's full correlation matrix (nil when the vote does not
 // run).
 func (p *Pipeline) combine(ws *music.Workspace, ap *AP, primary *music.Spectrum, n int, frame frameSource, rFull *mat.Matrix) (*music.Spectrum, error) {
-	out, err := suppressMultipath(ws, primary, p.framesRead(n), frame, p.cfg.PeakMatchTolDeg)
+	out, err := suppressMultipath(ws, primary, p.framesRead(n), frame, DefaultPeakMatchTolDeg)
 	if err != nil {
 		return nil, err
 	}

@@ -453,7 +453,7 @@ func TestProcessAPTakesThirdFrameOnDemand(t *testing.T) {
 		if est.calls != tc.calls {
 			t.Errorf("%s: %d frame spectra computed, want %d", tc.name, est.calls, tc.calls)
 		}
-		want := SuppressMultipath(spectra, cfg.PeakMatchTolDeg).Normalize()
+		want := SuppressMultipath(spectra, DefaultPeakMatchTolDeg).Normalize()
 		if !slices.Equal(got.P, want.P) {
 			t.Errorf("%s: combined spectrum differs from SuppressMultipath over all three frames", tc.name)
 		}

@@ -5,8 +5,8 @@ package core
 // cut memoized bearing LUTs in an unbounded map — fine for static
 // deployments (a handful of APs × one grid), fatal for per-fix search
 // regions (the predictive path's boxes), where every distinct bounding
-// box mints new entries forever. On top of the lru's byte budget, two-choice placement
-// and pass-through, this cache adds:
+// box mints new entries forever. On top of the lru's byte budget and
+// pass-through, this cache adds:
 //
 //   - two kinds of entry per (AP position, grid geometry, bins): the
 //     fine LUT, and the screening-block bin windows derived from it,
@@ -25,18 +25,9 @@ package core
 // rebuilds a bit-identical table.
 
 import (
-	"math"
-
 	"repro/internal/geom"
 	"repro/internal/lru"
 )
-
-// synthShards is the number of independently locked LRU segments.
-// Placement is power-of-two-choices across them: at 2 cm pitch a
-// full-floor LUT is ~19 MB, one or two fit per shard, and two hot APs
-// whose keys collided on a single-choice shard evicted each other
-// forever while the other shards sat idle.
-const synthShards = 8
 
 // DefaultSynthCacheBudget bounds the process-wide shared cache:
 // roomy for dozens of full-floor grids plus region churn, small
@@ -66,38 +57,19 @@ type synthTables struct {
 	blocks *blockLUT
 }
 
-// Hash is synthKey's lru.Key hash: FNV-1a over every field.
-func (k synthKey) Hash() uint64 {
-	h := uint64(14695981039346656037)
-	for _, v := range [...]uint64{
-		math.Float64bits(k.apX), math.Float64bits(k.apY),
-		math.Float64bits(k.minX), math.Float64bits(k.minY), math.Float64bits(k.cell),
-		uint64(k.nx), uint64(k.ny), uint64(k.x0), uint64(k.y0), uint64(k.bins),
-	} {
-		h ^= v
-		h *= 1099511628211
-	}
-	if k.windows {
-		h ^= 1
-		h *= 1099511628211
-	}
-	return h
-}
-
 // SynthCache memoizes bearing LUTs and their screening-block bin
 // windows per (AP position, grid geometry, bins) under a byte budget,
 // the synthesis-layer sibling of music.SteeringCache. Safe for
-// concurrent use; lookups lock only the key's candidate shards.
+// concurrent use.
 type SynthCache struct {
 	*lru.Cache[synthKey, synthTables]
 }
 
 // NewSynthCache returns an empty cache holding at most budget bytes
-// of LUT and window state (0 = unbounded). The budget is split evenly
-// across the internal shards, so any single entry costing more than
-// budget/8 is served but not retained.
+// of LUT and window state (0 = unbounded). An entry costing more than
+// the whole budget is served but not retained.
 func NewSynthCache(budget int64) *SynthCache {
-	return &SynthCache{Cache: lru.New[synthKey, synthTables](synthShards, budget)}
+	return &SynthCache{Cache: lru.New[synthKey, synthTables](budget)}
 }
 
 var sharedSynth = NewSynthCache(DefaultSynthCacheBudget)

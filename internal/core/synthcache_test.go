@@ -10,10 +10,10 @@ import (
 	"repro/internal/geom"
 )
 
-// sumEntryCosts walks every lru shard under its lock and returns the
-// summed per-entry costs plus the entry count — the quantities the
-// cache's own accounting must match exactly — failing if a shard's
-// recency list disagrees with its map.
+// sumEntryCosts walks the lru's recency list under its lock and returns
+// the summed per-entry costs plus the entry count — the quantities the
+// cache's own accounting must match exactly — failing if the list
+// disagrees with the map.
 func sumEntryCosts(t *testing.T, c *SynthCache) (bytes int64, entries int) {
 	t.Helper()
 	bytes, entries, err := c.Audit()
@@ -129,8 +129,8 @@ func TestSynthCacheAccountingProperty(t *testing.T) {
 }
 
 // TestSynthCacheRebuildBitIdentical pins the eviction contract
-// explicitly for both build paths: evict an entry by churning its
-// shard past the budget, re-Get it, and require `==` on every table
+// explicitly for both build paths: evict an entry by churning the
+// cache past the budget, re-Get it, and require `==` on every table
 // element — for a directly built full-grid LUT and for a sub-grid LUT
 // that is a view of its parent on one get and rebuilt from scratch
 // (parent evicted too) on the other.
@@ -143,7 +143,7 @@ func TestSynthCacheRebuildBitIdentical(t *testing.T) {
 	sub := GridSpec{Min: full.Min, Cell: full.Cell, Nx: 9, Ny: 7, X0: 11, Y0: 5}
 
 	churn := func(c *SynthCache, rng *rand.Rand) {
-		// Insert enough distinct entries to cycle every shard's LRU.
+		// Insert enough distinct entries to cycle the whole LRU.
 		for i := 0; i < 64; i++ {
 			pos := geom.Pt(rng.Float64()*40, rng.Float64()*16)
 			c.lut(pos, full, 360)
@@ -231,7 +231,7 @@ func TestSynthCacheNoPromoteWhenParentCannotFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2673-cell parent costs ~32 KB; 8 shards × 2 KB cannot hold it.
+	// 2673-cell parent costs ~32 KB; a 16 KB budget cannot hold it.
 	c := NewSynthCache(16 << 10)
 	for i := 0; i < 8; i++ {
 		sub, err := subSpecFor(full, geom.Pt(float64(1+2*i), 1), geom.Pt(float64(3+2*i), 3))
@@ -249,17 +249,17 @@ func TestSynthCacheNoPromoteWhenParentCannotFit(t *testing.T) {
 	checkAccounting(t, c)
 }
 
-// TestSynthCachePassThroughOversized: an entry costing more than a
-// shard's budget slice is served but never retained, and accounting
-// stays exact — also under a positive budget below the shard count,
-// whose zero slices must retain nothing rather than read as unbounded.
+// TestSynthCachePassThroughOversized: a positive budget never retains an
+// entry costing more than it — however small the budget, which must not
+// read as the unbounded 0 — yet the entry is served, and accounting
+// stays exact.
 func TestSynthCachePassThroughOversized(t *testing.T) {
 	ap := geom.Pt(3, 4)
 	spec, err := GridSpecFor(geom.Pt(0, 0), geom.Pt(10, 10), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, budget := range []int64{1024, 7} { // 128 and 0 bytes per shard: nothing fits
+	for _, budget := range []int64{1024, 7} { // the LUT costs ~5 KB: it fits neither
 		c := NewSynthCache(budget)
 		l1 := c.lut(ap, spec, 360)
 		l2 := c.lut(ap, spec, 360)
@@ -283,9 +283,9 @@ func TestSynthCachePassThroughOversized(t *testing.T) {
 }
 
 // TestSynthCacheOversizedDoesNotEvictResidents: serving an entry
-// larger than a shard's budget slice must not flush the shard's
-// resident entries (regression: insert-then-evict used to pop every
-// innocent entry off the tail before reaching the oversized head).
+// larger than the budget must not flush the resident entries
+// (regression: insert-then-evict used to pop every innocent entry off
+// the tail before reaching the oversized head).
 func TestSynthCacheOversizedDoesNotEvictResidents(t *testing.T) {
 	small, err := GridSpecFor(geom.Pt(0, 0), geom.Pt(4, 4), 0.5)
 	if err != nil {
@@ -295,24 +295,15 @@ func TestSynthCacheOversizedDoesNotEvictResidents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Budget holding several small entries per shard but far below the
-	// huge entry's cost.
-	c := NewSynthCache(8 * lutCost(small.Cells()) * synthShards)
-	if c.Fits(lutCost(huge.Cells())) {
-		t.Fatalf("test fixture broken: huge entry fits the shard budget")
+	// Budget holding several small entries but far below the huge
+	// entry's cost.
+	c := NewSynthCache(8 * lutCost(small.Cells()))
+	if lutCost(huge.Cells()) <= c.Budget() {
+		t.Fatalf("test fixture broken: huge entry fits the budget")
 	}
-	// A resident small entry and an oversized request on the same shard.
 	resident := geom.Pt(1, 1)
-	sh, _ := c.Candidates(keyOf(resident, small, 360))
-	var hugeAP geom.Point
-	for x := 0.0; ; x += 0.37 {
-		hugeAP = geom.Pt(x, 2)
-		if first, _ := c.Candidates(keyOf(hugeAP, huge, 360)); first == sh {
-			break
-		}
-	}
 	c.lut(resident, small, 360)
-	if c.lut(hugeAP, huge, 360).bin == nil {
+	if c.lut(geom.Pt(2, 2), huge, 360).bin == nil {
 		t.Fatal("oversized entry not served")
 	}
 	hits0 := c.Usage().Hits
@@ -367,8 +358,8 @@ func TestSynthCacheEvictionRaceStress(t *testing.T) {
 	}
 
 	// Budget sized so entries fit individually but churn collectively:
-	// a couple of region LUTs per shard at most.
-	const budget = 1 << 19
+	// two of the ~125 KB full-floor LUTs at most.
+	const budget = 1 << 18
 	shared := NewSynthCache(budget)
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
@@ -426,122 +417,68 @@ func TestSynthCacheEvictionRaceStress(t *testing.T) {
 		u.Entries, u.Bytes, u.Hits, u.Misses, u.Evictions)
 }
 
-// samePairAPs probes AP positions until n keys share the same ordered
-// pair of candidate shards — the two-choice analogue of a shard
-// collision, making placement and eviction fully deterministic.
-func samePairAPs(t *testing.T, c *SynthCache, spec GridSpec, n int) []geom.Point {
-	t.Helper()
-	byPair := map[[2]int][]geom.Point{}
-	for x := 0.0; x < 4096; x += 0.73 {
-		ap := geom.Pt(x, 1)
-		i1, i2 := c.Candidates(keyOf(ap, spec, 360))
-		pair := [2]int{i1, i2}
-		byPair[pair] = append(byPair[pair], ap)
-		if len(byPair[pair]) == n {
-			return byPair[pair]
-		}
-	}
-	t.Fatalf("no %d keys sharing a shard pair found", n)
-	return nil
-}
-
-// TestSynthCacheLRUOrder: under two-choice placement, entries sharing
-// both candidate shards balance across the pair; once both shards are
-// full, the least-recently-used entry of the insertion target is the
-// one evicted, and touching an entry protects it.
+// TestSynthCacheLRUOrder: once the budget is full, the least-recently-
+// used entry is the one evicted, and touching an entry protects it.
 func TestSynthCacheLRUOrder(t *testing.T) {
 	spec, err := GridSpecFor(geom.Pt(0, 0), geom.Pt(4, 4), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := lutCost(spec.Cells())
-	// Budget for exactly two entries per shard.
-	c := NewSynthCache(2 * cost * synthShards)
-	aps := samePairAPs(t, c, spec, 5)
-	a, b, d, e, f := aps[0], aps[1], aps[2], aps[3], aps[4]
-	second0 := c.Usage().SecondChoice
-	c.lut(a, spec, 360) // tie → first choice
-	c.lut(b, spec, 360) // first loaded → second choice
-	c.lut(d, spec, 360) // tie → first choice (now full)
-	c.lut(a, spec, 360) // touch a: d becomes the first shard's LRU
-	c.lut(e, spec, 360) // first fuller → second choice (now full)
-	c.lut(f, spec, 360) // tie → first choice: evicts d (a was touched)
-	if got := c.Usage().SecondChoice - second0; got != 2 {
-		t.Fatalf("SecondChoice placements = %d, want 2 (b and e)", got)
-	}
-	if _, entries := sumEntryCosts(t, c); entries != 4 {
-		t.Fatalf("expected 4 entries after eviction, have %d", entries)
-	}
-	hits0 := c.Usage().Hits
+	// Budget for exactly four entries.
+	c := NewSynthCache(4 * lutCost(spec.Cells()))
+	a, b, d, e, f := geom.Pt(1, 1), geom.Pt(2, 1), geom.Pt(3, 1), geom.Pt(4, 1), geom.Pt(5, 1)
 	c.lut(a, spec, 360)
 	c.lut(b, spec, 360)
-	c.lut(e, spec, 360)
-	c.lut(f, spec, 360)
+	c.lut(d, spec, 360)
+	c.lut(e, spec, 360) // now full
+	c.lut(a, spec, 360) // touch a: b becomes the LRU
+	c.lut(f, spec, 360) // evicts b
+	if u := c.Usage(); u.Entries != 4 || u.Evictions != 1 {
+		t.Fatalf("entries=%d evictions=%d after one insert past a full budget, want 4 and 1", u.Entries, u.Evictions)
+	}
+	hits0 := c.Usage().Hits
+	for _, ap := range []geom.Point{a, d, e, f} {
+		c.lut(ap, spec, 360)
+	}
 	if hits := c.Usage().Hits; hits != hits0+4 {
 		t.Fatal("a surviving entry was evicted; LRU order not respected")
 	}
 	missesBefore := c.Usage().Misses
-	c.lut(d, spec, 360)
+	c.lut(b, spec, 360)
 	if c.Usage().Misses != missesBefore+1 {
-		t.Fatal("d should have been evicted and rebuilt")
+		t.Fatal("b should have been evicted and rebuilt")
 	}
 	checkAccounting(t, c)
 }
 
-// TestSynthCacheTwoChoiceCollisionProof is the tentpole's thrash
-// test: dense-pitch-scale entries whose keys collide on their
-// first-choice shard used to evict each other on every access round
-// even though the cache as a whole had room. With two-choice
-// placement both stay resident, and a warm round-robin access pattern
-// hits every time.
+// TestSynthCacheTwoChoiceCollisionProof: two full-floor LUTs at the
+// paper's 10 cm pitch, each costing half the budget — far over an eighth
+// of it, the most a budget split eight ways could hold — both stay
+// resident under one pool, so a warm round-robin over them hits every
+// time and evicts nothing, whatever their keys.
 func TestSynthCacheTwoChoiceCollisionProof(t *testing.T) {
-	// A grid big enough that one shard holds exactly one entry.
-	spec, err := GridSpecFor(geom.Pt(0, 0), geom.Pt(20, 8), 0.1)
+	min, max := synthBounds()
+	spec, err := GridSpecFor(min, max, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := lutCost(spec.Cells())
-	c := NewSynthCache(cost * synthShards) // one entry per shard
-	// Two keys sharing a FIRST-choice shard (their second choices are
-	// distinct from it by construction of Candidates).
-	var colliding []geom.Point
-	firstOf := func(ap geom.Point) int {
-		i1, _ := c.Candidates(keyOf(ap, spec, 360))
-		return i1
+	c := NewSynthCache(2 * lutCost(spec.Cells()))
+	aps := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(39.5, 15.5)}
+	for _, ap := range aps {
+		c.lut(ap, spec, 360)
 	}
-	var want int
-	for x := 0.0; len(colliding) < 2 && x < 4096; x += 0.37 {
-		ap := geom.Pt(x, 2)
-		if len(colliding) == 0 {
-			colliding = append(colliding, ap)
-			want = firstOf(ap)
-			continue
-		}
-		if firstOf(ap) == want && ap != colliding[0] {
-			colliding = append(colliding, ap)
-		}
-	}
-	if len(colliding) < 2 {
-		t.Fatal("no first-choice collision found")
-	}
-	c.lut(colliding[0], spec, 360)
-	c.lut(colliding[1], spec, 360) // single-choice would evict colliding[0]
 	hits0 := c.Usage().Hits
 	for round := 0; round < 3; round++ {
-		for _, ap := range colliding {
+		for _, ap := range aps {
 			c.lut(ap, spec, 360)
 		}
 	}
-	hits := c.Usage().Hits
-	if got, wantHits := hits-hits0, uint64(6); got != wantHits {
-		t.Fatalf("warm round-robin over colliding keys: %d hits, want %d (collision thrash)", got, wantHits)
-	}
 	u := c.Usage()
-	if u.SecondChoice == 0 {
-		t.Fatal("second entry was not placed by two-choice")
+	if got := u.Hits - hits0; got != 6 {
+		t.Fatalf("warm round-robin over two full-floor LUTs: %d hits, want 6", got)
 	}
-	if u.Evictions != 0 {
-		t.Fatalf("collision evicted %d entries despite a free second choice", u.Evictions)
+	if u.Evictions != 0 || u.Spills != 0 {
+		t.Fatalf("%d evictions, %d spills under a budget holding both entries", u.Evictions, u.Spills)
 	}
 	checkAccounting(t, c)
 }

@@ -25,16 +25,12 @@ type Config struct {
 	// ForwardBackward enables forward-backward correlation averaging,
 	// a standard ULA companion to spatial smoothing.
 	ForwardBackward bool
-	// SignalThresholdFrac selects the signal-subspace dimension D.
-	SignalThresholdFrac float64
 	// UseWeighting enables array geometry weighting (§2.3.3).
 	UseWeighting bool
 	// UseSuppression enables multipath suppression across frames (§2.4).
 	UseSuppression bool
 	// UseSymmetryRemoval enables ninth-antenna side selection (§2.3.4).
 	UseSymmetryRemoval bool
-	// PeakMatchTolDeg is the suppression pairing tolerance (paper: 5°).
-	PeakMatchTolDeg float64
 	// GridCell is the synthesis grid pitch in metres (paper: 0.10).
 	GridCell float64
 	// Steering holds the precomputed steering-vector tables (and the
@@ -82,20 +78,18 @@ var ErrShortCapture = music.ErrShortCapture
 // parameter choices.
 func DefaultConfig(wavelength float64) Config {
 	return Config{
-		Wavelength:          wavelength,
-		SmoothingGroups:     2,
-		MaxSamples:          DefaultMaxSamples,
-		ForwardBackward:     true,
-		SignalThresholdFrac: 0.05,
-		UseWeighting:        true,
-		UseSuppression:      true,
-		UseSymmetryRemoval:  true,
-		PeakMatchTolDeg:     DefaultPeakMatchTolDeg,
-		GridCell:            0.10,
-		Steering:            music.SharedSteeringCache(),
-		APWorkers:           runtime.GOMAXPROCS(0),
-		SynthCache:          SharedSynthCache(),
-		SynthWorkers:        runtime.GOMAXPROCS(0),
+		Wavelength:         wavelength,
+		SmoothingGroups:    2,
+		MaxSamples:         DefaultMaxSamples,
+		ForwardBackward:    true,
+		UseWeighting:       true,
+		UseSuppression:     true,
+		UseSymmetryRemoval: true,
+		GridCell:           0.10,
+		Steering:           music.SharedSteeringCache(),
+		APWorkers:          runtime.GOMAXPROCS(0),
+		SynthCache:         SharedSynthCache(),
+		SynthWorkers:       runtime.GOMAXPROCS(0),
 	}
 }
 

@@ -141,12 +141,11 @@ func syntheticSetup() (aps []*core.AP, cfg core.Config, mkStreams func(rng *rand
 		{Array: array.NewLinear(geom.Pt(6, 0), math.Pi/2, 4, lambda)},
 	}
 	cfg = core.Config{
-		Wavelength:          lambda,
-		SmoothingGroups:     2,
-		MaxSamples:          8,
-		SignalThresholdFrac: 0.05,
-		GridCell:            0.5,
-		Steering:            music.NewSteeringCache(0),
+		Wavelength:      lambda,
+		SmoothingGroups: 2,
+		MaxSamples:      8,
+		GridCell:        0.5,
+		Steering:        music.NewSteeringCache(0),
 	}
 	mkStreams = func(rng *rand.Rand) [][]complex128 {
 		st := make([][]complex128, 4)
@@ -333,16 +332,14 @@ func TestNilConfigResolvesToShared(t *testing.T) {
 	tb, reqs := testbedRequests(t, 6)
 	def := core.DefaultConfig(tb.Wavelength)
 	bare := core.Config{
-		Wavelength:          def.Wavelength,
-		SmoothingGroups:     def.SmoothingGroups,
-		MaxSamples:          def.MaxSamples,
-		ForwardBackward:     def.ForwardBackward,
-		SignalThresholdFrac: def.SignalThresholdFrac,
-		UseWeighting:        def.UseWeighting,
-		UseSuppression:      def.UseSuppression,
-		UseSymmetryRemoval:  def.UseSymmetryRemoval,
-		PeakMatchTolDeg:     def.PeakMatchTolDeg,
-		GridCell:            def.GridCell,
+		Wavelength:         def.Wavelength,
+		SmoothingGroups:    def.SmoothingGroups,
+		MaxSamples:         def.MaxSamples,
+		ForwardBackward:    def.ForwardBackward,
+		UseWeighting:       def.UseWeighting,
+		UseSuppression:     def.UseSuppression,
+		UseSymmetryRemoval: def.UseSymmetryRemoval,
+		GridCell:           def.GridCell,
 	}
 	defPipe, barePipe := core.NewPipeline(def), core.NewPipeline(bare)
 	eng := engine.New(engine.Options{Workers: 2, Config: bare})

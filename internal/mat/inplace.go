@@ -8,10 +8,7 @@ package mat
 // arithmetic identical (bit for bit) to its allocating counterpart; the
 // only difference is where the result lands.
 
-import (
-	"fmt"
-	"math/cmplx"
-)
+import "fmt"
 
 // Zero sets every element of m to zero and returns the receiver.
 func (m *Matrix) Zero() *Matrix {
@@ -60,53 +57,6 @@ func IdentityInto(m *Matrix) *Matrix {
 		m.Data[i*m.Cols+i] = 1
 	}
 	return m
-}
-
-// MulInto computes a·b into dst and returns dst. dst must be
-// a.Rows×b.Cols and must not alias a or b. The accumulation order
-// matches Mul exactly, so results are bit-identical.
-func MulInto(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MulInto shape mismatch %d×%d · %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulInto dst is %d×%d, need %d×%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	if dst == a || dst == b {
-		panic("mat: MulInto dst aliases an operand")
-	}
-	dst.Zero()
-	for i := 0; i < a.Rows; i++ {
-		for k := 0; k < a.Cols; k++ {
-			av := a.Data[i*a.Cols+k]
-			if av == 0 {
-				continue
-			}
-			row := b.Data[k*b.Cols:]
-			out := dst.Data[i*b.Cols:]
-			for j := 0; j < b.Cols; j++ {
-				out[j] += av * row[j]
-			}
-		}
-	}
-	return dst
-}
-
-// HInto writes the Hermitian (conjugate) transpose of m into dst and
-// returns dst. dst must be m.Cols×m.Rows and must not alias m.
-func HInto(dst, m *Matrix) *Matrix {
-	if dst.Rows != m.Cols || dst.Cols != m.Rows {
-		panic(fmt.Sprintf("mat: HInto dst is %d×%d, need %d×%d", dst.Rows, dst.Cols, m.Cols, m.Rows))
-	}
-	if dst == m {
-		panic("mat: HInto dst aliases the operand")
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			dst.Set(j, i, cmplx.Conj(m.At(i, j)))
-		}
-	}
-	return dst
 }
 
 // EigWorkspace holds every buffer the two eigensolvers need — the

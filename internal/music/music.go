@@ -19,6 +19,11 @@ import (
 // over the full circle.
 const DefaultBins = 360
 
+// DefaultSignalThresholdFrac is the pipeline's signal-subspace
+// threshold: eigenvalues above this fraction of the largest count as
+// signals. A zero Options.SignalThresholdFrac resolves to it.
+const DefaultSignalThresholdFrac = 0.05
+
 // Spectrum is an AoA pseudospectrum sampled uniformly over [0, 2π).
 // Bin i covers bearing 2πi/len(P). Values are non-negative likelihood
 // proxies; spectra are typically normalized to a unit maximum.
@@ -265,7 +270,7 @@ type Options struct {
 	// SmoothingGroups is NG in §2.3.2; the paper settles on 2.
 	SmoothingGroups int
 	// SignalThresholdFrac selects D: eigenvalues above this fraction of
-	// the largest count as signals. The pipeline default is 0.05.
+	// the largest count as signals (DefaultSignalThresholdFrac if zero).
 	SignalThresholdFrac float64
 	// MaxSignals caps D (0 means half the smoothed subarray size).
 	MaxSignals int
@@ -313,7 +318,7 @@ func (o Options) bins() int {
 
 func (o Options) thresh() float64 {
 	if o.SignalThresholdFrac <= 0 {
-		return 0.05
+		return DefaultSignalThresholdFrac
 	}
 	return o.SignalThresholdFrac
 }

@@ -186,10 +186,6 @@ func keyFor(a *array.Array, lambda float64, bins int) steeringKey {
 	}
 }
 
-// Hash is the lru.Key hash. The cache has one shard, so every key's
-// candidates are shard 0 whatever it returns.
-func (steeringKey) Hash() uint64 { return 0 }
-
 // DefaultSteeringCacheBudget bounds the process-wide shared cache. A
 // 360-bin, 9-element table costs ~120 KB (complex table, split planes,
 // vote and weight lookups), so the default holds a few hundred distinct
@@ -211,10 +207,7 @@ func steeringCost(t *SteeringTable) int64 {
 }
 
 // SteeringCache memoizes steering tables per geometry key: an
-// lru.Cache charging each table its footprint (steeringCost), with one
-// shard — geometry keys are a handful in static deployments, so the hot
-// path stays a single short critical section that also freshens
-// recency, and the whole budget bounds any one table. Safe for
+// lru.Cache charging each table its footprint (steeringCost). Safe for
 // concurrent use.
 type SteeringCache struct {
 	*lru.Cache[steeringKey, *SteeringTable]
@@ -223,7 +216,7 @@ type SteeringCache struct {
 // NewSteeringCache returns an empty cache holding at most budget bytes
 // of table state (0 = unbounded).
 func NewSteeringCache(budget int64) *SteeringCache {
-	return &SteeringCache{lru.New[steeringKey, *SteeringTable](1, budget)}
+	return &SteeringCache{lru.New[steeringKey, *SteeringTable](budget)}
 }
 
 var sharedSteering = NewSteeringCache(DefaultSteeringCacheBudget)

@@ -403,10 +403,9 @@ func TestRealSubspaceGuardFallback(t *testing.T) {
 	// fast form is not the serving path.
 	opt := testbed.DefaultAccuracyOptions()
 	mopt := music.Options{
-		Wavelength:          opt.Pipeline.Wavelength,
-		SmoothingGroups:     opt.Pipeline.SmoothingGroups,
-		SignalThresholdFrac: opt.Pipeline.SignalThresholdFrac,
-		ForwardBackward:     opt.Pipeline.ForwardBackward,
+		Wavelength:      opt.Pipeline.Wavelength,
+		SmoothingGroups: opt.Pipeline.SmoothingGroups,
+		ForwardBackward: opt.Pipeline.ForwardBackward,
 	}
 	if !mopt.ForwardBackward {
 		t.Fatal("the default configuration no longer averages forward–backward")

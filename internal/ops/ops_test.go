@@ -168,8 +168,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, cache := range []string{"synth", "steering"} {
 		for _, series := range []string{"entries gauge", "bytes gauge", "budget_bytes gauge",
-			"hits_total counter", "misses_total counter", "evictions_total counter",
-			"second_choice_total counter", "spills_total counter", "dense_evictions_total counter"} {
+			"hits_total counter", "misses_total counter", "evictions_total counter", "spills_total counter"} {
 			want = append(want, "# TYPE arraytrack_"+cache+"_cache_"+series)
 		}
 	}
@@ -178,8 +177,12 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metrics exposition missing %q", w)
 		}
 	}
-	if strings.Contains(body, "arraytrack_synth_cache_slices_total") {
-		t.Error("metrics exposition still carries the retired slices series")
+	for _, retired := range []string{"synth_cache_slices_total",
+		"synth_cache_second_choice_total", "synth_cache_dense_evictions_total",
+		"steering_cache_second_choice_total", "steering_cache_dense_evictions_total"} {
+		if strings.Contains(body, "arraytrack_"+retired) {
+			t.Errorf("metrics exposition still carries the retired series %s", retired)
+		}
 	}
 }
 
@@ -406,10 +409,9 @@ func TestKnobsSkipTrackerKnobsWithoutTracker(t *testing.T) {
 	}
 }
 
-// TestKnobsTinyCacheBudgetStaysBounded: a synth_cache_budget below the
-// cache's shard count bounds the engine's cache like any positive
-// budget — each shard's slice rounds to 0, which must retain nothing,
-// not read as the unbounded 0.
+// TestKnobsTinyCacheBudgetStaysBounded: a tiny synth_cache_budget bounds
+// the engine's cache like any positive budget — it must retain no entry
+// costing more than it, not read as the unbounded 0.
 func TestKnobsTinyCacheBudgetStaysBounded(t *testing.T) {
 	srv, eng, _ := opsServer(t)
 	tiny := int64(7)

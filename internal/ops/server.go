@@ -123,9 +123,7 @@ func (p *promWriter) cache(prefix string, u lru.Usage) {
 	p.series(prefix+"hits_total", "Lookup hits.", true, u.Hits)
 	p.series(prefix+"misses_total", "Lookup misses (entries built).", true, u.Misses)
 	p.series(prefix+"evictions_total", "Entries evicted to stay within the budget, spills included.", true, u.Evictions)
-	p.series(prefix+"second_choice_total", "Entries placed at their second-choice shard (two-choice placement).", true, u.SecondChoice)
-	p.series(prefix+"spills_total", "Entries larger than a shard's budget slice, served without retention.", true, u.Spills)
-	p.series(prefix+"dense_evictions_total", "Evictions of entries costing >= 4 MiB (dense-pitch LUTs).", true, u.DenseEvictions)
+	p.series(prefix+"spills_total", "Entries larger than the budget, served without retention.", true, u.Spills)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

@@ -42,7 +42,7 @@ func oracleProcessAP(ap *core.AP, frames []core.FrameCapture, cfg core.Config) (
 		if err != nil {
 			return nil, err
 		}
-		noise, _, _, err := music.SubspacesWS(nil, rs, cfg.SignalThresholdFrac, rs.Rows/2)
+		noise, _, _, err := music.SubspacesWS(nil, rs, music.DefaultSignalThresholdFrac, rs.Rows/2)
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +50,7 @@ func oracleProcessAP(ap *core.AP, frames []core.FrameCapture, cfg core.Config) (
 			return a.SteeringVectorRow(theta, cfg.Wavelength)[:rs.Rows]
 		}, music.DefaultBins)
 	}
-	out := core.SuppressMultipath(spectra, cfg.PeakMatchTolDeg)
+	out := core.SuppressMultipath(spectra, core.DefaultPeakMatchTolDeg)
 	out.ApplyGeometryWeighting(a.Orient)
 	if a.NinthAntenna {
 		rFull, err := calibratedCorrelation(frames[0].Streams[:a.NumElements()], cfg, ap)
