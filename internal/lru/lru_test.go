@@ -140,59 +140,62 @@ func TestSetBudgetShrinkKeepsMostRecent(t *testing.T) {
 // exact and within the budget, and a spill must leave every resident
 // in place.
 func TestBudgetInvariantUnderConcurrentResize(t *testing.T) {
-	budgets := []int64{0, 3, 64, 512, 4096, 1 << 16}
-	c := New[key, int](512)
-	rng := rand.New(rand.NewSource(27))
-	for round := 0; round < 30; round++ {
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				for op := 0; op < 400; op++ {
-					k := key(rng.Intn(200))
-					switch p := rng.Intn(100); {
-					case p < 3:
-						c.SetBudget(budgets[rng.Intn(len(budgets))])
-					case p < 55:
-						if v, ok := c.Get(k); ok && v != val(k) {
-							t.Errorf("Get(%d) = %d, want %d", k, v, val(k))
-							return
-						}
-					default:
-						limit := c.Budget()
-						if limit == 0 {
-							limit = 512
-						}
-						if v := c.Add(k, val(k), 1+rng.Int63n(2*limit)); v != val(k) {
-							t.Errorf("Add(%d) = %d, want %d", k, v, val(k))
-							return
+	// The cache is one pool, so the one-shard case is the only one left.
+	t.Run("shards-1", func(t *testing.T) {
+		budgets := []int64{0, 3, 64, 512, 4096, 1 << 16}
+		c := New[key, int](512)
+		rng := rand.New(rand.NewSource(27))
+		for round := 0; round < 30; round++ {
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for op := 0; op < 400; op++ {
+						k := key(rng.Intn(200))
+						switch p := rng.Intn(100); {
+						case p < 3:
+							c.SetBudget(budgets[rng.Intn(len(budgets))])
+						case p < 55:
+							if v, ok := c.Get(k); ok && v != val(k) {
+								t.Errorf("Get(%d) = %d, want %d", k, v, val(k))
+								return
+							}
+						default:
+							limit := c.Budget()
+							if limit == 0 {
+								limit = 512
+							}
+							if v := c.Add(k, val(k), 1+rng.Int63n(2*limit)); v != val(k) {
+								t.Errorf("Add(%d) = %d, want %d", k, v, val(k))
+								return
+							}
 						}
 					}
-				}
-			}(rng.Int63())
-		}
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-		checkQuiescent(t, c)
+				}(rng.Int63())
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			checkQuiescent(t, c)
 
-		if c.Budget() > 0 {
-			before, u0 := residents(c), c.Usage()
-			outsider := key(1000 + round)
-			if v := c.Add(outsider, val(outsider), c.Budget()+1); v != val(outsider) {
-				t.Fatalf("round %d: spill served %d", round, v)
-			}
-			after, u1 := residents(c), c.Usage()
-			if fmt.Sprint(after) != fmt.Sprint(before) || u1.Bytes != u0.Bytes || u1.Spills != u0.Spills+1 {
-				t.Fatalf("round %d: a spill changed the residents (%d → %d entries, %d → %d bytes)",
-					round, u0.Entries, u1.Entries, u0.Bytes, u1.Bytes)
+			if c.Budget() > 0 {
+				before, u0 := residents(c), c.Usage()
+				outsider := key(1000 + round)
+				if v := c.Add(outsider, val(outsider), c.Budget()+1); v != val(outsider) {
+					t.Fatalf("round %d: spill served %d", round, v)
+				}
+				after, u1 := residents(c), c.Usage()
+				if fmt.Sprint(after) != fmt.Sprint(before) || u1.Bytes != u0.Bytes || u1.Spills != u0.Spills+1 {
+					t.Fatalf("round %d: a spill changed the residents (%d → %d entries, %d → %d bytes)",
+						round, u0.Entries, u1.Entries, u0.Bytes, u1.Bytes)
+				}
 			}
 		}
-	}
-	if u := c.Usage(); u.Evictions == 0 || u.Spills == 0 || u.Hits == 0 {
-		t.Fatalf("the run did not exercise the cache: %+v", u)
-	}
+		if u := c.Usage(); u.Evictions == 0 || u.Spills == 0 || u.Hits == 0 {
+			t.Fatalf("the run did not exercise the cache: %+v", u)
+		}
+	})
 }
