@@ -123,12 +123,32 @@ func (a *Array) SteeringVector(theta, lambda float64) []complex128 {
 // returns the extended slice, so a caller that needs one vector at a
 // time can reuse a buffer.
 func (a *Array) AppendSteeringVector(dst []complex128, theta, lambda float64) []complex128 {
+	var buf [9]geom.Vec // eight in a row and the ninth, without allocating
+	return AppendSteering(dst, a.AppendElementOffsets(buf[:0]), theta, lambda)
+}
+
+// AppendElementOffsets appends every element's displacement from element
+// 0, the geometry a steering vector reads, to dst and returns the
+// extended slice.
+func (a *Array) AppendElementOffsets(dst []geom.Vec) []geom.Vec {
 	n := a.NumElements()
-	u := geom.FromAngle(theta)
 	r0 := a.ElementPos(0)
 	dst = slices.Grow(dst, n)
 	for k := 0; k < n; k++ {
-		d := a.ElementPos(k).Sub(r0).Dot(u)
+		dst = append(dst, a.ElementPos(k).Sub(r0))
+	}
+	return dst
+}
+
+// AppendSteering appends the steering vector of an array whose element
+// offsets are offs (AppendElementOffsets) to dst and returns the extended
+// slice: a caller steering one array toward many bearings computes the
+// offsets once.
+func AppendSteering(dst []complex128, offs []geom.Vec, theta, lambda float64) []complex128 {
+	u := geom.FromAngle(theta)
+	dst = slices.Grow(dst, len(offs))
+	for _, o := range offs {
+		d := o.Dot(u)
 		dst = append(dst, cmplx.Exp(complex(0, 2*math.Pi*d/lambda)))
 	}
 	return dst

@@ -111,27 +111,16 @@ func (m *Model) minGain() float64 {
 // every path length to its 3-D value (Appendix A's cos φ effect) while
 // leaving the azimuthal AoA unchanged.
 func (m *Model) Paths(tx, rx geom.Point, heightDiff float64) []Path {
-	var out []Path
-	min := m.minGain()
-
-	addPath := func(p Path) {
-		if cmplx.Abs(p.Gain) >= min {
-			out = append(out, p)
-		}
-	}
-
-	stretch := func(l float64) float64 {
-		return math.Sqrt(l*l + heightDiff*heightDiff)
-	}
+	t := &trace{min: m.minGain(), heightDiff: heightDiff, wavelength: m.Wavelength}
 
 	// Direct path.
 	{
-		l := stretch(tx.Dist(rx))
+		l := t.stretch(tx.Dist(rx))
 		amp := m.friisAmplitude(l)
 		if m.Plan != nil {
-			amp *= math.Pow(10, -m.Plan.PathLossDB(tx, rx, nil)/20)
+			amp *= math.Pow(10, -m.Plan.PathLossDB(tx, rx, -1, -1)/20)
 		}
-		addPath(Path{
+		t.add(Path{
 			AoA:    rx.Bearing(tx),
 			Length: l,
 			Gain:   cmplx.Rect(amp, -2*math.Pi*l/m.Wavelength),
@@ -141,21 +130,12 @@ func (m *Model) Paths(tx, rx geom.Point, heightDiff float64) []Path {
 
 	if m.Plan != nil && m.MaxReflections >= 1 {
 		for i, w := range m.Plan.Walls {
-			for _, p := range m.firstOrder(tx, rx, i, w) {
-				p.Length = stretch(p.Length)
-				p.Gain = cmplx.Rect(cmplx.Abs(p.Gain), -2*math.Pi*p.Length/m.Wavelength)
-				addPath(p)
-			}
+			img := w.Seg.Mirror(tx)
+			m.firstOrder(t, tx, img, rx, i, w)
 			if m.MaxReflections >= 2 {
 				for j := range m.Plan.Walls {
-					if j == i {
-						continue
-					}
-					p2, ok := m.secondOrder(tx, rx, i, j)
-					if ok {
-						p2.Length = stretch(p2.Length)
-						p2.Gain = cmplx.Rect(cmplx.Abs(p2.Gain), -2*math.Pi*p2.Length/m.Wavelength)
-						addPath(p2)
+					if j != i {
+						m.secondOrder(t, tx, img, rx, i, j)
 					}
 				}
 			}
@@ -172,12 +152,12 @@ func (m *Model) Paths(tx, rx geom.Point, heightDiff float64) []Path {
 			s.Pos.Add(geom.Vec{X: 0.38, Y: 0.21}),
 		}
 		for _, sp := range subs {
-			l := stretch(tx.Dist(sp) + sp.Dist(rx))
+			l := t.stretch(tx.Dist(sp) + sp.Dist(rx))
 			amp := s.Coeff / math.Sqrt2 * m.friisAmplitude(l)
 			if m.Plan != nil {
-				amp *= math.Pow(10, -(m.Plan.PathLossDB(tx, sp, nil)+m.Plan.PathLossDB(sp, rx, nil))/20)
+				amp *= math.Pow(10, -(m.Plan.PathLossDB(tx, sp, -1, -1)+m.Plan.PathLossDB(sp, rx, -1, -1))/20)
 			}
-			addPath(Path{
+			t.add(Path{
 				AoA:     rx.Bearing(sp),
 				Length:  l,
 				Gain:    cmplx.Rect(amp, -2*math.Pi*l/m.Wavelength),
@@ -186,32 +166,69 @@ func (m *Model) Paths(tx, rx geom.Point, heightDiff float64) []Path {
 		}
 	}
 
-	sort.Slice(out, func(a, b int) bool {
-		return cmplx.Abs(out[a].Gain) > cmplx.Abs(out[b].Gain)
-	})
-	return out
+	sort.Sort(t)
+	return t.paths
 }
 
-// firstOrder traces the single-bounce path(s) off wall wi using the
-// image method: mirror the transmitter across the wall, intersect the
-// image→rx segment with the wall to find the reflection point, and
-// verify both legs. With WallRoughness > 0 the specular path is
-// accompanied by sub-paths bouncing off fixed points displaced along
-// the wall. Phases are filled in by the caller after the 3-D stretch.
-func (m *Model) firstOrder(tx, rx geom.Point, wi int, w geom.Wall) []Path {
-	img := w.Seg.Mirror(tx)
+// trace collects one Paths call's paths with each one's sort key, its
+// gain magnitude, computed once as the path is kept.
+type trace struct {
+	paths []Path
+	keys  []float64
+	// min is the weakest gain magnitude kept.
+	min                    float64
+	heightDiff, wavelength float64
+}
+
+// stretch returns the 3-D length of a path whose floor-plane length is l.
+func (t *trace) stretch(l float64) float64 {
+	return math.Sqrt(l*l + t.heightDiff*t.heightDiff)
+}
+
+// add keeps p if its gain reaches min.
+func (t *trace) add(p Path) {
+	if a := cmplx.Abs(p.Gain); a >= t.min {
+		t.paths = append(t.paths, p)
+		t.keys = append(t.keys, a)
+	}
+}
+
+// addReflected adds a reflected path whose Length is its floor-plane
+// length and whose Gain is its real amplitude: the length is stretched
+// to 3-D and the propagation phase set from it.
+func (t *trace) addReflected(p Path) {
+	p.Length = t.stretch(p.Length)
+	p.Gain = cmplx.Rect(cmplx.Abs(p.Gain), -2*math.Pi*p.Length/t.wavelength)
+	t.add(p)
+}
+
+// Len, Less and Swap sort the paths strongest first. sort.Sort runs the
+// same pdqsort as sort.Slice, so equal keys keep sort.Slice's order.
+func (t *trace) Len() int           { return len(t.paths) }
+func (t *trace) Less(a, b int) bool { return t.keys[a] > t.keys[b] }
+func (t *trace) Swap(a, b int) {
+	t.paths[a], t.paths[b] = t.paths[b], t.paths[a]
+	t.keys[a], t.keys[b] = t.keys[b], t.keys[a]
+}
+
+// firstOrder traces the single-bounce path(s) off wall wi into t using
+// the image method: img is the transmitter mirrored across the wall;
+// intersect the img→rx segment with the wall to find the reflection
+// point, and verify both legs. With WallRoughness > 0 the specular path
+// is accompanied by sub-paths bouncing off fixed points displaced along
+// the wall.
+func (m *Model) firstOrder(t *trace, tx, img, rx geom.Point, wi int, w geom.Wall) {
 	refl, _, ok := geom.Seg(img, rx).Intersect(w.Seg)
 	if !ok {
-		return nil
+		return
 	}
 	// Reject grazing reflections at the wall endpoints.
 	if refl.Dist(w.Seg.A) < 1e-6 || refl.Dist(w.Seg.B) < 1e-6 {
-		return nil
+		return
 	}
-	skip := map[int]bool{wi: true}
 	l := tx.Dist(refl) + refl.Dist(rx)
 	amp := w.Mat.Reflectivity * m.friisAmplitude(l)
-	amp *= math.Pow(10, -(m.Plan.PathLossDB(tx, refl, skip)+m.Plan.PathLossDB(refl, rx, skip))/20)
+	amp *= math.Pow(10, -(m.Plan.PathLossDB(tx, refl, wi, -1)+m.Plan.PathLossDB(refl, rx, wi, -1))/20)
 
 	rough := m.WallRoughness
 	if rough < 0 {
@@ -220,25 +237,25 @@ func (m *Model) firstOrder(tx, rx geom.Point, wi int, w geom.Wall) []Path {
 	if rough > 1 {
 		rough = 1
 	}
-	paths := []Path{{
+	t.addReflected(Path{
 		AoA:     rx.Bearing(refl),
 		Length:  l,
 		Gain:    complex(amp*math.Sqrt(1-rough), 0),
 		Bounces: 1,
-	}}
+	})
 	if rough > 0 {
 		dir := w.Seg.Dir()
 		for _, off := range roughOffsets {
 			p := refl.Add(dir.Scale(off))
 			// Sub-scatter point must stay on the wall segment.
-			if t, q := w.Seg.Project(p); t <= 0 || t >= 1 || q.Dist(p) > 1e-9 {
+			if u, q := w.Seg.Project(p); u <= 0 || u >= 1 || q.Dist(p) > 1e-9 {
 				continue
 			}
 			ls := tx.Dist(p) + p.Dist(rx)
 			amps := w.Mat.Reflectivity * m.friisAmplitude(ls) *
 				math.Sqrt(rough/float64(len(roughOffsets)))
-			amps *= math.Pow(10, -(m.Plan.PathLossDB(tx, p, skip)+m.Plan.PathLossDB(p, rx, skip))/20)
-			paths = append(paths, Path{
+			amps *= math.Pow(10, -(m.Plan.PathLossDB(tx, p, wi, -1)+m.Plan.PathLossDB(p, rx, wi, -1))/20)
+			t.addReflected(Path{
 				AoA:     rx.Bearing(p),
 				Length:  ls,
 				Gain:    complex(amps, 0),
@@ -246,41 +263,38 @@ func (m *Model) firstOrder(tx, rx geom.Point, wi int, w geom.Wall) []Path {
 			})
 		}
 	}
-	return paths
 }
 
-// secondOrder traces tx → wall wi → wall wj → rx via double mirroring.
-func (m *Model) secondOrder(tx, rx geom.Point, wi, wj int) (Path, bool) {
-	w1 := m.Plan.Walls[wi]
-	w2 := m.Plan.Walls[wj]
-	img1 := w1.Seg.Mirror(tx)
+// secondOrder traces tx → wall wi → wall wj → rx into t via double
+// mirroring; img1 is tx mirrored across wall wi.
+func (m *Model) secondOrder(t *trace, tx, img1, rx geom.Point, wi, wj int) {
+	w1, w2 := &m.Plan.Walls[wi], &m.Plan.Walls[wj]
 	img2 := w2.Seg.Mirror(img1)
 	// Reflection point on wall 2 (closest to the receiver).
 	r2, _, ok := geom.Seg(img2, rx).Intersect(w2.Seg)
 	if !ok {
-		return Path{}, false
+		return
 	}
 	// Reflection point on wall 1.
 	r1, _, ok := geom.Seg(img1, r2).Intersect(w1.Seg)
 	if !ok {
-		return Path{}, false
+		return
 	}
 	if r1.Dist(w1.Seg.A) < 1e-6 || r1.Dist(w1.Seg.B) < 1e-6 ||
 		r2.Dist(w2.Seg.A) < 1e-6 || r2.Dist(w2.Seg.B) < 1e-6 {
-		return Path{}, false
+		return
 	}
-	skip := map[int]bool{wi: true, wj: true}
 	l := tx.Dist(r1) + r1.Dist(r2) + r2.Dist(rx)
 	amp := w1.Mat.Reflectivity * w2.Mat.Reflectivity * m.friisAmplitude(l)
-	amp *= math.Pow(10, -(m.Plan.PathLossDB(tx, r1, skip)+
-		m.Plan.PathLossDB(r1, r2, skip)+
-		m.Plan.PathLossDB(r2, rx, skip))/20)
-	return Path{
+	amp *= math.Pow(10, -(m.Plan.PathLossDB(tx, r1, wi, wj)+
+		m.Plan.PathLossDB(r1, r2, wi, wj)+
+		m.Plan.PathLossDB(r2, rx, wi, wj))/20)
+	t.addReflected(Path{
 		AoA:     rx.Bearing(r2),
 		Length:  l,
 		Gain:    complex(amp, 0),
 		Bounces: 2,
-	}, true
+	})
 }
 
 // RxConfig controls one reception.
@@ -332,6 +346,7 @@ func (m *Model) Receive(tx geom.Point, a *array.Array, sig []complex128, cfg RxC
 	paths := m.Paths(tx, a.Pos, cfg.HeightDiff)
 	n := a.NumElements()
 	amp := txAmp(cfg)
+	offs := a.AppendElementOffsets(nil)
 	var taps []tap
 	var steer []complex128
 	for j, shift := range shifts(paths, cfg.SampleRate) {
@@ -343,7 +358,7 @@ func (m *Model) Receive(tx geom.Point, a *array.Array, sig []complex128, cfg RxC
 			taps = append(taps, tap{shift: shift, h: make([]complex128, n)})
 		}
 		g := paths[j].Gain * amp
-		steer = a.AppendSteeringVector(steer[:0], paths[j].AoA, m.Wavelength)
+		steer = array.AppendSteering(steer[:0], offs, paths[j].AoA, m.Wavelength)
 		for k, s := range steer {
 			taps[i].h[k] += g * s
 		}

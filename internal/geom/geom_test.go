@@ -161,11 +161,14 @@ func TestFloorplanLoS(t *testing.T) {
 	if !f.LineOfSight(Pt(0, 0), Pt(4, 0)) {
 		t.Error("short path should be clear")
 	}
-	if got := f.PathLossDB(Pt(0, 0), Pt(10, 0), nil); !almost(got, Concrete.TransmissionLossDB, 1e-12) {
+	if got := f.PathLossDB(Pt(0, 0), Pt(10, 0), -1, -1); !almost(got, Concrete.TransmissionLossDB, 1e-12) {
 		t.Errorf("PathLossDB = %v", got)
 	}
-	// Skipping the wall index removes the obstruction.
-	if got := f.PathLossDB(Pt(0, 0), Pt(10, 0), map[int]bool{0: true}); got != 0 {
+	// Skipping the wall index, as either skip, removes the obstruction.
+	if got := f.PathLossDB(Pt(0, 0), Pt(10, 0), 0, -1); got != 0 {
+		t.Errorf("skipped PathLossDB = %v", got)
+	}
+	if got := f.PathLossDB(Pt(0, 0), Pt(10, 0), -1, 0); got != 0 {
 		t.Errorf("skipped PathLossDB = %v", got)
 	}
 }

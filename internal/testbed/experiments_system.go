@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"sort"
 	"time"
 
 	"repro/internal/channel"
@@ -114,6 +115,9 @@ func sliceStreams(streams [][]complex128, start, n int) [][]complex128 {
 	return out
 }
 
+// latencyFixes is how many warm six-AP fixes RunLatency times for Tp.
+const latencyFixes = 31
+
 // RunLatency regenerates the §4.4 latency budget: detection time (Td),
 // sample serialization over a real loopback TCP link (Tt), and
 // server-side processing (Tp) for a full six-AP location estimate.
@@ -170,24 +174,32 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 	// Tp: spectra for six APs plus grid synthesis and hill climbing, as
 	// a warm backend serves them. One untimed fix on the same captures
 	// first builds the shared steering tables and synthesis LUTs, so
-	// the row does not depend on what ran earlier in the process.
+	// the row does not depend on what ran earlier in the process; then
+	// latencyFixes timed fixes give Tp as their median and quartiles,
+	// steady enough to tell two builds apart.
 	cfg := core.DefaultConfig(tb.Wavelength)
-	if _, _, err := core.LocateClient(aps, captures, tb.Plan.Min, tb.Plan.Max, cfg); err != nil {
-		return nil, err
-	}
-	startP := time.Now()
 	pos, _, err := core.LocateClient(aps, captures, tb.Plan.Min, tb.Plan.Max, cfg)
 	if err != nil {
 		return nil, err
 	}
-	tp := time.Since(startP)
+	tps := make([]float64, latencyFixes)
+	for i := range tps {
+		startP := time.Now()
+		if _, _, err := core.LocateClient(aps, captures, tb.Plan.Min, tb.Plan.Max, cfg); err != nil {
+			return nil, err
+		}
+		tps[i] = float64(time.Since(startP))
+	}
+	sort.Float64s(tps)
+	tp := time.Duration(stats.Percentile(tps, 50))
+	q1, q3 := time.Duration(stats.Percentile(tps, 25)), time.Duration(stats.Percentile(tps, 75))
 
 	lat := server.Latency{Detection: td, Transfer: tt, Processing: tp}
 	r := &Report{ID: "latency", Title: "end-to-end latency budget (§4.4)"}
 	r.Addf("captures grouped at backend: %d (6 APs × 3 frames)", grouped)
 	r.Addf("Td (detection)            %12v", lat.Detection)
 	r.Addf("Tt (transfer, loopback)   %12v", lat.Transfer)
-	r.Addf("Tp (processing+synthesis) %12v", lat.Processing)
+	r.Addf("Tp (processing+synthesis) %12v   (median of %d warm fixes, q1–q3 %v–%v)", lat.Processing, latencyFixes, q1, q3)
 	r.Addf("total after packet end    %12v   (paper: ≈100 ms on 2011 hardware)", lat.Total())
 	// At 1 Mbit/s a bit takes a microsecond; a sample is 32 bits.
 	ant, samp := len(captures[0][0].Streams), len(captures[0][0].Streams[0])
