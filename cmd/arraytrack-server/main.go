@@ -148,9 +148,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second,
 		"reap an AP connection after this long without a byte (0 disables)")
 	apErrorBudget := flag.Int("ap-error-budget", 0,
-		"connection/decode errors within 10s that quarantine an AP (0 disables quarantine)")
-	quarantineCooldown := flag.Duration("quarantine-cooldown", server.DefaultQuarantineCooldown,
-		"how long a quarantined AP stays isolated before readmission")
+		"connection/decode errors within 10s that quarantine an AP for 30s (0 disables quarantine)")
 	flag.Parse()
 
 	if *routerMode {
@@ -228,7 +226,6 @@ func main() {
 	degradedAfterUsed, sweepEvery := degradedSweep(*degradedAfter)
 	backend.DegradedAfter = degradedAfterUsed
 	backend.ErrorBudget = *apErrorBudget
-	backend.Cooldown = *quarantineCooldown
 
 	// The knobs file lands before any listener exists, so the first
 	// capture is served at the file's values; a bad file is a bad

@@ -508,7 +508,6 @@ func TestDecodeRefusesBadScale(t *testing.T) {
 		ReleaseAll(cs)
 	}))
 	b.ErrorBudget = 1
-	b.Cooldown = time.Minute
 	stream := append(append([]byte(nil), abs...), withUint32(abs, absScaleOff, 0x7FC00000)...)
 	if err := b.ServeConn(bytes.NewReader(stream)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("ServeConn returned %v, want ErrBadFrame", err)

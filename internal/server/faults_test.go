@@ -190,7 +190,6 @@ func TestBackendQuarantineBudgetAndCooldown(t *testing.T) {
 	var located atomic.Uint64
 	b := NewBackendDispatcher(1, 100*time.Millisecond, countingDispatch(&located))
 	b.ErrorBudget = 3
-	b.Cooldown = 5 * time.Second
 	b.Now = clock.Now
 
 	rng := rand.New(rand.NewSource(13))
@@ -218,7 +217,7 @@ func TestBackendQuarantineBudgetAndCooldown(t *testing.T) {
 	}
 
 	// Cooldown passes: the AP readmits itself on its next capture.
-	clock.advance(6 * time.Second)
+	clock.advance(DefaultQuarantineCooldown + time.Second)
 	ingest(3)
 	if got := located.Load(); got != 2 {
 		t.Fatalf("located %d flushes after cooldown, want 2", got)

@@ -133,17 +133,12 @@ type DispatchFunc func(clientID uint32, captures []Capture)
 // Dispatch calls f(clientID, captures).
 func (f DispatchFunc) Dispatch(clientID uint32, captures []Capture) { f(clientID, captures) }
 
-// pendingShards is the number of independently locked groups the
-// per-client pending state is split across. Captures for different
-// clients arriving on different connections contend only when their
-// clients hash to the same shard.
-const pendingShards = 64
-
-// pendingGroup is one client's partially grouped captures. Groups are
-// recycled through the shard's freelist so the flush→regroup cycle
-// reuses the same backing array instead of growing a fresh slice
-// capture by capture — the dominant allocation of the batched ingest
-// path once decode itself is pooled.
+// pendingGroup is one client's partially grouped captures. A group
+// lives in the pending map only while it holds captures: once flushed,
+// extracted or dropped it leaves the map and goes back to groupPool,
+// so the flush→regroup cycle reuses its backing array instead of
+// growing a fresh slice capture by capture, and a client that never
+// returns leaves nothing behind.
 type pendingGroup struct {
 	caps []Capture
 	// Incremental bounds and distinct-AP set so the hot path never
@@ -157,9 +152,18 @@ type pendingGroup struct {
 	apsFull bool
 	// firstAt is the wall-clock instant the group went empty→nonempty,
 	// the degraded-quorum age reference. Only stamped when degraded
-	// serving is enabled (the hot path pays no clock read otherwise).
+	// serving or quarantine is enabled (the hot path pays no clock read
+	// otherwise).
 	firstAt time.Time
+	// fired is 1 + the index of the flush this group fired in the
+	// IngestBatch call holding the lock, 0 otherwise; the call clears
+	// it before it unlocks.
+	fired int
 }
+
+// groupPool recycles emptied groups. reset zeroes a group's captures,
+// so a pooled group pins no stream buffer.
+var groupPool = sync.Pool{New: func() any { return new(pendingGroup) }}
 
 // reset clears the group's running metadata for its next round. The
 // caps slice must already have been taken or released.
@@ -174,9 +178,9 @@ func (g *pendingGroup) reset() {
 
 // take removes the group's captures as an exactly-sized flush slice —
 // it leaves the backend, so the dispatcher may hold it past this call
-// — and resets the group in place, keeping its backing array for the
-// client's next round (the retained backing must not pin pooled
-// stream buffers, hence the zeroing in reset).
+// — and resets the group, keeping its backing array for the group's
+// next use (the retained backing must not pin pooled stream buffers,
+// hence the zeroing in reset).
 func (g *pendingGroup) take() []Capture {
 	flush := make([]Capture, len(g.caps))
 	copy(flush, g.caps)
@@ -265,29 +269,11 @@ func (g *pendingGroup) compact(window time.Duration) int {
 	return distinct
 }
 
-type backendShard struct {
-	mu      sync.Mutex
-	pending map[uint32]*pendingGroup // keyed by client
-}
-
-// group returns the client's pending group, creating it on first
-// sight. Groups stay in the map across flushes (reset in place, not
-// reallocated), so a client's steady-state ingest touches the map
-// read-only. Caller holds the shard lock.
-func (sh *backendShard) group(clientID uint32) *pendingGroup {
-	g := sh.pending[clientID]
-	if g == nil {
-		g = &pendingGroup{}
-		sh.pending[clientID] = g
-	}
-	return g
-}
-
 // Backend is the central ArrayTrack server: it ingests capture records
 // from every AP, groups them by client, and hands the group to the
 // Dispatcher when a quorum of distinct APs has reported within the
-// grouping window. Per-client state is sharded so concurrent AP
-// connections do not serialize on one lock.
+// grouping window. All grouping, quarantine and UDP sequence state
+// sits under one mutex, taken once per ingested burst.
 type Backend struct {
 	// Quorum is the number of distinct APs required before location
 	// synthesis runs.
@@ -320,25 +306,29 @@ type Backend struct {
 
 	// ErrorBudget is the number of connection/decode errors within
 	// DefaultErrorWindow that quarantines an AP: its captures are
-	// dropped (and counted) until Cooldown passes, then it is
-	// automatically readmitted. 0 disables quarantine.
+	// dropped (and counted) until DefaultQuarantineCooldown passes, then
+	// it is automatically readmitted. 0 disables quarantine.
 	ErrorBudget int
-	// Cooldown is how long a quarantined AP stays quarantined; 0 means
-	// DefaultQuarantineCooldown.
-	Cooldown time.Duration
 
 	// Now overrides the clock for grouping-age and quarantine
 	// arithmetic (tests and simulations); nil means time.Now. Read
 	// deadlines always use the real clock — they arm the kernel timer.
 	Now func() time.Time
 
-	shards [pendingShards]backendShard
-
-	// Per-AP error budget and quarantine state. quarActive gates the
-	// ingest hot path: with nothing quarantined it is one atomic load.
-	healthMu   sync.Mutex
-	apHealth   map[uint32]*apHealthState
-	quarActive atomic.Int32
+	// mu guards the pending groups, the per-AP error budgets and the
+	// UDP sequence accounting.
+	mu      sync.Mutex
+	pending map[uint32]*pendingGroup // keyed by client; empty only mid-IngestBatch
+	// apHealth holds each AP's error budget; quarantined counts the APs
+	// whose quarantine is still set, so with none the ingest path skips
+	// the per-capture lookup.
+	apHealth    map[uint32]*apHealthState
+	quarantined int
+	// UDP datagram-mode health. Fire-and-forget feeds have no
+	// retransmit, so losses surface as counters instead: per-AP
+	// capture sequence numbers are tracked and every hole counted.
+	udpLast  map[uint32]uint32 // per-AP last capture seq seen
+	udpStats UDPStats
 
 	connErrors      atomic.Uint64
 	deadlineReaped  atomic.Uint64
@@ -347,13 +337,6 @@ type Backend struct {
 	degradedFlushes atomic.Uint64
 	staleDropped    atomic.Uint64
 	ingested        atomic.Uint64
-
-	// UDP datagram-mode health. Fire-and-forget feeds have no
-	// retransmit, so losses surface as counters instead: per-AP
-	// capture sequence numbers are tracked and every hole counted.
-	udpMu    sync.Mutex
-	udpLast  map[uint32]uint32 // per-AP last capture seq seen
-	udpStats UDPStats
 }
 
 // UDPStats counts the datagram ingest path's health.
@@ -374,16 +357,17 @@ type UDPStats struct {
 
 // UDP returns a snapshot of the datagram ingest counters.
 func (b *Backend) UDP() UDPStats {
-	b.udpMu.Lock()
-	defer b.udpMu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return b.udpStats
 }
 
 // Fault-tolerance defaults. DegradedAfter trades fix latency against
 // the chance the missing AP is merely late: half a second is several
 // grouping windows, long enough that the quorum is genuinely short.
-// DefaultErrorWindow has no override: it is how old an error may be
-// and still count against ErrorBudget.
+// DefaultErrorWindow and DefaultQuarantineCooldown have no override:
+// the first is how old an error may be and still count against
+// ErrorBudget, the second how long a quarantined AP stays isolated.
 const (
 	DefaultDegradedAfter      = 500 * time.Millisecond
 	DefaultErrorWindow        = 10 * time.Second
@@ -420,6 +404,9 @@ type HealthStats struct {
 
 // Health returns a snapshot of the backend's fault counters.
 func (b *Backend) Health() HealthStats {
+	b.mu.Lock()
+	quarantined := b.quarantined
+	b.mu.Unlock()
 	return HealthStats{
 		ConnErrors:         b.connErrors.Load(),
 		DeadlineReaped:     b.deadlineReaped.Load(),
@@ -427,7 +414,7 @@ func (b *Backend) Health() HealthStats {
 		QuarantinedDropped: b.quarDropped.Load(),
 		DegradedFlushes:    b.degradedFlushes.Load(),
 		StaleDropped:       b.staleDropped.Load(),
-		Quarantined:        int(b.quarActive.Load()),
+		Quarantined:        quarantined,
 	}
 }
 
@@ -451,15 +438,34 @@ func (b *Backend) IngestedCaptures() uint64 { return b.ingested.Load() }
 // until the sweep.
 func (b *Backend) ExtractPending(clientIDs []uint32) []Capture {
 	var out []Capture
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	for _, id := range clientIDs {
-		sh := b.shard(id)
-		sh.mu.Lock()
-		if g := sh.pending[id]; g != nil && len(g.caps) > 0 {
+		if g := b.pending[id]; g != nil {
 			out = append(out, g.take()...)
+			b.forget(id, g)
 		}
-		sh.mu.Unlock()
 	}
 	return out
+}
+
+// group returns the client's pending group, taking an empty one from
+// groupPool on the client's first capture since its last flush. Caller
+// holds b.mu.
+func (b *Backend) group(clientID uint32) *pendingGroup {
+	g := b.pending[clientID]
+	if g == nil {
+		g = groupPool.Get().(*pendingGroup)
+		b.pending[clientID] = g
+	}
+	return g
+}
+
+// forget removes an emptied group from the pending map and pools it.
+// Caller holds b.mu.
+func (b *Backend) forget(clientID uint32, g *pendingGroup) {
+	delete(b.pending, clientID)
+	groupPool.Put(g)
 }
 
 func (b *Backend) now() time.Time {
@@ -478,17 +484,17 @@ func (b *Backend) degradedAfter() time.Duration {
 
 // NoteAPError charges one error against an AP's budget; when the
 // budget is exhausted within DefaultErrorWindow the AP is quarantined
-// for Cooldown. ServeConn calls it for decode errors and idle reaps,
-// attributing the connection to the last AP that successfully decoded
-// on it; external supervisors may call it too. A no-op when
-// ErrorBudget is unset.
+// for DefaultQuarantineCooldown. ServeConn calls it for decode errors
+// and idle reaps, attributing the connection to the last AP that
+// successfully decoded on it; external supervisors may call it too. A
+// no-op when ErrorBudget is unset.
 func (b *Backend) NoteAPError(apID uint32) {
 	if b.ErrorBudget <= 0 {
 		return
 	}
 	now := b.now()
-	b.healthMu.Lock()
-	defer b.healthMu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.apHealth == nil {
 		b.apHealth = make(map[uint32]*apHealthState)
 	}
@@ -508,41 +514,30 @@ func (b *Backend) NoteAPError(apID uint32) {
 	}
 	st.errAt = append(keep, now)
 	if len(st.errAt) >= b.ErrorBudget {
-		cd := b.Cooldown
-		if cd <= 0 {
-			cd = DefaultQuarantineCooldown
-		}
-		st.until = now.Add(cd)
+		st.until = now.Add(DefaultQuarantineCooldown)
 		st.errAt = st.errAt[:0]
 		b.quarantines.Add(1)
-		b.quarActive.Add(1)
+		b.quarantined++
 	}
 }
 
-// dropIfQuarantined releases and counts c when its AP is quarantined,
-// reporting whether the capture was consumed. Cooldown expiry is
-// checked lazily here, so a quarantined AP readmits itself the moment
-// it next delivers a capture past the release time.
-func (b *Backend) dropIfQuarantined(c *Capture) bool {
-	if b.quarActive.Load() == 0 {
-		return false
-	}
-	now := b.now()
-	b.healthMu.Lock()
+// dropIfQuarantined releases and counts c when its AP is quarantined
+// at now, reporting whether the capture was consumed. Cooldown expiry
+// is checked lazily here, so a quarantined AP readmits itself the
+// moment it next delivers a capture past the release time. Caller
+// holds b.mu.
+func (b *Backend) dropIfQuarantined(c *Capture, now time.Time) bool {
 	st := b.apHealth[c.APID]
 	if st == nil || st.until.IsZero() {
-		b.healthMu.Unlock()
 		return false
 	}
 	if now.Before(st.until) {
-		b.healthMu.Unlock()
 		b.quarDropped.Add(1)
 		c.Release()
 		return true
 	}
 	st.until = time.Time{}
-	b.quarActive.Add(-1)
-	b.healthMu.Unlock()
+	b.quarantined--
 	return false
 }
 
@@ -556,12 +551,12 @@ func (b *Backend) IngestDatagram(data []byte) error {
 	caps, err := DecodeDatagramInto(data, ws)
 	if err != nil {
 		ws.Discard()
-		b.udpMu.Lock()
+		b.mu.Lock()
 		b.udpStats.Bad++
-		b.udpMu.Unlock()
+		b.mu.Unlock()
 		return err
 	}
-	b.udpMu.Lock()
+	b.mu.Lock()
 	b.udpStats.Datagrams++
 	b.udpStats.Captures += uint64(len(caps))
 	if b.udpLast == nil {
@@ -580,7 +575,7 @@ func (b *Backend) IngestDatagram(data []byte) error {
 			b.udpStats.SeqReorders++
 		}
 	}
-	b.udpMu.Unlock()
+	b.mu.Unlock()
 	b.IngestBatch(caps)
 	return nil
 }
@@ -611,25 +606,16 @@ func (b *Backend) ServeUDP(ctx context.Context, conn net.PacketConn) error {
 // NewBackendDispatcher returns a backend that hands quorum flushes to
 // d — typically an engine.CaptureSink, or a DispatchFunc.
 func NewBackendDispatcher(quorum int, window time.Duration, d Dispatcher) *Backend {
-	b := &Backend{Quorum: quorum, Window: window, Dispatcher: d}
-	for i := range b.shards {
-		b.shards[i].pending = make(map[uint32]*pendingGroup)
-	}
-	return b
-}
-
-func (b *Backend) shard(clientID uint32) *backendShard {
-	// Fibonacci-hash the client ID so sequential IDs spread across
-	// shards instead of clustering mod a power of two.
-	return &b.shards[(clientID*2654435761)>>26%pendingShards]
+	return &Backend{Quorum: quorum, Window: window, Dispatcher: d,
+		pending: make(map[uint32]*pendingGroup)}
 }
 
 // ingestLocked appends one capture to its client's group and, when a
 // quorum of distinct APs is present — or the group has been stuck at
 // degraded quorum past DegradedAfter — returns the flush slice (nil
-// otherwise). The group is reset in place for the client's next
-// round. now is the degraded-age clock, zero when degraded serving is
-// off. Caller holds the shard lock.
+// otherwise), leaving the group empty for its caller to forget. now is
+// the burst's clock, zero when neither degraded serving nor quarantine
+// is enabled. Caller holds b.mu.
 func (b *Backend) ingestLocked(g *pendingGroup, c *Capture, now time.Time) []Capture {
 	g.caps = append(g.caps, *c)
 	g.note(c)
@@ -658,7 +644,7 @@ func (b *Backend) ingestLocked(g *pendingGroup, c *Capture, now time.Time) []Cap
 }
 
 // takeDegraded flushes a short-of-quorum group, flagging every capture
-// Degraded. Caller holds the shard lock.
+// Degraded. Caller holds b.mu.
 func (b *Backend) takeDegraded(g *pendingGroup) []Capture {
 	flush := g.take()
 	for i := range flush {
@@ -668,15 +654,20 @@ func (b *Backend) takeDegraded(g *pendingGroup) []Capture {
 	return flush
 }
 
+// groupFlush is one group flushed under b.mu, dispatched after it.
+type groupFlush struct {
+	client uint32
+	g      *pendingGroup
+	caps   []Capture
+}
+
 // IngestBatch ingests a decoded burst. Each capture joins its client's
 // pending group; when a group spans at least Quorum distinct APs, its
-// captures are flushed to the Dispatcher and cleared.
-// Stale captures outside Window of the newest are dropped. Each
-// client's shard lock is taken once for all of that client's captures
-// in the burst, and flushes run outside the lock. Per-client capture
-// order is arrival order; different clients' flushes dispatch in the
-// order of their first capture in the burst, which nothing downstream
-// orders on.
+// captures are flushed to the Dispatcher and the group is forgotten.
+// Stale captures outside Window of the newest are dropped. The burst
+// is walked once under one lock acquisition, and its flushes are
+// dispatched after the unlock, in the order they fired. Per-client
+// capture order is arrival order.
 //
 // When a flush fires mid-burst, the flushing client's remaining
 // captures in the same burst are absorbed into that flush (order
@@ -687,79 +678,52 @@ func (b *Backend) takeDegraded(g *pendingGroup) []Capture {
 // the round just flushed, surfacing later as spurious degraded flushes
 // and pinned pool workspaces.
 func (b *Backend) IngestBatch(caps []Capture) {
-	if b.quarActive.Load() != 0 {
-		// Rare path (an AP is quarantined): filter its captures out up
-		// front — released and counted — so the batched grouping below
-		// only sees admissible ones. In-place, no allocation.
-		kept := caps[:0]
-		for i := range caps {
-			if b.dropIfQuarantined(&caps[i]) {
-				continue
-			}
-			kept = append(kept, caps[i])
-		}
-		if len(kept) == 0 {
-			return
-		}
-		caps = kept
-	}
+	// One clock read per burst, outside the lock (Now is the caller's
+	// code), and only when an age or a quarantine can depend on it.
 	var now time.Time
-	if b.DegradedQuorum > 0 {
+	if b.DegradedQuorum > 0 || b.ErrorBudget > 0 {
 		now = b.now()
 	}
-	// Distinct clients in burst order, via the same stack-resident
-	// scan the AP sets use. Bursts with more distinct clients than the
-	// inline array spill to the heap (rare) rather than falling back to
-	// per-capture ingest, which would lose the burst context the
-	// flush-absorption rule below needs.
-	var clientBuf [32]uint32
-	clients := clientBuf[:0]
+	// The flush list is the call's own: dispatch below runs
+	// concurrently with the next burst's walk.
+	var flushBuf [8]groupFlush
+	flushes := flushBuf[:0]
+	accepted := 0
+	b.mu.Lock()
 	for i := range caps {
-		id := caps[i].ClientID
-		dup := false
-		for _, s := range clients {
-			if s == id {
-				dup = true
-				break
-			}
+		c := &caps[i]
+		if b.quarantined > 0 && b.dropIfQuarantined(c, now) {
+			continue
 		}
-		if !dup {
-			clients = append(clients, id)
+		accepted++
+		g := b.group(c.ClientID)
+		if g.fired > 0 {
+			// A flush already fired for this client in this burst:
+			// absorb the trailing same-burst captures into it rather
+			// than stranding them in a group that can never complete.
+			f := &flushes[g.fired-1]
+			absorbed := *c
+			absorbed.Degraded = f.caps[0].Degraded
+			f.caps = append(f.caps, absorbed)
+			continue
+		}
+		if f := b.ingestLocked(g, c, now); f != nil {
+			flushes = append(flushes, groupFlush{c.ClientID, g, f})
+			g.fired = len(flushes)
 		}
 	}
-	for _, id := range clients {
-		var flush []Capture
-		degraded := false
-		sh := b.shard(id)
-		sh.mu.Lock()
-		g := sh.group(id)
-		for i := range caps {
-			if caps[i].ClientID != id {
-				continue
-			}
-			if flush != nil {
-				// A flush already fired for this client in this burst:
-				// absorb the trailing same-burst captures into it rather
-				// than stranding them in a group that can never complete.
-				c := caps[i]
-				c.Degraded = degraded
-				flush = append(flush, c)
-				continue
-			}
-			if f := b.ingestLocked(g, &caps[i], now); f != nil {
-				flush = f
-				degraded = len(f) > 0 && f[len(f)-1].Degraded
-			}
-		}
-		sh.mu.Unlock()
-		if flush != nil {
-			b.Dispatcher.Dispatch(id, flush)
-		}
+	for _, f := range flushes {
+		f.g.fired = 0
+		b.forget(f.client, f.g)
+	}
+	b.mu.Unlock()
+	for _, f := range flushes {
+		b.Dispatcher.Dispatch(f.client, f.caps)
 	}
 	// Settle-time accounting: the whole burst counts only after every
 	// flush it triggered has been dispatched, so a consumption barrier
 	// reading IngestedCaptures never races a mid-flight Submit.
-	b.ingested.Add(uint64(len(caps)))
+	b.ingested.Add(uint64(accepted))
 }
 
 // Sweep walks every pending group looking for the ones ingest-time
@@ -778,29 +742,19 @@ func (b *Backend) Sweep() (flushed, dropped int) {
 	}
 	now := b.now()
 	after := b.degradedAfter()
-	type pendingFlush struct {
-		client uint32
-		caps   []Capture
-	}
-	var flushes []pendingFlush
-	for i := range b.shards {
-		sh := &b.shards[i]
-		flushes = flushes[:0]
-		sh.mu.Lock()
-		for id, g := range sh.pending {
-			if len(g.caps) == 0 || g.firstAt.IsZero() || now.Sub(g.firstAt) < after {
-				continue
-			}
-			// Evict in-window staleness first so the degraded flush
-			// carries only captures the quorum rule would have.
-			distinct := g.compact(b.Window)
-			if distinct >= b.DegradedQuorum {
-				// distinct < Quorum always holds here: a full quorum
-				// would have flushed at ingest time.
-				flushes = append(flushes, pendingFlush{id, b.takeDegraded(g)})
-				flushed++
-				continue
-			}
+	var flushes []groupFlush
+	b.mu.Lock()
+	for id, g := range b.pending {
+		if g.firstAt.IsZero() || now.Sub(g.firstAt) < after {
+			continue
+		}
+		// Evict in-window staleness first so the degraded flush
+		// carries only captures the quorum rule would have.
+		if g.compact(b.Window) >= b.DegradedQuorum {
+			// distinct < Quorum always holds here: a full quorum
+			// would have flushed at ingest time.
+			flushes = append(flushes, groupFlush{client: id, caps: b.takeDegraded(g)})
+		} else {
 			// Below even the degraded quorum: nothing downstream can use
 			// these captures, and their APs may never come back —
 			// release them so a dead AP cannot pin the pool.
@@ -811,30 +765,22 @@ func (b *Backend) Sweep() (flushed, dropped int) {
 			b.staleDropped.Add(1)
 			dropped++
 		}
-		sh.mu.Unlock()
-		// Dispatch outside the shard lock, like the ingest path.
-		for _, f := range flushes {
-			b.Dispatcher.Dispatch(f.client, f.caps)
-		}
+		b.forget(id, g)
 	}
-	return flushed, dropped
+	b.mu.Unlock()
+	// Dispatch outside the lock, like the ingest path.
+	for _, f := range flushes {
+		b.Dispatcher.Dispatch(f.client, f.caps)
+	}
+	return len(flushes), dropped
 }
 
 // PendingClients returns the number of clients with partially grouped
 // captures (diagnostics).
 func (b *Backend) PendingClients() int {
-	n := 0
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		for _, g := range sh.pending {
-			if len(g.caps) > 0 {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.pending)
 }
 
 // PendingClientIDs returns the IDs of clients holding partially
@@ -842,16 +788,11 @@ func (b *Backend) PendingClients() int {
 // tracker's live clients to enumerate every identity with shard-local
 // state.
 func (b *Backend) PendingClientIDs() []uint32 {
-	var ids []uint32
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.Lock()
-		for id, g := range sh.pending {
-			if len(g.caps) > 0 {
-				ids = append(ids, id)
-			}
-		}
-		sh.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ids := make([]uint32, 0, len(b.pending))
+	for id := range b.pending {
+		ids = append(ids, id)
 	}
 	return ids
 }

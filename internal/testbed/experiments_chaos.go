@@ -413,7 +413,6 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 	quarDisp := &chaosCountDispatcher{}
 	quarBE := server.NewBackendDispatcher(1, time.Second, quarDisp)
 	quarBE.ErrorBudget = chaosErrorBudget
-	quarBE.Cooldown = 5 * time.Second
 	quarBE.Now = func() time.Time { return qNow }
 
 	goodFrame, err := server.AppendBatch(nil, chaosSmallCap(rng, 9, 102))
@@ -439,7 +438,7 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 	flushesBefore := quarDisp.flushes.Load()
 	quarBE.ServeConn(bytes.NewReader(goodFrame)) // quarantined: dropped, not flushed
 	res.QuarantineDropped = quarBE.Health().QuarantinedDropped
-	qNow = qNow.Add(6 * time.Second) // past cooldown
+	qNow = qNow.Add(server.DefaultQuarantineCooldown + time.Second) // past cooldown
 	quarBE.ServeConn(bytes.NewReader(goodFrame))
 	res.Readmitted = quarDisp.flushes.Load() == flushesBefore+1 && quarBE.Health().Quarantined == 0
 
