@@ -210,8 +210,10 @@ func main() {
 			}
 			fmt.Printf("client %d located at %v  (%d APs, %s)\n",
 				r.ClientID, r.Pos, r.APs, how)
-		},
-		OnTrack: func(u engine.TrackUpdate) {
+			u := r.Track
+			if u == nil {
+				return
+			}
 			status := "tracked"
 			if !u.Accepted {
 				status = "gated"

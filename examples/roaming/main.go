@@ -1,7 +1,7 @@
 // Roaming: a client walks the office while the production pipeline —
 // engine worker pool, pooled workspaces, steering cache, and the
-// per-client Kalman tracker — streams smoothed track updates alongside
-// the raw fixes, gating out the occasional catastrophic
+// per-client Kalman tracker — returns a smoothed track update with
+// every raw fix, gating out the occasional catastrophic
 // (mirror/end-fire) fix. This is the real-time tracking application of
 // the paper's introduction, running on the same engine+tracker API the
 // server uses.
@@ -36,11 +36,6 @@ func main() {
 	eng := engine.New(engine.Options{Config: cfg, Tracker: tracker})
 	defer eng.Close()
 
-	// The streaming side: every smoothed update also arrives on the
-	// tracker's subscription, exactly as a dashboard would consume it.
-	updates, cancel := tracker.Subscribe(64)
-	defer cancel()
-
 	base := time.Unix(1700000000, 0)
 	fmt.Println("step   truth              raw fix      smoothed     raw err  track err")
 	var rawErrs, trackErrs []float64
@@ -68,7 +63,7 @@ func main() {
 		if res.Err != nil {
 			log.Fatal(res.Err)
 		}
-		upd := <-updates // the same TrackUpdate res.Track carries
+		upd := res.Track // the smoothed update for this fix
 		rawE := res.Pos.Dist(truth) * 100
 		trkE := upd.Smoothed.Dist(truth) * 100
 		rawErrs = append(rawErrs, rawE)

@@ -120,8 +120,8 @@ type Options struct {
 	// saves (EXPERIMENTS.md, "Per-fix fan-out on idle cores").
 	Config core.Config
 	// Tracker, when non-nil, folds every successful fix into the
-	// client's Kalman track; results carry the smoothed update and
-	// subscribers stream them (Tracker.Subscribe).
+	// client's Kalman track, and each fix's Result.Track carries the
+	// smoothed update.
 	Tracker *Tracker
 	// Predict enables track-guided predictive localization (requires
 	// a Tracker): jobs localize inside the track prediction's gate box

@@ -28,11 +28,9 @@ type CaptureSink struct {
 	// Min, Max bound the synthesis search area.
 	Min, Max geom.Point
 	// OnResult receives every fix or failure; nil discards results.
+	// When the engine runs a Tracker, a fix's smoothed update is its
+	// Result.Track.
 	OnResult func(Result)
-	// OnTrack receives the smoothed track update for every successful
-	// fix when the engine runs a Tracker; nil discards them. It fires
-	// in addition to OnResult (whose Result carries the same update).
-	OnTrack func(TrackUpdate)
 	// Now overrides the clock-skew guard's clock (tests); nil means
 	// time.Now. A capture stamped more than MaxClockSkew in its future
 	// is ignored for the job's time selection (newest capture) and
@@ -123,9 +121,6 @@ func (s *CaptureSink) Dispatch(clientID uint32, captures []server.Capture) {
 	finish := func(r Result) {
 		if s.OnResult != nil {
 			s.OnResult(r)
-		}
-		if s.OnTrack != nil && r.Track != nil {
-			s.OnTrack(*r.Track)
 		}
 		server.ReleaseAll(captures)
 	}

@@ -4,14 +4,13 @@ package engine
 // is *tracking* roaming clients in real time, not one-shot fixes. The
 // engine produces a fix per quorum flush; the Tracker folds each fix
 // into a per-client constant-velocity Kalman filter (internal/track),
-// keeps that state across captures, evicts clients that go quiet, and
-// streams smoothed track updates to subscribers alongside the raw
-// fixes.
+// keeps that state across captures and evicts clients that go quiet.
+// Each fix's smoothed update leaves the engine on its Result.Track.
 
 import (
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/geom"
@@ -45,7 +44,7 @@ type TrackerOptions struct {
 	// (0 means 4; negative disables gating).
 	Gate float64
 	// TTL evicts a client whose last fix is older than this (0 means
-	// 30 s; negative disables eviction).
+	// 30 s; negative disables eviction, and Tracker.TTL reads it as 0).
 	TTL time.Duration
 	// Now overrides the clock, for tests and simulations. nil means
 	// time.Now.
@@ -66,6 +65,8 @@ func (o TrackerOptions) withDefaults() TrackerOptions {
 	}
 	if o.TTL == 0 {
 		o.TTL = 30 * time.Second
+	} else if o.TTL < 0 {
+		o.TTL = 0
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -121,7 +122,6 @@ type TrackerStats struct {
 }
 
 type clientTrack struct {
-	mu     sync.Mutex
 	filter *track.Filter
 	last   time.Time
 	// lastAccepted records whether the most recent ObserveFix passed the
@@ -133,26 +133,26 @@ type clientTrack struct {
 // staleAt reports whether the track has been silent longer than ttl at
 // time at, so ObserveFix would restart it rather than continue it. With
 // eviction off (ttl ≤ 0) or no fix stamped yet, no track is stale.
-// Caller holds ct.mu.
+// Caller holds the tracker's mu.
 func (ct *clientTrack) staleAt(at time.Time, ttl time.Duration) bool {
 	return ttl > 0 && !ct.last.IsZero() && at.Sub(ct.last) > ttl
 }
 
 // Tracker keeps per-client Kalman state across captures. All methods
-// are safe for concurrent use; distinct clients do not contend beyond
-// a short map lookup.
+// are safe for concurrent use: one mutex guards the client map, every
+// track, the counters and the TTL. ObserveFix holds it for one Kalman
+// update (under a µs, against the ≈ 210 µs of CPU a six-AP,
+// three-frame fix takes before it), so a sweep never evicts a track
+// while a fix is being folded in.
 type Tracker struct {
 	opt TrackerOptions
-	// ttl is the live eviction TTL in nanoseconds (≤0 disables). It
-	// starts at opt.TTL and is the one tracker knob that hot-reloads
-	// (SetTTL), so every reader loads it atomically.
-	ttl atomic.Int64
 
-	mu        sync.Mutex
-	clients   map[uint32]*clientTrack
+	mu      sync.Mutex
+	clients map[uint32]*clientTrack
+	// ttl is the live eviction TTL (0 disables). It starts at opt.TTL
+	// and is the one tracker knob that hot-reloads (SetTTL).
+	ttl       time.Duration
 	lastSweep time.Time
-	subs      map[int]chan TrackUpdate
-	nextSub   int
 
 	observed     uint64
 	gateRejects  uint64
@@ -164,26 +164,24 @@ type Tracker struct {
 
 // NewTracker returns a tracker with the given options.
 func NewTracker(opt TrackerOptions) *Tracker {
-	t := &Tracker{
-		opt:     opt.withDefaults(),
-		clients: make(map[uint32]*clientTrack),
-		subs:    make(map[int]chan TrackUpdate),
-	}
-	t.ttl.Store(int64(t.opt.TTL))
-	return t
+	opt = opt.withDefaults()
+	return &Tracker{opt: opt, clients: make(map[uint32]*clientTrack), ttl: opt.TTL}
 }
 
-// TTL returns the live eviction TTL (≤0 means eviction is disabled).
-func (t *Tracker) TTL() time.Duration { return time.Duration(t.ttl.Load()) }
+// TTL returns the live eviction TTL (0 means eviction is disabled).
+func (t *Tracker) TTL() time.Duration {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.ttl
+}
 
 // SetTTL hot-reloads the eviction TTL: positive enables eviction after
 // d of silence, zero or negative disables it. Takes effect on the next
 // ObserveFix/Predict/Snapshot; already-evicted tracks do not come back.
 func (t *Tracker) SetTTL(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	t.ttl.Store(int64(d))
+	t.mu.Lock()
+	t.ttl = max(d, 0)
+	t.mu.Unlock()
 }
 
 // ObserveFix folds one raw fix for a client into its track and returns
@@ -211,43 +209,32 @@ func (t *Tracker) ObserveFix(clientID uint32, fix geom.Point, at time.Time, degr
 		skewed = true
 	}
 
-	ttl := t.TTL()
+	gateScale := 1.0
+	if degraded {
+		gateScale = DegradedGateScale
+	}
+
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	ct, ok := t.clients[clientID]
-	if ok {
-		ct.mu.Lock()
-		stale := ct.staleAt(at, ttl)
-		ct.mu.Unlock()
-		if stale {
-			t.evicted++
-			ok = false
-		}
+	if ok && ct.staleAt(at, t.ttl) {
+		t.evicted++
+		ok = false
 	}
 	if !ok {
 		ct = &clientTrack{filter: track.NewFilter(t.opt.ProcessNoise, t.opt.MeasSigma, t.opt.Gate)}
 		t.clients[clientID] = ct
 	}
 	t.maybeSweepLocked(at)
-	// Take the per-client lock before releasing the map lock (the
-	// sweep acquires them in the same order): otherwise a concurrent
-	// ObserveFix's sweep could judge this entry stale and evict it while
-	// the fix is being folded in.
-	ct.mu.Lock()
-	t.mu.Unlock()
 
 	dt := 0.0
-	backwards := false
 	if !ct.last.IsZero() {
 		switch d := at.Sub(ct.last).Seconds(); {
 		case d > 0:
 			dt = d
 		case d < 0:
-			backwards = true
+			t.nonMonotonic++
 		}
-	}
-	gateScale := 1.0
-	if degraded {
-		gateScale = DegradedGateScale
 	}
 	accepted, err := ct.filter.UpdateScaled(fix, dt, gateScale)
 	if err != nil {
@@ -260,9 +247,7 @@ func (t *Tracker) ObserveFix(clientID uint32, fix geom.Point, at time.Time, degr
 	}
 	ct.lastAccepted = accepted
 	pos, vel := ct.filter.State()
-	ct.mu.Unlock()
 
-	t.mu.Lock()
 	t.observed++
 	if !accepted {
 		t.gateRejects++
@@ -270,13 +255,10 @@ func (t *Tracker) ObserveFix(clientID uint32, fix geom.Point, at time.Time, degr
 	if skewed {
 		t.skewClamped++
 	}
-	if backwards {
-		t.nonMonotonic++
-	}
 	if degraded {
 		t.degradedObs++
 	}
-	upd := TrackUpdate{
+	return TrackUpdate{
 		ClientID: clientID,
 		Time:     at,
 		Raw:      fix,
@@ -285,34 +267,20 @@ func (t *Tracker) ObserveFix(clientID uint32, fix geom.Point, at time.Time, degr
 		Accepted: accepted,
 		Degraded: degraded,
 	}
-	for _, ch := range t.subs {
-		select {
-		case ch <- upd:
-		default:
-			// A slow subscriber drops updates rather than stalling the
-			// engine's workers.
-		}
-	}
-	t.mu.Unlock()
-	return upd
 }
 
 // maybeSweepLocked evicts stale clients at most once per TTL/4. Caller
 // holds t.mu.
 func (t *Tracker) maybeSweepLocked(now time.Time) {
-	ttl := t.TTL()
-	if ttl <= 0 {
+	if t.ttl <= 0 {
 		return
 	}
-	if !t.lastSweep.IsZero() && now.Sub(t.lastSweep) < ttl/4 {
+	if !t.lastSweep.IsZero() && now.Sub(t.lastSweep) < t.ttl/4 {
 		return
 	}
 	t.lastSweep = now
 	for id, ct := range t.clients {
-		ct.mu.Lock()
-		stale := ct.staleAt(now, ttl)
-		ct.mu.Unlock()
-		if stale {
+		if ct.staleAt(now, t.ttl) {
 			delete(t.clients, id)
 			t.evicted++
 		}
@@ -333,17 +301,9 @@ func (t *Tracker) Predict(clientID uint32, at time.Time, minFixes int) (track.Pr
 		at = t.opt.Now()
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	ct, ok := t.clients[clientID]
-	t.mu.Unlock()
-	if !ok {
-		return track.Prediction{}, false
-	}
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if ct.staleAt(at, t.TTL()) {
-		return track.Prediction{}, false
-	}
-	if ct.filter.Accepted() < minFixes {
+	if !ok || ct.staleAt(at, t.ttl) || ct.filter.Accepted() < minFixes {
 		return track.Prediction{}, false
 	}
 	dt := 0.0
@@ -363,14 +323,9 @@ func (t *Tracker) Predict(clientID uint32, at time.Time, minFixes int) (track.Pr
 func (t *Tracker) Snapshot(clientID uint32) (TrackUpdate, bool) {
 	now := t.opt.Now()
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	ct, ok := t.clients[clientID]
-	t.mu.Unlock()
-	if !ok {
-		return TrackUpdate{}, false
-	}
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	if ct.staleAt(now, t.TTL()) {
+	if !ok || ct.staleAt(now, t.ttl) {
 		return TrackUpdate{}, false
 	}
 	pos, vel := ct.filter.State()
@@ -408,32 +363,37 @@ type ClientSnapshot struct {
 func (t *Tracker) SnapshotAll() []ClientSnapshot {
 	now := t.opt.Now()
 	t.mu.Lock()
-	tracks := make(map[uint32]*clientTrack, len(t.clients))
+	out := make([]ClientSnapshot, 0, len(t.clients))
 	for id, ct := range t.clients {
-		tracks[id] = ct
+		out = t.appendLiveLocked(out, id, ct, now)
 	}
 	t.mu.Unlock()
+	return sortSnapshots(out)
+}
 
-	ttl := t.TTL()
-	out := make([]ClientSnapshot, 0, len(tracks))
-	for id, ct := range tracks {
-		ct.mu.Lock()
-		if !ct.staleAt(now, ttl) {
-			var lastNano int64
-			if !ct.last.IsZero() {
-				lastNano = ct.last.UnixNano()
-			}
-			out = append(out, ClientSnapshot{
-				ClientID:     id,
-				Filter:       ct.filter.Snapshot(),
-				LastUnixNano: lastNano,
-				LastAccepted: ct.lastAccepted,
-			})
-		}
-		ct.mu.Unlock()
+// appendLiveLocked appends ct's snapshot to out unless the track is
+// stale at now. Caller holds t.mu.
+func (t *Tracker) appendLiveLocked(out []ClientSnapshot, id uint32, ct *clientTrack, now time.Time) []ClientSnapshot {
+	if ct.staleAt(now, t.ttl) {
+		return out
 	}
+	var lastNano int64
+	if !ct.last.IsZero() {
+		lastNano = ct.last.UnixNano()
+	}
+	return append(out, ClientSnapshot{
+		ClientID:     id,
+		Filter:       ct.filter.Snapshot(),
+		LastUnixNano: lastNano,
+		LastAccepted: ct.lastAccepted,
+	})
+}
+
+// sortSnapshots orders snapshots by client ID and drops repeats of an
+// ID (taken under one lock, so they are identical).
+func sortSnapshots(out []ClientSnapshot) []ClientSnapshot {
 	sort.Slice(out, func(i, j int) bool { return out[i].ClientID < out[j].ClientID })
-	return out
+	return slices.CompactFunc(out, func(a, b ClientSnapshot) bool { return a.ClientID == b.ClientID })
 }
 
 // Restore installs snapshotted tracks, overwriting any existing state
@@ -446,6 +406,8 @@ func (t *Tracker) SnapshotAll() []ClientSnapshot {
 // clients' live state.
 func (t *Tracker) Restore(snaps []ClientSnapshot) int {
 	n := 0
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for _, s := range snaps {
 		f, err := track.NewFilterFromState(s.Filter)
 		if err != nil {
@@ -455,9 +417,7 @@ func (t *Tracker) Restore(snaps []ClientSnapshot) int {
 		if s.LastUnixNano != 0 {
 			ct.last = time.Unix(0, s.LastUnixNano)
 		}
-		t.mu.Lock()
 		t.clients[s.ClientID] = ct
-		t.mu.Unlock()
 		n++
 	}
 	return n
@@ -466,23 +426,22 @@ func (t *Tracker) Restore(snaps []ClientSnapshot) int {
 // SnapshotClients is SnapshotAll restricted to the given client IDs —
 // the shard-handoff export: the losing shard snapshots exactly the
 // clients moving to another shard. IDs without a live (non-stale)
-// track are silently absent from the result.
+// track are silently absent from the result, and an ID given twice
+// appears once.
 func (t *Tracker) SnapshotClients(ids []uint32) []ClientSnapshot {
 	if len(ids) == 0 {
 		return nil
 	}
-	want := make(map[uint32]bool, len(ids))
+	now := t.opt.Now()
+	t.mu.Lock()
+	out := make([]ClientSnapshot, 0, len(ids))
 	for _, id := range ids {
-		want[id] = true
-	}
-	all := t.SnapshotAll()
-	out := all[:0]
-	for _, s := range all {
-		if want[s.ClientID] {
-			out = append(out, s)
+		if ct, ok := t.clients[id]; ok {
+			out = t.appendLiveLocked(out, id, ct, now)
 		}
 	}
-	return out
+	t.mu.Unlock()
+	return sortSnapshots(out)
 }
 
 // Remove drops the given clients' tracks, returning how many existed.
@@ -513,32 +472,6 @@ func (t *Tracker) Clients() []uint32 {
 	t.mu.Unlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// Subscribe registers a buffered stream of track updates. Updates are
-// dropped (never blocking) when the buffer is full. The returned
-// cancel function unregisters and closes the channel; it is safe to
-// call more than once.
-func (t *Tracker) Subscribe(buf int) (<-chan TrackUpdate, func()) {
-	if buf < 1 {
-		buf = 16
-	}
-	ch := make(chan TrackUpdate, buf)
-	t.mu.Lock()
-	id := t.nextSub
-	t.nextSub++
-	t.subs[id] = ch
-	t.mu.Unlock()
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			t.mu.Lock()
-			delete(t.subs, id)
-			t.mu.Unlock()
-			close(ch)
-		})
-	}
-	return ch, cancel
 }
 
 // Stats returns a snapshot of the tracker's counters.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,22 +72,35 @@ func TestTrackerGateRejectsOutlier(t *testing.T) {
 }
 
 // TestTrackerEviction: clients whose last fix is older than TTL are
-// removed on later observations.
+// removed on later observations. A negative TTL turns eviction off and
+// reads back as 0, as SetTTL(-1) does.
 func TestTrackerEviction(t *testing.T) {
 	base := time.Unix(1700000000, 0)
-	tr := engine.NewTracker(engine.TrackerOptions{TTL: 30 * time.Second,
-		Now: func() time.Time { return base.Add(40 * time.Second) }})
-	tr.ObserveFix(1, geom.Pt(1, 1), base, false)
-	tr.ObserveFix(2, geom.Pt(2, 2), base.Add(40*time.Second), false)
-	st := tr.Stats()
-	if st.Clients != 1 || st.Evicted != 1 {
-		t.Fatalf("stats after eviction = %+v, want 1 live / 1 evicted", st)
-	}
-	if _, ok := tr.Snapshot(1); ok {
-		t.Fatal("client 1 should be evicted")
-	}
-	if _, ok := tr.Snapshot(2); !ok {
-		t.Fatal("client 2 should be live")
+	for _, tc := range []struct {
+		ttl, readback   time.Duration
+		live, evicted   int
+		client1Survives bool
+	}{
+		{30 * time.Second, 30 * time.Second, 1, 1, false},
+		{-1, 0, 2, 0, true},
+	} {
+		tr := engine.NewTracker(engine.TrackerOptions{TTL: tc.ttl,
+			Now: func() time.Time { return base.Add(40 * time.Second) }})
+		if got := tr.TTL(); got != tc.readback {
+			t.Fatalf("TTL %v reads back as %v, want %v", tc.ttl, got, tc.readback)
+		}
+		tr.ObserveFix(1, geom.Pt(1, 1), base, false)
+		tr.ObserveFix(2, geom.Pt(2, 2), base.Add(40*time.Second), false)
+		st := tr.Stats()
+		if st.Clients != tc.live || st.Evicted != uint64(tc.evicted) {
+			t.Fatalf("TTL %v: stats after eviction = %+v, want %d live / %d evicted", tc.ttl, st, tc.live, tc.evicted)
+		}
+		if _, ok := tr.Snapshot(1); ok != tc.client1Survives {
+			t.Fatalf("TTL %v: client 1 live = %v, want %v", tc.ttl, ok, tc.client1Survives)
+		}
+		if _, ok := tr.Snapshot(2); !ok {
+			t.Fatalf("TTL %v: client 2 should be live", tc.ttl)
+		}
 	}
 }
 
@@ -180,29 +194,6 @@ func TestTrackerOutOfOrderFix(t *testing.T) {
 	}
 }
 
-// TestTrackerSubscribe: updates stream to subscribers, slow consumers
-// drop rather than block, and cancel is idempotent.
-func TestTrackerSubscribe(t *testing.T) {
-	tr := engine.NewTracker(engine.TrackerOptions{})
-	ch, cancel := tr.Subscribe(2)
-	base := time.Unix(1700000000, 0)
-	for i := 0; i < 5; i++ { // more than the buffer holds
-		tr.ObserveFix(9, geom.Pt(float64(i), 0), base.Add(time.Duration(i)*time.Second), false)
-	}
-	upd := <-ch
-	if upd.ClientID != 9 || upd.Raw != geom.Pt(0, 0) {
-		t.Fatalf("first update = %+v", upd)
-	}
-	cancel()
-	cancel() // idempotent
-	if _, open := <-ch; open {
-		// one buffered update may remain; drain until close
-		for range ch {
-		}
-	}
-	tr.ObserveFix(9, geom.Pt(9, 9), base.Add(time.Minute), false) // must not panic on closed sub
-}
-
 // TestEngineTrackerIndependentConcurrentClients is the engine-level
 // race test: many clients submitting concurrently must each get an
 // independent track that converges on their own (stationary) position,
@@ -212,9 +203,6 @@ func TestEngineTrackerIndependentConcurrentClients(t *testing.T) {
 	tr := engine.NewTracker(engine.TrackerOptions{MeasSigma: 0.5, Gate: -1})
 	eng := engine.New(engine.Options{Workers: 8, Config: cfg, Tracker: tr})
 	defer eng.Close()
-
-	sub, cancelSub := tr.Subscribe(1024)
-	defer cancelSub()
 
 	const clients = 16
 	const steps = 4
@@ -289,14 +277,120 @@ func TestEngineTrackerIndependentConcurrentClients(t *testing.T) {
 	if ts := tr.Stats(); ts.Observed != clients*steps {
 		t.Fatalf("tracker observed %d, want %d", ts.Observed, clients*steps)
 	}
+}
 
-	// The subscription must have streamed every update.
-	cancelSub()
-	got := 0
-	for range sub {
-		got++
+// TestTrackerConcurrentSweepKeepsEveryFix: a sweep never evicts a
+// track while a fix is being folded in. Writers fix their own clients
+// on a shared fake clock, each client refixed about every TTL, so
+// sweeps (every TTL/4) and stale restarts fire throughout, while
+// readers predict, snapshot, restore and remove. Each writer checks
+// that the track it just folded a fix into is still there (the old
+// two-lock tracker, changed to release the map lock before taking the
+// client's lock, failed 8 of 100 -race runs of this test). Afterwards
+// every fix is counted, the live-client count agrees with the client
+// list, and every client fixed within TTL of the final clock is live.
+func TestTrackerConcurrentSweepKeepsEveryFix(t *testing.T) {
+	base := time.Unix(1700000000, 0)
+	var clock atomic.Int64 // fake nanoseconds past base
+	now := func() time.Time { return base.Add(time.Duration(clock.Load())) }
+	const ttl = 40 * time.Millisecond
+	tr := engine.NewTracker(engine.TrackerOptions{Gate: -1, TTL: ttl, Now: now})
+
+	const writers, perWriter, fixes = 4, 9, 300
+	lastAt := make([]time.Time, writers*perWriter+1) // by client ID
+	var writing sync.WaitGroup
+	for w := range writers {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			for i := range fixes {
+				id := uint32(w*perWriter + i%perWriter + 1)
+				at := base.Add(time.Duration(clock.Add(int64(time.Millisecond))))
+				tr.ObserveFix(id, geom.Pt(float64(id), float64(i)), at, false)
+				lastAt[id] = at
+				// Only a sweep at a clock past at+ttl may drop the
+				// track just folded in, and every sweep runs at a
+				// clock no later than the one read after the check.
+				if _, ok := tr.Predict(id, at, 0); !ok && now().Sub(at) <= ttl {
+					t.Errorf("client %d: the fix folded in at %v was swept away", id, at.Sub(base))
+					return
+				}
+			}
+		}(w)
 	}
-	if got != clients*steps {
-		t.Fatalf("subscription delivered %d updates, want %d", got, clients*steps)
+
+	done := make(chan struct{})
+	var reading sync.WaitGroup
+	reader := func(seed int64, f func(rng *rand.Rand, id uint32) error) {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := f(rng, uint32(rng.Intn(writers*perWriter)+1)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	reader(1, func(_ *rand.Rand, id uint32) error {
+		tr.Predict(id, time.Time{}, 2)
+		tr.Snapshot(id)
+		return nil
+	})
+	reader(2, func(rng *rand.Rand, id uint32) error {
+		other := uint32(rng.Intn(writers*perWriter) + 1)
+		snaps := tr.SnapshotClients([]uint32{id, other, id})
+		for i := 1; i < len(snaps); i++ {
+			if snaps[i-1].ClientID >= snaps[i].ClientID {
+				return fmt.Errorf("SnapshotClients(%d, %d, %d) not sorted and distinct: %+v", id, other, id, snaps)
+			}
+		}
+		return nil
+	})
+	// Restore and Remove work on a copy under an ID no writer fixes, so
+	// they exercise the lock without erasing a writer's client. A sweep
+	// may evict the copy between the two.
+	reader(3, func(_ *rand.Rand, id uint32) error {
+		snaps := tr.SnapshotClients([]uint32{id})
+		for i := range snaps {
+			snaps[i].ClientID += 1000
+		}
+		if n := tr.Restore(snaps); n != len(snaps) {
+			return fmt.Errorf("restored %d of %d snapshots", n, len(snaps))
+		}
+		if n := tr.Remove([]uint32{id + 1000}); n > len(snaps) {
+			return fmt.Errorf("removed %d copies, restored %d", n, len(snaps))
+		}
+		return nil
+	})
+	writing.Wait()
+	close(done)
+	reading.Wait()
+
+	st := tr.Stats()
+	if st.Observed != writers*fixes {
+		t.Fatalf("Observed = %d, want %d", st.Observed, writers*fixes)
+	}
+	if st.Evicted == 0 {
+		t.Fatal("no track was evicted: the clock never made a sweep fire")
+	}
+	if ids := tr.Clients(); st.Clients != len(ids) {
+		t.Fatalf("Stats().Clients = %d, Clients() lists %d", st.Clients, len(ids))
+	}
+	final := now()
+	for id := 1; id < len(lastAt); id++ {
+		if final.Sub(lastAt[id]) > ttl {
+			continue
+		}
+		if _, ok := tr.Snapshot(uint32(id)); !ok {
+			t.Errorf("client %d fixed %v before the final clock has no live track", id, final.Sub(lastAt[id]))
+		}
 	}
 }

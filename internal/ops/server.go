@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -169,21 +168,19 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	p.gauge("arraytrack_queue_depth", "Instantaneous scheduler queue depth.", int64(st.Queued))
 	p.gauge("arraytrack_tracked_clients", "Live client tracks.", int64(st.TrackedClients))
 	p.counter("arraytrack_track_gate_rejects_total", "Fixes discarded by the tracker's Mahalanobis gate.", st.TrackRejects)
-	if tr := s.Engine.Tracker(); tr != nil {
+	tr := s.Engine.Tracker()
+	if tr != nil {
 		ts := tr.Stats()
 		p.counter("arraytrack_track_observed_total", "Fixes folded into client tracks.", ts.Observed)
 		p.counter("arraytrack_track_evicted_total", "Stale client tracks evicted.", ts.Evicted)
+		p.counter("arraytrack_track_skew_clamped_total", "Fix timestamps clamped by the tracker's clock-skew guard.", ts.SkewClamped)
+		p.counter("arraytrack_track_nonmonotonic_total", "Fixes that arrived behind their track (folded in at dt=0).", ts.NonMonotonic)
+		p.counter("arraytrack_track_degraded_observed_total", "Degraded-quorum fixes folded into tracks.", ts.DegradedObserved)
 	}
 
 	p.counter("arraytrack_shed_total", "Jobs failed with ErrOverloaded after ageing past the shed bound.", st.Shed)
 	p.counter("arraytrack_short_captures_total", "Jobs refused because a capture's streams were not the window's length (MaxSamples).", st.ShortCaptures)
 	p.counter("arraytrack_degraded_fixes_total", "Fixes produced from degraded-quorum capture groups.", st.DegradedFixes)
-	if tr := s.Engine.Tracker(); tr != nil {
-		ts := tr.Stats()
-		p.counter("arraytrack_track_skew_clamped_total", "Fix timestamps clamped by the tracker's clock-skew guard.", ts.SkewClamped)
-		p.counter("arraytrack_track_nonmonotonic_total", "Fixes that arrived behind their track (folded in at dt=0).", ts.NonMonotonic)
-		p.counter("arraytrack_track_degraded_observed_total", "Degraded-quorum fixes folded into tracks.", ts.DegradedObserved)
-	}
 	if s.Sink != nil {
 		p.counter("arraytrack_sink_skew_ignored_total", "Capture timestamps the sink's clock-skew guard excluded from time selection.", s.Sink.SkewIgnored())
 	}
@@ -212,7 +209,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 
 	p.gaugeF("arraytrack_predict_sigma", "Live predictive-region sigma (0 = predictive path disabled).", s.Engine.PredictSigma())
 	p.gauge("arraytrack_client_quota", "Per-client scheduler token budget (0 = unlimited).", int64(s.Engine.ClientQuota()))
-	if tr := s.Engine.Tracker(); tr != nil {
+	if tr != nil {
 		p.gaugeF("arraytrack_track_ttl_seconds", "Track eviction TTL in seconds (0 = disabled).", tr.TTL().Seconds())
 	}
 	p.gauge("arraytrack_shed_after_ms", "Overload-shedding age bound in milliseconds (0 = shedding off).", int64(s.Engine.ShedAfter()/time.Millisecond))
@@ -242,11 +239,9 @@ func (s *Server) handleClients(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "no tracker configured", http.StatusNotFound)
 		return
 	}
-	ids := tr.Clients()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	writeJSON(w, struct {
 		Clients []uint32 `json:"clients"`
-	}{Clients: ids})
+	}{Clients: tr.Clients()})
 }
 
 func (s *Server) handleClient(w http.ResponseWriter, r *http.Request) {

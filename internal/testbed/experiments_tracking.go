@@ -40,8 +40,8 @@ type TrackingResult struct {
 	SmoothedRMSECM float64
 	// GateRejects counts fixes the tracker's outlier gate discarded.
 	GateRejects uint64
-	// Updates counts track updates delivered on the streaming
-	// subscription.
+	// Updates counts the track updates delivered on the served
+	// results (Result.Track).
 	Updates int
 	// PredictiveRMSECM is the smoothed RMSE of a second engine serving
 	// the same captures track-guided (engine.Options.Predict, same
@@ -59,10 +59,10 @@ type TrackingResult struct {
 }
 
 // RunTracking regenerates the real-time tracking claim: a client walks
-// the office while the engine+tracker pipeline streams smoothed track
-// updates, and the smoothed trail is compared against the raw per-fix
-// positions. The whole path is the production one — engine worker
-// pool, workspace pool, steering cache, tracker subscription. A second
+// the office while the engine+tracker pipeline returns a smoothed track
+// update with every fix, and the smoothed trail is compared against the
+// raw per-fix positions. The whole path is the production one — engine
+// worker pool, workspace pool, steering cache, tracker. A second
 // engine serves the same captures through the predictive region path,
 // the one drill of a track-guided search on a moving client.
 func (tb *Testbed) RunTracking(opt TrackingOptions) (*Report, *TrackingResult, error) {
@@ -76,10 +76,8 @@ func (tb *Testbed) RunTracking(opt TrackingOptions) (*Report, *TrackingResult, e
 	defer eng.Close()
 	predEng := engine.New(engine.Options{Config: w.cfg, Tracker: engine.NewTracker(w.trackerOptions()), Predict: true})
 	defer predEng.Close()
-	sub, cancel := tracker.Subscribe(opt.Steps + 1)
-	defer cancel()
-
 	var raw []geom.Point
+	updates := 0
 	var predErrsCM []float64
 	t, err := w.run(func(i int) (map[uint32]engine.Result, error) {
 		req := w.request(0, i, aps)
@@ -92,16 +90,15 @@ func (tb *Testbed) RunTracking(opt TrackingOptions) (*Report, *TrackingResult, e
 		}
 		predErrsCM = append(predErrsCM, pred.Track.Smoothed.Dist(w.truth(0, i))*100)
 		raw = append(raw, out.Pos)
+		if out.Track != nil {
+			updates++
+		}
 		return map[uint32]engine.Result{1: out}, nil
 	}, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	cancel()
-	res := &TrackingResult{SmoothedErrsCM: t.errsCM[1], served: t}
-	for range sub {
-		res.Updates++
-	}
+	res := &TrackingResult{SmoothedErrsCM: t.errsCM[1], Updates: updates, served: t}
 
 	r := &Report{ID: "tracking", Title: "roaming client: raw fixes vs Kalman-smoothed track"}
 	r.Addf("%4s  %-14s %-14s %-14s %8s %8s", "step", "truth", "raw fix", "smoothed", "raw", "track")

@@ -7,11 +7,11 @@ import (
 	"repro/internal/engine"
 )
 
-// TestTrackingSmoothedBeatsRaw is the ISSUE's acceptance bar: driving
+// TestTrackingSmoothedBeatsRaw is the tracking acceptance bar: driving
 // the Kalman layer over a testbed roaming trajectory, the smoothed
-// track must not be worse than the raw fixes (RMSE), the streaming
-// subscription must deliver every update, and the predictive engine
-// must serve the moving client as well as the full grid does.
+// track must not be worse than the raw fixes (RMSE), every fix's
+// result must carry its track update, and the predictive engine must
+// serve the moving client as well as the full grid does.
 func TestTrackingSmoothedBeatsRaw(t *testing.T) {
 	tb := New()
 	opt := DefaultTrackingOptions(true)
@@ -28,7 +28,7 @@ func TestTrackingSmoothedBeatsRaw(t *testing.T) {
 		t.Fatalf("expected %d per-step errors, got %d/%d", opt.Steps, len(res.RawErrsCM), len(res.SmoothedErrsCM))
 	}
 	if res.Updates != opt.Steps {
-		t.Fatalf("subscription streamed %d updates, want %d", res.Updates, opt.Steps)
+		t.Fatalf("results carried %d track updates, want %d", res.Updates, opt.Steps)
 	}
 
 	// The same walk served track-guided: no worse than the full grid,
