@@ -9,7 +9,6 @@ package arraytrack
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -285,7 +284,6 @@ func BenchmarkLocateStreaming(b *testing.B) {
 			reqs := throughputRequests(b, n)
 			cfg := core.DefaultConfig(throughputTB.Wavelength)
 			cfg.GridCell = throughputOpt.GridCell
-			cfg.APWorkers = 0
 			// Warm caches and the workspace pool.
 			q0 := reqs[0]
 			if _, _, err := core.LocateClient(q0.APs, q0.Captures, q0.Min, q0.Max, cfg); err != nil {
@@ -384,8 +382,8 @@ func benchSynthScene(b *testing.B) ([]core.APSpectrum, geom.Point, geom.Point) {
 
 // BenchmarkComputeHeatmap is the synthesis-layer headline: the seed
 // product-domain grid versus the staged SynthGrid (cached bearing
-// LUTs + log-domain flat accumulation), single-threaded and sharded,
-// plus the two complete estimators (grid search + hill climb). The
+// LUTs + log-domain flat accumulation), plus the two complete
+// estimators (grid search + hill climb). The
 // paper's 10 cm pitch over the full testbed floor. "grid" vs "seed"
 // ns/op is the ≥5x acceptance criterion, gated hard by
 // TestSynthGridSpeedupGate; allocs/op on the staged rows is the ≤2
@@ -393,8 +391,8 @@ func benchSynthScene(b *testing.B) ([]core.APSpectrum, geom.Point, geom.Point) {
 func BenchmarkComputeHeatmap(b *testing.B) {
 	specs, min, max := benchSynthScene(b)
 	const cell = 0.10
-	newGrid := func(workers int) *core.SynthGrid {
-		sg, err := core.NewSynthGrid(min, max, core.SynthOptions{Cell: cell, Workers: workers})
+	newGrid := func() *core.SynthGrid {
+		sg, err := core.NewSynthGrid(min, max, core.SynthOptions{Cell: cell})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -414,21 +412,7 @@ func BenchmarkComputeHeatmap(b *testing.B) {
 		}
 	})
 	b.Run("grid", func(b *testing.B) {
-		sg := newGrid(1)
-		var h core.Heatmap
-		if err := sg.LogHeatmapInto(&h, specs); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sg.LogHeatmapInto(&h, specs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("grid-workers-%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		sg := newGrid(runtime.GOMAXPROCS(0))
+		sg := newGrid()
 		var h core.Heatmap
 		if err := sg.LogHeatmapInto(&h, specs); err != nil {
 			b.Fatal(err)
@@ -450,7 +434,7 @@ func BenchmarkComputeHeatmap(b *testing.B) {
 		}
 	})
 	b.Run("localize-coarse2fine", func(b *testing.B) {
-		sg := newGrid(1)
+		sg := newGrid()
 		if _, err := sg.Localize(specs); err != nil {
 			b.Fatal(err)
 		}
@@ -484,7 +468,7 @@ func BenchmarkRegionLocalize(b *testing.B) {
 
 	b.Run("warm", func(b *testing.B) {
 		cache := core.NewSynthCache(64 << 20)
-		sg, err := core.NewSynthGridRegion(min, max, mkRegion(0), core.SynthOptions{Cell: cell, Workers: 1, Cache: cache})
+		sg, err := core.NewSynthGridRegion(min, max, mkRegion(0), core.SynthOptions{Cell: cell, Cache: cache})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -501,7 +485,7 @@ func BenchmarkRegionLocalize(b *testing.B) {
 	})
 	b.Run("sliced", func(b *testing.B) {
 		cache := core.NewSynthCache(64 << 20)
-		full, err := core.NewSynthGrid(min, max, core.SynthOptions{Cell: cell, Workers: 1, Cache: cache})
+		full, err := core.NewSynthGrid(min, max, core.SynthOptions{Cell: cell, Cache: cache})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -512,7 +496,7 @@ func BenchmarkRegionLocalize(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sg, err := core.NewSynthGridRegion(min, max, mkRegion(i%32), core.SynthOptions{Cell: cell, Workers: 1, Cache: cache})
+			sg, err := core.NewSynthGridRegion(min, max, mkRegion(i%32), core.SynthOptions{Cell: cell, Cache: cache})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -526,7 +510,7 @@ func BenchmarkRegionLocalize(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sg, err := core.NewSynthGridRegion(min, max, mkRegion(i%32), core.SynthOptions{Cell: cell, Workers: 1, Cache: cache})
+			sg, err := core.NewSynthGridRegion(min, max, mkRegion(i%32), core.SynthOptions{Cell: cell, Cache: cache})
 			if err != nil {
 				b.Fatal(err)
 			}

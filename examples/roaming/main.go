@@ -32,11 +32,15 @@ func main() {
 
 	// Walking pace: 1.2 m/s, a fix every second.
 	const dt = 1.0
-	tracker := engine.NewTracker(engine.TrackerOptions{ProcessNoise: 0.3, MeasSigma: 0.8, Gate: 3})
+	// The tracker reads the walk's clock, so its TTL measures silence in
+	// walk time and the client stays live to the end.
+	base := time.Unix(1700000000, 0)
+	now := base
+	tracker := engine.NewTracker(engine.TrackerOptions{ProcessNoise: 0.3, MeasSigma: 0.8, Gate: 3,
+		Now: func() time.Time { return now }})
 	eng := engine.New(engine.Options{Config: cfg, Tracker: tracker})
 	defer eng.Close()
 
-	base := time.Unix(1700000000, 0)
 	fmt.Println("step   truth              raw fix      smoothed     raw err  track err")
 	var rawErrs, trackErrs []float64
 	for i := 0; i < 24; i++ {
@@ -52,13 +56,14 @@ func main() {
 		for _, site := range tb.Sites {
 			captures = append(captures, testbed.Cut(tb.CaptureClient(truth, site, capOpt, rng)))
 		}
+		now = base.Add(time.Duration(float64(i) * dt * float64(time.Second)))
 		res := eng.Locate(engine.Request{
 			ClientID: 1,
 			APs:      aps,
 			Captures: captures,
 			Min:      tb.Plan.Min,
 			Max:      tb.Plan.Max,
-			Time:     base.Add(time.Duration(float64(i) * dt * float64(time.Second))),
+			Time:     now,
 		})
 		if res.Err != nil {
 			log.Fatal(res.Err)

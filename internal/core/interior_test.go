@@ -37,7 +37,7 @@ func TestRegionInteriorReporting(t *testing.T) {
 	mk := func(region Region) *SynthGrid {
 		t.Helper()
 		sg, err := NewSynthGridRegion(min, max, region, SynthOptions{
-			Cell: 0.10, Workers: 1, Cache: cache,
+			Cell: 0.10, Cache: cache,
 		})
 		if err != nil {
 			t.Fatal(err)

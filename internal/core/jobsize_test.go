@@ -27,7 +27,7 @@ func TestSynthJobSizeBound(t *testing.T) {
 		aps[i] = core.APSpectrum{Pos: s.Pos, Spectrum: music.NewSpectrum(360)}
 	}
 	const cell = 0.10
-	opt := core.SynthOptions{Cell: cell, Workers: 1, Cache: core.NewSynthCache(0)}
+	opt := core.SynthOptions{Cell: cell, Cache: core.NewSynthCache(0)}
 	for _, c := range []struct {
 		name   string
 		region core.Region

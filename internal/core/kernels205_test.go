@@ -28,7 +28,7 @@ func TestKernelsExactOn205Scenes(t *testing.T) {
 	}
 	var metrics core.SynthMetrics
 	fast, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(0), Metrics: &metrics,
+		Cell: 0.10, Cache: core.NewSynthCache(0), Metrics: &metrics,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestHierScreenRefinesFlatOrder(t *testing.T) {
 	var metrics, flatMetrics core.SynthMetrics
 	grid := func(region core.Region, cache *core.SynthCache, m *core.SynthMetrics) *core.SynthGrid {
 		sg, err := core.NewSynthGridRegion(tb.Plan.Min, tb.Plan.Max, region, core.SynthOptions{
-			Cell: 0.10, Workers: 1, Cache: cache, Metrics: m,
+			Cell: 0.10, Cache: cache, Metrics: m,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -236,7 +236,7 @@ func TestScreenBoundEvalsOnTestbed(t *testing.T) {
 	for _, nAPs := range []int{3, 6} {
 		var m core.SynthMetrics
 		sg, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-			Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(0), Metrics: &m,
+			Cell: 0.10, Cache: core.NewSynthCache(0), Metrics: &m,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -284,7 +284,7 @@ func BenchmarkFullGridLocalize(b *testing.B) {
 		b.Fatal(err)
 	}
 	fast, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(0),
+		Cell: 0.10, Cache: core.NewSynthCache(0),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -337,9 +337,7 @@ func BenchmarkFullGridLocalize(b *testing.B) {
 func TestProcessAPsSharedCorrelationExactOn205Scenes(t *testing.T) {
 	tb := testbed.New()
 	opt := testbed.DefaultAccuracyOptions()
-	cfg := opt.Pipeline
-	cfg.APWorkers = 1 // serial on one workspace, as an engine worker runs
-	p := core.NewPipeline(cfg)
+	p := core.NewPipeline(opt.Pipeline)
 	d := tb.Draw(opt)
 	aps := d.APs
 	ws := &music.Workspace{}

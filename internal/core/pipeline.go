@@ -19,7 +19,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/mat"
@@ -261,7 +260,7 @@ func (p *Pipeline) processAP(ws *music.Workspace, ap *AP, frames []FrameCapture)
 
 // Synthesize is the final stage: the Eq. 8 grid search plus hill
 // climbing (§2.5) on the staged subsystem — cached bearing LUTs,
-// log-domain sharded accumulation, coarse-to-fine refinement.
+// log-domain accumulation, coarse-to-fine refinement.
 func (p *Pipeline) Synthesize(specs []APSpectrum, min, max geom.Point) (geom.Point, error) {
 	sg, err := NewSynthGrid(min, max, p.synthOptions())
 	if err != nil {
@@ -274,9 +273,8 @@ func (p *Pipeline) Synthesize(specs []APSpectrum, min, max geom.Point) (geom.Poi
 // options.
 func (p *Pipeline) synthOptions() SynthOptions {
 	return SynthOptions{
-		Cell:    p.cfg.GridCell,
-		Workers: p.cfg.SynthWorkers,
-		Cache:   p.cfg.SynthCache,
+		Cell:  p.cfg.GridCell,
+		Cache: p.cfg.SynthCache,
 	}
 }
 
@@ -298,9 +296,9 @@ func (p *Pipeline) SynthesizeRegionInterior(specs []APSpectrum, min, max geom.Po
 	return sg.LocalizeInterior(specs)
 }
 
-// Locate runs the complete pipeline for one client: per-AP processing
-// of every contributing AP (fanned across Config.APWorkers when >1),
-// then synthesis. captures[i] holds the frames AP i overheard; APs
+// Locate runs the complete pipeline for one client on the calling
+// goroutine: per-AP processing of every contributing AP, then
+// synthesis. captures[i] holds the frames AP i overheard; APs
 // with no captures are skipped. At least one AP must contribute.
 func (p *Pipeline) Locate(aps []*AP, captures [][]FrameCapture, min, max geom.Point) (geom.Point, []APSpectrum, error) {
 	specs, err := p.ProcessAPs(aps, captures)
@@ -313,7 +311,7 @@ func (p *Pipeline) Locate(aps []*AP, captures [][]FrameCapture, min, max geom.Po
 
 // ProcessAPs runs the per-AP half of the pipeline — frame spectra,
 // suppression, weighting, symmetry removal — for every contributing
-// AP (fanned across Config.APWorkers when >1) and returns the
+// AP in turn, on the calling goroutine, and returns the
 // position-tagged spectra ready for synthesis. captures[i] holds the
 // frames AP i overheard; APs with no captures are skipped. At least
 // one AP must contribute. Splitting this stage from synthesis is what
@@ -327,12 +325,10 @@ func (p *Pipeline) ProcessAPs(aps []*AP, captures [][]FrameCapture) ([]APSpectru
 }
 
 // ProcessAPsWS is ProcessAPs on the caller's workspace (nil means a
-// fresh one). Run serially, every combined spectrum it returns is lent
-// by ws: a caller that owns ws for many jobs hands them back with
-// ws.Recycle once it is done with the job, and the next job's spectra
-// reuse their storage. Fanned out, the other workers draw pooled
-// workspaces and their spectra are the caller's to keep. On error the
-// spectra already made go back to ws.
+// fresh one). Every combined spectrum it returns is lent by ws: a
+// caller that owns ws for many jobs hands them back with ws.Recycle
+// once it is done with the job, and the next job's spectra reuse their
+// storage. On error the spectra already made go back to ws.
 func (p *Pipeline) ProcessAPsWS(ws *music.Workspace, aps []*AP, captures [][]FrameCapture) ([]APSpectrum, error) {
 	if len(aps) != len(captures) {
 		return nil, errors.New("core: captures must align with APs")
@@ -349,9 +345,6 @@ func (p *Pipeline) ProcessAPsWS(ws *music.Workspace, aps []*AP, captures [][]Fra
 	if ws == nil {
 		ws = &music.Workspace{}
 	}
-	if workers := min(p.cfg.APWorkers, n); workers > 1 {
-		return p.processAPsFanned(ws, workers, aps, captures)
-	}
 	specs := make([]APSpectrum, 0, n)
 	for i, ap := range aps {
 		if len(captures[i]) == 0 {
@@ -365,52 +358,6 @@ func (p *Pipeline) ProcessAPsWS(ws *music.Workspace, aps []*AP, captures [][]Fra
 			return nil, fmt.Errorf("core: AP %d: %w", i, err)
 		}
 		specs = append(specs, APSpectrum{Pos: ap.Array.Pos, Spectrum: s})
-	}
-	return specs, nil
-}
-
-// processAPsFanned is ProcessAPsWS over a bounded worker pool: per-AP
-// processing is independent, and results land in AP-indexed slots, so
-// ordering — and therefore the synthesis output — is identical to the
-// serial path. The first worker runs on ws, each other on a pooled
-// workspace held for its whole run.
-func (p *Pipeline) processAPsFanned(ws *music.Workspace, workers int, aps []*AP, captures [][]FrameCapture) ([]APSpectrum, error) {
-	spectra := make([]*music.Spectrum, len(aps))
-	errs := make([]error, len(aps))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		own := ws
-		if w > 0 {
-			own = workspaces.Get()
-			defer workspaces.Put(own)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				spectra[i], errs[i] = p.processAP(own, aps[i], captures[i])
-			}
-		}()
-	}
-	for i := range aps {
-		if len(captures[i]) > 0 {
-			idx <- i
-		}
-	}
-	close(idx)
-	wg.Wait()
-
-	var specs []APSpectrum
-	for i := range aps {
-		if len(captures[i]) == 0 {
-			continue
-		}
-		if errs[i] != nil {
-			ws.Recycle(spectra...)
-			return nil, fmt.Errorf("core: AP %d: %w", i, errs[i])
-		}
-		specs = append(specs, APSpectrum{Pos: aps[i].Array.Pos, Spectrum: spectra[i]})
 	}
 	return specs, nil
 }

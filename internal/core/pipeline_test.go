@@ -35,16 +35,15 @@ func stagesByHand(t *testing.T, p *Pipeline, ws *music.Workspace, ap *AP, frames
 }
 
 // TestPipelineWorkspaceEquivalence pins the workspace contract: the
-// pooled-workspace pipeline, per-AP fan-out included, must produce
-// bit-identical spectra and the identical fix versus the same stages
-// run on a fresh workspace per call (nil).
+// pooled-workspace pipeline must produce bit-identical spectra and the
+// identical fix versus the same stages run on a fresh workspace per
+// call (nil).
 func TestPipelineWorkspaceEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	client := geom.Pt(6.5, 7.1)
 	aps, captures, plan := buildTestbedAPs(t, client, 3, 3, rng)
 
 	cfg := DefaultConfig(lambda)
-	cfg.APWorkers = 3
 	p := NewPipeline(cfg)
 
 	specsA := make([]APSpectrum, len(aps))
@@ -224,7 +223,6 @@ func TestProcessAPsSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig(lambda)
-	cfg.APWorkers = 0
 	cfg.Steering = music.NewSteeringCache(0)
 	p := NewPipeline(cfg)
 	if _, err := p.ProcessAPs(aps, captures); err != nil { // warm
@@ -280,7 +278,6 @@ func TestProcessAPsLeavesRetainedSpectraAlone(t *testing.T) {
 	aps, captures, _ := buildTestbedAPs(t, geom.Pt(7.5, 4.2), 3, 3, rng)
 	memo := &memoEstimator{seen: map[string]*music.Spectrum{}}
 	cfg := DefaultConfig(lambda)
-	cfg.APWorkers = 0
 	cfg.Steering = music.NewSteeringCache(0)
 	cfg.Estimator = memo
 	p := NewPipeline(cfg)

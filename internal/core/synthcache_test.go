@@ -343,8 +343,8 @@ func TestSynthCacheEvictionRaceStress(t *testing.T) {
 			Max: geom.Pt(x0+2+rng.Float64()*8, y0+2+rng.Float64()*5),
 		}
 		cases[i].aps = scenes[i%len(scenes)]
-		// Cold reference: a fresh unbounded cache per case, serial.
-		sg, err := NewSynthGridRegion(min, max, cases[i].region, SynthOptions{Cell: 0.25, Workers: 1, Cache: NewSynthCache(0)})
+		// Cold reference: a fresh unbounded cache per case.
+		sg, err := NewSynthGridRegion(min, max, cases[i].region, SynthOptions{Cell: 0.25, Cache: NewSynthCache(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func TestSynthCacheEvictionRaceStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			tc := cases[g]
-			sg, err := NewSynthGridRegion(min, max, tc.region, SynthOptions{Cell: 0.25, Workers: 2, Cache: shared})
+			sg, err := NewSynthGridRegion(min, max, tc.region, SynthOptions{Cell: 0.25, Cache: shared})
 			if err != nil {
 				errs <- err
 				return

@@ -44,7 +44,7 @@ func Likelihood(x geom.Point, aps []APSpectrum) float64 {
 // candidate positions identically to Likelihood (pinned by
 // TestLogLikelihoodPreservesOrdering) while staying finite for any AP
 // count — the accumulation the staged synthesis layer (SynthGrid)
-// shards over its flat surface.
+// runs over its flat surface.
 func LogLikelihood(x geom.Point, aps []APSpectrum) float64 {
 	l := 0.0
 	for _, ap := range aps {

@@ -17,10 +17,10 @@ package core
 //  2. Log-domain accumulation — each AP's spectrum is collapsed once
 //     per fix into a padded table of log(max(P[b], likelihoodFloor)),
 //     and the surface is a flat row-major sum of per-cell lerps over
-//     those tables, sharded across Config.SynthWorkers goroutines
-//     with scratch drawn from a sync.Pool. Between bin centers the
-//     surface interpolates log-spectra (a geometric interpolation of
-//     the spectrum), which agrees exactly with log(Likelihood) at bin
+//     those tables, evaluated on the fix's own goroutine with scratch
+//     drawn from a sync.Pool. Between bin centers the surface
+//     interpolates log-spectra (a geometric interpolation of the
+//     spectrum), which agrees exactly with log(Likelihood) at bin
 //     centers and keeps the inner loop free of transcendentals; the
 //     argmax-level agreement with the product-domain reference is
 //     pinned on every testbed scene by TestSynthGridMatchesSeedArgmax.
@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/music"
@@ -65,16 +64,9 @@ const DefaultCoarseFactor = 5
 // still beats the best refined cell.
 const DefaultRefineTopK = 3
 
-// minShardCells is the surface size below which sharding overhead
-// outweighs the work; smaller surfaces are evaluated serially.
-const minShardCells = 8192
-
 // minRefineCells is the fine-surface size below which the coarse
 // screening pass is skipped and the full grid evaluated directly.
 const minRefineCells = 1024
-
-// shardChunk is the cell count one worker claims at a time.
-const shardChunk = 4096
 
 // GridSpec describes a synthesis grid: a lattice origin, the cell
 // pitch in metres, the cell counts along each axis, and the lattice
@@ -452,9 +444,6 @@ func (ws *synthWorkspace) logTables(aps []APSpectrum) [][]float64 {
 type SynthOptions struct {
 	// Cell is the fine grid pitch in metres (0 means the paper's 0.10).
 	Cell float64
-	// Workers bounds the goroutines sharding the surface evaluation;
-	// 0 or 1 evaluates serially.
-	Workers int
 	// Cache supplies the bearing LUTs (nil means the shared cache).
 	Cache *SynthCache
 	// Metrics, when non-nil, accumulates the synthesis kernels' work
@@ -472,7 +461,6 @@ type SynthGrid struct {
 	min, max geom.Point
 	parent   *GridSpec // full-grid spec whose LUTs a region sub-grid views
 	cache    *SynthCache
-	workers  int
 	metrics  *SynthMetrics
 	// linearPick and scalarClimb swap in the two oracles the fast
 	// kernels are pinned against — the flat screen (every block bounded,
@@ -490,13 +478,9 @@ func newSynthGrid(spec GridSpec, parent *GridSpec, min, max geom.Point, opt Synt
 	if cache == nil {
 		cache = SharedSynthCache()
 	}
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	return &SynthGrid{
 		spec: spec, parent: parent, min: min, max: max,
-		cache: cache, workers: workers, metrics: opt.Metrics,
+		cache: cache, metrics: opt.Metrics,
 	}
 }
 
@@ -552,8 +536,9 @@ func (sg *SynthGrid) Spec() GridSpec { return sg.spec }
 // AP, a branch-free lerp over its padded log table at the LUT's
 // (bin, frac). The first AP assigns instead of adding, so the
 // accumulator needs no zeroing pass. Per-cell order over APs is
-// fixed, so results are independent of sharding. A contiguous LUT is
-// walked in one run; a view of a wider parent row by row.
+// fixed, so a cell's value does not depend on the range it was
+// evaluated in. A contiguous LUT is walked in one run; a view of a
+// wider parent row by row.
 func evalRange(acc []float64, luts []bearingLUT, logTabs [][]float64, lo, hi int) {
 	for a := range luts {
 		lut := &luts[a]
@@ -580,41 +565,6 @@ func evalRange(acc []float64, luts []bearingLUT, logTabs [][]float64, lo, hi int
 			c += n
 		}
 	}
-}
-
-// evalSurface fills acc (one float per cell of spec) with the
-// log-domain surface, sharding across the grid's workers when the
-// surface is big enough to pay for it.
-func (sg *SynthGrid) evalSurface(acc []float64, spec GridSpec, luts []bearingLUT, logTabs [][]float64) {
-	cells := len(acc)
-	workers := sg.workers
-	if workers > cells/shardChunk {
-		workers = cells / shardChunk
-	}
-	if workers <= 1 || cells < minShardCells {
-		evalRange(acc, luts, logTabs, 0, cells)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(shardChunk)) - shardChunk
-				if lo >= cells {
-					return
-				}
-				hi := lo + shardChunk
-				if hi > cells {
-					hi = cells
-				}
-				evalRange(acc, luts, logTabs, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // fetchLUTs resolves the per-AP bearing LUTs for spec.
@@ -703,7 +653,7 @@ func (sg *SynthGrid) candidates(ws *synthWorkspace, aps []APSpectrum, refined bo
 
 // fullSurface evaluates every fine cell and ranks them all.
 func (sg *SynthGrid) fullSurface(ws *synthWorkspace, luts []bearingLUT, logTabs [][]float64) []cellCand {
-	sg.evalSurface(ws.fine, sg.spec, luts, logTabs)
+	evalRange(ws.fine, luts, logTabs, 0, len(ws.fine))
 	ws.cand = topCells(ws.cand[:0], hillClimbSeeds, ws.fine, 0, len(ws.fine))
 	return ws.cand
 }
@@ -832,7 +782,7 @@ func (sg *SynthGrid) LogHeatmapInto(h *Heatmap, aps []APSpectrum) error {
 	h.reshape(sg.spec)
 	ws := synthScratch.Get().(*synthWorkspace)
 	logTabs := ws.logTables(aps)
-	sg.evalSurface(h.Flat, sg.spec, sg.fetchLUTs(ws, aps, sg.spec), logTabs)
+	evalRange(h.Flat, sg.fetchLUTs(ws, aps, sg.spec), logTabs, 0, len(h.Flat))
 	synthScratch.Put(ws)
 	return nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -124,8 +126,8 @@ func TestBearingLUTBitCompatible(t *testing.T) {
 // TestLogHeatmapMatchesScalarReference pins the surface's documented
 // semantics against a naive scalar implementation of the same
 // definition — per cell, Σ_ap lerp over log(max(P[b], floor)) at the
-// live BinLookup of the AP→cell bearing — computed without LUTs,
-// padding, or sharding. Bit equality, not a tolerance.
+// live BinLookup of the AP→cell bearing — computed without LUTs or
+// padding. Bit equality, not a tolerance.
 func TestLogHeatmapMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	min, max := synthBounds()
@@ -214,22 +216,20 @@ func TestRefinedArgmaxMatchesFull(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		client := geom.Pt(2+rng.Float64()*36, 2+rng.Float64()*12)
 		aps := synthScene(2+rng.Intn(4), client, rng)
-		for _, workers := range []int{1, 4} {
-			sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: workers, Cache: NewSynthCache(0)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := sg.FullArgmaxCell(aps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refined, err := sg.RefinedArgmaxCell(aps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if full != refined {
-				t.Fatalf("trial %d workers=%d: refined argmax %d != full argmax %d", trial, workers, refined, full)
-			}
+		sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := sg.FullArgmaxCell(aps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refined, err := sg.RefinedArgmaxCell(aps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full != refined {
+			t.Fatalf("trial %d: refined argmax %d != full argmax %d", trial, refined, full)
 		}
 	}
 }
@@ -285,32 +285,30 @@ func TestSynthGridEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				sg, err := NewSynthGrid(tc.min, tc.max, SynthOptions{Cell: tc.cell, Workers: workers, Cache: NewSynthCache(0)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				full, err := sg.FullArgmaxCell(tc.aps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refined, err := sg.RefinedArgmaxCell(tc.aps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if full != refined {
-					t.Fatalf("workers=%d: refined %d != full %d", workers, refined, full)
-				}
-				pos, err := sg.Localize(tc.aps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if pos.X < tc.min.X || pos.X > tc.max.X || pos.Y < tc.min.Y || pos.Y > tc.max.Y {
-					t.Fatalf("workers=%d: fix %v outside bounds", workers, pos)
-				}
-				if err := sg.LogHeatmapInto(&Heatmap{}, tc.aps); err != nil {
-					t.Fatal(err)
-				}
+			sg, err := NewSynthGrid(tc.min, tc.max, SynthOptions{Cell: tc.cell, Cache: NewSynthCache(0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := sg.FullArgmaxCell(tc.aps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refined, err := sg.RefinedArgmaxCell(tc.aps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full != refined {
+				t.Fatalf("refined %d != full %d", refined, full)
+			}
+			pos, err := sg.Localize(tc.aps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pos.X < tc.min.X || pos.X > tc.max.X || pos.Y < tc.min.Y || pos.Y > tc.max.Y {
+				t.Fatalf("fix %v outside bounds", pos)
+			}
+			if err := sg.LogHeatmapInto(&Heatmap{}, tc.aps); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -337,62 +335,70 @@ func TestSynthGridEdgeCases(t *testing.T) {
 
 // TestSynthGridFlatSurfaceFallback: all-floor spectra tie every block
 // bound to the best cell, which would defeat the screen's pruning —
-// the refinement budget must kick in, fall back to the sharded full
-// evaluation, and still return exactly the full-scan argmax (cell 0,
-// by the lower-index tie-break).
+// the refinement budget must kick in, fall back to the full evaluation,
+// and still return exactly the full-scan argmax (cell 0, by the
+// lower-index tie-break).
 func TestSynthGridFlatSurfaceFallback(t *testing.T) {
 	flat := []APSpectrum{
 		{Pos: geom.Pt(0, 0), Spectrum: music.NewSpectrum(360)},
 		{Pos: geom.Pt(40, 16), Spectrum: music.NewSpectrum(360)},
 	}
 	min, max := synthBounds()
-	for _, workers := range []int{1, 4} {
-		sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: workers, Cache: NewSynthCache(0)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := sg.FullArgmaxCell(flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refined, err := sg.RefinedArgmaxCell(flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full != refined || full != 0 {
-			t.Fatalf("workers=%d: flat surface argmax full=%d refined=%d, want 0", workers, full, refined)
-		}
+	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := sg.FullArgmaxCell(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined, err := sg.RefinedArgmaxCell(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full != refined || full != 0 {
+		t.Fatalf("flat surface argmax full=%d refined=%d, want 0", full, refined)
 	}
 }
 
-// TestSynthGridShardedRace exercises the sharded evaluation and the
-// LUT cache under concurrency (run with -race): many goroutines
-// localize over one shared cache, each grid large enough to shard.
+// TestSynthGridShardedRace exercises the LUT cache under concurrency
+// (run with -race): many goroutines, each on its own grid as an engine
+// worker is, localize over one shared SynthCache starting cold, and
+// every fix must equal the one a serial run on a private cache makes.
 func TestSynthGridShardedRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	min, max := synthBounds()
 	scenes := make([][]APSpectrum, 6)
+	want := make([]geom.Point, len(scenes))
 	for i := range scenes {
 		scenes[i] = synthScene(3, geom.Pt(3+rng.Float64()*34, 2+rng.Float64()*12), rng)
+		sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = sg.Localize(scenes[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cache := NewSynthCache(0)
 	done := make(chan error, 12)
 	for g := 0; g < 12; g++ {
 		g := g
 		go func() {
-			sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: 4, Cache: cache})
+			sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: cache})
 			if err != nil {
 				done <- err
 				return
 			}
-			var h Heatmap
 			for it := 0; it < 3; it++ {
-				if _, err := sg.Localize(scenes[(g+it)%len(scenes)]); err != nil {
+				i := (g + it) % len(scenes)
+				pos, err := sg.Localize(scenes[i])
+				if err != nil {
 					done <- err
 					return
 				}
-				if err := sg.LogHeatmapInto(&h, scenes[(g+it)%len(scenes)]); err != nil {
-					done <- err
+				if pos != want[i] {
+					done <- fmt.Errorf("goroutine %d scene %d: fix %v, serial fix %v", g, i, pos, want[i])
 					return
 				}
 			}
@@ -417,7 +423,7 @@ func TestSynthGridSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	min, max := synthBounds()
 	aps := synthScene(4, geom.Pt(17, 8), rng)
-	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: 1, Cache: NewSynthCache(0)})
+	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +464,7 @@ func TestSynthGridSpeedupGate(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	min, max := synthBounds()
 	aps := synthScene(3, geom.Pt(21, 7), rng)
-	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: 1, Cache: NewSynthCache(0)})
+	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,31 +500,46 @@ func TestSynthGridSpeedupGate(t *testing.T) {
 	}
 }
 
-// TestSynthGridWorkersDeterministic: the sharded surface must be
-// bit-identical to the serial one (each cell's accumulation order over
-// APs is fixed regardless of sharding).
+// TestSynthGridWorkersDeterministic: LogHeatmapInto filled from
+// several goroutines at once on one grid over one shared cache, cold
+// at the start, must be bit-identical to a serial fill (each cell's
+// accumulation order over APs is fixed, and a LUT built by a racing
+// goroutine holds the same values as one built alone).
 func TestSynthGridWorkersDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	min, max := synthBounds()
 	aps := synthScene(4, geom.Pt(11, 12), rng)
-	cache := NewSynthCache(0)
-	var serial, sharded Heatmap
-	for _, w := range []int{1, runtime.GOMAXPROCS(0) * 2} {
-		sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Workers: w, Cache: cache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := &serial
-		if w != 1 {
-			h = &sharded
-		}
-		if err := sg.LogHeatmapInto(h, aps); err != nil {
-			t.Fatal(err)
-		}
+	ref, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for c := range serial.Flat {
-		if serial.Flat[c] != sharded.Flat[c] {
-			t.Fatalf("cell %d: serial %v vs sharded %v — sharding changed the surface", c, serial.Flat[c], sharded.Flat[c])
+	var serial Heatmap
+	if err := ref.LogHeatmapInto(&serial, aps); err != nil {
+		t.Fatal(err)
+	}
+	sg, err := NewSynthGrid(min, max, SynthOptions{Cell: 0.10, Cache: NewSynthCache(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fills := make([]Heatmap, 4+runtime.GOMAXPROCS(0))
+	errs := make([]error, len(fills))
+	var wg sync.WaitGroup
+	for g := range fills {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = sg.LogHeatmapInto(&fills[g], aps)
+		}()
+	}
+	wg.Wait()
+	for g := range fills {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		for c := range serial.Flat {
+			if serial.Flat[c] != fills[g].Flat[c] {
+				t.Fatalf("goroutine %d, cell %d: serial %v vs concurrent %v", g, c, serial.Flat[c], fills[g].Flat[c])
+			}
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-
 	"repro/internal/array"
 	"repro/internal/geom"
 	"repro/internal/music"
@@ -11,8 +9,9 @@ import (
 // Config selects which stages of the ArrayTrack pipeline run and with
 // what parameters. The zero value is not useful; start from
 // DefaultConfig or UnoptimizedConfig. No field selects an
-// implementation: the caches and worker counts below change where
-// tables live and how work is spread, never which arithmetic runs.
+// implementation: the caches below change where tables live, never
+// which arithmetic runs. A fix runs on one goroutine; parallelism
+// lives across fixes (engine workers), never inside one.
 type Config struct {
 	// Wavelength of the carrier in metres.
 	Wavelength float64
@@ -39,19 +38,14 @@ type Config struct {
 	// which DefaultConfig also wires in explicitly; a private cache only
 	// isolates accounting and budget.
 	Steering *music.SteeringCache
-	// APWorkers bounds the goroutines LocateClient uses to process
-	// APs concurrently. 0 or 1 processes APs serially; DefaultConfig
-	// sets GOMAXPROCS. Results are deterministic regardless.
+	// Deprecated: ignored; a fix runs on one goroutine.
 	APWorkers int
 	// SynthCache holds the precomputed bearing→bin lookup tables for
 	// the Eq. 8 synthesis grid per (AP position, grid geometry) — the
 	// synthesis-layer sibling of Steering, with the same nil rule: the
 	// process-wide shared cache.
 	SynthCache *SynthCache
-	// SynthWorkers bounds the goroutines sharding a full synthesis
-	// surface (a grid too small to screen, the screen's fallback,
-	// LogHeatmapInto). 0 or 1 evaluates serially; DefaultConfig sets
-	// GOMAXPROCS. Results are deterministic regardless.
+	// Deprecated: ignored; a fix runs on one goroutine.
 	SynthWorkers int
 	// Estimator is the frame→spectrum stage (nil means
 	// music.MUSICEstimator, the paper's pipeline); tests substitute
@@ -87,9 +81,7 @@ func DefaultConfig(wavelength float64) Config {
 		UseSymmetryRemoval: true,
 		GridCell:           0.10,
 		Steering:           music.SharedSteeringCache(),
-		APWorkers:          runtime.GOMAXPROCS(0),
 		SynthCache:         SharedSynthCache(),
-		SynthWorkers:       runtime.GOMAXPROCS(0),
 	}
 }
 

@@ -112,12 +112,9 @@ type Options struct {
 	// excess submissions fail fast with ErrQuota. 0 means unlimited
 	// (closed deployments).
 	ClientQuota int
-	// Config is the pipeline configuration applied to every job, with
-	// Config.APWorkers and Config.SynthWorkers clamped to 1. Fan-out
-	// inside a job loses even on idle cores: with 2 ms between 3-AP
-	// fixes, p50 read 176–202 µs serial against 186–212 µs on two AP
-	// workers, as waking a second core costs more than half an AP stage
-	// saves (EXPERIMENTS.md, "Per-fix fan-out on idle cores").
+	// Config is the pipeline configuration applied to every job. Each
+	// job runs on the one worker that took it; parallelism comes from
+	// the pool, across jobs.
 	Config core.Config
 	// Tracker, when non-nil, folds every successful fix into the
 	// client's Kalman track, and each fix's Result.Track carries the
@@ -199,7 +196,7 @@ type job struct {
 // the sched subsystem: one FIFO with per-client admission quotas. All
 // methods are safe for concurrent use.
 type Engine struct {
-	pipe      *core.Pipeline // APWorkers/SynthWorkers clamped to 1
+	pipe      *core.Pipeline
 	tracker   *Tracker
 	q         *sched.Queue
 	predSigma atomic.Uint64 // Float64bits; 0 = predictive path disabled; hot-reloaded by SetPredictSigma
@@ -237,11 +234,8 @@ func New(opt Options) *Engine {
 	if queue <= 0 {
 		queue = 4 * workers
 	}
-	cfg := opt.Config
-	cfg.APWorkers = min(cfg.APWorkers, 1)
-	cfg.SynthWorkers = min(cfg.SynthWorkers, 1)
 	e := &Engine{
-		pipe:    core.NewPipeline(cfg),
+		pipe:    core.NewPipeline(opt.Config),
 		tracker: opt.Tracker,
 		q:       sched.New(sched.Options{Depth: queue, ClientQuota: opt.ClientQuota}),
 		workers: workers,
@@ -540,8 +534,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // Config returns the pipeline configuration every job runs under, with
-// its defaults resolved (the caches and estimator are never nil) and
-// APWorkers and SynthWorkers clamped to 1.
+// its defaults resolved (the caches and estimator are never nil).
 func (e *Engine) Config() core.Config { return e.pipe.Config() }
 
 // Close stops accepting jobs, drains the queue, and waits for the

@@ -52,10 +52,8 @@ func TestEngineMatchesSerial(t *testing.T) {
 	cfg.GridCell = 0.25
 
 	serial := make([]engine.Result, len(reqs))
-	serialCfg := cfg
-	serialCfg.APWorkers = 0 // single-threaded, one client at a time
-	for i, q := range reqs {
-		pos, specs, err := core.LocateClient(q.APs, q.Captures, q.Min, q.Max, serialCfg)
+	for i, q := range reqs { // one client at a time
+		pos, specs, err := core.LocateClient(q.APs, q.Captures, q.Min, q.Max, cfg)
 		serial[i] = engine.Result{ClientID: q.ClientID, Pos: pos, APs: len(specs), Err: err}
 	}
 
@@ -202,8 +200,8 @@ func TestEngineConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestBackendToEngineStress runs the full ingest path — sharded
-// Backend quorum grouping into a engine.CaptureSink into the engine — with
+// TestBackendToEngineStress runs the full ingest path — the
+// Backend's quorum grouping into a engine.CaptureSink into the engine — with
 // 120 clients ingesting concurrently from 8 simulated AP feeds.
 func TestBackendToEngineStress(t *testing.T) {
 	aps, cfg, mkStreams := syntheticSetup()

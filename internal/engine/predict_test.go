@@ -131,10 +131,7 @@ func TestEnginePredictiveTeleportFallsBack(t *testing.T) {
 		t.Fatal("teleported fix was served from the stale predictive region")
 	}
 	// The served fix is the full-grid one for the far captures.
-	direct := cfg
-	direct.APWorkers = 1
-	direct.SynthWorkers = 1
-	wantPos, _, err := core.LocateClient(far.APs, far.Captures, far.Min, far.Max, direct)
+	wantPos, _, err := core.LocateClient(far.APs, far.Captures, far.Min, far.Max, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,8 @@ type TrackUpdate struct {
 
 // TrackerStats is a snapshot of tracker counters.
 type TrackerStats struct {
-	// Clients is the number of live (non-evicted) tracks.
+	// Clients is the number of live tracks: not evicted and not past
+	// TTL at the tracker's clock (the tracks Clients lists).
 	Clients int
 	// Observed is the cumulative number of fixes folded in.
 	Observed uint64
@@ -364,29 +365,39 @@ func (t *Tracker) SnapshotAll() []ClientSnapshot {
 	now := t.opt.Now()
 	t.mu.Lock()
 	out := make([]ClientSnapshot, 0, len(t.clients))
-	for id, ct := range t.clients {
-		out = t.appendLiveLocked(out, id, ct, now)
-	}
+	t.forLiveLocked(now, func(id uint32, ct *clientTrack) {
+		out = append(out, ct.snapshot(id))
+	})
 	t.mu.Unlock()
 	return sortSnapshots(out)
 }
 
-// appendLiveLocked appends ct's snapshot to out unless the track is
-// stale at now. Caller holds t.mu.
-func (t *Tracker) appendLiveLocked(out []ClientSnapshot, id uint32, ct *clientTrack, now time.Time) []ClientSnapshot {
-	if ct.staleAt(now, t.ttl) {
-		return out
+// forLiveLocked calls fn for every track not stale at now. It is the
+// one liveness rule of every reader that walks the whole map
+// (SnapshotAll, Clients, Stats): eviction runs only inside ObserveFix,
+// so once fixes stop the map still holds tracks that Snapshot and
+// Predict already report as gone. Caller holds t.mu.
+func (t *Tracker) forLiveLocked(now time.Time, fn func(id uint32, ct *clientTrack)) {
+	for id, ct := range t.clients {
+		if !ct.staleAt(now, t.ttl) {
+			fn(id, ct)
+		}
 	}
+}
+
+// snapshot serializes the track under id. Caller holds the tracker's
+// mu.
+func (ct *clientTrack) snapshot(id uint32) ClientSnapshot {
 	var lastNano int64
 	if !ct.last.IsZero() {
 		lastNano = ct.last.UnixNano()
 	}
-	return append(out, ClientSnapshot{
+	return ClientSnapshot{
 		ClientID:     id,
 		Filter:       ct.filter.Snapshot(),
 		LastUnixNano: lastNano,
 		LastAccepted: ct.lastAccepted,
-	})
+	}
 }
 
 // sortSnapshots orders snapshots by client ID and drops repeats of an
@@ -436,8 +447,8 @@ func (t *Tracker) SnapshotClients(ids []uint32) []ClientSnapshot {
 	t.mu.Lock()
 	out := make([]ClientSnapshot, 0, len(ids))
 	for _, id := range ids {
-		if ct, ok := t.clients[id]; ok {
-			out = t.appendLiveLocked(out, id, ct, now)
+		if ct, ok := t.clients[id]; ok && !ct.staleAt(now, t.ttl) {
+			out = append(out, ct.snapshot(id))
 		}
 	}
 	t.mu.Unlock()
@@ -462,13 +473,15 @@ func (t *Tracker) Remove(ids []uint32) int {
 }
 
 // Clients returns the IDs of all live tracks, sorted (the introspection
-// endpoint's index).
+// endpoint's index): a track past TTL is not listed, as Snapshot does
+// not report it.
 func (t *Tracker) Clients() []uint32 {
+	now := t.opt.Now()
 	t.mu.Lock()
 	ids := make([]uint32, 0, len(t.clients))
-	for id := range t.clients {
+	t.forLiveLocked(now, func(id uint32, _ *clientTrack) {
 		ids = append(ids, id)
-	}
+	})
 	t.mu.Unlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
@@ -476,10 +489,13 @@ func (t *Tracker) Clients() []uint32 {
 
 // Stats returns a snapshot of the tracker's counters.
 func (t *Tracker) Stats() TrackerStats {
+	now := t.opt.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	live := 0
+	t.forLiveLocked(now, func(uint32, *clientTrack) { live++ })
 	return TrackerStats{
-		Clients:          len(t.clients),
+		Clients:          live,
 		Observed:         t.observed,
 		GateRejects:      t.gateRejects,
 		Evicted:          t.evicted,

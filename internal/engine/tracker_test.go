@@ -27,8 +27,9 @@ func rmse(errs []float64) float64 {
 // RMSE.
 func TestTrackerSmoothsNoisyFixes(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	tr := engine.NewTracker(engine.TrackerOptions{ProcessNoise: 0.5, MeasSigma: 0.5, Gate: -1})
 	base := time.Unix(1700000000, 0)
+	tr := engine.NewTracker(engine.TrackerOptions{ProcessNoise: 0.5, MeasSigma: 0.5, Gate: -1,
+		Now: func() time.Time { return base.Add(59 * time.Second) }})
 
 	var rawErrs, smoothErrs []float64
 	for i := 0; i < 60; i++ {
@@ -72,8 +73,9 @@ func TestTrackerGateRejectsOutlier(t *testing.T) {
 }
 
 // TestTrackerEviction: clients whose last fix is older than TTL are
-// removed on later observations. A negative TTL turns eviction off and
-// reads back as 0, as SetTTL(-1) does.
+// removed on later observations, and no reader lists them before that.
+// A negative TTL turns eviction off and reads back as 0, as SetTTL(-1)
+// does.
 func TestTrackerEviction(t *testing.T) {
 	base := time.Unix(1700000000, 0)
 	for _, tc := range []struct {
@@ -102,6 +104,35 @@ func TestTrackerEviction(t *testing.T) {
 			t.Fatalf("TTL %v: client 2 should be live", tc.ttl)
 		}
 	}
+
+	// Once fixes stop nothing sweeps, yet a track past TTL is gone to
+	// every reader: Clients and Stats agree with Snapshot and
+	// SnapshotAll, so /clients never lists an ID /clients/{id} refuses.
+	now := base
+	tr := engine.NewTracker(engine.TrackerOptions{TTL: 30 * time.Second,
+		Now: func() time.Time { return now }})
+	tr.ObserveFix(1, geom.Pt(1, 1), base, false)
+	if ids, st := tr.Clients(), tr.Stats(); len(ids) != 1 || st.Clients != 1 {
+		t.Fatalf("fresh track: Clients() = %v, Stats().Clients = %d, want [1] and 1", ids, st.Clients)
+	}
+	now = base.Add(31 * time.Second)
+	if _, ok := tr.Snapshot(1); ok {
+		t.Fatal("client 1 past TTL still has a snapshot")
+	}
+	if snaps := tr.SnapshotAll(); len(snaps) != 0 {
+		t.Fatalf("SnapshotAll past TTL = %+v, want none", snaps)
+	}
+	if ids := tr.Clients(); len(ids) != 0 {
+		t.Fatalf("Clients() past TTL = %v, want none", ids)
+	}
+	if st := tr.Stats(); st.Clients != 0 || st.Evicted != 0 {
+		t.Fatalf("Stats past TTL = %+v, want 0 live and 0 evicted (nothing swept)", st)
+	}
+	// A fix after the gap restarts the track and lists it again.
+	tr.ObserveFix(1, geom.Pt(2, 2), now, false)
+	if ids, st := tr.Clients(), tr.Stats(); len(ids) != 1 || st.Clients != 1 || st.Evicted != 1 {
+		t.Fatalf("refixed track: Clients() = %v, Stats = %+v, want [1], 1 live, 1 evicted", ids, st)
+	}
 }
 
 // TestTrackerStaleClientRestartsFresh: a client reappearing after
@@ -112,7 +143,8 @@ func TestTrackerEviction(t *testing.T) {
 // absorbed the fix).
 func TestTrackerStaleClientRestartsFresh(t *testing.T) {
 	base := time.Unix(1700000000, 0)
-	tr := engine.NewTracker(engine.TrackerOptions{TTL: 30 * time.Second, Gate: -1})
+	tr := engine.NewTracker(engine.TrackerOptions{TTL: 30 * time.Second, Gate: -1,
+		Now: func() time.Time { return base.Add(2*time.Minute + time.Second) }})
 	// Establish a track moving briskly east.
 	for i := 0; i < 5; i++ {
 		tr.ObserveFix(1, geom.Pt(5+float64(i), 5), base.Add(time.Duration(i)*time.Second), false)
@@ -199,14 +231,15 @@ func TestTrackerOutOfOrderFix(t *testing.T) {
 // independent track that converges on their own (stationary) position,
 // with no cross-talk. Run under -race in CI.
 func TestEngineTrackerIndependentConcurrentClients(t *testing.T) {
-	aps, cfg, mkStreams := syntheticSetup()
-	tr := engine.NewTracker(engine.TrackerOptions{MeasSigma: 0.5, Gate: -1})
-	eng := engine.New(engine.Options{Workers: 8, Config: cfg, Tracker: tr})
-	defer eng.Close()
-
 	const clients = 16
 	const steps = 4
 	base := time.Unix(1700000000, 0)
+
+	aps, cfg, mkStreams := syntheticSetup()
+	tr := engine.NewTracker(engine.TrackerOptions{MeasSigma: 0.5, Gate: -1,
+		Now: func() time.Time { return base.Add((steps - 1) * time.Second) }})
+	eng := engine.New(engine.Options{Workers: 8, Config: cfg, Tracker: tr})
+	defer eng.Close()
 
 	firstFix := make([]geom.Point, clients)
 	lastTrack := make([]geom.Point, clients)

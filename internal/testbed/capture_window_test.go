@@ -180,7 +180,7 @@ func TestTrimmedWireFixesMatchRaw(t *testing.T) {
 	}
 
 	sg, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(0),
+		Cell: 0.10, Cache: core.NewSynthCache(0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestLocateScaleInvariantThroughWire(t *testing.T) {
 	d := tb.Draw(opt)
 	p := core.NewPipeline(opt.Pipeline)
 	sg, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(0),
+		Cell: 0.10, Cache: core.NewSynthCache(0),
 	})
 	if err != nil {
 		t.Fatal(err)

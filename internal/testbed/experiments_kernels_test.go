@@ -101,7 +101,7 @@ func TestLagScansExactOn205Scenes(t *testing.T) {
 	}
 
 	sg, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(0),
+		Cell: 0.10, Cache: core.NewSynthCache(0),
 	})
 	if err != nil {
 		t.Fatal(err)

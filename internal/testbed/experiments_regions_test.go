@@ -55,7 +55,7 @@ func TestRegionGateOnTestbed(t *testing.T) {
 	}
 	const budget int64 = 32 << 20
 	cache := core.NewSynthCache(budget)
-	fullGrid, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{Cell: 0.10, Workers: 1, Cache: cache})
+	fullGrid, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{Cell: 0.10, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRegionGateOnTestbed(t *testing.T) {
 			scene := tb.Scene(specs[ci], combo)
 			region := regions[checked%len(regions)]
 			sg, err := core.NewSynthGridRegion(tb.Plan.Min, tb.Plan.Max, region, core.SynthOptions{
-				Cell: 0.10, Workers: 1, Cache: cache,
+				Cell: 0.10, Cache: cache,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -123,7 +123,7 @@ func TestRegionSteadyStateAllocs(t *testing.T) {
 	cache := core.NewSynthCache(32 << 20)
 	region := core.Region{Min: geom.Pt(8, 3), Max: geom.Pt(20, 12)}
 	sg, err := core.NewSynthGridRegion(tb.Plan.Min, tb.Plan.Max, region, core.SynthOptions{
-		Cell: 0.10, Workers: 1, Cache: cache,
+		Cell: 0.10, Cache: cache,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ func TestRealSubspaceExactOn205Scenes(t *testing.T) {
 	refCfg.Estimator = hermitianEstimator{}
 	ref := core.NewPipeline(refCfg)
 	sg, err := core.NewSynthGrid(tb.Plan.Min, tb.Plan.Max, core.SynthOptions{
-		Cell: 0.10, Workers: 1, Cache: core.NewSynthCache(0),
+		Cell: 0.10, Cache: core.NewSynthCache(0),
 	})
 	if err != nil {
 		t.Fatal(err)
