@@ -18,12 +18,13 @@
 //	arraytrack-server -listen :7100 -quorum 3
 //
 // The same binary scales out: each shard runs a normal backend (on a
-// TCP or unix:/path socket, tagged with -shard i/N), and one -router
-// process fans AP traffic out to the shards by hashed client ID,
-// migrating tracks losslessly when the map grows:
+// TCP or unix:/path socket), and one -router process fans AP traffic
+// out to the shards by hashed client ID, migrating tracks losslessly
+// when the map grows. A shard's index is its position in the router's
+// -shards list:
 //
-//	arraytrack-server -shard 0/2 -listen unix:/run/at/s0.sock -http :9100 ...
-//	arraytrack-server -shard 1/2 -listen unix:/run/at/s1.sock -http :9101 ...
+//	arraytrack-server -listen unix:/run/at/s0.sock -http :9100 ...
+//	arraytrack-server -listen unix:/run/at/s1.sock -http :9101 ...
 //	arraytrack-server -router -listen :7100 -http :9099 \
 //	    -shards unix:/run/at/s0.sock,unix:/run/at/s1.sock \
 //	    -shard-ops http://127.0.0.1:9100,http://127.0.0.1:9101 -map-shards 1
@@ -34,9 +35,9 @@
 // tracker image, exit 0) and -restore resumes those tracks
 // bit-identically on the next start. -http serves Prometheus metrics,
 // per-client track introspection, and the hot-reloadable knobs. The
-// knobs document (ops.Knobs) is the one way to set the six live values
-// — cache budgets, client quota, predictive sigma, track TTL and shed
-// bound: -knobs names a JSON file applied before any listener serves
+// knobs document (ops.Knobs) is the one way to set the five live values
+// — cache budgets, client quota, predictive sigma and track TTL:
+// -knobs names a JSON file applied before any listener serves
 // (unreadable or refused: exit non-zero) and re-applied on SIGHUP
 // (refused: logged, serving continues), and POST /knobs takes the same
 // document. The series /metrics exposes are also logged every
@@ -83,8 +84,8 @@ func applyKnobsFile(srv *ops.Server, path string) error {
 }
 
 // newEngine starts the engine at the live values every start begins
-// from — client quota 16, predictive serving at DefaultPredictSigma,
-// no shedding — until a knobs document changes them.
+// from — client quota 16, predictive serving at DefaultPredictSigma —
+// until a knobs document changes them.
 func newEngine(workers int, cfg core.Config, tracker *engine.Tracker) *engine.Engine {
 	return engine.New(engine.Options{
 		Workers:     workers,
@@ -123,8 +124,6 @@ func degradedSweep(after time.Duration) (resolved, period time.Duration) {
 func main() {
 	listen := flag.String("listen", ":7100", "listen address (host:port TCP, or unix:/path/to.sock)")
 	quorum := flag.Int("quorum", 3, "distinct APs required before localizing")
-	shardFlag := flag.String("shard", "",
-		"serve as shard i of an N-shard cluster, e.g. -shard 0/4 (informational: sharding is enforced by the router)")
 	routerMode := flag.Bool("router", false,
 		"run as the cluster router instead of a backend: fan AP traffic out to -shards by client ID")
 	rf := registerRouterFlags()
@@ -138,7 +137,7 @@ func main() {
 	restorePath := flag.String("restore", "",
 		"restore tracker state from this snapshot at startup (empty disables)")
 	knobsPath := flag.String("knobs", "",
-		"JSON knobs file (cache budgets, client quota, predict sigma, track TTL, shed bound) applied before serving and re-applied on SIGHUP (empty disables)")
+		"JSON knobs file (cache budgets, client quota, predict sigma, track TTL) applied before serving and re-applied on SIGHUP (empty disables)")
 	udpAddr := flag.String("udp", "",
 		"also accept batch-frame capture datagrams on this UDP address (empty disables)")
 	degradedQuorum := flag.Int("degraded-quorum", 0,
@@ -159,14 +158,6 @@ func main() {
 		}
 		return
 	}
-	shardIdx, shardN := 0, 1
-	if *shardFlag != "" {
-		var err error
-		if shardIdx, shardN, err = parseShardFlag(*shardFlag); err != nil {
-			log.Fatal(err)
-		}
-	}
-
 	tb := testbed.New()
 	capOpt := testbed.DefaultCaptureOptions()
 	cfg := core.DefaultConfig(tb.Wavelength)
@@ -243,11 +234,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if shardN > 1 {
-		log.Printf("ArrayTrack shard %d/%d listening on %s (quorum %d)", shardIdx, shardN, l.Addr(), *quorum)
-	} else {
-		log.Printf("ArrayTrack server listening on %s (quorum %d)", l.Addr(), *quorum)
-	}
+	log.Printf("ArrayTrack server listening on %s (quorum %d)", l.Addr(), *quorum)
 	log.Printf("kernels: %s", music.Kernels())
 
 	ctx, stop := signal.NotifyContext(context.Background(), shutdownSignals()...)

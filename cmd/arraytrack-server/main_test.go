@@ -16,17 +16,17 @@ import (
 )
 
 // TestKnobsFileRefusesUnknownKey: a knobs file naming a key no knob
-// has — a misspelling, or the retired age_limit_ms — is refused whole:
-// applyKnobsFile returns an error naming the key (main exits on it at
-// start-up, logs it on SIGHUP) and not even the file's valid knobs
-// apply, as POST /knobs refuses the same document.
+// has — a misspelling, or the retired age_limit_ms or shed_after_ms —
+// is refused whole: applyKnobsFile returns an error naming the key
+// (main exits on it at start-up, logs it on SIGHUP) and not even the
+// file's valid knobs apply, as POST /knobs refuses the same document.
 func TestKnobsFileRefusesUnknownKey(t *testing.T) {
 	eng := newEngine(1, core.Config{Wavelength: 0.1225, GridCell: 0.5}, nil)
 	defer eng.Close()
 	srv := &ops.Server{Engine: eng}
 
 	dir := t.TempDir()
-	for _, key := range []string{"age_limit_ms", "clint_quota"} {
+	for _, key := range []string{"age_limit_ms", "shed_after_ms", "clint_quota"} {
 		path := writeKnobs(t, dir, key, `{"client_quota": 4, "`+key+`": 100}`)
 		err := applyKnobsFile(srv, path)
 		if err == nil || !strings.Contains(err.Error(), `unknown field "`+key+`"`) {
@@ -50,9 +50,9 @@ func TestKnobsFileRefusesUnknownKey(t *testing.T) {
 }
 
 // TestKnobsFileSetsEachLiveValue: the knobs document is the one way to
-// set the six live values that once had start-up flags. For each
+// set the five live values that once had start-up flags. For each
 // deleted flag, one start-up document reproduces its non-default
-// effect on the engine newEngine builds, and leaves the other five at
+// effect on the engine newEngine builds, and leaves the other four at
 // their defaults.
 func TestKnobsFileSetsEachLiveValue(t *testing.T) {
 	for _, tc := range []struct {
@@ -71,8 +71,6 @@ func TestKnobsFileSetsEachLiveValue(t *testing.T) {
 			func(k *ops.Knobs) { *k.PredictSigma = 6 }},
 		{"-track-ttl 5s", `{"track_ttl_ms": 5000}`,
 			func(k *ops.Knobs) { *k.TrackTTLMillis = 5000 }},
-		{"-shed-after 250ms", `{"shed_after_ms": 250}`,
-			func(k *ops.Knobs) { *k.ShedAfterMillis = 250 }},
 	} {
 		t.Run(tc.flag, func(t *testing.T) {
 			cfg := core.Config{Wavelength: 0.1225, GridCell: 0.5,
@@ -100,7 +98,7 @@ func TestKnobsFileSetsEachLiveValue(t *testing.T) {
 // noFlagKnobs is GET /knobs of a server started with no flags and no
 // knobs file.
 const noFlagKnobs = `{"synth_cache_budget":268435456,"steering_cache_budget":33554432,` +
-	`"client_quota":16,"predict_sigma":4,"track_ttl_ms":30000,"shed_after_ms":0}`
+	`"client_quota":16,"predict_sigma":4,"track_ttl_ms":30000}`
 
 func knobsJSON(t *testing.T, k ops.Knobs) string {
 	t.Helper()

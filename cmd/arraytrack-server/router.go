@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -35,20 +34,6 @@ func dialShard(addr string) (net.Conn, error) {
 		return net.Dial("unix", path)
 	}
 	return net.Dial("tcp", addr)
-}
-
-// parseShardFlag parses "-shard i/N" into (index, total).
-func parseShardFlag(s string) (int, int, error) {
-	i, n, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("-shard wants i/N, got %q", s)
-	}
-	idx, err1 := strconv.Atoi(i)
-	total, err2 := strconv.Atoi(n)
-	if err1 != nil || err2 != nil || total < 1 || idx < 0 || idx >= total {
-		return 0, 0, fmt.Errorf("-shard wants i/N with 0 <= i < N, got %q", s)
-	}
-	return idx, total, nil
 }
 
 // routerFlags are the -router mode's extra knobs.

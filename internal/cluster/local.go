@@ -38,8 +38,9 @@ type LocalShardOptions struct {
 // server.Backend listening on a unix socket, feeding an engine.Engine
 // through a CaptureSink. It is the single-host building block behind
 // -exp cluster and the cluster tests, and the in-process reference for
-// what `arraytrack-server -shard i/N` runs as a separate process. Its
-// control surface is a Node over its backend and engine.
+// what a shard `arraytrack-server` (a plain backend behind a -router)
+// runs as a separate process. Its control surface is a Node over its
+// backend and engine.
 type LocalShard struct {
 	Backend *server.Backend
 	Engine  *engine.Engine

@@ -361,11 +361,12 @@ func TestSynthGridFlatSurfaceFallback(t *testing.T) {
 	}
 }
 
-// TestSynthGridShardedRace exercises the LUT cache under concurrency
-// (run with -race): many goroutines, each on its own grid as an engine
-// worker is, localize over one shared SynthCache starting cold, and
-// every fix must equal the one a serial run on a private cache makes.
-func TestSynthGridShardedRace(t *testing.T) {
+// TestConcurrentLocalizeSharedCache exercises the LUT cache under
+// concurrency (run with -race): many goroutines, each on its own grid
+// as an engine worker is, localize over one shared SynthCache starting
+// cold, and every fix must equal the one a serial run on a private
+// cache makes.
+func TestConcurrentLocalizeSharedCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	min, max := synthBounds()
 	scenes := make([][]APSpectrum, 6)
@@ -500,12 +501,12 @@ func TestSynthGridSpeedupGate(t *testing.T) {
 	}
 }
 
-// TestSynthGridWorkersDeterministic: LogHeatmapInto filled from
+// TestConcurrentLogHeatmapMatchesSerial: LogHeatmapInto filled from
 // several goroutines at once on one grid over one shared cache, cold
 // at the start, must be bit-identical to a serial fill (each cell's
 // accumulation order over APs is fixed, and a LUT built by a racing
 // goroutine holds the same values as one built alone).
-func TestSynthGridWorkersDeterministic(t *testing.T) {
+func TestConcurrentLogHeatmapMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	min, max := synthBounds()
 	aps := synthScene(4, geom.Pt(11, 12), rng)

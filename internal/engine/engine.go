@@ -32,14 +32,6 @@ import (
 // ErrClosed is returned by Submit-family calls after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// ErrOverloaded fails a job the engine shed instead of running: the
-// job sat queued longer than the shed bound (SetShedAfter), so its
-// captures describe where the client *was* — localizing them now would
-// burn a worker on a stale answer while fresher jobs queue up behind. The
-// done callback still runs (with this error), so submitters always
-// hear back.
-var ErrOverloaded = errors.New("engine: overloaded, job shed")
-
 // ErrQuota is returned by Submit when the client already holds its
 // full scheduler quota of admitted-but-uncompleted jobs (see
 // Options.ClientQuota). The submission was refused, not queued.
@@ -144,9 +136,7 @@ type Stats struct {
 	Rejected uint64
 	// QuotaRejected is the subset of Rejected refused with ErrQuota.
 	QuotaRejected uint64
-	// Shed is the number of jobs failed with ErrOverloaded
-	// because they aged past the shed bound before a worker got to them
-	// (included in Failures and Completed).
+	// Deprecated: always 0; the engine sheds no job.
 	Shed uint64
 	// ShortCaptures is the number of jobs refused with
 	// core.ErrShortCapture: an AP shipped streams that are not the
@@ -187,8 +177,7 @@ type Stats struct {
 type job struct {
 	req  Request
 	done func(Result)
-	// enq is the submission instant: the shed check's age and the
-	// start of the job's latency.
+	// enq is the submission instant, the start of the job's latency.
 	enq time.Time
 }
 
@@ -216,10 +205,8 @@ type Engine struct {
 	predGate      atomic.Uint64
 	predRegionErr atomic.Uint64
 
-	shedAfter atomic.Int64 // nanoseconds; 0 = shedding off (the default); set by SetShedAfter
-	shed      atomic.Uint64
-	short     atomic.Uint64
-	degFixes  atomic.Uint64
+	short    atomic.Uint64
+	degFixes atomic.Uint64
 
 	latency latencyHist
 }
@@ -268,19 +255,6 @@ func (e *Engine) worker() {
 // workspace and releases its quota token.
 func (e *Engine) execute(ws *music.Workspace, it sched.Item) {
 	j := it.Payload.(job)
-	// Overload shedding: a job that aged past the shed bound in the queue
-	// is failed, not localized — its captures are stale and fresher
-	// work is waiting. Counted in Failures so the
-	// Completed == Fixes + Failures invariant (and Drain accounting)
-	// holds.
-	if shed := e.shedAfter.Load(); shed > 0 && time.Since(j.enq) > time.Duration(shed) {
-		e.shed.Add(1)
-		e.failures.Add(1)
-		e.latency.observe(time.Since(j.enq))
-		e.q.Done(it.Client)
-		j.done(Result{ClientID: j.req.ClientID, Err: ErrOverloaded, Degraded: j.req.Degraded})
-		return
-	}
 	r := e.run(ws, j.req)
 	e.latency.observe(time.Since(j.enq))
 	e.q.Done(it.Client)
@@ -449,23 +423,6 @@ func (e *Engine) SetPredictSigma(sigma float64) {
 	e.predSigma.Store(math.Float64bits(sigma))
 }
 
-// ShedAfter returns the live overload-shedding age bound (0 =
-// shedding is off).
-func (e *Engine) ShedAfter() time.Duration {
-	return time.Duration(e.shedAfter.Load())
-}
-
-// SetShedAfter hot-reloads the overload-shedding age bound: positive
-// sheds jobs older than d at execution time, zero or negative
-// disables shedding. Takes effect on the next job a worker picks up,
-// queued ones included (every job carries its submission stamp).
-func (e *Engine) SetShedAfter(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	e.shedAfter.Store(int64(d))
-}
-
 // SetClientQuota hot-reloads the scheduler's per-client token budget
 // (0 = unlimited); admitted jobs are never cancelled.
 func (e *Engine) SetClientQuota(n int) { e.q.SetClientQuota(n) }
@@ -514,7 +471,6 @@ func (e *Engine) Stats() Stats {
 		Failures:               failures,
 		Rejected:               e.rejected.Load(),
 		QuotaRejected:          e.quotaRej.Load(),
-		Shed:                   e.shed.Load(),
 		ShortCaptures:          e.short.Load(),
 		DegradedFixes:          e.degFixes.Load(),
 		Predicted:              e.predicted.Load(),
@@ -523,7 +479,7 @@ func (e *Engine) Stats() Stats {
 		PredictFallbackGate:    e.predGate.Load(),
 		PredictFallbackError:   e.predRegionErr.Load(),
 		Workers:                e.workers,
-		Queued:                 e.q.Stats().Queued,
+		Queued:                 e.q.Len(),
 	}
 	if e.tracker != nil {
 		ts := e.tracker.Stats()

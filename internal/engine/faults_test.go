@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -114,29 +113,31 @@ func TestTrackerDegradedGateWidening(t *testing.T) {
 	}
 }
 
-// TestEngineShedsAgedBatchJobs: under overload with shedding enabled,
-// queued jobs older than the shed bound fail fast with ErrOverloaded
-// (counted, done callbacks still fired).
-func TestEngineShedsAgedBatchJobs(t *testing.T) {
+// TestEngineBurstHeldByBoundedQueue: a burst far deeper than the queue
+// is held back by Submit, not dropped. With one worker and the default
+// depth (4 × workers), 24 jobs go in from one submitter: the queue
+// never holds more than its depth, every job ends in a fix, and
+// Submitted == Completed == Fixes.
+func TestEngineBurstHeldByBoundedQueue(t *testing.T) {
+	const burst, depth = 24, 4
 	tb, reqs := testbedRequests(t, 4)
 	cfg := core.DefaultConfig(tb.Wavelength)
 	cfg.GridCell = 0.25
 	eng := engine.New(engine.Options{Workers: 1, Config: cfg})
 	defer eng.Close()
-	eng.SetShedAfter(time.Hour)
 
 	var mu sync.Mutex
-	var shedErrs, fixes int
+	var fixes int
 	var wg sync.WaitGroup
-	for i := range reqs {
-		req := reqs[i]
-		req.ClientID = uint32(i + 1)
+	for i := 0; i < burst; i++ {
+		req := reqs[i%len(reqs)]
+		req.ClientID = uint32(200 + i)
 		wg.Add(1)
 		if err := eng.Submit(req, func(r engine.Result) {
 			mu.Lock()
-			if errors.Is(r.Err, engine.ErrOverloaded) {
-				shedErrs++
-			} else if r.Err == nil {
+			if r.Err != nil {
+				t.Errorf("client %d: %v", r.ClientID, r.Err)
+			} else {
 				fixes++
 			}
 			mu.Unlock()
@@ -144,30 +145,18 @@ func TestEngineShedsAgedBatchJobs(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		if q := eng.Stats().Queued; q > depth {
+			t.Fatalf("queue holds %d jobs after submit %d, depth is %d", q, i+1, depth)
+		}
 	}
-	// All four jobs carry enqueue stamps; dropping the bound to 1 ns sheds everything still queued. The
-	// single worker may already be running the first job — so 3 or 4
-	// shed, never fewer.
-	eng.SetShedAfter(time.Nanosecond)
 	wg.Wait()
 
+	if fixes != burst {
+		t.Fatalf("%d fixes from a %d-job burst", fixes, burst)
+	}
 	st := eng.Stats()
-	if st.Shed < 3 || st.Shed > 4 {
-		t.Fatalf("Shed = %d, want 3 or 4 of 4", st.Shed)
-	}
-	if uint64(shedErrs) != st.Shed {
-		t.Fatalf("%d ErrOverloaded callbacks for %d shed jobs", shedErrs, st.Shed)
-	}
-	if st.Completed != 4 || st.Fixes != uint64(fixes) || st.Fixes+st.Failures != st.Completed {
-		t.Fatalf("accounting broken after shedding: %+v", st)
-	}
-
-	// Disabling shedding drains normally again.
-	eng.SetShedAfter(0)
-	again := reqs[1]
-	again.ClientID = 100
-	if r := eng.Locate(again); r.Err != nil {
-		t.Fatalf("job after re-enable failed: %v", r.Err)
+	if st.Submitted != burst || st.Completed != burst || st.Fixes != burst || st.Failures != 0 {
+		t.Fatalf("accounting after the burst: %+v, want %d submitted, completed and fixed", st, burst)
 	}
 }
 

@@ -196,14 +196,14 @@ func TestEngineClientQuota(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEngineFairnessUnderPriorityFlood: hostile clients submit as
-// fast as they can — far past their share — to a single-worker engine
-// while two well-behaved clients submit a few jobs each. ClientQuota
-// holds every hostile client to its tokens, so the queue is FIFO past
-// at most hostiles × quota of the flood's jobs: every well-behaved job
+// TestEngineFairnessUnderFlood: hostile clients submit as fast as they
+// can — far past their share — to a single-worker engine while two
+// well-behaved clients submit a few jobs each. ClientQuota holds every
+// hostile client to its tokens, so the queue is FIFO past at most
+// hostiles × quota of the flood's jobs: every well-behaved job
 // completes, in submission order, behind no more than that. Runs under
 // -race in the normal test pass.
-func TestEngineFairnessUnderPriorityFlood(t *testing.T) {
+func TestEngineFairnessUnderFlood(t *testing.T) {
 	aps, cfg, mkStreams := syntheticSetup()
 	const (
 		hostiles  = 3
@@ -338,13 +338,13 @@ func TestEngineFairnessUnderPriorityFlood(t *testing.T) {
 	t.Logf("flood: %d jobs ahead of the last well-behaved one, %d quota refusals", hostileAhead, st.QuotaRejected)
 }
 
-// TestEngineYieldStealsMidSurface: a job in flight is never
+// TestEngineBacklogRunsInFIFOOrder: a job in flight is never
 // interrupted, and one worker completes a backlog in FIFO order. With
 // the single worker plugged by a job whose done callback blocks, a
 // backlog is queued; the completion order must be exactly the plug,
 // then the backlog in submission order, and the plug's fix must be the
 // one the same request gets alone.
-func TestEngineYieldStealsMidSurface(t *testing.T) {
+func TestEngineBacklogRunsInFIFOOrder(t *testing.T) {
 	aps, cfg, mkStreams := syntheticSetup()
 	const backlog = 4
 	eng := engine.New(engine.Options{Workers: 1, Config: cfg})

@@ -12,7 +12,6 @@ package sched
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrClosed is returned by Push after Close.
@@ -42,18 +41,6 @@ type Options struct {
 	ClientQuota int
 }
 
-// Stats is a snapshot of queue counters.
-type Stats struct {
-	// Pushed counts admissions.
-	Pushed uint64
-	// QuotaRejected counts pushes refused with ErrQuota.
-	QuotaRejected uint64
-	// Queued is the instantaneous queue depth.
-	Queued int
-	// Clients is the number of identities currently holding tokens.
-	Clients int
-}
-
 // Queue is the scheduler. All methods are safe for concurrent use.
 type Queue struct {
 	opt Options
@@ -65,9 +52,6 @@ type Queue struct {
 	head     int
 	tokens   map[uint32]int // admitted-but-not-Done count per client
 	closed   bool
-
-	pushed   atomic.Uint64
-	quotaRej atomic.Uint64
 }
 
 // New returns a queue with the given options.
@@ -96,7 +80,6 @@ func (q *Queue) Push(it Item) error {
 			return ErrClosed
 		}
 		if quota := q.opt.ClientQuota; quota > 0 && q.tokens[it.Client] >= quota {
-			q.quotaRej.Add(1)
 			return ErrQuota
 		}
 		if q.len() < q.opt.Depth {
@@ -106,7 +89,6 @@ func (q *Queue) Push(it Item) error {
 	}
 	q.tokens[it.Client]++
 	q.items = append(q.items, it)
-	q.pushed.Add(1)
 	q.notEmpty.Signal()
 	return nil
 }
@@ -192,12 +174,10 @@ func (q *Queue) Close() {
 	q.space.Broadcast()
 }
 
-// Stats returns a snapshot of the queue's counters.
-func (q *Queue) Stats() Stats {
+// Len returns the instantaneous queue depth: items pushed and not yet
+// popped.
+func (q *Queue) Len() int {
 	q.mu.Lock()
-	s := Stats{Queued: q.len(), Clients: len(q.tokens)}
-	q.mu.Unlock()
-	s.Pushed = q.pushed.Load()
-	s.QuotaRejected = q.quotaRej.Load()
-	return s
+	defer q.mu.Unlock()
+	return q.len()
 }

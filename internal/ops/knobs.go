@@ -30,9 +30,6 @@ type Knobs struct {
 	// TrackTTLMillis resets the track eviction TTL (≤0 disables
 	// eviction).
 	TrackTTLMillis *int64 `json:"track_ttl_ms,omitempty"`
-	// ShedAfterMillis resets the overload-shedding age bound (≤0
-	// disables shedding).
-	ShedAfterMillis *int64 `json:"shed_after_ms,omitempty"`
 }
 
 // DecodeKnobs reads one JSON knobs document — a POST /knobs body or a
@@ -76,10 +73,6 @@ func (s *Server) Apply(k Knobs) []string {
 			applied = append(applied, "track_ttl_ms")
 		}
 	}
-	if k.ShedAfterMillis != nil {
-		s.Engine.SetShedAfter(time.Duration(*k.ShedAfterMillis) * time.Millisecond)
-		applied = append(applied, "shed_after_ms")
-	}
 	return applied
 }
 
@@ -97,8 +90,6 @@ func (s *Server) Current() Knobs {
 		ttl := int64(tr.TTL() / time.Millisecond)
 		k.TrackTTLMillis = &ttl
 	}
-	shed := int64(s.Engine.ShedAfter() / time.Millisecond)
-	k.ShedAfterMillis = &shed
 	return k
 }
 

@@ -147,7 +147,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"arraytrack_predict_sigma 4",
 		"arraytrack_client_quota 16",
 		"arraytrack_track_observed_total 16",
-		"arraytrack_shed_total 0",
 		"arraytrack_short_captures_total 0",
 		"arraytrack_degraded_fixes_total 0",
 		"arraytrack_track_skew_clamped_total 0",
@@ -162,7 +161,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE arraytrack_udp_seq_gaps_total counter",
 		"# TYPE arraytrack_udp_datagrams_total counter",
 		"# TYPE arraytrack_leased_ingest_workspaces gauge",
-		"arraytrack_shed_after_ms 0",
 		"# TYPE arraytrack_build_info gauge",
 		`arraytrack_build_info{kernels="` + music.Kernels() + `"} 1`,
 	}
@@ -179,7 +177,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, retired := range []string{"synth_cache_slices_total",
 		"synth_cache_second_choice_total", "synth_cache_dense_evictions_total",
-		"steering_cache_second_choice_total", "steering_cache_dense_evictions_total"} {
+		"steering_cache_second_choice_total", "steering_cache_dense_evictions_total",
+		"shed_total", "shed_after_ms"} {
 		if strings.Contains(body, "arraytrack_"+retired) {
 			t.Errorf("metrics exposition still carries the retired series %s", retired)
 		}
@@ -307,7 +306,7 @@ func TestKnobsApplyAndReadback(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	doc := `{"synth_cache_budget": 1048576, "client_quota": 4, "predict_sigma": 6, "track_ttl_ms": 1500, "shed_after_ms": 250}`
+	doc := `{"synth_cache_budget": 1048576, "client_quota": 4, "predict_sigma": 6, "track_ttl_ms": 1500}`
 	resp, err := ts.Client().Post(ts.URL+"/knobs", "application/json", strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
@@ -319,8 +318,8 @@ func TestKnobsApplyAndReadback(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(applied.Applied) != 5 {
-		t.Fatalf("applied = %v, want 5 knobs", applied.Applied)
+	if len(applied.Applied) != 4 {
+		t.Fatalf("applied = %v, want 4 knobs", applied.Applied)
 	}
 	if b := eng.Config().SynthCache.Budget(); b != 1<<20 {
 		t.Fatalf("synth budget = %d, want %d", b, 1<<20)
@@ -333,9 +332,6 @@ func TestKnobsApplyAndReadback(t *testing.T) {
 	}
 	if ttl := tr.TTL(); ttl != 1500*time.Millisecond {
 		t.Fatalf("track TTL = %v, want 1.5s", ttl)
-	}
-	if shed := eng.ShedAfter(); shed != 250*time.Millisecond {
-		t.Fatalf("shed after = %v, want 250ms", shed)
 	}
 
 	// Unnamed knobs stay put (partial update), and readback agrees.

@@ -178,7 +178,6 @@ func (s *Server) WriteMetrics(w io.Writer) {
 		p.counter("arraytrack_track_degraded_observed_total", "Degraded-quorum fixes folded into tracks.", ts.DegradedObserved)
 	}
 
-	p.counter("arraytrack_shed_total", "Jobs failed with ErrOverloaded after ageing past the shed bound.", st.Shed)
 	p.counter("arraytrack_short_captures_total", "Jobs refused because a capture's streams were not the window's length (MaxSamples).", st.ShortCaptures)
 	p.counter("arraytrack_degraded_fixes_total", "Fixes produced from degraded-quorum capture groups.", st.DegradedFixes)
 	if s.Sink != nil {
@@ -212,7 +211,6 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	if tr != nil {
 		p.gaugeF("arraytrack_track_ttl_seconds", "Track eviction TTL in seconds (0 = disabled).", tr.TTL().Seconds())
 	}
-	p.gauge("arraytrack_shed_after_ms", "Overload-shedding age bound in milliseconds (0 = shedding off).", int64(s.Engine.ShedAfter()/time.Millisecond))
 
 	io.WriteString(w, p.b.String())
 }

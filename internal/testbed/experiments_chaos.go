@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -24,7 +23,7 @@ import (
 // mid-walk (before step Steps/2) with degraded-quorum serving, a
 // slow-loris connection against the idle reaper, chaos-corrupted
 // frames against the AP error budget, and a burst against the engine's
-// overload shedding.
+// bounded queue.
 type ChaosOptions struct {
 	// Steps is the number of fixes along the walk.
 	Steps int
@@ -66,8 +65,8 @@ const (
 	// chaosErrorBudget is the corrupted-frame count that quarantines
 	// an AP.
 	chaosErrorBudget = 3
-	// chaosBurstJobs is the overload burst one worker faces; the shed
-	// bound is sized from a timed job (see RunChaos phase D).
+	// chaosBurstJobs is the overload burst one worker faces, six times
+	// its default queue depth (see RunChaos phase D).
 	chaosBurstJobs = 24
 )
 
@@ -111,11 +110,11 @@ type ChaosResult struct {
 	// dropped, and cooldown expiry readmits it.
 	Quarantines, QuarantineDropped uint64
 	Readmitted                     bool
-	// Shed is how many burst jobs the engine refused as too old;
-	// ShedFixes how many still completed. Both must be positive: the
-	// engine degrades, it does not stop.
-	Shed      uint64
-	ShedFixes int
+	// BurstFixes is how many burst jobs ended in a fix and
+	// BurstFailures how many ended in an error or were refused. Want
+	// BurstFixes == chaosBurstJobs and BurstFailures 0: the bounded
+	// queue holds the burst back, it drops nothing.
+	BurstFixes, BurstFailures int
 
 	served *trial
 }
@@ -169,8 +168,9 @@ func chaosSmallCap(rng *rand.Rand, apID, clientID uint32) []server.Capture {
 // within twice the idle timeout without disturbing a healthy
 // connection. (C) Chaos bit-flipped frames burn through an AP's error
 // budget: the AP is quarantined, its captures dropped, and cooldown
-// expiry readmits it. (D) A burst against one worker sheds aged batch
-// jobs with ErrOverloaded instead of stalling the queue.
+// expiry readmits it. (D) A burst six times the queue's depth against
+// one worker is held back by Submit's back-pressure and ends in a fix
+// for every job.
 func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 	capture := DefaultCaptureOptions()
 	capture.Antennas = opt.Antennas
@@ -445,48 +445,38 @@ func (tb *Testbed) RunChaos(opt ChaosOptions) (*Report, *ChaosResult, error) {
 	r.Addf("phase C: %d bit-flipped frames -> %d quarantine, %d captures dropped, readmitted after cooldown: %v",
 		chaosErrorBudget, res.Quarantines, res.QuarantineDropped, res.Readmitted)
 
-	// ---- Phase D: overload burst vs shedding ----
+	// ---- Phase D: overload burst vs the bounded queue ----
 
-	// A deep queue so the whole burst is admitted at once: the point is
-	// aged-in-queue shedding, not Submit backpressure. The shed bound is
-	// two jobs' time at this shape, timed on this engine (the fastest of
-	// three, the first filling the caches), so the burst's tail ages
-	// past it whatever a fix costs.
-	burstEng := engine.New(engine.Options{Workers: 1, Queue: chaosBurstJobs, Config: w.cfg})
+	// One worker at the default queue depth (4 × workers): Submit blocks
+	// while the queue is full, so the burst waits at the door instead of
+	// being dropped, and every job ends in a fix.
+	const burstWorkers = 1
+	burstEng := engine.New(engine.Options{Workers: burstWorkers, Config: w.cfg})
 	defer burstEng.Close()
-	burstAPs := tb.APsFor(chaosWalkerSites, capture)
-	burst := w.request(0, 0, burstAPs)
-	job := time.Duration(math.MaxInt64)
-	for k := 0; k < 3; k++ {
-		start := time.Now()
-		if out := burstEng.Locate(burst); out.Err != nil {
-			return nil, nil, out.Err
-		}
-		job = min(job, time.Since(start))
-	}
-	shedAfter := 2 * job
-	burstEng.SetShedAfter(shedAfter)
+	burst := w.request(0, 0, tb.APsFor(chaosWalkerSites, capture))
 	var burstWG sync.WaitGroup
-	var completed atomic.Int64
+	var fixed, failed atomic.Int64
 	for j := 0; j < chaosBurstJobs; j++ {
 		burst.ClientID = uint32(200 + j)
 		burstWG.Add(1)
 		err := burstEng.Submit(burst, func(r engine.Result) {
 			if r.Err == nil {
-				completed.Add(1)
+				fixed.Add(1)
+			} else {
+				failed.Add(1)
 			}
 			burstWG.Done()
 		})
 		if err != nil {
+			failed.Add(1)
 			burstWG.Done()
 		}
 	}
 	burstWG.Wait()
-	res.Shed = burstEng.Stats().Shed
-	res.ShedFixes = int(completed.Load())
+	res.BurstFixes, res.BurstFailures = int(fixed.Load()), int(failed.Load())
 
-	r.Addf("phase D: %d-job burst at one worker, shed-after %v (2 timed jobs): %d shed with ErrOverloaded, %d fixes completed",
-		chaosBurstJobs, shedAfter.Round(time.Microsecond), res.Shed, res.ShedFixes)
+	r.Addf("phase D: %d-job burst at one worker, queue depth %d: %d fixes, %d failed",
+		chaosBurstJobs, 4*burstWorkers, res.BurstFixes, res.BurstFailures)
 
 	res.LeakedWorkspaces = server.LeasedIngestWorkspaces() - leased0
 	r.Addf("pooled ingest workspaces leaked across all phases: %d", res.LeakedWorkspaces)

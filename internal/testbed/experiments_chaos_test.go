@@ -9,16 +9,17 @@ import "testing"
 // the surviving client's smoothed RMSE by exactly nothing; a stalled
 // connection is reaped within twice the idle timeout without hurting
 // a healthy one; corrupted frames quarantine their AP and cooldown
-// readmits it; an overload burst sheds instead of stalling.
+// readmits it; an overload burst six times the queue's depth ends in a
+// fix for every job, held back by the bounded queue, none dropped.
 func TestRunChaosMeetsTargets(t *testing.T) {
 	tb := New()
 	_, res, err := tb.RunChaos(DefaultChaosOptions(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("degraded fixes %d/%d (missed %d), survivor delta %.3fcm (%d mismatches), reap %v/%v, quarantines %d, shed %d",
+	t.Logf("degraded fixes %d/%d (missed %d), survivor delta %.3fcm (%d mismatches), reap %v/%v, quarantines %d, burst %d fixes / %d failed",
 		res.DegradedFixes, res.PostKillSteps, res.MissedFixes, res.RMSEDeltaCM,
-		res.SurvivorMismatches, res.ReapedWithin, res.ReapBound, res.Quarantines, res.Shed)
+		res.SurvivorMismatches, res.ReapedWithin, res.ReapBound, res.Quarantines, res.BurstFixes, res.BurstFailures)
 
 	// Phase A: degraded serving.
 	if res.MissedFixes != 0 {
@@ -69,11 +70,9 @@ func TestRunChaosMeetsTargets(t *testing.T) {
 		t.Fatal("AP not readmitted after cooldown")
 	}
 
-	// Phase D: shedding.
-	if res.Shed == 0 {
-		t.Fatal("overload burst shed nothing")
-	}
-	if res.ShedFixes == 0 {
-		t.Fatal("overload burst completed no fixes at all")
+	// Phase D: the bounded queue holds the burst back.
+	if res.BurstFixes != chaosBurstJobs || res.BurstFailures != 0 {
+		t.Fatalf("overload burst: %d fixes, %d failed, want %d fixes, 0 failed",
+			res.BurstFixes, res.BurstFailures, chaosBurstJobs)
 	}
 }

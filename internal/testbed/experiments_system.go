@@ -115,7 +115,8 @@ func sliceStreams(streams [][]complex128, start, n int) [][]complex128 {
 	return out
 }
 
-// latencyFixes is how many warm six-AP fixes RunLatency times for Tp.
+// latencyFixes is how many upload rounds RunLatency times for Tt and
+// how many warm six-AP fixes it times for Tp.
 const latencyFixes = 31
 
 // RunLatency regenerates the §4.4 latency budget: detection time (Td),
@@ -138,7 +139,9 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 
 	// Tt: ship each AP's 10-sample × (8+1)-antenna captures over
 	// loopback TCP, one connection per AP, and measure wall-clock
-	// serialization.
+	// serialization until the backend groups all six. latencyFixes
+	// rounds, each under a fresh client ID so it forms its own quorum
+	// group, give Tt as their median and quartiles.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -152,24 +155,28 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 	defer cancel()
 	go backend.Serve(ctx, l)
 
-	start := time.Now()
 	dial := func(context.Context) (net.Conn, error) { return net.Dial("tcp", l.Addr().String()) }
-	for i := range tb.Sites {
-		n := server.NewAPNode(uint32(i+1), 8)
-		for _, f := range captures[i] {
-			n.Record(1, time.Now(), f.Streams)
-		}
-		if err := n.Upload(ctx, dial, server.UploadOptions{Batch: len(captures[i])}); err != nil {
-			return nil, err
-		}
-	}
 	var grouped int
-	select {
-	case grouped = <-received:
-	case <-time.After(5 * time.Second):
-		return nil, context.DeadlineExceeded
+	tts := make([]float64, latencyFixes)
+	for round := range tts {
+		start := time.Now()
+		for i := range tb.Sites {
+			n := server.NewAPNode(uint32(i+1), 8)
+			for _, f := range captures[i] {
+				n.Record(uint32(round+1), time.Now(), f.Streams)
+			}
+			if err := n.Upload(ctx, dial, server.UploadOptions{Batch: len(captures[i])}); err != nil {
+				return nil, err
+			}
+		}
+		select {
+		case grouped = <-received:
+		case <-time.After(5 * time.Second):
+			return nil, context.DeadlineExceeded
+		}
+		tts[round] = float64(time.Since(start))
 	}
-	tt := time.Since(start)
+	tt, ttQ1, ttQ3 := medianQuartiles(tts)
 
 	// Tp: spectra for six APs plus grid synthesis and hill climbing, as
 	// a warm backend serves them. One untimed fix on the same captures
@@ -190,15 +197,13 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 		}
 		tps[i] = float64(time.Since(startP))
 	}
-	sort.Float64s(tps)
-	tp := time.Duration(stats.Percentile(tps, 50))
-	q1, q3 := time.Duration(stats.Percentile(tps, 25)), time.Duration(stats.Percentile(tps, 75))
+	tp, q1, q3 := medianQuartiles(tps)
 
 	lat := server.Latency{Detection: td, Transfer: tt, Processing: tp}
 	r := &Report{ID: "latency", Title: "end-to-end latency budget (§4.4)"}
 	r.Addf("captures grouped at backend: %d (6 APs × 3 frames)", grouped)
 	r.Addf("Td (detection)            %12v", lat.Detection)
-	r.Addf("Tt (transfer, loopback)   %12v", lat.Transfer)
+	r.Addf("Tt (transfer, loopback)   %12v   (median of %d upload rounds, q1–q3 %v–%v)", lat.Transfer, latencyFixes, ttQ1, ttQ3)
 	r.Addf("Tp (processing+synthesis) %12v   (median of %d warm fixes, q1–q3 %v–%v)", lat.Processing, latencyFixes, q1, q3)
 	r.Addf("total after packet end    %12v   (paper: ≈100 ms on 2011 hardware)", lat.Total())
 	// At 1 Mbit/s a bit takes a microsecond; a sample is 32 bits.
@@ -207,6 +212,14 @@ func (tb *Testbed) RunLatency(seed int64) (*Report, error) {
 		ant, samp, time.Duration(32*ant*samp)*time.Microsecond, server.TransferTime(ant, samp, 1))
 	r.Addf("location error %.0f cm", pos.Dist(client)*100)
 	return r, nil
+}
+
+// medianQuartiles sorts durations (in nanoseconds) and returns their
+// median, first and third quartiles.
+func medianQuartiles(ns []float64) (med, q1, q3 time.Duration) {
+	sort.Float64s(ns)
+	return time.Duration(stats.Percentile(ns, 50)),
+		time.Duration(stats.Percentile(ns, 25)), time.Duration(stats.Percentile(ns, 75))
 }
 
 // RunHeightError regenerates Appendix A: the percentage error in the
